@@ -525,47 +525,3 @@ var (
 	_ StateReader      = (*Overlay)(nil)
 	_ StateReader      = (*eval.MemState)(nil)
 )
-
-// ApplyTo folds the overlay's writes directly into a mutable state (the
-// DS committee's per-epoch working copy). Unlike ExtractDelta+Merge it
-// performs no copying of untouched state.
-func (o *Overlay) ApplyTo(st *eval.MemState) error {
-	for f, v := range o.scalars {
-		if err := st.StoreField(f, value.Copy(v)); err != nil {
-			return err
-		}
-	}
-	for f, writes := range o.mapWrites {
-		for _, e := range writes {
-			if e.deleted {
-				if err := st.MapDelete(f, e.keys); err != nil {
-					return err
-				}
-			} else if err := st.MapSet(f, e.keys, value.Copy(e.val)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Components calls f for every state component the overlay writes:
-// whole-field overwrites (empty keypath, nil keys) and per-entry map
-// writes (the entry's keypath and key vector). Callers that folded the
-// overlay with ApplyTo use it to re-commit exactly the touched
-// components of an authenticated root.
-func (o *Overlay) Components(f func(field, keypath string, keys []value.Value) error) error {
-	for field := range o.scalars {
-		if err := f(field, "", nil); err != nil {
-			return err
-		}
-	}
-	for field, writes := range o.mapWrites {
-		for kp, e := range writes {
-			if err := f(field, kp, e.keys); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

@@ -50,14 +50,6 @@ type Tx struct {
 	Deploy *Deployment
 }
 
-// GasBudget returns the maximum native-token cost of the transaction.
-func (t *Tx) GasBudget() *big.Int {
-	return new(big.Int).Mul(
-		new(big.Int).SetUint64(t.GasLimit),
-		new(big.Int).SetUint64(t.GasPrice),
-	)
-}
-
 // Receipt records the outcome of a processed transaction.
 type Receipt struct {
 	TxID    uint64

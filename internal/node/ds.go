@@ -18,7 +18,7 @@ import (
 //
 // Per epoch the DS dispatches (BeginEpoch), ships each shard its
 // TxBatch, collects MicroBlocks until all shards answered or the
-// collect timeout fires, finalizes (merge + DS execution + consensus),
+// collect timeout fires, finalizes (merge + its own run + consensus),
 // and broadcasts the sealed FinalBlock to every shard node and lookup.
 // A shard whose MicroBlock never arrives — dropped, corrupted, or late
 // — is treated as transport-lost: its batch is requeued and its
@@ -36,7 +36,10 @@ type DS struct {
 	// recent is a ring of the latest committed FinalBlocks (contiguous
 	// ascending epochs), the primary source for replica catch-up
 	// requests; the BlockSource covers epochs that predate this
-	// process. Only the actor goroutine touches it.
+	// process. Only the actor goroutine touches it. The blocks hold both
+	// commit phases' deltas by reference to what the runs extracted;
+	// that is safe because Network.commit copies every value it installs
+	// and never writes through a delta.
 	recent []*shard.FinalBlock
 
 	inbox     chan inbound

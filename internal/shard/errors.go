@@ -4,7 +4,8 @@ import "errors"
 
 // Sentinel errors for the shard pipeline. Error returns from the
 // package wrap these with %w, so callers branch with errors.Is instead
-// of matching message strings; in-shard receipts carry the matching
+// of matching message strings; failure receipts, from a shard or from
+// the DS committee, carry the wrapped sentinel in Receipt.Err and its
 // message in Receipt.Error.
 var (
 	// ErrUnknownDeployer rejects a deployment from an address with no
@@ -20,8 +21,9 @@ var (
 	// ErrOverflowGuard rejects a commutative write whose cumulative
 	// in-shard delta exceeds the Sec. 6 conservative overflow bound.
 	ErrOverflowGuard = errors.New("conservative overflow guard tripped")
-	// ErrInsufficientBalance rejects a transfer or send not covered by
-	// the (shard-local view of the) sender's balance.
+	// ErrInsufficientBalance rejects a transfer, accepted amount or send
+	// not covered by the payer's balance as the run sees it, and on the
+	// DS committee a gas budget the sender's balance does not cover.
 	ErrInsufficientBalance = errors.New("insufficient balance")
 	// ErrMalformedMessage rejects a contract-emitted message without a
 	// well-formed _recipient/_amount/_tag entry.

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"runtime"
 	"sort"
 	"sync"
@@ -401,19 +400,11 @@ func (n *Network) runShardGrouped(s int, queue []*chain.Tx) (*MicroBlock, error)
 		mb.Accounts.Merge(run.accDelta)
 	}
 
-	perContract := make(map[chain.Address][]*chain.StateDelta)
-	var addrs []chain.Address
+	var all []*chain.StateDelta
 	for _, ds := range runDeltas {
-		for _, d := range ds {
-			if _, seen := perContract[d.Contract]; !seen {
-				addrs = append(addrs, d.Contract)
-			}
-			perContract[d.Contract] = append(perContract[d.Contract], d)
-		}
+		all = append(all, ds...)
 	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return bytes.Compare(addrs[i][:], addrs[j][:]) < 0
-	})
+	addrs, perContract := groupByContract(all)
 	for _, addr := range addrs {
 		ds := perContract[addr]
 		if len(ds) == 1 {

@@ -8,6 +8,7 @@ import (
 
 	"cosplit/internal/chain"
 	"cosplit/internal/mempool"
+	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 )
 
@@ -81,5 +82,59 @@ func TestReceiptErrSurvivesRequeue(t *testing.T) {
 	}
 	if rec.Error != rec.Err.Error() {
 		t.Errorf("string/typed error mismatch: %q vs %q", rec.Error, rec.Err)
+	}
+}
+
+// TestFailureReceiptsTypedOnBothRoutes: the same failing call carries
+// the same sentinel whether a shard or the DS committee executed it,
+// wrapped with the transaction's identity.
+func TestFailureReceiptsTypedOnBothRoutes(t *testing.T) {
+	net, probe, user := probeNet(t)
+	inShard, viaDS := user(100, true, 1_000_000), user(200, false, 1_000_000)
+	poorIn, poorDS := user(300, true, 20_000), user(400, false, 20_000)
+	broke := user(500, false, 100) // cannot cover a 10 000-gas budget
+	to := map[string]value.Value{"to": inShard.Value(), "amount": u128(1)}
+
+	rows := []struct {
+		name string
+		tx   *chain.Tx
+		ds   bool
+		want error
+	}{
+		{"send beyond the contract's balance, shard", probeCall(inShard, probe, 1, 0, "Spill", to), false, shard.ErrInsufficientBalance},
+		{"send beyond the contract's balance, DS", probeCall(viaDS, probe, 1, 0, "Spill", to), true, shard.ErrInsufficientBalance},
+		{"accepted amount beyond the sender's balance, shard", probeCall(poorIn, probe, 1, 25_000, "Spill", to), false, shard.ErrInsufficientBalance},
+		{"accepted amount beyond the sender's balance, DS", probeCall(poorDS, probe, 1, 25_000, "Spill", to), true, shard.ErrInsufficientBalance},
+		{"message without recipient, shard", probeCall(inShard, probe, 2, 0, "NoRecipient", nil), false, shard.ErrMalformedMessage},
+		{"message without recipient, DS", probeCall(viaDS, probe, 2, 0, "NoRecipient", nil), true, shard.ErrMalformedMessage},
+		{"contract recipient, shard", probeCall(inShard, probe, 3, 0, "Loop", nil), false, shard.ErrContractRecipient},
+		{"endless call chain, DS", probeCall(viaDS, probe, 3, 0, "Loop", nil), true, shard.ErrCallDepthExceeded},
+		{"gas budget beyond the sender's balance, DS", probeCall(broke, probe, 1, 0, "NoRecipient", nil), true, shard.ErrInsufficientBalance},
+	}
+	ids := make([]uint64, len(rows))
+	for i, row := range rows {
+		ids[i] = net.Submit(row.tx)
+	}
+	if _, err := net.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		rec := net.Receipt(ids[i])
+		if rec == nil || rec.Success {
+			t.Errorf("%s: receipt %+v, want failure", row.name, rec)
+			continue
+		}
+		if row.ds != (rec.Shard == -1) {
+			t.Errorf("%s: executed on shard %d", row.name, rec.Shard)
+		}
+		if !errors.Is(rec.Err, row.want) {
+			t.Errorf("%s: receipt Err = %v (Error %q), want errors.Is %v", row.name, rec.Err, rec.Error, row.want)
+		}
+		if rec.Err != nil && rec.Error != rec.Err.Error() {
+			t.Errorf("%s: string/typed error mismatch: %q vs %q", row.name, rec.Error, rec.Err)
+		}
+		if !strings.Contains(rec.Error, "sender") {
+			t.Errorf("%s: receipt Error %q lacks tx identity context", row.name, rec.Error)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package shard implements the sharded transaction-processing pipeline
 // of Fig. 10: per-epoch dispatch of the mempool to shards, parallel
 // in-shard execution producing MicroBlocks and StateDeltas, the DS
-// committee's three-way merge into a FinalBlock, and sequential DS
-// execution of the transactions no shard could take.
+// committee's three-way merge into a FinalBlock, and the committee's
+// own sequential run — one more shard run, over the merged state — of
+// the transactions no shard could take.
 //
 // Networks are built with NewNetwork and functional options. The
 // pipeline is instrumented throughout: always-on counters and
@@ -130,8 +131,11 @@ type Network struct {
 	// (indexed by shard, so concurrent shard runners never share an
 	// entry). Reset keeps the write-table buckets, so steady-state
 	// epochs stop paying map growth for the shard-level overlays. Only
-	// the one-run-per-shard paths use it; the grouped intra-shard path
-	// creates one run per worker and allocates fresh overlays.
+	// the one-run-per-shard path uses it: the grouped intra-shard path
+	// creates one run per worker, and a pooled overlay's keypath intern
+	// table keeps every key it has seen, which for the DS committee's
+	// run — fresh content hashes each epoch on the ProofIPFS workload —
+	// measured as 12 MB more live heap and no time saved.
 	ovPool []map[chain.Address]*chain.Overlay
 
 	shardModel consensus.PBFTModel
@@ -363,17 +367,22 @@ func (r *EpochRun) DSQueue() []*chain.Tx { return r.dsQueue }
 func (r *EpochRun) CollectFinalBlock() { r.collectFB = true }
 
 // FinalBlock is the DS committee's per-epoch commitment, broadcast to
-// every node so replicas converge: the raw shard StateDeltas that
-// survived the merge (in shard order), the merged account delta, every
-// receipt of the epoch, the DS committee's own sequential batch
-// (replicas re-execute it — DS execution is deterministic), and the
-// resulting state root for end-to-end verification.
+// every node so replicas converge. It carries the epoch's two commit
+// phases — the raw shard StateDeltas that survived the merge (in shard
+// order) with the merged account delta, then the output of the
+// committee's own run over the merged state — plus every receipt of
+// the epoch and the resulting state root. The committee ships what its
+// run changed rather than the batch it ran, so a replica applies a
+// block without executing a transition and verifies the root.
 type FinalBlock struct {
 	Epoch    uint64
 	Deltas   []*chain.StateDelta
 	Accounts *chain.AccountDelta
-	Receipts []*chain.Receipt
-	DSBatch  []*chain.Tx
+	// DSDeltas and DSAccounts are the second phase, relative to the
+	// state the first phase leaves.
+	DSDeltas   []*chain.StateDelta
+	DSAccounts *chain.AccountDelta
+	Receipts   []*chain.Receipt
 	// StateRoot is Network.StateRoot after the epoch fully committed;
 	// replicas reject a block whose replayed root disagrees.
 	StateRoot string
@@ -511,9 +520,10 @@ func (n *Network) RunEpoch() (*EpochStats, error) {
 }
 
 // FinalizeEpoch completes an epoch begun with BeginEpoch: the DS
-// committee's three-way merge of the surviving MicroBlocks, sequential
-// DS execution of the unsharded queue, the modelled consensus charge,
-// and the epoch counters. blocks is indexed by shard; a nil entry
+// committee commits the surviving MicroBlocks (three-way merge), runs
+// the unsharded queue over the result and commits that run's output
+// the same way, then charges the modelled consensus and closes the
+// epoch counters. blocks is indexed by shard; a nil entry
 // means the shard's MicroBlock never arrived (in the node runtime: its
 // frame was dropped, corrupted, or timed out at the transport layer)
 // and is handled like an injected loss — nothing from the shard
@@ -646,56 +656,45 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	// order, so the merge is byte-for-byte deterministic regardless of
 	// how phase 2 was scheduled.
 	t1 := time.Now()
-	byContract := make(map[chain.Address][]*chain.StateDelta)
 	for _, d := range allDeltas {
 		stats.DeltaEntries += d.Size()
-		byContract[d.Contract] = append(byContract[d.Contract], d)
 	}
-	addrs := make([]chain.Address, 0, len(byContract))
-	for addr := range byContract {
-		addrs = append(addrs, addr)
+	merged, err := n.commit(allDeltas, accDelta)
+	if err != nil {
+		return nil, nil, fmt.Errorf("epoch %d: %w", n.Epoch, err)
 	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return bytes.Compare(addrs[i][:], addrs[j][:]) < 0
-	})
-	for _, addr := range addrs {
-		c := n.Contracts.Get(addr)
-		merged := c.Snapshot().Copy()
-		if err := chain.MergeDeltas(merged, byContract[addr]); err != nil {
-			n.m.mergeConflicts.Inc()
-			return nil, nil, fmt.Errorf("epoch %d: %w", n.Epoch, err)
-		}
-		c.ReplaceState(merged)
-		n.touchDeltas(addr, byContract[addr], merged)
-	}
-	if err := n.Accounts.Apply(accDelta); err != nil {
-		return nil, nil, err
-	}
-	n.touchAccountDelta(accDelta)
 	sum.Merge = time.Since(t1)
-	n.m.mergeContracts.Add(int64(len(addrs)))
+	n.m.mergeContracts.Add(int64(merged))
 	n.m.deltaEntries.Observe(int64(stats.DeltaEntries))
 	n.m.mergeTime.ObserveDuration(sum.Merge)
-	n.rec.DeltaMerged(n.Epoch, len(addrs), len(allDeltas), stats.DeltaEntries, 0, sum.Merge)
+	n.rec.DeltaMerged(n.Epoch, merged, len(allDeltas), stats.DeltaEntries, 0, sum.Merge)
 
-	// Phase 4: the DS committee executes the remaining potentially
-	// conflicting transactions sequentially on the merged state.
+	// Phase 4: the DS committee runs the remaining potentially
+	// conflicting transactions sequentially over the merged state — a
+	// shard run like any other, with message chains between contracts
+	// allowed — and commits its output as the epoch's second phase.
 	t2 := time.Now()
 	n.rec.ShardExecStart(n.Epoch, dispatch.DS, len(dsQueue))
-	if fb != nil {
-		// Snapshot the DS batch before execution: dsQueue aliases a
-		// per-network scratch buffer reused next epoch, and replicas
-		// need the exact pre-execution sequence to replay.
-		fb.DSBatch = append([]*chain.Tx(nil), dsQueue...)
+	ds, err := n.runQueue(dispatch.DS, dsQueue)
+	if err == nil {
+		_, err = n.commit(ds.Deltas, ds.Accounts)
 	}
-	dsCommitted, dsFailed, dsDeferred, dsReceipts := n.runDS(dsQueue)
+	if err != nil {
+		return nil, nil, fmt.Errorf("epoch %d: DS run: %w", n.Epoch, err)
+	}
 	sum.DSExec = time.Since(t2)
 	n.rec.ShardExecEnd(n.Epoch, dispatch.DS, sum.DSExec)
-	stats.Committed += dsCommitted
-	stats.DSCount = dsCommitted
-	stats.Failed += dsFailed
-	stats.Deferred += len(dsDeferred)
-	n.requeue(dispatch.DS, dsDeferred)
+	for _, r := range ds.Receipts {
+		n.record(r)
+		if r.Success {
+			stats.DSCount++
+		} else {
+			stats.Failed++
+		}
+	}
+	stats.Committed += stats.DSCount
+	stats.Deferred += len(ds.Deferred)
+	n.requeue(dispatch.DS, ds.Deferred)
 
 	// Phase 5: modelled consensus cost (plus the view-change round when
 	// an injected fault lost a MicroBlock this epoch).
@@ -713,15 +712,15 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	sum.Failed = stats.Failed
 	sum.Rejected = stats.Rejected
 	sum.Deferred = stats.Deferred
-	sum.DSCommitted = dsCommitted
+	sum.DSCommitted = stats.DSCount
 	sum.DeltaEntries = stats.DeltaEntries
 	n.finishEpochMetrics(sum)
 	n.rec.EpochFinalized(sum)
 
 	if fb != nil {
-		fb.Deltas = allDeltas
-		fb.Accounts = accDelta
-		fb.Receipts = append(fb.Receipts, dsReceipts...)
+		fb.Deltas, fb.Accounts = allDeltas, accDelta
+		fb.DSDeltas, fb.DSAccounts = ds.Deltas, ds.Accounts
+		fb.Receipts = append(fb.Receipts, ds.Receipts...)
 		t3 := time.Now()
 		fb.StateRoot = n.StateRoot()
 		n.m.rootTime.ObserveDuration(time.Since(t3))
@@ -738,10 +737,9 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	return stats, fb, nil
 }
 
-// ApplyFinalBlock replays a DS-committed epoch on a replica: the
-// three-way delta merge (contracts visited in address order, exactly
-// as FinalizeEpoch merges), the account delta, the shipped receipts,
-// and a deterministic re-execution of the DS batch. The replica's
+// ApplyFinalBlock applies a DS-committed epoch on a replica: the
+// block's two commit phases through the same commit the committee
+// used, then the shipped receipts. Nothing is executed. The replica's
 // resulting state root must match the block's; a mismatch (a corrupted
 // frame that survived decoding, or replica divergence) fails with
 // ErrStateDivergence and commits nothing further.
@@ -768,43 +766,15 @@ func (n *Network) replayFinalBlock(fb *FinalBlock) error {
 	if fb.Epoch != n.Epoch {
 		return fmt.Errorf("apply final block: %w: block epoch %d, replica epoch %d", ErrEpochSkew, fb.Epoch, n.Epoch)
 	}
-	byContract := make(map[chain.Address][]*chain.StateDelta)
-	for _, d := range fb.Deltas {
-		byContract[d.Contract] = append(byContract[d.Contract], d)
+	if _, err := n.commit(fb.Deltas, fb.Accounts); err != nil {
+		return fmt.Errorf("apply final block epoch %d: %w", fb.Epoch, err)
 	}
-	addrs := make([]chain.Address, 0, len(byContract))
-	for addr := range byContract {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return bytes.Compare(addrs[i][:], addrs[j][:]) < 0
-	})
-	for _, addr := range addrs {
-		c := n.Contracts.Get(addr)
-		if c == nil {
-			return fmt.Errorf("apply final block epoch %d: %w: contract %s", fb.Epoch, ErrUnknownContract, addr)
-		}
-		merged := c.Snapshot().Copy()
-		if err := chain.MergeDeltas(merged, byContract[addr]); err != nil {
-			return fmt.Errorf("apply final block epoch %d: %w", fb.Epoch, err)
-		}
-		c.ReplaceState(merged)
-		n.touchDeltas(addr, byContract[addr], merged)
-	}
-	if fb.Accounts != nil {
-		if err := n.Accounts.Apply(fb.Accounts); err != nil {
-			return fmt.Errorf("apply final block epoch %d: %w", fb.Epoch, err)
-		}
-		n.touchAccountDelta(fb.Accounts)
+	if _, err := n.commit(fb.DSDeltas, fb.DSAccounts); err != nil {
+		return fmt.Errorf("apply final block epoch %d: DS phase: %w", fb.Epoch, err)
 	}
 	for _, r := range fb.Receipts {
 		n.record(r)
 	}
-	// DS execution produced no deltas on the committee (it commits
-	// directly to canonical state), so replicas re-run the batch; runDS
-	// is deterministic, and the deferred tail is dropped here — the DS
-	// committee requeued it and will ship it in a later block.
-	n.runDS(fb.DSBatch)
 	if fb.StateRoot != "" {
 		if root := n.StateRoot(); root != fb.StateRoot {
 			return fmt.Errorf("apply final block epoch %d: %w: replica root %s, block root %s",
@@ -814,6 +784,55 @@ func (n *Network) replayFinalBlock(fb *FinalBlock) error {
 	n.Epoch++
 	n.BlockNumber++
 	return nil
+}
+
+// commit folds one phase's output — a set of per-contract state
+// deltas and an account delta — into canonical state: contracts in
+// address order, each merged into a copy of its canonical state that
+// then replaces it, the touched root-trie components re-committed, the
+// account delta applied last. The committee calls it for the shards'
+// output and again for its own run's; replicas call it for the same two
+// phases of a FinalBlock. It is the only place contract state is copied
+// and merged. It returns the number of contracts merged.
+func (n *Network) commit(deltas []*chain.StateDelta, accounts *chain.AccountDelta) (int, error) {
+	addrs, byContract := groupByContract(deltas)
+	for _, addr := range addrs {
+		c := n.Contracts.Get(addr)
+		if c == nil {
+			return 0, fmt.Errorf("%w: contract %s", ErrUnknownContract, addr)
+		}
+		merged := c.Snapshot().Copy()
+		if err := chain.MergeDeltas(merged, byContract[addr]); err != nil {
+			n.m.mergeConflicts.Inc()
+			return 0, err
+		}
+		c.ReplaceState(merged)
+		n.touchDeltas(addr, byContract[addr], merged)
+	}
+	if accounts != nil {
+		if err := n.Accounts.Apply(accounts); err != nil {
+			return 0, err
+		}
+		n.touchAccountDelta(accounts)
+	}
+	return len(addrs), nil
+}
+
+// groupByContract buckets deltas by contract, keeping their order
+// within a contract, and returns the contracts in address order.
+func groupByContract(deltas []*chain.StateDelta) ([]chain.Address, map[chain.Address][]*chain.StateDelta) {
+	byContract := make(map[chain.Address][]*chain.StateDelta)
+	var addrs []chain.Address
+	for _, d := range deltas {
+		if _, seen := byContract[d.Contract]; !seen {
+			addrs = append(addrs, d.Contract)
+		}
+		byContract[d.Contract] = append(byContract[d.Contract], d)
+	}
+	sort.Slice(addrs, func(i, j int) bool {
+		return bytes.Compare(addrs[i][:], addrs[j][:]) < 0
+	})
+	return addrs, byContract
 }
 
 // rejectedShard labels receipts and trace events for transactions the
@@ -917,38 +936,72 @@ func (n *Network) requeue(shard int, txs []*chain.Tx) {
 	n.m.mempool.Set(int64(len(n.mempool)))
 }
 
-// shardRun is the per-shard execution context for one epoch.
+// shardRun is the execution context of one queue for one epoch: a
+// shard's, or — shard == dispatch.DS — the DS committee's over the
+// merged canonical state. The DS run differs from a shard's in its gas
+// limit, its admission rule (admit) and in being allowed to follow
+// messages from contract to contract (call); everything else is one
+// executor.
 type shardRun struct {
-	net      *Network
-	shard    int
+	net   *Network
+	shard int
+	// gasLimit is the block gas cap the run seals under.
+	gasLimit uint64
 	overlays map[chain.Address]*chain.Overlay
-	// ovCache, when non-nil, recycles shard overlays across epochs (see
-	// Network.ovPool). Grouped-path worker runs leave it nil.
+	// ovCache, when non-nil, recycles the run's overlays across epochs
+	// (see Network.ovPool). Grouped-path worker runs and the DS run
+	// leave it nil.
 	ovCache  map[chain.Address]*chain.Overlay
 	accDelta *chain.AccountDelta
-	// localBal tracks each account's balance view inside the shard
-	// (base balance + local deltas) for overdraft checks.
+	// localBal tracks each account's balance view inside the run (base
+	// balance + local deltas) for overdraft checks.
 	localBal map[chain.Address]*big.Int
 	// gasSpent tracks per-sender gas spending for split gas accounting.
 	gasSpent map[chain.Address]*big.Int
-	// evalCtx is reused across the run's transactions so the
+	// evalCtx is reused across the run's transition calls so the
 	// interpreter's per-call environment and key scratch persist.
 	evalCtx eval.Context
-	// txOv is the pooled per-transaction rollback overlay: Reset onto
-	// the contract's shard overlay before each call, committed or
-	// discarded after. One pooled overlay suffices because a shardRun
-	// executes its queue on a single goroutine.
-	txOv *chain.Overlay
+	// txOvs holds the running transaction's rollback overlays, one per
+	// contract it has called (the first txLive entries; the rest are
+	// pooled from earlier transactions and Reset on reuse). All are
+	// committed into the run's overlays together or dropped together. A
+	// shard transaction calls exactly one contract; pooling is safe
+	// because a shardRun executes its queue on a single goroutine.
+	txOvs  []txOverlay
+	txLive int
+	// moves queues the native-token movements the running call asks for
+	// — the accepted amount, then each message in order — until its gas
+	// is settled; applyMoves then makes all of them or none.
+	moves []tokenMove
 	// Scratch big.Ints for per-transaction gas arithmetic. Safe to
 	// reuse because every consumer (balance views, account deltas,
 	// allowance comparisons) copies or folds the value immediately.
 	scrCost, scrPrice, scrNeg, scrSum, scrBudget, scrTotal, scrBlk, scrCB, scrAllow big.Int
 }
 
+// txOverlay is one contract's per-transaction overlay, stacked on the
+// run's overlay for that contract.
+type txOverlay struct {
+	c       *chain.Contract
+	shardOv *chain.Overlay
+	ov      *chain.Overlay
+}
+
+// tokenMove is one native-token movement a call asked for.
+type tokenMove struct {
+	from, to chain.Address
+	amount   *big.Int
+}
+
 func (n *Network) newShardRun(s int) *shardRun {
+	limit := n.cfg.ShardGasLimit
+	if s == dispatch.DS {
+		limit = n.cfg.DSGasLimit
+	}
 	return &shardRun{
 		net:      n,
 		shard:    s,
+		gasLimit: limit,
 		overlays: make(map[chain.Address]*chain.Overlay),
 		accDelta: chain.NewAccountDelta(),
 		localBal: make(map[chain.Address]*big.Int),
@@ -974,7 +1027,27 @@ func (r *shardRun) overlayFor(c *chain.Contract) *chain.Overlay {
 	return ov
 }
 
-// balanceView returns the shard-local view of an account balance.
+// txOverlayFor returns the running transaction's overlay for c, taking
+// a pooled one on the transaction's first call into c.
+func (r *shardRun) txOverlayFor(c *chain.Contract) *chain.Overlay {
+	for i := range r.txOvs[:r.txLive] {
+		if r.txOvs[i].c == c {
+			return r.txOvs[i].ov
+		}
+	}
+	shardOv := r.overlayFor(c)
+	if r.txLive == len(r.txOvs) {
+		r.txOvs = append(r.txOvs, txOverlay{ov: chain.NewOverlay(shardOv, c.Checked.FieldTypes)})
+	} else {
+		r.txOvs[r.txLive].ov.Reset(shardOv, c.Checked.FieldTypes)
+	}
+	t := &r.txOvs[r.txLive]
+	t.c, t.shardOv = c, shardOv
+	r.txLive++
+	return t.ov
+}
+
+// balanceView returns the run-local view of an account balance.
 func (r *shardRun) balanceView(a chain.Address) *big.Int {
 	if b, ok := r.localBal[a]; ok {
 		return b
@@ -999,6 +1072,31 @@ func (r *shardRun) debit(a chain.Address, v *big.Int) {
 	r.credit(a, neg)
 }
 
+// applyMoves makes the queued token movements in order, each covered by
+// the payer's balance at that point, or none of them: the balance views
+// move first and are taken back when a later movement is not covered,
+// so a failed call leaves no trace in the run's account delta.
+func (r *shardRun) applyMoves() error {
+	for i, mv := range r.moves {
+		from := r.balanceView(mv.from)
+		if from.Cmp(mv.amount) < 0 {
+			for _, done := range r.moves[:i] {
+				r.localBal[done.from].Add(r.localBal[done.from], done.amount)
+				r.localBal[done.to].Sub(r.localBal[done.to], done.amount)
+			}
+			return fmt.Errorf("%w: %s cannot pay %s", ErrInsufficientBalance, mv.from, mv.amount)
+		}
+		from.Sub(from, mv.amount)
+		to := r.balanceView(mv.to)
+		to.Add(to, mv.amount)
+	}
+	for _, mv := range r.moves {
+		r.accDelta.AddBalance(mv.from, r.scrNeg.Neg(mv.amount))
+		r.accDelta.AddBalance(mv.to, mv.amount)
+	}
+	return nil
+}
+
 // gasAllowance returns how much native token the sender may spend on
 // gas within this shard (Sec. 4.2.2).
 func (r *shardRun) gasAllowance(sender chain.Address) *big.Int {
@@ -1018,15 +1116,32 @@ func (r *shardRun) gasAllowance(sender chain.Address) *big.Int {
 	return half.Div(half, r.scrPrice.SetInt64(int64(r.net.cfg.NumShards-1)))
 }
 
+// admit is the run's gas admission rule. A shard may spend only its
+// allowance of the sender's epoch-start balance on gas, summed over the
+// run (Sec. 4.2.2). The DS committee runs after every shard's effects
+// are merged and sees the sender's whole balance, so there the current
+// balance must cover this transaction's budget.
+func (r *shardRun) admit(sender chain.Address, spent, budget *big.Int) error {
+	if r.shard == dispatch.DS {
+		if r.balanceView(sender).Cmp(budget) < 0 {
+			return fmt.Errorf("%w for gas", ErrInsufficientBalance)
+		}
+		return nil
+	}
+	if r.scrSum.Add(spent, budget).Cmp(r.gasAllowance(sender)) > 0 {
+		return ErrGasExhausted
+	}
+	return nil
+}
+
 // ExecuteShard executes one shard's transaction queue within the shard
 // gas limit and produces its MicroBlock. It is the phase-2 stage of
 // the epoch pipeline: RunEpoch calls it for every shard in-process,
 // while the node runtime runs it on each shard node's own replica
 // against a queue received over the wire. With IntraShardWorkers > 1
 // the batch first attempts the grouped parallel path (groups.go); any
-// fallback condition reruns the batch on the sequential path below —
-// both produce bit-identical MicroBlocks when the grouped path
-// completes.
+// fallback condition reruns the batch on the sequential path — both
+// produce bit-identical MicroBlocks when the grouped path completes.
 func (n *Network) ExecuteShard(s int, queue []*chain.Tx) (*MicroBlock, error) {
 	n.rec.ShardExecStart(n.Epoch, s, len(queue))
 	n.m.queueDepth.Observe(int64(len(queue)))
@@ -1042,7 +1157,7 @@ func (n *Network) ExecuteShard(s int, queue []*chain.Tx) (*MicroBlock, error) {
 		return nil, err
 	}
 	if mb == nil {
-		if mb, err = n.runShardSequential(s, queue); err != nil {
+		if mb, err = n.runQueue(s, queue); err != nil {
 			return nil, err
 		}
 	}
@@ -1062,19 +1177,23 @@ func (n *Network) ExecuteShard(s int, queue []*chain.Tx) (*MicroBlock, error) {
 	return mb, nil
 }
 
-// runShardSequential executes a shard's transaction queue sequentially.
-func (n *Network) runShardSequential(s int, queue []*chain.Tx) (*MicroBlock, error) {
+// runQueue executes a queue sequentially on one run and seals its
+// output: shard s's MicroBlock, or for s == dispatch.DS the DS
+// committee's second commit phase in the same shape.
+func (n *Network) runQueue(s int, queue []*chain.Tx) (*MicroBlock, error) {
 	run := n.newShardRun(s)
-	run.ovCache = n.ovPool[s]
+	if s != dispatch.DS {
+		run.ovCache = n.ovPool[s]
+	}
 	mb := &MicroBlock{Shard: s, Epoch: n.Epoch, Accounts: run.accDelta}
 	start := time.Now()
 	for i, tx := range queue {
-		// The block never commits past the MicroBlock gas limit: each
-		// transaction runs under the remaining epoch gas, and one that
-		// cannot fit in what is left is deferred to the next epoch (with
-		// the rest of the queue, preserving order) rather than allowed to
-		// blow past the cap.
-		remaining := n.cfg.ShardGasLimit - mb.GasUsed
+		// The block never commits past its gas limit: each transaction
+		// runs under the remaining epoch gas, and one that cannot fit in
+		// what is left is deferred to the next epoch (with the rest of the
+		// queue, preserving order) rather than allowed to blow past the
+		// cap.
+		remaining := run.gasLimit - mb.GasUsed
 		if remaining == 0 {
 			mb.Deferred = append(mb.Deferred, queue[i:]...)
 			break
@@ -1091,7 +1210,7 @@ func (n *Network) runShardSequential(s int, queue []*chain.Tx) (*MicroBlock, err
 	}
 
 	// Extract per-contract state deltas. Extraction counts toward
-	// ExecTime: the shard cannot seal its MicroBlock without it, and the
+	// ExecTime: the run cannot seal its block without it, and the
 	// grouped path charges the same work inside its worker runs.
 	deltas, err := run.extractDeltas()
 	if err != nil {
@@ -1123,14 +1242,16 @@ func (r *shardRun) extractDeltas() ([]*chain.StateDelta, error) {
 	return out, nil
 }
 
-// execute runs one transaction inside a shard, capped by the epoch's
-// remaining MicroBlock gas. remaining == 0 means "no epoch cap" (the
+// execute runs one transaction on the run, capped by the epoch's
+// remaining block gas. remaining == 0 means "no epoch cap" (the
 // grouped parallel path runs workers under the declared transaction
 // limits and lets the fold re-check the block budget). When the
 // transaction cannot complete within a non-zero remaining budget but
 // might within a fresh epoch's full limit, execute reports wait=true
-// and leaves all shard state — balances, nonces, gas spending —
-// untouched so the transaction can be deferred and retried.
+// and leaves all run state — overlays, balances, nonces, gas spending —
+// untouched so the transaction can be deferred and retried. A failed
+// transaction is charged its gas and its nonce and changes nothing
+// else.
 func (r *shardRun) execute(tx *chain.Tx, remaining uint64) (_ *chain.Receipt, wait bool) {
 	// effLimit is what the interpreter may burn: the transaction's own
 	// declared limit, clipped to the epoch budget when one applies
@@ -1158,16 +1279,14 @@ func (r *shardRun) execute(tx *chain.Tx, remaining uint64) (_ *chain.Receipt, wa
 		return r.scrCost.Mul(r.scrCost.SetUint64(used), r.scrPrice.SetUint64(tx.GasPrice))
 	}
 
-	// Split gas accounting: refuse when the sender's shard budget is
-	// exhausted.
 	spent := r.gasSpent[tx.From]
 	if spent == nil {
 		spent = new(big.Int)
 		r.gasSpent[tx.From] = spent
 	}
 	budget := r.scrBudget.Mul(r.scrBudget.SetUint64(tx.GasLimit), r.scrPrice.SetUint64(tx.GasPrice))
-	if r.scrSum.Add(spent, budget).Cmp(r.gasAllowance(tx.From)) > 0 {
-		return fail(ErrGasExhausted)
+	if err := r.admit(tx.From, spent, budget); err != nil {
+		return fail(err)
 	}
 
 	switch tx.Kind {
@@ -1185,66 +1304,33 @@ func (r *shardRun) execute(tx *chain.Tx, remaining uint64) (_ *chain.Receipt, wa
 		rec.Success = true
 		return rec, false
 	case chain.TxCall:
-		c := r.net.Contracts.Get(tx.To)
-		if c == nil {
-			return fail(ErrUnknownContract)
-		}
-		shardOv := r.overlayFor(c)
-		txOv := r.txOv
-		if txOv == nil {
-			txOv = chain.NewOverlay(shardOv, c.Checked.FieldTypes)
-			r.txOv = txOv
-		} else {
-			txOv.Reset(shardOv, c.Checked.FieldTypes)
-		}
-		ctx := &r.evalCtx
-		ctx.Sender = tx.From.Value()
-		ctx.Origin = ctx.Sender
-		ctx.Amount = value.Int{Ty: ast.TyUint128, V: tx.Amount}
-		ctx.BlockNumber = r.scrBlk.SetUint64(r.net.BlockNumber)
-		ctx.State = txOv
-		ctx.GasLimit = effLimit
-		ctx.ContractBalance = r.scrCB.Set(r.balanceView(tx.To))
-		res, err := runTransition(&r.net.cfg, c, ctx, tx.Transition, tx.Args)
-		if effLimit > 0 && ctx.GasUsed > effLimit {
+		r.txLive, r.moves = 0, r.moves[:0]
+		events, gas, err := r.call(tx.From, tx.From, tx.To, tx.Transition, tx.Args, tx.Amount, effLimit, 0)
+		if effLimit > 0 && gas > effLimit {
 			// The interpreter's gas check runs after each charge, so a
 			// failing run can overshoot the limit by one operation; the
 			// block accounting must never see more than the effective
-			// limit or the MicroBlock could exceed its gas cap.
-			ctx.GasUsed = effLimit
+			// limit or the block could exceed its gas cap.
+			gas = effLimit
 		}
 		var oog *eval.OutOfGasError
-		if epochCapped && errors.As(err, &oog) && remaining < r.net.cfg.ShardGasLimit {
+		if epochCapped && errors.As(err, &oog) && remaining < r.gasLimit {
 			// The transaction ran out of the epoch's residual gas, not its
 			// own declared budget: a fresh epoch offers more headroom, so
 			// defer it instead of failing. Nothing is charged — the failed
-			// attempt's state lives only in the discarded tx overlay.
+			// attempt's state lives only in the dropped tx overlays.
 			return nil, true
 		}
-		rec.GasUsed = ctx.GasUsed
-		cost := gasCost(rec.GasUsed)
-		// Gas is charged whether or not the transition succeeds.
+		rec.GasUsed = gas
+		cost := gasCost(gas)
+		// Gas is charged whether or not the call succeeds.
 		r.debit(tx.From, cost)
 		spent.Add(spent, cost)
 		r.accDelta.BumpNonce(tx.From, tx.Nonce)
 		if err != nil {
 			return fail(err)
 		}
-		// Native token movement: accept pulls the amount into the
-		// contract; outgoing messages push funds to user recipients.
-		if res.Accepted && tx.Amount.Sign() > 0 {
-			if r.balanceView(tx.From).Cmp(tx.Amount) < 0 {
-				return fail(fmt.Errorf("%w for accepted amount", ErrInsufficientBalance))
-			}
-			r.debit(tx.From, tx.Amount)
-			r.credit(tx.To, tx.Amount)
-		}
-		for _, m := range res.Messages {
-			if err := r.deliverToUser(c.Addr, m); err != nil {
-				return fail(err)
-			}
-		}
-		if bad, err := r.overflowGuardViolation(c, shardOv, txOv); err != nil {
+		if bad, err := r.overflowGuardViolation(); err != nil {
 			return fail(err)
 		} else if bad {
 			// Sec. 6: conservative per-shard overflow bound exceeded;
@@ -1254,57 +1340,131 @@ func (r *shardRun) execute(tx *chain.Tx, remaining uint64) (_ *chain.Receipt, wa
 			r.net.rec.OverflowGuardTripped(r.net.Epoch, r.shard, tx.ID)
 			return fail(ErrOverflowGuard)
 		}
-		txOv.CommitTo(shardOv)
+		if err := r.applyMoves(); err != nil {
+			return fail(err)
+		}
+		for i := range r.txOvs[:r.txLive] {
+			r.txOvs[i].ov.CommitTo(r.txOvs[i].shardOv)
+		}
 		rec.Success = true
-		rec.Events = res.Events
+		rec.Events = events
 		return rec, false
 	default:
-		return fail(errors.New("unsupported transaction kind in shard"))
+		return fail(errors.New("unsupported transaction kind"))
 	}
 }
 
-// deliverToUser applies a contract-emitted message to a user account
-// (shards may only send to users; contract recipients are filtered at
-// dispatch).
-func (r *shardRun) deliverToUser(from chain.Address, m value.Msg) error {
-	rcp, ok := m.Entries["_recipient"]
-	if !ok {
-		return fmt.Errorf("%w: message without _recipient", ErrMalformedMessage)
+// maxCallDepth bounds message chains between contracts on the DS
+// committee.
+const maxCallDepth = 8
+
+// call runs one transition of the contract at `to` on the running
+// transaction's overlay for it and queues the native-token movements
+// it asks for: the accepted amount, then each message's in order. A
+// message to a user only moves tokens. A message to a contract is a
+// nested call, which the DS committee's run follows up to maxCallDepth
+// under what is left of the caller's gas; shards send to users only
+// (dispatch keeps contract recipients out of shard queues). It returns
+// the events and the gas of the whole chain.
+func (r *shardRun) call(origin, sender, to chain.Address, transition string,
+	args map[string]value.Value, amount *big.Int, gasLimit uint64, depth int) ([]value.Msg, uint64, error) {
+
+	if depth > maxCallDepth {
+		return nil, 0, ErrCallDepthExceeded
 	}
-	addr, ok := chain.AddressFromValue(rcp)
-	if !ok {
-		return fmt.Errorf("%w: malformed _recipient", ErrMalformedMessage)
+	c := r.net.Contracts.Get(to)
+	if c == nil {
+		return nil, 0, fmt.Errorf("%w %s", ErrUnknownContract, to)
 	}
-	if r.net.Accounts.IsContract(addr) {
-		return fmt.Errorf("%w %s", ErrContractRecipient, addr)
+	ctx := &r.evalCtx
+	ctx.Sender = sender.Value()
+	ctx.Origin = ctx.Sender
+	if origin != sender {
+		ctx.Origin = origin.Value()
 	}
-	if amt, ok := m.Entries["_amount"]; ok {
-		iv, ok := amt.(value.Int)
+	ctx.Amount = value.Int{Ty: ast.TyUint128, V: amount}
+	ctx.BlockNumber = r.scrBlk.SetUint64(r.net.BlockNumber)
+	ctx.State = r.txOverlayFor(c)
+	ctx.GasLimit = gasLimit
+	ctx.ContractBalance = r.scrCB.Set(r.balanceView(to))
+	res, err := runTransition(&r.net.cfg, c, ctx, transition, args)
+	gas := ctx.GasUsed
+	if err != nil {
+		return nil, gas, err
+	}
+	if res.Accepted && amount.Sign() > 0 {
+		r.moves = append(r.moves, tokenMove{from: sender, to: to, amount: amount})
+	}
+	events := res.Events
+	for _, m := range res.Messages {
+		rcp, ok := m.Entries["_recipient"]
 		if !ok {
-			return fmt.Errorf("%w: malformed _amount", ErrMalformedMessage)
+			return nil, gas, fmt.Errorf("%w: message without _recipient", ErrMalformedMessage)
 		}
-		if iv.V.Sign() > 0 {
-			if r.balanceView(from).Cmp(iv.V) < 0 {
-				return fmt.Errorf("contract balance: %w for send", ErrInsufficientBalance)
+		addr, ok := chain.AddressFromValue(rcp)
+		if !ok {
+			return nil, gas, fmt.Errorf("%w: malformed _recipient", ErrMalformedMessage)
+		}
+		var msgAmount *big.Int // nil without an _amount entry
+		if amt, ok := m.Entries["_amount"]; ok {
+			iv, ok := amt.(value.Int)
+			if !ok {
+				return nil, gas, fmt.Errorf("%w: malformed _amount", ErrMalformedMessage)
 			}
-			r.debit(from, iv.V)
-			r.credit(addr, iv.V)
+			msgAmount = iv.V
 		}
+		if !r.net.Accounts.IsContract(addr) {
+			if msgAmount != nil && msgAmount.Sign() > 0 {
+				r.moves = append(r.moves, tokenMove{from: to, to: addr, amount: msgAmount})
+			}
+			continue
+		}
+		if r.shard != dispatch.DS {
+			return nil, gas, fmt.Errorf("%w %s", ErrContractRecipient, addr)
+		}
+		tag, ok := m.Entries["_tag"].(value.Str)
+		if !ok {
+			return nil, gas, fmt.Errorf("%w: contract call without _tag", ErrMalformedMessage)
+		}
+		rem := gasLimit // 0 is "unlimited" all the way down
+		if gasLimit > 0 {
+			if gas >= gasLimit {
+				return nil, gas, &eval.OutOfGasError{Limit: gasLimit}
+			}
+			rem = gasLimit - gas
+		}
+		if msgAmount == nil {
+			msgAmount = new(big.Int)
+		}
+		callArgs := make(map[string]value.Value)
+		for k, v := range m.Entries {
+			if k != "_tag" && k != "_recipient" && k != "_amount" {
+				callArgs[k] = v
+			}
+		}
+		subEvents, subGas, err := r.call(origin, to, addr, tag.S, callArgs, msgAmount, rem, depth+1)
+		gas += subGas
+		if err != nil {
+			return nil, gas, err
+		}
+		events = append(events, subEvents...)
 	}
-	return nil
+	return events, gas, nil
 }
 
 // overflowGuardViolation implements the Sec. 6 conservative check: for
-// every IntMerge component the transaction (overlay txOv) changed,
-// the shard's cumulative delta relative to the epoch-start value v0
-// must stay within ⌊(MAX − v0)/N⌋ above and ⌊(v0 − MIN)/N⌋ below, so
-// that N shards' deltas can never jointly overflow.
-func (r *shardRun) overflowGuardViolation(c *chain.Contract, shardOv, txOv *chain.Overlay) (bool, error) {
-	if !r.net.cfg.OverflowGuard || c.Sig == nil {
+// every IntMerge component the running shard transaction changed, the
+// shard's cumulative delta relative to the epoch-start value v0 must
+// stay within ⌊(MAX − v0)/N⌋ above and ⌊(v0 − MIN)/N⌋ below, so that N
+// shards' deltas can never jointly overflow. The DS committee's run
+// writes alone, after the merge, and is exempt.
+func (r *shardRun) overflowGuardViolation() (bool, error) {
+	n := int64(r.net.cfg.NumShards)
+	if !r.net.cfg.OverflowGuard || r.shard == dispatch.DS || n <= 1 {
 		return false, nil
 	}
-	n := int64(r.net.cfg.NumShards)
-	if n <= 1 {
+	c, txOv := r.txOvs[0].c, r.txOvs[0].ov
+	if c.Sig == nil {
 		return false, nil
 	}
 	d, err := txOv.ExtractDelta(c.Addr, r.shard, c.Sig.Joins)

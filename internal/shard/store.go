@@ -81,10 +81,10 @@ func (n *Network) RestoreContractState(addr chain.Address, fields map[string]val
 }
 
 // ReplayFinalBlock applies a journaled FinalBlock during recovery:
-// identical to ApplyFinalBlock — merge, account delta, receipts, DS
-// re-execution, root verification — except the attached StateStore is
-// not notified (the block is already on disk; re-appending it would
-// duplicate the journal).
+// identical to ApplyFinalBlock — both commit phases, receipts, root
+// verification — except the attached StateStore is not notified (the
+// block is already on disk; re-appending it would duplicate the
+// journal).
 func (n *Network) ReplayFinalBlock(fb *FinalBlock) error {
 	return n.replayFinalBlock(fb)
 }
@@ -153,18 +153,4 @@ func (n *Network) touchDeltas(addr chain.Address, deltas []*chain.StateDelta, st
 			}
 		}
 	}
-}
-
-// touchOverlay re-commits the components a DS-executed overlay wrote
-// into its working state (which becomes canonical when runDS installs
-// it).
-func (n *Network) touchOverlay(addr chain.Address, ov *chain.Overlay, st *eval.MemState) {
-	_ = ov.Components(func(field, _ string, keys []value.Value) error {
-		if len(keys) == 0 {
-			n.roots.TouchWholeField(addr, field, st)
-		} else {
-			n.roots.TouchEntry(addr, field, keys, st)
-		}
-		return nil
-	})
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/big"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"cosplit/internal/chain"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
+	"cosplit/internal/wire"
 	"cosplit/internal/workload"
 )
 
@@ -326,5 +329,53 @@ func TestRestoreReadOnly(t *testing.T) {
 	}
 	if len(before) != len(after) {
 		t.Fatalf("read-only restore changed the journal: %d -> %d bytes", len(before), len(after))
+	}
+}
+
+// TestRecoverRefusesPreviousVersionJournal: a journal written by the
+// previous wire format (its FinalBlocks carry a DS batch to re-execute
+// where this version expects the DS phase's deltas) must stop recovery
+// with ErrVersionSkew — not read as a torn tail, truncated, and
+// restarted from genesis as if no epoch had ever committed.
+func TestRecoverRefusesPreviousVersionJournal(t *testing.T) {
+	dir := t.TempDir()
+	env := provisionFT(t)
+	st := openStore(t, dir, WithSnapshotEvery(0))
+	env.Net.AttachStateStore(st)
+	runEpochs(t, env, 1, 3)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, journalName)
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stamp every frame with the previous version; the checksum covers
+	// the payload only, so the frames stay otherwise intact.
+	for off := 0; off < len(journal); {
+		journal[off+2] = wire.Version - 1
+		off += wire.HeaderLen + int(binary.BigEndian.Uint32(journal[off+4:off+8]))
+	}
+	if err := os.WriteFile(path, journal, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := provisionFT(t)
+	genesis := fresh.Net.Checkpoint()
+	st = openStore(t, dir, WithSnapshotEvery(0))
+	defer st.Close()
+	err = st.Recover(fresh.Net)
+	if !errors.Is(err, wire.ErrVersionSkew) {
+		t.Fatalf("Recover over a version-%d journal: %v, want ErrVersionSkew", wire.Version-1, err)
+	}
+	if fresh.Net.Checkpoint() != genesis {
+		t.Errorf("refused recovery moved the network to %+v", fresh.Net.Checkpoint())
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, journal) {
+		t.Errorf("refused recovery rewrote the journal (%d bytes, was %d): %v", len(after), len(journal), err)
+	}
+	if err := Restore(dir, provisionFT(t).Net); !errors.Is(err, wire.ErrVersionSkew) {
+		t.Errorf("Restore over a version-%d journal: %v, want ErrVersionSkew", wire.Version-1, err)
 	}
 }

@@ -271,7 +271,50 @@ func (r *reader) entryDelta() *chain.EntryDelta {
 	return e
 }
 
+func appendStateDeltas(b []byte, ds []*chain.StateDelta) ([]byte, error) {
+	b = appendUvarint(b, uint64(len(ds)))
+	var err error
+	for _, d := range ds {
+		if b, err = appendStateDelta(b, d); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+func (r *reader) stateDeltas() []*chain.StateDelta {
+	n := r.count(22)
+	var ds []*chain.StateDelta
+	if n > 0 {
+		ds = make([]*chain.StateDelta, 0, n)
+	}
+	for i := 0; i < n && r.err == nil; i++ {
+		ds = append(ds, r.stateDelta())
+	}
+	if r.err != nil {
+		return nil
+	}
+	return ds
+}
+
 // --- AccountDelta ---
+
+// appendOptAccountDelta encodes a possibly absent account delta behind
+// a presence flag.
+func appendOptAccountDelta(b []byte, d *chain.AccountDelta) []byte {
+	b = appendBool(b, d != nil)
+	if d != nil {
+		b = appendAccountDelta(b, d)
+	}
+	return b
+}
+
+func (r *reader) optAccountDelta() *chain.AccountDelta {
+	if r.bool() {
+		return r.accountDelta()
+	}
+	return nil
+}
 
 func appendAccountDelta(b []byte, d *chain.AccountDelta) []byte {
 	addrs := make([]chain.Address, 0, len(d.BalanceDeltas))
@@ -354,16 +397,10 @@ func EncodeMicroBlock(mb *shard.MicroBlock) ([]byte, error) {
 			return nil, err
 		}
 	}
-	b = appendUvarint(b, uint64(len(mb.Deltas)))
-	for _, d := range mb.Deltas {
-		if b, err = appendStateDelta(b, d); err != nil {
-			return nil, err
-		}
+	if b, err = appendStateDeltas(b, mb.Deltas); err != nil {
+		return nil, err
 	}
-	b = appendBool(b, mb.Accounts != nil)
-	if mb.Accounts != nil {
-		b = appendAccountDelta(b, mb.Accounts)
-	}
+	b = appendOptAccountDelta(b, mb.Accounts)
 	b = appendUvarint(b, uint64(len(mb.Deferred)))
 	for _, tx := range mb.Deferred {
 		if b, err = appendTx(b, tx); err != nil {
@@ -392,20 +429,8 @@ func DecodeMicroBlock(b []byte) (*shard.MicroBlock, error) {
 		}
 		mb.Receipts = append(mb.Receipts, rec)
 	}
-	nd := r.count(22)
-	if nd > 0 {
-		mb.Deltas = make([]*chain.StateDelta, 0, nd)
-	}
-	for i := 0; i < nd; i++ {
-		d := r.stateDelta()
-		if r.err != nil {
-			return nil, r.err
-		}
-		mb.Deltas = append(mb.Deltas, d)
-	}
-	if r.bool() {
-		mb.Accounts = r.accountDelta()
-	}
+	mb.Deltas = r.stateDeltas()
+	mb.Accounts = r.optAccountDelta()
 	nt := r.count(45)
 	if nt > 0 {
 		mb.Deferred = make([]*chain.Tx, 0, nt)
@@ -425,31 +450,25 @@ func DecodeMicroBlock(b []byte) (*shard.MicroBlock, error) {
 
 // --- FinalBlock ---
 
-// EncodeFinalBlock encodes a DS-committed FinalBlock.
+// EncodeFinalBlock encodes a DS-committed FinalBlock: epoch, root, the
+// shard phase (deltas, account delta), the DS phase (the same pair),
+// receipts.
 func EncodeFinalBlock(fb *shard.FinalBlock) ([]byte, error) {
 	b := make([]byte, 0, 512)
 	b = appendUvarint(b, fb.Epoch)
 	b = appendString(b, fb.StateRoot)
 	var err error
-	b = appendUvarint(b, uint64(len(fb.Deltas)))
-	for _, d := range fb.Deltas {
-		if b, err = appendStateDelta(b, d); err != nil {
-			return nil, err
-		}
+	if b, err = appendStateDeltas(b, fb.Deltas); err != nil {
+		return nil, err
 	}
-	b = appendBool(b, fb.Accounts != nil)
-	if fb.Accounts != nil {
-		b = appendAccountDelta(b, fb.Accounts)
+	b = appendOptAccountDelta(b, fb.Accounts)
+	if b, err = appendStateDeltas(b, fb.DSDeltas); err != nil {
+		return nil, err
 	}
+	b = appendOptAccountDelta(b, fb.DSAccounts)
 	b = appendUvarint(b, uint64(len(fb.Receipts)))
 	for _, rec := range fb.Receipts {
 		if b, err = appendReceipt(b, rec); err != nil {
-			return nil, err
-		}
-	}
-	b = appendUvarint(b, uint64(len(fb.DSBatch)))
-	for _, tx := range fb.DSBatch {
-		if b, err = appendTx(b, tx); err != nil {
 			return nil, err
 		}
 	}
@@ -462,20 +481,10 @@ func DecodeFinalBlock(b []byte) (*shard.FinalBlock, error) {
 	fb := &shard.FinalBlock{}
 	fb.Epoch = r.uvarint()
 	fb.StateRoot = r.string()
-	nd := r.count(22)
-	if nd > 0 {
-		fb.Deltas = make([]*chain.StateDelta, 0, nd)
-	}
-	for i := 0; i < nd; i++ {
-		d := r.stateDelta()
-		if r.err != nil {
-			return nil, r.err
-		}
-		fb.Deltas = append(fb.Deltas, d)
-	}
-	if r.bool() {
-		fb.Accounts = r.accountDelta()
-	}
+	fb.Deltas = r.stateDeltas()
+	fb.Accounts = r.optAccountDelta()
+	fb.DSDeltas = r.stateDeltas()
+	fb.DSAccounts = r.optAccountDelta()
 	nr := r.count(6)
 	if nr > 0 {
 		fb.Receipts = make([]*chain.Receipt, 0, nr)
@@ -486,17 +495,6 @@ func DecodeFinalBlock(b []byte) (*shard.FinalBlock, error) {
 			return nil, r.err
 		}
 		fb.Receipts = append(fb.Receipts, rec)
-	}
-	nt := r.count(45)
-	if nt > 0 {
-		fb.DSBatch = make([]*chain.Tx, 0, nt)
-	}
-	for i := 0; i < nt; i++ {
-		tx := r.tx()
-		if r.err != nil {
-			return nil, r.err
-		}
-		fb.DSBatch = append(fb.DSBatch, tx)
 	}
 	if err := r.done(); err != nil {
 		return nil, err

@@ -40,8 +40,9 @@ import (
 
 // Version is the format version this package reads and writes. Bump it
 // on any incompatible payload change; readers reject other versions
-// with ErrVersionSkew.
-const Version = 1
+// with ErrVersionSkew. Version 2 replaced the FinalBlock's DS
+// transaction batch with the DS run's state and account deltas.
+const Version = 2
 
 // frame header layout.
 const (

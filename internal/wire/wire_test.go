@@ -117,15 +117,19 @@ func fixtureFinalBlock() *shard.FinalBlock {
 	acc := chain.NewAccountDelta()
 	acc.AddBalance(chain.AddrFromUint(100), big.NewInt(-200))
 	acc.BumpNonce(chain.AddrFromUint(100), 3)
-	ds := fixtureTx()
-	ds.ID = 44
+	dsDelta := fixtureDelta()
+	dsDelta.Shard = -1
+	dsAcc := chain.NewAccountDelta()
+	dsAcc.AddBalance(chain.AddrFromUint(101), big.NewInt(-31))
+	dsAcc.BumpNonce(chain.AddrFromUint(101), 1)
 	return &shard.FinalBlock{
-		Epoch:     5,
-		Deltas:    []*chain.StateDelta{fixtureDelta()},
-		Accounts:  acc,
-		Receipts:  []*chain.Receipt{fixtureReceipt()},
-		DSBatch:   []*chain.Tx{ds},
-		StateRoot: "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08",
+		Epoch:      5,
+		Deltas:     []*chain.StateDelta{fixtureDelta()},
+		Accounts:   acc,
+		DSDeltas:   []*chain.StateDelta{dsDelta},
+		DSAccounts: dsAcc,
+		Receipts:   []*chain.Receipt{fixtureReceipt()},
+		StateRoot:  "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08",
 	}
 }
 

@@ -18,22 +18,33 @@ fi
 go build ./...
 go vet ./...
 go test ./...
+# The benchmark is a module of its own composed from the public
+# constructors and stage API (BeginEpoch / ExecuteShard / FinalizeEpoch
+# / ApplyFinalBlock, the wire codecs, store, node); its 4 s smoke is
+# what fails when a refactor breaks that API, before a benchmark run
+# does.
+(cd benchmark && go vet . && go test .)
 # The race run covers the golden-trace tests (journal writes from the
-# shard pipeline) and the cross-mode determinism suite (sequential vs
-# parallel-shards vs intra-parallel vs both) alongside the concurrent
-# packages.
+# shard pipeline), the cross-mode determinism suite (sequential vs
+# parallel-shards vs intra-parallel vs both) and the shard-vs-DS route
+# tests (failed-call atomicity, typed failure receipts) alongside the
+# concurrent packages.
 go test -race ./internal/shard/... ./internal/dispatch/... ./internal/mempool/... ./internal/obs/... ./internal/fault/...
 # The node/wire/rpc race run covers the actor cluster end to end,
-# including the TCP-transport smoke (TestTCPClusterSmoke) and the
-# fault-injection recovery tests over real frames.
+# including the TCP-transport smoke (TestTCPClusterSmoke), the
+# fault-injection recovery tests over real frames, the absolute
+# golden-root suite over every execution mode plus a ChanNetwork
+# cluster, and replicas applying DS-heavy FinalBlocks without
+# executing.
 go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
 # The persistence race run covers the state store (journal append,
 # snapshot rotation, recovery), the disk-backed page cache (concurrent
 # faults and evictions under the accounts lock), and the incremental
 # root trie under -short (the million-account tests opt out of the
-# race detector). The paged store and cluster tests run in their
-# packages' race lines above/below as well; internal/pager is listed
-# explicitly because nothing else covers it.
+# race detector), and the refusal of a previous-version journal. The
+# paged store and cluster tests run in their packages' race lines
+# above/below as well; internal/pager is listed explicitly because
+# nothing else covers it.
 go test -race -short ./internal/store/... ./internal/trie/... ./internal/pager/...
 # Memory-budget regression gate: the million-account paged run asserts
 # its live-heap ceiling in-test; GOMEMLIMIT pins the runtime's GC
