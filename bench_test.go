@@ -21,6 +21,7 @@ import (
 	"cosplit/internal/core/ge"
 	"cosplit/internal/core/signature"
 	"cosplit/internal/ethdata"
+	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/eval"
 	"cosplit/internal/scilla/parser"
 	"cosplit/internal/scilla/typecheck"
@@ -198,26 +199,23 @@ func BenchmarkDispatchCoSplit(b *testing.B)  { benchmarkDispatch(b, true) }
 
 // BenchmarkMergePerField measures the per-changed-field cost of the
 // three-way merge for both join operations (Sec. 5.2.2: 0.8µs → 48.65µs
-// per field in the paper).
+// per field in the paper), on the path the commit takes: into the state
+// itself, in place, through the undo log.
 func BenchmarkMergePerField(b *testing.B) {
 	for _, join := range []signature.Join{signature.OwnOverwrite, signature.IntMerge} {
 		b.Run(join.String(), func(b *testing.B) {
 			fieldTypes := contracts.MustParse("FungibleToken").FieldTypes
 			const entries = 1000
-			mkBase := func() *eval.MemState {
-				st := eval.NewMemState(fieldTypes)
-				if err := st.InitFrom(mustInterp(b)); err != nil {
+			base := eval.NewMemState(fieldTypes)
+			if err := base.InitFrom(mustInterp(b)); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < entries; i++ {
+				k := chain.AddrFromUint(uint64(i)).Value()
+				if err := base.MapSet("balances", []value.Value{k}, value.Uint128(1000)); err != nil {
 					b.Fatal(err)
 				}
-				for i := 0; i < entries; i++ {
-					k := chain.AddrFromUint(uint64(i)).Value()
-					if err := st.MapSet("balances", []value.Value{k}, value.Uint128(1000)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				return st
 			}
-			base := mkBase()
 			ov := chain.NewOverlay(base, fieldTypes)
 			for i := 0; i < entries; i++ {
 				k := chain.AddrFromUint(uint64(i)).Value()
@@ -229,16 +227,110 @@ func BenchmarkMergePerField(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var undo chain.Undo
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				target := base.Copy()
-				b.StartTimer()
-				if err := chain.MergeDeltas(target, []*chain.StateDelta{d}); err != nil {
+				// Merging the same delta again is a fresh merge of as
+				// many entries: overwrites land on the same slots, the
+				// additions (+234 each) stay far inside Uint128.
+				if err := chain.MergeDeltas(base, []*chain.StateDelta{d}, &undo); err != nil {
+					b.Fatal(err)
+				}
+				undo.Reset()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/field")
+		})
+	}
+}
+
+// BenchmarkCommitHolders is the flatness row: one fixed 500-entry delta
+// (half additions, half overwrites, with the senders' account delta)
+// committed into a token contract of 10k, 100k and 1M holders. merge
+// times the commit of a FinalBlock's two phases (Network.commit via
+// ApplyFinalBlock, root trie touched but not hashed); root times the
+// StateRoot call that rehashes what the commit dirtied. Both should
+// read the same at every size; what root still gains with size is the
+// fan-out of the dirty nodes (DESIGN §11).
+func BenchmarkCommitHolders(b *testing.B) {
+	const entries = 500
+	for _, holders := range []int{10_000, 100_000, 1_000_000} {
+		// The state is built inside the size's own benchmark, so a
+		// -bench filter on one size does not pay for the others.
+		b.Run(fmt.Sprintf("holders=%d", holders), func(b *testing.B) {
+			net := shard.NewNetwork(shard.WithShards(3))
+			deployer := chain.AddrFromUint(999_999_999)
+			net.CreateUser(deployer, 1<<60)
+			c, err := net.DeployContract(deployer, contracts.FungibleToken, map[string]value.Value{
+				"contract_owner": deployer.Value(),
+				"token_name":     value.Str{S: "B"},
+				"token_symbol":   value.Str{S: "B"},
+				"decimals":       value.Uint32V(6),
+				"init_supply":    value.Uint128(0),
+			}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fields := map[string]value.Value{}
+			for name, v := range net.Contracts.Get(c).Snapshot().Fields {
+				fields[name] = v
+			}
+			balances := value.NewMap(ast.TyByStr20, ast.TyUint128)
+			for i := 0; i < holders; i++ {
+				balances.Set(chain.AddrFromUint(uint64(i+1)).Value(), value.Uint128(1000))
+			}
+			fields["balances"] = balances
+			if err := net.RestoreContractState(c, fields); err != nil {
+				b.Fatal(err)
+			}
+			fd := &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, entries)}
+			acc := chain.NewAccountDelta()
+			for i := 0; i < entries; i++ {
+				// Spread over the whole key space, so the dirty paths are
+				// as many at every size.
+				u := chain.AddrFromUint(uint64(i*(holders/entries) + 1))
+				net.CreateUser(u, 1<<50)
+				keys := []value.Value{u.Value()}
+				if i%2 == 0 {
+					fd.Entries[chain.Keypath(keys)] = chain.EntryDelta{Kind: chain.IntAdd, Keys: keys, Delta: big.NewInt(3)}
+				} else {
+					fd.Entries[chain.Keypath(keys)] = chain.EntryDelta{Kind: chain.Overwrite, Keys: keys, Value: value.Uint128(uint64(2000 + i))}
+				}
+				acc.AddBalance(u, big.NewInt(-7))
+				acc.BumpNonce(u, 1)
+			}
+			net.RebuildStateRoots()
+			net.StateRoot()
+			fb := &shard.FinalBlock{
+				Deltas:   []*chain.StateDelta{{Contract: c, Fields: map[string]*chain.FieldDelta{"balances": fd}}},
+				Accounts: acc,
+			}
+			apply := func(b *testing.B) {
+				fb.Epoch = net.Epoch
+				if err := net.ApplyFinalBlock(fb); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/field")
+			b.Run("merge", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					apply(b)
+					b.StopTimer()
+					net.StateRoot()
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+			})
+			b.Run("root", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					apply(b)
+					b.StartTimer()
+					net.StateRoot()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+			})
 		})
 	}
 }

@@ -93,9 +93,8 @@ func MeasureOverheads(txs int, netOpts ...shard.Option) (*OverheadResult, error)
 		if err != nil {
 			return nil, err
 		}
-		target := base.Copy()
 		t0 := time.Now()
-		if err := chain.MergeDeltas(target, []*chain.StateDelta{d}); err != nil {
+		if err := chain.MergeDeltas(base, []*chain.StateDelta{d}, new(chain.Undo)); err != nil {
 			return nil, err
 		}
 		per := time.Since(t0) / entries
@@ -144,7 +143,7 @@ func MeasureOverheads(txs int, netOpts ...shard.Option) (*OverheadResult, error)
 	}
 	target := c.Snapshot().Copy()
 	t1 := time.Now()
-	if err := chain.MergeDeltas(target, []*chain.StateDelta{d}); err != nil {
+	if err := chain.MergeDeltas(target, []*chain.StateDelta{d}, new(chain.Undo)); err != nil {
 		return nil, err
 	}
 	out.MergeTime = time.Since(t1)

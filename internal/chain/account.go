@@ -151,10 +151,21 @@ func (as *Accounts) Addresses() []Address {
 }
 
 // Apply commits an account delta: balance changes (commutative) and
-// nonce advancement (merged by maximum, per the relaxed nonce rule).
+// nonce advancement (merged by maximum, per the relaxed nonce rule). It
+// is all or nothing: every resulting balance is checked before any
+// account is touched, so a delta that would overdraw one account leaves
+// the table as it was.
 func (as *Accounts) Apply(d *AccountDelta) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
+	for addr, bd := range d.BalanceDeltas {
+		if bd.Sign() >= 0 {
+			continue
+		}
+		if acc := as.b.Load(addr); acc == nil || acc.Balance.CmpAbs(bd) < 0 {
+			return fmt.Errorf("account %s balance would go negative", addr)
+		}
+	}
 	for addr, bd := range d.BalanceDeltas {
 		acc := as.b.Mutate(addr)
 		if acc == nil {
@@ -162,9 +173,6 @@ func (as *Accounts) Apply(d *AccountDelta) error {
 			as.b.Store(addr, acc)
 		}
 		acc.Balance.Add(acc.Balance, bd)
-		if acc.Balance.Sign() < 0 {
-			return fmt.Errorf("account %s balance went negative", addr)
-		}
 	}
 	for addr, n := range d.Nonces {
 		acc := as.b.Mutate(addr)

@@ -118,7 +118,7 @@ func TestOverlayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		merged := base.Copy()
-		if err := chain.MergeDeltas(merged, []*chain.StateDelta{d}); err != nil {
+		if err := chain.MergeDeltas(merged, []*chain.StateDelta{d}, new(chain.Undo)); err != nil {
 			t.Fatal(err)
 		}
 		direct := newBase()
@@ -168,7 +168,7 @@ func TestIntMergeCommutes(t *testing.T) {
 
 		apply := func(order []*chain.StateDelta) *eval.MemState {
 			m := base.Copy()
-			if err := chain.MergeDeltas(m, order); err != nil {
+			if err := chain.MergeDeltas(m, order, new(chain.Undo)); err != nil {
 				t.Fatal(err)
 			}
 			return m
@@ -198,7 +198,7 @@ func TestMergeConflictDetected(t *testing.T) {
 		}
 		return d
 	}
-	err := chain.MergeDeltas(base.Copy(), []*chain.StateDelta{mk(1), mk(2)})
+	err := chain.MergeDeltas(base.Copy(), []*chain.StateDelta{mk(1), mk(2)}, new(chain.Undo))
 	if _, ok := err.(*chain.ConflictError); !ok {
 		t.Errorf("expected ConflictError, got %v", err)
 	}
@@ -234,7 +234,7 @@ func TestMergeOverflowDetected(t *testing.T) {
 		}
 		return d
 	}
-	err := chain.MergeDeltas(base.Copy(), []*chain.StateDelta{mk(3), mk(4)})
+	err := chain.MergeDeltas(base.Copy(), []*chain.StateDelta{mk(3), mk(4)}, new(chain.Undo))
 	if _, ok := err.(*chain.OverflowError); !ok {
 		t.Errorf("expected OverflowError, got %v", err)
 	}
@@ -253,7 +253,7 @@ func TestNestedMapDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged := base.Copy()
-	if err := chain.MergeDeltas(merged, []*chain.StateDelta{d}); err != nil {
+	if err := chain.MergeDeltas(merged, []*chain.StateDelta{d}, new(chain.Undo)); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := merged.MapGet("nested", keys)

@@ -51,8 +51,10 @@ type ContractPager interface {
 	// Acquire returns the contract's canonical state, faulting it from
 	// disk if evicted, and marks it recently used.
 	Acquire(c *Contract) *eval.MemState
-	// Replace installs a new canonical state and marks it dirty (it
-	// will be written back at the next flush or eviction).
+	// Replace installs st as the canonical state and marks it dirty (it
+	// will be written back at the next flush or eviction). st may be
+	// the state already installed, or one that was evicted after
+	// Acquire returned it.
 	Replace(c *Contract, st *eval.MemState)
 	// Admit registers a contract whose resident state the pager should
 	// start tracking (deployment, or pager attach).
@@ -114,11 +116,15 @@ func Deploy(addr Address, source string, params map[string]value.Value, dep *Dep
 	return c, nil
 }
 
-// Snapshot returns the canonical state (callers must not mutate it; use
-// an Overlay for execution). Under a pager the state may have been
-// evicted; Snapshot faults it back in from disk. The returned pointer
-// stays valid even if the pager later evicts the contract again —
-// eviction drops the pager's reference, never the caller's.
+// Snapshot returns the canonical state itself, not a copy: a live view
+// that is a consistent picture until the owning network's next commit,
+// which merges the epoch's deltas into it in place. Callers must not
+// mutate it (use an Overlay for execution), must not read it while that
+// network commits, and must copy any value they want to keep beyond the
+// epoch. Under a pager the state may have been evicted; Snapshot faults
+// it back in from disk. The returned pointer stays valid even if the
+// pager later evicts the contract again — eviction drops the pager's
+// reference, never the caller's.
 func (c *Contract) Snapshot() *eval.MemState {
 	if p := c.pager; p != nil {
 		return p.Acquire(c)
@@ -128,8 +134,12 @@ func (c *Contract) Snapshot() *eval.MemState {
 	return c.State
 }
 
-// ReplaceState installs a new canonical state (DS committee, at epoch
-// end).
+// ReplaceState installs st as the canonical state: a recovered state
+// (snapshot restore), or — from commit, after a phase's last in-place
+// write — the very pointer Snapshot returned. With the same pointer it
+// changes nothing without a pager; under one it tells the pager the
+// state was written (the unit goes dirty and is re-measured) and puts
+// it back if it was evicted while the phase was writing it.
 func (c *Contract) ReplaceState(st *eval.MemState) {
 	if p := c.pager; p != nil {
 		p.Replace(c, st)

@@ -206,29 +206,157 @@ func (e *OverflowError) Error() string {
 	return fmt.Sprintf("integer overflow merging %s.%s[%q]", e.Contract, e.Field, e.Keypath)
 }
 
+// Undo is the log of one commit phase: what every state component held
+// before the phase's merges wrote it, in write order. MergeDeltas
+// appends to it and never reads it; the caller that owns the phase
+// replays it with Rollback if any merge of the phase fails, or drops it
+// with Reset once they have all succeeded. The zero value is an empty
+// log, and one log is meant to be reused phase after phase.
+//
+// Logged values are the canonical values themselves, not copies: the
+// merge installs a fresh value beside the old one and never mutates a
+// value it replaces, so putting the old one back restores the state
+// exactly.
+type Undo struct {
+	ops []undoOp
+}
+
+// undoOp is one overwritten component: a whole field (st set) or one
+// slot of a map (m set). prev == nil means the slot did not exist.
+type undoOp struct {
+	st   *eval.MemState
+	m    *value.Map
+	name string // field name, or the slot's canonical key
+	key  value.Value
+	prev value.Value
+}
+
+// Rollback puts back, newest first, everything the log recorded, and
+// empties it. Map levels the merge created on the way to a nested entry
+// are removed again, so a failed phase leaves no empty-map marker
+// behind.
+func (u *Undo) Rollback() {
+	for i := len(u.ops) - 1; i >= 0; i-- {
+		op := &u.ops[i]
+		switch {
+		case op.st != nil:
+			op.st.Fields[op.name] = op.prev
+		case op.prev == nil:
+			op.m.DeleteCK(op.name)
+		default:
+			op.m.SetCK(op.name, op.key, op.prev)
+		}
+	}
+	u.Reset()
+}
+
+// Reset empties the log, keeping its capacity and dropping its
+// references to replaced values.
+func (u *Undo) Reset() {
+	clear(u.ops)
+	u.ops = u.ops[:0]
+}
+
+// storeField overwrites a whole field of st.
+func (u *Undo) storeField(st *eval.MemState, f string, v value.Value) error {
+	prev, ok := st.Fields[f]
+	if !ok {
+		return fmt.Errorf("unknown field %s", f)
+	}
+	u.ops = append(u.ops, undoOp{st: st, name: f, prev: prev})
+	st.Fields[f] = v
+	return nil
+}
+
+// set writes v into slot ck of m.
+func (u *Undo) set(m *value.Map, ck string, k, v value.Value) {
+	op := undoOp{m: m, name: ck}
+	if prev, ok := m.Entries[ck]; ok {
+		op.key, op.prev = m.KeyVals[ck], prev
+	}
+	u.ops = append(u.ops, op)
+	m.SetCK(ck, k, v)
+}
+
+// remove deletes slot ck of m, if present.
+func (u *Undo) remove(m *value.Map, ck string) {
+	prev, ok := m.Entries[ck]
+	if !ok {
+		return
+	}
+	u.ops = append(u.ops, undoOp{m: m, name: ck, key: m.KeyVals[ck], prev: prev})
+	m.DeleteCK(ck)
+}
+
+// slot finds the innermost map holding the entry (f, keys) of st and
+// the entry's canonical key in it. kp is the entry's keypath, which for
+// a single key is that canonical key already. With create set, map
+// levels missing on the way down are created (and logged); without it a
+// missing level yields a nil map.
+func (u *Undo) slot(st *eval.MemState, f, kp string, keys []value.Value, create bool) (*value.Map, string, error) {
+	root, ok := st.Fields[f]
+	if !ok {
+		return nil, "", fmt.Errorf("unknown field %s", f)
+	}
+	cur, ok := root.(*value.Map)
+	if !ok {
+		return nil, "", fmt.Errorf("field %s is not a map", f)
+	}
+	if len(keys) == 0 {
+		return nil, "", fmt.Errorf("field %s: entry delta without keys", f)
+	}
+	if len(keys) == 1 {
+		return cur, kp, nil
+	}
+	for i, k := range keys[:len(keys)-1] {
+		ck := value.CanonicalKey(k)
+		next, found := cur.GetCK(ck)
+		if !found {
+			if !create {
+				return nil, "", nil
+			}
+			inner, ok := cur.ValType.(ast.MapType)
+			if !ok {
+				return nil, "", fmt.Errorf("field %s is not nested at depth %d", f, i)
+			}
+			next = value.NewMap(inner.Key, inner.Val)
+			u.set(cur, ck, k, next)
+		}
+		if cur, ok = next.(*value.Map); !ok {
+			return nil, "", fmt.Errorf("field %s has non-map value at depth %d", f, i)
+		}
+	}
+	return cur, value.CanonicalKey(keys[len(keys)-1]), nil
+}
+
 // MergeDeltas performs the deterministic three-way merge of Sec. 4.3:
 // it folds every shard's state delta into the canonical epoch-start
-// state. Overwrites of the same component by two shards are conflicts
+// state st, in place, each entry at its keypath by its join kind.
+// Overwrites of the same component by two shards are conflicts
 // (dispatch must prevent them); integer deltas are summed with overflow
-// checking.
-func MergeDeltas(st *eval.MemState, deltas []*StateDelta) error {
+// checking. The cost follows the deltas, not the size of st.
+//
+// Every write is recorded in undo first. On an error st is left part
+// merged: the caller rolls the whole phase back through undo.
+func MergeDeltas(st *eval.MemState, deltas []*StateDelta, undo *Undo) error {
 	overwritten := map[slot2]bool{}
+	var kps []string
 	for _, d := range deltas {
 		for f, fd := range d.Fields {
 			if fd.Whole != nil {
-				if err := applyWhole(st, d.Contract, f, fd.Whole, overwritten); err != nil {
+				if err := applyWhole(st, undo, d.Contract, f, fd.Whole, overwritten); err != nil {
 					return err
 				}
 			}
 			// Deterministic entry order.
-			kps := make([]string, 0, len(fd.Entries))
+			kps = kps[:0]
 			for kp := range fd.Entries {
 				kps = append(kps, kp)
 			}
 			sort.Strings(kps)
 			for _, kp := range kps {
 				e := fd.Entries[kp]
-				if err := applyEntry(st, d.Contract, f, kp, e, overwritten); err != nil {
+				if err := applyEntry(st, undo, d.Contract, f, kp, &e, overwritten); err != nil {
 					return err
 				}
 			}
@@ -294,7 +422,7 @@ func MergeCommutative(deltas []*StateDelta) (*StateDelta, error) {
 	return out, nil
 }
 
-func applyWhole(st *eval.MemState, contract Address, f string, e *EntryDelta, overwritten map[slot2]bool) error {
+func applyWhole(st *eval.MemState, undo *Undo, contract Address, f string, e *EntryDelta, overwritten map[slot2]bool) error {
 	s := slot2{field: f}
 	switch e.Kind {
 	case IntAdd:
@@ -306,31 +434,42 @@ func applyWhole(st *eval.MemState, contract Address, f string, e *EntryDelta, ov
 		if !ok {
 			return fmt.Errorf("field %s is not an integer", f)
 		}
+		// A fresh big.Int, never iv.V.Add: receipts, state responses
+		// and the undo log alias the canonical value.
 		sum := new(big.Int).Add(iv.V, e.Delta)
 		if !inRangeOf(iv, sum) {
 			return &OverflowError{Contract: contract, Field: f}
 		}
-		return st.StoreField(f, value.Int{Ty: iv.Ty, V: sum})
+		return undo.storeField(st, f, value.Int{Ty: iv.Ty, V: sum})
 	default:
 		if overwritten[s] {
 			return &ConflictError{Contract: contract, Field: f}
 		}
 		overwritten[s] = true
-		return st.StoreField(f, value.Copy(e.Value))
+		// Copied: the delta lives on in sealed FinalBlocks, canonical
+		// state is written in place.
+		return undo.storeField(st, f, value.Copy(e.Value))
 	}
 }
 
-func applyEntry(st *eval.MemState, contract Address, f, kp string, e EntryDelta, overwritten map[slot2]bool) error {
-	s := slot2{field: f, kp: kp}
+func applyEntry(st *eval.MemState, undo *Undo, contract Address, f, kp string, e *EntryDelta, overwritten map[slot2]bool) error {
+	if e.Kind != IntAdd {
+		s := slot2{field: f, kp: kp}
+		if overwritten[s] {
+			return &ConflictError{Contract: contract, Field: f, Keypath: kp}
+		}
+		overwritten[s] = true
+	}
+	m, ck, err := undo.slot(st, f, kp, e.Keys, e.Kind != Delete)
+	if err != nil {
+		return err
+	}
+	last := len(e.Keys) - 1
 	switch e.Kind {
 	case IntAdd:
 		cur := new(big.Int)
 		var ty value.Int
-		v, found, err := st.MapGet(f, e.Keys)
-		if err != nil {
-			return err
-		}
-		if found {
+		if v, found := m.GetCK(ck); found {
 			iv, ok := v.(value.Int)
 			if !ok {
 				return fmt.Errorf("entry %s[%q] is not an integer", f, kp)
@@ -349,20 +488,15 @@ func applyEntry(st *eval.MemState, contract Address, f, kp string, e EntryDelta,
 		if !inRangeOf(ty, sum) {
 			return &OverflowError{Contract: contract, Field: f, Keypath: kp}
 		}
-		return st.MapSet(f, e.Keys, value.Int{Ty: ty.Ty, V: sum})
+		undo.set(m, ck, e.Keys[last], value.Int{Ty: ty.Ty, V: sum})
 	case Delete:
-		if overwritten[s] {
-			return &ConflictError{Contract: contract, Field: f, Keypath: kp}
+		if m != nil {
+			undo.remove(m, ck)
 		}
-		overwritten[s] = true
-		return st.MapDelete(f, e.Keys)
 	default:
-		if overwritten[s] {
-			return &ConflictError{Contract: contract, Field: f, Keypath: kp}
-		}
-		overwritten[s] = true
-		return st.MapSet(f, e.Keys, value.Copy(e.Value))
+		undo.set(m, ck, e.Keys[last], value.Copy(e.Value))
 	}
+	return nil
 }
 
 type slot2 struct{ field, kp string }

@@ -117,7 +117,7 @@ func TestDeepNestedThroughInterpreter(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged := base.Copy()
-	if err := chain.MergeDeltas(merged, []*chain.StateDelta{d}); err != nil {
+	if err := chain.MergeDeltas(merged, []*chain.StateDelta{d}, new(chain.Undo)); err != nil {
 		t.Fatal(err)
 	}
 	keys := []value.Value{owner.Value(), value.Str{S: "a"}, value.Str{S: "b"}}

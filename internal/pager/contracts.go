@@ -84,9 +84,9 @@ func (p *Pager) Acquire(c *chain.Contract) *eval.MemState {
 	return st
 }
 
-// Replace implements chain.ContractPager: it installs a new canonical
-// state (the DS committee's merge result at epoch end) and marks it
-// dirty.
+// Replace implements chain.ContractPager: it installs st — a recovered
+// state, or the state Acquire returned, merged in place by a commit
+// phase and possibly evicted since — and marks it dirty.
 func (p *Pager) Replace(c *chain.Contract, st *eval.MemState) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -11,9 +11,10 @@
 //     sorted address order fill one page at a time. Each page holds
 //     the decoded accounts of its partition.
 //   - Contract states. Each deployed contract's canonical field state
-//     pages as one unit (the merge pipeline materialises whole
-//     contract states per touched contract anyway, so sub-contract
-//     granularity would buy nothing).
+//     pages as one unit. The commit merges into it in place, entry by
+//     entry, so the unit is now coarser than the work done on it:
+//     sizing and writing back a touched contract is still O(its
+//     state).
 //
 // Resident pages live in one LRU list bounded by a byte budget.
 // Faults decode a page file into the cache; evictions write dirty

@@ -13,9 +13,12 @@ type netMetrics struct {
 	deferred    *obs.Counter
 	dsCommitted *obs.Counter
 	// mergeContracts counts contracts whose shard deltas were joined;
-	// mergeConflicts counts three-way merges aborted by a join conflict.
+	// mergeConflicts counts commit phases aborted by a join conflict
+	// (two shards overwriting one owned component), mergeOverflows those
+	// aborted by integer deltas summing out of range.
 	mergeContracts *obs.Counter
 	mergeConflicts *obs.Counter
+	mergeOverflows *obs.Counter
 	overflowTrips  *obs.Counter
 
 	// Fault injection and recovery: injected directives by kind, lost
@@ -84,6 +87,7 @@ func newNetMetrics(reg *obs.Registry) netMetrics {
 		dsCommitted:         reg.Counter("tx.ds_committed"),
 		mergeContracts:      reg.Counter("merge.contracts"),
 		mergeConflicts:      reg.Counter("merge.conflicts"),
+		mergeOverflows:      reg.Counter("merge.overflows"),
 		overflowTrips:       reg.Counter("shard.overflow_guard_trips"),
 		faultCrashes:        reg.Counter("fault.crashes"),
 		faultDrops:          reg.Counter("fault.drops"),

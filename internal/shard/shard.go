@@ -146,6 +146,9 @@ type Network struct {
 	// deploy, delta merge, DS execution) re-commits exactly the touched
 	// components, so StateRoot never re-renders the full state.
 	roots *trie.StateRoots
+	// undo is the log of the commit phase in progress, empty between
+	// phases; kept here so steady-state commits reuse its backing array.
+	undo chain.Undo
 	// store is the durability backend (WithStateStore/AttachStateStore;
 	// nil keeps the network memory-only). When attached, every epoch
 	// collects a FinalBlock and hands it to the store after commit.
@@ -787,32 +790,69 @@ func (n *Network) replayFinalBlock(fb *FinalBlock) error {
 }
 
 // commit folds one phase's output — a set of per-contract state
-// deltas and an account delta — into canonical state: contracts in
-// address order, each merged into a copy of its canonical state that
-// then replaces it, the touched root-trie components re-committed, the
-// account delta applied last. The committee calls it for the shards'
-// output and again for its own run's; replicas call it for the same two
-// phases of a FinalBlock. It is the only place contract state is copied
-// and merged. It returns the number of contracts merged.
+// deltas and an account delta — into canonical state, in place and all
+// or nothing: contracts in address order, each delta entry written into
+// the contract's canonical state at its keypath by its join kind, then
+// the account delta. What each written component held before goes into
+// the phase's undo log; if any merge or the account delta fails the log
+// is replayed and state, accounts and root are as they were before the
+// call. Only once everything has succeeded are the touched root-trie
+// components re-committed. The cost follows the deltas, not the size of
+// the state.
+//
+// The committee calls it for the shards' output and again for its own
+// run's; replicas call it for the same two phases of a FinalBlock. It is
+// the only place contract state is merged. Pointers from
+// Contract.Snapshot taken before the call see its writes: nothing
+// executes on this network while it runs. It returns the number of
+// contracts merged.
 func (n *Network) commit(deltas []*chain.StateDelta, accounts *chain.AccountDelta) (int, error) {
 	addrs, byContract := groupByContract(deltas)
+	contracts := make([]*chain.Contract, 0, len(addrs))
+	states := make([]*eval.MemState, 0, len(addrs))
+	var err error
 	for _, addr := range addrs {
 		c := n.Contracts.Get(addr)
 		if c == nil {
-			return 0, fmt.Errorf("%w: contract %s", ErrUnknownContract, addr)
+			err = fmt.Errorf("%w: contract %s", ErrUnknownContract, addr)
+			break
 		}
-		merged := c.Snapshot().Copy()
-		if err := chain.MergeDeltas(merged, byContract[addr]); err != nil {
+		st := c.Snapshot()
+		contracts, states = append(contracts, c), append(states, st)
+		if err = chain.MergeDeltas(st, byContract[addr], &n.undo); err != nil {
+			break
+		}
+	}
+	if err == nil && accounts != nil {
+		err = n.Accounts.Apply(accounts)
+	}
+	if err != nil {
+		n.undo.Rollback()
+	} else {
+		n.undo.Reset()
+	}
+	// Same pointer, after the last write to it: a no-op without a
+	// pager; under one it marks the unit dirty and puts it back if
+	// acquiring a later contract or an account page evicted it while
+	// the phase was still writing.
+	for i, c := range contracts {
+		c.ReplaceState(states[i])
+	}
+	if err != nil {
+		var conflict *chain.ConflictError
+		var overflow *chain.OverflowError
+		switch {
+		case errors.As(err, &conflict):
 			n.m.mergeConflicts.Inc()
-			return 0, err
+		case errors.As(err, &overflow):
+			n.m.mergeOverflows.Inc()
 		}
-		c.ReplaceState(merged)
-		n.touchDeltas(addr, byContract[addr], merged)
+		return 0, err
+	}
+	for i, c := range contracts {
+		n.touchDeltas(c.Addr, byContract[c.Addr], states[i])
 	}
 	if accounts != nil {
-		if err := n.Accounts.Apply(accounts); err != nil {
-			return 0, err
-		}
 		n.touchAccountDelta(accounts)
 	}
 	return len(addrs), nil
@@ -1347,11 +1387,42 @@ func (r *shardRun) execute(tx *chain.Tx, remaining uint64) (_ *chain.Receipt, wa
 			r.txOvs[i].ov.CommitTo(r.txOvs[i].shardOv)
 		}
 		rec.Success = true
-		rec.Events = events
+		rec.Events = detachMaps(events)
 		return rec, false
 	default:
 		return fail(errors.New("unsupported transaction kind"))
 	}
+}
+
+// detachMaps copies map values out of event payloads. A transition that
+// loads a whole map field it has not written gets the canonical map
+// itself; canonical state is merged in place at every commit, and the
+// receipt outlives the epoch (the lookups' receipt stores, the
+// committee's ring of sealed FinalBlocks), so an event has to own the
+// maps it shows.
+func detachMaps(events []value.Msg) []value.Msg {
+	for _, ev := range events {
+		for k, v := range ev.Entries {
+			if holdsMap(v) {
+				ev.Entries[k] = value.Copy(v)
+			}
+		}
+	}
+	return events
+}
+
+func holdsMap(v value.Value) bool {
+	switch t := v.(type) {
+	case *value.Map:
+		return true
+	case value.ADT:
+		for _, a := range t.Args {
+			if holdsMap(a) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // maxCallDepth bounds message chains between contracts on the DS

@@ -138,7 +138,7 @@ func (n *Network) touchAccountDelta(d *chain.AccountDelta) {
 }
 
 // touchDeltas re-commits the state components a merged delta set wrote,
-// reading their post-merge values from the contract's new canonical
+// reading their post-merge values from the contract's canonical
 // state. Whole-field writes re-render the field subtree; entry writes
 // touch single leaves.
 func (n *Network) touchDeltas(addr chain.Address, deltas []*chain.StateDelta, st *eval.MemState) {

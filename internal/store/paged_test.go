@@ -1,11 +1,16 @@
 package store
 
 import (
+	"math/big"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"cosplit/internal/chain"
+	"cosplit/internal/contracts"
+	"cosplit/internal/obs"
 	"cosplit/internal/pager"
+	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 	"cosplit/internal/workload"
 )
@@ -51,6 +56,111 @@ func TestPagedModeBitIdenticalToSnapshotMode(t *testing.T) {
 	}
 	if !hasPagedState(pagedDir) {
 		t.Fatal("paged dir has no committed page index after 7 epochs at cadence 2")
+	}
+}
+
+// TestPagedEvictionInsideCommitPhase: the commit merges into the state
+// Snapshot hands out, in place, and a phase that touches two contracts
+// acquires the second after it has written the first. With a budget
+// neither contract fits in, that acquisition evicts the first — written
+// back if it was dirty, simply dropped if a flush had left it clean —
+// before the phase re-installs it. Roots must still match a
+// snapshot-mode run epoch by epoch, and a recovery from the paged
+// directory alone must land on the same state: nothing the phase merged
+// may be lost with the eviction.
+func TestPagedEvictionInsideCommitPhase(t *testing.T) {
+	query := workload.FTTransfer().Query
+	provision := func() (*workload.Env, chain.Address) {
+		env := provisionFT(t)
+		second, err := env.Net.DeployContract(env.Owner, contracts.FungibleToken, map[string]value.Value{
+			"contract_owner": env.Owner.Value(),
+			"token_name":     value.Str{S: "Second"},
+			"token_symbol":   value.Str{S: "SND"},
+			"decimals":       value.Uint32V(6),
+			"init_supply":    value.Uint128(1 << 40),
+		}, &query)
+		if err != nil {
+			t.Fatalf("deploy second token: %v", err)
+		}
+		return env, second
+	}
+	// Every epoch the users move the first token and native funds
+	// (epochBatch) and the owner hands out the second token, so both
+	// contracts are merged in the shards' phase.
+	run := func(env *workload.Env, second chain.Address, first, nepochs int) (roots []string) {
+		for k := first; k < first+nepochs; k++ {
+			for _, tx := range epochBatch(env.Contract, env.Users, uint64(k)) {
+				env.Net.Submit(tx)
+			}
+			nonce := env.Net.Accounts.Get(env.Owner).Nonce
+			for i := 0; i < 4; i++ {
+				nonce++
+				env.Net.Submit(&chain.Tx{
+					Kind: chain.TxCall, From: env.Owner, To: second, Nonce: nonce,
+					Amount: big.NewInt(0), GasLimit: 100_000, GasPrice: 1,
+					Transition: "Transfer",
+					Args: map[string]value.Value{
+						"to": env.Users[(k*4+i)%len(env.Users)].Value(), "amount": value.Uint128(3),
+					},
+				})
+			}
+			stats, err := env.Net.RunEpoch()
+			if err != nil {
+				t.Fatalf("epoch %d: %v", k, err)
+			}
+			if stats.Failed > 0 || stats.Committed != 44 {
+				t.Fatalf("epoch %d: committed %d, failed %d", k, stats.Committed, stats.Failed)
+			}
+			roots = append(roots, env.Net.StateRoot())
+		}
+		return roots
+	}
+
+	a, secondA := provision()
+	stA := openStore(t, t.TempDir(), WithSnapshotEvery(2))
+	a.Net.AttachStateStore(stA)
+	defer stA.Close()
+	want := run(a, secondA, 1, 8)
+
+	pagedDir := t.TempDir()
+	reg := obs.NewRegistry()
+	paged := WithPagedState(8<<10, pager.WithPageCount(64), pager.WithRegistry(reg))
+	b, secondB := provision()
+	stB := openStore(t, pagedDir, WithSnapshotEvery(2), paged)
+	if err := stB.Recover(b.Net); err != nil {
+		t.Fatalf("paged recover (fresh dir): %v", err)
+	}
+	b.Net.AttachStateStore(stB)
+	got := run(b, secondB, 1, 6)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("epoch %d: paged root %s, snapshot-mode root %s", i+1, got[i], want[i])
+		}
+	}
+	if inc, full := b.Net.StateRoot(), b.Net.RecomputeStateRoot(); inc != full {
+		t.Fatalf("paged incremental root %s != recomputed %s", inc, full)
+	}
+	if n := reg.Snapshot().Counters["pager.evictions"]; n == 0 {
+		t.Fatal("no eviction happened: the budget does not force the case under test")
+	}
+	// Kill -9, recover from the directory with a cold cache, resume.
+	c, secondC := provision()
+	stC := openStore(t, pagedDir, WithSnapshotEvery(2), tinyPaged())
+	if err := stC.Recover(c.Net); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	c.Net.AttachStateStore(stC)
+	defer stC.Close()
+	if root := c.Net.StateRoot(); root != want[5] {
+		t.Fatalf("recovered root %s, want %s", root, want[5])
+	}
+	if inc, full := c.Net.StateRoot(), c.Net.RecomputeStateRoot(); inc != full {
+		t.Fatalf("recovered incremental root %s != recomputed %s", inc, full)
+	}
+	for i, root := range run(c, secondC, 7, 2) {
+		if root != want[6+i] {
+			t.Fatalf("resumed epoch %d: root %s, want %s", 7+i, root, want[6+i])
+		}
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -309,7 +310,7 @@ func writeSnapshot(f *os.File, n *shard.Network, cp shard.Checkpoint) error {
 		})
 		return true
 	})
-	sort.Slice(accs, func(i, j int) bool { return bytes.Compare(accs[i].Addr[:], accs[j].Addr[:]) < 0 })
+	slices.SortFunc(accs, func(a, b wire.SnapshotAccount) int { return bytes.Compare(a.Addr[:], b.Addr[:]) })
 	for i := 0; i < len(accs); i += snapshotBatch {
 		end := i + snapshotBatch
 		if end > len(accs) {

@@ -141,8 +141,15 @@ func (s *StateRoots) TouchEntry(addr chain.Address, field string, keys []value.V
 	defer s.mu.Unlock()
 	fk := fieldKey(addr, field)
 	ek := entryKey(fk, keys)
-	s.clear(ek)
 	if v, ok := lookup(st, field, keys); ok {
+		// A scalar at this keypath has always been a scalar there (the
+		// field's type fixes the depth of its leaves), so nothing lies
+		// below ek and the Put in expand overwrites or inserts the one
+		// leaf without unlinking it first. Only a map value may replace
+		// a subtree.
+		if _, isMap := v.(*value.Map); isMap {
+			s.clear(ek)
+		}
 		// Every proper ancestor is a non-empty map now; drop any stale
 		// empty-map marker sitting at its key (no-op if none).
 		s.t.Delete(fk)
@@ -152,6 +159,7 @@ func (s *StateRoots) TouchEntry(addr chain.Address, field string, keys []value.V
 		s.expand(ek, v)
 		return
 	}
+	s.clear(ek)
 	// Entry gone. Find the deepest surviving ancestor; if the delete
 	// emptied it, it needs an explicit marker (its last child leaf
 	// just left the trie).

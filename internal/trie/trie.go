@@ -10,19 +10,22 @@
 //     collapsed or removed;
 //   - every other node with no value has at least two children (a
 //     valueless single-child node is merged into its child on delete);
-//   - child edges are keyed by their first byte, so sibling order is
-//     fixed.
+//   - a node's children are kept in ascending order of their edge byte
+//     (the first byte of the child's prefix), so sibling order is fixed.
 //
 // Hashes are cached per node and recomputed lazily: mutations mark the
 // touched path dirty, and Root walks only dirty nodes. An epoch that
 // changes k entries therefore rehashes O(k · depth) nodes, not the
-// whole state.
+// whole state; each of those nodes hashes one preimage that lists all
+// of its children, so a node's cost grows with its fan-out (at most
+// 256 × 33 bytes).
 package trie
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"slices"
 )
 
 // Trie maps byte-string keys to 32-byte leaf hashes. The zero value is
@@ -30,14 +33,74 @@ import (
 type Trie struct {
 	root  *node
 	count int
+	// buf is the preimage buffer rehash reuses for every dirty node.
+	buf []byte
 }
 
 type node struct {
-	prefix   []byte // compressed path below the parent edge
-	val      *[32]byte
-	children map[byte]*node
-	hash     [32]byte
-	dirty    bool
+	prefix []byte // compressed path below the parent edge
+	hasVal bool
+	dirty  bool
+	val    [32]byte
+	hash   [32]byte
+	// br holds the children; nil on a leaf, which most nodes are, so a
+	// leaf does not carry two empty slice headers.
+	br *branch
+}
+
+// branch is a node's children in ascending edge order: edges[i] ==
+// kids[i].prefix[0]. The edge bytes are kept beside the pointers so
+// lookups and rehash scan one small byte slice instead of chasing every
+// child.
+type branch struct {
+	edges []byte
+	kids  []*node
+}
+
+// child returns the child on edge b, or nil.
+func (n *node) child(b byte) *node {
+	if n.br == nil {
+		return nil
+	}
+	if i := bytes.IndexByte(n.br.edges, b); i >= 0 {
+		return n.br.kids[i]
+	}
+	return nil
+}
+
+// setChild links c below n on c's edge byte, replacing the child
+// already on that edge or inserting at the position that keeps the
+// edges ascending.
+func (n *node) setChild(c *node) {
+	if n.br == nil {
+		n.br = &branch{}
+	}
+	br, b := n.br, c.prefix[0]
+	i, found := slices.BinarySearch(br.edges, b)
+	if found {
+		br.kids[i] = c
+		return
+	}
+	br.edges = slices.Insert(br.edges, i, b)
+	br.kids = slices.Insert(br.kids, i, c)
+}
+
+// removeChild unlinks the child on edge b, if any. A node that loses
+// its last child is a leaf again.
+func (n *node) removeChild(b byte) {
+	if n.br == nil {
+		return
+	}
+	br := n.br
+	i := bytes.IndexByte(br.edges, b)
+	switch {
+	case i < 0:
+	case len(br.kids) == 1:
+		n.br = nil
+	default:
+		br.edges = slices.Delete(br.edges, i, i+1)
+		br.kids = slices.Delete(br.kids, i, i+1)
+	}
 }
 
 // Len returns the number of keys present.
@@ -48,12 +111,9 @@ func (t *Trie) Get(key []byte) ([32]byte, bool) {
 	n := t.root
 	for n != nil {
 		if len(key) == 0 {
-			if n.val == nil {
-				return [32]byte{}, false
-			}
-			return *n.val, true
+			return n.val, n.hasVal
 		}
-		c := n.children[key[0]]
+		c := n.child(key[0])
 		if c == nil || commonPrefix(c.prefix, key) != len(c.prefix) {
 			return [32]byte{}, false
 		}
@@ -88,24 +148,20 @@ func (t *Trie) Put(key []byte, h [32]byte) {
 func (t *Trie) putAt(n *node, key []byte, h [32]byte) {
 	n.dirty = true
 	if len(key) == 0 {
-		if n.val == nil {
+		if !n.hasVal {
 			t.count++
 		}
-		v := h
-		n.val = &v
+		n.val, n.hasVal = h, true
 		return
 	}
-	c := n.children[key[0]]
+	c := n.child(key[0])
 	if c == nil {
-		if n.children == nil {
-			n.children = make(map[byte]*node)
-		}
-		v := h
-		n.children[key[0]] = &node{
+		n.setChild(&node{
 			prefix: append([]byte(nil), key...),
-			val:    &v,
+			val:    h,
+			hasVal: true,
 			dirty:  true,
-		}
+		})
 		t.count++
 		return
 	}
@@ -116,16 +172,16 @@ func (t *Trie) putAt(n *node, key []byte, h [32]byte) {
 	}
 	// The edge diverges inside c's prefix: split it. c keeps its
 	// subtree (its children's cached hashes stay valid) but its own
-	// hash covers the now-shortened prefix, so it goes dirty.
+	// hash covers the now-shortened prefix, so it goes dirty. The split
+	// node takes c's place on the same edge byte, so n's order holds.
 	split := &node{
-		prefix:   append([]byte(nil), c.prefix[:m]...),
-		children: make(map[byte]*node, 2),
-		dirty:    true,
+		prefix: append([]byte(nil), c.prefix[:m]...),
+		dirty:  true,
 	}
 	c.prefix = append([]byte(nil), c.prefix[m:]...)
 	c.dirty = true
-	split.children[c.prefix[0]] = c
-	n.children[split.prefix[0]] = split
+	split.setChild(c)
+	n.setChild(split)
 	t.putAt(split, key[m:], h)
 }
 
@@ -143,15 +199,15 @@ func (t *Trie) Delete(key []byte) bool {
 // root is never unlinked (the top-level caller ignores removeSelf).
 func (t *Trie) deleteAt(n *node, key []byte) (deleted, removeSelf bool) {
 	if len(key) == 0 {
-		if n.val == nil {
+		if !n.hasVal {
 			return false, false
 		}
-		n.val = nil
+		n.hasVal = false
 		n.dirty = true
 		t.count--
-		return true, len(n.children) == 0
+		return true, n.br == nil
 	}
-	c := n.children[key[0]]
+	c := n.child(key[0])
 	if c == nil {
 		return false, false
 	}
@@ -165,11 +221,11 @@ func (t *Trie) deleteAt(n *node, key []byte) (deleted, removeSelf bool) {
 	}
 	n.dirty = true
 	if rm {
-		delete(n.children, key[0])
+		n.removeChild(key[0])
 	} else {
 		collapse(c)
 	}
-	return true, n.val == nil && len(n.children) == 0
+	return true, !n.hasVal && n.br == nil
 }
 
 // DeletePrefix removes every key that starts with p (p itself
@@ -190,7 +246,7 @@ func (t *Trie) DeletePrefix(p []byte) int {
 }
 
 func (t *Trie) deletePrefixAt(n *node, p []byte) (removed int, removeSelf bool) {
-	c := n.children[p[0]]
+	c := n.child(p[0])
 	if c == nil {
 		return 0, false
 	}
@@ -200,7 +256,7 @@ func (t *Trie) deletePrefixAt(n *node, p []byte) (removed int, removeSelf bool) 
 		// All of p matched inside c's prefix: c's whole subtree is
 		// under the prefix.
 		sz := subtreeSize(c)
-		delete(n.children, p[0])
+		n.removeChild(p[0])
 		t.count -= sz
 		removed = sz
 	case m == len(c.prefix):
@@ -209,7 +265,7 @@ func (t *Trie) deletePrefixAt(n *node, p []byte) (removed int, removeSelf bool) 
 			return 0, false
 		}
 		if rm {
-			delete(n.children, p[0])
+			n.removeChild(p[0])
 		} else {
 			collapse(c)
 		}
@@ -218,32 +274,34 @@ func (t *Trie) deletePrefixAt(n *node, p []byte) (removed int, removeSelf bool) 
 		return 0, false
 	}
 	n.dirty = true
-	return removed, n.val == nil && len(n.children) == 0
+	return removed, !n.hasVal && n.br == nil
 }
 
 // collapse merges a valueless single-child node into its child,
-// restoring the canonical-structure invariant after a delete.
+// restoring the canonical-structure invariant after a delete. The
+// merged node keeps c's first prefix byte, so its place among its
+// siblings is unchanged, and it adopts the child's already ordered
+// children as they are.
 func collapse(c *node) {
-	if c.val != nil || len(c.children) != 1 {
+	if c.hasVal || c.br == nil || len(c.br.kids) != 1 {
 		return
 	}
-	var only *node
-	for _, ch := range c.children {
-		only = ch
-	}
+	only := c.br.kids[0]
 	c.prefix = append(c.prefix, only.prefix...)
-	c.val = only.val
-	c.children = only.children
+	c.val, c.hasVal = only.val, only.hasVal
+	c.br = only.br
 	c.dirty = true
 }
 
 func subtreeSize(n *node) int {
 	sz := 0
-	if n.val != nil {
+	if n.hasVal {
 		sz = 1
 	}
-	for _, c := range n.children {
-		sz += subtreeSize(c)
+	if n.br != nil {
+		for _, c := range n.br.kids {
+			sz += subtreeSize(c)
+		}
 	}
 	return sz
 }
@@ -254,45 +312,45 @@ func (t *Trie) Root() [32]byte {
 	if t.root == nil {
 		t.root = &node{dirty: true}
 	}
-	return t.root.rehash()
+	t.rehash(t.root)
+	return t.root.hash
 }
 
-// rehash recomputes this node's hash if dirty, recursing only into
-// dirty children (clean subtrees contribute their cached hashes).
+// rehash recomputes n's hash if dirty, recursing only into dirty
+// children (clean subtrees contribute their cached hashes).
 //
 // The preimage is a fixed-shape encoding — marker byte, length-prefixed
 // node prefix, value flag (+hash), child count, then (edge byte, child
 // hash) pairs in ascending edge order — so distinct tries can never
-// collide by concatenation ambiguity.
-func (n *node) rehash() [32]byte {
+// collide by concatenation ambiguity. Dirty children are rehashed
+// first, so the one buffer the trie owns holds a single node's preimage
+// at a time and is hashed in one call.
+func (t *Trie) rehash(n *node) {
 	if !n.dirty {
-		return n.hash
+		return
 	}
-	var scratch [10]byte
-	h := sha256.New()
-	h.Write([]byte{0x10})
-	h.Write(scratch[:binary.PutUvarint(scratch[:], uint64(len(n.prefix)))])
-	h.Write(n.prefix)
-	if n.val != nil {
-		h.Write([]byte{1})
-		h.Write(n.val[:])
+	var br branch
+	if n.br != nil {
+		br = *n.br
+	}
+	for _, c := range br.kids {
+		t.rehash(c)
+	}
+	b := append(t.buf[:0], 0x10)
+	b = binary.AppendUvarint(b, uint64(len(n.prefix)))
+	b = append(b, n.prefix...)
+	if n.hasVal {
+		b = append(b, 1)
+		b = append(b, n.val[:]...)
 	} else {
-		h.Write([]byte{0})
+		b = append(b, 0)
 	}
-	h.Write(scratch[:binary.PutUvarint(scratch[:], uint64(len(n.children)))])
-	if len(n.children) > 0 {
-		edges := make([]int, 0, len(n.children))
-		for b := range n.children {
-			edges = append(edges, int(b))
-		}
-		sort.Ints(edges)
-		for _, b := range edges {
-			ch := n.children[byte(b)].rehash()
-			h.Write([]byte{byte(b)})
-			h.Write(ch[:])
-		}
+	b = binary.AppendUvarint(b, uint64(len(br.kids)))
+	for i, c := range br.kids {
+		b = append(b, br.edges[i])
+		b = append(b, c.hash[:]...)
 	}
-	h.Sum(n.hash[:0])
+	n.hash = sha256.Sum256(b)
 	n.dirty = false
-	return n.hash
+	t.buf = b
 }

@@ -36,6 +36,30 @@ func checkAgainstModel(t *testing.T, tr *Trie, model map[string][32]byte) {
 	if got, want := tr.Root(), rebuild(model).Root(); got != want {
 		t.Fatalf("incremental root %x diverges from fresh rebuild %x", got, want)
 	}
+	checkEdgeOrder(t, tr.root)
+}
+
+// checkEdgeOrder asserts the invariant rehash relies on: below every
+// node the edge bytes ascend strictly and each is the first byte of the
+// child it stands for.
+func checkEdgeOrder(t *testing.T, n *node) {
+	t.Helper()
+	if n == nil || n.br == nil {
+		return
+	}
+	edges, kids := n.br.edges, n.br.kids
+	if len(edges) != len(kids) || len(kids) == 0 {
+		t.Fatalf("node %q: %d edges for %d children (an empty branch must be nil)", n.prefix, len(edges), len(kids))
+	}
+	for i, c := range kids {
+		if len(c.prefix) == 0 || c.prefix[0] != edges[i] {
+			t.Fatalf("node %q: edge %d is %#x but the child's prefix is %q", n.prefix, i, edges[i], c.prefix)
+		}
+		if i > 0 && edges[i-1] >= edges[i] {
+			t.Fatalf("node %q: edges out of order: %x", n.prefix, edges)
+		}
+		checkEdgeOrder(t, c)
+	}
 }
 
 func TestEmptyTrie(t *testing.T) {
@@ -179,6 +203,7 @@ func TestRandomizedModel(t *testing.T) {
 						t.Fatalf("op %d: DeletePrefix(%q) = %d, model says %d", i, p, got, want)
 					}
 				}
+				checkEdgeOrder(t, tr.root)
 				if i%250 == 0 {
 					checkAgainstModel(t, tr, model)
 				}
@@ -223,8 +248,54 @@ func countDirty(n *node) int {
 	if n.dirty {
 		c++
 	}
-	for _, ch := range n.children {
-		c += countDirty(ch)
+	if n.br != nil {
+		for _, ch := range n.br.kids {
+			c += countDirty(ch)
+		}
 	}
 	return c
+}
+
+// TestGoldenRoot pins the preimage encoding: a fixed key set with fixed
+// leaf hashes, built through inserts, overwrites, deletes that collapse
+// nodes and a prefix cut, must hash to the root recorded before the
+// children moved from a map into edge-ordered slices.
+func TestGoldenRoot(t *testing.T) {
+	tr := &Trie{}
+	key := func(i int) []byte {
+		a := sha256.Sum256([]byte(fmt.Sprintf("addr%d", i%7)))
+		k := sha256.Sum256([]byte(fmt.Sprintf("key%d", i)))
+		switch i % 4 {
+		case 0:
+			return append([]byte("a"), k[:20]...)
+		case 1:
+			return []byte(fmt.Sprintf("c%s\x1fbalances\x1f%x", a[:20], k[:20]))
+		case 2:
+			return []byte(fmt.Sprintf("c%s\x1fallowances\x1f%x\x1f%x", a[:20], k[:2], k[2:22]))
+		default:
+			return []byte(fmt.Sprintf("c%s\x1ff%d", a[:20], i%13))
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		tr.Put(key(i), leaf(fmt.Sprintf("v%d", i)))
+	}
+	tr.Put(nil, leaf("root value"))
+	mid := tr.Root()
+	for i := 0; i < 5000; i += 3 {
+		tr.Delete(key(i))
+	}
+	for i := 0; i < 5000; i += 5 {
+		tr.Put(key(i), leaf(fmt.Sprintf("w%d", i)))
+	}
+	a3 := sha256.Sum256([]byte("addr3"))
+	tr.DeletePrefix([]byte(fmt.Sprintf("c%s\x1fallowances\x1f", a3[:20])))
+	end := tr.Root()
+	const wantMid = "7bae7e9a9dfc25c822d2e6a24bb320a0aa8fa70860cd524f9fb3ccec09cca96c"
+	const wantEnd = "f49be639b2e5b2bce3d71f5d1dad9c7d9d721731eaf897e2ff8920b75edef44d"
+	if got := fmt.Sprintf("%x", mid); got != wantMid {
+		t.Errorf("root after the bulk load = %s, want %s", got, wantMid)
+	}
+	if got := fmt.Sprintf("%x", end); got != wantEnd {
+		t.Errorf("root after deletes, overwrites and the prefix cut = %s, want %s (Len %d)", got, wantEnd, tr.Len())
+	}
 }

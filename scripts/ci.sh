@@ -26,10 +26,12 @@ go test ./...
 (cd benchmark && go vet . && go test .)
 # The race run covers the golden-trace tests (journal writes from the
 # shard pipeline), the cross-mode determinism suite (sequential vs
-# parallel-shards vs intra-parallel vs both) and the shard-vs-DS route
-# tests (failed-call atomicity, typed failure receipts) alongside the
-# concurrent packages.
-go test -race ./internal/shard/... ./internal/dispatch/... ./internal/mempool/... ./internal/obs/... ./internal/fault/...
+# parallel-shards vs intra-parallel vs both), the shard-vs-DS route
+# tests (failed-call atomicity, typed failure receipts) and the commit
+# tests (a failed phase leaves no trace; commit + root allocations equal
+# over 1k and 100k holders; the undo log in internal/chain) alongside
+# the concurrent packages.
+go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... ./internal/mempool/... ./internal/obs/... ./internal/fault/...
 # The node/wire/rpc race run covers the actor cluster end to end,
 # including the TCP-transport smoke (TestTCPClusterSmoke), the
 # fault-injection recovery tests over real frames, the absolute
@@ -41,10 +43,11 @@ go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
 # snapshot rotation, recovery), the disk-backed page cache (concurrent
 # faults and evictions under the accounts lock), and the incremental
 # root trie under -short (the million-account tests opt out of the
-# race detector), and the refusal of a previous-version journal. The
-# paged store and cluster tests run in their packages' race lines
-# above/below as well; internal/pager is listed explicitly because
-# nothing else covers it.
+# race detector; the trie's golden root and edge-order checks do not),
+# an eviction inside a commit phase, and the refusal of a
+# previous-version journal. The paged store and cluster tests run in
+# their packages' race lines above/below as well; internal/pager is
+# listed explicitly because nothing else covers it.
 go test -race -short ./internal/store/... ./internal/trie/... ./internal/pager/...
 # Memory-budget regression gate: the million-account paged run asserts
 # its live-heap ceiling in-test; GOMEMLIMIT pins the runtime's GC
@@ -52,6 +55,10 @@ go test -race -short ./internal/store/... ./internal/trie/... ./internal/pager/.
 # thrash and a visibly slow (or failed) run instead of passing on a
 # big-RAM host.
 GOMEMLIMIT=512MiB go test -run 'TestMillionAccountsPagedBudget' -timeout 20m ./internal/store/
+# Compile-and-run smoke of the commit benchmarks (one iteration each;
+# the 1M-holder set-up dominates, about 10 s): the in-place merge per
+# field and the holders sweep whose rows EXPERIMENTS.md records.
+go test -run '^$' -bench 'CommitHolders|MergePerField' -benchtime 1x .
 # Short fuzz run of the wire decoders beyond the committed corpus —
 # including the store's snapshot/journal record types — no decoder may
 # panic on hostile bytes, and decode∘encode must stay a fixed point.
