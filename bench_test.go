@@ -12,7 +12,9 @@ package cosplit_test
 import (
 	"fmt"
 	"math/big"
+	"runtime"
 	"testing"
+	"time"
 
 	"cosplit/internal/bench"
 	"cosplit/internal/chain"
@@ -21,6 +23,7 @@ import (
 	"cosplit/internal/core/ge"
 	"cosplit/internal/core/signature"
 	"cosplit/internal/ethdata"
+	"cosplit/internal/node"
 	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/eval"
 	"cosplit/internal/scilla/parser"
@@ -333,6 +336,74 @@ func BenchmarkCommitHolders(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkBlockFanout is the cost of getting one sealed block to
+// everyone who keeps it: a 4000-tx `FT transfer disjoint` epoch through
+// a ChanNetwork cluster whose committee and three replicas journal with
+// fsync and whose lookup files the receipts. The timer covers the tick
+// (dispatch, batches, execution, MicroBlocks, finalize, journal,
+// broadcast), an empty tick behind it — a shard answers its batch only
+// after applying and journaling the block before it — and the lookup
+// seeing the last receipt. Submission is outside the timer.
+func BenchmarkBlockFanout(b *testing.B) {
+	const txs = 4000
+	w := workload.FTTransferDisjoint()
+	genesis := func() (*shard.Network, error) {
+		env, err := workload.Provision(w, true, shard.WithShards(3))
+		if err != nil {
+			return nil, err
+		}
+		return env.Net, nil
+	}
+	src, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cluster, err := node.NewCluster(genesis, node.ClusterStateDir(b.TempDir(), 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cluster.Close()
+	// Allocation is read around the timed part only (testing reports it
+	// per op; per transaction is what the rows in EXPERIMENTS.md compare).
+	var before, after runtime.MemStats
+	var bytes, mallocs uint64
+	epoch := func() {
+		b.StopTimer()
+		var last uint64
+		for i := 0; i < txs; i++ {
+			last = cluster.DS.Net().Submit(w.Next(src))
+		}
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		for _, want := range []int{txs, 0} {
+			res := cluster.Tick()
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+			if res.Stats.Committed != want {
+				b.Fatalf("epoch %d committed %d transactions, want %d", res.Stats.Epoch, res.Stats.Committed, want)
+			}
+		}
+		if cluster.Lookup.WaitReceipt(last, 10*time.Second) == nil {
+			b.Fatalf("receipt %d never reached the lookup", last)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		bytes += after.TotalAlloc - before.TotalAlloc
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	epoch() // first-epoch growth of queues, overlays and journals
+	bytes, mallocs = 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		epoch()
+	}
+	perTx := float64(b.N) * txs
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perTx, "ns/tx")
+	b.ReportMetric(float64(bytes)/perTx, "B/tx")
+	b.ReportMetric(float64(mallocs)/perTx, "allocs/tx")
 }
 
 func mustInterp(b *testing.B) *eval.Interpreter {

@@ -61,8 +61,16 @@ type Receipt struct {
 	// and nonce, so callers can errors.Is through requeue/retry paths.
 	// Not serialised — receipts cross the wire as strings.
 	Err error `json:"-"`
-	// Events is the flat list of emitted event payloads.
+	// Events is the flat list of emitted event payloads, as the executor
+	// that ran the transaction built them. A receipt decoded from a block
+	// leaves it nil and carries RawEvents instead.
 	Events []value.Msg
+	// RawEvents is the events' wire encoding (their count, then each
+	// message), aliasing the block payload the receipt was decoded from.
+	// The decoder has validated every byte of it; wire.ReceiptEvents
+	// builds the messages on demand, and an encoder copies it when Events
+	// is nil. Nobody writes through it.
+	RawEvents []byte `json:"-"`
 	// Shard is the committee that processed the transaction
 	// (-1 denotes the DS committee).
 	Shard int

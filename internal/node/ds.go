@@ -33,14 +33,13 @@ type DS struct {
 	m       *linkMetrics
 	source  BlockSource
 
-	// recent is a ring of the latest committed FinalBlocks (contiguous
-	// ascending epochs), the primary source for replica catch-up
-	// requests; the BlockSource covers epochs that predate this
-	// process. Only the actor goroutine touches it. The blocks hold both
-	// commit phases' deltas by reference to what the runs extracted;
-	// that is safe because Network.commit copies every value it installs
-	// and never writes through a delta.
-	recent []*shard.FinalBlock
+	// recent is a ring of the latest committed FinalBlocks' sealed
+	// payloads (contiguous ascending epochs) — the bytes that were
+	// journaled and broadcast, kept as they are and shipped as they are —
+	// the primary source for replica catch-up requests; the BlockSource
+	// covers epochs that predate this process. Only the actor goroutine
+	// touches it.
+	recent []sealedBlock
 
 	inbox     chan inbound
 	ticks     chan tickReq
@@ -69,6 +68,12 @@ const recentBlockCap = 256
 // MsgBlockResponse, so a far-behind replica's request cannot produce
 // an oversized frame; the replica re-requests the remainder.
 const maxBlocksPerResponse = 64
+
+// sealedBlock is one committed FinalBlock as its wire payload.
+type sealedBlock struct {
+	epoch   uint64
+	payload []byte
+}
 
 type inbound struct {
 	from  string
@@ -321,40 +326,41 @@ func (d *DS) serveBlocks(to string, q *wire.BlockRequest) {
 	if end > q.From+maxBlocksPerResponse {
 		end = q.From + maxBlocksPerResponse
 	}
-	resp := &wire.BlockResponse{From: q.From, Head: head}
+	var blocks [][]byte
 	if end > q.From {
-		resp.Blocks = d.blocksFor(q.From, end)
+		blocks = d.blocksFor(q.From, end)
 	}
-	payload, err := wire.EncodeBlockResponse(resp)
-	if err != nil {
-		d.m.recvErrors.Inc()
-		return
-	}
-	d.send(to, wire.MsgBlockResponse, payload)
+	d.send(to, wire.MsgBlockResponse, wire.AppendBlockResponse(nil, q.From, head, blocks))
 }
 
-// blocksFor collects the contiguous run of FinalBlocks for epochs
-// [from, to), consulting the block source for epochs older than the
-// in-memory ring. Runs on the actor goroutine.
-func (d *DS) blocksFor(from, to uint64) []*shard.FinalBlock {
-	var out []*shard.FinalBlock
+// blocksFor collects the sealed payloads of the contiguous run of
+// FinalBlocks for epochs [from, to), consulting the block source for
+// epochs older than the in-memory ring. Runs on the actor goroutine.
+func (d *DS) blocksFor(from, to uint64) [][]byte {
+	var out [][]byte
 	next := from
-	if d.source != nil && (len(d.recent) == 0 || d.recent[0].Epoch > next) {
+	if d.source != nil && (len(d.recent) == 0 || d.recent[0].epoch > next) {
 		if blocks, err := d.source.Blocks(next, to); err == nil {
 			for _, fb := range blocks {
-				if fb.Epoch == next && next < to {
-					out = append(out, fb)
-					next++
+				if fb.Epoch != next || next >= to {
+					continue
 				}
+				payload, err := wire.SealedFinalBlock(fb)
+				if err != nil {
+					d.m.recvErrors.Inc()
+					return out
+				}
+				out = append(out, payload)
+				next++
 			}
 		}
 	}
-	for _, fb := range d.recent {
+	for _, b := range d.recent {
 		if next >= to {
 			break
 		}
-		if fb.Epoch == next {
-			out = append(out, fb)
+		if b.epoch == next {
+			out = append(out, b.payload)
 			next++
 		}
 	}
@@ -424,20 +430,24 @@ func (d *DS) runEpoch(req tickReq) {
 		return
 	}
 	if fb != nil {
-		d.recent = append(d.recent, fb)
-		if len(d.recent) > recentBlockCap {
-			d.recent = append(d.recent[:0], d.recent[len(d.recent)-recentBlockCap:]...)
-		}
-		payload, err := wire.EncodeFinalBlock(fb)
+		// The block's bytes exist already when a journal is attached
+		// (FinalizeEpoch sealed it there); either way this is the one
+		// payload, framed once for every recipient.
+		payload, err := wire.SealedFinalBlock(fb)
 		if err != nil {
 			req.resp <- TickResult{Err: fmt.Errorf("encode final block: %w", err)}
 			return
 		}
+		d.recent = append(d.recent, sealedBlock{fb.Epoch, payload})
+		if len(d.recent) > recentBlockCap {
+			d.recent = append(d.recent[:0], d.recent[len(d.recent)-recentBlockCap:]...)
+		}
+		frame := wire.EncodeFrame(wire.MsgFinalBlock, payload)
 		for _, s := range d.shards {
-			d.send(s, wire.MsgFinalBlock, payload)
+			_ = d.ep.Send(s, frame)
 		}
 		for _, l := range d.lookupNames() {
-			d.send(l, wire.MsgFinalBlock, payload)
+			_ = d.ep.Send(l, frame)
 		}
 	}
 	req.resp <- TickResult{Stats: stats, Root: d.net.StateRoot()}

@@ -8,17 +8,19 @@ import (
 
 	"cosplit/internal/chain"
 	"cosplit/internal/obs"
+	"cosplit/internal/shard"
 	"cosplit/internal/wire"
 )
 
 // Lookup is the client-facing actor: it forwards submissions and state
 // queries to the DS committee over the wire, correlates the responses,
-// and caches receipts from FinalBlock broadcasts so clients can poll
+// and files the receipts of FinalBlock broadcasts so clients can poll
 // commit status without touching the committee. It holds no state
-// replica — it is a light client. The receipt cache is bounded
+// replica — it is a light client. The receipt log is bounded
 // (LookupReceiptCap): oldest receipts are evicted first, so a
 // long-running lookup's memory stays flat no matter how many epochs
-// flow past it.
+// flow past it. Receipts rest there with their events encoded;
+// wire.ReceiptEvents builds them for the client that asks.
 type Lookup struct {
 	name    string
 	ep      Endpoint
@@ -30,17 +32,11 @@ type Lookup struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	mu         sync.Mutex
-	corr       uint64
-	submits    map[uint64]chan *wire.SubmitResp
-	queries    map[uint64]chan *wire.StateResp
-	receipts   map[uint64]*chain.Receipt
-	receiptCap int
-	// receiptOrder[receiptHead:] lists cached tx ids oldest-first; the
-	// head index advances on eviction and the backing array is compacted
-	// once the dead prefix passes half, keeping it bounded too.
-	receiptOrder  []uint64
-	receiptHead   int
+	mu            sync.Mutex
+	corr          uint64
+	submits       map[uint64]chan *wire.SubmitResp
+	queries       map[uint64]chan *wire.StateResp
+	receipts      *shard.ReceiptLog
 	receiptsGauge *obs.Gauge
 	epoch         uint64
 	root          string
@@ -74,8 +70,9 @@ func LookupFaults(f LinkFaults) LookupOption {
 	return func(c *lookupConfig) { c.faults = &f }
 }
 
-// LookupReceiptCap bounds the receipt cache to the n most recent
-// receipts (default 100000). Older receipts are evicted FIFO; a client
+// LookupReceiptCap bounds the receipt log to the n most recent
+// receipts (default shard.DefaultReceiptCap, 100000). Older receipts
+// are evicted FIFO; a client
 // that polls too late simply sees nil, exactly as if the receipt's
 // FinalBlock broadcast had been lost.
 func LookupReceiptCap(n int) LookupOption {
@@ -89,7 +86,7 @@ func LookupReceiptCap(n int) LookupOption {
 // NewLookup builds a lookup actor talking to the DS peer named ds.
 // Call Run to start it.
 func NewLookup(name string, ep Endpoint, ds string, opts ...LookupOption) *Lookup {
-	c := lookupConfig{timeout: 5 * time.Second, receiptCap: 100_000}
+	c := lookupConfig{timeout: 5 * time.Second}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -106,8 +103,7 @@ func NewLookup(name string, ep Endpoint, ds string, opts ...LookupOption) *Looku
 		quit:          make(chan struct{}),
 		submits:       make(map[uint64]chan *wire.SubmitResp),
 		queries:       make(map[uint64]chan *wire.StateResp),
-		receipts:      make(map[uint64]*chain.Receipt),
-		receiptCap:    c.receiptCap,
+		receipts:      shard.NewReceiptLog(c.receiptCap),
 		receiptsGauge: c.reg.Gauge("node.lookup_receipts"),
 		commitCh:      make(chan struct{}),
 	}
@@ -178,22 +174,8 @@ func (l *Lookup) loop() {
 				continue
 			}
 			l.mu.Lock()
-			for _, r := range fb.Receipts {
-				if _, known := l.receipts[r.TxID]; !known {
-					l.receiptOrder = append(l.receiptOrder, r.TxID)
-				}
-				l.receipts[r.TxID] = r
-			}
-			for len(l.receipts) > l.receiptCap {
-				delete(l.receipts, l.receiptOrder[l.receiptHead])
-				l.receiptHead++
-			}
-			if l.receiptHead > len(l.receiptOrder)/2 {
-				n := copy(l.receiptOrder, l.receiptOrder[l.receiptHead:])
-				l.receiptOrder = l.receiptOrder[:n]
-				l.receiptHead = 0
-			}
-			l.receiptsGauge.Set(int64(len(l.receipts)))
+			l.receipts.File(fb.Receipts)
+			l.receiptsGauge.Set(int64(l.receipts.Len()))
 			if fb.Epoch >= l.epoch {
 				l.epoch = fb.Epoch
 				l.root = fb.StateRoot
@@ -230,13 +212,18 @@ func (l *Lookup) SubmitTx(tx *chain.Tx) (uint64, error) {
 	if err := l.ep.Send(l.ds, wire.EncodeFrame(wire.MsgSubmit, payload)); err != nil {
 		return 0, err
 	}
+	// One timer, stopped when the response wins: under go 1.22 an
+	// unstopped time.After timer stays in the runtime's heap until it
+	// fires, thousands of them at a busy lookup.
+	timer := time.NewTimer(l.timeout)
+	defer timer.Stop()
 	select {
 	case resp := <-ch:
 		if resp.Err != "" {
 			return 0, fmt.Errorf("submit rejected: %s", resp.Err)
 		}
 		return resp.ID, nil
-	case <-time.After(l.timeout):
+	case <-timer.C:
 		return 0, fmt.Errorf("submit: %w", ErrTimeout)
 	case <-l.quit:
 		return 0, ErrTransportClosed
@@ -283,25 +270,27 @@ func (l *Lookup) query(q *wire.StateQuery) (*wire.StateResp, error) {
 	if err := l.ep.Send(l.ds, wire.EncodeFrame(wire.MsgStateQuery, wire.EncodeStateQuery(q))); err != nil {
 		return nil, err
 	}
+	timer := time.NewTimer(l.timeout)
+	defer timer.Stop()
 	select {
 	case resp := <-ch:
 		if resp.Err != "" {
 			return nil, fmt.Errorf("state query: %s", resp.Err)
 		}
 		return resp, nil
-	case <-time.After(l.timeout):
+	case <-timer.C:
 		return nil, fmt.Errorf("state query: %w", ErrTimeout)
 	case <-l.quit:
 		return nil, ErrTransportClosed
 	}
 }
 
-// Receipt returns the cached receipt for a transaction id, or nil if
-// it has not committed (or was lost).
+// Receipt returns the filed receipt for a transaction id, or nil if
+// it has not committed (or was lost, or evicted).
 func (l *Lookup) Receipt(id uint64) *chain.Receipt {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.receipts[id]
+	return l.receipts.Receipt(id)
 }
 
 // WaitReceipt blocks until the transaction's receipt arrives in a
@@ -310,7 +299,7 @@ func (l *Lookup) WaitReceipt(id uint64, timeout time.Duration) *chain.Receipt {
 	deadline := time.Now().Add(timeout)
 	for {
 		l.mu.Lock()
-		r := l.receipts[id]
+		r := l.receipts.Receipt(id)
 		ch := l.commitCh
 		l.mu.Unlock()
 		if r != nil {

@@ -140,11 +140,17 @@ func (h *TCPHub) serve(c net.Conn) {
 		h.mu.Unlock()
 		c.Close()
 	}()
+	// One relay buffer per connection: writeEnvelope has copied the
+	// frame into the destination's writer before the next read
+	// overwrites it. Only the hub may do this — a role's endpoint hands
+	// every frame out in a slice of its own, which receivers keep.
+	var buf []byte
 	for {
-		to, frame, err := readEnvelope(br)
+		to, frame, err := readEnvelope(br, buf[:0])
 		if err != nil {
 			return
 		}
+		buf = frame
 		h.mu.Lock()
 		dst := h.conns[to]
 		h.mu.Unlock()
@@ -217,11 +223,13 @@ func readName(r io.Reader) (string, error) {
 	return string(b), nil
 }
 
-func readEnvelope(r *bufio.Reader) (peer string, frame []byte, err error) {
+// readEnvelope reads one envelope, appending its frame to dst (nil for
+// a slice of the frame's own).
+func readEnvelope(r *bufio.Reader, dst []byte) (peer string, frame []byte, err error) {
 	if peer, err = readName(r); err != nil {
 		return "", nil, err
 	}
-	if frame, err = wire.ReadRawFrame(r); err != nil {
+	if frame, err = wire.AppendRawFrame(dst, r); err != nil {
 		return "", nil, err
 	}
 	return peer, frame, nil
@@ -291,7 +299,7 @@ func (e *tcpEndpoint) Send(to string, frame []byte) error {
 }
 
 func (e *tcpEndpoint) Recv() (string, []byte, error) {
-	from, frame, err := readEnvelope(e.br)
+	from, frame, err := readEnvelope(e.br, nil)
 	if err != nil {
 		if err == io.EOF || errors.Is(err, net.ErrClosed) {
 			return "", nil, ErrTransportClosed

@@ -155,7 +155,7 @@ func (s *Server) dispatch(req *rpcRequest) (any, *rpcError) {
 		if err := oneParam(req.Params, &id); err != nil {
 			return nil, err
 		}
-		return s.getReceipt(id), nil
+		return s.getReceipt(id)
 	case "cosplit_getBalance":
 		var addr string
 		if err := oneParam(req.Params, &addr); err != nil {
@@ -200,10 +200,16 @@ func (s *Server) sendRawTransaction(raw string) (any, *rpcError) {
 	return &SubmitResult{ID: id}, nil
 }
 
-func (s *Server) getReceipt(id uint64) *ReceiptResult {
+func (s *Server) getReceipt(id uint64) (any, *rpcError) {
 	r := s.lk.Receipt(id)
 	if r == nil {
-		return nil
+		return (*ReceiptResult)(nil), nil // "result": null; an untyped nil would drop the key
+	}
+	// The lookup files receipts with their events still encoded; this is
+	// where they are built, for the one client that asked.
+	events, err := wire.ReceiptEvents(r)
+	if err != nil {
+		return nil, &rpcError{Code: codeServerError, Message: err.Error()}
 	}
 	res := &ReceiptResult{
 		TxID:    r.TxID,
@@ -213,10 +219,10 @@ func (s *Server) getReceipt(id uint64) *ReceiptResult {
 		Shard:   r.Shard,
 		Epoch:   r.Epoch,
 	}
-	for _, e := range r.Events {
+	for _, e := range events {
 		res.Events = append(res.Events, e.String())
 	}
-	return res
+	return res, nil
 }
 
 func (s *Server) getBalance(addr string) (any, *rpcError) {

@@ -116,7 +116,7 @@ type Network struct {
 	downBuf     []bool
 
 	mempool  []*chain.Tx
-	receipts map[uint64]*chain.Receipt
+	receipts *ReceiptLog
 	nextTxID uint64
 	mu       sync.Mutex
 
@@ -197,7 +197,7 @@ func NewNetwork(opts ...Option) *Network {
 		rec:        rec,
 		reg:        s.reg,
 		m:          newNetMetrics(s.reg),
-		receipts:   make(map[uint64]*chain.Receipt),
+		receipts:   NewReceiptLog(0),
 		ovPool:     ovPool,
 		shardModel: consensus.DefaultModel(s.cfg.NodesPerShard),
 		dsModel:    consensus.DefaultModel(s.cfg.NodesPerShard * 2),
@@ -297,11 +297,17 @@ func (n *Network) SubmitTx(tx *chain.Tx) (uint64, error) {
 // Pool returns the attached mempool, or nil without WithMempool.
 func (n *Network) Pool() *mempool.Pool { return n.pool }
 
-// Receipt returns the receipt for a transaction id, if processed.
+// Receipt returns the receipt for a transaction id, if it is among the
+// DefaultReceiptCap most recent this network has filed: every receipt
+// of every epoch it finalized or applied. A receipt for a transaction
+// this network executed itself (RunEpoch, the committee's own run) is
+// the executor's, with Events and Err; one that arrived in a MicroBlock
+// or FinalBlock has its header fields and its events still encoded
+// (wire.ReceiptEvents). Nil for an unknown or evicted id.
 func (n *Network) Receipt(id uint64) *chain.Receipt {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.receipts[id]
+	return n.receipts.Receipt(id)
 }
 
 // MempoolSize returns the number of pending transactions across the
@@ -389,6 +395,51 @@ type FinalBlock struct {
 	// StateRoot is Network.StateRoot after the epoch fully committed;
 	// replicas reject a block whose replayed root disagrees.
 	StateRoot string
+
+	// seal is the block's wire encoding, once it has one (Seal).
+	seal *blockSeal
+}
+
+// blockSeal is a block's wire encoding together with the field values
+// it encodes.
+type blockSeal struct {
+	payload []byte
+	of      FinalBlock
+}
+
+// Seal records payload as the block's wire encoding: the bytes it was
+// decoded from, or the one encoding made of it (wire.SealedFinalBlock
+// does both). A sealed block's bytes are made once — the committee
+// journals, broadcasts and keeps for catch-up the same payload, and a
+// replica journals the payload it received. The seal holds for the
+// fields as they are now; what they point to (a delta's entries, a
+// receipt) is read-only from here on.
+func (fb *FinalBlock) Seal(payload []byte) {
+	of := *fb
+	of.seal = nil
+	fb.seal = &blockSeal{payload: payload, of: of}
+}
+
+// Sealed returns the payload the block was sealed with, or nil when it
+// has none or a field has been reassigned since (a copy given another
+// epoch, a replaced root, a longer receipt list): such a block no
+// longer is what the bytes say, and whoever needs its bytes encodes it
+// again.
+func (fb *FinalBlock) Sealed() []byte {
+	s := fb.seal
+	if s == nil || fb.Epoch != s.of.Epoch || fb.StateRoot != s.of.StateRoot ||
+		fb.Accounts != s.of.Accounts || fb.DSAccounts != s.of.DSAccounts ||
+		!sameSlice(fb.Deltas, s.of.Deltas) || !sameSlice(fb.DSDeltas, s.of.DSDeltas) ||
+		!sameSlice(fb.Receipts, s.of.Receipts) {
+		return nil
+	}
+	return s.payload
+}
+
+// sameSlice reports whether a and b are the same elements of the same
+// array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // BeginEpoch starts an epoch: it drains the mempool, dispatches the
@@ -440,9 +491,7 @@ func (n *Network) BeginEpoch() *EpochRun {
 		if dec.Rejected {
 			stats.Rejected++
 			n.rec.TxDispatched(n.Epoch, tx.ID, rejectedShard, dec.Reason)
-			rec := &chain.Receipt{TxID: tx.ID, Success: false, Error: dec.Reason, Shard: rejectedShard, Epoch: n.Epoch}
-			n.record(rec)
-			run.rejects = append(run.rejects, rec)
+			run.rejects = append(run.rejects, &chain.Receipt{TxID: tx.ID, Success: false, Error: dec.Reason, Shard: rejectedShard, Epoch: n.Epoch})
 			continue
 		}
 		n.rec.TxDispatched(n.Epoch, tx.ID, dec.Shard, dec.Reason)
@@ -455,6 +504,7 @@ func (n *Network) BeginEpoch() *EpochRun {
 			queues[dec.Shard] = append(queues[dec.Shard], tx)
 		}
 	}
+	n.file(run.rejects)
 	n.dsQueueBuf = dsQueue
 	run.queues = queues
 	run.dsQueue = dsQueue
@@ -620,8 +670,8 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 			sum.ExecMax = mb.ExecTime
 		}
 		sum.ExecSum += mb.ExecTime
+		n.file(mb.Receipts)
 		for _, r := range mb.Receipts {
-			n.record(r)
 			if r.Success {
 				stats.Committed++
 				stats.PerShard[s]++
@@ -687,8 +737,8 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	}
 	sum.DSExec = time.Since(t2)
 	n.rec.ShardExecEnd(n.Epoch, dispatch.DS, sum.DSExec)
+	n.file(ds.Receipts)
 	for _, r := range ds.Receipts {
-		n.record(r)
 		if r.Success {
 			stats.DSCount++
 		} else {
@@ -775,9 +825,7 @@ func (n *Network) replayFinalBlock(fb *FinalBlock) error {
 	if _, err := n.commit(fb.DSDeltas, fb.DSAccounts); err != nil {
 		return fmt.Errorf("apply final block epoch %d: DS phase: %w", fb.Epoch, err)
 	}
-	for _, r := range fb.Receipts {
-		n.record(r)
-	}
+	n.file(fb.Receipts)
 	if fb.StateRoot != "" {
 		if root := n.StateRoot(); root != fb.StateRoot {
 			return fmt.Errorf("apply final block epoch %d: %w: replica root %s, block root %s",
@@ -951,10 +999,11 @@ func (n *Network) StateRoot() string {
 	return n.roots.Root()
 }
 
-func (n *Network) record(r *chain.Receipt) {
+// file puts a batch of receipts into the network's receipt log.
+func (n *Network) file(recs []*chain.Receipt) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.receipts[r.TxID] = r
+	n.receipts.File(recs)
 }
 
 // requeue returns deferred transactions from a shard (or the DS
@@ -1279,6 +1328,12 @@ func (r *shardRun) extractDeltas() ([]*chain.StateDelta, error) {
 		}
 		out = append(out, d)
 	}
+	// Address order, not the overlay map's: the deltas go into blocks as
+	// they are listed here, and a block's bytes are journaled, so a run
+	// over several contracts must list them the same way every time.
+	sort.Slice(out, func(i, j int) bool {
+		return bytes.Compare(out[i].Contract[:], out[j].Contract[:]) < 0
+	})
 	return out, nil
 }
 
@@ -1397,9 +1452,9 @@ func (r *shardRun) execute(tx *chain.Tx, remaining uint64) (_ *chain.Receipt, wa
 // detachMaps copies map values out of event payloads. A transition that
 // loads a whole map field it has not written gets the canonical map
 // itself; canonical state is merged in place at every commit, and the
-// receipt outlives the epoch (the lookups' receipt stores, the
-// committee's ring of sealed FinalBlocks), so an event has to own the
-// maps it shows.
+// receipt outlives the epoch (the executing network's receipt log, and
+// on a shard node the MicroBlock encoded after the run), so an event
+// has to own the maps it shows.
 func detachMaps(events []value.Msg) []value.Msg {
 	for _, ev := range events {
 		for k, v := range ev.Entries {

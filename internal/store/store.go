@@ -80,6 +80,8 @@ type Store struct {
 	f     *os.File
 	w     *bufio.Writer
 	every uint64
+	// cpBuf is the scratch a journal record's checkpoint is encoded in.
+	cpBuf []byte
 
 	// Paged mode (WithPagedState): state lives in pages/ behind an LRU
 	// cache instead of full snapshot files.
@@ -188,12 +190,16 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 	if s.f == nil {
 		return errors.New("store: closed")
 	}
-	payload, err := wire.EncodeCheckpointBlock(&wire.CheckpointBlock{Checkpoint: cp, Block: fb})
+	// The record is the checkpoint followed by the block's one byte
+	// string — made here on the committee, the payload it received on a
+	// replica — written as parts of one frame, never joined.
+	payload, err := wire.SealedFinalBlock(fb)
 	if err != nil {
 		return fmt.Errorf("store: encode epoch %d: %w", fb.Epoch, err)
 	}
-	frame := wire.EncodeFrame(wire.MsgCheckpointBlock, payload)
-	if _, err := s.w.Write(frame); err != nil {
+	s.cpBuf = wire.AppendCheckpoint(s.cpBuf[:0], cp)
+	written, err := wire.WriteFrameParts(s.w, wire.MsgCheckpointBlock, s.cpBuf, payload)
+	if err != nil {
 		return fmt.Errorf("store: journal epoch %d: %w", fb.Epoch, err)
 	}
 	if err := s.w.Flush(); err != nil {
@@ -203,7 +209,7 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 		return fmt.Errorf("store: journal epoch %d: %w", fb.Epoch, err)
 	}
 	s.journalRecords.Inc()
-	s.journalBytes.Add(int64(len(frame)))
+	s.journalBytes.Add(int64(written))
 	if s.every > 0 && cp.Epoch%s.every == 0 {
 		if err := s.snapshot(n, cp); err != nil {
 			return err

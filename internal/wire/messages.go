@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"cosplit/internal/chain"
@@ -97,6 +98,15 @@ func (r *reader) tx() *chain.Tx {
 
 // --- Receipt ---
 
+// A receipt is its header fields, then its events: their count and each
+// message. Decoding a block checks the events byte for byte (skipValue)
+// but builds only the header and keeps the events as the bytes they
+// arrived in (chain.Receipt.RawEvents, a range of the block's payload);
+// encoding a receipt that carries such bytes copies them, so the DS
+// committee passes a shard's receipts into the FinalBlock, and a replica
+// files them, without building an event. ReceiptEvents builds them for
+// whoever shows a receipt to a client.
+
 func appendReceipt(b []byte, rec *chain.Receipt) ([]byte, error) {
 	b = appendUvarint(b, rec.TxID)
 	b = appendBool(b, rec.Success)
@@ -104,6 +114,9 @@ func appendReceipt(b []byte, rec *chain.Receipt) ([]byte, error) {
 	b = appendString(b, rec.Error)
 	b = appendVarint(b, int64(rec.Shard))
 	b = appendUvarint(b, rec.Epoch)
+	if rec.Events == nil && rec.RawEvents != nil {
+		return append(b, rec.RawEvents...), nil
+	}
 	b = appendUvarint(b, uint64(len(rec.Events)))
 	var err error
 	for _, ev := range rec.Events {
@@ -114,34 +127,68 @@ func appendReceipt(b []byte, rec *chain.Receipt) ([]byte, error) {
 	return b, nil
 }
 
-func (r *reader) receipt() *chain.Receipt {
-	rec := &chain.Receipt{}
-	rec.TxID = r.uvarint()
-	rec.Success = r.bool()
-	rec.GasUsed = r.uvarint()
-	rec.Error = r.string()
-	rec.Shard = int(r.varint())
-	rec.Epoch = r.uvarint()
-	n := r.count(1)
-	if n > 0 {
-		rec.Events = make([]value.Msg, 0, n)
+// receipts decodes a block's receipt list into one backing array.
+func (r *reader) receipts() []*chain.Receipt {
+	n := r.count(6)
+	if n == 0 {
+		return nil
 	}
-	for i := 0; i < n; i++ {
-		v := r.value(0)
+	recs := make([]chain.Receipt, n)
+	out := make([]*chain.Receipt, n)
+	for i := range recs {
+		rec := &recs[i]
+		rec.TxID = r.uvarint()
+		rec.Success = r.bool()
+		rec.GasUsed = r.uvarint()
+		rec.Error = r.string()
+		rec.Shard = int(r.varint())
+		rec.Epoch = r.uvarint()
+		events := r.b
+		for k := r.count(1); k > 0 && r.err == nil; k-- {
+			if len(r.b) > 0 && r.b[0] != tagMsg {
+				r.fail("receipt event is not a message")
+			}
+			r.skipValue(0)
+		}
 		if r.err != nil {
 			return nil
 		}
-		msg, ok := v.(value.Msg)
-		if !ok {
+		rec.RawEvents = events[: len(events)-len(r.b) : len(events)-len(r.b)]
+		out[i] = rec
+	}
+	return out
+}
+
+// ReceiptEvents returns a receipt's events as messages: the executor's
+// own when the receipt was built in this process, otherwise decoded from
+// the bytes the receipt arrived in. Each call on such a receipt builds
+// them afresh — receipts are shared between a role's actor and its
+// readers, and nothing is written back into one.
+func ReceiptEvents(rec *chain.Receipt) ([]value.Msg, error) {
+	if rec.Events != nil || rec.RawEvents == nil {
+		return rec.Events, nil
+	}
+	eventDecodes.Add(1)
+	r := &reader{b: rec.RawEvents}
+	n := r.count(1)
+	var events []value.Msg
+	if n > 0 {
+		events = make([]value.Msg, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		msg, ok := r.value(0).(value.Msg)
+		if r.err == nil && !ok {
 			r.fail("receipt event is not a message")
-			return nil
 		}
-		rec.Events = append(rec.Events, msg)
+		if r.err != nil {
+			return nil, r.err
+		}
+		events = append(events, msg)
 	}
-	if r.err != nil {
-		return nil
+	if err := r.done(); err != nil {
+		return nil, err
 	}
-	return rec
+	return events, nil
 }
 
 // --- StateDelta ---
@@ -383,19 +430,66 @@ func sortAddrs(addrs []chain.Address) {
 
 // --- MicroBlock ---
 
+// Size estimates, in bytes: a receipt's header, an
+// event the executor built, one delta entry (keypath, key values, the
+// change), one account-delta row, one deferred transaction. A block of
+// token transfers measures 9 + 105, 75, 30 and ~150.
+const (
+	hintReceipt = 16
+	hintEvent   = 128
+	hintEntry   = 96
+	hintAccount = 40
+	hintTx      = 192
+)
+
+// The encoders size their buffer from the block's counts with these, so
+// it is allocated once instead of doubling its way up; an estimate that
+// falls short only costs the append its usual growth.
+
+func hintReceipts(recs []*chain.Receipt) int {
+	n := 0
+	for _, rec := range recs {
+		n += hintReceipt + len(rec.Error) + len(rec.RawEvents) + hintEvent*len(rec.Events)
+	}
+	return n
+}
+
+func hintDeltas(ds []*chain.StateDelta) int {
+	n := 0
+	for _, d := range ds {
+		n += 32 + hintEntry*d.Size()
+	}
+	return n
+}
+
+func hintAccounts(a *chain.AccountDelta) int {
+	if a == nil {
+		return 0
+	}
+	return hintAccount * (len(a.BalanceDeltas) + len(a.Nonces))
+}
+
+func appendReceipts(b []byte, recs []*chain.Receipt) ([]byte, error) {
+	b = appendUvarint(b, uint64(len(recs)))
+	var err error
+	for _, rec := range recs {
+		if b, err = appendReceipt(b, rec); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
 // EncodeMicroBlock encodes a sealed MicroBlock.
 func EncodeMicroBlock(mb *shard.MicroBlock) ([]byte, error) {
-	b := make([]byte, 0, 256)
+	b := make([]byte, 0, 64+hintReceipts(mb.Receipts)+hintDeltas(mb.Deltas)+hintAccounts(mb.Accounts)+hintTx*len(mb.Deferred))
 	b = appendVarint(b, int64(mb.Shard))
 	b = appendUvarint(b, mb.Epoch)
 	b = appendUvarint(b, mb.GasUsed)
 	b = appendUvarint(b, uint64(mb.ExecTime))
 	var err error
-	b = appendUvarint(b, uint64(len(mb.Receipts)))
-	for _, rec := range mb.Receipts {
-		if b, err = appendReceipt(b, rec); err != nil {
-			return nil, err
-		}
+	if b, err = appendReceipts(b, mb.Receipts); err != nil {
+		return nil, err
 	}
 	if b, err = appendStateDeltas(b, mb.Deltas); err != nil {
 		return nil, err
@@ -410,7 +504,9 @@ func EncodeMicroBlock(mb *shard.MicroBlock) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeMicroBlock decodes a MicroBlock payload.
+// DecodeMicroBlock decodes a MicroBlock payload. The block's receipts
+// keep their events as ranges of b, which the caller must not write to
+// afterwards.
 func DecodeMicroBlock(b []byte) (*shard.MicroBlock, error) {
 	r := &reader{b: b}
 	mb := &shard.MicroBlock{}
@@ -418,17 +514,7 @@ func DecodeMicroBlock(b []byte) (*shard.MicroBlock, error) {
 	mb.Epoch = r.uvarint()
 	mb.GasUsed = r.uvarint()
 	mb.ExecTime = time.Duration(r.uvarint())
-	nr := r.count(6)
-	if nr > 0 {
-		mb.Receipts = make([]*chain.Receipt, 0, nr)
-	}
-	for i := 0; i < nr; i++ {
-		rec := r.receipt()
-		if r.err != nil {
-			return nil, r.err
-		}
-		mb.Receipts = append(mb.Receipts, rec)
-	}
+	mb.Receipts = r.receipts()
 	mb.Deltas = r.stateDeltas()
 	mb.Accounts = r.optAccountDelta()
 	nt := r.count(45)
@@ -450,11 +536,35 @@ func DecodeMicroBlock(b []byte) (*shard.MicroBlock, error) {
 
 // --- FinalBlock ---
 
-// EncodeFinalBlock encodes a DS-committed FinalBlock: epoch, root, the
-// shard phase (deltas, account delta), the DS phase (the same pair),
-// receipts.
+// finalBlockEncodes and eventDecodes count, process-wide and only ever
+// upwards, the two conversions a sealed block is meant to pay at most
+// once and only on demand; Counts reads them.
+var finalBlockEncodes, eventDecodes atomic.Uint64
+
+// CodecCounts is a reading of the codec's conversion counters.
+type CodecCounts struct {
+	// FinalBlockEncodes is how many times a FinalBlock's fields were
+	// encoded (EncodeFinalBlock, directly or through SealedFinalBlock).
+	FinalBlockEncodes uint64
+	// EventDecodes is how many receipts had their events built from
+	// bytes (ReceiptEvents).
+	EventDecodes uint64
+}
+
+// Counts reads the conversion counters. A test takes the difference of
+// two readings around a flow to pin how often the flow converted.
+func Counts() CodecCounts {
+	return CodecCounts{FinalBlockEncodes: finalBlockEncodes.Load(), EventDecodes: eventDecodes.Load()}
+}
+
+// EncodeFinalBlock encodes a DS-committed FinalBlock from its fields:
+// epoch, root, the shard phase (deltas, account delta), the DS phase
+// (the same pair), receipts. Roles that journal, broadcast or serve a
+// block use SealedFinalBlock, which does this once per block.
 func EncodeFinalBlock(fb *shard.FinalBlock) ([]byte, error) {
-	b := make([]byte, 0, 512)
+	finalBlockEncodes.Add(1)
+	b := make([]byte, 0, 64+len(fb.StateRoot)+hintReceipts(fb.Receipts)+
+		hintDeltas(fb.Deltas)+hintAccounts(fb.Accounts)+hintDeltas(fb.DSDeltas)+hintAccounts(fb.DSAccounts))
 	b = appendUvarint(b, fb.Epoch)
 	b = appendString(b, fb.StateRoot)
 	var err error
@@ -466,16 +576,32 @@ func EncodeFinalBlock(fb *shard.FinalBlock) ([]byte, error) {
 		return nil, err
 	}
 	b = appendOptAccountDelta(b, fb.DSAccounts)
-	b = appendUvarint(b, uint64(len(fb.Receipts)))
-	for _, rec := range fb.Receipts {
-		if b, err = appendReceipt(b, rec); err != nil {
-			return nil, err
-		}
+	return appendReceipts(b, fb.Receipts)
+}
+
+// SealedFinalBlock returns the block's one byte string: the payload it
+// was decoded from, or the encoding an earlier call made. The first
+// call on a block built in memory encodes it and seals the block with
+// the result, so the committee's journal, its broadcast and its
+// catch-up ring share one encoding, and a replica journals what it
+// received. A block whose fields were reassigned after sealing is
+// encoded again (shard.FinalBlock.Sealed).
+func SealedFinalBlock(fb *shard.FinalBlock) ([]byte, error) {
+	if b := fb.Sealed(); b != nil {
+		return b, nil
 	}
+	b, err := EncodeFinalBlock(fb)
+	if err != nil {
+		return nil, err
+	}
+	fb.Seal(b)
 	return b, nil
 }
 
-// DecodeFinalBlock decodes a FinalBlock payload.
+// DecodeFinalBlock decodes a FinalBlock payload and seals the block
+// with it: b is the block's byte string from here on (its receipts'
+// events are ranges of it), and the caller must not write to it
+// afterwards.
 func DecodeFinalBlock(b []byte) (*shard.FinalBlock, error) {
 	r := &reader{b: b}
 	fb := &shard.FinalBlock{}
@@ -485,20 +611,11 @@ func DecodeFinalBlock(b []byte) (*shard.FinalBlock, error) {
 	fb.Accounts = r.optAccountDelta()
 	fb.DSDeltas = r.stateDeltas()
 	fb.DSAccounts = r.optAccountDelta()
-	nr := r.count(6)
-	if nr > 0 {
-		fb.Receipts = make([]*chain.Receipt, 0, nr)
-	}
-	for i := 0; i < nr; i++ {
-		rec := r.receipt()
-		if r.err != nil {
-			return nil, r.err
-		}
-		fb.Receipts = append(fb.Receipts, rec)
-	}
+	fb.Receipts = r.receipts()
 	if err := r.done(); err != nil {
 		return nil, err
 	}
+	fb.Seal(b)
 	return fb, nil
 }
 

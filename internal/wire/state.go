@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"sort"
@@ -41,17 +42,25 @@ type CheckpointBlock struct {
 	Block      *shard.FinalBlock
 }
 
-// EncodeCheckpointBlock encodes a journal record.
+// AppendCheckpoint appends a checkpoint's encoding: the head of a
+// journal record, which the block's payload follows to the end of the
+// frame.
+func AppendCheckpoint(b []byte, cp shard.Checkpoint) []byte {
+	b = appendUvarint(b, cp.Epoch)
+	b = appendUvarint(b, cp.BlockNumber)
+	return appendUvarint(b, cp.NextTxID)
+}
+
+// EncodeCheckpointBlock encodes a journal record in one piece. The
+// store writes the same bytes without joining them (WriteFrameParts
+// over AppendCheckpoint and SealedFinalBlock).
 func EncodeCheckpointBlock(cb *CheckpointBlock) ([]byte, error) {
-	b := make([]byte, 0, 512)
-	b = appendUvarint(b, cb.Checkpoint.Epoch)
-	b = appendUvarint(b, cb.Checkpoint.BlockNumber)
-	b = appendUvarint(b, cb.Checkpoint.NextTxID)
-	fb, err := EncodeFinalBlock(cb.Block)
+	fb, err := SealedFinalBlock(cb.Block)
 	if err != nil {
 		return nil, err
 	}
-	return append(b, fb...), nil
+	b := make([]byte, 0, 3*binary.MaxVarintLen64+len(fb))
+	return append(AppendCheckpoint(b, cb.Checkpoint), fb...), nil
 }
 
 // DecodeCheckpointBlock decodes a journal record payload.

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"cosplit/internal/shard"
 )
@@ -63,22 +65,38 @@ type BlockResponse struct {
 	Blocks []*shard.FinalBlock
 }
 
-// EncodeBlockResponse encodes a block response. Each FinalBlock is
-// length-prefixed (unlike the journal record, which runs to the end of
-// its frame) so several can share one payload.
+// EncodeBlockResponse encodes a block response from the blocks' sealed
+// payloads (SealedFinalBlock).
 func EncodeBlockResponse(resp *BlockResponse) ([]byte, error) {
-	b := make([]byte, 0, 64+512*len(resp.Blocks))
-	b = appendUvarint(b, resp.From)
-	b = appendUvarint(b, resp.Head)
-	b = appendUvarint(b, uint64(len(resp.Blocks)))
-	for _, fb := range resp.Blocks {
-		enc, err := EncodeFinalBlock(fb)
-		if err != nil {
+	payloads := make([][]byte, len(resp.Blocks))
+	for i, fb := range resp.Blocks {
+		var err error
+		if payloads[i], err = SealedFinalBlock(fb); err != nil {
 			return nil, err
 		}
-		b = appendBytes(b, enc)
 	}
-	return b, nil
+	return AppendBlockResponse(nil, resp.From, resp.Head, payloads), nil
+}
+
+// AppendBlockResponse appends a block response carrying the given
+// sealed FinalBlock payloads, blocks[i] being epoch from+i. Each
+// payload is length-prefixed (unlike the journal record, which runs to
+// the end of its frame) so several can share one response. The
+// committee answers catch-up requests with it straight from the
+// payloads it kept.
+func AppendBlockResponse(b []byte, from, head uint64, blocks [][]byte) []byte {
+	n := 32
+	for _, p := range blocks {
+		n += len(p) + binary.MaxVarintLen64
+	}
+	b = slices.Grow(b, n)
+	b = appendUvarint(b, from)
+	b = appendUvarint(b, head)
+	b = appendUvarint(b, uint64(len(blocks)))
+	for _, p := range blocks {
+		b = appendBytes(b, p)
+	}
+	return b
 }
 
 // DecodeBlockResponse decodes a block response payload. The contiguity

@@ -327,3 +327,99 @@ func (r *reader) value(depth int) value.Value {
 		return nil
 	}
 }
+
+// skipType consumes one encoded type, accepting exactly what typ
+// accepts and building nothing.
+func (r *reader) skipType(depth int) {
+	if r.err != nil {
+		return
+	}
+	if depth > maxValueDepth {
+		r.fail("type nesting exceeds depth limit %d", maxValueDepth)
+		return
+	}
+	switch tag := r.byte(); tag {
+	case tagTyPrim:
+		if k := ast.PrimKind(r.byte()); k < ast.Int32 || k > ast.UnitKind {
+			r.fail("unknown primitive type kind %d", k)
+		}
+	case tagTyMap, tagTyFun:
+		r.skipType(depth + 1)
+		r.skipType(depth + 1)
+	case tagTyADT:
+		r.skip()
+		for n := r.count(1); n > 0 && r.err == nil; n-- {
+			r.skipType(depth + 1)
+		}
+	case tagTyVar:
+		r.skip()
+	case tagTyPoly:
+		r.skip()
+		r.skipType(depth + 1)
+	default:
+		if r.err == nil {
+			r.fail("unknown type tag %d", tag)
+		}
+	}
+}
+
+// skipValue consumes one encoded value, accepting exactly what value
+// accepts — structure, depth, counts, integer ranges — and building
+// nothing. A receipt's events are checked this way when a block is
+// decoded and built only when somebody asks (ReceiptEvents);
+// FuzzReceiptEvents holds the two walks to the same accept set.
+func (r *reader) skipValue(depth int) {
+	if r.err != nil {
+		return
+	}
+	if depth > maxValueDepth {
+		r.fail("value nesting exceeds depth limit %d", maxValueDepth)
+		return
+	}
+	switch tag := r.byte(); tag {
+	case tagInt:
+		ty := ast.PrimType{Kind: ast.PrimKind(r.byte())}
+		v := r.skipBig()
+		if r.err == nil && (!ty.IsInt() || v == nil || !ast.InRange(ty, v)) {
+			r.fail("integer value out of range for its type")
+		}
+	case tagStr:
+		r.skip()
+	case tagByStr:
+		k := ast.PrimKind(r.byte())
+		r.skip()
+		if r.err == nil && k != ast.ByStr20 && k != ast.ByStr32 && k != ast.ByStr {
+			r.fail("bad ByStr type kind %d", k)
+		}
+	case tagBNum:
+		if v := r.skipBig(); r.err == nil && (v == nil || v.Sign() < 0) {
+			r.fail("bad block number")
+		}
+	case tagADT:
+		r.skip()
+		r.skip()
+		for n := r.count(1); n > 0 && r.err == nil; n-- {
+			r.skipType(depth + 1)
+		}
+		for n := r.count(1); n > 0 && r.err == nil; n-- {
+			r.skipValue(depth + 1)
+		}
+	case tagMap:
+		r.skipType(depth + 1)
+		r.skipType(depth + 1)
+		for n := r.count(2); n > 0 && r.err == nil; n-- {
+			r.skipValue(depth + 1)
+			r.skipValue(depth + 1)
+		}
+	case tagMsg:
+		for n := r.count(2); n > 0 && r.err == nil; n-- {
+			r.skip()
+			r.skipValue(depth + 1)
+		}
+	case tagUnit:
+	default:
+		if r.err == nil {
+			r.fail("unknown value tag %d", tag)
+		}
+	}
+}

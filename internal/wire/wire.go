@@ -34,6 +34,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/big"
+	"slices"
 
 	"cosplit/internal/chain"
 )
@@ -159,95 +160,137 @@ func EncodeFrame(t MsgType, payload []byte) []byte {
 	return AppendFrame(make([]byte, 0, headerLen+len(payload)), t, payload)
 }
 
+// frameHeader checks a frame header's magic, version and length field
+// and returns the payload length.
+func frameHeader(hdr []byte) (int, error) {
+	if hdr[0] != magic0 || hdr[1] != magic1 {
+		return 0, fmt.Errorf("%w: bad frame magic 0x%02x%02x", ErrDecode, hdr[0], hdr[1])
+	}
+	if hdr[2] != Version {
+		return 0, fmt.Errorf("%w: frame version %d, reader speaks %d", ErrVersionSkew, hdr[2], Version)
+	}
+	n := binary.BigEndian.Uint32(hdr[4:8])
+	if n > MaxPayload {
+		return 0, fmt.Errorf("%w: frame payload %d exceeds limit %d", ErrDecode, n, MaxPayload)
+	}
+	return int(n), nil
+}
+
+// checkPayload verifies a payload against its header's checksum.
+func checkPayload(hdr, payload []byte) error {
+	if got, want := crc32.Checksum(payload, crcTable), binary.BigEndian.Uint32(hdr[8:12]); got != want {
+		return fmt.Errorf("%w: payload checksum %08x, header says %08x", ErrDecode, got, want)
+	}
+	return nil
+}
+
 // DecodeFrame parses one frame from the front of b, returning its type,
 // payload, and the remaining bytes.
 func DecodeFrame(b []byte) (t MsgType, payload, rest []byte, err error) {
 	if len(b) < headerLen {
 		return 0, nil, nil, fmt.Errorf("%w: truncated frame header (%d bytes)", ErrDecode, len(b))
 	}
-	if b[0] != magic0 || b[1] != magic1 {
-		return 0, nil, nil, fmt.Errorf("%w: bad frame magic 0x%02x%02x", ErrDecode, b[0], b[1])
+	n, err := frameHeader(b)
+	if err != nil {
+		return 0, nil, nil, err
 	}
-	if b[2] != Version {
-		return 0, nil, nil, fmt.Errorf("%w: frame version %d, reader speaks %d", ErrVersionSkew, b[2], Version)
-	}
-	n := binary.BigEndian.Uint32(b[4:8])
-	if n > MaxPayload {
-		return 0, nil, nil, fmt.Errorf("%w: frame payload %d exceeds limit %d", ErrDecode, n, MaxPayload)
-	}
-	if len(b) < headerLen+int(n) {
+	if len(b) < headerLen+n {
 		return 0, nil, nil, fmt.Errorf("%w: truncated frame payload (%d of %d bytes)", ErrDecode, len(b)-headerLen, n)
 	}
-	p := b[headerLen : headerLen+int(n)]
-	if got, want := crc32.Checksum(p, crcTable), binary.BigEndian.Uint32(b[8:12]); got != want {
-		return 0, nil, nil, fmt.Errorf("%w: payload checksum %08x, header says %08x", ErrDecode, got, want)
+	p := b[headerLen : headerLen+n]
+	if err := checkPayload(b, p); err != nil {
+		return 0, nil, nil, err
 	}
-	return MsgType(b[3]), p, b[headerLen+int(n):], nil
+	return MsgType(b[3]), p, b[headerLen+n:], nil
 }
 
 // WriteFrame writes one frame to w.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	_, err := w.Write(EncodeFrame(t, payload))
+	_, err := WriteFrameParts(w, t, payload)
 	return err
 }
 
-// ReadRawFrame reads one complete frame from r and returns its raw
-// bytes, header included. Only the framing fields are validated — the
-// payload (and its checksum) pass through untouched, so transports can
-// relay corrupted frames to the consumer, whose DecodeFrame rejects
-// them. io.EOF is returned unwrapped when the stream ends cleanly
-// between frames.
-func ReadRawFrame(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, headerLen, headerLen+64)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: short frame header: %v", ErrDecode, err)
+// WriteFrameParts writes one frame whose payload is the concatenation
+// of parts, without building that concatenation: the header's length is
+// the parts' sum and its checksum runs over them in turn. It returns
+// the bytes written. The journal appends a checkpoint and a sealed
+// FinalBlock this way.
+func WriteFrameParts(w io.Writer, t MsgType, parts ...[]byte) (int, error) {
+	var n int
+	var sum uint32
+	for _, p := range parts {
+		n += len(p)
+		sum = crc32.Update(sum, crcTable, p)
 	}
-	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return nil, fmt.Errorf("%w: bad frame magic 0x%02x%02x", ErrDecode, hdr[0], hdr[1])
-	}
-	if hdr[2] != Version {
-		return nil, fmt.Errorf("%w: frame version %d, reader speaks %d", ErrVersionSkew, hdr[2], Version)
-	}
-	n := binary.BigEndian.Uint32(hdr[4:8])
 	if n > MaxPayload {
-		return nil, fmt.Errorf("%w: frame payload %d exceeds limit %d", ErrDecode, n, MaxPayload)
+		return 0, fmt.Errorf("%w: frame payload %d exceeds limit %d", ErrUnencodable, n, MaxPayload)
 	}
-	frame := append(hdr, make([]byte, n)...)
-	if _, err := io.ReadFull(r, frame[headerLen:]); err != nil {
+	hdr := [headerLen]byte{magic0, magic1, Version, byte(t)}
+	binary.BigEndian.PutUint32(hdr[4:8], uint32(n))
+	binary.BigEndian.PutUint32(hdr[8:12], sum)
+	written, err := w.Write(hdr[:])
+	for _, p := range parts {
+		if err != nil {
+			break
+		}
+		var k int
+		k, err = w.Write(p)
+		written += k
+	}
+	return written, err
+}
+
+// ReadRawFrame reads one complete frame from r and returns its raw
+// bytes, header included, in a slice of its own.
+func ReadRawFrame(r io.Reader) ([]byte, error) { return AppendRawFrame(nil, r) }
+
+// AppendRawFrame reads one complete frame from r and appends its raw
+// bytes, header included, to dst. Only the framing fields are validated
+// — the payload (and its checksum) pass through untouched, so
+// transports can relay corrupted frames to the consumer, whose
+// DecodeFrame rejects them. io.EOF is returned unwrapped when the
+// stream ends cleanly between frames. A relay that has written a frame
+// out before it reads the next passes the same dst[:0] every time.
+func AppendRawFrame(dst []byte, r io.Reader) ([]byte, error) {
+	start := len(dst)
+	dst = slices.Grow(dst, headerLen)[:start+headerLen]
+	n, err := readFrameHeader(r, dst[start:])
+	if err != nil {
+		return nil, err
+	}
+	dst = slices.Grow(dst, n)[:start+headerLen+n]
+	if _, err := io.ReadFull(r, dst[start+headerLen:]); err != nil {
 		return nil, fmt.Errorf("%w: short frame payload: %v", ErrDecode, err)
 	}
-	return frame, nil
+	return dst, nil
+}
+
+// readFrameHeader fills hdr from r and returns the payload length it
+// announces; io.EOF unwrapped when the stream ends before the header.
+func readFrameHeader(r io.Reader, hdr []byte) (int, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if err == io.EOF {
+			return 0, io.EOF
+		}
+		return 0, fmt.Errorf("%w: short frame header: %v", ErrDecode, err)
+	}
+	return frameHeader(hdr)
 }
 
 // ReadFrame reads one complete frame from r. io.EOF is returned
 // unwrapped when the stream ends cleanly between frames.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("%w: short frame header: %v", ErrDecode, err)
-	}
-	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return 0, nil, fmt.Errorf("%w: bad frame magic 0x%02x%02x", ErrDecode, hdr[0], hdr[1])
-	}
-	if hdr[2] != Version {
-		return 0, nil, fmt.Errorf("%w: frame version %d, reader speaks %d", ErrVersionSkew, hdr[2], Version)
-	}
-	n := binary.BigEndian.Uint32(hdr[4:8])
-	if n > MaxPayload {
-		return 0, nil, fmt.Errorf("%w: frame payload %d exceeds limit %d", ErrDecode, n, MaxPayload)
+	n, err := readFrameHeader(r, hdr[:])
+	if err != nil {
+		return 0, nil, err
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("%w: short frame payload: %v", ErrDecode, err)
 	}
-	if got, want := crc32.Checksum(payload, crcTable), binary.BigEndian.Uint32(hdr[8:12]); got != want {
-		return 0, nil, fmt.Errorf("%w: payload checksum %08x, header says %08x", ErrDecode, got, want)
+	if err := checkPayload(hdr[:], payload); err != nil {
+		return 0, nil, err
 	}
 	return MsgType(hdr[3]), payload, nil
 }
@@ -294,7 +337,12 @@ func appendBig(b []byte, v *big.Int) []byte {
 	default:
 		b = append(b, bigNeg)
 	}
-	return appendBytes(b, v.Bytes())
+	n := (v.BitLen() + 7) / 8
+	b = binary.AppendUvarint(b, uint64(n))
+	b = slices.Grow(b, n)
+	b = b[:len(b)+n]
+	v.FillBytes(b[len(b)-n:])
+	return b
 }
 
 func appendAddr(b []byte, a chain.Address) []byte { return append(b, a[:]...) }
@@ -307,6 +355,9 @@ func appendAddr(b []byte, a chain.Address) []byte { return append(b, a[:]...) }
 type reader struct {
 	b   []byte
 	err error
+	// scratch is the integer the validate-only walk (skipValue) checks
+	// ranges on, so skipping a value allocates nothing.
+	scratch big.Int
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -395,6 +446,41 @@ func (r *reader) string() string {
 	return v
 }
 
+// skip consumes a length-prefixed byte string (or string) without
+// copying it out.
+func (r *reader) skip() []byte {
+	n := r.uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.b)) {
+		r.fail("byte string length %d exceeds remaining payload %d", n, len(r.b))
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
+}
+
+// skipBig reads what big reads into the reader's scratch integer; nil
+// where big returns nil. The result is valid until the next skipBig.
+func (r *reader) skipBig() *big.Int {
+	switch r.byte() {
+	case bigNil:
+		return nil
+	case bigZero:
+		return r.scratch.SetInt64(0)
+	case bigPos:
+		return r.scratch.SetBytes(r.skip())
+	case bigNeg:
+		v := r.scratch.SetBytes(r.skip())
+		return v.Neg(v)
+	default:
+		r.fail("bad big.Int sign tag")
+		return nil
+	}
+}
+
 func (r *reader) big() *big.Int {
 	switch r.byte() {
 	case bigNil:
@@ -402,9 +488,9 @@ func (r *reader) big() *big.Int {
 	case bigZero:
 		return new(big.Int)
 	case bigPos:
-		return new(big.Int).SetBytes(r.bytes())
+		return new(big.Int).SetBytes(r.skip())
 	case bigNeg:
-		v := new(big.Int).SetBytes(r.bytes())
+		v := new(big.Int).SetBytes(r.skip())
 		return v.Neg(v)
 	default:
 		r.fail("bad big.Int sign tag")

@@ -57,12 +57,18 @@ go test -race -short ./internal/store/... ./internal/trie/... ./internal/pager/.
 GOMEMLIMIT=512MiB go test -run 'TestMillionAccountsPagedBudget' -timeout 20m ./internal/store/
 # Compile-and-run smoke of the commit benchmarks (one iteration each;
 # the 1M-holder set-up dominates, about 10 s): the in-place merge per
-# field and the holders sweep whose rows EXPERIMENTS.md records.
-go test -run '^$' -bench 'CommitHolders|MergePerField' -benchtime 1x .
-# Short fuzz run of the wire decoders beyond the committed corpus —
+# field and the holders sweep whose rows EXPERIMENTS.md records, and the
+# block fan-out (one 4000-tx block sealed, journaled, broadcast to and
+# applied by a journaling ChanNetwork cluster).
+go test -run '^$' -bench 'CommitHolders|MergePerField|BlockFanout' -benchtime 1x .
+# Short fuzz runs of the wire decoders beyond the committed corpus —
 # including the store's snapshot/journal record types — no decoder may
-# panic on hostile bytes, and decode∘encode must stay a fixed point.
+# panic on hostile bytes, and decode∘encode must stay a fixed point; and
+# of the receipt decoder blocks use, which validates events without
+# building them: it must accept exactly what the event-building
+# reference accepts and build the same events on demand.
 go test -fuzz=FuzzDecoders -fuzztime=10s ./internal/wire/
+go test -fuzz=FuzzReceiptEvents -fuzztime=10s ./internal/wire/
 # Smoke-test the closed-loop admission path end to end through the CLI.
 go run ./cmd/shardsim -submit-rate 200 -mempool-cap 1024 -epochs 3 -workloads "FT transfer"
 # Smoke-test the intra-shard parallel executor on the commuting
