@@ -1,8 +1,8 @@
 // Command shardsim runs the sharded-blockchain throughput experiments:
 // Fig. 14 (TPS per workload under baseline and CoSplit sharding), the
 // Sec. 5.2.2 overhead measurements, the Sec. 5.2.3 ownership-vs-
-// commutativity ablation, and the sequential-vs-parallel epoch
-// pipeline benchmark (-epoch-bench, JSON via -bench-out).
+// commutativity ablation, and the paged-state benchmark (-state-bench,
+// JSON via -bench-out).
 //
 // Observability: -trace-out streams every simulated network's epoch
 // events as a JSONL journal, -metrics-out dumps the aggregated metrics
@@ -17,8 +17,8 @@
 // (crashed shards, dropped MicroBlocks, corrupt deltas, stragglers)
 // into every simulated network, e.g.
 // -faults "7:crash=0.05,drop=0.02,straggle=0.2x4". The same seed and
-// spec reproduce the same fault schedule bit-for-bit in every
-// execution mode.
+// spec reproduce the same fault schedule bit-for-bit on either
+// execution engine.
 //
 // Persistence: -state-dir attaches the append-only state store.
 // Closed-loop runs (-submit-rate) journal every committed epoch and
@@ -34,7 +34,10 @@
 // closed-loop load generator against a serving instance and reports
 // submit-to-commit latency percentiles. Both sides provision the
 // -rpc-workload genesis deterministically, so the hammer's stream is
-// valid against the server's chain.
+// valid against the server's chain. The node modes (-serve, -node,
+// -hammer) do not take the simulator's experiment flags yet (-faults,
+// -trace-out, -metrics-out, -no-compile, -state-budget, -submit-rate)
+// and refuse them by name rather than run without them.
 package main
 
 import (
@@ -43,7 +46,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -70,11 +72,7 @@ func main() {
 		overheads   = flag.Bool("overheads", false, "measure Sec. 5.2.2 overheads instead of Fig. 14")
 		strategy    = flag.Bool("strategies", false, "run the Sec. 5.2.3 ownership-vs-commutativity ablation")
 		listFlag    = flag.Bool("list", false, "list workloads")
-		parallel    = flag.Bool("parallel", false, "execute shard queues on the worker pool")
-		intraPar    = flag.Int("intra-parallel", 0, "intra-shard worker-pool size: run commuting tx groups within each shard concurrently (0 = sequential queues)")
-		epochB      = flag.Bool("epoch-bench", false, "run the sequential-vs-parallel epoch pipeline benchmark")
-		benchOut    = flag.String("bench-out", "", "write the -epoch-bench report as JSON to this file")
-		benchWl     = flag.String("bench-workload", "FT transfer disjoint", "workload for -epoch-bench")
+		benchOut    = flag.String("bench-out", "", "write the -state-bench report as JSON to this file")
 		submitRate  = flag.Int("submit-rate", 0, "closed-loop mode: offer up to this many txs/epoch through the mempool (0 = open-loop bench)")
 		mempoolCap  = flag.Int("mempool-cap", 0, "mempool capacity for -submit-rate mode (0 = default)")
 		faultSpec   = flag.String("faults", "", `deterministic fault injection, "seed:kind=prob[,...]" with kinds crash, drop, corrupt, straggle (e.g. "7:crash=0.05,straggle=0.2x4")`)
@@ -103,10 +101,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if (*parallel || *intraPar > 1) && runtime.GOMAXPROCS(0) == 1 {
-		fmt.Fprintln(os.Stderr, "shardsim: warning: -parallel/-intra-parallel requested with GOMAXPROCS=1; "+
-			"goroutines will time-share one core, so measured wall-clock will not show the modeled speedup")
-	}
+	fail(refuseIgnoredFlags(*nodeRole, *serveAddr, *hammerURL))
 
 	if *listFlag {
 		for _, w := range workload.All() {
@@ -157,22 +152,13 @@ func main() {
 		}()
 	}
 
-	// runOpts carries the intra-shard pool size into every experiment
-	// path except -epoch-bench, which sweeps it per row via IntraWorkers.
-	runOpts := netOpts
-	if *intraPar > 0 {
-		runOpts = append(append([]shard.Option{}, netOpts...),
-			shard.WithIntraShardParallelism(*intraPar))
-	}
-
 	cfg := bench.ThroughputConfig{
 		Epochs:        *epochs,
 		TxsPerEpoch:   *txs,
 		NodesPerShard: *nodes,
 		ShardGasLimit: *shardGas,
 		DSGasLimit:    *dsGas,
-		Parallel:      *parallel,
-		NetOptions:    runOpts,
+		NetOptions:    netOpts,
 	}
 
 	switch {
@@ -222,9 +208,8 @@ func main() {
 			shard.WithShards(4),
 			shard.WithNodesPerShard(*nodes),
 			shard.WithGasLimits(*shardGas, *dsGas),
-			shard.WithParallelism(*parallel),
 			shard.WithMempool(pcfg),
-		}, runOpts...)
+		}, netOpts...)
 		env, err := workload.Provision(w, true, provOpts...)
 		fail(err)
 		sopts := []store.Option{store.WithSnapshotEvery(*snapEvery), store.WithRegistry(reg)}
@@ -270,8 +255,7 @@ func main() {
 			shard.WithShards(4),
 			shard.WithNodesPerShard(*nodes),
 			shard.WithGasLimits(*shardGas, *dsGas),
-			shard.WithParallelism(*parallel),
-		}, runOpts...)
+		}, netOpts...)
 		fmt.Printf("closed loop: %d epochs, %d txs/epoch offered, pool capacity %d\n\n",
 			*epochs, *submitRate, pcfg.Capacity)
 		fmt.Printf("%-20s %8s %8s %9s %8s %9s %7s %6s",
@@ -305,30 +289,6 @@ func main() {
 		rep, err := bench.RunStateBench(scfg)
 		fail(err)
 		bench.PrintStateBench(os.Stdout, rep)
-		if out != nil {
-			fail(rep.WriteJSON(out))
-			fail(out.Close())
-			fmt.Printf("\nwrote %s\n", *benchOut)
-		}
-	case *epochB:
-		ecfg := bench.DefaultEpochBenchConfig()
-		ecfg.Workload = *benchWl
-		ecfg.NodesPerShard = *nodes
-		ecfg.NetOptions = netOpts
-		if *intraPar > 0 {
-			ecfg.IntraWorkers = *intraPar
-		}
-		// Open the output before the (multi-second) benchmark runs so a
-		// bad path fails immediately.
-		var out *os.File
-		if *benchOut != "" {
-			f, err := os.Create(*benchOut)
-			fail(err)
-			out = f
-		}
-		rep, err := bench.RunEpochBench(ecfg)
-		fail(err)
-		bench.PrintEpochBench(os.Stdout, rep)
 		if out != nil {
 			fail(rep.WriteJSON(out))
 			fail(out.Close())
@@ -396,6 +356,34 @@ func serveRPC(addr, tcpAddr, workloadName string, shards, lookups int, interval 
 	fmt.Fprintf(os.Stderr, "shardsim: JSON-RPC on http://%s/ (workload %q, %d shards, block interval %v, transport %s)\n",
 		addr, w.Name, shards, interval, transport)
 	fail(http.ListenAndServe(addr, rpc.NewServer(cluster.Lookup)))
+}
+
+// refuseIgnoredFlags fails a node-mode run (-node, -serve, -hammer)
+// that was given an experiment flag those modes never read: the genesis
+// of every role is the plain workload, so the run would silently be a
+// different experiment from the one asked for.
+func refuseIgnoredFlags(nodeRole, serveAddr, hammerURL string) error {
+	var mode string
+	switch {
+	case nodeRole != "":
+		mode = "-node"
+	case serveAddr != "":
+		mode = "-serve"
+	case hammerURL != "":
+		mode = "-hammer"
+	default:
+		return nil
+	}
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "faults", "trace-out", "metrics-out", "no-compile", "state-budget", "submit-rate":
+			if err == nil {
+				err = fmt.Errorf("-%s has no effect with %s (not wired into the node modes); drop it or run the simulator modes", f.Name, mode)
+			}
+		}
+	})
+	return err
 }
 
 func split(s string) []string {

@@ -192,6 +192,8 @@ func measureStateCell(accounts int, budget int64, cfg StateBenchConfig) (*StateB
 	return row, nil
 }
 
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // histQuantileMicros returns the q-quantile of a time histogram in
 // microseconds, as the upper bound of the bucket the quantile lands
 // in. The overflow bucket (Le = -1) reports the largest finite bound;

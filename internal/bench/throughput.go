@@ -25,9 +25,6 @@ type ThroughputConfig struct {
 	// are scaled down from mainnet so the offered load saturates them.
 	ShardGasLimit uint64
 	DSGasLimit    uint64
-	// Parallel executes shard queues on the worker pool (the epoch
-	// results are bit-identical to the sequential pipeline).
-	Parallel bool
 	// NetOptions are appended to every network the run builds (e.g.
 	// shard.WithRegistry to aggregate metrics across configurations).
 	NetOptions []shard.Option
@@ -69,7 +66,6 @@ func MeasureThroughput(w *workload.Workload, numShards int, sharded bool, cfg Th
 		shard.WithShards(numShards),
 		shard.WithNodesPerShard(cfg.NodesPerShard),
 		shard.WithGasLimits(cfg.ShardGasLimit, cfg.DSGasLimit),
-		shard.WithParallelism(cfg.Parallel),
 	}, cfg.NetOptions...)
 	env, err := workload.Provision(w, sharded, opts...)
 	if err != nil {

@@ -365,63 +365,6 @@ func MergeDeltas(st *eval.MemState, deltas []*StateDelta, undo *Undo) error {
 	return nil
 }
 
-// MergeCommutative folds the per-group deltas of one contract from an
-// intra-shard parallel run into a single delta, pairwise, through the
-// same join semantics as MergeDeltas: integer deltas (IntMerge) sum,
-// everything else must be touched by at most one group. The footprint
-// grouping guarantees disjointness of all non-additive components, so a
-// conflict here signals a grouping bug; callers treat it as a fallback
-// trigger, not a user error. No overflow check is performed — the
-// summed delta flows into MergeDeltas, which range-checks on apply.
-func MergeCommutative(deltas []*StateDelta) (*StateDelta, error) {
-	out := &StateDelta{Fields: make(map[string]*FieldDelta)}
-	if len(deltas) > 0 {
-		out.Contract = deltas[0].Contract
-		out.Shard = deltas[0].Shard
-	}
-	for _, d := range deltas {
-		for f, fd := range d.Fields {
-			ofd, ok := out.Fields[f]
-			if !ok {
-				ofd = &FieldDelta{Entries: make(map[string]EntryDelta, len(fd.Entries))}
-				out.Fields[f] = ofd
-			}
-			if fd.Whole != nil {
-				switch {
-				case len(ofd.Entries) > 0:
-					return nil, &ConflictError{Contract: out.Contract, Field: f}
-				case ofd.Whole == nil:
-					ofd.Whole = fd.Whole
-				case ofd.Whole.Kind == IntAdd && fd.Whole.Kind == IntAdd:
-					ofd.Whole = &EntryDelta{Kind: IntAdd, Delta: new(big.Int).Add(ofd.Whole.Delta, fd.Whole.Delta)}
-				default:
-					return nil, &ConflictError{Contract: out.Contract, Field: f}
-				}
-			}
-			if len(fd.Entries) > 0 && ofd.Whole != nil {
-				return nil, &ConflictError{Contract: out.Contract, Field: f}
-			}
-			for kp, e := range fd.Entries {
-				have, ok := ofd.Entries[kp]
-				if !ok {
-					ofd.Entries[kp] = e
-					continue
-				}
-				if have.Kind == IntAdd && e.Kind == IntAdd {
-					ofd.Entries[kp] = EntryDelta{
-						Kind:  IntAdd,
-						Keys:  have.Keys,
-						Delta: new(big.Int).Add(have.Delta, e.Delta),
-					}
-					continue
-				}
-				return nil, &ConflictError{Contract: out.Contract, Field: f, Keypath: kp}
-			}
-		}
-	}
-	return out, nil
-}
-
 func applyWhole(st *eval.MemState, undo *Undo, contract Address, f string, e *EntryDelta, overwritten map[slot2]bool) error {
 	s := slot2{field: f}
 	switch e.Kind {

@@ -15,13 +15,12 @@
 // goes to the DS committee — e.g. ProofIPFS registrations touching
 // both ipfsInventory[hash] and registered_items[_sender] (Sec. 5.2.1).
 //
-// The dispatcher is built for the parallel epoch pipeline: constraint
-// sets are compiled once per (contract, transition) and cached, the
-// routing decision (Decide) touches no mutable dispatcher state, and
-// the per-epoch replay table and load counters are striped/atomic so
-// concurrent dispatch never serialises on a single mutex. DispatchAll
-// routes a whole mempool packet with worker-pool parallelism while
-// keeping the resulting decisions bit-identical to a sequential pass.
+// Constraint sets are compiled once per (contract, transition) and
+// cached, and the routing decision (Decide) touches no mutable
+// dispatcher state. The per-epoch replay table and load counters are
+// striped/atomic, so Dispatch is safe for concurrent use, but the
+// package starts no goroutine and the epoch pipeline routes its packet
+// from one: one transaction after another in submission order.
 //
 // Observability: the dispatcher maintains a small set of always-on
 // metrics (routing kind mix, plan-cache hit/miss, nonce-replay
@@ -301,16 +300,14 @@ func (d *Dispatcher) planFor(c *chain.Contract, transition string) *plan {
 		d.plans.Store(k, (*plan)(nil))
 		return nil
 	}
-	p := compilePlan(cs)
-	p.fp = compileFootprint(c.Sig, transition)
-	actual, _ := d.plans.LoadOrStore(k, p)
+	actual, _ := d.plans.LoadOrStore(k, compilePlan(cs))
 	return actual.(*plan)
 }
 
 // commit applies the stateful half of dispatch: replay accounting,
 // load-balanced placement of unconstrained transactions, and the load
-// counters. Callers that need deterministic results (DispatchAll) call
-// it sequentially in submission order.
+// counters. Placement depends on the order of calls, so a packet is
+// committed in submission order.
 func (d *Dispatcher) commit(tx *chain.Tx, r Routing) Decision {
 	d.m.decisions.Inc()
 	if r.Invalid {
@@ -363,60 +360,12 @@ func (d *Dispatcher) commit(tx *chain.Tx, r Routing) Decision {
 	return Decision{Shard: shard, Reason: reason}
 }
 
-// Dispatch routes a transaction. It is safe for concurrent use; for
-// whole-packet routing with deterministic placement, use DispatchAll.
+// Dispatch routes a transaction: the pure verdict, then the stateful
+// commit. It is safe for concurrent use, but load-balanced placement
+// follows call order, so the epoch pipeline routes a packet from one
+// goroutine in submission order.
 func (d *Dispatcher) Dispatch(tx *chain.Tx) Decision {
 	return d.commit(tx, d.Decide(tx))
-}
-
-// dispatchChunk is the unit of work the DispatchAll worker pool claims.
-const dispatchChunk = 64
-
-// DispatchAll routes a whole mempool packet, returning decisions
-// indexed by position in txs. With workers > 1 the constraint
-// evaluation (the expensive half) runs on a bounded worker pool;
-// replay detection, load accounting and the load-balanced placement of
-// unconstrained transactions are then applied sequentially in
-// submission order, so the decisions are bit-identical regardless of
-// worker count or goroutine scheduling.
-func (d *Dispatcher) DispatchAll(txs []*chain.Tx, workers int) []Decision {
-	routings := make([]Routing, len(txs))
-	if workers > len(txs) {
-		workers = len(txs)
-	}
-	if workers <= 1 || len(txs) <= dispatchChunk {
-		for i, tx := range txs {
-			routings[i] = d.Decide(tx)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					lo := int(next.Add(dispatchChunk)) - dispatchChunk
-					if lo >= len(txs) {
-						return
-					}
-					hi := lo + dispatchChunk
-					if hi > len(txs) {
-						hi = len(txs)
-					}
-					for i := lo; i < hi; i++ {
-						routings[i] = d.Decide(txs[i])
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	out := make([]Decision, len(txs))
-	for i, tx := range txs {
-		out[i] = d.commit(tx, routings[i])
-	}
-	return out
 }
 
 // leastLoaded returns the available shard with the lowest load,

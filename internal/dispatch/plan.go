@@ -15,10 +15,6 @@ import (
 // allocates nothing on the hot path.
 type plan struct {
 	steps []planStep
-	// fp is the compiled conflict footprint of the transition (nil when
-	// the transition is opaque to footprint analysis); resolved per
-	// transaction by Dispatcher.Footprint for intra-shard grouping.
-	fp *fpPlan
 }
 
 // ownsMode specialises how an Owns step resolves its owning shard.

@@ -3,9 +3,9 @@
 // crash the shard mid-epoch, slow it down by a straggle factor, drop
 // its sealed MicroBlock in transit, or corrupt its StateDelta — and
 // the pipeline consults the plan at fixed points so the same seed and
-// spec reproduce the same fault schedule bit-for-bit across runs and
-// across every execution mode (sequential, parallel shards,
-// intra-shard parallel, both).
+// spec reproduce the same fault schedule bit-for-bit across runs, on
+// either execution engine, whether shards run back to back in one
+// process or as separate node actors.
 //
 // Determinism is by construction: a generated plan derives each
 // (epoch, shard) verdict from a splitmix64 hash of (seed, epoch,

@@ -23,7 +23,8 @@ import (
 // A shard whose MicroBlock never arrives — dropped, corrupted, or late
 // — is treated as transport-lost: its batch is requeued and its
 // committee charged a view change, exactly like the modeled
-// DropMicroBlock fault.
+// DropMicroBlock fault, and after Config.FaultEscalation such epochs in
+// a row its traffic runs on the committee until it answers again.
 type DS struct {
 	name    string
 	ep      Endpoint
@@ -139,7 +140,7 @@ func DSBlockSource(src BlockSource) DSOption {
 
 // NewDS builds the committee actor around an existing canonical
 // network (compose shard.NewNetwork(opts...) for its configuration —
-// mempool admission, gas limits, parallelism, recorders). shardNames
+// mempool admission, gas limits, recorders). shardNames
 // maps shard index to the peer name executing that shard's queues.
 // Call Run to start it.
 func NewDS(name string, net *shard.Network, ep Endpoint, shardNames []string, opts ...DSOption) (*DS, error) {

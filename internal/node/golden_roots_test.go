@@ -18,12 +18,12 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_roots.json")
 
-// Every other bit-identity suite compares two modes of the same
-// binary, so a change that moves all of them together passes. This one
-// pins absolute per-epoch state roots, recorded once and asserted in
-// every execution mode: sequential, parallel shards, intra-shard
-// groups, the interpreter, and byte-shipped epochs over a ChanNetwork
-// cluster whose replicas must land on the same final root.
+// Every other bit-identity suite compares two runs of the same binary,
+// so a change that moves both together passes. This one pins absolute
+// per-epoch state roots, recorded once and asserted three ways: the
+// monolithic pipeline on the compiled engine, the same on the
+// interpreter, and byte-shipped epochs over a ChanNetwork cluster whose
+// replicas must land on the same final root.
 
 const (
 	goldenShards   = 3
@@ -254,11 +254,12 @@ func clusterRoots(t *testing.T, sc goldenScenario) []string {
 	return roots
 }
 
-// TestGoldenStateRoots asserts the recorded roots in every mode.
+// TestGoldenStateRoots asserts the recorded roots on both engines and
+// over the cluster.
 //
 //	go test ./internal/node -run TestGoldenStateRoots -update-golden
 //
-// rewrites the file from the sequential run; do that only when a
+// rewrites the file from the monolithic run; do that only when a
 // change is meant to move a root, and name the scenario and the
 // transaction in CHANGES.md.
 func TestGoldenStateRoots(t *testing.T) {
@@ -277,9 +278,7 @@ func TestGoldenStateRoots(t *testing.T) {
 		name string
 		opts []shard.Option
 	}{
-		{"sequential", nil},
-		{"parallel", []shard.Option{shard.WithParallelism(true)}},
-		{"intra-parallel", []shard.Option{shard.WithIntraShardParallelism(4)}},
+		{"monolithic", nil},
 		{"interpreter", []shard.Option{shard.WithCompiledExecution(false)}},
 	}
 	for _, sc := range goldenScenarios() {

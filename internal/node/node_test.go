@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cosplit/internal/dispatch"
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
 	"cosplit/internal/workload"
@@ -272,6 +273,89 @@ func TestTCPClusterSmoke(t *testing.T) {
 		}
 		if want := envMono.Net.StateRoot(); res.Root != want {
 			t.Fatalf("epoch %d: TCP root %s, monolithic %s", e, res.Root, want)
+		}
+	}
+}
+
+// TestDeadShardEscalatesToDS closes one shard node for good. Its
+// MicroBlocks are transport-lost every epoch; after
+// Config.FaultEscalation of them the committee must stop routing to it
+// and run its traffic itself, so the transactions that were being
+// requeued to the dead node commit through the DS route, and every
+// surviving role stays on the committee's root.
+func TestDeadShardEscalatesToDS(t *testing.T) {
+	w := testWorkload()
+	envSrc, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := NewCluster(testGenesis(w),
+		ClusterDS(DSCollectTimeout(100*time.Millisecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+
+	const dead, total = 1, 30
+	cluster.Shards[dead].Close()
+	ids := make([]uint64, total)
+	for i := range ids {
+		if ids[i], err = cluster.Lookup.SubmitTx(w.Next(envSrc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	escalation := cluster.DS.Net().Config().FaultEscalation
+	var lost []uint64 // the dead shard's batch, requeued every epoch
+	for e := 1; e <= escalation+1; e++ {
+		res := cluster.Tick()
+		if res.Err != nil {
+			t.Fatalf("tick %d: %v", e, res.Err)
+		}
+		switch {
+		case e == 1:
+			for _, id := range ids {
+				if cluster.DS.Net().Receipt(id) == nil {
+					lost = append(lost, id)
+				}
+			}
+			if len(lost) == 0 || res.Stats.Lost != len(lost) {
+				t.Fatalf("tick 1: %d transactions without a receipt, stats %+v; the dead shard's queue should be lost", len(lost), res.Stats)
+			}
+		case e <= escalation:
+			if res.Stats.Lost != len(lost) || res.Stats.Escalated != 0 {
+				t.Fatalf("tick %d: want the same %d transactions lost again, got %+v", e, len(lost), res.Stats)
+			}
+		default:
+			if res.Stats.Escalated != len(lost) || res.Stats.Lost != 0 || res.Stats.DSCount < len(lost) {
+				t.Fatalf("tick %d: want %d transactions escalated to the DS committee, got %+v", e, len(lost), res.Stats)
+			}
+		}
+	}
+	for _, id := range lost {
+		r := cluster.DS.Net().Receipt(id)
+		if r == nil || !r.Success || r.Shard != dispatch.DS {
+			t.Fatalf("tx %d: receipt %+v, want a success on the DS route", id, r)
+		}
+	}
+
+	want := cluster.DS.Net().StateRoot()
+	if rc := cluster.Lookup.WaitReceipt(lost[len(lost)-1], 5*time.Second); rc == nil {
+		t.Fatal("the escalated transactions' receipts never reached the lookup")
+	}
+	if _, root := cluster.Lookup.Chain(); root != want {
+		t.Errorf("lookup root %s, want %s", root, want)
+	}
+	cluster.Close()
+	for i, s := range cluster.Shards {
+		if i == dead {
+			continue
+		}
+		if err := s.Err(); err != nil {
+			t.Errorf("%s: replica error: %v", s.name, err)
+		}
+		if got := s.Net().StateRoot(); got != want {
+			t.Errorf("%s: replica root %s, want %s", s.name, got, want)
 		}
 	}
 }

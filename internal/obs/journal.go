@@ -14,10 +14,11 @@ import (
 // name, and the event's fields in a fixed order.
 //
 // The journal is safe for concurrent use; lines are written atomically
-// under an internal mutex. Event interleaving across shards follows
-// goroutine scheduling in the parallel pipeline — use the sequential
-// pipeline when a deterministic journal is required (the golden-file
-// test in internal/shard does).
+// under an internal mutex. One network's epoch pipeline emits from one
+// goroutine, so its journal is deterministic under an injected clock
+// (the golden-file test in internal/shard relies on it); events from
+// concurrent submitters or several node actors sharing a journal
+// interleave as scheduled.
 type Journal struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
@@ -148,25 +149,6 @@ func (j *Journal) MicroBlockSealed(epoch uint64, shard, receipts, deltas, deferr
 	b = appendInt(b, "deltas", int64(deltas))
 	b = appendInt(b, "deferred", int64(deferred))
 	b = appendInt(b, "gas_used", int64(gasUsed))
-	j.end(b)
-}
-
-// ShardGroupsFormed implements Recorder.
-func (j *Journal) ShardGroupsFormed(epoch uint64, shard, groups, largest, residue int) {
-	b := j.begin("shard_groups_formed", epoch)
-	b = appendInt(b, "shard", int64(shard))
-	b = appendInt(b, "groups", int64(groups))
-	b = appendInt(b, "largest", int64(largest))
-	b = appendInt(b, "residue", int64(residue))
-	j.end(b)
-}
-
-// GroupFoldDone implements Recorder.
-func (j *Journal) GroupFoldDone(epoch uint64, shard, contracts int, took time.Duration) {
-	b := j.begin("group_fold", epoch)
-	b = appendInt(b, "shard", int64(shard))
-	b = appendInt(b, "contracts", int64(contracts))
-	b = appendInt(b, "took_ns", int64(took))
 	j.end(b)
 }
 

@@ -32,13 +32,6 @@ type EpochSummary struct {
 	Measured time.Duration
 }
 
-// SequentialWall is the modelled duration of the same epoch on a
-// non-pipelined executor: shard queues charged back-to-back instead of
-// in parallel.
-func (s EpochSummary) SequentialWall() time.Duration {
-	return s.Dispatch + s.ExecSum + s.Merge + s.DSExec + s.Consensus
-}
-
 // add accumulates another epoch into s (durations and counts sum;
 // Epoch tracks the latest).
 func (s *EpochSummary) add(o EpochSummary) {
@@ -63,11 +56,10 @@ func (s *EpochSummary) add(o EpochSummary) {
 // methods take only scalar arguments (and the by-value EpochSummary),
 // so a call into the no-op implementation allocates nothing.
 //
-// Implementations must be safe for concurrent use: shard-scoped events
-// (ShardExecStart/End, MicroBlockSealed, OverflowGuardTripped) are
-// emitted from worker goroutines when the parallel pipeline is enabled.
-// Event order across different shards is deterministic only in the
-// sequential pipeline.
+// Implementations must be safe for concurrent use: one network's epoch
+// pipeline emits from a single goroutine, but mempool events come from
+// whichever goroutine submits, frame events from every link of a node
+// cluster, and several node actors may share one recorder.
 type Recorder interface {
 	// TxDispatched reports the routing verdict for one transaction:
 	// shard >= 0 is an in-shard placement, -1 the DS committee, -2 a
@@ -82,15 +74,6 @@ type Recorder interface {
 	// produced, state deltas extracted, transactions deferred past the
 	// gas limit, and gas committed.
 	MicroBlockSealed(epoch uint64, shard, receipts, deltas, deferred int, gasUsed uint64)
-	// ShardGroupsFormed reports an intra-shard conflict-group partition:
-	// groups formed over the batch, the largest group's size, and the
-	// sequential residue (transactions sharing a group with at least one
-	// other). Emitted only when the grouped path proceeds to execution.
-	ShardGroupsFormed(epoch uint64, shard, groups, largest, residue int)
-	// GroupFoldDone reports the deterministic fold of the group results
-	// back into one MicroBlock: contracts whose per-group deltas were
-	// join-merged, and the fold duration.
-	GroupFoldDone(epoch uint64, shard, contracts int, took time.Duration)
 	// DeltaMerged reports the DS committee's three-way merge: contracts
 	// touched, deltas folded, total merged components, join conflicts
 	// (non-zero only when the merge aborts), and its duration.
@@ -169,12 +152,6 @@ func (Nop) ShardExecEnd(epoch uint64, shard int, took time.Duration) {}
 
 // MicroBlockSealed implements Recorder.
 func (Nop) MicroBlockSealed(epoch uint64, shard, receipts, deltas, deferred int, gasUsed uint64) {}
-
-// ShardGroupsFormed implements Recorder.
-func (Nop) ShardGroupsFormed(epoch uint64, shard, groups, largest, residue int) {}
-
-// GroupFoldDone implements Recorder.
-func (Nop) GroupFoldDone(epoch uint64, shard, contracts int, took time.Duration) {}
 
 // DeltaMerged implements Recorder.
 func (Nop) DeltaMerged(epoch uint64, contracts, deltas, entries, conflicts int, took time.Duration) {
@@ -272,20 +249,6 @@ func (m multi) ShardExecEnd(epoch uint64, shard int, took time.Duration) {
 func (m multi) MicroBlockSealed(epoch uint64, shard, receipts, deltas, deferred int, gasUsed uint64) {
 	for _, r := range m {
 		r.MicroBlockSealed(epoch, shard, receipts, deltas, deferred, gasUsed)
-	}
-}
-
-// ShardGroupsFormed implements Recorder.
-func (m multi) ShardGroupsFormed(epoch uint64, shard, groups, largest, residue int) {
-	for _, r := range m {
-		r.ShardGroupsFormed(epoch, shard, groups, largest, residue)
-	}
-}
-
-// GroupFoldDone implements Recorder.
-func (m multi) GroupFoldDone(epoch uint64, shard, contracts int, took time.Duration) {
-	for _, r := range m {
-		r.GroupFoldDone(epoch, shard, contracts, took)
 	}
 }
 

@@ -9,17 +9,15 @@ import (
 )
 
 // The compiled closure-chain executor must be observationally
-// indistinguishable from the AST interpreter in every execution mode:
-// identical receipts (success flag, gas, error string, shard, epoch),
-// state roots, and per-shard gas totals. The interpreter-driven
-// sequential pipeline is the reference; every other (mode × engine)
-// combination is compared against it.
+// indistinguishable from the AST interpreter: identical MicroBlocks,
+// receipts (success flag, gas, error string, shard, epoch), state
+// roots, and per-shard gas totals. The interpreter-driven pipeline is
+// the reference.
 
 // TestCompiledVsInterpretedNetwork drives the five evaluation
 // workloads under three stream seeds. For each, the reference run
-// forces the interpreter (WithCompiledExecution(false), sequential
-// pipeline); the compiled engine is then exercised in all four
-// pipeline modes.
+// forces the interpreter (WithCompiledExecution(false)) and the
+// compiled engine's run is compared against it.
 func TestCompiledVsInterpretedNetwork(t *testing.T) {
 	workloads := []string{
 		"FT transfer",        // FungibleToken
@@ -32,14 +30,10 @@ func TestCompiledVsInterpretedNetwork(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{1, 7, 42} {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					interp := runPipeline(t, namedWorkload(t, name, seed), false, 0,
+					interp := runPipeline(t, namedWorkload(t, name, seed),
 						shard.WithCompiledExecution(false))
-					compiledSeq := runPipeline(t, namedWorkload(t, name, seed), false, 0)
-					diffResults(t, "compiled-sequential", interp, compiledSeq)
-					for _, m := range execModes {
-						got := runPipeline(t, namedWorkload(t, name, seed), m.parallel, m.intra)
-						diffResults(t, "compiled-"+m.name, interp, got)
-					}
+					compiled := runPipeline(t, namedWorkload(t, name, seed))
+					diffResults(t, "compiled", interp, compiled)
 				})
 			}
 		})
@@ -52,7 +46,7 @@ func TestCompiledVsInterpretedNetwork(t *testing.T) {
 // dispatch counters.
 func TestCompiledEngineActuallyRuns(t *testing.T) {
 	reg := obs.NewRegistry()
-	runPipeline(t, namedWorkload(t, "FT transfer", 1), false, 0,
+	runPipeline(t, namedWorkload(t, "FT transfer", 1),
 		shard.WithRegistry(reg))
 	snap := reg.Snapshot()
 	if n := snap.Counters["compile.programs"]; n == 0 {
@@ -66,7 +60,7 @@ func TestCompiledEngineActuallyRuns(t *testing.T) {
 	}
 
 	regOff := obs.NewRegistry()
-	runPipeline(t, namedWorkload(t, "FT transfer", 1), false, 0,
+	runPipeline(t, namedWorkload(t, "FT transfer", 1),
 		shard.WithRegistry(regOff), shard.WithCompiledExecution(false))
 	snapOff := regOff.Snapshot()
 	if n := snapOff.Counters["compile.fast_runs"] + snapOff.Counters["compile.generic_runs"]; n != 0 {

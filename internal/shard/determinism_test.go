@@ -1,38 +1,28 @@
 package shard_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
-	"cosplit/internal/chain"
-	"cosplit/internal/obs"
 	"cosplit/internal/shard"
+	"cosplit/internal/wire"
 	"cosplit/internal/workload"
 )
 
-// Every execution mode must be observationally identical to the
-// sequential pipeline: same state roots, same receipts, same per-shard
-// gas. This is the acceptance bar for Config.ParallelShards and
-// Config.IntraShardWorkers — worker-pool scheduling (across shards or
-// across conflict groups within one) may reorder execution in time but
-// never in effect.
-
-// execModes are the non-sequential pipelines, each compared against
-// the sequential baseline.
-var execModes = []struct {
-	name     string
-	parallel bool
-	intra    int
-}{
-	{"parallel-shards", true, 0},
-	{"intra-parallel", false, 4},
-	{"parallel+intra", true, 4},
-}
+// The pipeline has one execution mode and must be a function of its
+// inputs: two networks provisioned from the same seed and fed the same
+// stream seal the same MicroBlocks and reach the same state roots and
+// receipts. The suites that compare engines (compiled vs interpreted)
+// and fault plans build on the same runPipeline/diffResults pair.
 
 type pipelineResult struct {
 	root     string
 	receipts map[uint64]string
 	shardGas map[int]uint64
+	// blocks are the sealed MicroBlocks' wire bytes, epoch by epoch in
+	// shard order, with the host-measured ExecTime zeroed.
+	blocks [][]byte
 }
 
 // namedWorkload fetches a fresh workload instance (generator state
@@ -54,31 +44,47 @@ func namedWorkload(t *testing.T, name string, seed int64) *workload.Workload {
 }
 
 // runPipeline provisions a fresh environment for the workload and
-// drives it through several epochs in one pipeline mode.
-func runPipeline(t *testing.T, w *workload.Workload, parallel bool, intra int, extra ...shard.Option) *pipelineResult {
+// drives it through several epochs, stage by stage as RunEpoch does, so
+// the MicroBlocks can be kept.
+func runPipeline(t *testing.T, w *workload.Workload, extra ...shard.Option) *pipelineResult {
 	t.Helper()
 	opts := append([]shard.Option{
 		shard.WithShards(8),
 		shard.WithGasLimits(200_000, 200_000),
 		shard.WithConsensusModel(false),
-		shard.WithParallelism(parallel),
-		shard.WithIntraShardParallelism(intra),
 	}, extra...)
 	env, err := workload.Provision(w, true, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ids []uint64
+	var sealed [][]byte
 	const epochs, txsPerEpoch = 2, 300
 	for e := 0; e < epochs; e++ {
 		for i := env.Net.MempoolSize(); i < txsPerEpoch; i++ {
 			ids = append(ids, env.Net.Submit(w.Next(env)))
 		}
-		if _, err := env.Net.RunEpoch(); err != nil {
+		run := env.Net.BeginEpoch()
+		blocks := make([]*shard.MicroBlock, len(run.Queues()))
+		for s, q := range run.Queues() {
+			if blocks[s], err = env.Net.ExecuteShard(s, q); err != nil {
+				t.Fatalf("epoch %d shard %d: %v", e, s, err)
+			}
+		}
+		if _, _, err := env.Net.FinalizeEpoch(run, blocks); err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
+		}
+		for _, mb := range blocks {
+			mb.ExecTime = 0
+			b, err := wire.EncodeMicroBlock(mb)
+			if err != nil {
+				t.Fatalf("epoch %d shard %d: encode MicroBlock: %v", e, mb.Shard, err)
+			}
+			sealed = append(sealed, b)
 		}
 	}
 	res := &pipelineResult{
+		blocks:   sealed,
 		root:     env.Net.StateRoot(),
 		receipts: make(map[uint64]string, len(ids)),
 		shardGas: make(map[int]uint64),
@@ -99,11 +105,19 @@ func runPipeline(t *testing.T, w *workload.Workload, parallel bool, intra int, e
 // diffResults requires two pipeline runs to agree bit-for-bit.
 func diffResults(t *testing.T, mode string, seq, got *pipelineResult) {
 	t.Helper()
+	if len(seq.blocks) != len(got.blocks) {
+		t.Fatalf("%s: MicroBlock counts diverge: reference %d, got %d", mode, len(seq.blocks), len(got.blocks))
+	}
+	for i := range seq.blocks {
+		if !bytes.Equal(seq.blocks[i], got.blocks[i]) {
+			t.Errorf("%s: MicroBlock %d (epoch-major, shard order) differs from the reference's", mode, i)
+		}
+	}
 	if seq.root != got.root {
-		t.Errorf("%s: state roots diverge: sequential %s, got %s", mode, seq.root, got.root)
+		t.Errorf("%s: state roots diverge: reference %s, got %s", mode, seq.root, got.root)
 	}
 	if len(seq.receipts) != len(got.receipts) {
-		t.Fatalf("%s: receipt counts diverge: sequential %d, got %d",
+		t.Fatalf("%s: receipt counts diverge: reference %d, got %d",
 			mode, len(seq.receipts), len(got.receipts))
 	}
 	mismatches := 0
@@ -111,7 +125,7 @@ func diffResults(t *testing.T, mode string, seq, got *pipelineResult) {
 		if g := got.receipts[id]; g != want {
 			mismatches++
 			if mismatches <= 5 {
-				t.Errorf("%s: tx %d: sequential %s, got %s", mode, id, want, g)
+				t.Errorf("%s: tx %d: reference %s, got %s", mode, id, want, g)
 			}
 		}
 	}
@@ -120,14 +134,16 @@ func diffResults(t *testing.T, mode string, seq, got *pipelineResult) {
 	}
 	for s, want := range seq.shardGas {
 		if g := got.shardGas[s]; g != want {
-			t.Errorf("%s: shard %d gas diverges: sequential %d, got %d", mode, s, want, g)
+			t.Errorf("%s: shard %d gas diverges: reference %d, got %d", mode, s, want, g)
 		}
 	}
 }
 
 // TestCrossModeDeterminism runs every evaluation contract's workload
-// under three stream seeds through all four pipeline modes and
-// requires bit-identical outcomes.
+// under three stream seeds on two networks and requires bit-identical
+// outcomes: nothing in a run may depend on map order, pointer values
+// or the clock. (The name dates from when the second run was a
+// different execution mode.)
 func TestCrossModeDeterminism(t *testing.T) {
 	workloads := []string{
 		"FT transfer",        // FungibleToken
@@ -140,103 +156,11 @@ func TestCrossModeDeterminism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{1, 7, 42} {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					seq := runPipeline(t, namedWorkload(t, name, seed), false, 0)
-					for _, m := range execModes {
-						got := runPipeline(t, namedWorkload(t, name, seed), m.parallel, m.intra)
-						diffResults(t, m.name, seq, got)
-					}
+					first := runPipeline(t, namedWorkload(t, name, seed))
+					again := runPipeline(t, namedWorkload(t, name, seed))
+					diffResults(t, "second run", first, again)
 				})
 			}
 		})
-	}
-}
-
-// hotRecipientWorkload redirects every third disjoint FT transfer to
-// one hot token account, so each shard's batch carries a multi-member
-// conflict group (the sequential residue) alongside singleton groups.
-func hotRecipientWorkload(t *testing.T, seed int64) *workload.Workload {
-	w := namedWorkload(t, "FT transfer disjoint", seed)
-	w.Name = "FT transfer hot recipient"
-	w.Users = 300
-	inner := w.Next
-	var i int
-	w.Next = func(e *workload.Env) *chain.Tx {
-		tx := inner(e)
-		if i++; i%3 == 0 {
-			// Users[1] is odd-indexed: a recipient-only account in the
-			// disjoint stream, so senders stay pairwise distinct.
-			tx.Args["to"] = e.Users[1].Value()
-		}
-		return tx
-	}
-	return w
-}
-
-// TestForcedConflictDeterminism drives the hot-recipient workload
-// through all modes: the grouped path must both form multi-member
-// groups (sequential residue > 0, observed via the metrics registry)
-// and still reproduce the sequential results exactly.
-func TestForcedConflictDeterminism(t *testing.T) {
-	seq := runPipeline(t, hotRecipientWorkload(t, 1), false, 0)
-	for _, m := range execModes {
-		reg := obs.NewRegistry()
-		got := runPipeline(t, hotRecipientWorkload(t, 1), m.parallel, m.intra,
-			shard.WithRegistry(reg))
-		diffResults(t, m.name, seq, got)
-		if m.intra > 1 {
-			snap := reg.Snapshot()
-			if n := snap.Histograms["shard.groups"].Count; n == 0 {
-				t.Errorf("%s: grouped path never ran (shard.groups count = 0)", m.name)
-			}
-			if r := snap.Histograms["shard.group_residue"].Sum; r == 0 {
-				t.Errorf("%s: hot-recipient conflicts formed no sequential residue", m.name)
-			}
-		}
-	}
-}
-
-// TestOpaqueFootprintFallsBack deploys the workload contract without a
-// signature (the baseline configuration): every footprint is opaque,
-// so the grouped path must fall back to sequential execution — counted
-// in shard.group_fallbacks — and still produce the sequential results.
-func TestOpaqueFootprintFallsBack(t *testing.T) {
-	run := func(intra int, reg *obs.Registry) *pipelineResult {
-		w := namedWorkload(t, "FT transfer", 1)
-		opts := []shard.Option{
-			shard.WithShards(2),
-			shard.WithGasLimits(200_000, 200_000),
-			shard.WithConsensusModel(false),
-			shard.WithIntraShardParallelism(intra),
-		}
-		if reg != nil {
-			opts = append(opts, shard.WithRegistry(reg))
-		}
-		env, err := workload.Provision(w, false, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ids []uint64
-		for e := 0; e < 2; e++ {
-			for i := 0; i < 200; i++ {
-				ids = append(ids, env.Net.Submit(w.Next(env)))
-			}
-			if _, err := env.Net.RunEpoch(); err != nil {
-				t.Fatalf("epoch %d: %v", e, err)
-			}
-		}
-		res := &pipelineResult{root: env.Net.StateRoot(), receipts: map[uint64]string{}, shardGas: map[int]uint64{}}
-		for _, id := range ids {
-			if r := env.Net.Receipt(id); r != nil {
-				res.receipts[id] = fmt.Sprintf("success=%v gas=%d err=%q shard=%d", r.Success, r.GasUsed, r.Error, r.Shard)
-			}
-		}
-		return res
-	}
-	seq := run(0, nil)
-	reg := obs.NewRegistry()
-	got := run(4, reg)
-	diffResults(t, "opaque-intra", seq, got)
-	if n := reg.Snapshot().Counters["shard.group_fallbacks"]; n == 0 {
-		t.Error("baseline (signatureless) batches never hit the grouped-path fallback counter")
 	}
 }

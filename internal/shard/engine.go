@@ -10,8 +10,8 @@ import (
 // compiled closure-chain program when compiled execution is enabled
 // (the default), and through the AST-walking interpreter otherwise.
 // Both engines are bit-identical in results, gas accounting, error
-// behaviour and state effects, so every execution mode — sequential,
-// parallel shards, intra-shard groups, DS — can switch freely.
+// behaviour and state effects, so shard runs and the DS committee's run
+// can switch freely.
 func runTransition(cfg *Config, c *chain.Contract, ctx *eval.Context, transition string, args map[string]value.Value) (eval.Result, error) {
 	if cfg.CompiledExecution && c.Compiled != nil {
 		return c.Compiled.Run(ctx, transition, args)

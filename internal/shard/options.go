@@ -9,8 +9,8 @@ import (
 
 // Config is the network's resolved configuration, readable through
 // Network.Config. Networks are constructed with NewNetwork and
-// functional options (WithShards, WithGasLimits, WithParallelism,
-// ...); code outside this package never builds Config values.
+// functional options (WithShards, WithGasLimits, WithMempool, ...);
+// code outside this package never builds Config values.
 type Config struct {
 	NumShards     int
 	NodesPerShard int
@@ -23,32 +23,6 @@ type Config struct {
 	SplitGasAccounting bool
 	// ModelConsensus adds the PBFT timing model to epoch wall time.
 	ModelConsensus bool
-	// ParallelShards executes shard queues on a worker pool bounded by
-	// GOMAXPROCS, and dispatches the mempool packet concurrently. The
-	// results are bit-identical to the sequential mode: MicroBlocks
-	// land in a slice indexed by shard, dispatch placement is committed
-	// in submission order, and the DS merge folds deltas in shard order
-	// over contracts sorted by address, so no outcome depends on
-	// goroutine completion order. The default (false) executes shard
-	// queues back-to-back; either way the modelled epoch time charges
-	// the maximum per-shard execution time (shards are distinct
-	// machines in the real network) and EpochStats reports the host
-	// wall-clock alongside it.
-	ParallelShards bool
-	// IntraShardWorkers > 1 enables intra-shard parallel execution: each
-	// shard's epoch batch is partitioned into conflict groups by the
-	// transactions' dispatch-derived footprints (owned keypaths,
-	// commutative writes, native-balance credits); groups execute
-	// concurrently against private overlays snapshotted from the shard
-	// view and are folded back in fixed group order through the
-	// per-field joins (chain.MergeCommutative), so MicroBlocks, deltas
-	// and the state root are bit-identical to sequential execution.
-	// Batches containing footprint-opaque transactions (no signature,
-	// unresolvable keys, ⊥ transitions) fall back to the sequential
-	// path, as does any batch that trips the shard gas limit. The value
-	// sets the modelled worker count for the execute-stage timing; the
-	// actual goroutine count is additionally bounded by GOMAXPROCS.
-	IntraShardWorkers int
 	// OverflowGuard enables the Sec. 6 conservative integer-overflow
 	// check: a shard rejects a transaction whose cumulative IntMerge
 	// delta on any component exceeds ⌊(MAX_INT − v₀)/N⌋ (or the
@@ -58,15 +32,16 @@ type Config struct {
 	// CompiledExecution serves transition calls from the contract's
 	// closure-chain compiled program (built once at deployment) instead
 	// of the AST-walking interpreter. Results are bit-identical — gas,
-	// receipts, deltas, state roots — in every execution mode;
-	// transitions the compiler cannot lower transparently fall back to
-	// the interpreter per call. On by default.
+	// receipts, deltas, state roots; transitions the compiler cannot
+	// lower transparently fall back to the interpreter per call. On by
+	// default.
 	CompiledExecution bool
 	// FaultEscalation is the unavailability-backoff bound: after this
-	// many consecutive epochs of losing a shard's MicroBlock (crash,
-	// drop, corrupt), the dispatcher stops routing to the shard and its
-	// traffic escalates to DS execution until the shard seals a healthy
-	// block again. Only consulted when a fault plan is attached.
+	// many consecutive epochs of losing a shard's MicroBlock — to an
+	// injected crash, drop or corruption, or in the node runtime to a
+	// shard node that does not answer within the collect timeout — the
+	// dispatcher stops routing to the shard and its traffic escalates to
+	// DS execution until the shard seals a healthy block again.
 	FaultEscalation int
 }
 
@@ -101,7 +76,7 @@ type settings struct {
 // Option configures a Network at construction time. The zero option
 // list reproduces the paper's experimental setup on a single shard:
 // 5 nodes per shard, 2M gas per MicroBlock and FinalBlock, split gas
-// accounting and the PBFT consensus model on, sequential execution,
+// accounting and the PBFT consensus model on, compiled execution,
 // overflow guard off, no tracing.
 type Option func(*settings)
 
@@ -137,13 +112,6 @@ func WithConsensusModel(on bool) Option {
 	return func(s *settings) { s.cfg.ModelConsensus = on }
 }
 
-// WithParallelism toggles the parallel epoch pipeline (worker-pool
-// dispatch and shard execution; results stay bit-identical to the
-// sequential mode — see Config.ParallelShards).
-func WithParallelism(on bool) Option {
-	return func(s *settings) { s.cfg.ParallelShards = on }
-}
-
 // WithCompiledExecution toggles the closure-chain compiled execution
 // engine (see Config.CompiledExecution); passing false forces every
 // transition call through the AST-walking interpreter.
@@ -157,23 +125,11 @@ func WithOverflowGuard(on bool) Option {
 	return func(s *settings) { s.cfg.OverflowGuard = on }
 }
 
-// WithIntraShardParallelism sets the intra-shard worker count (see
-// Config.IntraShardWorkers). Values below 2 leave shard queues on the
-// sequential path.
-func WithIntraShardParallelism(workers int) Option {
-	return func(s *settings) {
-		if workers < 0 {
-			workers = 0
-		}
-		s.cfg.IntraShardWorkers = workers
-	}
-}
-
 // WithRecorder attaches an event recorder (e.g. an *obs.Journal or
 // *obs.StageCollector) to the network's epoch pipeline. Repeated use
 // accumulates recorders; they are fanned out through obs.Multi. The
-// recorder must be safe for concurrent use when the parallel pipeline
-// is enabled.
+// epoch pipeline calls it from one goroutine; with WithMempool, pool
+// events arrive from whichever goroutine calls SubmitTx.
 func WithRecorder(rec obs.Recorder) Option {
 	return func(s *settings) { s.recs = append(s.recs, rec) }
 }
@@ -201,10 +157,11 @@ func WithRegistry(reg *obs.Registry) Option {
 // and corrupt StateDeltas all lose the shard's block — the DS merge
 // skips it, the shard's committee is charged a PBFT view change, and
 // the whole batch is requeued through the mempool's watermark-rewind
-// path. After Config.FaultEscalation consecutive losses the
-// dispatcher reroutes the shard's traffic to DS execution until the
-// shard seals a healthy block again. An empty (or nil) plan leaves
-// the pipeline byte-identical to an unfaulted network.
+// path. After Config.FaultEscalation consecutive losses — counted with
+// or without a plan, since the node runtime loses blocks to the
+// transport too — the dispatcher reroutes the shard's traffic to DS
+// execution until the shard seals a healthy block again. An empty (or
+// nil) plan leaves the pipeline byte-identical to an unfaulted network.
 func WithFaults(plan *fault.Plan) Option {
 	return func(s *settings) { s.faults = plan }
 }

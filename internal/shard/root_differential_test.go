@@ -9,9 +9,9 @@ import (
 
 // TestIncrementalRootMatchesRecompute is the incremental trie's
 // differential proof: after every committed epoch, across every
-// evaluation contract, stream seed, and pipeline mode, the
-// incrementally maintained state root must equal a from-scratch
-// recomputation over the full network state. The incremental root is
+// evaluation contract and stream seed, the incrementally maintained
+// state root must equal a from-scratch recomputation over the full
+// network state. The incremental root is
 // what ships (O(delta) per epoch); the recompute is the test-only
 // oracle (O(state)) — any divergence means a delta was applied to the
 // state without reaching the trie, or vice versa.
@@ -24,44 +24,35 @@ func TestIncrementalRootMatchesRecompute(t *testing.T) {
 		"UD bestow",          // domain records: nested keypaths
 	}
 	seeds := []int64{1, 7, 42}
-	modes := append([]struct {
-		name     string
-		parallel bool
-		intra    int
-	}{{"sequential", false, 0}}, execModes...)
 
 	for _, name := range workloads {
 		for _, seed := range seeds {
-			for _, m := range modes {
-				w := namedWorkload(t, name, seed)
-				env, err := workload.Provision(w, true,
-					shard.WithShards(8),
-					shard.WithGasLimits(200_000, 200_000),
-					shard.WithConsensusModel(false),
-					shard.WithParallelism(m.parallel),
-					shard.WithIntraShardParallelism(m.intra),
-				)
-				if err != nil {
-					t.Fatal(err)
+			w := namedWorkload(t, name, seed)
+			env, err := workload.Provision(w, true,
+				shard.WithShards(8),
+				shard.WithGasLimits(200_000, 200_000),
+				shard.WithConsensusModel(false),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Provisioning itself ran setup epochs: check the baseline
+			// before any randomized traffic.
+			if inc, full := env.Net.StateRoot(), env.Net.RecomputeStateRoot(); inc != full {
+				t.Fatalf("%s/seed%d: post-genesis root skew:\n  incremental %s\n  recomputed  %s",
+					name, seed, inc, full)
+			}
+			const epochs, txsPerEpoch = 2, 300
+			for e := 0; e < epochs; e++ {
+				for i := env.Net.MempoolSize(); i < txsPerEpoch; i++ {
+					env.Net.Submit(w.Next(env))
 				}
-				// Provisioning itself ran setup epochs: check the baseline
-				// before any randomized traffic.
+				if _, err := env.Net.RunEpoch(); err != nil {
+					t.Fatalf("%s/seed%d: epoch %d: %v", name, seed, e, err)
+				}
 				if inc, full := env.Net.StateRoot(), env.Net.RecomputeStateRoot(); inc != full {
-					t.Fatalf("%s/seed%d/%s: post-genesis root skew:\n  incremental %s\n  recomputed  %s",
-						name, seed, m.name, inc, full)
-				}
-				const epochs, txsPerEpoch = 2, 300
-				for e := 0; e < epochs; e++ {
-					for i := env.Net.MempoolSize(); i < txsPerEpoch; i++ {
-						env.Net.Submit(w.Next(env))
-					}
-					if _, err := env.Net.RunEpoch(); err != nil {
-						t.Fatalf("%s/seed%d/%s: epoch %d: %v", name, seed, m.name, e, err)
-					}
-					if inc, full := env.Net.StateRoot(), env.Net.RecomputeStateRoot(); inc != full {
-						t.Fatalf("%s/seed%d/%s: epoch %d root skew:\n  incremental %s\n  recomputed  %s",
-							name, seed, m.name, e, inc, full)
-					}
+					t.Fatalf("%s/seed%d: epoch %d root skew:\n  incremental %s\n  recomputed  %s",
+						name, seed, e, inc, full)
 				}
 			}
 		}

@@ -1,9 +1,14 @@
 // Package shard implements the sharded transaction-processing pipeline
-// of Fig. 10: per-epoch dispatch of the mempool to shards, parallel
-// in-shard execution producing MicroBlocks and StateDeltas, the DS
-// committee's three-way merge into a FinalBlock, and the committee's
-// own sequential run — one more shard run, over the merged state — of
-// the transactions no shard could take.
+// of Fig. 10: per-epoch dispatch of the mempool to shards, each shard's
+// sequential run of its queue producing a MicroBlock and StateDeltas,
+// the DS committee's three-way merge into a FinalBlock, and the
+// committee's own sequential run — one more shard run, over the merged
+// state — of the transactions no shard could take.
+//
+// There is one execution mode: a queue runs once, in order, on the
+// calling goroutine, and the package starts no goroutine of its own.
+// Shards run side by side where they are separate actors or processes,
+// in internal/node; RunEpoch runs them back to back.
 //
 // Networks are built with NewNetwork and functional options. The
 // pipeline is instrumented throughout: always-on counters and
@@ -20,10 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cosplit/internal/chain"
@@ -79,11 +82,12 @@ type EpochStats struct {
 	WallTime     time.Duration
 	MeasuredTime time.Duration
 
-	// Fault injection and recovery (all zero without WithFaults):
-	// Lost counts transactions requeued because their shard's
-	// MicroBlock was lost to an injected fault, ViewChanges the shard
-	// committees charged a PBFT view change, and Escalated the
-	// transactions the availability mask rerouted to DS execution.
+	// Loss and recovery (all zero while every MicroBlock arrives): Lost
+	// counts transactions requeued because their shard's MicroBlock was
+	// lost — to an injected fault, or in the node runtime to the
+	// transport — ViewChanges the shard committees charged a PBFT view
+	// change, and Escalated the transactions the availability mask
+	// rerouted to DS execution.
 	Lost        int
 	ViewChanges int
 	Escalated   int
@@ -109,8 +113,9 @@ type Network struct {
 
 	// faults is the injection plan (WithFaults; nil or empty injects
 	// nothing). faultStreak counts consecutive epochs each shard lost
-	// its MicroBlock; downBuf is the availability mask handed to the
-	// dispatcher when a streak reaches Config.FaultEscalation.
+	// its MicroBlock, to the plan or to the transport; downBuf is the
+	// availability mask handed to the dispatcher while a streak is at
+	// Config.FaultEscalation or beyond.
 	faults      *fault.Plan
 	faultStreak []int
 	downBuf     []bool
@@ -128,14 +133,13 @@ type Network struct {
 	dsQueueBuf  []*chain.Tx
 	perShardBuf []int
 	// ovPool recycles each shard's per-contract overlays across epochs
-	// (indexed by shard, so concurrent shard runners never share an
-	// entry). Reset keeps the write-table buckets, so steady-state
-	// epochs stop paying map growth for the shard-level overlays. Only
-	// the one-run-per-shard path uses it: the grouped intra-shard path
-	// creates one run per worker, and a pooled overlay's keypath intern
-	// table keeps every key it has seen, which for the DS committee's
-	// run — fresh content hashes each epoch on the ProofIPFS workload —
-	// measured as 12 MB more live heap and no time saved.
+	// (indexed by shard). Reset keeps the write-table buckets, so
+	// steady-state epochs stop paying map growth for the shard-level
+	// overlays. Every shard run draws from it; the DS committee's run
+	// does not, because a pooled overlay's keypath intern table keeps
+	// every key it has seen, which for that run — fresh content hashes
+	// each epoch on the ProofIPFS workload — measured as 12 MB more live
+	// heap and no time saved.
 	ovPool []map[chain.Address]*chain.Overlay
 
 	shardModel consensus.PBFTModel
@@ -157,8 +161,8 @@ type Network struct {
 
 // NewNetwork builds a network. With no options it reproduces the
 // paper's experimental setup on a single shard (see Option); compose
-// WithShards, WithGasLimits, WithParallelism, WithRecorder, ... to
-// deviate from it.
+// WithShards, WithGasLimits, WithMempool, WithRecorder, ... to deviate
+// from it.
 func NewNetwork(opts ...Option) *Network {
 	s := settings{cfg: DefaultConfig(1)}
 	for _, opt := range opts {
@@ -188,23 +192,25 @@ func NewNetwork(opts ...Option) *Network {
 		ovPool[i] = make(map[chain.Address]*chain.Overlay)
 	}
 	return &Network{
-		Accounts:   accounts,
-		Contracts:  contracts,
-		Disp:       d,
-		pool:       pool,
-		faults:     s.faults,
-		cfg:        s.cfg,
-		rec:        rec,
-		reg:        s.reg,
-		m:          newNetMetrics(s.reg),
-		receipts:   NewReceiptLog(0),
-		ovPool:     ovPool,
-		shardModel: consensus.DefaultModel(s.cfg.NodesPerShard),
-		dsModel:    consensus.DefaultModel(s.cfg.NodesPerShard * 2),
-		nextTxID:   1,
-		Epoch:      1,
-		roots:      &trie.StateRoots{},
-		store:      s.store,
+		Accounts:    accounts,
+		Contracts:   contracts,
+		Disp:        d,
+		pool:        pool,
+		faults:      s.faults,
+		faultStreak: make([]int, s.cfg.NumShards),
+		downBuf:     make([]bool, s.cfg.NumShards),
+		cfg:         s.cfg,
+		rec:         rec,
+		reg:         s.reg,
+		m:           newNetMetrics(s.reg),
+		receipts:    NewReceiptLog(0),
+		ovPool:      ovPool,
+		shardModel:  consensus.DefaultModel(s.cfg.NodesPerShard),
+		dsModel:     consensus.DefaultModel(s.cfg.NodesPerShard * 2),
+		nextTxID:    1,
+		Epoch:       1,
+		roots:       &trie.StateRoots{},
+		store:       s.store,
 	}
 }
 
@@ -351,7 +357,6 @@ type EpochRun struct {
 	dsQueue    []*chain.Tx
 	anyDown    bool
 	epochStart time.Time
-	workers    int
 	collectFB  bool
 	// rejects are the dispatch-rejection receipts, kept so a collected
 	// FinalBlock carries every receipt of the epoch.
@@ -473,21 +478,12 @@ func (n *Network) BeginEpoch() *EpochRun {
 	n.Disp.ResetEpoch()
 	run.anyDown = n.applyAvailability()
 
-	// Worker budget for the parallel pipeline: bounded by the host's
-	// GOMAXPROCS so the pool never oversubscribes the machine.
-	run.workers = 1
-	if n.cfg.ParallelShards {
-		run.workers = runtime.GOMAXPROCS(0)
-	}
-
-	// Phase 1: lookup nodes dispatch the packet (Sec. 4.3). Constraint
-	// evaluation fans out over the worker pool; placement is committed
-	// in submission order, so the routing is deterministic.
+	// Phase 1: lookup nodes dispatch the packet (Sec. 4.3), in
+	// submission order: load-balanced placement follows it.
 	t0 := time.Now()
-	decisions := n.Disp.DispatchAll(pending, run.workers)
 	queues, dsQueue := n.epochQueues()
-	for i, tx := range pending {
-		dec := decisions[i]
+	for _, tx := range pending {
+		dec := n.Disp.Dispatch(tx)
 		if dec.Rejected {
 			stats.Rejected++
 			n.rec.TxDispatched(n.Epoch, tx.ID, rejectedShard, dec.Reason)
@@ -523,51 +519,20 @@ func (n *Network) BeginEpoch() *EpochRun {
 
 // RunEpoch processes the current mempool through one full epoch and
 // returns its statistics. It is the monolithic composition of the
-// stage API: BeginEpoch, ExecuteShard over every queue (concurrently
-// when ParallelShards is set), FinalizeEpoch.
+// stage API: BeginEpoch, ExecuteShard over every queue one after
+// another, FinalizeEpoch. The modelled epoch time still charges the
+// slowest shard only (shards are distinct machines in the real
+// network).
 func (n *Network) RunEpoch() (*EpochStats, error) {
 	run := n.BeginEpoch()
-
-	// Phase 2: shards execute their queues — concurrently on a worker
-	// pool bounded by GOMAXPROCS when ParallelShards is set, else
-	// back-to-back. MicroBlocks land in a slice indexed by shard, so
-	// the downstream merge sees the same input either way; the modelled
-	// epoch time charges the maximum per-shard execution time (shards
-	// are distinct machines in the real network).
 	blocks := make([]*MicroBlock, n.cfg.NumShards)
-	errs := make([]error, n.cfg.NumShards)
-	if run.workers > 1 && n.cfg.NumShards > 1 {
-		poolWorkers := run.workers
-		if poolWorkers > n.cfg.NumShards {
-			poolWorkers = n.cfg.NumShards
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < poolWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(next.Add(1)) - 1
-					if s >= n.cfg.NumShards {
-						return
-					}
-					blocks[s], errs[s] = n.ExecuteShard(s, run.queues[s])
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for s := 0; s < n.cfg.NumShards; s++ {
-			blocks[s], errs[s] = n.ExecuteShard(s, run.queues[s])
-		}
-	}
-	for s, err := range errs {
+	for s := range blocks {
+		mb, err := n.ExecuteShard(s, run.queues[s])
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
+		blocks[s] = mb
 	}
-
 	stats, _, err := n.FinalizeEpoch(run, blocks)
 	return stats, err
 }
@@ -603,72 +568,53 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	perShardCounts := n.perShardBuf[:n.cfg.NumShards]
 	var faulted []int
 	for s, mb := range blocks {
-		if mb == nil {
-			// The MicroBlock never arrived: in the node runtime its frame
-			// was dropped, corrupted, or timed out at the transport layer.
-			// Handled exactly like an injected loss — nothing from the
-			// shard commits, its whole batch is requeued — except no
-			// execution time is charged (the DS committee cannot observe
-			// how long a vanished shard ran, as with a crash).
-			lost := len(queues[s])
-			n.m.faultDrops.Inc()
-			n.m.faultLostTxs.Add(int64(lost))
-			n.rec.ShardFault(n.Epoch, s, "transport", lost)
-			stats.Lost += lost
-			if n.faultStreak != nil {
-				n.faultStreak[s]++
-			}
-			faulted = append(faulted, s)
-			perShardCounts[s] = 0
-			n.requeue(s, queues[s])
-			continue
-		}
 		d := n.faults.At(n.Epoch, s)
-		switch {
-		case d.Kind == fault.Straggle:
-			// The block seals late but intact: record the injection and
-			// process it like a healthy one (ExecuteShard already scaled the
-			// modeled execution time).
-			n.m.faultStraggles.Inc()
-			n.rec.ShardFault(n.Epoch, s, d.Kind.String(), 0)
-		case d.Kind.Lost():
-			// The DS merge never sees a valid MicroBlock from this shard
-			// (crash, drop in transit, or a StateDelta failing validation):
-			// nothing commits, the shard's whole batch is requeued through
-			// the mempool's watermark-rewind path, and the unavailability
-			// streak advances toward escalation.
-			lost := len(queues[s])
-			switch d.Kind {
-			case fault.CrashMidEpoch:
-				n.m.faultCrashes.Inc()
-			case fault.DropMicroBlock:
-				n.m.faultDrops.Inc()
-			case fault.CorruptDelta:
-				n.m.faultCorruptions.Inc()
+		if mb == nil || d.Kind.Lost() {
+			// The merge never sees a valid MicroBlock from this shard: the
+			// plan crashed it, dropped its block in transit or failed its
+			// StateDelta's validation, or (mb == nil, node runtime) the
+			// frame was dropped, corrupted or timed out at the transport.
+			// Nothing from the shard commits, its whole batch is requeued
+			// through the mempool's watermark-rewind path, and its
+			// unavailability streak advances toward escalation.
+			kind, counter := "transport", n.m.faultDrops
+			if mb != nil {
+				kind = d.Kind.String()
+				switch d.Kind {
+				case fault.CrashMidEpoch:
+					counter = n.m.faultCrashes
+				case fault.CorruptDelta:
+					counter = n.m.faultCorruptions
+				}
 			}
+			lost := len(queues[s])
+			counter.Inc()
 			n.m.faultLostTxs.Add(int64(lost))
-			n.rec.ShardFault(n.Epoch, s, d.Kind.String(), lost)
+			n.rec.ShardFault(n.Epoch, s, kind, lost)
 			stats.Lost += lost
 			n.faultStreak[s]++
 			faulted = append(faulted, s)
-			if d.Kind != fault.CrashMidEpoch {
+			if mb != nil && d.Kind != fault.CrashMidEpoch {
 				// Dropped and corrupt blocks were fully executed before
-				// being lost; a crashed shard never finished its run.
-				if mb.ExecTime > sum.ExecMax {
-					sum.ExecMax = mb.ExecTime
-				}
+				// being lost. A crashed shard never finished its run, and
+				// the committee cannot observe how long a shard whose block
+				// vanished at the transport ran.
+				sum.ExecMax = max(sum.ExecMax, mb.ExecTime)
 				sum.ExecSum += mb.ExecTime
 			}
 			perShardCounts[s] = 0
 			n.requeue(s, queues[s])
 			continue
 		}
-		if n.faultStreak != nil {
-			n.faultStreak[s] = 0
+		if d.Kind == fault.Straggle {
+			// The block seals late but intact: record the injection and
+			// process it like a healthy one (ExecuteShard already scaled the
+			// modeled execution time).
+			n.m.faultStraggles.Inc()
+			n.rec.ShardFault(n.Epoch, s, d.Kind.String(), 0)
 		}
-		if mb.ExecTime > sum.ExecMax {
-			sum.ExecMax = mb.ExecTime
-		}
+		n.faultStreak[s] = 0
+		sum.ExecMax = max(sum.ExecMax, mb.ExecTime)
 		sum.ExecSum += mb.ExecTime
 		n.file(mb.Receipts)
 		for _, r := range mb.Receipts {
@@ -928,26 +874,19 @@ func groupByContract(deltas []*chain.StateDelta) ([]chain.Address, map[chain.Add
 const rejectedShard = -2
 
 // applyAvailability refreshes the dispatcher's shard-availability mask
-// from the fault streaks: a shard that lost its MicroBlock for
-// Config.FaultEscalation consecutive epochs is marked down and its
-// traffic reroutes to DS execution. The mask clears per shard as soon
-// as the shard seals a healthy block (a down shard receives no
-// transactions, so its next empty epoch is the recovery probe). It
-// reports whether any shard is down this epoch; without a fault plan
-// it does nothing.
+// from the loss streaks: a shard that lost its MicroBlock for
+// Config.FaultEscalation consecutive epochs — to an injected fault or,
+// in the node runtime, to a shard node that stopped answering — is
+// marked down and its traffic reroutes to DS execution. The mask clears
+// per shard as soon as the shard seals a healthy block (a down shard
+// receives no transactions, so its next empty epoch is the recovery
+// probe). It reports whether any shard is down this epoch; while none
+// is, the dispatcher's mask is nil.
 func (n *Network) applyAvailability() bool {
-	if n.faults.Empty() {
-		return false
-	}
-	if len(n.faultStreak) != n.cfg.NumShards {
-		n.faultStreak = make([]int, n.cfg.NumShards)
-		n.downBuf = make([]bool, n.cfg.NumShards)
-	}
 	any := false
 	for s, streak := range n.faultStreak {
-		down := streak >= n.cfg.FaultEscalation
-		n.downBuf[s] = down
-		any = any || down
+		n.downBuf[s] = streak >= n.cfg.FaultEscalation
+		any = any || n.downBuf[s]
 	}
 	if any {
 		n.Disp.SetUnavailable(n.downBuf)
@@ -990,11 +929,11 @@ func (n *Network) finishEpochMetrics(sum obs.EpochSummary) {
 // network state: every contract's canonical state and every account's
 // balance and nonce. It reads the incrementally maintained trie — an
 // epoch that changed k components rehashes O(k·depth) trie nodes, not
-// the whole state. Two runs of the same workload must agree on it
-// regardless of execution mode — the determinism tests assert this
-// across sequential and parallel epochs, and the root-equivalence
-// suite checks it against RecomputeStateRoot (a from-scratch render)
-// after every epoch.
+// the whole state. Two runs of the same workload must agree on it —
+// on either engine, monolithic or byte-shipped over a node cluster;
+// the determinism and golden-root tests assert this — and the
+// root-equivalence suite checks it against RecomputeStateRoot (a
+// from-scratch render) after every epoch.
 func (n *Network) StateRoot() string {
 	return n.roots.Root()
 }
@@ -1038,8 +977,7 @@ type shardRun struct {
 	gasLimit uint64
 	overlays map[chain.Address]*chain.Overlay
 	// ovCache, when non-nil, recycles the run's overlays across epochs
-	// (see Network.ovPool). Grouped-path worker runs and the DS run
-	// leave it nil.
+	// (see Network.ovPool). The DS run leaves it nil.
 	ovCache  map[chain.Address]*chain.Overlay
 	accDelta *chain.AccountDelta
 	// localBal tracks each account's balance view inside the run (base
@@ -1227,10 +1165,7 @@ func (r *shardRun) admit(sender chain.Address, spent, budget *big.Int) error {
 // gas limit and produces its MicroBlock. It is the phase-2 stage of
 // the epoch pipeline: RunEpoch calls it for every shard in-process,
 // while the node runtime runs it on each shard node's own replica
-// against a queue received over the wire. With IntraShardWorkers > 1
-// the batch first attempts the grouped parallel path (groups.go); any
-// fallback condition reruns the batch on the sequential path — both
-// produce bit-identical MicroBlocks when the grouped path completes.
+// against a queue received over the wire.
 func (n *Network) ExecuteShard(s int, queue []*chain.Tx) (*MicroBlock, error) {
 	n.rec.ShardExecStart(n.Epoch, s, len(queue))
 	n.m.queueDepth.Observe(int64(len(queue)))
@@ -1241,14 +1176,9 @@ func (n *Network) ExecuteShard(s int, queue []*chain.Tx) (*MicroBlock, error) {
 		// the view change and requeues the batch.
 		return &MicroBlock{Shard: s, Epoch: n.Epoch, Accounts: chain.NewAccountDelta()}, nil
 	}
-	mb, err := n.runShardGrouped(s, queue)
+	mb, err := n.runQueue(s, queue)
 	if err != nil {
 		return nil, err
-	}
-	if mb == nil {
-		if mb, err = n.runQueue(s, queue); err != nil {
-			return nil, err
-		}
 	}
 	if directive.Kind == fault.Straggle {
 		// A straggler seals the same block, late: scale the modeled
@@ -1299,8 +1229,7 @@ func (n *Network) runQueue(s int, queue []*chain.Tx) (*MicroBlock, error) {
 	}
 
 	// Extract per-contract state deltas. Extraction counts toward
-	// ExecTime: the run cannot seal its block without it, and the
-	// grouped path charges the same work inside its worker runs.
+	// ExecTime: the run cannot seal its block without it.
 	deltas, err := run.extractDeltas()
 	if err != nil {
 		return nil, err
@@ -1338,23 +1267,21 @@ func (r *shardRun) extractDeltas() ([]*chain.StateDelta, error) {
 }
 
 // execute runs one transaction on the run, capped by the epoch's
-// remaining block gas. remaining == 0 means "no epoch cap" (the
-// grouped parallel path runs workers under the declared transaction
-// limits and lets the fold re-check the block budget). When the
-// transaction cannot complete within a non-zero remaining budget but
-// might within a fresh epoch's full limit, execute reports wait=true
-// and leaves all run state — overlays, balances, nonces, gas spending —
-// untouched so the transaction can be deferred and retried. A failed
-// transaction is charged its gas and its nonce and changes nothing
-// else.
+// remaining block gas (remaining > 0: runQueue defers the rest of the
+// queue once nothing is left). When the transaction cannot complete
+// within the remaining budget but might within a fresh epoch's full
+// limit, execute reports wait=true and leaves all run state — overlays,
+// balances, nonces, gas spending — untouched so the transaction can be
+// deferred and retried. A failed transaction is charged its gas and its
+// nonce and changes nothing else.
 func (r *shardRun) execute(tx *chain.Tx, remaining uint64) (_ *chain.Receipt, wait bool) {
 	// effLimit is what the interpreter may burn: the transaction's own
-	// declared limit, clipped to the epoch budget when one applies
-	// (a declared limit of 0 means "unlimited" to the interpreter, so
-	// it is clipped too rather than passed through).
+	// declared limit, clipped to the epoch budget (a declared limit of 0
+	// means "unlimited" to the interpreter, so it is clipped too rather
+	// than passed through).
 	effLimit := tx.GasLimit
 	epochCapped := false
-	if remaining > 0 && (effLimit == 0 || effLimit > remaining) {
+	if effLimit == 0 || effLimit > remaining {
 		effLimit = remaining
 		epochCapped = true
 	}

@@ -133,72 +133,6 @@ func TestGoldenTraceSchema(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceIntraSchema pins the intra-shard parallel path's
-// trace events — shard_groups_formed and group_fold — alongside the
-// rest of the epoch schema. One shard, two independent senders with
-// disjoint recipients: the grouped executor forms two conflict groups
-// and folds them back. Regenerate with
-//
-//	go test ./internal/shard -run GoldenTraceIntra -update-golden
-func TestGoldenTraceIntraSchema(t *testing.T) {
-	var buf bytes.Buffer
-	var tick time.Duration
-	journal := obs.NewJournal(&buf, obs.WithClock(func() time.Duration {
-		tick += time.Microsecond
-		return tick
-	}))
-	net := shard.NewNetwork(
-		shard.WithShards(1),
-		shard.WithGasLimits(100, 1000),
-		shard.WithIntraShardParallelism(2),
-		shard.WithRecorder(journal),
-	)
-	alice := chain.AddrFromUint(1)
-	bob := chain.AddrFromUint(2)
-	carol := chain.AddrFromUint(3)
-	dave := chain.AddrFromUint(4)
-	for _, u := range []chain.Address{alice, bob, carol, dave} {
-		net.CreateUser(u, 1_000_000)
-	}
-	// Two sender chains with disjoint recipients: alice's transfers
-	// conflict with each other (same sender account), not with carol's,
-	// so the batch partitions into exactly two groups.
-	for n := uint64(1); n <= 2; n++ {
-		net.Submit(payTx(alice, bob, n, 10))
-		net.Submit(payTx(carol, dave, n, 10))
-	}
-	if _, err := net.RunEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	if err := journal.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	got := normalizeTrace(t, buf.Bytes())
-	if !strings.Contains(got, `"event":"shard_groups_formed"`) {
-		t.Fatal("intra-parallel run emitted no shard_groups_formed event")
-	}
-	if !strings.Contains(got, `"event":"group_fold"`) {
-		t.Fatal("intra-parallel run emitted no group_fold event")
-	}
-	golden := filepath.Join("testdata", "trace_golden_intra.jsonl")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("trace schema drifted from %s.\nGot:\n%s\nWant:\n%s\n(run with -update-golden if the change is intentional)",
-			golden, got, want)
-	}
-}
-
 // TestJournalReproducesEpochStats is the tentpole acceptance check: a
 // 4-shard run's epoch_finalized journal event must carry exactly the
 // numbers RunEpoch returned, and the StageCollector's per-stage

@@ -11,7 +11,6 @@ import (
 	"cosplit/internal/obs"
 	"cosplit/internal/pager"
 	"cosplit/internal/scilla/value"
-	"cosplit/internal/shard"
 	"cosplit/internal/workload"
 )
 
@@ -164,55 +163,32 @@ func TestPagedEvictionInsideCommitPhase(t *testing.T) {
 	}
 }
 
-// provisionFTMode provisions the same deterministic FT genesis as
-// provisionFT with extra execution-mode options layered on top.
-func provisionFTMode(t *testing.T, extra ...shard.Option) *workload.Env {
-	t.Helper()
-	opts := append([]shard.Option{shard.WithShards(4), shard.WithConsensusModel(false)}, extra...)
-	env, err := workload.Provision(workload.FTTransfer(), true, opts...)
-	if err != nil {
-		t.Fatalf("provision: %v", err)
-	}
-	return env
-}
-
-// TestPagedCrossModeBitIdentical pins the acceptance criterion that all
-// four execution modes stay bit-identical to an unpaged sequential run
-// when state lives behind a starved page cache: parallel-shard and
-// intra-shard workers fault and evict pages concurrently with
-// execution, and none of it may leak into roots, checkpoints, or tx
-// ids.
+// TestPagedCrossModeBitIdentical pins the acceptance criterion that a
+// run whose state lives behind a starved page cache stays bit-identical
+// to an unpaged, storeless one: execution faults and evicts pages as it
+// goes, and none of it may leak into roots, checkpoints, or tx ids. (The
+// one subtest keeps the name it had when the pipeline had other modes
+// than running shards back to back.)
 func TestPagedCrossModeBitIdentical(t *testing.T) {
 	ref := provisionFT(t)
 	refRoots, refCps := runEpochs(t, ref, 1, 5)
 
-	modes := []struct {
-		name string
-		opts []shard.Option
-	}{
-		{"sequential", nil},
-		{"parallel-shards", []shard.Option{shard.WithParallelism(true)}},
-		{"intra-shard", []shard.Option{shard.WithIntraShardParallelism(4)}},
-		{"both", []shard.Option{shard.WithParallelism(true), shard.WithIntraShardParallelism(4)}},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			env := provisionFTMode(t, m.opts...)
-			st := openStore(t, t.TempDir(), WithSnapshotEvery(2), tinyPaged())
-			if err := st.Recover(env.Net); err != nil {
-				t.Fatalf("paged recover (fresh dir): %v", err)
+	t.Run("sequential", func(t *testing.T) {
+		env := provisionFT(t)
+		st := openStore(t, t.TempDir(), WithSnapshotEvery(2), tinyPaged())
+		if err := st.Recover(env.Net); err != nil {
+			t.Fatalf("paged recover (fresh dir): %v", err)
+		}
+		env.Net.AttachStateStore(st)
+		defer st.Close()
+		roots, cps := runEpochs(t, env, 1, 5)
+		for i := range roots {
+			if roots[i] != refRoots[i] || cps[i] != refCps[i] {
+				t.Fatalf("epoch %d diverged from the unpaged run: root %s cp %+v, want %s %+v",
+					i+1, roots[i], cps[i], refRoots[i], refCps[i])
 			}
-			env.Net.AttachStateStore(st)
-			defer st.Close()
-			roots, cps := runEpochs(t, env, 1, 5)
-			for i := range roots {
-				if roots[i] != refRoots[i] || cps[i] != refCps[i] {
-					t.Fatalf("epoch %d diverged from unpaged sequential: root %s cp %+v, want %s %+v",
-						i+1, roots[i], cps[i], refRoots[i], refCps[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestPagedRecoverColdCache(t *testing.T) {

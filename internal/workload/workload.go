@@ -278,11 +278,10 @@ func FTTransfer() *Workload {
 
 // FTTransferDisjoint transfers tokens between pairwise-disjoint
 // sender/recipient pairs: each epoch-sized window of the stream touches
-// every user at most once, so every transaction's footprint (sender
-// account, sender and recipient token balances) is disjoint from every
-// other's. This is the best case for intra-shard parallel execution —
-// all-singleton conflict groups — and the workload behind the
-// BENCH_epoch intra-parallel rows.
+// every user at most once, so what one transaction touches (sender
+// account, sender and recipient token balances) is disjoint from what
+// every other does: no transaction waits on or fails because of another.
+// It is the stream of the benchmark's epoch_ft_sharded workload.
 func FTTransferDisjoint() *Workload {
 	return &Workload{
 		Name:     "FT transfer disjoint",

@@ -1,20 +1,13 @@
 #!/usr/bin/env sh
 # benchdiff.sh OLD.json NEW.json [threshold_pct]
 #
-# Compares two benchmark reports of the same schema and fails (exit 1)
-# on a regression of more than threshold_pct percent (default 10):
+# Compares two BENCH_state.json reports and fails (exit 1) when the
+# committed TPS of the worst paged cell at the default budget shrank by
+# more than threshold_pct percent (default 10): a paging overhead
+# regression. Any other report — an epoch-bench one by name — is
+# refused (exit 2).
 #
-#   BENCH_epoch.json  — the 1-shard sequential execute_max may not grow
-#                       past the threshold (execution-engine slowdown).
-#   BENCH_state.json  — the committed TPS of the worst paged cell at
-#                       the default budget may not shrink past the
-#                       threshold (paging overhead regression).
-#
-# Run after regenerating either report:
-#
-#   cp BENCH_epoch.json /tmp/prev.json
-#   go run ./cmd/shardsim -epoch-bench -bench-out BENCH_epoch.json
-#   scripts/benchdiff.sh /tmp/prev.json BENCH_epoch.json
+# Run after regenerating the report:
 #
 #   cp BENCH_state.json /tmp/prev.json
 #   go run ./cmd/shardsim -state-bench -bench-out BENCH_state.json
@@ -26,49 +19,23 @@ NEW=${2:?usage: benchdiff.sh OLD.json NEW.json [threshold_pct]}
 THRESHOLD=${3:-10}
 SCRIPT_DIR=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
 
-# extract FILE: "<kind> <value>" — kind exec_max (lower is better) or
-# state_tps (higher is better), chosen by the report's schema field.
+# extract FILE: "state_tps <value>".
 extract() {
     go run "$SCRIPT_DIR/benchdiff_extract.go" "$1"
 }
 
-OLD_OUT=$(extract "$OLD")
-NEW_OUT=$(extract "$NEW")
-OLD_KIND=${OLD_OUT%% *}; OLD_VAL=${OLD_OUT#* }
-NEW_KIND=${NEW_OUT%% *}; NEW_VAL=${NEW_OUT#* }
+OLD_OUT=$(extract "$OLD") || exit 2
+NEW_OUT=$(extract "$NEW") || exit 2
+OLD_VAL=${OLD_OUT#* }
+NEW_VAL=${NEW_OUT#* }
 
-if [ "$OLD_KIND" != "$NEW_KIND" ]; then
-    echo "benchdiff: schema mismatch: $OLD is $OLD_KIND, $NEW is $NEW_KIND" >&2
-    exit 2
-fi
-
-case "$OLD_KIND" in
-exec_max)
-    echo "benchdiff: 1-shard sequential execute_max: old=${OLD_VAL}ms new=${NEW_VAL}ms (threshold +${THRESHOLD}%)"
-    # Fail when NEW > OLD * (1 + THRESHOLD/100).
-    awk -v old="$OLD_VAL" -v new="$NEW_VAL" -v thr="$THRESHOLD" 'BEGIN {
-        limit = old * (1 + thr / 100)
-        if (new > limit) {
-            printf "benchdiff: REGRESSION: execute_max %.3fms exceeds %.3fms (+%s%% over %.3fms)\n", new, limit, thr, old
-            exit 1
-        }
-        printf "benchdiff: OK (limit %.3fms)\n", limit
-    }'
-    ;;
-state_tps)
-    echo "benchdiff: default-budget paged TPS (worst cell): old=${OLD_VAL} new=${NEW_VAL} (threshold -${THRESHOLD}%)"
-    # Fail when NEW < OLD * (1 - THRESHOLD/100).
-    awk -v old="$OLD_VAL" -v new="$NEW_VAL" -v thr="$THRESHOLD" 'BEGIN {
-        limit = old * (1 - thr / 100)
-        if (new < limit) {
-            printf "benchdiff: REGRESSION: paged TPS %.0f fell below %.0f (-%s%% of %.0f)\n", new, limit, thr, old
-            exit 1
-        }
-        printf "benchdiff: OK (floor %.0f)\n", limit
-    }'
-    ;;
-*)
-    echo "benchdiff: unknown metric kind $OLD_KIND" >&2
-    exit 2
-    ;;
-esac
+echo "benchdiff: default-budget paged TPS (worst cell): old=${OLD_VAL} new=${NEW_VAL} (threshold -${THRESHOLD}%)"
+# Fail when NEW < OLD * (1 - THRESHOLD/100).
+awk -v old="$OLD_VAL" -v new="$NEW_VAL" -v thr="$THRESHOLD" 'BEGIN {
+    limit = old * (1 - thr / 100)
+    if (new < limit) {
+        printf "benchdiff: REGRESSION: paged TPS %.0f fell below %.0f (-%s%% of %.0f)\n", new, limit, thr, old
+        exit 1
+    }
+    printf "benchdiff: OK (floor %.0f)\n", limit
+}'

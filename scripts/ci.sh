@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Repository verification: formatting, build, vet, full test suite, and
-# the race detector over the concurrent packages (the parallel epoch
-# pipeline in internal/shard, the striped dispatcher in
-# internal/dispatch, the striped mempool in internal/mempool, and the
-# obs recorders/journal that all three feed).
+# the race detector over the packages several goroutines reach (the
+# striped dispatcher in internal/dispatch and the striped mempool in
+# internal/mempool that RPC submitters call into, the obs
+# recorders/journal they feed, and the node actors around
+# internal/shard's single-goroutine pipeline).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -25,19 +26,20 @@ go test ./...
 # does.
 (cd benchmark && go vet . && go test .)
 # The race run covers the golden-trace tests (journal writes from the
-# shard pipeline), the cross-mode determinism suite (sequential vs
-# parallel-shards vs intra-parallel vs both), the shard-vs-DS route
-# tests (failed-call atomicity, typed failure receipts) and the commit
-# tests (a failed phase leaves no trace; commit + root allocations equal
-# over 1k and 100k holders; the undo log in internal/chain) alongside
-# the concurrent packages.
+# shard pipeline), the run-twice determinism suite (same seed, two
+# networks, equal roots, receipts and MicroBlocks), the structural test
+# that internal/shard and internal/dispatch contain no go statement, the
+# shard-vs-DS route tests (failed-call atomicity, typed failure
+# receipts) and the commit tests (a failed phase leaves no trace; commit
+# + root allocations equal over 1k and 100k holders; the undo log in
+# internal/chain) alongside the concurrent packages.
 go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... ./internal/mempool/... ./internal/obs/... ./internal/fault/...
 # The node/wire/rpc race run covers the actor cluster end to end,
 # including the TCP-transport smoke (TestTCPClusterSmoke), the
 # fault-injection recovery tests over real frames, the absolute
-# golden-root suite over every execution mode plus a ChanNetwork
-# cluster, and replicas applying DS-heavy FinalBlocks without
-# executing.
+# golden-root suite (monolithic, interpreter, ChanNetwork cluster), a
+# dead shard node's traffic escalating to the DS committee, and replicas
+# applying DS-heavy FinalBlocks without executing.
 go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
 # The persistence race run covers the state store (journal append,
 # snapshot rotation, recovery), the disk-backed page cache (concurrent
@@ -71,22 +73,16 @@ go test -fuzz=FuzzDecoders -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzReceiptEvents -fuzztime=10s ./internal/wire/
 # Smoke-test the closed-loop admission path end to end through the CLI.
 go run ./cmd/shardsim -submit-rate 200 -mempool-cap 1024 -epochs 3 -workloads "FT transfer"
-# Smoke-test the intra-shard parallel executor on the commuting
-# workload it is built for.
-go run ./cmd/shardsim -intra-parallel 4 -epochs 3 -workloads "FT transfer disjoint"
 # Chaos smoke: deterministic fault injection (crashes, drops,
 # stragglers) through the closed loop, under the race detector so the
-# recovery paths (requeue, view change, escalation) are exercised with
-# the parallel executors on.
-go run -race ./cmd/shardsim -submit-rate 200 -mempool-cap 1024 -epochs 4 -parallel -intra-parallel 4 \
+# recovery paths (requeue, view change, escalation) are exercised.
+go run -race ./cmd/shardsim -submit-rate 200 -mempool-cap 1024 -epochs 4 \
     -workloads "FT transfer" -faults "7:crash=0.1,drop=0.05,corrupt=0.02,straggle=0.25x4"
 # Compiled-execution coverage: the closure-chain executor is the
 # default engine (exercised by every run above, including the race
-# runs); this pair smoke-tests the interpreter escape hatch and pins
-# both engines on the same workload. Compiled-vs-interpreted
-# equivalence itself is enforced by the differential suites in
-# internal/scilla/compile and internal/shard.
-go run -race ./cmd/shardsim -parallel -epochs 3 -workloads "FT transfer"
+# runs); this smoke-tests the interpreter escape hatch on the same
+# workload. Compiled-vs-interpreted equivalence itself is enforced by
+# the differential suites in internal/scilla/compile and internal/shard.
 go run ./cmd/shardsim -no-compile -epochs 3 -workloads "FT transfer"
 # Restart-recovery smoke through the CLI: a fresh persistent run
 # prints its final chain head; a recover-only restart (-epochs 0) must
@@ -95,6 +91,24 @@ go run ./cmd/shardsim -no-compile -epochs 3 -workloads "FT transfer"
 # recovery must come back cleanly (torn tail truncated at the last
 # good frame) and two consecutive recoveries must agree.
 go build -o /tmp/cosplit-shardsim ./cmd/shardsim
+# The node modes take none of the simulator's experiment flags yet; each
+# must be refused by name, not dropped. (`! cmd` alone is exempt from
+# set -e, and an accepted -serve would run for ever: hence the helper.)
+refused() {
+    flag=$1
+    shift
+    if out=$(timeout 10 /tmp/cosplit-shardsim "$@" 2>&1); then
+        echo "ci: shardsim $* was not refused" >&2
+        exit 1
+    fi
+    echo "$out" | grep -q -- "$flag has no effect"
+}
+refused -faults -serve 127.0.0.1:18545 -faults "7:crash=0.1"
+refused -trace-out -serve 127.0.0.1:18545 -trace-out /tmp/cosplit-trace.jsonl
+refused -state-budget -serve 127.0.0.1:18545 -state-dir /tmp/cosplit-none -state-budget 1048576
+refused -metrics-out -node ds -hub 127.0.0.1:19100 -metrics-out /tmp/cosplit-metrics.json
+refused -no-compile -node shard:0 -hub 127.0.0.1:19100 -no-compile
+refused -submit-rate -hammer http://127.0.0.1:18545 -submit-rate 200
 STATE_DIR=$(mktemp -d)
 FINAL=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -submit-rate 200 -epochs 4 | grep '^state: final')
 RECOVERED=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -epochs 0 | grep '^state: recovered')
@@ -201,7 +215,6 @@ done
 kill $HUB_PID
 wait $HUB_PID || true
 rm -rf "$NODE_DIR"
-# After regenerating BENCH_epoch.json or BENCH_state.json,
-# scripts/benchdiff.sh OLD NEW fails on a >10% regression of the
-# report's gating metric (1-shard sequential execute_max, or the
-# default-budget paged TPS).
+# After regenerating BENCH_state.json, scripts/benchdiff.sh OLD NEW
+# fails on a >10% regression of its gating metric (the default-budget
+# paged TPS).
