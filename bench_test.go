@@ -24,12 +24,14 @@ import (
 	"cosplit/internal/core/signature"
 	"cosplit/internal/ethdata"
 	"cosplit/internal/node"
+	"cosplit/internal/obs"
 	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/eval"
 	"cosplit/internal/scilla/parser"
 	"cosplit/internal/scilla/typecheck"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
+	"cosplit/internal/store"
 	"cosplit/internal/workload"
 )
 
@@ -261,53 +263,7 @@ func BenchmarkCommitHolders(b *testing.B) {
 		// The state is built inside the size's own benchmark, so a
 		// -bench filter on one size does not pay for the others.
 		b.Run(fmt.Sprintf("holders=%d", holders), func(b *testing.B) {
-			net := shard.NewNetwork(shard.WithShards(3))
-			deployer := chain.AddrFromUint(999_999_999)
-			net.CreateUser(deployer, 1<<60)
-			c, err := net.DeployContract(deployer, contracts.FungibleToken, map[string]value.Value{
-				"contract_owner": deployer.Value(),
-				"token_name":     value.Str{S: "B"},
-				"token_symbol":   value.Str{S: "B"},
-				"decimals":       value.Uint32V(6),
-				"init_supply":    value.Uint128(0),
-			}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fields := map[string]value.Value{}
-			for name, v := range net.Contracts.Get(c).Snapshot().Fields {
-				fields[name] = v
-			}
-			balances := value.NewMap(ast.TyByStr20, ast.TyUint128)
-			for i := 0; i < holders; i++ {
-				balances.Set(chain.AddrFromUint(uint64(i+1)).Value(), value.Uint128(1000))
-			}
-			fields["balances"] = balances
-			if err := net.RestoreContractState(c, fields); err != nil {
-				b.Fatal(err)
-			}
-			fd := &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, entries)}
-			acc := chain.NewAccountDelta()
-			for i := 0; i < entries; i++ {
-				// Spread over the whole key space, so the dirty paths are
-				// as many at every size.
-				u := chain.AddrFromUint(uint64(i*(holders/entries) + 1))
-				net.CreateUser(u, 1<<50)
-				keys := []value.Value{u.Value()}
-				if i%2 == 0 {
-					fd.Entries[chain.Keypath(keys)] = chain.EntryDelta{Kind: chain.IntAdd, Keys: keys, Delta: big.NewInt(3)}
-				} else {
-					fd.Entries[chain.Keypath(keys)] = chain.EntryDelta{Kind: chain.Overwrite, Keys: keys, Value: value.Uint128(uint64(2000 + i))}
-				}
-				acc.AddBalance(u, big.NewInt(-7))
-				acc.BumpNonce(u, 1)
-			}
-			net.RebuildStateRoots()
-			net.StateRoot()
-			fb := &shard.FinalBlock{
-				Deltas:   []*chain.StateDelta{{Contract: c, Fields: map[string]*chain.FieldDelta{"balances": fd}}},
-				Accounts: acc,
-			}
+			net, fb := holdersNetwork(b, holders, entries)
 			apply := func(b *testing.B) {
 				fb.Epoch = net.Epoch
 				if err := net.ApplyFinalBlock(fb); err != nil {
@@ -334,6 +290,101 @@ func BenchmarkCommitHolders(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
 			})
+		})
+	}
+}
+
+// holdersNetwork is the state of the flatness rows: a token contract
+// of `holders` balances, and one block whose 500-entry delta (half
+// additions, half overwrites, with the senders' account delta) is
+// spread over the whole key space, so the dirty paths are as many at
+// every size.
+func holdersNetwork(b *testing.B, holders, entries int) (*shard.Network, *shard.FinalBlock) {
+	net := shard.NewNetwork(shard.WithShards(3))
+	deployer := chain.AddrFromUint(999_999_999)
+	net.CreateUser(deployer, 1<<60)
+	c, err := net.DeployContract(deployer, contracts.FungibleToken, map[string]value.Value{
+		"contract_owner": deployer.Value(),
+		"token_name":     value.Str{S: "B"},
+		"token_symbol":   value.Str{S: "B"},
+		"decimals":       value.Uint32V(6),
+		"init_supply":    value.Uint128(0),
+	}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fields := map[string]value.Value{}
+	for name, v := range net.Contracts.Get(c).Snapshot().Fields {
+		fields[name] = v
+	}
+	balances := value.NewMap(ast.TyByStr20, ast.TyUint128)
+	for i := 0; i < holders; i++ {
+		balances.Set(chain.AddrFromUint(uint64(i+1)).Value(), value.Uint128(1000))
+	}
+	fields["balances"] = balances
+	if err := net.RestoreContractState(c, fields); err != nil {
+		b.Fatal(err)
+	}
+	fd := &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, entries)}
+	acc := chain.NewAccountDelta()
+	for i := 0; i < entries; i++ {
+		u := chain.AddrFromUint(uint64(i*(holders/entries) + 1))
+		net.CreateUser(u, 1<<50)
+		keys := []value.Value{u.Value()}
+		if i%2 == 0 {
+			fd.Entries[chain.Keypath(keys)] = chain.EntryDelta{Kind: chain.IntAdd, Keys: keys, Delta: big.NewInt(3)}
+		} else {
+			fd.Entries[chain.Keypath(keys)] = chain.EntryDelta{Kind: chain.Overwrite, Keys: keys, Value: value.Uint128(uint64(2000 + i))}
+		}
+		acc.AddBalance(u, big.NewInt(-7))
+		acc.BumpNonce(u, 1)
+	}
+	net.RebuildStateRoots()
+	net.StateRoot()
+	return net, &shard.FinalBlock{
+		Deltas:   []*chain.StateDelta{{Contract: c, Fields: map[string]*chain.FieldDelta{"balances": fd}}},
+		Accounts: acc,
+	}
+}
+
+// BenchmarkSnapshotHolders is the snapshot boundary's flatness row,
+// beside the commit's: the store journals the same 500-entry block over
+// 10k, 100k and 1M holders and, the epoch being a boundary, writes the
+// snapshot file — the first of a fresh directory, so an incremental one
+// at every size. ns/entry, B/op, allocs/op and snapshot-B/op (the file)
+// should read the same at every size; the full dump it replaces grew
+// with the holders.
+func BenchmarkSnapshotHolders(b *testing.B) {
+	const entries = 500
+	for _, holders := range []int{10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("holders=%d", holders), func(b *testing.B) {
+			net, fb := holdersNetwork(b, holders, entries)
+			fb.Epoch = net.Epoch
+			cp := shard.Checkpoint{Epoch: fb.Epoch + 1, BlockNumber: fb.Epoch + 1}
+			reg := obs.NewRegistry()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st, err := store.Open(b.TempDir(), store.WithSnapshotEvery(1), store.WithRegistry(reg))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := st.EpochCommitted(net, fb, cp); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			if full := reg.Counter("store.snapshots_full").Value(); full != 0 {
+				b.Fatalf("%d of %d boundaries wrote a full file", full, b.N)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+			b.ReportMetric(float64(reg.Counter("store.snapshot_bytes").Value())/float64(b.N), "snapshot-B/op")
 		})
 	}
 }

@@ -80,7 +80,7 @@ func main() {
 		metricsOut  = flag.String("metrics-out", "", "write the aggregated metrics registry as JSON to this file on exit")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		stateDir    = flag.String("state-dir", "", "persistent state directory: closed-loop runs (-submit-rate, one -workloads entry) journal every epoch and recover on restart; -epochs 0 recovers and prints the chain head without driving load; with -serve every stateful node persists under per-role subdirectories")
-		snapEvery   = flag.Int("snapshot-every", 8, "with -state-dir: full-state snapshot and journal compaction every N committed epochs (0 = journal only, replayed from genesis)")
+		snapEvery   = flag.Int("snapshot-every", 8, "with -state-dir: snapshot file (what changed since the last one, or the full state when that is no smaller) and journal compaction every N committed epochs (0 = journal only, replayed from genesis)")
 		stateBudget = flag.Int64("state-budget", 0, "with -state-dir: put canonical state behind a disk-backed LRU page cache of at most this many bytes (0 = fully resident); pages live under <state-dir>/pages and replace full snapshot files")
 		pageSize    = flag.Int("page-size", 512, "target accounts per page for -state-budget and -state-bench (the page table is sized to population/page-size, rounded up to a power of two)")
 		stateBench  = flag.Bool("state-bench", false, "run the paged-state benchmark (accounts x budget grid: throughput, faults/epoch, p99 fault latency) and write BENCH_state.json via -bench-out")
@@ -227,6 +227,10 @@ func main() {
 		fail(st.Recover(env.Net))
 		cp := env.Net.Checkpoint()
 		fmt.Printf("state: recovered epoch=%d root=%s\n", cp.Epoch, env.Net.StateRoot())
+		// On a line of its own: scripts compare the line above verbatim.
+		full, incremental := st.Chain()
+		fmt.Printf("state: chain %d full + %d incremental, %d journaled blocks replayed\n",
+			full, incremental, reg.Counter("store.replayed_blocks").Value())
 		if *epochs == 0 {
 			fail(st.Close())
 			return

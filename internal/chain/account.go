@@ -84,6 +84,20 @@ func (as *Accounts) Range(f func(Address, *Account) bool) {
 	as.b.Range(f)
 }
 
+// Each calls f for every address of addrs that holds an account, in
+// the order given, on the same terms as Range: f receives the live
+// account and must not mutate it, and may keep what it points to only
+// while nothing commits to the table.
+func (as *Accounts) Each(addrs []Address, f func(Address, *Account)) {
+	as.mu.RLock()
+	defer as.mu.RUnlock()
+	for _, addr := range addrs {
+		if acc := as.b.Load(addr); acc != nil {
+			f(addr, acc)
+		}
+	}
+}
+
 // Len returns the number of accounts.
 func (as *Accounts) Len() int {
 	as.mu.RLock()

@@ -43,6 +43,12 @@ func (n *Network) Checkpoint() Checkpoint {
 	return Checkpoint{Epoch: n.Epoch, BlockNumber: n.BlockNumber, NextTxID: n.nextTxID}
 }
 
+// StateLeaves returns the number of leaves under the state root: one
+// per account and one per contract state component (scalar field, map
+// entry, or empty-map marker). It is the size a full dump of the state
+// has, in the unit a delta's entries are counted in.
+func (n *Network) StateLeaves() int { return n.roots.Len() }
+
 // RestoreCheckpoint rewinds or advances the progress marker to a
 // recovered checkpoint. Recovery-only: the caller must also have
 // restored the matching state.

@@ -140,7 +140,7 @@ func restorePaged(dir string, n *shard.Network) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	_, _, err = replayJournal(f, n, nil)
+	_, err = replayJournal(f, n, nil)
 	return err
 }
 
@@ -202,10 +202,16 @@ func (s *Store) replayTail(n *shard.Network) error {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: recover: %w", err)
 	}
-	_, good, err := replayJournal(s.f, n, s.replayed)
+	good, err := replayJournal(s.f, n, func(*shard.FinalBlock) { s.replayed.Inc() })
 	if err != nil {
 		return err
 	}
+	return s.truncateJournal(good)
+}
+
+// truncateJournal cuts the journal after its last valid frame, at
+// offset good, and positions it for append. Called with s.mu held.
+func (s *Store) truncateJournal(good int64) error {
 	if err := s.f.Truncate(good); err != nil {
 		return fmt.Errorf("store: recover: truncate journal: %w", err)
 	}

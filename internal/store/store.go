@@ -1,48 +1,71 @@
 // Package store is the durability backend behind
 // shard.WithStateStore: an append-only journal of committed epochs
-// plus periodic full-state snapshots, from which a restarted network
-// recovers to the exact committed state — same epoch, same next
-// transaction id, bit-identical authenticated root.
+// plus periodic snapshots that cost what changed, from which a
+// restarted network recovers to the exact committed state — same epoch,
+// same next transaction id, bit-identical authenticated root.
 //
 // On disk a state directory holds:
 //
-//	journal.log        one wire frame (MsgCheckpointBlock) per
-//	                   committed epoch: the sealed FinalBlock and the
-//	                   post-commit checkpoint
-//	snapshot-<E>.snap  full state as of epoch E: header (checkpoint +
-//	                   root), every contract's fields, every account,
-//	                   and a trailer with the record counts
+//	journal.log        one wire frame (MsgCheckpointBlock) per epoch
+//	                   committed since the newest snapshot file: the
+//	                   sealed FinalBlock and the post-commit checkpoint
+//	snapshot-<E>.snap  state as of epoch E. A full file: header
+//	                   (checkpoint + root), every contract's fields,
+//	                   every account, a trailer with the record counts.
+//	                   An incremental file: header, the epoch of the
+//	                   file (or genesis) it extends, then only what
+//	                   changed since that epoch — contract components as
+//	                   MsgStateDelta records of post-values (Overwrite,
+//	                   Delete, whole field), accounts — and the trailer
 //
-// Both files reuse the internal/wire frame format, so every record is
+// The files of a directory form a chain: at most one full file, then
+// the incremental files written since, each naming the one before it.
+// Recovery provisions the same deterministic genesis the original run
+// started from and writes the chain over it, so a file only ever needs
+// what differs; a chain with no full file rests on genesis itself.
+//
+// Every SnapshotEvery epochs the store writes the next file and
+// restarts the journal. It keeps the keys — never the values — that
+// the blocks journaled since the last file wrote, and the fold rule
+// (Store.snapshot) picks the file's kind from what it can count: an
+// incremental file while the chain's incremental files plus this one,
+// costed in leaves of a full file, stay below the root trie's leaf
+// count, else a full file, after which everything older is deleted.
+// Two bounds follow: recovery reads fewer than two states' worth of
+// records, and the directory holds less than two full snapshots plus
+// the journal. A boundary that touched 4 % of the state writes 4 % of
+// it.
+//
+// All files reuse the internal/wire frame format, so every record is
 // length-prefixed and CRC-checked: a torn tail (crash mid-append) or a
 // flipped bit is detected at the frame layer, never misparsed into
 // wrong state. Snapshots are written to a temp file, fsynced, and
-// renamed into place; the journal is fsynced after every epoch before
-// the pipeline is allowed to continue.
+// renamed into place, the directory fsynced, and only then the journal
+// truncated; the journal is fsynced after every epoch before the
+// pipeline is allowed to continue.
 //
-// Recovery (Store.Recover, or the read-only Restore) loads the newest
-// complete snapshot, verifies the rebuilt authenticated root against
-// the snapshot header, then replays the journal tail — FinalBlocks
-// past the snapshot's epoch — through the network's ordinary replay
-// path, which re-verifies each block's root. A torn journal tail is
-// truncated at the last valid frame (Recover) or ignored (Restore).
+// Recovery (Store.Recover, or the read-only Restore) applies the
+// newest readable full file and each later incremental file whose base
+// is the epoch reached, rebuilds the authenticated root once and
+// verifies it against the last header applied, then replays the
+// journal tail — FinalBlocks past the chain's epoch — through the
+// network's ordinary replay path, which re-verifies each block's root.
+// A torn journal tail is truncated at the last valid frame (Recover)
+// or ignored (Restore). A file that cannot be applied ends the chain
+// there; unless the journal still holds the blocks it covered (a crash
+// between a file's rename and the truncation), recovery fails loudly
+// rather than return an older state.
 package store
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
-	"cosplit/internal/chain"
 	"cosplit/internal/obs"
 	"cosplit/internal/pager"
 	"cosplit/internal/shard"
@@ -52,13 +75,9 @@ import (
 // journalName is the append-only epoch journal inside a state dir.
 const journalName = "journal.log"
 
-// snapshotBatch is how many accounts ride in one MsgSnapshotAccounts
-// frame; batching keeps frames small without a frame per account.
-const snapshotBatch = 4096
-
 // ErrCorruptSnapshot reports a snapshot file recovery cannot use:
-// truncated, record counts off, or a state root that does not match
-// its header after restore.
+// truncated, record counts off, out of sequence in its chain, or a
+// state root that does not match its header after restore.
 var ErrCorruptSnapshot = errors.New("store: corrupt snapshot")
 
 // ErrJournalGap reports a journal whose next block skips past the
@@ -69,7 +88,7 @@ var ErrJournalGap = errors.New("store: journal gap")
 // shard.StateStore: attach with shard.WithStateStore (or
 // Network.AttachStateStore) and every committed epoch is journaled
 // durably before the pipeline continues; every SnapshotEvery epochs
-// the journal is compacted into a fresh full-state snapshot.
+// the journal is compacted into the next snapshot file.
 //
 // A Store serves one network; EpochCommitted and Recover are
 // serialised internally, so the node runtime's actor goroutine and a
@@ -90,21 +109,40 @@ type Store struct {
 	pagedOpts   []pager.Option
 	pager       *pager.Pager
 
-	reg            *obs.Registry
-	journalRecords *obs.Counter
-	snapshots      *obs.Counter
-	replayed       *obs.Counter
-	journalBytes   *obs.Gauge
+	// What the next snapshot file extends. chain is the directory's
+	// snapshot files as recovered or written since (chain.epoch: the
+	// newest one's, or genesis), dirty the keys written by the blocks
+	// journaled after it, head the epoch the next block must have.
+	// tracked says dirty is complete: after Recover or a file of this
+	// store's own, until a block arrives out of sequence or the keys
+	// are given up as too many (EpochCommitted). fresh marks a
+	// directory found empty at Open, whose first block shows the
+	// genesis epoch it starts from.
+	chain   snapshotChain
+	dirty   dirtySet
+	head    uint64
+	tracked bool
+	fresh   bool
+
+	reg             *obs.Registry
+	journalRecords  *obs.Counter
+	snapshots       *obs.Counter
+	snapshotsFull   *obs.Counter
+	snapshotRecords *obs.Counter
+	snapshotBytes   *obs.Counter
+	replayed        *obs.Counter
+	journalBytes    *obs.Gauge
+	chainRecords    *obs.Gauge
 }
 
 // Option configures a Store at Open time.
 type Option func(*Store)
 
-// WithSnapshotEvery sets the snapshot cadence: a full-state snapshot
-// (and journal compaction) after every n committed epochs, whenever
-// the checkpoint epoch is a multiple of n. n = 0 disables snapshots —
-// the journal grows forever and recovery replays it from genesis.
-// The default is 8.
+// WithSnapshotEvery sets the snapshot cadence: a durable recovery point
+// (a snapshot file, incremental or full by the fold rule) and a journal
+// compaction after every n committed epochs, whenever the checkpoint
+// epoch is a multiple of n. n = 0 disables snapshots — the journal
+// grows forever and recovery replays it from genesis. The default is 8.
 func WithSnapshotEvery(n int) Option {
 	return func(s *Store) {
 		if n < 0 {
@@ -114,9 +152,10 @@ func WithSnapshotEvery(n int) Option {
 	}
 }
 
-// WithRegistry counts the store's metrics (journal records and bytes,
-// snapshots written, blocks replayed in recovery) in reg instead of a
-// private registry.
+// WithRegistry counts the store's metrics (journal records and bytes;
+// snapshot boundaries, how many wrote a full file, the records and
+// bytes they wrote and the records in the chain's incremental files;
+// blocks replayed in recovery) in reg instead of a private registry.
 func WithRegistry(reg *obs.Registry) Option {
 	return func(s *Store) { s.metrics(reg) }
 }
@@ -125,8 +164,12 @@ func (s *Store) metrics(reg *obs.Registry) {
 	s.reg = reg
 	s.journalRecords = reg.Counter("store.journal_records")
 	s.snapshots = reg.Counter("store.snapshots")
+	s.snapshotsFull = reg.Counter("store.snapshots_full")
+	s.snapshotRecords = reg.Counter("store.snapshot_records")
+	s.snapshotBytes = reg.Counter("store.snapshot_bytes")
 	s.replayed = reg.Counter("store.replayed_blocks")
 	s.journalBytes = reg.Gauge("store.journal_bytes")
+	s.chainRecords = reg.Gauge("store.chain_records")
 }
 
 // Open opens (creating if needed) a state directory for writing. The
@@ -152,6 +195,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	}
 	s.w = bufio.NewWriter(f)
 	s.journalBytes.Set(end)
+	s.fresh = !s.paged && end == 0 && len(snapshotsIn(dir)) == 0
 	if s.paged {
 		if err := s.openPager(); err != nil {
 			f.Close()
@@ -182,8 +226,8 @@ func (s *Store) Close() error {
 // EpochCommitted implements shard.StateStore: append the committed
 // block to the journal and fsync before returning, so a crash after
 // this call replays the epoch and a crash during it truncates a torn
-// frame. On a snapshot boundary the full state is dumped and the
-// journal compacted.
+// frame. On a snapshot boundary the next snapshot file is written and
+// the journal compacted.
 func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,16 +254,48 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 	}
 	s.journalRecords.Inc()
 	s.journalBytes.Add(int64(written))
+	if s.fresh {
+		// Nothing precedes this block: it starts from genesis.
+		s.chain.epoch, s.head = fb.Epoch, fb.Epoch
+		s.tracked, s.fresh = true, false
+	}
+	switch {
+	case !s.tracked:
+	case s.every == 0 || fb.Epoch != s.head:
+		// No boundary will read the keys, or a block went missing.
+		s.untrack()
+	default:
+		s.dirty.add(fb)
+		s.head = fb.Epoch + 1
+		// The keys only matter while the boundary could still write
+		// them as an incremental file. If at the interval's rate so far
+		// they will cost as much as the state by then, it will fold
+		// whatever follows: the rest of the interval is not recorded.
+		elapsed := s.head - s.chain.epoch
+		left := (s.every - cp.Epoch%s.every) % s.every
+		projected := s.dirty.cost + s.dirty.cost*int(left)/int(elapsed)
+		if s.chain.cost+projected >= n.StateLeaves() {
+			s.untrack()
+		}
+	}
 	if s.every > 0 && cp.Epoch%s.every == 0 {
-		if err := s.snapshot(n, cp); err != nil {
+		if err := s.snapshot(n, cp, false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Snapshot forces a full-state snapshot of n at its current checkpoint
-// and compacts the journal. Replicas that caught up from another
+// untrack gives up the dirty set: the next boundary writes a full file.
+func (s *Store) untrack() {
+	s.tracked = false
+	s.dirty.reset()
+}
+
+// Snapshot forces a full snapshot of n at its current checkpoint —
+// always the whole state, whatever the fold rule would pick: the
+// store has not seen how n got there — compacts the journal and deletes
+// every older snapshot file. Replicas that caught up from another
 // directory (Restore) call this so their own journal does not start
 // with a gap: after a forced snapshot, recovery resumes from the
 // snapshot instead of a journal whose last record predates the
@@ -230,116 +306,96 @@ func (s *Store) Snapshot(n *shard.Network) error {
 	if s.f == nil {
 		return errors.New("store: closed")
 	}
-	return s.snapshot(n, n.Checkpoint())
+	return s.snapshot(n, n.Checkpoint(), true)
 }
 
-// snapshot dumps the network's full state as of cp into
-// snapshot-<epoch>.snap, then compacts: the journal restarts empty and
-// older snapshots are deleted. Called with s.mu held, between epochs
-// (the pipeline is blocked in EpochCommitted), so canonical state is
-// quiescent. In paged mode the page index takes the snapshot's place.
-func (s *Store) snapshot(n *shard.Network, cp shard.Checkpoint) error {
+// snapshot writes snapshot-<epoch>.snap for cp and compacts the
+// journal. Called with s.mu held, between epochs (the pipeline is
+// blocked in EpochCommitted), so canonical state is quiescent. In paged
+// mode the page index takes the snapshot's place.
+//
+// The fold rule decides what the file holds, counting in leaves of a
+// full file: a dirty account costs one, a dirty contract component the
+// leaves its value renders to, and an entry record entryCost more for
+// the keypath it carries. The file is an incremental one, the
+// post-state of the dirty keys, while the chain stays smaller than the
+// state: the cost of the incremental files since the last full one plus
+// this file's — first as the keys alone predict it, then as counted
+// with the values read — must stay below the root trie's leaf count.
+// Otherwise, and when the dirty set may have missed a block, and always
+// when forced, the file is a full dump, after which every older file is
+// deleted. So the incremental files since a full one hold fewer records
+// than the state has leaves: recovery reads less than two states' worth,
+// and the directory holds less than two full snapshots plus the journal.
+func (s *Store) snapshot(n *shard.Network, cp shard.Checkpoint, forced bool) error {
 	if s.pager != nil {
 		return s.pagedCheckpoint(n, cp)
 	}
-	path := filepath.Join(s.dir, snapshotName(cp.Epoch))
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
+	leaves := n.StateLeaves()
+	var inc *incremental
+	if !forced && s.tracked && s.chain.cost+s.dirty.cost < leaves {
+		built, err := s.dirty.post(n)
+		if err != nil {
+			return fmt.Errorf("store: snapshot epoch %d: %w", cp.Epoch, err)
+		}
+		if s.chain.cost+built.cost < leaves {
+			inc = built
+		}
+	}
+	size, err := writeSnapshotFile(s.dir, snapshotName(cp.Epoch), func(w *bufio.Writer) error {
+		if inc != nil {
+			return writeIncremental(w, n, cp, s.chain.epoch, inc)
+		}
+		return writeFull(w, n, cp)
+	})
 	if err != nil {
-		return fmt.Errorf("store: snapshot epoch %d: %w", cp.Epoch, err)
-	}
-	err = writeSnapshot(f, n, cp)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err == nil {
-		err = syncDir(s.dir)
-	}
-	if err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("store: snapshot epoch %d: %w", cp.Epoch, err)
 	}
 	s.snapshots.Inc()
-	// The snapshot covers everything journaled so far: restart the
-	// journal and drop superseded snapshots. A crash between the rename
-	// and the truncation is benign — recovery skips journaled blocks at
-	// or before the snapshot's epoch.
-	if err := s.f.Truncate(0); err != nil {
-		return fmt.Errorf("store: compact journal: %w", err)
+	s.snapshotBytes.Add(size)
+	if inc != nil {
+		s.chain.incremental++
+		s.chain.cost += inc.cost
+		s.snapshotRecords.Add(int64(inc.cost))
+	} else {
+		s.chain.full, s.chain.incremental, s.chain.cost = 1, 0, 0
+		s.snapshotsFull.Inc()
+		s.snapshotRecords.Add(int64(leaves))
 	}
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: compact journal: %w", err)
+	s.chainRecords.Set(int64(s.chain.cost))
+	s.chain.epoch, s.head = cp.Epoch, cp.Epoch
+	s.dirty.reset()
+	s.tracked, s.fresh = true, false
+	// The file covers everything journaled so far: restart the journal.
+	// A crash between the rename and the truncation is benign — recovery
+	// skips journaled blocks at or before the snapshot's epoch.
+	if err := s.compactJournal(); err != nil {
+		return err
 	}
-	s.w.Reset(s.f)
-	s.journalBytes.Set(0)
-	for _, old := range snapshotsIn(s.dir) {
-		if old.epoch < cp.Epoch {
-			os.Remove(filepath.Join(s.dir, old.name))
+	if inc == nil {
+		for _, old := range snapshotsIn(s.dir) {
+			if old.epoch < cp.Epoch {
+				os.Remove(filepath.Join(s.dir, old.name))
+			}
 		}
 	}
 	return nil
 }
 
-// writeSnapshot streams the snapshot records: header, contracts in
-// address order, accounts in address order (batched), trailer.
-func writeSnapshot(f *os.File, n *shard.Network, cp shard.Checkpoint) error {
-	w := bufio.NewWriterSize(f, 1<<20)
-	hdr := wire.EncodeSnapshotHeader(&wire.SnapshotHeader{Checkpoint: cp, Root: n.StateRoot()})
-	if err := wire.WriteFrame(w, wire.MsgSnapshotHeader, hdr); err != nil {
-		return err
-	}
-	contracts := n.Contracts.All()
-	sort.Slice(contracts, func(i, j int) bool {
-		return bytes.Compare(contracts[i].Addr[:], contracts[j].Addr[:]) < 0
-	})
-	for _, c := range contracts {
-		payload, err := wire.EncodeSnapshotContract(&wire.SnapshotContract{
-			Addr: c.Addr, Fields: c.Snapshot().Fields,
-		})
-		if err != nil {
-			return err
-		}
-		if err := wire.WriteFrame(w, wire.MsgSnapshotContract, payload); err != nil {
-			return err
-		}
-	}
-	accs := make([]wire.SnapshotAccount, 0, n.Accounts.Len())
-	n.Accounts.Range(func(addr chain.Address, acc *chain.Account) bool {
-		accs = append(accs, wire.SnapshotAccount{
-			Addr: addr, Balance: acc.Balance, Nonce: acc.Nonce, IsContract: acc.IsContract,
-		})
-		return true
-	})
-	slices.SortFunc(accs, func(a, b wire.SnapshotAccount) int { return bytes.Compare(a.Addr[:], b.Addr[:]) })
-	for i := 0; i < len(accs); i += snapshotBatch {
-		end := i + snapshotBatch
-		if end > len(accs) {
-			end = len(accs)
-		}
-		if err := wire.WriteFrame(w, wire.MsgSnapshotAccounts, wire.EncodeSnapshotAccounts(accs[i:end])); err != nil {
-			return err
-		}
-	}
-	trailer := wire.EncodeSnapshotEnd(&wire.SnapshotEnd{
-		Contracts: uint64(len(contracts)), Accounts: uint64(len(accs)),
-	})
-	if err := wire.WriteFrame(w, wire.MsgSnapshotEnd, trailer); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// Recover restores n from the state directory: newest complete
-// snapshot first (root-verified), then the journal tail, truncating a
-// torn final frame. The network must be freshly provisioned through
-// the same deterministic genesis as the original run. On an empty
-// directory it is a no-op and the network stays at genesis.
+// Recover restores n from the state directory: the snapshot chain
+// (newest readable full file, then the incremental files after it, one
+// root check), then the journal tail, truncating a torn final frame.
+// The network must be freshly provisioned through the same
+// deterministic genesis as the original run — snapshot files hold what
+// differs from it. On an empty directory it is a no-op and the network
+// stays at genesis. A state older than a snapshot file of the directory
+// is never returned as recovered: if the chain cannot be applied up to
+// its newest file and the journal does not make up for it, Recover
+// fails with ErrCorruptSnapshot or ErrJournalGap.
+//
+// Recover owns the directory: it removes what a crash inside a snapshot
+// left behind — temp files, and snapshot files the recovered chain does
+// not use.
 func (s *Store) Recover(n *shard.Network) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -349,63 +405,123 @@ func (s *Store) Recover(n *shard.Network) error {
 	if s.pager != nil {
 		return s.recoverPaged(n)
 	}
-	if err := restoreSnapshot(s.dir, n); err != nil {
+	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("store: recover: %w", err)
+	}
+	// The blocks replayed from the journal are the ones committed since
+	// the chain's last file: their keys belong in the next one.
+	s.dirty.reset()
+	sc, good, err := restore(s.dir, s.f, n, func(fb *shard.FinalBlock) {
+		s.replayed.Inc()
+		if s.every > 0 {
+			s.dirty.add(fb)
+		}
+	})
+	if err != nil {
 		return err
 	}
-	return s.replayTail(n)
+	if err := s.truncateJournal(good); err != nil {
+		return err
+	}
+	for _, name := range sc.unused {
+		os.Remove(filepath.Join(s.dir, name))
+	}
+	if tmps, err := filepath.Glob(filepath.Join(s.dir, "snapshot-*.snap"+tmpSuffix)); err == nil {
+		for _, tmp := range tmps {
+			os.Remove(tmp)
+		}
+	}
+	s.chain, s.head = sc.snapshotChain, n.Epoch
+	s.tracked, s.fresh = s.every > 0, false
+	s.chainRecords.Set(int64(sc.cost))
+	return nil
+}
+
+// Chain reports the snapshot files the directory's state currently
+// rests on, as recovered or as written since: full (0 when it rests on
+// genesis, else 1) and the incremental files after it.
+func (s *Store) Chain() (full, incremental int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.chain.full, s.chain.incremental
 }
 
 // Restore recovers a network from a state directory without touching
-// it: no truncation, no journal handle kept. Replicas use it to catch
-// up from another role's directory (e.g. a shard node re-syncing from
-// the DS committee's state) before resuming live replay.
+// it: no truncation, no sweep, no journal handle kept. Replicas use it
+// to catch up from another role's directory (e.g. a shard node
+// re-syncing from the DS committee's state) before resuming live
+// replay.
 func Restore(dir string, n *shard.Network) error {
 	if hasPagedState(dir) {
 		return restorePaged(dir, n)
 	}
-	if err := restoreSnapshot(dir, n); err != nil {
-		return err
-	}
-	f, err := os.Open(filepath.Join(dir, journalName))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
+	var journal io.Reader
+	switch f, err := os.Open(filepath.Join(dir, journalName)); {
+	case err == nil:
+		defer f.Close()
+		journal = f
+	case !errors.Is(err, os.ErrNotExist):
 		return fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	_, _, err = replayJournal(f, n, nil)
+	_, _, err := restore(dir, journal, n, nil)
 	return err
 }
 
+// restore is the one reader behind Recover and Restore: the snapshot
+// chain, then the journal (nil: there is none) replayed on top, each
+// applied block handed to each. It returns the chain applied and the
+// journal offset after the last valid frame. Recovery that ends below
+// the newest snapshot file's epoch is an error: that file was written
+// after the journal gave up the blocks before it.
+func restore(dir string, journal io.Reader, n *shard.Network, each func(*shard.FinalBlock)) (restoredChain, int64, error) {
+	sc, err := restoreChain(dir, n)
+	if err != nil {
+		return sc, 0, err
+	}
+	var good int64
+	if journal != nil {
+		if good, err = replayJournal(journal, n, each); err != nil {
+			if sc.stopped != nil && errors.Is(err, ErrJournalGap) {
+				err = fmt.Errorf("%w; %w", sc.stopped, err)
+			}
+			return sc, good, err
+		}
+	}
+	if sc.stopped != nil && n.Epoch < sc.newest {
+		return sc, good, fmt.Errorf("%w (recovery reached epoch %d, the directory holds a snapshot of epoch %d)",
+			sc.stopped, n.Epoch, sc.newest)
+	}
+	return sc, good, nil
+}
+
 // replayJournal replays every journaled block past the network's
-// epoch, returning how many applied and the byte offset after the last
-// valid frame. A malformed frame ends the replay (torn tail); blocks
-// at earlier epochs are skipped (already in the snapshot), and a block
-// past the next expected epoch is a hard ErrJournalGap.
-func replayJournal(f io.Reader, n *shard.Network, replayed *obs.Counter) (int, int64, error) {
+// epoch, handing each to each (if not nil) once applied, and returns
+// the byte offset after the last valid frame. A malformed frame ends
+// the replay (torn tail); blocks at earlier epochs are skipped (already
+// in the snapshot), and a block past the next expected epoch is a hard
+// ErrJournalGap.
+func replayJournal(f io.Reader, n *shard.Network, each func(*shard.FinalBlock)) (int64, error) {
 	r := bufio.NewReaderSize(f, 1<<20)
 	var good int64
-	count := 0
 	for {
 		typ, payload, err := wire.ReadFrame(r)
 		if err == io.EOF {
-			return count, good, nil
+			return good, nil
 		}
 		if err != nil {
 			if errors.Is(err, wire.ErrDecode) {
 				// Torn or corrupt tail: recovery resumes from the last
 				// fully-journaled epoch.
-				return count, good, nil
+				return good, nil
 			}
-			return count, good, fmt.Errorf("store: journal: %w", err)
+			return good, fmt.Errorf("store: journal: %w", err)
 		}
 		if typ != wire.MsgCheckpointBlock {
-			return count, good, nil
+			return good, nil
 		}
 		cb, err := wire.DecodeCheckpointBlock(payload)
 		if err != nil {
-			return count, good, nil
+			return good, nil
 		}
 		good += int64(wire.HeaderLen + len(payload))
 		switch {
@@ -413,160 +529,18 @@ func replayJournal(f io.Reader, n *shard.Network, replayed *obs.Counter) (int, i
 			// Covered by the snapshot (the journal outlived a compaction
 			// that crashed before truncating).
 		case cb.Block.Epoch > n.Epoch:
-			return count, good, fmt.Errorf("%w: journaled epoch %d, expected %d",
+			return good, fmt.Errorf("%w: journaled epoch %d, expected %d",
 				ErrJournalGap, cb.Block.Epoch, n.Epoch)
 		default:
 			if err := n.ReplayFinalBlock(cb.Block); err != nil {
-				return count, good, fmt.Errorf("store: replay epoch %d: %w", cb.Block.Epoch, err)
+				return good, fmt.Errorf("store: replay epoch %d: %w", cb.Block.Epoch, err)
 			}
 			// The checkpoint restores what replay cannot re-derive (the
 			// exact next transaction id).
 			n.RestoreCheckpoint(cb.Checkpoint)
-			count++
-			if replayed != nil {
-				replayed.Inc()
+			if each != nil {
+				each(cb.Block)
 			}
 		}
 	}
-}
-
-// restoreSnapshot loads the newest readable snapshot in dir into n and
-// verifies the rebuilt root against the snapshot header. Unreadable
-// (truncated) snapshots fall back to the next older one; no snapshot
-// at all leaves n untouched.
-func restoreSnapshot(dir string, n *shard.Network) error {
-	snaps := snapshotsIn(dir)
-	tried := 0
-	for i := len(snaps) - 1; i >= 0; i-- {
-		tried++
-		hdr, contracts, accs, err := readSnapshot(filepath.Join(dir, snaps[i].name))
-		if err != nil {
-			if errors.Is(err, ErrCorruptSnapshot) || errors.Is(err, wire.ErrDecode) {
-				continue
-			}
-			return err
-		}
-		for _, c := range contracts {
-			if err := n.RestoreContractState(c.Addr, c.Fields); err != nil {
-				return fmt.Errorf("store: snapshot %s: %w", snaps[i].name, err)
-			}
-		}
-		for _, a := range accs {
-			n.Accounts.Put(a.Addr, a.Balance, a.Nonce, a.IsContract)
-		}
-		n.RestoreCheckpoint(hdr.Checkpoint)
-		n.RebuildStateRoots()
-		if root := n.StateRoot(); root != hdr.Root {
-			return fmt.Errorf("%w: %s: restored root %s, header says %s",
-				ErrCorruptSnapshot, snaps[i].name, root, hdr.Root)
-		}
-		return nil
-	}
-	if tried > 0 {
-		// Snapshot files exist but none is readable: refusing beats
-		// silently restarting from genesis with the journal compacted
-		// (the epochs the snapshots covered would vanish without a
-		// trace).
-		return fmt.Errorf("%w: none of %d snapshot files readable", ErrCorruptSnapshot, tried)
-	}
-	return nil
-}
-
-// readSnapshot parses one snapshot file completely before any of it is
-// applied, so a truncated file can be rejected without half-restoring.
-func readSnapshot(path string) (*wire.SnapshotHeader, []*wire.SnapshotContract, []wire.SnapshotAccount, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	typ, payload, err := wire.ReadFrame(r)
-	if err != nil || typ != wire.MsgSnapshotHeader {
-		return nil, nil, nil, fmt.Errorf("%w: %s: missing header", ErrCorruptSnapshot, path)
-	}
-	hdr, err := wire.DecodeSnapshotHeader(payload)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorruptSnapshot, path, err)
-	}
-	var contracts []*wire.SnapshotContract
-	var accs []wire.SnapshotAccount
-	for {
-		typ, payload, err := wire.ReadFrame(r)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: %s: no end record", ErrCorruptSnapshot, path)
-		}
-		switch typ {
-		case wire.MsgSnapshotContract:
-			c, err := wire.DecodeSnapshotContract(payload)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorruptSnapshot, path, err)
-			}
-			contracts = append(contracts, c)
-		case wire.MsgSnapshotAccounts:
-			batch, err := wire.DecodeSnapshotAccounts(payload)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorruptSnapshot, path, err)
-			}
-			accs = append(accs, batch...)
-		case wire.MsgSnapshotEnd:
-			e, err := wire.DecodeSnapshotEnd(payload)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorruptSnapshot, path, err)
-			}
-			if e.Contracts != uint64(len(contracts)) || e.Accounts != uint64(len(accs)) {
-				return nil, nil, nil, fmt.Errorf("%w: %s: trailer counts %d/%d, read %d/%d",
-					ErrCorruptSnapshot, path, e.Contracts, e.Accounts, len(contracts), len(accs))
-			}
-			return hdr, contracts, accs, nil
-		default:
-			return nil, nil, nil, fmt.Errorf("%w: %s: unexpected %v record", ErrCorruptSnapshot, path, typ)
-		}
-	}
-}
-
-// snapshotRef is one snapshot file found in a state directory.
-type snapshotRef struct {
-	name  string
-	epoch uint64
-}
-
-// snapshotsIn lists dir's snapshot files in ascending epoch order.
-func snapshotsIn(dir string) []snapshotRef {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var snaps []snapshotRef
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "snapshot-") || !strings.HasSuffix(name, ".snap") {
-			continue
-		}
-		epoch, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snapshot-"), ".snap"), 10, 64)
-		if err != nil {
-			continue
-		}
-		snaps = append(snaps, snapshotRef{name: name, epoch: epoch})
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].epoch < snaps[j].epoch })
-	return snaps
-}
-
-func snapshotName(epoch uint64) string {
-	return fmt.Sprintf("snapshot-%d.snap", epoch)
-}
-
-// syncDir fsyncs a directory so a just-renamed snapshot survives a
-// power cut.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -133,37 +133,122 @@ func TestRecoverFromJournal(t *testing.T) {
 	}
 }
 
+// snapshotChainOf parses every snapshot file of dir and checks that
+// they form one chain: at most one full file, the oldest, then
+// incremental files each extending the one before it (the first one
+// genesisEpoch when there is no full file). It returns the files and
+// the cost of the incremental ones.
+func snapshotChainOf(t *testing.T, dir string, genesisEpoch uint64) ([]*snapFile, int) {
+	t.Helper()
+	var files []*snapFile
+	cost := 0
+	at := genesisEpoch
+	for i, ref := range snapshotsIn(dir) {
+		sf, err := readSnapshot(dir, ref)
+		if err != nil {
+			t.Fatalf("%s: %v", ref.name, err)
+		}
+		switch {
+		case !sf.incremental && i > 0:
+			t.Fatalf("%s is a full file behind %s: everything older should be gone", ref.name, files[i-1].name)
+		case sf.incremental && sf.since != at:
+			t.Fatalf("%s extends epoch %d, the chain before it is at epoch %d", ref.name, sf.since, at)
+		case sf.incremental:
+			cost += sf.cost()
+		}
+		at = ref.epoch
+		files = append(files, sf)
+	}
+	return files, cost
+}
+
+// TestSnapshotRotation: snapshot boundaries leave a chain the fold
+// rule bounds — a full file at most, then incremental files that
+// together stay smaller than the state — the journal holds only the
+// epochs since the newest file, and the chain plus the journal recover
+// the head.
 func TestSnapshotRotation(t *testing.T) {
 	dir := t.TempDir()
 	a := provisionFT(t)
+	genesis := a.Net.Checkpoint().Epoch
 	stA := openStore(t, dir, WithSnapshotEvery(2))
 	a.Net.AttachStateStore(stA)
-	roots, cps := runEpochs(t, a, 1, 7)
-
-	snaps := snapshotsIn(dir)
-	if len(snaps) != 1 {
-		t.Fatalf("want exactly one snapshot after rotation, got %v", snaps)
+	var roots []string
+	var cps []shard.Checkpoint
+	folded := false
+	for k := 1; k <= 21; k++ {
+		r, c := runEpochs(t, a, k, 1)
+		roots, cps = append(roots, r...), append(cps, c...)
+		if c[0].Epoch%2 != 0 {
+			continue
+		}
+		// After every boundary: one chain ending at this epoch, smaller
+		// than the state, and what the store reports is what is on disk.
+		files, cost := snapshotChainOf(t, dir, genesis)
+		if len(files) == 0 || files[len(files)-1].hdr.Checkpoint != c[0] {
+			t.Fatalf("boundary %d: newest snapshot is not of checkpoint %+v", c[0].Epoch, c[0])
+		}
+		if leaves := a.Net.StateLeaves(); cost >= leaves {
+			t.Fatalf("boundary %d: incremental files cost %d, the state has %d leaves", c[0].Epoch, cost, leaves)
+		}
+		if got := stA.chainRecords.Value(); got != int64(cost) {
+			t.Fatalf("boundary %d: store.chain_records %d, files cost %d", c[0].Epoch, got, cost)
+		}
+		full, inc := stA.Chain()
+		if full+inc != len(files) || (full == 1) == files[0].incremental {
+			t.Fatalf("boundary %d: Chain() = %d full + %d incremental, directory holds %d files", c[0].Epoch, full, inc, len(files))
+		}
+		folded = folded || (!files[0].incremental && len(files) == 1 && stA.snapshots.Value() > 1)
 	}
-	last := cps[6].Epoch - cps[6].Epoch%2
-	if snaps[0].epoch != last {
-		t.Fatalf("latest snapshot at epoch %d, want %d", snaps[0].epoch, last)
+	if !folded {
+		t.Fatalf("10 boundaries never folded the chain into a full file (%d full of %d)",
+			stA.snapshotsFull.Value(), stA.snapshots.Value())
+	}
+	if stA.snapshotsFull.Value() == stA.snapshots.Value() {
+		t.Fatal("every boundary wrote a full file")
+	}
+
+	last := cps[20].Epoch - cps[20].Epoch%2
+	snaps := snapshotsIn(dir)
+	if snaps[len(snaps)-1].epoch != last {
+		t.Fatalf("latest snapshot at epoch %d, want %d", snaps[len(snaps)-1].epoch, last)
 	}
 	// The journal holds only the epochs since that snapshot.
 	info, err := os.Stat(filepath.Join(dir, journalName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantEmpty := cps[6].Epoch == last; wantEmpty != (info.Size() == 0) {
-		t.Fatalf("journal size %d after snapshot at %d (checkpoint %d)", info.Size(), last, cps[6].Epoch)
+	if wantEmpty := cps[20].Epoch == last; wantEmpty != (info.Size() == 0) {
+		t.Fatalf("journal size %d after snapshot at %d (checkpoint %d)", info.Size(), last, cps[20].Epoch)
 	}
 
 	b, stB := recoverFresh(t, dir, WithSnapshotEvery(2))
 	defer stB.Close()
-	if got := b.Net.Checkpoint(); got != cps[6] {
-		t.Fatalf("recovered checkpoint %+v, want %+v", got, cps[6])
+	if got := b.Net.Checkpoint(); got != cps[20] {
+		t.Fatalf("recovered checkpoint %+v, want %+v", got, cps[20])
 	}
-	if got := b.Net.StateRoot(); got != roots[6] {
-		t.Fatalf("recovered root %s, want %s", got, roots[6])
+	if got := b.Net.StateRoot(); got != roots[20] {
+		t.Fatalf("recovered root %s, want %s", got, roots[20])
+	}
+	if inc, full := b.Net.StateRoot(), b.Net.RecomputeStateRoot(); inc != full {
+		t.Fatalf("incremental root %s != recomputed %s", inc, full)
+	}
+
+	// A forced snapshot is a full one whatever the chain has room for,
+	// and leaves nothing older behind.
+	if full, inc := stB.Chain(); inc == 0 {
+		t.Fatalf("recovered a chain of %d full + %d incremental files: nothing for the forced snapshot to fold", full, inc)
+	}
+	if err := stB.Snapshot(b.Net); err != nil {
+		t.Fatal(err)
+	}
+	if files, _ := snapshotChainOf(t, dir, genesis); len(files) != 1 || files[0].incremental || files[0].hdr.Checkpoint != cps[20] {
+		t.Fatalf("after a forced snapshot the directory holds %d files, want one full file of %+v", len(files), cps[20])
+	}
+	c, stC := recoverFresh(t, dir, WithSnapshotEvery(2))
+	defer stC.Close()
+	if got := c.Net.StateRoot(); got != roots[20] || c.Net.Checkpoint() != cps[20] {
+		t.Fatalf("recovered %+v root %s from the forced snapshot, want %+v root %s", c.Net.Checkpoint(), got, cps[20], roots[20])
 	}
 }
 
@@ -259,40 +344,117 @@ func TestRecoverEmptyDir(t *testing.T) {
 	runEpochs(t, env, 1, 1)
 }
 
+// TestCorruptSnapshotFallsBackOrFailsLoudly flips a byte in the first,
+// a middle and the last file of a snapshot chain. With the journal
+// compacted the frame CRC rejects the file and recovery must refuse —
+// never return the older state the files before it describe, never
+// restart from genesis with history compacted away. Only while the
+// journal still holds the blocks the bad file covered (a crash between
+// its rename and the truncation) does recovery fall back to them.
 func TestCorruptSnapshotFallsBackOrFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	a := provisionFT(t)
+	genesis := a.Net.Checkpoint().Epoch
 	stA := openStore(t, dir, WithSnapshotEvery(2))
 	a.Net.AttachStateStore(stA)
-	runEpochs(t, a, 1, 6)
-
-	snaps := snapshotsIn(dir)
-	if len(snaps) != 1 {
-		t.Fatalf("want one snapshot, got %v", snaps)
+	// Run until a boundary leaves a chain of three files. A second run
+	// of the same epochs never snapshots: its journal holds every block,
+	// the boundary's own included, as the first run's did until the
+	// boundary truncated it.
+	ref := provisionFT(t)
+	refDir := t.TempDir()
+	ref.Net.AttachStateStore(openStore(t, refDir, WithSnapshotEvery(0)))
+	var roots []string
+	var cps []shard.Checkpoint
+	var files []*snapFile
+	for k := 1; len(files) < 3; k++ {
+		if k > 12 {
+			t.Fatalf("no chain of three files in %d epochs", k)
+		}
+		runEpochs(t, ref, k, 1)
+		r, c := runEpochs(t, a, k, 1)
+		roots, cps = append(roots, r...), append(cps, c...)
+		if c[0].Epoch%2 == 0 {
+			files, _ = snapshotChainOf(t, dir, genesis)
+		}
 	}
-	// Flip a byte mid-file: the frame CRC rejects the snapshot, and with
-	// no older snapshot to fall back to recovery must refuse — never
-	// silently restart from genesis with history compacted away.
-	path := filepath.Join(dir, snaps[0].name)
-	b, err := os.ReadFile(path)
+	journal, err := os.ReadFile(filepath.Join(refDir, journalName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)/2] ^= 0xff
-	if err := os.WriteFile(path, b, 0o666); err != nil {
+	pre := len(roots) - 1 // index of the boundary epoch
+	if info, err := os.Stat(filepath.Join(dir, journalName)); err != nil || info.Size() != 0 {
+		t.Fatalf("journal not compacted by the last boundary: %v", err)
+	}
+	flip := func(t *testing.T, dir, name string) {
+		path := filepath.Join(dir, name)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0xff
+		if err := os.WriteFile(path, b, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pos, sf := range map[string]*snapFile{"first": files[0], "middle": files[1], "last": files[len(files)-1]} {
+		t.Run(pos, func(t *testing.T) {
+			work := copyDir(t, dir)
+			flip(t, work, sf.name)
+			env := provisionFT(t)
+			st := openStore(t, work, WithSnapshotEvery(2))
+			defer st.Close()
+			err := st.Recover(env.Net)
+			if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrJournalGap) {
+				t.Fatalf("recovery over a corrupt %s with a compacted journal: %v, want ErrCorruptSnapshot or ErrJournalGap", sf.name, err)
+			}
+			if err := Restore(work, provisionFT(t).Net); !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrJournalGap) {
+				t.Fatalf("Restore over a corrupt %s: %v", sf.name, err)
+			}
+		})
+	}
+	t.Run("journal not truncated", func(t *testing.T) {
+		work := copyDir(t, dir)
+		flip(t, work, files[len(files)-1].name)
+		if err := os.WriteFile(filepath.Join(work, journalName), journal, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		b, st := recoverFresh(t, work, WithSnapshotEvery(2))
+		defer st.Close()
+		if got := b.Net.Checkpoint(); got != cps[pre] {
+			t.Fatalf("recovered checkpoint %+v, want %+v", got, cps[pre])
+		}
+		if got := b.Net.StateRoot(); got != roots[pre] {
+			t.Fatalf("recovered root %s, want %s", got, roots[pre])
+		}
+		// The file recovery could not use is gone: the chain the next
+		// boundary extends is the one that was applied.
+		if _, err := os.Stat(filepath.Join(work, files[len(files)-1].name)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("unusable %s survived recovery: %v", files[len(files)-1].name, err)
+		}
+		runEpochs(t, b, pre+2, 2)
+		snapshotChainOf(t, work, genesis)
+	})
+}
+
+// copyDir copies a state directory's files into a fresh one.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	env := provisionFT(t)
-	st := openStore(t, dir, WithSnapshotEvery(2))
-	defer st.Close()
-	err = st.Recover(env.Net)
-	if err == nil {
-		t.Fatal("recovery from corrupt snapshot with compacted journal must fail")
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), raw, 0o666); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("want ErrCorruptSnapshot, got %v", err)
-	}
+	return dst
 }
 
 // TestRestoreReadOnly recovers through the side-effect-free path and

@@ -195,7 +195,7 @@ func ReceiptEvents(rec *chain.Receipt) ([]value.Msg, error) {
 
 // EncodeStateDelta encodes one shard's per-contract state delta.
 func EncodeStateDelta(d *chain.StateDelta) ([]byte, error) {
-	return appendStateDelta(make([]byte, 0, 128), d)
+	return appendStateDelta(make([]byte, 0, hintDeltas([]*chain.StateDelta{d})), d)
 }
 
 func appendStateDelta(b []byte, d *chain.StateDelta) ([]byte, error) {

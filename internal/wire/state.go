@@ -31,6 +31,10 @@ const (
 	// MsgSnapshotEnd closes a snapshot file with the record counts the
 	// reader must have seen; a snapshot without it is truncated.
 	MsgSnapshotEnd MsgType = 14
+	// MsgSnapshotSince follows the header of an incremental snapshot
+	// file: the epoch of the snapshot file (or of genesis) whose state
+	// the file's records are written over. A full file has none.
+	MsgSnapshotSince MsgType = 21
 )
 
 // CheckpointBlock is the journal record appended after every committed
@@ -113,6 +117,31 @@ func DecodeSnapshotHeader(b []byte) (*SnapshotHeader, error) {
 		return nil, err
 	}
 	return h, nil
+}
+
+// SnapshotSince marks a snapshot file as incremental. Its records —
+// MsgStateDelta frames of post-values (Overwrite and Delete entries,
+// whole fields) and MsgSnapshotAccounts batches — hold only what
+// changed after the state as of Epoch: the header epoch of the snapshot
+// file before it, or the genesis epoch when no file precedes it.
+// Recovery applies the file only on top of exactly that state.
+type SnapshotSince struct {
+	Epoch uint64
+}
+
+// EncodeSnapshotSince encodes an incremental snapshot's base marker.
+func EncodeSnapshotSince(s *SnapshotSince) []byte {
+	return appendUvarint(make([]byte, 0, binary.MaxVarintLen64), s.Epoch)
+}
+
+// DecodeSnapshotSince decodes an incremental snapshot's base marker.
+func DecodeSnapshotSince(b []byte) (*SnapshotSince, error) {
+	r := &reader{b: b}
+	s := &SnapshotSince{Epoch: r.uvarint()}
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // SnapshotContract carries one contract's complete field state. Fields
@@ -214,7 +243,8 @@ func DecodeSnapshotAccounts(b []byte) ([]SnapshotAccount, error) {
 
 // SnapshotEnd closes a snapshot file with the totals the reader must
 // have accumulated; a mismatch (or a missing end record) marks the
-// snapshot truncated.
+// snapshot truncated. In an incremental file Contracts counts the
+// MsgStateDelta frames.
 type SnapshotEnd struct {
 	Contracts uint64
 	Accounts  uint64

@@ -121,6 +121,8 @@ func (t MsgType) String() string {
 		return "snapshot_accounts"
 	case MsgSnapshotEnd:
 		return "snapshot_end"
+	case MsgSnapshotSince:
+		return "snapshot_since"
 	case MsgAccountPage:
 		return "account_page"
 	case MsgContractPage:

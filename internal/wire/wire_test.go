@@ -195,6 +195,7 @@ func fixtures() []fixture {
 		{"snapshot_contract", MsgSnapshotContract, contractb},
 		{"snapshot_accounts", MsgSnapshotAccounts, accountsb},
 		{"snapshot_end", MsgSnapshotEnd, EncodeSnapshotEnd(&SnapshotEnd{Contracts: 1, Accounts: 2})},
+		{"snapshot_since", MsgSnapshotSince, EncodeSnapshotSince(&SnapshotSince{Epoch: 4})},
 		{"account_page", MsgAccountPage, EncodeAccountPage(&AccountPage{
 			PageID: 42, Version: 7, Accounts: []SnapshotAccount{
 				{Addr: chain.AddrFromUint(7), Balance: big.NewInt(0), IsContract: true},
@@ -316,6 +317,12 @@ func reencode(t MsgType, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		return EncodeSnapshotEnd(v), nil
+	case MsgSnapshotSince:
+		v, err := DecodeSnapshotSince(payload)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeSnapshotSince(v), nil
 	case MsgAccountPage:
 		v, err := DecodeAccountPage(payload)
 		if err != nil {

@@ -42,7 +42,9 @@ go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... 
 # applying DS-heavy FinalBlocks without executing.
 go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
 # The persistence race run covers the state store (journal append,
-# snapshot rotation, recovery), the disk-backed page cache (concurrent
+# snapshot chains and their fold rule, recovery from every crash state
+# around a boundary, the seeded recovery-equivalence property over nested
+# maps and deletes), the disk-backed page cache (concurrent
 # faults and evictions under the accounts lock), and the incremental
 # root trie under -short (the million-account tests opt out of the
 # race detector; the trie's golden root and edge-order checks do not),
@@ -61,8 +63,9 @@ GOMEMLIMIT=512MiB go test -run 'TestMillionAccountsPagedBudget' -timeout 20m ./i
 # the 1M-holder set-up dominates, about 10 s): the in-place merge per
 # field and the holders sweep whose rows EXPERIMENTS.md records, and the
 # block fan-out (one 4000-tx block sealed, journaled, broadcast to and
-# applied by a journaling ChanNetwork cluster).
-go test -run '^$' -bench 'CommitHolders|MergePerField|BlockFanout' -benchtime 1x .
+# applied by a journaling ChanNetwork cluster), and the snapshot
+# boundary over the same holders sweep.
+go test -run '^$' -bench 'CommitHolders|SnapshotHolders|MergePerField|BlockFanout' -benchtime 1x .
 # Short fuzz runs of the wire decoders beyond the committed corpus —
 # including the store's snapshot/journal record types — no decoder may
 # panic on hostile bytes, and decode∘encode must stay a fixed point; and
@@ -122,6 +125,30 @@ R1=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -epo
 R2=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -epochs 0 | grep '^state: recovered')
 [ "$R1" = "$R2" ]
 rm -rf "$STATE_DIR"
+# The same two checks where snapshots take the incremental side: FT
+# transfer's 200 users dirty nearly the whole state every interval, so
+# the run above mostly writes full files; CF donate touches a few
+# hundred of 100k accounts per epoch, so with a boundary every 2 epochs
+# the directory ends as a chain of incremental files (more than one
+# snapshot-*.snap), which a recover-only restart must apply in order to
+# land on the printed root — and after a SIGKILL, wherever it fell
+# around a boundary, two consecutive recoveries must agree.
+INC_DIR=$(mktemp -d)
+FINAL_I=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -submit-rate 200 -epochs 7 | grep '^state: final')
+[ "$(ls "$INC_DIR"/snapshot-*.snap | wc -l)" -gt 1 ]
+RECOVERED_I=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -epochs 0)
+echo "$RECOVERED_I" | grep '^state: chain'
+[ "${FINAL_I#state: final }" = "$(echo "$RECOVERED_I" | grep '^state: recovered' | sed 's/^state: recovered //')" ]
+/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -submit-rate 200 -epochs 100000 &
+KILL_PID=$!
+sleep 3
+kill -9 $KILL_PID
+wait $KILL_PID || true
+I1=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -epochs 0 | grep '^state: recovered')
+I2=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -epochs 0 | grep '^state: recovered')
+[ "$I1" = "$I2" ]
+[ -z "$(ls "$INC_DIR" | grep '\.tmp$' || true)" ]
+rm -rf "$INC_DIR"
 # Paged-state smoke: the same restart-recovery and SIGKILL checks with
 # canonical state behind a deliberately tiny disk-backed page cache
 # (-state-budget 1MiB): the paged run must finish on the identical
