@@ -217,14 +217,14 @@ func BenchmarkMergePerField(b *testing.B) {
 			}
 			for i := 0; i < entries; i++ {
 				k := chain.AddrFromUint(uint64(i)).Value()
-				if err := base.MapSet("balances", []value.Value{k}, value.Uint128(1000)); err != nil {
+				if err := eval.SetAt(base, "balances", []value.Value{k}, value.Uint128(1000)); err != nil {
 					b.Fatal(err)
 				}
 			}
 			ov := chain.NewOverlay(base, fieldTypes)
 			for i := 0; i < entries; i++ {
 				k := chain.AddrFromUint(uint64(i)).Value()
-				if err := ov.MapSet("balances", []value.Value{k}, value.Uint128(1234)); err != nil {
+				if err := eval.SetAt(ov, "balances", []value.Value{k}, value.Uint128(1234)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -485,7 +485,7 @@ func BenchmarkInterpreterTransfer(b *testing.B) {
 		b.Fatal(err)
 	}
 	owner := chain.AddrFromUint(1)
-	if err := st.MapSet("balances", []value.Value{owner.Value()}, value.Uint128(1<<40)); err != nil {
+	if err := eval.SetAt(st, "balances", []value.Value{owner.Value()}, value.Uint128(1<<40)); err != nil {
 		b.Fatal(err)
 	}
 	to := chain.AddrFromUint(2)

@@ -36,7 +36,7 @@
 // -rpc-workload genesis deterministically, so the hammer's stream is
 // valid against the server's chain. The node modes (-serve, -node,
 // -hammer) do not take the simulator's experiment flags yet (-faults,
-// -trace-out, -metrics-out, -no-compile, -state-budget, -submit-rate)
+// -trace-out, -metrics-out, -state-budget, -submit-rate)
 // and refuse them by name rather than run without them.
 package main
 
@@ -84,7 +84,6 @@ func main() {
 		stateBudget = flag.Int64("state-budget", 0, "with -state-dir: put canonical state behind a disk-backed LRU page cache of at most this many bytes (0 = fully resident); pages live under <state-dir>/pages and replace full snapshot files")
 		pageSize    = flag.Int("page-size", 512, "target accounts per page for -state-budget and -state-bench (the page table is sized to population/page-size, rounded up to a power of two)")
 		stateBench  = flag.Bool("state-bench", false, "run the paged-state benchmark (accounts x budget grid: throughput, faults/epoch, p99 fault latency) and write BENCH_state.json via -bench-out")
-		noCompile   = flag.Bool("no-compile", false, "disable the closure-chain compiled executor and run every transition on the AST interpreter (results are bit-identical, only slower)")
 
 		serveAddr = flag.String("serve", "", "serve the JSON-RPC front door on this address (e.g. 127.0.0.1:8545) over a message-passing node cluster; with -node lookup, the lookup's own RPC address")
 		serveTCP  = flag.String("serve-tcp", "", "with -serve: run the cluster's internal traffic over a TCP hub on this address instead of in-process channels")
@@ -122,9 +121,6 @@ func main() {
 	// and one journal (if requested) receives the interleaved traces.
 	reg := obs.NewRegistry()
 	netOpts := []shard.Option{shard.WithRegistry(reg)}
-	if *noCompile {
-		netOpts = append(netOpts, shard.WithCompiledExecution(false))
-	}
 	if *faultSpec != "" {
 		plan, err := fault.ParseSpec(*faultSpec)
 		fail(err)
@@ -381,7 +377,7 @@ func refuseIgnoredFlags(nodeRole, serveAddr, hammerURL string) error {
 	var err error
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "faults", "trace-out", "metrics-out", "no-compile", "state-budget", "submit-rate":
+		case "faults", "trace-out", "metrics-out", "state-budget", "submit-rate":
 			if err == nil {
 				err = fmt.Errorf("-%s has no effect with %s (not wired into the node modes); drop it or run the simulator modes", f.Name, mode)
 			}

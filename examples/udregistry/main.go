@@ -16,6 +16,7 @@ import (
 	"cosplit/internal/contracts"
 	"cosplit/internal/core/signature"
 	"cosplit/internal/scilla/ast"
+	"cosplit/internal/scilla/eval"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 )
@@ -114,12 +115,12 @@ func main() {
 
 	// Read back alice.zil's record to confirm.
 	c := net.Contracts.Get(contract)
-	v, ok, err := c.Snapshot().MapGet("record_data",
+	v, ok, err := eval.GetAt(c.Snapshot(), "record_data",
 		[]value.Value{node(domains[0]), value.Str{S: "crypto.ZIL.address"}})
 	if err != nil || !ok {
 		log.Fatalf("record read failed: ok=%v err=%v", ok, err)
 	}
 	fmt.Printf("alice.zil crypto.ZIL.address = %s\n", v)
-	owner, ok, _ := c.Snapshot().MapGet("records", []value.Value{node(domains[0])})
+	owner, ok, _ := eval.GetAt(c.Snapshot(), "records", []value.Value{node(domains[0])})
 	fmt.Printf("alice.zil owner after transfer = %s (bob = %s, ok=%v)\n", owner, owners[1], ok)
 }

@@ -80,7 +80,7 @@ func MeasureOverheads(txs int, netOpts ...shard.Option) (*OverheadResult, error)
 		ov := chain.NewOverlay(base, fieldTypes)
 		for i := 0; i < entries; i++ {
 			k := chain.AddrFromUint(uint64(i)).Value()
-			if err := ov.MapSet("balances", []value.Value{k}, value.Uint128(uint64(1000+i))); err != nil {
+			if err := eval.SetAt(ov, "balances", []value.Value{k}, value.Uint128(uint64(1000+i))); err != nil {
 				return nil, err
 			}
 		}

@@ -30,18 +30,6 @@ type ThroughputConfig struct {
 	NetOptions []shard.Option
 }
 
-// DefaultThroughputConfig mirrors the paper's setup (10 epochs, 5
-// nodes per shard) at simulator scale.
-func DefaultThroughputConfig() ThroughputConfig {
-	return ThroughputConfig{
-		Epochs:        10,
-		TxsPerEpoch:   4000,
-		NodesPerShard: 5,
-		ShardGasLimit: 60_000,
-		DSGasLimit:    60_000,
-	}
-}
-
 // ThroughputResult is one bar of Fig. 14.
 type ThroughputResult struct {
 	Workload  string

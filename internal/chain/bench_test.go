@@ -8,18 +8,18 @@ import (
 	"cosplit/internal/scilla/value"
 )
 
-func benchOverlay() (*Overlay, []value.Value) {
+func benchOverlay() (*Overlay, []string, []value.Value) {
 	types := map[string]ast.Type{
 		"balances": ast.MapType{Key: ast.TyByStr20, Val: ast.TyUint128},
 	}
 	base := eval.NewMemState(types)
 	base.Fields["balances"] = value.NewMap(ast.TyByStr20, ast.TyUint128)
 	keys := []value.Value{AddrFromUint(42).Value()}
-	return NewOverlay(base, types), keys
+	return NewOverlay(base, types), eval.CanonicalKeys(nil, keys), keys
 }
 
 func BenchmarkKeypath1(b *testing.B) {
-	_, keys := benchOverlay()
+	_, _, keys := benchOverlay()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,12 +41,12 @@ func BenchmarkKeypath2(b *testing.B) {
 }
 
 func BenchmarkOverlayMapSet(b *testing.B) {
-	ov, keys := benchOverlay()
+	ov, cks, keys := benchOverlay()
 	v := value.Uint128(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ov.MapSet("balances", keys, v); err != nil {
+		if err := ov.MapSet("balances", cks, keys, v); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,18 +55,18 @@ func BenchmarkOverlayMapSet(b *testing.B) {
 // BenchmarkOverlayReadModifyWrite exercises the canonical in-shard
 // access pattern: MapGet followed by MapSet of the same keys.
 func BenchmarkOverlayReadModifyWrite(b *testing.B) {
-	ov, keys := benchOverlay()
+	ov, cks, keys := benchOverlay()
 	v := value.Uint128(1)
-	if err := ov.MapSet("balances", keys, v); err != nil {
+	if err := ov.MapSet("balances", cks, keys, v); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ov.MapGet("balances", keys); err != nil {
+		if _, _, err := ov.MapGet("balances", cks, keys); err != nil {
 			b.Fatal(err)
 		}
-		if err := ov.MapSet("balances", keys, v); err != nil {
+		if err := ov.MapSet("balances", cks, keys, v); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ func addr(i int) value.Value { return chain.AddrFromUint(uint64(i)).Value() }
 // mutable state for any operation sequence. ---
 
 type op struct {
-	kind int // 0 set, 1 delete, 2 store-scalar
+	kind int // 0 set, 1 delete, 2 store-scalar, 3 nested set, 4 nested delete, 5 store a map field whole
 	key  int
 	val  uint64
 }
@@ -43,39 +43,78 @@ type op struct {
 func randomOps(r *rand.Rand, n int) []op {
 	ops := make([]op, n)
 	for i := range ops {
-		ops[i] = op{kind: r.Intn(3), key: r.Intn(6), val: uint64(r.Intn(1000))}
+		ops[i] = op{kind: r.Intn(6), key: r.Intn(6), val: uint64(r.Intn(1000))}
 	}
 	return ops
 }
 
 func applyOps(t *testing.T, st eval.StateAccess, ops []op) {
 	t.Helper()
+	var err error
 	for _, o := range ops {
+		inner := value.Str{S: string(rune('a' + o.val%3))}
 		switch o.kind {
 		case 0:
-			if err := st.MapSet("balances", []value.Value{addr(o.key)}, value.Uint128(o.val)); err != nil {
-				t.Fatal(err)
-			}
+			err = eval.SetAt(st, "balances", []value.Value{addr(o.key)}, value.Uint128(o.val))
 		case 1:
-			if err := st.MapDelete("balances", []value.Value{addr(o.key)}); err != nil {
-				t.Fatal(err)
-			}
+			err = eval.DeleteAt(st, "balances", []value.Value{addr(o.key)})
 		case 2:
-			if err := st.StoreField("total", value.Uint128(o.val)); err != nil {
-				t.Fatal(err)
-			}
+			err = st.StoreField("total", value.Uint128(o.val))
+		case 3:
+			err = eval.SetAt(st, "nested", []value.Value{addr(o.key), inner}, value.Uint128(o.val))
+		case 4:
+			err = eval.DeleteAt(st, "nested", []value.Value{addr(o.key), inner})
+		case 5:
+			// A wholesale store: later entry ops on the field work on
+			// the stored copy, not on per-entry writes.
+			m := value.NewMap(ast.TyByStr20, ast.TyUint128)
+			m.Set(addr(o.key), value.Uint128(o.val))
+			err = st.StoreField("balances", m)
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-func statesAgree(t *testing.T, a, b eval.StateAccess, keys int) bool {
+// applyOpsStacked applies ops the way a shard run does: in
+// "transactions" of a few ops each, every one on a rollback overlay
+// stacked on shardOv that is then committed into it or dropped. It
+// returns the ops of the committed transactions, after checking that
+// the rollback overlay read through the stack like a plain state
+// before its fate was decided.
+func applyOpsStacked(t *testing.T, r *rand.Rand, shardOv *chain.Overlay, ops []op) []op {
 	t.Helper()
-	for i := 0; i < keys; i++ {
-		va, oka, err := a.MapGet("balances", []value.Value{addr(i)})
+	var committed []op
+	txOv := chain.NewOverlay(shardOv, testFieldTypes)
+	for len(ops) > 0 {
+		n := min(1+r.Intn(4), len(ops))
+		tx := ops[:n]
+		ops = ops[n:]
+		txOv.Reset(shardOv, testFieldTypes)
+		applyOps(t, txOv, tx)
+		direct := newBase()
+		applyOps(t, direct, committed)
+		applyOps(t, direct, tx)
+		if !statesAgree(t, txOv, direct) {
+			t.Fatalf("rollback overlay over %d committed ops disagrees with direct state after %v", len(committed), tx)
+		}
+		if r.Intn(3) > 0 {
+			txOv.CommitTo(shardOv)
+			committed = append(committed, tx...)
+		}
+	}
+	return committed
+}
+
+func statesAgree(t *testing.T, a, b eval.StateAccess) bool {
+	t.Helper()
+	for i := 0; i < 6; i++ {
+		va, oka, err := eval.GetAt(a, "balances", []value.Value{addr(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		vb, okb, err := b.MapGet("balances", []value.Value{addr(i)})
+		vb, okb, err := eval.GetAt(b, "balances", []value.Value{addr(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,21 +122,58 @@ func statesAgree(t *testing.T, a, b eval.StateAccess, keys int) bool {
 			return false
 		}
 	}
-	ta, _ := a.LoadField("total")
-	tb, _ := b.LoadField("total")
-	return value.Equal(ta, tb)
+	for f := range testFieldTypes {
+		fa, err := a.LoadField(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := b.LoadField(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !value.Equal(withoutEmptyMaps(fa), withoutEmptyMaps(fb)) {
+			return false
+		}
+	}
+	return true
+}
+
+// withoutEmptyMaps drops the empty inner maps of a nested map. A plain
+// state that sets nested[k][a] and then deletes it keeps nested[k] as
+// an empty map; an overlay, whose write set is keyed by full keypath,
+// records one deleted entry and never creates nested[k]. Every
+// execution goes through overlays, so the difference is deterministic;
+// the comparison looks past it.
+func withoutEmptyMaps(v value.Value) value.Value {
+	m, ok := v.(*value.Map)
+	if !ok {
+		return v
+	}
+	out := value.NewMap(m.KeyType, m.ValType)
+	for ck, e := range m.Entries {
+		if inner, ok := e.(*value.Map); !ok || inner.Len() > 0 {
+			out.SetCK(ck, m.KeyVals[ck], e)
+		}
+	}
+	return out
 }
 
 func TestOverlayMatchesDirectState(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ops := randomOps(r, 20)
-		base := newBase()
 		direct := newBase()
-		ov := chain.NewOverlay(base, testFieldTypes)
+		ov := chain.NewOverlay(newBase(), testFieldTypes)
 		applyOps(t, ov, ops)
 		applyOps(t, direct, ops)
-		return statesAgree(t, ov, direct, 6)
+		if !statesAgree(t, ov, direct) {
+			return false
+		}
+		// The shape shardRun executes on: overlay stacked on overlay.
+		shardOv := chain.NewOverlay(newBase(), testFieldTypes)
+		direct = newBase()
+		applyOps(t, direct, applyOpsStacked(t, r, shardOv, ops))
+		return statesAgree(t, shardOv, direct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -123,7 +199,7 @@ func TestOverlayRoundTrip(t *testing.T) {
 		}
 		direct := newBase()
 		applyOps(t, direct, ops)
-		return statesAgree(t, merged, direct, 6)
+		return statesAgree(t, merged, direct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -138,7 +214,7 @@ func TestIntMergeCommutes(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		base := newBase()
 		for i := 0; i < 4; i++ {
-			if err := base.MapSet("balances", []value.Value{addr(i)}, value.Uint128(10_000)); err != nil {
+			if err := eval.SetAt(base, "balances", []value.Value{addr(i)}, value.Uint128(10_000)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -146,7 +222,7 @@ func TestIntMergeCommutes(t *testing.T) {
 			ov := chain.NewOverlay(base, testFieldTypes)
 			for i := 0; i < 5; i++ {
 				k := r.Intn(4)
-				cur, ok, err := ov.MapGet("balances", []value.Value{addr(k)})
+				cur, ok, err := eval.GetAt(ov, "balances", []value.Value{addr(k)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,7 +230,7 @@ func TestIntMergeCommutes(t *testing.T) {
 				if ok {
 					v = cur.(value.Int).V.Uint64()
 				}
-				if err := ov.MapSet("balances", []value.Value{addr(k)}, value.Uint128(v+uint64(r.Intn(100)))); err != nil {
+				if err := eval.SetAt(ov, "balances", []value.Value{addr(k)}, value.Uint128(v+uint64(r.Intn(100)))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -176,7 +252,7 @@ func TestIntMergeCommutes(t *testing.T) {
 		a := apply([]*chain.StateDelta{d1, d2, d3})
 		b := apply([]*chain.StateDelta{d3, d1, d2})
 		c := apply([]*chain.StateDelta{d2, d3, d1})
-		return statesAgree(t, a, b, 4) && statesAgree(t, b, c, 4)
+		return statesAgree(t, a, b) && statesAgree(t, b, c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -189,7 +265,7 @@ func TestMergeConflictDetected(t *testing.T) {
 	base := newBase()
 	mk := func(v uint64) *chain.StateDelta {
 		ov := chain.NewOverlay(base, testFieldTypes)
-		if err := ov.MapSet("balances", []value.Value{addr(1)}, value.Uint128(v)); err != nil {
+		if err := eval.SetAt(ov, "balances", []value.Value{addr(1)}, value.Uint128(v)); err != nil {
 			t.Fatal(err)
 		}
 		d, err := ov.ExtractDelta(chain.Address{}, 0, nil)
@@ -209,13 +285,13 @@ func TestMergeConflictDetected(t *testing.T) {
 func TestMergeOverflowDetected(t *testing.T) {
 	base := newBase()
 	near := new(big.Int).Sub(ast.MaxInt(ast.TyUint128), big.NewInt(5))
-	if err := base.MapSet("balances", []value.Value{addr(1)}, value.Int{Ty: ast.TyUint128, V: near}); err != nil {
+	if err := eval.SetAt(base, "balances", []value.Value{addr(1)}, value.Int{Ty: ast.TyUint128, V: near}); err != nil {
 		t.Fatal(err)
 	}
 	joins := map[string]signature.Join{"balances": signature.IntMerge}
 	mk := func(delta uint64) *chain.StateDelta {
 		ov := chain.NewOverlay(base, testFieldTypes)
-		cur, _, err := ov.MapGet("balances", []value.Value{addr(1)})
+		cur, _, err := eval.GetAt(ov, "balances", []value.Value{addr(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +300,7 @@ func TestMergeOverflowDetected(t *testing.T) {
 		// execution stayed in range).
 		_ = nv
 		ovd := chain.NewOverlay(base, testFieldTypes)
-		if err := ovd.MapSet("balances", []value.Value{addr(1)},
+		if err := eval.SetAt(ovd, "balances", []value.Value{addr(1)},
 			value.Int{Ty: ast.TyUint128, V: new(big.Int).Add(cur.(value.Int).V, new(big.Int).SetUint64(delta))}); err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +321,7 @@ func TestNestedMapDeltas(t *testing.T) {
 	base := newBase()
 	ov := chain.NewOverlay(base, testFieldTypes)
 	keys := []value.Value{addr(1), value.Str{S: "k"}}
-	if err := ov.MapSet("nested", keys, value.Uint128(42)); err != nil {
+	if err := eval.SetAt(ov, "nested", keys, value.Uint128(42)); err != nil {
 		t.Fatal(err)
 	}
 	d, err := ov.ExtractDelta(chain.Address{}, 0, nil)
@@ -256,7 +332,7 @@ func TestNestedMapDeltas(t *testing.T) {
 	if err := chain.MergeDeltas(merged, []*chain.StateDelta{d}, new(chain.Undo)); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := merged.MapGet("nested", keys)
+	v, ok, err := eval.GetAt(merged, "nested", keys)
 	if err != nil || !ok {
 		t.Fatalf("nested entry missing after merge: %v %v", ok, err)
 	}
@@ -270,32 +346,32 @@ func TestNestedMapDeltas(t *testing.T) {
 func TestOverlayStacking(t *testing.T) {
 	base := newBase()
 	shardOv := chain.NewOverlay(base, testFieldTypes)
-	if err := shardOv.MapSet("balances", []value.Value{addr(1)}, value.Uint128(100)); err != nil {
+	if err := eval.SetAt(shardOv, "balances", []value.Value{addr(1)}, value.Uint128(100)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Rolled-back transaction: writes dropped.
 	txOv := chain.NewOverlay(shardOv, testFieldTypes)
-	if err := txOv.MapSet("balances", []value.Value{addr(1)}, value.Uint128(1)); err != nil {
+	if err := eval.SetAt(txOv, "balances", []value.Value{addr(1)}, value.Uint128(1)); err != nil {
 		t.Fatal(err)
 	}
-	v, _, _ := shardOv.MapGet("balances", []value.Value{addr(1)})
+	v, _, _ := eval.GetAt(shardOv, "balances", []value.Value{addr(1)})
 	if v.(value.Int).V.Uint64() != 100 {
 		t.Error("dropped tx overlay leaked into shard overlay")
 	}
 
 	// Committed transaction: writes visible.
 	txOv2 := chain.NewOverlay(shardOv, testFieldTypes)
-	if err := txOv2.MapSet("balances", []value.Value{addr(2)}, value.Uint128(7)); err != nil {
+	if err := eval.SetAt(txOv2, "balances", []value.Value{addr(2)}, value.Uint128(7)); err != nil {
 		t.Fatal(err)
 	}
 	txOv2.CommitTo(shardOv)
-	v2, ok, _ := shardOv.MapGet("balances", []value.Value{addr(2)})
+	v2, ok, _ := eval.GetAt(shardOv, "balances", []value.Value{addr(2)})
 	if !ok || v2.(value.Int).V.Uint64() != 7 {
 		t.Error("committed tx overlay not visible in shard overlay")
 	}
 	// The base is never touched.
-	if _, ok, _ := base.MapGet("balances", []value.Value{addr(1)}); ok {
+	if _, ok, _ := eval.GetAt(base, "balances", []value.Value{addr(1)}); ok {
 		t.Error("overlay leaked into base state")
 	}
 }

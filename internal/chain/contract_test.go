@@ -7,6 +7,7 @@ import (
 	"cosplit/internal/chain"
 	"cosplit/internal/contracts"
 	"cosplit/internal/core/signature"
+	"cosplit/internal/scilla/eval"
 	"cosplit/internal/scilla/value"
 )
 
@@ -40,7 +41,7 @@ func TestDeployPipeline(t *testing.T) {
 		t.Error("Transfer constraints missing")
 	}
 	// Initial state reflects the initialisers.
-	v, ok, err := c.Snapshot().MapGet("balances", []value.Value{owner.Value()})
+	v, ok, err := eval.GetAt(c.Snapshot(), "balances", []value.Value{owner.Value()})
 	if err != nil || !ok || v.(value.Int).V.Uint64() != 100 {
 		t.Errorf("owner balance after deploy = %v %v %v", v, ok, err)
 	}

@@ -139,10 +139,9 @@ func (o *Overlay) ExtractDelta(contract Address, shard int, joins map[string]sig
 		}
 		fd.Whole = &EntryDelta{Kind: Overwrite, Value: v}
 	}
-	// baseKeyed lets single-key lookups reuse the entry's canonical
-	// keypath instead of re-canonicalising the key per entry.
-	baseKeyed, _ := o.base.(eval.KeyedState)
-	var ckBuf [1]string
+	// A single-key entry's keypath is its canonical key, so the base
+	// lookup reuses it instead of re-canonicalising the key per entry.
+	var ckBuf [4]string
 	for f, writes := range o.mapWrites {
 		fd := fieldDelta(f)
 		for kp, e := range writes {
@@ -155,15 +154,13 @@ func (o *Overlay) ExtractDelta(contract Address, shard int, joins map[string]sig
 					fd.Entries[kp] = EntryDelta{Kind: Overwrite, Keys: e.keys, Value: e.val}
 					continue
 				}
-				var bv value.Value
-				var found bool
-				var err error
-				if baseKeyed != nil && len(e.keys) == 1 {
-					ckBuf[0] = kp
-					bv, found, err = baseKeyed.MapGetCK(f, ckBuf[:], e.keys)
+				var cks []string
+				if len(e.keys) == 1 {
+					cks = append(ckBuf[:0], kp)
 				} else {
-					bv, found, err = o.base.MapGet(f, e.keys)
+					cks = eval.CanonicalKeys(ckBuf[:0], e.keys)
 				}
+				bv, found, err := o.base.MapGet(f, cks, e.keys)
 				if err != nil {
 					return nil, err
 				}

@@ -13,7 +13,7 @@ import (
 // eval.MemState and Overlay implement it, so overlays stack.
 type StateReader interface {
 	LoadField(name string) (value.Value, error)
-	MapGet(field string, keys []value.Value) (value.Value, bool, error)
+	MapGet(field string, cks []string, keys []value.Value) (value.Value, bool, error)
 }
 
 // keypathSep separates canonical keys in a flattened nested-map path.
@@ -59,14 +59,6 @@ type Overlay struct {
 	scalars map[string]value.Value
 	// mapWrites holds per-entry writes: field -> keypath -> entry.
 	mapWrites map[string]map[string]mapEntry
-	// intern caches canonical keypaths for single ByStr keys (addresses
-	// — by far the dominant map-key shape), indexed by the raw key
-	// bytes. The cache is shared down an overlay stack (per-transaction
-	// overlays inherit their parent shard overlay's table), so repeated
-	// accesses to the same address across transactions canonicalise
-	// once. Never shared across goroutines: each shard or group overlay
-	// stack is driven by a single executor.
-	intern map[string]string
 	// merged caches the materialised merge of LoadField for map fields
 	// with pending entry writes; invalidated by any write to the field.
 	merged map[string]value.Value
@@ -76,36 +68,14 @@ type Overlay struct {
 	spare []map[string]mapEntry
 }
 
-// keypath returns Keypath(keys), interning the single-ByStr-key case.
-func (o *Overlay) keypath(keys []value.Value) string {
-	if len(keys) == 1 {
-		if b, ok := keys[0].(value.ByStr); ok {
-			if p, ok := o.intern[string(b.B)]; ok {
-				return p
-			}
-			p := value.CanonicalKey(keys[0])
-			o.intern[string(b.B)] = p
-			return p
-		}
-	}
-	return Keypath(keys)
-}
-
-// NewOverlay creates an overlay over base. An overlay stacked on
-// another overlay shares its parent's keypath intern table.
+// NewOverlay creates an overlay over base.
 func NewOverlay(base StateReader, fieldTypes map[string]ast.Type) *Overlay {
-	o := &Overlay{
+	return &Overlay{
 		base:       base,
 		fieldTypes: fieldTypes,
 		scalars:    make(map[string]value.Value),
 		mapWrites:  make(map[string]map[string]mapEntry),
 	}
-	if p, ok := base.(*Overlay); ok {
-		o.intern = p.intern
-	} else {
-		o.intern = make(map[string]string)
-	}
-	return o
 }
 
 // Reset rewinds the overlay to an empty view over base, recycling its
@@ -126,11 +96,6 @@ func (o *Overlay) Reset(base StateReader, fieldTypes map[string]ast.Type) {
 		delete(o.mapWrites, f)
 	}
 	clear(o.merged)
-	if p, ok := base.(*Overlay); ok {
-		o.intern = p.intern
-	} else if o.intern == nil {
-		o.intern = make(map[string]string)
-	}
 }
 
 // writesFor returns the per-field write table, reusing a recycled one
@@ -186,9 +151,7 @@ func (o *Overlay) LoadField(name string) (value.Value, error) {
 	}
 	merged := bm.Copy()
 	for _, e := range writes {
-		if e.deleted {
-			deleteNested(merged, e.keys)
-		} else if err := setNested(merged, e.keys, e.val, o.fieldTypes[name]); err != nil {
+		if err := foldEntry(merged, e, o.fieldTypes[name]); err != nil {
 			return nil, err
 		}
 	}
@@ -211,40 +174,6 @@ func (o *Overlay) StoreField(name string, v value.Value) error {
 	return nil
 }
 
-// MapGet implements eval.StateAccess.
-func (o *Overlay) MapGet(field string, keys []value.Value) (value.Value, bool, error) {
-	if v, ok := o.scalars[field]; ok {
-		m, ok := v.(*value.Map)
-		if !ok {
-			return nil, false, fmt.Errorf("field %s is not a map", field)
-		}
-		return getNested(m, keys)
-	}
-	if e, ok := o.mapWrites[field][o.keypath(keys)]; ok {
-		if e.deleted {
-			return nil, false, nil
-		}
-		return e.val, true, nil
-	}
-	return o.base.MapGet(field, keys)
-}
-
-// MapSet implements eval.StateAccess.
-func (o *Overlay) MapSet(field string, keys []value.Value, v value.Value) error {
-	if sv, ok := o.scalars[field]; ok {
-		m, ok := sv.(*value.Map)
-		if !ok {
-			return fmt.Errorf("field %s is not a map", field)
-		}
-		return setNested(m, keys, value.Copy(v), o.fieldTypes[field])
-	}
-	w := o.writesFor(field)
-	delete(o.merged, field)
-	kp := o.keypath(keys)
-	w[kp] = mapEntry{keys: o.ownKeys(w, kp, keys), val: value.Copy(v)}
-	return nil
-}
-
 // ownKeys returns a key slice the overlay may retain: callers (the
 // interpreter's map-statement path) reuse their key buffers, so the
 // slice is copied on first write of a keypath and reused on overwrite.
@@ -255,25 +184,9 @@ func (o *Overlay) ownKeys(w map[string]mapEntry, kp string, keys []value.Value) 
 	return append([]value.Value(nil), keys...)
 }
 
-// MapDelete implements eval.StateAccess.
-func (o *Overlay) MapDelete(field string, keys []value.Value) error {
-	if sv, ok := o.scalars[field]; ok {
-		m, ok := sv.(*value.Map)
-		if !ok {
-			return fmt.Errorf("field %s is not a map", field)
-		}
-		deleteNested(m, keys)
-		return nil
-	}
-	w := o.writesFor(field)
-	delete(o.merged, field)
-	kp := o.keypath(keys)
-	w[kp] = mapEntry{keys: o.ownKeys(w, kp, keys), deleted: true}
-	return nil
-}
-
-// keypathCK joins precomputed per-level canonical keys into a keypath.
-func keypathCK(cks []string) string {
+// keypathOf joins per-level canonical keys into a keypath: Keypath of
+// the keys they canonicalise.
+func keypathOf(cks []string) string {
 	switch len(cks) {
 	case 0:
 		return ""
@@ -283,57 +196,53 @@ func keypathCK(cks []string) string {
 	return strings.Join(cks, keypathSep)
 }
 
-// MapGetCK implements eval.KeyedState: MapGet with precomputed
-// canonical keys, skipping per-access keypath canonicalisation.
-func (o *Overlay) MapGetCK(field string, cks []string, keys []value.Value) (value.Value, bool, error) {
+// MapGet implements eval.StateAccess.
+func (o *Overlay) MapGet(field string, cks []string, keys []value.Value) (value.Value, bool, error) {
 	if v, ok := o.scalars[field]; ok {
 		m, ok := v.(*value.Map)
 		if !ok {
 			return nil, false, fmt.Errorf("field %s is not a map", field)
 		}
-		return getNestedCK(m, cks)
+		return getNested(m, cks)
 	}
-	if e, ok := o.mapWrites[field][keypathCK(cks)]; ok {
+	if e, ok := o.mapWrites[field][keypathOf(cks)]; ok {
 		if e.deleted {
 			return nil, false, nil
 		}
 		return e.val, true, nil
 	}
-	if ks, ok := o.base.(eval.KeyedState); ok {
-		return ks.MapGetCK(field, cks, keys)
-	}
-	return o.base.MapGet(field, keys)
+	return o.base.MapGet(field, cks, keys)
 }
 
-// MapSetCK implements eval.KeyedState.
-func (o *Overlay) MapSetCK(field string, cks []string, keys []value.Value, v value.Value) error {
+// MapSet implements eval.StateAccess.
+func (o *Overlay) MapSet(field string, cks []string, keys []value.Value, v value.Value) error {
 	if sv, ok := o.scalars[field]; ok {
 		m, ok := sv.(*value.Map)
 		if !ok {
 			return fmt.Errorf("field %s is not a map", field)
 		}
-		return setNestedCK(m, cks, keys, value.Copy(v), o.fieldTypes[field])
+		return setNested(m, cks, keys, value.Copy(v), o.fieldTypes[field])
 	}
 	w := o.writesFor(field)
 	delete(o.merged, field)
-	kp := keypathCK(cks)
+	kp := keypathOf(cks)
 	w[kp] = mapEntry{keys: o.ownKeys(w, kp, keys), val: value.Copy(v)}
 	return nil
 }
 
-// MapDeleteCK implements eval.KeyedState.
-func (o *Overlay) MapDeleteCK(field string, cks []string, keys []value.Value) error {
+// MapDelete implements eval.StateAccess.
+func (o *Overlay) MapDelete(field string, cks []string, keys []value.Value) error {
 	if sv, ok := o.scalars[field]; ok {
 		m, ok := sv.(*value.Map)
 		if !ok {
 			return fmt.Errorf("field %s is not a map", field)
 		}
-		deleteNestedCK(m, cks)
+		deleteNested(m, cks)
 		return nil
 	}
 	w := o.writesFor(field)
 	delete(o.merged, field)
-	kp := keypathCK(cks)
+	kp := keypathOf(cks)
 	w[kp] = mapEntry{keys: o.ownKeys(w, kp, keys), deleted: true}
 	return nil
 }
@@ -363,11 +272,7 @@ func (o *Overlay) CommitTo(parent *Overlay) {
 				continue
 			}
 			for _, e := range writes {
-				if e.deleted {
-					deleteNested(m, e.keys)
-				} else {
-					setNested(m, e.keys, e.val, parent.fieldTypes[f]) //nolint:errcheck // validated on child write
-				}
+				foldEntry(m, e, parent.fieldTypes[f]) //nolint:errcheck // validated on child write
 			}
 			continue
 		}
@@ -391,71 +296,18 @@ func (o *Overlay) Touched() bool {
 
 // --- nested map helpers operating on materialised map values ---
 
-func getNested(m *value.Map, keys []value.Value) (value.Value, bool, error) {
-	cur := m
-	for i := 0; i < len(keys)-1; i++ {
-		v, ok := cur.Get(keys[i])
-		if !ok {
-			return nil, false, nil
-		}
-		nm, ok := v.(*value.Map)
-		if !ok {
-			return nil, false, fmt.Errorf("non-map value at nesting depth %d", i)
-		}
-		cur = nm
+// foldEntry applies one pending entry write to a materialised map.
+func foldEntry(m *value.Map, e mapEntry, fieldType ast.Type) error {
+	var buf [4]string
+	cks := eval.CanonicalKeys(buf[:0], e.keys)
+	if e.deleted {
+		deleteNested(m, cks)
+		return nil
 	}
-	v, ok := cur.Get(keys[len(keys)-1])
-	return v, ok, nil
+	return setNested(m, cks, e.keys, e.val, fieldType)
 }
 
-func setNested(m *value.Map, keys []value.Value, v value.Value, fieldType ast.Type) error {
-	cur := m
-	t := fieldType
-	for i := 0; i < len(keys)-1; i++ {
-		mt, ok := t.(ast.MapType)
-		if !ok {
-			return fmt.Errorf("field not nested at depth %d", i)
-		}
-		t = mt.Val
-		next, found := cur.Get(keys[i])
-		if !found {
-			inner, ok := t.(ast.MapType)
-			if !ok {
-				return fmt.Errorf("field not nested at depth %d", i+1)
-			}
-			nm := value.NewMap(inner.Key, inner.Val)
-			cur.Set(keys[i], nm)
-			next = nm
-		}
-		nm, ok := next.(*value.Map)
-		if !ok {
-			return fmt.Errorf("non-map value at nesting depth %d", i)
-		}
-		cur = nm
-	}
-	cur.Set(keys[len(keys)-1], v)
-	return nil
-}
-
-func deleteNested(m *value.Map, keys []value.Value) {
-	cur := m
-	for i := 0; i < len(keys)-1; i++ {
-		v, ok := cur.Get(keys[i])
-		if !ok {
-			return
-		}
-		nm, ok := v.(*value.Map)
-		if !ok {
-			return
-		}
-		cur = nm
-	}
-	cur.Delete(keys[len(keys)-1])
-}
-
-// CK variants of the nested helpers, using precomputed canonical keys.
-
-func getNestedCK(m *value.Map, cks []string) (value.Value, bool, error) {
+func getNested(m *value.Map, cks []string) (value.Value, bool, error) {
 	cur := m
 	for i := 0; i < len(cks)-1; i++ {
 		v, ok := cur.GetCK(cks[i])
@@ -472,7 +324,7 @@ func getNestedCK(m *value.Map, cks []string) (value.Value, bool, error) {
 	return v, ok, nil
 }
 
-func setNestedCK(m *value.Map, cks []string, keys []value.Value, v value.Value, fieldType ast.Type) error {
+func setNested(m *value.Map, cks []string, keys []value.Value, v value.Value, fieldType ast.Type) error {
 	cur := m
 	t := fieldType
 	for i := 0; i < len(cks)-1; i++ {
@@ -501,7 +353,7 @@ func setNestedCK(m *value.Map, cks []string, keys []value.Value, v value.Value, 
 	return nil
 }
 
-func deleteNestedCK(m *value.Map, cks []string) {
+func deleteNested(m *value.Map, cks []string) {
 	cur := m
 	for i := 0; i < len(cks)-1; i++ {
 		v, ok := cur.GetCK(cks[i])
@@ -520,8 +372,7 @@ func deleteNestedCK(m *value.Map, cks []string) {
 // Interface conformance checks.
 var (
 	_ eval.StateAccess = (*Overlay)(nil)
-	_ eval.KeyedState  = (*Overlay)(nil)
-	_ eval.KeyedState  = (*eval.MemState)(nil)
+	_ eval.StateAccess = (*eval.MemState)(nil)
 	_ StateReader      = (*Overlay)(nil)
 	_ StateReader      = (*eval.MemState)(nil)
 )

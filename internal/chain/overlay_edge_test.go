@@ -16,14 +16,14 @@ import (
 // base.
 func TestOverlayLoadFieldMaterialises(t *testing.T) {
 	base := newBase()
-	if err := base.MapSet("balances", []value.Value{addr(1)}, value.Uint128(10)); err != nil {
+	if err := eval.SetAt(base, "balances", []value.Value{addr(1)}, value.Uint128(10)); err != nil {
 		t.Fatal(err)
 	}
 	ov := chain.NewOverlay(base, testFieldTypes)
-	if err := ov.MapSet("balances", []value.Value{addr(2)}, value.Uint128(20)); err != nil {
+	if err := eval.SetAt(ov, "balances", []value.Value{addr(2)}, value.Uint128(20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ov.MapDelete("balances", []value.Value{addr(1)}); err != nil {
+	if err := eval.DeleteAt(ov, "balances", []value.Value{addr(1)}); err != nil {
 		t.Fatal(err)
 	}
 	v, err := ov.LoadField("balances")
@@ -57,17 +57,17 @@ func TestOverlayWholeFieldStoreThenMapOps(t *testing.T) {
 	if err := ov.StoreField("balances", fresh); err != nil {
 		t.Fatal(err)
 	}
-	if err := ov.MapSet("balances", []value.Value{addr(2)}, value.Uint128(6)); err != nil {
+	if err := eval.SetAt(ov, "balances", []value.Value{addr(2)}, value.Uint128(6)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ov.MapDelete("balances", []value.Value{addr(1)}); err != nil {
+	if err := eval.DeleteAt(ov, "balances", []value.Value{addr(1)}); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := ov.MapGet("balances", []value.Value{addr(2)})
+	v, ok, err := eval.GetAt(ov, "balances", []value.Value{addr(2)})
 	if err != nil || !ok || v.(value.Int).V.Uint64() != 6 {
 		t.Errorf("entry after whole-store: %v %v %v", v, ok, err)
 	}
-	if _, ok, _ := ov.MapGet("balances", []value.Value{addr(1)}); ok {
+	if _, ok, _ := eval.GetAt(ov, "balances", []value.Value{addr(1)}); ok {
 		t.Error("deleted entry still present")
 	}
 	// Delta is a whole-field overwrite.
@@ -81,7 +81,7 @@ func TestOverlayWholeFieldStoreThenMapOps(t *testing.T) {
 	}
 	// StoreField does not capture later mutations of the caller's map.
 	fresh.Set(addr(3), value.Uint128(9))
-	if _, ok, _ := ov.MapGet("balances", []value.Value{addr(3)}); ok {
+	if _, ok, _ := eval.GetAt(ov, "balances", []value.Value{addr(3)}); ok {
 		t.Error("overlay aliases the stored map value")
 	}
 }
@@ -121,7 +121,7 @@ func TestDeepNestedThroughInterpreter(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := []value.Value{owner.Value(), value.Str{S: "a"}, value.Str{S: "b"}}
-	v, ok, err := merged.MapGet("deep", keys)
+	v, ok, err := eval.GetAt(merged, "deep", keys)
 	if err != nil || !ok || v.(value.Int).V.Uint64() != 42 {
 		t.Fatalf("deep entry after merge: %v %v %v", v, ok, err)
 	}
@@ -149,7 +149,7 @@ func TestDeepNestedThroughInterpreter(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := ov2.MapGet("deep", keys); ok {
+	if _, ok, _ := eval.GetAt(ov2, "deep", keys); ok {
 		t.Error("deep entry survived delete")
 	}
 }

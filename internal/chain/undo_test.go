@@ -20,12 +20,12 @@ func undoBase(t *testing.T) *eval.MemState {
 	t.Helper()
 	st := newBase()
 	for i := 0; i < 4; i++ {
-		if err := st.MapSet("balances", []value.Value{addr(i)}, value.Uint128(uint64(100+i))); err != nil {
+		if err := eval.SetAt(st, "balances", []value.Value{addr(i)}, value.Uint128(uint64(100+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, k := range []string{"a", "b"} {
-		if err := st.MapSet("nested", []value.Value{addr(1), value.Str{S: k}}, value.Uint128(7)); err != nil {
+		if err := eval.SetAt(st, "nested", []value.Value{addr(1), value.Str{S: k}}, value.Uint128(7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,13 +49,13 @@ func randomDelta(t *testing.T, r *rand.Rand, base *eval.MemState, shard int) *ch
 		inner := value.Str{S: string(rune('a' + r.Intn(3)))}
 		switch r.Intn(6) {
 		case 0:
-			must(ov.MapSet("balances", []value.Value{addr(r.Intn(8))}, value.Uint128(uint64(r.Intn(1000)))))
+			must(eval.SetAt(ov, "balances", []value.Value{addr(r.Intn(8))}, value.Uint128(uint64(r.Intn(1000)))))
 		case 1:
-			must(ov.MapDelete("balances", []value.Value{addr(r.Intn(8))}))
+			must(eval.DeleteAt(ov, "balances", []value.Value{addr(r.Intn(8))}))
 		case 2:
-			must(ov.MapSet("nested", []value.Value{addr(r.Intn(4)), inner}, value.Uint128(uint64(r.Intn(1000)))))
+			must(eval.SetAt(ov, "nested", []value.Value{addr(r.Intn(4)), inner}, value.Uint128(uint64(r.Intn(1000)))))
 		case 3:
-			must(ov.MapDelete("nested", []value.Value{addr(r.Intn(4)), inner}))
+			must(eval.DeleteAt(ov, "nested", []value.Value{addr(r.Intn(4)), inner}))
 		case 4:
 			must(ov.StoreField("note", value.Str{S: "rewritten"}))
 		case 5:
@@ -115,7 +115,7 @@ func TestUndoAfterFailedMerge(t *testing.T) {
 	}
 	overwrite := func(base *eval.MemState, shard int, v uint64) *chain.StateDelta {
 		ov := chain.NewOverlay(base, testFieldTypes)
-		if err := ov.MapSet("balances", []value.Value{addr(1)}, value.Uint128(v)); err != nil {
+		if err := eval.SetAt(ov, "balances", []value.Value{addr(1)}, value.Uint128(v)); err != nil {
 			t.Fatal(err)
 		}
 		d, err := ov.ExtractDelta(chain.Address{}, shard, nil)
@@ -157,7 +157,7 @@ func TestUndoAfterFailedMerge(t *testing.T) {
 		if !base.Equal(pre) {
 			t.Fatal("state after Rollback differs from the state before the merge")
 		}
-		if _, found, _ := base.MapGet("nested", []value.Value{addr(9)}); found {
+		if _, found, _ := eval.GetAt(base, "nested", []value.Value{addr(9)}); found {
 			t.Fatal("Rollback left the inner map the merge created under nested[addr(9)]")
 		}
 	})
@@ -168,7 +168,7 @@ func TestUndoAfterFailedMerge(t *testing.T) {
 // responses and the undo log may still reference — keeps its value.
 func TestMergeNeverMutatesReplacedValues(t *testing.T) {
 	base := undoBase(t)
-	before, _, err := base.MapGet("balances", []value.Value{addr(2)})
+	before, _, err := eval.GetAt(base, "balances", []value.Value{addr(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestMergeNeverMutatesReplacedValues(t *testing.T) {
 	if err := chain.MergeDeltas(base, []*chain.StateDelta{d}, new(chain.Undo)); err != nil {
 		t.Fatal(err)
 	}
-	after, _, _ := base.MapGet("balances", []value.Value{addr(2)})
+	after, _, _ := eval.GetAt(base, "balances", []value.Value{addr(2)})
 	if got := after.(value.Int).V.Uint64(); got != 142 {
 		t.Fatalf("balances[2] = %d, want 142", got)
 	}

@@ -99,7 +99,6 @@ type dsConfig struct {
 	timeout time.Duration
 	reg     *obs.Registry
 	rec     obs.Recorder
-	faults  *LinkFaults
 	lookups []string
 	source  BlockSource
 }
@@ -115,12 +114,6 @@ func DSCollectTimeout(d time.Duration) DSOption {
 // and wire.* metrics on reg.
 func DSObs(reg *obs.Registry, rec obs.Recorder) DSOption {
 	return func(c *dsConfig) { c.reg, c.rec = reg, rec }
-}
-
-// DSFaults injects faults into the committee's outbound frames
-// (TxBatches and FinalBlocks).
-func DSFaults(f LinkFaults) DSOption {
-	return func(c *dsConfig) { c.faults = &f }
 }
 
 // DSLookups pre-registers lookup nodes for FinalBlock broadcasts.
@@ -151,7 +144,7 @@ func NewDS(name string, net *shard.Network, ep Endpoint, shardNames []string, op
 	for _, o := range opts {
 		o(&c)
 	}
-	lep := Instrument(ep, c.rec, c.reg, c.faults).(*link)
+	lep := Instrument(ep, c.rec, c.reg, nil).(*link)
 	d := &DS{
 		name:    name,
 		ep:      lep,

@@ -22,11 +22,10 @@ import (
 // flow past it. Receipts rest there with their events encoded;
 // wire.ReceiptEvents builds them for the client that asks.
 type Lookup struct {
-	name    string
-	ep      Endpoint
-	ds      string
-	timeout time.Duration
-	m       *linkMetrics
+	name string
+	ep   Endpoint
+	ds   string
+	m    *linkMetrics
 
 	quit      chan struct{}
 	closeOnce sync.Once
@@ -47,27 +46,18 @@ type Lookup struct {
 type LookupOption func(*lookupConfig)
 
 type lookupConfig struct {
-	timeout    time.Duration
 	reg        *obs.Registry
 	rec        obs.Recorder
-	faults     *LinkFaults
 	receiptCap int
 }
 
-// LookupTimeout bounds how long SubmitTx and GetState wait for the
-// committee's response (default 5s).
-func LookupTimeout(d time.Duration) LookupOption {
-	return func(c *lookupConfig) { c.timeout = d }
-}
+// lookupTimeout bounds how long SubmitTx and GetState wait for the
+// committee's response.
+const lookupTimeout = 5 * time.Second
 
 // LookupObs attaches transport observability to the node's endpoint.
 func LookupObs(reg *obs.Registry, rec obs.Recorder) LookupOption {
 	return func(c *lookupConfig) { c.reg, c.rec = reg, rec }
-}
-
-// LookupFaults injects faults into the node's outbound frames.
-func LookupFaults(f LinkFaults) LookupOption {
-	return func(c *lookupConfig) { c.faults = &f }
 }
 
 // LookupReceiptCap bounds the receipt log to the n most recent
@@ -86,19 +76,18 @@ func LookupReceiptCap(n int) LookupOption {
 // NewLookup builds a lookup actor talking to the DS peer named ds.
 // Call Run to start it.
 func NewLookup(name string, ep Endpoint, ds string, opts ...LookupOption) *Lookup {
-	c := lookupConfig{timeout: 5 * time.Second}
+	var c lookupConfig
 	for _, o := range opts {
 		o(&c)
 	}
 	if c.reg == nil {
 		c.reg = obs.NewRegistry()
 	}
-	lep := Instrument(ep, c.rec, c.reg, c.faults).(*link)
+	lep := Instrument(ep, c.rec, c.reg, nil).(*link)
 	return &Lookup{
 		name:          name,
 		ep:            lep,
 		ds:            ds,
-		timeout:       c.timeout,
 		m:             lep.m,
 		quit:          make(chan struct{}),
 		submits:       make(map[uint64]chan *wire.SubmitResp),
@@ -215,7 +204,7 @@ func (l *Lookup) SubmitTx(tx *chain.Tx) (uint64, error) {
 	// One timer, stopped when the response wins: under go 1.22 an
 	// unstopped time.After timer stays in the runtime's heap until it
 	// fires, thousands of them at a busy lookup.
-	timer := time.NewTimer(l.timeout)
+	timer := time.NewTimer(lookupTimeout)
 	defer timer.Stop()
 	select {
 	case resp := <-ch:
@@ -270,7 +259,7 @@ func (l *Lookup) query(q *wire.StateQuery) (*wire.StateResp, error) {
 	if err := l.ep.Send(l.ds, wire.EncodeFrame(wire.MsgStateQuery, wire.EncodeStateQuery(q))); err != nil {
 		return nil, err
 	}
-	timer := time.NewTimer(l.timeout)
+	timer := time.NewTimer(lookupTimeout)
 	defer timer.Stop()
 	select {
 	case resp := <-ch:

@@ -295,7 +295,7 @@ func (c *compiler) stmt(s ast.Stmt, rest []ast.Stmt) (stmtOp, error) {
 				return err
 			}
 			cks, kv := keys(m)
-			return m.mapSet(field, cks, kv, get(m))
+			return m.ctx.State.MapSet(field, cks, kv, get(m))
 		}, nil
 
 	case *ast.MapGetStmt:
@@ -315,7 +315,7 @@ func (c *compiler) stmt(s ast.Stmt, rest []ast.Stmt) (stmtOp, error) {
 				return err
 			}
 			cks, kv := keys(m)
-			return m.mapDelete(field, cks, kv)
+			return m.ctx.State.MapDelete(field, cks, kv)
 		}, nil
 
 	case *ast.ReadBlockchainStmt:
@@ -435,7 +435,7 @@ func (c *compiler) mapGetStmt(st *ast.MapGetStmt, rest []ast.Stmt) (stmtOp, erro
 				return err
 			}
 			cks, kv := keys(m)
-			_, found, err := m.mapGet(field, cks, kv)
+			_, found, err := m.ctx.State.MapGet(field, cks, kv)
 			if err != nil {
 				return err
 			}
@@ -458,7 +458,7 @@ func (c *compiler) mapGetStmt(st *ast.MapGetStmt, rest []ast.Stmt) (stmtOp, erro
 				return err
 			}
 			cks, kv := keys(m)
-			v, found, err := m.mapGet(field, cks, kv)
+			v, found, err := m.ctx.State.MapGet(field, cks, kv)
 			if err != nil {
 				return err
 			}
@@ -478,7 +478,7 @@ func (c *compiler) mapGetStmt(st *ast.MapGetStmt, rest []ast.Stmt) (stmtOp, erro
 			return err
 		}
 		cks, kv := keys(m)
-		v, found, err := m.mapGet(field, cks, kv)
+		v, found, err := m.ctx.State.MapGet(field, cks, kv)
 		if err != nil {
 			return err
 		}

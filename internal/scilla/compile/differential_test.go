@@ -9,6 +9,7 @@ import (
 	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/compile"
 	"cosplit/internal/scilla/eval"
+	"cosplit/internal/scilla/parser"
 	"cosplit/internal/scilla/typecheck"
 	"cosplit/internal/scilla/value"
 )
@@ -156,16 +157,7 @@ func TestDifferentialAllContracts(t *testing.T) {
 	for _, entry := range contracts.All() {
 		entry := entry
 		t.Run(entry.Name, func(t *testing.T) {
-			chk := contracts.MustParse(entry.Name)
-			params := make(map[string]value.Value)
-			for _, p := range chk.Module.Contract.Params {
-				params[p.Name] = synthV(p.Type, 0)
-			}
-			in, err := eval.New(chk, params)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			prog := compile.New(in)
+			in, prog, chk := corpusFixture(t, entry.Name)
 			for _, seed := range seeds {
 				for _, tr := range chk.Module.Contract.Transitions {
 					args := make(map[string]value.Value, len(tr.Params))
@@ -177,6 +169,22 @@ func TestDifferentialAllContracts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// corpusFixture builds an interpreter+program for a corpus contract
+// with synthesized contract parameters.
+func corpusFixture(t *testing.T, name string) (*eval.Interpreter, *compile.Program, *typecheck.Checked) {
+	t.Helper()
+	chk := contracts.MustParse(name)
+	params := make(map[string]value.Value)
+	for _, p := range chk.Module.Contract.Params {
+		params[p.Name] = synthV(p.Type, 0)
+	}
+	in, err := eval.New(chk, params)
+	if err != nil {
+		t.Fatalf("%s: New: %v", name, err)
+	}
+	return in, compile.New(in), chk
 }
 
 // ftFixture builds a FungibleToken interpreter+program whose contract
@@ -331,5 +339,90 @@ func TestCompiledAllocCeiling(t *testing.T) {
 	})
 	if allocs > ceiling {
 		t.Errorf("compiled Transfer allocates %.1f per op, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestCorpusCompilesWithoutFallback pins the answer to "does
+// production ever take Program.Run's interpreter branch": no. Every
+// transition of every corpus contract compiles; one that stops
+// compiling fails here by name.
+func TestCorpusCompilesWithoutFallback(t *testing.T) {
+	corpus := contracts.All()
+	nTransitions := 0
+	for _, entry := range corpus {
+		_, prog, chk := corpusFixture(t, entry.Name)
+		nTransitions += len(chk.Module.Contract.Transitions)
+		if _, fallbacks, _ := prog.CompileCounts(); fallbacks == 0 {
+			continue
+		}
+		for _, tr := range chk.Module.Contract.Transitions {
+			if compiled, _ := prog.CompiledTransition(tr.Name); !compiled {
+				t.Errorf("%s.%s falls back to the interpreter", entry.Name, tr.Name)
+			}
+		}
+	}
+	if len(corpus) != 49 || nTransitions != 153 {
+		t.Errorf("corpus is %d contracts / %d transitions, want 49 / 153", len(corpus), nTransitions)
+	}
+}
+
+// rebindSrc holds the one legal construct compileTransition refuses: a
+// closure followed by a rebind of a name it captured, in the same
+// frame. The interpreter's closure sees the rebound value (its
+// environment is captured by reference), a compiled closure would see
+// the snapshot, so the transition is left to the interpreter.
+const rebindSrc = `
+scilla_version 0
+
+contract Rebind ()
+
+field total : Uint128 = Uint128 0
+field seen : Map ByStr20 Uint128 = Emp ByStr20 Uint128
+
+transition Bump (x : Uint128)
+  a = x;
+  f = fun (y : Uint128) => builtin add a y;
+  a = Uint128 7;
+  v = f a;
+  total := v;
+  seen[_sender] := v
+end
+`
+
+// TestFallbackMatchesInterpreter reaches Program.Run's interpreter
+// branch: the transition type-checks, does not compile, and a run of
+// the compiled program equals the interpreter's in result, gas and
+// state.
+func TestFallbackMatchesInterpreter(t *testing.T) {
+	m, err := parser.ParseModule(rebindSrc)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	chk, err := typecheck.Check(m)
+	if err != nil {
+		t.Fatalf("typecheck: %v", err)
+	}
+	in, err := eval.New(chk, nil)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	prog := compile.New(in)
+	if compiled, _ := prog.CompiledTransition("Bump"); compiled {
+		t.Fatal("Bump compiled: the closure-then-rebind guard no longer fires, so this test no longer reaches the fallback")
+	}
+	args := map[string]value.Value{"x": value.Uint128(5)}
+	for _, limit := range []uint64{1_000_000, 10} {
+		compareRuns(t, in, prog, chk, "Bump", args, 0, limit)
+	}
+	if runs := prog.DrainStats().FallbackRuns; runs != 2 {
+		t.Errorf("fallback runs = %d, want 2", runs)
+	}
+	// The rebound value is the one the closure sees: 7 + 7, not 5 + 7.
+	st := freshState(t, in, chk)
+	if _, err := prog.Run(diffCtx(st, 0, 1_000_000), "Bump", args); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got := st.Fields["total"]; !value.Equal(got, value.Uint128(14)) {
+		t.Errorf("total = %s, want 14", got)
 	}
 }

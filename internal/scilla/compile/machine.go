@@ -39,11 +39,6 @@ type mach struct {
 	ffound []bool
 	res    eval.Result
 
-	// keyed is the per-run canonical-key fast path into state, set when
-	// ctx.State implements eval.KeyedState.
-	keyed     eval.KeyedState
-	haveKeyed bool
-
 	// scratch buffers for canonical key construction and map-op key
 	// vectors; capacity is retained across runs.
 	scratch []byte
@@ -150,29 +145,6 @@ func (m *mach) canonKey(v value.Value) string {
 	return s
 }
 
-// mapGet dispatches a map read through the canonical-key fast path
-// when the state backend supports it.
-func (m *mach) mapGet(field string, cks []string, keys []value.Value) (value.Value, bool, error) {
-	if m.haveKeyed {
-		return m.keyed.MapGetCK(field, cks, keys)
-	}
-	return m.ctx.State.MapGet(field, keys)
-}
-
-func (m *mach) mapSet(field string, cks []string, keys []value.Value, v value.Value) error {
-	if m.haveKeyed {
-		return m.keyed.MapSetCK(field, cks, keys, v)
-	}
-	return m.ctx.State.MapSet(field, keys, v)
-}
-
-func (m *mach) mapDelete(field string, cks []string, keys []value.Value) error {
-	if m.haveKeyed {
-		return m.keyed.MapDeleteCK(field, cks, keys)
-	}
-	return m.ctx.State.MapDelete(field, keys)
-}
-
 // clearForPool strips everything transaction-specific before the mach
 // returns to the pool, so pooled machines can never leak values (or
 // partially-written results after a mid-transition abort) into the
@@ -182,8 +154,6 @@ func (m *mach) clearForPool() {
 	clear(m.ffound)
 	m.res = eval.Result{}
 	m.ctx = nil
-	m.keyed = nil
-	m.haveKeyed = false
 	m.keyBuf = m.keyBuf[:0]
 	m.cks = m.cks[:0]
 	m.argBuf = [3]value.Value{}

@@ -119,7 +119,6 @@ func (p *Program) Run(ctx *eval.Context, transition string, args map[string]valu
 	p.poolGets.Add(1)
 	m := p.pool.Get().(*mach)
 	m.ctx = ctx
-	m.keyed, m.haveKeyed = ctx.State.(eval.KeyedState)
 	m.slots[slotSender] = boxByStr(&m.senderRaw, &m.senderBox, ctx.Sender)
 	m.slots[slotOrigin] = boxByStr(&m.originRaw, &m.originBox, ctx.Origin)
 	m.slots[slotAmount] = m.boxAmount(ctx.Amount)

@@ -24,12 +24,41 @@ type StateAccess interface {
 	// StoreField overwrites a whole field value.
 	StoreField(name string, v value.Value) error
 	// MapGet reads a (possibly nested) map entry; ok is false if absent.
-	MapGet(field string, keys []value.Value) (v value.Value, ok bool, err error)
+	// Map entries are addressed by their key values together with the
+	// keys' canonical forms: cks is parallel to keys, cks[i] ==
+	// value.CanonicalKey(keys[i]), computed once per access by the
+	// caller (CanonicalKeys). Implementations must not retain either
+	// slice.
+	MapGet(field string, cks []string, keys []value.Value) (v value.Value, ok bool, err error)
 	// MapSet writes a (possibly nested) map entry, creating intermediate
 	// maps as needed.
-	MapSet(field string, keys []value.Value, v value.Value) error
+	MapSet(field string, cks []string, keys []value.Value, v value.Value) error
 	// MapDelete removes a (possibly nested) map entry if present.
-	MapDelete(field string, keys []value.Value) error
+	MapDelete(field string, cks []string, keys []value.Value) error
+}
+
+// CanonicalKeys appends the canonical form of every key to buf and
+// returns it: the cks argument of the StateAccess map methods.
+func CanonicalKeys(buf []string, keys []value.Value) []string {
+	for _, k := range keys {
+		buf = append(buf, value.CanonicalKey(k))
+	}
+	return buf
+}
+
+// GetAt, SetAt and DeleteAt address a map entry by key values alone,
+// for callers outside the execution engines (readers of committed
+// state, tests) that have no canonical keys at hand.
+func GetAt(st StateAccess, field string, keys []value.Value) (value.Value, bool, error) {
+	return st.MapGet(field, CanonicalKeys(nil, keys), keys)
+}
+
+func SetAt(st StateAccess, field string, keys []value.Value, v value.Value) error {
+	return st.MapSet(field, CanonicalKeys(nil, keys), keys, v)
+}
+
+func DeleteAt(st StateAccess, field string, keys []value.Value) error {
+	return st.MapDelete(field, CanonicalKeys(nil, keys), keys)
 }
 
 // Context carries the per-transaction blockchain environment.
@@ -49,12 +78,14 @@ type Context struct {
 	ContractBalance *big.Int
 
 	// argsEnv is the transition-call environment, reused across Run
-	// calls on the same Context (reset each call); keyBuf is the
-	// scratch key vector for map statements. Both exist purely to keep
-	// the per-transaction hot path allocation-free; a zero Context
-	// works and allocates them lazily.
+	// calls on the same Context (reset each call); keyBuf and ckBuf are
+	// the scratch key vector of a map statement and its canonical
+	// forms. They exist purely to keep the per-transaction hot path
+	// from allocating slices; a zero Context works and allocates them
+	// lazily.
 	argsEnv *value.Env
 	keyBuf  []value.Value
+	ckBuf   []string
 }
 
 // Result is the outcome of a successful transition execution.
@@ -113,19 +144,6 @@ const (
 	GasEvent   uint64 = gasEvent
 	GasBuiltin uint64 = gasBuiltin
 )
-
-// KeyedState is an optional extension of StateAccess for backends that
-// can address (possibly nested) map entries by precomputed canonical
-// keys, skipping per-access value.CanonicalKey recomputation. cks is
-// the per-level canonical key slice parallel to keys (cks[i] ==
-// value.CanonicalKey(keys[i])). Implementations must not retain either
-// slice.
-type KeyedState interface {
-	StateAccess
-	MapGetCK(field string, cks []string, keys []value.Value) (v value.Value, ok bool, err error)
-	MapSetCK(field string, cks []string, keys []value.Value, v value.Value) error
-	MapDeleteCK(field string, cks []string, keys []value.Value) error
-}
 
 // New builds an interpreter for a checked module with the given values
 // for the contract's immutable parameters. Library definitions are
@@ -313,7 +331,7 @@ func (in *Interpreter) execStmt(ctx *Context, env *value.Env, s ast.Stmt, res *R
 		if err := in.burn(ctx, gasMapOp); err != nil {
 			return err
 		}
-		keys, err := in.lookupKeys(ctx, env, st.Keys)
+		cks, keys, err := in.lookupKeys(ctx, env, st.Keys)
 		if err != nil {
 			return err
 		}
@@ -321,16 +339,16 @@ func (in *Interpreter) execStmt(ctx *Context, env *value.Env, s ast.Stmt, res *R
 		if !ok {
 			return fmt.Errorf("unbound identifier %s", st.Rhs)
 		}
-		return ctx.State.MapSet(st.Map, keys, v)
+		return ctx.State.MapSet(st.Map, cks, keys, v)
 	case *ast.MapGetStmt:
 		if err := in.burn(ctx, gasMapOp); err != nil {
 			return err
 		}
-		keys, err := in.lookupKeys(ctx, env, st.Keys)
+		cks, keys, err := in.lookupKeys(ctx, env, st.Keys)
 		if err != nil {
 			return err
 		}
-		v, found, err := ctx.State.MapGet(st.Map, keys)
+		v, found, err := ctx.State.MapGet(st.Map, cks, keys)
 		if err != nil {
 			return err
 		}
@@ -352,11 +370,11 @@ func (in *Interpreter) execStmt(ctx *Context, env *value.Env, s ast.Stmt, res *R
 		if err := in.burn(ctx, gasMapOp); err != nil {
 			return err
 		}
-		keys, err := in.lookupKeys(ctx, env, st.Keys)
+		cks, keys, err := in.lookupKeys(ctx, env, st.Keys)
 		if err != nil {
 			return err
 		}
-		return ctx.State.MapDelete(st.Map, keys)
+		return ctx.State.MapDelete(st.Map, cks, keys)
 	case *ast.ReadBlockchainStmt:
 		switch st.Name {
 		case "BLOCKNUMBER":
@@ -434,22 +452,24 @@ func (in *Interpreter) execStmt(ctx *Context, env *value.Env, s ast.Stmt, res *R
 }
 
 // lookupKeys resolves a map statement's key identifiers into the
-// Context's scratch buffer. State backends never retain the slice
+// Context's scratch buffer and canonicalises them, once, into the
+// buffer beside it. State backends never retain either slice
 // (eval.MemState copies into its map structure, chain.Overlay copies
-// on first write of a keypath), so reusing one buffer per Context is
+// on first write of a keypath), so reusing the buffers per Context is
 // safe. Expression paths (constructor and builtin application) keep
 // lookupAll: their slices are retained by the produced values.
-func (in *Interpreter) lookupKeys(ctx *Context, env *value.Env, names []string) ([]value.Value, error) {
-	out := ctx.keyBuf[:0]
+func (in *Interpreter) lookupKeys(ctx *Context, env *value.Env, names []string) ([]string, []value.Value, error) {
+	keys := ctx.keyBuf[:0]
 	for _, n := range names {
 		v, ok := env.Lookup(n)
 		if !ok {
-			return nil, fmt.Errorf("unbound identifier %s", n)
+			return nil, nil, fmt.Errorf("unbound identifier %s", n)
 		}
-		out = append(out, v)
+		keys = append(keys, v)
 	}
-	ctx.keyBuf = out
-	return out, nil
+	ctx.keyBuf = keys
+	ctx.ckBuf = CanonicalKeys(ctx.ckBuf[:0], keys)
+	return ctx.ckBuf, keys, nil
 }
 
 func (in *Interpreter) lookupAll(env *value.Env, names []string) ([]value.Value, error) {

@@ -97,16 +97,16 @@ func TestNFTLifecycle(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("approved transfer: %v", err)
 	}
-	v, ok, _ := st.MapGet("token_owners", []value.Value{u256(7)})
+	v, ok, _ := eval.GetAt(st, "token_owners", []value.Value{u256(7)})
 	if !ok || !value.Equal(v, bob) {
 		t.Errorf("token 7 owner = %v, want bob", v)
 	}
 	// Counters updated commutatively.
-	ac, ok, _ := st.MapGet("owned_count", []value.Value{alice})
+	ac, ok, _ := eval.GetAt(st, "owned_count", []value.Value{alice})
 	if !ok || ac.(value.Int).V.Uint64() != 0 {
 		t.Errorf("alice count = %v, want 0", ac)
 	}
-	bc, _, _ := st.MapGet("owned_count", []value.Value{bob})
+	bc, _, _ := eval.GetAt(st, "owned_count", []value.Value{bob})
 	if bc.(value.Int).V.Uint64() != 1 {
 		t.Errorf("bob count = %v, want 1", bc)
 	}
@@ -117,7 +117,7 @@ func TestNFTLifecycle(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Burn: %v", err)
 	}
-	if _, ok, _ := st.MapGet("token_owners", []value.Value{u256(7)}); ok {
+	if _, ok, _ := eval.GetAt(st, "token_owners", []value.Value{u256(7)}); ok {
 		t.Error("burned token still owned")
 	}
 }
@@ -226,7 +226,7 @@ func TestHTLCClaim(t *testing.T) {
 		t.Errorf("claim amount = %s", msg.Entries["_amount"])
 	}
 	// Lock is consumed.
-	if _, ok, _ := st.MapGet("locks", []value.Value{hashLock}); ok {
+	if _, ok, _ := eval.GetAt(st, "locks", []value.Value{hashLock}); ok {
 		t.Error("lock survived the claim")
 	}
 }
@@ -336,7 +336,7 @@ func TestVotingFlow(t *testing.T) {
 	}); err == nil {
 		t.Fatal("double vote accepted")
 	}
-	cnt, _, _ := st.MapGet("votes", []value.Value{value.Str{S: "yes"}})
+	cnt, _, _ := eval.GetAt(st, "votes", []value.Value{value.Str{S: "yes"}})
 	if cnt.(value.Int).V.Uint64() != 2 {
 		t.Errorf("votes = %s, want 2", cnt)
 	}
@@ -379,7 +379,7 @@ func TestBookstoreCRUD(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, _ := st.MapGet("inventory", []value.Value{value.Uint32V(1)})
+	v, ok, _ := eval.GetAt(st, "inventory", []value.Value{value.Uint32V(1)})
 	if !ok {
 		t.Fatal("book missing")
 	}
@@ -392,7 +392,7 @@ func TestBookstoreCRUD(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := st.MapGet("inventory", []value.Value{value.Uint32V(1)}); ok {
+	if _, ok, _ := eval.GetAt(st, "inventory", []value.Value{value.Uint32V(1)}); ok {
 		t.Error("book survived removal")
 	}
 	// Non-member rejected.

@@ -50,7 +50,7 @@ func ctx(sender value.ByStr, st eval.StateAccess) *eval.Context {
 
 func balanceOf(t *testing.T, st *eval.MemState, a value.ByStr) uint64 {
 	t.Helper()
-	v, ok, err := st.MapGet("balances", []value.Value{a})
+	v, ok, err := eval.GetAt(st, "balances", []value.Value{a})
 	if err != nil {
 		t.Fatalf("MapGet: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestTransferFromRequiresAllowance(t *testing.T) {
 		t.Errorf("carol balance = %d, want 30", got)
 	}
 	// Remaining allowance must be 20.
-	av, ok, err := st.MapGet("allowances", []value.Value{owner, bob})
+	av, ok, err := eval.GetAt(st, "allowances", []value.Value{owner, bob})
 	if err != nil || !ok {
 		t.Fatalf("allowance read: ok=%v err=%v", ok, err)
 	}

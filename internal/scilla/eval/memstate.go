@@ -56,78 +56,9 @@ func (m *MemState) StoreField(name string, v value.Value) error {
 	return nil
 }
 
-// mapAt descends keys[:len-1] levels, creating intermediate maps when
+// mapAt descends cks[:len-1] levels, creating intermediate maps when
 // create is true, and returns the innermost map.
-func (m *MemState) mapAt(field string, keys []value.Value, create bool) (*value.Map, error) {
-	root, ok := m.Fields[field]
-	if !ok {
-		return nil, fmt.Errorf("unknown field %s", field)
-	}
-	cur, ok := root.(*value.Map)
-	if !ok {
-		return nil, fmt.Errorf("field %s is not a map", field)
-	}
-	for i := 0; i < len(keys)-1; i++ {
-		next, found := cur.Get(keys[i])
-		if !found {
-			if !create {
-				return nil, nil
-			}
-			inner, ok := cur.ValType.(ast.MapType)
-			if !ok {
-				return nil, fmt.Errorf("field %s is not nested at depth %d", field, i)
-			}
-			nm := value.NewMap(inner.Key, inner.Val)
-			cur.Set(keys[i], nm)
-			next = nm
-		}
-		nm, ok := next.(*value.Map)
-		if !ok {
-			return nil, fmt.Errorf("field %s has non-map value at depth %d", field, i)
-		}
-		cur = nm
-	}
-	return cur, nil
-}
-
-// MapGet implements StateAccess.
-func (m *MemState) MapGet(field string, keys []value.Value) (value.Value, bool, error) {
-	inner, err := m.mapAt(field, keys, false)
-	if err != nil {
-		return nil, false, err
-	}
-	if inner == nil {
-		return nil, false, nil
-	}
-	v, ok := inner.Get(keys[len(keys)-1])
-	return v, ok, nil
-}
-
-// MapSet implements StateAccess.
-func (m *MemState) MapSet(field string, keys []value.Value, v value.Value) error {
-	inner, err := m.mapAt(field, keys, true)
-	if err != nil {
-		return err
-	}
-	inner.Set(keys[len(keys)-1], v)
-	return nil
-}
-
-// MapDelete implements StateAccess.
-func (m *MemState) MapDelete(field string, keys []value.Value) error {
-	inner, err := m.mapAt(field, keys, false)
-	if err != nil {
-		return err
-	}
-	if inner == nil {
-		return nil
-	}
-	inner.Delete(keys[len(keys)-1])
-	return nil
-}
-
-// mapAtCK is mapAt with precomputed per-level canonical keys.
-func (m *MemState) mapAtCK(field string, cks []string, keys []value.Value, create bool) (*value.Map, error) {
+func (m *MemState) mapAt(field string, cks []string, keys []value.Value, create bool) (*value.Map, error) {
 	root, ok := m.Fields[field]
 	if !ok {
 		return nil, fmt.Errorf("unknown field %s", field)
@@ -159,9 +90,9 @@ func (m *MemState) mapAtCK(field string, cks []string, keys []value.Value, creat
 	return cur, nil
 }
 
-// MapGetCK implements KeyedState.
-func (m *MemState) MapGetCK(field string, cks []string, keys []value.Value) (value.Value, bool, error) {
-	inner, err := m.mapAtCK(field, cks, keys, false)
+// MapGet implements StateAccess.
+func (m *MemState) MapGet(field string, cks []string, keys []value.Value) (value.Value, bool, error) {
+	inner, err := m.mapAt(field, cks, keys, false)
 	if err != nil {
 		return nil, false, err
 	}
@@ -172,9 +103,9 @@ func (m *MemState) MapGetCK(field string, cks []string, keys []value.Value) (val
 	return v, ok, nil
 }
 
-// MapSetCK implements KeyedState.
-func (m *MemState) MapSetCK(field string, cks []string, keys []value.Value, v value.Value) error {
-	inner, err := m.mapAtCK(field, cks, keys, true)
+// MapSet implements StateAccess.
+func (m *MemState) MapSet(field string, cks []string, keys []value.Value, v value.Value) error {
+	inner, err := m.mapAt(field, cks, keys, true)
 	if err != nil {
 		return err
 	}
@@ -182,9 +113,9 @@ func (m *MemState) MapSetCK(field string, cks []string, keys []value.Value, v va
 	return nil
 }
 
-// MapDeleteCK implements KeyedState.
-func (m *MemState) MapDeleteCK(field string, cks []string, keys []value.Value) error {
-	inner, err := m.mapAtCK(field, cks, keys, false)
+// MapDelete implements StateAccess.
+func (m *MemState) MapDelete(field string, cks []string, keys []value.Value) error {
+	inner, err := m.mapAt(field, cks, keys, false)
 	if err != nil {
 		return err
 	}

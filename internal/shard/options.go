@@ -68,7 +68,6 @@ type settings struct {
 	reg       *obs.Registry
 	poolCfg   *mempool.Config
 	faults    *fault.Plan
-	store     StateStore
 	accounts  chain.AccountBackend
 	contPager chain.ContractPager
 }
@@ -114,7 +113,9 @@ func WithConsensusModel(on bool) Option {
 
 // WithCompiledExecution toggles the closure-chain compiled execution
 // engine (see Config.CompiledExecution); passing false forces every
-// transition call through the AST-walking interpreter.
+// transition call through the AST-walking interpreter. No CLI sets it:
+// it is how the differential and golden-root suites select the
+// reference engine.
 func WithCompiledExecution(on bool) Option {
 	return func(s *settings) { s.cfg.CompiledExecution = on }
 }
@@ -132,15 +133,6 @@ func WithOverflowGuard(on bool) Option {
 // events arrive from whichever goroutine calls SubmitTx.
 func WithRecorder(rec obs.Recorder) Option {
 	return func(s *settings) { s.recs = append(s.recs, rec) }
-}
-
-// WithStateStore attaches a durability backend: after every committed
-// epoch the network hands it the sealed FinalBlock and post-commit
-// checkpoint (see StateStore). Attaching a store also makes every
-// epoch collect its FinalBlock. Networks built by a shared genesis
-// function can attach one later with AttachStateStore.
-func WithStateStore(st StateStore) Option {
-	return func(s *settings) { s.store = st }
 }
 
 // WithRegistry makes the network count its always-on metrics in reg

@@ -107,8 +107,9 @@ type Network struct {
 	reg *obs.Registry
 	m   netMetrics
 
-	// pool is the admission-controlled mempool (WithMempool); nil
-	// networks run the legacy unconditional Submit queue only.
+	// pool is the admission-controlled mempool (WithMempool). Without
+	// one a network runs on the Submit queue alone — which is what every
+	// node role and all five benchmark workloads do.
 	pool *mempool.Pool
 
 	// faults is the injection plan (WithFaults; nil or empty injects
@@ -136,10 +137,9 @@ type Network struct {
 	// (indexed by shard). Reset keeps the write-table buckets, so
 	// steady-state epochs stop paying map growth for the shard-level
 	// overlays. Every shard run draws from it; the DS committee's run
-	// does not, because a pooled overlay's keypath intern table keeps
-	// every key it has seen, which for that run — fresh content hashes
-	// each epoch on the ProofIPFS workload — measured as 12 MB more live
-	// heap and no time saved.
+	// does not: pooling its overlays too measured as 12 MB more live
+	// heap on epoch_ipfs_ds (fresh content hashes each epoch on the
+	// ProofIPFS workload) and no time saved.
 	ovPool []map[chain.Address]*chain.Overlay
 
 	shardModel consensus.PBFTModel
@@ -153,7 +153,7 @@ type Network struct {
 	// undo is the log of the commit phase in progress, empty between
 	// phases; kept here so steady-state commits reuse its backing array.
 	undo chain.Undo
-	// store is the durability backend (WithStateStore/AttachStateStore;
+	// store is the durability backend (AttachStateStore;
 	// nil keeps the network memory-only). When attached, every epoch
 	// collects a FinalBlock and hands it to the store after commit.
 	store StateStore
@@ -210,7 +210,6 @@ func NewNetwork(opts ...Option) *Network {
 		nextTxID:    1,
 		Epoch:       1,
 		roots:       &trie.StateRoots{},
-		store:       s.store,
 	}
 }
 
@@ -317,7 +316,8 @@ func (n *Network) Receipt(id uint64) *chain.Receipt {
 }
 
 // MempoolSize returns the number of pending transactions across the
-// legacy Submit queue and the admission-controlled pool.
+// Submit queue and, when one is attached, the admission-controlled
+// pool.
 func (n *Network) MempoolSize() int {
 	n.mu.Lock()
 	size := len(n.mempool)
@@ -460,8 +460,9 @@ func (n *Network) BeginEpoch() *EpochRun {
 	n.mu.Unlock()
 	if n.pool != nil {
 		// The pool's batch is gas-price ordered and deterministic for a
-		// given pending multiset; appending after the legacy queue keeps
-		// Submit-path transactions (tests, setup phases) ahead of it.
+		// given pending multiset; appending after the Submit queue (the
+		// only queue node roles and the benchmark workloads fill) keeps
+		// its transactions ahead of the pool's.
 		pending = append(pending, n.pool.DrainEpoch(n.Epoch)...)
 	}
 
@@ -948,7 +949,8 @@ func (n *Network) file(recs []*chain.Receipt) {
 // requeue returns deferred transactions from a shard (or the DS
 // committee, shard == dispatch.DS) to the mempool — into the admission
 // pool when one is attached (bypassing admission checks: the
-// transactions were already admitted), else the legacy queue.
+// transactions were already admitted), else the Submit queue, the one
+// every node role and benchmark workload runs on.
 func (n *Network) requeue(shard int, txs []*chain.Tx) {
 	if len(txs) == 0 {
 		return
@@ -1543,11 +1545,11 @@ func (r *shardRun) overflowGuardViolation() (bool, error) {
 					return false, err
 				}
 			} else {
-				cur, ok, err = txOv.MapGet(f, keys)
+				cur, ok, err = eval.GetAt(txOv, f, keys)
 				if err != nil || !ok {
 					return false, err
 				}
-				v0, ok, err = base.MapGet(f, keys)
+				v0, ok, err = eval.GetAt(base, f, keys)
 				if err != nil {
 					return false, err
 				}

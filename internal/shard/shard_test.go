@@ -9,6 +9,7 @@ import (
 	"cosplit/internal/contracts"
 	"cosplit/internal/core/signature"
 	"cosplit/internal/scilla/ast"
+	"cosplit/internal/scilla/eval"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 )
@@ -83,7 +84,7 @@ func transferTx(from, to, contract chain.Address, nonce uint64, amount uint64) *
 func balanceOf(t testing.TB, net *shard.Network, contract, user chain.Address) uint64 {
 	t.Helper()
 	c := net.Contracts.Get(contract)
-	v, ok, err := c.Snapshot().MapGet("balances", []value.Value{user.Value()})
+	v, ok, err := eval.GetAt(c.Snapshot(), "balances", []value.Value{user.Value()})
 	if err != nil {
 		t.Fatalf("MapGet: %v", err)
 	}

@@ -21,7 +21,7 @@ type Checkpoint struct {
 	NextTxID    uint64
 }
 
-// StateStore is the pluggable durability backend (WithStateStore).
+// StateStore is the pluggable durability backend (AttachStateStore).
 // After every committed epoch — FinalizeEpoch on the committee,
 // ApplyFinalBlock on a replica — the network hands the store the
 // sealed FinalBlock and its post-commit checkpoint. The store is
@@ -61,9 +61,12 @@ func (n *Network) RestoreCheckpoint(cp Checkpoint) {
 }
 
 // AttachStateStore attaches (or detaches, with nil) a durability
-// backend after construction. The node layer needs this: cluster
-// networks come out of a shared genesis function that cannot carry
-// per-role options. Must be called before the network runs epochs.
+// backend: after every committed epoch the network hands it the sealed
+// FinalBlock and post-commit checkpoint (see StateStore), and every
+// epoch collects its FinalBlock. It is a method, not an Option,
+// because cluster networks come out of a shared genesis function that
+// cannot carry per-role options. Must be called before the network
+// runs epochs.
 func (n *Network) AttachStateStore(s StateStore) { n.store = s }
 
 // RestoreContractState replaces a deployed contract's canonical state

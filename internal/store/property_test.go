@@ -11,6 +11,7 @@ import (
 	"cosplit/internal/core/signature"
 	"cosplit/internal/obs"
 	"cosplit/internal/scilla/ast"
+	"cosplit/internal/scilla/eval"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 )
@@ -308,7 +309,7 @@ func (s *dsCounting) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp s
 // descendField reads maps[field][keys...] as a map.
 func descendField(t *testing.T, w *nestedWorld, field string, keys ...value.Value) (*value.Map, bool) {
 	t.Helper()
-	v, found, err := w.net.Contracts.Get(w.maps).Snapshot().MapGet(field, keys)
+	v, found, err := eval.GetAt(w.net.Contracts.Get(w.maps).Snapshot(), field, keys)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package store is the durability backend behind
-// shard.WithStateStore: an append-only journal of committed epochs
+// shard.Network.AttachStateStore: an append-only journal of committed epochs
 // plus periodic snapshots that cost what changed, from which a
 // restarted network recovers to the exact committed state — same epoch,
 // same next transaction id, bit-identical authenticated root.
@@ -85,8 +85,8 @@ var ErrCorruptSnapshot = errors.New("store: corrupt snapshot")
 var ErrJournalGap = errors.New("store: journal gap")
 
 // Store is a state directory opened for writing. It implements
-// shard.StateStore: attach with shard.WithStateStore (or
-// Network.AttachStateStore) and every committed epoch is journaled
+// shard.StateStore: attach with Network.AttachStateStore and every
+// committed epoch is journaled
 // durably before the pipeline continues; every SnapshotEvery epochs
 // the journal is compacted into the next snapshot file.
 //

@@ -66,6 +66,10 @@ GOMEMLIMIT=512MiB go test -run 'TestMillionAccountsPagedBudget' -timeout 20m ./i
 # applied by a journaling ChanNetwork cluster), and the snapshot
 # boundary over the same holders sweep.
 go test -run '^$' -bench 'CommitHolders|SnapshotHolders|MergePerField|BlockFanout' -benchtime 1x .
+# Same for the executor microbenchmarks that size the state-access seam
+# (one Transfer on each engine, the overlay's entry write and
+# read-modify-write), so they are run, not merely compiled.
+go test -run '^$' -bench 'TransferExec|CompiledTransfer|Overlay' -benchtime 1x ./internal/scilla/... ./internal/chain/
 # Short fuzz runs of the wire decoders beyond the committed corpus —
 # including the store's snapshot/journal record types — no decoder may
 # panic on hostile bytes, and decode∘encode must stay a fixed point; and
@@ -81,12 +85,6 @@ go run ./cmd/shardsim -submit-rate 200 -mempool-cap 1024 -epochs 3 -workloads "F
 # recovery paths (requeue, view change, escalation) are exercised.
 go run -race ./cmd/shardsim -submit-rate 200 -mempool-cap 1024 -epochs 4 \
     -workloads "FT transfer" -faults "7:crash=0.1,drop=0.05,corrupt=0.02,straggle=0.25x4"
-# Compiled-execution coverage: the closure-chain executor is the
-# default engine (exercised by every run above, including the race
-# runs); this smoke-tests the interpreter escape hatch on the same
-# workload. Compiled-vs-interpreted equivalence itself is enforced by
-# the differential suites in internal/scilla/compile and internal/shard.
-go run ./cmd/shardsim -no-compile -epochs 3 -workloads "FT transfer"
 # Restart-recovery smoke through the CLI: a fresh persistent run
 # prints its final chain head; a recover-only restart (-epochs 0) must
 # land on the identical root. Then a run is killed with SIGKILL
@@ -110,7 +108,6 @@ refused -faults -serve 127.0.0.1:18545 -faults "7:crash=0.1"
 refused -trace-out -serve 127.0.0.1:18545 -trace-out /tmp/cosplit-trace.jsonl
 refused -state-budget -serve 127.0.0.1:18545 -state-dir /tmp/cosplit-none -state-budget 1048576
 refused -metrics-out -node ds -hub 127.0.0.1:19100 -metrics-out /tmp/cosplit-metrics.json
-refused -no-compile -node shard:0 -hub 127.0.0.1:19100 -no-compile
 refused -submit-rate -hammer http://127.0.0.1:18545 -submit-rate 200
 STATE_DIR=$(mktemp -d)
 FINAL=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -submit-rate 200 -epochs 4 | grep '^state: final')
