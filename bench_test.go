@@ -396,7 +396,8 @@ func BenchmarkSnapshotHolders(b *testing.B) {
 // (dispatch, batches, execution, MicroBlocks, finalize, journal,
 // broadcast), an empty tick behind it — a shard answers its batch only
 // after applying and journaling the block before it — and the lookup
-// seeing the last receipt. Submission is outside the timer.
+// seeing the last receipt. Submission is outside the timer. retained-B/tx
+// is what the epochs left on the live heap, per transaction.
 func BenchmarkBlockFanout(b *testing.B) {
 	const txs = 4000
 	w := workload.FTTransferDisjoint()
@@ -445,16 +446,29 @@ func BenchmarkBlockFanout(b *testing.B) {
 		bytes += after.TotalAlloc - before.TotalAlloc
 		mallocs += after.Mallocs - before.Mallocs
 	}
+	// What stays: the live heap after a collection, before and after the
+	// timed epochs. Until a role's receipt log is full (25 such epochs)
+	// that is state growth plus one filed receipt per role per
+	// transaction; blocks, frames and deltas must not be in it.
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return int64(after.HeapAlloc)
+	}
 	epoch() // first-epoch growth of queues, overlays and journals
 	bytes, mallocs = 0, 0
+	held := liveHeap()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		epoch()
 	}
+	held = liveHeap() - held
+	runtime.KeepAlive(src) // the generator's own network is in the first reading: keep it in the second
 	perTx := float64(b.N) * txs
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perTx, "ns/tx")
 	b.ReportMetric(float64(bytes)/perTx, "B/tx")
 	b.ReportMetric(float64(mallocs)/perTx, "allocs/tx")
+	b.ReportMetric(float64(held)/perTx, "retained-B/tx")
 }
 
 func mustInterp(b *testing.B) *eval.Interpreter {

@@ -66,10 +66,13 @@ type Receipt struct {
 	// leaves it nil and carries RawEvents instead.
 	Events []value.Msg
 	// RawEvents is the events' wire encoding (their count, then each
-	// message), aliasing the block payload the receipt was decoded from.
-	// The decoder has validated every byte of it; wire.ReceiptEvents
-	// builds the messages on demand, and an encoder copies it when Events
-	// is nil. Nobody writes through it.
+	// message): a range of bytes somebody else owns — the payload of the
+	// block the receipt was decoded from, or the shard.ReceiptLog that
+	// filed it and handed out this copy of the header. The decoder has
+	// validated every byte of it; wire.ReceiptEvents builds the messages
+	// on demand, and an encoder copies it when Events is nil. Nobody
+	// writes through it, and it keeps its owner's bytes alive only while
+	// the receipt itself is held.
 	RawEvents []byte `json:"-"`
 	// Shard is the committee that processed the transaction
 	// (-1 denotes the DS committee).

@@ -19,13 +19,16 @@ import (
 // replica — it is a light client. The receipt log is bounded
 // (LookupReceiptCap): oldest receipts are evicted first, so a
 // long-running lookup's memory stays flat no matter how many epochs
-// flow past it. Receipts rest there with their events encoded;
-// wire.ReceiptEvents builds them for the client that asks.
+// flow past it. Receipts rest there packed, their events encoded, in
+// bytes the log owns — no frame and no block outlives its handling;
+// wire.ReceiptEvents builds the events for the client that asks.
 type Lookup struct {
 	name string
 	ep   Endpoint
 	ds   string
 	m    *linkMetrics
+	// timeout is lookupTimeout; a test shortens it before Run.
+	timeout time.Duration
 
 	quit      chan struct{}
 	closeOnce sync.Once
@@ -37,6 +40,7 @@ type Lookup struct {
 	queries       map[uint64]chan *wire.StateResp
 	receipts      *shard.ReceiptLog
 	receiptsGauge *obs.Gauge
+	bytesGauge    *obs.Gauge
 	epoch         uint64
 	root          string
 	commitCh      chan struct{}
@@ -89,11 +93,13 @@ func NewLookup(name string, ep Endpoint, ds string, opts ...LookupOption) *Looku
 		ep:            lep,
 		ds:            ds,
 		m:             lep.m,
+		timeout:       lookupTimeout,
 		quit:          make(chan struct{}),
 		submits:       make(map[uint64]chan *wire.SubmitResp),
 		queries:       make(map[uint64]chan *wire.StateResp),
 		receipts:      shard.NewReceiptLog(c.receiptCap),
 		receiptsGauge: c.reg.Gauge("node.lookup_receipts"),
+		bytesGauge:    c.reg.Gauge("node.lookup_receipt_bytes"),
 		commitCh:      make(chan struct{}),
 	}
 }
@@ -157,25 +163,36 @@ func (l *Lookup) loop() {
 				ch <- resp
 			}
 		case wire.MsgFinalBlock:
-			fb, err := wire.DecodeFinalBlock(payload)
-			if err != nil {
+			if err := l.finalBlock(payload); err != nil {
 				l.m.recvErrors.Inc()
-				continue
 			}
-			l.mu.Lock()
-			l.receipts.File(fb.Receipts)
-			l.receiptsGauge.Set(int64(l.receipts.Len()))
-			if fb.Epoch >= l.epoch {
-				l.epoch = fb.Epoch
-				l.root = fb.StateRoot
-			}
-			close(l.commitCh)
-			l.commitCh = make(chan struct{})
-			l.mu.Unlock()
 		default:
 			l.m.recvErrors.Inc()
 		}
 	}
+}
+
+// finalBlock files a FinalBlock broadcast's receipts and notes its
+// epoch and root. A lookup has no state to apply the block's deltas to,
+// so it checks them and builds none (wire.DecodeFinalBlockReceipts);
+// the log copies what it files, so the payload is garbage on return.
+func (l *Lookup) finalBlock(payload []byte) error {
+	epoch, root, recs, err := wire.DecodeFinalBlockReceipts(payload)
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.receipts.File(recs)
+	l.receiptsGauge.Set(int64(l.receipts.Len()))
+	l.bytesGauge.Set(int64(l.receipts.Bytes()))
+	if epoch >= l.epoch {
+		l.epoch = epoch
+		l.root = root
+	}
+	close(l.commitCh)
+	l.commitCh = make(chan struct{})
+	return nil
 }
 
 // SubmitTx submits a transaction through the committee's admission
@@ -189,10 +206,15 @@ func (l *Lookup) SubmitTx(tx *chain.Tx) (uint64, error) {
 	corr := l.corr
 	l.submits[corr] = ch
 	l.mu.Unlock()
+	// The loop deletes the entry when it delivers the response; only a
+	// request that ends without one has to take its own away.
+	answered := false
 	defer func() {
-		l.mu.Lock()
-		delete(l.submits, corr)
-		l.mu.Unlock()
+		if !answered {
+			l.mu.Lock()
+			delete(l.submits, corr)
+			l.mu.Unlock()
+		}
 	}()
 	payload, err := wire.EncodeSubmit(&wire.Submit{Corr: corr, Tx: tx})
 	if err != nil {
@@ -204,10 +226,11 @@ func (l *Lookup) SubmitTx(tx *chain.Tx) (uint64, error) {
 	// One timer, stopped when the response wins: under go 1.22 an
 	// unstopped time.After timer stays in the runtime's heap until it
 	// fires, thousands of them at a busy lookup.
-	timer := time.NewTimer(lookupTimeout)
+	timer := time.NewTimer(l.timeout)
 	defer timer.Stop()
 	select {
 	case resp := <-ch:
+		answered = true
 		if resp.Err != "" {
 			return 0, fmt.Errorf("submit rejected: %s", resp.Err)
 		}
@@ -251,18 +274,22 @@ func (l *Lookup) query(q *wire.StateQuery) (*wire.StateResp, error) {
 	q.Corr = l.corr
 	l.queries[q.Corr] = ch
 	l.mu.Unlock()
+	answered := false // as in SubmitTx
 	defer func() {
-		l.mu.Lock()
-		delete(l.queries, q.Corr)
-		l.mu.Unlock()
+		if !answered {
+			l.mu.Lock()
+			delete(l.queries, q.Corr)
+			l.mu.Unlock()
+		}
 	}()
 	if err := l.ep.Send(l.ds, wire.EncodeFrame(wire.MsgStateQuery, wire.EncodeStateQuery(q))); err != nil {
 		return nil, err
 	}
-	timer := time.NewTimer(lookupTimeout)
+	timer := time.NewTimer(l.timeout)
 	defer timer.Stop()
 	select {
 	case resp := <-ch:
+		answered = true
 		if resp.Err != "" {
 			return nil, fmt.Errorf("state query: %s", resp.Err)
 		}

@@ -1,0 +1,125 @@
+package node
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"cosplit/internal/chain"
+	"cosplit/internal/obs"
+	"cosplit/internal/shard"
+	"cosplit/internal/wire"
+	"cosplit/internal/workload"
+)
+
+// TestLookupLeavesNoCorrelation: a request's correlation entry is gone
+// when the request is over, however it ended — taken by the loop with
+// the answer, or by the caller when none came.
+func TestLookupLeavesNoCorrelation(t *testing.T) {
+	w := testWorkload()
+	env, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := func(l *Lookup) int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.submits) + len(l.queries)
+	}
+
+	// A committee that is registered and never reads: every request
+	// times out.
+	net := NewChanNetwork()
+	defer net.Close()
+	net.Endpoint("ds")
+	deaf := NewLookup("lookup", net.Endpoint("lookup"), "ds")
+	deaf.timeout = 10 * time.Millisecond
+	deaf.Run()
+	defer deaf.Close()
+	if _, err := deaf.SubmitTx(w.Next(env)); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("submit with no committee: %v, want ErrTimeout", err)
+	}
+	if _, err := deaf.GetState(env.Contract, "balances", ""); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("query with no committee: %v, want ErrTimeout", err)
+	}
+	if n := pending(deaf); n != 0 {
+		t.Errorf("%d correlation entries left behind by timed-out requests", n)
+	}
+
+	cluster, err := NewCluster(testGenesis(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if _, err := cluster.Lookup.SubmitTx(w.Next(env)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cluster.Lookup.GetAccount(env.Users[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := pending(cluster.Lookup); n != 0 {
+		t.Errorf("%d correlation entries left behind by answered requests", n)
+	}
+}
+
+// TestLookupBuildsNoDeltas: handling a FinalBlock broadcast costs a
+// lookup its receipts' arrays and the log's batch — a handful of
+// allocations for a 2000-transaction block — where decoding the block
+// the way a replica must builds every delta entry; and a block whose
+// delta section is corrupt is still refused.
+func TestLookupBuildsNoDeltas(t *testing.T) {
+	const txs = 2000
+	w := workload.FTTransfer()
+	w.Users = txs
+	env, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := produceFinalBlocks(t, env.Net, func() *chain.Tx { return w.Next(env) }, 1, txs)[0]
+	payload, err := wire.SealedFinalBlock(fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	l := NewLookup("lookup", NewChanNetwork().Endpoint("lookup"), "ds", LookupObs(reg, nil))
+	if err := l.finalBlock(payload); err != nil { // the log's ring and index grow once
+		t.Fatal(err)
+	}
+	if l.receipts.Len() != txs {
+		t.Fatalf("%d receipts on file, want %d", l.receipts.Len(), txs)
+	}
+	if n, b := reg.Gauge("node.lookup_receipts").Value(), reg.Gauge("node.lookup_receipt_bytes").Value(); n != txs || b != int64(l.receipts.Bytes()) || b == 0 {
+		t.Errorf("gauges: %d receipts in %d bytes; the log holds %d in %d", n, b, l.receipts.Len(), l.receipts.Bytes())
+	}
+
+	replica := testing.AllocsPerRun(5, func() {
+		if _, err := wire.DecodeFinalBlock(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	lookup := testing.AllocsPerRun(5, func() {
+		if err := l.finalBlock(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one %d-tx FinalBlock: %.0f allocations decoded whole, %.0f handled by the lookup", txs, replica, lookup)
+	if lookup > 16 || replica < 100*lookup {
+		t.Errorf("the lookup made %.0f allocations handling a block (a full decode makes %.0f); want at most 16", lookup, replica)
+	}
+
+	// The same block with one delta of a kind that does not exist.
+	bad := *fb
+	bad.Deltas = append([]*chain.StateDelta{{Contract: env.Contract, Fields: map[string]*chain.FieldDelta{
+		"balances": {Whole: &chain.EntryDelta{Kind: chain.Delete + 1}},
+	}}}, fb.Deltas...)
+	corrupt, err := wire.EncodeFinalBlock(&bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.DecodeFinalBlock(corrupt); err == nil {
+		t.Fatal("the corruption is not one a replica refuses")
+	}
+	if err := l.finalBlock(corrupt); !errors.Is(err, wire.ErrDecode) {
+		t.Errorf("a block with a corrupt delta section: %v, want ErrDecode", err)
+	}
+}

@@ -120,6 +120,7 @@ func (e *chanEndpoint) Recv() (string, []byte, error) {
 		return "", nil, ErrTransportClosed
 	}
 	d := e.queue[0]
+	e.queue[0] = delivery{} // the queue's array must not keep a handled frame alive
 	e.queue = e.queue[1:]
 	return d.from, d.frame, nil
 }

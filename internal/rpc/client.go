@@ -50,7 +50,7 @@ func (c *Client) call(method string, params []any, out any) error {
 		return fmt.Errorf("%s: %w", method, err)
 	}
 	if resp.Error != nil {
-		return fmt.Errorf("%s: rpc error %d: %s", method, resp.Error.Code, resp.Error.Message)
+		return fmt.Errorf("%s: %w", method, resp.Error)
 	}
 	if out == nil || len(resp.Result) == 0 || string(resp.Result) == "null" {
 		return nil

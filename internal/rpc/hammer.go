@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -41,9 +42,9 @@ type HammerConfig struct {
 type HammerReport struct {
 	Submitted int           `json:"submitted"`
 	Committed int           `json:"committed"`
-	Failed    int           `json:"failed"` // committed with Success == false
-	Rejected  int           `json:"rejected"`
-	Lost      int           `json:"lost"`
+	Failed    int           `json:"failed"`   // committed with Success == false
+	Rejected  int           `json:"rejected"` // submission refused (or failed before reaching the server)
+	Lost      int           `json:"lost"`     // submission unanswered (-32001), or no receipt within Timeout
 	Elapsed   time.Duration `json:"elapsed_ns"`
 	TPS       float64       `json:"tps"`
 	P50       time.Duration `json:"p50_ns"`
@@ -122,9 +123,16 @@ func RunHammer(cfg HammerConfig) (*HammerReport, error) {
 				start := time.Now()
 				id, err := c.SendTx(tx)
 				if err != nil {
+					// No answer (codeUnavailable) is a lost submission, one
+					// the client could retry; only a refusal is a rejection.
+					var re *rpcError
 					mu.Lock()
 					rep.Submitted++
-					rep.Rejected++
+					if errors.As(err, &re) && re.Code == codeUnavailable {
+						rep.Lost++
+					} else {
+						rep.Rejected++
+					}
 					if firstErr == nil {
 						firstErr = err
 					}

@@ -38,8 +38,28 @@ const (
 	codeInvalidRequest = -32600
 	codeMethodNotFound = -32601
 	codeInvalidParams  = -32602
-	codeServerError    = -32000
+	// codeServerError: the committee answered and refused (an admission
+	// rejection, a query it cannot serve). Sending the same request again
+	// gets the same answer.
+	codeServerError = -32000
+	// codeUnavailable: no answer came — the request or its response was
+	// lost (node.ErrTimeout) or the lookup's transport is closed. The
+	// client may retry; a retried submission may find the first attempt
+	// was admitted after all.
+	codeUnavailable = -32001
 )
+
+// serverError maps an error from the lookup's round trip to the
+// committee onto the two server-side codes.
+func serverError(err error) *rpcError {
+	code := codeServerError
+	if errors.Is(err, node.ErrTimeout) || errors.Is(err, node.ErrTransportClosed) {
+		code = codeUnavailable
+	}
+	return &rpcError{Code: code, Message: err.Error()}
+}
+
+func (e *rpcError) Error() string { return fmt.Sprintf("rpc error %d: %s", e.Code, e.Message) }
 
 // maxBodyBytes bounds a request body; a raw transaction is well under
 // a kilobyte.
@@ -191,11 +211,7 @@ func (s *Server) sendRawTransaction(raw string) (any, *rpcError) {
 	}
 	id, err := s.lk.SubmitTx(tx)
 	if err != nil {
-		code := codeServerError
-		if errors.Is(err, node.ErrTimeout) {
-			code = codeServerError // lost in transit; client may retry
-		}
-		return nil, &rpcError{Code: code, Message: err.Error()}
+		return nil, serverError(err)
 	}
 	return &SubmitResult{ID: id}, nil
 }
@@ -232,7 +248,7 @@ func (s *Server) getBalance(addr string) (any, *rpcError) {
 	}
 	st, found, err := s.lk.GetAccount(a)
 	if err != nil {
-		return nil, &rpcError{Code: codeServerError, Message: err.Error()}
+		return nil, serverError(err)
 	}
 	if !found {
 		return &BalanceResult{}, nil
@@ -247,7 +263,7 @@ func (s *Server) getState(addr, field, key string) (any, *rpcError) {
 	}
 	resp, err := s.lk.GetState(a, field, key)
 	if err != nil {
-		return nil, &rpcError{Code: codeServerError, Message: err.Error()}
+		return nil, serverError(err)
 	}
 	if !resp.Found || resp.Value == nil {
 		return &StateResult{}, nil

@@ -3,14 +3,19 @@ package rpc
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cosplit/internal/node"
 	"cosplit/internal/shard"
+	"cosplit/internal/wire"
 	"cosplit/internal/workload"
 )
 
@@ -97,7 +102,7 @@ func TestRPCRoundTrip(t *testing.T) {
 func TestRPCErrors(t *testing.T) {
 	w := workload.FTTransfer()
 	w.Users = 10
-	_, srv := startCluster(t, w)
+	cluster, srv := startCluster(t, w)
 
 	post := func(body string) map[string]any {
 		t.Helper()
@@ -135,6 +140,30 @@ func TestRPCErrors(t *testing.T) {
 	}
 	if c := rpcCode(post(`{"jsonrpc":"2.0","id":1,"method":"cosplit_getBalance","params":["0x1234"]}`)); c != codeInvalidParams {
 		t.Errorf("short address code %v", c)
+	}
+
+	// The committee answering "no" and nobody answering are different
+	// codes: a refusal repeats, a lost round trip may be retried.
+	env, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	notAMap := fmt.Sprintf(`{"jsonrpc":"2.0","id":1,"method":"cosplit_getState","params":[%q,"total_supply","k"]}`, env.Contract)
+	if c := rpcCode(post(notAMap)); c != codeServerError {
+		t.Errorf("refused query code %v, want %d", c, codeServerError)
+	}
+	cluster.Lookup.Close()
+	raw, err := wire.EncodeTx(w.Next(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"submit": fmt.Sprintf(`{"jsonrpc":"2.0","id":1,"method":"cosplit_sendRawTransaction","params":["0x%x"]}`, raw),
+		"query":  notAMap,
+	} {
+		if c := rpcCode(post(body)); c != codeUnavailable {
+			t.Errorf("%s on a closed lookup: code %v, want %d", name, c, codeUnavailable)
+		}
 	}
 
 	// GET is rejected outright.
@@ -184,5 +213,68 @@ func TestHammerClosedLoop(t *testing.T) {
 	PrintHammer(&buf, rep)
 	if !strings.Contains(buf.String(), "p99") {
 		t.Fatalf("PrintHammer output: %q", buf.String())
+	}
+}
+
+// TestServerErrorCodes pins the two server-side codes: no answer from
+// the committee (timeout, closed transport) is -32001, anything the
+// committee said is -32000.
+func TestServerErrorCodes(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		code int
+	}{
+		{fmt.Errorf("submit: %w", node.ErrTimeout), -32001},
+		{fmt.Errorf("state query: %w", node.ErrTimeout), -32001},
+		{node.ErrTransportClosed, -32001},
+		{fmt.Errorf("send to %q: %w", "ds", node.ErrTransportClosed), -32001},
+		{errors.New("submit rejected: mempool: sender queue full"), -32000},
+		{errors.New("state query: field total_supply is not a map"), -32000},
+	} {
+		if got := serverError(c.err); got.Code != c.code || got.Message != c.err.Error() {
+			t.Errorf("%v: code %d message %q, want %d", c.err, got.Code, got.Message, c.code)
+		}
+	}
+	// The client hands the code on, under the text it always printed.
+	var re *rpcError
+	err := fmt.Errorf("m: %w", serverError(node.ErrTimeout))
+	if !errors.As(err, &re) || re.Code != codeUnavailable || err.Error() != "m: rpc error -32001: node: request timed out" {
+		t.Errorf("client error %q, code %+v", err, re)
+	}
+}
+
+// TestHammerCountsUnansweredAsLost: a submission the server could not
+// get answered (-32001) is lost, not rejected; one it refused is
+// rejected.
+func TestHammerCountsUnansweredAsLost(t *testing.T) {
+	w := workload.FTTransfer()
+	w.Users = 40
+	cluster, _ := startCluster(t, w)
+	real := NewServer(cluster.Lookup)
+	var submits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if bytes.Contains(body, []byte("cosplit_sendRawTransaction")) {
+			if n := submits.Add(1); n <= 2 {
+				code := map[int64]int{1: codeUnavailable, 2: codeServerError}[n]
+				fmt.Fprintf(rw, `{"jsonrpc":"2.0","id":1,"error":{"code":%d,"message":"injected"}}`, code)
+				return
+			}
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		real.ServeHTTP(rw, r)
+	}))
+	defer srv.Close()
+
+	next, err := WorkloadStream(w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunHammer(HammerConfig{URL: srv.URL, Workers: 1, Total: 20, Next: next, Poll: 2 * time.Millisecond, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Lost != 1 || rep.Rejected != 1 || rep.Committed+rep.Failed != 18 {
+		t.Fatalf("hammer report: %+v, want 1 lost, 1 rejected, 18 with receipts", rep)
 	}
 }

@@ -1,10 +1,14 @@
 package shard
 
 import (
+	"fmt"
 	"math/big"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"cosplit/internal/chain"
+	"cosplit/internal/scilla/value"
 )
 
 func receiptRun(from, to uint64) []*chain.Receipt {
@@ -94,6 +98,130 @@ func TestNetworkReceiptsBounded(t *testing.T) {
 		}
 		if rec != nil && (!rec.Success || rec.RawEvents != nil) {
 			t.Errorf("receipt %d: %+v, want the executor's own", id, rec)
+		}
+	}
+}
+
+// arrivedRun makes receipts as a block decoder leaves them: header
+// fields and the events' bytes, no Events, no Err. salt varies the
+// content, so a re-delivery can be told from the first.
+func arrivedRun(rng *rand.Rand, ids []uint64, salt byte) []*chain.Receipt {
+	recs := make([]*chain.Receipt, len(ids))
+	for i, id := range ids {
+		raw := make([]byte, 1+rng.Intn(40), 64) // spare capacity: the log must not keep it
+		for k := range raw {
+			raw[k] = byte(id) ^ salt ^ byte(k)
+		}
+		recs[i] = &chain.Receipt{TxID: id, GasUsed: id * 3, Epoch: id / 7, Shard: int(id%5) - 1, RawEvents: raw}
+		if recs[i].Success = id%3 != 0; !recs[i].Success {
+			recs[i].Error = fmt.Sprintf("tx %d refused (%d)", id, salt)
+		}
+	}
+	return recs
+}
+
+// TestReceiptLogAgainstModel files random interleavings of built and
+// arrived receipts, re-deliveries and cap overflows into the log and
+// into the plainest thing that meets its contract — a map and a slice
+// of ids — and requires the same ids on file with the same content
+// after every call. Then laps of equal blocks: the batches whose ids
+// have all left are gone.
+func TestReceiptLogAgainstModel(t *testing.T) {
+	const limit, ids = 64, 400
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewReceiptLog(limit)
+		model := map[uint64]*chain.Receipt{}
+		var order []uint64
+		check := func(step int) {
+			t.Helper()
+			if l.Len() != len(model) || len(order) != len(model) {
+				t.Fatalf("seed %d step %d: %d on file, model holds %d", seed, step, l.Len(), len(model))
+			}
+			held := 0
+			for _, b := range l.batches {
+				held += b.size()
+				if b.live <= 0 || b.live > len(b.hdrs) {
+					t.Fatalf("seed %d step %d: a batch of %d answers for %d ids", seed, step, len(b.hdrs), b.live)
+				}
+			}
+			if l.Bytes() != held || (len(l.packed) == 0) != (held == 0) {
+				t.Fatalf("seed %d step %d: Bytes %d, live batches hold %d for %d packed ids", seed, step, l.Bytes(), held, len(l.packed))
+			}
+			for id := uint64(0); id < ids; id++ {
+				got, want := l.Receipt(id), model[id]
+				switch {
+				case want == nil:
+					if got != nil {
+						t.Fatalf("seed %d step %d: evicted receipt %d still answers", seed, step, id)
+					}
+				case want.RawEvents == nil:
+					if got != want {
+						t.Fatalf("seed %d step %d: built receipt %d is not the one filed", seed, step, id)
+					}
+				default:
+					if got == want || !reflect.DeepEqual(got, want) || cap(got.RawEvents) != len(got.RawEvents) {
+						t.Fatalf("seed %d step %d: arrived receipt %d\n %+v\nwant a copy of\n %+v", seed, step, id, got, want)
+					}
+				}
+			}
+		}
+		for step := 0; step < 300; step++ {
+			// A block: a run of ids from a random start — fresh, on file
+			// or evicted as it falls — sometimes longer than the cap,
+			// sometimes naming an id twice.
+			n := 1 + rng.Intn(24)
+			if rng.Intn(10) == 0 {
+				n = limit + rng.Intn(limit)
+			}
+			run := make([]uint64, n)
+			for i := range run {
+				run[i] = (uint64(rng.Intn(ids)) + uint64(i)) % ids
+				if i > 0 && rng.Intn(8) > 0 {
+					run[i] = (run[i-1] + 1) % ids
+				}
+			}
+			var recs []*chain.Receipt
+			switch rng.Intn(3) {
+			case 0: // the executor's own
+				for _, id := range run {
+					recs = append(recs, &chain.Receipt{TxID: id, Success: true, Events: []value.Msg{}})
+				}
+			case 1:
+				recs = arrivedRun(rng, run, byte(step))
+			default: // a FinalBlock: the shards' receipts, then the committee's
+				recs = arrivedRun(rng, run, byte(step))
+				for i := len(recs) / 2; i < len(recs); i++ {
+					recs[i] = &chain.Receipt{TxID: run[i], Error: "out of gas", Err: ErrGasExhausted}
+				}
+			}
+			l.File(recs)
+			for _, r := range recs {
+				if model[r.TxID] == nil {
+					if len(order) == limit {
+						delete(model, order[0])
+						order = order[1:]
+					}
+					order = append(order, r.TxID)
+				}
+				model[r.TxID] = r
+			}
+			check(step)
+		}
+
+		// Laps: blocks of 10 fresh ids. At most ⌈limit/10⌉ batches hold
+		// the ids on file, plus the one the oldest ids are leaving.
+		const block = 10
+		for lap, id := 0, uint64(1000); lap < 5*limit/block; lap++ {
+			run := make([]uint64, block)
+			for i := range run {
+				run[i], id = id, id+1
+			}
+			l.File(arrivedRun(rng, run, 0))
+		}
+		if most := (limit+block-1)/block + 1; len(l.batches) > most || len(l.built) != 0 || l.Len() != limit {
+			t.Fatalf("seed %d: after laps %d batches live (want at most %d), %d built receipts, %d on file",
+				seed, len(l.batches), most, len(l.built), l.Len())
 		}
 	}
 }

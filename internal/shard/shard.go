@@ -307,8 +307,10 @@ func (n *Network) Pool() *mempool.Pool { return n.pool }
 // of every epoch it finalized or applied. A receipt for a transaction
 // this network executed itself (RunEpoch, the committee's own run) is
 // the executor's, with Events and Err; one that arrived in a MicroBlock
-// or FinalBlock has its header fields and its events still encoded
-// (wire.ReceiptEvents). Nil for an unknown or evicted id.
+// or FinalBlock is a fresh value per call, with its header fields and
+// its events still encoded (wire.ReceiptEvents) in bytes the log copied
+// out of the block — the block itself is not kept. Nil for an unknown
+// or evicted id.
 func (n *Network) Receipt(id uint64) *chain.Receipt {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -944,6 +946,8 @@ func (n *Network) file(recs []*chain.Receipt) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.receipts.File(recs)
+	n.m.receiptLogReceipts.Set(int64(n.receipts.Len()))
+	n.m.receiptLogBytes.Set(int64(n.receipts.Bytes()))
 }
 
 // requeue returns deferred transactions from a shard (or the DS

@@ -3,7 +3,12 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
+
+	"cosplit/internal/chain"
+	"cosplit/internal/shard"
 )
 
 // FuzzDecoders feeds arbitrary bytes through the frame parser and
@@ -56,4 +61,99 @@ func FuzzDecoders(f *testing.F) {
 			t.Fatalf("encoding not canonical for %v:\n first %x\nsecond %x", typ, enc1, enc2)
 		}
 	})
+}
+
+// FuzzFinalBlockReceipts sets the receipts-only read a lookup uses
+// against the building decoder replicas use, on the same bytes:
+//
+//  1. section by section, the validating skip accepts a delta section
+//     iff stateDeltas/optAccountDelta accept it, and consumes the same
+//     bytes;
+//  2. DecodeFinalBlockReceipts accepts a payload iff DecodeFinalBlock
+//     does, and reads the same epoch, root and receipts.
+func FuzzFinalBlockReceipts(f *testing.F) {
+	for _, seed := range receiptsOnlySeeds() {
+		f.Add(seed.b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		build, skip := &reader{b: data}, &reader{b: data}
+		build.stateDeltas()
+		build.optAccountDelta()
+		skip.skipStateDeltas()
+		skip.skipOptAccountDelta()
+		if (build.err == nil) != (skip.err == nil) {
+			t.Fatalf("delta section: building decode %v, skip %v", build.err, skip.err)
+		}
+		if skip.err != nil && !errors.Is(skip.err, ErrDecode) {
+			t.Fatalf("untyped error %v", skip.err)
+		}
+		if skip.err == nil && len(build.b) != len(skip.b) {
+			t.Fatalf("delta section: built %d bytes, skipped %d", len(data)-len(build.b), len(data)-len(skip.b))
+		}
+
+		want, wantErr := DecodeFinalBlock(data)
+		epoch, root, recs, err := DecodeFinalBlockReceipts(data)
+		if (wantErr == nil) != (err == nil) {
+			t.Fatalf("block: DecodeFinalBlock %v, DecodeFinalBlockReceipts %v", wantErr, err)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrDecode) || recs != nil {
+				t.Fatalf("rejected block: error %v, %d receipts", err, len(recs))
+			}
+			return
+		}
+		if epoch != want.Epoch || root != want.StateRoot || !reflect.DeepEqual(recs, want.Receipts) {
+			t.Fatalf("receipts-only read: epoch %d root %q %d receipts, block has %d %q %d",
+				epoch, root, len(recs), want.Epoch, want.StateRoot, len(want.Receipts))
+		}
+	})
+}
+
+type receiptsOnlySeed struct {
+	b    []byte
+	fail string // what both decoders must refuse it for; "" if valid
+}
+
+// receiptsOnlySeeds are FuzzFinalBlockReceipts' seeds: whole blocks, a
+// delta section alone (so the section check starts on one too), and
+// corruptions of the sections a lookup does not build.
+func receiptsOnlySeeds() []receiptsOnlySeed {
+	fb := fixtureFinalBlock()
+	whole := mustEnc(EncodeFinalBlock(fb))
+	rich := fixtureFinalBlock()
+	rich.Deltas, rich.DSAccounts, rich.Receipts = nil, nil, richReceipts()
+	badKind := fixtureFinalBlock()
+	badKind.DSDeltas[0].Fields["paused"].Whole.Kind = chain.Delete + 1
+	nilBalance := fixtureFinalBlock()
+	nilBalance.Accounts.BalanceDeltas[chain.AddrFromUint(100)] = nil
+	return []receiptsOnlySeed{
+		{whole, ""},
+		{mustEnc(EncodeFinalBlock(rich)), ""},
+		{mustEnc(EncodeFinalBlock(&shard.FinalBlock{})), ""},
+		{mustEnc(appendStateDeltas(nil, []*chain.StateDelta{fixtureDelta()})), "exceeds remaining payload"},
+		{mustEnc(EncodeFinalBlock(badKind)), "bad delta kind"},
+		{mustEnc(EncodeFinalBlock(nilBalance)), "nil balance delta"},
+		{whole[:len(whole)/2], "truncated address"},
+	}
+}
+
+// TestReceiptsOnlyReadRejectsCorruptDeltas: the lookup's read builds no
+// delta and still refuses a block whose delta sections are corrupt,
+// for the reason the building decoder gives.
+func TestReceiptsOnlyReadRejectsCorruptDeltas(t *testing.T) {
+	for i, seed := range receiptsOnlySeeds() {
+		_, wantErr := DecodeFinalBlock(seed.b)
+		_, _, _, err := DecodeFinalBlockReceipts(seed.b)
+		if seed.fail == "" {
+			if err != nil || wantErr != nil {
+				t.Errorf("seed %d: valid block refused: %v / %v", i, err, wantErr)
+			}
+			continue
+		}
+		for _, e := range []error{err, wantErr} {
+			if !errors.Is(e, ErrDecode) || !strings.Contains(e.Error(), seed.fail) {
+				t.Errorf("seed %d: error %v, want ErrDecode naming %q", i, e, seed.fail)
+			}
+		}
+	}
 }

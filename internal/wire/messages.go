@@ -104,8 +104,10 @@ func (r *reader) tx() *chain.Tx {
 // arrived in (chain.Receipt.RawEvents, a range of the block's payload);
 // encoding a receipt that carries such bytes copies them, so the DS
 // committee passes a shard's receipts into the FinalBlock, and a replica
-// files them, without building an event. ReceiptEvents builds them for
-// whoever shows a receipt to a client.
+// files them, without building an event. Filing is where the aliasing
+// ends: shard.ReceiptLog copies the header and the bytes, and the
+// payload is garbage once its handler returns. ReceiptEvents builds the
+// events for whoever shows a receipt to a client.
 
 func appendReceipt(b []byte, rec *chain.Receipt) ([]byte, error) {
 	b = appendUvarint(b, rec.TxID)
@@ -344,6 +346,40 @@ func (r *reader) stateDeltas() []*chain.StateDelta {
 	return ds
 }
 
+// skipStateDeltas consumes a block's state-delta section, accepting
+// exactly what stateDeltas accepts and building nothing: for a role
+// that files a block's receipts and has no state to merge its deltas
+// into. A corrupt section fails the block for that role too.
+func (r *reader) skipStateDeltas() {
+	for n := r.count(22); n > 0 && r.err == nil; n-- {
+		r.addr()
+		r.varint()
+		for nf := r.count(2); nf > 0 && r.err == nil; nf-- {
+			r.skip()
+			if r.bool() {
+				r.skipEntryDelta()
+			}
+			for ne := r.count(2); ne > 0 && r.err == nil; ne-- {
+				r.skip()
+				r.skipEntryDelta()
+			}
+		}
+	}
+}
+
+func (r *reader) skipEntryDelta() {
+	if kind := r.byte(); r.err == nil && kind > byte(chain.Delete) {
+		r.fail("bad delta kind %d", kind)
+	}
+	for n := r.count(1); n > 0 && r.err == nil; n-- {
+		r.skipValue(0)
+	}
+	if r.bool() {
+		r.skipValue(0)
+	}
+	r.skipBig()
+}
+
 // --- AccountDelta ---
 
 // appendOptAccountDelta encodes a possibly absent account delta behind
@@ -415,6 +451,23 @@ func (r *reader) accountDelta() *chain.AccountDelta {
 		return nil
 	}
 	return d
+}
+
+// skipOptAccountDelta is optAccountDelta building nothing.
+func (r *reader) skipOptAccountDelta() {
+	if !r.bool() {
+		return
+	}
+	for n := r.count(21); n > 0 && r.err == nil; n-- {
+		r.addr()
+		if v := r.skipBig(); r.err == nil && v == nil {
+			r.fail("nil balance delta")
+		}
+	}
+	for n := r.count(21); n > 0 && r.err == nil; n-- {
+		r.addr()
+		r.uvarint()
+	}
 }
 
 func sortAddrs(addrs []chain.Address) {
@@ -617,6 +670,26 @@ func DecodeFinalBlock(b []byte) (*shard.FinalBlock, error) {
 	}
 	fb.Seal(b)
 	return fb, nil
+}
+
+// DecodeFinalBlockReceipts reads a FinalBlock payload the way a role
+// without a state replica does: every byte is checked as
+// DecodeFinalBlock checks it, but of the block only its epoch, its root
+// and its receipts are built — no StateDelta, no AccountDelta. The
+// receipts' events are ranges of b until a ReceiptLog files them.
+func DecodeFinalBlockReceipts(b []byte) (epoch uint64, root string, recs []*chain.Receipt, err error) {
+	r := &reader{b: b}
+	epoch = r.uvarint()
+	root = r.string()
+	r.skipStateDeltas()
+	r.skipOptAccountDelta()
+	r.skipStateDeltas()
+	r.skipOptAccountDelta()
+	recs = r.receipts()
+	if err = r.done(); err != nil {
+		return 0, "", nil, err
+	}
+	return epoch, root, recs, nil
 }
 
 // --- TxBatch ---

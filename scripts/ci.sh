@@ -63,9 +63,12 @@ GOMEMLIMIT=512MiB go test -run 'TestMillionAccountsPagedBudget' -timeout 20m ./i
 # the 1M-holder set-up dominates, about 10 s): the in-place merge per
 # field and the holders sweep whose rows EXPERIMENTS.md records, and the
 # block fan-out (one 4000-tx block sealed, journaled, broadcast to and
-# applied by a journaling ChanNetwork cluster), and the snapshot
-# boundary over the same holders sweep.
+# applied by a journaling ChanNetwork cluster; its retained-B/tx is what
+# the epoch left on the live heap), and the snapshot boundary over the
+# same holders sweep; and the receipt log filing one decoded 4000-receipt
+# block at capacity.
 go test -run '^$' -bench 'CommitHolders|SnapshotHolders|MergePerField|BlockFanout' -benchtime 1x .
+go test -run '^$' -bench 'ReceiptLogFile' -benchtime 1x ./internal/shard/
 # Same for the executor microbenchmarks that size the state-access seam
 # (one Transfer on each engine, the overlay's entry write and
 # read-modify-write), so they are run, not merely compiled.
@@ -75,9 +78,13 @@ go test -run '^$' -bench 'TransferExec|CompiledTransfer|Overlay' -benchtime 1x .
 # panic on hostile bytes, and decode∘encode must stay a fixed point; and
 # of the receipt decoder blocks use, which validates events without
 # building them: it must accept exactly what the event-building
-# reference accepts and build the same events on demand.
+# reference accepts and build the same events on demand; and of the
+# receipts-only read a lookup makes of a FinalBlock, whose validating
+# skip of the delta sections must accept exactly what the building
+# decoder accepts and consume the same bytes.
 go test -fuzz=FuzzDecoders -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzReceiptEvents -fuzztime=10s ./internal/wire/
+go test -fuzz=FuzzFinalBlockReceipts -fuzztime=10s ./internal/wire/
 # Smoke-test the closed-loop admission path end to end through the CLI.
 go run ./cmd/shardsim -submit-rate 200 -mempool-cap 1024 -epochs 3 -workloads "FT transfer"
 # Chaos smoke: deterministic fault injection (crashes, drops,
