@@ -16,23 +16,21 @@
 // both ipfsInventory[hash] and registered_items[_sender] (Sec. 5.2.1).
 //
 // Constraint sets are compiled once per (contract, transition) and
-// cached, and the routing decision (Decide) touches no mutable
-// dispatcher state. The per-epoch replay table and load counters are
-// striped/atomic, so Dispatch is safe for concurrent use, but the
+// cached, and the routing decision (Decide) touches no per-epoch
+// dispatcher state. A Dispatcher is not safe for concurrent use: the
 // package starts no goroutine and the epoch pipeline routes its packet
-// from one: one transaction after another in submission order.
+// from one, one transaction after another in submission order, so the
+// replay table, load counters and plan cache are plain maps and slices.
 //
 // Observability: the dispatcher maintains a small set of always-on
 // metrics (routing kind mix, plan-cache hit/miss, nonce-replay
 // rejects) in an obs.Registry — pass one with WithMetrics to share it
-// across components. Updates are lock-free atomic adds, so the Decide
-// hot path stays at 0 allocs/op (asserted by TestDecideZeroAllocs).
+// across components. Updates are atomic adds, so the Decide hot path
+// stays at 0 allocs/op (asserted by TestDecideZeroAllocs).
 package dispatch
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"cosplit/internal/chain"
 	"cosplit/internal/obs"
@@ -74,22 +72,14 @@ type Routing struct {
 	Invalid bool
 }
 
-// nonceStripes must be a power of two.
-const nonceStripes = 64
-
 type nonceKey struct {
 	from  chain.Address
 	nonce uint64
 }
 
-type nonceStripe struct {
-	mu sync.Mutex
-	m  map[nonceKey]struct{}
-}
-
 // metrics are the dispatcher's always-on instruments. They live in an
-// obs.Registry (shared or private) and are updated with lock-free
-// atomic adds on the dispatch path.
+// obs.Registry (shared or private) and are updated with atomic adds on
+// the dispatch path.
 type metrics struct {
 	decisions     *obs.Counter // total commit verdicts
 	routedShard   *obs.Counter // placed on a shard
@@ -126,19 +116,18 @@ type Dispatcher struct {
 	// Contracts is the deployed-contract table (signature lookup).
 	Contracts *chain.Contracts
 
-	// load counts transactions routed per shard (index NumShards = DS),
-	// updated atomically so concurrent dispatch does not serialise.
-	load []atomic.Int64
-	// nonces guards against replays within the epoch, striped by
-	// (sender, nonce) to keep the hot path off a single mutex.
-	nonces [nonceStripes]nonceStripe
+	// load counts transactions routed per shard (index NumShards = DS).
+	load []int64
+	// nonces guards against replays within the epoch.
+	nonces map[nonceKey]struct{}
 	// plans caches the compiled per-(contract, transition) constraint
-	// plan; signatures are immutable once a contract is deployed.
-	plans sync.Map // planKey -> *plan
+	// plan, nil for a transition outside the signature; signatures are
+	// immutable once a contract is deployed.
+	plans map[planKey]*plan
 	// down marks shards the fault-recovery path has escalated: their
 	// traffic is rerouted to the DS committee until they recover. nil
 	// means every shard is available. Written only between epochs
-	// (SetUnavailable), read concurrently during dispatch.
+	// (SetUnavailable).
 	down []bool
 
 	m metrics
@@ -172,38 +161,28 @@ func New(numShards int, accounts *chain.Accounts, contracts *chain.Contracts, op
 	if c.reg == nil {
 		c.reg = obs.NewRegistry()
 	}
-	d := &Dispatcher{
+	return &Dispatcher{
 		NumShards: numShards,
 		Accounts:  accounts,
 		Contracts: contracts,
-		load:      make([]atomic.Int64, numShards+1),
+		load:      make([]int64, numShards+1),
+		nonces:    make(map[nonceKey]struct{}),
+		plans:     make(map[planKey]*plan),
 		m:         newMetrics(c.reg),
 	}
-	for i := range d.nonces {
-		d.nonces[i].m = make(map[nonceKey]struct{})
-	}
-	return d
 }
 
 // ResetEpoch clears the per-epoch load counters and replay table in
-// place, reusing the allocated slice and stripe maps across epochs.
+// place, reusing the allocated slice and map across epochs.
 func (d *Dispatcher) ResetEpoch() {
-	for i := range d.load {
-		d.load[i].Store(0)
-	}
-	for i := range d.nonces {
-		s := &d.nonces[i]
-		s.mu.Lock()
-		clear(s.m)
-		s.mu.Unlock()
-	}
+	clear(d.load)
+	clear(d.nonces)
 }
 
 // SetUnavailable replaces the shard-availability mask: down[s] marks
 // shard s unavailable, rerouting its traffic to the DS committee with
 // ReasonShardUnavailable. A nil (or all-false) mask restores full
-// availability. Call it between epochs only — the mask is read without
-// synchronisation while dispatching.
+// availability. Call it between epochs only.
 func (d *Dispatcher) SetUnavailable(down []bool) {
 	d.down = down
 }
@@ -216,30 +195,26 @@ func (d *Dispatcher) shardDown(s int) bool {
 // Load returns a copy of the per-shard load counters (last entry = DS).
 func (d *Dispatcher) Load() []int {
 	out := make([]int, len(d.load))
-	for i := range d.load {
-		out[i] = int(d.load[i].Load())
+	for i, l := range d.load {
+		out[i] = int(l)
 	}
 	return out
 }
 
 // markNonce records a (sender, nonce) use; it reports false on replay.
 func (d *Dispatcher) markNonce(from chain.Address, nonce uint64) bool {
-	s := &d.nonces[(uint64(from[0])^nonce)&(nonceStripes-1)]
 	k := nonceKey{from: from, nonce: nonce}
-	s.mu.Lock()
-	_, dup := s.m[k]
-	if !dup {
-		s.m[k] = struct{}{}
+	if _, dup := d.nonces[k]; dup {
+		return false
 	}
-	s.mu.Unlock()
-	return !dup
+	d.nonces[k] = struct{}{}
+	return true
 }
 
 // Decide computes the routing verdict for a transaction without
 // touching any per-epoch mutable state (no replay table, no load
-// counters; the only side effects are atomic metric increments and the
-// idempotent plan cache). It is the pure dispatch_oc(T, x) evaluation
-// and is safe to run concurrently with itself and with Dispatch.
+// counters; the only side effects are metric increments and the
+// idempotent plan cache). It is the pure dispatch_oc(T, x) evaluation.
 func (d *Dispatcher) Decide(tx *chain.Tx) Routing {
 	// Validity (relaxed nonces, Sec. 4.2.1): the nonce must exceed the
 	// committed account nonce.
@@ -290,18 +265,17 @@ func rejection(err error) Decision {
 // means the transition is not in the sharding signature.
 func (d *Dispatcher) planFor(c *chain.Contract, transition string) *plan {
 	k := planKey{contract: c.Addr, transition: transition}
-	if p, ok := d.plans.Load(k); ok {
+	if p, ok := d.plans[k]; ok {
 		d.m.planHit.Inc()
-		return p.(*plan)
+		return p
 	}
 	d.m.planMiss.Inc()
-	cs, ok := c.Sig.Constraints[transition]
-	if !ok {
-		d.plans.Store(k, (*plan)(nil))
-		return nil
+	var p *plan
+	if cs, ok := c.Sig.Constraints[transition]; ok {
+		p = compilePlan(cs)
 	}
-	actual, _ := d.plans.LoadOrStore(k, compilePlan(cs))
-	return actual.(*plan)
+	d.plans[k] = p
+	return p
 }
 
 // commit applies the stateful half of dispatch: replay accounting,
@@ -352,18 +326,17 @@ func (d *Dispatcher) commit(tx *chain.Tx, r Routing) Decision {
 	}
 	if shard == DS {
 		d.m.routedDS.Inc()
-		d.load[d.NumShards].Add(1)
+		d.load[d.NumShards]++
 	} else {
 		d.m.routedShard.Inc()
-		d.load[shard].Add(1)
+		d.load[shard]++
 	}
 	return Decision{Shard: shard, Reason: reason}
 }
 
 // Dispatch routes a transaction: the pure verdict, then the stateful
-// commit. It is safe for concurrent use, but load-balanced placement
-// follows call order, so the epoch pipeline routes a packet from one
-// goroutine in submission order.
+// commit. Load-balanced placement follows call order, so the epoch
+// pipeline routes a packet in submission order.
 func (d *Dispatcher) Dispatch(tx *chain.Tx) Decision {
 	return d.commit(tx, d.Decide(tx))
 }
@@ -376,7 +349,7 @@ func (d *Dispatcher) leastLoaded() int {
 		if d.shardDown(i) {
 			continue
 		}
-		if l := d.load[i].Load(); best == DS || l < bestLoad {
+		if l := d.load[i]; best == DS || l < bestLoad {
 			best, bestLoad = i, l
 		}
 	}

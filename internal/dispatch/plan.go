@@ -112,7 +112,7 @@ func argOf(tx *chain.Tx, name string) (value.Value, bool) {
 
 // eval runs the compiled plan against a concrete transaction,
 // implementing dispatch_oc(T, x). It reads only immutable transaction
-// data and the account table, so it is safe to run concurrently.
+// data and the account table.
 func (p *plan) eval(d *Dispatcher, tx *chain.Tx) Routing {
 	const unset = -2
 	required := unset

@@ -173,9 +173,11 @@ func (l *Lookup) loop() {
 }
 
 // finalBlock files a FinalBlock broadcast's receipts and notes its
-// epoch and root. A lookup has no state to apply the block's deltas to,
-// so it checks them and builds none (wire.DecodeFinalBlockReceipts);
-// the log copies what it files, so the payload is garbage on return.
+// epoch and root. A lookup has no state to apply the block's deltas to:
+// wire.DecodeFinalBlockReceipts reads them with the reader a replica's
+// DecodeFinalBlock uses, told not to build, so they are checked exactly
+// as a replica checks them and none is built. The log copies what it
+// files, so the payload is garbage on return.
 func (l *Lookup) finalBlock(payload []byte) error {
 	epoch, root, recs, err := wire.DecodeFinalBlockReceipts(payload)
 	if err != nil {

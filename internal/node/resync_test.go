@@ -347,11 +347,11 @@ func TestFinalBlockSkewHandling(t *testing.T) {
 		t.Fatalf("block request [%d, %d), want [%d, %d)", q.From, q.To, base+1, base+2)
 	}
 	// Serve the gap; the stashed block base+2 drains right after it.
-	respb, err := wire.EncodeBlockResponse(&wire.BlockResponse{From: base + 1, Head: base + 3, Blocks: fbs[1:2]})
+	gap, err := wire.SealedFinalBlock(fbs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(wire.MsgBlockResponse, respb)
+	send(wire.MsgBlockResponse, wire.AppendBlockResponse(nil, base+1, base+3, [][]byte{gap}))
 	probe(base + 3)
 
 	// A fabricated far-future block: the replica requests [base+3,
@@ -370,10 +370,7 @@ func TestFinalBlockSkewHandling(t *testing.T) {
 	if q.From != base+3 || q.To != base+10 {
 		t.Fatalf("block request [%d, %d), want [%d, %d)", q.From, q.To, base+3, base+10)
 	}
-	if respb, err = wire.EncodeBlockResponse(&wire.BlockResponse{From: base + 3, Head: base + 3}); err != nil {
-		t.Fatal(err)
-	}
-	send(wire.MsgBlockResponse, respb)
+	send(wire.MsgBlockResponse, wire.AppendBlockResponse(nil, base+3, base+3, nil))
 	probe(base + 3)
 
 	if err := sn.Err(); err != nil {

@@ -65,32 +65,13 @@ func FuzzDecoders(f *testing.F) {
 
 // FuzzFinalBlockReceipts sets the receipts-only read a lookup uses
 // against the building decoder replicas use, on the same bytes:
-//
-//  1. section by section, the validating skip accepts a delta section
-//     iff stateDeltas/optAccountDelta accept it, and consumes the same
-//     bytes;
-//  2. DecodeFinalBlockReceipts accepts a payload iff DecodeFinalBlock
-//     does, and reads the same epoch, root and receipts.
+// DecodeFinalBlockReceipts accepts a payload iff DecodeFinalBlock does,
+// and reads the same epoch, root and receipts.
 func FuzzFinalBlockReceipts(f *testing.F) {
 	for _, seed := range receiptsOnlySeeds() {
 		f.Add(seed.b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		build, skip := &reader{b: data}, &reader{b: data}
-		build.stateDeltas()
-		build.optAccountDelta()
-		skip.skipStateDeltas()
-		skip.skipOptAccountDelta()
-		if (build.err == nil) != (skip.err == nil) {
-			t.Fatalf("delta section: building decode %v, skip %v", build.err, skip.err)
-		}
-		if skip.err != nil && !errors.Is(skip.err, ErrDecode) {
-			t.Fatalf("untyped error %v", skip.err)
-		}
-		if skip.err == nil && len(build.b) != len(skip.b) {
-			t.Fatalf("delta section: built %d bytes, skipped %d", len(data)-len(build.b), len(data)-len(skip.b))
-		}
-
 		want, wantErr := DecodeFinalBlock(data)
 		epoch, root, recs, err := DecodeFinalBlockReceipts(data)
 		if (wantErr == nil) != (err == nil) {

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -53,11 +55,7 @@ func appendTx(b []byte, tx *chain.Tx) ([]byte, error) {
 // DecodeTx decodes a transaction payload.
 func DecodeTx(b []byte) (*chain.Tx, error) {
 	r := &reader{b: b}
-	tx := r.tx()
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return tx, nil
+	return finish(r, r.tx())
 }
 
 func (r *reader) tx() *chain.Tx {
@@ -71,7 +69,7 @@ func (r *reader) tx() *chain.Tx {
 	tx.From = r.addr()
 	tx.To = r.addr()
 	tx.Nonce = r.uvarint()
-	tx.Amount = r.big()
+	_, tx.Amount = r.big(true)
 	if r.err == nil && (tx.Amount == nil || tx.Amount.Sign() < 0) {
 		r.fail("bad transaction amount")
 	}
@@ -84,7 +82,7 @@ func (r *reader) tx() *chain.Tx {
 	}
 	for i := 0; i < n; i++ {
 		k := r.string()
-		v := r.value(0)
+		v := r.value(0, true)
 		if r.err != nil {
 			return nil
 		}
@@ -99,15 +97,15 @@ func (r *reader) tx() *chain.Tx {
 // --- Receipt ---
 
 // A receipt is its header fields, then its events: their count and each
-// message. Decoding a block checks the events byte for byte (skipValue)
-// but builds only the header and keeps the events as the bytes they
-// arrived in (chain.Receipt.RawEvents, a range of the block's payload);
-// encoding a receipt that carries such bytes copies them, so the DS
-// committee passes a shard's receipts into the FinalBlock, and a replica
-// files them, without building an event. Filing is where the aliasing
-// ends: shard.ReceiptLog copies the header and the bytes, and the
-// payload is garbage once its handler returns. ReceiptEvents builds the
-// events for whoever shows a receipt to a client.
+// message. Decoding a block checks the events byte for byte (events,
+// not building) but builds only the header and keeps the events as the
+// bytes they arrived in (chain.Receipt.RawEvents, a range of the block's
+// payload); encoding a receipt that carries such bytes copies them, so
+// the DS committee passes a shard's receipts into the FinalBlock, and a
+// replica files them, without building an event. Filing is where the
+// aliasing ends: shard.ReceiptLog copies the header and the bytes, and
+// the payload is garbage once its handler returns. ReceiptEvents builds
+// the events for whoever shows a receipt to a client.
 
 func appendReceipt(b []byte, rec *chain.Receipt) ([]byte, error) {
 	b = appendUvarint(b, rec.TxID)
@@ -146,12 +144,7 @@ func (r *reader) receipts() []*chain.Receipt {
 		rec.Shard = int(r.varint())
 		rec.Epoch = r.uvarint()
 		events := r.b
-		for k := r.count(1); k > 0 && r.err == nil; k-- {
-			if len(r.b) > 0 && r.b[0] != tagMsg {
-				r.fail("receipt event is not a message")
-			}
-			r.skipValue(0)
-		}
+		r.events(false)
 		if r.err != nil {
 			return nil
 		}
@@ -172,25 +165,22 @@ func ReceiptEvents(rec *chain.Receipt) ([]value.Msg, error) {
 	}
 	eventDecodes.Add(1)
 	r := &reader{b: rec.RawEvents}
-	n := r.count(1)
-	var events []value.Msg
-	if n > 0 {
-		events = make([]value.Msg, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		msg, ok := r.value(0).(value.Msg)
-		if r.err == nil && !ok {
+	return finish(r, r.events(true))
+}
+
+// events reads a receipt's event list, each event a message, building
+// the messages only when build.
+func (r *reader) events(build bool) []value.Msg {
+	n, events := items[value.Msg](r, 1, build)
+	for ; n > 0 && r.err == nil; n-- {
+		if len(r.b) > 0 && r.b[0] != tagMsg {
 			r.fail("receipt event is not a message")
 		}
-		if r.err != nil {
-			return nil, r.err
+		if msg, _ := r.value(0, build).(value.Msg); build {
+			events = append(events, msg)
 		}
-		events = append(events, msg)
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return events, nil
+	return events
 }
 
 // --- StateDelta ---
@@ -258,37 +248,35 @@ func appendEntryDelta(b []byte, e *chain.EntryDelta) ([]byte, error) {
 // DecodeStateDelta decodes one state delta payload.
 func DecodeStateDelta(b []byte) (*chain.StateDelta, error) {
 	r := &reader{b: b}
-	d := r.stateDelta()
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return finish(r, r.stateDelta(true))
 }
 
-func (r *reader) stateDelta() *chain.StateDelta {
-	d := &chain.StateDelta{Fields: make(map[string]*chain.FieldDelta)}
-	d.Contract = r.addr()
-	d.Shard = int(r.varint())
-	nf := r.count(2)
-	for i := 0; i < nf; i++ {
-		f := r.string()
-		fd := &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta)}
+// stateDelta reads one contract's delta, building it only when build.
+func (r *reader) stateDelta(build bool) *chain.StateDelta {
+	contract, sh := r.addr(), int(r.varint())
+	var d *chain.StateDelta
+	if build {
+		d = &chain.StateDelta{Contract: contract, Shard: sh, Fields: make(map[string]*chain.FieldDelta)}
+	}
+	for nf := r.count(2); nf > 0 && r.err == nil; nf-- {
+		f := r.skip()
+		var whole *chain.EntryDelta
 		if r.bool() {
-			fd.Whole = r.entryDelta()
+			whole = r.entryDelta(build)
 		}
-		ne := r.count(2)
-		for j := 0; j < ne; j++ {
-			kp := r.string()
-			e := r.entryDelta()
-			if r.err != nil {
-				return nil
+		var fd *chain.FieldDelta
+		if build {
+			fd = &chain.FieldDelta{Whole: whole, Entries: make(map[string]chain.EntryDelta)}
+		}
+		for ne := r.count(2); ne > 0 && r.err == nil; ne-- {
+			kp := r.skip()
+			if e := r.entryDelta(build); build && r.err == nil {
+				fd.Entries[string(kp)] = *e
 			}
-			fd.Entries[kp] = *e
 		}
-		if r.err != nil {
-			return nil
+		if build && r.err == nil {
+			d.Fields[string(f)] = fd
 		}
-		d.Fields[f] = fd
 	}
 	if r.err != nil {
 		return nil
@@ -296,28 +284,27 @@ func (r *reader) stateDelta() *chain.StateDelta {
 	return d
 }
 
-func (r *reader) entryDelta() *chain.EntryDelta {
-	e := &chain.EntryDelta{}
+// entryDelta reads one entry's change, building it only when build.
+func (r *reader) entryDelta(build bool) *chain.EntryDelta {
 	kind := r.byte()
-	if r.err == nil && kind > byte(chain.Delete) {
+	if kind > byte(chain.Delete) {
 		r.fail("bad delta kind %d", kind)
 	}
-	e.Kind = chain.DeltaKind(kind)
-	n := r.count(1)
-	if n > 0 {
-		e.Keys = make([]value.Value, 0, n)
+	n, keys := items[value.Value](r, 1, build)
+	for ; n > 0 && r.err == nil; n-- {
+		if k := r.value(0, build); build {
+			keys = append(keys, k)
+		}
 	}
-	for i := 0; i < n; i++ {
-		e.Keys = append(e.Keys, r.value(0))
-	}
+	var v value.Value
 	if r.bool() {
-		e.Value = r.value(0)
+		v = r.value(0, build)
 	}
-	e.Delta = r.big()
-	if r.err != nil {
+	_, delta := r.big(build)
+	if !build || r.err != nil {
 		return nil
 	}
-	return e
+	return &chain.EntryDelta{Kind: chain.DeltaKind(kind), Keys: keys, Value: v, Delta: delta}
 }
 
 func appendStateDeltas(b []byte, ds []*chain.StateDelta) ([]byte, error) {
@@ -331,53 +318,17 @@ func appendStateDeltas(b []byte, ds []*chain.StateDelta) ([]byte, error) {
 	return b, nil
 }
 
-func (r *reader) stateDeltas() []*chain.StateDelta {
-	n := r.count(22)
-	var ds []*chain.StateDelta
-	if n > 0 {
-		ds = make([]*chain.StateDelta, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		ds = append(ds, r.stateDelta())
-	}
-	if r.err != nil {
-		return nil
-	}
-	return ds
-}
-
-// skipStateDeltas consumes a block's state-delta section, accepting
-// exactly what stateDeltas accepts and building nothing: for a role
-// that files a block's receipts and has no state to merge its deltas
-// into. A corrupt section fails the block for that role too.
-func (r *reader) skipStateDeltas() {
-	for n := r.count(22); n > 0 && r.err == nil; n-- {
-		r.addr()
-		r.varint()
-		for nf := r.count(2); nf > 0 && r.err == nil; nf-- {
-			r.skip()
-			if r.bool() {
-				r.skipEntryDelta()
-			}
-			for ne := r.count(2); ne > 0 && r.err == nil; ne-- {
-				r.skip()
-				r.skipEntryDelta()
-			}
+// stateDeltas reads a block's state-delta section, building it only
+// when build: a role that files a block's receipts and has no state to
+// merge its deltas into still has a corrupt section fail the block.
+func (r *reader) stateDeltas(build bool) []*chain.StateDelta {
+	n, ds := items[*chain.StateDelta](r, 22, build)
+	for ; n > 0 && r.err == nil; n-- {
+		if d := r.stateDelta(build); build {
+			ds = append(ds, d)
 		}
 	}
-}
-
-func (r *reader) skipEntryDelta() {
-	if kind := r.byte(); r.err == nil && kind > byte(chain.Delete) {
-		r.fail("bad delta kind %d", kind)
-	}
-	for n := r.count(1); n > 0 && r.err == nil; n-- {
-		r.skipValue(0)
-	}
-	if r.bool() {
-		r.skipValue(0)
-	}
-	r.skipBig()
+	return ds
 }
 
 // --- AccountDelta ---
@@ -392,19 +343,12 @@ func appendOptAccountDelta(b []byte, d *chain.AccountDelta) []byte {
 	return b
 }
 
-func (r *reader) optAccountDelta() *chain.AccountDelta {
-	if r.bool() {
-		return r.accountDelta()
-	}
-	return nil
-}
-
 func appendAccountDelta(b []byte, d *chain.AccountDelta) []byte {
 	addrs := make([]chain.Address, 0, len(d.BalanceDeltas))
 	for a := range d.BalanceDeltas {
 		addrs = append(addrs, a)
 	}
-	sortAddrs(addrs)
+	slices.SortFunc(addrs, addrCmp)
 	b = appendUvarint(b, uint64(len(addrs)))
 	for _, a := range addrs {
 		b = appendAddr(b, a)
@@ -414,7 +358,7 @@ func appendAccountDelta(b []byte, d *chain.AccountDelta) []byte {
 	for a := range d.Nonces {
 		addrs = append(addrs, a)
 	}
-	sortAddrs(addrs)
+	slices.SortFunc(addrs, addrCmp)
 	b = appendUvarint(b, uint64(len(addrs)))
 	for _, a := range addrs {
 		b = appendAddr(b, a)
@@ -423,29 +367,32 @@ func appendAccountDelta(b []byte, d *chain.AccountDelta) []byte {
 	return b
 }
 
-func (r *reader) accountDelta() *chain.AccountDelta {
-	d := chain.NewAccountDelta()
-	nb := r.count(21)
-	for i := 0; i < nb; i++ {
-		a := r.addr()
-		v := r.big()
-		if r.err != nil {
-			return nil
-		}
-		if v == nil {
-			r.fail("nil balance delta")
-			return nil
-		}
-		d.BalanceDeltas[a] = v
+// optAccountDelta reads a possibly absent account delta, building it
+// only when build.
+func (r *reader) optAccountDelta(build bool) *chain.AccountDelta {
+	if !r.bool() {
+		return nil
 	}
-	nn := r.count(21)
-	for i := 0; i < nn; i++ {
-		a := r.addr()
-		n := r.uvarint()
-		if r.err != nil {
-			return nil
+	var d *chain.AccountDelta
+	if build {
+		d = chain.NewAccountDelta()
+	}
+	// The addresses stay ranges of the payload unless built.
+	for n := r.count(21); n > 0 && r.err == nil; n-- {
+		a := r.addrBytes()
+		v, kept := r.big(build)
+		if r.err == nil && v == nil {
+			r.fail("nil balance delta")
 		}
-		d.Nonces[a] = n
+		if build && r.err == nil {
+			d.BalanceDeltas[chain.Address(a)] = kept
+		}
+	}
+	for n := r.count(21); n > 0 && r.err == nil; n-- {
+		a, nonce := r.addrBytes(), r.uvarint()
+		if build && r.err == nil {
+			d.Nonces[chain.Address(a)] = nonce
+		}
 	}
 	if r.err != nil {
 		return nil
@@ -453,33 +400,8 @@ func (r *reader) accountDelta() *chain.AccountDelta {
 	return d
 }
 
-// skipOptAccountDelta is optAccountDelta building nothing.
-func (r *reader) skipOptAccountDelta() {
-	if !r.bool() {
-		return
-	}
-	for n := r.count(21); n > 0 && r.err == nil; n-- {
-		r.addr()
-		if v := r.skipBig(); r.err == nil && v == nil {
-			r.fail("nil balance delta")
-		}
-	}
-	for n := r.count(21); n > 0 && r.err == nil; n-- {
-		r.addr()
-		r.uvarint()
-	}
-}
-
-func sortAddrs(addrs []chain.Address) {
-	sort.Slice(addrs, func(i, j int) bool {
-		for k := 0; k < len(addrs[i]); k++ {
-			if addrs[i][k] != addrs[j][k] {
-				return addrs[i][k] < addrs[j][k]
-			}
-		}
-		return false
-	})
-}
+// addrCmp orders addresses bytewise, as the store orders snapshot rows.
+func addrCmp(a, b chain.Address) int { return bytes.Compare(a[:], b[:]) }
 
 // --- MicroBlock ---
 
@@ -562,29 +484,20 @@ func EncodeMicroBlock(mb *shard.MicroBlock) ([]byte, error) {
 // afterwards.
 func DecodeMicroBlock(b []byte) (*shard.MicroBlock, error) {
 	r := &reader{b: b}
-	mb := &shard.MicroBlock{}
-	mb.Shard = int(r.varint())
-	mb.Epoch = r.uvarint()
-	mb.GasUsed = r.uvarint()
-	mb.ExecTime = time.Duration(r.uvarint())
-	mb.Receipts = r.receipts()
-	mb.Deltas = r.stateDeltas()
-	mb.Accounts = r.optAccountDelta()
-	nt := r.count(45)
-	if nt > 0 {
-		mb.Deferred = make([]*chain.Tx, 0, nt)
+	return finish(r, &shard.MicroBlock{
+		Shard: int(r.varint()), Epoch: r.uvarint(), GasUsed: r.uvarint(), ExecTime: time.Duration(r.uvarint()),
+		Receipts: r.receipts(), Deltas: r.stateDeltas(true), Accounts: r.optAccountDelta(true),
+		Deferred: r.txs(),
+	})
+}
+
+// txs reads a transaction list.
+func (r *reader) txs() []*chain.Tx {
+	n, txs := items[*chain.Tx](r, 45, true)
+	for ; n > 0 && r.err == nil; n-- {
+		txs = append(txs, r.tx())
 	}
-	for i := 0; i < nt; i++ {
-		tx := r.tx()
-		if r.err != nil {
-			return nil, r.err
-		}
-		mb.Deferred = append(mb.Deferred, tx)
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return mb, nil
+	return txs
 }
 
 // --- FinalBlock ---
@@ -656,16 +569,8 @@ func SealedFinalBlock(fb *shard.FinalBlock) ([]byte, error) {
 // events are ranges of it), and the caller must not write to it
 // afterwards.
 func DecodeFinalBlock(b []byte) (*shard.FinalBlock, error) {
-	r := &reader{b: b}
 	fb := &shard.FinalBlock{}
-	fb.Epoch = r.uvarint()
-	fb.StateRoot = r.string()
-	fb.Deltas = r.stateDeltas()
-	fb.Accounts = r.optAccountDelta()
-	fb.DSDeltas = r.stateDeltas()
-	fb.DSAccounts = r.optAccountDelta()
-	fb.Receipts = r.receipts()
-	if err := r.done(); err != nil {
+	if err := decodeFinalBlock(b, fb, true); err != nil {
 		return nil, err
 	}
 	fb.Seal(b)
@@ -678,18 +583,26 @@ func DecodeFinalBlock(b []byte) (*shard.FinalBlock, error) {
 // and its receipts are built — no StateDelta, no AccountDelta. The
 // receipts' events are ranges of b until a ReceiptLog files them.
 func DecodeFinalBlockReceipts(b []byte) (epoch uint64, root string, recs []*chain.Receipt, err error) {
-	r := &reader{b: b}
-	epoch = r.uvarint()
-	root = r.string()
-	r.skipStateDeltas()
-	r.skipOptAccountDelta()
-	r.skipStateDeltas()
-	r.skipOptAccountDelta()
-	recs = r.receipts()
-	if err = r.done(); err != nil {
+	var fb shard.FinalBlock
+	if err := decodeFinalBlock(b, &fb, false); err != nil {
 		return 0, "", nil, err
 	}
-	return epoch, root, recs, nil
+	return fb.Epoch, fb.StateRoot, fb.Receipts, nil
+}
+
+// decodeFinalBlock reads a FinalBlock payload into fb, building the
+// four delta sections only when build.
+func decodeFinalBlock(b []byte, fb *shard.FinalBlock, build bool) error {
+	r := &reader{b: b}
+	fb.Epoch = r.uvarint()
+	fb.StateRoot = r.string()
+	fb.Deltas = r.stateDeltas(build)
+	fb.Accounts = r.optAccountDelta(build)
+	fb.DSDeltas = r.stateDeltas(build)
+	fb.DSAccounts = r.optAccountDelta(build)
+	fb.Receipts = r.receipts()
+	_, err := finish(r, fb)
+	return err
 }
 
 // --- TxBatch ---
@@ -719,24 +632,7 @@ func EncodeTxBatch(batch *TxBatch) ([]byte, error) {
 // DecodeTxBatch decodes a shard queue payload.
 func DecodeTxBatch(b []byte) (*TxBatch, error) {
 	r := &reader{b: b}
-	batch := &TxBatch{}
-	batch.Epoch = r.uvarint()
-	batch.Shard = int(r.varint())
-	n := r.count(45)
-	if n > 0 {
-		batch.Txs = make([]*chain.Tx, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		tx := r.tx()
-		if r.err != nil {
-			return nil, r.err
-		}
-		batch.Txs = append(batch.Txs, tx)
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return batch, nil
+	return finish(r, &TxBatch{Epoch: r.uvarint(), Shard: int(r.varint()), Txs: r.txs()})
 }
 
 // --- Submit / SubmitResp ---
@@ -757,11 +653,7 @@ func EncodeSubmit(s *Submit) ([]byte, error) {
 // DecodeSubmit decodes a submission payload.
 func DecodeSubmit(b []byte) (*Submit, error) {
 	r := &reader{b: b}
-	s := &Submit{Corr: r.uvarint(), Tx: r.tx()}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return finish(r, &Submit{Corr: r.uvarint(), Tx: r.tx()})
 }
 
 // SubmitResp answers a Submit: the assigned transaction id, or the
@@ -782,11 +674,7 @@ func EncodeSubmitResp(s *SubmitResp) []byte {
 // DecodeSubmitResp decodes a submission response payload.
 func DecodeSubmitResp(b []byte) (*SubmitResp, error) {
 	r := &reader{b: b}
-	s := &SubmitResp{Corr: r.uvarint(), ID: r.uvarint(), Err: r.string()}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return finish(r, &SubmitResp{Corr: r.uvarint(), ID: r.uvarint(), Err: r.string()})
 }
 
 // --- StateQuery / StateResp ---
@@ -813,11 +701,7 @@ func EncodeStateQuery(q *StateQuery) []byte {
 // DecodeStateQuery decodes a state query payload.
 func DecodeStateQuery(b []byte) (*StateQuery, error) {
 	r := &reader{b: b}
-	q := &StateQuery{Corr: r.uvarint(), Addr: r.addr(), Field: r.string(), Key: r.string()}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return q, nil
+	return finish(r, &StateQuery{Corr: r.uvarint(), Addr: r.addr(), Field: r.string(), Key: r.string()})
 }
 
 // StateResp answers a StateQuery. For account queries Balance and
@@ -852,13 +736,12 @@ func EncodeStateResp(s *StateResp) ([]byte, error) {
 // DecodeStateResp decodes a state response payload.
 func DecodeStateResp(b []byte) (*StateResp, error) {
 	r := &reader{b: b}
-	s := &StateResp{Corr: r.uvarint(), Found: r.bool(), Balance: r.big(), Nonce: r.uvarint()}
+	s := &StateResp{Corr: r.uvarint(), Found: r.bool()}
+	_, s.Balance = r.big(true)
+	s.Nonce = r.uvarint()
 	if r.bool() {
-		s.Value = r.value(0)
+		s.Value = r.value(0, true)
 	}
 	s.Err = r.string()
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return finish(r, s)
 }

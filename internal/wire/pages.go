@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"cosplit/internal/chain"
@@ -42,11 +42,10 @@ type AccountPage struct {
 // EncodeAccountPage encodes an account page, sorting rows by address.
 func EncodeAccountPage(p *AccountPage) []byte {
 	rows := p.Accounts
-	if !sort.SliceIsSorted(rows, func(i, j int) bool {
-		return addrLess(rows[i].Addr, rows[j].Addr)
-	}) {
-		rows = append([]SnapshotAccount(nil), rows...)
-		sort.Slice(rows, func(i, j int) bool { return addrLess(rows[i].Addr, rows[j].Addr) })
+	byAddr := func(a, b SnapshotAccount) int { return addrCmp(a.Addr, b.Addr) }
+	if !slices.IsSortedFunc(rows, byAddr) {
+		rows = slices.Clone(rows)
+		slices.SortFunc(rows, byAddr)
 	}
 	b := make([]byte, 0, 32+32*len(rows))
 	b = appendUvarint(b, uint64(p.PageID))
@@ -57,22 +56,11 @@ func EncodeAccountPage(p *AccountPage) []byte {
 // DecodeAccountPage decodes an account page payload.
 func DecodeAccountPage(b []byte) (*AccountPage, error) {
 	r := &reader{b: b}
-	p := &AccountPage{}
-	pid := r.uvarint()
-	p.Version = r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
+	pid, ver := r.uvarint(), r.uvarint()
 	if pid > 1<<31 {
-		return nil, fmt.Errorf("%w: account page id %d out of range", ErrDecode, pid)
+		r.fail("account page id %d out of range", pid)
 	}
-	p.PageID = uint32(pid)
-	accs, err := DecodeSnapshotAccounts(r.b)
-	if err != nil {
-		return nil, err
-	}
-	p.Accounts = accs
-	return p, nil
+	return finish(r, &AccountPage{PageID: uint32(pid), Version: ver, Accounts: r.snapshotAccounts()})
 }
 
 // ContractPage is one contract's canonical state as the pager writes
@@ -97,15 +85,8 @@ func EncodeContractPage(p *ContractPage) ([]byte, error) {
 // DecodeContractPage decodes a contract page payload.
 func DecodeContractPage(b []byte) (*ContractPage, error) {
 	r := &reader{b: b}
-	ver := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	sc, err := DecodeSnapshotContract(r.b)
-	if err != nil {
-		return nil, err
-	}
-	return &ContractPage{Addr: sc.Addr, Version: ver, Fields: sc.Fields}, nil
+	ver, sc := r.uvarint(), r.snapshotContract()
+	return finish(r, &ContractPage{Addr: sc.Addr, Version: ver, Fields: sc.Fields})
 }
 
 // PageIndexAccounts is one account page's entry in the index.
@@ -142,12 +123,9 @@ func EncodePageIndex(ix *PageIndex) []byte {
 	accs := append([]PageIndexAccounts(nil), ix.Accounts...)
 	sort.Slice(accs, func(i, j int) bool { return accs[i].PageID < accs[j].PageID })
 	contracts := append([]PageIndexContract(nil), ix.Contracts...)
-	sort.Slice(contracts, func(i, j int) bool { return addrLess(contracts[i].Addr, contracts[j].Addr) })
+	slices.SortFunc(contracts, func(a, b PageIndexContract) int { return addrCmp(a.Addr, b.Addr) })
 
-	b := make([]byte, 0, 64+16*len(accs)+32*len(contracts))
-	b = appendUvarint(b, ix.Checkpoint.Epoch)
-	b = appendUvarint(b, ix.Checkpoint.BlockNumber)
-	b = appendUvarint(b, ix.Checkpoint.NextTxID)
+	b := AppendCheckpoint(make([]byte, 0, 64+16*len(accs)+32*len(contracts)), ix.Checkpoint)
 	b = appendString(b, ix.Root)
 	b = appendUvarint(b, uint64(ix.PageCount))
 	b = appendUvarint(b, ix.NextVersion)
@@ -168,59 +146,25 @@ func EncodePageIndex(ix *PageIndex) []byte {
 // DecodePageIndex decodes an index payload.
 func DecodePageIndex(b []byte) (*PageIndex, error) {
 	r := &reader{b: b}
-	ix := &PageIndex{}
-	ix.Checkpoint.Epoch = r.uvarint()
-	ix.Checkpoint.BlockNumber = r.uvarint()
-	ix.Checkpoint.NextTxID = r.uvarint()
-	ix.Root = r.string()
+	ix := &PageIndex{Checkpoint: r.checkpoint(), Root: r.string()}
 	pc := r.uvarint()
 	ix.NextVersion = r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if pc == 0 || pc > 1<<31 || pc&(pc-1) != 0 {
-		return nil, fmt.Errorf("%w: page count %d not a positive power of two", ErrDecode, pc)
+	if r.err == nil && (pc == 0 || pc > 1<<31 || pc&(pc-1) != 0) {
+		r.fail("page count %d not a positive power of two", pc)
 	}
 	ix.PageCount = uint32(pc)
-	na := r.count(3)
-	if na > 0 {
-		ix.Accounts = make([]PageIndexAccounts, 0, na)
-	}
-	for i := 0; i < na; i++ {
-		pid := r.uvarint()
-		ver := r.uvarint()
-		count := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if pid >= uint64(ix.PageCount) {
-			return nil, fmt.Errorf("%w: page id %d outside page table of %d", ErrDecode, pid, ix.PageCount)
+	var n int
+	n, ix.Accounts = items[PageIndexAccounts](r, 3, true)
+	for ; n > 0 && r.err == nil; n-- {
+		pid, ver, count := r.uvarint(), r.uvarint(), r.uvarint()
+		if r.err == nil && pid >= uint64(ix.PageCount) {
+			r.fail("page id %d outside page table of %d", pid, ix.PageCount)
 		}
 		ix.Accounts = append(ix.Accounts, PageIndexAccounts{PageID: uint32(pid), Version: ver, Count: count})
 	}
-	nc := r.count(21)
-	if nc > 0 {
-		ix.Contracts = make([]PageIndexContract, 0, nc)
+	n, ix.Contracts = items[PageIndexContract](r, 21, true)
+	for ; n > 0 && r.err == nil; n-- {
+		ix.Contracts = append(ix.Contracts, PageIndexContract{Addr: r.addr(), Version: r.uvarint()})
 	}
-	for i := 0; i < nc; i++ {
-		e := PageIndexContract{Addr: r.addr(), Version: r.uvarint()}
-		if r.err != nil {
-			return nil, r.err
-		}
-		ix.Contracts = append(ix.Contracts, e)
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// addrLess orders addresses bytewise.
-func addrLess(a, b chain.Address) bool {
-	for k := 0; k < len(a); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
+	return finish(r, ix)
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/big"
 	"sort"
 
@@ -55,25 +54,10 @@ func AppendCheckpoint(b []byte, cp shard.Checkpoint) []byte {
 	return appendUvarint(b, cp.NextTxID)
 }
 
-// EncodeCheckpointBlock encodes a journal record in one piece. The
-// store writes the same bytes without joining them (WriteFrameParts
-// over AppendCheckpoint and SealedFinalBlock).
-func EncodeCheckpointBlock(cb *CheckpointBlock) ([]byte, error) {
-	fb, err := SealedFinalBlock(cb.Block)
-	if err != nil {
-		return nil, err
-	}
-	b := make([]byte, 0, 3*binary.MaxVarintLen64+len(fb))
-	return append(AppendCheckpoint(b, cb.Checkpoint), fb...), nil
-}
-
 // DecodeCheckpointBlock decodes a journal record payload.
 func DecodeCheckpointBlock(b []byte) (*CheckpointBlock, error) {
 	r := &reader{b: b}
-	cb := &CheckpointBlock{}
-	cb.Checkpoint.Epoch = r.uvarint()
-	cb.Checkpoint.BlockNumber = r.uvarint()
-	cb.Checkpoint.NextTxID = r.uvarint()
+	cp := r.checkpoint()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -83,8 +67,11 @@ func DecodeCheckpointBlock(b []byte) (*CheckpointBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	cb.Block = fb
-	return cb, nil
+	return &CheckpointBlock{Checkpoint: cp, Block: fb}, nil
+}
+
+func (r *reader) checkpoint() shard.Checkpoint {
+	return shard.Checkpoint{Epoch: r.uvarint(), BlockNumber: r.uvarint(), NextTxID: r.uvarint()}
 }
 
 // SnapshotHeader opens a snapshot file: the checkpoint the full-state
@@ -98,25 +85,13 @@ type SnapshotHeader struct {
 
 // EncodeSnapshotHeader encodes a snapshot header.
 func EncodeSnapshotHeader(h *SnapshotHeader) []byte {
-	b := make([]byte, 0, 96)
-	b = appendUvarint(b, h.Checkpoint.Epoch)
-	b = appendUvarint(b, h.Checkpoint.BlockNumber)
-	b = appendUvarint(b, h.Checkpoint.NextTxID)
-	return appendString(b, h.Root)
+	return appendString(AppendCheckpoint(make([]byte, 0, 96), h.Checkpoint), h.Root)
 }
 
 // DecodeSnapshotHeader decodes a snapshot header payload.
 func DecodeSnapshotHeader(b []byte) (*SnapshotHeader, error) {
 	r := &reader{b: b}
-	h := &SnapshotHeader{}
-	h.Checkpoint.Epoch = r.uvarint()
-	h.Checkpoint.BlockNumber = r.uvarint()
-	h.Checkpoint.NextTxID = r.uvarint()
-	h.Root = r.string()
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return finish(r, &SnapshotHeader{Checkpoint: r.checkpoint(), Root: r.string()})
 }
 
 // SnapshotSince marks a snapshot file as incremental. Its records —
@@ -137,11 +112,7 @@ func EncodeSnapshotSince(s *SnapshotSince) []byte {
 // DecodeSnapshotSince decodes an incremental snapshot's base marker.
 func DecodeSnapshotSince(b []byte) (*SnapshotSince, error) {
 	r := &reader{b: b}
-	s := &SnapshotSince{Epoch: r.uvarint()}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return finish(r, &SnapshotSince{Epoch: r.uvarint()})
 }
 
 // SnapshotContract carries one contract's complete field state. Fields
@@ -175,23 +146,22 @@ func EncodeSnapshotContract(c *SnapshotContract) ([]byte, error) {
 // DecodeSnapshotContract decodes one contract's state payload.
 func DecodeSnapshotContract(b []byte) (*SnapshotContract, error) {
 	r := &reader{b: b}
+	return finish(r, r.snapshotContract())
+}
+
+func (r *reader) snapshotContract() *SnapshotContract {
 	c := &SnapshotContract{Addr: r.addr()}
 	n := r.count(2)
 	if n > 0 {
 		c.Fields = make(map[string]value.Value, n)
 	}
-	for i := 0; i < n; i++ {
+	for ; n > 0 && r.err == nil; n-- {
 		name := r.string()
-		v := r.value(0)
-		if r.err != nil {
-			return nil, r.err
+		if v := r.value(0, true); r.err == nil {
+			c.Fields[name] = v
 		}
-		c.Fields[name] = v
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return c
 }
 
 // SnapshotAccount is one native account's snapshot row.
@@ -221,24 +191,21 @@ func EncodeSnapshotAccounts(accs []SnapshotAccount) []byte {
 // DecodeSnapshotAccounts decodes an account batch payload.
 func DecodeSnapshotAccounts(b []byte) ([]SnapshotAccount, error) {
 	r := &reader{b: b}
-	n := r.count(23)
-	accs := make([]SnapshotAccount, 0, n)
-	for i := 0; i < n; i++ {
-		a := SnapshotAccount{Addr: r.addr(), Balance: r.big()}
-		a.Nonce = r.uvarint()
-		a.IsContract = r.bool()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if a.Balance == nil || a.Balance.Sign() < 0 {
-			return nil, fmt.Errorf("%w: bad snapshot account balance", ErrDecode)
+	return finish(r, r.snapshotAccounts())
+}
+
+func (r *reader) snapshotAccounts() []SnapshotAccount {
+	n, accs := items[SnapshotAccount](r, 23, true)
+	for ; n > 0 && r.err == nil; n-- {
+		a := SnapshotAccount{Addr: r.addr()}
+		_, a.Balance = r.big(true)
+		a.Nonce, a.IsContract = r.uvarint(), r.bool()
+		if r.err == nil && (a.Balance == nil || a.Balance.Sign() < 0) {
+			r.fail("bad snapshot account balance")
 		}
 		accs = append(accs, a)
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return accs, nil
+	return accs
 }
 
 // SnapshotEnd closes a snapshot file with the totals the reader must
@@ -259,9 +226,5 @@ func EncodeSnapshotEnd(e *SnapshotEnd) []byte {
 // DecodeSnapshotEnd decodes a snapshot trailer payload.
 func DecodeSnapshotEnd(b []byte) (*SnapshotEnd, error) {
 	r := &reader{b: b}
-	e := &SnapshotEnd{Contracts: r.uvarint(), Accounts: r.uvarint()}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return finish(r, &SnapshotEnd{Contracts: r.uvarint(), Accounts: r.uvarint()})
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"cosplit/internal/shard"
@@ -43,13 +42,10 @@ func EncodeBlockRequest(q *BlockRequest) []byte {
 func DecodeBlockRequest(b []byte) (*BlockRequest, error) {
 	r := &reader{b: b}
 	q := &BlockRequest{From: r.uvarint(), To: r.uvarint()}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
 	if q.To < q.From {
-		return nil, fmt.Errorf("%w: block request range [%d, %d) is inverted", ErrDecode, q.From, q.To)
+		r.fail("block request range [%d, %d) is inverted", q.From, q.To)
 	}
-	return q, nil
+	return finish(r, q)
 }
 
 // BlockResponse carries a contiguous run of committed FinalBlocks
@@ -63,19 +59,6 @@ type BlockResponse struct {
 	From   uint64
 	Head   uint64
 	Blocks []*shard.FinalBlock
-}
-
-// EncodeBlockResponse encodes a block response from the blocks' sealed
-// payloads (SealedFinalBlock).
-func EncodeBlockResponse(resp *BlockResponse) ([]byte, error) {
-	payloads := make([][]byte, len(resp.Blocks))
-	for i, fb := range resp.Blocks {
-		var err error
-		if payloads[i], err = SealedFinalBlock(fb); err != nil {
-			return nil, err
-		}
-	}
-	return AppendBlockResponse(nil, resp.From, resp.Head, payloads), nil
 }
 
 // AppendBlockResponse appends a block response carrying the given
@@ -110,25 +93,23 @@ func DecodeBlockResponse(b []byte) (*BlockResponse, error) {
 	if n > 0 {
 		resp.Blocks = make([]*shard.FinalBlock, 0, n)
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		enc := r.bytes()
 		if r.err != nil {
-			return nil, r.err
+			break
 		}
 		fb, err := DecodeFinalBlock(enc)
 		if err != nil {
-			return nil, err
+			r.err = err
+			break
 		}
-		if fb.Epoch != resp.From+uint64(i) {
-			return nil, fmt.Errorf("%w: block response not contiguous: slot %d carries epoch %d, want %d",
-				ErrDecode, i, fb.Epoch, resp.From+uint64(i))
+		if want := resp.From + uint64(i); fb.Epoch != want {
+			r.fail("block response not contiguous: slot %d carries epoch %d, want %d", i, fb.Epoch, want)
+			break
 		}
 		resp.Blocks = append(resp.Blocks, fb)
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return finish(r, resp)
 }
 
 // Hello announces a node to the DS committee: its transport name (the
@@ -149,9 +130,5 @@ func EncodeHello(h *Hello) []byte {
 // DecodeHello decodes a hello payload.
 func DecodeHello(b []byte) (*Hello, error) {
 	r := &reader{b: b}
-	h := &Hello{Name: r.string(), Role: r.string()}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return finish(r, &Hello{Name: r.string(), Role: r.string()})
 }

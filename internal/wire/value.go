@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -85,7 +86,8 @@ func appendType(b []byte, t ast.Type) ([]byte, error) {
 	return b, nil
 }
 
-func (r *reader) typ(depth int) ast.Type {
+// typ reads one encoded type, building it only when build.
+func (r *reader) typ(depth int, build bool) ast.Type {
 	if r.err != nil {
 		return nil
 	}
@@ -93,57 +95,50 @@ func (r *reader) typ(depth int) ast.Type {
 		r.fail("type nesting exceeds depth limit %d", maxValueDepth)
 		return nil
 	}
+	var t ast.Type
 	switch tag := r.byte(); tag {
 	case tagTyPrim:
 		k := ast.PrimKind(r.byte())
 		if k < ast.Int32 || k > ast.UnitKind {
 			r.fail("unknown primitive type kind %d", k)
-			return nil
 		}
-		return ast.PrimType{Kind: k}
-	case tagTyMap:
-		kt := r.typ(depth + 1)
-		vt := r.typ(depth + 1)
-		if r.err != nil {
-			return nil
+		if build {
+			t = ast.PrimType{Kind: k}
 		}
-		return ast.MapType{Key: kt, Val: vt}
+	case tagTyMap, tagTyFun:
+		x, y := r.typ(depth+1, build), r.typ(depth+1, build)
+		if build && tag == tagTyMap {
+			t = ast.MapType{Key: x, Val: y}
+		} else if build {
+			t = ast.FunType{Arg: x, Ret: y}
+		}
 	case tagTyADT:
-		name := r.string()
-		n := r.count(1)
-		var args []ast.Type
-		if n > 0 {
-			args = make([]ast.Type, 0, n)
+		name := r.skip()
+		n, args := items[ast.Type](r, 1, build)
+		for ; n > 0 && r.err == nil; n-- {
+			if a := r.typ(depth+1, build); build {
+				args = append(args, a)
+			}
 		}
-		for i := 0; i < n; i++ {
-			args = append(args, r.typ(depth+1))
+		if build {
+			t = ast.ADTType{Name: string(name), Args: args}
 		}
-		if r.err != nil {
-			return nil
-		}
-		return ast.ADTType{Name: name, Args: args}
 	case tagTyVar:
-		return ast.TypeVar{Name: r.string()}
-	case tagTyFun:
-		at := r.typ(depth + 1)
-		rt := r.typ(depth + 1)
-		if r.err != nil {
-			return nil
+		if name := r.skip(); build {
+			t = ast.TypeVar{Name: string(name)}
 		}
-		return ast.FunType{Arg: at, Ret: rt}
 	case tagTyPoly:
-		v := r.string()
-		body := r.typ(depth + 1)
-		if r.err != nil {
-			return nil
+		v, body := r.skip(), r.typ(depth+1, build)
+		if build {
+			t = ast.PolyType{Var: string(v), Body: body}
 		}
-		return ast.PolyType{Var: v, Body: body}
 	default:
-		if r.err == nil {
-			r.fail("unknown type tag %d", tag)
-		}
+		r.fail("unknown type tag %d", tag)
+	}
+	if r.err != nil {
 		return nil
 	}
+	return t
 }
 
 func appendValue(b []byte, v value.Value) ([]byte, error) {
@@ -217,7 +212,10 @@ func appendValue(b []byte, v value.Value) ([]byte, error) {
 	return b, nil
 }
 
-func (r *reader) value(depth int) value.Value {
+// value reads one encoded value, building it only when build. A
+// receipt's events are read with build false when a block is decoded
+// and built only when somebody asks (ReceiptEvents).
+func (r *reader) value(depth int, build bool) value.Value {
 	if r.err != nil {
 		return nil
 	}
@@ -225,201 +223,89 @@ func (r *reader) value(depth int) value.Value {
 		r.fail("value nesting exceeds depth limit %d", maxValueDepth)
 		return nil
 	}
-	switch tag := r.byte(); tag {
-	case tagInt:
-		k := ast.PrimKind(r.byte())
-		v := r.big()
-		if r.err != nil {
-			return nil
-		}
-		ty := ast.PrimType{Kind: k}
-		if !ty.IsInt() || v == nil || !ast.InRange(ty, v) {
-			r.fail("integer value out of range for its type")
-			return nil
-		}
-		return value.Int{Ty: ty, V: v}
-	case tagStr:
-		return value.Str{S: r.string()}
-	case tagByStr:
-		k := ast.PrimKind(r.byte())
-		bs := r.bytes()
-		if r.err != nil {
-			return nil
-		}
-		switch k {
-		case ast.ByStr20, ast.ByStr32, ast.ByStr:
-		default:
-			r.fail("bad ByStr type kind %d", k)
-			return nil
-		}
-		return value.ByStr{Ty: ast.PrimType{Kind: k}, B: bs}
-	case tagBNum:
-		v := r.big()
-		if r.err != nil {
-			return nil
-		}
-		if v == nil || v.Sign() < 0 {
-			r.fail("bad block number")
-			return nil
-		}
-		return value.BNum{V: v}
-	case tagADT:
-		name := r.string()
-		constr := r.string()
-		nt := r.count(1)
-		var targs []ast.Type
-		if nt > 0 {
-			targs = make([]ast.Type, 0, nt)
-		}
-		for i := 0; i < nt; i++ {
-			targs = append(targs, r.typ(depth+1))
-		}
-		na := r.count(1)
-		var args []value.Value
-		if na > 0 {
-			args = make([]value.Value, 0, na)
-		}
-		for i := 0; i < na; i++ {
-			args = append(args, r.value(depth+1))
-		}
-		if r.err != nil {
-			return nil
-		}
-		return value.ADT{TypeName: name, Constr: constr, TypeArgs: targs, Args: args}
-	case tagMap:
-		kt := r.typ(depth + 1)
-		vt := r.typ(depth + 1)
-		n := r.count(2)
-		if r.err != nil {
-			return nil
-		}
-		m := value.NewMap(kt, vt)
-		for i := 0; i < n; i++ {
-			k := r.value(depth + 1)
-			v := r.value(depth + 1)
-			if r.err != nil {
-				return nil
-			}
-			m.Set(k, v)
-		}
-		return m
-	case tagMsg:
-		n := r.count(2)
-		if r.err != nil {
-			return nil
-		}
-		m := value.Msg{Entries: make(map[string]value.Value, n)}
-		for i := 0; i < n; i++ {
-			k := r.string()
-			v := r.value(depth + 1)
-			if r.err != nil {
-				return nil
-			}
-			m.Entries[k] = v
-		}
-		return m
-	case tagUnit:
-		return value.Unit{}
-	default:
-		if r.err == nil {
-			r.fail("unknown value tag %d", tag)
-		}
-		return nil
-	}
-}
-
-// skipType consumes one encoded type, accepting exactly what typ
-// accepts and building nothing.
-func (r *reader) skipType(depth int) {
-	if r.err != nil {
-		return
-	}
-	if depth > maxValueDepth {
-		r.fail("type nesting exceeds depth limit %d", maxValueDepth)
-		return
-	}
-	switch tag := r.byte(); tag {
-	case tagTyPrim:
-		if k := ast.PrimKind(r.byte()); k < ast.Int32 || k > ast.UnitKind {
-			r.fail("unknown primitive type kind %d", k)
-		}
-	case tagTyMap, tagTyFun:
-		r.skipType(depth + 1)
-		r.skipType(depth + 1)
-	case tagTyADT:
-		r.skip()
-		for n := r.count(1); n > 0 && r.err == nil; n-- {
-			r.skipType(depth + 1)
-		}
-	case tagTyVar:
-		r.skip()
-	case tagTyPoly:
-		r.skip()
-		r.skipType(depth + 1)
-	default:
-		if r.err == nil {
-			r.fail("unknown type tag %d", tag)
-		}
-	}
-}
-
-// skipValue consumes one encoded value, accepting exactly what value
-// accepts — structure, depth, counts, integer ranges — and building
-// nothing. A receipt's events are checked this way when a block is
-// decoded and built only when somebody asks (ReceiptEvents);
-// FuzzReceiptEvents holds the two walks to the same accept set.
-func (r *reader) skipValue(depth int) {
-	if r.err != nil {
-		return
-	}
-	if depth > maxValueDepth {
-		r.fail("value nesting exceeds depth limit %d", maxValueDepth)
-		return
-	}
+	var v value.Value
 	switch tag := r.byte(); tag {
 	case tagInt:
 		ty := ast.PrimType{Kind: ast.PrimKind(r.byte())}
-		v := r.skipBig()
-		if r.err == nil && (!ty.IsInt() || v == nil || !ast.InRange(ty, v)) {
+		n, kept := r.big(build)
+		if r.err == nil && (!ty.IsInt() || n == nil || !ast.InRange(ty, n)) {
 			r.fail("integer value out of range for its type")
 		}
+		if build {
+			v = value.Int{Ty: ty, V: kept}
+		}
 	case tagStr:
-		r.skip()
+		if s := r.skip(); build {
+			v = value.Str{S: string(s)}
+		}
 	case tagByStr:
 		k := ast.PrimKind(r.byte())
-		r.skip()
-		if r.err == nil && k != ast.ByStr20 && k != ast.ByStr32 && k != ast.ByStr {
+		bs := r.skip()
+		if k != ast.ByStr20 && k != ast.ByStr32 && k != ast.ByStr {
 			r.fail("bad ByStr type kind %d", k)
 		}
+		if build {
+			v = value.ByStr{Ty: ast.PrimType{Kind: k}, B: bytes.Clone(bs)}
+		}
 	case tagBNum:
-		if v := r.skipBig(); r.err == nil && (v == nil || v.Sign() < 0) {
+		n, kept := r.big(build)
+		if r.err == nil && (n == nil || n.Sign() < 0) {
 			r.fail("bad block number")
 		}
-	case tagADT:
-		r.skip()
-		r.skip()
-		for n := r.count(1); n > 0 && r.err == nil; n-- {
-			r.skipType(depth + 1)
+		if build {
+			v = value.BNum{V: kept}
 		}
-		for n := r.count(1); n > 0 && r.err == nil; n-- {
-			r.skipValue(depth + 1)
+	case tagADT:
+		name, constr := r.skip(), r.skip()
+		n, targs := items[ast.Type](r, 1, build)
+		for ; n > 0 && r.err == nil; n-- {
+			if t := r.typ(depth+1, build); build {
+				targs = append(targs, t)
+			}
+		}
+		n, args := items[value.Value](r, 1, build)
+		for ; n > 0 && r.err == nil; n-- {
+			if a := r.value(depth+1, build); build {
+				args = append(args, a)
+			}
+		}
+		if build {
+			v = value.ADT{TypeName: string(name), Constr: string(constr), TypeArgs: targs, Args: args}
 		}
 	case tagMap:
-		r.skipType(depth + 1)
-		r.skipType(depth + 1)
-		for n := r.count(2); n > 0 && r.err == nil; n-- {
-			r.skipValue(depth + 1)
-			r.skipValue(depth + 1)
+		kt, vt := r.typ(depth+1, build), r.typ(depth+1, build)
+		n := r.count(2)
+		var m *value.Map
+		if build && r.err == nil {
+			m = value.NewMap(kt, vt)
+			v = m
+		}
+		for ; n > 0 && r.err == nil; n-- {
+			k, e := r.value(depth+1, build), r.value(depth+1, build)
+			if build && r.err == nil {
+				m.Set(k, e)
+			}
 		}
 	case tagMsg:
-		for n := r.count(2); n > 0 && r.err == nil; n-- {
-			r.skip()
-			r.skipValue(depth + 1)
+		n := r.count(2)
+		var m value.Msg
+		if build && r.err == nil {
+			m.Entries = make(map[string]value.Value, n)
+			v = m
+		}
+		for ; n > 0 && r.err == nil; n-- {
+			k, e := r.skip(), r.value(depth+1, build)
+			if build && r.err == nil {
+				m.Entries[string(k)] = e
+			}
 		}
 	case tagUnit:
+		v = value.Unit{}
 	default:
-		if r.err == nil {
-			r.fail("unknown value tag %d", tag)
-		}
+		r.fail("unknown value tag %d", tag)
 	}
+	if r.err != nil {
+		return nil
+	}
+	return v
 }

@@ -21,13 +21,14 @@
 // testdata pin the format as a contract.
 //
 // Decoders never trust their input. Every malformed byte sequence
-// fails with an error wrapping ErrDecode (fuzzed in wire_fuzz_test.go)
+// fails with an error wrapping ErrDecode (fuzzed in fuzz_test.go)
 // and a frame from a different format version fails with
 // ErrVersionSkew, so a v1 reader rejects a v2 frame cleanly instead of
 // misparsing it.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -354,12 +355,41 @@ func appendAddr(b []byte, a chain.Address) []byte { return append(b, a[:]...) }
 // reader consumes a payload slice with sticky error handling: the
 // first failure poisons the reader and every later read returns zero
 // values, so decode functions check r.err once at the end.
+//
+// Each grammar production has one reader method. Those a role may want
+// checked but not built (a block's deltas for a lookup, a receipt's
+// events until a client asks) take a build flag: every check runs
+// either way, and only the allocation of the result depends on it, so
+// the validating read and the building read accept the same bytes.
 type reader struct {
 	b   []byte
 	err error
-	// scratch is the integer the validate-only walk (skipValue) checks
-	// ranges on, so skipping a value allocates nothing.
+	// scratch is the integer big(false) reads into, so checking an
+	// integer's range allocates nothing.
 	scratch big.Int
+}
+
+// finish returns v, which r read, unless r failed or left bytes of its
+// payload unread: every Decode function ends with it, so a message is
+// accepted only when consumed exactly.
+func finish[T any](r *reader, v T) (T, error) {
+	if err := r.done(); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
+
+// items reads a collection count (each element at least min bytes) and
+// returns it with an empty slice sized for the elements when build, nil
+// otherwise. The caller reads the elements; on a failed read the slice
+// is partial, and the whole decode fails.
+func items[T any](r *reader, min int, build bool) (int, []T) {
+	n := r.count(min)
+	if !build || n == 0 {
+		return n, nil
+	}
+	return n, make([]T, 0, n)
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -419,37 +449,8 @@ func (r *reader) bool() bool {
 	}
 }
 
-func (r *reader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail("byte string length %d exceeds remaining payload %d", n, len(r.b))
-		return nil
-	}
-	v := make([]byte, n)
-	copy(v, r.b[:n])
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)) {
-		r.fail("string length %d exceeds remaining payload %d", n, len(r.b))
-		return ""
-	}
-	v := string(r.b[:n])
-	r.b = r.b[n:]
-	return v
-}
-
 // skip consumes a length-prefixed byte string (or string) without
-// copying it out.
+// copying it out: the result is a range of the payload.
 func (r *reader) skip() []byte {
 	n := r.uvarint()
 	if r.err != nil {
@@ -464,54 +465,62 @@ func (r *reader) skip() []byte {
 	return v
 }
 
-// skipBig reads what big reads into the reader's scratch integer; nil
-// where big returns nil. The result is valid until the next skipBig.
-func (r *reader) skipBig() *big.Int {
-	switch r.byte() {
-	case bigNil:
-		return nil
-	case bigZero:
-		return r.scratch.SetInt64(0)
-	case bigPos:
-		return r.scratch.SetBytes(r.skip())
-	case bigNeg:
-		v := r.scratch.SetBytes(r.skip())
-		return v.Neg(v)
-	default:
-		r.fail("bad big.Int sign tag")
-		return nil
+// bytes reads a length-prefixed byte string into a slice of its own.
+func (r *reader) bytes() []byte { return bytes.Clone(r.skip()) }
+
+func (r *reader) string() string { return string(r.skip()) }
+
+// big reads a sign-tagged integer, nil for the nil tag, and returns it
+// twice: n to check and kept to keep. When build both are one new
+// integer; otherwise kept is nil and n is the reader's scratch integer,
+// valid until the next read, so a value that is only checked allocates
+// nothing and no built value can hold the scratch.
+func (r *reader) big(build bool) (n, kept *big.Int) {
+	tag := r.byte()
+	if tag == bigNil {
+		return nil, nil
 	}
+	if tag > bigNeg {
+		r.fail("bad big.Int sign tag")
+		return nil, nil
+	}
+	n = &r.scratch
+	if build {
+		kept = new(big.Int)
+		n = kept
+	}
+	if tag == bigZero {
+		return n.SetInt64(0), kept
+	}
+	n.SetBytes(r.skip())
+	if tag == bigNeg {
+		n.Neg(n)
+	}
+	return n, kept
 }
 
-func (r *reader) big() *big.Int {
-	switch r.byte() {
-	case bigNil:
-		return nil
-	case bigZero:
-		return new(big.Int)
-	case bigPos:
-		return new(big.Int).SetBytes(r.skip())
-	case bigNeg:
-		v := new(big.Int).SetBytes(r.skip())
-		return v.Neg(v)
-	default:
-		r.fail("bad big.Int sign tag")
-		return nil
+// addr reads an address. It is small enough to inline, so a caller
+// that only checks an address copies no bytes out.
+func (r *reader) addr() (a chain.Address) {
+	if b := r.addrBytes(); b != nil {
+		a = chain.Address(b)
 	}
-}
-
-func (r *reader) addr() chain.Address {
-	var a chain.Address
-	if r.err != nil {
-		return a
-	}
-	if len(r.b) < len(a) {
-		r.fail("truncated address")
-		return a
-	}
-	copy(a[:], r.b)
-	r.b = r.b[len(a):]
 	return a
+}
+
+// addrBytes consumes an address and returns it as a range of the
+// payload; nil once the reader has failed.
+func (r *reader) addrBytes() []byte {
+	if r.err != nil {
+		return nil
+	}
+	if len(r.b) < len(chain.Address{}) {
+		r.fail("truncated address")
+		return nil
+	}
+	v := r.b[:len(chain.Address{})]
+	r.b = r.b[len(v):]
+	return v
 }
 
 // count reads a collection length and bounds it by the remaining

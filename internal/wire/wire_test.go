@@ -161,7 +161,7 @@ func fixtures() []fixture {
 		Corr: 11, Found: true, Balance: big.NewInt(1 << 40), Nonce: 3,
 		Value: value.Uint128(12345),
 	}))
-	cbb := mustEnc(EncodeCheckpointBlock(&CheckpointBlock{
+	cbb := mustEnc(checkpointRecord(&CheckpointBlock{
 		Checkpoint: shard.Checkpoint{Epoch: 6, BlockNumber: 6, NextTxID: 45},
 		Block:      fixtureFinalBlock(),
 	}))
@@ -221,11 +221,34 @@ func fixtures() []fixture {
 			Contracts: []PageIndexContract{{Addr: chain.AddrFromUint(7), Version: 9}},
 		})},
 		{"block_request", MsgBlockRequest, EncodeBlockRequest(&BlockRequest{From: 3, To: 7})},
-		{"block_response", MsgBlockResponse, mustEnc(EncodeBlockResponse(&BlockResponse{
+		{"block_response", MsgBlockResponse, mustEnc(blockResponse(&BlockResponse{
 			From: 5, Head: 6, Blocks: []*shard.FinalBlock{fixtureFinalBlock()},
 		}))},
 		{"hello", MsgHello, EncodeHello(&Hello{Name: "lookup-1", Role: "lookup"})},
 	}
+}
+
+// checkpointRecord is a journal record's payload as the store writes
+// it in parts: the checkpoint, then the block's sealed payload.
+func checkpointRecord(cb *CheckpointBlock) ([]byte, error) {
+	fb, err := SealedFinalBlock(cb.Block)
+	if err != nil {
+		return nil, err
+	}
+	return append(AppendCheckpoint(nil, cb.Checkpoint), fb...), nil
+}
+
+// blockResponse is a catch-up response as the committee builds it, from
+// the blocks' sealed payloads.
+func blockResponse(resp *BlockResponse) ([]byte, error) {
+	payloads := make([][]byte, len(resp.Blocks))
+	for i, fb := range resp.Blocks {
+		var err error
+		if payloads[i], err = SealedFinalBlock(fb); err != nil {
+			return nil, err
+		}
+	}
+	return AppendBlockResponse(nil, resp.From, resp.Head, payloads), nil
 }
 
 // reencode decodes payload as msg type t and encodes the result again;
@@ -292,7 +315,7 @@ func reencode(t MsgType, payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return EncodeCheckpointBlock(v)
+		return checkpointRecord(v)
 	case MsgSnapshotHeader:
 		v, err := DecodeSnapshotHeader(payload)
 		if err != nil {
@@ -352,7 +375,7 @@ func reencode(t MsgType, payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return EncodeBlockResponse(v)
+		return blockResponse(v)
 	case MsgHello:
 		v, err := DecodeHello(payload)
 		if err != nil {

@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Repository verification: formatting, build, vet, full test suite, and
 # the race detector over the packages several goroutines reach (the
-# striped dispatcher in internal/dispatch and the striped mempool in
-# internal/mempool that RPC submitters call into, the obs
-# recorders/journal they feed, and the node actors around
-# internal/shard's single-goroutine pipeline).
+# striped mempool in internal/mempool that RPC submitters call into,
+# the obs recorders/journal they feed, and the node actors around
+# internal/shard's single-goroutine pipeline, whose dispatcher is
+# called from that one goroutine).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -65,10 +65,12 @@ GOMEMLIMIT=512MiB go test -run 'TestMillionAccountsPagedBudget' -timeout 20m ./i
 # block fan-out (one 4000-tx block sealed, journaled, broadcast to and
 # applied by a journaling ChanNetwork cluster; its retained-B/tx is what
 # the epoch left on the live heap), and the snapshot boundary over the
-# same holders sweep; and the receipt log filing one decoded 4000-receipt
-# block at capacity.
+# same holders sweep; the receipt log filing one decoded 4000-receipt
+# block at capacity; and one 2000-transfer block decoded as a replica,
+# a lookup and the committee (from a shard) decode it.
 go test -run '^$' -bench 'CommitHolders|SnapshotHolders|MergePerField|BlockFanout' -benchtime 1x .
 go test -run '^$' -bench 'ReceiptLogFile' -benchtime 1x ./internal/shard/
+go test -run '^$' -bench 'Decode(FinalBlock|MicroBlock)' -benchtime 1x ./internal/wire/
 # Same for the executor microbenchmarks that size the state-access seam
 # (one Transfer on each engine, the overlay's entry write and
 # read-modify-write), so they are run, not merely compiled.
@@ -76,12 +78,10 @@ go test -run '^$' -bench 'TransferExec|CompiledTransfer|Overlay' -benchtime 1x .
 # Short fuzz runs of the wire decoders beyond the committed corpus —
 # including the store's snapshot/journal record types — no decoder may
 # panic on hostile bytes, and decode∘encode must stay a fixed point; and
-# of the receipt decoder blocks use, which validates events without
-# building them: it must accept exactly what the event-building
-# reference accepts and build the same events on demand; and of the
-# receipts-only read a lookup makes of a FinalBlock, whose validating
-# skip of the delta sections must accept exactly what the building
-# decoder accepts and consume the same bytes.
+# of the receipt decoder blocks use, which checks events without
+# building them: whatever it accepts must build on demand and
+# round-trip; and of the receipts-only read a lookup makes of a
+# FinalBlock, which must return the block's epoch, root and receipts.
 go test -fuzz=FuzzDecoders -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzReceiptEvents -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzFinalBlockReceipts -fuzztime=10s ./internal/wire/
