@@ -8,6 +8,7 @@ import (
 
 	"cosplit/internal/chain"
 	"cosplit/internal/contracts"
+	"cosplit/internal/obs"
 	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/eval"
 	"cosplit/internal/scilla/value"
@@ -315,5 +316,31 @@ func TestReceiptsOwnTheMapsTheyShow(t *testing.T) {
 	}
 	if v, found := shown.Get(a.Value()); shown.Len() != 1 || !found || !value.Equal(v, u128(1)) {
 		t.Errorf("the Dump event now shows %s; when it ran the map was {%s => 1}", shown, a)
+	}
+}
+
+// TestNetworkGaugesRootBytes: sealing an epoch publishes the bytes the
+// root trie holds beside its leaf count — at least a node record per
+// leaf, and for a 2000-holder token well under a megabyte.
+func TestNetworkGaugesRootBytes(t *testing.T) {
+	reg := obs.NewRegistry()
+	net, c, users := deployFT(t, 3, 2000, true, shard.WithRegistry(reg))
+	net.Submit(transferTx(users[0], users[1], c, 1, 5))
+	run := net.BeginEpoch()
+	run.CollectFinalBlock()
+	blocks := make([]*shard.MicroBlock, len(run.Queues()))
+	for s, q := range run.Queues() {
+		var err error
+		if blocks[s], err = net.ExecuteShard(s, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := net.FinalizeEpoch(run, blocks); err != nil {
+		t.Fatal(err)
+	}
+	leaves, bytes := reg.Gauge("state.root_leaves").Value(), reg.Gauge("state.root_bytes").Value()
+	t.Logf("%d leaves in %d bytes", leaves, bytes)
+	if leaves < 2000 || bytes < leaves*80 || bytes > 1<<20 {
+		t.Errorf("root gauges after an epoch: %d leaves in %d bytes", leaves, bytes)
 	}
 }

@@ -57,9 +57,11 @@ type netMetrics struct {
 	compilePoolRecycles *obs.Counter
 
 	// Authenticated state root: leaves committed in the incremental
-	// trie, and the per-epoch cost of sealing the root into a
-	// FinalBlock (rehash of the dirtied paths only).
+	// trie, the bytes it holds (trie.StateRoots.Bytes), and the
+	// per-epoch cost of sealing the root into a FinalBlock (rehash of
+	// the dirtied paths only).
 	rootLeaves *obs.Gauge
+	rootBytes  *obs.Gauge
 	rootTime   *obs.Histogram
 
 	dispatchTime  *obs.Histogram
@@ -106,6 +108,7 @@ func newNetMetrics(reg *obs.Registry) netMetrics {
 		compilePoolRecycles: reg.Counter("compile.pool_recycles"),
 
 		rootLeaves: reg.Gauge("state.root_leaves"),
+		rootBytes:  reg.Gauge("state.root_bytes"),
 		rootTime:   reg.TimeHistogram("epoch.root_time"),
 
 		dispatchTime:  reg.TimeHistogram("epoch.dispatch_time"),

@@ -727,6 +727,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 		fb.StateRoot = n.StateRoot()
 		n.m.rootTime.ObserveDuration(time.Since(t3))
 		n.m.rootLeaves.Set(int64(n.roots.Len()))
+		n.m.rootBytes.Set(int64(n.roots.Bytes()))
 	}
 
 	n.Epoch++

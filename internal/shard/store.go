@@ -129,9 +129,17 @@ func (n *Network) buildRoots(r *trie.StateRoots) {
 }
 
 // touchAccount re-commits one account in the root trie from canonical
-// state.
+// state, reading the live account in place rather than a copy of it;
+// an absent account deletes its leaf.
 func (n *Network) touchAccount(addr chain.Address) {
-	n.roots.TouchAccount(addr, n.Accounts.Get(addr))
+	found := false
+	n.Accounts.Each([]chain.Address{addr}, func(addr chain.Address, acc *chain.Account) {
+		n.roots.TouchAccount(addr, acc)
+		found = true
+	})
+	if !found {
+		n.roots.TouchAccount(addr, nil)
+	}
 }
 
 // touchAccountDelta re-commits every account an applied delta touched.

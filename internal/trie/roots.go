@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"strconv"
 	"sync"
 
 	"cosplit/internal/chain"
@@ -34,6 +35,9 @@ import (
 type StateRoots struct {
 	mu sync.Mutex
 	t  Trie
+	// key is the scratch every trie key is built in and pre the one
+	// every leaf preimage is: the trie copies the key bytes it keeps.
+	key, pre []byte
 }
 
 // sep separates path components inside trie keys. It must equal the
@@ -45,45 +49,45 @@ var emptyMapLeaf = sha256.Sum256([]byte("\x02empty-map"))
 
 // leafHash commits to one scalar runtime value via its canonical
 // rendering (type-tagged for ints, deterministic sorted order for
-// nested structures).
-func leafHash(v value.Value) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{0x01})
-	h.Write([]byte(value.CanonicalKey(v)))
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+// nested structures): sha256(0x01 ‖ canonical key).
+func (s *StateRoots) leafHash(v value.Value) [32]byte {
+	s.pre = append(append(s.pre[:0], 0x01), value.CanonicalKey(v)...)
+	return sha256.Sum256(s.pre)
 }
 
-func accountLeaf(acc *chain.Account) [32]byte {
-	var scratch [10]byte
-	h := sha256.New()
-	h.Write([]byte{0x03})
-	h.Write([]byte(acc.Balance.String()))
-	h.Write([]byte{0})
-	h.Write(scratch[:binary.PutUvarint(scratch[:], acc.Nonce)])
-	if acc.IsContract {
-		h.Write([]byte{1})
+// accountLeaf is sha256(0x03 ‖ decimal balance ‖ 0 ‖ uvarint nonce ‖
+// contract flag). A balance that fits a word is formatted by strconv,
+// which writes into the scratch; big.Int.Append allocates its digits.
+func (s *StateRoots) accountLeaf(acc *chain.Account) [32]byte {
+	b := append(s.pre[:0], 0x03)
+	if acc.Balance.IsUint64() {
+		b = strconv.AppendUint(b, acc.Balance.Uint64(), 10)
 	} else {
-		h.Write([]byte{0})
+		b = acc.Balance.Append(b, 10)
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	b = append(b, 0)
+	b = binary.AppendUvarint(b, acc.Nonce)
+	if acc.IsContract {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	s.pre = b
+	return sha256.Sum256(b)
 }
 
-func accountKey(addr chain.Address) []byte {
-	k := make([]byte, 0, 1+len(addr))
-	k = append(k, 'a')
-	return append(k, addr[:]...)
+// fieldKey builds "c" ‖ addr ‖ sep ‖ field in s.key and returns its
+// length.
+func (s *StateRoots) fieldKey(addr chain.Address, field string) int {
+	s.key = append(append(append(append(s.key[:0], 'c'), addr[:]...), sep...), field...)
+	return len(s.key)
 }
 
-func fieldKey(addr chain.Address, field string) []byte {
-	k := make([]byte, 0, 1+len(addr)+1+len(field))
-	k = append(k, 'c')
-	k = append(k, addr[:]...)
-	k = append(k, sep...)
-	return append(k, field...)
+// entryKey extends the field key s.key[:fk] by sep ‖ chain.Keypath(keys)
+// and returns the entry key's length.
+func (s *StateRoots) entryKey(fk int, keys []value.Value) int {
+	s.key = append(append(s.key[:fk], sep...), chain.Keypath(keys)...)
+	return len(s.key)
 }
 
 // Root returns the current state root as a hex string.
@@ -101,16 +105,24 @@ func (s *StateRoots) Len() int {
 	return s.t.Len()
 }
 
+// Bytes returns the memory the trie holds (Trie.Bytes).
+func (s *StateRoots) Bytes() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.t.Bytes()
+}
+
 // TouchAccount re-commits one account after a balance/nonce change;
-// acc == nil removes it.
+// acc == nil removes it. acc is only read, during the call.
 func (s *StateRoots) TouchAccount(addr chain.Address, acc *chain.Account) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.key = append(append(s.key[:0], 'a'), addr[:]...)
 	if acc == nil {
-		s.t.Delete(accountKey(addr))
+		s.t.Delete(s.key)
 		return
 	}
-	s.t.Put(accountKey(addr), accountLeaf(acc))
+	s.t.Put(s.key, s.accountLeaf(acc))
 }
 
 // TouchWholeField re-renders one field from st (the contract's
@@ -118,7 +130,7 @@ func (s *StateRoots) TouchAccount(addr chain.Address, acc *chain.Account) {
 func (s *StateRoots) TouchWholeField(addr chain.Address, field string, st *eval.MemState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fk := fieldKey(addr, field)
+	fk := s.fieldKey(addr, field)
 	s.clear(fk)
 	v, err := st.LoadField(field)
 	if err != nil {
@@ -139,27 +151,26 @@ func (s *StateRoots) TouchEntry(addr chain.Address, field string, keys []value.V
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fk := fieldKey(addr, field)
-	ek := entryKey(fk, keys)
+	fk := s.fieldKey(addr, field)
 	if v, ok := lookup(st, field, keys); ok {
 		// A scalar at this keypath has always been a scalar there (the
 		// field's type fixes the depth of its leaves), so nothing lies
-		// below ek and the Put in expand overwrites or inserts the one
-		// leaf without unlinking it first. Only a map value may replace
-		// a subtree.
+		// below the entry key and the Put in expand overwrites or
+		// inserts the one leaf without unlinking it first. Only a map
+		// value may replace a subtree.
 		if _, isMap := v.(*value.Map); isMap {
-			s.clear(ek)
+			s.clear(s.entryKey(fk, keys))
 		}
 		// Every proper ancestor is a non-empty map now; drop any stale
 		// empty-map marker sitting at its key (no-op if none).
-		s.t.Delete(fk)
+		s.t.Delete(s.key[:fk])
 		for i := 1; i < len(keys); i++ {
-			s.t.Delete(entryKey(fk, keys[:i]))
+			s.t.Delete(s.key[:s.entryKey(fk, keys[:i])])
 		}
-		s.expand(ek, v)
+		s.expand(s.entryKey(fk, keys), v)
 		return
 	}
-	s.clear(ek)
+	s.clear(s.entryKey(fk, keys))
 	// Entry gone. Find the deepest surviving ancestor; if the delete
 	// emptied it, it needs an explicit marker (its last child leaf
 	// just left the trie).
@@ -171,9 +182,9 @@ func (s *StateRoots) TouchEntry(addr chain.Address, field string, keys []value.V
 		if m, isMap := av.(*value.Map); isMap && m.Len() == 0 {
 			ak := fk
 			if i > 0 {
-				ak = entryKey(fk, keys[:i])
+				ak = s.entryKey(fk, keys[:i])
 			}
-			s.t.Put(ak, emptyMapLeaf)
+			s.t.Put(s.key[:ak], emptyMapLeaf)
 		}
 		break
 	}
@@ -184,50 +195,38 @@ func (s *StateRoots) TouchEntry(addr chain.Address, field string, keys []value.V
 func (s *StateRoots) PutContractState(addr chain.Address, st *eval.MemState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ck := make([]byte, 0, 1+len(addr))
-	ck = append(ck, 'c')
-	ck = append(ck, addr[:]...)
-	s.t.DeletePrefix(ck)
+	s.key = append(append(s.key[:0], 'c'), addr[:]...)
+	s.t.DeletePrefix(s.key)
 	for name, v := range st.Fields {
-		s.expand(fieldKey(addr, name), v)
+		s.expand(s.fieldKey(addr, name), v)
 	}
 }
 
-// clear removes the leaf at key and any subtree of deeper components.
-// The sep guard keeps sibling keys that merely share a byte prefix
-// ("field" vs "fieldX") intact.
-func (s *StateRoots) clear(key []byte) {
-	s.t.Delete(key)
-	s.t.DeletePrefix(append(append([]byte(nil), key...), sep...))
+// clear removes the leaf at s.key[:n] and any subtree of deeper
+// components. The sep guard keeps sibling keys that merely share a
+// byte prefix ("field" vs "fieldX") intact.
+func (s *StateRoots) clear(n int) {
+	s.t.Delete(s.key[:n])
+	s.key = append(s.key[:n], sep...)
+	s.t.DeletePrefix(s.key)
 }
 
-// expand renders v below key: scalars and empty maps become leaves,
-// non-empty maps recurse per canonical entry key.
-func (s *StateRoots) expand(key []byte, v value.Value) {
+// expand renders v below the key s.key[:n]: scalars and empty maps
+// become leaves, non-empty maps recurse per canonical entry key, each
+// child key built over its parent's in the same buffer.
+func (s *StateRoots) expand(n int, v value.Value) {
 	m, isMap := v.(*value.Map)
-	if !isMap {
-		s.t.Put(key, leafHash(v))
-		return
+	switch {
+	case !isMap:
+		s.t.Put(s.key[:n], s.leafHash(v))
+	case m.Len() == 0:
+		s.t.Put(s.key[:n], emptyMapLeaf)
+	default:
+		for ck, child := range m.Entries {
+			s.key = append(append(s.key[:n], sep...), ck...)
+			s.expand(len(s.key), child)
+		}
 	}
-	if m.Len() == 0 {
-		s.t.Put(key, emptyMapLeaf)
-		return
-	}
-	for ck, child := range m.Entries {
-		childKey := make([]byte, 0, len(key)+1+len(ck))
-		childKey = append(childKey, key...)
-		childKey = append(childKey, sep...)
-		childKey = append(childKey, ck...)
-		s.expand(childKey, child)
-	}
-}
-
-func entryKey(fk []byte, keys []value.Value) []byte {
-	kp := chain.Keypath(keys)
-	ek := make([]byte, 0, len(fk)+1+len(kp))
-	ek = append(ek, fk...)
-	ek = append(ek, sep...)
-	return append(ek, kp...)
 }
 
 // lookup reads the value at (field, keys) from canonical state,

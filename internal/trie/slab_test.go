@@ -1,0 +1,277 @@
+package trie
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"unsafe"
+)
+
+// checkSlots asserts the slab's bookkeeping: every slot handed out is
+// reachable from the root or on the free list, never both; the runs of
+// reachable nodes and the free runs tile the child arenas exactly; and
+// the prefix arena is live prefixes plus counted dead bytes.
+func checkSlots(t *testing.T, tr *Trie) {
+	t.Helper()
+	if tr.slots == 0 {
+		return
+	}
+	const reached, freed = 1, 2
+	seen := make([]byte, tr.slots)
+	live, runSlots := 0, 0
+	var walk func(i uint32)
+	walk = func(i uint32) {
+		if seen[i] != 0 {
+			t.Fatalf("slot %d reached twice", i)
+		}
+		seen[i] = reached
+		n := tr.at(i)
+		live += int(n.plen)
+		if n.nkids > 0 {
+			runSlots += 1 << runClass(int(n.nkids))
+		}
+		for _, c := range tr.kidsOf(n) {
+			walk(c)
+		}
+	}
+	walk(0)
+	for i := tr.free; i != 0; i = tr.at(i).run {
+		if seen[i] != 0 {
+			t.Fatalf("slot %d is on the free list and reachable (or listed twice)", i)
+		}
+		seen[i] = freed
+	}
+	for i, s := range seen {
+		if s == 0 {
+			t.Fatalf("slot %d of %d is neither reachable nor free", i, tr.slots)
+		}
+	}
+	for c, h := range tr.runFree {
+		for steps := uint32(0); h != 0; h = tr.runs[(h-1)>>runShift].kids[(h-1)&runMask] {
+			if steps++; steps > tr.runEnd {
+				t.Fatalf("free list of run class %d loops", c)
+			}
+			runSlots += 1 << c
+		}
+	}
+	if runSlots != int(tr.runEnd) {
+		t.Fatalf("runs in use and free cover %d child slots, %d handed out", runSlots, tr.runEnd)
+	}
+	if live+tr.dead != tr.keyUsed {
+		t.Fatalf("prefix bytes: %d live + %d dead, %d handed out", live, tr.dead, tr.keyUsed)
+	}
+}
+
+// TestTrieNoPointers: nothing the trie stores per node contains
+// something the collector would have to follow.
+func TestTrieNoPointers(t *testing.T) {
+	var tr Trie
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(node{}),
+		reflect.TypeOf(tr.pages).Elem().Elem(),
+		reflect.TypeOf(tr.runs).Elem().Elem(),
+		reflect.TypeOf(tr.keys).Elem().Elem(),
+	} {
+		if path := pointerIn(typ, typ.String()); path != "" {
+			t.Errorf("%s holds a reference at %s", typ, path)
+		}
+	}
+	if sz := unsafe.Sizeof(node{}); sz != 80 {
+		t.Errorf("node record is %d bytes, want 80", sz)
+	}
+}
+
+// pointerIn returns the path to the first pointer, slice, map, string,
+// interface, func or channel inside typ, or "".
+func pointerIn(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerIn(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+		return path + " (" + typ.Kind().String() + ")"
+	}
+	return ""
+}
+
+// bigstateKeys is epoch_cf_bigstate's key shape: accounts keyed "a" ‖
+// a hashed 20-byte address, and one contract's backers map keyed by the
+// canonical hex rendering of such addresses.
+func bigstateKeys(accounts, backers int) [][]byte {
+	keys := make([][]byte, 0, accounts+backers)
+	for i := 0; i < accounts; i++ {
+		keys = append(keys, append([]byte("a"), addr(i)...))
+	}
+	contract := addr(-1)
+	for i := 0; i < backers; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("c%s\x1fbackers\x1fb:0x%x", contract, addr(i))))
+	}
+	return keys
+}
+
+// TestTrieRetention puts a ceiling on what one leaf costs a role once
+// the trie is built: at epoch_cf_bigstate's shape (100k account leaves,
+// 26k map entries) at most 150 bytes per leaf stay on the heap after a
+// collection. A node per pointerful object held ~208.
+func TestTrieRetention(t *testing.T) {
+	const ceiling = 150
+	keys := bigstateKeys(100_000, 26_000)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	tr := &Trie{}
+	for i, k := range keys {
+		tr.Put(k, leaf(fmt.Sprint(i)))
+	}
+	tr.Root()
+	perLeaf := float64(heap()-before) / float64(len(keys))
+	runtime.KeepAlive(tr)
+	runtime.KeepAlive(keys)
+	t.Logf("%d leaves in %d slots: %.1f B per leaf retained, Bytes() %.1f per leaf", tr.Len(), tr.slots, perLeaf, float64(tr.Bytes())/float64(len(keys)))
+	if perLeaf > ceiling {
+		t.Errorf("trie retains %.1f B per leaf, ceiling %d", perLeaf, ceiling)
+	}
+}
+
+// TestTrieReusesSlots: a trie emptied by Delete and DeletePrefix and
+// loaded again with the same keys takes no page, run or prefix byte
+// beyond what the first load took, and hashes as a fresh build does.
+func TestTrieReusesSlots(t *testing.T) {
+	var keys []string
+	for g := 0; g < 200; g++ {
+		for i := 0; i < 100; i++ {
+			keys = append(keys, fmt.Sprintf("c%x\x1fbalances\x1f%x", addr(g)[:6], addr(g*100 + i)[:10]))
+		}
+	}
+	tr := &Trie{}
+	load := func() {
+		for _, k := range keys {
+			tr.Put([]byte(k), leaf(k))
+		}
+	}
+	type size struct{ pages, slots, runPages, runSlots, keyPages, keyBytes int }
+	sizeOf := func() size {
+		return size{len(tr.pages), int(tr.slots), len(tr.runs), int(tr.runEnd), len(tr.keys), tr.keyUsed}
+	}
+	load()
+	want := tr.Root()
+	first := sizeOf()
+	for round := 0; round < 3; round++ {
+		// Half the groups leave key by key, half by prefix.
+		for g := 0; g < 200; g++ {
+			group := keys[g*100 : (g+1)*100]
+			if g%2 == 0 {
+				for _, k := range group {
+					if !tr.Delete([]byte(k)) {
+						t.Fatalf("Delete(%q) found nothing", k)
+					}
+				}
+				continue
+			}
+			p := group[0][:strings.LastIndexByte(group[0], 0x1f)+1]
+			if n := tr.DeletePrefix([]byte(p)); n != 100 {
+				t.Fatalf("DeletePrefix(%q) removed %d keys, want 100", p, n)
+			}
+		}
+		if tr.Len() != 0 || tr.Root() != (&Trie{}).Root() {
+			t.Fatalf("round %d: emptied trie has %d keys, root %x", round, tr.Len(), tr.Root())
+		}
+		checkSlots(t, tr)
+		load()
+		checkSlots(t, tr)
+		if got := sizeOf(); got.pages > first.pages || got.slots > first.slots || got.runPages > first.runPages ||
+			got.runSlots > first.runSlots || got.keyPages > first.keyPages || got.keyBytes > first.keyBytes {
+			t.Fatalf("round %d: reload grew the slab: %+v after the first load, %+v now", round, first, got)
+		}
+		if got := tr.Root(); got != want {
+			t.Fatalf("round %d: reloaded root %x, fresh build %x", round, got, want)
+		}
+	}
+}
+
+// TestLongPrefixes: a prefix longer than a byte page splits (at an
+// offset past the first page), collapses and compacts like any other.
+func TestLongPrefixes(t *testing.T) {
+	long := strings.Repeat("x", 5*keyPageLen/2)
+	keys := []string{long + "a", long[:keyPageLen+7] + "b", "x", long + "a" + long, "y"}
+	tr := &Trie{}
+	model := map[string][32]byte{}
+	for round := 0; round < 2; round++ {
+		for _, k := range keys {
+			tr.Put([]byte(k), leaf(k))
+			model[k] = leaf(k)
+			checkAgainstModel(t, tr, model)
+		}
+		for _, k := range keys[:len(keys)-1] {
+			tr.Delete([]byte(k))
+			delete(model, k)
+			checkAgainstModel(t, tr, model)
+		}
+	}
+}
+
+// FuzzTrieOps runs an op sequence decoded from the input against a map
+// model: Len after every op, then Get of every key, root against a
+// fresh rebuild, edge order and the slab's bookkeeping.
+func FuzzTrieOps(f *testing.F) {
+	f.Add([]byte("\x00\x03abc\x00\x02ab\x01\x03abc\x02\x01a"))
+	f.Add([]byte("\x00\x04a\x1fbc\x00\x04a\x1fbd\x00\x01a\x02\x02a\x1f\x00\x02ab\x02\x00"))
+	f.Add([]byte("\x00\x05abcab\x00\x05abcbb\x00\x05abcbc\x01\x05abcab\x01\x05abcbb\x00\x03abd"))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		alphabet := []byte{'a', 'b', 'c', 0x1f}
+		tr := &Trie{}
+		model := map[string][32]byte{}
+		for i := 0; len(ops) >= 2; i++ {
+			op, n := ops[0]%3, int(ops[1]%7)
+			ops = ops[2:]
+			n = min(n, len(ops))
+			k := make([]byte, n)
+			for j := range k {
+				k[j] = alphabet[ops[j]%4]
+			}
+			ops = ops[n:]
+			switch op {
+			case 0:
+				v := leaf(fmt.Sprintf("%q#%d", k, i))
+				tr.Put(k, v)
+				model[string(k)] = v
+			case 1:
+				_, want := model[string(k)]
+				if got := tr.Delete(k); got != want {
+					t.Fatalf("op %d: Delete(%q) = %v, model says %v", i, k, got, want)
+				}
+				delete(model, string(k))
+			default:
+				want := 0
+				for mk := range model {
+					if strings.HasPrefix(mk, string(k)) {
+						delete(model, mk)
+						want++
+					}
+				}
+				if got := tr.DeletePrefix(k); got != want {
+					t.Fatalf("op %d: DeletePrefix(%q) = %d, model says %d", i, k, got, want)
+				}
+			}
+			if tr.Len() != len(model) {
+				t.Fatalf("op %d: Len = %d, model has %d", i, tr.Len(), len(model))
+			}
+		}
+		checkAgainstModel(t, tr, model)
+		checkSlots(t, tr)
+	})
+}

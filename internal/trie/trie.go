@@ -19,115 +19,338 @@
 // whole state; each of those nodes hashes one preimage that lists all
 // of its children, so a node's cost grows with its fan-out (at most
 // 256 × 33 bytes).
+//
+// Storage holds no Go pointer below a few page directories, so the
+// collector never walks it, and a page is never copied. Node records
+// (80 bytes, leaf hash and cached hash inline) live in fixed-size pages
+// and are addressed by uint32 slot. A node's children are a run of slot
+// numbers with a parallel run of edge bytes, its capacity the smallest
+// power of two that holds them, in pages of runs. Its prefix is a range
+// of a byte page. Freed slots and runs go on free lists and are reused;
+// prefix bytes no node refers to any more are reclaimed by compacting
+// the byte pages once they outnumber the live ones.
 package trie
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"math/bits"
 	"slices"
+	"unsafe"
+)
+
+// Page sizes are exact allocation size classes, and small enough that
+// a trie of a few hundred keys holds about what it uses.
+const (
+	pageShift = 8
+	pageLen   = 1 << pageShift // node records per page: 20 KiB
+	pageMask  = pageLen - 1
+
+	runShift   = 11
+	runPageLen = 1 << runShift // child slots per run page: 10 KiB
+	runMask    = runPageLen - 1
+	// runClasses is the number of run capacities, 1 to 256.
+	runClasses = 9
+
+	keyShift   = 14
+	keyPageLen = 1 << keyShift // prefix bytes per byte page: 16 KiB
+	keyMask    = keyPageLen - 1
 )
 
 // Trie maps byte-string keys to 32-byte leaf hashes. The zero value is
 // an empty trie ready for use. Not safe for concurrent use.
 type Trie struct {
-	root  *node
+	// pages hold the node records; slot 0 is the root. slots counts the
+	// slots handed out, free heads the list of released ones (linked
+	// through node.run; 0 ends it, as the root is never released).
+	pages []*[pageLen]node
+	slots uint32
+	free  uint32
+
+	// runs hold the child runs. A run starts at a multiple of its
+	// capacity, so none crosses a page. runEnd is the first slot never
+	// handed out; runFree[c] is 1 + the first free run of capacity 1<<c
+	// (0: none), the next one linked the same way through its first kid.
+	runs    []*runPage
+	runEnd  uint32
+	runFree [runClasses]uint32
+
+	// keys hold the prefix bytes, keyPageLen to a page (a longer prefix
+	// gets a page of its own); no prefix crosses a page. keyEnd is the
+	// used length of the last page, keyUsed the bytes handed out so far
+	// and dead those of them no node refers to (page tails included).
+	keys    [][]byte
+	keyEnd  int
+	keyUsed int
+	dead    int
+
 	count int
 	// buf is the preimage buffer rehash reuses for every dirty node.
 	buf []byte
 }
 
+// node is one trie node. Its prefix is the plen bytes at key offset pre
+// (page pre>>keyShift), its children the first nkids slots of run run.
 type node struct {
-	prefix []byte // compressed path below the parent edge
-	hasVal bool
-	dirty  bool
-	val    [32]byte
-	hash   [32]byte
-	// br holds the children; nil on a leaf, which most nodes are, so a
-	// leaf does not carry two empty slice headers.
-	br *branch
+	val, hash      [32]byte
+	pre, plen, run uint32
+	nkids          uint16
+	hasVal, dirty  bool
 }
 
-// branch is a node's children in ascending edge order: edges[i] ==
-// kids[i].prefix[0]. The edge bytes are kept beside the pointers so
-// lookups and rehash scan one small byte slice instead of chasing every
-// child.
-type branch struct {
-	edges []byte
-	kids  []*node
+type runPage struct {
+	kids  [runPageLen]uint32
+	edges [runPageLen]byte
 }
 
-// child returns the child on edge b, or nil.
-func (n *node) child(b byte) *node {
-	if n.br == nil {
+// at returns slot i's record, valid until the slot is released.
+func (t *Trie) at(i uint32) *node { return &t.pages[i>>pageShift][i&pageMask] }
+
+// root returns the root record, creating it on first use.
+func (t *Trie) root() *node {
+	if t.slots == 0 {
+		_, r := t.newNode()
+		r.dirty = true
+		return r
+	}
+	return t.at(0)
+}
+
+func (t *Trie) prefix(n *node) []byte {
+	if n.plen == 0 {
 		return nil
 	}
-	if i := bytes.IndexByte(n.br.edges, b); i >= 0 {
-		return n.br.kids[i]
-	}
-	return nil
+	return t.keys[n.pre>>keyShift][n.pre&keyMask:][:n.plen]
 }
 
-// setChild links c below n on c's edge byte, replacing the child
-// already on that edge or inserting at the position that keeps the
-// edges ascending.
-func (n *node) setChild(c *node) {
-	if n.br == nil {
-		n.br = &branch{}
+func (t *Trie) kidsOf(n *node) []uint32 {
+	if n.nkids == 0 {
+		return nil
 	}
-	br, b := n.br, c.prefix[0]
-	i, found := slices.BinarySearch(br.edges, b)
+	return t.runs[n.run>>runShift].kids[n.run&runMask:][:n.nkids]
+}
+
+func (t *Trie) edgesOf(n *node) []byte {
+	if n.nkids == 0 {
+		return nil
+	}
+	return t.runs[n.run>>runShift].edges[n.run&runMask:][:n.nkids]
+}
+
+// newNode hands out a zeroed slot, a released one first.
+func (t *Trie) newNode() (uint32, *node) {
+	i := t.free
+	if i != 0 {
+		t.free = t.at(i).run
+	} else {
+		i = t.slots
+		if int(i>>pageShift) == len(t.pages) {
+			t.pages = append(t.pages, new([pageLen]node))
+		}
+		t.slots++
+	}
+	n := t.at(i)
+	*n = node{}
+	return i, n
+}
+
+// freeNode releases slot i with its run and prefix bytes.
+func (t *Trie) freeNode(i uint32) {
+	n := t.at(i)
+	t.dead += int(n.plen)
+	if n.nkids > 0 {
+		t.freeRun(n.run, runClass(int(n.nkids)))
+	}
+	*n = node{run: t.free}
+	t.free = i
+}
+
+// runClass is the capacity class of a run holding k ≥ 1 children.
+func runClass(k int) int { return bits.Len(uint(k - 1)) }
+
+// allocRun hands out a run for k children, a released one first. A new
+// run is aligned to its capacity; the slots skipped to align it are
+// released as the aligned pieces they split into.
+func (t *Trie) allocRun(k int) uint32 {
+	c := runClass(k)
+	if h := t.runFree[c]; h != 0 {
+		r := h - 1
+		t.runFree[c] = t.runs[r>>runShift].kids[r&runMask]
+		return r
+	}
+	for size := uint32(1) << c; t.runEnd&(size-1) != 0; {
+		piece := t.runEnd & -t.runEnd
+		t.freeRun(t.runEnd, bits.TrailingZeros32(piece))
+		t.runEnd += piece
+	}
+	if int(t.runEnd>>runShift) == len(t.runs) {
+		t.runs = append(t.runs, new(runPage))
+	}
+	r := t.runEnd
+	t.runEnd += 1 << c
+	return r
+}
+
+// freeRun releases run r of class c.
+func (t *Trie) freeRun(r uint32, c int) {
+	t.runs[r>>runShift].kids[r&runMask] = t.runFree[c]
+	t.runFree[c] = r + 1
+}
+
+// moveRun gives n a run sized for k children holding the first k of
+// its current ones, and releases the old run (n.nkids still counts it).
+func (t *Trie) moveRun(n *node, k int) {
+	r := t.allocRun(k)
+	p, o := t.runs[r>>runShift], r&runMask
+	copy(p.kids[o:o+uint32(k)], t.kidsOf(n))
+	copy(p.edges[o:o+uint32(k)], t.edgesOf(n))
+	if n.nkids > 0 {
+		t.freeRun(n.run, runClass(int(n.nkids)))
+	}
+	n.run = r
+}
+
+// child returns the slot on edge b below n, or 0.
+func (t *Trie) child(n *node, b byte) uint32 {
+	if i := bytes.IndexByte(t.edgesOf(n), b); i >= 0 {
+		return t.kidsOf(n)[i]
+	}
+	return 0
+}
+
+// setChild links slot c below n on edge b, replacing the child already
+// on that edge or inserting at the position that keeps the edges
+// ascending. A full run moves to the next capacity.
+func (t *Trie) setChild(n *node, b byte, c uint32) {
+	i, found := slices.BinarySearch(t.edgesOf(n), b)
 	if found {
-		br.kids[i] = c
+		t.kidsOf(n)[i] = c
 		return
 	}
-	br.edges = slices.Insert(br.edges, i, b)
-	br.kids = slices.Insert(br.kids, i, c)
+	k := int(n.nkids)
+	if k&(k-1) == 0 { // 0 or a power of two: the run is full
+		t.moveRun(n, k+1)
+	}
+	n.nkids++
+	kids, edges := t.kidsOf(n), t.edgesOf(n)
+	copy(kids[i+1:], kids[i:k])
+	copy(edges[i+1:], edges[i:k])
+	kids[i], edges[i] = c, b
 }
 
-// removeChild unlinks the child on edge b, if any. A node that loses
-// its last child is a leaf again.
-func (n *node) removeChild(b byte) {
-	if n.br == nil {
+// removeChild unlinks the child on edge b, if any. Children that fit
+// half their run move to the smaller capacity; a node that loses its
+// last child is a leaf again.
+func (t *Trie) removeChild(n *node, b byte) {
+	i := bytes.IndexByte(t.edgesOf(n), b)
+	if i < 0 {
 		return
 	}
-	br := n.br
-	i := bytes.IndexByte(br.edges, b)
+	kids, edges := t.kidsOf(n), t.edgesOf(n)
+	copy(kids[i:], kids[i+1:])
+	copy(edges[i:], edges[i+1:])
+	k := int(n.nkids) - 1
 	switch {
-	case i < 0:
-	case len(br.kids) == 1:
-		n.br = nil
-	default:
-		br.edges = slices.Delete(br.edges, i, i+1)
-		br.kids = slices.Delete(br.kids, i, i+1)
+	case k == 0:
+		t.freeRun(n.run, 0)
+		n.run = 0
+	case k&(k-1) == 0:
+		t.moveRun(n, k)
+	}
+	n.nkids = uint16(k)
+}
+
+// allocKey reserves size ≥ 1 prefix bytes and returns their offset. It
+// first compacts the byte pages if more of what they hold is dead than
+// live, which moves every reachable node's prefix: callers re-read
+// prefixes after it.
+func (t *Trie) allocKey(size int) uint32 {
+	if t.dead > t.keyUsed/2 {
+		old := t.keys
+		t.keys, t.keyEnd, t.keyUsed, t.dead = nil, 0, 0, 0
+		t.moveKeys(0, old)
+	}
+	return t.bumpKey(size)
+}
+
+// bumpKey reserves size bytes at the end of the last byte page, or at
+// the start of a new one.
+func (t *Trie) bumpKey(size int) uint32 {
+	last := len(t.keys) - 1
+	if last >= 0 && t.keyEnd+size <= len(t.keys[last]) {
+		off := last<<keyShift | t.keyEnd
+		t.keyEnd += size
+		t.keyUsed += size
+		return uint32(off)
+	}
+	if last >= 0 {
+		tail := len(t.keys[last]) - t.keyEnd
+		t.dead += tail
+		t.keyUsed += tail
+	}
+	// A prefix longer than a page gets one allocation listed under as
+	// many consecutive page numbers as it spans, so every offset into
+	// it is still page<<keyShift | offset.
+	first := len(t.keys)
+	page := make([]byte, max(size, keyPageLen))
+	for o := 0; o < len(page); o += keyPageLen {
+		t.keys = append(t.keys, page[o:])
+	}
+	t.keyEnd = size - (len(t.keys)-1-first)*keyPageLen
+	t.keyUsed += size
+	return uint32(first << keyShift)
+}
+
+// moveKeys copies the prefixes of slot i's subtree out of the old byte
+// pages into new ones, depth first, and repoints each node at its copy.
+func (t *Trie) moveKeys(i uint32, old [][]byte) {
+	n := t.at(i)
+	if n.plen > 0 {
+		src := old[n.pre>>keyShift][n.pre&keyMask:][:n.plen]
+		n.pre = t.bumpKey(int(n.plen))
+		copy(t.prefix(n), src)
+	}
+	for _, c := range t.kidsOf(n) {
+		t.moveKeys(c, old)
 	}
 }
 
 // Len returns the number of keys present.
 func (t *Trie) Len() int { return t.count }
 
+// Bytes returns the memory the trie holds: its node, run and byte
+// pages.
+func (t *Trie) Bytes() int {
+	b := len(t.pages)*int(unsafe.Sizeof([pageLen]node{})) + len(t.runs)*int(unsafe.Sizeof(runPage{}))
+	for _, p := range t.keys {
+		b += min(len(p), keyPageLen)
+	}
+	return b
+}
+
 // Get returns the leaf hash stored for key.
 func (t *Trie) Get(key []byte) ([32]byte, bool) {
-	n := t.root
-	for n != nil {
-		if len(key) == 0 {
-			return n.val, n.hasVal
-		}
-		c := n.child(key[0])
-		if c == nil || commonPrefix(c.prefix, key) != len(c.prefix) {
+	if t.slots == 0 {
+		return [32]byte{}, false
+	}
+	n := t.at(0)
+	for len(key) > 0 {
+		c := t.child(n, key[0])
+		if c == 0 {
 			return [32]byte{}, false
 		}
-		key = key[len(c.prefix):]
-		n = c
+		n = t.at(c)
+		if !bytes.HasPrefix(key, t.prefix(n)) {
+			return [32]byte{}, false
+		}
+		key = key[n.plen:]
 	}
-	return [32]byte{}, false
+	return n.val, n.hasVal
 }
 
 func commonPrefix(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	i := 0
 	for i < n && a[i] == b[i] {
 		i++
@@ -135,69 +358,63 @@ func commonPrefix(a, b []byte) int {
 	return i
 }
 
-// Put inserts or overwrites the leaf hash for key.
+// Put inserts or overwrites the leaf hash for key. The trie keeps a
+// copy of the bytes it needs, never key itself.
 func (t *Trie) Put(key []byte, h [32]byte) {
-	if t.root == nil {
-		t.root = &node{dirty: true}
-	}
-	t.putAt(t.root, key, h)
-}
-
-// putAt inserts into n's subtree; key is the remainder after n's own
-// prefix has been consumed.
-func (t *Trie) putAt(n *node, key []byte, h [32]byte) {
-	n.dirty = true
-	if len(key) == 0 {
-		if !n.hasVal {
-			t.count++
+	n := t.root()
+	for {
+		n.dirty = true
+		if len(key) == 0 {
+			if !n.hasVal {
+				t.count++
+			}
+			n.val, n.hasVal = h, true
+			return
 		}
-		n.val, n.hasVal = h, true
-		return
+		ci := t.child(n, key[0])
+		if ci == 0 {
+			li, l := t.newNode()
+			l.pre, l.plen = t.allocKey(len(key)), uint32(len(key))
+			copy(t.prefix(l), key)
+			l.val, l.hasVal, l.dirty = h, true, true
+			t.setChild(n, key[0], li)
+			t.count++
+			return
+		}
+		c := t.at(ci)
+		m := commonPrefix(t.prefix(c), key)
+		if m < int(c.plen) {
+			// The edge diverges inside c's prefix: split it. The split
+			// node takes the first m prefix bytes and c keeps the rest,
+			// both where they are in the arena. c keeps its subtree (its
+			// children's cached hashes stay valid) but its own hash covers
+			// the now-shortened prefix, so it goes dirty. The split node
+			// takes c's place on the same edge byte, so n's order holds.
+			si, s := t.newNode()
+			s.pre, s.plen, s.dirty = c.pre, uint32(m), true
+			c.pre, c.plen, c.dirty = c.pre+uint32(m), c.plen-uint32(m), true
+			t.setChild(s, t.prefix(c)[0], ci)
+			t.setChild(n, key[0], si)
+			c = s
+		}
+		n, key = c, key[m:]
 	}
-	c := n.child(key[0])
-	if c == nil {
-		n.setChild(&node{
-			prefix: append([]byte(nil), key...),
-			val:    h,
-			hasVal: true,
-			dirty:  true,
-		})
-		t.count++
-		return
-	}
-	m := commonPrefix(c.prefix, key)
-	if m == len(c.prefix) {
-		t.putAt(c, key[m:], h)
-		return
-	}
-	// The edge diverges inside c's prefix: split it. c keeps its
-	// subtree (its children's cached hashes stay valid) but its own
-	// hash covers the now-shortened prefix, so it goes dirty. The split
-	// node takes c's place on the same edge byte, so n's order holds.
-	split := &node{
-		prefix: append([]byte(nil), c.prefix[:m]...),
-		dirty:  true,
-	}
-	c.prefix = append([]byte(nil), c.prefix[m:]...)
-	c.dirty = true
-	split.setChild(c)
-	n.setChild(split)
-	t.putAt(split, key[m:], h)
 }
 
 // Delete removes key; it reports whether the key was present.
 func (t *Trie) Delete(key []byte) bool {
-	if t.root == nil {
+	if t.slots == 0 {
 		return false
 	}
-	del, _ := t.deleteAt(t.root, key)
+	del, _ := t.deleteAt(0, key)
 	return del
 }
 
-// deleteAt removes key from n's subtree and reports (deleted,
-// removeSelf); removeSelf asks the caller to unlink n entirely. The
-// root is never unlinked (the top-level caller ignores removeSelf).
-func (t *Trie) deleteAt(n *node, key []byte) (deleted, removeSelf bool) {
+// deleteAt removes key from slot i's subtree and reports (deleted,
+// removeSelf); removeSelf asks the caller to unlink the node entirely.
+// The root is never unlinked (the top-level caller ignores removeSelf).
+func (t *Trie) deleteAt(i uint32, key []byte) (deleted, removeSelf bool) {
+	n := t.at(i)
 	if len(key) == 0 {
 		if !n.hasVal {
 			return false, false
@@ -205,115 +422,134 @@ func (t *Trie) deleteAt(n *node, key []byte) (deleted, removeSelf bool) {
 		n.hasVal = false
 		n.dirty = true
 		t.count--
-		return true, n.br == nil
+		return true, n.nkids == 0
 	}
-	c := n.child(key[0])
-	if c == nil {
+	ci := t.child(n, key[0])
+	if ci == 0 {
 		return false, false
 	}
-	m := commonPrefix(c.prefix, key)
-	if m != len(c.prefix) {
+	c := t.at(ci)
+	m := commonPrefix(t.prefix(c), key)
+	if m != int(c.plen) {
 		return false, false
 	}
-	del, rm := t.deleteAt(c, key[m:])
+	del, rm := t.deleteAt(ci, key[m:])
 	if !del {
 		return false, false
 	}
 	n.dirty = true
-	if rm {
-		n.removeChild(key[0])
+	t.unlinkOrCollapse(n, key[0], ci, rm)
+	return true, !n.hasVal && n.nkids == 0
+}
+
+// unlinkOrCollapse restores the invariants at child slot ci of n after
+// a delete below it: the child is released if it asked to be, or else
+// merged with its only child if it was left valueless with one.
+func (t *Trie) unlinkOrCollapse(n *node, edge byte, ci uint32, remove bool) {
+	if remove {
+		t.removeChild(n, edge)
+		t.freeNode(ci)
 	} else {
-		collapse(c)
+		t.collapse(t.at(ci))
 	}
-	return true, !n.hasVal && n.br == nil
 }
 
 // DeletePrefix removes every key that starts with p (p itself
 // included) and returns how many keys were removed. An empty p clears
 // the trie.
 func (t *Trie) DeletePrefix(p []byte) int {
-	if t.root == nil {
+	if t.slots == 0 {
 		return 0
 	}
 	if len(p) == 0 {
 		n := t.count
-		t.root = &node{dirty: true}
-		t.count = 0
+		*t = Trie{}
 		return n
 	}
-	removed, _ := t.deletePrefixAt(t.root, p)
+	removed, _ := t.deletePrefixAt(0, p)
 	return removed
 }
 
-func (t *Trie) deletePrefixAt(n *node, p []byte) (removed int, removeSelf bool) {
-	c := n.child(p[0])
-	if c == nil {
+func (t *Trie) deletePrefixAt(i uint32, p []byte) (removed int, removeSelf bool) {
+	n := t.at(i)
+	ci := t.child(n, p[0])
+	if ci == 0 {
 		return 0, false
 	}
-	m := commonPrefix(c.prefix, p)
+	c := t.at(ci)
+	m := commonPrefix(t.prefix(c), p)
 	switch {
 	case m == len(p):
 		// All of p matched inside c's prefix: c's whole subtree is
 		// under the prefix.
-		sz := subtreeSize(c)
-		n.removeChild(p[0])
-		t.count -= sz
-		removed = sz
-	case m == len(c.prefix):
-		rem, rm := t.deletePrefixAt(c, p[m:])
+		t.removeChild(n, p[0])
+		removed = t.freeSubtree(ci)
+		t.count -= removed
+	case m == int(c.plen):
+		rem, rm := t.deletePrefixAt(ci, p[m:])
 		if rem == 0 {
 			return 0, false
 		}
-		if rm {
-			n.removeChild(p[0])
-		} else {
-			collapse(c)
-		}
+		t.unlinkOrCollapse(n, p[0], ci, rm)
 		removed = rem
 	default:
 		return 0, false
 	}
 	n.dirty = true
-	return removed, !n.hasVal && n.br == nil
+	return removed, !n.hasVal && n.nkids == 0
 }
 
 // collapse merges a valueless single-child node into its child,
 // restoring the canonical-structure invariant after a delete. The
 // merged node keeps c's first prefix byte, so its place among its
 // siblings is unchanged, and it adopts the child's already ordered
-// children as they are.
-func collapse(c *node) {
-	if c.hasVal || c.br == nil || len(c.br.kids) != 1 {
+// run as it is. When the child's prefix bytes follow c's in the arena
+// (a split being undone) the two ranges simply join.
+func (t *Trie) collapse(c *node) {
+	if c.hasVal || c.nkids != 1 {
 		return
 	}
-	only := c.br.kids[0]
-	c.prefix = append(c.prefix, only.prefix...)
-	c.val, c.hasVal = only.val, only.hasVal
-	c.br = only.br
+	oi := t.kidsOf(c)[0]
+	o := t.at(oi)
+	if c.pre+c.plen == o.pre && c.pre>>keyShift == o.pre>>keyShift {
+		c.plen += o.plen
+		o.plen = 0
+	} else {
+		off := t.allocKey(int(c.plen + o.plen))
+		merged := t.keys[off>>keyShift][off&keyMask:]
+		copy(merged[copy(merged, t.prefix(c)):], t.prefix(o))
+		t.dead += int(c.plen)
+		c.pre, c.plen = off, c.plen+o.plen
+	}
+	t.freeRun(c.run, 0)
+	c.val, c.hasVal = o.val, o.hasVal
+	c.run, c.nkids = o.run, o.nkids
 	c.dirty = true
+	o.nkids = 0
+	t.freeNode(oi)
 }
 
-func subtreeSize(n *node) int {
+// freeSubtree releases slot i and everything below it and returns how
+// many keys that removed.
+func (t *Trie) freeSubtree(i uint32) int {
+	n := t.at(i)
 	sz := 0
 	if n.hasVal {
 		sz = 1
 	}
-	if n.br != nil {
-		for _, c := range n.br.kids {
-			sz += subtreeSize(c)
-		}
+	for _, c := range t.kidsOf(n) {
+		sz += t.freeSubtree(c)
 	}
+	t.freeNode(i)
 	return sz
 }
 
 // Root returns the trie's root hash, recomputing only nodes dirtied
 // since the last call.
 func (t *Trie) Root() [32]byte {
-	if t.root == nil {
-		t.root = &node{dirty: true}
-	}
-	t.rehash(t.root)
-	return t.root.hash
+	r := t.root()
+	t.rehash(r)
+	return r.hash
 }
 
 // rehash recomputes n's hash if dirty, recursing only into dirty
@@ -329,26 +565,23 @@ func (t *Trie) rehash(n *node) {
 	if !n.dirty {
 		return
 	}
-	var br branch
-	if n.br != nil {
-		br = *n.br
-	}
-	for _, c := range br.kids {
-		t.rehash(c)
+	for _, c := range t.kidsOf(n) {
+		t.rehash(t.at(c))
 	}
 	b := append(t.buf[:0], 0x10)
-	b = binary.AppendUvarint(b, uint64(len(n.prefix)))
-	b = append(b, n.prefix...)
+	b = binary.AppendUvarint(b, uint64(n.plen))
+	b = append(b, t.prefix(n)...)
 	if n.hasVal {
 		b = append(b, 1)
 		b = append(b, n.val[:]...)
 	} else {
 		b = append(b, 0)
 	}
-	b = binary.AppendUvarint(b, uint64(len(br.kids)))
-	for i, c := range br.kids {
-		b = append(b, br.edges[i])
-		b = append(b, c.hash[:]...)
+	b = binary.AppendUvarint(b, uint64(n.nkids))
+	edges := t.edgesOf(n)
+	for j, c := range t.kidsOf(n) {
+		b = append(b, edges[j])
+		b = append(b, t.at(c).hash[:]...)
 	}
 	n.hash = sha256.Sum256(b)
 	n.dirty = false

@@ -36,30 +36,33 @@ func checkAgainstModel(t *testing.T, tr *Trie, model map[string][32]byte) {
 	if got, want := tr.Root(), rebuild(model).Root(); got != want {
 		t.Fatalf("incremental root %x diverges from fresh rebuild %x", got, want)
 	}
-	checkEdgeOrder(t, tr.root)
+	checkEdgeOrder(t, tr)
+	checkSlots(t, tr)
 }
 
 // checkEdgeOrder asserts the invariant rehash relies on: below every
 // node the edge bytes ascend strictly and each is the first byte of the
 // child it stands for.
-func checkEdgeOrder(t *testing.T, n *node) {
+func checkEdgeOrder(t *testing.T, tr *Trie) {
 	t.Helper()
-	if n == nil || n.br == nil {
+	if tr.slots == 0 {
 		return
 	}
-	edges, kids := n.br.edges, n.br.kids
-	if len(edges) != len(kids) || len(kids) == 0 {
-		t.Fatalf("node %q: %d edges for %d children (an empty branch must be nil)", n.prefix, len(edges), len(kids))
-	}
-	for i, c := range kids {
-		if len(c.prefix) == 0 || c.prefix[0] != edges[i] {
-			t.Fatalf("node %q: edge %d is %#x but the child's prefix is %q", n.prefix, i, edges[i], c.prefix)
+	var walk func(i uint32)
+	walk = func(i uint32) {
+		n := tr.at(i)
+		edges, kids := tr.edgesOf(n), tr.kidsOf(n)
+		for j, c := range kids {
+			if p := tr.prefix(tr.at(c)); len(p) == 0 || p[0] != edges[j] {
+				t.Fatalf("node %q: edge %d is %#x but the child's prefix is %q", tr.prefix(n), j, edges[j], p)
+			}
+			if j > 0 && edges[j-1] >= edges[j] {
+				t.Fatalf("node %q: edges out of order: %x", tr.prefix(n), edges)
+			}
+			walk(c)
 		}
-		if i > 0 && edges[i-1] >= edges[i] {
-			t.Fatalf("node %q: edges out of order: %x", n.prefix, edges)
-		}
-		checkEdgeOrder(t, c)
 	}
+	walk(0)
 }
 
 func TestEmptyTrie(t *testing.T) {
@@ -203,7 +206,7 @@ func TestRandomizedModel(t *testing.T) {
 						t.Fatalf("op %d: DeletePrefix(%q) = %d, model says %d", i, p, got, want)
 					}
 				}
-				checkEdgeOrder(t, tr.root)
+				checkEdgeOrder(t, tr)
 				if i%250 == 0 {
 					checkAgainstModel(t, tr, model)
 				}
@@ -226,12 +229,12 @@ func TestRootIsIncremental(t *testing.T) {
 		tr.Put([]byte(k), leaf(k))
 	}
 	r0 := tr.Root()
-	if tr.root.dirty {
+	if tr.at(0).dirty {
 		t.Fatal("root still dirty after Root()")
 	}
 	tr.Put([]byte("bucket3\x1fitem33"), leaf("new"))
 	// Only the path to bucket3/item33 may be dirty.
-	dirty := countDirty(tr.root)
+	dirty := countDirty(tr, 0)
 	if dirty == 0 || dirty > 20 {
 		t.Fatalf("touching one key dirtied %d nodes (want a short path)", dirty)
 	}
@@ -240,18 +243,14 @@ func TestRootIsIncremental(t *testing.T) {
 	}
 }
 
-func countDirty(n *node) int {
-	if n == nil {
-		return 0
-	}
+func countDirty(tr *Trie, i uint32) int {
+	n := tr.at(i)
 	c := 0
 	if n.dirty {
 		c++
 	}
-	if n.br != nil {
-		for _, ch := range n.br.kids {
-			c += countDirty(ch)
-		}
+	for _, ch := range tr.kidsOf(n) {
+		c += countDirty(tr, ch)
 	}
 	return c
 }

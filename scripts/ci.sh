@@ -70,6 +70,10 @@ GOMEMLIMIT=512MiB go test -run 'TestMillionAccountsPagedBudget' -timeout 20m ./i
 # a lookup and the committee (from a shard) decode it.
 go test -run '^$' -bench 'CommitHolders|SnapshotHolders|MergePerField|BlockFanout' -benchtime 1x .
 go test -run '^$' -bench 'ReceiptLogFile' -benchtime 1x ./internal/shard/
+# The root trie's slab: one 100k-leaf load (ns, B, allocations and
+# retained bytes per leaf) and one epoch's 500 overwrites + Root at 10k,
+# 100k and 1M leaves of both key shapes.
+go test -run '^$' -bench 'Trie(Load|Epoch)' -benchtime 1x ./internal/trie/
 go test -run '^$' -bench 'Decode(FinalBlock|MicroBlock)' -benchtime 1x ./internal/wire/
 # Same for the executor microbenchmarks that size the state-access seam
 # (one Transfer on each engine, the overlay's entry write and
@@ -85,6 +89,10 @@ go test -run '^$' -bench 'TransferExec|CompiledTransfer|Overlay' -benchtime 1x .
 go test -fuzz=FuzzDecoders -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzReceiptEvents -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzFinalBlockReceipts -fuzztime=10s ./internal/wire/
+# And of the root trie's slab against a map model: contents, root equal
+# to a fresh build's, edge order, and every slot reachable or free,
+# never both.
+go test -fuzz=FuzzTrieOps -fuzztime=10s ./internal/trie/
 # Smoke-test the closed-loop admission path end to end through the CLI.
 go run ./cmd/shardsim -submit-rate 200 -mempool-cap 1024 -epochs 3 -workloads "FT transfer"
 # Chaos smoke: deterministic fault injection (crashes, drops,
