@@ -9,10 +9,6 @@
 // registry as JSON on exit, and -pprof serves net/http/pprof for host
 // profiling of the simulator itself.
 //
-// Admission control: -submit-rate switches to a closed-loop mode that
-// feeds each workload through the mempool (SubmitTx + per-epoch drain)
-// instead of the open-loop bench harness; -mempool-cap bounds the pool.
-//
 // Chaos: -faults seed:spec injects a deterministic fault schedule
 // (crashed shards, dropped MicroBlocks, corrupt deltas, stragglers)
 // into every simulated network, e.g.
@@ -20,12 +16,12 @@
 // spec reproduce the same fault schedule bit-for-bit on either
 // execution engine.
 //
-// Persistence: -state-dir attaches the append-only state store.
-// Closed-loop runs (-submit-rate) journal every committed epoch and
-// recover from the directory on restart (-epochs 0 recovers and prints
-// the chain head without driving load); -serve persists every stateful
-// node under per-role subdirectories. -snapshot-every sets the
-// snapshot/compaction cadence.
+// Persistence: -state-dir attaches the append-only state store to one
+// workload's chain: the run recovers from the directory, then drives
+// -epochs epochs of -txs transactions each, journaling every committed
+// epoch (-epochs 0 recovers and prints the chain head without driving
+// load); -serve persists every stateful node under per-role
+// subdirectories. -snapshot-every sets the snapshot/compaction cadence.
 //
 // Node mode: -serve addr boots a message-passing node cluster (DS
 // committee, shard nodes, lookup) with a block producer and a
@@ -36,8 +32,8 @@
 // -rpc-workload genesis deterministically, so the hammer's stream is
 // valid against the server's chain. The node modes (-serve, -node,
 // -hammer) do not take the simulator's experiment flags yet (-faults,
-// -trace-out, -metrics-out, -state-budget, -submit-rate)
-// and refuse them by name rather than run without them.
+// -trace-out, -metrics-out, -state-budget) and refuse them by name
+// rather than run without them.
 package main
 
 import (
@@ -51,7 +47,6 @@ import (
 
 	"cosplit/internal/bench"
 	"cosplit/internal/fault"
-	"cosplit/internal/mempool"
 	"cosplit/internal/node"
 	"cosplit/internal/obs"
 	"cosplit/internal/pager"
@@ -73,13 +68,11 @@ func main() {
 		strategy    = flag.Bool("strategies", false, "run the Sec. 5.2.3 ownership-vs-commutativity ablation")
 		listFlag    = flag.Bool("list", false, "list workloads")
 		benchOut    = flag.String("bench-out", "", "write the -state-bench report as JSON to this file")
-		submitRate  = flag.Int("submit-rate", 0, "closed-loop mode: offer up to this many txs/epoch through the mempool (0 = open-loop bench)")
-		mempoolCap  = flag.Int("mempool-cap", 0, "mempool capacity for -submit-rate mode (0 = default)")
 		faultSpec   = flag.String("faults", "", `deterministic fault injection, "seed:kind=prob[,...]" with kinds crash, drop, corrupt, straggle (e.g. "7:crash=0.05,straggle=0.2x4")`)
 		traceOut    = flag.String("trace-out", "", "write a JSONL epoch-trace journal of every simulated network to this file")
 		metricsOut  = flag.String("metrics-out", "", "write the aggregated metrics registry as JSON to this file on exit")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		stateDir    = flag.String("state-dir", "", "persistent state directory: closed-loop runs (-submit-rate, one -workloads entry) journal every epoch and recover on restart; -epochs 0 recovers and prints the chain head without driving load; with -serve every stateful node persists under per-role subdirectories")
+		stateDir    = flag.String("state-dir", "", "persistent state directory: runs of one -workloads entry recover on restart, then journal every epoch of -txs transactions; -epochs 0 recovers and prints the chain head without driving load; with -serve every stateful node persists under per-role subdirectories")
 		snapEvery   = flag.Int("snapshot-every", 8, "with -state-dir: snapshot file (what changed since the last one, or the full state when that is no smaller) and journal compaction every N committed epochs (0 = journal only, replayed from genesis)")
 		stateBudget = flag.Int64("state-budget", 0, "with -state-dir: put canonical state behind a disk-backed LRU page cache of at most this many bytes (0 = fully resident); pages live under <state-dir>/pages and replace full snapshot files")
 		pageSize    = flag.Int("page-size", 512, "target accounts per page for -state-budget and -state-bench (the page table is sized to population/page-size, rounded up to a power of two)")
@@ -186,25 +179,17 @@ func main() {
 		// Persistent chain: provision the deterministic genesis, recover
 		// whatever a previous run journaled on top of it, then either
 		// stop (-epochs 0: inspect the recovered head) or resume driving
-		// the closed loop with every committed epoch journaled.
+		// -txs per epoch with every committed epoch journaled.
 		names := split(*workloads)
 		if len(names) != 1 {
 			fail(fmt.Errorf("-state-dir persists one workload's chain: pass exactly one -workloads entry, got %d", len(names)))
 		}
-		if *submitRate <= 0 && *epochs != 0 {
-			fail(fmt.Errorf("-state-dir needs -submit-rate (closed-loop run) or -epochs 0 (recover only)"))
-		}
 		w, err := workload.ByName(names[0])
 		fail(err)
-		pcfg := mempool.DefaultConfig()
-		if *mempoolCap > 0 {
-			pcfg.Capacity = *mempoolCap
-		}
 		provOpts := append([]shard.Option{
 			shard.WithShards(4),
 			shard.WithNodesPerShard(*nodes),
 			shard.WithGasLimits(*shardGas, *dsGas),
-			shard.WithMempool(pcfg),
 		}, netOpts...)
 		env, err := workload.Provision(w, true, provOpts...)
 		fail(err)
@@ -233,50 +218,18 @@ func main() {
 		}
 		env.ResyncNonces()
 		env.Net.AttachStateStore(st)
-		res, err := workload.RunClosedLoopEnv(env, w, *submitRate, *epochs)
-		fail(err)
-		fmt.Printf("closed loop: offered %d admitted %d backpressured %d rejected %d committed %d failed %d depth %d\n",
-			res.Offered, res.Admitted, res.Backpressured, res.Rejected, res.Committed, res.Failed, res.FinalDepth)
+		committed, failed := 0, 0
+		for range *epochs {
+			env.TopUp(w, *txs)
+			stats, err := env.Net.RunEpoch()
+			fail(err)
+			committed += stats.Committed
+			failed += stats.Failed
+		}
+		fmt.Printf("run: %d epochs, %d committed, %d failed\n", *epochs, committed, failed)
 		cp = env.Net.Checkpoint()
 		fmt.Printf("state: final epoch=%d root=%s\n", cp.Epoch, env.Net.StateRoot())
 		fail(st.Close())
-	case *submitRate > 0:
-		pcfg := mempool.DefaultConfig()
-		if *mempoolCap > 0 {
-			pcfg.Capacity = *mempoolCap
-		}
-		names := split(*workloads)
-		if len(names) == 0 {
-			for _, w := range workload.All() {
-				names = append(names, w.Name)
-			}
-		}
-		clOpts := append([]shard.Option{
-			shard.WithShards(4),
-			shard.WithNodesPerShard(*nodes),
-			shard.WithGasLimits(*shardGas, *dsGas),
-		}, netOpts...)
-		fmt.Printf("closed loop: %d epochs, %d txs/epoch offered, pool capacity %d\n\n",
-			*epochs, *submitRate, pcfg.Capacity)
-		fmt.Printf("%-20s %8s %8s %9s %8s %9s %7s %6s",
-			"workload", "offered", "admitted", "backpres", "rejected", "committed", "failed", "depth")
-		if *faultSpec != "" {
-			fmt.Printf(" %6s %7s %6s", "lost", "viewchg", "escal")
-		}
-		fmt.Println()
-		for _, name := range names {
-			w, err := workload.ByName(name)
-			fail(err)
-			res, err := workload.RunClosedLoop(w, true, *submitRate, *epochs, pcfg, clOpts...)
-			fail(err)
-			fmt.Printf("%-20s %8d %8d %9d %8d %9d %7d %6d",
-				res.Workload, res.Offered, res.Admitted, res.Backpressured,
-				res.Rejected, res.Committed, res.Failed, res.FinalDepth)
-			if *faultSpec != "" {
-				fmt.Printf(" %6d %7d %6d", res.Lost, res.ViewChanges, res.Escalated)
-			}
-			fmt.Println()
-		}
 	case *stateBench:
 		scfg := bench.DefaultStateBenchConfig()
 		scfg.PageAccounts = *pageSize
@@ -377,7 +330,7 @@ func refuseIgnoredFlags(nodeRole, serveAddr, hammerURL string) error {
 	var err error
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "faults", "trace-out", "metrics-out", "state-budget", "submit-rate":
+		case "faults", "trace-out", "metrics-out", "state-budget":
 			if err == nil {
 				err = fmt.Errorf("-%s has no effect with %s (not wired into the node modes); drop it or run the simulator modes", f.Name, mode)
 			}

@@ -65,12 +65,7 @@ func MeasureThroughput(w *workload.Workload, numShards int, sharded bool, cfg Th
 	var total time.Duration
 	dsCommitted := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		// Sustain a fixed offered load: top the mempool back up to
-		// TxsPerEpoch, so the deferred backlog stays bounded and every
-		// configuration dispatches the same packet size.
-		for i := env.Net.MempoolSize(); i < cfg.TxsPerEpoch; i++ {
-			env.Net.Submit(w.Next(env))
-		}
+		env.TopUp(w, cfg.TxsPerEpoch)
 		stats, err := env.Net.RunEpoch()
 		if err != nil {
 			return nil, err

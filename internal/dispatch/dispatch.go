@@ -292,8 +292,8 @@ func (d *Dispatcher) commit(tx *chain.Tx, r Routing) Decision {
 	// sequential dispatcher, the nonce is consumed even when routing
 	// subsequently rejects the transaction (unknown contract). The
 	// verdict carries ErrNonceReplay wrapped with the offending
-	// (sender, nonce), so mempools and other callers can errors.Is it
-	// and still see which chain link replayed.
+	// (sender, nonce), so callers can errors.Is it and still see which
+	// chain link replayed.
 	if !d.markNonce(tx.From, tx.Nonce) {
 		d.m.rejected.Inc()
 		d.m.nonceReplay.Inc()

@@ -133,8 +133,8 @@ func DSBlockSource(src BlockSource) DSOption {
 
 // NewDS builds the committee actor around an existing canonical
 // network (compose shard.NewNetwork(opts...) for its configuration —
-// mempool admission, gas limits, recorders). shardNames
-// maps shard index to the peer name executing that shard's queues.
+// shard count, gas limits, recorders). shardNames maps shard index to
+// the peer name executing that shard's queues.
 // Call Run to start it.
 func NewDS(name string, net *shard.Network, ep Endpoint, shardNames []string, opts ...DSOption) (*DS, error) {
 	if len(shardNames) != net.Config().NumShards {
@@ -251,12 +251,7 @@ func (d *DS) handleFrame(in inbound, blocks []*shard.MicroBlock, missing *int) {
 			return
 		}
 		d.registerLookup(in.from)
-		resp := &wire.SubmitResp{Corr: s.Corr}
-		if id, err := d.net.SubmitTx(s.Tx); err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.ID = id
-		}
+		resp := &wire.SubmitResp{Corr: s.Corr, ID: d.net.Submit(s.Tx)}
 		d.send(in.from, wire.MsgSubmitResp, wire.EncodeSubmitResp(resp))
 	case wire.MsgStateQuery:
 		q, err := wire.DecodeStateQuery(payload)

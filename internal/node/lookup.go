@@ -197,10 +197,11 @@ func (l *Lookup) finalBlock(payload []byte) error {
 	return nil
 }
 
-// SubmitTx submits a transaction through the committee's admission
-// control and returns its assigned id. A committee-side rejection
-// comes back as an error with the admission reason; a lost frame or
-// response surfaces as ErrTimeout.
+// SubmitTx queues a transaction at the committee and returns its
+// assigned id. The committee judges validity at dispatch, not here;
+// an error it does send back (SubmitResp.Err, input from another
+// process) is returned as a refusal. A lost frame or response
+// surfaces as ErrTimeout.
 func (l *Lookup) SubmitTx(tx *chain.Tx) (uint64, error) {
 	ch := make(chan *wire.SubmitResp, 1)
 	l.mu.Lock()

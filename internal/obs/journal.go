@@ -204,41 +204,6 @@ func (j *Journal) OverflowGuardTripped(epoch uint64, shard int, tx uint64) {
 	j.end(b)
 }
 
-// TxAdmitted implements Recorder.
-func (j *Journal) TxAdmitted(epoch, tx uint64, parked, replaced bool) {
-	b := j.begin("tx_admitted", epoch)
-	b = appendInt(b, "tx", int64(tx))
-	b = appendBool(b, "parked", parked)
-	b = appendBool(b, "replaced", replaced)
-	j.end(b)
-}
-
-// TxPoolRejected implements Recorder.
-func (j *Journal) TxPoolRejected(epoch, tx uint64, reason string) {
-	b := j.begin("tx_pool_rejected", epoch)
-	b = appendInt(b, "tx", int64(tx))
-	b = appendStr(b, "reason", reason)
-	j.end(b)
-}
-
-// TxEvicted implements Recorder.
-func (j *Journal) TxEvicted(epoch, tx uint64, reason string) {
-	b := j.begin("tx_evicted", epoch)
-	b = appendInt(b, "tx", int64(tx))
-	b = appendStr(b, "reason", reason)
-	j.end(b)
-}
-
-// MempoolDrained implements Recorder.
-func (j *Journal) MempoolDrained(epoch uint64, batch, remaining, parked int, took time.Duration) {
-	b := j.begin("mempool_drained", epoch)
-	b = appendInt(b, "batch", int64(batch))
-	b = appendInt(b, "remaining", int64(remaining))
-	b = appendInt(b, "parked", int64(parked))
-	b = appendInt(b, "took_ns", int64(took))
-	j.end(b)
-}
-
 // TransitionCompiled implements Recorder.
 func (j *Journal) TransitionCompiled(epoch uint64, contract, transition string, compiled, fastPath bool) {
 	b := j.begin("transition_compiled", epoch)

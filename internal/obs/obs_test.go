@@ -205,10 +205,6 @@ func TestNopRecorderZeroAllocs(t *testing.T) {
 		rec.DeltaMerged(1, 1, 2, 3, 0, time.Millisecond)
 		rec.TxRequeued(1, -1, 4)
 		rec.OverflowGuardTripped(1, 0, 7)
-		rec.TxAdmitted(1, 8, false, false)
-		rec.TxPoolRejected(1, 9, "pool full")
-		rec.TxEvicted(1, 10, "age")
-		rec.MempoolDrained(1, 100, 5, 1, time.Millisecond)
 		rec.FrameSent("shard-0", "ds", "micro_block", 512)
 		rec.FrameDropped("shard-0", "ds", "micro_block", 512)
 		rec.FrameCorrupted("ds", "shard-1", "tx_batch", 128)

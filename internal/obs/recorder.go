@@ -57,9 +57,9 @@ func (s *EpochSummary) add(o EpochSummary) {
 // so a call into the no-op implementation allocates nothing.
 //
 // Implementations must be safe for concurrent use: one network's epoch
-// pipeline emits from a single goroutine, but mempool events come from
-// whichever goroutine submits, frame events from every link of a node
-// cluster, and several node actors may share one recorder.
+// pipeline emits from a single goroutine, but frame events come from
+// every link of a node cluster, and several node actors may share one
+// recorder.
 type Recorder interface {
 	// TxDispatched reports the routing verdict for one transaction:
 	// shard >= 0 is an in-shard placement, -1 the DS committee, -2 a
@@ -78,8 +78,9 @@ type Recorder interface {
 	// touched, deltas folded, total merged components, join conflicts
 	// (non-zero only when the merge aborts), and its duration.
 	DeltaMerged(epoch uint64, contracts, deltas, entries, conflicts int, took time.Duration)
-	// TxRequeued reports count transactions deferred back into the
-	// mempool (shard -1 = the DS committee's deferrals).
+	// TxRequeued reports count transactions deferred or lost and put
+	// back at the tail of the Submit queue (shard -1 = the DS
+	// committee's deferrals).
 	TxRequeued(epoch uint64, shard, count int)
 	// ShardFault reports an injected fault taking effect on a shard:
 	// kind is the directive label ("crash", "drop", "corrupt",
@@ -97,23 +98,6 @@ type Recorder interface {
 	// OverflowGuardTripped reports a transaction rejected by the Sec. 6
 	// conservative integer-overflow guard.
 	OverflowGuardTripped(epoch uint64, shard int, tx uint64)
-	// TxAdmitted reports a transaction accepted into the mempool.
-	// parked marks an out-of-order nonce held in the sender's future
-	// queue until its gap fills; replaced marks a replacement-by-fee of
-	// a pending transaction with the same (sender, nonce).
-	TxAdmitted(epoch, tx uint64, parked, replaced bool)
-	// TxPoolRejected reports a transaction refused at mempool admission.
-	// Reason is a precompiled constant (pool full, underpriced, nonce
-	// gap, stale nonce, replayed nonce, unknown sender).
-	TxPoolRejected(epoch, tx uint64, reason string)
-	// TxEvicted reports a previously admitted transaction dropped from
-	// the mempool (reason "capacity" or "age").
-	TxEvicted(epoch, tx uint64, reason string)
-	// MempoolDrained reports one epoch's pull from the mempool: batch
-	// transactions handed to the dispatcher, remaining pool depth,
-	// how many of the remaining are parked behind nonce gaps, and the
-	// drain duration.
-	MempoolDrained(epoch uint64, batch, remaining, parked int, took time.Duration)
 	// TransitionCompiled reports the deploy-time compilation outcome of
 	// one transition: whether it lowered to the closure-chain executor
 	// (compiled=false means it will run on the interpreter fallback)
@@ -171,18 +155,6 @@ func (Nop) ShardEscalated(epoch uint64, shard, txs int) {}
 
 // OverflowGuardTripped implements Recorder.
 func (Nop) OverflowGuardTripped(epoch uint64, shard int, tx uint64) {}
-
-// TxAdmitted implements Recorder.
-func (Nop) TxAdmitted(epoch, tx uint64, parked, replaced bool) {}
-
-// TxPoolRejected implements Recorder.
-func (Nop) TxPoolRejected(epoch, tx uint64, reason string) {}
-
-// TxEvicted implements Recorder.
-func (Nop) TxEvicted(epoch, tx uint64, reason string) {}
-
-// MempoolDrained implements Recorder.
-func (Nop) MempoolDrained(epoch uint64, batch, remaining, parked int, took time.Duration) {}
 
 // TransitionCompiled implements Recorder.
 func (Nop) TransitionCompiled(epoch uint64, contract, transition string, compiled, fastPath bool) {}
@@ -291,34 +263,6 @@ func (m multi) ShardEscalated(epoch uint64, shard, txs int) {
 func (m multi) OverflowGuardTripped(epoch uint64, shard int, tx uint64) {
 	for _, r := range m {
 		r.OverflowGuardTripped(epoch, shard, tx)
-	}
-}
-
-// TxAdmitted implements Recorder.
-func (m multi) TxAdmitted(epoch, tx uint64, parked, replaced bool) {
-	for _, r := range m {
-		r.TxAdmitted(epoch, tx, parked, replaced)
-	}
-}
-
-// TxPoolRejected implements Recorder.
-func (m multi) TxPoolRejected(epoch, tx uint64, reason string) {
-	for _, r := range m {
-		r.TxPoolRejected(epoch, tx, reason)
-	}
-}
-
-// TxEvicted implements Recorder.
-func (m multi) TxEvicted(epoch, tx uint64, reason string) {
-	for _, r := range m {
-		r.TxEvicted(epoch, tx, reason)
-	}
-}
-
-// MempoolDrained implements Recorder.
-func (m multi) MempoolDrained(epoch uint64, batch, remaining, parked int, took time.Duration) {
-	for _, r := range m {
-		r.MempoolDrained(epoch, batch, remaining, parked, took)
 	}
 }
 

@@ -38,14 +38,14 @@ const (
 	codeInvalidRequest = -32600
 	codeMethodNotFound = -32601
 	codeInvalidParams  = -32602
-	// codeServerError: the committee answered and refused (an admission
-	// rejection, a query it cannot serve). Sending the same request again
-	// gets the same answer.
+	// codeServerError: the request was refused (a query the committee
+	// cannot serve, a transaction the lookup cannot encode). Sending the
+	// same request again gets the same answer.
 	codeServerError = -32000
 	// codeUnavailable: no answer came — the request or its response was
 	// lost (node.ErrTimeout) or the lookup's transport is closed. The
 	// client may retry; a retried submission may find the first attempt
-	// was admitted after all.
+	// was queued after all.
 	codeUnavailable = -32001
 )
 

@@ -228,7 +228,7 @@ func TestServerErrorCodes(t *testing.T) {
 		{fmt.Errorf("state query: %w", node.ErrTimeout), -32001},
 		{node.ErrTransportClosed, -32001},
 		{fmt.Errorf("send to %q: %w", "ds", node.ErrTransportClosed), -32001},
-		{errors.New("submit rejected: mempool: sender queue full"), -32000},
+		{fmt.Errorf("%w: contract deployment (deployments are genesis-local)", wire.ErrUnencodable), -32000},
 		{errors.New("state query: field total_supply is not a map"), -32000},
 	} {
 		if got := serverError(c.err); got.Code != c.code || got.Message != c.err.Error() {

@@ -38,7 +38,7 @@ func TestGasLimitDefersTransactions(t *testing.T) {
 		committed += stats.Committed
 		epochs++
 		if epochs > 20 {
-			t.Fatal("gas-limited epochs never drained the mempool")
+			t.Fatal("gas-limited epochs never drained the Submit queue")
 		}
 	}
 	if committed != total {
@@ -49,12 +49,10 @@ func TestGasLimitDefersTransactions(t *testing.T) {
 	}
 }
 
-// TestDeferredTxsSurviveWithoutMempool: with no admission-controlled
-// pool attached, gas-deferred transactions must land back in the
-// legacy pending queue — visible through MempoolSize — and commit in a
-// later epoch. Regression for silently dropping deferred work when
-// WithMempool is absent.
-func TestDeferredTxsSurviveWithoutMempool(t *testing.T) {
+// TestDeferredTxsRequeue: gas-deferred transactions must land back in
+// the Submit queue — visible through MempoolSize — and commit in a
+// later epoch. Regression for silently dropping deferred work.
+func TestDeferredTxsRequeue(t *testing.T) {
 	net := shard.NewNetwork(shard.WithGasLimits(100, 100))
 	deployer := chain.AddrFromUint(999)
 	net.CreateUser(deployer, 1<<40)
@@ -76,7 +74,7 @@ func TestDeferredTxsSurviveWithoutMempool(t *testing.T) {
 		t.Fatal("gas limit deferred nothing; the regression is not exercised")
 	}
 	if got := net.MempoolSize(); got != stats.Deferred {
-		t.Errorf("pending queue holds %d txs, want the %d deferred", got, stats.Deferred)
+		t.Errorf("Submit queue holds %d txs, want the %d deferred", got, stats.Deferred)
 	}
 	for epochs := 0; net.MempoolSize() > 0; epochs++ {
 		if _, err := net.RunEpoch(); err != nil {

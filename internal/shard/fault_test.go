@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,7 +11,6 @@ import (
 	"cosplit/internal/chain"
 	"cosplit/internal/consensus"
 	"cosplit/internal/fault"
-	"cosplit/internal/mempool"
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
 )
@@ -83,42 +81,7 @@ func TestEmptyFaultPlanMatchesGoldenTrace(t *testing.T) {
 	}
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			var tick time.Duration
-			journal := obs.NewJournal(&buf, obs.WithClock(func() time.Duration {
-				tick += time.Microsecond
-				return tick
-			}))
-			// The exact scenario of TestGoldenTraceSchema, plus WithFaults.
-			net := shard.NewNetwork(
-				shard.WithShards(2),
-				shard.WithGasLimits(3, 1000),
-				shard.WithMempool(mempool.DefaultConfig()),
-				shard.WithRecorder(journal),
-				shard.WithFaults(plan),
-			)
-			alice := chain.AddrFromUint(1)
-			bob := chain.AddrFromUint(2)
-			net.CreateUser(alice, 1_000_000)
-			net.CreateUser(bob, 1_000_000)
-			for n := uint64(1); n <= 5; n++ {
-				if _, err := net.SubmitTx(payTx(alice, bob, n, 10)); err != nil {
-					t.Fatalf("submit nonce %d: %v", n, err)
-				}
-			}
-			if _, err := net.SubmitTx(payTx(alice, bob, 5, 10)); err == nil {
-				t.Fatal("duplicate nonce admitted")
-			}
-			net.Submit(payTx(chain.AddrFromUint(99), bob, 1, 10))
-			for e := 0; e < 2; e++ {
-				if _, err := net.RunEpoch(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := journal.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := normalizeTrace(t, buf.Bytes()); got != string(want) {
+			if got := goldenTrace(t, shard.WithFaults(plan)); got != string(want) {
 				t.Errorf("empty plan %q perturbed the golden trace.\nGot:\n%s\nWant:\n%s", name, got, want)
 			}
 		})
@@ -136,9 +99,9 @@ func mustParse(t *testing.T, s string) *fault.Plan {
 
 // TestCrashedShardRecovers: a crash loses the shard's whole batch —
 // no receipts, no state change, a view change charged at the PBFT
-// model's rate — and the requeued batch commits in the next epoch
-// even without a mempool attached (the legacy pending queue must hold
-// it; regression for silently dropping deferred work).
+// model's rate — and the batch, requeued at the tail of the Submit
+// queue, commits in the next epoch (regression for silently dropping
+// lost work).
 func TestCrashedShardRecovers(t *testing.T) {
 	ev := &faultEvents{}
 	plan := fault.New().Set(1, 0, fault.Directive{Kind: fault.CrashMidEpoch})
@@ -185,7 +148,7 @@ func TestCrashedShardRecovers(t *testing.T) {
 		t.Errorf("view changes = %v, want one of %v", ev.viewChanges, vcWant)
 	}
 	if got := net.MempoolSize(); got != lostWant {
-		t.Errorf("requeued mempool size = %d, want %d", got, lostWant)
+		t.Errorf("Submit queue after the loss = %d, want %d", got, lostWant)
 	}
 	// The lost transactions have no receipts yet.
 	pending := 0
@@ -301,9 +264,9 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 }
 
 // TestFaultLiveness is the reconciliation bar: under a hostile seeded
-// plan with every fault kind active, every admitted transaction must
-// still terminally commit or reject — nothing may be lost in the
-// crash/requeue/escalate cycle — and the mempool must drain.
+// plan with every fault kind active, every submitted transaction must
+// still commit — nothing may be lost in the crash/requeue/escalate
+// cycle — and the Submit queue must drain.
 func TestFaultLiveness(t *testing.T) {
 	plan := fault.Generate(1234, fault.Spec{
 		CrashProb: 0.25, DropProb: 0.1, CorruptProb: 0.1, StraggleProb: 0.2,
@@ -311,17 +274,12 @@ func TestFaultLiveness(t *testing.T) {
 	reg := obs.NewRegistry()
 	net, contract, users := deployFT(t, 4, 12, true,
 		shard.WithFaults(plan), shard.WithRegistry(reg),
-		shard.WithMempool(mempool.DefaultConfig()),
 		shard.WithFaultEscalation(2))
 
 	var ids []uint64
 	epochs := 0
 	submit := func(tx *chain.Tx) {
-		id, err := net.SubmitTx(tx)
-		if err != nil {
-			t.Fatalf("submit %+v: %v", tx, err)
-		}
-		ids = append(ids, id)
+		ids = append(ids, net.Submit(tx))
 	}
 	drain := func() {
 		for net.MempoolSize() > 0 {
@@ -329,7 +287,7 @@ func TestFaultLiveness(t *testing.T) {
 				t.Fatal(err)
 			}
 			if epochs++; epochs > 200 {
-				t.Fatalf("mempool never drained under faults (%d pending)", net.MempoolSize())
+				t.Fatalf("Submit queue never drained under faults (%d pending)", net.MempoolSize())
 			}
 		}
 	}
@@ -360,7 +318,7 @@ func TestFaultLiveness(t *testing.T) {
 	for _, id := range ids {
 		rec := net.Receipt(id)
 		if rec == nil {
-			t.Errorf("tx %d: admitted but never terminally processed", id)
+			t.Errorf("tx %d: submitted but never terminally processed", id)
 			continue
 		}
 		if !rec.Success {

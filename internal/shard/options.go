@@ -3,13 +3,12 @@ package shard
 import (
 	"cosplit/internal/chain"
 	"cosplit/internal/fault"
-	"cosplit/internal/mempool"
 	"cosplit/internal/obs"
 )
 
 // Config is the network's resolved configuration, readable through
 // Network.Config. Networks are constructed with NewNetwork and
-// functional options (WithShards, WithGasLimits, WithMempool, ...);
+// functional options (WithShards, WithGasLimits, WithRecorder, ...);
 // code outside this package never builds Config values.
 type Config struct {
 	NumShards     int
@@ -66,7 +65,6 @@ type settings struct {
 	cfg       Config
 	recs      []obs.Recorder
 	reg       *obs.Registry
-	poolCfg   *mempool.Config
 	faults    *fault.Plan
 	accounts  chain.AccountBackend
 	contPager chain.ContractPager
@@ -129,8 +127,7 @@ func WithOverflowGuard(on bool) Option {
 // WithRecorder attaches an event recorder (e.g. an *obs.Journal or
 // *obs.StageCollector) to the network's epoch pipeline. Repeated use
 // accumulates recorders; they are fanned out through obs.Multi. The
-// epoch pipeline calls it from one goroutine; with WithMempool, pool
-// events arrive from whichever goroutine calls SubmitTx.
+// epoch pipeline calls it from one goroutine; Submit emits no events.
 func WithRecorder(rec obs.Recorder) Option {
 	return func(s *settings) { s.recs = append(s.recs, rec) }
 }
@@ -148,12 +145,12 @@ func WithRegistry(reg *obs.Registry) Option {
 // by the straggle factor), while crashed shards, dropped MicroBlocks
 // and corrupt StateDeltas all lose the shard's block — the DS merge
 // skips it, the shard's committee is charged a PBFT view change, and
-// the whole batch is requeued through the mempool's watermark-rewind
-// path. After Config.FaultEscalation consecutive losses — counted with
-// or without a plan, since the node runtime loses blocks to the
-// transport too — the dispatcher reroutes the shard's traffic to DS
-// execution until the shard seals a healthy block again. An empty (or
-// nil) plan leaves the pipeline byte-identical to an unfaulted network.
+// the whole batch is requeued at the tail of the Submit queue. After
+// Config.FaultEscalation consecutive losses — counted with or without
+// a plan, since the node runtime loses blocks to the transport too —
+// the dispatcher reroutes the shard's traffic to DS execution until
+// the shard seals a healthy block again. An empty (or nil) plan leaves
+// the pipeline byte-identical to an unfaulted network.
 func WithFaults(plan *fault.Plan) Option {
 	return func(s *settings) { s.faults = plan }
 }
@@ -183,14 +180,4 @@ func WithStateBackends(backend chain.AccountBackend, cp chain.ContractPager) Opt
 		s.accounts = backend
 		s.contPager = cp
 	}
-}
-
-// WithMempool puts an admission-controlled mempool in front of the
-// epoch pipeline: SubmitTx routes through it, each RunEpoch pulls a
-// deterministic gas-price-ordered batch via the pool's DrainEpoch, and
-// gas-limit deferrals are requeued into it. The pool shares the
-// network's metrics registry and trace recorders. Without this option
-// SubmitTx degrades to the unconditional Submit path.
-func WithMempool(cfg mempool.Config) Option {
-	return func(s *settings) { s.poolCfg = &cfg }
 }

@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"cosplit/internal/chain"
-	"cosplit/internal/mempool"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 )
 
 // TestReceiptErrSurvivesRequeue drives a transaction through the
-// mempool requeue path — deferred by the shard gas limit in its first
-// epoch, re-drained and failed in the next — and asserts the failure
+// requeue path — deferred by the shard gas limit in its first epoch,
+// dispatched again and failed in the next — and asserts the failure
 // receipt's typed error still matches the executor sentinel with
 // errors.Is, carrying the transaction's identity in the message.
 func TestReceiptErrSurvivesRequeue(t *testing.T) {
@@ -22,7 +21,6 @@ func TestReceiptErrSurvivesRequeue(t *testing.T) {
 		shard.WithShards(1),
 		shard.WithGasLimits(3, 1000),
 		shard.WithConsensusModel(false),
-		shard.WithMempool(mempool.DefaultConfig()),
 	)
 	alice := chain.AddrFromUint(10)
 	bob := chain.AddrFromUint(11)
@@ -31,7 +29,7 @@ func TestReceiptErrSurvivesRequeue(t *testing.T) {
 	net.CreateUser(bob, 0)
 	net.CreateUser(poor, 50) // covers gas, not the attempted amount
 
-	transfer := func(from, to chain.Address, nonce, amount, gasPrice uint64) *chain.Tx {
+	transfer := func(from, to chain.Address, nonce, amount uint64) *chain.Tx {
 		return &chain.Tx{
 			Kind:     chain.TxTransfer,
 			From:     from,
@@ -39,20 +37,15 @@ func TestReceiptErrSurvivesRequeue(t *testing.T) {
 			Nonce:    nonce,
 			Amount:   new(big.Int).SetUint64(amount),
 			GasLimit: 10,
-			GasPrice: gasPrice,
+			GasPrice: 1,
 		}
 	}
-	// Three well-priced transfers fill the 3-gas epoch; the underpriced
-	// doomed transfer drains last and is deferred past the limit.
+	// Three transfers fill the 3-gas epoch; the doomed transfer arrives
+	// last and is deferred past the limit.
 	for n := uint64(1); n <= 3; n++ {
-		if _, err := net.SubmitTx(transfer(alice, bob, n, 1, 2)); err != nil {
-			t.Fatal(err)
-		}
+		net.Submit(transfer(alice, bob, n, 1))
 	}
-	doomed, err := net.SubmitTx(transfer(poor, bob, 1, 1000, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doomed := net.Submit(transfer(poor, bob, 1, 1000))
 
 	if _, err := net.RunEpoch(); err != nil {
 		t.Fatal(err)

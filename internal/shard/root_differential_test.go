@@ -44,9 +44,7 @@ func TestIncrementalRootMatchesRecompute(t *testing.T) {
 			}
 			const epochs, txsPerEpoch = 2, 300
 			for e := 0; e < epochs; e++ {
-				for i := env.Net.MempoolSize(); i < txsPerEpoch; i++ {
-					env.Net.Submit(w.Next(env))
-				}
+				env.TopUp(w, txsPerEpoch)
 				if _, err := env.Net.RunEpoch(); err != nil {
 					t.Fatalf("%s/seed%d: epoch %d: %v", name, seed, e, err)
 				}

@@ -1,9 +1,9 @@
 // Package shard implements the sharded transaction-processing pipeline
-// of Fig. 10: per-epoch dispatch of the mempool to shards, each shard's
-// sequential run of its queue producing a MicroBlock and StateDeltas,
-// the DS committee's three-way merge into a FinalBlock, and the
-// committee's own sequential run — one more shard run, over the merged
-// state — of the transactions no shard could take.
+// of Fig. 10: per-epoch dispatch of the Submit queue to shards, each
+// shard's sequential run of its queue producing a MicroBlock and
+// StateDeltas, the DS committee's three-way merge into a FinalBlock,
+// and the committee's own sequential run — one more shard run, over
+// the merged state — of the transactions no shard could take.
 //
 // There is one execution mode: a queue runs once, in order, on the
 // calling goroutine, and the package starts no goroutine of its own.
@@ -34,7 +34,6 @@ import (
 	"cosplit/internal/core/signature"
 	"cosplit/internal/dispatch"
 	"cosplit/internal/fault"
-	"cosplit/internal/mempool"
 	"cosplit/internal/obs"
 	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/eval"
@@ -107,11 +106,6 @@ type Network struct {
 	reg *obs.Registry
 	m   netMetrics
 
-	// pool is the admission-controlled mempool (WithMempool). Without
-	// one a network runs on the Submit queue alone — which is what every
-	// node role and all five benchmark workloads do.
-	pool *mempool.Pool
-
 	// faults is the injection plan (WithFaults; nil or empty injects
 	// nothing). faultStreak counts consecutive epochs each shard lost
 	// its MicroBlock, to the plan or to the transport; downBuf is the
@@ -121,7 +115,10 @@ type Network struct {
 	faultStreak []int
 	downBuf     []bool
 
-	mempool  []*chain.Tx
+	// queue holds submitted transactions in arrival order until the
+	// next BeginEpoch dispatches them; deferred and lost batches rejoin
+	// it at the tail.
+	queue    []*chain.Tx
 	receipts *ReceiptLog
 	nextTxID uint64
 	mu       sync.Mutex
@@ -161,7 +158,7 @@ type Network struct {
 
 // NewNetwork builds a network. With no options it reproduces the
 // paper's experimental setup on a single shard (see Option); compose
-// WithShards, WithGasLimits, WithMempool, WithRecorder, ... to deviate
+// WithShards, WithGasLimits, WithRecorder, WithFaults, ... to deviate
 // from it.
 func NewNetwork(opts ...Option) *Network {
 	s := settings{cfg: DefaultConfig(1)}
@@ -181,12 +178,6 @@ func NewNetwork(opts ...Option) *Network {
 	}
 	d := dispatch.New(s.cfg.NumShards, accounts, contracts,
 		dispatch.WithMetrics(s.reg))
-	rec := obs.Multi(s.recs...)
-	var pool *mempool.Pool
-	if s.poolCfg != nil {
-		pool = mempool.New(*s.poolCfg, accounts,
-			mempool.WithRecorder(rec), mempool.WithRegistry(s.reg))
-	}
 	ovPool := make([]map[chain.Address]*chain.Overlay, s.cfg.NumShards)
 	for i := range ovPool {
 		ovPool[i] = make(map[chain.Address]*chain.Overlay)
@@ -195,12 +186,11 @@ func NewNetwork(opts ...Option) *Network {
 		Accounts:    accounts,
 		Contracts:   contracts,
 		Disp:        d,
-		pool:        pool,
 		faults:      s.faults,
 		faultStreak: make([]int, s.cfg.NumShards),
 		downBuf:     make([]bool, s.cfg.NumShards),
 		cfg:         s.cfg,
-		rec:         rec,
+		rec:         obs.Multi(s.recs...),
 		reg:         s.reg,
 		m:           newNetMetrics(s.reg),
 		receipts:    NewReceiptLog(0),
@@ -265,42 +255,25 @@ func (n *Network) DeployContract(deployer chain.Address, source string,
 	return addr, nil
 }
 
-// Submit queues a transaction unconditionally, assigning it an id. It
-// bypasses any attached mempool's admission control — use SubmitTx for
-// the admission-checked path.
+// Submit appends a transaction to the queue the next BeginEpoch
+// dispatches, in arrival order, and returns the id it assigns. Nothing
+// is refused here: the relaxed-nonce rule (Sec. 4.2.1) and unknown
+// senders are judged at dispatch, which files a rejection receipt.
 func (n *Network) Submit(tx *chain.Tx) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	tx.ID = n.nextTxID
 	n.nextTxID++
-	n.mempool = append(n.mempool, tx)
-	n.m.mempool.Set(int64(len(n.mempool)))
+	n.queue = append(n.queue, tx)
+	n.m.mempool.Set(int64(len(n.queue)))
 	return tx.ID
 }
 
-// SubmitTx submits a transaction through the admission-controlled
-// mempool (WithMempool): the pool may park it behind a nonce gap,
-// replace a cheaper same-nonce predecessor, or reject it with a typed
-// error (mempool.ErrPoolFull, mempool.ErrUnderpriced,
-// mempool.ErrNonceGap, or a wrapped dispatch nonce sentinel — test
-// with errors.Is). Without an attached pool it degrades to Submit.
-// The returned id is 0 when the transaction was rejected.
+// SubmitTx is Submit with a nil error; it keeps this signature only
+// because the benchmark's replay harness calls it.
 func (n *Network) SubmitTx(tx *chain.Tx) (uint64, error) {
-	if n.pool == nil {
-		return n.Submit(tx), nil
-	}
-	n.mu.Lock()
-	tx.ID = n.nextTxID
-	n.nextTxID++
-	n.mu.Unlock()
-	if err := n.pool.Add(tx); err != nil {
-		return 0, err
-	}
-	return tx.ID, nil
+	return n.Submit(tx), nil
 }
-
-// Pool returns the attached mempool, or nil without WithMempool.
-func (n *Network) Pool() *mempool.Pool { return n.pool }
 
 // Receipt returns the receipt for a transaction id, if it is among the
 // DefaultReceiptCap most recent this network has filed: every receipt
@@ -317,17 +290,12 @@ func (n *Network) Receipt(id uint64) *chain.Receipt {
 	return n.receipts.Receipt(id)
 }
 
-// MempoolSize returns the number of pending transactions across the
-// Submit queue and, when one is attached, the admission-controlled
-// pool.
+// MempoolSize returns the number of transactions waiting in the Submit
+// queue.
 func (n *Network) MempoolSize() int {
 	n.mu.Lock()
-	size := len(n.mempool)
-	n.mu.Unlock()
-	if n.pool != nil {
-		size += n.pool.Len()
-	}
-	return size
+	defer n.mu.Unlock()
+	return len(n.queue)
 }
 
 // epochQueues returns the per-shard and DS queue buffers, truncated
@@ -449,24 +417,17 @@ func sameSlice[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// BeginEpoch starts an epoch: it drains the mempool, dispatches the
-// packet (Sec. 4.3) and returns the run with the per-shard and DS
-// queues routed. Callers execute the queues — ExecuteShard in-process,
+// BeginEpoch starts an epoch: it drains the Submit queue, dispatches
+// the packet (Sec. 4.3) in arrival order and returns the run with the
+// per-shard and DS queues routed. Callers execute the queues — ExecuteShard in-process,
 // or remote shard nodes in the node runtime — and hand the MicroBlocks
 // to FinalizeEpoch.
 func (n *Network) BeginEpoch() *EpochRun {
 	n.mu.Lock()
-	pending := n.mempool
-	n.mempool = nil
+	pending := n.queue
+	n.queue = nil
 	n.m.mempool.Set(0)
 	n.mu.Unlock()
-	if n.pool != nil {
-		// The pool's batch is gas-price ordered and deterministic for a
-		// given pending multiset; appending after the Submit queue (the
-		// only queue node roles and the benchmark workloads fill) keeps
-		// its transactions ahead of the pool's.
-		pending = append(pending, n.pool.DrainEpoch(n.Epoch)...)
-	}
 
 	run := &EpochRun{
 		net:        n,
@@ -520,7 +481,7 @@ func (n *Network) BeginEpoch() *EpochRun {
 	return run
 }
 
-// RunEpoch processes the current mempool through one full epoch and
+// RunEpoch processes the Submit queue through one full epoch and
 // returns its statistics. It is the monolithic composition of the
 // stage API: BeginEpoch, ExecuteShard over every queue one after
 // another, FinalizeEpoch. The modelled epoch time still charges the
@@ -578,8 +539,8 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 			// StateDelta's validation, or (mb == nil, node runtime) the
 			// frame was dropped, corrupted or timed out at the transport.
 			// Nothing from the shard commits, its whole batch is requeued
-			// through the mempool's watermark-rewind path, and its
-			// unavailability streak advances toward escalation.
+			// at the tail of the Submit queue, and its unavailability
+			// streak advances toward escalation.
 			kind, counter := "transport", n.m.faultDrops
 			if mb != nil {
 				kind = d.Kind.String()
@@ -951,24 +912,18 @@ func (n *Network) file(recs []*chain.Receipt) {
 	n.m.receiptLogBytes.Set(int64(n.receipts.Bytes()))
 }
 
-// requeue returns deferred transactions from a shard (or the DS
-// committee, shard == dispatch.DS) to the mempool — into the admission
-// pool when one is attached (bypassing admission checks: the
-// transactions were already admitted), else the Submit queue, the one
-// every node role and benchmark workload runs on.
+// requeue returns deferred or lost transactions from a shard (or the DS
+// committee, shard == dispatch.DS) to the tail of the Submit queue,
+// keeping their ids.
 func (n *Network) requeue(shard int, txs []*chain.Tx) {
 	if len(txs) == 0 {
 		return
 	}
 	n.rec.TxRequeued(n.Epoch, shard, len(txs))
-	if n.pool != nil {
-		n.pool.Requeue(txs)
-		return
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.mempool = append(n.mempool, txs...)
-	n.m.mempool.Set(int64(len(n.mempool)))
+	n.queue = append(n.queue, txs...)
+	n.m.mempool.Set(int64(len(n.queue)))
 }
 
 // shardRun is the execution context of one queue for one epoch: a

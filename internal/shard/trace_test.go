@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cosplit/internal/chain"
-	"cosplit/internal/mempool"
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
 )
@@ -58,60 +57,56 @@ func normalizeTrace(t *testing.T, raw []byte) string {
 	return out.String()
 }
 
-// TestGoldenTraceSchema drives a deterministic two-shard workload with
-// an injected journal clock and compares the normalised JSONL trace
-// against testdata/trace_golden.jsonl. The golden file pins the event
-// schema: names, field sets, shard labelling (-1 DS, -2 rejected),
-// epoch numbering and event ordering. Regenerate with
-//
-//	go test ./internal/shard -run GoldenTrace -update-golden
-func TestGoldenTraceSchema(t *testing.T) {
+// goldenTrace runs the scenario testdata/trace_golden.jsonl records,
+// with opts appended to its network's options, and returns the
+// normalised JSONL trace. Two shards, a 3-gas MicroBlock budget
+// (transfers cost 1 gas), two epochs and an injected journal clock.
+func goldenTrace(t *testing.T, opts ...shard.Option) string {
+	t.Helper()
 	var buf bytes.Buffer
 	var tick time.Duration
 	journal := obs.NewJournal(&buf, obs.WithClock(func() time.Duration {
 		tick += time.Microsecond
 		return tick
 	}))
-	// Two shards, a 3-gas MicroBlock budget (transfers cost 1 gas), the
-	// sequential pipeline for a stable cross-shard event order, and a
-	// mempool so the trace pins the admission/drain event schema too.
-	net := shard.NewNetwork(
+	net := shard.NewNetwork(append([]shard.Option{
 		shard.WithShards(2),
 		shard.WithGasLimits(3, 1000),
-		shard.WithMempool(mempool.DefaultConfig()),
 		shard.WithRecorder(journal),
-	)
+	}, opts...)...)
 	alice := chain.AddrFromUint(1)
 	bob := chain.AddrFromUint(2)
 	net.CreateUser(alice, 1_000_000)
 	net.CreateUser(bob, 1_000_000)
 
-	// Five transfers from one sender enter through the mempool, land on
-	// its home shard and exceed the 3-gas budget: two are deferred and
-	// requeued into the pool. A duplicated nonce is refused at
-	// admission (tx_pool_rejected); an unknown sender rides the legacy
-	// Submit path to exercise the dispatcher rejection label.
+	// Five transfers from one sender land on its home shard and exceed
+	// the 3-gas budget: two are deferred, requeued, and commit in epoch
+	// 2. A duplicated nonce and an unknown sender exercise the
+	// dispatcher's rejection labels.
 	for n := uint64(1); n <= 5; n++ {
-		if _, err := net.SubmitTx(payTx(alice, bob, n, 10)); err != nil {
-			t.Fatalf("submit nonce %d: %v", n, err)
-		}
+		net.Submit(payTx(alice, bob, n, 10))
 	}
-	if _, err := net.SubmitTx(payTx(alice, bob, 5, 10)); err == nil {
-		t.Fatal("duplicate nonce admitted")
-	}
+	net.Submit(payTx(alice, bob, 5, 10))                  // replayed nonce
 	net.Submit(payTx(chain.AddrFromUint(99), bob, 1, 10)) // unknown sender
-	if _, err := net.RunEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	// Epoch 2 drains the two deferred transfers back out of the pool.
-	if _, err := net.RunEpoch(); err != nil {
-		t.Fatal(err)
+	for e := 0; e < 2; e++ {
+		if _, err := net.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return normalizeTrace(t, buf.Bytes())
+}
 
-	got := normalizeTrace(t, buf.Bytes())
+// TestGoldenTraceSchema compares goldenTrace against
+// testdata/trace_golden.jsonl. The golden file pins the event schema:
+// names, field sets, shard labelling (-1 DS, -2 rejected), epoch
+// numbering and event ordering. Regenerate with
+//
+//	go test ./internal/shard -run GoldenTrace -update-golden
+func TestGoldenTraceSchema(t *testing.T) {
+	got := goldenTrace(t)
 	golden := filepath.Join("testdata", "trace_golden.jsonl")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -656,8 +656,9 @@ func DecodeSubmit(b []byte) (*Submit, error) {
 	return finish(r, &Submit{Corr: r.uvarint(), Tx: r.tx()})
 }
 
-// SubmitResp answers a Submit: the assigned transaction id, or the
-// admission error message.
+// SubmitResp answers a Submit: the assigned transaction id, or an
+// error message. The committee here never refuses a submission, but
+// Err stays in the format and a lookup reports it as a refusal.
 type SubmitResp struct {
 	Corr uint64
 	ID   uint64

@@ -107,7 +107,8 @@ func call(e *Env, from chain.Address, transition string, amount uint64, args map
 	}
 }
 
-// settle runs epochs until the mempool drains (used by Setup phases).
+// settle runs epochs until the Submit queue drains (used by Setup
+// phases).
 func settle(e *Env) error {
 	for e.Net.MempoolSize() > 0 {
 		if _, err := e.Net.RunEpoch(); err != nil {
@@ -115,6 +116,16 @@ func settle(e *Env) error {
 		}
 	}
 	return nil
+}
+
+// TopUp submits transactions from w's stream until the network's Submit
+// queue holds n. Called before each epoch it sustains a fixed offered
+// load: the deferred backlog stays bounded and every epoch dispatches
+// the same packet size.
+func (e *Env) TopUp(w *Workload, n int) {
+	for i := e.Net.MempoolSize(); i < n; i++ {
+		e.Net.Submit(w.Next(e))
+	}
 }
 
 // Provision builds the environment for a workload on a network built

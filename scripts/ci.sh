@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Repository verification: formatting, build, vet, full test suite, and
-# the race detector over the packages several goroutines reach (the
-# striped mempool in internal/mempool that RPC submitters call into,
-# the obs recorders/journal they feed, and the node actors around
-# internal/shard's single-goroutine pipeline, whose dispatcher is
+# the race detector over the packages several goroutines reach (the obs
+# recorders/journal every link of a node cluster feeds, the node actors
+# and RPC front door, and internal/shard's lock-guarded Submit queue and
+# receipt log around its single-goroutine pipeline, whose dispatcher is
 # called from that one goroutine).
 set -eux
 
@@ -33,7 +33,7 @@ go test ./...
 # receipts) and the commit tests (a failed phase leaves no trace; commit
 # + root allocations equal over 1k and 100k holders; the undo log in
 # internal/chain) alongside the concurrent packages.
-go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... ./internal/mempool/... ./internal/obs/... ./internal/fault/...
+go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... ./internal/obs/... ./internal/fault/...
 # The node/wire/rpc race run covers the actor cluster end to end,
 # including the TCP-transport smoke (TestTCPClusterSmoke), the
 # fault-injection recovery tests over real frames, the absolute
@@ -93,12 +93,10 @@ go test -fuzz=FuzzFinalBlockReceipts -fuzztime=10s ./internal/wire/
 # to a fresh build's, edge order, and every slot reachable or free,
 # never both.
 go test -fuzz=FuzzTrieOps -fuzztime=10s ./internal/trie/
-# Smoke-test the closed-loop admission path end to end through the CLI.
-go run ./cmd/shardsim -submit-rate 200 -mempool-cap 1024 -epochs 3 -workloads "FT transfer"
 # Chaos smoke: deterministic fault injection (crashes, drops,
-# stragglers) through the closed loop, under the race detector so the
+# stragglers) through the Fig. 14 run, under the race detector so the
 # recovery paths (requeue, view change, escalation) are exercised.
-go run -race ./cmd/shardsim -submit-rate 200 -mempool-cap 1024 -epochs 4 \
+go run -race ./cmd/shardsim -txs 200 -epochs 4 \
     -workloads "FT transfer" -faults "7:crash=0.1,drop=0.05,corrupt=0.02,straggle=0.25x4"
 # Restart-recovery smoke through the CLI: a fresh persistent run
 # prints its final chain head; a recover-only restart (-epochs 0) must
@@ -123,12 +121,11 @@ refused -faults -serve 127.0.0.1:18545 -faults "7:crash=0.1"
 refused -trace-out -serve 127.0.0.1:18545 -trace-out /tmp/cosplit-trace.jsonl
 refused -state-budget -serve 127.0.0.1:18545 -state-dir /tmp/cosplit-none -state-budget 1048576
 refused -metrics-out -node ds -hub 127.0.0.1:19100 -metrics-out /tmp/cosplit-metrics.json
-refused -submit-rate -hammer http://127.0.0.1:18545 -submit-rate 200
 STATE_DIR=$(mktemp -d)
-FINAL=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -submit-rate 200 -epochs 4 | grep '^state: final')
+FINAL=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -txs 200 -epochs 4 | grep '^state: final')
 RECOVERED=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -epochs 0 | grep '^state: recovered')
 [ "${FINAL#state: final }" = "${RECOVERED#state: recovered }" ]
-/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -submit-rate 200 -epochs 100000 &
+/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -txs 200 -epochs 100000 &
 KILL_PID=$!
 sleep 2
 kill -9 $KILL_PID
@@ -146,12 +143,12 @@ rm -rf "$STATE_DIR"
 # land on the printed root — and after a SIGKILL, wherever it fell
 # around a boundary, two consecutive recoveries must agree.
 INC_DIR=$(mktemp -d)
-FINAL_I=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -submit-rate 200 -epochs 7 | grep '^state: final')
+FINAL_I=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -txs 200 -epochs 7 | grep '^state: final')
 [ "$(ls "$INC_DIR"/snapshot-*.snap | wc -l)" -gt 1 ]
 RECOVERED_I=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -epochs 0)
 echo "$RECOVERED_I" | grep '^state: chain'
 [ "${FINAL_I#state: final }" = "$(echo "$RECOVERED_I" | grep '^state: recovered' | sed 's/^state: recovered //')" ]
-/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -submit-rate 200 -epochs 100000 &
+/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -txs 200 -epochs 100000 &
 KILL_PID=$!
 sleep 3
 kill -9 $KILL_PID
@@ -170,11 +167,11 @@ rm -rf "$INC_DIR"
 # commit, so recovery lands on the last flushed checkpoint plus the
 # journal tail, and two consecutive recoveries agree.
 PAGED_DIR=$(mktemp -d)
-FINAL_P=$(/tmp/cosplit-shardsim -state-dir "$PAGED_DIR" -state-budget 1048576 -workloads "FT transfer" -submit-rate 200 -epochs 4 | grep '^state: final')
+FINAL_P=$(/tmp/cosplit-shardsim -state-dir "$PAGED_DIR" -state-budget 1048576 -workloads "FT transfer" -txs 200 -epochs 4 | grep '^state: final')
 [ "${FINAL_P#state: final }" = "${FINAL#state: final }" ]
 RECOVERED_P=$(/tmp/cosplit-shardsim -state-dir "$PAGED_DIR" -state-budget 1048576 -workloads "FT transfer" -epochs 0 | grep '^state: recovered')
 [ "${FINAL_P#state: final }" = "${RECOVERED_P#state: recovered }" ]
-/tmp/cosplit-shardsim -state-dir "$PAGED_DIR" -state-budget 1048576 -workloads "FT transfer" -submit-rate 200 -epochs 100000 &
+/tmp/cosplit-shardsim -state-dir "$PAGED_DIR" -state-budget 1048576 -workloads "FT transfer" -txs 200 -epochs 100000 &
 KILL_PID=$!
 sleep 2
 kill -9 $KILL_PID
