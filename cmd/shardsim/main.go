@@ -1,8 +1,7 @@
 // Command shardsim runs the sharded-blockchain throughput experiments:
 // Fig. 14 (TPS per workload under baseline and CoSplit sharding), the
-// Sec. 5.2.2 overhead measurements, the Sec. 5.2.3 ownership-vs-
-// commutativity ablation, and the paged-state benchmark (-state-bench,
-// JSON via -bench-out).
+// Sec. 5.2.2 overhead measurements and the Sec. 5.2.3 ownership-vs-
+// commutativity ablation.
 //
 // Observability: -trace-out streams every simulated network's epoch
 // events as a JSONL journal, -metrics-out dumps the aggregated metrics
@@ -32,8 +31,8 @@
 // -rpc-workload genesis deterministically, so the hammer's stream is
 // valid against the server's chain. The node modes (-serve, -node,
 // -hammer) do not take the simulator's experiment flags yet (-faults,
-// -trace-out, -metrics-out, -state-budget) and refuse them by name
-// rather than run without them.
+// -trace-out, -metrics-out) and refuse them by name rather than run
+// without them.
 package main
 
 import (
@@ -49,7 +48,6 @@ import (
 	"cosplit/internal/fault"
 	"cosplit/internal/node"
 	"cosplit/internal/obs"
-	"cosplit/internal/pager"
 	"cosplit/internal/rpc"
 	"cosplit/internal/shard"
 	"cosplit/internal/store"
@@ -58,25 +56,21 @@ import (
 
 func main() {
 	var (
-		epochs      = flag.Int("epochs", 10, "epochs per configuration (paper: 10)")
-		txs         = flag.Int("txs", 8000, "offered load per epoch")
-		shardGas    = flag.Uint64("shard-gas", 40_000, "per-shard gas limit per epoch")
-		dsGas       = flag.Uint64("ds-gas", 40_000, "DS-committee gas limit per epoch")
-		nodes       = flag.Int("nodes", 5, "nodes per shard (paper: 5)")
-		workloads   = flag.String("workloads", "", "comma-separated workloads (default: all)")
-		overheads   = flag.Bool("overheads", false, "measure Sec. 5.2.2 overheads instead of Fig. 14")
-		strategy    = flag.Bool("strategies", false, "run the Sec. 5.2.3 ownership-vs-commutativity ablation")
-		listFlag    = flag.Bool("list", false, "list workloads")
-		benchOut    = flag.String("bench-out", "", "write the -state-bench report as JSON to this file")
-		faultSpec   = flag.String("faults", "", `deterministic fault injection, "seed:kind=prob[,...]" with kinds crash, drop, corrupt, straggle (e.g. "7:crash=0.05,straggle=0.2x4")`)
-		traceOut    = flag.String("trace-out", "", "write a JSONL epoch-trace journal of every simulated network to this file")
-		metricsOut  = flag.String("metrics-out", "", "write the aggregated metrics registry as JSON to this file on exit")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		stateDir    = flag.String("state-dir", "", "persistent state directory: runs of one -workloads entry recover on restart, then journal every epoch of -txs transactions; -epochs 0 recovers and prints the chain head without driving load; with -serve every stateful node persists under per-role subdirectories")
-		snapEvery   = flag.Int("snapshot-every", 8, "with -state-dir: snapshot file (what changed since the last one, or the full state when that is no smaller) and journal compaction every N committed epochs (0 = journal only, replayed from genesis)")
-		stateBudget = flag.Int64("state-budget", 0, "with -state-dir: put canonical state behind a disk-backed LRU page cache of at most this many bytes (0 = fully resident); pages live under <state-dir>/pages and replace full snapshot files")
-		pageSize    = flag.Int("page-size", 512, "target accounts per page for -state-budget and -state-bench (the page table is sized to population/page-size, rounded up to a power of two)")
-		stateBench  = flag.Bool("state-bench", false, "run the paged-state benchmark (accounts x budget grid: throughput, faults/epoch, p99 fault latency) and write BENCH_state.json via -bench-out")
+		epochs     = flag.Int("epochs", 10, "epochs per configuration (paper: 10)")
+		txs        = flag.Int("txs", 8000, "offered load per epoch")
+		shardGas   = flag.Uint64("shard-gas", 40_000, "per-shard gas limit per epoch")
+		dsGas      = flag.Uint64("ds-gas", 40_000, "DS-committee gas limit per epoch")
+		nodes      = flag.Int("nodes", 5, "nodes per shard (paper: 5)")
+		workloads  = flag.String("workloads", "", "comma-separated workloads (default: all)")
+		overheads  = flag.Bool("overheads", false, "measure Sec. 5.2.2 overheads instead of Fig. 14")
+		strategy   = flag.Bool("strategies", false, "run the Sec. 5.2.3 ownership-vs-commutativity ablation")
+		listFlag   = flag.Bool("list", false, "list workloads")
+		faultSpec  = flag.String("faults", "", `deterministic fault injection, "seed:kind=prob[,...]" with kinds crash, drop, corrupt, straggle (e.g. "7:crash=0.05,straggle=0.2x4")`)
+		traceOut   = flag.String("trace-out", "", "write a JSONL epoch-trace journal of every simulated network to this file")
+		metricsOut = flag.String("metrics-out", "", "write the aggregated metrics registry as JSON to this file on exit")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		stateDir   = flag.String("state-dir", "", "persistent state directory: runs of one -workloads entry recover on restart, then journal every epoch of -txs transactions; -epochs 0 recovers and prints the chain head without driving load; with -serve every stateful node persists under per-role subdirectories")
+		snapEvery  = flag.Int("snapshot-every", 8, "with -state-dir: snapshot file (what changed since the last one, or the full state when that is no smaller) and journal compaction every N committed epochs (0 = journal only, replayed from genesis)")
 
 		serveAddr = flag.String("serve", "", "serve the JSON-RPC front door on this address (e.g. 127.0.0.1:8545) over a message-passing node cluster; with -node lookup, the lookup's own RPC address")
 		serveTCP  = flag.String("serve-tcp", "", "with -serve: run the cluster's internal traffic over a TCP hub on this address instead of in-process channels")
@@ -193,17 +187,7 @@ func main() {
 		}, netOpts...)
 		env, err := workload.Provision(w, true, provOpts...)
 		fail(err)
-		sopts := []store.Option{store.WithSnapshotEvery(*snapEvery), store.WithRegistry(reg)}
-		if *stateBudget > 0 {
-			pages := env.Net.Accounts.Len() / *pageSize
-			if pages < 1 {
-				pages = 1
-			}
-			sopts = append(sopts, store.WithPagedState(*stateBudget, pager.WithPageCount(pages)))
-			fmt.Fprintf(os.Stderr, "shardsim: paged state, budget %d MB, %d-page table\n",
-				*stateBudget>>20, pages)
-		}
-		st, err := store.Open(*stateDir, sopts...)
+		st, err := store.Open(*stateDir, store.WithSnapshotEvery(*snapEvery), store.WithRegistry(reg))
 		fail(err)
 		fail(st.Recover(env.Net))
 		cp := env.Net.Checkpoint()
@@ -230,23 +214,6 @@ func main() {
 		cp = env.Net.Checkpoint()
 		fmt.Printf("state: final epoch=%d root=%s\n", cp.Epoch, env.Net.StateRoot())
 		fail(st.Close())
-	case *stateBench:
-		scfg := bench.DefaultStateBenchConfig()
-		scfg.PageAccounts = *pageSize
-		var out *os.File
-		if *benchOut != "" {
-			f, err := os.Create(*benchOut)
-			fail(err)
-			out = f
-		}
-		rep, err := bench.RunStateBench(scfg)
-		fail(err)
-		bench.PrintStateBench(os.Stdout, rep)
-		if out != nil {
-			fail(rep.WriteJSON(out))
-			fail(out.Close())
-			fmt.Printf("\nwrote %s\n", *benchOut)
-		}
 	case *overheads:
 		r, err := bench.MeasureOverheads(5000, netOpts...)
 		fail(err)
@@ -330,7 +297,7 @@ func refuseIgnoredFlags(nodeRole, serveAddr, hammerURL string) error {
 	var err error
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "faults", "trace-out", "metrics-out", "state-budget":
+		case "faults", "trace-out", "metrics-out":
 			if err == nil {
 				err = fmt.Errorf("-%s has no effect with %s (not wired into the node modes); drop it or run the simulator modes", f.Name, mode)
 			}

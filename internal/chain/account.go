@@ -26,27 +26,16 @@ func (a *Account) Copy() *Account {
 	}
 }
 
-// Accounts is the global account table. Storage lives behind an
-// AccountBackend: the default is a resident map, and internal/pager
-// swaps in a disk-backed paged backend (SetBackend) so the table can
-// exceed RAM.
+// Accounts is the global account table: a resident map under one
+// read-write lock.
 type Accounts struct {
 	mu sync.RWMutex
-	b  AccountBackend
+	m  map[Address]*Account
 }
 
-// NewAccounts creates an empty account table on the default resident
-// map backend.
+// NewAccounts creates an empty account table.
 func NewAccounts() *Accounts {
-	return &Accounts{b: make(mapBackend)}
-}
-
-// NewAccountsOn creates an empty account table on an explicit backend.
-func NewAccountsOn(b AccountBackend) *Accounts {
-	if b == nil {
-		return NewAccounts()
-	}
-	return &Accounts{b: b}
+	return &Accounts{m: make(map[Address]*Account)}
 }
 
 // Create adds an account with the given initial balance. It replaces
@@ -54,10 +43,10 @@ func NewAccountsOn(b AccountBackend) *Accounts {
 func (as *Accounts) Create(addr Address, balance uint64, isContract bool) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	as.b.Store(addr, &Account{
+	as.m[addr] = &Account{
 		Balance:    new(big.Int).SetUint64(balance),
 		IsContract: isContract,
-	})
+	}
 }
 
 // Put installs an account with explicit balance, nonce, and contract
@@ -66,22 +55,24 @@ func (as *Accounts) Create(addr Address, balance uint64, isContract bool) {
 func (as *Accounts) Put(addr Address, balance *big.Int, nonce uint64, isContract bool) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	as.b.Store(addr, &Account{
+	as.m[addr] = &Account{
 		Balance:    new(big.Int).Set(balance),
 		Nonce:      nonce,
 		IsContract: isContract,
-	})
+	}
 }
 
 // Range calls f for every account until f returns false. The iteration
 // order is unspecified and f receives the live account — it must not
-// mutate it or retain it past the call (the table's lock is held). A
-// paged backend streams pages through the call, so Range never
-// materialises the full set.
+// mutate it or retain it past the call (the table's lock is held).
 func (as *Accounts) Range(f func(Address, *Account) bool) {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	as.b.Range(f)
+	for a, acc := range as.m {
+		if !f(a, acc) {
+			return
+		}
+	}
 }
 
 // Each calls f for every address of addrs that holds an account, in
@@ -92,7 +83,7 @@ func (as *Accounts) Each(addrs []Address, f func(Address, *Account)) {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
 	for _, addr := range addrs {
-		if acc := as.b.Load(addr); acc != nil {
+		if acc := as.m[addr]; acc != nil {
 			f(addr, acc)
 		}
 	}
@@ -102,14 +93,14 @@ func (as *Accounts) Each(addrs []Address, f func(Address, *Account)) {
 func (as *Accounts) Len() int {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	return as.b.Len()
+	return len(as.m)
 }
 
 // Get returns a copy of the account, or nil if absent.
 func (as *Accounts) Get(addr Address) *Account {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	a := as.b.Load(addr)
+	a := as.m[addr]
 	if a == nil {
 		return nil
 	}
@@ -122,7 +113,7 @@ func (as *Accounts) Get(addr Address) *Account {
 func (as *Accounts) NonceOf(addr Address) (uint64, bool) {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	a := as.b.Load(addr)
+	a := as.m[addr]
 	if a == nil {
 		return 0, false
 	}
@@ -133,7 +124,7 @@ func (as *Accounts) NonceOf(addr Address) (uint64, bool) {
 func (as *Accounts) IsContract(addr Address) bool {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	a := as.b.Load(addr)
+	a := as.m[addr]
 	return a != nil && a.IsContract
 }
 
@@ -141,18 +132,17 @@ func (as *Accounts) IsContract(addr Address) bool {
 func (as *Accounts) Exists(addr Address) bool {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	return as.b.Load(addr) != nil
+	return as.m[addr] != nil
 }
 
 // Addresses returns all addresses, sorted.
 func (as *Accounts) Addresses() []Address {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	out := make([]Address, 0, as.b.Len())
-	as.b.Range(func(a Address, _ *Account) bool {
+	out := make([]Address, 0, len(as.m))
+	for a := range as.m {
 		out = append(out, a)
-		return true
-	})
+	}
 	sort.Slice(out, func(i, j int) bool {
 		for k := 0; k < 20; k++ {
 			if out[i][k] != out[j][k] {
@@ -176,20 +166,20 @@ func (as *Accounts) Apply(d *AccountDelta) error {
 		if bd.Sign() >= 0 {
 			continue
 		}
-		if acc := as.b.Load(addr); acc == nil || acc.Balance.CmpAbs(bd) < 0 {
+		if acc := as.m[addr]; acc == nil || acc.Balance.CmpAbs(bd) < 0 {
 			return fmt.Errorf("account %s balance would go negative", addr)
 		}
 	}
 	for addr, bd := range d.BalanceDeltas {
-		acc := as.b.Mutate(addr)
+		acc := as.m[addr]
 		if acc == nil {
 			acc = &Account{Balance: new(big.Int)}
-			as.b.Store(addr, acc)
+			as.m[addr] = acc
 		}
 		acc.Balance.Add(acc.Balance, bd)
 	}
 	for addr, n := range d.Nonces {
-		acc := as.b.Mutate(addr)
+		acc := as.m[addr]
 		if acc == nil {
 			continue
 		}
@@ -200,18 +190,15 @@ func (as *Accounts) Apply(d *AccountDelta) error {
 	return nil
 }
 
-// Copy deep-copies the whole table onto a fresh resident map backend.
-// This materialises every account — a paged source backend streams all
-// its pages through the copy — so it is strictly a test/debug helper;
-// read-only consumers should take ReadOnly instead.
+// Copy deep-copies the whole table. It duplicates every account, so it
+// is a test/debug helper; read-only consumers use Range, Each or Get.
 func (as *Accounts) Copy() *Accounts {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	out := NewAccounts()
-	as.b.Range(func(a Address, acc *Account) bool {
-		out.b.Store(a, acc.Copy())
-		return true
-	})
+	out := &Accounts{m: make(map[Address]*Account, len(as.m))}
+	for a, acc := range as.m {
+		out.m[a] = acc.Copy()
+	}
 	return out
 }
 

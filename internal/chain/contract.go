@@ -28,37 +28,10 @@ type Contract struct {
 	Sig    *signature.Signature
 	Params map[string]value.Value
 	// State is the canonical contract state, advanced only at epoch
-	// boundaries by the DS committee. Under a pager it may be nil while
-	// the state is evicted to disk; access it through Snapshot, which
-	// faults it back in.
+	// boundaries by the DS committee; read it through Snapshot.
 	State *eval.MemState
-	// mu guards State replacement at epoch boundaries. When a pager is
-	// attached it is unused: the pager's own lock is the sole authority
-	// over State residency.
+	// mu guards State: Snapshot reads it, ReplaceState installs one.
 	mu sync.RWMutex
-	// pager, when non-nil, owns State residency (set by
-	// Contracts.AttachPager before the network runs epochs).
-	pager ContractPager
-}
-
-// ContractPager pages canonical contract state to disk. internal/pager
-// implements it; the interface lives here so chain stays free of
-// on-disk concerns (and because the wire codecs the pager reuses
-// already import packages above chain). All residency bookkeeping —
-// including reads and writes of Contract.State on paged contracts —
-// happens under the pager's internal lock.
-type ContractPager interface {
-	// Acquire returns the contract's canonical state, faulting it from
-	// disk if evicted, and marks it recently used.
-	Acquire(c *Contract) *eval.MemState
-	// Replace installs st as the canonical state and marks it dirty (it
-	// will be written back at the next flush or eviction). st may be
-	// the state already installed, or one that was evicted after
-	// Acquire returned it.
-	Replace(c *Contract, st *eval.MemState)
-	// Admit registers a contract whose resident state the pager should
-	// start tracking (deployment, or pager attach).
-	Admit(c *Contract)
 }
 
 // Deploy runs the full contract-deployment pipeline a miner would run:
@@ -121,30 +94,16 @@ func Deploy(addr Address, source string, params map[string]value.Value, dep *Dep
 // which merges the epoch's deltas into it in place. Callers must not
 // mutate it (use an Overlay for execution), must not read it while that
 // network commits, and must copy any value they want to keep beyond the
-// epoch. Under a pager the state may have been evicted; Snapshot faults
-// it back in from disk. The returned pointer stays valid even if the
-// pager later evicts the contract again — eviction drops the pager's
-// reference, never the caller's.
+// epoch.
 func (c *Contract) Snapshot() *eval.MemState {
-	if p := c.pager; p != nil {
-		return p.Acquire(c)
-	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.State
 }
 
-// ReplaceState installs st as the canonical state: a recovered state
-// (snapshot restore), or — from commit, after a phase's last in-place
-// write — the very pointer Snapshot returned. With the same pointer it
-// changes nothing without a pager; under one it tells the pager the
-// state was written (the unit goes dirty and is re-measured) and puts
-// it back if it was evicted while the phase was writing it.
+// ReplaceState installs st as the canonical state: a state recovered
+// from a snapshot file.
 func (c *Contract) ReplaceState(st *eval.MemState) {
-	if p := c.pager; p != nil {
-		p.Replace(c, st)
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.State = st
@@ -166,9 +125,8 @@ func (c *Contract) TransitionParams(transition string) []string {
 
 // Contracts is the global contract registry.
 type Contracts struct {
-	mu    sync.RWMutex
-	m     map[Address]*Contract
-	pager ContractPager
+	mu sync.RWMutex
+	m  map[Address]*Contract
 }
 
 // NewContracts creates an empty registry.
@@ -176,33 +134,11 @@ func NewContracts() *Contracts {
 	return &Contracts{m: make(map[Address]*Contract)}
 }
 
-// AttachPager puts every current and future contract's canonical state
-// under a pager: resident states are admitted to the pager's budget
-// and may be evicted to disk, Snapshot faults them back on demand.
-// Call during setup or recovery, before the network runs epochs.
-// Attaching the pager already attached is a no-op.
-func (cs *Contracts) AttachPager(p ContractPager) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.pager == p {
-		return
-	}
-	cs.pager = p
-	for _, c := range cs.m {
-		c.pager = p
-		p.Admit(c)
-	}
-}
-
 // Add registers a deployed contract.
 func (cs *Contracts) Add(c *Contract) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	cs.m[c.Addr] = c
-	if cs.pager != nil {
-		c.pager = cs.pager
-		cs.pager.Admit(c)
-	}
 }
 
 // Get returns the contract at addr, or nil.

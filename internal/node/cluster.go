@@ -43,8 +43,6 @@ type clusterConfig struct {
 	lookupCount   int
 	stateDir      string
 	snapshotEvery int
-	pagedBudget   int64
-	paged         bool
 }
 
 // ClusterTCP runs the cluster over TCP sockets through a hub listening
@@ -92,18 +90,6 @@ func ClusterStateDir(dir string, every int) ClusterOption {
 	return func(c *clusterConfig) { c.stateDir, c.snapshotEvery = dir, every }
 }
 
-// ClusterPagedState puts every stateful node's canonical state behind
-// a disk-backed page cache of at most budget bytes (0 means the
-// pager's default): each role's directory grows a pages/ subdirectory
-// holding account and contract pages, the page index replaces full
-// snapshot files on the snapshot cadence, and recovery — including a
-// shard replica's catch-up from the committee's directory — streams
-// pages on demand instead of materialising the full state. Requires
-// ClusterStateDir.
-func ClusterPagedState(budget int64) ClusterOption {
-	return func(c *clusterConfig) { c.paged, c.pagedBudget = true, budget }
-}
-
 // NewCluster provisions and starts a cluster: the DS committee gets
 // the canonical network, each shard node its own genesis replica.
 // Node names are "ds", "shard-<i>", and "lookup".
@@ -146,11 +132,7 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 	// committee recovers first: its epoch is the yardstick the shard
 	// replicas must reach.
 	openStore := func(sub string, n *shard.Network) (*store.Store, error) {
-		sopts := []store.Option{store.WithSnapshotEvery(cfg.snapshotEvery)}
-		if cfg.paged {
-			sopts = append(sopts, store.WithPagedState(cfg.pagedBudget))
-		}
-		st, err := store.Open(filepath.Join(cfg.stateDir, sub), sopts...)
+		st, err := store.Open(filepath.Join(cfg.stateDir, sub), store.WithSnapshotEvery(cfg.snapshotEvery))
 		if err != nil {
 			return nil, err
 		}

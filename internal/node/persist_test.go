@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
+	"cosplit/internal/store"
 	"cosplit/internal/workload"
 )
 
@@ -59,80 +61,27 @@ func TestLookupReceiptCapHolds(t *testing.T) {
 	}
 }
 
-// TestClusterPagedKillRestartResumes runs the kill-restart scenario
-// with every node's state behind a deliberately tiny page cache: all
-// reads fault pages from disk, recovery rebuilds roots by streaming
-// pages, and a wiped shard catches up from the committee's paged
-// directory. Roots and transaction ids must stay bit-identical to the
-// uninterrupted monolithic (fully resident) pipeline.
-func TestClusterPagedKillRestartResumes(t *testing.T) {
-	w := testWorkload()
-	envMono, err := workload.Provision(w, true, shard.WithShards(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	envSrc, err := workload.Provision(w, true, shard.WithShards(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestClusterRefusesPagedStateDir: a committee directory written by the
+// retired paged store (a pages/ subdirectory beside a journal its
+// flushes truncated) stops the cluster with store.ErrPagedState instead
+// of booting every role at genesis.
+func TestClusterRefusesPagedStateDir(t *testing.T) {
 	dir := t.TempDir()
-	opts := []ClusterOption{ClusterStateDir(dir, 2), ClusterPagedState(8 << 10)}
-
-	drive := func(cluster *Cluster, epochs, perEpoch int) {
-		t.Helper()
-		for e := 0; e < epochs; e++ {
-			for i := 0; i < perEpoch; i++ {
-				idM := envMono.Net.Submit(w.Next(envMono))
-				idC, err := cluster.Lookup.SubmitTx(w.Next(envSrc))
-				if err != nil {
-					t.Fatalf("submit: %v", err)
-				}
-				if idM != idC {
-					t.Fatalf("tx id skew: monolithic %d, cluster %d", idM, idC)
-				}
-			}
-			if _, err := envMono.Net.RunEpoch(); err != nil {
-				t.Fatal(err)
-			}
-			res := cluster.Tick()
-			if res.Err != nil {
-				t.Fatalf("tick: %v", res.Err)
-			}
-			if want := envMono.Net.StateRoot(); res.Root != want {
-				t.Fatalf("state root diverged:\n  cluster    %s\n  monolithic %s", res.Root, want)
-			}
-		}
-	}
-
-	a, err := NewCluster(testGenesis(w), opts...)
-	if err != nil {
+	ds := filepath.Join(dir, "ds")
+	if err := os.MkdirAll(filepath.Join(ds, "pages"), 0o777); err != nil {
 		t.Fatal(err)
 	}
-	drive(a, 3, 10)
-	a.Close()
-
-	// Kill and damage: wipe one shard's directory; the other replicas
-	// restart from their paged state with a cold cache.
-	if err := os.RemoveAll(filepath.Join(dir, "shard-1")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCluster(testGenesis(w), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := b.DS.Net().StateRoot(), envMono.Net.StateRoot(); got != want {
-		t.Fatalf("recovered committee root %s, want %s", got, want)
-	}
-	drive(b, 2, 10)
-	want := b.DS.Net().StateRoot()
-	b.Close()
-	for _, s := range b.Shards {
-		if err := s.Err(); err != nil {
-			t.Errorf("%s: replica error: %v", s.name, err)
+	for _, name := range []string{filepath.Join("pages", "pages.idx"), "journal.log"} {
+		if err := os.WriteFile(filepath.Join(ds, name), nil, 0o666); err != nil {
+			t.Fatal(err)
 		}
-		if got := s.Net().StateRoot(); got != want {
-			t.Errorf("%s: replica root %s, want %s", s.name, got, want)
-		}
+	}
+	c, err := NewCluster(testGenesis(testWorkload()), ClusterStateDir(dir, 2))
+	if err == nil {
+		c.Close()
+	}
+	if !errors.Is(err, store.ErrPagedState) {
+		t.Fatalf("NewCluster over a paged committee directory: %v, want ErrPagedState", err)
 	}
 }
 

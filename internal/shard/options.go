@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"cosplit/internal/chain"
 	"cosplit/internal/fault"
 	"cosplit/internal/obs"
 )
@@ -62,12 +61,10 @@ func DefaultConfig(numShards int) Config {
 
 // settings is the resolved form of a NewNetwork option list.
 type settings struct {
-	cfg       Config
-	recs      []obs.Recorder
-	reg       *obs.Registry
-	faults    *fault.Plan
-	accounts  chain.AccountBackend
-	contPager chain.ContractPager
+	cfg    Config
+	recs   []obs.Recorder
+	reg    *obs.Registry
+	faults *fault.Plan
 }
 
 // Option configures a Network at construction time. The zero option
@@ -163,21 +160,5 @@ func WithFaultEscalation(epochs int) Option {
 			epochs = 1
 		}
 		s.cfg.FaultEscalation = epochs
-	}
-}
-
-// WithStateBackends puts the network's canonical state on external
-// storage engines from birth: the account table is created on backend
-// (chain.NewAccountsOn) and, when cp is non-nil, every contract's
-// canonical state is paged through it. internal/pager implements both
-// faces over one disk-backed LRU cache; wiring it here — rather than
-// adopting after genesis — means a huge genesis population pages to
-// disk as it is provisioned instead of materialising in memory first.
-// Either argument may be nil to keep that side on the default
-// resident representation.
-func WithStateBackends(backend chain.AccountBackend, cp chain.ContractPager) Option {
-	return func(s *settings) {
-		s.accounts = backend
-		s.contPager = cp
 	}
 }

@@ -169,13 +169,7 @@ func NewNetwork(opts ...Option) *Network {
 		s.reg = obs.NewRegistry()
 	}
 	accounts := chain.NewAccounts()
-	if s.accounts != nil {
-		accounts = chain.NewAccountsOn(s.accounts)
-	}
 	contracts := chain.NewContracts()
-	if s.contPager != nil {
-		contracts.AttachPager(s.contPager)
-	}
 	d := dispatch.New(s.cfg.NumShards, accounts, contracts,
 		dispatch.WithMetrics(s.reg))
 	ovPool := make([]map[chain.Address]*chain.Overlay, s.cfg.NumShards)
@@ -789,13 +783,6 @@ func (n *Network) commit(deltas []*chain.StateDelta, accounts *chain.AccountDelt
 		n.undo.Rollback()
 	} else {
 		n.undo.Reset()
-	}
-	// Same pointer, after the last write to it: a no-op without a
-	// pager; under one it marks the unit dirty and puts it back if
-	// acquiring a later contract or an account page evicted it while
-	// the phase was still writing.
-	for i, c := range contracts {
-		c.ReplaceState(states[i])
 	}
 	if err != nil {
 		var conflict *chain.ConflictError

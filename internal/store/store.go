@@ -1,8 +1,11 @@
 // Package store is the durability backend behind
-// shard.Network.AttachStateStore: an append-only journal of committed epochs
-// plus periodic snapshots that cost what changed, from which a
-// restarted network recovers to the exact committed state — same epoch,
-// same next transaction id, bit-identical authenticated root.
+// shard.Network.AttachStateStore. Canonical state is always resident in
+// memory; what the store keeps on disk is an append-only journal of
+// committed epochs plus periodic snapshots that cost what changed, from
+// which a restarted network recovers to the exact committed state —
+// same epoch, same next transaction id, bit-identical authenticated
+// root. A directory the retired paged store wrote (a pages/
+// subdirectory) is refused with ErrPagedState.
 //
 // On disk a state directory holds:
 //
@@ -67,7 +70,6 @@ import (
 	"sync"
 
 	"cosplit/internal/obs"
-	"cosplit/internal/pager"
 	"cosplit/internal/shard"
 	"cosplit/internal/wire"
 )
@@ -83,6 +85,21 @@ var ErrCorruptSnapshot = errors.New("store: corrupt snapshot")
 // ErrJournalGap reports a journal whose next block skips past the
 // recovered epoch — blocks are missing and replay cannot continue.
 var ErrJournalGap = errors.New("store: journal gap")
+
+// ErrPagedState reports a directory written by the retired paged store.
+// Its state lived in a pages/ subdirectory and every page flush
+// truncated the journal, so neither the snapshot chain nor the journal
+// can rebuild it: Open and Restore refuse it before touching anything.
+var ErrPagedState = errors.New("store: paged state directory (no longer readable)")
+
+// refusePaged fails with ErrPagedState when dir holds a pages/
+// subdirectory.
+func refusePaged(dir string) error {
+	if _, err := os.Stat(filepath.Join(dir, "pages")); err == nil {
+		return fmt.Errorf("%w: %s", ErrPagedState, dir)
+	}
+	return nil
+}
 
 // Store is a state directory opened for writing. It implements
 // shard.StateStore: attach with Network.AttachStateStore and every
@@ -102,13 +119,6 @@ type Store struct {
 	// cpBuf is the scratch a journal record's checkpoint is encoded in.
 	cpBuf []byte
 
-	// Paged mode (WithPagedState): state lives in pages/ behind an LRU
-	// cache instead of full snapshot files.
-	paged       bool
-	pagedBudget int64
-	pagedOpts   []pager.Option
-	pager       *pager.Pager
-
 	// What the next snapshot file extends. chain is the directory's
 	// snapshot files as recovered or written since (chain.epoch: the
 	// newest one's, or genesis), dirty the keys written by the blocks
@@ -124,7 +134,6 @@ type Store struct {
 	tracked bool
 	fresh   bool
 
-	reg             *obs.Registry
 	journalRecords  *obs.Counter
 	snapshots       *obs.Counter
 	snapshotsFull   *obs.Counter
@@ -161,7 +170,6 @@ func WithRegistry(reg *obs.Registry) Option {
 }
 
 func (s *Store) metrics(reg *obs.Registry) {
-	s.reg = reg
 	s.journalRecords = reg.Counter("store.journal_records")
 	s.snapshots = reg.Counter("store.snapshots")
 	s.snapshotsFull = reg.Counter("store.snapshots_full")
@@ -174,8 +182,13 @@ func (s *Store) metrics(reg *obs.Registry) {
 
 // Open opens (creating if needed) a state directory for writing. The
 // journal is positioned for append; call Recover first on a directory
-// that may hold previous state — opening alone reads nothing.
+// that may hold previous state — opening alone reads nothing. A
+// directory the retired paged store wrote fails with ErrPagedState
+// before anything is created.
 func Open(dir string, opts ...Option) (*Store, error) {
+	if err := refusePaged(dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -195,13 +208,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	}
 	s.w = bufio.NewWriter(f)
 	s.journalBytes.Set(end)
-	s.fresh = !s.paged && end == 0 && len(snapshotsIn(dir)) == 0
-	if s.paged {
-		if err := s.openPager(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
+	s.fresh = end == 0 && len(snapshotsIn(dir)) == 0
 	return s, nil
 }
 
@@ -311,8 +318,7 @@ func (s *Store) Snapshot(n *shard.Network) error {
 
 // snapshot writes snapshot-<epoch>.snap for cp and compacts the
 // journal. Called with s.mu held, between epochs (the pipeline is
-// blocked in EpochCommitted), so canonical state is quiescent. In paged
-// mode the page index takes the snapshot's place.
+// blocked in EpochCommitted), so canonical state is quiescent.
 //
 // The fold rule decides what the file holds, counting in leaves of a
 // full file: a dirty account costs one, a dirty contract component the
@@ -328,9 +334,6 @@ func (s *Store) Snapshot(n *shard.Network) error {
 // than the state has leaves: recovery reads less than two states' worth,
 // and the directory holds less than two full snapshots plus the journal.
 func (s *Store) snapshot(n *shard.Network, cp shard.Checkpoint, forced bool) error {
-	if s.pager != nil {
-		return s.pagedCheckpoint(n, cp)
-	}
 	leaves := n.StateLeaves()
 	var inc *incremental
 	if !forced && s.tracked && s.chain.cost+s.dirty.cost < leaves {
@@ -402,9 +405,6 @@ func (s *Store) Recover(n *shard.Network) error {
 	if s.f == nil {
 		return errors.New("store: closed")
 	}
-	if s.pager != nil {
-		return s.recoverPaged(n)
-	}
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: recover: %w", err)
 	}
@@ -437,6 +437,34 @@ func (s *Store) Recover(n *shard.Network) error {
 	return nil
 }
 
+// compactJournal restarts the journal after a snapshot has made its
+// contents redundant. Called with s.mu held.
+func (s *Store) compactJournal() error {
+	if err := s.f.Truncate(0); err != nil {
+		return fmt.Errorf("store: compact journal: %w", err)
+	}
+	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("store: compact journal: %w", err)
+	}
+	s.w.Reset(s.f)
+	s.journalBytes.Set(0)
+	return nil
+}
+
+// truncateJournal cuts the journal after its last valid frame, at
+// offset good, and positions it for append. Called with s.mu held.
+func (s *Store) truncateJournal(good int64) error {
+	if err := s.f.Truncate(good); err != nil {
+		return fmt.Errorf("store: recover: truncate journal: %w", err)
+	}
+	if _, err := s.f.Seek(good, io.SeekStart); err != nil {
+		return fmt.Errorf("store: recover: %w", err)
+	}
+	s.w.Reset(s.f)
+	s.journalBytes.Set(good)
+	return nil
+}
+
 // Chain reports the snapshot files the directory's state currently
 // rests on, as recovered or as written since: full (0 when it rests on
 // genesis, else 1) and the incremental files after it.
@@ -450,10 +478,10 @@ func (s *Store) Chain() (full, incremental int) {
 // it: no truncation, no sweep, no journal handle kept. Replicas use it
 // to catch up from another role's directory (e.g. a shard node
 // re-syncing from the DS committee's state) before resuming live
-// replay.
+// replay. Like Open, it refuses a paged directory with ErrPagedState.
 func Restore(dir string, n *shard.Network) error {
-	if hasPagedState(dir) {
-		return restorePaged(dir, n)
+	if err := refusePaged(dir); err != nil {
+		return err
 	}
 	var journal io.Reader
 	switch f, err := os.Open(filepath.Join(dir, journalName)); {

@@ -541,3 +541,55 @@ func TestRecoverRefusesPreviousVersionJournal(t *testing.T) {
 		t.Errorf("Restore over a version-%d journal: %v, want ErrVersionSkew", wire.Version-1, err)
 	}
 }
+
+// TestOpenRefusesPagedStateDir: a directory the retired paged store
+// wrote holds its state under pages/ and a journal its flushes
+// truncated. Opened as a resident store it would recover to genesis
+// (empty journal) or fail with ErrJournalGap (one that starts past
+// genesis); Open and Restore must instead refuse it with ErrPagedState
+// and leave every file as it was.
+func TestOpenRefusesPagedStateDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "pages"), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{filepath.Join("pages", "pages.idx"), journalName} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirListing(t, dir)
+	st, err := Open(dir)
+	if err == nil {
+		st.Close()
+	}
+	if !errors.Is(err, ErrPagedState) {
+		t.Errorf("Open over a paged directory: %v, want ErrPagedState", err)
+	}
+	if err := Restore(dir, provisionFT(t).Net); !errors.Is(err, ErrPagedState) {
+		t.Errorf("Restore over a paged directory: %v, want ErrPagedState", err)
+	}
+	if after := dirListing(t, dir); after != before {
+		t.Errorf("refused open changed the directory:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// dirListing renders dir (recursively) as name:modtime lines, for
+// asserting read-only behaviour.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	out := ""
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if !info.IsDir() {
+			out += path + ":" + info.ModTime().String() + "\n"
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}

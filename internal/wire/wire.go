@@ -90,6 +90,9 @@ const (
 	MsgStateQuery MsgType = 7
 	MsgStateResp  MsgType = 8
 	MsgStateDelta MsgType = 9
+	// 15–17 stay reserved: they tagged the retired paged store's account
+	// pages, contract pages and page index. Directories it wrote still
+	// hold such frames, so no later record type may reuse the numbers.
 )
 
 func (t MsgType) String() string {
@@ -124,12 +127,6 @@ func (t MsgType) String() string {
 		return "snapshot_end"
 	case MsgSnapshotSince:
 		return "snapshot_since"
-	case MsgAccountPage:
-		return "account_page"
-	case MsgContractPage:
-		return "contract_page"
-	case MsgPageIndex:
-		return "page_index"
 	case MsgBlockRequest:
 		return "block_request"
 	case MsgBlockResponse:

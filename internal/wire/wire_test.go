@@ -196,30 +196,6 @@ func fixtures() []fixture {
 		{"snapshot_accounts", MsgSnapshotAccounts, accountsb},
 		{"snapshot_end", MsgSnapshotEnd, EncodeSnapshotEnd(&SnapshotEnd{Contracts: 1, Accounts: 2})},
 		{"snapshot_since", MsgSnapshotSince, EncodeSnapshotSince(&SnapshotSince{Epoch: 4})},
-		{"account_page", MsgAccountPage, EncodeAccountPage(&AccountPage{
-			PageID: 42, Version: 7, Accounts: []SnapshotAccount{
-				{Addr: chain.AddrFromUint(7), Balance: big.NewInt(0), IsContract: true},
-				{Addr: chain.AddrFromUint(100), Balance: big.NewInt(1 << 40), Nonce: 3},
-			},
-		})},
-		{"contract_page", MsgContractPage, mustEnc(EncodeContractPage(&ContractPage{
-			Addr: chain.AddrFromUint(7), Version: 9,
-			Fields: map[string]value.Value{
-				"total_supply": value.Uint128(1 << 30),
-				"owner":        value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)},
-			},
-		}))},
-		{"page_index", MsgPageIndex, EncodePageIndex(&PageIndex{
-			Checkpoint:  shard.Checkpoint{Epoch: 6, BlockNumber: 6, NextTxID: 45},
-			Root:        "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08",
-			PageCount:   64,
-			NextVersion: 12,
-			Accounts: []PageIndexAccounts{
-				{PageID: 3, Version: 10, Count: 5},
-				{PageID: 42, Version: 7, Count: 2},
-			},
-			Contracts: []PageIndexContract{{Addr: chain.AddrFromUint(7), Version: 9}},
-		})},
 		{"block_request", MsgBlockRequest, EncodeBlockRequest(&BlockRequest{From: 3, To: 7})},
 		{"block_response", MsgBlockResponse, mustEnc(blockResponse(&BlockResponse{
 			From: 5, Head: 6, Blocks: []*shard.FinalBlock{fixtureFinalBlock()},
@@ -346,24 +322,6 @@ func reencode(t MsgType, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		return EncodeSnapshotSince(v), nil
-	case MsgAccountPage:
-		v, err := DecodeAccountPage(payload)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeAccountPage(v), nil
-	case MsgContractPage:
-		v, err := DecodeContractPage(payload)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeContractPage(v)
-	case MsgPageIndex:
-		v, err := DecodePageIndex(payload)
-		if err != nil {
-			return nil, err
-		}
-		return EncodePageIndex(v), nil
 	case MsgBlockRequest:
 		v, err := DecodeBlockRequest(payload)
 		if err != nil {

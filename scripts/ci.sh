@@ -44,21 +44,16 @@ go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
 # The persistence race run covers the state store (journal append,
 # snapshot chains and their fold rule, recovery from every crash state
 # around a boundary, the seeded recovery-equivalence property over nested
-# maps and deletes), the disk-backed page cache (concurrent
-# faults and evictions under the accounts lock), and the incremental
-# root trie under -short (the million-account tests opt out of the
-# race detector; the trie's golden root and edge-order checks do not),
-# an eviction inside a commit phase, and the refusal of a
-# previous-version journal. The paged store and cluster tests run in
-# their packages' race lines above/below as well; internal/pager is
-# listed explicitly because nothing else covers it.
-go test -race -short ./internal/store/... ./internal/trie/... ./internal/pager/...
-# Memory-budget regression gate: the million-account paged run asserts
-# its live-heap ceiling in-test; GOMEMLIMIT pins the runtime's GC
-# target just above that ceiling so quiet heap growth degrades into GC
-# thrash and a visibly slow (or failed) run instead of passing on a
-# big-RAM host.
-GOMEMLIMIT=512MiB go test -run 'TestMillionAccountsPagedBudget' -timeout 20m ./internal/store/
+# maps and deletes, the refusal of a previous-version journal and of a
+# directory the retired paged store wrote) and the incremental root trie
+# under -short (the million-account test opts out of the race detector;
+# the trie's golden root and edge-order checks do not).
+go test -race -short ./internal/store/... ./internal/trie/...
+# Residency gate: the million-account run asserts its live-heap ceiling
+# in-test; GOMEMLIMIT pins the runtime's GC target just above that
+# ceiling so quiet heap growth degrades into GC thrash and a visibly
+# slow (or failed) run instead of passing on a big-RAM host.
+GOMEMLIMIT=512MiB go test -run 'TestMillionAccountsBoundedMemory' -timeout 20m ./internal/store/
 # Compile-and-run smoke of the commit benchmarks (one iteration each;
 # the 1M-holder set-up dominates, about 10 s): the in-place merge per
 # field and the holders sweep whose rows EXPERIMENTS.md records, and the
@@ -119,7 +114,6 @@ refused() {
 }
 refused -faults -serve 127.0.0.1:18545 -faults "7:crash=0.1"
 refused -trace-out -serve 127.0.0.1:18545 -trace-out /tmp/cosplit-trace.jsonl
-refused -state-budget -serve 127.0.0.1:18545 -state-dir /tmp/cosplit-none -state-budget 1048576
 refused -metrics-out -node ds -hub 127.0.0.1:19100 -metrics-out /tmp/cosplit-metrics.json
 STATE_DIR=$(mktemp -d)
 FINAL=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -txs 200 -epochs 4 | grep '^state: final')
@@ -158,28 +152,6 @@ I2=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapsho
 [ "$I1" = "$I2" ]
 [ -z "$(ls "$INC_DIR" | grep '\.tmp$' || true)" ]
 rm -rf "$INC_DIR"
-# Paged-state smoke: the same restart-recovery and SIGKILL checks with
-# canonical state behind a deliberately tiny disk-backed page cache
-# (-state-budget 1MiB): the paged run must finish on the identical
-# root the fully resident run above printed (bit-identical execution),
-# recover to it from pages with a cold cache, and survive a SIGKILL
-# mid-flight — dirty pages are only published by the atomic index
-# commit, so recovery lands on the last flushed checkpoint plus the
-# journal tail, and two consecutive recoveries agree.
-PAGED_DIR=$(mktemp -d)
-FINAL_P=$(/tmp/cosplit-shardsim -state-dir "$PAGED_DIR" -state-budget 1048576 -workloads "FT transfer" -txs 200 -epochs 4 | grep '^state: final')
-[ "${FINAL_P#state: final }" = "${FINAL#state: final }" ]
-RECOVERED_P=$(/tmp/cosplit-shardsim -state-dir "$PAGED_DIR" -state-budget 1048576 -workloads "FT transfer" -epochs 0 | grep '^state: recovered')
-[ "${FINAL_P#state: final }" = "${RECOVERED_P#state: recovered }" ]
-/tmp/cosplit-shardsim -state-dir "$PAGED_DIR" -state-budget 1048576 -workloads "FT transfer" -txs 200 -epochs 100000 &
-KILL_PID=$!
-sleep 2
-kill -9 $KILL_PID
-wait $KILL_PID || true
-P1=$(/tmp/cosplit-shardsim -state-dir "$PAGED_DIR" -state-budget 1048576 -workloads "FT transfer" -epochs 0 | grep '^state: recovered')
-P2=$(/tmp/cosplit-shardsim -state-dir "$PAGED_DIR" -state-budget 1048576 -workloads "FT transfer" -epochs 0 | grep '^state: recovered')
-[ "$P1" = "$P2" ]
-rm -rf "$PAGED_DIR"
 # Node-mode smoke: boot the JSON-RPC front door over a cluster whose
 # internal traffic runs on real TCP sockets, hammer it closed-loop,
 # and require every transaction to commit with a receipt. The final
@@ -251,6 +223,3 @@ done
 kill $HUB_PID
 wait $HUB_PID || true
 rm -rf "$NODE_DIR"
-# After regenerating BENCH_state.json, scripts/benchdiff.sh OLD NEW
-# fails on a >10% regression of its gating metric (the default-budget
-# paged TPS).
