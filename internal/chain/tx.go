@@ -67,8 +67,9 @@ type Receipt struct {
 	Events []value.Msg
 	// RawEvents is the events' wire encoding (their count, then each
 	// message): a range of bytes somebody else owns — the payload of the
-	// block the receipt was decoded from, or the shard.ReceiptLog that
-	// filed it and handed out this copy of the header. The decoder has
+	// block the receipt was decoded from, or the lookup's receipt log
+	// (node.ReceiptLog, the one role that keeps receipts) that filed it
+	// and handed out this copy of the header. The decoder has
 	// validated every byte of it; wire.ReceiptEvents builds the messages
 	// on demand, and an encoder copies it when Events is nil. Nobody
 	// writes through it, and it keeps its owner's bytes alive only while

@@ -88,14 +88,11 @@ func TestOneEncodePerEpoch(t *testing.T) {
 	const epochs, perEpoch = 4, 30
 	before := wire.Counts()
 	var sent [][]byte
-	var first, last uint64
+	var last uint64
 	for e := 0; e < epochs; e++ {
 		for i := 0; i < perEpoch; i++ {
 			if last, err = cluster.Lookup.SubmitTx(w.Next(envSrc)); err != nil {
 				t.Fatal(err)
-			}
-			if first == 0 {
-				first = last
 			}
 		}
 		if res := cluster.Tick(); res.Err != nil || res.Stats.Committed != perEpoch {
@@ -157,13 +154,6 @@ func TestOneEncodePerEpoch(t *testing.T) {
 	for _, s := range cluster.Shards {
 		if err := s.Err(); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
-		}
-		// The replica's own log answers for every transaction, from the
-		// bytes it applied.
-		for id := first; id <= last; id++ {
-			if r := s.Net().Receipt(id); r == nil || r.Events != nil || r.RawEvents == nil {
-				t.Fatalf("%s: receipt %d filed as %+v", s.name, id, r)
-			}
 		}
 	}
 	for _, role := range []string{"ds", "shard-0", "shard-1", "shard-2"} {

@@ -254,6 +254,65 @@ func clusterRoots(t *testing.T, sc goldenScenario) []string {
 	return roots
 }
 
+// TestEpochReceiptsAreTheBlocks: what an epoch returns in
+// EpochStats.Receipts is what its FinalBlock carries, element for
+// element, on every epoch of every golden scenario — the collected
+// block's receipts are the very slice, and a run that collects no block
+// returns equal receipts.
+func TestEpochReceiptsAreTheBlocks(t *testing.T) {
+	for _, sc := range goldenScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			opts := append([]shard.Option{shard.WithShards(goldenShards)}, sc.opts...)
+			collecting, err := sc.genesis(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := sc.genesis(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, err := sc.stream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := 0; e < goldenEpochs; e++ {
+				for i := 0; i < goldenPerEpoch; i++ {
+					tx := next()
+					collecting.Submit(tx)
+					plain.Submit(tx)
+				}
+				run := collecting.BeginEpoch()
+				run.CollectFinalBlock()
+				blocks := make([]*shard.MicroBlock, len(run.Queues()))
+				for s, q := range run.Queues() {
+					if blocks[s], err = collecting.ExecuteShard(s, q); err != nil {
+						t.Fatalf("epoch %d shard %d: %v", e, s, err)
+					}
+				}
+				stats, fb, err := collecting.FinalizeEpoch(run, blocks)
+				if err != nil {
+					t.Fatalf("epoch %d: %v", e, err)
+				}
+				if len(stats.Receipts) != len(fb.Receipts) {
+					t.Fatalf("epoch %d: %d receipts returned, the block carries %d", e, len(stats.Receipts), len(fb.Receipts))
+				}
+				for i, r := range fb.Receipts {
+					if stats.Receipts[i] != r {
+						t.Fatalf("epoch %d: returned receipt %d is not the block's: %+v, block %+v", e, i, stats.Receipts[i], r)
+					}
+				}
+				plainStats, err := plain.RunEpoch()
+				if err != nil {
+					t.Fatalf("epoch %d: %v", e, err)
+				}
+				if !reflect.DeepEqual(plainStats.Receipts, fb.Receipts) {
+					t.Fatalf("epoch %d: RunEpoch returned receipts that differ from the block's", e)
+				}
+			}
+		})
+	}
+}
+
 // TestGoldenStateRoots asserts the recorded roots on both engines and
 // over the cluster.
 //

@@ -8,7 +8,6 @@ import (
 
 	"cosplit/internal/chain"
 	"cosplit/internal/obs"
-	"cosplit/internal/shard"
 	"cosplit/internal/wire"
 )
 
@@ -16,12 +15,14 @@ import (
 // queries to the DS committee over the wire, correlates the responses,
 // and files the receipts of FinalBlock broadcasts so clients can poll
 // commit status without touching the committee. It holds no state
-// replica — it is a light client. The receipt log is bounded
-// (LookupReceiptCap): oldest receipts are evicted first, so a
-// long-running lookup's memory stays flat no matter how many epochs
-// flow past it. Receipts rest there packed, their events encoded, in
-// bytes the log owns — no frame and no block outlives its handling;
-// wire.ReceiptEvents builds the events for the client that asks.
+// replica — it is a light client — and it is the one role that keeps
+// receipts: the committee and the shard replicas apply blocks and keep
+// none. The receipt log is bounded (LookupReceiptCap): oldest receipts
+// are evicted first, so a long-running lookup's memory stays flat no
+// matter how many epochs flow past it. Receipts rest there packed,
+// their events encoded, in bytes the log owns — no frame and no block
+// outlives its handling; wire.ReceiptEvents builds the events for the
+// client that asks.
 type Lookup struct {
 	name string
 	ep   Endpoint
@@ -38,7 +39,7 @@ type Lookup struct {
 	corr          uint64
 	submits       map[uint64]chan *wire.SubmitResp
 	queries       map[uint64]chan *wire.StateResp
-	receipts      *shard.ReceiptLog
+	receipts      *ReceiptLog
 	receiptsGauge *obs.Gauge
 	bytesGauge    *obs.Gauge
 	epoch         uint64
@@ -64,11 +65,11 @@ func LookupObs(reg *obs.Registry, rec obs.Recorder) LookupOption {
 	return func(c *lookupConfig) { c.reg, c.rec = reg, rec }
 }
 
-// LookupReceiptCap bounds the receipt log to the n most recent
-// receipts (default shard.DefaultReceiptCap, 100000). Older receipts
-// are evicted FIFO; a client
-// that polls too late simply sees nil, exactly as if the receipt's
-// FinalBlock broadcast had been lost.
+// LookupReceiptCap bounds the lookup's receipt log, the only one in a
+// cluster, to the n most recent receipts (default DefaultReceiptCap,
+// 100000). Older receipts are evicted FIFO; a client that polls too
+// late simply sees nil, exactly as if the receipt's FinalBlock
+// broadcast had been lost.
 func LookupReceiptCap(n int) LookupOption {
 	return func(c *lookupConfig) {
 		if n > 0 {
@@ -97,7 +98,7 @@ func NewLookup(name string, ep Endpoint, ds string, opts ...LookupOption) *Looku
 		quit:          make(chan struct{}),
 		submits:       make(map[uint64]chan *wire.SubmitResp),
 		queries:       make(map[uint64]chan *wire.StateResp),
-		receipts:      shard.NewReceiptLog(c.receiptCap),
+		receipts:      NewReceiptLog(c.receiptCap),
 		receiptsGauge: c.reg.Gauge("node.lookup_receipts"),
 		bytesGauge:    c.reg.Gauge("node.lookup_receipt_bytes"),
 		commitCh:      make(chan struct{}),
@@ -177,7 +178,8 @@ func (l *Lookup) loop() {
 // wire.DecodeFinalBlockReceipts reads them with the reader a replica's
 // DecodeFinalBlock uses, told not to build, so they are checked exactly
 // as a replica checks them and none is built. The log copies what it
-// files, so the payload is garbage on return.
+// files, so the payload is garbage on return. A block whose receipts
+// the log refuses is a receive error, like one that does not decode.
 func (l *Lookup) finalBlock(payload []byte) error {
 	epoch, root, recs, err := wire.DecodeFinalBlockReceipts(payload)
 	if err != nil {
@@ -185,7 +187,9 @@ func (l *Lookup) finalBlock(payload []byte) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.receipts.File(recs)
+	if err := l.receipts.File(recs); err != nil {
+		return err
+	}
 	l.receiptsGauge.Set(int64(l.receipts.Len()))
 	l.bytesGauge.Set(int64(l.receipts.Bytes()))
 	if epoch >= l.epoch {

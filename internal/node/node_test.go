@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cosplit/internal/chain"
 	"cosplit/internal/dispatch"
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
@@ -52,6 +53,7 @@ func TestCrossModeStateRoots(t *testing.T) {
 
 	const epochs, perEpoch = 5, 25
 	var lastID uint64
+	var monoReceipts []*chain.Receipt
 	for e := 0; e < epochs; e++ {
 		for i := 0; i < perEpoch; i++ {
 			idM := envMono.Net.Submit(w.Next(envMono))
@@ -64,9 +66,11 @@ func TestCrossModeStateRoots(t *testing.T) {
 			}
 			lastID = idC
 		}
-		if _, err := envMono.Net.RunEpoch(); err != nil {
+		stats, err := envMono.Net.RunEpoch()
+		if err != nil {
 			t.Fatal(err)
 		}
+		monoReceipts = stats.Receipts
 		res := cluster.Tick()
 		if res.Err != nil {
 			t.Fatalf("epoch %d: tick: %v", e, res.Err)
@@ -85,7 +89,12 @@ func TestCrossModeStateRoots(t *testing.T) {
 	if rc == nil {
 		t.Fatalf("receipt for tx %d never reached the lookup", lastID)
 	}
-	rm := envMono.Net.Receipt(lastID)
+	var rm *chain.Receipt
+	for _, r := range monoReceipts {
+		if r.TxID == lastID {
+			rm = r
+		}
+	}
 	if rm == nil || rc.Success != rm.Success || rc.Shard != rm.Shard || rc.Epoch != rm.Epoch {
 		t.Fatalf("receipt skew: cluster %+v, monolithic %+v", rc, rm)
 	}
@@ -314,8 +323,12 @@ func TestDeadShardEscalatesToDS(t *testing.T) {
 		}
 		switch {
 		case e == 1:
+			done := map[uint64]bool{}
+			for _, r := range res.Stats.Receipts {
+				done[r.TxID] = true
+			}
 			for _, id := range ids {
-				if cluster.DS.Net().Receipt(id) == nil {
+				if !done[id] {
 					lost = append(lost, id)
 				}
 			}
@@ -333,16 +346,13 @@ func TestDeadShardEscalatesToDS(t *testing.T) {
 		}
 	}
 	for _, id := range lost {
-		r := cluster.DS.Net().Receipt(id)
+		r := cluster.Lookup.WaitReceipt(id, 5*time.Second)
 		if r == nil || !r.Success || r.Shard != dispatch.DS {
-			t.Fatalf("tx %d: receipt %+v, want a success on the DS route", id, r)
+			t.Fatalf("tx %d: the lookup's receipt %+v, want a success on the DS route", id, r)
 		}
 	}
 
 	want := cluster.DS.Net().StateRoot()
-	if rc := cluster.Lookup.WaitReceipt(lost[len(lost)-1], 5*time.Second); rc == nil {
-		t.Fatal("the escalated transactions' receipts never reached the lookup")
-	}
 	if _, root := cluster.Lookup.Chain(); root != want {
 		t.Errorf("lookup root %s, want %s", root, want)
 	}

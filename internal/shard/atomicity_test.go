@@ -97,6 +97,7 @@ func probeCall(from, probe chain.Address, nonce, amount uint64, transition strin
 // sender, only gas and the nonce charged — and identically whether it
 // ran in a shard or on the DS committee.
 func TestFailedCallMovesNoTokens(t *testing.T) {
+	recs := receiptBook{}
 	net, probe, user := probeNet(t)
 	inShard, viaDS := user(100, true, 1_000_000), user(200, false, 1_000_000)
 	recipient := user(300, true, 0)
@@ -106,14 +107,14 @@ func TestFailedCallMovesNoTokens(t *testing.T) {
 		}))
 	}
 	ids := map[string]uint64{"shard": spill(inShard), "DS": spill(viaDS)}
-	if _, err := net.RunEpoch(); err != nil {
+	if _, err := recs.add(net.RunEpoch()); err != nil {
 		t.Fatal(err)
 	}
 
 	senders := map[string]chain.Address{"shard": inShard, "DS": viaDS}
 	spent := map[string]uint64{}
 	for route, id := range ids {
-		rec := net.Receipt(id)
+		rec := recs[id]
 		if rec == nil || rec.Success {
 			t.Fatalf("%s route: receipt %+v, want failure", route, rec)
 		}

@@ -59,6 +59,7 @@ func runPipeline(t *testing.T, w *workload.Workload, extra ...shard.Option) *pip
 	}
 	var ids []uint64
 	var sealed [][]byte
+	recs := receiptBook{}
 	const epochs, txsPerEpoch = 2, 300
 	for e := 0; e < epochs; e++ {
 		for i := env.Net.MempoolSize(); i < txsPerEpoch; i++ {
@@ -71,7 +72,8 @@ func runPipeline(t *testing.T, w *workload.Workload, extra ...shard.Option) *pip
 				t.Fatalf("epoch %d shard %d: %v", e, s, err)
 			}
 		}
-		if _, _, err := env.Net.FinalizeEpoch(run, blocks); err != nil {
+		stats, _, err := env.Net.FinalizeEpoch(run, blocks)
+		if _, err = recs.add(stats, err); err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
 		for _, mb := range blocks {
@@ -90,7 +92,7 @@ func runPipeline(t *testing.T, w *workload.Workload, extra ...shard.Option) *pip
 		shardGas: make(map[int]uint64),
 	}
 	for _, id := range ids {
-		r := env.Net.Receipt(id)
+		r := recs[id]
 		if r == nil {
 			res.receipts[id] = "pending"
 			continue

@@ -53,6 +53,7 @@ func TestGasLimitDefersTransactions(t *testing.T) {
 // the Submit queue — visible through MempoolSize — and commit in a
 // later epoch. Regression for silently dropping deferred work.
 func TestDeferredTxsRequeue(t *testing.T) {
+	recs := receiptBook{}
 	net := shard.NewNetwork(shard.WithGasLimits(100, 100))
 	deployer := chain.AddrFromUint(999)
 	net.CreateUser(deployer, 1<<40)
@@ -66,7 +67,7 @@ func TestDeferredTxsRequeue(t *testing.T) {
 	for n := uint64(1); n <= 5; n++ {
 		ids = append(ids, net.Submit(transferTx(owner, chain.AddrFromUint(100+n), contract, n, 1)))
 	}
-	stats, err := net.RunEpoch()
+	stats, err := recs.add(net.RunEpoch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestDeferredTxsRequeue(t *testing.T) {
 		t.Errorf("Submit queue holds %d txs, want the %d deferred", got, stats.Deferred)
 	}
 	for epochs := 0; net.MempoolSize() > 0; epochs++ {
-		if _, err := net.RunEpoch(); err != nil {
+		if _, err := recs.add(net.RunEpoch()); err != nil {
 			t.Fatal(err)
 		}
 		if epochs > 20 {
@@ -85,7 +86,7 @@ func TestDeferredTxsRequeue(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		if rec := net.Receipt(id); rec == nil || !rec.Success {
+		if rec := recs[id]; rec == nil || !rec.Success {
 			t.Errorf("tx %d: receipt %+v, want committed", id, rec)
 		}
 	}
@@ -94,6 +95,7 @@ func TestDeferredTxsRequeue(t *testing.T) {
 // TestInterContractCallInDS: a contract-to-contract message chain is
 // executed by the DS committee.
 func TestInterContractCallInDS(t *testing.T) {
+	recs := receiptBook{}
 	const routerSrc = `
 scilla_version 0
 
@@ -147,7 +149,7 @@ end
 			"to": router.Value(), "amount": u128(500),
 		},
 	})
-	if _, err := net.RunEpoch(); err != nil {
+	if _, err := recs.add(net.RunEpoch()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,10 +163,10 @@ end
 			"to": dest.Value(), "amount": u128(123),
 		},
 	})
-	if _, err := net.RunEpoch(); err != nil {
+	if _, err := recs.add(net.RunEpoch()); err != nil {
 		t.Fatal(err)
 	}
-	rec := net.Receipt(id)
+	rec := recs[id]
 	if rec == nil || !rec.Success {
 		t.Fatalf("forward receipt: %+v", rec)
 	}
@@ -216,6 +218,7 @@ func TestDeltaStatsReported(t *testing.T) {
 // whose balance barely covers gas cannot overdraw through a non-home
 // shard.
 func TestSplitGasAccounting(t *testing.T) {
+	recs := receiptBook{}
 	net := shard.NewNetwork(shard.WithShards(4), shard.WithSplitGasAccounting(true))
 	deployer := chain.AddrFromUint(999)
 	net.CreateUser(deployer, 1<<40)
@@ -230,10 +233,10 @@ func TestSplitGasAccounting(t *testing.T) {
 	poor := chain.AddrFromUint(5)
 	net.CreateUser(poor, 100)
 	id := net.Submit(transferTx(poor, owner, contract, 1, 0))
-	if _, err := net.RunEpoch(); err != nil {
+	if _, err := recs.add(net.RunEpoch()); err != nil {
 		t.Fatal(err)
 	}
-	rec := net.Receipt(id)
+	rec := recs[id]
 	if rec == nil {
 		t.Fatal("no receipt")
 	}

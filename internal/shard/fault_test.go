@@ -103,6 +103,7 @@ func mustParse(t *testing.T, s string) *fault.Plan {
 // queue, commits in the next epoch (regression for silently dropping
 // lost work).
 func TestCrashedShardRecovers(t *testing.T) {
+	recs := receiptBook{}
 	ev := &faultEvents{}
 	plan := fault.New().Set(1, 0, fault.Directive{Kind: fault.CrashMidEpoch})
 	net := shard.NewNetwork(shard.WithShards(2),
@@ -127,7 +128,7 @@ func TestCrashedShardRecovers(t *testing.T) {
 		t.Fatalf("test users all map to one shard (lost=%d of %d)", lostWant, len(users))
 	}
 
-	stats, err := net.RunEpoch()
+	stats, err := recs.add(net.RunEpoch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestCrashedShardRecovers(t *testing.T) {
 	// The lost transactions have no receipts yet.
 	pending := 0
 	for _, id := range ids {
-		if net.Receipt(id) == nil {
+		if recs[id] == nil {
 			pending++
 		}
 	}
@@ -163,7 +164,7 @@ func TestCrashedShardRecovers(t *testing.T) {
 
 	// Epoch 2 is healthy: the requeued batch commits and every
 	// transaction ends with a successful receipt.
-	stats2, err := net.RunEpoch()
+	stats2, err := recs.add(net.RunEpoch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestCrashedShardRecovers(t *testing.T) {
 		t.Errorf("epoch 2 unexpectedly faulted: %+v", stats2)
 	}
 	for _, id := range ids {
-		if rec := net.Receipt(id); rec == nil || !rec.Success {
+		if rec := recs[id]; rec == nil || !rec.Success {
 			t.Errorf("tx %d: receipt %+v after recovery", id, rec)
 		}
 	}
@@ -182,6 +183,7 @@ func TestCrashedShardRecovers(t *testing.T) {
 // execution; once the shard seals a healthy (empty) block the mask
 // clears and placement returns to the shard.
 func TestRepeatedFaultsEscalateToDS(t *testing.T) {
+	recs := receiptBook{}
 	ev := &faultEvents{}
 	plan := fault.New().
 		Set(1, 0, fault.Directive{Kind: fault.DropMicroBlock}).
@@ -213,7 +215,7 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 	}
 	first := submit()
 	for e := 1; e <= 2; e++ {
-		stats, err := net.RunEpoch()
+		stats, err := recs.add(net.RunEpoch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +230,7 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 	// Epoch 3: streak reached the bound, shard 0 is down. The requeued
 	// transfer and a fresh one both execute on the DS committee.
 	second := submit()
-	stats, err := net.RunEpoch()
+	stats, err := recs.add(net.RunEpoch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 		t.Fatal("no shard_escalated event")
 	}
 	for _, id := range []uint64{first, second} {
-		rec := net.Receipt(id)
+		rec := recs[id]
 		if rec == nil || !rec.Success {
 			t.Fatalf("tx %d after escalation: %+v", id, rec)
 		}
@@ -251,10 +253,10 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 	// Shard 0 sealed a healthy empty block in epoch 3, so the streak
 	// reset: epoch 4 routes its traffic back onto the shard.
 	third := submit()
-	if _, err := net.RunEpoch(); err != nil {
+	if _, err := recs.add(net.RunEpoch()); err != nil {
 		t.Fatal(err)
 	}
-	rec := net.Receipt(third)
+	rec := recs[third]
 	if rec == nil || !rec.Success {
 		t.Fatalf("tx %d after recovery: %+v", third, rec)
 	}
@@ -268,6 +270,7 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 // still commit — nothing may be lost in the crash/requeue/escalate
 // cycle — and the Submit queue must drain.
 func TestFaultLiveness(t *testing.T) {
+	recs := receiptBook{}
 	plan := fault.Generate(1234, fault.Spec{
 		CrashProb: 0.25, DropProb: 0.1, CorruptProb: 0.1, StraggleProb: 0.2,
 	})
@@ -283,7 +286,7 @@ func TestFaultLiveness(t *testing.T) {
 	}
 	drain := func() {
 		for net.MempoolSize() > 0 {
-			if _, err := net.RunEpoch(); err != nil {
+			if _, err := recs.add(net.RunEpoch()); err != nil {
 				t.Fatal(err)
 			}
 			if epochs++; epochs > 200 {
@@ -316,7 +319,7 @@ func TestFaultLiveness(t *testing.T) {
 		t.Fatal("no transactions were lost to faults; the liveness check is vacuous")
 	}
 	for _, id := range ids {
-		rec := net.Receipt(id)
+		rec := recs[id]
 		if rec == nil {
 			t.Errorf("tx %d: submitted but never terminally processed", id)
 			continue

@@ -10,11 +10,11 @@ import (
 
 // gasBuckets sums committed gas per (epoch, shard) over the given
 // transaction ids' receipts.
-func gasBuckets(t *testing.T, net *shard.Network, ids []uint64) map[string]uint64 {
+func gasBuckets(t *testing.T, recs receiptBook, ids []uint64) map[string]uint64 {
 	t.Helper()
 	buckets := make(map[string]uint64)
 	for _, id := range ids {
-		rec := net.Receipt(id)
+		rec := recs[id]
 		if rec == nil {
 			t.Fatalf("tx %d has no receipt", id)
 		}
@@ -29,6 +29,7 @@ func gasBuckets(t *testing.T, net *shard.Network, ids []uint64) map[string]uint6
 // 100 could commit ~120 gas. Every (epoch, shard) bucket must now stay
 // within ShardGasLimit, with the overflowing transaction deferred.
 func TestShardBlockNeverExceedsGasLimit(t *testing.T) {
+	recs := receiptBook{}
 	const limit = 100
 	net, contract, users := deployFT(t, 1, 2, true, shard.WithGasLimits(limit, limit))
 	var ids []uint64
@@ -36,7 +37,7 @@ func TestShardBlockNeverExceedsGasLimit(t *testing.T) {
 		ids = append(ids, net.Submit(transferTx(users[0], users[1], contract, n, 1)))
 	}
 	for epochs := 0; net.MempoolSize() > 0; epochs++ {
-		if _, err := net.RunEpoch(); err != nil {
+		if _, err := recs.add(net.RunEpoch()); err != nil {
 			t.Fatal(err)
 		}
 		if epochs > 30 {
@@ -44,7 +45,7 @@ func TestShardBlockNeverExceedsGasLimit(t *testing.T) {
 		}
 	}
 	full := 0
-	for bucket, gas := range gasBuckets(t, net, ids) {
+	for bucket, gas := range gasBuckets(t, recs, ids) {
 		if gas > limit {
 			t.Errorf("%s committed %d gas, above the %d-gas block limit", bucket, gas, limit)
 		}
@@ -56,7 +57,7 @@ func TestShardBlockNeverExceedsGasLimit(t *testing.T) {
 		t.Fatal("no block came close to the gas limit; the bound was never exercised")
 	}
 	for _, id := range ids {
-		if rec := net.Receipt(id); !rec.Success {
+		if rec := recs[id]; !rec.Success {
 			t.Errorf("tx %d failed: %s", id, rec.Error)
 		}
 	}
@@ -67,6 +68,7 @@ func TestShardBlockNeverExceedsGasLimit(t *testing.T) {
 // a different home shard routes to DS (baseline strategy), so the
 // owner's transfers exercise the DS gas loop.
 func TestDSBlockNeverExceedsGasLimit(t *testing.T) {
+	recs := receiptBook{}
 	const limit = 100
 	for n := 2; n <= 5; n++ {
 		net, contract, users := deployFT(t, n, 2, false, shard.WithGasLimits(1_000_000, limit))
@@ -78,7 +80,7 @@ func TestDSBlockNeverExceedsGasLimit(t *testing.T) {
 			ids = append(ids, net.Submit(transferTx(users[0], users[1], contract, nonce, 1)))
 		}
 		for epochs := 0; net.MempoolSize() > 0; epochs++ {
-			if _, err := net.RunEpoch(); err != nil {
+			if _, err := recs.add(net.RunEpoch()); err != nil {
 				t.Fatal(err)
 			}
 			if epochs > 30 {
@@ -86,7 +88,7 @@ func TestDSBlockNeverExceedsGasLimit(t *testing.T) {
 			}
 		}
 		for _, id := range ids {
-			rec := net.Receipt(id)
+			rec := recs[id]
 			if rec.Shard != -1 {
 				t.Fatalf("tx %d executed on shard %d, want the DS committee", id, rec.Shard)
 			}
@@ -94,7 +96,7 @@ func TestDSBlockNeverExceedsGasLimit(t *testing.T) {
 				t.Errorf("tx %d failed: %s", id, rec.Error)
 			}
 		}
-		for bucket, gas := range gasBuckets(t, net, ids) {
+		for bucket, gas := range gasBuckets(t, recs, ids) {
 			if gas > limit {
 				t.Errorf("%s committed %d gas, above the %d-gas FinalBlock limit", bucket, gas, limit)
 			}
@@ -108,10 +110,11 @@ func TestDSBlockNeverExceedsGasLimit(t *testing.T) {
 // fresh epoch's full gas limit must fail terminally (charged up to the
 // block limit) instead of deferring forever.
 func TestOversizedCallFailsTerminally(t *testing.T) {
+	recs := receiptBook{}
 	const limit = 10 // well below one FT transfer's cost
 	net, contract, users := deployFT(t, 1, 2, true, shard.WithGasLimits(limit, limit))
 	id := net.Submit(transferTx(users[0], users[1], contract, 1, 1))
-	stats, err := net.RunEpoch()
+	stats, err := recs.add(net.RunEpoch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestOversizedCallFailsTerminally(t *testing.T) {
 	if net.MempoolSize() != 0 {
 		t.Errorf("oversized call deferred (%d pending), want terminal rejection", net.MempoolSize())
 	}
-	rec := net.Receipt(id)
+	rec := recs[id]
 	if rec == nil || rec.Success {
 		t.Fatalf("receipt %+v, want terminal failure", rec)
 	}

@@ -35,10 +35,6 @@ type netMetrics struct {
 	escalatedTxs     *obs.Counter
 
 	mempool *obs.Gauge
-	// The receipt log: receipts on file, and the bytes its packed
-	// batches occupy (ReceiptLog.Bytes).
-	receiptLogReceipts *obs.Gauge
-	receiptLogBytes    *obs.Gauge
 
 	queueDepth   *obs.Histogram // transactions queued per shard per epoch
 	shardGas     *obs.Histogram // gas committed per MicroBlock
@@ -94,8 +90,6 @@ func newNetMetrics(reg *obs.Registry) netMetrics {
 		escalations:         reg.Counter("fault.escalations"),
 		escalatedTxs:        reg.Counter("fault.escalated_txs"),
 		mempool:             reg.Gauge("net.mempool"),
-		receiptLogReceipts:  reg.Gauge("shard.receipt_log_receipts"),
-		receiptLogBytes:     reg.Gauge("shard.receipt_log_bytes"),
 		queueDepth:          reg.SizeHistogram("shard.queue_depth"),
 		shardGas:            reg.SizeHistogram("shard.gas_used"),
 		deltaEntries:        reg.SizeHistogram("merge.delta_entries"),

@@ -49,10 +49,11 @@ func TestOverflowGuard(t *testing.T) {
 				"amount":    value.Int{Ty: ast.TyUint128, V: mintAmount},
 			},
 		})
-		if _, err := net.RunEpoch(); err != nil {
+		recs := receiptBook{}
+		if _, err := recs.add(net.RunEpoch()); err != nil {
 			t.Fatal(err)
 		}
-		return net.Receipt(id)
+		return recs[id]
 	}
 
 	// A mint exceeding (MAX - v0)/3 but individually in range: the

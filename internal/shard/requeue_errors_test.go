@@ -17,6 +17,7 @@ import (
 // receipt's typed error still matches the executor sentinel with
 // errors.Is, carrying the transaction's identity in the message.
 func TestReceiptErrSurvivesRequeue(t *testing.T) {
+	recs := receiptBook{}
 	net := shard.NewNetwork(
 		shard.WithShards(1),
 		shard.WithGasLimits(3, 1000),
@@ -47,17 +48,17 @@ func TestReceiptErrSurvivesRequeue(t *testing.T) {
 	}
 	doomed := net.Submit(transfer(poor, bob, 1, 1000))
 
-	if _, err := net.RunEpoch(); err != nil {
+	if _, err := recs.add(net.RunEpoch()); err != nil {
 		t.Fatal(err)
 	}
-	if rec := net.Receipt(doomed); rec != nil {
+	if rec := recs[doomed]; rec != nil {
 		t.Fatalf("doomed tx processed in epoch 1, want deferral: %+v", rec)
 	}
-	if _, err := net.RunEpoch(); err != nil {
+	if _, err := recs.add(net.RunEpoch()); err != nil {
 		t.Fatal(err)
 	}
 
-	rec := net.Receipt(doomed)
+	rec := recs[doomed]
 	if rec == nil {
 		t.Fatal("doomed tx has no receipt after requeue epoch")
 	}
@@ -82,6 +83,7 @@ func TestReceiptErrSurvivesRequeue(t *testing.T) {
 // the same sentinel whether a shard or the DS committee executed it,
 // wrapped with the transaction's identity.
 func TestFailureReceiptsTypedOnBothRoutes(t *testing.T) {
+	recs := receiptBook{}
 	net, probe, user := probeNet(t)
 	inShard, viaDS := user(100, true, 1_000_000), user(200, false, 1_000_000)
 	poorIn, poorDS := user(300, true, 20_000), user(400, false, 20_000)
@@ -108,11 +110,11 @@ func TestFailureReceiptsTypedOnBothRoutes(t *testing.T) {
 	for i, row := range rows {
 		ids[i] = net.Submit(row.tx)
 	}
-	if _, err := net.RunEpoch(); err != nil {
+	if _, err := recs.add(net.RunEpoch()); err != nil {
 		t.Fatal(err)
 	}
 	for i, row := range rows {
-		rec := net.Receipt(ids[i])
+		rec := recs[ids[i]]
 		if rec == nil || rec.Success {
 			t.Errorf("%s: receipt %+v, want failure", row.name, rec)
 			continue

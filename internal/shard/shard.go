@@ -90,6 +90,17 @@ type EpochStats struct {
 	Lost        int
 	ViewChanges int
 	Escalated   int
+
+	// Receipts are the epoch's receipts in block order: dispatch
+	// rejections, then each surviving shard's in shard order, then the
+	// DS committee's. What this network executed is the executor's own
+	// receipt, with Events and the typed Err; a shard's that arrived in
+	// a decoded MicroBlock has its events as RawEvents. When the run
+	// collected a FinalBlock this is the block's Receipts slice. The
+	// network keeps none of them past the epoch: the lookup node is the
+	// role that keeps receipts, and an in-process caller keeps what it
+	// wants from here.
+	Receipts []*chain.Receipt
 }
 
 // Network is the simulated sharded blockchain.
@@ -119,7 +130,6 @@ type Network struct {
 	// next BeginEpoch dispatches them; deferred and lost batches rejoin
 	// it at the tail.
 	queue    []*chain.Tx
-	receipts *ReceiptLog
 	nextTxID uint64
 	mu       sync.Mutex
 
@@ -187,7 +197,6 @@ func NewNetwork(opts ...Option) *Network {
 		rec:         obs.Multi(s.recs...),
 		reg:         s.reg,
 		m:           newNetMetrics(s.reg),
-		receipts:    NewReceiptLog(0),
 		ovPool:      ovPool,
 		shardModel:  consensus.DefaultModel(s.cfg.NodesPerShard),
 		dsModel:     consensus.DefaultModel(s.cfg.NodesPerShard * 2),
@@ -252,7 +261,7 @@ func (n *Network) DeployContract(deployer chain.Address, source string,
 // Submit appends a transaction to the queue the next BeginEpoch
 // dispatches, in arrival order, and returns the id it assigns. Nothing
 // is refused here: the relaxed-nonce rule (Sec. 4.2.1) and unknown
-// senders are judged at dispatch, which files a rejection receipt.
+// senders are judged at dispatch, which writes a rejection receipt.
 func (n *Network) Submit(tx *chain.Tx) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -267,21 +276,6 @@ func (n *Network) Submit(tx *chain.Tx) uint64 {
 // because the benchmark's replay harness calls it.
 func (n *Network) SubmitTx(tx *chain.Tx) (uint64, error) {
 	return n.Submit(tx), nil
-}
-
-// Receipt returns the receipt for a transaction id, if it is among the
-// DefaultReceiptCap most recent this network has filed: every receipt
-// of every epoch it finalized or applied. A receipt for a transaction
-// this network executed itself (RunEpoch, the committee's own run) is
-// the executor's, with Events and Err; one that arrived in a MicroBlock
-// or FinalBlock is a fresh value per call, with its header fields and
-// its events still encoded (wire.ReceiptEvents) in bytes the log copied
-// out of the block — the block itself is not kept. Nil for an unknown
-// or evicted id.
-func (n *Network) Receipt(id uint64) *chain.Receipt {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.receipts.Receipt(id)
 }
 
 // MempoolSize returns the number of transactions waiting in the Submit
@@ -322,9 +316,6 @@ type EpochRun struct {
 	anyDown    bool
 	epochStart time.Time
 	collectFB  bool
-	// rejects are the dispatch-rejection receipts, kept so a collected
-	// FinalBlock carries every receipt of the epoch.
-	rejects []*chain.Receipt
 }
 
 // Epoch returns the epoch this run processes.
@@ -445,7 +436,7 @@ func (n *Network) BeginEpoch() *EpochRun {
 		if dec.Rejected {
 			stats.Rejected++
 			n.rec.TxDispatched(n.Epoch, tx.ID, rejectedShard, dec.Reason)
-			run.rejects = append(run.rejects, &chain.Receipt{TxID: tx.ID, Success: false, Error: dec.Reason, Shard: rejectedShard, Epoch: n.Epoch})
+			stats.Receipts = append(stats.Receipts, &chain.Receipt{TxID: tx.ID, Success: false, Error: dec.Reason, Shard: rejectedShard, Epoch: n.Epoch})
 			continue
 		}
 		n.rec.TxDispatched(n.Epoch, tx.ID, dec.Shard, dec.Reason)
@@ -458,7 +449,6 @@ func (n *Network) BeginEpoch() *EpochRun {
 			queues[dec.Shard] = append(queues[dec.Shard], tx)
 		}
 	}
-	n.file(run.rejects)
 	n.dsQueueBuf = dsQueue
 	run.queues = queues
 	run.dsQueue = dsQueue
@@ -476,11 +466,12 @@ func (n *Network) BeginEpoch() *EpochRun {
 }
 
 // RunEpoch processes the Submit queue through one full epoch and
-// returns its statistics. It is the monolithic composition of the
-// stage API: BeginEpoch, ExecuteShard over every queue one after
-// another, FinalizeEpoch. The modelled epoch time still charges the
-// slowest shard only (shards are distinct machines in the real
-// network).
+// returns its statistics, the epoch's receipts among them: the network
+// keeps none, so a caller that wants one later keeps it from
+// EpochStats.Receipts. It is the monolithic composition of the stage
+// API: BeginEpoch, ExecuteShard over every queue one after another,
+// FinalizeEpoch. The modelled epoch time still charges the slowest
+// shard only (shards are distinct machines in the real network).
 func (n *Network) RunEpoch() (*EpochStats, error) {
 	run := n.BeginEpoch()
 	blocks := make([]*MicroBlock, n.cfg.NumShards)
@@ -515,7 +506,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 
 	var fb *FinalBlock
 	if run.collectFB {
-		fb = &FinalBlock{Epoch: stats.Epoch, Receipts: run.rejects}
+		fb = &FinalBlock{Epoch: stats.Epoch}
 	}
 
 	var allDeltas []*chain.StateDelta
@@ -574,7 +565,6 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 		n.faultStreak[s] = 0
 		sum.ExecMax = max(sum.ExecMax, mb.ExecTime)
 		sum.ExecSum += mb.ExecTime
-		n.file(mb.Receipts)
 		for _, r := range mb.Receipts {
 			if r.Success {
 				stats.Committed++
@@ -583,9 +573,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 				stats.Failed++
 			}
 		}
-		if fb != nil {
-			fb.Receipts = append(fb.Receipts, mb.Receipts...)
-		}
+		stats.Receipts = append(stats.Receipts, mb.Receipts...)
 		perShardCounts[s] = len(mb.Receipts)
 		allDeltas = append(allDeltas, mb.Deltas...)
 		accDelta.Merge(mb.Accounts)
@@ -641,7 +629,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	}
 	sum.DSExec = time.Since(t2)
 	n.rec.ShardExecEnd(n.Epoch, dispatch.DS, sum.DSExec)
-	n.file(ds.Receipts)
+	stats.Receipts = append(stats.Receipts, ds.Receipts...)
 	for _, r := range ds.Receipts {
 		if r.Success {
 			stats.DSCount++
@@ -677,7 +665,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	if fb != nil {
 		fb.Deltas, fb.Accounts = allDeltas, accDelta
 		fb.DSDeltas, fb.DSAccounts = ds.Deltas, ds.Accounts
-		fb.Receipts = append(fb.Receipts, ds.Receipts...)
+		fb.Receipts = stats.Receipts
 		t3 := time.Now()
 		fb.StateRoot = n.StateRoot()
 		n.m.rootTime.ObserveDuration(time.Since(t3))
@@ -697,10 +685,11 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 
 // ApplyFinalBlock applies a DS-committed epoch on a replica: the
 // block's two commit phases through the same commit the committee
-// used, then the shipped receipts. Nothing is executed. The replica's
-// resulting state root must match the block's; a mismatch (a corrupted
-// frame that survived decoding, or replica divergence) fails with
-// ErrStateDivergence and commits nothing further.
+// used. Nothing is executed, and the block's receipts are not kept:
+// they are the lookup's to serve. The replica's resulting state root
+// must match the block's; a mismatch (a corrupted frame that survived
+// decoding, or replica divergence) fails with ErrStateDivergence and
+// commits nothing further.
 //
 // The replica must be at the block's epoch: it is built from the same
 // deterministic genesis as the DS committee's network and advances
@@ -730,7 +719,6 @@ func (n *Network) replayFinalBlock(fb *FinalBlock) error {
 	if _, err := n.commit(fb.DSDeltas, fb.DSAccounts); err != nil {
 		return fmt.Errorf("apply final block epoch %d: DS phase: %w", fb.Epoch, err)
 	}
-	n.file(fb.Receipts)
 	if fb.StateRoot != "" {
 		if root := n.StateRoot(); root != fb.StateRoot {
 			return fmt.Errorf("apply final block epoch %d: %w: replica root %s, block root %s",
@@ -888,15 +876,6 @@ func (n *Network) finishEpochMetrics(sum obs.EpochSummary) {
 // from-scratch render) after every epoch.
 func (n *Network) StateRoot() string {
 	return n.roots.Root()
-}
-
-// file puts a batch of receipts into the network's receipt log.
-func (n *Network) file(recs []*chain.Receipt) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.receipts.File(recs)
-	n.m.receiptLogReceipts.Set(int64(n.receipts.Len()))
-	n.m.receiptLogBytes.Set(int64(n.receipts.Bytes()))
 }
 
 // requeue returns deferred or lost transactions from a shard (or the DS
@@ -1328,8 +1307,8 @@ func (r *shardRun) execute(tx *chain.Tx, remaining uint64) (_ *chain.Receipt, wa
 // detachMaps copies map values out of event payloads. A transition that
 // loads a whole map field it has not written gets the canonical map
 // itself; canonical state is merged in place at every commit, and the
-// receipt outlives the epoch (the executing network's receipt log, and
-// on a shard node the MicroBlock encoded after the run), so an event
+// receipt outlives the epoch (in the EpochStats its caller may keep,
+// and on a shard node the MicroBlock encoded after the run), so an event
 // has to own the maps it shows.
 func detachMaps(events []value.Msg) []value.Msg {
 	for _, ev := range events {

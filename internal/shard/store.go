@@ -90,7 +90,7 @@ func (n *Network) RestoreContractState(addr chain.Address, fields map[string]val
 }
 
 // ReplayFinalBlock applies a journaled FinalBlock during recovery:
-// identical to ApplyFinalBlock — both commit phases, receipts, root
+// identical to ApplyFinalBlock — both commit phases, root
 // verification — except the attached StateStore is not notified (the
 // block is already on disk; re-appending it would duplicate the
 // journal).

@@ -206,6 +206,7 @@ func TestJournalReproducesEpochStats(t *testing.T) {
 // transfers carry their executing shard id, DS work is -1, dispatcher
 // rejections are -2 — in both receipts and trace events.
 func TestTraceShardLabels(t *testing.T) {
+	recs := receiptBook{}
 	var buf bytes.Buffer
 	journal := obs.NewJournal(&buf)
 	net := shard.NewNetwork(shard.WithShards(2), shard.WithRecorder(journal))
@@ -213,7 +214,7 @@ func TestTraceShardLabels(t *testing.T) {
 	net.CreateUser(a, 1_000_000)
 	okID := net.Submit(payTx(a, chain.AddrFromUint(2), 1, 10))
 	badID := net.Submit(payTx(chain.AddrFromUint(42), a, 1, 10))
-	if _, err := net.RunEpoch(); err != nil {
+	if _, err := recs.add(net.RunEpoch()); err != nil {
 		t.Fatal(err)
 	}
 	if err := journal.Flush(); err != nil {
@@ -235,7 +236,7 @@ func TestTraceShardLabels(t *testing.T) {
 	if s := shards[badID]; s != -2 {
 		t.Errorf("rejected tx labelled shard %d, want -2", s)
 	}
-	rec := net.Receipt(badID)
+	rec := recs[badID]
 	if rec == nil || rec.Shard != -2 {
 		t.Errorf("rejected receipt = %+v, want Shard -2", rec)
 	}

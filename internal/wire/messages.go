@@ -102,10 +102,11 @@ func (r *reader) tx() *chain.Tx {
 // bytes they arrived in (chain.Receipt.RawEvents, a range of the block's
 // payload); encoding a receipt that carries such bytes copies them, so
 // the DS committee passes a shard's receipts into the FinalBlock, and a
-// replica files them, without building an event. Filing is where the
-// aliasing ends: shard.ReceiptLog copies the header and the bytes, and
-// the payload is garbage once its handler returns. ReceiptEvents builds
-// the events for whoever shows a receipt to a client.
+// lookup files them, without building an event. Filing is where the
+// aliasing ends: the lookup's node.ReceiptLog copies the header and the
+// bytes, and the payload is garbage once its handler returns.
+// ReceiptEvents builds the events for whoever shows a receipt to a
+// client.
 
 func appendReceipt(b []byte, rec *chain.Receipt) ([]byte, error) {
 	b = appendUvarint(b, rec.TxID)

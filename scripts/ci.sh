@@ -2,9 +2,9 @@
 # Repository verification: formatting, build, vet, full test suite, and
 # the race detector over the packages several goroutines reach (the obs
 # recorders/journal every link of a node cluster feeds, the node actors
-# and RPC front door, and internal/shard's lock-guarded Submit queue and
-# receipt log around its single-goroutine pipeline, whose dispatcher is
-# called from that one goroutine).
+# with the lookup's lock-guarded receipt log and the RPC front door, and
+# internal/shard's lock-guarded Submit queue around its single-goroutine
+# pipeline, whose dispatcher is called from that one goroutine).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -39,7 +39,9 @@ go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... 
 # fault-injection recovery tests over real frames, the absolute
 # golden-root suite (monolithic, interpreter, ChanNetwork cluster), a
 # dead shard node's traffic escalating to the DS committee, and replicas
-# applying DS-heavy FinalBlocks without executing.
+# applying DS-heavy FinalBlocks without executing, the lookup's receipt
+# log (its model test and what a filed receipt keeps alive) and the gate
+# that a replica applying 50 decoded blocks keeps none of their receipts.
 go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
 # The persistence race run covers the state store (journal append,
 # snapshot chains and their fold rule, recovery from every crash state
@@ -60,11 +62,11 @@ GOMEMLIMIT=512MiB go test -run 'TestMillionAccountsBoundedMemory' -timeout 20m .
 # block fan-out (one 4000-tx block sealed, journaled, broadcast to and
 # applied by a journaling ChanNetwork cluster; its retained-B/tx is what
 # the epoch left on the live heap), and the snapshot boundary over the
-# same holders sweep; the receipt log filing one decoded 4000-receipt
-# block at capacity; and one 2000-transfer block decoded as a replica,
-# a lookup and the committee (from a shard) decode it.
+# same holders sweep; the lookup's receipt log filing one decoded
+# 4000-receipt block at capacity; and one 2000-transfer block decoded
+# as a replica, a lookup and the committee (from a shard) decode it.
 go test -run '^$' -bench 'CommitHolders|SnapshotHolders|MergePerField|BlockFanout' -benchtime 1x .
-go test -run '^$' -bench 'ReceiptLogFile' -benchtime 1x ./internal/shard/
+go test -run '^$' -bench 'ReceiptLogFile' -benchtime 1x ./internal/node/
 # The root trie's slab: one 100k-leaf load (ns, B, allocations and
 # retained bytes per leaf) and one epoch's 500 overwrites + Root at 10k,
 # 100k and 1M leaves of both key shapes.
