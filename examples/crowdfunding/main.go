@@ -66,7 +66,7 @@ func main() {
 	fmt.Printf("donations: %d committed, per-shard spread %v, DS %d\n",
 		stats.Committed, stats.PerShard, stats.DSCount)
 	fmt.Printf("contract balance after donations: %s QA\n",
-		net.Accounts.Get(contract).Balance)
+		balance(net, contract))
 
 	// Phase 2: let the deadline pass.
 	for net.BlockNumber <= deadline {
@@ -95,7 +95,13 @@ func main() {
 	}
 	fmt.Printf("claim-backs committed: %d\n", total)
 	fmt.Printf("contract balance after refunds: %s QA\n",
-		net.Accounts.Get(contract).Balance)
+		balance(net, contract))
 	fmt.Printf("backer 0 final balance: %s QA (donated 1000, refunded 1000, paid gas)\n",
-		net.Accounts.Get(backers[0]).Balance)
+		balance(net, backers[0]))
+}
+
+// balance returns an account's committed balance (zero if absent).
+func balance(net *shard.Network, a chain.Address) chain.Balance {
+	acc, _ := net.Accounts.Get(a)
+	return acc.Balance
 }

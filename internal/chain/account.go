@@ -2,8 +2,9 @@ package chain
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -11,80 +12,77 @@ import (
 // Sec. 4.2.1: transactions must carry strictly increasing nonces, but
 // gaps are allowed (Paxos-ballot style), so disjoint nonce sets from
 // the same user can be processed in different shards in parallel.
+//
+// An Account is a 32-byte value with no pointers; the table hands out
+// copies, never references into its rows.
 type Account struct {
-	Balance    *big.Int
+	Balance    Balance
 	Nonce      uint64 // highest nonce committed so far
 	IsContract bool
 }
 
-// Copy deep-copies the account.
-func (a *Account) Copy() *Account {
-	return &Account{
-		Balance:    new(big.Int).Set(a.Balance),
-		Nonce:      a.Nonce,
-		IsContract: a.IsContract,
-	}
-}
-
-// Accounts is the global account table: a resident map under one
-// read-write lock.
+// Accounts is the global account table under one read-write lock: an
+// index from address to row, and the rows packed in one slice. Neither
+// holds a pointer, so the collector never walks the table. Accounts are
+// never removed, so rows only append.
 type Accounts struct {
-	mu sync.RWMutex
-	m  map[Address]*Account
+	mu   sync.RWMutex
+	idx  map[Address]uint32
+	rows []Account
 }
 
 // NewAccounts creates an empty account table.
 func NewAccounts() *Accounts {
-	return &Accounts{m: make(map[Address]*Account)}
+	return &Accounts{idx: make(map[Address]uint32)}
+}
+
+// row returns the address's row, appending a zero one if it has none.
+// The caller holds the write lock.
+func (as *Accounts) row(addr Address) *Account {
+	i, ok := as.idx[addr]
+	if !ok {
+		i = uint32(len(as.rows))
+		as.idx[addr] = i
+		as.rows = append(as.rows, Account{})
+	}
+	return &as.rows[i]
 }
 
 // Create adds an account with the given initial balance. It replaces
 // any existing account.
 func (as *Accounts) Create(addr Address, balance uint64, isContract bool) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	as.m[addr] = &Account{
-		Balance:    new(big.Int).SetUint64(balance),
-		IsContract: isContract,
-	}
+	as.Put(addr, Account{Balance: BalanceOf(balance), IsContract: isContract})
 }
 
-// Put installs an account with explicit balance, nonce, and contract
-// flag, replacing any existing entry. Snapshot restore uses it to
-// reconstruct the exact committed table.
-func (as *Accounts) Put(addr Address, balance *big.Int, nonce uint64, isContract bool) {
+// Put installs an account, replacing any existing entry. Snapshot
+// restore uses it to reconstruct the exact committed table.
+func (as *Accounts) Put(addr Address, acc Account) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	as.m[addr] = &Account{
-		Balance:    new(big.Int).Set(balance),
-		Nonce:      nonce,
-		IsContract: isContract,
-	}
+	*as.row(addr) = acc
 }
 
 // Range calls f for every account until f returns false. The iteration
-// order is unspecified and f receives the live account — it must not
-// mutate it or retain it past the call (the table's lock is held).
-func (as *Accounts) Range(f func(Address, *Account) bool) {
+// order is unspecified. f must not call back into the table (its lock
+// is held).
+func (as *Accounts) Range(f func(Address, Account) bool) {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	for a, acc := range as.m {
-		if !f(a, acc) {
+	for a, i := range as.idx {
+		if !f(a, as.rows[i]) {
 			return
 		}
 	}
 }
 
 // Each calls f for every address of addrs that holds an account, in
-// the order given, on the same terms as Range: f receives the live
-// account and must not mutate it, and may keep what it points to only
-// while nothing commits to the table.
-func (as *Accounts) Each(addrs []Address, f func(Address, *Account)) {
+// the order given, on the same terms as Range.
+func (as *Accounts) Each(addrs []Address, f func(Address, Account)) {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
 	for _, addr := range addrs {
-		if acc := as.m[addr]; acc != nil {
-			f(addr, acc)
+		if i, ok := as.idx[addr]; ok {
+			f(addr, as.rows[i])
 		}
 	}
 }
@@ -93,113 +91,68 @@ func (as *Accounts) Each(addrs []Address, f func(Address, *Account)) {
 func (as *Accounts) Len() int {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	return len(as.m)
+	return len(as.rows)
 }
 
-// Get returns a copy of the account, or nil if absent.
-func (as *Accounts) Get(addr Address) *Account {
+// Get returns the account, and whether it exists.
+func (as *Accounts) Get(addr Address) (Account, bool) {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	a := as.m[addr]
-	if a == nil {
-		return nil
+	i, ok := as.idx[addr]
+	if !ok {
+		return Account{}, false
 	}
-	return a.Copy()
+	return as.rows[i], true
 }
 
-// NonceOf returns the committed nonce of an account without copying it
-// (the dispatch hot path only needs the nonce, and Get's defensive copy
-// costs three allocations per transaction).
+// NonceOf returns the committed nonce of an account (the dispatch hot
+// path only needs the nonce).
 func (as *Accounts) NonceOf(addr Address) (uint64, bool) {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	a := as.m[addr]
-	if a == nil {
-		return 0, false
-	}
-	return a.Nonce, true
+	acc, ok := as.Get(addr)
+	return acc.Nonce, ok
 }
 
 // IsContract reports whether the address holds a contract.
 func (as *Accounts) IsContract(addr Address) bool {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	a := as.m[addr]
-	return a != nil && a.IsContract
-}
-
-// Exists reports whether the account exists.
-func (as *Accounts) Exists(addr Address) bool {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	return as.m[addr] != nil
-}
-
-// Addresses returns all addresses, sorted.
-func (as *Accounts) Addresses() []Address {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	out := make([]Address, 0, len(as.m))
-	for a := range as.m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := 0; k < 20; k++ {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out
+	acc, _ := as.Get(addr)
+	return acc.IsContract
 }
 
 // Apply commits an account delta: balance changes (commutative) and
 // nonce advancement (merged by maximum, per the relaxed nonce rule). It
 // is all or nothing: every resulting balance is checked before any
-// account is touched, so a delta that would overdraw one account leaves
-// the table as it was.
+// account is touched, so a delta that would overdraw one account, or
+// take one to 2^128, leaves the table as it was.
 func (as *Accounts) Apply(d *AccountDelta) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	for addr, bd := range d.BalanceDeltas {
-		if bd.Sign() >= 0 {
-			continue
+		var cur Balance
+		if i, ok := as.idx[addr]; ok {
+			cur = as.rows[i].Balance
 		}
-		if acc := as.m[addr]; acc == nil || acc.Balance.CmpAbs(bd) < 0 {
-			return fmt.Errorf("account %s balance would go negative", addr)
+		if _, err := cur.add(bd); err != nil {
+			return fmt.Errorf("account %s: %w", addr, err)
 		}
 	}
 	for addr, bd := range d.BalanceDeltas {
-		acc := as.m[addr]
-		if acc == nil {
-			acc = &Account{Balance: new(big.Int)}
-			as.m[addr] = acc
-		}
-		acc.Balance.Add(acc.Balance, bd)
+		acc := as.row(addr)
+		acc.Balance, _ = acc.Balance.add(bd)
 	}
 	for addr, n := range d.Nonces {
-		acc := as.m[addr]
-		if acc == nil {
-			continue
-		}
-		if n > acc.Nonce {
-			acc.Nonce = n
+		if i, ok := as.idx[addr]; ok && n > as.rows[i].Nonce {
+			as.rows[i].Nonce = n
 		}
 	}
 	return nil
 }
 
-// Copy deep-copies the whole table. It duplicates every account, so it
-// is a test/debug helper; read-only consumers use Range, Each or Get.
+// Copy copies the whole table. It is a test/debug helper; read-only
+// consumers use Range, Each or Get.
 func (as *Accounts) Copy() *Accounts {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	out := &Accounts{m: make(map[Address]*Account, len(as.m))}
-	for a, acc := range as.m {
-		out.m[a] = acc.Copy()
-	}
-	return out
+	return &Accounts{idx: maps.Clone(as.idx), rows: slices.Clone(as.rows)}
 }
 
 // AccountDelta is a shard's contribution to the account table for one

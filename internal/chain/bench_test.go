@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"runtime"
 	"testing"
 
 	"cosplit/internal/scilla/ast"
@@ -70,4 +71,33 @@ func BenchmarkOverlayReadModifyWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAccountTable creates 100k accounts and reads each back. It
+// reports what the table keeps alive per account beside the time and
+// allocations of the whole pass.
+func BenchmarkAccountTable(b *testing.B) {
+	const accounts = 100_000
+	addrs := tableAddrs(accounts)
+	b.ReportAllocs()
+	var retained uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
+		as := NewAccounts()
+		for j, a := range addrs {
+			as.Create(a, uint64(j), false)
+		}
+		for _, a := range addrs {
+			if _, ok := as.Get(a); !ok {
+				b.Fatalf("account %s missing", a)
+			}
+		}
+		b.StopTimer()
+		retained += liveHeap() - before
+		runtime.KeepAlive(as)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(retained)/float64(b.N)/accounts, "B/account")
 }

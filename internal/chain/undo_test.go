@@ -1,6 +1,7 @@
 package chain_test
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -192,7 +193,8 @@ func TestMergeNeverMutatesReplacedValues(t *testing.T) {
 }
 
 // TestApplyAccountsAllOrNothing: a delta that would overdraw one
-// account changes no account, whichever order the map is walked in.
+// account, or credit one to 2^128, changes no account, whichever order
+// the map is walked in.
 func TestApplyAccountsAllOrNothing(t *testing.T) {
 	as := chain.NewAccounts()
 	for i := 0; i < 50; i++ {
@@ -208,15 +210,26 @@ func TestApplyAccountsAllOrNothing(t *testing.T) {
 	if err := as.Apply(d); err == nil {
 		t.Fatal("overdrawing delta applied")
 	}
-	for i := 0; i < 50; i++ {
-		acc := as.Get(chain.AddrFromUint(uint64(i)))
-		if acc.Balance.Int64() != 100 || acc.Nonce != 0 {
-			t.Fatalf("account %d changed by a failed Apply: balance %s nonce %d", i, acc.Balance, acc.Nonce)
+	unchanged := func() {
+		t.Helper()
+		for i := 0; i < 50; i++ {
+			acc, _ := as.Get(chain.AddrFromUint(uint64(i)))
+			if acc.Balance != chain.BalanceOf(100) || acc.Nonce != 0 {
+				t.Fatalf("account %d changed by a failed Apply: balance %s nonce %d", i, acc.Balance, acc.Nonce)
+			}
+		}
+		if _, ok := as.Get(chain.AddrFromUint(99)); ok {
+			t.Fatal("failed Apply created an account")
 		}
 	}
-	if as.Exists(chain.AddrFromUint(99)) {
-		t.Fatal("failed Apply created an account")
+	unchanged()
+	// A credit that would take one balance to 2^128 fails the same way.
+	d.AddBalance(chain.AddrFromUint(17), big.NewInt(60))
+	d.AddBalance(chain.AddrFromUint(23), new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 128), big.NewInt(40)))
+	if err := as.Apply(d); !errors.Is(err, chain.ErrBalanceOverflow) {
+		t.Fatalf("Apply of a credit to 2^128 = %v, want ErrBalanceOverflow", err)
 	}
+	unchanged()
 	// A debit against an account that does not exist fails the same way.
 	d2 := chain.NewAccountDelta()
 	d2.AddBalance(chain.AddrFromUint(1), big.NewInt(-10))
@@ -224,7 +237,8 @@ func TestApplyAccountsAllOrNothing(t *testing.T) {
 	if err := as.Apply(d2); err == nil {
 		t.Fatal("debit of an absent account applied")
 	}
-	if as.Get(chain.AddrFromUint(1)).Balance.Int64() != 100 || as.Exists(chain.AddrFromUint(200)) {
+	acc, _ := as.Get(chain.AddrFromUint(1))
+	if _, ok := as.Get(chain.AddrFromUint(200)); acc.Balance != chain.BalanceOf(100) || ok {
 		t.Fatal("failed Apply touched the table")
 	}
 }

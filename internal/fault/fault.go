@@ -21,6 +21,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -248,7 +249,7 @@ func ParseSpec(s string) (*Plan, error) {
 		if key == "straggle" {
 			if pv, fv, hasFactor := strings.Cut(val, "x"); hasFactor {
 				f, err := strconv.ParseFloat(fv, 64)
-				if err != nil || f < 1 {
+				if err != nil || !(f >= 1) || math.IsInf(f, 1) {
 					return nil, fmt.Errorf("%w: straggle factor %q: want a number >= 1", ErrProbRange, fv)
 				}
 				spec.StraggleFactor = f
@@ -256,7 +257,7 @@ func ParseSpec(s string) (*Plan, error) {
 			}
 		}
 		prob, err := strconv.ParseFloat(val, 64)
-		if err != nil || prob < 0 || prob > 1 {
+		if err != nil || !(prob >= 0 && prob <= 1) {
 			return nil, fmt.Errorf("%w: %q for %s: want a number in [0,1]", ErrProbRange, val, key)
 		}
 		switch key {

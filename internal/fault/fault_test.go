@@ -143,6 +143,9 @@ func TestParseSpec(t *testing.T) {
 		{"1:straggle=0.1x0.5", ErrProbRange},   // factor < 1
 		{"1:straggle=0.1xzz", ErrProbRange},    // non-numeric factor
 		{"1:crash=0.6,drop=0.6", ErrProbRange}, // kinds sum past 1
+		{"7:crash=NaN", ErrProbRange},          // NaN probability
+		{"7:straggle=0.5xNaN", ErrProbRange},   // NaN factor
+		{"7:straggle=0.5xInf", ErrProbRange},   // infinite factor
 	} {
 		_, err := ParseSpec(tc.spec)
 		if err == nil {

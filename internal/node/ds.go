@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math/big"
 	"sync"
 	"time"
 
@@ -446,12 +447,12 @@ func (d *DS) runEpoch(req tickReq) {
 func (d *DS) stateResp(q *wire.StateQuery) *wire.StateResp {
 	resp := &wire.StateResp{Corr: q.Corr}
 	if q.Field == "" {
-		acc := d.net.Accounts.Get(q.Addr)
-		if acc == nil {
+		acc, ok := d.net.Accounts.Get(q.Addr)
+		if !ok {
 			return resp
 		}
 		resp.Found = true
-		resp.Balance = acc.Balance
+		resp.Balance = acc.Balance.Big(new(big.Int))
 		resp.Nonce = acc.Nonce
 		return resp
 	}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math/big"
 	"testing"
 	"time"
 
@@ -107,8 +108,8 @@ func TestCrossModeStateRoots(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("GetAccount: %v (found=%v)", err, found)
 	}
-	acc := envMono.Net.Accounts.Get(envSrc.Users[0])
-	if st.Balance.Cmp(acc.Balance) != 0 || st.Nonce != acc.Nonce {
+	acc, _ := envMono.Net.Accounts.Get(envSrc.Users[0])
+	if st.Balance.Cmp(acc.Balance.Big(new(big.Int))) != 0 || st.Nonce != acc.Nonce {
 		t.Fatalf("account skew: wire %+v, monolithic %+v", st, acc)
 	}
 	resp, err := cluster.Lookup.GetState(envSrc.Contract, "balances", "")

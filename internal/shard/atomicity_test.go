@@ -124,8 +124,8 @@ func TestFailedCallMovesNoTokens(t *testing.T) {
 		if !errors.Is(rec.Err, shard.ErrInsufficientBalance) {
 			t.Errorf("%s route: receipt Err = %v, want ErrInsufficientBalance", route, rec.Err)
 		}
-		acc := net.Accounts.Get(senders[route])
-		spent[route] = 1_000_000 - acc.Balance.Uint64()
+		acc, _ := net.Accounts.Get(senders[route])
+		spent[route] = 1_000_000 - acc.Balance.Lo
 		if spent[route] != rec.GasUsed {
 			t.Errorf("%s route: sender paid %d, want gas only (%d)", route, spent[route], rec.GasUsed)
 		}
@@ -136,11 +136,11 @@ func TestFailedCallMovesNoTokens(t *testing.T) {
 	if spent["shard"] != spent["DS"] {
 		t.Errorf("routes charged differently: shard %d, DS %d", spent["shard"], spent["DS"])
 	}
-	if bal := net.Accounts.Get(probe).Balance; bal.Sign() != 0 {
-		t.Errorf("contract balance %s after two failed calls, want 0", bal)
+	if acc, _ := net.Accounts.Get(probe); !acc.Balance.IsZero() {
+		t.Errorf("contract balance %s after two failed calls, want 0", acc.Balance)
 	}
-	if bal := net.Accounts.Get(recipient).Balance; bal.Sign() != 0 {
-		t.Errorf("recipient balance %s, want 0", bal)
+	if acc, _ := net.Accounts.Get(recipient); !acc.Balance.IsZero() {
+		t.Errorf("recipient balance %s, want 0", acc.Balance)
 	}
 	touched, err := net.Contracts.Get(probe).Snapshot().LoadField("touched")
 	if err != nil {

@@ -152,9 +152,8 @@ func TestFailedPhaseLeavesNoTrace(t *testing.T) {
 					t.Errorf("contract %s state changed by the failed phase", a)
 				}
 			}
-			preAccounts.Range(func(a chain.Address, want *chain.Account) bool {
-				got := net.Accounts.Get(a)
-				if got == nil || got.Balance.Cmp(want.Balance) != 0 || got.Nonce != want.Nonce {
+			preAccounts.Range(func(a chain.Address, want chain.Account) bool {
+				if got, ok := net.Accounts.Get(a); !ok || got != want {
 					t.Errorf("account %s changed by the failed phase: %+v, want %+v", a, got, want)
 				}
 				return true

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math/big"
 	"runtime"
 	"testing"
 
@@ -56,7 +55,7 @@ func TestTouchAccountAllocs(t *testing.T) {
 
 	// A leaf whose account is not in the table goes.
 	gone := chain.AddrFromUint(1 << 40)
-	n.roots.TouchAccount(gone, &chain.Account{Balance: big.NewInt(5)})
+	n.roots.TouchAccount(gone, chain.Account{Balance: chain.BalanceOf(5)})
 	n.touchAccount(gone)
 	if got := n.roots.Len(); got != leaves+fresh {
 		t.Errorf("touching an absent account left %d leaves, want %d", got, leaves+fresh)

@@ -223,8 +223,8 @@ func (n *Network) CreateUser(addr chain.Address, balance uint64) {
 // DS-committee work; the simulator applies them synchronously).
 func (n *Network) DeployContract(deployer chain.Address, source string,
 	params map[string]value.Value, query *signature.Query) (chain.Address, error) {
-	acc := n.Accounts.Get(deployer)
-	if acc == nil {
+	acc, ok := n.Accounts.Get(deployer)
+	if !ok {
 		return chain.Address{}, fmt.Errorf("%w %s", ErrUnknownDeployer, deployer)
 	}
 	addr := chain.ContractAddress(deployer, acc.Nonce+1)
@@ -1007,11 +1007,8 @@ func (r *shardRun) balanceView(a chain.Address) *big.Int {
 	if b, ok := r.localBal[a]; ok {
 		return b
 	}
-	acc := r.net.Accounts.Get(a)
-	b := new(big.Int)
-	if acc != nil {
-		b.Set(acc.Balance)
-	}
+	acc, _ := r.net.Accounts.Get(a)
+	b := acc.Balance.Big(new(big.Int))
 	r.localBal[a] = b
 	return b
 }
@@ -1055,16 +1052,14 @@ func (r *shardRun) applyMoves() error {
 // gasAllowance returns how much native token the sender may spend on
 // gas within this shard (Sec. 4.2.2).
 func (r *shardRun) gasAllowance(sender chain.Address) *big.Int {
-	acc := r.net.Accounts.Get(sender)
-	if acc == nil {
-		return r.scrAllow.SetUint64(0)
-	}
+	acc, _ := r.net.Accounts.Get(sender)
+	bal := acc.Balance.Big(&r.scrAllow)
 	if !r.net.cfg.SplitGasAccounting || r.net.cfg.NumShards <= 1 {
-		return r.scrAllow.Set(acc.Balance)
+		return bal
 	}
 	// Half the balance to the sender's home shard, the rest split
 	// across the other shards.
-	half := r.scrAllow.Rsh(acc.Balance, 1)
+	half := bal.Rsh(bal, 1)
 	if chain.ShardOf(sender, r.net.cfg.NumShards) == r.shard {
 		return half
 	}

@@ -122,23 +122,19 @@ func (n *Network) buildRoots(r *trie.StateRoots) {
 	for _, c := range n.Contracts.All() {
 		r.PutContractState(c.Addr, c.Snapshot())
 	}
-	n.Accounts.Range(func(addr chain.Address, acc *chain.Account) bool {
+	n.Accounts.Range(func(addr chain.Address, acc chain.Account) bool {
 		r.TouchAccount(addr, acc)
 		return true
 	})
 }
 
 // touchAccount re-commits one account in the root trie from canonical
-// state, reading the live account in place rather than a copy of it;
-// an absent account deletes its leaf.
+// state; an absent account deletes its leaf.
 func (n *Network) touchAccount(addr chain.Address) {
-	found := false
-	n.Accounts.Each([]chain.Address{addr}, func(addr chain.Address, acc *chain.Account) {
+	if acc, ok := n.Accounts.Get(addr); ok {
 		n.roots.TouchAccount(addr, acc)
-		found = true
-	})
-	if !found {
-		n.roots.TouchAccount(addr, nil)
+	} else {
+		n.roots.DeleteAccount(addr)
 	}
 }
 

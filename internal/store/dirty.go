@@ -157,7 +157,7 @@ func (d *dirtySet) post(n *shard.Network) (*incremental, error) {
 	// A nonce bump names its sender whether or not the account exists;
 	// only existing accounts have a post-state. The balances are the live
 	// ones, as in a full file: nothing commits until the file is written.
-	n.Accounts.Each(addrs, func(addr chain.Address, acc *chain.Account) {
+	n.Accounts.Each(addrs, func(addr chain.Address, acc chain.Account) {
 		inc.accounts = append(inc.accounts, wire.SnapshotAccount{
 			Addr: addr, Balance: acc.Balance, Nonce: acc.Nonce, IsContract: acc.IsContract,
 		})

@@ -106,7 +106,7 @@ func writeFull(w *bufio.Writer, n *shard.Network, cp shard.Checkpoint) error {
 		}
 	}
 	accs := make([]wire.SnapshotAccount, 0, n.Accounts.Len())
-	n.Accounts.Range(func(addr chain.Address, acc *chain.Account) bool {
+	n.Accounts.Range(func(addr chain.Address, acc chain.Account) bool {
 		accs = append(accs, wire.SnapshotAccount{
 			Addr: addr, Balance: acc.Balance, Nonce: acc.Nonce, IsContract: acc.IsContract,
 		})
@@ -285,7 +285,7 @@ func (sf *snapFile) apply(n *shard.Network) error {
 		c.ReplaceState(st)
 	}
 	for _, a := range sf.accounts {
-		n.Accounts.Put(a.Addr, a.Balance, a.Nonce, a.IsContract)
+		n.Accounts.Put(a.Addr, chain.Account{Balance: a.Balance, Nonce: a.Nonce, IsContract: a.IsContract})
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"strconv"
 	"sync"
 
 	"cosplit/internal/chain"
@@ -56,15 +55,10 @@ func (s *StateRoots) leafHash(v value.Value) [32]byte {
 }
 
 // accountLeaf is sha256(0x03 ‖ decimal balance ‖ 0 ‖ uvarint nonce ‖
-// contract flag). A balance that fits a word is formatted by strconv,
-// which writes into the scratch; big.Int.Append allocates its digits.
-func (s *StateRoots) accountLeaf(acc *chain.Account) [32]byte {
-	b := append(s.pre[:0], 0x03)
-	if acc.Balance.IsUint64() {
-		b = strconv.AppendUint(b, acc.Balance.Uint64(), 10)
-	} else {
-		b = acc.Balance.Append(b, 10)
-	}
+// contract flag). The balance is formatted from its words into the
+// scratch, as the digits big.Int.Append writes for it.
+func (s *StateRoots) accountLeaf(acc chain.Account) [32]byte {
+	b := acc.Balance.AppendDecimal(append(s.pre[:0], 0x03))
 	b = append(b, 0)
 	b = binary.AppendUvarint(b, acc.Nonce)
 	if acc.IsContract {
@@ -112,17 +106,24 @@ func (s *StateRoots) Bytes() int {
 	return s.t.Bytes()
 }
 
-// TouchAccount re-commits one account after a balance/nonce change;
-// acc == nil removes it. acc is only read, during the call.
-func (s *StateRoots) TouchAccount(addr chain.Address, acc *chain.Account) {
+// TouchAccount re-commits one account after a balance/nonce change.
+func (s *StateRoots) TouchAccount(addr chain.Address, acc chain.Account) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.t.Put(s.accountKey(addr), s.accountLeaf(acc))
+}
+
+// DeleteAccount removes one account's leaf.
+func (s *StateRoots) DeleteAccount(addr chain.Address) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.t.Delete(s.accountKey(addr))
+}
+
+// accountKey builds "a" ‖ addr in s.key.
+func (s *StateRoots) accountKey(addr chain.Address) []byte {
 	s.key = append(append(s.key[:0], 'a'), addr[:]...)
-	if acc == nil {
-		s.t.Delete(s.key)
-		return
-	}
-	s.t.Put(s.key, s.accountLeaf(acc))
+	return s.key
 }
 
 // TouchWholeField re-renders one field from st (the contract's

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"cosplit/internal/chain"
 )
 
 func leaf(s string) [32]byte { return sha256.Sum256([]byte(s)) }
@@ -296,5 +298,28 @@ func TestGoldenRoot(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", end); got != wantEnd {
 		t.Errorf("root after deletes, overwrites and the prefix cut = %s, want %s (Len %d)", got, wantEnd, tr.Len())
+	}
+}
+
+// TestAccountLeafWideBalances pins the account leaf of balances past
+// one word to the hashes of their big.Int rendering (sha256 of 0x03 ‖
+// big.Int.Append(balance, 10) ‖ 0 ‖ uvarint nonce ‖ flag), so formatting
+// a balance from its two words moves no root.
+func TestAccountLeafWideBalances(t *testing.T) {
+	var s StateRoots
+	for _, tc := range []struct {
+		acc  chain.Account
+		want string
+	}{
+		{chain.Account{Balance: chain.BalanceOf(1 << 40), Nonce: 7},
+			"81439eb91c25a8863d1ab0ace1e1c2e7886575ca30b61d0cd4fd678fb1f3801a"},
+		{chain.Account{Balance: chain.Balance{Hi: 1, Lo: 5}, Nonce: 3}, // 2^64+5
+			"f0f2f2bcc664b579877df37d280bc53e68456e5109131ecadbe61ed7fa48e6b4"},
+		{chain.Account{Balance: chain.Balance{Hi: ^uint64(0), Lo: ^uint64(0)}, IsContract: true}, // 2^128-1
+			"d315036cb9191d5794cb1bb6f6f2a9d9428c367d6147d798ba60d181042855d5"},
+	} {
+		if got := fmt.Sprintf("%x", s.accountLeaf(tc.acc)); got != tc.want {
+			t.Errorf("accountLeaf(%+v) = %s, want %s", tc.acc, got, tc.want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"math/big"
 	"sort"
 
 	"cosplit/internal/chain"
@@ -167,7 +166,7 @@ func (r *reader) snapshotContract() *SnapshotContract {
 // SnapshotAccount is one native account's snapshot row.
 type SnapshotAccount struct {
 	Addr       chain.Address
-	Balance    *big.Int
+	Balance    chain.Balance
 	Nonce      uint64
 	IsContract bool
 }
@@ -181,7 +180,7 @@ func EncodeSnapshotAccounts(accs []SnapshotAccount) []byte {
 	b = appendUvarint(b, uint64(len(accs)))
 	for i := range accs {
 		b = appendAddr(b, accs[i].Addr)
-		b = appendBig(b, accs[i].Balance)
+		b = appendBalance(b, accs[i].Balance)
 		b = appendUvarint(b, accs[i].Nonce)
 		b = appendBool(b, accs[i].IsContract)
 	}
@@ -198,11 +197,8 @@ func (r *reader) snapshotAccounts() []SnapshotAccount {
 	n, accs := items[SnapshotAccount](r, 23, true)
 	for ; n > 0 && r.err == nil; n-- {
 		a := SnapshotAccount{Addr: r.addr()}
-		_, a.Balance = r.big(true)
+		a.Balance = r.balance()
 		a.Nonce, a.IsContract = r.uvarint(), r.bool()
-		if r.err == nil && (a.Balance == nil || a.Balance.Sign() < 0) {
-			r.fail("bad snapshot account balance")
-		}
 		accs = append(accs, a)
 	}
 	return accs

@@ -345,6 +345,19 @@ func appendBig(b []byte, v *big.Int) []byte {
 	return b
 }
 
+// appendBalance writes a balance as appendBig writes the same value.
+func appendBalance(b []byte, v chain.Balance) []byte {
+	if v.IsZero() {
+		return append(b, bigZero)
+	}
+	var buf [16]byte
+	binary.BigEndian.PutUint64(buf[:8], v.Hi)
+	binary.BigEndian.PutUint64(buf[8:], v.Lo)
+	mag := bytes.TrimLeft(buf[:], "\x00")
+	b = appendUvarint(append(b, bigPos), uint64(len(mag)))
+	return append(b, mag...)
+}
+
 func appendAddr(b []byte, a chain.Address) []byte { return append(b, a[:]...) }
 
 // --- decode-side primitives ---
@@ -494,6 +507,27 @@ func (r *reader) big(build bool) (n, kept *big.Int) {
 		n.Neg(n)
 	}
 	return n, kept
+}
+
+// balance reads what appendBalance writes: a zero or positive
+// integer no wider than 128 bits.
+func (r *reader) balance() chain.Balance {
+	tag := r.byte()
+	if tag == bigZero || r.err != nil {
+		return chain.Balance{}
+	}
+	if tag != bigPos {
+		r.fail("bad balance sign tag %d", tag)
+		return chain.Balance{}
+	}
+	mag := bytes.TrimLeft(r.skip(), "\x00")
+	if len(mag) > 16 {
+		r.fail("balance wider than 128 bits")
+		return chain.Balance{}
+	}
+	var buf [16]byte
+	copy(buf[16-len(mag):], mag)
+	return chain.Balance{Hi: binary.BigEndian.Uint64(buf[:8]), Lo: binary.BigEndian.Uint64(buf[8:])}
 }
 
 // addr reads an address. It is small enough to inline, so a caller

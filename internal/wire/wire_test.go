@@ -174,8 +174,8 @@ func fixtures() []fixture {
 		},
 	}))
 	accountsb := EncodeSnapshotAccounts([]SnapshotAccount{
-		{Addr: chain.AddrFromUint(7), Balance: big.NewInt(0), IsContract: true},
-		{Addr: chain.AddrFromUint(100), Balance: big.NewInt(1 << 40), Nonce: 3},
+		{Addr: chain.AddrFromUint(7), IsContract: true},
+		{Addr: chain.AddrFromUint(100), Balance: chain.BalanceOf(1 << 40), Nonce: 3},
 	})
 	return []fixture{
 		{"tx", MsgTx, txb},
@@ -486,6 +486,32 @@ func TestTrailingGarbageRejected(t *testing.T) {
 	}
 	if _, err := DecodeTx(append(enc, 0x00)); !errors.Is(err, ErrDecode) {
 		t.Fatalf("want ErrDecode for trailing bytes, got %v", err)
+	}
+}
+
+// TestSnapshotBalanceWidth: a snapshot balance is written as appendBig
+// writes the same value, up to 2^128-1, and a 129-bit one is refused.
+func TestSnapshotBalanceWidth(t *testing.T) {
+	max := chain.Balance{Hi: ^uint64(0), Lo: ^uint64(0)}
+	for _, bal := range []chain.Balance{{}, chain.BalanceOf(1), {Hi: 1, Lo: 5}, max} {
+		acc := SnapshotAccount{Addr: chain.AddrFromUint(9), Balance: bal, Nonce: 2}
+		enc := EncodeSnapshotAccounts([]SnapshotAccount{acc})
+		want := appendAddr(appendUvarint(nil, 1), acc.Addr)
+		want = appendBig(want, bal.Big(new(big.Int)))
+		want = appendBool(appendUvarint(want, 2), false)
+		if !bytes.Equal(enc, want) {
+			t.Errorf("balance %s encodes as %x, appendBig writes %x", bal, enc, want)
+		}
+		got, err := DecodeSnapshotAccounts(enc)
+		if err != nil || len(got) != 1 || got[0] != acc {
+			t.Errorf("balance %s decodes to %+v, %v", bal, got, err)
+		}
+	}
+	wide := new(big.Int).Lsh(big.NewInt(1), 128)
+	enc := appendAddr(appendUvarint(nil, 1), chain.AddrFromUint(9))
+	enc = appendBool(appendUvarint(appendBig(enc, wide), 0), false)
+	if _, err := DecodeSnapshotAccounts(enc); !errors.Is(err, ErrDecode) {
+		t.Fatalf("129-bit snapshot balance decoded: %v", err)
 	}
 }
 

@@ -43,8 +43,8 @@ func (e *Env) NextNonce(a chain.Address) uint64 {
 // committed state; pure-transfer workloads resume cleanly.
 func (e *Env) ResyncNonces() {
 	sync := func(a chain.Address) {
-		if acc := e.Net.Accounts.Get(a); acc != nil {
-			e.nonces[a] = acc.Nonce
+		if nonce, ok := e.Net.Accounts.NonceOf(a); ok {
+			e.nonces[a] = nonce
 		}
 	}
 	sync(e.Owner)

@@ -31,8 +31,9 @@ go test ./...
 # that internal/shard and internal/dispatch contain no go statement, the
 # shard-vs-DS route tests (failed-call atomicity, typed failure
 # receipts) and the commit tests (a failed phase leaves no trace; commit
-# + root allocations equal over 1k and 100k holders; the undo log in
-# internal/chain) alongside the concurrent packages.
+# + root allocations equal over 1k and 100k holders; the undo log, the
+# packed account table's all-or-nothing Apply and its two balance
+# bounds in internal/chain) alongside the concurrent packages.
 go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... ./internal/obs/... ./internal/fault/...
 # The node/wire/rpc race run covers the actor cluster end to end,
 # including the TCP-transport smoke (TestTCPClusterSmoke), the
@@ -55,7 +56,7 @@ go test -race -short ./internal/store/... ./internal/trie/...
 # in-test; GOMEMLIMIT pins the runtime's GC target just above that
 # ceiling so quiet heap growth degrades into GC thrash and a visibly
 # slow (or failed) run instead of passing on a big-RAM host.
-GOMEMLIMIT=512MiB go test -run 'TestMillionAccountsBoundedMemory' -timeout 20m ./internal/store/
+GOMEMLIMIT=400MiB go test -run 'TestMillionAccountsBoundedMemory' -timeout 20m ./internal/store/
 # Compile-and-run smoke of the commit benchmarks (one iteration each;
 # the 1M-holder set-up dominates, about 10 s): the in-place merge per
 # field and the holders sweep whose rows EXPERIMENTS.md records, and the
@@ -76,6 +77,9 @@ go test -run '^$' -bench 'Decode(FinalBlock|MicroBlock)' -benchtime 1x ./interna
 # (one Transfer on each engine, the overlay's entry write and
 # read-modify-write), so they are run, not merely compiled.
 go test -run '^$' -bench 'TransferExec|CompiledTransfer|Overlay' -benchtime 1x ./internal/scilla/... ./internal/chain/
+# The account table: 100k accounts created and each read back (bytes
+# retained per account, allocations of the pass).
+go test -run '^$' -bench 'AccountTable' -benchtime 1x ./internal/chain/
 # Short fuzz runs of the wire decoders beyond the committed corpus —
 # including the store's snapshot/journal record types — no decoder may
 # panic on hostile bytes, and decode∘encode must stay a fixed point; and
