@@ -152,7 +152,7 @@ func withoutEmptyMaps(v value.Value) value.Value {
 	out := value.NewMap(m.KeyType, m.ValType)
 	for ck, e := range m.Entries {
 		if inner, ok := e.(*value.Map); !ok || inner.Len() > 0 {
-			out.SetCK(ck, m.KeyVals[ck], e)
+			out.SetCK(ck, e)
 		}
 	}
 	return out

@@ -224,7 +224,6 @@ type undoOp struct {
 	st   *eval.MemState
 	m    *value.Map
 	name string // field name, or the slot's canonical key
-	key  value.Value
 	prev value.Value
 }
 
@@ -241,7 +240,7 @@ func (u *Undo) Rollback() {
 		case op.prev == nil:
 			op.m.DeleteCK(op.name)
 		default:
-			op.m.SetCK(op.name, op.key, op.prev)
+			op.m.SetCK(op.name, op.prev)
 		}
 	}
 	u.Reset()
@@ -266,13 +265,10 @@ func (u *Undo) storeField(st *eval.MemState, f string, v value.Value) error {
 }
 
 // set writes v into slot ck of m.
-func (u *Undo) set(m *value.Map, ck string, k, v value.Value) {
-	op := undoOp{m: m, name: ck}
-	if prev, ok := m.Entries[ck]; ok {
-		op.key, op.prev = m.KeyVals[ck], prev
-	}
-	u.ops = append(u.ops, op)
-	m.SetCK(ck, k, v)
+func (u *Undo) set(m *value.Map, ck string, v value.Value) {
+	prev := m.Entries[ck]
+	u.ops = append(u.ops, undoOp{m: m, name: ck, prev: prev})
+	m.SetCK(ck, v)
 }
 
 // remove deletes slot ck of m, if present.
@@ -281,7 +277,7 @@ func (u *Undo) remove(m *value.Map, ck string) {
 	if !ok {
 		return
 	}
-	u.ops = append(u.ops, undoOp{m: m, name: ck, key: m.KeyVals[ck], prev: prev})
+	u.ops = append(u.ops, undoOp{m: m, name: ck, prev: prev})
 	m.DeleteCK(ck)
 }
 
@@ -306,8 +302,7 @@ func (u *Undo) slot(st *eval.MemState, f, kp string, keys []value.Value, create 
 		return cur, kp, nil
 	}
 	for i, k := range keys[:len(keys)-1] {
-		ck := value.CanonicalKey(k)
-		next, found := cur.GetCK(ck)
+		next, found := cur.Get(k)
 		if !found {
 			if !create {
 				return nil, "", nil
@@ -317,7 +312,7 @@ func (u *Undo) slot(st *eval.MemState, f, kp string, keys []value.Value, create 
 				return nil, "", fmt.Errorf("field %s is not nested at depth %d", f, i)
 			}
 			next = value.NewMap(inner.Key, inner.Val)
-			u.set(cur, ck, k, next)
+			u.set(cur, value.CanonicalKey(k), next)
 		}
 		if cur, ok = next.(*value.Map); !ok {
 			return nil, "", fmt.Errorf("field %s has non-map value at depth %d", f, i)
@@ -404,7 +399,6 @@ func applyEntry(st *eval.MemState, undo *Undo, contract Address, f, kp string, e
 	if err != nil {
 		return err
 	}
-	last := len(e.Keys) - 1
 	switch e.Kind {
 	case IntAdd:
 		cur := new(big.Int)
@@ -428,13 +422,13 @@ func applyEntry(st *eval.MemState, undo *Undo, contract Address, f, kp string, e
 		if !inRangeOf(ty, sum) {
 			return &OverflowError{Contract: contract, Field: f, Keypath: kp}
 		}
-		undo.set(m, ck, e.Keys[last], value.Int{Ty: ty.Ty, V: sum})
+		undo.set(m, ck, value.Int{Ty: ty.Ty, V: sum})
 	case Delete:
 		if m != nil {
 			undo.remove(m, ck)
 		}
 	default:
-		undo.set(m, ck, e.Keys[last], value.Copy(e.Value))
+		undo.set(m, ck, value.Copy(e.Value))
 	}
 	return nil
 }

@@ -221,7 +221,7 @@ func (o *Overlay) MapSet(field string, cks []string, keys []value.Value, v value
 		if !ok {
 			return fmt.Errorf("field %s is not a map", field)
 		}
-		return setNested(m, cks, keys, value.Copy(v), o.fieldTypes[field])
+		return setNested(m, cks, value.Copy(v), o.fieldTypes[field])
 	}
 	w := o.writesFor(field)
 	delete(o.merged, field)
@@ -304,7 +304,7 @@ func foldEntry(m *value.Map, e mapEntry, fieldType ast.Type) error {
 		deleteNested(m, cks)
 		return nil
 	}
-	return setNested(m, cks, e.keys, e.val, fieldType)
+	return setNested(m, cks, e.val, fieldType)
 }
 
 func getNested(m *value.Map, cks []string) (value.Value, bool, error) {
@@ -324,7 +324,7 @@ func getNested(m *value.Map, cks []string) (value.Value, bool, error) {
 	return v, ok, nil
 }
 
-func setNested(m *value.Map, cks []string, keys []value.Value, v value.Value, fieldType ast.Type) error {
+func setNested(m *value.Map, cks []string, v value.Value, fieldType ast.Type) error {
 	cur := m
 	t := fieldType
 	for i := 0; i < len(cks)-1; i++ {
@@ -340,7 +340,7 @@ func setNested(m *value.Map, cks []string, keys []value.Value, v value.Value, fi
 				return fmt.Errorf("field not nested at depth %d", i+1)
 			}
 			nm := value.NewMap(inner.Key, inner.Val)
-			cur.SetCK(cks[i], keys[i], nm)
+			cur.SetCK(cks[i], nm)
 			next = nm
 		}
 		nm, ok := next.(*value.Map)
@@ -349,7 +349,7 @@ func setNested(m *value.Map, cks []string, keys []value.Value, v value.Value, fi
 		}
 		cur = nm
 	}
-	cur.SetCK(cks[len(cks)-1], keys[len(keys)-1], v)
+	cur.SetCK(cks[len(cks)-1], v)
 	return nil
 }
 

@@ -57,6 +57,11 @@ func (p PrimType) IsInt() bool {
 	return false
 }
 
+// IsMapKey reports whether the primitive may key a map: an integer,
+// String, a byte string or BNum, the values value.CanonicalKey renders
+// and value.Map.Key rebuilds.
+func (p PrimType) IsMapKey() bool { return Int32 <= p.Kind && p.Kind <= BNum }
+
 // IsSigned reports whether the primitive is a signed integer type.
 func (p PrimType) IsSigned() bool {
 	switch p.Kind {

@@ -2,7 +2,6 @@ package compile
 
 import (
 	"bytes"
-	"encoding/hex"
 	"math/big"
 
 	"cosplit/internal/scilla/eval"
@@ -107,32 +106,9 @@ func (m *mach) boxAmount(a value.Int) value.Value {
 }
 
 // canonKey renders v's canonical map key, interning the result so the
-// steady-state hot path performs no string allocation. The encoding is
-// byte-identical to value.CanonicalKey.
+// steady-state hot path performs no string allocation.
 func (m *mach) canonKey(v value.Value) string {
-	buf := m.scratch[:0]
-	switch k := v.(type) {
-	case value.ByStr:
-		need := 4 + 2*len(k.B)
-		if cap(buf) < need {
-			buf = make([]byte, 0, need*2)
-		}
-		buf = buf[:need]
-		copy(buf, "b:0x")
-		hex.Encode(buf[4:], k.B)
-	case value.Int:
-		buf = append(buf, k.Ty.String()...)
-		buf = append(buf, ':')
-		buf = k.V.Append(buf, 10)
-	case value.Str:
-		buf = append(buf, 's', ':')
-		buf = append(buf, k.S...)
-	case value.BNum:
-		buf = append(buf, 'n', ':')
-		buf = k.V.Append(buf, 10)
-	default:
-		return value.CanonicalKey(v)
-	}
+	buf := value.AppendCanonicalKey(m.scratch[:0], v)
 	m.scratch = buf[:0]
 	if s, ok := m.ikeys[string(buf)]; ok {
 		return s

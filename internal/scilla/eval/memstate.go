@@ -58,7 +58,7 @@ func (m *MemState) StoreField(name string, v value.Value) error {
 
 // mapAt descends cks[:len-1] levels, creating intermediate maps when
 // create is true, and returns the innermost map.
-func (m *MemState) mapAt(field string, cks []string, keys []value.Value, create bool) (*value.Map, error) {
+func (m *MemState) mapAt(field string, cks []string, create bool) (*value.Map, error) {
 	root, ok := m.Fields[field]
 	if !ok {
 		return nil, fmt.Errorf("unknown field %s", field)
@@ -78,7 +78,7 @@ func (m *MemState) mapAt(field string, cks []string, keys []value.Value, create 
 				return nil, fmt.Errorf("field %s is not nested at depth %d", field, i)
 			}
 			nm := value.NewMap(inner.Key, inner.Val)
-			cur.SetCK(cks[i], keys[i], nm)
+			cur.SetCK(cks[i], nm)
 			next = nm
 		}
 		nm, ok := next.(*value.Map)
@@ -92,7 +92,7 @@ func (m *MemState) mapAt(field string, cks []string, keys []value.Value, create 
 
 // MapGet implements StateAccess.
 func (m *MemState) MapGet(field string, cks []string, keys []value.Value) (value.Value, bool, error) {
-	inner, err := m.mapAt(field, cks, keys, false)
+	inner, err := m.mapAt(field, cks, false)
 	if err != nil {
 		return nil, false, err
 	}
@@ -105,17 +105,17 @@ func (m *MemState) MapGet(field string, cks []string, keys []value.Value) (value
 
 // MapSet implements StateAccess.
 func (m *MemState) MapSet(field string, cks []string, keys []value.Value, v value.Value) error {
-	inner, err := m.mapAt(field, cks, keys, true)
+	inner, err := m.mapAt(field, cks, true)
 	if err != nil {
 		return err
 	}
-	inner.SetCK(cks[len(cks)-1], keys[len(keys)-1], v)
+	inner.SetCK(cks[len(cks)-1], v)
 	return nil
 }
 
 // MapDelete implements StateAccess.
 func (m *MemState) MapDelete(field string, cks []string, keys []value.Value) error {
-	inner, err := m.mapAt(field, cks, keys, false)
+	inner, err := m.mapAt(field, cks, false)
 	if err != nil {
 		return err
 	}

@@ -418,7 +418,7 @@ func Eval(name string, args []value.Value) (value.Value, error) {
 		keys := m.SortedKeys()
 		for i := len(keys) - 1; i >= 0; i-- {
 			k := keys[i]
-			pair := value.PairV(m.KeyType, m.ValType, m.KeyVals[k], m.Entries[k])
+			pair := value.PairV(m.KeyType, m.ValType, m.Key(k), m.Entries[k])
 			lst = value.Cons(elemTy, pair, lst)
 		}
 		return lst, nil

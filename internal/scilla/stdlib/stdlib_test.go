@@ -197,7 +197,10 @@ func TestMapBuiltins(t *testing.T) {
 	lst := evalB(t, "to_list", m1)
 	items, ok := value.ListValues(lst)
 	if !ok || len(items) != 1 {
-		t.Errorf("to_list = %s", lst)
+		t.Fatalf("to_list = %s", lst)
+	}
+	if pair := items[0].(value.ADT); !value.Equal(pair.Args[0], k) || !value.Equal(pair.Args[1], u128(1)) {
+		t.Errorf("to_list pair = %s, want (%s, 1)", pair, k)
 	}
 }
 

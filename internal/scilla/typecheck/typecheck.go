@@ -171,8 +171,8 @@ func (c *checker) checkStorable(t ast.Type) error {
 		if err := c.checkStorable(tt.Key); err != nil {
 			return err
 		}
-		if _, ok := tt.Key.(ast.PrimType); !ok {
-			return fmt.Errorf("map key type %s must be primitive", tt.Key)
+		if pt, ok := tt.Key.(ast.PrimType); !ok || !pt.IsMapKey() {
+			return fmt.Errorf("map key type %s must be an integer, String, ByStr or BNum", tt.Key)
 		}
 		return c.checkStorable(tt.Val)
 	case ast.ADTType:

@@ -100,6 +100,21 @@ end
 `, "map key")
 }
 
+// TestMapKeyTypeRenderable: a map key type is one whose values have a
+// canonical key form: an integer, String, a byte string or BNum.
+func TestMapKeyTypeRenderable(t *testing.T) {
+	for _, kt := range []string{"Unit", "(Option Uint128)"} {
+		wantErr(t, header+`
+contract C ()
+field m : Map `+kt+` Uint128 = Emp `+kt+` Uint128
+`, "map key type")
+	}
+	mustCheck(t, header+`
+contract C ()
+field m : Map BNum (Map ByStr Uint128) = Emp BNum (Map ByStr Uint128)
+`)
+}
+
 func TestMapDepthChecked(t *testing.T) {
 	wantErr(t, header+`
 contract C ()

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cosplit/internal/scilla/ast"
@@ -123,13 +124,13 @@ func (a ADT) String() string {
 	return strings.Join(parts, " ")
 }
 
-// Map is a mutable key-value map. Keys are stored by their canonical
-// string encoding; KeyVals remembers the original key values.
+// Map is a mutable key-value map: one Go map from each key's canonical
+// encoding (CanonicalKey) to its value. A key's value is not kept; Key
+// rebuilds it from the canonical form and the static KeyType.
 type Map struct {
 	KeyType ast.Type
 	ValType ast.Type
 	Entries map[string]Value // canonical key -> value
-	KeyVals map[string]Value // canonical key -> key value
 }
 
 func (*Map) value() {}
@@ -139,31 +140,30 @@ func (m *Map) Type() ast.Type { return ast.MapType{Key: m.KeyType, Val: m.ValTyp
 
 // NewMap builds an empty map value.
 func NewMap(kt, vt ast.Type) *Map {
-	return &Map{
-		KeyType: kt, ValType: vt,
-		Entries: make(map[string]Value),
-		KeyVals: make(map[string]Value),
-	}
+	return &Map{KeyType: kt, ValType: vt, Entries: make(map[string]Value)}
 }
 
-// Get returns the value at key k, if present.
+// keyBufSize holds the longest canonical key of a fixed-width type
+// ("Uint256:" and 78 digits), so Get and Delete render every such key
+// on the stack.
+const keyBufSize = 96
+
+// Get returns the value at key k, if present. The lookup renders the
+// key into a stack buffer and allocates nothing.
 func (m *Map) Get(k Value) (Value, bool) {
-	v, ok := m.Entries[CanonicalKey(k)]
+	var buf [keyBufSize]byte
+	v, ok := m.Entries[string(AppendCanonicalKey(buf[:0], k))]
 	return v, ok
 }
 
 // Set stores v at key k.
-func (m *Map) Set(k, v Value) {
-	ck := CanonicalKey(k)
-	m.Entries[ck] = v
-	m.KeyVals[ck] = k
-}
+func (m *Map) Set(k, v Value) { m.Entries[CanonicalKey(k)] = v }
 
-// Delete removes key k.
+// Delete removes key k. Its key is rendered on the stack as Get's is,
+// but a delete statement copies one longer than 32 bytes to the heap.
 func (m *Map) Delete(k Value) {
-	ck := CanonicalKey(k)
-	delete(m.Entries, ck)
-	delete(m.KeyVals, ck)
+	var buf [keyBufSize]byte
+	delete(m.Entries, string(AppendCanonicalKey(buf[:0], k)))
 }
 
 // GetCK returns the value at precomputed canonical key ck, if present.
@@ -173,16 +173,38 @@ func (m *Map) GetCK(ck string) (Value, bool) {
 	return v, ok
 }
 
-// SetCK stores v at key k whose canonical encoding ck was precomputed.
-func (m *Map) SetCK(ck string, k, v Value) {
-	m.Entries[ck] = v
-	m.KeyVals[ck] = k
-}
+// SetCK stores v at the key whose canonical encoding ck was
+// precomputed.
+func (m *Map) SetCK(ck string, v Value) { m.Entries[ck] = v }
 
 // DeleteCK removes the entry at precomputed canonical key ck.
-func (m *Map) DeleteCK(ck string) {
-	delete(m.Entries, ck)
-	delete(m.KeyVals, ck)
+func (m *Map) DeleteCK(ck string) { delete(m.Entries, ck) }
+
+// Key rebuilds the key value whose canonical encoding is ck, as a value
+// of the map's KeyType: CanonicalKey(m.Key(ck)) == ck. It panics when
+// ck is not the canonical key of a KeyType value; the type checker and
+// the wire decoder keep such keys out of every map.
+func (m *Map) Key(ck string) Value {
+	t, prim := m.KeyType.(ast.PrimType)
+	tag, rest, _ := strings.Cut(ck, ":")
+	switch {
+	case !prim:
+	case t.IsInt() && tag == t.String():
+		if n, ok := new(big.Int).SetString(rest, 10); ok {
+			return Int{Ty: t, V: n}
+		}
+	case t.Kind == ast.StringKind && tag == "s":
+		return Str{S: rest}
+	case t.Kind == ast.BNum && tag == "n":
+		if n, ok := new(big.Int).SetString(rest, 10); ok {
+			return BNum{V: n}
+		}
+	case (t.Kind == ast.ByStr20 || t.Kind == ast.ByStr32 || t.Kind == ast.ByStr) && tag == "b" && strings.HasPrefix(rest, "0x"):
+		if b, err := hex.DecodeString(rest[2:]); err == nil {
+			return ByStr{Ty: t, B: b}
+		}
+	}
+	panic(fmt.Sprintf("value: %q is not the canonical key of a %s", ck, m.KeyType))
 }
 
 // Len returns the number of entries.
@@ -214,10 +236,9 @@ func (m *Map) String() string {
 
 // Copy returns a deep copy of the map (values are copied via Copy).
 func (m *Map) Copy() *Map {
-	out := NewMap(m.KeyType, m.ValType)
+	out := &Map{KeyType: m.KeyType, ValType: m.ValType, Entries: make(map[string]Value, len(m.Entries))}
 	for k, v := range m.Entries {
 		out.Entries[k] = Copy(v)
-		out.KeyVals[k] = m.KeyVals[k]
 	}
 	return out
 }
@@ -329,31 +350,45 @@ func (Unit) String() string { return "()" }
 
 // CanonicalKey renders a value as a canonical map key. Only primitive
 // values are legal map keys; compound values fall back to String.
-func CanonicalKey(v Value) string {
+func CanonicalKey(v Value) string { return string(AppendCanonicalKey(nil, v)) }
+
+// AppendCanonicalKey appends CanonicalKey(v) to b. An integer that fits
+// in 64 bits is formatted without allocating.
+func AppendCanonicalKey(b []byte, v Value) []byte {
 	switch k := v.(type) {
 	case Int:
-		return k.Ty.String() + ":" + k.V.String()
+		return appendDecimal(append(append(b, k.Ty.String()...), ':'), k.V)
 	case Str:
-		return "s:" + k.S
+		return append(append(b, "s:"...), k.S...)
 	case ByStr:
-		buf := make([]byte, 4+2*len(k.B))
-		copy(buf, "b:0x")
-		hex.Encode(buf[4:], k.B)
-		return string(buf)
+		return hex.AppendEncode(append(b, "b:0x"...), k.B)
 	case BNum:
-		return "n:" + k.V.String()
+		return appendDecimal(append(b, "n:"...), k.V)
 	default:
-		return "x:" + v.String()
+		return append(append(b, "x:"...), v.String()...)
 	}
 }
 
-// Copy deep-copies a value. Immutable values are returned as-is; maps
-// are copied structurally.
+// appendDecimal appends n in base 10, as n.Append(b, 10) does.
+func appendDecimal(b []byte, n *big.Int) []byte {
+	if n.IsInt64() {
+		return strconv.AppendInt(b, n.Int64(), 10)
+	}
+	return n.Append(b, 10)
+}
+
+// Copy deep-copies a value. Maps are copied structurally and integers
+// get their own big.Int. Everything else is returned as-is, an ADT
+// without arguments included: only a *Map is mutable, so such an ADT
+// (True, None, Nil) holds nothing a copy must separate.
 func Copy(v Value) Value {
 	switch val := v.(type) {
 	case *Map:
 		return val.Copy()
 	case ADT:
+		if len(val.Args) == 0 {
+			return v
+		}
 		args := make([]Value, len(val.Args))
 		for i, a := range val.Args {
 			args[i] = Copy(a)

@@ -1,8 +1,11 @@
 package value_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -185,5 +188,105 @@ func TestIntRangeHelpers(t *testing.T) {
 	}
 	if ast.InRange(ast.TyInt32, big.NewInt(2147483648)) {
 		t.Error("Int32 max+1 in range")
+	}
+}
+
+// TestMapKeyRoundTrip: Map.Key rebuilds every primitive key kind from
+// its canonical form, with the map's key type, and the rebuilt key
+// renders to the same canonical form.
+func TestMapKeyRoundTrip(t *testing.T) {
+	var keys []value.Value
+	for k := ast.Int32; k <= ast.Uint256; k++ {
+		ty := ast.PrimType{Kind: k}
+		w := uint(ty.IntWidth())
+		min, max := new(big.Int), new(big.Int).Lsh(big.NewInt(1), w)
+		if ty.IsSigned() {
+			min.Neg(new(big.Int).Lsh(big.NewInt(1), w-1))
+			max.Rsh(max, 1)
+		}
+		max.Sub(max, big.NewInt(1))
+		for _, n := range []*big.Int{min, big.NewInt(-1), big.NewInt(0), max} {
+			if ast.InRange(ty, n) {
+				keys = append(keys, value.NewInt(ty, n))
+			}
+		}
+	}
+	for _, s := range []string{"", "a:b", "x\x1fy"} {
+		keys = append(keys, value.Str{S: s})
+	}
+	keys = append(keys,
+		value.ByStr{Ty: ast.PrimType{Kind: ast.ByStr}, B: []byte{}},
+		value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0xab}, 20)},
+		value.ByStr{Ty: ast.PrimType{Kind: ast.ByStr32}, B: bytes.Repeat([]byte{0x01}, 32)},
+		value.BNum{V: big.NewInt(0)},
+		value.BNum{V: new(big.Int).Lsh(big.NewInt(1), 200)},
+	)
+	for _, k := range keys {
+		m := value.NewMap(k.Type(), ast.TyUint128)
+		ck := value.CanonicalKey(k)
+		got := m.Key(ck)
+		if !value.Equal(got, k) || !got.Type().Equal(k.Type()) {
+			t.Errorf("Key(%q) = %#v, want %#v", ck, got, k)
+		}
+		if again := value.CanonicalKey(got); again != ck {
+			t.Errorf("CanonicalKey(Key(%q)) = %q", ck, again)
+		}
+	}
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// entryKV returns the i-th ByStr32 key and ByStr20 value of the
+// retention test and benchmark, each in bytes of its own.
+func entryKV(i int) (k, v value.ByStr) {
+	kb, vb := make([]byte, 32), make([]byte, 20)
+	binary.BigEndian.PutUint64(kb[24:], uint64(i))
+	binary.BigEndian.PutUint64(vb[12:], uint64(i))
+	return value.ByStr{Ty: ast.PrimType{Kind: ast.ByStr32}, B: kb}, value.ByStr{Ty: ast.TyByStr20, B: vb}
+}
+
+// TestMapEntryRetention: a map entry keeps its canonical key, its value
+// and one Go map slot alive, nothing for the key value.
+func TestMapEntryRetention(t *testing.T) {
+	const entries, ceiling = 100_000, 220
+	before := liveHeap()
+	m := value.NewMap(ast.PrimType{Kind: ast.ByStr32}, ast.TyByStr20)
+	for i := 0; i < entries; i++ {
+		k, v := entryKV(i)
+		m.Set(k, v)
+	}
+	perEntry := float64(liveHeap()-before) / entries
+	runtime.KeepAlive(m)
+	t.Logf("%d entries: %.1f B per entry retained", m.Len(), perEntry)
+	if perEntry > ceiling {
+		t.Errorf("map retains %.1f B per entry, ceiling %d", perEntry, ceiling)
+	}
+}
+
+// TestMapReadsAllocNothing: Get renders its key on the stack, and Copy
+// hands back an ADT without arguments as it is.
+func TestMapReadsAllocNothing(t *testing.T) {
+	m := value.NewMap(ast.TyByStr20, ast.TyUint128)
+	k := value.Value(value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x5a}, 20)})
+	m.Set(k, value.Uint128(1))
+	truth := value.Value(value.True())
+	var found bool
+	var copied value.Value
+	for name, f := range map[string]func(){
+		"Get":  func() { _, found = m.Get(k) },
+		"Copy": func() { copied = value.Copy(truth) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+	if !found || !value.IsTrue(copied) {
+		t.Fatalf("Get found %v, Copy(True) = %v", found, copied)
 	}
 }

@@ -50,7 +50,7 @@ var emptyMapLeaf = sha256.Sum256([]byte("\x02empty-map"))
 // rendering (type-tagged for ints, deterministic sorted order for
 // nested structures): sha256(0x01 ‖ canonical key).
 func (s *StateRoots) leafHash(v value.Value) [32]byte {
-	s.pre = append(append(s.pre[:0], 0x01), value.CanonicalKey(v)...)
+	s.pre = value.AppendCanonicalKey(append(s.pre[:0], 0x01), v)
 	return sha256.Sum256(s.pre)
 }
 

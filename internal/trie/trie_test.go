@@ -1,6 +1,7 @@
 package trie
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"cosplit/internal/chain"
+	"cosplit/internal/scilla/ast"
+	"cosplit/internal/scilla/value"
 )
 
 func leaf(s string) [32]byte { return sha256.Sum256([]byte(s)) }
@@ -320,6 +323,20 @@ func TestAccountLeafWideBalances(t *testing.T) {
 	} {
 		if got := fmt.Sprintf("%x", s.accountLeaf(tc.acc)); got != tc.want {
 			t.Errorf("accountLeaf(%+v) = %s, want %s", tc.acc, got, tc.want)
+		}
+	}
+}
+
+// TestLeafHashAllocatesNothing: a scalar leaf's preimage is rendered
+// into the scratch StateRoots keeps, so hashing one allocates nothing.
+func TestLeafHashAllocatesNothing(t *testing.T) {
+	var s StateRoots
+	for _, v := range []value.Value{
+		value.Uint128(1 << 40),
+		value.ByStr{Ty: ast.PrimType{Kind: ast.ByStr32}, B: bytes.Repeat([]byte{0x07}, 32)},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { s.leafHash(v) }); allocs != 0 {
+			t.Errorf("leafHash(%s) allocates %.1f times per call, want 0", v.Type(), allocs)
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // The seed corpus under testdata/fuzz/FuzzDecoders is generated from
 // the golden fixtures (go test -run TestUpdateFuzzCorpus -update-golden).
 func FuzzDecoders(f *testing.F) {
-	for _, fx := range fixtures() {
+	for _, fx := range append(fixtures(), badMapFrames()...) {
 		f.Add(AppendFrame(nil, fx.typ, fx.enc))
 	}
 	// A few deliberately broken seeds so the corpus covers error paths.

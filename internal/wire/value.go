@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"sort"
+	"strings"
 
 	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/value"
@@ -183,7 +185,7 @@ func appendValue(b []byte, v value.Value) ([]byte, error) {
 		keys := vv.SortedKeys()
 		b = appendUvarint(b, uint64(len(keys)))
 		for _, ck := range keys {
-			if b, err = appendValue(b, vv.KeyVals[ck]); err != nil {
+			if b, err = appendKey(b, vv, ck); err != nil {
 				return nil, err
 			}
 			if b, err = appendValue(b, vv.Entries[ck]); err != nil {
@@ -211,6 +213,33 @@ func appendValue(b []byte, v value.Value) ([]byte, error) {
 	}
 	return b, nil
 }
+
+// appendKey writes the key of m whose canonical form is ck as
+// appendValue writes m.Key(ck). A String or byte-string key is copied
+// straight out of ck, so a full snapshot of a large address-keyed map
+// allocates nothing per key; an integer or block number is rebuilt.
+func appendKey(b []byte, m *value.Map, ck string) ([]byte, error) {
+	t, ok := m.KeyType.(ast.PrimType)
+	if !ok || !t.IsMapKey() {
+		return nil, fmt.Errorf("%w: map key type %s", ErrUnencodable, m.KeyType)
+	}
+	switch t.Kind {
+	case ast.StringKind:
+		if s, ok := strings.CutPrefix(ck, "s:"); ok {
+			return appendString(append(b, tagStr), s), nil
+		}
+	case ast.ByStr20, ast.ByStr32, ast.ByStr:
+		if hx, ok := strings.CutPrefix(ck, "b:0x"); ok {
+			b = appendUvarint(append(b, tagByStr, byte(t.Kind)), uint64(len(hx)/2))
+			return hex.AppendDecode(b, []byte(hx))
+		}
+	}
+	return appendValue(b, m.Key(ck))
+}
+
+// The Bool values a decode returns: one box each, shared by every
+// decoded True and False. An ADT without arguments is immutable.
+var decodedTrue, decodedFalse value.Value = value.True(), value.False()
 
 // value reads one encoded value, building it only when build. A
 // receipt's events are read with build false when a block is decoded
@@ -269,11 +298,24 @@ func (r *reader) value(depth int, build bool) value.Value {
 				args = append(args, a)
 			}
 		}
-		if build {
+		switch {
+		case !build:
+		case string(name) == "Bool" && len(targs) == 0 && len(args) == 0 && string(constr) == "True":
+			v = decodedTrue
+		case string(name) == "Bool" && len(targs) == 0 && len(args) == 0 && string(constr) == "False":
+			v = decodedFalse
+		default:
 			v = value.ADT{TypeName: string(name), Constr: string(constr), TypeArgs: targs, Args: args}
 		}
 	case tagMap:
-		kt, vt := r.typ(depth+1, build), r.typ(depth+1, build)
+		// The key type is built even when the map is not: every key
+		// must be a value of exactly that type, for Map.Key to rebuild
+		// from its canonical form.
+		kt, vt := r.typ(depth+1, true), r.typ(depth+1, build)
+		pt, ok := kt.(ast.PrimType)
+		if r.err == nil && (!ok || !pt.IsMapKey()) {
+			r.fail("map key type %s is not an integer, String, ByStr or BNum", kt)
+		}
 		n := r.count(2)
 		var m *value.Map
 		if build && r.err == nil {
@@ -281,6 +323,9 @@ func (r *reader) value(depth int, build bool) value.Value {
 			v = m
 		}
 		for ; n > 0 && r.err == nil; n-- {
+			if !r.valueOf(pt) {
+				r.fail("map key is not a %s", pt)
+			}
 			k, e := r.value(depth+1, build), r.value(depth+1, build)
 			if build && r.err == nil {
 				m.Set(k, e)
@@ -308,4 +353,23 @@ func (r *reader) value(depth int, build bool) value.Value {
 		return nil
 	}
 	return v
+}
+
+// valueOf reports whether the next encoded value is tagged as a value of
+// the primitive type t: for an integer or a byte string, with t's kind.
+// The value itself is left to read.
+func (r *reader) valueOf(t ast.PrimType) bool {
+	if len(r.b) < 2 {
+		return false
+	}
+	switch tag := r.b[0]; {
+	case t.IsInt():
+		return tag == tagInt && ast.PrimKind(r.b[1]) == t.Kind
+	case t.Kind == ast.StringKind:
+		return tag == tagStr
+	case t.Kind == ast.BNum:
+		return tag == tagBNum
+	default:
+		return tag == tagByStr && ast.PrimKind(r.b[1]) == t.Kind
+	}
 }

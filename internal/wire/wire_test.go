@@ -566,6 +566,49 @@ func TestGoldenDecodes(t *testing.T) {
 	}
 }
 
+// badMapFrames are snapshot records whose one field is a map no typed
+// write builds: keys that are not values of the map's key type, or a
+// key type no canonical key renders. A map's keys are rebuilt from its
+// key type, so each must fail to decode. They seed FuzzDecoders too.
+func badMapFrames() []fixture {
+	snapshot := func(kt ast.Type, kvs ...value.Value) []byte {
+		b := appendUvarint(appendAddr(nil, chain.AddrFromUint(7)), 1)
+		b = mustEnc(appendType(append(appendString(b, "balances"), tagMap), kt))
+		b = appendUvarint(mustEnc(appendType(b, ast.TyUint128)), uint64(len(kvs)/2))
+		for _, v := range kvs {
+			b = mustEnc(appendValue(b, v))
+		}
+		return b
+	}
+	addr := value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)}
+	return []fixture{
+		{"bad_map_keys", MsgSnapshotContract, snapshot(ast.TyByStr20,
+			value.Uint128(5), value.Uint128(1), value.Str{S: "x"}, value.Uint128(2))},
+		{"bad_map_key_type", MsgSnapshotContract, snapshot(ast.MapType{Key: ast.TyUint128, Val: ast.TyUint128})},
+		{"bad_map_key_width", MsgSnapshotContract, snapshot(ast.TyUint128, value.Uint32V(5), value.Uint128(1))},
+		{"bad_map_key_bystr", MsgSnapshotContract, snapshot(ast.PrimType{Kind: ast.ByStr},
+			addr, value.Uint128(1))},
+		{"bad_map_key_unit", MsgSnapshotContract, snapshot(ast.TyUnit, value.Unit{}, value.Uint128(1))},
+	}
+}
+
+// TestMapKeysOfKeyType: a map decodes only when its key type is an
+// integer, String, byte string or BNum type and every key is a value of
+// exactly that type; the same map with well-typed keys decodes.
+func TestMapKeysOfKeyType(t *testing.T) {
+	for _, fx := range badMapFrames() {
+		if c, err := DecodeSnapshotContract(fx.enc); !errors.Is(err, ErrDecode) {
+			t.Errorf("%s: decoded to %v, err %v; want ErrDecode", fx.name, c, err)
+		}
+	}
+	m := value.NewMap(ast.TyByStr20, ast.TyUint128)
+	m.Set(value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)}, value.Uint128(1))
+	enc := mustEnc(EncodeSnapshotContract(&SnapshotContract{Addr: chain.AddrFromUint(7), Fields: map[string]value.Value{"balances": m}}))
+	if c, err := DecodeSnapshotContract(enc); err != nil || !value.Equal(c.Fields["balances"], m) {
+		t.Fatalf("well-typed map: decoded %v, err %v", c, err)
+	}
+}
+
 // TestUpdateFuzzCorpus materialises the fixtures as seed-corpus files
 // for FuzzDecoders when -update-golden is set, so the committed corpus
 // tracks the format.
@@ -577,7 +620,7 @@ func TestUpdateFuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, fx := range fixtures() {
+	for _, fx := range append(fixtures(), badMapFrames()...) {
 		frame := AppendFrame(nil, fx.typ, fx.enc)
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(frame)) + ")\n"
 		if err := os.WriteFile(filepath.Join(dir, "seed_"+fx.name), []byte(body), 0o644); err != nil {

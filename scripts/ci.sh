@@ -80,6 +80,9 @@ go test -run '^$' -bench 'TransferExec|CompiledTransfer|Overlay' -benchtime 1x .
 # The account table: 100k accounts created and each read back (bytes
 # retained per account, allocations of the pass).
 go test -run '^$' -bench 'AccountTable' -benchtime 1x ./internal/chain/
+# A contract map: 100k ByStr32 → ByStr20 entries set and each read back
+# (bytes retained per entry, allocations of the pass).
+go test -run '^$' -bench 'MapEntries' -benchtime 1x ./internal/scilla/value/
 # Short fuzz runs of the wire decoders beyond the committed corpus —
 # including the store's snapshot/journal record types — no decoder may
 # panic on hostile bytes, and decode∘encode must stay a fixed point; and
