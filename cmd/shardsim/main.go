@@ -10,10 +10,13 @@
 //
 // Chaos: -faults seed:spec injects a deterministic fault schedule
 // (crashed shards, dropped MicroBlocks, corrupt deltas, stragglers)
-// into every simulated network, e.g.
-// -faults "7:crash=0.05,drop=0.02,straggle=0.2x4". The same seed and
-// spec reproduce the same fault schedule bit-for-bit on either
-// execution engine.
+// into the measured epochs of the Fig. 14 and -strategies runs, e.g.
+// -faults "7:crash=0.05,drop=0.02,straggle=0.2x4". The throughput
+// harness applies it: a shard the plan loses hands the pipeline no
+// MicroBlock, and a straggler slows only the modelled clock. The same
+// seed and spec reproduce the same fault schedule bit-for-bit on
+// either execution engine. -nodes sizes the modelled PBFT committees
+// of the same runs.
 //
 // Persistence: -state-dir attaches the append-only state store to one
 // workload's chain: the run recovers from the directory, then drives
@@ -32,7 +35,8 @@
 // valid against the server's chain. The node modes (-serve, -node,
 // -hammer) do not take the simulator's experiment flags yet (-faults,
 // -trace-out, -metrics-out) and refuse them by name rather than run
-// without them.
+// without them; -state-dir refuses -faults and -nodes, and -overheads
+// refuses -faults, for the same reason.
 package main
 
 import (
@@ -41,6 +45,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,12 +65,12 @@ func main() {
 		txs        = flag.Int("txs", 8000, "offered load per epoch")
 		shardGas   = flag.Uint64("shard-gas", 40_000, "per-shard gas limit per epoch")
 		dsGas      = flag.Uint64("ds-gas", 40_000, "DS-committee gas limit per epoch")
-		nodes      = flag.Int("nodes", 5, "nodes per shard (paper: 5)")
+		nodes      = flag.Int("nodes", 5, "nodes per shard in the modelled PBFT committees of the Fig. 14 and -strategies runs (paper: 5)")
 		workloads  = flag.String("workloads", "", "comma-separated workloads (default: all)")
 		overheads  = flag.Bool("overheads", false, "measure Sec. 5.2.2 overheads instead of Fig. 14")
 		strategy   = flag.Bool("strategies", false, "run the Sec. 5.2.3 ownership-vs-commutativity ablation")
 		listFlag   = flag.Bool("list", false, "list workloads")
-		faultSpec  = flag.String("faults", "", `deterministic fault injection, "seed:kind=prob[,...]" with kinds crash, drop, corrupt, straggle (e.g. "7:crash=0.05,straggle=0.2x4")`)
+		faultSpec  = flag.String("faults", "", `deterministic fault injection into the measured epochs of the Fig. 14 and -strategies runs, "seed:kind=prob[,...]" with kinds crash, drop, corrupt, straggle (e.g. "7:crash=0.05,straggle=0.2x4")`)
 		traceOut   = flag.String("trace-out", "", "write a JSONL epoch-trace journal of every simulated network to this file")
 		metricsOut = flag.String("metrics-out", "", "write the aggregated metrics registry as JSON to this file on exit")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -87,7 +92,7 @@ func main() {
 	)
 	flag.Parse()
 
-	fail(refuseIgnoredFlags(*nodeRole, *serveAddr, *hammerURL))
+	fail(refuseIgnoredFlags(*nodeRole, *serveAddr, *hammerURL, *stateDir, *overheads))
 
 	if *listFlag {
 		for _, w := range workload.All() {
@@ -108,11 +113,12 @@ func main() {
 	// and one journal (if requested) receives the interleaved traces.
 	reg := obs.NewRegistry()
 	netOpts := []shard.Option{shard.WithRegistry(reg)}
+	var plan *fault.Plan
 	if *faultSpec != "" {
-		plan, err := fault.ParseSpec(*faultSpec)
+		var err error
+		plan, err = fault.ParseSpec(*faultSpec)
 		fail(err)
 		fmt.Fprintf(os.Stderr, "shardsim: injecting %s\n", plan)
-		netOpts = append(netOpts, shard.WithFaults(plan))
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -141,6 +147,7 @@ func main() {
 		NodesPerShard: *nodes,
 		ShardGasLimit: *shardGas,
 		DSGasLimit:    *dsGas,
+		Faults:        plan,
 		NetOptions:    netOpts,
 	}
 
@@ -182,7 +189,6 @@ func main() {
 		fail(err)
 		provOpts := append([]shard.Option{
 			shard.WithShards(4),
-			shard.WithNodesPerShard(*nodes),
 			shard.WithGasLimits(*shardGas, *dsGas),
 		}, netOpts...)
 		env, err := workload.Provision(w, true, provOpts...)
@@ -278,29 +284,36 @@ func serveRPC(addr, tcpAddr, workloadName string, shards, lookups int, interval 
 	fail(http.ListenAndServe(addr, rpc.NewServer(cluster.Lookup)))
 }
 
-// refuseIgnoredFlags fails a node-mode run (-node, -serve, -hammer)
-// that was given an experiment flag those modes never read: the genesis
-// of every role is the plain workload, so the run would silently be a
-// different experiment from the one asked for.
-func refuseIgnoredFlags(nodeRole, serveAddr, hammerURL string) error {
-	var mode string
+// refuseIgnoredFlags fails a run that was given a flag its mode never
+// reads, naming both: the run would silently be a different experiment
+// from the one asked for. The node modes (-node, -serve, -hammer) build
+// every role's genesis from the plain workload; -state-dir and
+// -overheads drive networks without the throughput harness, which
+// alone applies -faults and models committees of -nodes.
+func refuseIgnoredFlags(nodeRole, serveAddr, hammerURL, stateDir string, overheads bool) error {
+	nodeFlags := []string{"faults", "trace-out", "metrics-out"}
+	const nodeWhy = "not wired into the node modes"
+	const harnessWhy = "only the Fig. 14 and -strategies runs read it"
+	var mode, why string
+	var ignored []string
 	switch {
 	case nodeRole != "":
-		mode = "-node"
+		mode, ignored, why = "-node", nodeFlags, nodeWhy
 	case serveAddr != "":
-		mode = "-serve"
+		mode, ignored, why = "-serve", nodeFlags, nodeWhy
 	case hammerURL != "":
-		mode = "-hammer"
+		mode, ignored, why = "-hammer", nodeFlags, nodeWhy
+	case stateDir != "":
+		mode, ignored, why = "-state-dir", []string{"faults", "nodes"}, harnessWhy
+	case overheads:
+		mode, ignored, why = "-overheads", []string{"faults"}, harnessWhy
 	default:
 		return nil
 	}
 	var err error
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "faults", "trace-out", "metrics-out":
-			if err == nil {
-				err = fmt.Errorf("-%s has no effect with %s (not wired into the node modes); drop it or run the simulator modes", f.Name, mode)
-			}
+		if err == nil && slices.Contains(ignored, f.Name) {
+			err = fmt.Errorf("-%s has no effect with %s (%s); drop it or run another mode", f.Name, mode, why)
 		}
 	})
 	return err

@@ -23,7 +23,6 @@ func main() {
 	net := shard.NewNetwork(
 		shard.WithShards(3),
 		shard.WithGasLimits(1<<40, 1<<40),
-		shard.WithConsensusModel(false),
 	)
 	owner := chain.AddrFromUint(1)
 	net.CreateUser(owner, 1_000_000)

@@ -30,7 +30,6 @@ func main() {
 	net := shard.NewNetwork(
 		shard.WithShards(4),
 		shard.WithGasLimits(1<<40, 1<<40),
-		shard.WithConsensusModel(false),
 	)
 	admin := chain.AddrFromUint(1)
 	net.CreateUser(admin, 1<<30)

@@ -113,7 +113,6 @@ func MeasureOverheads(txs int, netOpts ...shard.Option) (*OverheadResult, error)
 			shard.WithShards(1),
 			shard.WithGasLimits(1<<60, 1<<60),
 			shard.WithSplitGasAccounting(false),
-			shard.WithConsensusModel(false),
 		}, netOpts...)...)
 	if err != nil {
 		return nil, err

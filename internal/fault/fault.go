@@ -1,11 +1,13 @@
-// Package fault provides deterministic fault injection for the
-// sharded epoch pipeline. A Plan maps (epoch, shard) to a Directive —
-// crash the shard mid-epoch, slow it down by a straggle factor, drop
-// its sealed MicroBlock in transit, or corrupt its StateDelta — and
-// the pipeline consults the plan at fixed points so the same seed and
-// spec reproduce the same fault schedule bit-for-bit across runs, on
-// either execution engine, whether shards run back to back in one
-// process or as separate node actors.
+// Package fault provides deterministic fault schedules for the
+// throughput harness (internal/bench). A Plan maps (epoch, shard) to a
+// Directive — crash the shard mid-epoch, slow it down by a straggle
+// factor, drop its sealed MicroBlock in transit, or corrupt its
+// StateDelta — so the same seed and spec reproduce the same fault
+// schedule bit-for-bit across runs, on either execution engine. The
+// epoch pipeline (internal/shard) never reads a plan: it knows one
+// loss, a MicroBlock that did not arrive, and the harness applies a
+// directive by withholding the block (crash, drop, corrupt) or by
+// scaling the shard's execution time in its model (straggle).
 //
 // Determinism is by construction: a generated plan derives each
 // (epoch, shard) verdict from a splitmix64 hash of (seed, epoch,
@@ -15,7 +17,7 @@
 // many shards the network has, or which goroutine asks first.
 // Explicit per-(epoch, shard) overrides (Set) take precedence over the
 // generated schedule; a plan with a zero spec and no overrides injects
-// nothing and leaves the pipeline byte-identical to an unfaulted run.
+// nothing.
 package fault
 
 import (
@@ -44,12 +46,11 @@ type Kind uint8
 const (
 	// None leaves the shard healthy for the epoch.
 	None Kind = iota
-	// CrashMidEpoch crashes the shard during execution: no MicroBlock
-	// is sealed, the shard's committee runs a PBFT view change, and the
-	// whole batch is requeued.
+	// CrashMidEpoch crashes the shard during execution: it seals no
+	// MicroBlock, and its whole batch is requeued.
 	CrashMidEpoch
-	// Straggle slows the shard's modeled execution time by Factor; the
-	// MicroBlock still seals and merges normally.
+	// Straggle slows the shard's modelled execution time by Factor;
+	// the MicroBlock still seals and merges normally.
 	Straggle
 	// DropMicroBlock loses the sealed MicroBlock in transit to the DS
 	// committee; recovery is as for CrashMidEpoch.
@@ -79,7 +80,8 @@ func (k Kind) String() string {
 
 // Lost reports whether the directive loses the shard's MicroBlock
 // (crash, drop, corrupt) and therefore triggers the recovery path:
-// view change, batch requeue, unavailability backoff.
+// batch requeue, unavailability backoff, and in the harness's model a
+// view change.
 func (k Kind) Lost() bool {
 	return k == CrashMidEpoch || k == DropMicroBlock || k == CorruptDelta
 }
@@ -87,7 +89,7 @@ func (k Kind) Lost() bool {
 // Directive is the plan's verdict for one (epoch, shard).
 type Directive struct {
 	Kind Kind
-	// Factor multiplies the shard's modeled execution time when Kind is
+	// Factor multiplies the shard's modelled execution time when Kind is
 	// Straggle (values below 1 are treated as 1).
 	Factor float64
 }
@@ -119,8 +121,8 @@ type planKey struct {
 
 // Plan is a deterministic fault schedule. The zero value (or New())
 // is the empty plan: it injects nothing. Plans are immutable once
-// handed to a network; At is safe for concurrent use as long as no
-// Set races it.
+// handed to a run; At is safe for concurrent use as long as no Set
+// races it.
 type Plan struct {
 	seed int64
 	spec Spec

@@ -19,13 +19,12 @@ import (
 //
 // Per epoch the DS dispatches (BeginEpoch), ships each shard its
 // TxBatch, collects MicroBlocks until all shards answered or the
-// collect timeout fires, finalizes (merge + its own run + consensus),
-// and broadcasts the sealed FinalBlock to every shard node and lookup.
-// A shard whose MicroBlock never arrives — dropped, corrupted, or late
-// — is treated as transport-lost: its batch is requeued and its
-// committee charged a view change, exactly like the modeled
-// DropMicroBlock fault, and after Config.FaultEscalation such epochs in
-// a row its traffic runs on the committee until it answers again.
+// collect timeout fires, finalizes (merge + its own run), and
+// broadcasts the sealed FinalBlock to every shard node and lookup. A
+// shard whose MicroBlock never arrives — dropped, corrupted, or late —
+// is a nil block to FinalizeEpoch, the pipeline's one kind of loss:
+// its batch is requeued, and after Config.FaultEscalation such epochs
+// in a row its traffic runs on the committee until it answers again.
 type DS struct {
 	name    string
 	ep      Endpoint

@@ -63,8 +63,9 @@ func newLinkMetrics(reg *obs.Registry) *linkMetrics {
 	}
 }
 
-// splitmix is the SplitMix64 sequence generator (the counter variant
-// of the finalizer used by fault.Plan).
+// splitmix is the SplitMix64 sequence generator: the counter variant
+// of the finalizer that fault.Plan, the throughput harness's fault
+// schedule, hashes with.
 type splitmix struct{ s uint64 }
 
 func (r *splitmix) next() uint64 {

@@ -9,14 +9,14 @@
 // The epoch protocol mirrors the monolithic pipeline stage for stage:
 //
 //	lookup ──Submit──▶ DS ──TxBatch──▶ shard nodes
-//	shard nodes ──MicroBlock──▶ DS (merge, DS exec, consensus)
+//	shard nodes ──MicroBlock──▶ DS (merge, DS exec)
 //	DS ──FinalBlock──▶ shard nodes + lookups (replay & verify)
 //
 // Because every hop is encoded bytes, fault injection can drop,
 // corrupt, or delay actual frames (LinkFaults); a missing or
-// undecodable MicroBlock surfaces at the DS as a transport loss and
-// triggers the same requeue-and-view-change recovery as the modeled
-// fault plans. A byte-shipped epoch commits bit-identical state roots
+// undecodable MicroBlock surfaces at the DS as a nil block to
+// FinalizeEpoch, the same loss a fault plan makes in the throughput
+// harness: the batch is requeued. A byte-shipped epoch commits bit-identical state roots
 // to the monolithic shard.Network path (see TestCrossModeStateRoots).
 package node
 

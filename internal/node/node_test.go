@@ -76,7 +76,7 @@ func TestCrossModeStateRoots(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("epoch %d: tick: %v", e, res.Err)
 		}
-		if res.Stats.ViewChanges != 0 {
+		if res.Stats.LostBlocks != 0 {
 			t.Fatalf("epoch %d: unexpected transport losses: %+v", e, res.Stats)
 		}
 		if want := envMono.Net.StateRoot(); res.Root != want {
@@ -159,7 +159,7 @@ func TestTransportFaultRecovery(t *testing.T) {
 	// frame (and its recovery) a statistical certainty.
 	const epochs, perEpoch = 10, 4
 	const total = epochs * perEpoch
-	submitted, committed, viewChanges := 0, 0, 0
+	submitted, committed, lostBlocks := 0, 0, 0
 	for e := 0; e < 60 && committed < total; e++ {
 		for i := 0; i < perEpoch && submitted < total; i++ {
 			if _, err := cluster.Lookup.SubmitTx(w.Next(envSrc)); err != nil {
@@ -172,13 +172,13 @@ func TestTransportFaultRecovery(t *testing.T) {
 			t.Fatalf("tick %d: %v", e, res.Err)
 		}
 		committed += res.Stats.Committed
-		viewChanges += res.Stats.ViewChanges
+		lostBlocks += res.Stats.LostBlocks
 	}
 	if committed != total {
 		t.Fatalf("committed %d of %d after recovery", committed, total)
 	}
-	if viewChanges == 0 {
-		t.Error("no view changes despite 35% frame drop — faults not injected?")
+	if lostBlocks == 0 {
+		t.Error("no lost blocks despite 35% frame drop — faults not injected?")
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["wire.frames_dropped"] == 0 {

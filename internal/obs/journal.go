@@ -172,19 +172,10 @@ func (j *Journal) TxRequeued(epoch uint64, shard, count int) {
 }
 
 // ShardFault implements Recorder.
-func (j *Journal) ShardFault(epoch uint64, shard int, kind string, lost int) {
+func (j *Journal) ShardFault(epoch uint64, shard, lost int) {
 	b := j.begin("shard_fault", epoch)
 	b = appendInt(b, "shard", int64(shard))
-	b = appendStr(b, "kind", kind)
 	b = appendInt(b, "lost", int64(lost))
-	j.end(b)
-}
-
-// ViewChange implements Recorder.
-func (j *Journal) ViewChange(epoch uint64, shard int, took time.Duration) {
-	b := j.begin("view_change", epoch)
-	b = appendInt(b, "shard", int64(shard))
-	b = appendInt(b, "took_ns", int64(took))
 	j.end(b)
 }
 
@@ -264,8 +255,6 @@ func (j *Journal) EpochFinalized(s EpochSummary) {
 	b = appendInt(b, "exec_sum_ns", int64(s.ExecSum))
 	b = appendInt(b, "merge_ns", int64(s.Merge))
 	b = appendInt(b, "ds_ns", int64(s.DSExec))
-	b = appendInt(b, "consensus_ns", int64(s.Consensus))
-	b = appendInt(b, "wall_ns", int64(s.Wall))
 	b = appendInt(b, "measured_ns", int64(s.Measured))
 	j.end(b)
 }

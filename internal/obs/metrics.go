@@ -17,7 +17,7 @@
 //     streams JSONL when enabled.
 //
 // obs deliberately depends only on the standard library so every layer
-// of the simulator (chain, dispatch, shard, consensus, bench) can use
+// of the simulator (chain, dispatch, shard, bench) can use
 // it without import cycles.
 package obs
 

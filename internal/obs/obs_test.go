@@ -38,7 +38,7 @@ func TestCounterGaugeRegistry(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.TimeHistogram("epoch.wall_time")
+	h := r.TimeHistogram("epoch.measured_time")
 	h.ObserveDuration(500 * time.Nanosecond) // below first bound -> bucket 0
 	h.ObserveDuration(time.Microsecond)      // == first bound (inclusive)
 	h.ObserveDuration(3 * time.Millisecond)  // 2ms < v <= 5ms
@@ -46,7 +46,7 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Count() != 4 {
 		t.Fatalf("count = %d, want 4", h.Count())
 	}
-	hs := r.Snapshot().Histograms["epoch.wall_time"]
+	hs := r.Snapshot().Histograms["epoch.measured_time"]
 	got := map[int64]int64{}
 	for _, b := range hs.Buckets {
 		got[b.Le] = b.Count

@@ -4,8 +4,7 @@ import "time"
 
 // EpochSummary is the per-epoch roll-up carried by the EpochFinalized
 // event: transaction counts plus the per-stage timings of the Fig. 10
-// pipeline. All durations are host-measured except Consensus and Wall,
-// which are modelled (see internal/consensus).
+// pipeline. Every duration is host-measured.
 type EpochSummary struct {
 	Epoch       uint64
 	Committed   int
@@ -16,19 +15,16 @@ type EpochSummary struct {
 	// DeltaEntries is the total number of merged state components.
 	DeltaEntries int
 
-	// Per-stage timings. ExecMax is the slowest shard (what the modelled
-	// pipeline charges, shards being distinct machines); ExecSum totals
-	// every shard (what a non-pipelined executor would pay).
-	Dispatch  time.Duration
-	ExecMax   time.Duration
-	ExecSum   time.Duration
-	Merge     time.Duration
-	DSExec    time.Duration
-	Consensus time.Duration
-	// Wall is the modelled epoch duration (Dispatch + ExecMax + Merge +
-	// DSExec + Consensus); Measured is the host wall-clock actually
-	// spent.
-	Wall     time.Duration
+	// Per-stage timings. ExecMax is the slowest shard whose MicroBlock
+	// arrived (what an epoch waits for, shards being distinct machines);
+	// ExecSum totals them (what a non-pipelined executor would pay).
+	// Measured is the host wall-clock from BeginEpoch to the end of
+	// FinalizeEpoch.
+	Dispatch time.Duration
+	ExecMax  time.Duration
+	ExecSum  time.Duration
+	Merge    time.Duration
+	DSExec   time.Duration
 	Measured time.Duration
 }
 
@@ -47,8 +43,6 @@ func (s *EpochSummary) add(o EpochSummary) {
 	s.ExecSum += o.ExecSum
 	s.Merge += o.Merge
 	s.DSExec += o.DSExec
-	s.Consensus += o.Consensus
-	s.Wall += o.Wall
 	s.Measured += o.Measured
 }
 
@@ -82,14 +76,9 @@ type Recorder interface {
 	// back at the tail of the Submit queue (shard -1 = the DS
 	// committee's deferrals).
 	TxRequeued(epoch uint64, shard, count int)
-	// ShardFault reports an injected fault taking effect on a shard:
-	// kind is the directive label ("crash", "drop", "corrupt",
-	// "straggle") and lost the number of batch transactions requeued by
-	// the recovery path (0 for straggle — the MicroBlock still seals).
-	ShardFault(epoch uint64, shard int, kind string, lost int)
-	// ViewChange reports a PBFT view change charged to a shard's
-	// committee after its MicroBlock went missing or failed validation.
-	ViewChange(epoch uint64, shard int, took time.Duration)
+	// ShardFault reports a shard whose MicroBlock never reached the
+	// merge: lost is the number of batch transactions requeued with it.
+	ShardFault(epoch uint64, shard, lost int)
 	// ShardEscalated reports the dispatcher's unavailability backoff
 	// escalating a repeatedly faulting shard: txs transactions the
 	// routing placed on the shard were executed by the DS committee
@@ -145,10 +134,7 @@ func (Nop) DeltaMerged(epoch uint64, contracts, deltas, entries, conflicts int, 
 func (Nop) TxRequeued(epoch uint64, shard, count int) {}
 
 // ShardFault implements Recorder.
-func (Nop) ShardFault(epoch uint64, shard int, kind string, lost int) {}
-
-// ViewChange implements Recorder.
-func (Nop) ViewChange(epoch uint64, shard int, took time.Duration) {}
+func (Nop) ShardFault(epoch uint64, shard, lost int) {}
 
 // ShardEscalated implements Recorder.
 func (Nop) ShardEscalated(epoch uint64, shard, txs int) {}
@@ -239,16 +225,9 @@ func (m multi) TxRequeued(epoch uint64, shard, count int) {
 }
 
 // ShardFault implements Recorder.
-func (m multi) ShardFault(epoch uint64, shard int, kind string, lost int) {
+func (m multi) ShardFault(epoch uint64, shard, lost int) {
 	for _, r := range m {
-		r.ShardFault(epoch, shard, kind, lost)
-	}
-}
-
-// ViewChange implements Recorder.
-func (m multi) ViewChange(epoch uint64, shard int, took time.Duration) {
-	for _, r := range m {
-		r.ViewChange(epoch, shard, took)
+		r.ShardFault(epoch, shard, lost)
 	}
 }
 

@@ -62,7 +62,7 @@ end
 // the DS committee).
 func probeNet(t *testing.T) (net *shard.Network, probe chain.Address, user func(n uint64, home bool, balance uint64) chain.Address) {
 	t.Helper()
-	net = shard.NewNetwork(shard.WithShards(3), shard.WithConsensusModel(false))
+	net = shard.NewNetwork(shard.WithShards(3))
 	deployer := chain.AddrFromUint(999)
 	net.CreateUser(deployer, 1<<40)
 	probe, err := net.DeployContract(deployer, probeSrc, map[string]value.Value{

@@ -279,7 +279,7 @@ end
 // that only reads a map is handed the canonical map itself.
 func TestReceiptsOwnTheMapsTheyShow(t *testing.T) {
 	recs := receiptBook{}
-	net := shard.NewNetwork(shard.WithShards(3), shard.WithConsensusModel(false))
+	net := shard.NewNetwork(shard.WithShards(3))
 	deployer := chain.AddrFromUint(999)
 	net.CreateUser(deployer, 1<<40)
 	ledger, err := net.DeployContract(deployer, ledgerSrc, map[string]value.Value{

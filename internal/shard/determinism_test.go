@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cosplit/internal/fault"
 	"cosplit/internal/shard"
 	"cosplit/internal/wire"
 	"cosplit/internal/workload"
@@ -48,10 +49,17 @@ func namedWorkload(t *testing.T, name string, seed int64) *workload.Workload {
 // the MicroBlocks can be kept.
 func runPipeline(t *testing.T, w *workload.Workload, extra ...shard.Option) *pipelineResult {
 	t.Helper()
+	return runPipelineLosing(t, w, nil, extra...)
+}
+
+// runPipelineLosing is runPipeline with the blocks plan loses withheld
+// from FinalizeEpoch (see runEpochLosing). It keeps every block a shard
+// sealed, including the ones that never arrived.
+func runPipelineLosing(t *testing.T, w *workload.Workload, plan *fault.Plan, extra ...shard.Option) *pipelineResult {
+	t.Helper()
 	opts := append([]shard.Option{
 		shard.WithShards(8),
 		shard.WithGasLimits(200_000, 200_000),
-		shard.WithConsensusModel(false),
 	}, extra...)
 	env, err := workload.Provision(w, true, opts...)
 	if err != nil {
@@ -65,18 +73,14 @@ func runPipeline(t *testing.T, w *workload.Workload, extra ...shard.Option) *pip
 		for i := env.Net.MempoolSize(); i < txsPerEpoch; i++ {
 			ids = append(ids, env.Net.Submit(w.Next(env)))
 		}
-		run := env.Net.BeginEpoch()
-		blocks := make([]*shard.MicroBlock, len(run.Queues()))
-		for s, q := range run.Queues() {
-			if blocks[s], err = env.Net.ExecuteShard(s, q); err != nil {
-				t.Fatalf("epoch %d shard %d: %v", e, s, err)
-			}
-		}
-		stats, _, err := env.Net.FinalizeEpoch(run, blocks)
+		stats, blocks, err := runEpochLosing(env.Net, plan)
 		if _, err = recs.add(stats, err); err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
 		for _, mb := range blocks {
+			if mb == nil {
+				continue
+			}
 			mb.ExecTime = 0
 			b, err := wire.EncodeMicroBlock(mb)
 			if err != nil {

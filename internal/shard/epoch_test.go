@@ -209,8 +209,8 @@ func TestDeltaStatsReported(t *testing.T) {
 	if sum.Committed != stats.Committed || sum.DeltaEntries != stats.DeltaEntries {
 		t.Errorf("recorder summary %+v disagrees with stats %+v", sum, stats)
 	}
-	if sum.Wall != stats.WallTime {
-		t.Errorf("recorder wall %v != stats wall %v", sum.Wall, stats.WallTime)
+	if sum.Measured != stats.MeasuredTime {
+		t.Errorf("recorder measured %v != stats measured %v", sum.Measured, stats.MeasuredTime)
 	}
 }
 

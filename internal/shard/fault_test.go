@@ -6,36 +6,66 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"cosplit/internal/chain"
-	"cosplit/internal/consensus"
 	"cosplit/internal/fault"
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
 )
 
-// faultEvents captures the fault-recovery trace events (everything
+// The pipeline knows one loss: a nil MicroBlock handed to
+// FinalizeEpoch. These tests make the losses with a fault.Plan, as the
+// throughput harness does: runEpochLosing drives the three stage calls,
+// skips every shard the plan crashes, runs every shard it drops or
+// corrupts and then throws the block away, and passes nil for each.
+
+// runEpochLosing runs one epoch of net through BeginEpoch, ExecuteShard
+// and FinalizeEpoch under plan at the run's epoch (a nil plan loses
+// nothing). A crashed shard is not executed; a dropped or corrupted
+// shard runs its whole queue, but FinalizeEpoch sees nil in its slot.
+// It returns every block a shard sealed, lost or not.
+func runEpochLosing(net *shard.Network, plan *fault.Plan) (*shard.EpochStats, []*shard.MicroBlock, error) {
+	run := net.BeginEpoch()
+	sealed := make([]*shard.MicroBlock, len(run.Queues()))
+	arrived := make([]*shard.MicroBlock, len(run.Queues()))
+	for s, q := range run.Queues() {
+		kind := plan.At(run.Epoch(), s).Kind
+		if kind == fault.CrashMidEpoch {
+			continue
+		}
+		mb, err := net.ExecuteShard(s, q)
+		if err != nil {
+			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+		sealed[s] = mb
+		if !kind.Lost() {
+			arrived[s] = mb
+		}
+	}
+	stats, _, err := net.FinalizeEpoch(run, arrived)
+	return stats, sealed, err
+}
+
+// lossyEpoch is runEpochLosing shaped like RunEpoch, for receiptBook.add.
+func lossyEpoch(net *shard.Network, plan *fault.Plan) (*shard.EpochStats, error) {
+	stats, _, err := runEpochLosing(net, plan)
+	return stats, err
+}
+
+// faultEvents captures the loss-recovery trace events (everything
 // else is a no-op), so tests can assert the pipeline's bookkeeping
 // without parsing a journal.
 type faultEvents struct {
 	obs.Nop
 	mu          sync.Mutex
 	faults      []string
-	viewChanges []time.Duration
 	escalations []string
 }
 
-func (f *faultEvents) ShardFault(epoch uint64, s int, kind string, lost int) {
+func (f *faultEvents) ShardFault(epoch uint64, s, lost int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.faults = append(f.faults, fmt.Sprintf("e%d/s%d/%s/lost=%d", epoch, s, kind, lost))
-}
-
-func (f *faultEvents) ViewChange(epoch uint64, s int, took time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.viewChanges = append(f.viewChanges, took)
+	f.faults = append(f.faults, fmt.Sprintf("e%d/s%d/lost=%d", epoch, s, lost))
 }
 
 func (f *faultEvents) ShardEscalated(epoch uint64, s, txs int) {
@@ -46,34 +76,43 @@ func (f *faultEvents) ShardEscalated(epoch uint64, s, txs int) {
 
 // TestFaultPlanDeterminism: under a seeded generated fault plan the
 // pipeline stays bit-identical across repeated runs. Lost batches,
-// requeues, view changes and escalations must all replay exactly.
+// requeues and escalations must all replay exactly.
 func TestFaultPlanDeterminism(t *testing.T) {
 	spec := fault.Spec{CrashProb: 0.2, DropProb: 0.1, CorruptProb: 0.1, StraggleProb: 0.2}
 	plan := fault.Generate(7, spec)
 	reg := obs.NewRegistry()
-	first := runPipeline(t, namedWorkload(t, "FT transfer", 1),
-		shard.WithFaults(plan), shard.WithRegistry(reg))
+	first := runPipelineLosing(t, namedWorkload(t, "FT transfer", 1), plan,
+		shard.WithRegistry(reg))
 	if lost := reg.Snapshot().Counters["fault.lost_txs"]; lost == 0 {
 		t.Fatal("fault plan injected no block losses; the determinism check is vacuous")
 	}
 	for run := 0; run < 2; run++ {
-		again := runPipeline(t, namedWorkload(t, "FT transfer", 1),
-			shard.WithFaults(plan))
+		again := runPipelineLosing(t, namedWorkload(t, "FT transfer", 1), plan)
 		diffResults(t, fmt.Sprintf("rerun %d", run), first, again)
 	}
 }
 
-// TestEmptyFaultPlanMatchesGoldenTrace: attaching an empty fault plan
-// (no spec, no overrides) leaves the normalised JSONL trace
-// byte-identical to the recorded golden — the fault path must be
-// invisible until a directive actually fires.
+// TestEmptyFaultPlanMatchesGoldenTrace: a plan that loses no block
+// leaves the normalised JSONL trace of the golden epochs, driven
+// through the three stage calls, byte-identical to the recorded
+// golden, which RunEpoch writes. The cases: no plan (the stage calls
+// compose to RunEpoch); the empty plans; a straggle on every shard,
+// which only the harness's model sees; and a plan that crashes every
+// shard except at the golden run's (epoch, shard) keys, reset by hand,
+// so a lookup at any other key than (run.Epoch(), s) shows in the trace.
 func TestEmptyFaultPlanMatchesGoldenTrace(t *testing.T) {
+	handReset := fault.Generate(3, fault.Spec{CrashProb: 1})
+	for e := uint64(1); e <= 2; e++ {
+		for s := 0; s < 2; s++ {
+			handReset.Set(e, s, fault.Directive{})
+		}
+	}
 	plans := map[string]*fault.Plan{
 		"nil":        nil,
 		"new":        fault.New(),
 		"zero-spec":  fault.Generate(99, fault.Spec{}),
-		"parsed":     mustParse(t, "42:"),
-		"hand-reset": fault.New(),
+		"parsed":     mustParse(t, "42:straggle=1x4"),
+		"hand-reset": handReset,
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "trace_golden.jsonl"))
 	if err != nil {
@@ -81,8 +120,11 @@ func TestEmptyFaultPlanMatchesGoldenTrace(t *testing.T) {
 	}
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
-			if got := goldenTrace(t, shard.WithFaults(plan)); got != string(want) {
-				t.Errorf("empty plan %q perturbed the golden trace.\nGot:\n%s\nWant:\n%s", name, got, want)
+			if got := goldenTraceBy(t, func(net *shard.Network) error {
+				_, err := lossyEpoch(net, plan)
+				return err
+			}); got != string(want) {
+				t.Errorf("plan %q perturbed the golden trace.\nGot:\n%s\nWant:\n%s", name, got, want)
 			}
 		})
 	}
@@ -98,16 +140,14 @@ func mustParse(t *testing.T, s string) *fault.Plan {
 }
 
 // TestCrashedShardRecovers: a crash loses the shard's whole batch —
-// no receipts, no state change, a view change charged at the PBFT
-// model's rate — and the batch, requeued at the tail of the Submit
-// queue, commits in the next epoch (regression for silently dropping
-// lost work).
+// no receipts, no state change, one lost block counted — and the
+// batch, requeued at the tail of the Submit queue, commits in the next
+// epoch (regression for silently dropping lost work).
 func TestCrashedShardRecovers(t *testing.T) {
 	recs := receiptBook{}
 	ev := &faultEvents{}
 	plan := fault.New().Set(1, 0, fault.Directive{Kind: fault.CrashMidEpoch})
-	net := shard.NewNetwork(shard.WithShards(2),
-		shard.WithFaults(plan), shard.WithRecorder(ev))
+	net := shard.NewNetwork(shard.WithShards(2), shard.WithRecorder(ev))
 	users := make([]chain.Address, 8)
 	for i := range users {
 		users[i] = chain.AddrFromUint(uint64(i + 1))
@@ -128,25 +168,21 @@ func TestCrashedShardRecovers(t *testing.T) {
 		t.Fatalf("test users all map to one shard (lost=%d of %d)", lostWant, len(users))
 	}
 
-	stats, err := recs.add(net.RunEpoch())
+	stats, err := recs.add(lossyEpoch(net, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Lost != lostWant {
 		t.Errorf("epoch 1 Lost = %d, want %d", stats.Lost, lostWant)
 	}
-	if stats.ViewChanges != 1 {
-		t.Errorf("epoch 1 ViewChanges = %d, want 1", stats.ViewChanges)
+	if stats.LostBlocks != 1 {
+		t.Errorf("epoch 1 LostBlocks = %d, want 1", stats.LostBlocks)
 	}
 	if stats.Committed != len(users)-lostWant {
 		t.Errorf("epoch 1 committed = %d, want the healthy shard's %d", stats.Committed, len(users)-lostWant)
 	}
-	if want := []string{fmt.Sprintf("e1/s0/crash/lost=%d", lostWant)}; len(ev.faults) != 1 || ev.faults[0] != want[0] {
+	if want := []string{fmt.Sprintf("e1/s0/lost=%d", lostWant)}; len(ev.faults) != 1 || ev.faults[0] != want[0] {
 		t.Errorf("fault events = %v, want %v", ev.faults, want)
-	}
-	vcWant := consensus.DefaultModel(net.Config().NodesPerShard).ViewChangeTime()
-	if len(ev.viewChanges) != 1 || ev.viewChanges[0] != vcWant {
-		t.Errorf("view changes = %v, want one of %v", ev.viewChanges, vcWant)
 	}
 	if got := net.MempoolSize(); got != lostWant {
 		t.Errorf("Submit queue after the loss = %d, want %d", got, lostWant)
@@ -164,11 +200,11 @@ func TestCrashedShardRecovers(t *testing.T) {
 
 	// Epoch 2 is healthy: the requeued batch commits and every
 	// transaction ends with a successful receipt.
-	stats2, err := recs.add(net.RunEpoch())
+	stats2, err := recs.add(lossyEpoch(net, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.Lost != 0 || stats2.ViewChanges != 0 {
+	if stats2.Lost != 0 || stats2.LostBlocks != 0 {
 		t.Errorf("epoch 2 unexpectedly faulted: %+v", stats2)
 	}
 	for _, id := range ids {
@@ -189,7 +225,7 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 		Set(1, 0, fault.Directive{Kind: fault.DropMicroBlock}).
 		Set(2, 0, fault.Directive{Kind: fault.CorruptDelta})
 	net := shard.NewNetwork(shard.WithShards(2),
-		shard.WithFaults(plan), shard.WithRecorder(ev), shard.WithFaultEscalation(2))
+		shard.WithRecorder(ev), shard.WithFaultEscalation(2))
 
 	var shard0, other chain.Address
 	for i := uint64(1); i <= 16; i++ {
@@ -215,7 +251,7 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 	}
 	first := submit()
 	for e := 1; e <= 2; e++ {
-		stats, err := recs.add(net.RunEpoch())
+		stats, err := recs.add(lossyEpoch(net, plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +266,7 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 	// Epoch 3: streak reached the bound, shard 0 is down. The requeued
 	// transfer and a fresh one both execute on the DS committee.
 	second := submit()
-	stats, err := recs.add(net.RunEpoch())
+	stats, err := recs.add(lossyEpoch(net, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +289,7 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 	// Shard 0 sealed a healthy empty block in epoch 3, so the streak
 	// reset: epoch 4 routes its traffic back onto the shard.
 	third := submit()
-	if _, err := recs.add(net.RunEpoch()); err != nil {
+	if _, err := recs.add(lossyEpoch(net, plan)); err != nil {
 		t.Fatal(err)
 	}
 	rec := recs[third]
@@ -276,8 +312,7 @@ func TestFaultLiveness(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	net, contract, users := deployFT(t, 4, 12, true,
-		shard.WithFaults(plan), shard.WithRegistry(reg),
-		shard.WithFaultEscalation(2))
+		shard.WithRegistry(reg), shard.WithFaultEscalation(2))
 
 	var ids []uint64
 	epochs := 0
@@ -286,7 +321,7 @@ func TestFaultLiveness(t *testing.T) {
 	}
 	drain := func() {
 		for net.MempoolSize() > 0 {
-			if _, err := recs.add(net.RunEpoch()); err != nil {
+			if _, err := recs.add(lossyEpoch(net, plan)); err != nil {
 				t.Fatal(err)
 			}
 			if epochs++; epochs > 200 {

@@ -21,18 +21,13 @@ type netMetrics struct {
 	mergeOverflows *obs.Counter
 	overflowTrips  *obs.Counter
 
-	// Fault injection and recovery: injected directives by kind, lost
-	// (requeued) transactions, PBFT view changes charged, shard-epochs
-	// spent escalated to DS, and transactions rerouted by the
-	// availability mask.
-	faultCrashes     *obs.Counter
-	faultDrops       *obs.Counter
-	faultCorruptions *obs.Counter
-	faultStraggles   *obs.Counter
-	faultLostTxs     *obs.Counter
-	viewChanges      *obs.Counter
-	escalations      *obs.Counter
-	escalatedTxs     *obs.Counter
+	// Loss and recovery: MicroBlocks that never arrived, the (requeued)
+	// transactions they carried, shard-epochs spent escalated to DS,
+	// and transactions rerouted by the availability mask.
+	faultLostBlocks *obs.Counter
+	faultLostTxs    *obs.Counter
+	escalations     *obs.Counter
+	escalatedTxs    *obs.Counter
 
 	mempool *obs.Gauge
 
@@ -64,8 +59,6 @@ type netMetrics struct {
 	shardExecTime *obs.Histogram // per shard per epoch
 	mergeTime     *obs.Histogram
 	dsExecTime    *obs.Histogram
-	consensusTime *obs.Histogram
-	wallTime      *obs.Histogram // modelled epoch duration
 	measuredTime  *obs.Histogram // host wall-clock per epoch
 }
 
@@ -81,12 +74,8 @@ func newNetMetrics(reg *obs.Registry) netMetrics {
 		mergeConflicts:      reg.Counter("merge.conflicts"),
 		mergeOverflows:      reg.Counter("merge.overflows"),
 		overflowTrips:       reg.Counter("shard.overflow_guard_trips"),
-		faultCrashes:        reg.Counter("fault.crashes"),
-		faultDrops:          reg.Counter("fault.drops"),
-		faultCorruptions:    reg.Counter("fault.corruptions"),
-		faultStraggles:      reg.Counter("fault.straggles"),
+		faultLostBlocks:     reg.Counter("fault.lost_blocks"),
 		faultLostTxs:        reg.Counter("fault.lost_txs"),
-		viewChanges:         reg.Counter("fault.view_changes"),
 		escalations:         reg.Counter("fault.escalations"),
 		escalatedTxs:        reg.Counter("fault.escalated_txs"),
 		mempool:             reg.Gauge("net.mempool"),
@@ -109,8 +98,6 @@ func newNetMetrics(reg *obs.Registry) netMetrics {
 		shardExecTime: reg.TimeHistogram("shard.exec_time"),
 		mergeTime:     reg.TimeHistogram("epoch.merge_time"),
 		dsExecTime:    reg.TimeHistogram("epoch.ds_exec_time"),
-		consensusTime: reg.TimeHistogram("epoch.consensus_time"),
-		wallTime:      reg.TimeHistogram("epoch.wall_time"),
 		measuredTime:  reg.TimeHistogram("epoch.measured_time"),
 	}
 }

@@ -1,17 +1,13 @@
 package shard
 
-import (
-	"cosplit/internal/fault"
-	"cosplit/internal/obs"
-)
+import "cosplit/internal/obs"
 
 // Config is the network's resolved configuration, readable through
 // Network.Config. Networks are constructed with NewNetwork and
 // functional options (WithShards, WithGasLimits, WithRecorder, ...);
 // code outside this package never builds Config values.
 type Config struct {
-	NumShards     int
-	NodesPerShard int
+	NumShards int
 	// ShardGasLimit caps the gas a shard commits per epoch; DSGasLimit
 	// caps the DS committee. These mirror Zilliqa's per-MicroBlock and
 	// per-FinalBlock gas limits.
@@ -19,8 +15,6 @@ type Config struct {
 	DSGasLimit    uint64
 	// SplitGasAccounting enables the Sec. 4.2.2 per-shard gas budgets.
 	SplitGasAccounting bool
-	// ModelConsensus adds the PBFT timing model to epoch wall time.
-	ModelConsensus bool
 	// OverflowGuard enables the Sec. 6 conservative integer-overflow
 	// check: a shard rejects a transaction whose cumulative IntMerge
 	// delta on any component exceeds ⌊(MAX_INT − v₀)/N⌋ (or the
@@ -35,25 +29,23 @@ type Config struct {
 	// default.
 	CompiledExecution bool
 	// FaultEscalation is the unavailability-backoff bound: after this
-	// many consecutive epochs of losing a shard's MicroBlock — to an
-	// injected crash, drop or corruption, or in the node runtime to a
-	// shard node that does not answer within the collect timeout — the
+	// many consecutive epochs of losing a shard's MicroBlock — in the
+	// node runtime to a shard node that does not answer within the
+	// collect timeout, in the throughput harness to its fault plan — the
 	// dispatcher stops routing to the shard and its traffic escalates to
 	// DS execution until the shard seals a healthy block again.
 	FaultEscalation int
 }
 
-// DefaultConfig mirrors the paper's experimental setup: 5 nodes per
-// shard, mainnet-like gas limits. NewNetwork(WithShards(n)) applies
-// the same defaults.
+// DefaultConfig mirrors the paper's experimental setup: mainnet-like
+// gas limits with split gas accounting. NewNetwork(WithShards(n))
+// applies the same defaults.
 func DefaultConfig(numShards int) Config {
 	return Config{
 		NumShards:          numShards,
-		NodesPerShard:      5,
 		ShardGasLimit:      2_000_000,
 		DSGasLimit:         2_000_000,
 		SplitGasAccounting: true,
-		ModelConsensus:     true,
 		CompiledExecution:  true,
 		FaultEscalation:    3,
 	}
@@ -61,29 +53,21 @@ func DefaultConfig(numShards int) Config {
 
 // settings is the resolved form of a NewNetwork option list.
 type settings struct {
-	cfg    Config
-	recs   []obs.Recorder
-	reg    *obs.Registry
-	faults *fault.Plan
+	cfg  Config
+	recs []obs.Recorder
+	reg  *obs.Registry
 }
 
 // Option configures a Network at construction time. The zero option
 // list reproduces the paper's experimental setup on a single shard:
-// 5 nodes per shard, 2M gas per MicroBlock and FinalBlock, split gas
-// accounting and the PBFT consensus model on, compiled execution,
-// overflow guard off, no tracing.
+// 2M gas per MicroBlock and FinalBlock, split gas accounting on,
+// compiled execution, overflow guard off, no tracing.
 type Option func(*settings)
 
 // WithShards sets the number of execution shards (the DS committee is
 // separate and always present).
 func WithShards(n int) Option {
 	return func(s *settings) { s.cfg.NumShards = n }
-}
-
-// WithNodesPerShard sets the committee size per shard; the DS
-// committee is modelled at twice this size.
-func WithNodesPerShard(n int) Option {
-	return func(s *settings) { s.cfg.NodesPerShard = n }
 }
 
 // WithGasLimits sets the per-epoch gas caps for each shard's
@@ -98,12 +82,6 @@ func WithGasLimits(shardGas, dsGas uint64) Option {
 // WithSplitGasAccounting toggles the Sec. 4.2.2 per-shard gas budgets.
 func WithSplitGasAccounting(on bool) Option {
 	return func(s *settings) { s.cfg.SplitGasAccounting = on }
-}
-
-// WithConsensusModel toggles the analytic PBFT timing model's
-// contribution to the modelled epoch wall time.
-func WithConsensusModel(on bool) Option {
-	return func(s *settings) { s.cfg.ModelConsensus = on }
 }
 
 // WithCompiledExecution toggles the closure-chain compiled execution
@@ -134,22 +112,6 @@ func WithRecorder(rec obs.Recorder) Option {
 // dispatcher, benchmark harness) share one snapshot.
 func WithRegistry(reg *obs.Registry) Option {
 	return func(s *settings) { s.reg = reg }
-}
-
-// WithFaults attaches a deterministic fault-injection plan to the
-// epoch pipeline. Each epoch, every shard consults the plan:
-// stragglers seal their MicroBlock late (modeled execution time scaled
-// by the straggle factor), while crashed shards, dropped MicroBlocks
-// and corrupt StateDeltas all lose the shard's block — the DS merge
-// skips it, the shard's committee is charged a PBFT view change, and
-// the whole batch is requeued at the tail of the Submit queue. After
-// Config.FaultEscalation consecutive losses — counted with or without
-// a plan, since the node runtime loses blocks to the transport too —
-// the dispatcher reroutes the shard's traffic to DS execution until
-// the shard seals a healthy block again. An empty (or nil) plan leaves
-// the pipeline byte-identical to an unfaulted network.
-func WithFaults(plan *fault.Plan) Option {
-	return func(s *settings) { s.faults = plan }
 }
 
 // WithFaultEscalation overrides the unavailability-backoff bound (see

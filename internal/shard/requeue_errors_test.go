@@ -21,7 +21,6 @@ func TestReceiptErrSurvivesRequeue(t *testing.T) {
 	net := shard.NewNetwork(
 		shard.WithShards(1),
 		shard.WithGasLimits(3, 1000),
-		shard.WithConsensusModel(false),
 	)
 	alice := chain.AddrFromUint(10)
 	bob := chain.AddrFromUint(11)

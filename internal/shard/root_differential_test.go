@@ -31,7 +31,6 @@ func TestIncrementalRootMatchesRecompute(t *testing.T) {
 			env, err := workload.Provision(w, true,
 				shard.WithShards(8),
 				shard.WithGasLimits(200_000, 200_000),
-				shard.WithConsensusModel(false),
 			)
 			if err != nil {
 				t.Fatal(err)

@@ -30,10 +30,8 @@ import (
 	"time"
 
 	"cosplit/internal/chain"
-	"cosplit/internal/consensus"
 	"cosplit/internal/core/signature"
 	"cosplit/internal/dispatch"
-	"cosplit/internal/fault"
 	"cosplit/internal/obs"
 	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/eval"
@@ -57,9 +55,9 @@ type MicroBlock struct {
 // EpochStats reports what happened in one epoch.
 //
 // Per-stage timings (dispatch, per-shard execution, merge, DS
-// execution, consensus) are no longer duplicated here: attach an
-// obs.StageCollector via WithRecorder and read its EpochSummary, which
-// carries the full breakdown the EpochFinalized event is built from.
+// execution) are not duplicated here: attach an obs.StageCollector via
+// WithRecorder and read its EpochSummary, which carries the full
+// breakdown the EpochFinalized event is built from.
 type EpochStats struct {
 	Epoch     uint64
 	Committed int
@@ -72,24 +70,17 @@ type EpochStats struct {
 	DSCount  int
 	// DeltaEntries is the total number of merged state components.
 	DeltaEntries int
-	// WallTime is the modelled epoch duration (the network's shards
-	// execute on distinct machines, so it charges the maximum per-shard
-	// execution time); MeasuredTime is the host wall-clock the
-	// simulator actually spent, reported side by side so benchmark
-	// harnesses can compare the modelled pipeline against real
-	// single-machine behaviour.
-	WallTime     time.Duration
+	// MeasuredTime is the host wall-clock from BeginEpoch to the end of
+	// FinalizeEpoch.
 	MeasuredTime time.Duration
 
-	// Loss and recovery (all zero while every MicroBlock arrives): Lost
-	// counts transactions requeued because their shard's MicroBlock was
-	// lost — to an injected fault, or in the node runtime to the
-	// transport — ViewChanges the shard committees charged a PBFT view
-	// change, and Escalated the transactions the availability mask
-	// rerouted to DS execution.
-	Lost        int
-	ViewChanges int
-	Escalated   int
+	// Loss and recovery (all zero while every MicroBlock arrives):
+	// LostBlocks counts the shards whose MicroBlock never arrived, Lost
+	// the transactions requeued with them, and Escalated the
+	// transactions the availability mask rerouted to DS execution.
+	LostBlocks int
+	Lost       int
+	Escalated  int
 
 	// Receipts are the epoch's receipts in block order: dispatch
 	// rejections, then each surviving shard's in shard order, then the
@@ -117,12 +108,9 @@ type Network struct {
 	reg *obs.Registry
 	m   netMetrics
 
-	// faults is the injection plan (WithFaults; nil or empty injects
-	// nothing). faultStreak counts consecutive epochs each shard lost
-	// its MicroBlock, to the plan or to the transport; downBuf is the
-	// availability mask handed to the dispatcher while a streak is at
-	// Config.FaultEscalation or beyond.
-	faults      *fault.Plan
+	// faultStreak counts consecutive epochs each shard lost its
+	// MicroBlock; downBuf is the availability mask handed to the
+	// dispatcher while a streak is at Config.FaultEscalation or beyond.
 	faultStreak []int
 	downBuf     []bool
 
@@ -137,9 +125,8 @@ type Network struct {
 	// epochs allocate no queue backing arrays. Safe to reuse because
 	// deferred transactions are copied out of the queues (append to a
 	// nil slice) before the next epoch truncates them.
-	queueBuf    [][]*chain.Tx
-	dsQueueBuf  []*chain.Tx
-	perShardBuf []int
+	queueBuf   [][]*chain.Tx
+	dsQueueBuf []*chain.Tx
 	// ovPool recycles each shard's per-contract overlays across epochs
 	// (indexed by shard). Reset keeps the write-table buckets, so
 	// steady-state epochs stop paying map growth for the shard-level
@@ -148,9 +135,6 @@ type Network struct {
 	// heap on epoch_ipfs_ds (fresh content hashes each epoch on the
 	// ProofIPFS workload) and no time saved.
 	ovPool []map[chain.Address]*chain.Overlay
-
-	shardModel consensus.PBFTModel
-	dsModel    consensus.PBFTModel
 
 	// roots is the incrementally maintained authenticated state root:
 	// every canonical-state mutation (account create/apply, contract
@@ -168,7 +152,7 @@ type Network struct {
 
 // NewNetwork builds a network. With no options it reproduces the
 // paper's experimental setup on a single shard (see Option); compose
-// WithShards, WithGasLimits, WithRecorder, WithFaults, ... to deviate
+// WithShards, WithGasLimits, WithRecorder, ... to deviate
 // from it.
 func NewNetwork(opts ...Option) *Network {
 	s := settings{cfg: DefaultConfig(1)}
@@ -190,7 +174,6 @@ func NewNetwork(opts ...Option) *Network {
 		Accounts:    accounts,
 		Contracts:   contracts,
 		Disp:        d,
-		faults:      s.faults,
 		faultStreak: make([]int, s.cfg.NumShards),
 		downBuf:     make([]bool, s.cfg.NumShards),
 		cfg:         s.cfg,
@@ -198,8 +181,6 @@ func NewNetwork(opts ...Option) *Network {
 		reg:         s.reg,
 		m:           newNetMetrics(s.reg),
 		ovPool:      ovPool,
-		shardModel:  consensus.DefaultModel(s.cfg.NodesPerShard),
-		dsModel:     consensus.DefaultModel(s.cfg.NodesPerShard * 2),
 		nextTxID:    1,
 		Epoch:       1,
 		roots:       &trie.StateRoots{},
@@ -470,8 +451,7 @@ func (n *Network) BeginEpoch() *EpochRun {
 // keeps none, so a caller that wants one later keeps it from
 // EpochStats.Receipts. It is the monolithic composition of the stage
 // API: BeginEpoch, ExecuteShard over every queue one after another,
-// FinalizeEpoch. The modelled epoch time still charges the slowest
-// shard only (shards are distinct machines in the real network).
+// FinalizeEpoch.
 func (n *Network) RunEpoch() (*EpochStats, error) {
 	run := n.BeginEpoch()
 	blocks := make([]*MicroBlock, n.cfg.NumShards)
@@ -489,13 +469,12 @@ func (n *Network) RunEpoch() (*EpochStats, error) {
 // FinalizeEpoch completes an epoch begun with BeginEpoch: the DS
 // committee commits the surviving MicroBlocks (three-way merge), runs
 // the unsharded queue over the result and commits that run's output
-// the same way, then charges the modelled consensus and closes the
-// epoch counters. blocks is indexed by shard; a nil entry
-// means the shard's MicroBlock never arrived (in the node runtime: its
-// frame was dropped, corrupted, or timed out at the transport layer)
-// and is handled like an injected loss — nothing from the shard
-// commits, its whole batch is requeued, and its committee is charged a
-// view change.
+// the same way, then closes the epoch counters. blocks is indexed by
+// shard; a nil entry means the shard's MicroBlock never arrived (in the
+// node runtime: its frame was dropped, corrupted, or timed out at the
+// transport layer). That is the pipeline's one kind of loss: nothing
+// from the shard commits, its whole batch is requeued, and its
+// unavailability streak advances toward escalation.
 //
 // The returned FinalBlock is nil unless run.CollectFinalBlock was
 // called.
@@ -511,56 +490,17 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 
 	var allDeltas []*chain.StateDelta
 	accDelta := chain.NewAccountDelta()
-	if cap(n.perShardBuf) < n.cfg.NumShards {
-		n.perShardBuf = make([]int, n.cfg.NumShards)
-	}
-	perShardCounts := n.perShardBuf[:n.cfg.NumShards]
-	var faulted []int
 	for s, mb := range blocks {
-		d := n.faults.At(n.Epoch, s)
-		if mb == nil || d.Kind.Lost() {
-			// The merge never sees a valid MicroBlock from this shard: the
-			// plan crashed it, dropped its block in transit or failed its
-			// StateDelta's validation, or (mb == nil, node runtime) the
-			// frame was dropped, corrupted or timed out at the transport.
-			// Nothing from the shard commits, its whole batch is requeued
-			// at the tail of the Submit queue, and its unavailability
-			// streak advances toward escalation.
-			kind, counter := "transport", n.m.faultDrops
-			if mb != nil {
-				kind = d.Kind.String()
-				switch d.Kind {
-				case fault.CrashMidEpoch:
-					counter = n.m.faultCrashes
-				case fault.CorruptDelta:
-					counter = n.m.faultCorruptions
-				}
-			}
+		if mb == nil {
 			lost := len(queues[s])
-			counter.Inc()
+			n.m.faultLostBlocks.Inc()
 			n.m.faultLostTxs.Add(int64(lost))
-			n.rec.ShardFault(n.Epoch, s, kind, lost)
+			n.rec.ShardFault(n.Epoch, s, lost)
+			stats.LostBlocks++
 			stats.Lost += lost
 			n.faultStreak[s]++
-			faulted = append(faulted, s)
-			if mb != nil && d.Kind != fault.CrashMidEpoch {
-				// Dropped and corrupt blocks were fully executed before
-				// being lost. A crashed shard never finished its run, and
-				// the committee cannot observe how long a shard whose block
-				// vanished at the transport ran.
-				sum.ExecMax = max(sum.ExecMax, mb.ExecTime)
-				sum.ExecSum += mb.ExecTime
-			}
-			perShardCounts[s] = 0
 			n.requeue(s, queues[s])
 			continue
-		}
-		if d.Kind == fault.Straggle {
-			// The block seals late but intact: record the injection and
-			// process it like a healthy one (ExecuteShard already scaled the
-			// modeled execution time).
-			n.m.faultStraggles.Inc()
-			n.rec.ShardFault(n.Epoch, s, d.Kind.String(), 0)
 		}
 		n.faultStreak[s] = 0
 		sum.ExecMax = max(sum.ExecMax, mb.ExecTime)
@@ -574,25 +514,10 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 			}
 		}
 		stats.Receipts = append(stats.Receipts, mb.Receipts...)
-		perShardCounts[s] = len(mb.Receipts)
 		allDeltas = append(allDeltas, mb.Deltas...)
 		accDelta.Merge(mb.Accounts)
 		stats.Deferred += len(mb.Deferred)
 		n.requeue(s, mb.Deferred)
-	}
-	// Every shard whose block was lost runs a PBFT view change before
-	// the next epoch; the committees re-elect in parallel, so the
-	// modeled wall time charges one round when at least one faulted.
-	var viewChange time.Duration
-	if len(faulted) > 0 {
-		if n.cfg.ModelConsensus {
-			viewChange = n.shardModel.ViewChangeTime()
-		}
-		stats.ViewChanges = len(faulted)
-		for _, s := range faulted {
-			n.m.viewChanges.Inc()
-			n.rec.ViewChange(n.Epoch, s, viewChange)
-		}
 	}
 
 	// Phase 3: the DS committee merges all StateDeltas (three-way
@@ -641,16 +566,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	stats.Deferred += len(ds.Deferred)
 	n.requeue(dispatch.DS, ds.Deferred)
 
-	// Phase 5: modelled consensus cost (plus the view-change round when
-	// an injected fault lost a MicroBlock this epoch).
-	if n.cfg.ModelConsensus {
-		shardRound, dsRound := consensus.EpochConsensusParts(
-			n.shardModel, n.dsModel, perShardCounts, len(dsQueue))
-		sum.Consensus = shardRound + dsRound + viewChange
-	}
-	sum.Wall = sum.Dispatch + sum.ExecMax + sum.Merge + sum.DSExec + sum.Consensus
 	sum.Measured = time.Since(run.epochStart)
-	stats.WallTime = sum.Wall
 	stats.MeasuredTime = sum.Measured
 
 	sum.Committed = stats.Committed
@@ -815,9 +731,9 @@ const rejectedShard = -2
 
 // applyAvailability refreshes the dispatcher's shard-availability mask
 // from the loss streaks: a shard that lost its MicroBlock for
-// Config.FaultEscalation consecutive epochs — to an injected fault or,
-// in the node runtime, to a shard node that stopped answering — is
-// marked down and its traffic reroutes to DS execution. The mask clears
+// Config.FaultEscalation consecutive epochs — in the node runtime to a
+// shard node that stopped answering, in the throughput harness to its
+// fault plan — is marked down and its traffic reroutes to DS execution. The mask clears
 // per shard as soon as the shard seals a healthy block (a down shard
 // receives no transactions, so its next empty epoch is the recovery
 // probe). It reports whether any shard is down this epoch; while none
@@ -847,8 +763,6 @@ func (n *Network) finishEpochMetrics(sum obs.EpochSummary) {
 	n.m.dsCommitted.Add(int64(sum.DSCommitted))
 	n.m.dispatchTime.ObserveDuration(sum.Dispatch)
 	n.m.dsExecTime.ObserveDuration(sum.DSExec)
-	n.m.consensusTime.ObserveDuration(sum.Consensus)
-	n.m.wallTime.ObserveDuration(sum.Wall)
 	n.m.measuredTime.ObserveDuration(sum.Measured)
 	// Fold the epoch's compiled-execution dispatch counters out of each
 	// contract's program (the counters there are cumulative-since-drain,
@@ -1092,25 +1006,9 @@ func (r *shardRun) admit(sender chain.Address, spent, budget *big.Int) error {
 func (n *Network) ExecuteShard(s int, queue []*chain.Tx) (*MicroBlock, error) {
 	n.rec.ShardExecStart(n.Epoch, s, len(queue))
 	n.m.queueDepth.Observe(int64(len(queue)))
-	directive := n.faults.At(n.Epoch, s)
-	if directive.Kind == fault.CrashMidEpoch {
-		// The shard dies mid-epoch: nothing it executed survives and no
-		// MicroBlock is sealed. The merge loop records the fault, charges
-		// the view change and requeues the batch.
-		return &MicroBlock{Shard: s, Epoch: n.Epoch, Accounts: chain.NewAccountDelta()}, nil
-	}
 	mb, err := n.runQueue(s, queue)
 	if err != nil {
 		return nil, err
-	}
-	if directive.Kind == fault.Straggle {
-		// A straggler seals the same block, late: scale the modeled
-		// execution time (the epoch waits on its slowest shard).
-		factor := directive.Factor
-		if factor < 1 {
-			factor = 1
-		}
-		mb.ExecTime = time.Duration(float64(mb.ExecTime) * factor)
 	}
 	n.m.shardExecTime.ObserveDuration(mb.ExecTime)
 	n.m.shardGas.Observe(int64(mb.GasUsed))

@@ -28,7 +28,7 @@ const heapBound = 250 << 20
 // account half of the state root and the snapshot encoder's account
 // batching, where the volume is.
 func bigStateNetwork() *shard.Network {
-	n := shard.NewNetwork(shard.WithShards(4), shard.WithConsensusModel(false))
+	n := shard.NewNetwork(shard.WithShards(4))
 	for i := 0; i < bigStateUsers; i++ {
 		n.CreateUser(chain.AddrFromUint(uint64(1000+i)), 1<<40)
 	}

@@ -17,7 +17,7 @@ import (
 // and accounts of `entries` of them — the same ones at every size.
 func holdersNetwork(t *testing.T, holders, entries int) (*shard.Network, *shard.FinalBlock) {
 	t.Helper()
-	net := shard.NewNetwork(shard.WithShards(3), shard.WithConsensusModel(false))
+	net := shard.NewNetwork(shard.WithShards(3))
 	deployer := chain.AddrFromUint(999_999_999)
 	net.CreateUser(deployer, 1<<60)
 	c, err := net.DeployContract(deployer, contracts.FungibleToken, map[string]value.Value{

@@ -40,7 +40,7 @@ const (
 // property test.
 func provisionNested(t *testing.T) *nestedWorld {
 	t.Helper()
-	n := shard.NewNetwork(shard.WithShards(4), shard.WithConsensusModel(false))
+	n := shard.NewNetwork(shard.WithShards(4))
 	deployer := chain.AddrFromUint(1)
 	n.CreateUser(deployer, 1<<60)
 	n.CreateUser(chain.AddrFromUint(2), 1<<50) // batch's scripted caller

@@ -24,7 +24,7 @@ import (
 func provisionFT(t *testing.T) *workload.Env {
 	t.Helper()
 	env, err := workload.Provision(workload.FTTransfer(), true,
-		shard.WithShards(4), shard.WithConsensusModel(false))
+		shard.WithShards(4))
 	if err != nil {
 		t.Fatalf("provision: %v", err)
 	}

@@ -7,13 +7,11 @@ import (
 	"cosplit/internal/workload"
 )
 
-// smallOpts scales a network down for test runs: generous gas limits,
-// no consensus model.
+// smallOpts scales a network down for test runs: generous gas limits.
 func smallOpts(n int) []shard.Option {
 	return []shard.Option{
 		shard.WithShards(n),
 		shard.WithGasLimits(1<<40, 1<<40),
-		shard.WithConsensusModel(false),
 	}
 }
 

@@ -4,7 +4,11 @@
 # recorders/journal every link of a node cluster feeds, the node actors
 # with the lookup's lock-guarded receipt log and the RPC front door, and
 # internal/shard's lock-guarded Submit queue around its single-goroutine
-# pipeline, whose dispatcher is called from that one goroutine).
+# pipeline, whose dispatcher is called from that one goroutine). Then
+# benchmark smokes, short fuzz runs, every example program, and the
+# shardsim CLI end to end: the fault-plan chaos run twice, the flags
+# each mode refuses, persistence and recovery, and node clusters in one
+# process and in many.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -97,11 +101,27 @@ go test -fuzz=FuzzFinalBlockReceipts -fuzztime=10s ./internal/wire/
 # to a fresh build's, edge order, and every slot reachable or free,
 # never both.
 go test -fuzz=FuzzTrieOps -fuzztime=10s ./internal/trie/
-# Chaos smoke: deterministic fault injection (crashes, drops,
-# stragglers) through the Fig. 14 run, under the race detector so the
-# recovery paths (requeue, view change, escalation) are exercised.
-go run -race ./cmd/shardsim -txs 200 -epochs 4 \
-    -workloads "FT transfer" -faults "7:crash=0.1,drop=0.05,corrupt=0.02,straggle=0.25x4"
+# The example programs are documentation that compiles; run each so it
+# also still works (about 0.04 s together).
+for example in crowdfunding erc20 quickstart repair udregistry; do
+    go run ./examples/$example
+done
+# Chaos smoke: the throughput harness applies a deterministic fault
+# plan (crashes, drops, corrupt deltas, stragglers) to the measured
+# epochs of a Fig. 14 run, under the race detector so the pipeline's
+# recovery path (a MicroBlock that did not arrive: requeue, escalation)
+# is exercised. It runs twice: the same seed and spec must give
+# identical transaction and loss counters, and the plan must have lost
+# transactions.
+go build -race -o /tmp/cosplit-shardsim-race ./cmd/shardsim
+for run in 1 2; do
+    /tmp/cosplit-shardsim-race -txs 200 -epochs 4 -workloads "FT transfer" \
+        -faults "7:crash=0.1,drop=0.05,corrupt=0.02,straggle=0.25x4" \
+        -metrics-out /tmp/cosplit-chaos-$run.json
+    grep -E '"(tx|fault)\.' /tmp/cosplit-chaos-$run.json >/tmp/cosplit-chaos-$run.counters
+done
+cmp /tmp/cosplit-chaos-1.counters /tmp/cosplit-chaos-2.counters
+[ "$(grep '"fault.lost_txs"' /tmp/cosplit-chaos-1.counters | tr -dc 0-9)" -gt 0 ]
 # Restart-recovery smoke through the CLI: a fresh persistent run
 # prints its final chain head; a recover-only restart (-epochs 0) must
 # land on the identical root. Then a run is killed with SIGKILL
@@ -109,9 +129,12 @@ go run -race ./cmd/shardsim -txs 200 -epochs 4 \
 # recovery must come back cleanly (torn tail truncated at the last
 # good frame) and two consecutive recoveries must agree.
 go build -o /tmp/cosplit-shardsim ./cmd/shardsim
-# The node modes take none of the simulator's experiment flags yet; each
-# must be refused by name, not dropped. (`! cmd` alone is exempt from
-# set -e, and an accepted -serve would run for ever: hence the helper.)
+# A mode refuses, by name, each flag it does not read rather than drop
+# it: the node modes take none of the simulator's experiment flags yet,
+# and only the throughput harness (Fig. 14, -strategies) applies
+# -faults and models committees of -nodes, so -state-dir and -overheads
+# refuse those. (`! cmd` alone is exempt from set -e, and an accepted
+# -serve would run for ever: hence the helper.)
 refused() {
     flag=$1
     shift
@@ -124,6 +147,9 @@ refused() {
 refused -faults -serve 127.0.0.1:18545 -faults "7:crash=0.1"
 refused -trace-out -serve 127.0.0.1:18545 -trace-out /tmp/cosplit-trace.jsonl
 refused -metrics-out -node ds -hub 127.0.0.1:19100 -metrics-out /tmp/cosplit-metrics.json
+refused -faults -state-dir /tmp/cosplit-refused -workloads "FT transfer" -faults "7:crash=0.1"
+refused -nodes -state-dir /tmp/cosplit-refused -workloads "FT transfer" -nodes 7
+refused -faults -overheads -faults "7:crash=0.1"
 STATE_DIR=$(mktemp -d)
 FINAL=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -txs 200 -epochs 4 | grep '^state: final')
 RECOVERED=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -epochs 0 | grep '^state: recovered')
