@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("donations: %d committed, per-shard spread %v, DS %d\n",
-		stats.Committed, stats.PerShard, stats.DSCount)
+		stats.Committed, stats.PerShard, stats.DSCommitted)
 	fmt.Printf("contract balance after donations: %s QA\n",
 		balance(net, contract))
 

@@ -117,11 +117,11 @@ func run(sharded bool) (committed int, measured time.Duration, perShard []int, d
 			log.Fatal(err)
 		}
 		committed += stats.Committed
-		measured += stats.MeasuredTime
+		measured += stats.Measured
 		for s, n := range stats.PerShard {
 			perShard[s] += n
 		}
-		ds += stats.DSCount
+		ds += stats.DSCommitted
 	}
 	return committed, measured, perShard, ds
 }

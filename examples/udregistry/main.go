@@ -65,7 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("bestowed %d domains: per-shard %v, DS %d\n",
-		stats.Committed, stats.PerShard, stats.DSCount)
+		stats.Committed, stats.PerShard, stats.DSCommitted)
 
 	// Each owner configures their domain records. The constraints are
 	// keyed by the domain node, so updates to different domains run in
@@ -93,7 +93,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("configured records: %d committed, per-shard %v, DS %d\n",
-		stats.Committed, stats.PerShard, stats.DSCount)
+		stats.Committed, stats.PerShard, stats.DSCommitted)
 
 	// Ownership transfers are not in the sharding signature: they are
 	// routed to the DS committee.
@@ -110,7 +110,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("domain transfer: committed %d, DS handled %d (expected: 1)\n",
-		stats.Committed, stats.DSCount)
+		stats.Committed, stats.DSCommitted)
 
 	// Read back alice.zil's record to confirm.
 	c := net.Contracts.Get(contract)

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"cosplit/internal/fault"
-	"cosplit/internal/obs"
 	"cosplit/internal/shard"
 	"cosplit/internal/workload"
 )
@@ -71,11 +70,9 @@ type ThroughputResult struct {
 // MeasureThroughput runs one workload in one configuration and
 // reports the achieved TPS.
 func MeasureThroughput(w *workload.Workload, numShards int, sharded bool, cfg ThroughputConfig) (*ThroughputResult, error) {
-	stages := obs.NewStageCollector()
 	opts := append([]shard.Option{
 		shard.WithShards(numShards),
 		shard.WithGasLimits(cfg.ShardGasLimit, cfg.DSGasLimit),
-		shard.WithRecorder(stages),
 	}, cfg.NetOptions...)
 	env, err := workload.Provision(w, sharded, opts...)
 	if err != nil {
@@ -88,13 +85,13 @@ func MeasureThroughput(w *workload.Workload, numShards int, sharded bool, cfg Th
 	dsCommitted := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		env.TopUp(w, cfg.TxsPerEpoch)
-		ep, err := runEpoch(env.Net, stages, cfg.Faults, cfg.NodesPerShard)
+		ep, err := runEpoch(env.Net, cfg.Faults, cfg.NodesPerShard)
 		if err != nil {
 			return nil, err
 		}
 		res.Committed += ep.stats.Committed
 		res.Failed += ep.stats.Failed
-		dsCommitted += ep.stats.DSCount
+		dsCommitted += ep.stats.DSCommitted
 		total += ep.wall
 		res.Consensus = append(res.Consensus, ep.consensus)
 	}
@@ -122,9 +119,9 @@ type modelledEpoch struct {
 // runEpoch drives one epoch of net through BeginEpoch, ExecuteShard
 // and FinalizeEpoch, applying plan at the run's epoch, and charges it
 // modelled time with committees of nodesPerShard nodes (twice that for
-// the DS committee). stages must be attached to net: the dispatch,
-// merge and DS-execution terms are its measured ones.
-func runEpoch(net *shard.Network, stages *obs.StageCollector, plan *fault.Plan, nodesPerShard int) (*modelledEpoch, error) {
+// the DS committee). The dispatch, merge and DS-execution terms are the
+// ones FinalizeEpoch measured.
+func runEpoch(net *shard.Network, plan *fault.Plan, nodesPerShard int) (*modelledEpoch, error) {
 	run := net.BeginEpoch()
 	queues := run.Queues()
 	blocks := make([]*shard.MicroBlock, len(queues))
@@ -164,8 +161,7 @@ func runEpoch(net *shard.Network, stages *obs.StageCollector, plan *fault.Plan, 
 	if lost {
 		ep.consensus += shardModel.viewChangeTime()
 	}
-	sum := stages.Last()
-	ep.wall = sum.Dispatch + execMax + sum.Merge + sum.DSExec + ep.consensus
+	ep.wall = stats.Dispatch + execMax + stats.Merge + stats.DSExec + ep.consensus
 	return ep, nil
 }
 

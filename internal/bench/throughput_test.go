@@ -16,26 +16,24 @@ import (
 	"cosplit/internal/workload"
 )
 
-// provisionFT builds a small FT transfer environment with the harness's
-// stage collector attached, plus any extra options.
-func provisionFT(t *testing.T, sharded bool, extra ...shard.Option) (*workload.Workload, *workload.Env, *obs.StageCollector) {
+// provisionFT builds a small FT transfer environment with any extra
+// options.
+func provisionFT(t *testing.T, sharded bool, extra ...shard.Option) (*workload.Workload, *workload.Env) {
 	t.Helper()
 	w, err := workload.ByName("FT transfer")
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Users = 60
-	stages := obs.NewStageCollector()
 	opts := append([]shard.Option{
 		shard.WithShards(3),
 		shard.WithGasLimits(40_000, 40_000),
-		shard.WithRecorder(stages),
 	}, extra...)
 	env, err := workload.Provision(w, sharded, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, env, stages
+	return w, env
 }
 
 // receiptLines renders what a receipt says, one line per receipt in
@@ -51,8 +49,8 @@ func receiptLines(stats *shard.EpochStats) []string {
 
 // TestHarnessEpochMatchesRunEpoch: with no plan, or an empty one, the
 // harness's own drive of the three stage calls is RunEpoch: the same
-// EpochStats, receipts and state root, epoch after epoch, on the
-// sharded and the baseline deployment.
+// EpochStats bar the host-measured timings, receipts and state root,
+// epoch after epoch, on the sharded and the baseline deployment.
 func TestHarnessEpochMatchesRunEpoch(t *testing.T) {
 	plans := map[string]*fault.Plan{
 		"nil":       nil,
@@ -62,8 +60,8 @@ func TestHarnessEpochMatchesRunEpoch(t *testing.T) {
 	for name, plan := range plans {
 		for _, sharded := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/sharded=%v", name, sharded), func(t *testing.T) {
-				w, ref, _ := provisionFT(t, sharded)
-				_, env, stages := provisionFT(t, sharded)
+				w, ref := provisionFT(t, sharded)
+				_, env := provisionFT(t, sharded)
 				for e := 0; e < 3; e++ {
 					ref.TopUp(w, 400)
 					env.TopUp(w, 400)
@@ -71,7 +69,7 @@ func TestHarnessEpochMatchesRunEpoch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ep, err := runEpoch(env.Net, stages, plan, 5)
+					ep, err := runEpoch(env.Net, plan, 5)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -80,8 +78,10 @@ func TestHarnessEpochMatchesRunEpoch(t *testing.T) {
 						t.Fatalf("epoch %d: receipts differ from RunEpoch's", e)
 					}
 					g, r := *got, *want
-					g.MeasuredTime, r.MeasuredTime = 0, 0
-					g.Receipts, r.Receipts = nil, nil
+					for _, s := range []*shard.EpochStats{&g, &r} {
+						s.Dispatch, s.ExecMax, s.ExecSum, s.Merge, s.DSExec, s.Measured = 0, 0, 0, 0, 0, 0
+						s.Receipts = nil
+					}
 					if !reflect.DeepEqual(g, r) {
 						t.Fatalf("epoch %d: stats %+v, RunEpoch %+v", e, g, r)
 					}
@@ -128,7 +128,7 @@ func (e *stageEvents) ShardFault(epoch uint64, s, lost int) { e.lost[s] = lost }
 // still arrives.
 func TestModelledWallTerms(t *testing.T) {
 	ev := newStageEvents()
-	w, env, stages := provisionFT(t, true, shard.WithRecorder(ev))
+	w, env := provisionFT(t, true, shard.WithRecorder(ev))
 	epoch := env.Net.Epoch
 	plan := fault.New().
 		Set(epoch, 0, fault.Directive{Kind: fault.CrashMidEpoch}).
@@ -137,7 +137,7 @@ func TestModelledWallTerms(t *testing.T) {
 	clear(ev.queued)
 	clear(ev.exec)
 	clear(ev.receipts)
-	ep, err := runEpoch(env.Net, stages, plan, 5)
+	ep, err := runEpoch(env.Net, plan, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestModelledWallTerms(t *testing.T) {
 		t.Errorf("consensus = %v, want shard round %v + DS round %v + view change %v = %v",
 			ep.consensus, shardRound, dsRound, viewChange, want)
 	}
-	sum := stages.Last()
+	sum := ep.stats
 	if want := sum.Dispatch + execMax + sum.Merge + sum.DSExec + ep.consensus; ep.wall != want {
 		t.Errorf("wall = %v, want dispatch %v + exec %v + merge %v + DS %v + consensus %v = %v",
 			ep.wall, sum.Dispatch, execMax, sum.Merge, sum.DSExec, ep.consensus, want)
@@ -175,7 +175,7 @@ func TestModelledWallTerms(t *testing.T) {
 // the view change is charged once for the epoch.
 func TestModelledWallDroppedBlock(t *testing.T) {
 	ev := newStageEvents()
-	_, env, stages := provisionFT(t, true, shard.WithRecorder(ev))
+	_, env := provisionFT(t, true, shard.WithRecorder(ev))
 	epoch := env.Net.Epoch
 	plan := fault.New().
 		Set(epoch, 1, fault.Directive{Kind: fault.CrashMidEpoch}).
@@ -215,7 +215,7 @@ func TestModelledWallDroppedBlock(t *testing.T) {
 	clear(ev.queued)
 	clear(ev.exec)
 	clear(ev.receipts)
-	ep, err := runEpoch(env.Net, stages, plan, 5)
+	ep, err := runEpoch(env.Net, plan, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestModelledWallDroppedBlock(t *testing.T) {
 		t.Fatalf("dropped shard ran in %v, arrived shard in %v; the ExecMax' check needs the dropped shard slowest",
 			ev.exec[2], ev.exec[0])
 	}
-	sum := stages.Last()
+	sum := ep.stats
 	if want := sum.Dispatch + ev.exec[2] + sum.Merge + sum.DSExec + ep.consensus; ep.wall != want {
 		t.Errorf("wall = %v, want dispatch %v + dropped shard's exec %v + merge %v + DS %v + consensus %v = %v",
 			ep.wall, sum.Dispatch, ev.exec[2], sum.Merge, sum.DSExec, ep.consensus, want)

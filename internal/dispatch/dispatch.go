@@ -118,6 +118,9 @@ type Dispatcher struct {
 
 	// load counts transactions routed per shard (index NumShards = DS).
 	load []int64
+	// rerouted counts, per shard, the transactions the availability
+	// mask sent from that shard to the DS committee this epoch.
+	rerouted []int64
 	// nonces guards against replays within the epoch.
 	nonces map[nonceKey]struct{}
 	// plans caches the compiled per-(contract, transition) constraint
@@ -166,16 +169,18 @@ func New(numShards int, accounts *chain.Accounts, contracts *chain.Contracts, op
 		Accounts:  accounts,
 		Contracts: contracts,
 		load:      make([]int64, numShards+1),
+		rerouted:  make([]int64, numShards),
 		nonces:    make(map[nonceKey]struct{}),
 		plans:     make(map[planKey]*plan),
 		m:         newMetrics(c.reg),
 	}
 }
 
-// ResetEpoch clears the per-epoch load counters and replay table in
-// place, reusing the allocated slice and map across epochs.
+// ResetEpoch clears the per-epoch load and reroute counters and replay
+// table in place, reusing the allocated slices and map across epochs.
 func (d *Dispatcher) ResetEpoch() {
 	clear(d.load)
+	clear(d.rerouted)
 	clear(d.nonces)
 }
 
@@ -200,6 +205,12 @@ func (d *Dispatcher) Load() []int {
 	}
 	return out
 }
+
+// Rerouted returns how many transactions placed on shard s the
+// availability mask has sent to the DS committee this epoch. An
+// unconstrained transaction routed to DS because every shard is down
+// was placed on no shard and counts for none.
+func (d *Dispatcher) Rerouted(s int) int { return int(d.rerouted[s]) }
 
 // markNonce records a (sender, nonce) use; it reports false on replay.
 func (d *Dispatcher) markNonce(from chain.Address, nonce uint64) bool {
@@ -321,6 +332,7 @@ func (d *Dispatcher) commit(tx *chain.Tx, r Routing) Decision {
 	// the DS committee until the shard recovers (leastLoaded already
 	// avoids down shards; this catches constrained placements).
 	if d.shardDown(shard) {
+		d.rerouted[shard]++
 		shard, reason = DS, ReasonShardUnavailable
 		d.m.unavailable.Inc()
 	}

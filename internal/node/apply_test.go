@@ -88,8 +88,8 @@ func TestReplicaAppliesWithoutExecuting(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if stats.DSCount < goldenPerEpoch/3 {
-					t.Fatalf("epoch %d: only %d of %d transactions ran on the DS committee", e, stats.DSCount, goldenPerEpoch)
+				if stats.DSCommitted < goldenPerEpoch/3 {
+					t.Fatalf("epoch %d: only %d of %d transactions ran on the DS committee", e, stats.DSCommitted, goldenPerEpoch)
 				}
 				if len(fb.DSDeltas) == 0 {
 					t.Fatalf("epoch %d: FinalBlock carries no DS phase", e)

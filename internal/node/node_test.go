@@ -341,7 +341,7 @@ func TestDeadShardEscalatesToDS(t *testing.T) {
 				t.Fatalf("tick %d: want the same %d transactions lost again, got %+v", e, len(lost), res.Stats)
 			}
 		default:
-			if res.Stats.Escalated != len(lost) || res.Stats.Lost != 0 || res.Stats.DSCount < len(lost) {
+			if res.Stats.Escalated != len(lost) || res.Stats.Lost != 0 || res.Stats.DSCommitted < len(lost) {
 				t.Fatalf("tick %d: want %d transactions escalated to the DS committee, got %+v", e, len(lost), res.Stats)
 			}
 		}

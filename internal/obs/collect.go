@@ -2,17 +2,14 @@ package obs
 
 import "sync"
 
-// StageCollector is a Recorder that keeps the per-stage timings of the
-// most recent epoch and a running total across epochs. The benchmark
-// harness attaches one via shard.WithRecorder and reads stage timings
-// from it instead of threading fields through EpochStats.
+// StageCollector is a Recorder that keeps the summary of the most
+// recently finalized epoch: the EpochSummary that FinalizeEpoch's
+// EpochStats embeds, for a caller that does not keep those.
 type StageCollector struct {
 	Nop // all events except EpochFinalized are ignored
 
-	mu     sync.Mutex
-	last   EpochSummary
-	total  EpochSummary
-	epochs int
+	mu   sync.Mutex
+	last EpochSummary
 }
 
 // NewStageCollector creates an empty collector.
@@ -23,8 +20,6 @@ func (c *StageCollector) EpochFinalized(s EpochSummary) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.last = s
-	c.total.add(s)
-	c.epochs++
 }
 
 // Last returns the most recently finalized epoch's summary.
@@ -32,19 +27,4 @@ func (c *StageCollector) Last() EpochSummary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.last
-}
-
-// Total returns the sum over every finalized epoch (counts and
-// durations accumulate; Epoch holds the latest epoch number).
-func (c *StageCollector) Total() EpochSummary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
-// Epochs returns how many epochs have been finalized.
-func (c *StageCollector) Epochs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epochs
 }

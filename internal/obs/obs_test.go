@@ -167,27 +167,12 @@ func TestMultiFansOutAndDropsNops(t *testing.T) {
 		t.Error("Multi with one real recorder should return it unwrapped")
 	}
 	m := Multi(c1, c2)
-	m.EpochFinalized(EpochSummary{Epoch: 3, Committed: 2})
+	want := EpochSummary{Epoch: 3, Committed: 2}
+	m.EpochFinalized(want)
 	for i, c := range []*StageCollector{c1, c2} {
-		if c.Last().Committed != 2 || c.Epochs() != 1 {
+		if c.Last() != want {
 			t.Errorf("collector %d did not receive the fanned-out event: %+v", i, c.Last())
 		}
-	}
-}
-
-func TestStageCollectorTotals(t *testing.T) {
-	c := NewStageCollector()
-	c.EpochFinalized(EpochSummary{Epoch: 1, Committed: 3, Dispatch: time.Millisecond, ExecSum: 2 * time.Millisecond})
-	c.EpochFinalized(EpochSummary{Epoch: 2, Committed: 4, Dispatch: time.Millisecond, Merge: time.Millisecond})
-	tot := c.Total()
-	if tot.Committed != 7 || tot.Dispatch != 2*time.Millisecond || tot.Epoch != 2 {
-		t.Errorf("total = %+v", tot)
-	}
-	if c.Last().Committed != 4 {
-		t.Errorf("last = %+v", c.Last())
-	}
-	if tot.ExecSum != 2*time.Millisecond || tot.Merge != time.Millisecond {
-		t.Errorf("total stage times = %+v", tot)
 	}
 }
 

@@ -2,15 +2,17 @@ package obs
 
 import "time"
 
-// EpochSummary is the per-epoch roll-up carried by the EpochFinalized
-// event: transaction counts plus the per-stage timings of the Fig. 10
-// pipeline. Every duration is host-measured.
+// EpochSummary is the record of one epoch of the Fig. 10 pipeline:
+// transaction counts plus the per-stage timings. The EpochFinalized
+// event carries it, and shard.EpochStats embeds it, so the caller and
+// the recorder read the same fields. Every duration is host-measured.
 type EpochSummary struct {
-	Epoch       uint64
-	Committed   int
-	Failed      int
-	Rejected    int
-	Deferred    int
+	Epoch     uint64
+	Committed int
+	Failed    int
+	Rejected  int
+	Deferred  int
+	// DSCommitted is the part of Committed the DS committee ran.
 	DSCommitted int
 	// DeltaEntries is the total number of merged state components.
 	DeltaEntries int
@@ -18,32 +20,16 @@ type EpochSummary struct {
 	// Per-stage timings. ExecMax is the slowest shard whose MicroBlock
 	// arrived (what an epoch waits for, shards being distinct machines);
 	// ExecSum totals them (what a non-pipelined executor would pay).
-	// Measured is the host wall-clock from BeginEpoch to the end of
-	// FinalizeEpoch.
+	// Measured is the host wall-clock from BeginEpoch until
+	// FinalizeEpoch has committed the DS committee's run: it stops
+	// before the FinalBlock's state root is sealed (epoch.root_time)
+	// and before a state store journals the epoch.
 	Dispatch time.Duration
 	ExecMax  time.Duration
 	ExecSum  time.Duration
 	Merge    time.Duration
 	DSExec   time.Duration
 	Measured time.Duration
-}
-
-// add accumulates another epoch into s (durations and counts sum;
-// Epoch tracks the latest).
-func (s *EpochSummary) add(o EpochSummary) {
-	s.Epoch = o.Epoch
-	s.Committed += o.Committed
-	s.Failed += o.Failed
-	s.Rejected += o.Rejected
-	s.Deferred += o.Deferred
-	s.DSCommitted += o.DSCommitted
-	s.DeltaEntries += o.DeltaEntries
-	s.Dispatch += o.Dispatch
-	s.ExecMax += o.ExecMax
-	s.ExecSum += o.ExecSum
-	s.Merge += o.Merge
-	s.DSExec += o.DSExec
-	s.Measured += o.Measured
 }
 
 // Recorder receives the typed trace events the pipeline emits. Event

@@ -92,51 +92,24 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	}
 }
 
-// TestEmptyFaultPlanMatchesGoldenTrace: a plan that loses no block
-// leaves the normalised JSONL trace of the golden epochs, driven
-// through the three stage calls, byte-identical to the recorded
-// golden, which RunEpoch writes. The cases: no plan (the stage calls
-// compose to RunEpoch); the empty plans; a straggle on every shard,
-// which only the harness's model sees; and a plan that crashes every
-// shard except at the golden run's (epoch, shard) keys, reset by hand,
-// so a lookup at any other key than (run.Epoch(), s) shows in the trace.
+// TestEmptyFaultPlanMatchesGoldenTrace: the golden epochs driven through
+// BeginEpoch, ExecuteShard and FinalizeEpoch with no fault plan, losing
+// nothing, leave the normalised JSONL trace byte-identical to the
+// recorded golden, which RunEpoch writes. The pipeline reads no plan, so
+// the nil plan is the one case left.
 func TestEmptyFaultPlanMatchesGoldenTrace(t *testing.T) {
-	handReset := fault.Generate(3, fault.Spec{CrashProb: 1})
-	for e := uint64(1); e <= 2; e++ {
-		for s := 0; s < 2; s++ {
-			handReset.Set(e, s, fault.Directive{})
-		}
-	}
-	plans := map[string]*fault.Plan{
-		"nil":        nil,
-		"new":        fault.New(),
-		"zero-spec":  fault.Generate(99, fault.Spec{}),
-		"parsed":     mustParse(t, "42:straggle=1x4"),
-		"hand-reset": handReset,
-	}
 	want, err := os.ReadFile(filepath.Join("testdata", "trace_golden.jsonl"))
 	if err != nil {
 		t.Fatalf("missing golden file: %v", err)
 	}
-	for name, plan := range plans {
-		t.Run(name, func(t *testing.T) {
-			if got := goldenTraceBy(t, func(net *shard.Network) error {
-				_, err := lossyEpoch(net, plan)
-				return err
-			}); got != string(want) {
-				t.Errorf("plan %q perturbed the golden trace.\nGot:\n%s\nWant:\n%s", name, got, want)
-			}
-		})
-	}
-}
-
-func mustParse(t *testing.T, s string) *fault.Plan {
-	t.Helper()
-	p, err := fault.ParseSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	t.Run("nil", func(t *testing.T) {
+		if got := goldenTraceBy(t, func(net *shard.Network) error {
+			_, err := lossyEpoch(net, nil)
+			return err
+		}); got != string(want) {
+			t.Errorf("the stage calls drift from RunEpoch's golden trace.\nGot:\n%s\nWant:\n%s", got, want)
+		}
+	})
 }
 
 // TestCrashedShardRecovers: a crash loses the shard's whole batch —
@@ -298,6 +271,52 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 	}
 	if rec.Shard != 0 {
 		t.Errorf("recovered shard placement = %d, want 0", rec.Shard)
+	}
+}
+
+// TestShardEscalatedCountsPerShard: with two of three shards down, each
+// shard_escalated event carries the transactions rerouted from its own
+// shard, not the epoch's total, so the events sum to Escalated.
+func TestShardEscalatedCountsPerShard(t *testing.T) {
+	ev := &faultEvents{}
+	net := shard.NewNetwork(shard.WithShards(3),
+		shard.WithRecorder(ev), shard.WithFaultEscalation(1))
+	homed := map[int]chain.Address{}
+	for i := uint64(1); len(homed) < 3; i++ {
+		u := chain.AddrFromUint(i)
+		net.CreateUser(u, 1_000_000)
+		if _, seen := homed[chain.ShardOf(u, 3)]; !seen {
+			homed[chain.ShardOf(u, 3)] = u
+		}
+	}
+
+	// Epoch 1 loses the blocks of shards 0 and 1, so both are down in
+	// epoch 2.
+	crash := fault.Directive{Kind: fault.CrashMidEpoch}
+	plan := fault.New().Set(net.Epoch, 0, crash).Set(net.Epoch, 1, crash)
+	if _, err := lossyEpoch(net, plan); err != nil {
+		t.Fatal(err)
+	}
+	epoch := net.Epoch
+	perShard := map[int]int{0: 1, 1: 3, 2: 2}
+	for s, n := range perShard {
+		for nonce := 1; nonce <= n; nonce++ {
+			net.Submit(payTx(homed[s], homed[(s+1)%3], uint64(nonce), 10))
+		}
+	}
+	stats, err := lossyEpoch(net, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		fmt.Sprintf("e%d/s0/txs=%d", epoch, perShard[0]),
+		fmt.Sprintf("e%d/s1/txs=%d", epoch, perShard[1]),
+	}
+	if fmt.Sprint(ev.escalations) != fmt.Sprint(want) {
+		t.Errorf("shard_escalated events %v, want %v", ev.escalations, want)
+	}
+	if stats.Escalated != perShard[0]+perShard[1] {
+		t.Errorf("Escalated = %d, want the %d transactions of shards 0 and 1", stats.Escalated, perShard[0]+perShard[1])
 	}
 }
 

@@ -52,27 +52,14 @@ type MicroBlock struct {
 	ExecTime time.Duration
 }
 
-// EpochStats reports what happened in one epoch.
-//
-// Per-stage timings (dispatch, per-shard execution, merge, DS
-// execution) are not duplicated here: attach an obs.StageCollector via
-// WithRecorder and read its EpochSummary, which carries the full
-// breakdown the EpochFinalized event is built from.
+// EpochStats reports what happened in one epoch: the summary the
+// recorder's EpochFinalized event carries (counts and per-stage
+// timings), plus what only the caller gets.
 type EpochStats struct {
-	Epoch     uint64
-	Committed int
-	Failed    int
-	Rejected  int
-	Deferred  int
-	// PerShard counts committed transactions per shard; DSCount counts
-	// the DS committee's.
+	obs.EpochSummary
+
+	// PerShard counts committed transactions per shard.
 	PerShard []int
-	DSCount  int
-	// DeltaEntries is the total number of merged state components.
-	DeltaEntries int
-	// MeasuredTime is the host wall-clock from BeginEpoch to the end of
-	// FinalizeEpoch.
-	MeasuredTime time.Duration
 
 	// Loss and recovery (all zero while every MicroBlock arrives):
 	// LostBlocks counts the shards whose MicroBlock never arrived, Lost
@@ -291,7 +278,6 @@ func (n *Network) epochQueues() ([][]*chain.Tx, []*chain.Tx) {
 type EpochRun struct {
 	net        *Network
 	stats      *EpochStats
-	sum        obs.EpochSummary
 	queues     [][]*chain.Tx
 	dsQueue    []*chain.Tx
 	anyDown    bool
@@ -398,8 +384,7 @@ func (n *Network) BeginEpoch() *EpochRun {
 	run := &EpochRun{
 		net:        n,
 		epochStart: time.Now(),
-		stats:      &EpochStats{Epoch: n.Epoch, PerShard: make([]int, n.cfg.NumShards)},
-		sum:        obs.EpochSummary{Epoch: n.Epoch},
+		stats:      &EpochStats{EpochSummary: obs.EpochSummary{Epoch: n.Epoch}, PerShard: make([]int, n.cfg.NumShards)},
 		// A durable network journals every epoch's FinalBlock, so the
 		// block is always assembled when a store is attached.
 		collectFB: n.store != nil,
@@ -433,13 +418,13 @@ func (n *Network) BeginEpoch() *EpochRun {
 	n.dsQueueBuf = dsQueue
 	run.queues = queues
 	run.dsQueue = dsQueue
-	run.sum.Dispatch = time.Since(t0)
+	stats.Dispatch = time.Since(t0)
 	if run.anyDown {
 		n.m.escalatedTxs.Add(int64(stats.Escalated))
 		for s, down := range n.downBuf {
 			if down {
 				n.m.escalations.Inc()
-				n.rec.ShardEscalated(n.Epoch, s, stats.Escalated)
+				n.rec.ShardEscalated(n.Epoch, s, n.Disp.Rerouted(s))
 			}
 		}
 	}
@@ -480,7 +465,6 @@ func (n *Network) RunEpoch() (*EpochStats, error) {
 // called.
 func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStats, *FinalBlock, error) {
 	stats := run.stats
-	sum := run.sum
 	queues, dsQueue := run.queues, run.dsQueue
 
 	var fb *FinalBlock
@@ -503,8 +487,8 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 			continue
 		}
 		n.faultStreak[s] = 0
-		sum.ExecMax = max(sum.ExecMax, mb.ExecTime)
-		sum.ExecSum += mb.ExecTime
+		stats.ExecMax = max(stats.ExecMax, mb.ExecTime)
+		stats.ExecSum += mb.ExecTime
 		for _, r := range mb.Receipts {
 			if r.Success {
 				stats.Committed++
@@ -533,11 +517,11 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	if err != nil {
 		return nil, nil, fmt.Errorf("epoch %d: %w", n.Epoch, err)
 	}
-	sum.Merge = time.Since(t1)
+	stats.Merge = time.Since(t1)
 	n.m.mergeContracts.Add(int64(merged))
 	n.m.deltaEntries.Observe(int64(stats.DeltaEntries))
-	n.m.mergeTime.ObserveDuration(sum.Merge)
-	n.rec.DeltaMerged(n.Epoch, merged, len(allDeltas), stats.DeltaEntries, 0, sum.Merge)
+	n.m.mergeTime.ObserveDuration(stats.Merge)
+	n.rec.DeltaMerged(n.Epoch, merged, len(allDeltas), stats.DeltaEntries, 0, stats.Merge)
 
 	// Phase 4: the DS committee runs the remaining potentially
 	// conflicting transactions sequentially over the merged state — a
@@ -552,31 +536,23 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	if err != nil {
 		return nil, nil, fmt.Errorf("epoch %d: DS run: %w", n.Epoch, err)
 	}
-	sum.DSExec = time.Since(t2)
-	n.rec.ShardExecEnd(n.Epoch, dispatch.DS, sum.DSExec)
+	stats.DSExec = time.Since(t2)
+	n.rec.ShardExecEnd(n.Epoch, dispatch.DS, stats.DSExec)
 	stats.Receipts = append(stats.Receipts, ds.Receipts...)
 	for _, r := range ds.Receipts {
 		if r.Success {
-			stats.DSCount++
+			stats.DSCommitted++
 		} else {
 			stats.Failed++
 		}
 	}
-	stats.Committed += stats.DSCount
+	stats.Committed += stats.DSCommitted
 	stats.Deferred += len(ds.Deferred)
 	n.requeue(dispatch.DS, ds.Deferred)
 
-	sum.Measured = time.Since(run.epochStart)
-	stats.MeasuredTime = sum.Measured
-
-	sum.Committed = stats.Committed
-	sum.Failed = stats.Failed
-	sum.Rejected = stats.Rejected
-	sum.Deferred = stats.Deferred
-	sum.DSCommitted = stats.DSCount
-	sum.DeltaEntries = stats.DeltaEntries
-	n.finishEpochMetrics(sum)
-	n.rec.EpochFinalized(sum)
+	stats.Measured = time.Since(run.epochStart)
+	n.finishEpochMetrics(stats.EpochSummary)
+	n.rec.EpochFinalized(stats.EpochSummary)
 
 	if fb != nil {
 		fb.Deltas, fb.Accounts = allDeltas, accDelta

@@ -225,8 +225,8 @@ func TestAliasedTransferGoesToDS(t *testing.T) {
 	if rec.Shard != -1 {
 		t.Errorf("aliased transfer executed in shard %d, want DS (-1)", rec.Shard)
 	}
-	if stats.DSCount != 1 {
-		t.Errorf("DSCount = %d, want 1", stats.DSCount)
+	if stats.DSCommitted != 1 {
+		t.Errorf("DSCommitted = %d, want 1", stats.DSCommitted)
 	}
 	// Self-transfer must leave the balance unchanged.
 	if got := balanceOf(t, net, contract, owner); got != 1_000_000 {

@@ -137,10 +137,10 @@ func TestGoldenTraceSchema(t *testing.T) {
 	}
 }
 
-// TestJournalReproducesEpochStats is the tentpole acceptance check: a
-// 4-shard run's epoch_finalized journal event must carry exactly the
-// numbers RunEpoch returned, and the StageCollector's per-stage
-// breakdown must fit in the measured epoch time.
+// TestJournalReproducesEpochStats: a 4-shard run's epoch_finalized journal event must carry exactly the
+// numbers RunEpoch returned, the StageCollector must hold the same
+// record, and its per-stage breakdown must fit in the measured epoch
+// time.
 func TestJournalReproducesEpochStats(t *testing.T) {
 	var buf bytes.Buffer
 	journal := obs.NewJournal(&buf)
@@ -184,7 +184,7 @@ func TestJournalReproducesEpochStats(t *testing.T) {
 		"failed":        stats.Failed,
 		"rejected":      stats.Rejected,
 		"deferred":      stats.Deferred,
-		"ds_committed":  stats.DSCount,
+		"ds_committed":  stats.DSCommitted,
 		"delta_entries": stats.DeltaEntries,
 	}
 	for k, want := range wantCounts {
@@ -192,21 +192,17 @@ func TestJournalReproducesEpochStats(t *testing.T) {
 			t.Errorf("epoch_finalized %s = %d, stats say %d", k, got, want)
 		}
 	}
-	if got := time.Duration(int64(fin["measured_ns"].(float64))); got != stats.MeasuredTime {
-		t.Errorf("epoch_finalized measured_ns = %v, stats say %v", got, stats.MeasuredTime)
+	if got := time.Duration(int64(fin["measured_ns"].(float64))); got != stats.Measured {
+		t.Errorf("epoch_finalized measured_ns = %v, stats say %v", got, stats.Measured)
 	}
 
-	sum := col.Last()
-	if sum.Epoch != stats.Epoch || sum.Committed != stats.Committed {
-		t.Errorf("collector summary %+v disagrees with stats %+v", sum, stats)
+	if sum := col.Last(); sum != stats.EpochSummary {
+		t.Errorf("collector summary %+v disagrees with stats %+v", sum, stats.EpochSummary)
 	}
 	// RunEpoch runs the shards one after another inside the measured
 	// span, so every stage fits in it.
-	if stages := sum.Dispatch + sum.ExecSum + sum.Merge + sum.DSExec; stages > sum.Measured {
-		t.Errorf("stage breakdown %v exceeds the measured epoch %v", stages, sum.Measured)
-	}
-	if sum.Measured != stats.MeasuredTime {
-		t.Errorf("collector measured %v != stats measured %v", sum.Measured, stats.MeasuredTime)
+	if stages := stats.Dispatch + stats.ExecSum + stats.Merge + stats.DSExec; stages > stats.Measured {
+		t.Errorf("stage breakdown %v exceeds the measured epoch %v", stages, stats.Measured)
 	}
 }
 

@@ -140,9 +140,9 @@ func TestWorkloadShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats3.DSCount < 30 {
+	if stats3.DSCommitted < 30 {
 		t.Errorf("ProofIPFS register DS count = %d of %d, want a large share",
-			stats3.DSCount, stats3.Committed)
+			stats3.DSCommitted, stats3.Committed)
 	}
 }
 
