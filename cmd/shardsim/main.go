@@ -78,10 +78,10 @@ func main() {
 		snapEvery  = flag.Int("snapshot-every", 8, "with -state-dir: snapshot file (what changed since the last one, or the full state when that is no smaller) and journal compaction every N committed epochs (0 = journal only, replayed from genesis)")
 
 		serveAddr = flag.String("serve", "", "serve the JSON-RPC front door on this address (e.g. 127.0.0.1:8545) over a message-passing node cluster; with -node lookup, the lookup's own RPC address")
-		serveTCP  = flag.String("serve-tcp", "", "with -serve: run the cluster's internal traffic over a TCP hub on this address instead of in-process channels")
+		serveTCP  = flag.String("serve-tcp", "", "with -serve: run the cluster's internal traffic over TCP, its nodes registered with a hub on this address, instead of in-process channels")
 		lookups   = flag.Int("lookups", 1, "with -serve: number of lookup nodes in the cluster (RPC serves from the first)")
 		blockIvl  = flag.Duration("block-interval", 250*time.Millisecond, "block production interval for -serve")
-		nodeRole  = flag.String("node", "", "run one cluster actor as this OS process against the TCP hub at -hub: hub, ds, shard:<i>, lookup, or lookup:<i>")
+		nodeRole  = flag.String("node", "", "run one cluster actor as this OS process, registered with the TCP hub at -hub: hub, ds, shard:<i>, lookup, or lookup:<i>")
 		hubAddr   = flag.String("hub", "", "with -node: the hub's address (listened on by the hub role, dialed by every other role)")
 		hammerURL = flag.String("hammer", "", "hammer a serving instance at this URL (e.g. http://127.0.0.1:8545) and report latency percentiles; a comma-separated list round-robins workers over several servers")
 		hammerN   = flag.Int("hammer-n", 1000, "transactions to push through with -hammer")

@@ -19,11 +19,12 @@ import (
 	"cosplit/internal/workload"
 )
 
-// runNodeRole runs one cluster actor as its own OS process against a
-// shared TCP hub, so process death (kill -9 included) is a real fault
-// and restart + wire resync a real recovery. Roles:
+// runNodeRole runs one cluster actor as its own OS process, so process
+// death (kill -9 included) is a real fault and restart + wire resync a
+// real recovery. Roles register with a shared TCP hub and send frames
+// to each other directly. Roles:
 //
-//	hub        the central frame switch, listening on -hub
+//	hub        the directory of role names and listen addresses, on -hub
 //	ds         the DS committee with the block producer
 //	shard:<i>  the replica executing shard i
 //	lookup     a client-facing lookup (optionally with -serve for RPC);
@@ -162,9 +163,9 @@ func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.D
 	}
 }
 
-// dialHub connects to the hub, retrying while it (or a restarted
-// peer's registration slot) comes up — roles are separate processes
-// with no start ordering.
+// dialHub registers with the hub, retrying while it comes up or still
+// holds a killed predecessor's registration under the same name —
+// roles are separate processes with no start ordering.
 func dialHub(addr, name string) node.Endpoint {
 	deadline := time.Now().Add(15 * time.Second)
 	for {

@@ -45,9 +45,9 @@ type clusterConfig struct {
 	snapshotEvery int
 }
 
-// ClusterTCP runs the cluster over TCP sockets through a hub listening
-// on addr ("127.0.0.1:0" for an ephemeral port) instead of the default
-// in-process channel transport.
+// ClusterTCP runs the cluster over TCP sockets, its nodes registered
+// with a hub listening on addr ("127.0.0.1:0" for an ephemeral port),
+// instead of the default in-process channel transport.
 func ClusterTCP(addr string) ClusterOption {
 	return func(c *clusterConfig) { c.tcpAddr = addr }
 }

@@ -20,9 +20,9 @@ import (
 // Per epoch the DS dispatches (BeginEpoch), ships each shard its
 // TxBatch, collects MicroBlocks until all shards answered or the
 // collect timeout fires, finalizes (merge + its own run), and
-// broadcasts the sealed FinalBlock to every shard node and lookup. A
-// shard whose MicroBlock never arrives — dropped, corrupted, or late —
-// is a nil block to FinalizeEpoch, the pipeline's one kind of loss:
+// broadcasts the sealed FinalBlock to every lookup, then to every
+// shard node. A shard whose MicroBlock never arrives — dropped,
+// corrupted, or late — is a nil block to FinalizeEpoch, the pipeline's one kind of loss:
 // its batch is requeued, and after Config.FaultEscalation such epochs
 // in a row its traffic runs on the committee until it answers again.
 type DS struct {
@@ -431,12 +431,15 @@ func (d *DS) runEpoch(req tickReq) {
 		if len(d.recent) > recentBlockCap {
 			d.recent = append(d.recent[:0], d.recent[len(d.recent)-recentBlockCap:]...)
 		}
+		// Lookups first: they are what clients read, and the replicas'
+		// applies would otherwise take every CPU before the lookups'
+		// receipts are filed.
 		frame := wire.EncodeFrame(wire.MsgFinalBlock, payload)
-		for _, s := range d.shards {
-			_ = d.ep.Send(s, frame)
-		}
 		for _, l := range d.lookupNames() {
 			_ = d.ep.Send(l, frame)
+		}
+		for _, s := range d.shards {
+			_ = d.ep.Send(s, frame)
 		}
 	}
 	req.resp <- TickResult{Stats: stats, Root: d.net.StateRoot()}

@@ -10,7 +10,7 @@
 //
 //	lookup ──Submit──▶ DS ──TxBatch──▶ shard nodes
 //	shard nodes ──MicroBlock──▶ DS (merge, DS exec)
-//	DS ──FinalBlock──▶ shard nodes + lookups (replay & verify)
+//	DS ──FinalBlock──▶ lookups, then shard nodes (file receipts; replay & verify)
 //
 // Because every hop is encoded bytes, fault injection can drop,
 // corrupt, or delay actual frames (LinkFaults); a missing or

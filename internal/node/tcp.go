@@ -3,45 +3,57 @@ package node
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"cosplit/internal/wire"
 )
 
-// The TCP transport is a star: every node dials a central hub (the
-// simulator's stand-in for the peer-to-peer gossip layer), announces
-// its name, waits for the hub to echo it back (the registration ack),
-// and the hub switches envelopes between connections. An envelope is
-// a length-prefixed peer name followed by one raw wire frame:
+// The TCP transport is peer to peer around a directory. Every node
+// dials the directory (TCPHub), registers its name together with the
+// address of a listener of its own, and waits for the name to be
+// echoed back (the registration ack). A node that sends to a peer for
+// the first time asks the directory for the peer's address over the
+// same connection, dials the peer once, and from then on writes
+// straight to it: one connection per (sender, receiver) pair, so a
+// frame crosses one socket and the pair stays FIFO. On that connection
+// the dialer first names the peer it expects, the peer echoes its name
+// (the hello), and then each frame travels as an envelope — a
+// length-prefixed source name followed by one raw wire frame:
 //
 //	nameLen(2, big endian) | name | frame
 //
-// On the way in the name is the destination; on the way out it is the
-// source. The hub validates only frame headers (via
-// wire.ReadRawFrame), so corrupted payloads pass through to the
-// receiving decoder exactly as a faulty network would deliver them.
+// The directory protocol uses the same length-prefixed strings:
+//
+//	register  node → hub: name | listenAddr   hub → node: name
+//	resolve   node → hub: name                hub → node: addr ("" if unknown)
+//
+// A receiver validates only frame headers (wire.AppendRawFrame), so
+// corrupted payloads pass through to its decoder exactly as a faulty
+// network would deliver them.
 
 const maxPeerName = 256
 
-// TCPHub is the central frame switch of the TCP transport.
+// handshakeTimeout bounds every exchange with the directory and every
+// dial and hello with a peer: a listener that accepts and stays silent
+// fails the caller instead of hanging it.
+var handshakeTimeout = 3 * time.Second
+
+// TCPHub is the directory of the TCP transport: it maps each registered
+// name to its node's listen address and relays no frame. It forgets a
+// name when the connection that registered it closes, so a killed node
+// can register again under the same name.
 type TCPHub struct {
 	ln net.Listener
 
 	mu     sync.Mutex
-	conns  map[string]*hubConn
+	conns  map[net.Conn]struct{}
+	dir    map[string]string // name → listen address
 	closed bool
 	wg     sync.WaitGroup
-}
-
-type hubConn struct {
-	name string
-	c    net.Conn
-	wmu  sync.Mutex
-	bw   *bufio.Writer
 }
 
 // ListenTCP starts a hub on addr (use "127.0.0.1:0" for an ephemeral
@@ -51,7 +63,7 @@ func ListenTCP(addr string) (*TCPHub, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &TCPHub{ln: ln, conns: make(map[string]*hubConn)}
+	h := &TCPHub{ln: ln, conns: make(map[net.Conn]struct{}), dir: make(map[string]string)}
 	h.wg.Add(1)
 	go h.acceptLoop()
 	return h, nil
@@ -60,7 +72,8 @@ func ListenTCP(addr string) (*TCPHub, error) {
 // Addr returns the hub's listen address, suitable for DialTCP.
 func (h *TCPHub) Addr() string { return h.ln.Addr().String() }
 
-// Close stops the hub and severs every connection.
+// Close stops the hub and severs every registration. Links already
+// made between nodes stay up; only new resolutions fail.
 func (h *TCPHub) Close() error {
 	h.mu.Lock()
 	if h.closed {
@@ -68,14 +81,14 @@ func (h *TCPHub) Close() error {
 		return nil
 	}
 	h.closed = true
-	conns := make([]*hubConn, 0, len(h.conns))
-	for _, hc := range h.conns {
-		conns = append(conns, hc)
+	conns := make([]net.Conn, 0, len(h.conns))
+	for c := range h.conns {
+		conns = append(conns, c)
 	}
 	h.mu.Unlock()
 	err := h.ln.Close()
-	for _, hc := range conns {
-		hc.c.Close()
+	for _, c := range conns {
+		c.Close()
 	}
 	h.wg.Wait()
 	return err
@@ -99,224 +112,395 @@ func (h *TCPHub) acceptLoop() {
 			c.Close()
 			continue
 		}
+		h.conns[c] = struct{}{}
 		h.wg.Add(1)
 		h.mu.Unlock()
 		go h.serve(c)
 	}
 }
 
+// serve registers one node and answers its resolutions until its
+// connection closes.
 func (h *TCPHub) serve(c net.Conn) {
 	defer h.wg.Done()
-	br := bufio.NewReader(c)
-	name, err := readName(br)
-	if err != nil {
-		c.Close()
-		return
-	}
-	hc := &hubConn{name: name, c: c, bw: bufio.NewWriter(c)}
-	h.mu.Lock()
-	if h.closed || h.conns[name] != nil {
-		h.mu.Unlock()
-		c.Close()
-		return
-	}
-	h.conns[name] = hc
-	h.mu.Unlock()
-	// Ack registration by echoing the name: DialTCP blocks on this, so a
-	// returned endpoint is already routable and its peers' first frames
-	// cannot race the hub's routing-table insert.
-	if err := hc.writeAck(); err != nil {
-		h.mu.Lock()
-		delete(h.conns, name)
-		h.mu.Unlock()
-		c.Close()
-		return
-	}
 	defer func() {
 		h.mu.Lock()
-		if h.conns[name] == hc {
-			delete(h.conns, name)
-		}
+		delete(h.conns, c)
 		h.mu.Unlock()
 		c.Close()
 	}()
-	// One relay buffer per connection: writeEnvelope has copied the
-	// frame into the destination's writer before the next read
-	// overwrites it. Only the hub may do this — a role's endpoint hands
-	// every frame out in a slice of its own, which receivers keep.
-	var buf []byte
+	br := bufio.NewReader(c)
+	c.SetDeadline(time.Now().Add(handshakeTimeout))
+	name, err := readName(br)
+	if err != nil {
+		return
+	}
+	addr, err := readName(br)
+	if err != nil {
+		return
+	}
+	h.mu.Lock()
+	if _, taken := h.dir[name]; taken || h.closed {
+		h.mu.Unlock()
+		return
+	}
+	h.dir[name] = addr
+	h.mu.Unlock()
+	// The name is this connection's until it closes: a second
+	// registration under it is refused above.
+	defer func() {
+		h.mu.Lock()
+		delete(h.dir, name)
+		h.mu.Unlock()
+	}()
+	// Ack registration by echoing the name: DialTCP blocks on this, so a
+	// returned endpoint is already resolvable.
+	if _, err := c.Write(appendName(nil, name)); err != nil {
+		return
+	}
+	c.SetDeadline(time.Time{})
+	var reply []byte
 	for {
-		to, frame, err := readEnvelope(br, buf[:0])
+		peer, err := readName(br)
 		if err != nil {
 			return
 		}
-		buf = frame
 		h.mu.Lock()
-		dst := h.conns[to]
+		addr := h.dir[peer]
 		h.mu.Unlock()
-		if dst == nil {
-			continue // best-effort: unknown destinations drop
-		}
-		if err := dst.writeEnvelope(name, frame); err != nil {
-			// The destination is dead: drop its routing entry now (not
-			// when its read loop notices) so interim senders stop
-			// writing into a dead buffered writer. Identity-guarded,
-			// like the deferred cleanup — the name may already belong
-			// to a reconnected peer.
-			dst.c.Close()
-			h.mu.Lock()
-			if h.conns[dst.name] == dst {
-				delete(h.conns, dst.name)
-			}
-			h.mu.Unlock()
+		reply = appendName(reply[:0], addr)
+		if _, err := c.Write(reply); err != nil {
+			return
 		}
 	}
 }
 
-func (hc *hubConn) writeAck() error {
-	hc.wmu.Lock()
-	defer hc.wmu.Unlock()
-	if err := writeName(hc.bw, hc.name); err != nil {
-		return err
-	}
-	return hc.bw.Flush()
-}
-
-func (hc *hubConn) writeEnvelope(peer string, frame []byte) error {
-	hc.wmu.Lock()
-	defer hc.wmu.Unlock()
-	if err := writeName(hc.bw, peer); err != nil {
-		return err
-	}
-	if _, err := hc.bw.Write(frame); err != nil {
-		return err
-	}
-	return hc.bw.Flush()
-}
-
-func writeName(w io.Writer, name string) error {
+func checkName(name string) error {
 	if len(name) == 0 || len(name) > maxPeerName {
 		return fmt.Errorf("%w: peer name length %d", ErrUnknownPeer, len(name))
 	}
-	var n [2]byte
-	binary.BigEndian.PutUint16(n[:], uint16(len(name)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, name)
-	return err
+	return nil
 }
 
-func readName(r io.Reader) (string, error) {
+// appendName appends s, length-prefixed, to dst. The empty string is
+// the directory's "unknown" answer; names themselves pass checkName.
+func appendName(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
+	return append(dst, s...)
+}
+
+// readString reads one length-prefixed string of at most maxPeerName
+// bytes; an empty one fails unless allowEmpty.
+func readString(r *bufio.Reader, allowEmpty bool) (string, error) {
 	var n [2]byte
 	if _, err := io.ReadFull(r, n[:]); err != nil {
 		return "", err
 	}
-	ln := binary.BigEndian.Uint16(n[:])
-	if ln == 0 || ln > maxPeerName {
+	ln := int(binary.BigEndian.Uint16(n[:]))
+	if (ln == 0 && !allowEmpty) || ln > maxPeerName {
 		return "", fmt.Errorf("%w: peer name length %d", wire.ErrDecode, ln)
 	}
-	b := make([]byte, ln)
-	if _, err := io.ReadFull(r, b); err != nil {
+	b, err := r.Peek(ln)
+	if err != nil {
 		return "", err
 	}
-	return string(b), nil
+	s := string(b)
+	r.Discard(ln)
+	return s, nil
 }
 
-// readEnvelope reads one envelope, appending its frame to dst (nil for
-// a slice of the frame's own).
-func readEnvelope(r *bufio.Reader, dst []byte) (peer string, frame []byte, err error) {
-	if peer, err = readName(r); err != nil {
-		return "", nil, err
-	}
-	if frame, err = wire.AppendRawFrame(dst, r); err != nil {
-		return "", nil, err
-	}
-	return peer, frame, nil
-}
+func readName(r *bufio.Reader) (string, error) { return readString(r, false) }
 
-// tcpEndpoint is an Endpoint over one hub connection.
+// tcpEndpoint is an Endpoint with a listener of its own, registered
+// with the directory, and one outbound connection per peer it sends to.
 type tcpEndpoint struct {
 	name string
-	c    net.Conn
-	br   *bufio.Reader
+	env  []byte // the envelope header: this endpoint's name, length-prefixed
+	ln   net.Listener
+	box  mailbox
 
-	wmu    sync.Mutex
-	bw     *bufio.Writer
+	// hubMu serializes resolutions on the registration connection.
+	hubMu sync.Mutex
+	hub   net.Conn
+	hubBr *bufio.Reader
+
+	mu     sync.Mutex
+	out    map[string]*peerConn
+	in     map[net.Conn]struct{}
 	closed bool
+	wg     sync.WaitGroup
 }
 
-// DialTCP connects to a hub and registers under name.
+// peerConn is one outbound connection; mu keeps a frame's envelope
+// contiguous on the stream.
+type peerConn struct {
+	c  net.Conn
+	mu sync.Mutex
+	bw *bufio.Writer
+}
+
+// DialTCP starts a listener on the local IP of the connection to the
+// hub at addr and registers it under name.
 func DialTCP(addr, name string) (Endpoint, error) {
-	c, err := net.Dial("tcp", addr)
+	if err := checkName(name); err != nil {
+		return nil, err
+	}
+	c, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
-	e := &tcpEndpoint{name: name, c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c)}
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if err := writeName(e.bw, name); err != nil {
+	ln, err := net.Listen("tcp", net.JoinHostPort(c.LocalAddr().(*net.TCPAddr).IP.String(), "0"))
+	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	if err := e.bw.Flush(); err != nil {
+	fail := func(err error) (Endpoint, error) {
 		c.Close()
-		return nil, err
+		ln.Close()
+		return nil, fmt.Errorf("hub handshake: %w: %v", ErrTransportClosed, err)
+	}
+	c.SetDeadline(time.Now().Add(handshakeTimeout))
+	if _, err := c.Write(appendName(appendName(nil, name), ln.Addr().String())); err != nil {
+		return fail(err)
 	}
 	// Wait for the hub's registration ack (a name echo): once it
-	// arrives, this endpoint is in the routing table and other peers can
-	// address it.
-	echo, err := readName(e.br)
+	// arrives, other peers can resolve this endpoint.
+	br := bufio.NewReader(c)
+	echo, err := readName(br)
 	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("hub handshake: %w", ErrTransportClosed)
+		return fail(err)
 	}
 	if echo != name {
-		c.Close()
-		return nil, fmt.Errorf("hub handshake: registered as %q, asked for %q: %w", echo, name, ErrTransportClosed)
+		return fail(fmt.Errorf("registered as %q, asked for %q", echo, name))
 	}
+	c.SetDeadline(time.Time{})
+	e := &tcpEndpoint{
+		name:  name,
+		env:   appendName(nil, name),
+		ln:    ln,
+		hub:   c,
+		hubBr: br,
+		out:   make(map[string]*peerConn),
+		in:    make(map[net.Conn]struct{}),
+	}
+	e.box.init()
+	e.wg.Add(1)
+	go e.acceptLoop()
 	return e, nil
 }
 
 func (e *tcpEndpoint) Name() string { return e.name }
 
-func (e *tcpEndpoint) Send(to string, frame []byte) error {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if e.closed {
-		return fmt.Errorf("send to %q: %w", to, ErrTransportClosed)
+func (e *tcpEndpoint) acceptLoop() {
+	defer e.wg.Done()
+	for {
+		c, err := e.ln.Accept()
+		if err != nil {
+			return
+		}
+		e.mu.Lock()
+		if e.closed {
+			e.mu.Unlock()
+			c.Close()
+			continue
+		}
+		e.in[c] = struct{}{}
+		e.wg.Add(1)
+		e.mu.Unlock()
+		go e.readPeer(c)
 	}
-	if err := writeName(e.bw, to); err != nil {
+}
+
+// readPeer answers one inbound connection's hello, then queues its
+// frames until it closes. Each frame is read into a slice of its own.
+func (e *tcpEndpoint) readPeer(c net.Conn) {
+	defer e.wg.Done()
+	defer func() {
+		e.mu.Lock()
+		delete(e.in, c)
+		e.mu.Unlock()
+		c.Close()
+	}()
+	br := bufio.NewReader(c)
+	c.SetDeadline(time.Now().Add(handshakeTimeout))
+	if want, err := readName(br); err != nil || want != e.name {
+		return
+	}
+	if _, err := c.Write(e.env); err != nil {
+		return
+	}
+	c.SetDeadline(time.Time{})
+	for {
+		from, err := readName(br)
+		if err != nil {
+			return
+		}
+		// A framing error leaves no next-frame boundary: the connection
+		// ends, and the sender dials again on its next send.
+		frame, err := wire.AppendRawFrame(nil, br)
+		if err != nil {
+			return
+		}
+		if e.box.put(from, frame) != nil {
+			return
+		}
+	}
+}
+
+// Send writes frame to the peer's connection, dialing it first if
+// there is none. A failed write drops the connection, so the next send
+// resolves the peer again.
+func (e *tcpEndpoint) Send(to string, frame []byte) error {
+	p, err := e.peer(to)
+	if err != nil {
 		return err
 	}
-	if _, err := e.bw.Write(frame); err != nil {
-		return fmt.Errorf("send to %q: %w: %v", to, ErrTransportClosed, err)
-	}
-	if err := e.bw.Flush(); err != nil {
+	if err := p.write(e.env, frame); err != nil {
+		e.drop(to, p)
 		return fmt.Errorf("send to %q: %w: %v", to, ErrTransportClosed, err)
 	}
 	return nil
 }
 
-func (e *tcpEndpoint) Recv() (string, []byte, error) {
-	from, frame, err := readEnvelope(e.br, nil)
-	if err != nil {
-		if err == io.EOF || errors.Is(err, net.ErrClosed) {
-			return "", nil, ErrTransportClosed
-		}
-		if errors.Is(err, wire.ErrDecode) || errors.Is(err, wire.ErrVersionSkew) {
-			// A framing error on a stream is unrecoverable: without a
-			// trustworthy length field there is no next-frame boundary.
-			return "", nil, fmt.Errorf("%w: %v", ErrTransportClosed, err)
-		}
-		return "", nil, fmt.Errorf("%w: %v", ErrTransportClosed, err)
-	}
-	return from, frame, nil
+func (p *peerConn) write(env, frame []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.bw.Write(env)
+	p.bw.Write(frame)
+	return p.bw.Flush()
 }
 
+// peer returns the connection to the named peer, resolving and dialing
+// it when there is none.
+func (e *tcpEndpoint) peer(to string) (*peerConn, error) {
+	e.mu.Lock()
+	closed, p := e.closed, e.out[to]
+	e.mu.Unlock()
+	if closed {
+		return nil, fmt.Errorf("send to %q: %w", to, ErrTransportClosed)
+	}
+	if p != nil {
+		return p, nil
+	}
+	addr, err := e.resolve(to)
+	if err != nil {
+		return nil, err
+	}
+	if p, err = dialPeer(addr, to); err != nil {
+		return nil, fmt.Errorf("send to %q: %w: %v", to, ErrTransportClosed, err)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		p.c.Close()
+		return nil, fmt.Errorf("send to %q: %w", to, ErrTransportClosed)
+	}
+	if q := e.out[to]; q != nil {
+		// A concurrent send connected first: one connection per pair is
+		// what keeps the pair FIFO.
+		p.c.Close()
+		return q, nil
+	}
+	e.out[to] = p
+	e.wg.Add(1)
+	go e.watch(to, p)
+	return p, nil
+}
+
+// watch drops an outbound connection as soon as the peer closes it,
+// so the next send resolves the name again instead of writing into a
+// dead socket. The peer writes nothing after its hello.
+func (e *tcpEndpoint) watch(to string, p *peerConn) {
+	defer e.wg.Done()
+	var b [1]byte
+	p.c.Read(b[:])
+	e.drop(to, p)
+}
+
+// drop closes p and forgets it, unless a new connection to the peer
+// has replaced it already.
+func (e *tcpEndpoint) drop(to string, p *peerConn) {
+	p.c.Close()
+	e.mu.Lock()
+	if e.out[to] == p {
+		delete(e.out, to)
+	}
+	e.mu.Unlock()
+}
+
+// resolve asks the directory for the named peer's listen address.
+func (e *tcpEndpoint) resolve(to string) (string, error) {
+	if err := checkName(to); err != nil {
+		return "", err
+	}
+	e.hubMu.Lock()
+	defer e.hubMu.Unlock()
+	e.hub.SetDeadline(time.Now().Add(handshakeTimeout))
+	_, err := e.hub.Write(appendName(nil, to))
+	var addr string
+	if err == nil {
+		addr, err = readString(e.hubBr, true)
+	}
+	if err != nil {
+		// A reply that did not come in time may still arrive and would
+		// answer the next question: the registration cannot be reused.
+		e.hub.Close()
+		return "", fmt.Errorf("resolve %q: %w: %v", to, ErrTransportClosed, err)
+	}
+	if addr == "" {
+		return "", fmt.Errorf("%w: %q", ErrUnknownPeer, to)
+	}
+	return addr, nil
+}
+
+// dialPeer connects to the endpoint listening at addr and checks, by
+// its hello, that it is the one named to.
+func dialPeer(addr, to string) (*peerConn, error) {
+	c, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	if err != nil {
+		return nil, err
+	}
+	c.SetDeadline(time.Now().Add(handshakeTimeout))
+	echo := ""
+	if _, err = c.Write(appendName(nil, to)); err == nil {
+		echo, err = readName(bufio.NewReader(c))
+	}
+	if err == nil && echo != to {
+		err = fmt.Errorf("%s answers as %q", addr, echo)
+	}
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	c.SetDeadline(time.Time{})
+	return &peerConn{c: c, bw: bufio.NewWriter(c)}, nil
+}
+
+func (e *tcpEndpoint) Recv() (string, []byte, error) { return e.box.get() }
+
+// Close stops accepting, leaves the directory (which forgets the name)
+// and severs every link. Frames already queued still drain from Recv.
 func (e *tcpEndpoint) Close() error {
-	e.wmu.Lock()
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return nil
+	}
 	e.closed = true
-	e.wmu.Unlock()
-	return e.c.Close()
+	conns := make([]net.Conn, 0, len(e.in)+len(e.out))
+	for c := range e.in {
+		conns = append(conns, c)
+	}
+	for _, p := range e.out {
+		conns = append(conns, p.c)
+	}
+	e.mu.Unlock()
+	err := e.ln.Close()
+	e.hub.Close()
+	for _, c := range conns {
+		c.Close()
+	}
+	e.box.close()
+	e.wg.Wait()
+	return err
 }

@@ -49,7 +49,7 @@ func (n *ChanNetwork) Endpoint(name string) Endpoint {
 		return ep
 	}
 	ep := &chanEndpoint{net: n, name: name}
-	ep.cond = sync.NewCond(&ep.mu)
+	ep.box.init()
 	n.eps[name] = ep
 	return ep
 }
@@ -80,14 +80,55 @@ type delivery struct {
 	frame []byte
 }
 
+// mailbox is an endpoint's inbound queue: unbounded, FIFO, and after
+// close drained of what it holds before get reports
+// ErrTransportClosed.
+type mailbox struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	queue  []delivery
+	closed bool
+}
+
+func (m *mailbox) init() { m.cond.L = &m.mu }
+
+func (m *mailbox) put(from string, frame []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return ErrTransportClosed
+	}
+	m.queue = append(m.queue, delivery{from: from, frame: frame})
+	m.cond.Signal()
+	return nil
+}
+
+func (m *mailbox) get() (string, []byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for len(m.queue) == 0 && !m.closed {
+		m.cond.Wait()
+	}
+	if len(m.queue) == 0 {
+		return "", nil, ErrTransportClosed
+	}
+	d := m.queue[0]
+	m.queue[0] = delivery{} // the queue's array must not keep a handled frame alive
+	m.queue = m.queue[1:]
+	return d.from, d.frame, nil
+}
+
+func (m *mailbox) close() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.closed = true
+	m.cond.Broadcast()
+}
+
 type chanEndpoint struct {
 	net  *ChanNetwork
 	name string
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []delivery
-	closed bool
+	box  mailbox
 }
 
 func (e *chanEndpoint) Name() string { return e.name }
@@ -99,39 +140,15 @@ func (e *chanEndpoint) Send(to string, frame []byte) error {
 	}
 	// Copy: the frame crosses an ownership boundary, exactly as it
 	// would through a socket. The sender may reuse its buffer.
-	cp := append([]byte(nil), frame...)
-	dst.mu.Lock()
-	defer dst.mu.Unlock()
-	if dst.closed {
-		return fmt.Errorf("send to %q: %w", to, ErrTransportClosed)
+	if err := dst.box.put(e.name, append([]byte(nil), frame...)); err != nil {
+		return fmt.Errorf("send to %q: %w", to, err)
 	}
-	dst.queue = append(dst.queue, delivery{from: e.name, frame: cp})
-	dst.cond.Signal()
 	return nil
 }
 
-func (e *chanEndpoint) Recv() (string, []byte, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for len(e.queue) == 0 && !e.closed {
-		e.cond.Wait()
-	}
-	if len(e.queue) == 0 {
-		return "", nil, ErrTransportClosed
-	}
-	d := e.queue[0]
-	e.queue[0] = delivery{} // the queue's array must not keep a handled frame alive
-	e.queue = e.queue[1:]
-	return d.from, d.frame, nil
-}
+func (e *chanEndpoint) Recv() (string, []byte, error) { return e.box.get() }
 
 func (e *chanEndpoint) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil
-	}
-	e.closed = true
-	e.cond.Broadcast()
+	e.box.close()
 	return nil
 }

@@ -43,7 +43,8 @@ const (
 	// same request again gets the same answer.
 	codeServerError = -32000
 	// codeUnavailable: no answer came — the request or its response was
-	// lost (node.ErrTimeout) or the lookup's transport is closed. The
+	// lost (node.ErrTimeout), the lookup's transport is closed, or the
+	// committee is not registered with the transport (restarting). The
 	// client may retry; a retried submission may find the first attempt
 	// was queued after all.
 	codeUnavailable = -32001
@@ -53,7 +54,7 @@ const (
 // committee onto the two server-side codes.
 func serverError(err error) *rpcError {
 	code := codeServerError
-	if errors.Is(err, node.ErrTimeout) || errors.Is(err, node.ErrTransportClosed) {
+	if errors.Is(err, node.ErrTimeout) || errors.Is(err, node.ErrTransportClosed) || errors.Is(err, node.ErrUnknownPeer) {
 		code = codeUnavailable
 	}
 	return &rpcError{Code: code, Message: err.Error()}

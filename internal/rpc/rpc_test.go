@@ -217,8 +217,8 @@ func TestHammerClosedLoop(t *testing.T) {
 }
 
 // TestServerErrorCodes pins the two server-side codes: no answer from
-// the committee (timeout, closed transport) is -32001, anything the
-// committee said is -32000.
+// the committee (timeout, closed transport, committee not registered)
+// is -32001, anything the committee said is -32000.
 func TestServerErrorCodes(t *testing.T) {
 	for _, c := range []struct {
 		err  error
@@ -228,6 +228,7 @@ func TestServerErrorCodes(t *testing.T) {
 		{fmt.Errorf("state query: %w", node.ErrTimeout), -32001},
 		{node.ErrTransportClosed, -32001},
 		{fmt.Errorf("send to %q: %w", "ds", node.ErrTransportClosed), -32001},
+		{fmt.Errorf("%w: %q", node.ErrUnknownPeer, "ds"), -32001},
 		{fmt.Errorf("%w: contract deployment (deployments are genesis-local)", wire.ErrUnencodable), -32000},
 		{errors.New("state query: field total_supply is not a map"), -32000},
 	} {

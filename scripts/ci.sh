@@ -40,7 +40,9 @@ go test ./...
 # bounds in internal/chain) alongside the concurrent packages.
 go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... ./internal/obs/... ./internal/fault/...
 # The node/wire/rpc race run covers the actor cluster end to end,
-# including the TCP-transport smoke (TestTCPClusterSmoke), the
+# including the TCP-transport smoke (TestTCPClusterSmoke), the one
+# Endpoint contract both transports keep (TestEndpointContract), a TCP
+# endpoint restarted under its name and the TCP handshake deadlines, the
 # fault-injection recovery tests over real frames, the absolute
 # golden-root suite (monolithic, interpreter, ChanNetwork cluster), a
 # dead shard node's traffic escalating to the DS committee, and replicas
@@ -68,10 +70,11 @@ GOMEMLIMIT=400MiB go test -run 'TestMillionAccountsBoundedMemory' -timeout 20m .
 # applied by a journaling ChanNetwork cluster; its retained-B/tx is what
 # the epoch left on the live heap), and the snapshot boundary over the
 # same holders sweep; the lookup's receipt log filing one decoded
-# 4000-receipt block at capacity; and one 2000-transfer block decoded
-# as a replica, a lookup and the committee (from a shard) decode it.
+# 4000-receipt block at capacity, and one request/reply round trip
+# between two TCP endpoints; and one 2000-transfer block decoded as a
+# replica, a lookup and the committee (from a shard) decode it.
 go test -run '^$' -bench 'CommitHolders|SnapshotHolders|MergePerField|BlockFanout' -benchtime 1x .
-go test -run '^$' -bench 'ReceiptLogFile' -benchtime 1x ./internal/node/
+go test -run '^$' -bench 'ReceiptLogFile|TCPRoundTrip' -benchtime 1x ./internal/node/
 # The root trie's slab: one 100k-leaf load (ns, B, allocations and
 # retained bytes per leaf) and one epoch's 500 overwrites + Root at 10k,
 # 100k and 1M leaves of both key shapes.
@@ -203,8 +206,9 @@ echo "$HAMMER_OUT" | grep -q '300 submitted, 300 committed, 0 failed, 0 rejected
 SINGLE_ROOT=$(/tmp/cosplit-shardsim -chain-info http://127.0.0.1:18545 | sed 's/.*root=//')
 kill $SERVE_PID
 
-# Multi-process chaos smoke: every cluster actor as its own OS process
-# over the TCP hub — hub, DS committee, three shard replicas with
+# Multi-process chaos smoke: every cluster actor as its own OS process,
+# registered with the TCP hub and sending to its peers directly — hub,
+# DS committee, three shard replicas with
 # per-role state directories, and two lookups each serving JSON-RPC —
 # hammered round-robin across both lookups. Mid-run one shard replica
 # is SIGKILLed and restarted: it must recover from its own directory,
