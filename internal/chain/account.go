@@ -36,16 +36,16 @@ func NewAccounts() *Accounts {
 	return &Accounts{idx: make(map[Address]uint32)}
 }
 
-// row returns the address's row, appending a zero one if it has none.
-// The caller holds the write lock.
-func (as *Accounts) row(addr Address) *Account {
+// row returns the address's row, appending a zero one if it has none,
+// and whether it did. The caller holds the write lock.
+func (as *Accounts) row(addr Address) (*Account, bool) {
 	i, ok := as.idx[addr]
 	if !ok {
 		i = uint32(len(as.rows))
 		as.idx[addr] = i
 		as.rows = append(as.rows, Account{})
 	}
-	return &as.rows[i]
+	return &as.rows[i], !ok
 }
 
 // Create adds an account with the given initial balance. It replaces
@@ -59,7 +59,8 @@ func (as *Accounts) Create(addr Address, balance uint64, isContract bool) {
 func (as *Accounts) Put(addr Address, acc Account) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	*as.row(addr) = acc
+	row, _ := as.row(addr)
+	*row = acc
 }
 
 // Range calls f for every account until f returns false. The iteration
@@ -122,8 +123,10 @@ func (as *Accounts) IsContract(addr Address) bool {
 // nonce advancement (merged by maximum, per the relaxed nonce rule). It
 // is all or nothing: every resulting balance is checked before any
 // account is touched, so a delta that would overdraw one account, or
-// take one to 2^128, leaves the table as it was.
-func (as *Accounts) Apply(d *AccountDelta) error {
+// take one to 2^128, leaves the table as it was. Each row it changes
+// is logged in undo first (nil logs nothing), so the block it belongs
+// to can still be rolled back after it succeeds.
+func (as *Accounts) Apply(d *AccountDelta, undo *Undo) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	for addr, bd := range d.BalanceDeltas {
@@ -136,15 +139,32 @@ func (as *Accounts) Apply(d *AccountDelta) error {
 		}
 	}
 	for addr, bd := range d.BalanceDeltas {
-		acc := as.row(addr)
+		acc, created := as.row(addr)
+		undo.account(as, addr, *acc, created)
 		acc.Balance, _ = acc.Balance.add(bd)
 	}
 	for addr, n := range d.Nonces {
 		if i, ok := as.idx[addr]; ok && n > as.rows[i].Nonce {
+			undo.account(as, addr, as.rows[i], false)
 			as.rows[i].Nonce = n
 		}
 	}
 	return nil
+}
+
+// restore puts one logged row back: the row as it was, or no row at
+// all. Rows only append, so a created row is the last one by the time
+// a newest-first rollback reaches it.
+func (as *Accounts) restore(addr Address, prev Account, created bool) {
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	i := as.idx[addr]
+	if created {
+		delete(as.idx, addr)
+		as.rows = as.rows[:i]
+		return
+	}
+	as.rows[i] = prev
 }
 
 // Copy copies the whole table. It is a test/debug helper; read-only

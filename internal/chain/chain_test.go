@@ -395,7 +395,7 @@ func TestAccountDeltaCommutes(t *testing.T) {
 			as.Create(a1, 1000, false)
 			as.Create(a2, 1000, false)
 			for _, d := range order {
-				if err := as.Apply(d); err != nil {
+				if err := as.Apply(d, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -418,7 +418,7 @@ func TestAccountNegativeBalanceRejected(t *testing.T) {
 	as.Create(chain.AddrFromUint(1), 10, false)
 	d := chain.NewAccountDelta()
 	d.AddBalance(chain.AddrFromUint(1), big.NewInt(-11))
-	if err := as.Apply(d); err == nil {
+	if err := as.Apply(d, nil); err == nil {
 		t.Error("expected negative-balance error")
 	}
 }

@@ -203,19 +203,21 @@ func (e *OverflowError) Error() string {
 	return fmt.Sprintf("integer overflow merging %s.%s[%q]", e.Contract, e.Field, e.Keypath)
 }
 
-// Undo is the log of one commit phase: what every state component held
-// before the phase's merges wrote it, in write order. MergeDeltas
-// appends to it and never reads it; the caller that owns the phase
-// replays it with Rollback if any merge of the phase fails, or drops it
-// with Reset once they have all succeeded. The zero value is an empty
-// log, and one log is meant to be reused phase after phase.
+// Undo is the log of one block: what every state component and every
+// account row held before the block's commit phases wrote it, in write
+// order. MergeDeltas and Accounts.Apply append to it and never read
+// it; the caller that owns the block replays it with Rollback if any
+// phase, or the check after them, fails, or drops it with Reset once
+// the block has committed. The zero value is an empty log, and one log
+// is meant to be reused block after block.
 //
 // Logged values are the canonical values themselves, not copies: the
 // merge installs a fresh value beside the old one and never mutates a
 // value it replaces, so putting the old one back restores the state
 // exactly.
 type Undo struct {
-	ops []undoOp
+	ops  []undoOp
+	accs []accountOp
 }
 
 // undoOp is one overwritten component: a whole field (st set) or one
@@ -227,10 +229,19 @@ type undoOp struct {
 	prev value.Value
 }
 
+// accountOp is one changed account row; created means the row did not
+// exist.
+type accountOp struct {
+	as      *Accounts
+	addr    Address
+	prev    Account
+	created bool
+}
+
 // Rollback puts back, newest first, everything the log recorded, and
 // empties it. Map levels the merge created on the way to a nested entry
-// are removed again, so a failed phase leaves no empty-map marker
-// behind.
+// are removed again, so a failed block leaves no empty-map marker
+// behind, and accounts the block created are removed.
 func (u *Undo) Rollback() {
 	for i := len(u.ops) - 1; i >= 0; i-- {
 		op := &u.ops[i]
@@ -243,6 +254,10 @@ func (u *Undo) Rollback() {
 			op.m.SetCK(op.name, op.prev)
 		}
 	}
+	for i := len(u.accs) - 1; i >= 0; i-- {
+		op := &u.accs[i]
+		op.as.restore(op.addr, op.prev, op.created)
+	}
 	u.Reset()
 }
 
@@ -251,6 +266,15 @@ func (u *Undo) Rollback() {
 func (u *Undo) Reset() {
 	clear(u.ops)
 	u.ops = u.ops[:0]
+	u.accs = u.accs[:0]
+}
+
+// account logs an account row about to change: what it held, or that
+// it was just created. A nil log records nothing.
+func (u *Undo) account(as *Accounts, addr Address, prev Account, created bool) {
+	if u != nil {
+		u.accs = append(u.accs, accountOp{as, addr, prev, created})
+	}
 }
 
 // storeField overwrites a whole field of st.
@@ -329,7 +353,7 @@ func (u *Undo) slot(st *eval.MemState, f, kp string, keys []value.Value, create 
 // checking. The cost follows the deltas, not the size of st.
 //
 // Every write is recorded in undo first. On an error st is left part
-// merged: the caller rolls the whole phase back through undo.
+// merged: the caller rolls the whole block back through undo.
 func MergeDeltas(st *eval.MemState, deltas []*StateDelta, undo *Undo) error {
 	overwritten := map[slot2]bool{}
 	var kps []string

@@ -207,7 +207,7 @@ func TestApplyAccountsAllOrNothing(t *testing.T) {
 	}
 	d.AddBalance(chain.AddrFromUint(17), big.NewInt(-60)) // 100 - 120 < 0
 	d.AddBalance(chain.AddrFromUint(99), big.NewInt(10))  // created by Apply
-	if err := as.Apply(d); err == nil {
+	if err := as.Apply(d, nil); err == nil {
 		t.Fatal("overdrawing delta applied")
 	}
 	unchanged := func() {
@@ -226,7 +226,7 @@ func TestApplyAccountsAllOrNothing(t *testing.T) {
 	// A credit that would take one balance to 2^128 fails the same way.
 	d.AddBalance(chain.AddrFromUint(17), big.NewInt(60))
 	d.AddBalance(chain.AddrFromUint(23), new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 128), big.NewInt(40)))
-	if err := as.Apply(d); !errors.Is(err, chain.ErrBalanceOverflow) {
+	if err := as.Apply(d, nil); !errors.Is(err, chain.ErrBalanceOverflow) {
 		t.Fatalf("Apply of a credit to 2^128 = %v, want ErrBalanceOverflow", err)
 	}
 	unchanged()
@@ -234,11 +234,56 @@ func TestApplyAccountsAllOrNothing(t *testing.T) {
 	d2 := chain.NewAccountDelta()
 	d2.AddBalance(chain.AddrFromUint(1), big.NewInt(-10))
 	d2.AddBalance(chain.AddrFromUint(200), big.NewInt(-1))
-	if err := as.Apply(d2); err == nil {
+	if err := as.Apply(d2, nil); err == nil {
 		t.Fatal("debit of an absent account applied")
 	}
 	acc, _ := as.Get(chain.AddrFromUint(1))
 	if _, ok := as.Get(chain.AddrFromUint(200)); acc.Balance != chain.BalanceOf(100) || ok {
 		t.Fatal("failed Apply touched the table")
+	}
+}
+
+// TestUndoRestoresAccounts: rows Apply changed through an undo log go
+// back on Rollback, newest first, and accounts it created are removed,
+// even after a second Apply into the same log changed them again.
+func TestUndoRestoresAccounts(t *testing.T) {
+	as := chain.NewAccounts()
+	for i := 0; i < 10; i++ {
+		as.Create(chain.AddrFromUint(uint64(i)), 100, false)
+	}
+	pre := as.Copy()
+	var undo chain.Undo
+	for round := 0; round < 2; round++ {
+		d := chain.NewAccountDelta()
+		for i := 0; i < 10; i += 2 {
+			d.AddBalance(chain.AddrFromUint(uint64(i)), big.NewInt(-10))
+			d.BumpNonce(chain.AddrFromUint(uint64(i+1)), uint64(5+round))
+		}
+		d.AddBalance(chain.AddrFromUint(uint64(50+round)), big.NewInt(7))
+		d.BumpNonce(chain.AddrFromUint(50), 9)
+		if err := as.Apply(d, &undo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if as.Len() != 12 {
+		t.Fatalf("%d accounts after two applies, want 12", as.Len())
+	}
+	undo.Rollback()
+	if as.Len() != pre.Len() {
+		t.Fatalf("%d accounts after rollback, want %d", as.Len(), pre.Len())
+	}
+	pre.Range(func(a chain.Address, want chain.Account) bool {
+		if got, ok := as.Get(a); !ok || got != want {
+			t.Errorf("account %s after rollback: %+v, want %+v", a, got, want)
+		}
+		return true
+	})
+	// The table still takes new accounts after the rows were truncated.
+	as.Create(chain.AddrFromUint(60), 1, false)
+	if acc, ok := as.Get(chain.AddrFromUint(60)); !ok || acc.Balance != chain.BalanceOf(1) {
+		t.Fatalf("account created after rollback: %+v, %v", acc, ok)
+	}
+	if _, ok := as.Get(chain.AddrFromUint(50)); ok {
+		t.Fatal("rolled-back account reappeared")
 	}
 }

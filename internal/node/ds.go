@@ -14,17 +14,19 @@ import (
 
 // DS is the DS-committee actor: it owns the canonical shard.Network,
 // drives epochs over the wire, and answers lookup-node submissions and
-// state queries. One goroutine processes all inbound frames, so the
-// actor needs no locking around its network.
+// state queries. One goroutine receives every frame and handles it
+// under the actor's mutex, which each step of Tick takes too.
 //
-// Per epoch the DS dispatches (BeginEpoch), ships each shard its
-// TxBatch, collects MicroBlocks until all shards answered or the
-// collect timeout fires, finalizes (merge + its own run), and
-// broadcasts the sealed FinalBlock to every lookup, then to every
+// An epoch is a state with a deadline: Tick dispatches (BeginEpoch),
+// ships each shard its TxBatch and opens the collect state; the
+// handler files MicroBlocks into it until every shard has answered or
+// the collect timeout fires; Tick then finalizes (merge + its own run)
+// and broadcasts the sealed FinalBlock to every lookup, then to every
 // shard node. A shard whose MicroBlock never arrives — dropped,
-// corrupted, or late — is a nil block to FinalizeEpoch, the pipeline's one kind of loss:
-// its batch is requeued, and after Config.FaultEscalation such epochs
-// in a row its traffic runs on the committee until it answers again.
+// corrupted, or late — is a nil block to FinalizeEpoch, the pipeline's
+// one kind of loss: its batch is requeued, and after
+// Config.FaultEscalation such epochs in a row its traffic runs on the
+// committee until it answers again.
 type DS struct {
 	name    string
 	ep      Endpoint
@@ -34,22 +36,34 @@ type DS struct {
 	m       *linkMetrics
 	source  BlockSource
 
+	quit      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
+	// tick serializes Ticks: one epoch is in flight at a time.
+	tick sync.Mutex
+
+	// mu guards the network and everything below; the receive
+	// goroutine holds it for each frame, Tick for each of its steps.
+	mu sync.Mutex
+	// collect is the epoch in flight, nil between epochs.
+	collect *collecting
 	// recent is a ring of the latest committed FinalBlocks' sealed
 	// payloads (contiguous ascending epochs) — the bytes that were
 	// journaled and broadcast, kept as they are and shipped as they are —
 	// the primary source for replica catch-up requests; the BlockSource
-	// covers epochs that predate this process. Only the actor goroutine
-	// touches it.
-	recent []sealedBlock
-
-	inbox     chan inbound
-	ticks     chan tickReq
-	quit      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-
-	mu      sync.Mutex
+	// covers epochs that predate this process.
+	recent  []sealedBlock
 	lookups map[string]bool
+}
+
+// collecting is the collect state of one epoch: the dispatched run,
+// the MicroBlocks received so far by shard, how many are missing, and
+// a channel closed when none is.
+type collecting struct {
+	run     *shard.EpochRun
+	blocks  []*shard.MicroBlock
+	missing int
+	full    chan struct{}
 }
 
 // BlockSource serves committed FinalBlocks by epoch range [from, to)
@@ -74,15 +88,6 @@ const maxBlocksPerResponse = 64
 type sealedBlock struct {
 	epoch   uint64
 	payload []byte
-}
-
-type inbound struct {
-	from  string
-	frame []byte
-}
-
-type tickReq struct {
-	resp chan TickResult
 }
 
 // TickResult reports one driven epoch.
@@ -153,8 +158,6 @@ func NewDS(name string, net *shard.Network, ep Endpoint, shardNames []string, op
 		timeout: c.timeout,
 		m:       lep.m,
 		source:  c.source,
-		inbox:   make(chan inbound, 4096),
-		ticks:   make(chan tickReq),
 		quit:    make(chan struct{}),
 		lookups: make(map[string]bool),
 	}
@@ -165,80 +168,129 @@ func NewDS(name string, net *shard.Network, ep Endpoint, shardNames []string, op
 }
 
 // Net exposes the canonical network (read-only use: state roots,
-// snapshots; the actor goroutine owns all mutation).
+// snapshots; the actor mutates it under its mutex).
 func (d *DS) Net() *shard.Network { return d.net }
 
-// Run starts the actor's receive and processing loops.
+// Run starts the receive goroutine: one frame at a time, each handled
+// under the actor's mutex.
 func (d *DS) Run() {
-	d.wg.Add(2)
-	go d.recvLoop()
-	go d.loop()
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		for {
+			from, frame, err := d.ep.Recv()
+			if err != nil {
+				return
+			}
+			d.mu.Lock()
+			d.handleFrame(from, frame)
+			d.mu.Unlock()
+		}
+	}()
 }
 
-// Close stops the actor and detaches its endpoint. Safe to call
-// concurrently and more than once.
+// Close stops the actor and detaches its endpoint; a Tick waiting for
+// MicroBlocks returns ErrTransportClosed. Safe to call concurrently
+// and more than once.
 func (d *DS) Close() {
 	d.closeOnce.Do(func() { close(d.quit) })
 	d.ep.Close()
 	d.wg.Wait()
 }
 
-// Tick drives one epoch and reports its outcome. Safe to call from
-// any goroutine; epochs are serialized by the actor loop.
+// Tick drives one epoch and reports its outcome: beginEpoch, then a
+// wait for every MicroBlock, the collect timeout or Close, then
+// finishEpoch. Safe to call from any goroutine; concurrent Ticks run
+// one after another.
 func (d *DS) Tick() TickResult {
-	req := tickReq{resp: make(chan TickResult, 1)}
+	d.tick.Lock()
+	defer d.tick.Unlock()
 	select {
-	case d.ticks <- req:
+	case <-d.quit:
+		return TickResult{Err: ErrTransportClosed} // dispatch nothing on a closed committee
+	default:
+	}
+	d.mu.Lock()
+	c, err := d.beginEpoch()
+	d.mu.Unlock()
+	if err != nil {
+		return TickResult{Err: err}
+	}
+	timer := time.NewTimer(d.timeout)
+	defer timer.Stop()
+	select {
+	case <-c.full:
+	case <-timer.C: // stragglers are transport-lost; FinalizeEpoch requeues them
 	case <-d.quit:
 		return TickResult{Err: ErrTransportClosed}
 	}
-	select {
-	case r := <-req.resp:
-		return r
-	case <-d.quit:
-		return TickResult{Err: ErrTransportClosed}
-	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.finishEpoch(c)
 }
 
-func (d *DS) recvLoop() {
-	defer d.wg.Done()
-	for {
-		from, frame, err := d.ep.Recv()
+// beginEpoch dispatches the next epoch, ships each shard its TxBatch
+// and opens the collect state.
+func (d *DS) beginEpoch() (*collecting, error) {
+	run := d.net.BeginEpoch()
+	run.CollectFinalBlock()
+	queues := run.Queues()
+	for s, q := range queues {
+		payload, err := wire.EncodeTxBatch(&wire.TxBatch{Epoch: run.Epoch(), Shard: s, Txs: q})
 		if err != nil {
-			close(d.inbox)
-			return
+			return nil, fmt.Errorf("encode tx batch for shard %d: %w", s, err)
 		}
-		select {
-		case d.inbox <- inbound{from, frame}:
-		case <-d.quit:
-			return
-		}
+		d.send(d.shards[s], wire.MsgTxBatch, payload)
 	}
+	d.collect = &collecting{
+		run:     run,
+		blocks:  make([]*shard.MicroBlock, len(queues)),
+		missing: len(queues),
+		full:    make(chan struct{}),
+	}
+	return d.collect, nil
 }
 
-func (d *DS) loop() {
-	defer d.wg.Done()
-	for {
-		select {
-		case in, ok := <-d.inbox:
-			if !ok {
-				return
-			}
-			d.handleFrame(in, nil, nil)
-		case req := <-d.ticks:
-			d.runEpoch(req)
-		case <-d.quit:
-			return
+// finishEpoch closes the collect state, finalizes the epoch with the
+// MicroBlocks that arrived, and broadcasts the FinalBlock.
+func (d *DS) finishEpoch(c *collecting) TickResult {
+	d.collect = nil
+	stats, fb, err := d.net.FinalizeEpoch(c.run, c.blocks)
+	if err != nil {
+		return TickResult{Err: err}
+	}
+	if fb != nil {
+		// The block's bytes exist already when a journal is attached
+		// (FinalizeEpoch sealed it there); either way this is the one
+		// payload, framed once for every recipient.
+		payload, err := wire.SealedFinalBlock(fb)
+		if err != nil {
+			return TickResult{Err: fmt.Errorf("encode final block: %w", err)}
+		}
+		d.recent = append(d.recent, sealedBlock{fb.Epoch, payload})
+		if len(d.recent) > recentBlockCap {
+			d.recent = append(d.recent[:0], d.recent[len(d.recent)-recentBlockCap:]...)
+		}
+		// Lookups first: they are what clients read, and the replicas'
+		// applies would otherwise take every CPU before the lookups'
+		// receipts are filed.
+		frame := wire.EncodeFrame(wire.MsgFinalBlock, payload)
+		for l := range d.lookups {
+			_ = d.ep.Send(l, frame)
+		}
+		for _, s := range d.shards {
+			_ = d.ep.Send(s, frame)
 		}
 	}
+	return TickResult{Stats: stats, Root: d.net.StateRoot()}
 }
 
-// handleFrame decodes and dispatches one inbound frame. During epoch
-// collection the caller passes blocks/missing so MicroBlocks land in
-// the right slot; outside an epoch stray MicroBlocks are stale
-// (post-timeout arrivals) and are dropped.
-func (d *DS) handleFrame(in inbound, blocks []*shard.MicroBlock, missing *int) {
-	typ, payload, _, err := wire.DecodeFrame(in.frame)
+// handleFrame decodes and handles one received frame; the caller holds
+// d.mu. A MicroBlock lands in the collect state of the epoch in
+// flight; outside an epoch it is stale (a post-timeout arrival) and is
+// dropped.
+func (d *DS) handleFrame(from string, frame []byte) {
+	typ, payload, _, err := wire.DecodeFrame(frame)
 	if err != nil {
 		d.m.recvErrors.Inc()
 		return
@@ -250,23 +302,24 @@ func (d *DS) handleFrame(in inbound, blocks []*shard.MicroBlock, missing *int) {
 			d.m.recvErrors.Inc()
 			return
 		}
-		d.registerLookup(in.from)
+		d.lookups[from] = true
 		resp := &wire.SubmitResp{Corr: s.Corr, ID: d.net.Submit(s.Tx)}
-		d.send(in.from, wire.MsgSubmitResp, wire.EncodeSubmitResp(resp))
+		d.send(from, wire.MsgSubmitResp, wire.EncodeSubmitResp(resp))
 	case wire.MsgStateQuery:
 		q, err := wire.DecodeStateQuery(payload)
 		if err != nil {
 			d.m.recvErrors.Inc()
 			return
 		}
-		d.registerLookup(in.from)
+		d.lookups[from] = true
 		payload, err := wire.EncodeStateResp(d.stateResp(q))
 		if err != nil {
 			payload, _ = wire.EncodeStateResp(&wire.StateResp{Corr: q.Corr, Err: err.Error()})
 		}
-		d.send(in.from, wire.MsgStateResp, payload)
+		d.send(from, wire.MsgStateResp, payload)
 	case wire.MsgMicroBlock:
-		if blocks == nil {
+		c := d.collect
+		if c == nil {
 			return // stale: arrived after the collect timeout
 		}
 		mb, err := wire.DecodeMicroBlock(payload)
@@ -274,11 +327,13 @@ func (d *DS) handleFrame(in inbound, blocks []*shard.MicroBlock, missing *int) {
 			d.m.recvErrors.Inc()
 			return
 		}
-		if mb.Epoch != d.net.Epoch || mb.Shard < 0 || mb.Shard >= len(blocks) || blocks[mb.Shard] != nil {
+		if mb.Epoch != d.net.Epoch || mb.Shard < 0 || mb.Shard >= len(c.blocks) || c.blocks[mb.Shard] != nil {
 			return
 		}
-		blocks[mb.Shard] = mb
-		*missing--
+		c.blocks[mb.Shard] = mb
+		if c.missing--; c.missing == 0 {
+			close(c.full)
+		}
 	case wire.MsgHello:
 		h, err := wire.DecodeHello(payload)
 		if err != nil {
@@ -286,7 +341,7 @@ func (d *DS) handleFrame(in inbound, blocks []*shard.MicroBlock, missing *int) {
 			return
 		}
 		if h.Role == "lookup" {
-			d.registerLookup(in.from)
+			d.lookups[from] = true
 		}
 	case wire.MsgBlockRequest:
 		q, err := wire.DecodeBlockRequest(payload)
@@ -294,7 +349,7 @@ func (d *DS) handleFrame(in inbound, blocks []*shard.MicroBlock, missing *int) {
 			d.m.recvErrors.Inc()
 			return
 		}
-		d.serveBlocks(in.from, q)
+		d.serveBlocks(from, q)
 	default:
 		d.m.recvErrors.Inc()
 	}
@@ -324,7 +379,7 @@ func (d *DS) serveBlocks(to string, q *wire.BlockRequest) {
 
 // blocksFor collects the sealed payloads of the contiguous run of
 // FinalBlocks for epochs [from, to), consulting the block source for
-// epochs older than the in-memory ring. Runs on the actor goroutine.
+// epochs older than the in-memory ring. The caller holds d.mu.
 func (d *DS) blocksFor(from, to uint64) [][]byte {
 	var out [][]byte
 	next := from
@@ -356,93 +411,8 @@ func (d *DS) blocksFor(from, to uint64) [][]byte {
 	return out
 }
 
-func (d *DS) registerLookup(name string) {
-	d.mu.Lock()
-	d.lookups[name] = true
-	d.mu.Unlock()
-}
-
-func (d *DS) lookupNames() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.lookups))
-	for l := range d.lookups {
-		out = append(out, l)
-	}
-	return out
-}
-
 func (d *DS) send(to string, t wire.MsgType, payload []byte) {
 	_ = d.ep.Send(to, wire.EncodeFrame(t, payload))
-}
-
-// runEpoch drives one epoch over the wire.
-func (d *DS) runEpoch(req tickReq) {
-	run := d.net.BeginEpoch()
-	run.CollectFinalBlock()
-	queues := run.Queues()
-	epoch := run.Epoch()
-	for s, q := range queues {
-		payload, err := wire.EncodeTxBatch(&wire.TxBatch{Epoch: epoch, Shard: s, Txs: q})
-		if err != nil {
-			req.resp <- TickResult{Err: fmt.Errorf("encode tx batch for shard %d: %w", s, err)}
-			return
-		}
-		d.send(d.shards[s], wire.MsgTxBatch, payload)
-	}
-
-	// Collect MicroBlocks; keep serving submissions and queries that
-	// arrive mid-epoch.
-	blocks := make([]*shard.MicroBlock, len(queues))
-	missing := len(queues)
-	timer := time.NewTimer(d.timeout)
-	defer timer.Stop()
-	for missing > 0 {
-		select {
-		case in, ok := <-d.inbox:
-			if !ok {
-				missing = 0
-			} else {
-				d.handleFrame(in, blocks, &missing)
-			}
-		case <-timer.C:
-			missing = 0 // stragglers are transport-lost; FinalizeEpoch requeues them
-		case <-d.quit:
-			req.resp <- TickResult{Err: ErrTransportClosed}
-			return
-		}
-	}
-
-	stats, fb, err := d.net.FinalizeEpoch(run, blocks)
-	if err != nil {
-		req.resp <- TickResult{Err: err}
-		return
-	}
-	if fb != nil {
-		// The block's bytes exist already when a journal is attached
-		// (FinalizeEpoch sealed it there); either way this is the one
-		// payload, framed once for every recipient.
-		payload, err := wire.SealedFinalBlock(fb)
-		if err != nil {
-			req.resp <- TickResult{Err: fmt.Errorf("encode final block: %w", err)}
-			return
-		}
-		d.recent = append(d.recent, sealedBlock{fb.Epoch, payload})
-		if len(d.recent) > recentBlockCap {
-			d.recent = append(d.recent[:0], d.recent[len(d.recent)-recentBlockCap:]...)
-		}
-		// Lookups first: they are what clients read, and the replicas'
-		// applies would otherwise take every CPU before the lookups'
-		// receipts are filed.
-		frame := wire.EncodeFrame(wire.MsgFinalBlock, payload)
-		for _, l := range d.lookupNames() {
-			_ = d.ep.Send(l, frame)
-		}
-		for _, s := range d.shards {
-			_ = d.ep.Send(s, frame)
-		}
-	}
-	req.resp <- TickResult{Stats: stats, Root: d.net.StateRoot()}
 }
 
 // stateResp answers a state query from canonical state.

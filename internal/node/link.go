@@ -2,15 +2,13 @@ package node
 
 import (
 	"sync"
-	"time"
 
 	"cosplit/internal/obs"
 	"cosplit/internal/wire"
 )
 
 // LinkFaults injects transport faults into an endpoint's outbound
-// frames: per-frame drop and payload-corruption draws plus an optional
-// fixed delivery delay. Draws come from a seeded splitmix64 stream, so
+// frames: per-frame drop and payload-corruption draws. Draws come from a seeded splitmix64 stream, so
 // a link's fault schedule is reproducible for a given seed and send
 // sequence. The zero value injects nothing.
 type LinkFaults struct {
@@ -26,15 +24,6 @@ type LinkFaults struct {
 	// stream transports; the receiver's frame checksum rejects the
 	// payload).
 	Corrupt float64
-	// Delay stalls delivery of every frame by a fixed duration (applied
-	// with probability DelayProb; DelayProb 0 with Delay > 0 means
-	// always).
-	Delay     time.Duration
-	DelayProb float64
-}
-
-func (f LinkFaults) zero() bool {
-	return f.Drop <= 0 && f.Corrupt <= 0 && f.Delay <= 0
 }
 
 // linkMetrics are the always-on wire.* transport metrics, shared by
@@ -118,49 +107,37 @@ func Instrument(ep Endpoint, rec obs.Recorder, reg *obs.Registry, faults *LinkFa
 
 func (l *link) Name() string { return l.inner.Name() }
 
-// draw makes the (drop, corrupt, delay) verdict for one frame.
-func (l *link) draw() (drop, corrupt, delay bool) {
-	if l.f.zero() {
-		return false, false, false
+// draw makes the verdict for one frame with payloadLen payload bytes:
+// dropped, or the index of the payload byte to flip (-1: none).
+func (l *link) draw(payloadLen int) (drop bool, flip int) {
+	if l.f.Drop <= 0 && l.f.Corrupt <= 0 {
+		return false, -1
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f.Drop > 0 && l.rng.float() < l.f.Drop {
-		return true, false, false
+		return true, -1
 	}
-	if l.f.Corrupt > 0 && l.rng.float() < l.f.Corrupt {
-		corrupt = true
+	if l.f.Corrupt > 0 && l.rng.float() < l.f.Corrupt && payloadLen > 0 {
+		return false, int(l.rng.next() % uint64(payloadLen))
 	}
-	if l.f.Delay > 0 && (l.f.DelayProb <= 0 || l.rng.float() < l.f.DelayProb) {
-		delay = true
-	}
-	return false, corrupt, delay
-}
-
-// corruptByte returns the payload byte index to flip.
-func (l *link) corruptByte(payloadLen int) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return int(l.rng.next() % uint64(payloadLen))
+	return false, -1
 }
 
 func (l *link) Send(to string, frame []byte) error {
 	msg := wire.FrameMsgType(frame).String()
-	drop, corrupt, delay := l.draw()
+	drop, flip := l.draw(len(frame) - wire.HeaderLen)
 	if drop {
 		l.m.framesDropped.Inc()
 		l.rec.FrameDropped(l.inner.Name(), to, msg, len(frame))
 		return nil
 	}
-	if corrupt && len(frame) > wire.HeaderLen {
+	if flip >= 0 {
 		cp := append([]byte(nil), frame...)
-		cp[wire.HeaderLen+l.corruptByte(len(cp)-wire.HeaderLen)] ^= 0xff
+		cp[wire.HeaderLen+flip] ^= 0xff
 		frame = cp
 		l.m.framesCorrupted.Inc()
 		l.rec.FrameCorrupted(l.inner.Name(), to, msg, len(frame))
-	}
-	if delay {
-		time.Sleep(l.f.Delay)
 	}
 	if err := l.inner.Send(to, frame); err != nil {
 		return err

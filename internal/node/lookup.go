@@ -35,10 +35,10 @@ type Lookup struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	mu            sync.Mutex
-	corr          uint64
-	submits       map[uint64]chan *wire.SubmitResp
-	queries       map[uint64]chan *wire.StateResp
+	mu   sync.Mutex
+	corr uint64
+	// pending routes each response to its request by correlation id.
+	pending       map[uint64]chan any
 	receipts      *ReceiptLog
 	receiptsGauge *obs.Gauge
 	bytesGauge    *obs.Gauge
@@ -96,8 +96,7 @@ func NewLookup(name string, ep Endpoint, ds string, opts ...LookupOption) *Looku
 		m:             lep.m,
 		timeout:       lookupTimeout,
 		quit:          make(chan struct{}),
-		submits:       make(map[uint64]chan *wire.SubmitResp),
-		queries:       make(map[uint64]chan *wire.StateResp),
+		pending:       make(map[uint64]chan any),
 		receipts:      NewReceiptLog(c.receiptCap),
 		receiptsGauge: c.reg.Gauge("node.lookup_receipts"),
 		bytesGauge:    c.reg.Gauge("node.lookup_receipt_bytes"),
@@ -138,38 +137,35 @@ func (l *Lookup) loop() {
 		}
 		switch typ {
 		case wire.MsgSubmitResp:
-			resp, err := wire.DecodeSubmitResp(payload)
-			if err != nil {
-				l.m.recvErrors.Inc()
-				continue
-			}
-			l.mu.Lock()
-			ch := l.submits[resp.Corr]
-			delete(l.submits, resp.Corr)
-			l.mu.Unlock()
-			if ch != nil {
-				ch <- resp
+			var r *wire.SubmitResp
+			if r, err = wire.DecodeSubmitResp(payload); err == nil {
+				l.deliver(r.Corr, r)
 			}
 		case wire.MsgStateResp:
-			resp, err := wire.DecodeStateResp(payload)
-			if err != nil {
-				l.m.recvErrors.Inc()
-				continue
-			}
-			l.mu.Lock()
-			ch := l.queries[resp.Corr]
-			delete(l.queries, resp.Corr)
-			l.mu.Unlock()
-			if ch != nil {
-				ch <- resp
+			var r *wire.StateResp
+			if r, err = wire.DecodeStateResp(payload); err == nil {
+				l.deliver(r.Corr, r)
 			}
 		case wire.MsgFinalBlock:
-			if err := l.finalBlock(payload); err != nil {
-				l.m.recvErrors.Inc()
-			}
+			err = l.finalBlock(payload)
 		default:
 			l.m.recvErrors.Inc()
 		}
+		if err != nil {
+			l.m.recvErrors.Inc()
+		}
+	}
+}
+
+// deliver hands a response to the request waiting under its
+// correlation id, if one still is.
+func (l *Lookup) deliver(corr uint64, resp any) {
+	l.mu.Lock()
+	ch := l.pending[corr]
+	delete(l.pending, corr)
+	l.mu.Unlock()
+	if ch != nil {
+		ch <- resp
 	}
 }
 
@@ -207,11 +203,29 @@ func (l *Lookup) finalBlock(payload []byte) error {
 // process) is returned as a refusal. A lost frame or response
 // surfaces as ErrTimeout.
 func (l *Lookup) SubmitTx(tx *chain.Tx) (uint64, error) {
-	ch := make(chan *wire.SubmitResp, 1)
+	r, err := request[*wire.SubmitResp](l, "submit", wire.MsgSubmit, func(corr uint64) ([]byte, error) {
+		return wire.EncodeSubmit(&wire.Submit{Corr: corr, Tx: tx})
+	})
+	if err != nil {
+		return 0, err
+	}
+	if r.Err != "" {
+		return 0, fmt.Errorf("submit rejected: %s", r.Err)
+	}
+	return r.ID, nil
+}
+
+// request sends the committee one request, built by encode around a
+// fresh correlation id, and waits for the response routed back under
+// that id (an error unless it is an R), the lookup's timeout
+// (ErrTimeout) or Close (ErrTransportClosed). Whatever the outcome,
+// the id's pending entry is gone on return.
+func request[R any](l *Lookup, what string, typ wire.MsgType, encode func(corr uint64) ([]byte, error)) (r R, err error) {
+	ch := make(chan any, 1)
 	l.mu.Lock()
 	l.corr++
 	corr := l.corr
-	l.submits[corr] = ch
+	l.pending[corr] = ch
 	l.mu.Unlock()
 	// The loop deletes the entry when it delivers the response; only a
 	// request that ends without one has to take its own away.
@@ -219,16 +233,16 @@ func (l *Lookup) SubmitTx(tx *chain.Tx) (uint64, error) {
 	defer func() {
 		if !answered {
 			l.mu.Lock()
-			delete(l.submits, corr)
+			delete(l.pending, corr)
 			l.mu.Unlock()
 		}
 	}()
-	payload, err := wire.EncodeSubmit(&wire.Submit{Corr: corr, Tx: tx})
+	payload, err := encode(corr)
 	if err != nil {
-		return 0, err
+		return r, err
 	}
-	if err := l.ep.Send(l.ds, wire.EncodeFrame(wire.MsgSubmit, payload)); err != nil {
-		return 0, err
+	if err := l.ep.Send(l.ds, wire.EncodeFrame(typ, payload)); err != nil {
+		return r, err
 	}
 	// One timer, stopped when the response wins: under go 1.22 an
 	// unstopped time.After timer stays in the runtime's heap until it
@@ -238,14 +252,14 @@ func (l *Lookup) SubmitTx(tx *chain.Tx) (uint64, error) {
 	select {
 	case resp := <-ch:
 		answered = true
-		if resp.Err != "" {
-			return 0, fmt.Errorf("submit rejected: %s", resp.Err)
+		if v, ok := resp.(R); ok {
+			return v, nil
 		}
-		return resp.ID, nil
+		return r, fmt.Errorf("%s: answered with a %T", what, resp)
 	case <-timer.C:
-		return 0, fmt.Errorf("submit: %w", ErrTimeout)
+		return r, fmt.Errorf("%s: %w", what, ErrTimeout)
 	case <-l.quit:
-		return 0, ErrTransportClosed
+		return r, ErrTransportClosed
 	}
 }
 
@@ -275,37 +289,17 @@ func (l *Lookup) GetState(addr chain.Address, field, key string) (*wire.StateRes
 }
 
 func (l *Lookup) query(q *wire.StateQuery) (*wire.StateResp, error) {
-	ch := make(chan *wire.StateResp, 1)
-	l.mu.Lock()
-	l.corr++
-	q.Corr = l.corr
-	l.queries[q.Corr] = ch
-	l.mu.Unlock()
-	answered := false // as in SubmitTx
-	defer func() {
-		if !answered {
-			l.mu.Lock()
-			delete(l.queries, q.Corr)
-			l.mu.Unlock()
-		}
-	}()
-	if err := l.ep.Send(l.ds, wire.EncodeFrame(wire.MsgStateQuery, wire.EncodeStateQuery(q))); err != nil {
+	r, err := request[*wire.StateResp](l, "state query", wire.MsgStateQuery, func(corr uint64) ([]byte, error) {
+		q.Corr = corr
+		return wire.EncodeStateQuery(q), nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	timer := time.NewTimer(l.timeout)
-	defer timer.Stop()
-	select {
-	case resp := <-ch:
-		answered = true
-		if resp.Err != "" {
-			return nil, fmt.Errorf("state query: %s", resp.Err)
-		}
-		return resp, nil
-	case <-timer.C:
-		return nil, fmt.Errorf("state query: %w", ErrTimeout)
-	case <-l.quit:
-		return nil, ErrTransportClosed
+	if r.Err != "" {
+		return nil, fmt.Errorf("state query: %s", r.Err)
 	}
+	return r, nil
 }
 
 // Receipt returns the filed receipt for a transaction id, or nil if

@@ -14,7 +14,8 @@ import (
 
 // TestLookupLeavesNoCorrelation: a request's correlation entry is gone
 // when the request is over, however it ended — taken by the loop with
-// the answer, or by the caller when none came.
+// the answer, or by the caller when none came — and an answer of the
+// wrong kind under the request's id is an error, not a panic.
 func TestLookupLeavesNoCorrelation(t *testing.T) {
 	w := testWorkload()
 	env, err := workload.Provision(w, true, shard.WithShards(3))
@@ -24,7 +25,7 @@ func TestLookupLeavesNoCorrelation(t *testing.T) {
 	pending := func(l *Lookup) int {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		return len(l.submits) + len(l.queries)
+		return len(l.pending)
 	}
 
 	// A committee that is registered and never reads: every request
@@ -44,6 +45,37 @@ func TestLookupLeavesNoCorrelation(t *testing.T) {
 	}
 	if n := pending(deaf); n != 0 {
 		t.Errorf("%d correlation entries left behind by timed-out requests", n)
+	}
+
+	// A committee that answers a submission with a state response.
+	confused := net.Endpoint("confused-ds")
+	go func() {
+		for {
+			_, frame, err := confused.Recv()
+			if err != nil {
+				return
+			}
+			typ, payload, _, _ := wire.DecodeFrame(frame)
+			if typ != wire.MsgSubmit {
+				continue // the lookup's hello
+			}
+			s, err := wire.DecodeSubmit(payload)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, _ := wire.EncodeStateResp(&wire.StateResp{Corr: s.Corr})
+			confused.Send("lookup-2", wire.EncodeFrame(wire.MsgStateResp, resp))
+		}
+	}()
+	misled := NewLookup("lookup-2", net.Endpoint("lookup-2"), "confused-ds")
+	misled.Run()
+	defer misled.Close()
+	if _, err := misled.SubmitTx(w.Next(env)); err == nil || errors.Is(err, ErrTimeout) {
+		t.Fatalf("submit answered with a state response: %v, want an error that is not a timeout", err)
+	}
+	if n := pending(misled); n != 0 {
+		t.Errorf("%d correlation entries left behind by a misanswered request", n)
 	}
 
 	cluster, err := NewCluster(testGenesis(w))

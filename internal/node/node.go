@@ -1,10 +1,12 @@
 // Package node runs the sharded pipeline as a set of communicating
 // nodes with a real wire boundary between them. Each role — shard
-// node, DS committee, lookup node — is a goroutine-isolated actor that
-// holds its own deterministically provisioned shard.Network replica
-// and talks to its peers exclusively through encoded wire frames over
-// an abstract Transport: an in-process channel switch for tests and
-// benchmarks, or TCP sockets behind the same interface.
+// node, DS committee, lookup node — is an actor that receives frames
+// on one goroutine and does each job in one place: the committee's
+// epoch is a collect state with a deadline, the lookup has one request
+// path, a replica one apply path. Roles talk exclusively through
+// encoded wire frames over an abstract Transport: an in-process channel
+// switch for tests and benchmarks, or TCP sockets behind the same
+// interface.
 //
 // The epoch protocol mirrors the monolithic pipeline stage for stage:
 //
@@ -12,12 +14,13 @@
 //	shard nodes ──MicroBlock──▶ DS (merge, DS exec)
 //	DS ──FinalBlock──▶ lookups, then shard nodes (file receipts; replay & verify)
 //
-// Because every hop is encoded bytes, fault injection can drop,
-// corrupt, or delay actual frames (LinkFaults); a missing or
-// undecodable MicroBlock surfaces at the DS as a nil block to
-// FinalizeEpoch, the same loss a fault plan makes in the throughput
-// harness: the batch is requeued. A byte-shipped epoch commits bit-identical state roots
-// to the monolithic shard.Network path (see TestCrossModeStateRoots).
+// Because every hop is encoded bytes, fault injection can drop or
+// corrupt actual frames (LinkFaults); a missing or undecodable
+// MicroBlock surfaces at the DS as a nil block to FinalizeEpoch, the
+// same loss a fault plan makes in the throughput harness: the batch is
+// requeued. A FinalBlock a replica cannot apply is undone and fetched
+// again. A byte-shipped epoch commits bit-identical state roots to the
+// monolithic shard.Network path (see TestCrossModeStateRoots).
 package node
 
 import "errors"

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -19,15 +18,16 @@ import (
 //
 // Executing a TxBatch does not mutate the replica: ExecuteShard
 // produces a MicroBlock of deltas, and state only advances when the
-// DS's FinalBlock comes back. A node that misses a FinalBlock (dropped
-// frame, or a restart that recovered to an older checkpoint) detects
-// the skew on the next frame for a future epoch — a TxBatch ahead of
-// its own epoch, or a FinalBlock that fails ErrEpochSkew forward — and
-// catches up live: it requests the missed range from the committee
-// (MsgBlockRequest), replays the returned FinalBlocks through the
-// ordinary root-verified ApplyFinalBlock path, then resumes executing
-// batches. Err reports the first unrecoverable error: state
-// divergence, or a missed range the committee can no longer serve.
+// DS's FinalBlock comes back. Every FinalBlock, broadcast or fetched,
+// is stashed by epoch and applied from the stash in epoch order. A
+// node that misses one (dropped frame, or a restart that recovered to
+// an older checkpoint) sees the skew on the next frame for a future
+// epoch and catches up live: it requests the missed range from the
+// committee (MsgBlockRequest). A block that fails to apply (a
+// corrupted frame that still decodes) is undone whole and fetched
+// again, up to maxBlockRetries times in a row. The node executes no
+// batch while it is behind. Err reports the first unrecoverable error:
+// a block that kept failing, or a range the committee cannot serve.
 type ShardNode struct {
 	name  string
 	shard int
@@ -37,16 +37,18 @@ type ShardNode struct {
 	m     *linkMetrics
 
 	// Resync state, touched only by the actor goroutine. pendingBlocks
-	// holds future FinalBlocks that arrived mid-catch-up;
+	// holds the FinalBlocks not yet applied, by epoch;
 	// pendingBatch/pendingFrom the latest future TxBatch, executed once
 	// the replica reaches its epoch; awaitTo (0 = none) the exclusive
 	// target epoch of the outstanding block request — a later frame
 	// with a higher target re-requests, so a dropped request or
-	// response frame delays catch-up by an epoch instead of wedging it.
+	// response frame delays catch-up by an epoch instead of wedging it;
+	// failures counts the blocks in a row that failed to apply.
 	pendingBlocks map[uint64]*shard.FinalBlock
 	pendingBatch  *wire.TxBatch
 	pendingFrom   string
 	awaitTo       uint64
+	failures      int
 	resyncs       *obs.Counter
 
 	quit      chan struct{}
@@ -58,8 +60,13 @@ type ShardNode struct {
 }
 
 // pendingBlockCap bounds the stash of future FinalBlocks so a peer
-// fabricating far-future blocks cannot grow it without limit.
+// fabricating far-future blocks cannot grow it without limit. The
+// block for the replica's own epoch is always taken.
 const pendingBlockCap = 512
+
+// maxBlockRetries bounds how many times in a row the node re-fetches a
+// block that failed to apply before it gives up with a fatal Err.
+const maxBlockRetries = 3
 
 // ShardOption configures a ShardNode.
 type ShardOption func(*shardConfig)
@@ -110,8 +117,9 @@ func NewShard(name string, s int, replica *shard.Network, ep Endpoint, ds string
 // tests).
 func (s *ShardNode) Net() *shard.Network { return s.net }
 
-// Err returns the first unrecoverable replica error: state divergence
-// from the committee, or an unservable catch-up gap.
+// Err returns the first unrecoverable replica error: a block that
+// still failed to apply after maxBlockRetries fetches, or an
+// unservable catch-up gap.
 func (s *ShardNode) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -175,17 +183,15 @@ func (s *ShardNode) handleBatch(from string, payload []byte) {
 		// Wrong shard, or a stale batch the DS already requeued past.
 		return
 	}
-	if batch.Epoch > s.net.Epoch {
-		// The replica lags (it missed at least one FinalBlock): stash
-		// the batch and catch up. If the fetch completes before the
-		// committee's collect timeout, the MicroBlock still lands this
-		// epoch; otherwise the DS requeues the batch and the replica
-		// rejoins on the next one.
-		s.pendingBatch, s.pendingFrom = batch, from
+	s.pendingBatch, s.pendingFrom = batch, from
+	if s.drainPending() && batch.Epoch > s.net.Epoch {
+		// The replica lags (it missed at least one FinalBlock): the
+		// batch waits while it catches up. If the fetch completes before
+		// the committee's collect timeout, the MicroBlock still lands
+		// this epoch; otherwise the DS requeues the batch and the
+		// replica rejoins on the next one.
 		s.requestResync(batch.Epoch)
-		return
 	}
-	s.execBatch(from, batch)
 }
 
 // execBatch executes a current-epoch batch and ships the MicroBlock.
@@ -209,23 +215,21 @@ func (s *ShardNode) handleFinalBlock(payload []byte) {
 		s.m.recvErrors.Inc()
 		return
 	}
-	if err := s.net.ApplyFinalBlock(fb); err != nil {
-		switch {
-		case !errors.Is(err, shard.ErrEpochSkew):
-			s.setErr(err)
-		case fb.Epoch > s.net.Epoch:
-			// A future block: FinalBlocks in between were missed. Keep
-			// this one for replay and fetch the gap.
-			if len(s.pendingBlocks) < pendingBlockCap {
-				s.pendingBlocks[fb.Epoch] = fb
-			}
-			s.requestResync(fb.Epoch)
-		default:
-			// A re-delivered old block: harmless.
-		}
+	s.stash(fb)
+	if s.drainPending() && fb.Epoch > s.net.Epoch {
+		// A future block: FinalBlocks in between were missed. Fetch
+		// the gap; this one waits in the stash.
+		s.requestResync(fb.Epoch)
+	}
+}
+
+// stash keeps a FinalBlock for drainPending to apply; a re-delivered
+// old block is dropped.
+func (s *ShardNode) stash(fb *shard.FinalBlock) {
+	if fb.Epoch < s.net.Epoch || (fb.Epoch > s.net.Epoch && len(s.pendingBlocks) >= pendingBlockCap) {
 		return
 	}
-	s.drainPending()
+	s.pendingBlocks[fb.Epoch] = fb
 }
 
 // requestResync asks the committee for FinalBlocks [net.Epoch, target)
@@ -246,18 +250,14 @@ func (s *ShardNode) handleBlockResponse(payload []byte) {
 		s.m.recvErrors.Inc()
 		return
 	}
-	applied := false
+	before := s.net.Epoch
 	for _, fb := range resp.Blocks {
-		if fb.Epoch != s.net.Epoch {
-			continue // already applied (duplicate response, or pendingBlocks got there first)
-		}
-		if err := s.net.ApplyFinalBlock(fb); err != nil {
-			s.setErr(err)
-			return
-		}
-		applied = true
+		s.stash(fb)
 	}
-	if !applied && resp.Head > resp.From && resp.From == s.net.Epoch {
+	if !s.drainPending() {
+		return
+	}
+	if resp.Head > resp.From && resp.From == s.net.Epoch {
 		// The committee is ahead of us but served nothing: the range
 		// was compacted past its journal and ring. No live path back —
 		// this replica needs a state-directory recovery.
@@ -265,14 +265,13 @@ func (s *ShardNode) handleBlockResponse(payload []byte) {
 			s.name, resp.From, s.awaitTo, resp.Head))
 		return
 	}
-	s.drainPending()
 	if s.awaitTo > 0 {
 		if s.net.Epoch >= s.awaitTo || resp.Head <= resp.From {
 			// Caught up — or the committee says we were never behind
 			// (a fabricated future block): stand down so the next real
 			// skew re-requests from scratch.
 			s.awaitTo = 0
-		} else if applied {
+		} else if s.net.Epoch > before {
 			// Partial response (the committee caps response size):
 			// request the remainder.
 			target := s.awaitTo
@@ -282,31 +281,39 @@ func (s *ShardNode) handleBlockResponse(payload []byte) {
 	}
 }
 
-// drainPending replays stashed future FinalBlocks that became current
-// and executes the stashed batch once the replica reaches its epoch.
-func (s *ShardNode) drainPending() {
-	for {
-		fb := s.pendingBlocks[s.net.Epoch]
-		if fb == nil {
-			break
-		}
+// drainPending applies stashed FinalBlocks in epoch order — the one
+// place a block is applied — and executes the stashed batch once the
+// replica is at its epoch, the one place a batch is executed. A block
+// that fails to apply leaves the replica where it was: drainPending
+// drops it, fetches its epoch again and reports false, or, after
+// maxBlockRetries such failures in a row, records the fatal Err.
+func (s *ShardNode) drainPending() bool {
+	for fb := s.pendingBlocks[s.net.Epoch]; fb != nil; fb = s.pendingBlocks[s.net.Epoch] {
 		delete(s.pendingBlocks, fb.Epoch)
 		if err := s.net.ApplyFinalBlock(fb); err != nil {
-			s.setErr(err)
-			return
+			// A block that applied but was not journaled has moved the
+			// replica on: that is fatal at once.
+			if s.failures++; s.failures > maxBlockRetries || s.net.Epoch != fb.Epoch {
+				s.setErr(err)
+				return false
+			}
+			s.awaitTo = 0
+			s.requestResync(fb.Epoch + 1)
+			return false
 		}
+		s.failures = 0
 	}
 	for e := range s.pendingBlocks {
 		if e < s.net.Epoch {
 			delete(s.pendingBlocks, e)
 		}
 	}
-	if b := s.pendingBatch; b != nil {
+	if b := s.pendingBatch; b != nil && b.Epoch <= s.net.Epoch {
+		// Current, or older: a batch the DS requeued long ago.
+		s.pendingBatch = nil
 		if b.Epoch == s.net.Epoch {
-			s.pendingBatch = nil
 			s.execBatch(s.pendingFrom, b)
-		} else if b.Epoch < s.net.Epoch {
-			s.pendingBatch = nil // the DS requeued it long ago
 		}
 	}
+	return true
 }

@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"math/big"
+	"strings"
 	"testing"
 
 	"cosplit/internal/chain"
 	"cosplit/internal/contracts"
+	"cosplit/internal/dispatch"
 	"cosplit/internal/obs"
 	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/eval"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
+	"cosplit/internal/workload"
 )
 
 // entryDelta builds a one-field StateDelta for contract c out of
@@ -131,45 +134,14 @@ func TestFailedPhaseLeavesNoTrace(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			net, first, second, users := setup(t)
-			pre := map[chain.Address]*eval.MemState{}
-			for _, a := range []chain.Address{first, second} {
-				pre[a] = net.Contracts.Get(a).Snapshot().Copy()
-			}
-			preAccounts := net.Accounts.Copy()
-			preRoot, preEpoch := net.StateRoot(), net.Epoch
-			if preRoot != net.RecomputeStateRoot() {
-				t.Fatal("roots disagree before the test starts")
-			}
-
+			pre := takeNetState(t, net)
 			fb := tc.block(first, second, users)
 			fb.Epoch = net.Epoch
 			err := net.ApplyFinalBlock(fb)
 			if err == nil || !tc.wantErr(err) {
 				t.Fatalf("ApplyFinalBlock = %v, want the case's error", err)
 			}
-			for a, want := range pre {
-				if !net.Contracts.Get(a).Snapshot().Equal(want) {
-					t.Errorf("contract %s state changed by the failed phase", a)
-				}
-			}
-			preAccounts.Range(func(a chain.Address, want chain.Account) bool {
-				if got, ok := net.Accounts.Get(a); !ok || got != want {
-					t.Errorf("account %s changed by the failed phase: %+v, want %+v", a, got, want)
-				}
-				return true
-			})
-			if net.Accounts.Len() != preAccounts.Len() {
-				t.Errorf("failed phase changed the account count %d -> %d", preAccounts.Len(), net.Accounts.Len())
-			}
-			if got := net.StateRoot(); got != preRoot {
-				t.Errorf("incremental root moved: %s, was %s", got, preRoot)
-			}
-			if got := net.RecomputeStateRoot(); got != preRoot {
-				t.Errorf("recomputed root moved: %s, was %s", got, preRoot)
-			}
-			if net.Epoch != preEpoch {
-				t.Errorf("epoch advanced to %d on a failed block", net.Epoch)
-			}
+			pre.check(t, net)
 			counters := net.Snapshot().Counters
 			if got := counters["merge.conflicts"]; got != tc.conflicts {
 				t.Errorf("merge.conflicts = %d, want %d", got, tc.conflicts)
@@ -187,10 +159,172 @@ func TestFailedPhaseLeavesNoTrace(t *testing.T) {
 			if err := net.ApplyFinalBlock(ok); err != nil {
 				t.Fatalf("good block after the failed one: %v", err)
 			}
-			if inc, full := net.StateRoot(), net.RecomputeStateRoot(); inc != full || inc == preRoot {
-				t.Errorf("after the good block: incremental %s, recomputed %s, before %s", inc, full, preRoot)
+			if inc, full := net.StateRoot(), net.RecomputeStateRoot(); inc != full || inc == pre.root {
+				t.Errorf("after the good block: incremental %s, recomputed %s, before %s", inc, full, pre.root)
 			}
 		})
+	}
+}
+
+// netState is what a failed block must leave as it found: every
+// contract's state, the account table, both roots and the epoch.
+type netState struct {
+	contracts map[chain.Address]*eval.MemState
+	accounts  *chain.Accounts
+	root      string
+	epoch     uint64
+}
+
+func takeNetState(t *testing.T, net *shard.Network) netState {
+	t.Helper()
+	pre := netState{contracts: map[chain.Address]*eval.MemState{}, accounts: net.Accounts.Copy(), root: net.StateRoot(), epoch: net.Epoch}
+	for _, c := range net.Contracts.All() {
+		pre.contracts[c.Addr] = c.Snapshot().Copy()
+	}
+	if pre.root != net.RecomputeStateRoot() {
+		t.Fatal("roots disagree before the test starts")
+	}
+	return pre
+}
+
+// check fails t unless net is as it was when pre was taken.
+func (pre netState) check(t *testing.T, net *shard.Network) {
+	t.Helper()
+	for a, want := range pre.contracts {
+		if !net.Contracts.Get(a).Snapshot().Equal(want) {
+			t.Errorf("contract %s state changed by the failed block", a)
+		}
+	}
+	pre.accounts.Range(func(a chain.Address, want chain.Account) bool {
+		if got, ok := net.Accounts.Get(a); !ok || got != want {
+			t.Errorf("account %s changed by the failed block: %+v, want %+v", a, got, want)
+		}
+		return true
+	})
+	if net.Accounts.Len() != pre.accounts.Len() {
+		t.Errorf("failed block changed the account count %d -> %d", pre.accounts.Len(), net.Accounts.Len())
+	}
+	if got := net.StateRoot(); got != pre.root {
+		t.Errorf("incremental root moved: %s, was %s", got, pre.root)
+	}
+	if got := net.RecomputeStateRoot(); got != pre.root {
+		t.Errorf("recomputed root moved: %s, was %s", got, pre.root)
+	}
+	if net.Epoch != pre.epoch {
+		t.Errorf("epoch advanced to %d on a failed block", net.Epoch)
+	}
+}
+
+// TestFailedBlockLeavesNoTrace: a FinalBlock is all or nothing across
+// its two commit phases and the root check. Each block commits a good
+// first phase — one that also creates an account — and then fails: in
+// its DS phase, or on its state root. Afterwards the replica must be
+// exactly as before the block, and must still take the same block once
+// it is well formed.
+func TestFailedBlockLeavesNoTrace(t *testing.T) {
+	fresh := chain.AddrFromUint(4_242_424_242)
+	cases := []struct {
+		name  string
+		spoil func(fb *shard.FinalBlock, users []chain.Address)
+		want  error
+	}{{
+		name: "DS phase overdraws an account",
+		spoil: func(fb *shard.FinalBlock, users []chain.Address) {
+			fb.DSAccounts.AddBalance(users[11], big.NewInt(-2_000_000_000))
+		},
+	}, {
+		name:  "wrong state root",
+		spoil: func(fb *shard.FinalBlock, _ []chain.Address) { fb.StateRoot = strings.Repeat("ab", 32) },
+		want:  shard.ErrStateDivergence,
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net, c, users := deployFT(t, 3, 20, true)
+			block := func() *shard.FinalBlock {
+				acc := chain.NewAccountDelta()
+				acc.AddBalance(users[3], big.NewInt(-100))
+				acc.AddBalance(fresh, big.NewInt(100))
+				acc.BumpNonce(users[3], 1)
+				ds := chain.NewAccountDelta()
+				ds.AddBalance(users[4], big.NewInt(-50))
+				ds.BumpNonce(users[4], 1)
+				return &shard.FinalBlock{
+					Epoch:      net.Epoch,
+					Deltas:     []*chain.StateDelta{entryDelta(c, 0, "balances", overwriteEntry(77, users[3].Value()))},
+					Accounts:   acc,
+					DSDeltas:   []*chain.StateDelta{entryDelta(c, dispatch.DS, "allowances", addEntry(9, users[7].Value(), users[8].Value()))},
+					DSAccounts: ds,
+				}
+			}
+			pre := takeNetState(t, net)
+			bad := block()
+			tc.spoil(bad, users)
+			err := net.ApplyFinalBlock(bad)
+			if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+				t.Fatalf("ApplyFinalBlock = %v, want a failure (%v)", err, tc.want)
+			}
+			pre.check(t, net)
+			if _, ok := net.Accounts.Get(fresh); ok {
+				t.Error("the failed block's new account survived it")
+			}
+			if err := net.ApplyFinalBlock(block()); err != nil {
+				t.Fatalf("the good block after the failed one: %v", err)
+			}
+			if inc, full := net.StateRoot(), net.RecomputeStateRoot(); inc != full || inc == pre.root {
+				t.Errorf("after the good block: incremental %s, recomputed %s, before %s", inc, full, pre.root)
+			}
+		})
+	}
+}
+
+// TestFailedFinalizeLeavesNoTrace is the committee's side of the same
+// rule. A forged MicroBlock credits the crowdfunding contract's account
+// to one short of 2^128; that merges, and the DS committee's own run
+// then accepts a donation into the account, so its commit — the
+// block's second phase — overflows. FinalizeEpoch must fail with the
+// first phase undone too.
+func TestFailedFinalizeLeavesNoTrace(t *testing.T) {
+	w := workload.CFDonate()
+	w.Users = 40
+	env, err := workload.Provision(w, false, shard.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := env.Net
+	for i := 0; i < 40; i++ {
+		net.Submit(w.Next(env))
+	}
+	run := net.BeginEpoch()
+	if len(run.DSQueue()) == 0 {
+		t.Fatal("no donation routed to the DS committee")
+	}
+	blocks := make([]*shard.MicroBlock, len(run.Queues()))
+	for s, q := range run.Queues() {
+		if blocks[s], err = net.ExecuteShard(s, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acc, _ := net.Accounts.Get(env.Contract)
+	forged := new(big.Int).Lsh(big.NewInt(1), 128)
+	forged.Sub(forged, big.NewInt(1))
+	forged.Sub(forged, acc.Balance.Big(new(big.Int)))
+	for _, mb := range blocks {
+		if d := mb.Accounts.BalanceDeltas[env.Contract]; d != nil {
+			forged.Sub(forged, d)
+		}
+	}
+	blocks[0].Accounts.AddBalance(env.Contract, forged)
+
+	pre := takeNetState(t, net)
+	if _, _, err := net.FinalizeEpoch(run, blocks); !errors.Is(err, chain.ErrBalanceOverflow) || !strings.Contains(err.Error(), "DS run") {
+		t.Fatalf("FinalizeEpoch = %v, want the DS run's commit to overflow", err)
+	}
+	pre.check(t, net)
+	if _, err := net.RunEpoch(); err != nil {
+		t.Fatalf("the epoch after the failed one: %v", err)
+	}
+	if inc, full := net.StateRoot(), net.RecomputeStateRoot(); inc != full {
+		t.Errorf("after the next epoch: incremental %s, recomputed %s", inc, full)
 	}
 }
 

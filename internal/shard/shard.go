@@ -128,9 +128,12 @@ type Network struct {
 	// deploy, delta merge, DS execution) re-commits exactly the touched
 	// components, so StateRoot never re-renders the full state.
 	roots *trie.StateRoots
-	// undo is the log of the commit phase in progress, empty between
-	// phases; kept here so steady-state commits reuse its backing array.
-	undo chain.Undo
+	// undo is the log of the block in progress and committed the
+	// phases of it that have committed, both empty between blocks (see
+	// atomically); kept here so steady-state blocks reuse their backing
+	// arrays.
+	undo      chain.Undo
+	committed []phase
 	// store is the durability backend (AttachStateStore;
 	// nil keeps the network memory-only). When attached, every epoch
 	// collects a FinalBlock and hands it to the store after commit.
@@ -219,7 +222,7 @@ func (n *Network) DeployContract(deployer chain.Address, source string,
 	// Bump the deployer's nonce.
 	d := chain.NewAccountDelta()
 	d.BumpNonce(deployer, acc.Nonce+1)
-	if err := n.Accounts.Apply(d); err != nil {
+	if err := n.Accounts.Apply(d, nil); err != nil {
 		return chain.Address{}, err
 	}
 	n.touchAccount(deployer)
@@ -508,36 +511,44 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	// merge, Sec. 4.3) and applies the account delta. Deltas were
 	// collected in shard order and contracts are visited in address
 	// order, so the merge is byte-for-byte deterministic regardless of
-	// how phase 2 was scheduled.
-	t1 := time.Now()
-	for _, d := range allDeltas {
-		stats.DeltaEntries += d.Size()
-	}
-	merged, err := n.commit(allDeltas, accDelta)
+	// how phase 2 was scheduled. It and phase 4 commit as one block:
+	// if either fails, neither is left behind.
+	var ds *MicroBlock
+	err := n.atomically(func() error {
+		t1 := time.Now()
+		for _, d := range allDeltas {
+			stats.DeltaEntries += d.Size()
+		}
+		merged, err := n.commit(allDeltas, accDelta)
+		if err != nil {
+			return err
+		}
+		stats.Merge = time.Since(t1)
+		n.m.mergeContracts.Add(int64(merged))
+		n.m.deltaEntries.Observe(int64(stats.DeltaEntries))
+		n.m.mergeTime.ObserveDuration(stats.Merge)
+		n.rec.DeltaMerged(n.Epoch, merged, len(allDeltas), stats.DeltaEntries, 0, stats.Merge)
+
+		// Phase 4: the DS committee runs the remaining potentially
+		// conflicting transactions sequentially over the merged state —
+		// a shard run like any other, with message chains between
+		// contracts allowed — and commits its output as the block's
+		// second phase.
+		t2 := time.Now()
+		n.rec.ShardExecStart(n.Epoch, dispatch.DS, len(dsQueue))
+		if ds, err = n.runQueue(dispatch.DS, dsQueue); err == nil {
+			_, err = n.commit(ds.Deltas, ds.Accounts)
+		}
+		if err != nil {
+			return fmt.Errorf("DS run: %w", err)
+		}
+		stats.DSExec = time.Since(t2)
+		n.rec.ShardExecEnd(n.Epoch, dispatch.DS, stats.DSExec)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("epoch %d: %w", n.Epoch, err)
 	}
-	stats.Merge = time.Since(t1)
-	n.m.mergeContracts.Add(int64(merged))
-	n.m.deltaEntries.Observe(int64(stats.DeltaEntries))
-	n.m.mergeTime.ObserveDuration(stats.Merge)
-	n.rec.DeltaMerged(n.Epoch, merged, len(allDeltas), stats.DeltaEntries, 0, stats.Merge)
-
-	// Phase 4: the DS committee runs the remaining potentially
-	// conflicting transactions sequentially over the merged state — a
-	// shard run like any other, with message chains between contracts
-	// allowed — and commits its output as the epoch's second phase.
-	t2 := time.Now()
-	n.rec.ShardExecStart(n.Epoch, dispatch.DS, len(dsQueue))
-	ds, err := n.runQueue(dispatch.DS, dsQueue)
-	if err == nil {
-		_, err = n.commit(ds.Deltas, ds.Accounts)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("epoch %d: DS run: %w", n.Epoch, err)
-	}
-	stats.DSExec = time.Since(t2)
-	n.rec.ShardExecEnd(n.Epoch, dispatch.DS, stats.DSExec)
 	stats.Receipts = append(stats.Receipts, ds.Receipts...)
 	for _, r := range ds.Receipts {
 		if r.Success {
@@ -580,8 +591,10 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 // used. Nothing is executed, and the block's receipts are not kept:
 // they are the lookup's to serve. The replica's resulting state root
 // must match the block's; a mismatch (a corrupted frame that survived
-// decoding, or replica divergence) fails with ErrStateDivergence and
-// commits nothing further.
+// decoding, or replica divergence) fails with ErrStateDivergence. A
+// block that fails, for that or any other reason, is undone whole:
+// state, accounts, StateRoot and Epoch are as they were before the
+// call, so the same epoch can be applied again from a good copy.
 //
 // The replica must be at the block's epoch: it is built from the same
 // deterministic genesis as the DS committee's network and advances
@@ -605,33 +618,65 @@ func (n *Network) replayFinalBlock(fb *FinalBlock) error {
 	if fb.Epoch != n.Epoch {
 		return fmt.Errorf("apply final block: %w: block epoch %d, replica epoch %d", ErrEpochSkew, fb.Epoch, n.Epoch)
 	}
-	if _, err := n.commit(fb.Deltas, fb.Accounts); err != nil {
-		return fmt.Errorf("apply final block epoch %d: %w", fb.Epoch, err)
-	}
-	if _, err := n.commit(fb.DSDeltas, fb.DSAccounts); err != nil {
-		return fmt.Errorf("apply final block epoch %d: DS phase: %w", fb.Epoch, err)
-	}
-	if fb.StateRoot != "" {
-		if root := n.StateRoot(); root != fb.StateRoot {
-			return fmt.Errorf("apply final block epoch %d: %w: replica root %s, block root %s",
-				fb.Epoch, ErrStateDivergence, root, fb.StateRoot)
+	err := n.atomically(func() error {
+		if _, err := n.commit(fb.Deltas, fb.Accounts); err != nil {
+			return err
 		}
+		if _, err := n.commit(fb.DSDeltas, fb.DSAccounts); err != nil {
+			return fmt.Errorf("DS phase: %w", err)
+		}
+		if fb.StateRoot != "" {
+			if root := n.StateRoot(); root != fb.StateRoot {
+				return fmt.Errorf("%w: replica root %s, block root %s", ErrStateDivergence, root, fb.StateRoot)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("apply final block epoch %d: %w", fb.Epoch, err)
 	}
 	n.Epoch++
 	n.BlockNumber++
 	return nil
 }
 
+// phase is one committed phase of a block: what commit folded in.
+type phase struct {
+	deltas   []*chain.StateDelta
+	accounts *chain.AccountDelta
+}
+
+// atomically runs block — a block's commit phases and the checks
+// between and after them — all or nothing. The phases log into one undo
+// log; if block fails, the log is replayed and the root-trie components
+// of every phase that had committed are re-touched from the restored
+// state, so state, accounts and StateRoot are what they were before
+// the call, at a cost that follows the block's deltas. The committee
+// finalizing an epoch and a replica applying its FinalBlock both
+// commit through it; neither advances Epoch until it returns nil.
+func (n *Network) atomically(block func() error) error {
+	err := block()
+	if err != nil {
+		n.undo.Rollback()
+		for _, p := range n.committed {
+			n.touchPhase(p)
+		}
+	}
+	n.undo.Reset()
+	clear(n.committed)
+	n.committed = n.committed[:0]
+	return err
+}
+
 // commit folds one phase's output — a set of per-contract state
-// deltas and an account delta — into canonical state, in place and all
-// or nothing: contracts in address order, each delta entry written into
-// the contract's canonical state at its keypath by its join kind, then
-// the account delta. What each written component held before goes into
-// the phase's undo log; if any merge or the account delta fails the log
-// is replayed and state, accounts and root are as they were before the
-// call. Only once everything has succeeded are the touched root-trie
-// components re-committed. The cost follows the deltas, not the size of
-// the state.
+// deltas and an account delta — into canonical state, in place:
+// contracts in address order, each delta entry written into the
+// contract's canonical state at its keypath by its join kind, then the
+// account delta. What each written component held before goes into the
+// block's undo log, which atomically replays if this or any later step
+// of the block fails. Only once everything has succeeded are the
+// touched root-trie components re-committed. The cost follows the
+// deltas, not the size of the state.
 //
 // The committee calls it for the shards' output and again for its own
 // run's; replicas call it for the same two phases of a FinalBlock. It is
@@ -641,8 +686,6 @@ func (n *Network) replayFinalBlock(fb *FinalBlock) error {
 // contracts merged.
 func (n *Network) commit(deltas []*chain.StateDelta, accounts *chain.AccountDelta) (int, error) {
 	addrs, byContract := groupByContract(deltas)
-	contracts := make([]*chain.Contract, 0, len(addrs))
-	states := make([]*eval.MemState, 0, len(addrs))
 	var err error
 	for _, addr := range addrs {
 		c := n.Contracts.Get(addr)
@@ -650,19 +693,12 @@ func (n *Network) commit(deltas []*chain.StateDelta, accounts *chain.AccountDelt
 			err = fmt.Errorf("%w: contract %s", ErrUnknownContract, addr)
 			break
 		}
-		st := c.Snapshot()
-		contracts, states = append(contracts, c), append(states, st)
-		if err = chain.MergeDeltas(st, byContract[addr], &n.undo); err != nil {
+		if err = chain.MergeDeltas(c.Snapshot(), byContract[addr], &n.undo); err != nil {
 			break
 		}
 	}
 	if err == nil && accounts != nil {
-		err = n.Accounts.Apply(accounts)
-	}
-	if err != nil {
-		n.undo.Rollback()
-	} else {
-		n.undo.Reset()
+		err = n.Accounts.Apply(accounts, &n.undo)
 	}
 	if err != nil {
 		var conflict *chain.ConflictError
@@ -675,12 +711,9 @@ func (n *Network) commit(deltas []*chain.StateDelta, accounts *chain.AccountDelt
 		}
 		return 0, err
 	}
-	for i, c := range contracts {
-		n.touchDeltas(c.Addr, byContract[c.Addr], states[i])
-	}
-	if accounts != nil {
-		n.touchAccountDelta(accounts)
-	}
+	p := phase{deltas, accounts}
+	n.committed = append(n.committed, p)
+	n.touchPhase(p)
 	return len(addrs), nil
 }
 

@@ -138,32 +138,33 @@ func (n *Network) touchAccount(addr chain.Address) {
 	}
 }
 
-// touchAccountDelta re-commits every account an applied delta touched.
-func (n *Network) touchAccountDelta(d *chain.AccountDelta) {
-	for addr := range d.BalanceDeltas {
-		n.touchAccount(addr)
-	}
-	for addr := range d.Nonces {
-		if _, ok := d.BalanceDeltas[addr]; !ok {
-			n.touchAccount(addr)
-		}
-	}
-}
-
-// touchDeltas re-commits the state components a merged delta set wrote,
-// reading their post-merge values from the contract's canonical
-// state. Whole-field writes re-render the field subtree; entry writes
-// touch single leaves.
-func (n *Network) touchDeltas(addr chain.Address, deltas []*chain.StateDelta, st *eval.MemState) {
-	for _, d := range deltas {
+// touchPhase re-commits the root-trie components one commit phase
+// wrote, reading their values from canonical state: every account of
+// its account delta, and every state component of its deltas.
+// Whole-field writes re-render the field subtree; entry writes touch
+// single leaves.
+func (n *Network) touchPhase(p phase) {
+	for _, d := range p.deltas {
+		st := n.Contracts.Get(d.Contract).Snapshot()
 		for field, fd := range d.Fields {
 			if fd.Whole != nil {
-				n.roots.TouchWholeField(addr, field, st)
+				n.roots.TouchWholeField(d.Contract, field, st)
 				continue
 			}
 			for _, e := range fd.Entries {
-				n.roots.TouchEntry(addr, field, e.Keys, st)
+				n.roots.TouchEntry(d.Contract, field, e.Keys, st)
 			}
+		}
+	}
+	if p.accounts == nil {
+		return
+	}
+	for addr := range p.accounts.BalanceDeltas {
+		n.touchAccount(addr)
+	}
+	for addr := range p.accounts.Nonces {
+		if _, ok := p.accounts.BalanceDeltas[addr]; !ok {
+			n.touchAccount(addr)
 		}
 	}
 }

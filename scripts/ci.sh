@@ -34,10 +34,12 @@ go test ./...
 # networks, equal roots, receipts and MicroBlocks), the structural test
 # that internal/shard and internal/dispatch contain no go statement, the
 # shard-vs-DS route tests (failed-call atomicity, typed failure
-# receipts) and the commit tests (a failed phase leaves no trace; commit
-# + root allocations equal over 1k and 100k holders; the undo log, the
-# packed account table's all-or-nothing Apply and its two balance
-# bounds in internal/chain) alongside the concurrent packages.
+# receipts) and the commit tests (a failed phase, a failed FinalBlock
+# and a failed FinalizeEpoch leave no trace; commit + root allocations
+# equal over 1k and 100k holders; the undo log over contract state and
+# account rows, the packed account table's all-or-nothing Apply and its
+# two balance bounds in internal/chain) alongside the concurrent
+# packages.
 go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... ./internal/obs/... ./internal/fault/...
 # The node/wire/rpc race run covers the actor cluster end to end,
 # including the TCP-transport smoke (TestTCPClusterSmoke), the one
@@ -47,9 +49,15 @@ go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... 
 # golden-root suite (monolithic, interpreter, ChanNetwork cluster), a
 # dead shard node's traffic escalating to the DS committee, and replicas
 # applying DS-heavy FinalBlocks without executing, the lookup's receipt
-# log (its model test and what a filed receipt keeps alive) and the gate
-# that a replica applying 50 decoded blocks keeps none of their receipts.
+# log (its model test and what a filed receipt keeps alive), the gate
+# that a replica applying 50 decoded blocks keeps none of their receipts,
+# the committee's Ticks from two goroutines and a Tick cut short by
+# Close (TestTickSerialized), and a replica that undoes a FinalBlock
+# with a wrong root, fetches it again and heals, or gives up after its
+# bounded retries (TestReplicaHealsFailedBlock). Those two depend on
+# goroutine interleavings, so they run five times more.
 go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
+go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock' ./internal/node/
 # The persistence race run covers the state store (journal append,
 # snapshot chains and their fold rule, recovery from every crash state
 # around a boundary, the seeded recovery-equivalence property over nested
