@@ -11,12 +11,14 @@
 // Chaos: -faults seed:spec injects a deterministic fault schedule
 // (crashed shards, dropped MicroBlocks, corrupt deltas, stragglers)
 // into the measured epochs of the Fig. 14 and -strategies runs, e.g.
-// -faults "7:crash=0.05,drop=0.02,straggle=0.2x4". The throughput
-// harness applies it: a shard the plan loses hands the pipeline no
-// MicroBlock, and a straggler slows only the modelled clock. The same
-// seed and spec reproduce the same fault schedule bit-for-bit on
-// either execution engine. -nodes sizes the modelled PBFT committees
-// of the same runs.
+// -faults "7:crash=0.05,drop=0.02,straggle=0.2x4", and into the shard
+// nodes of -serve and -node shard:<i>. A shard the plan loses hands
+// the pipeline no MicroBlock: the throughput harness withholds it, a
+// shard node seals nothing, drops it or sends it corrupted. A
+// straggler slows only the harness's modelled clock. The same seed and
+// spec reproduce the same fault schedule bit-for-bit on either
+// execution engine and in either pipeline. -nodes sizes the modelled
+// PBFT committees of the Fig. 14 and -strategies runs.
 //
 // Persistence: -state-dir attaches the append-only state store to one
 // workload's chain: the run recovers from the directory, then drives
@@ -33,10 +35,11 @@
 // submit-to-commit latency percentiles. Both sides provision the
 // -rpc-workload genesis deterministically, so the hammer's stream is
 // valid against the server's chain. The node modes (-serve, -node,
-// -hammer) do not take the simulator's experiment flags yet (-faults,
-// -trace-out, -metrics-out) and refuse them by name rather than run
-// without them; -state-dir refuses -faults and -nodes, and -overheads
-// refuses -faults, for the same reason.
+// -hammer) do not take -trace-out or -metrics-out yet and refuse them
+// by name rather than run without them; -hammer and the -node roles
+// other than shard:<i> run no shard and refuse -faults; -state-dir
+// refuses -faults and -nodes, and -overheads refuses -faults, for the
+// same reason.
 package main
 
 import (
@@ -45,7 +48,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -70,7 +72,7 @@ func main() {
 		overheads  = flag.Bool("overheads", false, "measure Sec. 5.2.2 overheads instead of Fig. 14")
 		strategy   = flag.Bool("strategies", false, "run the Sec. 5.2.3 ownership-vs-commutativity ablation")
 		listFlag   = flag.Bool("list", false, "list workloads")
-		faultSpec  = flag.String("faults", "", `deterministic fault injection into the measured epochs of the Fig. 14 and -strategies runs, "seed:kind=prob[,...]" with kinds crash, drop, corrupt, straggle (e.g. "7:crash=0.05,straggle=0.2x4")`)
+		faultSpec  = flag.String("faults", "", `deterministic fault injection into the measured epochs of the Fig. 14 and -strategies runs and into the shard nodes of -serve and -node shard:<i>, "seed:kind=prob[,...]" with kinds crash, drop, corrupt, straggle (e.g. "7:crash=0.05,straggle=0.2x4")`)
 		traceOut   = flag.String("trace-out", "", "write a JSONL epoch-trace journal of every simulated network to this file")
 		metricsOut = flag.String("metrics-out", "", "write the aggregated metrics registry as JSON to this file on exit")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -153,9 +155,9 @@ func main() {
 
 	switch {
 	case *nodeRole != "":
-		runNodeRole(*nodeRole, *hubAddr, *rpcWorkld, *rpcShards, *blockIvl, *stateDir, *snapEvery, *serveAddr)
+		runNodeRole(*nodeRole, *hubAddr, *rpcWorkld, *rpcShards, *blockIvl, *stateDir, *snapEvery, *serveAddr, plan)
 	case *serveAddr != "":
-		serveRPC(*serveAddr, *serveTCP, *rpcWorkld, *rpcShards, *lookups, *blockIvl, *stateDir, *snapEvery)
+		serveRPC(*serveAddr, *serveTCP, *rpcWorkld, *rpcShards, *lookups, *blockIvl, *stateDir, *snapEvery, plan)
 	case *chainInfo != "":
 		info, err := rpc.NewClient(*chainInfo).ChainInfo()
 		fail(err)
@@ -244,8 +246,9 @@ func main() {
 // serveRPC boots a node cluster with a block producer and serves the
 // JSON-RPC front door until the process is killed. The genesis stays a
 // pure function of the workload and shard count so a hammer process
-// can provision the identical transaction stream on its side.
-func serveRPC(addr, tcpAddr, workloadName string, shards, lookups int, interval time.Duration, stateDir string, snapEvery int) {
+// can provision the identical transaction stream on its side. The
+// shard nodes lose the MicroBlocks plan loses.
+func serveRPC(addr, tcpAddr, workloadName string, shards, lookups int, interval time.Duration, stateDir string, snapEvery int, plan *fault.Plan) {
 	w, err := workload.ByName(workloadName)
 	fail(err)
 	genesis := func() (*shard.Network, error) {
@@ -255,7 +258,7 @@ func serveRPC(addr, tcpAddr, workloadName string, shards, lookups int, interval 
 		}
 		return env.Net, nil
 	}
-	var opts []node.ClusterOption
+	opts := []node.ClusterOption{node.ClusterShardNodes(node.ShardFaults(plan))}
 	if tcpAddr != "" {
 		opts = append(opts, node.ClusterTCP(tcpAddr))
 	}
@@ -286,33 +289,40 @@ func serveRPC(addr, tcpAddr, workloadName string, shards, lookups int, interval 
 
 // refuseIgnoredFlags fails a run that was given a flag its mode never
 // reads, naming both: the run would silently be a different experiment
-// from the one asked for. The node modes (-node, -serve, -hammer) build
-// every role's genesis from the plain workload; -state-dir and
-// -overheads drive networks without the throughput harness, which
-// alone applies -faults and models committees of -nodes.
+// from the one asked for. The node modes (-node, -serve, -hammer) write
+// no trace or metrics file, and only the modes that run shards apply
+// -faults; -state-dir and -overheads drive networks without the
+// throughput harness, which alone applies -faults to them and models
+// committees of -nodes.
 func refuseIgnoredFlags(nodeRole, serveAddr, hammerURL, stateDir string, overheads bool) error {
-	nodeFlags := []string{"faults", "trace-out", "metrics-out"}
 	const nodeWhy = "not wired into the node modes"
 	const harnessWhy = "only the Fig. 14 and -strategies runs read it"
-	var mode, why string
-	var ignored []string
+	var mode string
+	ignored := map[string]string{} // flag name → why the mode ignores it
+	nodeMode := func(m string, runsShards bool) {
+		mode = m
+		ignored["trace-out"], ignored["metrics-out"] = nodeWhy, nodeWhy
+		if !runsShards {
+			ignored["faults"] = "it runs no shard"
+		}
+	}
 	switch {
 	case nodeRole != "":
-		mode, ignored, why = "-node", nodeFlags, nodeWhy
+		nodeMode("-node "+nodeRole, strings.HasPrefix(nodeRole, "shard:"))
 	case serveAddr != "":
-		mode, ignored, why = "-serve", nodeFlags, nodeWhy
+		nodeMode("-serve", true)
 	case hammerURL != "":
-		mode, ignored, why = "-hammer", nodeFlags, nodeWhy
+		nodeMode("-hammer", false)
 	case stateDir != "":
-		mode, ignored, why = "-state-dir", []string{"faults", "nodes"}, harnessWhy
+		mode, ignored["faults"], ignored["nodes"] = "-state-dir", harnessWhy, harnessWhy
 	case overheads:
-		mode, ignored, why = "-overheads", []string{"faults"}, harnessWhy
+		mode, ignored["faults"] = "-overheads", harnessWhy
 	default:
 		return nil
 	}
 	var err error
 	flag.Visit(func(f *flag.Flag) {
-		if err == nil && slices.Contains(ignored, f.Name) {
+		if why, ok := ignored[f.Name]; ok && err == nil {
 			err = fmt.Errorf("-%s has no effect with %s (%s); drop it or run another mode", f.Name, mode, why)
 		}
 	})

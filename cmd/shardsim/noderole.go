@@ -12,6 +12,7 @@ import (
 	"syscall"
 	"time"
 
+	"cosplit/internal/fault"
 	"cosplit/internal/node"
 	"cosplit/internal/rpc"
 	"cosplit/internal/shard"
@@ -36,9 +37,10 @@ import (
 // persist under per-role subdirectories and recover from them on
 // restart; a shard that recovered behind the committee catches the
 // tail up over the wire (MsgBlockRequest) once live traffic reveals
-// the skew. SIGINT/SIGTERM shuts a role down cleanly; stateful roles
-// print their final chain head as "node: final epoch=E root=R".
-func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.Duration, stateDir string, snapEvery int, rpcAddr string) {
+// the skew. A shard role loses the MicroBlocks plan loses (-faults).
+// SIGINT/SIGTERM shuts a role down cleanly; stateful roles print their
+// final chain head as "node: final epoch=E root=R".
+func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.Duration, stateDir string, snapEvery int, rpcAddr string, plan *fault.Plan) {
 	if hubAddr == "" {
 		fail(errors.New("-node needs -hub (the hub's listen/dial address)"))
 	}
@@ -122,7 +124,7 @@ func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.D
 		fail(err)
 		name := fmt.Sprintf("shard-%d", i)
 		st := openRoleStore(name, replica)
-		sn := node.NewShard(name, i, replica, dialHub(hubAddr, name), "ds")
+		sn := node.NewShard(name, i, replica, dialHub(hubAddr, name), "ds", node.ShardFaults(plan))
 		sn.Run()
 		fmt.Fprintf(os.Stderr, "shardsim: %s executing via %s\n", name, hubAddr)
 		<-sig

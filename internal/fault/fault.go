@@ -1,13 +1,16 @@
 // Package fault provides deterministic fault schedules for the
-// throughput harness (internal/bench). A Plan maps (epoch, shard) to a
-// Directive — crash the shard mid-epoch, slow it down by a straggle
-// factor, drop its sealed MicroBlock in transit, or corrupt its
-// StateDelta — so the same seed and spec reproduce the same fault
-// schedule bit-for-bit across runs, on either execution engine. The
-// epoch pipeline (internal/shard) never reads a plan: it knows one
-// loss, a MicroBlock that did not arrive, and the harness applies a
-// directive by withholding the block (crash, drop, corrupt) or by
-// scaling the shard's execution time in its model (straggle).
+// throughput harness (internal/bench) and the shard nodes
+// (internal/node). A Plan maps (epoch, shard) to a Directive — crash
+// the shard mid-epoch, slow it down by a straggle factor, drop its
+// sealed MicroBlock in transit, or corrupt its StateDelta — so the same
+// seed and spec reproduce the same fault schedule bit-for-bit across
+// runs, on either execution engine and in either pipeline. The epoch
+// pipeline (internal/shard) never reads a plan: it knows one loss, a
+// MicroBlock that did not arrive. The harness applies a directive by
+// withholding the block (crash, drop, corrupt) or by scaling the
+// shard's execution time in its model (straggle); a shard node reads
+// the same directive where it seals, and seals nothing, withholds the
+// block or sends a frame the committee's checksum rejects.
 //
 // Determinism is by construction: a generated plan derives each
 // (epoch, shard) verdict from a splitmix64 hash of (seed, epoch,

@@ -22,11 +22,12 @@ import (
 // handler files MicroBlocks into it until every shard has answered or
 // the collect timeout fires; Tick then finalizes (merge + its own run)
 // and broadcasts the sealed FinalBlock to every lookup, then to every
-// shard node. A shard whose MicroBlock never arrives — dropped,
-// corrupted, or late — is a nil block to FinalizeEpoch, the pipeline's
-// one kind of loss: its batch is requeued, and after
-// Config.FaultEscalation such epochs in a row its traffic runs on the
-// committee until it answers again.
+// shard node. A shard whose MicroBlock never arrives — not sealed,
+// dropped, corrupted, or late — is a nil block to FinalizeEpoch, the
+// pipeline's one kind of loss: its batch is requeued, and after
+// shard.FaultEscalation such epochs in a row its traffic runs on the
+// committee until it answers again. A MicroBlock is taken only from
+// the node the committee sent that shard's batch to.
 type DS struct {
 	name    string
 	ep      Endpoint
@@ -149,7 +150,7 @@ func NewDS(name string, net *shard.Network, ep Endpoint, shardNames []string, op
 	for _, o := range opts {
 		o(&c)
 	}
-	lep := Instrument(ep, c.rec, c.reg, nil).(*link)
+	lep := Instrument(ep, c.rec, c.reg).(*link)
 	d := &DS{
 		name:    name,
 		ep:      lep,
@@ -287,8 +288,8 @@ func (d *DS) finishEpoch(c *collecting) TickResult {
 
 // handleFrame decodes and handles one received frame; the caller holds
 // d.mu. A MicroBlock lands in the collect state of the epoch in
-// flight; outside an epoch it is stale (a post-timeout arrival) and is
-// dropped.
+// flight if its shard's own node sent it; outside an epoch it is stale
+// (a post-timeout arrival) and is dropped.
 func (d *DS) handleFrame(from string, frame []byte) {
 	typ, payload, _, err := wire.DecodeFrame(frame)
 	if err != nil {
@@ -327,7 +328,11 @@ func (d *DS) handleFrame(from string, frame []byte) {
 			d.m.recvErrors.Inc()
 			return
 		}
-		if mb.Epoch != d.net.Epoch || mb.Shard < 0 || mb.Shard >= len(c.blocks) || c.blocks[mb.Shard] != nil {
+		if mb.Shard < 0 || mb.Shard >= len(c.blocks) || from != d.shards[mb.Shard] {
+			d.m.recvErrors.Inc() // only a shard's own node speaks for it
+			return
+		}
+		if mb.Epoch != d.net.Epoch || c.blocks[mb.Shard] != nil {
 			return
 		}
 		c.blocks[mb.Shard] = mb

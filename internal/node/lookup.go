@@ -88,7 +88,7 @@ func NewLookup(name string, ep Endpoint, ds string, opts ...LookupOption) *Looku
 	if c.reg == nil {
 		c.reg = obs.NewRegistry()
 	}
-	lep := Instrument(ep, c.rec, c.reg, nil).(*link)
+	lep := Instrument(ep, c.rec, c.reg).(*link)
 	return &Lookup{
 		name:          name,
 		ep:            lep,

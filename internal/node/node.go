@@ -14,11 +14,12 @@
 //	shard nodes ──MicroBlock──▶ DS (merge, DS exec)
 //	DS ──FinalBlock──▶ lookups, then shard nodes (file receipts; replay & verify)
 //
-// Because every hop is encoded bytes, fault injection can drop or
-// corrupt actual frames (LinkFaults); a missing or undecodable
-// MicroBlock surfaces at the DS as a nil block to FinalizeEpoch, the
-// same loss a fault plan makes in the throughput harness: the batch is
-// requeued. A FinalBlock a replica cannot apply is undone and fetched
+// A shard node given a fault.Plan (ShardFaults) loses the MicroBlocks
+// the plan loses, at the epochs the throughput harness loses them: it
+// seals nothing, withholds the block, or sends a frame whose checksum
+// the committee rejects. A missing or undecodable MicroBlock surfaces
+// at the DS as a nil block to FinalizeEpoch, the pipeline's one loss:
+// the batch is requeued. A FinalBlock a replica cannot apply is undone and fetched
 // again. A byte-shipped epoch commits bit-identical state roots to the
 // monolithic shard.Network path (see TestCrossModeStateRoots).
 package node

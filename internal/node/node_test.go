@@ -2,13 +2,16 @@ package node
 
 import (
 	"math/big"
+	"sync"
 	"testing"
 	"time"
 
 	"cosplit/internal/chain"
 	"cosplit/internal/dispatch"
+	"cosplit/internal/fault"
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
+	"cosplit/internal/wire"
 	"cosplit/internal/workload"
 )
 
@@ -131,10 +134,130 @@ func TestCrossModeStateRoots(t *testing.T) {
 	}
 }
 
-// TestTransportFaultRecovery drops a third of the shard nodes'
-// outbound frames (their MicroBlocks): the DS committee must requeue
-// the lost batches and eventually commit everything, and the replicas
-// must stay bit-identical to the canonical state.
+// lossyEpoch drives one epoch of net through the stage calls under
+// plan, as the throughput harness does: a crashed shard is not
+// executed, a dropped or corrupted one runs and its block is withheld.
+func lossyEpoch(net *shard.Network, plan *fault.Plan) (*shard.EpochStats, error) {
+	run := net.BeginEpoch()
+	blocks := make([]*shard.MicroBlock, len(run.Queues()))
+	for s, q := range run.Queues() {
+		kind := plan.At(run.Epoch(), s).Kind
+		if kind == fault.CrashMidEpoch {
+			continue
+		}
+		mb, err := net.ExecuteShard(s, q)
+		if err != nil {
+			return nil, err
+		}
+		if !kind.Lost() {
+			blocks[s] = mb
+		}
+	}
+	stats, _, err := net.FinalizeEpoch(run, blocks)
+	return stats, err
+}
+
+// TestClusterLosesWhatThePlanLoses runs one fault plan two ways: over a
+// ChanNetwork cluster, whose shard nodes apply it where they seal, and
+// through the in-process stage calls, as the throughput harness applies
+// it. Both must lose, requeue, escalate and commit the same at every
+// epoch and end on the same root.
+func TestClusterLosesWhatThePlanLoses(t *testing.T) {
+	w := testWorkload()
+	envMono, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	envSrc, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1 is lost shard.FaultEscalation epochs in a row, once by
+	// each lost kind, so it is down at e0+3 and back at e0+4; around it
+	// single blocks crash, drop, corrupt and straggle.
+	e0 := envMono.Net.Epoch
+	at := func(k fault.Kind) fault.Directive { return fault.Directive{Kind: k, Factor: 4} }
+	plan := fault.New().
+		Set(e0, 0, at(fault.CrashMidEpoch)).Set(e0, 1, at(fault.DropMicroBlock)).Set(e0, 2, at(fault.Straggle)).
+		Set(e0+1, 1, at(fault.CorruptDelta)).Set(e0+1, 2, at(fault.CorruptDelta)).
+		Set(e0+2, 1, at(fault.CrashMidEpoch)).
+		Set(e0+3, 0, at(fault.Straggle)).
+		Set(e0+4, 2, at(fault.DropMicroBlock))
+	reg := obs.NewRegistry()
+	cluster, err := NewCluster(testGenesis(w),
+		ClusterDS(DSCollectTimeout(250*time.Millisecond), DSObs(reg, nil)),
+		ClusterShardNodes(ShardFaults(plan)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+
+	const epochs, loaded, perEpoch = 8, 5, 10
+	var ids []uint64
+	corrupt, escalated := 0, 0
+	for e := 0; e < epochs; e++ {
+		for i := 0; e < loaded && i < perEpoch; i++ {
+			envMono.Net.Submit(w.Next(envMono))
+			id, err := cluster.Lookup.SubmitTx(w.Next(envSrc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for s := 0; s < 3; s++ {
+			if plan.At(envMono.Net.Epoch, s).Kind == fault.CorruptDelta {
+				corrupt++
+			}
+		}
+		want, err := lossyEpoch(envMono.Net, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := cluster.Tick()
+		if res.Err != nil {
+			t.Fatalf("epoch %d: tick: %v", want.Epoch, res.Err)
+		}
+		got := res.Stats
+		if got.LostBlocks != want.LostBlocks || got.Lost != want.Lost || got.Escalated != want.Escalated || got.Committed != want.Committed {
+			t.Fatalf("epoch %d: cluster lost %d blocks (%d txs), escalated %d, committed %d; the plan lost %d (%d), escalated %d, committed %d",
+				want.Epoch, got.LostBlocks, got.Lost, got.Escalated, got.Committed, want.LostBlocks, want.Lost, want.Escalated, want.Committed)
+		}
+		if root := envMono.Net.StateRoot(); res.Root != root {
+			t.Fatalf("epoch %d: cluster root %s, in-process root %s", want.Epoch, res.Root, root)
+		}
+		escalated += got.Escalated
+	}
+	if escalated == 0 {
+		t.Fatal("no transaction escalated; the plan's down shard received none")
+	}
+	if n := cluster.DS.Net().MempoolSize(); n != 0 {
+		t.Fatalf("%d transactions still queued", n)
+	}
+	for _, id := range ids {
+		if r := cluster.Lookup.WaitReceipt(id, 5*time.Second); r == nil {
+			t.Fatalf("tx %d: no receipt at the lookup", id)
+		}
+	}
+	if got := reg.Snapshot().Counters["wire.recv_errors"]; got != int64(corrupt) {
+		t.Errorf("committee wire.recv_errors = %d, want one per corrupt verdict (%d)", got, corrupt)
+	}
+
+	want := cluster.DS.Net().StateRoot()
+	cluster.Close()
+	for _, s := range cluster.Shards {
+		if err := s.Err(); err != nil {
+			t.Errorf("%s: replica error: %v", s.name, err)
+		}
+		if got := s.Net().StateRoot(); got != want {
+			t.Errorf("%s: replica root %s, want %s", s.name, got, want)
+		}
+	}
+}
+
+// TestTransportFaultRecovery has a generated fault plan drop a third of
+// the shard nodes' MicroBlocks in transit: the DS committee must
+// requeue the lost batches and eventually commit everything, and the
+// replicas must stay bit-identical to the canonical state.
 func TestTransportFaultRecovery(t *testing.T) {
 	w := testWorkload()
 	envSrc, err := workload.Provision(w, true, shard.WithShards(3))
@@ -146,7 +269,7 @@ func TestTransportFaultRecovery(t *testing.T) {
 		ClusterDS(DSCollectTimeout(250*time.Millisecond)),
 		ClusterShardNodes(
 			ShardObs(reg, nil),
-			ShardFaults(LinkFaults{Seed: 42, Drop: 0.35}),
+			ShardFaults(fault.Generate(42, fault.Spec{DropProb: 0.35})),
 		),
 	)
 	if err != nil {
@@ -154,9 +277,9 @@ func TestTransportFaultRecovery(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	// Pace submissions over several epochs: with 3 shards sending one
+	// Pace submissions over several epochs: with 3 shards sealing one
 	// MicroBlock each per epoch at 35% drop, ten epochs make a dropped
-	// frame (and its recovery) a statistical certainty.
+	// block (and its recovery) a statistical certainty.
 	const epochs, perEpoch = 10, 4
 	const total = epochs * perEpoch
 	submitted, committed, lostBlocks := 0, 0, 0
@@ -178,13 +301,9 @@ func TestTransportFaultRecovery(t *testing.T) {
 		t.Fatalf("committed %d of %d after recovery", committed, total)
 	}
 	if lostBlocks == 0 {
-		t.Error("no lost blocks despite 35% frame drop — faults not injected?")
+		t.Error("no lost blocks despite a 35% drop plan — faults not injected?")
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["wire.frames_dropped"] == 0 {
-		t.Error("wire.frames_dropped = 0")
-	}
-	if snap.Counters["wire.frames_sent"] == 0 {
+	if reg.Snapshot().Counters["wire.frames_sent"] == 0 {
 		t.Error("wire.frames_sent = 0")
 	}
 
@@ -200,18 +319,20 @@ func TestTransportFaultRecovery(t *testing.T) {
 	}
 }
 
-// TestCorruptedFramesRejected corrupts shard MicroBlock payloads in
-// transit: the DS decoder must reject them (transport loss recovery),
-// never misparse them.
+// TestCorruptedFramesRejected has a generated fault plan corrupt half
+// the shard nodes' MicroBlock frames: the DS decoder must reject them
+// (counting each as a receive error) and recover the batches, never
+// misparse them.
 func TestCorruptedFramesRejected(t *testing.T) {
 	w := testWorkload()
 	envSrc, err := workload.Provision(w, true, shard.WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
 	cluster, err := NewCluster(testGenesis(w),
-		ClusterDS(DSCollectTimeout(250*time.Millisecond)),
-		ClusterShardNodes(ShardFaults(LinkFaults{Seed: 7, Corrupt: 0.5})),
+		ClusterDS(DSCollectTimeout(250*time.Millisecond), DSObs(reg, nil)),
+		ClusterShardNodes(ShardFaults(fault.Generate(7, fault.Spec{CorruptProb: 0.5}))),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +358,9 @@ func TestCorruptedFramesRejected(t *testing.T) {
 	if committed != total {
 		t.Fatalf("committed %d of %d under corruption", committed, total)
 	}
+	if reg.Snapshot().Counters["wire.recv_errors"] == 0 {
+		t.Error("committee wire.recv_errors = 0 despite a 50% corrupt plan")
+	}
 	want := cluster.DS.Net().StateRoot()
 	cluster.Close()
 	for _, s := range cluster.Shards {
@@ -246,6 +370,68 @@ func TestCorruptedFramesRejected(t *testing.T) {
 		if got := s.Net().StateRoot(); got != want {
 			t.Errorf("%s: replica root %s, want %s", s.name, got, want)
 		}
+	}
+}
+
+// TestDSTakesMicroBlocksOnlyFromTheirShard has a peer that is not shard
+// 0's node forge shard 0's MicroBlock — empty, for the current epoch —
+// for as long as the committee collects, while shard 0's node is
+// closed. The committee must not file it: shard 0's block is lost and
+// its batch requeued, not merged away without receipts.
+func TestDSTakesMicroBlocksOnlyFromTheirShard(t *testing.T) {
+	w := testWorkload()
+	envSrc, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cluster, err := NewCluster(testGenesis(w),
+		ClusterDS(DSCollectTimeout(100*time.Millisecond), DSObs(reg, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	cluster.Shards[0].Close()
+	for i := 0; i < 30; i++ {
+		if _, err := cluster.Lookup.SubmitTx(w.Next(envSrc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	payload, err := wire.EncodeMicroBlock(&shard.MicroBlock{Shard: 0, Epoch: cluster.DS.Net().Epoch, Accounts: chain.NewAccountDelta()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := wire.EncodeFrame(wire.MsgMicroBlock, payload)
+	forger := cluster.chanNet.Endpoint("forger")
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				_ = forger.Send("ds", forged)
+			}
+		}
+	}()
+	res := cluster.Tick()
+	close(done)
+	wg.Wait()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if queued := cluster.DS.Net().MempoolSize(); res.Stats.LostBlocks != 1 || res.Stats.Lost == 0 || res.Stats.Lost != queued {
+		t.Fatalf("lost %d blocks and %d transactions, %d requeued; want shard 0's block lost and its batch requeued",
+			res.Stats.LostBlocks, res.Stats.Lost, queued)
+	}
+	if reg.Snapshot().Counters["wire.recv_errors"] == 0 {
+		t.Error("the forged MicroBlocks were not counted as wire.recv_errors")
 	}
 }
 
@@ -289,7 +475,7 @@ func TestTCPClusterSmoke(t *testing.T) {
 
 // TestDeadShardEscalatesToDS closes one shard node for good. Its
 // MicroBlocks are transport-lost every epoch; after
-// Config.FaultEscalation of them the committee must stop routing to it
+// shard.FaultEscalation of them the committee must stop routing to it
 // and run its traffic itself, so the transactions that were being
 // requeued to the dead node commit through the DS route, and every
 // surviving role stays on the committee's root.
@@ -315,7 +501,7 @@ func TestDeadShardEscalatesToDS(t *testing.T) {
 		}
 	}
 
-	escalation := cluster.DS.Net().Config().FaultEscalation
+	escalation := shard.FaultEscalation
 	var lost []uint64 // the dead shard's batch, requeued every epoch
 	for e := 1; e <= escalation+1; e++ {
 		res := cluster.Tick()

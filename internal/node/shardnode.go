@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"cosplit/internal/fault"
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
 	"cosplit/internal/wire"
@@ -28,13 +29,20 @@ import (
 // again, up to maxBlockRetries times in a row. The node executes no
 // batch while it is behind. Err reports the first unrecoverable error:
 // a block that kept failing, or a range the committee cannot serve.
+//
+// With a fault plan (ShardFaults) the node loses its MicroBlocks where
+// it seals them, as the throughput harness does: the plan's directive
+// at (batch epoch, shard) crashes the node before it executes, drops
+// the sealed block, or corrupts one byte of its frame, which the
+// committee's frame checksum rejects; a straggler sends as usual.
 type ShardNode struct {
-	name  string
-	shard int
-	ep    Endpoint
-	net   *shard.Network
-	ds    string
-	m     *linkMetrics
+	name   string
+	shard  int
+	ep     Endpoint
+	net    *shard.Network
+	ds     string
+	m      *linkMetrics
+	faults *fault.Plan
 
 	// Resync state, touched only by the actor goroutine. pendingBlocks
 	// holds the FinalBlocks not yet applied, by epoch;
@@ -74,7 +82,7 @@ type ShardOption func(*shardConfig)
 type shardConfig struct {
 	reg    *obs.Registry
 	rec    obs.Recorder
-	faults *LinkFaults
+	faults *fault.Plan
 }
 
 // ShardObs attaches transport observability to the node's endpoint.
@@ -82,10 +90,10 @@ func ShardObs(reg *obs.Registry, rec obs.Recorder) ShardOption {
 	return func(c *shardConfig) { c.reg, c.rec = reg, rec }
 }
 
-// ShardFaults injects faults into the node's outbound frames (its
-// MicroBlocks to the DS committee).
-func ShardFaults(f LinkFaults) ShardOption {
-	return func(c *shardConfig) { c.faults = &f }
+// ShardFaults makes the node lose the MicroBlocks plan loses (see
+// ShardNode); a nil plan loses none.
+func ShardFaults(plan *fault.Plan) ShardOption {
+	return func(c *shardConfig) { c.faults = plan }
 }
 
 // NewShard builds a shard-node actor executing shard index s on the
@@ -99,7 +107,7 @@ func NewShard(name string, s int, replica *shard.Network, ep Endpoint, ds string
 	if c.reg == nil {
 		c.reg = obs.NewRegistry()
 	}
-	lep := Instrument(ep, c.rec, c.reg, c.faults).(*link)
+	lep := Instrument(ep, c.rec, c.reg).(*link)
 	return &ShardNode{
 		name:          name,
 		shard:         s,
@@ -107,6 +115,7 @@ func NewShard(name string, s int, replica *shard.Network, ep Endpoint, ds string
 		net:           replica,
 		ds:            ds,
 		m:             lep.m,
+		faults:        c.faults,
 		pendingBlocks: make(map[uint64]*shard.FinalBlock),
 		resyncs:       c.reg.Counter("node.resyncs"),
 		quit:          make(chan struct{}),
@@ -194,11 +203,19 @@ func (s *ShardNode) handleBatch(from string, payload []byte) {
 	}
 }
 
-// execBatch executes a current-epoch batch and ships the MicroBlock.
+// execBatch executes a current-epoch batch and ships the MicroBlock,
+// unless the fault plan loses it.
 func (s *ShardNode) execBatch(from string, batch *wire.TxBatch) {
+	kind := s.faults.At(batch.Epoch, s.shard).Kind
+	if kind == fault.CrashMidEpoch {
+		return
+	}
 	mb, err := s.net.ExecuteShard(s.shard, batch.Txs)
 	if err != nil {
 		s.setErr(err)
+		return
+	}
+	if kind == fault.DropMicroBlock {
 		return
 	}
 	enc, err := wire.EncodeMicroBlock(mb)
@@ -206,7 +223,11 @@ func (s *ShardNode) execBatch(from string, batch *wire.TxBatch) {
 		s.setErr(err)
 		return
 	}
-	_ = s.ep.Send(from, wire.EncodeFrame(wire.MsgMicroBlock, enc))
+	frame := wire.EncodeFrame(wire.MsgMicroBlock, enc)
+	if kind == fault.CorruptDelta {
+		frame[wire.HeaderLen] ^= 0xff
+	}
+	_ = s.ep.Send(from, frame)
 }
 
 func (s *ShardNode) handleFinalBlock(payload []byte) {

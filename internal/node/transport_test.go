@@ -100,78 +100,17 @@ func (s *sinkEndpoint) count() int {
 	return len(s.frames)
 }
 
-func TestLinkFaultsDeterministic(t *testing.T) {
-	frame := wire.EncodeFrame(wire.MsgTx, bytes.Repeat([]byte{7}, 32))
-	run := func() (delivered int, dropped, corrupted int64) {
-		sink := &sinkEndpoint{}
-		reg := obs.NewRegistry()
-		ep := Instrument(sink, nil, reg, &LinkFaults{Seed: 99, Drop: 0.3, Corrupt: 0.2})
-		for i := 0; i < 200; i++ {
-			if err := ep.Send("x", frame); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap := reg.Snapshot()
-		return sink.count(), snap.Counters["wire.frames_dropped"], snap.Counters["wire.frames_corrupted"]
-	}
-	d1, drop1, cor1 := run()
-	d2, drop2, cor2 := run()
-	if d1 != d2 || drop1 != drop2 || cor1 != cor2 {
-		t.Fatalf("same seed, different schedules: (%d,%d,%d) vs (%d,%d,%d)", d1, drop1, cor1, d2, drop2, cor2)
-	}
-	if drop1 == 0 || cor1 == 0 {
-		t.Fatalf("expected both fault kinds over 200 frames: drops=%d corruptions=%d", drop1, cor1)
-	}
-	if d1+int(drop1) != 200 {
-		t.Fatalf("delivered %d + dropped %d != 200", d1, drop1)
-	}
-}
-
-func TestLinkCorruptionKeepsHeaderIntact(t *testing.T) {
-	sink := &sinkEndpoint{}
-	// Corrupt every frame.
-	ep := Instrument(sink, nil, nil, &LinkFaults{Seed: 1, Corrupt: 1})
-	payload := bytes.Repeat([]byte{0xAA}, 16)
-	frame := wire.EncodeFrame(wire.MsgTx, payload)
-	if err := ep.Send("x", frame); err != nil {
-		t.Fatal(err)
-	}
-	got := sink.frames[0]
-	if bytes.Equal(got, frame) {
-		t.Fatal("frame not corrupted")
-	}
-	// Framing survives (stream transports can still relay it) ...
-	if wire.FrameMsgType(got) != wire.MsgTx {
-		t.Fatal("corrupted frame lost its type byte")
-	}
-	if raw, err := wire.ReadRawFrame(bytes.NewReader(got)); err != nil || !bytes.Equal(raw, got) {
-		t.Fatalf("corrupted frame lost its framing: %v", err)
-	}
-	// ... but the consumer's checksum rejects the payload.
-	if _, _, _, err := wire.DecodeFrame(got); !errors.Is(err, wire.ErrDecode) {
-		t.Fatalf("corrupted frame decoded: %v", err)
-	}
-	diff := 0
-	for i := range got {
-		if got[i] != frame[i] {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("corruption flipped %d bytes, want exactly 1", diff)
-	}
-}
-
 func TestLinkEmitsFrameEvents(t *testing.T) {
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf)
 	sink := &sinkEndpoint{}
-	ep := Instrument(sink, j, nil, &LinkFaults{Seed: 3, Drop: 1})
+	ep := Instrument(sink, j, nil)
 	ep.Send("peer", wire.EncodeFrame(wire.MsgMicroBlock, []byte{1}))
 	j.Close()
-	if !bytes.Contains(buf.Bytes(), []byte(`"event":"frame_dropped"`)) ||
+	if sink.count() != 1 ||
+		!bytes.Contains(buf.Bytes(), []byte(`"event":"frame_sent"`)) ||
 		!bytes.Contains(buf.Bytes(), []byte(`"msg":"micro_block"`)) {
-		t.Fatalf("journal missing frame_dropped event:\n%s", buf.String())
+		t.Fatalf("journal missing frame_sent event:\n%s", buf.String())
 	}
 }
 

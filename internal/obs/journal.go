@@ -205,10 +205,10 @@ func (j *Journal) TransitionCompiled(epoch uint64, contract, transition string, 
 	j.end(b)
 }
 
-// frame starts a transport-event line. Frame events carry node names
+// FrameSent implements Recorder. Frame events carry node names
 // instead of an epoch: links outlive epochs and the transport layer
 // does not parse payloads.
-func (j *Journal) frame(event, from, to, msg string, bytes int) {
+func (j *Journal) FrameSent(from, to, msg string, bytes int) {
 	j.mu.Lock()
 	j.seq++
 	b := j.buf[:0]
@@ -216,29 +216,12 @@ func (j *Journal) frame(event, from, to, msg string, bytes int) {
 	b = strconv.AppendUint(b, j.seq, 10)
 	b = append(b, `,"t_ns":`...)
 	b = strconv.AppendInt(b, int64(j.clock()), 10)
-	b = append(b, `,"event":"`...)
-	b = append(b, event...)
-	b = append(b, '"')
+	b = append(b, `,"event":"frame_sent"`...)
 	b = appendStr(b, "from", from)
 	b = appendStr(b, "to", to)
 	b = appendStr(b, "msg", msg)
 	b = appendInt(b, "bytes", int64(bytes))
 	j.end(b)
-}
-
-// FrameSent implements Recorder.
-func (j *Journal) FrameSent(from, to, msg string, bytes int) {
-	j.frame("frame_sent", from, to, msg, bytes)
-}
-
-// FrameDropped implements Recorder.
-func (j *Journal) FrameDropped(from, to, msg string, bytes int) {
-	j.frame("frame_dropped", from, to, msg, bytes)
-}
-
-// FrameCorrupted implements Recorder.
-func (j *Journal) FrameCorrupted(from, to, msg string, bytes int) {
-	j.frame("frame_corrupted", from, to, msg, bytes)
 }
 
 // EpochFinalized implements Recorder.

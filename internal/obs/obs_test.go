@@ -191,8 +191,6 @@ func TestNopRecorderZeroAllocs(t *testing.T) {
 		rec.TxRequeued(1, -1, 4)
 		rec.OverflowGuardTripped(1, 0, 7)
 		rec.FrameSent("shard-0", "ds", "micro_block", 512)
-		rec.FrameDropped("shard-0", "ds", "micro_block", 512)
-		rec.FrameCorrupted("ds", "shard-1", "tx_batch", 128)
 		rec.EpochFinalized(summary)
 	})
 	if allocs != 0 {
@@ -200,30 +198,28 @@ func TestNopRecorderZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestJournalFrameEvents covers the transport-layer events: they carry
+// TestJournalFrameEvents covers the transport-layer event: it carries
 // node names and frame sizes instead of an epoch.
 func TestJournalFrameEvents(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
 	j.FrameSent("ds", "shard-0", "tx_batch", 128)
-	j.FrameDropped("shard-0", "ds", "micro_block", 512)
-	j.FrameCorrupted("ds", "lookup", "final_block", 2048)
+	j.FrameSent("shard-0", "ds", "micro_block", 512)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3:\n%s", len(lines), buf.String())
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want 2:\n%s", len(lines), buf.String())
 	}
-	wantEvents := []string{"frame_sent", "frame_dropped", "frame_corrupted"}
-	wantBytes := []float64{128, 512, 2048}
+	wantBytes := []float64{128, 512}
 	for i, line := range lines {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
 			t.Fatalf("line %d is not JSON: %v\n%s", i, err, line)
 		}
-		if m["event"] != wantEvents[i] {
-			t.Errorf("line %d event = %v, want %s", i, m["event"], wantEvents[i])
+		if m["event"] != "frame_sent" {
+			t.Errorf("line %d event = %v, want frame_sent", i, m["event"])
 		}
 		if m["bytes"] != wantBytes[i] {
 			t.Errorf("line %d bytes = %v, want %v", i, m["bytes"], wantBytes[i])

@@ -84,13 +84,6 @@ type Recorder interface {
 	// links outlive epochs and the transport layer does not parse
 	// payloads.
 	FrameSent(from, to, msg string, bytes int)
-	// FrameDropped reports a frame discarded in flight by the
-	// fault-injecting link layer; the receiver never sees it.
-	FrameDropped(from, to, msg string, bytes int)
-	// FrameCorrupted reports a frame whose payload bytes were flipped in
-	// flight; the receiver sees the damaged frame and its decoder is
-	// expected to reject it.
-	FrameCorrupted(from, to, msg string, bytes int)
 	// EpochFinalized is the last event of an epoch and carries the full
 	// per-stage summary.
 	EpochFinalized(s EpochSummary)
@@ -133,12 +126,6 @@ func (Nop) TransitionCompiled(epoch uint64, contract, transition string, compile
 
 // FrameSent implements Recorder.
 func (Nop) FrameSent(from, to, msg string, bytes int) {}
-
-// FrameDropped implements Recorder.
-func (Nop) FrameDropped(from, to, msg string, bytes int) {}
-
-// FrameCorrupted implements Recorder.
-func (Nop) FrameCorrupted(from, to, msg string, bytes int) {}
 
 // EpochFinalized implements Recorder.
 func (Nop) EpochFinalized(s EpochSummary) {}
@@ -242,20 +229,6 @@ func (m multi) TransitionCompiled(epoch uint64, contract, transition string, com
 func (m multi) FrameSent(from, to, msg string, bytes int) {
 	for _, r := range m {
 		r.FrameSent(from, to, msg, bytes)
-	}
-}
-
-// FrameDropped implements Recorder.
-func (m multi) FrameDropped(from, to, msg string, bytes int) {
-	for _, r := range m {
-		r.FrameDropped(from, to, msg, bytes)
-	}
-}
-
-// FrameCorrupted implements Recorder.
-func (m multi) FrameCorrupted(from, to, msg string, bytes int) {
-	for _, r := range m {
-		r.FrameCorrupted(from, to, msg, bytes)
 	}
 }
 

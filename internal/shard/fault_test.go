@@ -187,18 +187,21 @@ func TestCrashedShardRecovers(t *testing.T) {
 	}
 }
 
-// TestRepeatedFaultsEscalateToDS: after FaultEscalation consecutive
+// TestRepeatedFaultsEscalateToDS: after shard.FaultEscalation consecutive
 // lost blocks the dispatcher reroutes the shard's traffic to DS
 // execution; once the shard seals a healthy (empty) block the mask
 // clears and placement returns to the shard.
 func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 	recs := receiptBook{}
 	ev := &faultEvents{}
-	plan := fault.New().
-		Set(1, 0, fault.Directive{Kind: fault.DropMicroBlock}).
-		Set(2, 0, fault.Directive{Kind: fault.CorruptDelta})
-	net := shard.NewNetwork(shard.WithShards(2),
-		shard.WithRecorder(ev), shard.WithFaultEscalation(2))
+	// Epochs 1 to FaultEscalation lose shard 0's block, by each lost
+	// kind in turn.
+	plan := fault.New()
+	lostKinds := []fault.Kind{fault.DropMicroBlock, fault.CorruptDelta, fault.CrashMidEpoch}
+	for e := 1; e <= shard.FaultEscalation; e++ {
+		plan.Set(uint64(e), 0, fault.Directive{Kind: lostKinds[e%len(lostKinds)]})
+	}
+	net := shard.NewNetwork(shard.WithShards(2), shard.WithRecorder(ev))
 
 	var shard0, other chain.Address
 	for i := uint64(1); i <= 16; i++ {
@@ -215,15 +218,14 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 		t.Fatal("could not find users on both shards")
 	}
 
-	// Epochs 1 and 2 lose shard 0's block each time (nonces 1 and 2
-	// requeue and retry).
+	// The first transfer is requeued and retried every lost epoch.
 	nonce := uint64(0)
 	submit := func() uint64 {
 		nonce++
 		return net.Submit(payTx(shard0, other, nonce, 10))
 	}
 	first := submit()
-	for e := 1; e <= 2; e++ {
+	for e := 1; e <= shard.FaultEscalation; e++ {
 		stats, err := recs.add(lossyEpoch(net, plan))
 		if err != nil {
 			t.Fatal(err)
@@ -236,7 +238,7 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 		}
 	}
 
-	// Epoch 3: streak reached the bound, shard 0 is down. The requeued
+	// The streak reached the bound, shard 0 is down. The requeued
 	// transfer and a fresh one both execute on the DS committee.
 	second := submit()
 	stats, err := recs.add(lossyEpoch(net, plan))
@@ -244,7 +246,7 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Escalated == 0 {
-		t.Fatalf("epoch 3 rerouted nothing: %+v", stats)
+		t.Fatalf("epoch %d rerouted nothing: %+v", shard.FaultEscalation+1, stats)
 	}
 	if len(ev.escalations) == 0 {
 		t.Fatal("no shard_escalated event")
@@ -259,8 +261,8 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 		}
 	}
 
-	// Shard 0 sealed a healthy empty block in epoch 3, so the streak
-	// reset: epoch 4 routes its traffic back onto the shard.
+	// Shard 0 sealed a healthy empty block while down, so the streak
+	// reset: the next epoch routes its traffic back onto the shard.
 	third := submit()
 	if _, err := recs.add(lossyEpoch(net, plan)); err != nil {
 		t.Fatal(err)
@@ -279,8 +281,7 @@ func TestRepeatedFaultsEscalateToDS(t *testing.T) {
 // shard, not the epoch's total, so the events sum to Escalated.
 func TestShardEscalatedCountsPerShard(t *testing.T) {
 	ev := &faultEvents{}
-	net := shard.NewNetwork(shard.WithShards(3),
-		shard.WithRecorder(ev), shard.WithFaultEscalation(1))
+	net := shard.NewNetwork(shard.WithShards(3), shard.WithRecorder(ev))
 	homed := map[int]chain.Address{}
 	for i := uint64(1); len(homed) < 3; i++ {
 		u := chain.AddrFromUint(i)
@@ -290,12 +291,15 @@ func TestShardEscalatedCountsPerShard(t *testing.T) {
 		}
 	}
 
-	// Epoch 1 loses the blocks of shards 0 and 1, so both are down in
-	// epoch 2.
+	// The first FaultEscalation epochs lose the blocks of shards 0 and
+	// 1, so both are down in the next.
 	crash := fault.Directive{Kind: fault.CrashMidEpoch}
-	plan := fault.New().Set(net.Epoch, 0, crash).Set(net.Epoch, 1, crash)
-	if _, err := lossyEpoch(net, plan); err != nil {
-		t.Fatal(err)
+	plan := fault.New()
+	for range shard.FaultEscalation {
+		plan.Set(net.Epoch, 0, crash).Set(net.Epoch, 1, crash)
+		if _, err := lossyEpoch(net, plan); err != nil {
+			t.Fatal(err)
+		}
 	}
 	epoch := net.Epoch
 	perShard := map[int]int{0: 1, 1: 3, 2: 2}
@@ -330,8 +334,7 @@ func TestFaultLiveness(t *testing.T) {
 		CrashProb: 0.25, DropProb: 0.1, CorruptProb: 0.1, StraggleProb: 0.2,
 	})
 	reg := obs.NewRegistry()
-	net, contract, users := deployFT(t, 4, 12, true,
-		shard.WithRegistry(reg), shard.WithFaultEscalation(2))
+	net, contract, users := deployFT(t, 4, 12, true, shard.WithRegistry(reg))
 
 	var ids []uint64
 	epochs := 0

@@ -5,7 +5,8 @@ import "cosplit/internal/obs"
 // Config is the network's resolved configuration, readable through
 // Network.Config. Networks are constructed with NewNetwork and
 // functional options (WithShards, WithGasLimits, WithRecorder, ...);
-// code outside this package never builds Config values.
+// code outside this package never builds Config values. The fault
+// escalation bound is no setting: it is the constant FaultEscalation.
 type Config struct {
 	NumShards int
 	// ShardGasLimit caps the gas a shard commits per epoch; DSGasLimit
@@ -28,14 +29,15 @@ type Config struct {
 	// lower transparently fall back to the interpreter per call. On by
 	// default.
 	CompiledExecution bool
-	// FaultEscalation is the unavailability-backoff bound: after this
-	// many consecutive epochs of losing a shard's MicroBlock — in the
-	// node runtime to a shard node that does not answer within the
-	// collect timeout, in the throughput harness to its fault plan — the
-	// dispatcher stops routing to the shard and its traffic escalates to
-	// DS execution until the shard seals a healthy block again.
-	FaultEscalation int
 }
+
+// FaultEscalation is the unavailability-backoff bound: after this many
+// consecutive epochs of losing a shard's MicroBlock — to its fault
+// plan, or to a shard node that does not answer within the collect
+// timeout — the dispatcher stops routing to the shard and its traffic
+// escalates to DS execution until the shard seals a healthy block
+// again.
+const FaultEscalation = 3
 
 // DefaultConfig mirrors the paper's experimental setup: mainnet-like
 // gas limits with split gas accounting. NewNetwork(WithShards(n))
@@ -47,7 +49,6 @@ func DefaultConfig(numShards int) Config {
 		DSGasLimit:         2_000_000,
 		SplitGasAccounting: true,
 		CompiledExecution:  true,
-		FaultEscalation:    3,
 	}
 }
 
@@ -112,15 +113,4 @@ func WithRecorder(rec obs.Recorder) Option {
 // dispatcher, benchmark harness) share one snapshot.
 func WithRegistry(reg *obs.Registry) Option {
 	return func(s *settings) { s.reg = reg }
-}
-
-// WithFaultEscalation overrides the unavailability-backoff bound (see
-// Config.FaultEscalation). Values below 1 are clamped to 1.
-func WithFaultEscalation(epochs int) Option {
-	return func(s *settings) {
-		if epochs < 1 {
-			epochs = 1
-		}
-		s.cfg.FaultEscalation = epochs
-	}
 }

@@ -97,7 +97,7 @@ type Network struct {
 
 	// faultStreak counts consecutive epochs each shard lost its
 	// MicroBlock; downBuf is the availability mask handed to the
-	// dispatcher while a streak is at Config.FaultEscalation or beyond.
+	// dispatcher while a streak is at FaultEscalation or beyond.
 	faultStreak []int
 	downBuf     []bool
 
@@ -740,9 +740,9 @@ const rejectedShard = -2
 
 // applyAvailability refreshes the dispatcher's shard-availability mask
 // from the loss streaks: a shard that lost its MicroBlock for
-// Config.FaultEscalation consecutive epochs — in the node runtime to a
-// shard node that stopped answering, in the throughput harness to its
-// fault plan — is marked down and its traffic reroutes to DS execution. The mask clears
+// FaultEscalation consecutive epochs — to its fault plan, or to a
+// shard node that stopped answering — is marked down and its traffic
+// reroutes to DS execution. The mask clears
 // per shard as soon as the shard seals a healthy block (a down shard
 // receives no transactions, so its next empty epoch is the recovery
 // probe). It reports whether any shard is down this epoch; while none
@@ -750,7 +750,7 @@ const rejectedShard = -2
 func (n *Network) applyAvailability() bool {
 	any := false
 	for s, streak := range n.faultStreak {
-		n.downBuf[s] = streak >= n.cfg.FaultEscalation
+		n.downBuf[s] = streak >= FaultEscalation
 		any = any || n.downBuf[s]
 	}
 	if any {

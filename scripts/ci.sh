@@ -44,8 +44,11 @@ go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... 
 # The node/wire/rpc race run covers the actor cluster end to end,
 # including the TCP-transport smoke (TestTCPClusterSmoke), the one
 # Endpoint contract both transports keep (TestEndpointContract), a TCP
-# endpoint restarted under its name and the TCP handshake deadlines, the
-# fault-injection recovery tests over real frames, the absolute
+# endpoint restarted under its name and the TCP handshake deadlines, a
+# cluster whose shard nodes lose MicroBlocks by a fault plan exactly as
+# the in-process pipeline loses them (TestClusterLosesWhatThePlanLoses),
+# a committee that files a MicroBlock only from its shard's own node
+# (TestDSTakesMicroBlocksOnlyFromTheirShard), the absolute
 # golden-root suite (monolithic, interpreter, ChanNetwork cluster), a
 # dead shard node's traffic escalating to the DS committee, and replicas
 # applying DS-heavy FinalBlocks without executing, the lookup's receipt
@@ -54,10 +57,11 @@ go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... 
 # the committee's Ticks from two goroutines and a Tick cut short by
 # Close (TestTickSerialized), and a replica that undoes a FinalBlock
 # with a wrong root, fetches it again and heals, or gives up after its
-# bounded retries (TestReplicaHealsFailedBlock). Those two depend on
-# goroutine interleavings, so they run five times more.
+# bounded retries (TestReplicaHealsFailedBlock). Those two and the two
+# fault tests above depend on goroutine interleavings, so they run five
+# times more.
 go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
-go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock' ./internal/node/
+go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock|TestClusterLosesWhatThePlanLoses|TestDSTakesMicroBlocksOnlyFromTheirShard' ./internal/node/
 # The persistence race run covers the state store (journal append,
 # snapshot chains and their fold rule, recovery from every crash state
 # around a boundary, the seeded recovery-equivalence property over nested
@@ -141,7 +145,8 @@ cmp /tmp/cosplit-chaos-1.counters /tmp/cosplit-chaos-2.counters
 # good frame) and two consecutive recoveries must agree.
 go build -o /tmp/cosplit-shardsim ./cmd/shardsim
 # A mode refuses, by name, each flag it does not read rather than drop
-# it: the node modes take none of the simulator's experiment flags yet,
+# it: the node modes write no trace or metrics file yet, -faults reaches
+# only the modes that run shards (so -hammer and -node ds refuse it),
 # and only the throughput harness (Fig. 14, -strategies) applies
 # -faults and models committees of -nodes, so -state-dir and -overheads
 # refuse those. (`! cmd` alone is exempt from set -e, and an accepted
@@ -155,7 +160,8 @@ refused() {
     fi
     echo "$out" | grep -q -- "$flag has no effect"
 }
-refused -faults -serve 127.0.0.1:18545 -faults "7:crash=0.1"
+refused -faults -hammer http://127.0.0.1:18545 -faults "7:crash=0.1"
+refused -faults -node ds -hub 127.0.0.1:19100 -faults "7:crash=0.1"
 refused -trace-out -serve 127.0.0.1:18545 -trace-out /tmp/cosplit-trace.jsonl
 refused -metrics-out -node ds -hub 127.0.0.1:19100 -metrics-out /tmp/cosplit-metrics.json
 refused -faults -state-dir /tmp/cosplit-refused -workloads "FT transfer" -faults "7:crash=0.1"
@@ -223,7 +229,11 @@ kill $SERVE_PID
 # re-register with the hub, and resync the missed FinalBlocks over the
 # wire (MsgBlockRequest), so the hammer still commits all 300 and
 # every role — both lookups and, after SIGTERM, the committee and all
-# three replicas — reports the single-process run's exact root.
+# three replicas — reports the single-process run's exact root. Replica
+# shard:2 runs under a fault plan. The plan is pure: for shard 2, seed
+# 30695 loses epoch 4 (corrupt) and epoch 19 (crash), and no other
+# epoch before 302, so the run pays the committee's 2 s collect timeout
+# twice; genesis is epoch 2.
 NODE_DIR=$(mktemp -d)
 HUB=127.0.0.1:19100
 LK0=127.0.0.1:19101
@@ -236,7 +246,8 @@ DS_PID=$!
 S0_PID=$!
 /tmp/cosplit-shardsim -node shard:1 -hub $HUB -state-dir "$NODE_DIR" >"$NODE_DIR/shard1.out" 2>&1 &
 S1_PID=$!
-/tmp/cosplit-shardsim -node shard:2 -hub $HUB -state-dir "$NODE_DIR" >"$NODE_DIR/shard2.out" 2>&1 &
+/tmp/cosplit-shardsim -node shard:2 -hub $HUB -state-dir "$NODE_DIR" \
+    -faults "30695:crash=0.01,drop=0.01,corrupt=0.01" >"$NODE_DIR/shard2.out" 2>&1 &
 S2_PID=$!
 /tmp/cosplit-shardsim -node lookup -hub $HUB -serve $LK0 >"$NODE_DIR/lookup0.out" 2>&1 &
 L0_PID=$!
