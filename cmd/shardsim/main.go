@@ -272,11 +272,7 @@ func serveRPC(addr, tcpAddr, workloadName string, shards, lookups int, interval 
 	cluster, err := node.NewCluster(genesis, opts...)
 	fail(err)
 	defer cluster.Close()
-	stop := cluster.Produce(interval, func(res node.TickResult) {
-		if res.Err != nil {
-			fmt.Fprintln(os.Stderr, "shardsim: block producer:", res.Err)
-		}
-	})
+	stop := cluster.Produce(interval, logProducerErr)
 	defer stop()
 	transport := "in-process channels"
 	if tcpAddr != "" {
@@ -338,6 +334,14 @@ func split(s string) []string {
 		parts[i] = strings.TrimSpace(parts[i])
 	}
 	return parts
+}
+
+// logProducerErr reports a block producer's failed epoch; the producer
+// goes on ticking.
+func logProducerErr(res node.TickResult) {
+	if res.Err != nil {
+		fmt.Fprintln(os.Stderr, "shardsim: block producer:", res.Err)
+	}
 }
 
 func fail(err error) {

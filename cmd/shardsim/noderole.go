@@ -95,19 +95,9 @@ func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.D
 		fail(err)
 		ds.Run()
 		fmt.Fprintf(os.Stderr, "shardsim: ds driving %d shards every %v via %s\n", shards, interval, hubAddr)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-	produce:
-		for {
-			select {
-			case <-ticker.C:
-				if res := ds.Tick(); res.Err != nil {
-					fmt.Fprintln(os.Stderr, "shardsim: block producer:", res.Err)
-				}
-			case <-sig:
-				break produce
-			}
-		}
+		stop := ds.Produce(interval, logProducerErr)
+		<-sig
+		stop()
 		ds.Close()
 		cp := net.Checkpoint()
 		fmt.Printf("node: final epoch=%d root=%s\n", cp.Epoch, net.StateRoot())

@@ -112,7 +112,6 @@ func MeasureOverheads(txs int, netOpts ...shard.Option) (*OverheadResult, error)
 		append([]shard.Option{
 			shard.WithShards(1),
 			shard.WithGasLimits(1<<60, 1<<60),
-			shard.WithSplitGasAccounting(false),
 		}, netOpts...)...)
 	if err != nil {
 		return nil, err
@@ -153,19 +152,12 @@ func MeasureOverheads(txs int, netOpts ...shard.Option) (*OverheadResult, error)
 func PrintOverheads(out io.Writer, r *OverheadResult) {
 	fmt.Fprintf(out, "dispatch latency:   baseline %v/tx, CoSplit %v/tx (%.1fx)\n",
 		r.BaselineDispatch, r.CoSplitDispatch,
-		float64(r.CoSplitDispatch)/float64(max64(1, int64(r.BaselineDispatch))))
+		float64(r.CoSplitDispatch)/float64(max(1, int64(r.BaselineDispatch))))
 	fmt.Fprintf(out, "delta merge:        overwrite %v/field, IntMerge %v/field\n",
 		r.OverwriteMergePerField, r.IntMergePerField)
-	ratio := float64(r.ExecuteTime) / float64(max64(1, int64(r.MergeTime)))
+	ratio := float64(r.ExecuteTime) / float64(max(1, int64(r.MergeTime)))
 	fmt.Fprintf(out, "execute vs merge:   %d txs executed in %v; their delta merged in %v (%.0fx faster)\n",
 		r.ExecutedTxs, r.ExecuteTime, r.MergeTime, ratio)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // StrategyResult is one row of the Sec. 5.2.3 ownership-vs-
@@ -218,17 +210,10 @@ func RunStrategies(cfg ThroughputConfig) ([]*StrategyResult, error) {
 			OwnershipTPS:  owner.TPS,
 			FullTPS:       full.TPS,
 			BaselineTPS:   base.TPS,
-			Commutativity: full.TPS / maxf(1, owner.TPS),
+			Commutativity: full.TPS / max(1, owner.TPS),
 		})
 	}
 	return out, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // PrintStrategies renders the Sec. 5.2.3 comparison plus the

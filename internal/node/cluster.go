@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"cosplit/internal/shard"
@@ -30,6 +29,8 @@ type Cluster struct {
 	chanNet *ChanNetwork
 	hub     *TCPHub
 	stores  []*store.Store
+	// rts runs every role: the committee, the shard nodes, the lookups.
+	rts []*nodeRuntime
 }
 
 // ClusterOption configures a cluster.
@@ -142,31 +143,27 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 		}
 		return st, nil
 	}
-	var dsStore *store.Store
+	dsOpts := []DSOption{DSLookups("lookup")}
 	if cfg.stateDir != "" {
 		st, err := openStore("ds", canonical)
 		if err != nil {
 			return fail(err)
 		}
 		canonical.AttachStateStore(st)
-		dsStore = st
+		// The committee's own journal backs replica catch-up requests
+		// for epochs older than its in-memory ring.
+		dsOpts = append(dsOpts, DSBlockSource(st))
 	}
-
 	dsEp, err := endpoint("ds")
 	if err != nil {
 		return fail(err)
-	}
-	dsOpts := []DSOption{DSLookups("lookup")}
-	if dsStore != nil {
-		// The committee's own journal backs replica catch-up requests
-		// for epochs older than its in-memory ring.
-		dsOpts = append(dsOpts, DSBlockSource(dsStore))
 	}
 	ds, err := NewDS("ds", canonical, dsEp, shardNames, append(dsOpts, cfg.dsOpts...)...)
 	if err != nil {
 		return fail(err)
 	}
 	c.DS = ds
+	c.rts = append(c.rts, &ds.rt)
 
 	for i, name := range shardNames {
 		replica, err := genesis()
@@ -206,6 +203,7 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 			return fail(err)
 		}
 		c.Shards = append(c.Shards, NewShard(name, i, replica, ep, "ds", cfg.shardOpts...))
+		c.rts = append(c.rts, &c.Shards[i].rt)
 	}
 
 	for i := 0; i < cfg.lookupCount; i++ {
@@ -218,15 +216,11 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 			return fail(err)
 		}
 		c.Lookups = append(c.Lookups, NewLookup(name, lookupEp, "ds", cfg.lookupOpts...))
+		c.rts = append(c.rts, &c.Lookups[i].rt)
 	}
 	c.Lookup = c.Lookups[0]
-
-	c.DS.Run()
-	for _, s := range c.Shards {
-		s.Run()
-	}
-	for _, l := range c.Lookups {
-		l.Run()
+	for _, rt := range c.rts {
+		rt.run()
 	}
 	return c, nil
 }
@@ -234,50 +228,16 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 // Tick drives one epoch through the committee.
 func (c *Cluster) Tick() TickResult { return c.DS.Tick() }
 
-// Produce starts a block producer that ticks the committee every
-// interval (empty epochs produce empty blocks, like a real chain).
-// onTick, if non-nil, observes every result — including transient
-// errors. The returned stop function blocks until the producer exits;
-// call it before Close.
+// Produce makes the committee tick itself every interval: see
+// DS.Produce.
 func (c *Cluster) Produce(interval time.Duration, onTick func(TickResult)) (stop func()) {
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				res := c.Tick()
-				if onTick != nil {
-					onTick(res)
-				}
-			case <-quit:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(quit)
-			wg.Wait()
-		})
-	}
+	return c.DS.Produce(interval, onTick)
 }
 
-// Close stops every node and the transport.
+// Close stops every node, the lookups first, and the transport.
 func (c *Cluster) Close() {
-	for _, l := range c.Lookups {
-		l.Close()
-	}
-	for _, s := range c.Shards {
-		s.Close()
-	}
-	if c.DS != nil {
-		c.DS.Close()
+	for i := len(c.rts) - 1; i >= 0; i-- {
+		c.rts[i].close()
 	}
 	if c.chanNet != nil {
 		c.chanNet.Close()
@@ -286,7 +246,7 @@ func (c *Cluster) Close() {
 		c.hub.Close()
 	}
 	// Stores close after the nodes: the last applied FinalBlocks are
-	// journaled by the node goroutines, which have all drained by now.
+	// journaled by the nodes' runtimes, which have all drained by now.
 	for _, st := range c.stores {
 		st.Close()
 	}

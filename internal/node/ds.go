@@ -3,7 +3,7 @@ package node
 import (
 	"fmt"
 	"math/big"
-	"sync"
+	"slices"
 	"time"
 
 	"cosplit/internal/obs"
@@ -12,59 +12,62 @@ import (
 	"cosplit/internal/wire"
 )
 
-// DS is the DS-committee actor: it owns the canonical shard.Network,
+// DS is the DS-committee role: it owns the canonical shard.Network,
 // drives epochs over the wire, and answers lookup-node submissions and
-// state queries. One goroutine receives every frame and handles it
-// under the actor's mutex, which each step of Tick takes too.
+// state queries. It is a handler over a runtime, which enters Tick as
+// a call.
 //
-// An epoch is a state with a deadline: Tick dispatches (BeginEpoch),
-// ships each shard its TxBatch and opens the collect state; the
-// handler files MicroBlocks into it until every shard has answered or
-// the collect timeout fires; Tick then finalizes (merge + its own run)
-// and broadcasts the sealed FinalBlock to every lookup, then to every
-// shard node. A shard whose MicroBlock never arrives — not sealed,
-// dropped, corrupted, or late — is a nil block to FinalizeEpoch, the
-// pipeline's one kind of loss: its batch is requeued, and after
-// shard.FaultEscalation such epochs in a row its traffic runs on the
-// committee until it answers again. A MicroBlock is taken only from
-// the node the committee sent that shard's batch to.
+// An epoch is a state with a deadline: a tick dispatches (BeginEpoch),
+// ships each shard its TxBatch and arms the collect deadline; the
+// MicroBlock that completes the set, or the deadline, finalizes the
+// epoch, broadcasts the sealed FinalBlock to every lookup, then to
+// every shard node, and answers the tick. A MicroBlock is taken only
+// from the node the committee sent that shard's batch to. One that
+// never arrives or has no account delta is lost: FinalizeEpoch
+// requeues the batch and, after shard.FaultEscalation such epochs in a
+// row, runs the shard's traffic on the committee until it answers.
 type DS struct {
-	name    string
-	ep      Endpoint
-	net     *shard.Network
-	shards  []string
-	timeout time.Duration
-	m       *linkMetrics
-	source  BlockSource
+	rt     nodeRuntime
+	cfg    dsConfig
+	net    *shard.Network
+	shards []string
 
-	quit      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-	// tick serializes Ticks: one epoch is in flight at a time.
-	tick sync.Mutex
-
-	// mu guards the network and everything below; the receive
-	// goroutine holds it for each frame, Tick for each of its steps.
-	mu sync.Mutex
-	// collect is the epoch in flight, nil between epochs.
-	collect *collecting
+	// The runtime's lock guards the network and everything below.
+	// collect is the epoch in flight, nil between epochs; ticks are the
+	// ticks waiting for it to end, the producer's with a then.
+	collect  *collecting
+	ticks    []*call
+	producer dsProduce
 	// recent is a ring of the latest committed FinalBlocks' sealed
-	// payloads (contiguous ascending epochs) — the bytes that were
-	// journaled and broadcast, kept as they are and shipped as they are —
-	// the primary source for replica catch-up requests; the BlockSource
-	// covers epochs that predate this process.
-	recent  []sealedBlock
-	lookups map[string]bool
+	// payloads, recent[i] that of epoch recentFrom+i — the bytes that
+	// were journaled and broadcast, kept as they are and shipped as they
+	// are — the primary source for replica catch-up requests; the
+	// BlockSource covers epochs that predate this process.
+	recent     [][]byte
+	recentFrom uint64
+	lookups    map[string]bool
 }
 
 // collecting is the collect state of one epoch: the dispatched run,
-// the MicroBlocks received so far by shard, how many are missing, and
-// a channel closed when none is.
+// the MicroBlocks received so far by shard, and the tick it answers.
 type collecting struct {
-	run     *shard.EpochRun
-	blocks  []*shard.MicroBlock
-	missing int
-	full    chan struct{}
+	run    *shard.EpochRun
+	blocks []*shard.MicroBlock
+	c      *call
+}
+
+// The committee's deadlines.
+const (
+	collectDeadline uint64 = iota
+	produceDeadline
+)
+
+// dsProduce is Produce's call: the producer's interval (0: none) and
+// what each produced tick's call hands its result to. A Tick's call
+// carries no request.
+type dsProduce struct {
+	every time.Duration
+	then  func(res any, err error)
 }
 
 // BlockSource serves committed FinalBlocks by epoch range [from, to)
@@ -84,12 +87,6 @@ const recentBlockCap = 256
 // MsgBlockResponse, so a far-behind replica's request cannot produce
 // an oversized frame; the replica re-requests the remainder.
 const maxBlocksPerResponse = 64
-
-// sealedBlock is one committed FinalBlock as its wire payload.
-type sealedBlock struct {
-	epoch   uint64
-	payload []byte
-}
 
 // TickResult reports one driven epoch.
 type TickResult struct {
@@ -137,11 +134,10 @@ func DSBlockSource(src BlockSource) DSOption {
 	return func(c *dsConfig) { c.source = src }
 }
 
-// NewDS builds the committee actor around an existing canonical
-// network (compose shard.NewNetwork(opts...) for its configuration —
-// shard count, gas limits, recorders). shardNames maps shard index to
-// the peer name executing that shard's queues.
-// Call Run to start it.
+// NewDS builds the committee around an existing canonical network
+// (compose shard.NewNetwork(opts...) for its configuration — shard
+// count, gas limits, recorders). shardNames maps shard index to the
+// peer name executing that shard's queues. Call Run to start it.
 func NewDS(name string, net *shard.Network, ep Endpoint, shardNames []string, opts ...DSOption) (*DS, error) {
 	if len(shardNames) != net.Config().NumShards {
 		return nil, fmt.Errorf("node: %d shard names for %d shards", len(shardNames), net.Config().NumShards)
@@ -150,113 +146,131 @@ func NewDS(name string, net *shard.Network, ep Endpoint, shardNames []string, op
 	for _, o := range opts {
 		o(&c)
 	}
-	lep := Instrument(ep, c.rec, c.reg).(*link)
-	d := &DS{
-		name:    name,
-		ep:      lep,
-		net:     net,
-		shards:  append([]string(nil), shardNames...),
-		timeout: c.timeout,
-		m:       lep.m,
-		source:  c.source,
-		quit:    make(chan struct{}),
-		lookups: make(map[string]bool),
-	}
+	d := &DS{cfg: c, net: net, shards: append([]string(nil), shardNames...), lookups: make(map[string]bool)}
+	d.rt.init(d, ep, c.rec, c.reg)
 	for _, l := range c.lookups {
 		d.lookups[l] = true
 	}
 	return d, nil
 }
 
-// Net exposes the canonical network (read-only use: state roots,
-// snapshots; the actor mutates it under its mutex).
+// Net exposes the canonical network, which only the committee mutates.
 func (d *DS) Net() *shard.Network { return d.net }
 
-// Run starts the receive goroutine: one frame at a time, each handled
-// under the actor's mutex.
-func (d *DS) Run() {
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		for {
-			from, frame, err := d.ep.Recv()
-			if err != nil {
-				return
-			}
-			d.mu.Lock()
-			d.handleFrame(from, frame)
-			d.mu.Unlock()
-		}
-	}()
-}
+// Run starts the committee's runtime.
+func (d *DS) Run() { d.rt.run() }
 
-// Close stops the actor and detaches its endpoint; a Tick waiting for
-// MicroBlocks returns ErrTransportClosed. Safe to call concurrently
-// and more than once.
-func (d *DS) Close() {
-	d.closeOnce.Do(func() { close(d.quit) })
-	d.ep.Close()
-	d.wg.Wait()
-}
+// Close stops the committee and detaches its endpoint; a Tick still
+// waiting returns ErrTransportClosed. Safe to call concurrently and
+// more than once.
+func (d *DS) Close() { d.rt.close() }
 
-// Tick drives one epoch and reports its outcome: beginEpoch, then a
-// wait for every MicroBlock, the collect timeout or Close, then
-// finishEpoch. Safe to call from any goroutine; concurrent Ticks run
-// one after another.
+// Tick drives one epoch and reports its outcome. Safe to call from any
+// goroutine; concurrent Ticks run one after another.
 func (d *DS) Tick() TickResult {
-	d.tick.Lock()
-	defer d.tick.Unlock()
-	select {
-	case <-d.quit:
-		return TickResult{Err: ErrTransportClosed} // dispatch nothing on a closed committee
-	default:
+	res, err := d.rt.do(nil)
+	if r, ok := res.(TickResult); ok {
+		return r
 	}
-	d.mu.Lock()
-	c, err := d.beginEpoch()
-	d.mu.Unlock()
-	if err != nil {
-		return TickResult{Err: err}
-	}
-	timer := time.NewTimer(d.timeout)
-	defer timer.Stop()
-	select {
-	case <-c.full:
-	case <-timer.C: // stragglers are transport-lost; FinalizeEpoch requeues them
-	case <-d.quit:
-		return TickResult{Err: ErrTransportClosed}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.finishEpoch(c)
+	return TickResult{Err: err}
 }
 
-// beginEpoch dispatches the next epoch, ships each shard its TxBatch
-// and opens the collect state.
-func (d *DS) beginEpoch() (*collecting, error) {
+// Produce makes the committee tick itself every interval (empty epochs
+// produce empty blocks, like a real chain); a produced tick that comes
+// due during an epoch starts when it ends. onTick, if non-nil,
+// observes every produced result, including transient errors; it runs
+// unlocked but must not call Close. Once the returned stop function
+// returns no produced epoch starts; the result of one in flight still
+// reaches onTick, before Close returns.
+func (d *DS) Produce(interval time.Duration, onTick func(TickResult)) (stop func()) {
+	_, _ = d.rt.do(dsProduce{interval, func(res any, _ error) {
+		if onTick != nil {
+			onTick(res.(TickResult))
+		}
+	}})
+	return func() { _, _ = d.rt.do(dsProduce{}) }
+}
+
+func (d *DS) start(effects, time.Time) {}
+
+func (d *DS) call(fx effects, now time.Time, c *call) {
+	p, ok := c.req.(dsProduce)
+	if !ok {
+		d.tick(fx, now, c)
+		return
+	}
+	d.producer = p
+	d.ticks = slices.DeleteFunc(d.ticks, produced)
+	fx.cancel(produceDeadline)
+	if p.every > 0 {
+		fx.arm(produceDeadline, now.Add(p.every))
+	}
+	fx.reply(c, nil, nil)
+}
+
+func (d *DS) deadline(fx effects, now time.Time, key uint64) {
+	switch {
+	case key == collectDeadline && d.collect != nil:
+		d.finishEpoch(fx, now) // stragglers are transport-lost; FinalizeEpoch requeues them
+	case key == produceDeadline && d.producer.every > 0:
+		fx.arm(produceDeadline, now.Add(d.producer.every))
+		if !slices.ContainsFunc(d.ticks, produced) { // a slow epoch skips a beat, as a time.Ticker does
+			d.tick(fx, now, &call{then: d.producer.then})
+		}
+	}
+}
+
+// produced tells the producer's ticks from the clients'.
+func produced(c *call) bool { return c.then != nil }
+
+// tick queues an epoch for c and begins it unless one is in flight.
+func (d *DS) tick(fx effects, now time.Time, c *call) {
+	d.ticks = append(d.ticks, c)
+	if d.collect == nil {
+		d.beginEpoch(fx, now)
+	}
+}
+
+// beginEpoch dispatches the first waiting tick's epoch, ships each
+// shard its TxBatch, opens the collect state and arms its deadline.
+func (d *DS) beginEpoch(fx effects, now time.Time) {
+	c := d.ticks[0]
+	d.ticks = slices.Delete(d.ticks, 0, 1) // clears the slot: a tick's result must not outlive it
 	run := d.net.BeginEpoch()
 	run.CollectFinalBlock()
 	queues := run.Queues()
 	for s, q := range queues {
 		payload, err := wire.EncodeTxBatch(&wire.TxBatch{Epoch: run.Epoch(), Shard: s, Txs: q})
 		if err != nil {
-			return nil, fmt.Errorf("encode tx batch for shard %d: %w", s, err)
+			d.answer(fx, now, c, TickResult{Err: fmt.Errorf("encode tx batch for shard %d: %w", s, err)})
+			return
 		}
-		d.send(d.shards[s], wire.MsgTxBatch, payload)
+		_ = fx.send(d.shards[s], wire.EncodeFrame(wire.MsgTxBatch, payload))
 	}
-	d.collect = &collecting{
-		run:     run,
-		blocks:  make([]*shard.MicroBlock, len(queues)),
-		missing: len(queues),
-		full:    make(chan struct{}),
-	}
-	return d.collect, nil
+	d.collect = &collecting{run: run, blocks: make([]*shard.MicroBlock, len(queues)), c: c}
+	fx.arm(collectDeadline, now.Add(d.cfg.timeout))
 }
 
-// finishEpoch closes the collect state, finalizes the epoch with the
-// MicroBlocks that arrived, and broadcasts the FinalBlock.
-func (d *DS) finishEpoch(c *collecting) TickResult {
+// finishEpoch closes the collect state and finalizes the epoch with
+// the MicroBlocks that arrived.
+func (d *DS) finishEpoch(fx effects, now time.Time) {
+	col := d.collect
 	d.collect = nil
-	stats, fb, err := d.net.FinalizeEpoch(c.run, c.blocks)
+	fx.cancel(collectDeadline)
+	d.answer(fx, now, col.c, d.finalize(fx, col.run, col.blocks))
+}
+
+// answer reports an epoch to its tick and begins the next waiting one.
+func (d *DS) answer(fx effects, now time.Time, c *call, res TickResult) {
+	fx.reply(c, res, nil)
+	if len(d.ticks) > 0 {
+		d.beginEpoch(fx, now)
+	}
+}
+
+// finalize commits the epoch and broadcasts its FinalBlock.
+func (d *DS) finalize(fx effects, run *shard.EpochRun, blocks []*shard.MicroBlock) TickResult {
+	stats, fb, err := d.net.FinalizeEpoch(run, blocks)
 	if err != nil {
 		return TickResult{Err: err}
 	}
@@ -268,96 +282,77 @@ func (d *DS) finishEpoch(c *collecting) TickResult {
 		if err != nil {
 			return TickResult{Err: fmt.Errorf("encode final block: %w", err)}
 		}
-		d.recent = append(d.recent, sealedBlock{fb.Epoch, payload})
-		if len(d.recent) > recentBlockCap {
-			d.recent = append(d.recent[:0], d.recent[len(d.recent)-recentBlockCap:]...)
+		if len(d.recent) == recentBlockCap {
+			d.recent = append(d.recent[:0], d.recent[1:]...)
 		}
+		d.recent = append(d.recent, payload)
+		d.recentFrom = fb.Epoch + 1 - uint64(len(d.recent))
 		// Lookups first: they are what clients read, and the replicas'
 		// applies would otherwise take every CPU before the lookups'
 		// receipts are filed.
 		frame := wire.EncodeFrame(wire.MsgFinalBlock, payload)
 		for l := range d.lookups {
-			_ = d.ep.Send(l, frame)
+			_ = fx.send(l, frame)
 		}
 		for _, s := range d.shards {
-			_ = d.ep.Send(s, frame)
+			_ = fx.send(s, frame)
 		}
 	}
 	return TickResult{Stats: stats, Root: d.net.StateRoot()}
 }
 
-// handleFrame decodes and handles one received frame; the caller holds
-// d.mu. A MicroBlock lands in the collect state of the epoch in
-// flight if its shard's own node sent it; outside an epoch it is stale
-// (a post-timeout arrival) and is dropped.
-func (d *DS) handleFrame(from string, frame []byte) {
-	typ, payload, _, err := wire.DecodeFrame(frame)
-	if err != nil {
-		d.m.recvErrors.Inc()
-		return
-	}
+// frame handles one received frame. A MicroBlock lands in the collect
+// state of the epoch in flight if its shard's own node sent it;
+// outside an epoch it is stale (a post-timeout arrival) and is
+// dropped.
+func (d *DS) frame(fx effects, now time.Time, from string, typ wire.MsgType, payload []byte) bool {
+	var err error
 	switch typ {
 	case wire.MsgSubmit:
-		s, err := wire.DecodeSubmit(payload)
-		if err != nil {
-			d.m.recvErrors.Inc()
-			return
+		var s *wire.Submit
+		if s, err = wire.DecodeSubmit(payload); err == nil {
+			d.lookups[from] = true
+			resp := &wire.SubmitResp{Corr: s.Corr, ID: d.net.Submit(s.Tx)}
+			_ = fx.send(from, wire.EncodeFrame(wire.MsgSubmitResp, wire.EncodeSubmitResp(resp)))
 		}
-		d.lookups[from] = true
-		resp := &wire.SubmitResp{Corr: s.Corr, ID: d.net.Submit(s.Tx)}
-		d.send(from, wire.MsgSubmitResp, wire.EncodeSubmitResp(resp))
 	case wire.MsgStateQuery:
-		q, err := wire.DecodeStateQuery(payload)
-		if err != nil {
-			d.m.recvErrors.Inc()
-			return
+		var q *wire.StateQuery
+		if q, err = wire.DecodeStateQuery(payload); err == nil {
+			d.lookups[from] = true
+			payload, err := wire.EncodeStateResp(d.stateResp(q))
+			if err != nil {
+				payload, _ = wire.EncodeStateResp(&wire.StateResp{Corr: q.Corr, Err: err.Error()})
+			}
+			_ = fx.send(from, wire.EncodeFrame(wire.MsgStateResp, payload))
 		}
-		d.lookups[from] = true
-		payload, err := wire.EncodeStateResp(d.stateResp(q))
-		if err != nil {
-			payload, _ = wire.EncodeStateResp(&wire.StateResp{Corr: q.Corr, Err: err.Error()})
-		}
-		d.send(from, wire.MsgStateResp, payload)
 	case wire.MsgMicroBlock:
 		c := d.collect
 		if c == nil {
-			return // stale: arrived after the collect timeout
+			return true // stale: arrived after the collect timeout
 		}
 		mb, err := wire.DecodeMicroBlock(payload)
-		if err != nil {
-			d.m.recvErrors.Inc()
-			return
+		if err != nil || mb.Shard < 0 || mb.Shard >= len(c.blocks) || from != d.shards[mb.Shard] {
+			return false // only a shard's own node speaks for it
 		}
-		if mb.Shard < 0 || mb.Shard >= len(c.blocks) || from != d.shards[mb.Shard] {
-			d.m.recvErrors.Inc() // only a shard's own node speaks for it
-			return
-		}
-		if mb.Epoch != d.net.Epoch || c.blocks[mb.Shard] != nil {
-			return
-		}
-		c.blocks[mb.Shard] = mb
-		if c.missing--; c.missing == 0 {
-			close(c.full)
+		if mb.Epoch == d.net.Epoch && c.blocks[mb.Shard] == nil {
+			if c.blocks[mb.Shard] = mb; !slices.Contains(c.blocks, nil) {
+				d.finishEpoch(fx, now)
+			}
 		}
 	case wire.MsgHello:
-		h, err := wire.DecodeHello(payload)
-		if err != nil {
-			d.m.recvErrors.Inc()
-			return
-		}
-		if h.Role == "lookup" {
+		var h *wire.Hello
+		if h, err = wire.DecodeHello(payload); err == nil && h.Role == "lookup" {
 			d.lookups[from] = true
 		}
 	case wire.MsgBlockRequest:
-		q, err := wire.DecodeBlockRequest(payload)
-		if err != nil {
-			d.m.recvErrors.Inc()
-			return
+		var q *wire.BlockRequest
+		if q, err = wire.DecodeBlockRequest(payload); err == nil {
+			return d.serveBlocks(fx, from, q)
 		}
-		d.serveBlocks(from, q)
 	default:
-		d.m.recvErrors.Inc()
+		return false
 	}
+	return err == nil
 }
 
 // serveBlocks answers a replica catch-up request: the contiguous run
@@ -365,72 +360,54 @@ func (d *DS) handleFrame(from string, frame []byte) {
 // the response size cap, and what the ring + block source still hold.
 // Head lets the requester distinguish "you are not actually behind"
 // (Head <= From) from "behind but unservable" (Head > From, no
-// blocks).
-func (d *DS) serveBlocks(to string, q *wire.BlockRequest) {
+// blocks). It reports false if a block from the source failed to
+// encode.
+func (d *DS) serveBlocks(fx effects, to string, q *wire.BlockRequest) bool {
 	head := d.net.Epoch // epochs < head are committed
-	end := q.To
-	if end > head {
-		end = head
-	}
-	if end > q.From+maxBlocksPerResponse {
-		end = q.From + maxBlocksPerResponse
-	}
 	var blocks [][]byte
-	if end > q.From {
-		blocks = d.blocksFor(q.From, end)
+	ok := true
+	if end := min(q.To, head, q.From+maxBlocksPerResponse); end > q.From {
+		blocks, ok = d.blocksFor(q.From, end)
 	}
-	d.send(to, wire.MsgBlockResponse, wire.AppendBlockResponse(nil, q.From, head, blocks))
+	_ = fx.send(to, wire.EncodeFrame(wire.MsgBlockResponse, wire.AppendBlockResponse(nil, q.From, head, blocks)))
+	return ok
 }
 
 // blocksFor collects the sealed payloads of the contiguous run of
 // FinalBlocks for epochs [from, to), consulting the block source for
-// epochs older than the in-memory ring. The caller holds d.mu.
-func (d *DS) blocksFor(from, to uint64) [][]byte {
+// epochs older than the in-memory ring; false if a source block failed
+// to encode (the run stops before it).
+func (d *DS) blocksFor(from, to uint64) ([][]byte, bool) {
 	var out [][]byte
 	next := from
-	if d.source != nil && (len(d.recent) == 0 || d.recent[0].epoch > next) {
-		if blocks, err := d.source.Blocks(next, to); err == nil {
+	if d.cfg.source != nil && (len(d.recent) == 0 || d.recentFrom > next) {
+		if blocks, err := d.cfg.source.Blocks(next, to); err == nil {
 			for _, fb := range blocks {
 				if fb.Epoch != next || next >= to {
 					continue
 				}
 				payload, err := wire.SealedFinalBlock(fb)
 				if err != nil {
-					d.m.recvErrors.Inc()
-					return out
+					return out, false
 				}
 				out = append(out, payload)
 				next++
 			}
 		}
 	}
-	for _, b := range d.recent {
-		if next >= to {
-			break
-		}
-		if b.epoch == next {
-			out = append(out, b.payload)
-			next++
-		}
+	if i, n := next-d.recentFrom, uint64(len(d.recent)); next >= d.recentFrom && i < n {
+		out = append(out, d.recent[i:min(n, to-d.recentFrom)]...)
 	}
-	return out
-}
-
-func (d *DS) send(to string, t wire.MsgType, payload []byte) {
-	_ = d.ep.Send(to, wire.EncodeFrame(t, payload))
+	return out, true
 }
 
 // stateResp answers a state query from canonical state.
 func (d *DS) stateResp(q *wire.StateQuery) *wire.StateResp {
 	resp := &wire.StateResp{Corr: q.Corr}
 	if q.Field == "" {
-		acc, ok := d.net.Accounts.Get(q.Addr)
-		if !ok {
-			return resp
+		if acc, ok := d.net.Accounts.Get(q.Addr); ok {
+			resp.Found, resp.Balance, resp.Nonce = true, acc.Balance.Big(new(big.Int)), acc.Nonce
 		}
-		resp.Found = true
-		resp.Balance = acc.Balance.Big(new(big.Int))
-		resp.Nonce = acc.Nonce
 		return resp
 	}
 	c := d.net.Contracts.Get(q.Addr)

@@ -295,9 +295,9 @@ func TestTickSerialized(t *testing.T) {
 		}
 		for collecting := false; !collecting; {
 			runtime.Gosched()
-			cluster.DS.mu.Lock()
+			cluster.DS.rt.mu.Lock()
 			collecting = cluster.DS.collect != nil
-			cluster.DS.mu.Unlock()
+			cluster.DS.rt.mu.Unlock()
 		}
 		cluster.DS.Close()
 		for i := 0; i < 2; i++ {

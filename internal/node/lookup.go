@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"math/big"
-	"sync"
 	"time"
 
 	"cosplit/internal/chain"
@@ -11,40 +10,42 @@ import (
 	"cosplit/internal/wire"
 )
 
-// Lookup is the client-facing actor: it forwards submissions and state
-// queries to the DS committee over the wire, correlates the responses,
-// and files the receipts of FinalBlock broadcasts so clients can poll
-// commit status without touching the committee. It holds no state
-// replica — it is a light client — and it is the one role that keeps
-// receipts: the committee and the shard replicas apply blocks and keep
-// none. The receipt log is bounded (LookupReceiptCap): oldest receipts
-// are evicted first, so a long-running lookup's memory stays flat no
-// matter how many epochs flow past it. Receipts rest there packed,
-// their events encoded, in bytes the log owns — no frame and no block
+// Lookup is the client-facing role: it forwards submissions and state
+// queries to the DS committee, correlates the responses, and files the
+// receipts of FinalBlock broadcasts so clients can poll commit status
+// without touching the committee. It holds no state replica and is the
+// one role that keeps receipts, in a bounded log (LookupReceiptCap)
+// that evicts the oldest first and owns its bytes: no frame or block
 // outlives its handling; wire.ReceiptEvents builds the events for the
 // client that asks.
+//
+// It is a handler over a runtime, which enters SubmitTx, the queries
+// and WaitReceipt as calls. It takes frames only from its committee
+// (any other sender's is a receive error); over TCP that stops
+// misdirected and stale frames, not a process that lies about its name.
 type Lookup struct {
 	name string
-	ep   Endpoint
+	rt   nodeRuntime
 	ds   string
-	m    *linkMetrics
 	// timeout is lookupTimeout; a test shortens it before Run.
 	timeout time.Duration
 
-	quit      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-
-	mu   sync.Mutex
-	corr uint64
-	// pending routes each response to its request by correlation id.
-	pending       map[uint64]chan any
+	// The runtime's lock guards everything below. pending holds each
+	// waiting call, with a deadline, under the correlation id its
+	// response carries (a WaitReceipt: under an id of its own).
+	corr          uint64
+	pending       map[uint64]*call
 	receipts      *ReceiptLog
 	receiptsGauge *obs.Gauge
 	bytesGauge    *obs.Gauge
 	epoch         uint64
 	root          string
-	commitCh      chan struct{}
+}
+
+// waitReceipt is WaitReceipt's call.
+type waitReceipt struct {
+	id      uint64
+	timeout time.Duration
 }
 
 // LookupOption configures a Lookup.
@@ -78,94 +79,111 @@ func LookupReceiptCap(n int) LookupOption {
 	}
 }
 
-// NewLookup builds a lookup actor talking to the DS peer named ds.
-// Call Run to start it.
+// NewLookup builds a lookup talking to the DS peer named ds. Call Run
+// to start it.
 func NewLookup(name string, ep Endpoint, ds string, opts ...LookupOption) *Lookup {
 	var c lookupConfig
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.reg == nil {
-		c.reg = obs.NewRegistry()
-	}
-	lep := Instrument(ep, c.rec, c.reg).(*link)
-	return &Lookup{
-		name:          name,
-		ep:            lep,
-		ds:            ds,
-		m:             lep.m,
-		timeout:       lookupTimeout,
-		quit:          make(chan struct{}),
-		pending:       make(map[uint64]chan any),
-		receipts:      NewReceiptLog(c.receiptCap),
-		receiptsGauge: c.reg.Gauge("node.lookup_receipts"),
-		bytesGauge:    c.reg.Gauge("node.lookup_receipt_bytes"),
-		commitCh:      make(chan struct{}),
-	}
+	l := &Lookup{name: name, ds: ds, timeout: lookupTimeout, pending: make(map[uint64]*call), receipts: NewReceiptLog(c.receiptCap)}
+	reg := l.rt.init(l, ep, c.rec, c.reg)
+	l.receiptsGauge, l.bytesGauge = reg.Gauge("node.lookup_receipts"), reg.Gauge("node.lookup_receipt_bytes")
+	return l
 }
 
-// Run starts the actor loop. The lookup announces itself to the
-// committee first (MsgHello), so the DS adds it to the FinalBlock
-// fan-out before any traffic flows — a lookup that only ever polls
-// receipts would otherwise never be learned.
-func (l *Lookup) Run() {
-	hello := wire.EncodeHello(&wire.Hello{Name: l.name, Role: "lookup"})
-	_ = l.ep.Send(l.ds, wire.EncodeFrame(wire.MsgHello, hello))
-	l.wg.Add(1)
-	go l.loop()
-}
+// Run starts the lookup; a call still waiting at Close returns
+// ErrTransportClosed.
+func (l *Lookup) Run() { l.rt.run() }
 
-// Close stops the actor and detaches its endpoint. Safe to call
+// Close stops the lookup and detaches its endpoint; it is safe to call
 // concurrently and more than once.
-func (l *Lookup) Close() {
-	l.closeOnce.Do(func() { close(l.quit) })
-	l.ep.Close()
-	l.wg.Wait()
+func (l *Lookup) Close() { l.rt.close() }
+
+// start announces the lookup to the committee (MsgHello), so a lookup
+// that only ever polls receipts is in the FinalBlock fan-out too.
+func (l *Lookup) start(fx effects, _ time.Time) {
+	hello := wire.EncodeHello(&wire.Hello{Name: l.name, Role: "lookup"})
+	_ = fx.send(l.ds, wire.EncodeFrame(wire.MsgHello, hello))
 }
 
-func (l *Lookup) loop() {
-	defer l.wg.Done()
-	for {
-		_, frame, err := l.ep.Recv()
-		if err != nil {
+func (l *Lookup) frame(fx effects, _ time.Time, from string, typ wire.MsgType, payload []byte) bool {
+	switch {
+	case from != l.ds:
+		return false
+	case typ == wire.MsgSubmitResp:
+		r, err := wire.DecodeSubmitResp(payload)
+		if err == nil {
+			l.answer(fx, r.Corr, r, nil)
+		}
+		return err == nil
+	case typ == wire.MsgStateResp:
+		r, err := wire.DecodeStateResp(payload)
+		if err == nil {
+			l.answer(fx, r.Corr, r, nil)
+		}
+		return err == nil
+	case typ == wire.MsgFinalBlock:
+		if l.finalBlock(payload) != nil {
+			return false
+		}
+		for key, c := range l.pending {
+			if w, ok := c.req.(*waitReceipt); ok {
+				if r := l.receipts.Receipt(w.id); r != nil {
+					l.answer(fx, key, r, nil)
+				}
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// call sends the committee a submission or query under a fresh
+// correlation id, or parks a WaitReceipt whose receipt is not filed
+// yet; either waits in pending until its answer or its deadline.
+func (l *Lookup) call(fx effects, now time.Time, c *call) {
+	l.corr++
+	timeout, typ := l.timeout, wire.MsgSubmit
+	var payload []byte
+	var err error
+	switch r := c.req.(type) {
+	case *chain.Tx:
+		payload, err = wire.EncodeSubmit(&wire.Submit{Corr: l.corr, Tx: r})
+	case *wire.StateQuery:
+		r.Corr, typ = l.corr, wire.MsgStateQuery
+		payload = wire.EncodeStateQuery(r)
+	case *waitReceipt:
+		if rc := l.receipts.Receipt(r.id); rc != nil || r.timeout <= 0 {
+			fx.reply(c, rc, nil)
 			return
 		}
-		typ, payload, _, err := wire.DecodeFrame(frame)
-		if err != nil {
-			l.m.recvErrors.Inc()
-			continue
-		}
-		switch typ {
-		case wire.MsgSubmitResp:
-			var r *wire.SubmitResp
-			if r, err = wire.DecodeSubmitResp(payload); err == nil {
-				l.deliver(r.Corr, r)
-			}
-		case wire.MsgStateResp:
-			var r *wire.StateResp
-			if r, err = wire.DecodeStateResp(payload); err == nil {
-				l.deliver(r.Corr, r)
-			}
-		case wire.MsgFinalBlock:
-			err = l.finalBlock(payload)
-		default:
-			l.m.recvErrors.Inc()
-		}
-		if err != nil {
-			l.m.recvErrors.Inc()
-		}
+		timeout = r.timeout
 	}
+	if err == nil && payload != nil {
+		err = fx.send(l.ds, wire.EncodeFrame(typ, payload))
+	}
+	if err != nil {
+		fx.reply(c, nil, err)
+		return
+	}
+	l.pending[l.corr] = c
+	fx.arm(l.corr, now.Add(timeout))
 }
 
-// deliver hands a response to the request waiting under its
-// correlation id, if one still is.
-func (l *Lookup) deliver(corr uint64, resp any) {
-	l.mu.Lock()
-	ch := l.pending[corr]
-	delete(l.pending, corr)
-	l.mu.Unlock()
-	if ch != nil {
-		ch <- resp
+// deadline ends a call that got no answer in time with ErrTimeout: a
+// request's frame or response may have been lost, a WaitReceipt's
+// receipt has not come.
+func (l *Lookup) deadline(fx effects, _ time.Time, key uint64) {
+	l.answer(fx, key, nil, ErrTimeout)
+}
+
+// answer replies to the call waiting under key, if one still is.
+func (l *Lookup) answer(fx effects, key uint64, res any, err error) {
+	if c := l.pending[key]; c != nil {
+		delete(l.pending, key)
+		fx.cancel(key)
+		fx.reply(c, res, err)
 	}
 }
 
@@ -181,8 +199,6 @@ func (l *Lookup) finalBlock(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if err := l.receipts.File(recs); err != nil {
 		return err
 	}
@@ -192,8 +208,6 @@ func (l *Lookup) finalBlock(payload []byte) error {
 		l.epoch = epoch
 		l.root = root
 	}
-	close(l.commitCh)
-	l.commitCh = make(chan struct{})
 	return nil
 }
 
@@ -203,9 +217,7 @@ func (l *Lookup) finalBlock(payload []byte) error {
 // process) is returned as a refusal. A lost frame or response
 // surfaces as ErrTimeout.
 func (l *Lookup) SubmitTx(tx *chain.Tx) (uint64, error) {
-	r, err := request[*wire.SubmitResp](l, "submit", wire.MsgSubmit, func(corr uint64) ([]byte, error) {
-		return wire.EncodeSubmit(&wire.Submit{Corr: corr, Tx: tx})
-	})
+	r, err := request[*wire.SubmitResp](l, "submit", tx)
 	if err != nil {
 		return 0, err
 	}
@@ -215,52 +227,18 @@ func (l *Lookup) SubmitTx(tx *chain.Tx) (uint64, error) {
 	return r.ID, nil
 }
 
-// request sends the committee one request, built by encode around a
-// fresh correlation id, and waits for the response routed back under
-// that id (an error unless it is an R), the lookup's timeout
-// (ErrTimeout) or Close (ErrTransportClosed). Whatever the outcome,
-// the id's pending entry is gone on return.
-func request[R any](l *Lookup, what string, typ wire.MsgType, encode func(corr uint64) ([]byte, error)) (r R, err error) {
-	ch := make(chan any, 1)
-	l.mu.Lock()
-	l.corr++
-	corr := l.corr
-	l.pending[corr] = ch
-	l.mu.Unlock()
-	// The loop deletes the entry when it delivers the response; only a
-	// request that ends without one has to take its own away.
-	answered := false
-	defer func() {
-		if !answered {
-			l.mu.Lock()
-			delete(l.pending, corr)
-			l.mu.Unlock()
-		}
-	}()
-	payload, err := encode(corr)
+// request makes one committee request a call and returns its answer,
+// an error unless it is an R.
+func request[R any](l *Lookup, what string, req any) (r R, err error) {
+	res, err := l.rt.do(req)
 	if err != nil {
-		return r, err
+		return r, fmt.Errorf("%s: %w", what, err)
 	}
-	if err := l.ep.Send(l.ds, wire.EncodeFrame(typ, payload)); err != nil {
-		return r, err
+	r, ok := res.(R)
+	if !ok {
+		return r, fmt.Errorf("%s: answered with a %T", what, res)
 	}
-	// One timer, stopped when the response wins: under go 1.22 an
-	// unstopped time.After timer stays in the runtime's heap until it
-	// fires, thousands of them at a busy lookup.
-	timer := time.NewTimer(l.timeout)
-	defer timer.Stop()
-	select {
-	case resp := <-ch:
-		answered = true
-		if v, ok := resp.(R); ok {
-			return v, nil
-		}
-		return r, fmt.Errorf("%s: answered with a %T", what, resp)
-	case <-timer.C:
-		return r, fmt.Errorf("%s: %w", what, ErrTimeout)
-	case <-l.quit:
-		return r, ErrTransportClosed
-	}
+	return r, nil
 }
 
 // AccountState is a queried account.
@@ -273,11 +251,8 @@ type AccountState struct {
 // (found == false when the account does not exist).
 func (l *Lookup) GetAccount(addr chain.Address) (st AccountState, found bool, err error) {
 	resp, err := l.query(&wire.StateQuery{Addr: addr})
-	if err != nil {
+	if err != nil || !resp.Found {
 		return AccountState{}, false, err
-	}
-	if !resp.Found {
-		return AccountState{}, false, nil
 	}
 	return AccountState{Balance: resp.Balance, Nonce: resp.Nonce}, true, nil
 }
@@ -289,10 +264,7 @@ func (l *Lookup) GetState(addr chain.Address, field, key string) (*wire.StateRes
 }
 
 func (l *Lookup) query(q *wire.StateQuery) (*wire.StateResp, error) {
-	r, err := request[*wire.StateResp](l, "state query", wire.MsgStateQuery, func(corr uint64) ([]byte, error) {
-		q.Corr = corr
-		return wire.EncodeStateQuery(q), nil
-	})
+	r, err := request[*wire.StateResp](l, "state query", q)
 	if err != nil {
 		return nil, err
 	}
@@ -305,42 +277,22 @@ func (l *Lookup) query(q *wire.StateQuery) (*wire.StateResp, error) {
 // Receipt returns the filed receipt for a transaction id, or nil if
 // it has not committed (or was lost, or evicted).
 func (l *Lookup) Receipt(id uint64) *chain.Receipt {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.rt.mu.Lock()
+	defer l.rt.mu.Unlock()
 	return l.receipts.Receipt(id)
 }
 
 // WaitReceipt blocks until the transaction's receipt arrives in a
 // FinalBlock broadcast or the deadline passes (returning nil).
 func (l *Lookup) WaitReceipt(id uint64, timeout time.Duration) *chain.Receipt {
-	deadline := time.Now().Add(timeout)
-	for {
-		l.mu.Lock()
-		r := l.receipts.Receipt(id)
-		ch := l.commitCh
-		l.mu.Unlock()
-		if r != nil {
-			return r
-		}
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return nil
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
-		case <-l.quit:
-			timer.Stop()
-			return nil
-		}
-	}
+	res, _ := l.rt.do(&waitReceipt{id, timeout})
+	r, _ := res.(*chain.Receipt)
+	return r
 }
 
 // Chain reports the latest finalized epoch and state root seen.
 func (l *Lookup) Chain() (epoch uint64, root string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.rt.mu.Lock()
+	defer l.rt.mu.Unlock()
 	return l.epoch, l.root
 }

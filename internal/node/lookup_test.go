@@ -23,8 +23,8 @@ func TestLookupLeavesNoCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pending := func(l *Lookup) int {
-		l.mu.Lock()
-		defer l.mu.Unlock()
+		l.rt.mu.Lock()
+		defer l.rt.mu.Unlock()
 		return len(l.pending)
 	}
 

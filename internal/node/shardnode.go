@@ -1,8 +1,9 @@
 package node
 
 import (
+	"errors"
 	"fmt"
-	"sync"
+	"time"
 
 	"cosplit/internal/fault"
 	"cosplit/internal/obs"
@@ -11,11 +12,10 @@ import (
 )
 
 // ShardNode executes one shard's queues against a full replica of the
-// network state. The replica is provisioned from the same
-// deterministic genesis as the DS committee's canonical network, so
-// after every applied FinalBlock the two agree bit-for-bit (the
-// replica verifies the block's state root and reports
-// shard.ErrStateDivergence if not).
+// network state, provisioned from the same deterministic genesis as
+// the DS committee's canonical network, so after every applied
+// FinalBlock the two agree bit-for-bit (the replica verifies the
+// block's state root and reports shard.ErrStateDivergence if not).
 //
 // Executing a TxBatch does not mutate the replica: ExecuteShard
 // produces a MicroBlock of deltas, and state only advances when the
@@ -23,12 +23,20 @@ import (
 // is stashed by epoch and applied from the stash in epoch order. A
 // node that misses one (dropped frame, or a restart that recovered to
 // an older checkpoint) sees the skew on the next frame for a future
-// epoch and catches up live: it requests the missed range from the
-// committee (MsgBlockRequest). A block that fails to apply (a
-// corrupted frame that still decodes) is undone whole and fetched
-// again, up to maxBlockRetries times in a row. The node executes no
-// batch while it is behind. Err reports the first unrecoverable error:
-// a block that kept failing, or a range the committee cannot serve.
+// epoch and requests the missed range from the committee
+// (MsgBlockRequest). A block that fails to apply (a corrupted frame
+// that still decodes), or carries no state root to verify, is undone
+// whole and fetched again, up to maxBlockRetries times in a row. The
+// node executes no batch while it is behind. Err reports the first
+// unrecoverable error: a block that kept failing, or a range the
+// committee cannot serve.
+//
+// It is a handler over a runtime. It takes FinalBlocks and block
+// responses only from its committee (any other sender's is a receive
+// error) and a TxBatch from any peer, since executing one leaves the
+// replica as it was; the MicroBlock goes back to the sender. Over TCP
+// a sender's name is what its envelope declares, so this stops
+// misdirected and stale frames, not a process that lies about its name.
 //
 // With a fault plan (ShardFaults) the node loses its MicroBlocks where
 // it seals them, as the throughput harness does: the plan's directive
@@ -38,43 +46,39 @@ import (
 type ShardNode struct {
 	name   string
 	shard  int
-	ep     Endpoint
+	rt     nodeRuntime
 	net    *shard.Network
 	ds     string
-	m      *linkMetrics
 	faults *fault.Plan
 
-	// Resync state, touched only by the actor goroutine. pendingBlocks
-	// holds the FinalBlocks not yet applied, by epoch;
-	// pendingBatch/pendingFrom the latest future TxBatch, executed once
-	// the replica reaches its epoch; awaitTo (0 = none) the exclusive
-	// target epoch of the outstanding block request — a later frame
-	// with a higher target re-requests, so a dropped request or
-	// response frame delays catch-up by an epoch instead of wedging it;
-	// failures counts the blocks in a row that failed to apply.
+	// The runtime's lock guards everything below. pendingBlocks holds
+	// the FinalBlocks not yet applied, by epoch; pendingBatch/pendingFrom
+	// the latest future TxBatch, executed once the replica reaches its
+	// epoch; awaitTo (0 = none) the exclusive target epoch of the
+	// outstanding block request — a later frame with a higher target
+	// re-requests, so a dropped request or response frame delays
+	// catch-up by an epoch instead of wedging it; failures counts the
+	// blocks in a row that failed to apply.
 	pendingBlocks map[uint64]*shard.FinalBlock
 	pendingBatch  *wire.TxBatch
 	pendingFrom   string
 	awaitTo       uint64
 	failures      int
 	resyncs       *obs.Counter
-
-	quit      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-
-	mu      sync.Mutex
-	lastErr error
+	lastErr       error
 }
 
-// pendingBlockCap bounds the stash of future FinalBlocks so a peer
-// fabricating far-future blocks cannot grow it without limit. The
-// block for the replica's own epoch is always taken.
-const pendingBlockCap = 512
+const (
+	// pendingBlockCap bounds the stash of future FinalBlocks so a peer
+	// fabricating far-future blocks cannot grow it without limit. The
+	// block for the replica's own epoch is always taken.
+	pendingBlockCap = 512
+	// maxBlockRetries bounds how many times in a row the node re-fetches
+	// a block that failed to apply before it gives up with a fatal Err.
+	maxBlockRetries = 3
+)
 
-// maxBlockRetries bounds how many times in a row the node re-fetches a
-// block that failed to apply before it gives up with a fatal Err.
-const maxBlockRetries = 3
+var errNoRoot = errors.New("node: final block carries no state root")
 
 // ShardOption configures a ShardNode.
 type ShardOption func(*shardConfig)
@@ -96,116 +100,92 @@ func ShardFaults(plan *fault.Plan) ShardOption {
 	return func(c *shardConfig) { c.faults = plan }
 }
 
-// NewShard builds a shard-node actor executing shard index s on the
-// given replica network, reporting to the DS peer named ds. Call Run
-// to start it.
+// NewShard builds a shard node executing shard s on the given replica,
+// reporting to the DS peer named ds. Call Run to start it.
 func NewShard(name string, s int, replica *shard.Network, ep Endpoint, ds string, opts ...ShardOption) *ShardNode {
 	var c shardConfig
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.reg == nil {
-		c.reg = obs.NewRegistry()
-	}
-	lep := Instrument(ep, c.rec, c.reg).(*link)
-	return &ShardNode{
-		name:          name,
-		shard:         s,
-		ep:            lep,
-		net:           replica,
-		ds:            ds,
-		m:             lep.m,
-		faults:        c.faults,
-		pendingBlocks: make(map[uint64]*shard.FinalBlock),
-		resyncs:       c.reg.Counter("node.resyncs"),
-		quit:          make(chan struct{}),
-	}
+	n := &ShardNode{name: name, shard: s, net: replica, ds: ds, faults: c.faults, pendingBlocks: make(map[uint64]*shard.FinalBlock)}
+	n.resyncs = n.rt.init(n, ep, c.rec, c.reg).Counter("node.resyncs")
+	return n
 }
 
-// Net exposes the replica network (for state-root assertions in
-// tests).
+// Net exposes the replica network (for state-root assertions).
 func (s *ShardNode) Net() *shard.Network { return s.net }
 
 // Err returns the first unrecoverable replica error: a block that
 // still failed to apply after maxBlockRetries fetches, or an
 // unservable catch-up gap.
 func (s *ShardNode) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.rt.mu.Lock()
+	defer s.rt.mu.Unlock()
 	return s.lastErr
 }
 
 func (s *ShardNode) setErr(err error) {
-	s.mu.Lock()
 	if s.lastErr == nil {
 		s.lastErr = err
 	}
-	s.mu.Unlock()
 }
 
-// Run starts the actor loop.
-func (s *ShardNode) Run() {
-	s.wg.Add(1)
-	go s.loop()
-}
+// Run starts the node.
+func (s *ShardNode) Run() { s.rt.run() }
 
-// Close stops the actor and detaches its endpoint. Safe to call
+// Close stops the node and detaches its endpoint; it is safe to call
 // concurrently and more than once.
-func (s *ShardNode) Close() {
-	s.closeOnce.Do(func() { close(s.quit) })
-	s.ep.Close()
-	s.wg.Wait()
+func (s *ShardNode) Close() { s.rt.close() }
+
+func (s *ShardNode) start(effects, time.Time)            {}
+func (s *ShardNode) deadline(effects, time.Time, uint64) {}
+func (s *ShardNode) call(effects, time.Time, *call)      {}
+
+func (s *ShardNode) frame(fx effects, _ time.Time, from string, typ wire.MsgType, payload []byte) bool {
+	switch {
+	case typ == wire.MsgTxBatch:
+		batch, err := wire.DecodeTxBatch(payload)
+		if err == nil {
+			s.handleBatch(fx, from, batch)
+		}
+		return err == nil
+	case from != s.ds:
+		return false
+	case typ == wire.MsgFinalBlock:
+		fb, err := wire.DecodeFinalBlock(payload)
+		if err == nil {
+			s.handleFinalBlock(fx, fb)
+		}
+		return err == nil
+	case typ == wire.MsgBlockResponse:
+		resp, err := wire.DecodeBlockResponse(payload)
+		if err == nil {
+			s.handleBlockResponse(fx, resp)
+		}
+		return err == nil
+	}
+	return false
 }
 
-func (s *ShardNode) loop() {
-	defer s.wg.Done()
-	for {
-		from, frame, err := s.ep.Recv()
-		if err != nil {
-			return
-		}
-		typ, payload, _, err := wire.DecodeFrame(frame)
-		if err != nil {
-			s.m.recvErrors.Inc()
-			continue
-		}
-		switch typ {
-		case wire.MsgTxBatch:
-			s.handleBatch(from, payload)
-		case wire.MsgFinalBlock:
-			s.handleFinalBlock(payload)
-		case wire.MsgBlockResponse:
-			s.handleBlockResponse(payload)
-		default:
-			s.m.recvErrors.Inc()
-		}
-	}
-}
-
-func (s *ShardNode) handleBatch(from string, payload []byte) {
-	batch, err := wire.DecodeTxBatch(payload)
-	if err != nil {
-		s.m.recvErrors.Inc()
-		return
-	}
+func (s *ShardNode) handleBatch(fx effects, from string, batch *wire.TxBatch) {
 	if batch.Shard != s.shard || batch.Epoch < s.net.Epoch {
 		// Wrong shard, or a stale batch the DS already requeued past.
 		return
 	}
 	s.pendingBatch, s.pendingFrom = batch, from
-	if s.drainPending() && batch.Epoch > s.net.Epoch {
+	if s.drainPending(fx) && batch.Epoch > s.net.Epoch {
 		// The replica lags (it missed at least one FinalBlock): the
 		// batch waits while it catches up. If the fetch completes before
 		// the committee's collect timeout, the MicroBlock still lands
 		// this epoch; otherwise the DS requeues the batch and the
 		// replica rejoins on the next one.
-		s.requestResync(batch.Epoch)
+		s.requestResync(fx, batch.Epoch)
 	}
 }
 
 // execBatch executes a current-epoch batch and ships the MicroBlock,
 // unless the fault plan loses it.
-func (s *ShardNode) execBatch(from string, batch *wire.TxBatch) {
+func (s *ShardNode) execBatch(fx effects, from string, batch *wire.TxBatch) {
 	kind := s.faults.At(batch.Epoch, s.shard).Kind
 	if kind == fault.CrashMidEpoch {
 		return
@@ -227,20 +207,15 @@ func (s *ShardNode) execBatch(from string, batch *wire.TxBatch) {
 	if kind == fault.CorruptDelta {
 		frame[wire.HeaderLen] ^= 0xff
 	}
-	_ = s.ep.Send(from, frame)
+	_ = fx.send(from, frame)
 }
 
-func (s *ShardNode) handleFinalBlock(payload []byte) {
-	fb, err := wire.DecodeFinalBlock(payload)
-	if err != nil {
-		s.m.recvErrors.Inc()
-		return
-	}
+func (s *ShardNode) handleFinalBlock(fx effects, fb *shard.FinalBlock) {
 	s.stash(fb)
-	if s.drainPending() && fb.Epoch > s.net.Epoch {
+	if s.drainPending(fx) && fb.Epoch > s.net.Epoch {
 		// A future block: FinalBlocks in between were missed. Fetch
 		// the gap; this one waits in the stash.
-		s.requestResync(fb.Epoch)
+		s.requestResync(fx, fb.Epoch)
 	}
 }
 
@@ -255,27 +230,22 @@ func (s *ShardNode) stash(fb *shard.FinalBlock) {
 
 // requestResync asks the committee for FinalBlocks [net.Epoch, target)
 // unless an outstanding request already covers the range.
-func (s *ShardNode) requestResync(target uint64) {
+func (s *ShardNode) requestResync(fx effects, target uint64) {
 	if s.awaitTo >= target {
 		return
 	}
 	s.awaitTo = target
 	s.resyncs.Inc()
 	payload := wire.EncodeBlockRequest(&wire.BlockRequest{From: s.net.Epoch, To: target})
-	_ = s.ep.Send(s.ds, wire.EncodeFrame(wire.MsgBlockRequest, payload))
+	_ = fx.send(s.ds, wire.EncodeFrame(wire.MsgBlockRequest, payload))
 }
 
-func (s *ShardNode) handleBlockResponse(payload []byte) {
-	resp, err := wire.DecodeBlockResponse(payload)
-	if err != nil {
-		s.m.recvErrors.Inc()
-		return
-	}
+func (s *ShardNode) handleBlockResponse(fx effects, resp *wire.BlockResponse) {
 	before := s.net.Epoch
 	for _, fb := range resp.Blocks {
 		s.stash(fb)
 	}
-	if !s.drainPending() {
+	if !s.drainPending(fx) {
 		return
 	}
 	if resp.Head > resp.From && resp.From == s.net.Epoch {
@@ -297,7 +267,7 @@ func (s *ShardNode) handleBlockResponse(payload []byte) {
 			// request the remainder.
 			target := s.awaitTo
 			s.awaitTo = 0
-			s.requestResync(target)
+			s.requestResync(fx, target)
 		}
 	}
 }
@@ -305,13 +275,18 @@ func (s *ShardNode) handleBlockResponse(payload []byte) {
 // drainPending applies stashed FinalBlocks in epoch order — the one
 // place a block is applied — and executes the stashed batch once the
 // replica is at its epoch, the one place a batch is executed. A block
-// that fails to apply leaves the replica where it was: drainPending
-// drops it, fetches its epoch again and reports false, or, after
-// maxBlockRetries such failures in a row, records the fatal Err.
-func (s *ShardNode) drainPending() bool {
+// that fails to apply, or carries no root to verify, leaves the
+// replica where it was: drainPending drops it, fetches its epoch again
+// and reports false, or, after maxBlockRetries such failures in a row,
+// records the fatal Err.
+func (s *ShardNode) drainPending(fx effects) bool {
 	for fb := s.pendingBlocks[s.net.Epoch]; fb != nil; fb = s.pendingBlocks[s.net.Epoch] {
 		delete(s.pendingBlocks, fb.Epoch)
-		if err := s.net.ApplyFinalBlock(fb); err != nil {
+		err := errNoRoot
+		if fb.StateRoot != "" {
+			err = s.net.ApplyFinalBlock(fb)
+		}
+		if err != nil {
 			// A block that applied but was not journaled has moved the
 			// replica on: that is fatal at once.
 			if s.failures++; s.failures > maxBlockRetries || s.net.Epoch != fb.Epoch {
@@ -319,7 +294,7 @@ func (s *ShardNode) drainPending() bool {
 				return false
 			}
 			s.awaitTo = 0
-			s.requestResync(fb.Epoch + 1)
+			s.requestResync(fx, fb.Epoch+1)
 			return false
 		}
 		s.failures = 0
@@ -333,7 +308,7 @@ func (s *ShardNode) drainPending() bool {
 		// Current, or older: a batch the DS requeued long ago.
 		s.pendingBatch = nil
 		if b.Epoch == s.net.Epoch {
-			s.execBatch(s.pendingFrom, b)
+			s.execBatch(fx, s.pendingFrom, b)
 		}
 	}
 	return true

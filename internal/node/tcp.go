@@ -47,13 +47,73 @@ var handshakeTimeout = 3 * time.Second
 // name when the connection that registered it closes, so a killed node
 // can register again under the same name.
 type TCPHub struct {
-	ln net.Listener
+	acceptor
+	dir map[string]string // name → listen address, under mu
+}
 
+// acceptor serves each connection its listener accepts on a goroutine
+// of its own until close. Its mu and closed guard its owner's state
+// too, and wg counts the owner's other goroutines.
+type acceptor struct {
+	ln     net.Listener
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
-	dir    map[string]string // name → listen address
 	closed bool
 	wg     sync.WaitGroup
+}
+
+func (a *acceptor) start(ln net.Listener, serve func(net.Conn)) {
+	a.ln, a.conns = ln, make(map[net.Conn]struct{})
+	a.wg.Add(1)
+	go func() {
+		defer a.wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			// The Add must be ordered against close's Wait. close sets
+			// closed under this lock before it waits, so either we see
+			// closed here and drop the conn, or close sees our Add.
+			a.mu.Lock()
+			if a.closed {
+				a.mu.Unlock()
+				c.Close()
+				continue
+			}
+			a.conns[c] = struct{}{}
+			a.wg.Add(1)
+			a.mu.Unlock()
+			go func() {
+				defer a.wg.Done()
+				serve(c)
+				a.mu.Lock()
+				delete(a.conns, c)
+				a.mu.Unlock()
+				c.Close()
+			}()
+		}
+	}()
+}
+
+// close marks the acceptor closed and, under its lock, closes every
+// connection it serves and runs also; then it closes the listener and
+// waits for the goroutines. Only the first call acts.
+func (a *acceptor) close(also func()) error {
+	a.mu.Lock()
+	if a.closed {
+		a.mu.Unlock()
+		return nil
+	}
+	a.closed = true
+	for c := range a.conns {
+		c.Close()
+	}
+	also()
+	a.mu.Unlock()
+	err := a.ln.Close()
+	a.wg.Wait()
+	return err
 }
 
 // ListenTCP starts a hub on addr (use "127.0.0.1:0" for an ephemeral
@@ -63,9 +123,8 @@ func ListenTCP(addr string) (*TCPHub, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &TCPHub{ln: ln, conns: make(map[net.Conn]struct{}), dir: make(map[string]string)}
-	h.wg.Add(1)
-	go h.acceptLoop()
+	h := &TCPHub{dir: make(map[string]string)}
+	h.start(ln, h.serve)
 	return h, nil
 }
 
@@ -74,61 +133,11 @@ func (h *TCPHub) Addr() string { return h.ln.Addr().String() }
 
 // Close stops the hub and severs every registration. Links already
 // made between nodes stay up; only new resolutions fail.
-func (h *TCPHub) Close() error {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return nil
-	}
-	h.closed = true
-	conns := make([]net.Conn, 0, len(h.conns))
-	for c := range h.conns {
-		conns = append(conns, c)
-	}
-	h.mu.Unlock()
-	err := h.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	h.wg.Wait()
-	return err
-}
-
-func (h *TCPHub) acceptLoop() {
-	defer h.wg.Done()
-	for {
-		c, err := h.ln.Accept()
-		if err != nil {
-			return
-		}
-		// The Add must be ordered against Close's Wait: an accept that
-		// lands between the listener close and the wait would otherwise
-		// Add after Wait began. Close sets closed under the same lock
-		// before it waits, so either we see closed here and drop the
-		// conn, or Close sees our Add.
-		h.mu.Lock()
-		if h.closed {
-			h.mu.Unlock()
-			c.Close()
-			continue
-		}
-		h.conns[c] = struct{}{}
-		h.wg.Add(1)
-		h.mu.Unlock()
-		go h.serve(c)
-	}
-}
+func (h *TCPHub) Close() error { return h.close(func() {}) }
 
 // serve registers one node and answers its resolutions until its
 // connection closes.
 func (h *TCPHub) serve(c net.Conn) {
-	defer h.wg.Done()
-	defer func() {
-		h.mu.Lock()
-		delete(h.conns, c)
-		h.mu.Unlock()
-		c.Close()
-	}()
 	br := bufio.NewReader(c)
 	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	name, err := readName(br)
@@ -214,21 +223,17 @@ func readName(r *bufio.Reader) (string, error) { return readString(r, false) }
 // tcpEndpoint is an Endpoint with a listener of its own, registered
 // with the directory, and one outbound connection per peer it sends to.
 type tcpEndpoint struct {
-	name string
-	env  []byte // the envelope header: this endpoint's name, length-prefixed
-	ln   net.Listener
-	box  mailbox
+	acceptor // of inbound connections
+	name     string
+	env      []byte // the envelope header: this endpoint's name, length-prefixed
+	box      mailbox
 
 	// hubMu serializes resolutions on the registration connection.
 	hubMu sync.Mutex
 	hub   net.Conn
 	hubBr *bufio.Reader
 
-	mu     sync.Mutex
-	out    map[string]*peerConn
-	in     map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	out map[string]*peerConn // under mu
 }
 
 // peerConn is one outbound connection; mu keeps a frame's envelope
@@ -254,73 +259,31 @@ func DialTCP(addr, name string) (Endpoint, error) {
 		c.Close()
 		return nil, err
 	}
-	fail := func(err error) (Endpoint, error) {
+	// Wait for the hub's registration ack (a name echo): once it
+	// arrives, other peers can resolve this endpoint.
+	br := bufio.NewReader(c)
+	if err := handshake(c, br, appendName(appendName(nil, name), ln.Addr().String()), name); err != nil {
 		c.Close()
 		ln.Close()
 		return nil, fmt.Errorf("hub handshake: %w: %v", ErrTransportClosed, err)
 	}
-	c.SetDeadline(time.Now().Add(handshakeTimeout))
-	if _, err := c.Write(appendName(appendName(nil, name), ln.Addr().String())); err != nil {
-		return fail(err)
-	}
-	// Wait for the hub's registration ack (a name echo): once it
-	// arrives, other peers can resolve this endpoint.
-	br := bufio.NewReader(c)
-	echo, err := readName(br)
-	if err != nil {
-		return fail(err)
-	}
-	if echo != name {
-		return fail(fmt.Errorf("registered as %q, asked for %q", echo, name))
-	}
-	c.SetDeadline(time.Time{})
 	e := &tcpEndpoint{
 		name:  name,
 		env:   appendName(nil, name),
-		ln:    ln,
 		hub:   c,
 		hubBr: br,
 		out:   make(map[string]*peerConn),
-		in:    make(map[net.Conn]struct{}),
 	}
 	e.box.init()
-	e.wg.Add(1)
-	go e.acceptLoop()
+	e.start(ln, e.readPeer)
 	return e, nil
 }
 
 func (e *tcpEndpoint) Name() string { return e.name }
 
-func (e *tcpEndpoint) acceptLoop() {
-	defer e.wg.Done()
-	for {
-		c, err := e.ln.Accept()
-		if err != nil {
-			return
-		}
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			c.Close()
-			continue
-		}
-		e.in[c] = struct{}{}
-		e.wg.Add(1)
-		e.mu.Unlock()
-		go e.readPeer(c)
-	}
-}
-
 // readPeer answers one inbound connection's hello, then queues its
 // frames until it closes. Each frame is read into a slice of its own.
 func (e *tcpEndpoint) readPeer(c net.Conn) {
-	defer e.wg.Done()
-	defer func() {
-		e.mu.Lock()
-		delete(e.in, c)
-		e.mu.Unlock()
-		c.Close()
-	}()
 	br := bufio.NewReader(c)
 	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	if want, err := readName(br); err != nil || want != e.name {
@@ -460,20 +423,27 @@ func dialPeer(addr, to string) (*peerConn, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := handshake(c, bufio.NewReader(c), appendName(nil, to), to); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("%s: %w", addr, err)
+	}
+	return &peerConn{c: c, bw: bufio.NewWriter(c)}, nil
+}
+
+// handshake writes msg on c and waits, within handshakeTimeout, for
+// the name want to be echoed back.
+func handshake(c net.Conn, br *bufio.Reader, msg []byte, want string) error {
 	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	echo := ""
-	if _, err = c.Write(appendName(nil, to)); err == nil {
-		echo, err = readName(bufio.NewReader(c))
+	_, err := c.Write(msg)
+	if err == nil {
+		echo, err = readName(br)
 	}
-	if err == nil && echo != to {
-		err = fmt.Errorf("%s answers as %q", addr, echo)
-	}
-	if err != nil {
-		c.Close()
-		return nil, err
+	if err == nil && echo != want {
+		err = fmt.Errorf("answered as %q, not %q", echo, want)
 	}
 	c.SetDeadline(time.Time{})
-	return &peerConn{c: c, bw: bufio.NewWriter(c)}, nil
+	return err
 }
 
 func (e *tcpEndpoint) Recv() (string, []byte, error) { return e.box.get() }
@@ -481,26 +451,11 @@ func (e *tcpEndpoint) Recv() (string, []byte, error) { return e.box.get() }
 // Close stops accepting, leaves the directory (which forgets the name)
 // and severs every link. Frames already queued still drain from Recv.
 func (e *tcpEndpoint) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	e.closed = true
-	conns := make([]net.Conn, 0, len(e.in)+len(e.out))
-	for c := range e.in {
-		conns = append(conns, c)
-	}
-	for _, p := range e.out {
-		conns = append(conns, p.c)
-	}
-	e.mu.Unlock()
-	err := e.ln.Close()
-	e.hub.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	e.box.close()
-	e.wg.Wait()
-	return err
+	return e.close(func() {
+		for _, p := range e.out {
+			p.c.Close()
+		}
+		e.hub.Close()
+		e.box.close()
+	})
 }

@@ -57,21 +57,11 @@ func (n *ChanNetwork) Endpoint(name string) Endpoint {
 // Close closes every registered endpoint.
 func (n *ChanNetwork) Close() error {
 	n.mu.Lock()
-	eps := make([]*chanEndpoint, 0, len(n.eps))
+	defer n.mu.Unlock()
 	for _, ep := range n.eps {
-		eps = append(eps, ep)
-	}
-	n.mu.Unlock()
-	for _, ep := range eps {
 		ep.Close()
 	}
 	return nil
-}
-
-func (n *ChanNetwork) lookup(name string) *chanEndpoint {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.eps[name]
 }
 
 // delivery is one queued inbound frame.
@@ -134,7 +124,9 @@ type chanEndpoint struct {
 func (e *chanEndpoint) Name() string { return e.name }
 
 func (e *chanEndpoint) Send(to string, frame []byte) error {
-	dst := e.net.lookup(to)
+	e.net.mu.Lock()
+	dst := e.net.eps[to]
+	e.net.mu.Unlock()
 	if dst == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}

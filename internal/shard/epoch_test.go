@@ -210,12 +210,12 @@ func TestDeltaStatsReported(t *testing.T) {
 	}
 }
 
-// TestSplitGasAccounting: with the Sec. 4.2.2 split enabled, a sender
+// TestSplitGasAccounting: with more than one shard (Sec. 4.2.2), a sender
 // whose balance barely covers gas cannot overdraw through a non-home
 // shard.
 func TestSplitGasAccounting(t *testing.T) {
 	recs := receiptBook{}
-	net := shard.NewNetwork(shard.WithShards(4), shard.WithSplitGasAccounting(true))
+	net := shard.NewNetwork(shard.WithShards(4))
 	deployer := chain.AddrFromUint(999)
 	net.CreateUser(deployer, 1<<40)
 	owner := chain.AddrFromUint(1)

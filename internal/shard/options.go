@@ -14,8 +14,6 @@ type Config struct {
 	// per-FinalBlock gas limits.
 	ShardGasLimit uint64
 	DSGasLimit    uint64
-	// SplitGasAccounting enables the Sec. 4.2.2 per-shard gas budgets.
-	SplitGasAccounting bool
 	// OverflowGuard enables the Sec. 6 conservative integer-overflow
 	// check: a shard rejects a transaction whose cumulative IntMerge
 	// delta on any component exceeds ⌊(MAX_INT − v₀)/N⌋ (or the
@@ -40,15 +38,15 @@ type Config struct {
 const FaultEscalation = 3
 
 // DefaultConfig mirrors the paper's experimental setup: mainnet-like
-// gas limits with split gas accounting. NewNetwork(WithShards(n))
-// applies the same defaults.
+// gas limits. NewNetwork(WithShards(n)) applies the same defaults.
+// Split gas accounting (Sec. 4.2.2) is no setting: it applies whenever
+// there is more than one shard.
 func DefaultConfig(numShards int) Config {
 	return Config{
-		NumShards:          numShards,
-		ShardGasLimit:      2_000_000,
-		DSGasLimit:         2_000_000,
-		SplitGasAccounting: true,
-		CompiledExecution:  true,
+		NumShards:         numShards,
+		ShardGasLimit:     2_000_000,
+		DSGasLimit:        2_000_000,
+		CompiledExecution: true,
 	}
 }
 
@@ -61,8 +59,7 @@ type settings struct {
 
 // Option configures a Network at construction time. The zero option
 // list reproduces the paper's experimental setup on a single shard:
-// 2M gas per MicroBlock and FinalBlock, split gas accounting on,
-// compiled execution, overflow guard off, no tracing.
+// 2M gas per MicroBlock and FinalBlock, compiled execution, overflow guard off, no tracing.
 type Option func(*settings)
 
 // WithShards sets the number of execution shards (the DS committee is
@@ -78,11 +75,6 @@ func WithGasLimits(shardGas, dsGas uint64) Option {
 		s.cfg.ShardGasLimit = shardGas
 		s.cfg.DSGasLimit = dsGas
 	}
-}
-
-// WithSplitGasAccounting toggles the Sec. 4.2.2 per-shard gas budgets.
-func WithSplitGasAccounting(on bool) Option {
-	return func(s *settings) { s.cfg.SplitGasAccounting = on }
 }
 
 // WithCompiledExecution toggles the closure-chain compiled execution

@@ -460,7 +460,9 @@ func (n *Network) RunEpoch() (*EpochStats, error) {
 // the same way, then closes the epoch counters. blocks is indexed by
 // shard; a nil entry means the shard's MicroBlock never arrived (in the
 // node runtime: its frame was dropped, corrupted, or timed out at the
-// transport layer). That is the pipeline's one kind of loss: nothing
+// transport layer), and a block without an account delta (optional on
+// the wire, always set by ExecuteShard) counts the same. That is the
+// pipeline's one kind of loss: nothing
 // from the shard commits, its whole batch is requeued, and its
 // unavailability streak advances toward escalation.
 //
@@ -478,7 +480,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	var allDeltas []*chain.StateDelta
 	accDelta := chain.NewAccountDelta()
 	for s, mb := range blocks {
-		if mb == nil {
+		if mb == nil || mb.Accounts == nil {
 			lost := len(queues[s])
 			n.m.faultLostBlocks.Inc()
 			n.m.faultLostTxs.Add(int64(lost))
@@ -973,11 +975,12 @@ func (r *shardRun) applyMoves() error {
 }
 
 // gasAllowance returns how much native token the sender may spend on
-// gas within this shard (Sec. 4.2.2).
+// gas within this shard (Sec. 4.2.2): the whole balance on a single
+// shard, otherwise a split of it.
 func (r *shardRun) gasAllowance(sender chain.Address) *big.Int {
 	acc, _ := r.net.Accounts.Get(sender)
 	bal := acc.Balance.Big(&r.scrAllow)
-	if !r.net.cfg.SplitGasAccounting || r.net.cfg.NumShards <= 1 {
+	if r.net.cfg.NumShards <= 1 {
 		return bal
 	}
 	// Half the balance to the sender's home shard, the rest split

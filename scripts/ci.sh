@@ -41,13 +41,15 @@ go test ./...
 # two balance bounds in internal/chain) alongside the concurrent
 # packages.
 go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... ./internal/obs/... ./internal/fault/...
-# The node/wire/rpc race run covers the actor cluster end to end,
-# including the TCP-transport smoke (TestTCPClusterSmoke), the one
-# Endpoint contract both transports keep (TestEndpointContract), a TCP
-# endpoint restarted under its name and the TCP handshake deadlines, a
-# cluster whose shard nodes lose MicroBlocks by a fault plan exactly as
-# the in-process pipeline loses them (TestClusterLosesWhatThePlanLoses),
-# a committee that files a MicroBlock only from its shard's own node
+# The node/wire/rpc race run covers the node roles end to end — each a
+# handler driven by one runtime that owns its receive goroutine, lock,
+# timer and close protocol — including the TCP-transport smoke
+# (TestTCPClusterSmoke), the one Endpoint contract both transports keep
+# (TestEndpointContract), a TCP endpoint restarted under its name and
+# the TCP handshake deadlines, a cluster whose shard nodes lose
+# MicroBlocks by a fault plan exactly as the in-process pipeline loses
+# them (TestClusterLosesWhatThePlanLoses), a committee that files a
+# MicroBlock only from its shard's own node
 # (TestDSTakesMicroBlocksOnlyFromTheirShard), the absolute
 # golden-root suite (monolithic, interpreter, ChanNetwork cluster), a
 # dead shard node's traffic escalating to the DS committee, and replicas
@@ -57,11 +59,16 @@ go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... 
 # the committee's Ticks from two goroutines and a Tick cut short by
 # Close (TestTickSerialized), and a replica that undoes a FinalBlock
 # with a wrong root, fetches it again and heals, or gives up after its
-# bounded retries (TestReplicaHealsFailedBlock). Those two and the two
-# fault tests above depend on goroutine interleavings, so they run five
-# times more.
+# bounded retries (TestReplicaHealsFailedBlock). The handlers stepped
+# by hand with no runtime (TestRolesStepWithoutRuntime), a replica and
+# a lookup that take blocks only from their committee
+# (TestReplicaTakesBlocksOnlyFromItsCommittee,
+# TestLookupTakesBlocksOnlyFromItsCommittee), and a replica that
+# refuses a block with no root to verify
+# (TestReplicaRefusesRootlessBlock) run five times more with those
+# two and the two fault tests above.
 go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
-go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock|TestClusterLosesWhatThePlanLoses|TestDSTakesMicroBlocksOnlyFromTheirShard' ./internal/node/
+go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock|TestClusterLosesWhatThePlanLoses|TestDSTakesMicroBlocksOnlyFromTheirShard|TestRolesStepWithoutRuntime|TestReplicaTakesBlocksOnlyFromItsCommittee|TestLookupTakesBlocksOnlyFromItsCommittee|TestReplicaRefusesRootlessBlock' ./internal/node/
 # The persistence race run covers the state store (journal append,
 # snapshot chains and their fold rule, recovery from every crash state
 # around a boundary, the seeded recovery-equivalence property over nested
