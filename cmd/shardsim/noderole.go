@@ -35,11 +35,14 @@ import (
 // up) and provisions the same deterministic genesis from
 // -rpc-workload/-rpc-shards. With -state-dir, the ds and shard roles
 // persist under per-role subdirectories and recover from them on
-// restart; a shard that recovered behind the committee catches the
-// tail up over the wire (MsgBlockRequest) once live traffic reveals
-// the skew. A shard role loses the MicroBlocks plan loses (-faults).
-// SIGINT/SIGTERM shuts a role down cleanly; stateful roles print their
-// final chain head as "node: final epoch=E root=R".
+// restart, each from its own directory only; a shard that recovered
+// behind the committee, or started on an empty directory, catches up
+// over the wire (MsgBlockRequest) once live traffic reveals the skew:
+// from the committee's journal, or from a state image of its live
+// state when the journal no longer holds the missed epochs. A shard
+// role loses the MicroBlocks plan loses (-faults). SIGINT/SIGTERM shuts
+// a role down cleanly; stateful roles print their final chain head as
+// "node: final epoch=E root=R".
 func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.Duration, stateDir string, snapEvery int, rpcAddr string, plan *fault.Plan) {
 	if hubAddr == "" {
 		fail(errors.New("-node needs -hub (the hub's listen/dial address)"))

@@ -83,10 +83,11 @@ func ClusterLookupCount(n int) ClusterOption {
 // ClusterStateDir makes every stateful node persistent: the DS
 // committee journals to dir/ds and each shard node to dir/shard-<i>,
 // snapshotting every `every` committed epochs. On construction each
-// node recovers its replica from its own directory; a shard replica
-// that fell behind the committee (its journal was torn, or its
-// directory is fresh) catches up from the committee's directory and
-// snapshots immediately, so its own journal resumes gap-free.
+// node recovers its replica from its own directory and reads no other;
+// a shard replica that recovered behind the committee (its journal was
+// torn, or its directory is fresh) catches up over the wire on the
+// committee's first frame, from the committee's journal or a state
+// image, as a restarted -node shard process does.
 func ClusterStateDir(dir string, every int) ClusterOption {
 	return func(c *clusterConfig) { c.stateDir, c.snapshotEvery = dir, every }
 }
@@ -130,8 +131,7 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 
 	// With a state directory, every stateful node recovers its replica
 	// from its own subdirectory before joining the cluster. The
-	// committee recovers first: its epoch is the yardstick the shard
-	// replicas must reach.
+	// committee recovers first: no replica may be ahead of it.
 	openStore := func(sub string, n *shard.Network) (*store.Store, error) {
 		st, err := store.Open(filepath.Join(cfg.stateDir, sub), store.WithSnapshotEvery(cfg.snapshotEvery))
 		if err != nil {
@@ -150,8 +150,7 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 			return fail(err)
 		}
 		canonical.AttachStateStore(st)
-		// The committee's own journal backs replica catch-up requests
-		// for epochs older than its in-memory ring.
+		// The committee's own journal serves replica catch-up requests.
 		dsOpts = append(dsOpts, DSBlockSource(st))
 	}
 	dsEp, err := endpoint("ds")
@@ -175,26 +174,8 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 			if err != nil {
 				return fail(err)
 			}
-			if replica.Checkpoint().Epoch < canonical.Checkpoint().Epoch {
-				// The replica's own directory is behind the committee
-				// (fresh directory, or a journal torn further back):
-				// catch up from the committee's directory into a fresh
-				// genesis replica, then snapshot immediately so this
-				// node's own journal resumes without a gap.
-				if replica, err = genesis(); err != nil {
-					return fail(fmt.Errorf("node: genesis for %s: %w", name, err))
-				}
-				if err := store.Restore(filepath.Join(cfg.stateDir, "ds"), replica); err != nil {
-					return fail(fmt.Errorf("node: catch up %s from ds: %w", name, err))
-				}
-				if err := st.Snapshot(replica); err != nil {
-					return fail(fmt.Errorf("node: catch up %s: %w", name, err))
-				}
-			}
-			// NextTxID is excluded: only the committee assigns ids, so a
-			// replica's stays wherever genesis left it.
-			if rc, cc := replica.Checkpoint(), canonical.Checkpoint(); rc.Epoch != cc.Epoch || rc.BlockNumber != cc.BlockNumber {
-				return fail(fmt.Errorf("node: %s recovered to %+v, committee at %+v", name, rc, cc))
+			if replica.Epoch > canonical.Epoch {
+				return fail(fmt.Errorf("node: %s recovered to epoch %d, past the committee's %d", name, replica.Epoch, canonical.Epoch))
 			}
 			replica.AttachStateStore(st)
 		}

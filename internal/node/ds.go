@@ -9,6 +9,7 @@ import (
 	"cosplit/internal/obs"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
+	"cosplit/internal/store"
 	"cosplit/internal/wire"
 )
 
@@ -38,14 +39,7 @@ type DS struct {
 	collect  *collecting
 	ticks    []*call
 	producer dsProduce
-	// recent is a ring of the latest committed FinalBlocks' sealed
-	// payloads, recent[i] that of epoch recentFrom+i — the bytes that
-	// were journaled and broadcast, kept as they are and shipped as they
-	// are — the primary source for replica catch-up requests; the
-	// BlockSource covers epochs that predate this process.
-	recent     [][]byte
-	recentFrom uint64
-	lookups    map[string]bool
+	lookups  map[string]bool
 }
 
 // collecting is the collect state of one epoch: the dispatched run,
@@ -73,15 +67,11 @@ type dsProduce struct {
 // BlockSource serves committed FinalBlocks by epoch range [from, to)
 // for replica catch-up; *store.Store implements it over the epoch
 // journal. The result may be a sub-range (compaction trims the old
-// end), but present blocks are contiguous ascending.
+// end), but present blocks are contiguous ascending. A request whose
+// first epoch the source does not hold is answered with a state image.
 type BlockSource interface {
 	Blocks(from, to uint64) ([]*shard.FinalBlock, error)
 }
-
-// recentBlockCap bounds the in-memory catch-up ring. A replica that
-// fell further behind than this (and past the journal's compaction
-// horizon) cannot be served and must recover from a state directory.
-const recentBlockCap = 256
 
 // maxBlocksPerResponse caps how many FinalBlocks ride in one
 // MsgBlockResponse, so a far-behind replica's request cannot produce
@@ -126,10 +116,10 @@ func DSLookups(names ...string) DSOption {
 	return func(c *dsConfig) { c.lookups = names }
 }
 
-// DSBlockSource lets the committee serve catch-up requests for epochs
-// older than its in-memory ring — typically the committee's own
-// *store.Store, whose journal holds everything since the last
-// snapshot. Without one, only the ring is servable.
+// DSBlockSource lets the committee serve catch-up requests from past
+// blocks — typically the committee's own *store.Store, whose journal
+// holds everything since the last snapshot. Without one, every gap is
+// answered with a state image.
 func DSBlockSource(src BlockSource) DSOption {
 	return func(c *dsConfig) { c.source = src }
 }
@@ -282,11 +272,6 @@ func (d *DS) finalize(fx effects, run *shard.EpochRun, blocks []*shard.MicroBloc
 		if err != nil {
 			return TickResult{Err: fmt.Errorf("encode final block: %w", err)}
 		}
-		if len(d.recent) == recentBlockCap {
-			d.recent = append(d.recent[:0], d.recent[1:]...)
-		}
-		d.recent = append(d.recent, payload)
-		d.recentFrom = fb.Epoch + 1 - uint64(len(d.recent))
 		// Lookups first: they are what clients read, and the replicas'
 		// applies would otherwise take every CPU before the lookups'
 		// receipts are filed.
@@ -355,50 +340,39 @@ func (d *DS) frame(fx effects, now time.Time, from string, typ wire.MsgType, pay
 	return err == nil
 }
 
-// serveBlocks answers a replica catch-up request: the contiguous run
-// of committed FinalBlocks starting at q.From, clipped to the head,
-// the response size cap, and what the ring + block source still hold.
-// Head lets the requester distinguish "you are not actually behind"
-// (Head <= From) from "behind but unservable" (Head > From, no
-// blocks). It reports false if a block from the source failed to
-// encode.
+// serveBlocks answers a replica catch-up request in one of three ways:
+// the empty response when the requester is not behind (Head <= From);
+// the contiguous run of journaled FinalBlocks from q.From, clipped to
+// the head and the response size cap, when the block source still
+// holds q.From; otherwise one state image of the live state, which the
+// replica applies whole. It reports false if a block or the image
+// failed to encode.
 func (d *DS) serveBlocks(fx effects, to string, q *wire.BlockRequest) bool {
 	head := d.net.Epoch // epochs < head are committed
 	var blocks [][]byte
-	ok := true
-	if end := min(q.To, head, q.From+maxBlocksPerResponse); end > q.From {
-		blocks, ok = d.blocksFor(q.From, end)
-	}
-	_ = fx.send(to, wire.EncodeFrame(wire.MsgBlockResponse, wire.AppendBlockResponse(nil, q.From, head, blocks)))
-	return ok
-}
-
-// blocksFor collects the sealed payloads of the contiguous run of
-// FinalBlocks for epochs [from, to), consulting the block source for
-// epochs older than the in-memory ring; false if a source block failed
-// to encode (the run stops before it).
-func (d *DS) blocksFor(from, to uint64) ([][]byte, bool) {
-	var out [][]byte
-	next := from
-	if d.cfg.source != nil && (len(d.recent) == 0 || d.recentFrom > next) {
-		if blocks, err := d.cfg.source.Blocks(next, to); err == nil {
-			for _, fb := range blocks {
-				if fb.Epoch != next || next >= to {
-					continue
-				}
-				payload, err := wire.SealedFinalBlock(fb)
-				if err != nil {
-					return out, false
-				}
-				out = append(out, payload)
-				next++
+	if end := min(q.To, head, q.From+maxBlocksPerResponse); end > q.From && d.cfg.source != nil {
+		fbs, _ := d.cfg.source.Blocks(q.From, end) // a source that fails serves no blocks: the image stands in
+		for _, fb := range fbs {
+			if fb.Epoch != q.From+uint64(len(blocks)) {
+				break
 			}
+			payload, err := wire.SealedFinalBlock(fb)
+			if err != nil {
+				return false
+			}
+			blocks = append(blocks, payload)
 		}
 	}
-	if i, n := next-d.recentFrom, uint64(len(d.recent)); next >= d.recentFrom && i < n {
-		out = append(out, d.recent[i:min(n, to-d.recentFrom)]...)
+	if head > q.From && len(blocks) == 0 {
+		image, err := store.Image(d.net)
+		if err != nil {
+			return false
+		}
+		_ = fx.send(to, wire.EncodeFrame(wire.MsgStateImage, image))
+		return true
 	}
-	return out, true
+	_ = fx.send(to, wire.EncodeFrame(wire.MsgBlockResponse, wire.AppendBlockResponse(nil, q.From, head, blocks)))
+	return true
 }
 
 // stateResp answers a state query from canonical state.

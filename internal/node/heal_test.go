@@ -9,16 +9,18 @@ import (
 
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
+	"cosplit/internal/store"
 	"cosplit/internal/wire"
 	"cosplit/internal/workload"
 )
 
 // spoilBlocks wraps the committee's Endpoint and gives the FinalBlocks
-// it sends to one peer a wrong state root: each is decoded, its root
-// changed, re-encoded and framed again, so the frame's CRC is valid and
-// the block decodes — a corruption no transport check can see. With
-// once set only the first FinalBlock broadcast is spoiled; otherwise
-// every broadcast and every block of every catch-up response is.
+// and state images it sends to one peer a wrong state root: each is
+// decoded, its root changed, re-encoded and framed again, so the
+// frame's CRC is valid and the block or image decodes — a corruption no
+// transport check can see. With once set only the first FinalBlock
+// broadcast is spoiled; otherwise every broadcast, every block of every
+// catch-up response and every image is.
 type spoilBlocks struct {
 	Endpoint
 	t    *testing.T
@@ -29,7 +31,7 @@ type spoilBlocks struct {
 
 func (s *spoilBlocks) Send(to string, frame []byte) error {
 	typ := wire.FrameMsgType(frame)
-	if to != s.to || s.done.Load() || (typ != wire.MsgFinalBlock && (s.once || typ != wire.MsgBlockResponse)) {
+	if to != s.to || s.done.Load() || (typ != wire.MsgFinalBlock && (s.once || (typ != wire.MsgBlockResponse && typ != wire.MsgStateImage))) {
 		return s.Endpoint.Send(to, frame)
 	}
 	if s.once {
@@ -40,9 +42,26 @@ func (s *spoilBlocks) Send(to string, frame []byte) error {
 		s.t.Error(err)
 		return err
 	}
-	if typ == wire.MsgFinalBlock {
+	switch typ {
+	case wire.MsgFinalBlock:
 		payload = s.spoil(payload)
-	} else {
+	case wire.MsgStateImage:
+		// The image's first record is the snapshot header: its root.
+		htyp, hdr, rest, err := wire.DecodeFrame(payload)
+		if err != nil || htyp != wire.MsgSnapshotHeader {
+			s.t.Errorf("state image opens with %s: %v", htyp, err)
+			return err
+		}
+		h, err := wire.DecodeSnapshotHeader(hdr)
+		if err != nil {
+			s.t.Error(err)
+			return err
+		}
+		root := []byte(h.Root)
+		root[0] ^= 1
+		h.Root = string(root)
+		payload = append(wire.EncodeFrame(wire.MsgSnapshotHeader, wire.EncodeSnapshotHeader(h)), rest...)
+	default:
 		resp, err := wire.DecodeBlockResponse(payload)
 		if err != nil {
 			s.t.Error(err)
@@ -84,9 +103,10 @@ func (s *spoilBlocks) spoil(payload []byte) []byte {
 // with a wrong state root inside a valid frame. The replica must undo
 // the block, fetch the epoch again from the committee and rejoin: no
 // Err, and every replica ends on the committee's root. When every copy
-// of the block it is sent is spoiled, it must give up after its bounded
-// retries with a fatal Err, on a replica still consistent with its own
-// root.
+// of the block it is sent is spoiled, the committee, which has no
+// journal, answers its re-fetch with a state image, spoiled too: the
+// replica must stop on the image's fatal Err, on a replica still
+// consistent with its own root.
 func TestReplicaHealsFailedBlock(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -161,11 +181,11 @@ func TestReplicaHealsFailedBlock(t *testing.T) {
 				}
 				lk.Close()
 				healer.Close()
-				if err := healer.Err(); !errors.Is(err, shard.ErrStateDivergence) {
-					t.Fatalf("shard-1 Err = %v, want a fatal ErrStateDivergence", err)
+				if err := healer.Err(); !errors.Is(err, store.ErrCorruptSnapshot) {
+					t.Fatalf("shard-1 Err = %v, want the state image's fatal ErrCorruptSnapshot", err)
 				}
-				if got := reg.Snapshot().Counters["node.resyncs"]; got < maxBlockRetries {
-					t.Errorf("node.resyncs = %d, want at least %d re-fetches", got, maxBlockRetries)
+				if got := reg.Snapshot().Counters["node.resyncs"]; got == 0 {
+					t.Error("node.resyncs = 0: shard-1 never fetched the block again")
 				}
 				r := healer.Net()
 				if r.Epoch >= canonical.Epoch || r.StateRoot() != r.RecomputeStateRoot() {

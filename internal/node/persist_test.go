@@ -89,10 +89,13 @@ func TestClusterRefusesPagedStateDir(t *testing.T) {
 // cluster with a state directory is stopped and rebuilt, with its
 // on-disk state deliberately damaged in between — one shard's journal
 // torn mid-frame, another shard's directory wiped entirely. The
-// rebuilt cluster must recover (torn tail truncated, lost replicas
-// caught up from the committee's directory) and continue the same
-// transaction stream with bit-identical roots and transaction ids
-// against the uninterrupted monolithic pipeline.
+// rebuilt cluster must recover (torn tail truncated) and continue the
+// same transaction stream with bit-identical roots and transaction ids
+// against the uninterrupted monolithic pipeline, each replica reading
+// only its own directory: the torn one catches up from the committee's
+// journal over the wire, the wiped one from a state image. A third
+// start must find every replica on the committee's root straight from
+// its own directory, before any tick.
 func TestClusterKillRestartResumes(t *testing.T) {
 	w := testWorkload()
 	envMono, err := workload.Provision(w, true, shard.WithShards(3))
@@ -158,10 +161,12 @@ func TestClusterKillRestartResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart: shard-2 recovers from its own directory, shard-0 and
-	// shard-1 catch up from the committee's. The stream continues where
-	// it left off — matching ids prove NextTxID survived the restart.
-	b, err := NewCluster(testGenesis(w), persistent)
+	// Restart: every role recovers from its own directory; shard-0 and
+	// shard-1 are behind and catch up over the wire on the first epoch's
+	// batch. The stream continues where it left off — matching ids prove
+	// NextTxID survived the restart.
+	reg := obs.NewRegistry()
+	b, err := NewCluster(testGenesis(w), persistent, ClusterShardNodes(ShardObs(reg, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +176,9 @@ func TestClusterKillRestartResumes(t *testing.T) {
 	drive(b, 2, 10)
 	want := b.DS.Net().StateRoot()
 	b.Close()
+	if got := reg.Snapshot().Counters["node.state_images"]; got != 1 {
+		t.Errorf("node.state_images = %d, want 1: the wiped shard-1's", got)
+	}
 	for _, s := range b.Shards {
 		if err := s.Err(); err != nil {
 			t.Errorf("%s: replica error: %v", s.name, err)
@@ -192,5 +200,11 @@ func TestClusterKillRestartResumes(t *testing.T) {
 	}
 	if got, wantCp := cCluster.DS.Net().Checkpoint(), envMono.Net.Checkpoint(); got != wantCp {
 		t.Fatalf("third start checkpoint %+v, want %+v", got, wantCp)
+	}
+	for _, s := range cCluster.Shards {
+		if got := s.Net(); got.Epoch != envMono.Net.Epoch || got.StateRoot() != want {
+			t.Errorf("%s: third start at epoch %d root %s, want epoch %d root %s",
+				s.name, got.Epoch, got.StateRoot(), envMono.Net.Epoch, want)
+		}
 	}
 }

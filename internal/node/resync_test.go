@@ -1,12 +1,14 @@
 package node
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
 	"cosplit/internal/chain"
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
+	"cosplit/internal/store"
 	"cosplit/internal/wire"
 	"cosplit/internal/workload"
 )
@@ -383,5 +385,140 @@ func TestFinalBlockSkewHandling(t *testing.T) {
 	sn.Close()
 	if got := sn.Net().StateRoot(); got != want {
 		t.Errorf("post-resync root %s, want %s", got, want)
+	}
+}
+
+// TestReplicaRejoinsFromStateImage is a restarted -node shard process
+// that lost its directory: a replica on a fresh genesis with a fresh,
+// recovered store, which reads no directory of the committee's, joins
+// a committee restarted from its own directory (snapshots every 2
+// epochs) after 12 epochs. The committee's journal no longer holds
+// genesis, so it answers the replica's catch-up request with a state
+// image. The replica must reach the committee's root with no Err and
+// one image applied, and its own directory must recover to the
+// committee's epoch.
+func TestReplicaRejoinsFromStateImage(t *testing.T) {
+	w := testWorkload()
+	envSrc, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	first, err := NewCluster(testGenesis(w), ClusterStateDir(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// drive runs epochs and counts the MicroBlocks they lost.
+	drive := func(lk *Lookup, tick func() TickResult, epochs int) (lost int) {
+		t.Helper()
+		for e := 0; e < epochs; e++ {
+			for i := 0; i < 6; i++ {
+				if _, err := lk.SubmitTx(w.Next(envSrc)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := tick()
+			if res.Err != nil {
+				t.Fatalf("epoch %d: %v", e, res.Err)
+			}
+			lost += res.Stats.LostBlocks
+		}
+		return lost
+	}
+	if lost := drive(first.Lookup, first.Tick, 12); lost != 0 {
+		t.Fatalf("the first run lost %d MicroBlocks", lost)
+	}
+	first.Close()
+
+	// Every role but shard-1 recovers from its own directory; shard-1
+	// starts from genesis and a directory of its own that is empty.
+	openRecovered := func(sub string, n *shard.Network) *store.Store {
+		t.Helper()
+		st, err := store.Open(sub, store.WithSnapshotEvery(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Recover(n); err != nil {
+			t.Fatalf("recover %s: %v", sub, err)
+		}
+		n.AttachStateStore(st)
+		return st
+	}
+	genesis := func() *shard.Network {
+		t.Helper()
+		n, err := testGenesis(w)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	cn := NewChanNetwork()
+	defer cn.Close()
+	canonical := genesis()
+	dsStore := openRecovered(filepath.Join(dir, "ds"), canonical)
+	defer dsStore.Close()
+	shardNames := []string{"shard-0", "shard-1", "shard-2"}
+	ds, err := NewDS("ds", canonical, cn.Endpoint("ds"), shardNames, DSLookups("lookup"), DSBlockSource(dsStore))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	fresh := t.TempDir()
+	var shards []*ShardNode
+	for i, name := range shardNames {
+		replica, sub, opts := genesis(), filepath.Join(dir, name), []ShardOption(nil)
+		if i == 1 {
+			sub, opts = fresh, []ShardOption{ShardObs(reg, nil)}
+		}
+		defer openRecovered(sub, replica).Close()
+		shards = append(shards, NewShard(name, i, replica, cn.Endpoint(name), "ds", opts...))
+	}
+	if shards[1].Net().Epoch >= canonical.Epoch {
+		t.Fatalf("shard-1 starts at epoch %d, the committee at %d: nothing to catch up", shards[1].Net().Epoch, canonical.Epoch)
+	}
+	lk := NewLookup("lookup", cn.Endpoint("lookup"), "ds")
+	ds.Run()
+	for _, s := range shards {
+		s.Run()
+	}
+	lk.Run()
+	lost := drive(lk, ds.Tick, 3)
+	lk.Close()
+	for _, s := range shards {
+		s.Close()
+	}
+	ds.Close()
+
+	for _, s := range shards {
+		if err := s.Err(); err != nil {
+			t.Fatalf("%s: replica error: %v", s.name, err)
+		}
+	}
+	// No MicroBlock was lost, so every replica was at the head when the
+	// last tick began; its FinalBlock is sent before the tick answers,
+	// and Close drains what was sent.
+	if lost != 0 {
+		t.Fatalf("shard-1 rejoining lost %d MicroBlocks", lost)
+	}
+	want, wantEpoch := canonical.StateRoot(), canonical.Epoch
+	for _, s := range shards {
+		if got := s.Net(); got.StateRoot() != want || got.Epoch != wantEpoch {
+			t.Errorf("%s: epoch %d root %s, want epoch %d root %s", s.name, got.Epoch, got.StateRoot(), wantEpoch, want)
+		}
+	}
+	if got := reg.Snapshot().Counters["node.state_images"]; got != 1 {
+		t.Errorf("node.state_images = %d, want 1", got)
+	}
+	again := genesis()
+	st, err := store.Open(fresh, store.WithSnapshotEvery(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Recover(again); err != nil {
+		t.Fatalf("recover shard-1's own directory: %v", err)
+	}
+	if again.Epoch != wantEpoch || again.StateRoot() != want {
+		t.Errorf("shard-1's directory recovers to epoch %d root %s, want epoch %d root %s", again.Epoch, again.StateRoot(), wantEpoch, want)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"cosplit/internal/chain"
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
+	"cosplit/internal/store"
 	"cosplit/internal/wire"
 	"cosplit/internal/workload"
 )
@@ -51,8 +52,9 @@ func (f *stepFx) reply(c *call, res any, err error) {
 // TestRolesStepWithoutRuntime drives each role's handler by hand
 // through a recording runtime, at a fixed instant that no clock moves:
 // the committee's epoch from the tick call through a lost MicroBlock
-// to the collect deadline, a replica's catch-up request, and a
-// lookup's request until its deadline.
+// to the collect deadline and, with no block source, a catch-up
+// request it answers with a state image; a replica's catch-up request;
+// and a lookup's request until its deadline.
 func TestRolesStepWithoutRuntime(t *testing.T) {
 	w := testWorkload()
 	env, err := workload.Provision(w, true, shard.WithShards(3))
@@ -153,6 +155,25 @@ func TestRolesStepWithoutRuntime(t *testing.T) {
 			if s.typ != wire.MsgFinalBlock || s.to != want {
 				t.Errorf("broadcast %d: %s to %s, want final_block to %s", i, s.typ, s.to, want)
 			}
+		}
+
+		fresh, err := testGenesis(w)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.sends = nil
+		req := wire.EncodeBlockRequest(&wire.BlockRequest{From: fresh.Epoch, To: canonical.Epoch})
+		if !d.frame(fx, now, "shard-1", wire.MsgBlockRequest, req) {
+			t.Fatal("block request refused")
+		}
+		if len(fx.sends) != 1 || fx.sends[0].to != "shard-1" || fx.sends[0].typ != wire.MsgStateImage {
+			t.Fatalf("a block request to a committee with no source sent %+v, want one state image to shard-1", fx.sends)
+		}
+		if applied, err := store.ApplyImage(fresh, fx.sends[0].payload); !applied || err != nil {
+			t.Fatalf("image over a fresh genesis: applied %v, %v", applied, err)
+		}
+		if got, want := fresh.StateRoot(), canonical.StateRoot(); got != want {
+			t.Errorf("root over the image %s, committee %s", got, want)
 		}
 	})
 
@@ -429,11 +450,14 @@ func TestLookupTakesBlocksOnlyFromItsCommittee(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	cluster, err := NewCluster(testGenesis(w), ClusterLookup(LookupObs(reg, nil)))
+	// The committee fans its FinalBlocks to a tap as to a lookup: the
+	// forger starts from the bytes the lookup was sent.
+	cluster, err := NewCluster(testGenesis(w), ClusterLookup(LookupObs(reg, nil)), ClusterDS(DSLookups("lookup", "tap")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
+	tap := cluster.chanNet.Endpoint("tap")
 	lk := cluster.Lookup
 	id, err := lk.SubmitTx(w.Next(env))
 	if err != nil {
@@ -447,9 +471,10 @@ func TestLookupTakesBlocksOnlyFromItsCommittee(t *testing.T) {
 	}
 	epoch, root := lk.Chain()
 
-	cluster.DS.rt.mu.Lock()
-	payload := cluster.DS.recent[len(cluster.DS.recent)-1]
-	cluster.DS.rt.mu.Unlock()
+	_, typ, payload := recvFrame(t, tap)
+	if typ != wire.MsgFinalBlock {
+		t.Fatalf("tap got %s, want the FinalBlock", typ)
+	}
 	fb, err := wire.DecodeFinalBlock(payload)
 	if err != nil {
 		t.Fatal(err)

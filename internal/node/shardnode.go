@@ -8,6 +8,7 @@ import (
 	"cosplit/internal/fault"
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
+	"cosplit/internal/store"
 	"cosplit/internal/wire"
 )
 
@@ -22,21 +23,25 @@ import (
 // DS's FinalBlock comes back. Every FinalBlock, broadcast or fetched,
 // is stashed by epoch and applied from the stash in epoch order. A
 // node that misses one (dropped frame, or a restart that recovered to
-// an older checkpoint) sees the skew on the next frame for a future
-// epoch and requests the missed range from the committee
-// (MsgBlockRequest). A block that fails to apply (a corrupted frame
+// an older checkpoint, or none) sees the skew on the next frame for a
+// future epoch and requests the missed range from the committee
+// (MsgBlockRequest). The committee answers with the blocks from its
+// journal or, when its journal no longer holds the first of them, with
+// a state image of its live state, which the node applies whole
+// (node.state_images). A block that fails to apply (a corrupted frame
 // that still decodes), or carries no state root to verify, is undone
 // whole and fetched again, up to maxBlockRetries times in a row. The
 // node executes no batch while it is behind. Err reports the first
-// unrecoverable error: a block that kept failing, or a range the
-// committee cannot serve.
+// unrecoverable error: a block that kept failing, or a state image that
+// failed once written.
 //
-// It is a handler over a runtime. It takes FinalBlocks and block
-// responses only from its committee (any other sender's is a receive
-// error) and a TxBatch from any peer, since executing one leaves the
-// replica as it was; the MicroBlock goes back to the sender. Over TCP
-// a sender's name is what its envelope declares, so this stops
-// misdirected and stale frames, not a process that lies about its name.
+// It is a handler over a runtime. It takes FinalBlocks, block
+// responses and state images only from its committee (any other
+// sender's is a receive error) and a TxBatch from any peer, since
+// executing one leaves the replica as it was; the MicroBlock goes back
+// to the sender. Over TCP a sender's name is what its envelope
+// declares, so this stops misdirected and stale frames, not a process
+// that lies about its name.
 //
 // With a fault plan (ShardFaults) the node loses its MicroBlocks where
 // it seals them, as the throughput harness does: the plan's directive
@@ -65,6 +70,7 @@ type ShardNode struct {
 	awaitTo       uint64
 	failures      int
 	resyncs       *obs.Counter
+	images        *obs.Counter
 	lastErr       error
 }
 
@@ -108,7 +114,8 @@ func NewShard(name string, s int, replica *shard.Network, ep Endpoint, ds string
 		o(&c)
 	}
 	n := &ShardNode{name: name, shard: s, net: replica, ds: ds, faults: c.faults, pendingBlocks: make(map[uint64]*shard.FinalBlock)}
-	n.resyncs = n.rt.init(n, ep, c.rec, c.reg).Counter("node.resyncs")
+	reg := n.rt.init(n, ep, c.rec, c.reg)
+	n.resyncs, n.images = reg.Counter("node.resyncs"), reg.Counter("node.state_images")
 	return n
 }
 
@@ -116,8 +123,8 @@ func NewShard(name string, s int, replica *shard.Network, ep Endpoint, ds string
 func (s *ShardNode) Net() *shard.Network { return s.net }
 
 // Err returns the first unrecoverable replica error: a block that
-// still failed to apply after maxBlockRetries fetches, or an
-// unservable catch-up gap.
+// still failed to apply after maxBlockRetries fetches, or a state image
+// that failed once written.
 func (s *ShardNode) Err() error {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
@@ -163,6 +170,8 @@ func (s *ShardNode) frame(fx effects, _ time.Time, from string, typ wire.MsgType
 			s.handleBlockResponse(fx, resp)
 		}
 		return err == nil
+	case typ == wire.MsgStateImage:
+		return s.handleImage(fx, payload)
 	}
 	return false
 }
@@ -248,14 +257,6 @@ func (s *ShardNode) handleBlockResponse(fx effects, resp *wire.BlockResponse) {
 	if !s.drainPending(fx) {
 		return
 	}
-	if resp.Head > resp.From && resp.From == s.net.Epoch {
-		// The committee is ahead of us but served nothing: the range
-		// was compacted past its journal and ring. No live path back —
-		// this replica needs a state-directory recovery.
-		s.setErr(fmt.Errorf("node: %s: resync epochs [%d, %d) unservable by committee at epoch %d",
-			s.name, resp.From, s.awaitTo, resp.Head))
-		return
-	}
 	if s.awaitTo > 0 {
 		if s.net.Epoch >= s.awaitTo || resp.Head <= resp.From {
 			// Caught up — or the committee says we were never behind
@@ -270,6 +271,31 @@ func (s *ShardNode) handleBlockResponse(fx effects, resp *wire.BlockResponse) {
 			s.requestResync(fx, target)
 		}
 	}
+}
+
+// handleImage applies a state image of a later epoch than the
+// replica's and goes on from there as from a block response: the
+// stashed blocks and batch at or past the image's epoch apply and run,
+// and what is still missing of the outstanding request is requested
+// again. An image at or below the replica's epoch is ignored, and one
+// that does not parse is a receive error; one that fails once written
+// is fatal, since the whole state has no undo.
+func (s *ShardNode) handleImage(fx effects, image []byte) bool {
+	applied, err := store.ApplyImage(s.net, image)
+	switch {
+	case !applied:
+		return err == nil
+	case err != nil:
+		s.setErr(fmt.Errorf("node: %s: state image: %w", s.name, err))
+		return true
+	}
+	s.images.Inc()
+	target := s.awaitTo
+	s.failures, s.awaitTo = 0, 0
+	if s.drainPending(fx) && target > s.net.Epoch {
+		s.requestResync(fx, target)
+	}
+	return true
 }
 
 // drainPending applies stashed FinalBlocks in epoch order — the one

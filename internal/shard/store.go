@@ -50,8 +50,8 @@ func (n *Network) Checkpoint() Checkpoint {
 func (n *Network) StateLeaves() int { return n.roots.Len() }
 
 // RestoreCheckpoint rewinds or advances the progress marker to a
-// recovered checkpoint. Recovery-only: the caller must also have
-// restored the matching state.
+// recovered checkpoint. Only for recovery and for applying a state
+// image: the caller must also have restored the matching state.
 func (n *Network) RestoreCheckpoint(cp Checkpoint) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

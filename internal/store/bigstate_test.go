@@ -99,8 +99,13 @@ func TestMillionAccountsBoundedMemory(t *testing.T) {
 
 	// Recover the full state into a second network and hold the root.
 	b := bigStateNetwork()
-	if err := Restore(dir, b); err != nil {
-		t.Fatalf("restore: %v", err)
+	stB, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stB.Close()
+	if err := stB.Recover(b); err != nil {
+		t.Fatalf("recover: %v", err)
 	}
 	if got := b.Checkpoint(); got != cp {
 		t.Fatalf("recovered checkpoint %+v, want %+v", got, cp)

@@ -16,9 +16,9 @@ import (
 // in ascending epoch order. Only blocks still in the journal are
 // servable: a snapshot compaction truncates the journal, so epochs at
 // or before the last snapshot come back empty (the caller — the DS
-// committee serving a replica catch-up — falls back to its in-memory
-// ring for recent epochs and reports an unservable gap otherwise).
-// The result may therefore start after from or end before to; blocks
+// committee serving a replica catch-up — sends a state image instead).
+// Serving reads through a handle of its own and writes nothing. The
+// result may therefore start after from or end before to; blocks
 // that are present are contiguous. A torn journal tail ends the scan
 // at the last valid frame, exactly as recovery does.
 func (s *Store) Blocks(from, to uint64) ([]*shard.FinalBlock, error) {

@@ -82,8 +82,8 @@ func TestBlocksTornTail(t *testing.T) {
 
 // TestBlocksCompactionHorizon runs a real network with a snapshot
 // cadence: each snapshot compacts the journal, so Blocks can only
-// serve epochs after the latest snapshot — the unservable-gap case a
-// far-behind replica hits.
+// serve epochs after the latest snapshot — the gap a far-behind
+// replica is sent a state image for.
 func TestBlocksCompactionHorizon(t *testing.T) {
 	dir := t.TempDir()
 	env := provisionFT(t)

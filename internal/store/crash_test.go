@@ -48,12 +48,13 @@ func writeFile(t *testing.T, path string, raw []byte) {
 
 // TestRecoverSweepsTempSnapshots: a process killed inside a snapshot
 // leaves snapshot-<E>.snap.tmp behind, up to the size of the state, and
-// no later boundary reuses the name. Recover removes it; Restore, which
-// reads a directory another process owns, does not.
+// no later boundary reuses the name. Recover removes it; serving
+// catch-up from the directory (Store.Blocks and a state image) does not.
 func TestRecoverSweepsTempSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	a := provisionFT(t)
-	a.Net.AttachStateStore(openStore(t, dir, WithSnapshotEvery(2)))
+	stA := openStore(t, dir, WithSnapshotEvery(2))
+	a.Net.AttachStateStore(stA)
 	roots, cps := runEpochs(t, a, 1, 5)
 	snaps := snapshotsIn(dir)
 	if len(snaps) == 0 {
@@ -62,12 +63,11 @@ func TestRecoverSweepsTempSnapshots(t *testing.T) {
 	tmp := filepath.Join(dir, snapshotName(cps[4].Epoch+1)+tmpSuffix)
 	writeFile(t, tmp, readFile(t, filepath.Join(dir, snaps[0].name))[:100])
 
-	if err := Restore(dir, provisionFT(t).Net); err != nil {
-		t.Fatal(err)
-	}
+	serveCatchUp(t, stA, a.Net, dir)
 	if _, err := os.Stat(tmp); err != nil {
-		t.Fatalf("read-only Restore touched %s: %v", tmp, err)
+		t.Fatalf("serving catch-up touched %s: %v", tmp, err)
 	}
+	stA.Close()
 	b, st := recoverFresh(t, dir, WithSnapshotEvery(2))
 	defer st.Close()
 	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {

@@ -199,7 +199,7 @@ func (w *nestedWorld) run(t *testing.T, seed int64, first, epochs int) (roots []
 // snapshot cadence of 1–5, a kill at a random epoch inside an interval
 // (so the keys of the journal tail have to make it into the next file),
 // recovery, a run past the next boundary, a second kill and recovery,
-// and a run to the end with a read-only Restore of the result. After
+// and a run to the end with a recovery of a copy of the result. After
 // every recovery the root, a from-scratch recompute of it and the
 // checkpoint equal the uninterrupted run's at that epoch.
 func TestRecoveryEquivalence(t *testing.T) {
@@ -273,11 +273,9 @@ func TestRecoveryEquivalence(t *testing.T) {
 			if err := stC.Close(); err != nil {
 				t.Fatal(err)
 			}
-			restored := provisionNested(t)
-			if err := Restore(dir, restored.net); err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			check(restored, epochs, "read-only restore")
+			restored, stR := reopen(copyDir(t, dir))
+			stR.Close()
+			check(restored, epochs, "recovery of a copy")
 			snapshotChainOf(t, dir, live.genesis)
 			if full, all := stC.snapshotsFull.Value(), stC.snapshots.Value(); full == all || full == 0 {
 				t.Fatalf("%d of the %d boundaries wrote a full file: the run should have crossed both kinds", full, all)
@@ -286,6 +284,50 @@ func TestRecoveryEquivalence(t *testing.T) {
 				t.Fatal("no block carried DS-phase deltas: the DSDeltas/DSAccounts half of the dirty set went untested")
 			}
 		})
+	}
+}
+
+// TestImageOverOlderReplica: a state image applies over a replica that
+// is not at genesis. The replica stopped at epoch 3, holding a nested
+// map entry (deep[k1]["outer"]) and a backer that the committee deleted
+// in the nine epochs after it; over the image it must hold neither and
+// land on the committee's checkpoint and root.
+func TestImageOverOlderReplica(t *testing.T) {
+	const seed = 1 // odd: the scripted nested entry is deleted at epoch 4
+	committee, replica := provisionNested(t), provisionNested(t)
+	roots, cps := committee.run(t, seed, 1, 12)
+	replica.run(t, seed, 1, 3)
+	scripted, backer := chain.AddrFromUint(2), replica.users[0].Value()
+	backers := func(w *nestedWorld) *value.Map {
+		return w.net.Contracts.Get(w.cf).Snapshot().Fields["backers"].(*value.Map)
+	}
+	held := func(w *nestedWorld) (nested, backed bool) {
+		m, ok := descendField(t, w, "deep", scripted.Value(), value.Str{S: "outer"})
+		_, backed = backers(w).Get(backer)
+		return ok && m.Len() > 0, backed
+	}
+	if nested, backed := held(replica); !nested || !backed {
+		t.Fatalf("replica at epoch 3 holds the nested entry %v, the backer %v; want both", nested, backed)
+	}
+	if nested, backed := held(committee); nested || backed {
+		t.Fatalf("committee at epoch 12 holds the nested entry %v, the backer %v; want neither", nested, backed)
+	}
+
+	image, err := Image(committee.net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied, err := ApplyImage(replica.net, image); !applied || err != nil {
+		t.Fatalf("image over the epoch-3 replica: applied %v, %v", applied, err)
+	}
+	if nested, backed := held(replica); nested || backed {
+		t.Errorf("replica over the image holds the nested entry %v, the backer %v; want neither", nested, backed)
+	}
+	if got := replica.net.Checkpoint(); got != cps[11] {
+		t.Errorf("replica checkpoint %+v, want %+v", got, cps[11])
+	}
+	if got := replica.net.StateRoot(); got != roots[11] || replica.net.RecomputeStateRoot() != roots[11] {
+		t.Errorf("replica root %s (recomputed %s), committee %s", got, replica.net.RecomputeStateRoot(), roots[11])
 	}
 }
 

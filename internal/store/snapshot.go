@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -63,7 +64,7 @@ func writeSnapshotFile(dir, name string, body func(*bufio.Writer) error) (int64,
 	return size, nil
 }
 
-func writeHeader(w *bufio.Writer, n *shard.Network, cp shard.Checkpoint) error {
+func writeHeader(w io.Writer, n *shard.Network, cp shard.Checkpoint) error {
 	hdr := wire.EncodeSnapshotHeader(&wire.SnapshotHeader{Checkpoint: cp, Root: n.StateRoot()})
 	return wire.WriteFrame(w, wire.MsgSnapshotHeader, hdr)
 }
@@ -71,7 +72,7 @@ func writeHeader(w *bufio.Writer, n *shard.Network, cp shard.Checkpoint) error {
 // writeAccounts writes accs in batches and the trailer after them;
 // stateRecords is the number of contract (full) or state-delta
 // (incremental) frames written before.
-func writeAccounts(w *bufio.Writer, stateRecords int, accs []wire.SnapshotAccount) error {
+func writeAccounts(w io.Writer, stateRecords int, accs []wire.SnapshotAccount) error {
 	for i := 0; i < len(accs); i += snapshotBatch {
 		end := min(i+snapshotBatch, len(accs))
 		if err := wire.WriteFrame(w, wire.MsgSnapshotAccounts, wire.EncodeSnapshotAccounts(accs[i:end])); err != nil {
@@ -86,7 +87,7 @@ func writeAccounts(w *bufio.Writer, stateRecords int, accs []wire.SnapshotAccoun
 
 // writeFull streams a full snapshot: header, every contract in address
 // order, every account in address order (batched), trailer.
-func writeFull(w *bufio.Writer, n *shard.Network, cp shard.Checkpoint) error {
+func writeFull(w io.Writer, n *shard.Network, cp shard.Checkpoint) error {
 	if err := writeHeader(w, n, cp); err != nil {
 		return err
 	}
@@ -119,7 +120,7 @@ func writeFull(w *bufio.Writer, n *shard.Network, cp shard.Checkpoint) error {
 // writeIncremental streams an incremental snapshot: header, the epoch
 // of the state it is written over, the dirty contract components, the
 // dirty accounts, trailer.
-func writeIncremental(w *bufio.Writer, n *shard.Network, cp shard.Checkpoint, since uint64, inc *incremental) error {
+func writeIncremental(w io.Writer, n *shard.Network, cp shard.Checkpoint, since uint64, inc *incremental) error {
 	if err := writeHeader(w, n, cp); err != nil {
 		return err
 	}
@@ -151,29 +152,21 @@ type snapFile struct {
 	accounts    []wire.SnapshotAccount
 }
 
-// readSnapshot parses one snapshot file completely before any of it is
-// applied, so a truncated file can be rejected without half-restoring.
-// Everything wrong with the file's contents is an ErrCorruptSnapshot.
-func readSnapshot(dir string, ref snapshotRef) (*snapFile, error) {
-	f, err := os.Open(filepath.Join(dir, ref.name))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
+// readSnapshot parses one snapshot file, or a state image, named name
+// in errors, completely before any of it is applied, so a truncated
+// file can be rejected without half-restoring. Everything wrong with
+// the contents is an ErrCorruptSnapshot.
+func readSnapshot(r io.Reader, name string) (*snapFile, error) {
 	corrupt := func(format string, args ...any) (*snapFile, error) {
-		return nil, fmt.Errorf("%w: %s: %s", ErrCorruptSnapshot, ref.name, fmt.Sprintf(format, args...))
+		return nil, fmt.Errorf("%w: %s: %s", ErrCorruptSnapshot, name, fmt.Sprintf(format, args...))
 	}
-	r := bufio.NewReaderSize(f, 1<<20)
 	typ, payload, err := wire.ReadFrame(r)
 	if err != nil || typ != wire.MsgSnapshotHeader {
 		return corrupt("missing header")
 	}
-	sf := &snapFile{name: ref.name}
+	sf := &snapFile{name: name}
 	if sf.hdr, err = wire.DecodeSnapshotHeader(payload); err != nil {
 		return corrupt("%v", err)
-	}
-	if sf.hdr.Checkpoint.Epoch != ref.epoch {
-		return corrupt("header is of epoch %d", sf.hdr.Checkpoint.Epoch)
 	}
 	for first := true; ; first = false {
 		typ, payload, err := wire.ReadFrame(r)
@@ -186,7 +179,7 @@ func readSnapshot(dir string, ref snapshotRef) (*snapFile, error) {
 			if err != nil {
 				return corrupt("%v", err)
 			}
-			if since.Epoch >= ref.epoch {
+			if since.Epoch >= sf.hdr.Checkpoint.Epoch {
 				return corrupt("extends epoch %d", since.Epoch)
 			}
 			sf.incremental, sf.since = true, since.Epoch
@@ -225,6 +218,21 @@ func readSnapshot(dir string, ref snapshotRef) (*snapFile, error) {
 			return corrupt("unexpected %v record", typ)
 		}
 	}
+}
+
+// readSnapshotFile reads the snapshot file ref of dir; its header must
+// be of the epoch its name carries.
+func readSnapshotFile(dir string, ref snapshotRef) (*snapFile, error) {
+	f, err := os.Open(filepath.Join(dir, ref.name))
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	sf, err := readSnapshot(bufio.NewReaderSize(f, 1<<20), ref.name)
+	if err == nil && sf.hdr.Checkpoint.Epoch != ref.epoch {
+		return nil, fmt.Errorf("%w: %s: header is of epoch %d", ErrCorruptSnapshot, ref.name, sf.hdr.Checkpoint.Epoch)
+	}
+	return sf, err
 }
 
 // postValues reports whether d is what an incremental file may hold:
@@ -332,7 +340,7 @@ func restoreChain(dir string, n *shard.Network) (restoredChain, error) {
 	errs := make([]error, len(snaps))
 	start := 0
 	for i := len(snaps) - 1; i >= 0; i-- {
-		files[i], errs[i] = readSnapshot(dir, snaps[i])
+		files[i], errs[i] = readSnapshotFile(dir, snaps[i])
 		if errs[i] != nil && !errors.Is(errs[i], ErrCorruptSnapshot) {
 			return sc, errs[i]
 		}
@@ -372,14 +380,55 @@ func restoreChain(dir string, n *shard.Network) (restoredChain, error) {
 		}
 	}
 	if last != nil {
-		n.RestoreCheckpoint(last.hdr.Checkpoint)
-		n.RebuildStateRoots()
-		if root := n.StateRoot(); root != last.hdr.Root {
-			return sc, fmt.Errorf("%w: %s: restored root %s, header says %s",
-				ErrCorruptSnapshot, last.name, root, last.hdr.Root)
-		}
+		return sc, last.settle(n)
 	}
 	return sc, nil
+}
+
+// settle closes a restore whose last file is sf: it restores sf's
+// checkpoint, rebuilds the root trie once from the state written and
+// verifies it against sf's header.
+func (sf *snapFile) settle(n *shard.Network) error {
+	n.RestoreCheckpoint(sf.hdr.Checkpoint)
+	n.RebuildStateRoots()
+	if root := n.StateRoot(); root != sf.hdr.Root {
+		return fmt.Errorf("%w: %s: restored root %s, header says %s", ErrCorruptSnapshot, sf.name, root, sf.hdr.Root)
+	}
+	return nil
+}
+
+// Image encodes n's live state as a state image: the records of a full
+// snapshot file at n's checkpoint, byte for byte, written by the code
+// that writes snapshot files. It costs what a full file costs. The
+// committee answers with one a replica its journal no longer covers.
+func Image(n *shard.Network) ([]byte, error) {
+	var buf bytes.Buffer
+	err := writeFull(&buf, n, n.Checkpoint())
+	return buf.Bytes(), err
+}
+
+// ApplyImage writes a state image (Image) over n through the reader
+// recovery uses, and reports whether it did. n must come from the
+// genesis the image's network came from, at any epoch below the
+// image's: a full image replaces every contract's fields and puts every
+// account, and committed state never deletes an account. An image that
+// does not parse, or is at or below n's epoch, leaves n untouched; once
+// it is written there is no undo, so an image whose root does not
+// verify leaves n on no committed state.
+func ApplyImage(n *shard.Network, image []byte) (applied bool, err error) {
+	sf, err := readSnapshot(bytes.NewReader(image), "state image")
+	switch {
+	case err != nil:
+		return false, err
+	case sf.incremental:
+		return false, fmt.Errorf("%w: state image is incremental", ErrCorruptSnapshot)
+	case sf.hdr.Checkpoint.Epoch <= n.Epoch:
+		return false, nil
+	}
+	if err := sf.apply(n); err != nil {
+		return true, err
+	}
+	return true, sf.settle(n)
 }
 
 // tmpSuffix marks a snapshot file still being written.

@@ -47,17 +47,19 @@
 // truncated; the journal is fsynced after every epoch before the
 // pipeline is allowed to continue.
 //
-// Recovery (Store.Recover, or the read-only Restore) applies the
-// newest readable full file and each later incremental file whose base
-// is the epoch reached, rebuilds the authenticated root once and
-// verifies it against the last header applied, then replays the
-// journal tail — FinalBlocks past the chain's epoch — through the
-// network's ordinary replay path, which re-verifies each block's root.
-// A torn journal tail is truncated at the last valid frame (Recover)
-// or ignored (Restore). A file that cannot be applied ends the chain
-// there; unless the journal still holds the blocks it covered (a crash
-// between a file's rename and the truncation), recovery fails loudly
-// rather than return an older state.
+// Recovery (Store.Recover) applies the newest readable full file and
+// each later incremental file whose base is the epoch reached, rebuilds
+// the authenticated root once and verifies it against the last header
+// applied, then replays the journal tail — FinalBlocks past the chain's
+// epoch — through the network's ordinary replay path, which re-verifies
+// each block's root. A torn journal tail is truncated at the last valid
+// frame. A file that cannot be applied ends the chain there; unless the
+// journal still holds the blocks it covered (a crash between a file's
+// rename and the truncation), recovery fails loudly rather than return
+// an older state. A role reads only its own directory: a replica that
+// recovered behind its committee catches up over the wire, from the
+// committee's journal (Store.Blocks) or a state image (Image,
+// ApplyImage) — a full file's records, read by the same parser.
 package store
 
 import (
@@ -89,17 +91,8 @@ var ErrJournalGap = errors.New("store: journal gap")
 // ErrPagedState reports a directory written by the retired paged store.
 // Its state lived in a pages/ subdirectory and every page flush
 // truncated the journal, so neither the snapshot chain nor the journal
-// can rebuild it: Open and Restore refuse it before touching anything.
+// can rebuild it: Open refuses it before touching anything.
 var ErrPagedState = errors.New("store: paged state directory (no longer readable)")
-
-// refusePaged fails with ErrPagedState when dir holds a pages/
-// subdirectory.
-func refusePaged(dir string) error {
-	if _, err := os.Stat(filepath.Join(dir, "pages")); err == nil {
-		return fmt.Errorf("%w: %s", ErrPagedState, dir)
-	}
-	return nil
-}
 
 // Store is a state directory opened for writing. It implements
 // shard.StateStore: attach with Network.AttachStateStore and every
@@ -122,12 +115,12 @@ type Store struct {
 	// What the next snapshot file extends. chain is the directory's
 	// snapshot files as recovered or written since (chain.epoch: the
 	// newest one's, or genesis), dirty the keys written by the blocks
-	// journaled after it, head the epoch the next block must have.
-	// tracked says dirty is complete: after Recover or a file of this
-	// store's own, until a block arrives out of sequence or the keys
-	// are given up as too many (EpochCommitted). fresh marks a
-	// directory found empty at Open, whose first block shows the
-	// genesis epoch it starts from.
+	// journaled after it, head the epoch the next block must have (a
+	// block that does not follow it means the state moved under the
+	// store: EpochCommitted). tracked says dirty is complete: after
+	// Recover or a file of this store's own, until the keys are given up
+	// as too many. fresh marks a directory found empty at Open, whose
+	// first block shows the genesis epoch it starts from.
 	chain   snapshotChain
 	dirty   dirtySet
 	head    uint64
@@ -186,8 +179,8 @@ func (s *Store) metrics(reg *obs.Registry) {
 // directory the retired paged store wrote fails with ErrPagedState
 // before anything is created.
 func Open(dir string, opts ...Option) (*Store, error) {
-	if err := refusePaged(dir); err != nil {
-		return nil, err
+	if _, err := os.Stat(filepath.Join(dir, "pages")); err == nil {
+		return nil, fmt.Errorf("%w: %s", ErrPagedState, dir)
 	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -235,11 +228,27 @@ func (s *Store) Close() error {
 // this call replays the epoch and a crash during it truncates a torn
 // frame. On a snapshot boundary the next snapshot file is written and
 // the journal compacted.
+//
+// A block that does not follow the epoch the store last recovered or
+// journaled means the state moved under the store (a replica applied a
+// state image): the store writes a full snapshot file of the block's
+// checkpoint instead, so recovery from the directory meets no journal
+// gap. The block is not journaled first: the file covers it, and a
+// crash before the file's rename leaves the directory on the state
+// before the image, which the replica catches up from again.
 func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return errors.New("store: closed")
+	}
+	if s.fresh {
+		// Nothing precedes this block: it starts from genesis.
+		s.chain.epoch, s.head = fb.Epoch, fb.Epoch
+		s.tracked, s.fresh = s.every > 0, false
+	}
+	if fb.Epoch != s.head {
+		return s.snapshot(n, cp, true)
 	}
 	// The record is the checkpoint followed by the block's one byte
 	// string — made here on the committee, the payload it received on a
@@ -261,19 +270,9 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 	}
 	s.journalRecords.Inc()
 	s.journalBytes.Add(int64(written))
-	if s.fresh {
-		// Nothing precedes this block: it starts from genesis.
-		s.chain.epoch, s.head = fb.Epoch, fb.Epoch
-		s.tracked, s.fresh = true, false
-	}
-	switch {
-	case !s.tracked:
-	case s.every == 0 || fb.Epoch != s.head:
-		// No boundary will read the keys, or a block went missing.
-		s.untrack()
-	default:
+	s.head = fb.Epoch + 1
+	if s.tracked {
 		s.dirty.add(fb)
-		s.head = fb.Epoch + 1
 		// The keys only matter while the boundary could still write
 		// them as an incremental file. If at the interval's rate so far
 		// they will cost as much as the state by then, it will fold
@@ -282,7 +281,8 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 		left := (s.every - cp.Epoch%s.every) % s.every
 		projected := s.dirty.cost + s.dirty.cost*int(left)/int(elapsed)
 		if s.chain.cost+projected >= n.StateLeaves() {
-			s.untrack()
+			s.tracked = false
+			s.dirty.reset()
 		}
 	}
 	if s.every > 0 && cp.Epoch%s.every == 0 {
@@ -291,29 +291,6 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 		}
 	}
 	return nil
-}
-
-// untrack gives up the dirty set: the next boundary writes a full file.
-func (s *Store) untrack() {
-	s.tracked = false
-	s.dirty.reset()
-}
-
-// Snapshot forces a full snapshot of n at its current checkpoint —
-// always the whole state, whatever the fold rule would pick: the
-// store has not seen how n got there — compacts the journal and deletes
-// every older snapshot file. Replicas that caught up from another
-// directory (Restore) call this so their own journal does not start
-// with a gap: after a forced snapshot, recovery resumes from the
-// snapshot instead of a journal whose last record predates the
-// restored epoch.
-func (s *Store) Snapshot(n *shard.Network) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return errors.New("store: closed")
-	}
-	return s.snapshot(n, n.Checkpoint(), true)
 }
 
 // snapshot writes snapshot-<epoch>.snap for cp and compacts the
@@ -328,8 +305,8 @@ func (s *Store) Snapshot(n *shard.Network) error {
 // state: the cost of the incremental files since the last full one plus
 // this file's — first as the keys alone predict it, then as counted
 // with the values read — must stay below the root trie's leaf count.
-// Otherwise, and when the dirty set may have missed a block, and always
-// when forced, the file is a full dump, after which every older file is
+// Otherwise, when the dirty set was given up, and always when forced,
+// the file is a full dump, after which every older file is
 // deleted. So the incremental files since a full one hold fewer records
 // than the state has leaves: recovery reads less than two states' worth,
 // and the directory holds less than two full snapshots plus the journal.
@@ -368,7 +345,7 @@ func (s *Store) snapshot(n *shard.Network, cp shard.Checkpoint, forced bool) err
 	s.chainRecords.Set(int64(s.chain.cost))
 	s.chain.epoch, s.head = cp.Epoch, cp.Epoch
 	s.dirty.reset()
-	s.tracked, s.fresh = true, false
+	s.tracked, s.fresh = s.every > 0, false
 	// The file covers everything journaled so far: restart the journal.
 	// A crash between the rename and the truncation is benign — recovery
 	// skips journaled blocks at or before the snapshot's epoch.
@@ -411,14 +388,28 @@ func (s *Store) Recover(n *shard.Network) error {
 	// The blocks replayed from the journal are the ones committed since
 	// the chain's last file: their keys belong in the next one.
 	s.dirty.reset()
-	sc, good, err := restore(s.dir, s.f, n, func(fb *shard.FinalBlock) {
+	sc, err := restoreChain(s.dir, n)
+	if err != nil {
+		return err
+	}
+	good, err := replayJournal(s.f, n, func(fb *shard.FinalBlock) {
 		s.replayed.Inc()
 		if s.every > 0 {
 			s.dirty.add(fb)
 		}
 	})
+	if sc.stopped != nil && errors.Is(err, ErrJournalGap) {
+		return fmt.Errorf("%w; %w", sc.stopped, err)
+	}
 	if err != nil {
 		return err
+	}
+	// Recovery that ends below the newest snapshot file's epoch is an
+	// error: that file was written after the journal gave up the blocks
+	// before it.
+	if sc.stopped != nil && n.Epoch < sc.newest {
+		return fmt.Errorf("%w (recovery reached epoch %d, the directory holds a snapshot of epoch %d)",
+			sc.stopped, n.Epoch, sc.newest)
 	}
 	if err := s.truncateJournal(good); err != nil {
 		return err
@@ -474,56 +465,8 @@ func (s *Store) Chain() (full, incremental int) {
 	return s.chain.full, s.chain.incremental
 }
 
-// Restore recovers a network from a state directory without touching
-// it: no truncation, no sweep, no journal handle kept. Replicas use it
-// to catch up from another role's directory (e.g. a shard node
-// re-syncing from the DS committee's state) before resuming live
-// replay. Like Open, it refuses a paged directory with ErrPagedState.
-func Restore(dir string, n *shard.Network) error {
-	if err := refusePaged(dir); err != nil {
-		return err
-	}
-	var journal io.Reader
-	switch f, err := os.Open(filepath.Join(dir, journalName)); {
-	case err == nil:
-		defer f.Close()
-		journal = f
-	case !errors.Is(err, os.ErrNotExist):
-		return fmt.Errorf("store: %w", err)
-	}
-	_, _, err := restore(dir, journal, n, nil)
-	return err
-}
-
-// restore is the one reader behind Recover and Restore: the snapshot
-// chain, then the journal (nil: there is none) replayed on top, each
-// applied block handed to each. It returns the chain applied and the
-// journal offset after the last valid frame. Recovery that ends below
-// the newest snapshot file's epoch is an error: that file was written
-// after the journal gave up the blocks before it.
-func restore(dir string, journal io.Reader, n *shard.Network, each func(*shard.FinalBlock)) (restoredChain, int64, error) {
-	sc, err := restoreChain(dir, n)
-	if err != nil {
-		return sc, 0, err
-	}
-	var good int64
-	if journal != nil {
-		if good, err = replayJournal(journal, n, each); err != nil {
-			if sc.stopped != nil && errors.Is(err, ErrJournalGap) {
-				err = fmt.Errorf("%w; %w", sc.stopped, err)
-			}
-			return sc, good, err
-		}
-	}
-	if sc.stopped != nil && n.Epoch < sc.newest {
-		return sc, good, fmt.Errorf("%w (recovery reached epoch %d, the directory holds a snapshot of epoch %d)",
-			sc.stopped, n.Epoch, sc.newest)
-	}
-	return sc, good, nil
-}
-
 // replayJournal replays every journaled block past the network's
-// epoch, handing each to each (if not nil) once applied, and returns
+// epoch, handing each to each once applied, and returns
 // the byte offset after the last valid frame. A malformed frame ends
 // the replay (torn tail); blocks at earlier epochs are skipped (already
 // in the snapshot), and a block past the next expected epoch is a hard
@@ -566,9 +509,7 @@ func replayJournal(f io.Reader, n *shard.Network, each func(*shard.FinalBlock)) 
 			// The checkpoint restores what replay cannot re-derive (the
 			// exact next transaction id).
 			n.RestoreCheckpoint(cb.Checkpoint)
-			if each != nil {
-				each(cb.Block)
-			}
+			each(cb.Block)
 		}
 	}
 }

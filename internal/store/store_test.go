@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"maps"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -144,7 +146,7 @@ func snapshotChainOf(t *testing.T, dir string, genesisEpoch uint64) ([]*snapFile
 	cost := 0
 	at := genesisEpoch
 	for i, ref := range snapshotsIn(dir) {
-		sf, err := readSnapshot(dir, ref)
+		sf, err := readSnapshotFile(dir, ref)
 		if err != nil {
 			t.Fatalf("%s: %v", ref.name, err)
 		}
@@ -234,21 +236,23 @@ func TestSnapshotRotation(t *testing.T) {
 		t.Fatalf("incremental root %s != recomputed %s", inc, full)
 	}
 
-	// A forced snapshot is a full one whatever the chain has room for,
-	// and leaves nothing older behind.
+	// A block that does not follow the store's epoch (the network moved
+	// under it) forces a full file whatever the chain has room for, and
+	// leaves nothing older behind.
 	if full, inc := stB.Chain(); inc == 0 {
 		t.Fatalf("recovered a chain of %d full + %d incremental files: nothing for the forced snapshot to fold", full, inc)
 	}
-	if err := stB.Snapshot(b.Net); err != nil {
-		t.Fatal(err)
-	}
-	if files, _ := snapshotChainOf(t, dir, genesis); len(files) != 1 || files[0].incremental || files[0].hdr.Checkpoint != cps[20] {
-		t.Fatalf("after a forced snapshot the directory holds %d files, want one full file of %+v", len(files), cps[20])
+	b.Net.AttachStateStore(nil)
+	runEpochs(t, b, 22, 1)
+	b.Net.AttachStateStore(stB)
+	roots, cps = runEpochs(t, b, 23, 1)
+	if files, _ := snapshotChainOf(t, dir, genesis); len(files) != 1 || files[0].incremental || files[0].hdr.Checkpoint != cps[0] {
+		t.Fatalf("after a forced snapshot the directory holds %d files, want one full file of %+v", len(files), cps[0])
 	}
 	c, stC := recoverFresh(t, dir, WithSnapshotEvery(2))
 	defer stC.Close()
-	if got := c.Net.StateRoot(); got != roots[20] || c.Net.Checkpoint() != cps[20] {
-		t.Fatalf("recovered %+v root %s from the forced snapshot, want %+v root %s", c.Net.Checkpoint(), got, cps[20], roots[20])
+	if got := c.Net.StateRoot(); got != roots[0] || c.Net.Checkpoint() != cps[0] {
+		t.Fatalf("recovered %+v root %s from the forced snapshot, want %+v root %s", c.Net.Checkpoint(), got, cps[0], roots[0])
 	}
 }
 
@@ -401,15 +405,14 @@ func TestCorruptSnapshotFallsBackOrFailsLoudly(t *testing.T) {
 		t.Run(pos, func(t *testing.T) {
 			work := copyDir(t, dir)
 			flip(t, work, sf.name)
-			env := provisionFT(t)
-			st := openStore(t, work, WithSnapshotEvery(2))
-			defer st.Close()
-			err := st.Recover(env.Net)
-			if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrJournalGap) {
-				t.Fatalf("recovery over a corrupt %s with a compacted journal: %v, want ErrCorruptSnapshot or ErrJournalGap", sf.name, err)
-			}
-			if err := Restore(work, provisionFT(t).Net); !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrJournalGap) {
-				t.Fatalf("Restore over a corrupt %s: %v", sf.name, err)
+			// A refused recovery leaves the directory to be refused again.
+			for try := 0; try < 2; try++ {
+				st := openStore(t, work, WithSnapshotEvery(2))
+				err := st.Recover(provisionFT(t).Net)
+				st.Close()
+				if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrJournalGap) {
+					t.Fatalf("recovery %d over a corrupt %s with a compacted journal: %v, want ErrCorruptSnapshot or ErrJournalGap", try, sf.name, err)
+				}
 			}
 		})
 	}
@@ -457,40 +460,109 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// TestRestoreReadOnly recovers through the side-effect-free path and
-// verifies the directory is untouched (replicas restoring from another
-// role's directory must not truncate its journal).
+// TestRestoreReadOnly: serving catch-up from a committee's directory —
+// its journaled blocks (Store.Blocks) and a state image of its live
+// state — leaves the directory byte-identical, and what it serves
+// brings a fresh genesis to the committee's state: the image applied
+// directly, as a recovery of a copy of the directory does.
 func TestRestoreReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	a := provisionFT(t)
 	stA := openStore(t, dir, WithSnapshotEvery(0))
+	defer stA.Close()
 	a.Net.AttachStateStore(stA)
 	roots, cps := runEpochs(t, a, 1, 4)
-	if err := stA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, journalName)
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 
+	blocks, image := serveCatchUp(t, stA, a.Net, dir)
+	if len(blocks) != 4 {
+		t.Fatalf("served %d journaled blocks, want 4", len(blocks))
+	}
 	b := provisionFT(t)
-	if err := Restore(dir, b.Net); err != nil {
-		t.Fatalf("restore: %v", err)
+	if applied, err := ApplyImage(b.Net, image); !applied || err != nil {
+		t.Fatalf("image over genesis: applied %v, %v", applied, err)
 	}
-	if got := b.Net.Checkpoint(); got != cps[3] {
-		t.Fatalf("restored checkpoint %+v, want %+v", got, cps[3])
+	c, stC := recoverFresh(t, copyDir(t, dir), WithSnapshotEvery(0))
+	defer stC.Close()
+	for name, n := range map[string]*shard.Network{"image": b.Net, "recovery": c.Net} {
+		if got := n.Checkpoint(); got != cps[3] {
+			t.Fatalf("%s: checkpoint %+v, want %+v", name, got, cps[3])
+		}
+		if got := n.StateRoot(); got != roots[3] {
+			t.Fatalf("%s: root %s, want %s", name, got, roots[3])
+		}
 	}
-	if got := b.Net.StateRoot(); got != roots[3] {
-		t.Fatalf("restored root %s, want %s", got, roots[3])
+	if applied, err := ApplyImage(b.Net, image); applied || err != nil {
+		t.Fatalf("image at the replica's own epoch: applied %v, %v; want it ignored", applied, err)
 	}
-	after, err := os.ReadFile(path)
+}
+
+// serveCatchUp serves from st and n what a committee serves a replica
+// — every journaled block and a state image — and fails the test
+// unless st's directory dir is byte-identical afterwards.
+func serveCatchUp(t *testing.T, st *Store, n *shard.Network, dir string) ([]*shard.FinalBlock, []byte) {
+	t.Helper()
+	before := dirBytes(t, dir)
+	blocks, err := st.Blocks(0, n.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(before) != len(after) {
-		t.Fatalf("read-only restore changed the journal: %d -> %d bytes", len(before), len(after))
+	image, err := Image(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := dirBytes(t, dir); !maps.Equal(after, before) {
+		t.Fatalf("serving catch-up changed the directory: %d files, was %d", len(after), len(before))
+	}
+	return blocks, image
+}
+
+// dirBytes maps each file of dir to its contents.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(ents))
+	for _, e := range ents {
+		out[e.Name()] = string(readFile(t, filepath.Join(dir, e.Name())))
+	}
+	return out
+}
+
+// TestStoreGapWritesFullSnapshot: a store recovered on an empty
+// directory is attached only after five epochs ran without it, as a
+// replica's store is when a state image moves its network. The next
+// block does not follow the epoch the store recovered, so the store
+// must write a full file of that block's checkpoint: recovery from the
+// directory lands on it, with snapshots or without.
+func TestStoreGapWritesFullSnapshot(t *testing.T) {
+	for _, every := range []int{0, 2} {
+		t.Run(fmt.Sprint("every ", every), func(t *testing.T) {
+			dir := t.TempDir()
+			a := provisionFT(t)
+			st := openStore(t, dir, WithSnapshotEvery(every))
+			if err := st.Recover(a.Net); err != nil {
+				t.Fatal(err)
+			}
+			runEpochs(t, a, 1, 5)
+			a.Net.AttachStateStore(st)
+			roots, cps := runEpochs(t, a, 6, 1)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			b, stB := recoverFresh(t, dir, WithSnapshotEvery(every))
+			defer stB.Close()
+			if got := b.Net.Checkpoint(); got != cps[0] {
+				t.Fatalf("recovered checkpoint %+v, want %+v", got, cps[0])
+			}
+			if got := b.Net.StateRoot(); got != roots[0] {
+				t.Fatalf("recovered root %s, want %s", got, roots[0])
+			}
+			if full, inc := stB.Chain(); full != 1 || inc != 0 {
+				t.Fatalf("chain of %d full + %d incremental files, want the one full file", full, inc)
+			}
+		})
 	}
 }
 
@@ -537,8 +609,10 @@ func TestRecoverRefusesPreviousVersionJournal(t *testing.T) {
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, journal) {
 		t.Errorf("refused recovery rewrote the journal (%d bytes, was %d): %v", len(after), len(journal), err)
 	}
-	if err := Restore(dir, provisionFT(t).Net); !errors.Is(err, wire.ErrVersionSkew) {
-		t.Errorf("Restore over a version-%d journal: %v, want ErrVersionSkew", wire.Version-1, err)
+	again := openStore(t, dir, WithSnapshotEvery(0))
+	defer again.Close()
+	if err := again.Recover(provisionFT(t).Net); !errors.Is(err, wire.ErrVersionSkew) {
+		t.Errorf("second Recover over a version-%d journal: %v, want ErrVersionSkew", wire.Version-1, err)
 	}
 }
 
@@ -546,8 +620,8 @@ func TestRecoverRefusesPreviousVersionJournal(t *testing.T) {
 // wrote holds its state under pages/ and a journal its flushes
 // truncated. Opened as a resident store it would recover to genesis
 // (empty journal) or fail with ErrJournalGap (one that starts past
-// genesis); Open and Restore must instead refuse it with ErrPagedState
-// and leave every file as it was.
+// genesis); Open must instead refuse it with ErrPagedState and leave
+// every file as it was.
 func TestOpenRefusesPagedStateDir(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.Mkdir(filepath.Join(dir, "pages"), 0o777); err != nil {
@@ -565,9 +639,6 @@ func TestOpenRefusesPagedStateDir(t *testing.T) {
 	}
 	if !errors.Is(err, ErrPagedState) {
 		t.Errorf("Open over a paged directory: %v, want ErrPagedState", err)
-	}
-	if err := Restore(dir, provisionFT(t).Net); !errors.Is(err, ErrPagedState) {
-		t.Errorf("Restore over a paged directory: %v, want ErrPagedState", err)
 	}
 	if after := dirListing(t, dir); after != before {
 		t.Errorf("refused open changed the directory:\nbefore %s\nafter  %s", before, after)

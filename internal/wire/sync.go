@@ -10,7 +10,9 @@ import (
 // Catch-up protocol types (internal/node). A replica that detects it
 // is behind the DS committee — a TxBatch or FinalBlock arrives for a
 // future epoch — requests the FinalBlocks it missed by epoch range and
-// replays them, root-verified, before resuming live execution.
+// replays them, root-verified, before resuming live execution; when the
+// committee's journal no longer holds the first of them, it answers
+// with a state image instead.
 const (
 	// MsgBlockRequest asks the DS committee for committed FinalBlocks
 	// in an epoch range.
@@ -22,6 +24,11 @@ const (
 	// dynamically joining peers (lookups in particular) are learned
 	// without static configuration.
 	MsgHello MsgType = 20
+	// MsgStateImage answers a MsgBlockRequest the committee's journal
+	// cannot serve: its payload is the records of a full snapshot file
+	// (MsgSnapshotHeader … MsgSnapshotEnd frames) of the committee's
+	// live state, byte for byte, which the replica applies whole.
+	MsgStateImage MsgType = 22
 )
 
 // BlockRequest asks for the committed FinalBlocks of epochs
@@ -53,8 +60,9 @@ func DecodeBlockRequest(b []byte) (*BlockRequest, error) {
 // responder's current head epoch so the requester can tell a fully
 // served range from a truncated one and re-request the remainder. A
 // response may carry fewer blocks than asked for (the responder caps
-// response size) or none at all (the range is ahead of the head, or
-// compacted out of the journal).
+// response size) or none at all (the requester is not behind: Head <=
+// From). A range compacted out of the journal is answered with a
+// MsgStateImage instead.
 type BlockResponse struct {
 	From   uint64
 	Head   uint64
@@ -65,8 +73,8 @@ type BlockResponse struct {
 // sealed FinalBlock payloads, blocks[i] being epoch from+i. Each
 // payload is length-prefixed (unlike the journal record, which runs to
 // the end of its frame) so several can share one response. The
-// committee answers catch-up requests with it straight from the
-// payloads it kept.
+// committee answers catch-up requests with it straight from its
+// journal's payloads.
 func AppendBlockResponse(b []byte, from, head uint64, blocks [][]byte) []byte {
 	n := 32
 	for _, p := range blocks {

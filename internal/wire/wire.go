@@ -133,6 +133,8 @@ func (t MsgType) String() string {
 		return "block_response"
 	case MsgHello:
 		return "hello"
+	case MsgStateImage:
+		return "state_image"
 	}
 	return fmt.Sprintf("msg(%d)", byte(t))
 }

@@ -177,6 +177,16 @@ func fixtures() []fixture {
 		{Addr: chain.AddrFromUint(7), IsContract: true},
 		{Addr: chain.AddrFromUint(100), Balance: chain.BalanceOf(1 << 40), Nonce: 3},
 	})
+	headerb := EncodeSnapshotHeader(&SnapshotHeader{
+		Checkpoint: shard.Checkpoint{Epoch: 6, BlockNumber: 6, NextTxID: 45},
+		Root:       "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08",
+	})
+	endb := EncodeSnapshotEnd(&SnapshotEnd{Contracts: 1, Accounts: 2})
+	// A state image is a full snapshot file's records, byte for byte.
+	imageb := AppendFrame(nil, MsgSnapshotHeader, headerb)
+	imageb = AppendFrame(imageb, MsgSnapshotContract, contractb)
+	imageb = AppendFrame(imageb, MsgSnapshotAccounts, accountsb)
+	imageb = AppendFrame(imageb, MsgSnapshotEnd, endb)
 	return []fixture{
 		{"tx", MsgTx, txb},
 		{"state_delta", MsgStateDelta, deltab},
@@ -188,19 +198,17 @@ func fixtures() []fixture {
 		{"state_query", MsgStateQuery, EncodeStateQuery(&StateQuery{Corr: 11, Addr: chain.AddrFromUint(7), Field: "balances", Key: "b:0x1111111111111111111111111111111111111111"})},
 		{"state_resp", MsgStateResp, respb},
 		{"checkpoint_block", MsgCheckpointBlock, cbb},
-		{"snapshot_header", MsgSnapshotHeader, EncodeSnapshotHeader(&SnapshotHeader{
-			Checkpoint: shard.Checkpoint{Epoch: 6, BlockNumber: 6, NextTxID: 45},
-			Root:       "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08",
-		})},
+		{"snapshot_header", MsgSnapshotHeader, headerb},
 		{"snapshot_contract", MsgSnapshotContract, contractb},
 		{"snapshot_accounts", MsgSnapshotAccounts, accountsb},
-		{"snapshot_end", MsgSnapshotEnd, EncodeSnapshotEnd(&SnapshotEnd{Contracts: 1, Accounts: 2})},
+		{"snapshot_end", MsgSnapshotEnd, endb},
 		{"snapshot_since", MsgSnapshotSince, EncodeSnapshotSince(&SnapshotSince{Epoch: 4})},
 		{"block_request", MsgBlockRequest, EncodeBlockRequest(&BlockRequest{From: 3, To: 7})},
 		{"block_response", MsgBlockResponse, mustEnc(blockResponse(&BlockResponse{
 			From: 5, Head: 6, Blocks: []*shard.FinalBlock{fixtureFinalBlock()},
 		}))},
 		{"hello", MsgHello, EncodeHello(&Hello{Name: "lookup-1", Role: "lookup"})},
+		{"state_image", MsgStateImage, imageb},
 	}
 }
 
@@ -340,6 +348,21 @@ func reencode(t MsgType, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		return EncodeHello(v), nil
+	case MsgStateImage:
+		// Its records are frames: each re-encodes as its own type.
+		var out []byte
+		for rest := payload; len(rest) > 0; {
+			typ, p, next, err := DecodeFrame(rest)
+			if err != nil {
+				return nil, fmt.Errorf("%w: state image record: %v", ErrDecode, err)
+			}
+			enc, err := reencode(typ, p)
+			if err != nil {
+				return nil, err
+			}
+			out, rest = AppendFrame(out, typ, enc), next
+		}
+		return out, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown message type %d", ErrDecode, t)
 	}

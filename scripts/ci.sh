@@ -65,10 +65,14 @@ go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... 
 # (TestReplicaTakesBlocksOnlyFromItsCommittee,
 # TestLookupTakesBlocksOnlyFromItsCommittee), and a replica that
 # refuses a block with no root to verify
-# (TestReplicaRefusesRootlessBlock) run five times more with those
-# two and the two fault tests above.
+# (TestReplicaRefusesRootlessBlock), a replica on an empty directory
+# that rejoins a restarted committee from a state image
+# (TestReplicaRejoinsFromStateImage) and a cluster restarted on a torn
+# and a wiped replica directory, each caught up over the wire
+# (TestClusterKillRestartResumes) run five times more with those two
+# and the two fault tests above.
 go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
-go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock|TestClusterLosesWhatThePlanLoses|TestDSTakesMicroBlocksOnlyFromTheirShard|TestRolesStepWithoutRuntime|TestReplicaTakesBlocksOnlyFromItsCommittee|TestLookupTakesBlocksOnlyFromItsCommittee|TestReplicaRefusesRootlessBlock' ./internal/node/
+go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock|TestClusterLosesWhatThePlanLoses|TestDSTakesMicroBlocksOnlyFromTheirShard|TestRolesStepWithoutRuntime|TestReplicaTakesBlocksOnlyFromItsCommittee|TestLookupTakesBlocksOnlyFromItsCommittee|TestReplicaRefusesRootlessBlock|TestReplicaRejoinsFromStateImage|TestClusterKillRestartResumes' ./internal/node/
 # The persistence race run covers the state store (journal append,
 # snapshot chains and their fold rule, recovery from every crash state
 # around a boundary, the seeded recovery-equivalence property over nested
@@ -232,9 +236,12 @@ kill $SERVE_PID
 # DS committee, three shard replicas with
 # per-role state directories, and two lookups each serving JSON-RPC —
 # hammered round-robin across both lookups. Mid-run one shard replica
-# is SIGKILLed and restarted: it must recover from its own directory,
-# re-register with the hub, and resync the missed FinalBlocks over the
-# wire (MsgBlockRequest), so the hammer still commits all 300 and
+# is SIGKILLed, its directory wiped, and restarted: it must recover
+# from its own (now empty) directory to genesis, re-register with the
+# hub, and catch up over the wire (MsgBlockRequest) — the committee's
+# journal no longer holds genesis, so it is sent a state image
+# (MsgStateImage) over TCP into a fresh store — so the hammer still
+# commits all 300 and
 # every role — both lookups and, after SIGTERM, the committee and all
 # three replicas — reports the single-process run's exact root. Replica
 # shard:2 runs under a fault plan. The plan is pure: for shard 2, seed
@@ -267,6 +274,7 @@ HAMMER_PID=$!
 sleep 1
 kill -9 $S1_PID
 wait $S1_PID || true
+rm -rf "$NODE_DIR/shard-1"
 sleep 1
 /tmp/cosplit-shardsim -node shard:1 -hub $HUB -state-dir "$NODE_DIR" >>"$NODE_DIR/shard1.out" 2>&1 &
 S1_PID=$!
@@ -274,8 +282,9 @@ wait $HAMMER_PID
 cat "$NODE_DIR/hammer.out"
 grep -q '300 submitted, 300 committed, 0 failed, 0 rejected, 0 lost' "$NODE_DIR/hammer.out"
 # The replica recovered twice: once at boot, once after the SIGKILL —
-# the second recovery is behind the committee and catches the tail up
-# over the wire (proved by the root checks below).
+# the second, on the wiped directory, is at genesis, far behind the
+# committee, and catches up from a state image over the wire (proved by
+# the root checks below).
 [ "$(grep -c 'shard-1 recovered' "$NODE_DIR/shard1.out")" -ge 2 ]
 sleep 1
 [ "$(/tmp/cosplit-shardsim -chain-info http://$LK0 | sed 's/.*root=//')" = "$SINGLE_ROOT" ]
