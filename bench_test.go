@@ -5,8 +5,8 @@
 //	go test -bench=. -benchmem .
 //
 // The heavyweight throughput benchmarks (Fig. 14) use scaled-down
-// epoch counts per iteration; cmd/shardsim runs the full 10-epoch
-// configuration from the paper.
+// epoch counts per iteration; `go run ./cmd/shardsim fig14` runs the
+// full 10-epoch configuration from the paper.
 package cosplit_test
 
 import (

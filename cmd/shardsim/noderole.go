@@ -1,18 +1,15 @@
 package main
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"cosplit/internal/fault"
 	"cosplit/internal/node"
 	"cosplit/internal/rpc"
 	"cosplit/internal/shard"
@@ -20,142 +17,122 @@ import (
 	"cosplit/internal/workload"
 )
 
-// runNodeRole runs one cluster actor as its own OS process, so process
-// death (kill -9 included) is a real fault and restart + wire resync a
-// real recovery. Roles register with a shared TCP hub and send frames
-// to each other directly. Roles:
-//
-//	hub        the directory of role names and listen addresses, on -hub
-//	ds         the DS committee with the block producer
-//	shard:<i>  the replica executing shard i
-//	lookup     a client-facing lookup (optionally with -serve for RPC);
-//	lookup:<i> further lookups, named lookup-<i>
-//
-// Every role but hub dials the hub at -hub (retrying while it comes
-// up) and provisions the same deterministic genesis from
-// -rpc-workload/-rpc-shards. With -state-dir, the ds and shard roles
-// persist under per-role subdirectories and recover from them on
-// restart, each from its own directory only; a shard that recovered
-// behind the committee, or started on an empty directory, catches up
-// over the wire (MsgBlockRequest) once live traffic reveals the skew:
-// from the committee's journal, or from a state image of its live
-// state when the journal no longer holds the missed epochs. A shard
-// role loses the MicroBlocks plan loses (-faults). SIGINT/SIGTERM shuts
-// a role down cleanly; stateful roles print their final chain head as
-// "node: final epoch=E root=R".
-func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.Duration, stateDir string, snapEvery int, rpcAddr string, plan *fault.Plan) {
-	if hubAddr == "" {
-		fail(errors.New("-node needs -hub (the hub's listen/dial address)"))
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+// serve composes the roles in one process (node.NewCluster), the node
+// subcommands one role per OS process, so that kill -9 is a real fault
+// and restart plus wire resync a real recovery. Either way each role
+// recovers from its own subdirectory of -state-dir (node.OpenReplica).
 
-	if role == "hub" {
-		hub, err := node.ListenTCP(hubAddr)
-		fail(err)
-		fmt.Fprintf(os.Stderr, "shardsim: hub on %s\n", hub.Addr())
-		<-sig
-		hub.Close()
-		return
-	}
-
-	w, err := workload.ByName(workloadName)
+// genesis provisions -workload over -shards, a pure function of the
+// two, so every replica and the hammer start from the same chain.
+func (c *config) genesis() node.Genesis {
+	w, err := workload.ByName(c.workload)
 	fail(err)
-	genesis := func() (*shard.Network, error) {
-		env, err := workload.Provision(w, true, shard.WithShards(shards))
+	return func() (*shard.Network, error) {
+		env, err := workload.Provision(w, true, shard.WithShards(c.shards))
 		if err != nil {
 			return nil, err
 		}
 		return env.Net, nil
 	}
-	openRoleStore := func(sub string, n *shard.Network) *store.Store {
-		if stateDir == "" {
-			return nil
-		}
-		st, err := store.Open(filepath.Join(stateDir, sub), store.WithSnapshotEvery(snapEvery))
-		fail(err)
-		fail(st.Recover(n))
-		cp := n.Checkpoint()
-		fmt.Fprintf(os.Stderr, "shardsim: %s recovered epoch=%d root=%s\n", sub, cp.Epoch, n.StateRoot())
-		n.AttachStateStore(st)
-		return st
+}
+
+func (c *config) openRole(name string) (*shard.Network, *store.Store) {
+	n, st, err := node.OpenReplica(c.genesis(), c.stateDir, name, c.snapEvery)
+	fail(err)
+	if st != nil {
+		fmt.Fprintf(os.Stderr, "shardsim: %s recovered epoch=%d root=%s\n", name, n.Checkpoint().Epoch, n.StateRoot())
 	}
+	return n, st
+}
 
-	switch {
-	case role == "ds":
-		net, err := genesis()
-		fail(err)
-		st := openRoleStore("ds", net)
-		shardNames := make([]string, shards)
-		for i := range shardNames {
-			shardNames[i] = fmt.Sprintf("shard-%d", i)
-		}
-		var opts []node.DSOption
-		if st != nil {
-			opts = append(opts, node.DSBlockSource(st))
-		}
-		ds, err := node.NewDS("ds", net, dialHub(hubAddr, "ds"), shardNames, opts...)
-		fail(err)
-		ds.Run()
-		fmt.Fprintf(os.Stderr, "shardsim: ds driving %d shards every %v via %s\n", shards, interval, hubAddr)
-		stop := ds.Produce(interval, logProducerErr)
-		<-sig
-		stop()
-		ds.Close()
-		cp := net.Checkpoint()
-		fmt.Printf("node: final epoch=%d root=%s\n", cp.Epoch, net.StateRoot())
-		if st != nil {
-			fail(st.Close())
-		}
+// roleIndex reads a role's <i>, 0 when absent.
+func roleIndex(arg string, limit int) int {
+	i, err := strconv.Atoi(arg)
+	if arg != "" && (err != nil || i < 0 || i >= limit) {
+		fail(fmt.Errorf("role index %q: want an integer in [0, %d)", arg, limit))
+	}
+	return i
+}
 
-	case strings.HasPrefix(role, "shard:"):
-		i, err := strconv.Atoi(strings.TrimPrefix(role, "shard:"))
-		if err != nil || i < 0 || i >= shards {
-			fail(fmt.Errorf("-node %s: shard index must be 0..%d", role, shards-1))
-		}
-		replica, err := genesis()
-		fail(err)
-		name := fmt.Sprintf("shard-%d", i)
-		st := openRoleStore(name, replica)
-		sn := node.NewShard(name, i, replica, dialHub(hubAddr, name), "ds", node.ShardFaults(plan))
-		sn.Run()
-		fmt.Fprintf(os.Stderr, "shardsim: %s executing via %s\n", name, hubAddr)
-		<-sig
+func awaitSignal() {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
+}
+
+// shutdown waits for SIGINT or SIGTERM, stops the role, prints n's
+// chain head as "node: final epoch=E root=R" and then closes st, if
+// any.
+func shutdown(stop func(), n *shard.Network, st *store.Store) {
+	awaitSignal()
+	stop()
+	fmt.Printf("node: final epoch=%d root=%s\n", n.Checkpoint().Epoch, n.StateRoot())
+	if st != nil {
+		fail(st.Close())
+	}
+}
+
+func runServe(c *config) {
+	// An empty -hub runs the cluster over in-process channels, an
+	// empty -state-dir keeps every role in memory.
+	cluster, err := node.NewCluster(c.genesis(), node.ClusterTCP(c.hub), node.ClusterStateDir(c.stateDir, c.snapEvery),
+		node.ClusterShardNodes(node.ShardFaults(c.plan)), node.ClusterLookupCount(c.lookups))
+	fail(err)
+	stop := cluster.DS.Produce(c.interval, logProducerErr)
+	go func() { fail(http.ListenAndServe(c.rpc, rpc.NewServer(cluster.Lookup))) }()
+	fmt.Fprintf(os.Stderr, "shardsim: JSON-RPC on http://%s/ (workload %q, %d shards, block interval %v, TCP hub %q, state dir %q)\n",
+		c.rpc, c.workload, c.shards, c.interval, c.hub, c.stateDir)
+	// Cluster.Close closes the nodes, then their stores.
+	shutdown(func() { stop(); cluster.Close() }, cluster.DS.Net(), nil)
+}
+
+func runHub(c *config) {
+	hub, err := node.ListenTCP(c.hub)
+	fail(err)
+	fmt.Fprintf(os.Stderr, "shardsim: hub on %s\n", hub.Addr())
+	awaitSignal()
+	hub.Close()
+}
+
+func runDS(c *config) {
+	net, st := c.openRole("ds")
+	var opts []node.DSOption
+	if st != nil {
+		opts = append(opts, node.DSBlockSource(st))
+	}
+	ds, err := node.NewDS("ds", net, dialHub(c.hub, "ds"), node.ShardNames(c.shards), opts...)
+	fail(err)
+	ds.Run()
+	fmt.Fprintf(os.Stderr, "shardsim: ds driving %d shards every %v via %s\n", c.shards, c.interval, c.hub)
+	stop := ds.Produce(c.interval, logProducerErr)
+	shutdown(func() { stop(); ds.Close() }, net, st)
+}
+
+func runShard(c *config) {
+	i := roleIndex(c.arg, c.shards)
+	name := node.ShardNames(c.shards)[i]
+	replica, st := c.openRole(name)
+	sn := node.NewShard(name, i, replica, dialHub(c.hub, name), "ds", node.ShardFaults(c.plan))
+	sn.Run()
+	fmt.Fprintf(os.Stderr, "shardsim: %s executing via %s\n", name, c.hub)
+	shutdown(func() {
 		sn.Close()
 		if err := sn.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "shardsim: %s: %v\n", name, err)
 		}
-		cp := replica.Checkpoint()
-		fmt.Printf("node: final epoch=%d root=%s\n", cp.Epoch, replica.StateRoot())
-		if st != nil {
-			fail(st.Close())
-		}
+	}, replica, st)
+}
 
-	case role == "lookup" || strings.HasPrefix(role, "lookup:"):
-		name := "lookup"
-		if rest := strings.TrimPrefix(role, "lookup:"); rest != role {
-			i, err := strconv.Atoi(rest)
-			if err != nil || i < 0 {
-				fail(fmt.Errorf("-node %s: lookup index must be a non-negative integer", role))
-			}
-			if i > 0 {
-				name = fmt.Sprintf("lookup-%d", i)
-			}
-		}
-		l := node.NewLookup(name, dialHub(hubAddr, name), "ds")
-		l.Run()
-		if rpcAddr != "" {
-			go func() { fail(http.ListenAndServe(rpcAddr, rpc.NewServer(l))) }()
-			fmt.Fprintf(os.Stderr, "shardsim: %s JSON-RPC on http://%s/ via %s\n", name, rpcAddr, hubAddr)
-		} else {
-			fmt.Fprintf(os.Stderr, "shardsim: %s via %s\n", name, hubAddr)
-		}
-		<-sig
-		l.Close()
-
-	default:
-		fail(fmt.Errorf("-node %s: want hub, ds, shard:<i>, lookup, or lookup:<i>", role))
+func runLookup(c *config) {
+	name := node.LookupName(roleIndex(c.arg, math.MaxInt))
+	l := node.NewLookup(name, dialHub(c.hub, name), "ds")
+	l.Run()
+	if c.rpc != "" {
+		go func() { fail(http.ListenAndServe(c.rpc, rpc.NewServer(l))) }()
 	}
+	fmt.Fprintf(os.Stderr, "shardsim: %s via %s, JSON-RPC on %q\n", name, c.hub, c.rpc)
+	awaitSignal()
+	l.Close()
 }
 
 // dialHub registers with the hub, retrying while it comes up or still

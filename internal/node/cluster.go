@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"cosplit/internal/shard"
 	"cosplit/internal/store"
@@ -48,7 +47,7 @@ type clusterConfig struct {
 
 // ClusterTCP runs the cluster over TCP sockets, its nodes registered
 // with a hub listening on addr ("127.0.0.1:0" for an ephemeral port),
-// instead of the default in-process channel transport.
+// instead of the default in-process channel transport (addr "").
 func ClusterTCP(addr string) ClusterOption {
 	return func(c *clusterConfig) { c.tcpAddr = addr }
 }
@@ -68,10 +67,10 @@ func ClusterLookup(opts ...LookupOption) ClusterOption {
 	return func(c *clusterConfig) { c.lookupOpts = append(c.lookupOpts, opts...) }
 }
 
-// ClusterLookupCount runs n lookup nodes (default 1) named "lookup",
-// "lookup-1", "lookup-2", ... — all announced to the committee and
-// fanned FinalBlocks, so each serves clients with a consistent (if
-// independently bounded) receipt cache.
+// ClusterLookupCount runs n lookup nodes (default 1), named by
+// LookupName, all announced to the committee and fanned FinalBlocks,
+// so each serves clients with a consistent (if independently bounded)
+// receipt cache.
 func ClusterLookupCount(n int) ClusterOption {
 	return func(c *clusterConfig) {
 		if n > 0 {
@@ -80,36 +79,65 @@ func ClusterLookupCount(n int) ClusterOption {
 	}
 }
 
-// ClusterStateDir makes every stateful node persistent: the DS
-// committee journals to dir/ds and each shard node to dir/shard-<i>,
-// snapshotting every `every` committed epochs. On construction each
-// node recovers its replica from its own directory and reads no other;
-// a shard replica that recovered behind the committee (its journal was
-// torn, or its directory is fresh) catches up over the wire on the
-// committee's first frame, from the committee's journal or a state
-// image, as a restarted -node shard process does.
+// ClusterStateDir makes every stateful node persistent: each opens its
+// own subdirectory of dir through OpenReplica, the committee first; a
+// replica that recovered behind the committee catches up over the wire.
 func ClusterStateDir(dir string, every int) ClusterOption {
 	return func(c *clusterConfig) { c.stateDir, c.snapshotEvery = dir, every }
 }
 
+// ShardNames names the shard nodes of a topology of n shards:
+// "shard-0" … "shard-<n-1>".
+func ShardNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("shard-%d", i)
+	}
+	return names
+}
+
+// LookupName names the i-th lookup node: "lookup", then "lookup-1",
+// "lookup-2", ….
+func LookupName(i int) string {
+	if i == 0 {
+		return "lookup"
+	}
+	return fmt.Sprintf("lookup-%d", i)
+}
+
+// OpenReplica provisions the named role's replica from genesis. With a
+// state directory it opens the role's own subdirectory dir/name,
+// recovers the replica from it and attaches the store, so the role
+// journals every block it commits; the caller closes the store after
+// the role. With dir "" it returns a nil store.
+func OpenReplica(genesis Genesis, dir, name string, snapshotEvery int) (*shard.Network, *store.Store, error) {
+	n, err := genesis()
+	if err != nil {
+		return nil, nil, fmt.Errorf("node: genesis for %s: %w", name, err)
+	}
+	if dir == "" {
+		return n, nil, nil
+	}
+	st, err := store.Open(filepath.Join(dir, name), store.WithSnapshotEvery(snapshotEvery))
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := st.Recover(n); err != nil {
+		st.Close()
+		return nil, nil, fmt.Errorf("node: recover %s: %w", name, err)
+	}
+	n.AttachStateStore(st)
+	return n, st, nil
+}
+
 // NewCluster provisions and starts a cluster: the DS committee gets
 // the canonical network, each shard node its own genesis replica.
-// Node names are "ds", "shard-<i>", and "lookup".
+// Node names are "ds", ShardNames and LookupName.
 func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 	cfg := clusterConfig{lookupCount: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	canonical, err := genesis()
-	if err != nil {
-		return nil, fmt.Errorf("node: genesis: %w", err)
-	}
-	numShards := canonical.Config().NumShards
-	shardNames := make([]string, numShards)
-	for i := range shardNames {
-		shardNames[i] = fmt.Sprintf("shard-%d", i)
-	}
-
 	c := &Cluster{}
 	endpoint := func(name string) (Endpoint, error) {
 		if c.hub != nil {
@@ -117,6 +145,7 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 		}
 		return c.chanNet.Endpoint(name), nil
 	}
+	var err error
 	if cfg.tcpAddr != "" {
 		if c.hub, err = ListenTCP(cfg.tcpAddr); err != nil {
 			return nil, err
@@ -128,28 +157,23 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 		c.Close()
 		return nil, err
 	}
-
 	// With a state directory, every stateful node recovers its replica
 	// from its own subdirectory before joining the cluster. The
 	// committee recovers first: no replica may be ahead of it.
-	openStore := func(sub string, n *shard.Network) (*store.Store, error) {
-		st, err := store.Open(filepath.Join(cfg.stateDir, sub), store.WithSnapshotEvery(cfg.snapshotEvery))
-		if err != nil {
-			return nil, err
+	open := func(name string) (*shard.Network, *store.Store, error) {
+		n, st, err := OpenReplica(genesis, cfg.stateDir, name, cfg.snapshotEvery)
+		if st != nil {
+			c.stores = append(c.stores, st)
 		}
-		c.stores = append(c.stores, st)
-		if err := st.Recover(n); err != nil {
-			return nil, fmt.Errorf("node: recover %s: %w", sub, err)
-		}
-		return st, nil
+		return n, st, err
 	}
-	dsOpts := []DSOption{DSLookups("lookup")}
-	if cfg.stateDir != "" {
-		st, err := openStore("ds", canonical)
-		if err != nil {
-			return fail(err)
-		}
-		canonical.AttachStateStore(st)
+
+	canonical, st, err := open("ds")
+	if err != nil {
+		return fail(err)
+	}
+	dsOpts := []DSOption{DSLookups(LookupName(0))}
+	if st != nil {
 		// The committee's own journal serves replica catch-up requests.
 		dsOpts = append(dsOpts, DSBlockSource(st))
 	}
@@ -157,6 +181,7 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 	if err != nil {
 		return fail(err)
 	}
+	shardNames := ShardNames(canonical.Config().NumShards)
 	ds, err := NewDS("ds", canonical, dsEp, shardNames, append(dsOpts, cfg.dsOpts...)...)
 	if err != nil {
 		return fail(err)
@@ -165,19 +190,12 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 	c.rts = append(c.rts, &ds.rt)
 
 	for i, name := range shardNames {
-		replica, err := genesis()
+		replica, _, err := open(name)
 		if err != nil {
-			return fail(fmt.Errorf("node: genesis for %s: %w", name, err))
+			return fail(err)
 		}
-		if cfg.stateDir != "" {
-			st, err := openStore(name, replica)
-			if err != nil {
-				return fail(err)
-			}
-			if replica.Epoch > canonical.Epoch {
-				return fail(fmt.Errorf("node: %s recovered to epoch %d, past the committee's %d", name, replica.Epoch, canonical.Epoch))
-			}
-			replica.AttachStateStore(st)
+		if replica.Epoch > canonical.Epoch {
+			return fail(fmt.Errorf("node: %s recovered to epoch %d, past the committee's %d", name, replica.Epoch, canonical.Epoch))
 		}
 		ep, err := endpoint(name)
 		if err != nil {
@@ -188,10 +206,7 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 	}
 
 	for i := 0; i < cfg.lookupCount; i++ {
-		name := "lookup"
-		if i > 0 {
-			name = fmt.Sprintf("lookup-%d", i)
-		}
+		name := LookupName(i)
 		lookupEp, err := endpoint(name)
 		if err != nil {
 			return fail(err)
@@ -208,12 +223,6 @@ func NewCluster(genesis Genesis, opts ...ClusterOption) (*Cluster, error) {
 
 // Tick drives one epoch through the committee.
 func (c *Cluster) Tick() TickResult { return c.DS.Tick() }
-
-// Produce makes the committee tick itself every interval: see
-// DS.Produce.
-func (c *Cluster) Produce(interval time.Duration, onTick func(TickResult)) (stop func()) {
-	return c.DS.Produce(interval, onTick)
-}
 
 // Close stops every node, the lookups first, and the transport.
 func (c *Cluster) Close() {

@@ -34,7 +34,7 @@ func startCluster(t *testing.T, w *workload.Workload) (*node.Cluster, *httptest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := cluster.Produce(10*time.Millisecond, func(res node.TickResult) {
+	stop := cluster.DS.Produce(10*time.Millisecond, func(res node.TickResult) {
 		if res.Err != nil {
 			t.Errorf("produce: %v", res.Err)
 		}

@@ -6,9 +6,9 @@
 # internal/shard's lock-guarded Submit queue around its single-goroutine
 # pipeline, whose dispatcher is called from that one goroutine). Then
 # benchmark smokes, short fuzz runs, every example program, and the
-# shardsim CLI end to end: the fault-plan chaos run twice, the flags
-# each mode refuses, persistence and recovery, and node clusters in one
-# process and in many.
+# shardsim CLI end to end: the fault-plan chaos run twice, flags a
+# subcommand does not define refused by its parser, persistence and
+# recovery, and node clusters in one process and in many.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -141,27 +141,29 @@ done
 # transactions.
 go build -race -o /tmp/cosplit-shardsim-race ./cmd/shardsim
 for run in 1 2; do
-    /tmp/cosplit-shardsim-race -txs 200 -epochs 4 -workloads "FT transfer" \
+    /tmp/cosplit-shardsim-race fig14 -txs 200 -epochs 4 -workloads "FT transfer" \
         -faults "7:crash=0.1,drop=0.05,corrupt=0.02,straggle=0.25x4" \
         -metrics-out /tmp/cosplit-chaos-$run.json
     grep -E '"(tx|fault)\.' /tmp/cosplit-chaos-$run.json >/tmp/cosplit-chaos-$run.counters
 done
 cmp /tmp/cosplit-chaos-1.counters /tmp/cosplit-chaos-2.counters
 [ "$(grep '"fault.lost_txs"' /tmp/cosplit-chaos-1.counters | tr -dc 0-9)" -gt 0 ]
-# Restart-recovery smoke through the CLI: a fresh persistent run
+# Restart-recovery smoke through the CLI: a fresh persistent chain run
 # prints its final chain head; a recover-only restart (-epochs 0) must
 # land on the identical root. Then a run is killed with SIGKILL
 # mid-flight: the journal is fsynced every committed epoch, so
 # recovery must come back cleanly (torn tail truncated at the last
 # good frame) and two consecutive recoveries must agree.
 go build -o /tmp/cosplit-shardsim ./cmd/shardsim
-# A mode refuses, by name, each flag it does not read rather than drop
-# it: the node modes write no trace or metrics file yet, -faults reaches
-# only the modes that run shards (so -hammer and -node ds refuse it),
-# and only the throughput harness (Fig. 14, -strategies) applies
-# -faults and models committees of -nodes, so -state-dir and -overheads
-# refuse those. (`! cmd` alone is exempt from set -e, and an accepted
-# -serve would run for ever: hence the helper.)
+# Each subcommand defines only the flags its run reads, so its parser
+# refuses any other one before anything starts: the node subcommands
+# write no trace or metrics file yet, -faults reaches only what runs
+# shards (so hammer, head and node ds refuse it), only the throughput
+# harness (fig14, strategies) applies -faults and models committees of
+# -nodes (so chain and overheads refuse those), and neither hammer
+# reads -state-dir nor node shard -block-interval. (`! cmd` alone is
+# exempt from set -e, and an accepted serve would run for ever: hence
+# the helper.)
 refused() {
     flag=$1
     shift
@@ -169,26 +171,29 @@ refused() {
         echo "ci: shardsim $* was not refused" >&2
         exit 1
     fi
-    echo "$out" | grep -q -- "$flag has no effect"
+    echo "$out" | grep -q -- "flag provided but not defined: $flag"
 }
-refused -faults -hammer http://127.0.0.1:18545 -faults "7:crash=0.1"
-refused -faults -node ds -hub 127.0.0.1:19100 -faults "7:crash=0.1"
-refused -trace-out -serve 127.0.0.1:18545 -trace-out /tmp/cosplit-trace.jsonl
-refused -metrics-out -node ds -hub 127.0.0.1:19100 -metrics-out /tmp/cosplit-metrics.json
-refused -faults -state-dir /tmp/cosplit-refused -workloads "FT transfer" -faults "7:crash=0.1"
-refused -nodes -state-dir /tmp/cosplit-refused -workloads "FT transfer" -nodes 7
-refused -faults -overheads -faults "7:crash=0.1"
+refused -faults hammer http://127.0.0.1:18545 -faults "7:crash=0.1"
+refused -faults node ds -hub 127.0.0.1:19100 -faults "7:crash=0.1"
+refused -trace-out serve -rpc 127.0.0.1:18545 -trace-out /tmp/cosplit-trace.jsonl
+refused -metrics-out node ds -hub 127.0.0.1:19100 -metrics-out /tmp/cosplit-metrics.json
+refused -faults chain -state-dir /tmp/cosplit-refused -workload "FT transfer" -faults "7:crash=0.1"
+refused -nodes chain -state-dir /tmp/cosplit-refused -workload "FT transfer" -nodes 7
+refused -faults overheads -faults "7:crash=0.1"
+refused -state-dir hammer http://127.0.0.1:18545 -state-dir /tmp/cosplit-refused
+refused -faults head http://127.0.0.1:18545 -faults "7:crash=0.1"
+refused -block-interval node shard 0 -hub 127.0.0.1:19100 -block-interval 50ms
 STATE_DIR=$(mktemp -d)
-FINAL=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -txs 200 -epochs 4 | grep '^state: final')
-RECOVERED=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -epochs 0 | grep '^state: recovered')
+FINAL=$(/tmp/cosplit-shardsim chain -state-dir "$STATE_DIR" -workload "FT transfer" -txs 200 -epochs 4 | grep '^state: final')
+RECOVERED=$(/tmp/cosplit-shardsim chain -state-dir "$STATE_DIR" -workload "FT transfer" -epochs 0 | grep '^state: recovered')
 [ "${FINAL#state: final }" = "${RECOVERED#state: recovered }" ]
-/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -txs 200 -epochs 100000 &
+/tmp/cosplit-shardsim chain -state-dir "$STATE_DIR" -workload "FT transfer" -txs 200 -epochs 100000 &
 KILL_PID=$!
 sleep 2
 kill -9 $KILL_PID
 wait $KILL_PID || true
-R1=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -epochs 0 | grep '^state: recovered')
-R2=$(/tmp/cosplit-shardsim -state-dir "$STATE_DIR" -workloads "FT transfer" -epochs 0 | grep '^state: recovered')
+R1=$(/tmp/cosplit-shardsim chain -state-dir "$STATE_DIR" -workload "FT transfer" -epochs 0 | grep '^state: recovered')
+R2=$(/tmp/cosplit-shardsim chain -state-dir "$STATE_DIR" -workload "FT transfer" -epochs 0 | grep '^state: recovered')
 [ "$R1" = "$R2" ]
 rm -rf "$STATE_DIR"
 # The same two checks where snapshots take the incremental side: FT
@@ -200,18 +205,18 @@ rm -rf "$STATE_DIR"
 # land on the printed root — and after a SIGKILL, wherever it fell
 # around a boundary, two consecutive recoveries must agree.
 INC_DIR=$(mktemp -d)
-FINAL_I=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -txs 200 -epochs 7 | grep '^state: final')
+FINAL_I=$(/tmp/cosplit-shardsim chain -state-dir "$INC_DIR" -workload "CF donate" -snapshot-every 2 -txs 200 -epochs 7 | grep '^state: final')
 [ "$(ls "$INC_DIR"/snapshot-*.snap | wc -l)" -gt 1 ]
-RECOVERED_I=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -epochs 0)
+RECOVERED_I=$(/tmp/cosplit-shardsim chain -state-dir "$INC_DIR" -workload "CF donate" -snapshot-every 2 -epochs 0)
 echo "$RECOVERED_I" | grep '^state: chain'
 [ "${FINAL_I#state: final }" = "$(echo "$RECOVERED_I" | grep '^state: recovered' | sed 's/^state: recovered //')" ]
-/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -txs 200 -epochs 100000 &
+/tmp/cosplit-shardsim chain -state-dir "$INC_DIR" -workload "CF donate" -snapshot-every 2 -txs 200 -epochs 100000 &
 KILL_PID=$!
 sleep 3
 kill -9 $KILL_PID
 wait $KILL_PID || true
-I1=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -epochs 0 | grep '^state: recovered')
-I2=$(/tmp/cosplit-shardsim -state-dir "$INC_DIR" -workloads "CF donate" -snapshot-every 2 -epochs 0 | grep '^state: recovered')
+I1=$(/tmp/cosplit-shardsim chain -state-dir "$INC_DIR" -workload "CF donate" -snapshot-every 2 -epochs 0 | grep '^state: recovered')
+I2=$(/tmp/cosplit-shardsim chain -state-dir "$INC_DIR" -workload "CF donate" -snapshot-every 2 -epochs 0 | grep '^state: recovered')
 [ "$I1" = "$I2" ]
 [ -z "$(ls "$INC_DIR" | grep '\.tmp$' || true)" ]
 rm -rf "$INC_DIR"
@@ -220,16 +225,22 @@ rm -rf "$INC_DIR"
 # and require every transaction to commit with a receipt. The final
 # state root is captured as the yardstick for the multi-process run
 # below: the committed transaction set alone determines the root, so
-# any topology pushing the same 300 transactions must land on it.
-/tmp/cosplit-shardsim -serve 127.0.0.1:18545 -serve-tcp 127.0.0.1:0 -block-interval 50ms &
+# any topology pushing the same 300 transactions must land on it. On
+# SIGTERM serve closes the cluster and prints the committee's head,
+# which must be that root.
+SERVE_OUT=$(mktemp)
+/tmp/cosplit-shardsim serve -rpc 127.0.0.1:18545 -hub 127.0.0.1:0 -block-interval 50ms >"$SERVE_OUT" &
 SERVE_PID=$!
 trap 'kill $SERVE_PID 2>/dev/null || true' EXIT
 sleep 2
-HAMMER_OUT=$(/tmp/cosplit-shardsim -hammer http://127.0.0.1:18545 -hammer-n 300 -hammer-workers 8)
+HAMMER_OUT=$(/tmp/cosplit-shardsim hammer http://127.0.0.1:18545 -n 300 -workers 8)
 echo "$HAMMER_OUT"
 echo "$HAMMER_OUT" | grep -q '300 submitted, 300 committed, 0 failed, 0 rejected, 0 lost'
-SINGLE_ROOT=$(/tmp/cosplit-shardsim -chain-info http://127.0.0.1:18545 | sed 's/.*root=//')
+SINGLE_ROOT=$(/tmp/cosplit-shardsim head http://127.0.0.1:18545 | sed 's/.*root=//')
 kill $SERVE_PID
+wait $SERVE_PID
+[ "$(grep '^node: final' "$SERVE_OUT" | sed 's/.*root=//')" = "$SINGLE_ROOT" ]
+rm -f "$SERVE_OUT"
 
 # Multi-process chaos smoke: every cluster actor as its own OS process,
 # registered with the TCP hub and sending to its peers directly — hub,
@@ -244,7 +255,7 @@ kill $SERVE_PID
 # commits all 300 and
 # every role — both lookups and, after SIGTERM, the committee and all
 # three replicas — reports the single-process run's exact root. Replica
-# shard:2 runs under a fault plan. The plan is pure: for shard 2, seed
+# `node shard 2` runs under a fault plan. The plan is pure: for shard 2, seed
 # 30695 loses epoch 4 (corrupt) and epoch 19 (crash), and no other
 # epoch before 302, so the run pays the committee's 2 s collect timeout
 # twice; genesis is epoch 2.
@@ -252,31 +263,31 @@ NODE_DIR=$(mktemp -d)
 HUB=127.0.0.1:19100
 LK0=127.0.0.1:19101
 LK1=127.0.0.1:19102
-/tmp/cosplit-shardsim -node hub -hub $HUB >"$NODE_DIR/hub.out" 2>&1 &
+/tmp/cosplit-shardsim node hub -hub $HUB >"$NODE_DIR/hub.out" 2>&1 &
 HUB_PID=$!
-/tmp/cosplit-shardsim -node ds -hub $HUB -state-dir "$NODE_DIR" -block-interval 50ms >"$NODE_DIR/ds.out" 2>&1 &
+/tmp/cosplit-shardsim node ds -hub $HUB -state-dir "$NODE_DIR" -block-interval 50ms >"$NODE_DIR/ds.out" 2>&1 &
 DS_PID=$!
-/tmp/cosplit-shardsim -node shard:0 -hub $HUB -state-dir "$NODE_DIR" >"$NODE_DIR/shard0.out" 2>&1 &
+/tmp/cosplit-shardsim node shard 0 -hub $HUB -state-dir "$NODE_DIR" >"$NODE_DIR/shard0.out" 2>&1 &
 S0_PID=$!
-/tmp/cosplit-shardsim -node shard:1 -hub $HUB -state-dir "$NODE_DIR" >"$NODE_DIR/shard1.out" 2>&1 &
+/tmp/cosplit-shardsim node shard 1 -hub $HUB -state-dir "$NODE_DIR" >"$NODE_DIR/shard1.out" 2>&1 &
 S1_PID=$!
-/tmp/cosplit-shardsim -node shard:2 -hub $HUB -state-dir "$NODE_DIR" \
+/tmp/cosplit-shardsim node shard 2 -hub $HUB -state-dir "$NODE_DIR" \
     -faults "30695:crash=0.01,drop=0.01,corrupt=0.01" >"$NODE_DIR/shard2.out" 2>&1 &
 S2_PID=$!
-/tmp/cosplit-shardsim -node lookup -hub $HUB -serve $LK0 >"$NODE_DIR/lookup0.out" 2>&1 &
+/tmp/cosplit-shardsim node lookup -hub $HUB -rpc $LK0 >"$NODE_DIR/lookup0.out" 2>&1 &
 L0_PID=$!
-/tmp/cosplit-shardsim -node lookup:1 -hub $HUB -serve $LK1 >"$NODE_DIR/lookup1.out" 2>&1 &
+/tmp/cosplit-shardsim node lookup 1 -hub $HUB -rpc $LK1 >"$NODE_DIR/lookup1.out" 2>&1 &
 L1_PID=$!
 trap 'kill $HUB_PID $DS_PID $S0_PID $S1_PID $S2_PID $L0_PID $L1_PID 2>/dev/null || true' EXIT
 sleep 2
-/tmp/cosplit-shardsim -hammer "http://$LK0,http://$LK1" -hammer-n 300 -hammer-workers 8 >"$NODE_DIR/hammer.out" 2>&1 &
+/tmp/cosplit-shardsim hammer "http://$LK0,http://$LK1" -n 300 -workers 8 >"$NODE_DIR/hammer.out" 2>&1 &
 HAMMER_PID=$!
 sleep 1
 kill -9 $S1_PID
 wait $S1_PID || true
 rm -rf "$NODE_DIR/shard-1"
 sleep 1
-/tmp/cosplit-shardsim -node shard:1 -hub $HUB -state-dir "$NODE_DIR" >>"$NODE_DIR/shard1.out" 2>&1 &
+/tmp/cosplit-shardsim node shard 1 -hub $HUB -state-dir "$NODE_DIR" >>"$NODE_DIR/shard1.out" 2>&1 &
 S1_PID=$!
 wait $HAMMER_PID
 cat "$NODE_DIR/hammer.out"
@@ -287,8 +298,8 @@ grep -q '300 submitted, 300 committed, 0 failed, 0 rejected, 0 lost' "$NODE_DIR/
 # the root checks below).
 [ "$(grep -c 'shard-1 recovered' "$NODE_DIR/shard1.out")" -ge 2 ]
 sleep 1
-[ "$(/tmp/cosplit-shardsim -chain-info http://$LK0 | sed 's/.*root=//')" = "$SINGLE_ROOT" ]
-[ "$(/tmp/cosplit-shardsim -chain-info http://$LK1 | sed 's/.*root=//')" = "$SINGLE_ROOT" ]
+[ "$(/tmp/cosplit-shardsim head http://$LK0 | sed 's/.*root=//')" = "$SINGLE_ROOT" ]
+[ "$(/tmp/cosplit-shardsim head http://$LK1 | sed 's/.*root=//')" = "$SINGLE_ROOT" ]
 kill $DS_PID $S0_PID $S1_PID $S2_PID $L0_PID $L1_PID
 wait $DS_PID $S0_PID $S1_PID $S2_PID $L0_PID $L1_PID || true
 for role in ds shard0 shard1 shard2; do
