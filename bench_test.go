@@ -11,6 +11,7 @@ package cosplit_test
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
 	"runtime"
 	"testing"
@@ -313,18 +314,15 @@ func holdersNetwork(b *testing.B, holders, entries int) (*shard.Network, *shard.
 	if err != nil {
 		b.Fatal(err)
 	}
-	fields := map[string]value.Value{}
-	for name, v := range net.Contracts.Get(c).Snapshot().Fields {
-		fields[name] = v
-	}
 	balances := value.NewMap(ast.TyByStr20, ast.TyUint128)
 	for i := 0; i < holders; i++ {
 		balances.Set(chain.AddrFromUint(uint64(i+1)).Value(), value.Uint128(1000))
 	}
-	fields["balances"] = balances
-	if err := net.RestoreContractState(c, fields); err != nil {
-		b.Fatal(err)
-	}
+	con := net.Contracts.Get(c)
+	st := eval.NewMemState(con.Checked.FieldTypes)
+	maps.Copy(st.Fields, con.Snapshot().Fields)
+	st.Fields["balances"] = balances
+	con.ReplaceState(st)
 	fd := &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, entries)}
 	acc := chain.NewAccountDelta()
 	for i := 0; i < entries; i++ {

@@ -101,8 +101,7 @@ func (c *Contract) Snapshot() *eval.MemState {
 	return c.State
 }
 
-// ReplaceState installs st as the canonical state: a state recovered
-// from a snapshot file.
+// ReplaceState installs st as the canonical state.
 func (c *Contract) ReplaceState(st *eval.MemState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -108,17 +108,6 @@ func (sg *Signature) IsBottom(transition string) bool {
 	return false
 }
 
-// OwnsConstraints returns the Owns constraints of a transition.
-func (sg *Signature) OwnsConstraints(transition string) []Constraint {
-	var out []Constraint
-	for _, c := range sg.Constraints[transition] {
-		if c.Kind == COwns {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // String renders the whole signature.
 func (sg *Signature) String() string {
 	var sb strings.Builder

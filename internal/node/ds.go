@@ -40,6 +40,8 @@ type DS struct {
 	ticks    []*call
 	producer dsProduce
 	lookups  map[string]bool
+
+	imageSendErrors *obs.Counter
 }
 
 // collecting is the collect state of one epoch: the dispatched run,
@@ -137,7 +139,7 @@ func NewDS(name string, net *shard.Network, ep Endpoint, shardNames []string, op
 		o(&c)
 	}
 	d := &DS{cfg: c, net: net, shards: append([]string(nil), shardNames...), lookups: make(map[string]bool)}
-	d.rt.init(d, ep, c.rec, c.reg)
+	d.imageSendErrors = d.rt.init(d, ep, c.rec, c.reg).Counter("node.image_send_errors")
 	for _, l := range c.lookups {
 		d.lookups[l] = true
 	}
@@ -344,9 +346,12 @@ func (d *DS) frame(fx effects, now time.Time, from string, typ wire.MsgType, pay
 // the empty response when the requester is not behind (Head <= From);
 // the contiguous run of journaled FinalBlocks from q.From, clipped to
 // the head and the response size cap, when the block source still
-// holds q.From; otherwise one state image of the live state, which the
-// replica applies whole. It reports false if a block or the image
-// failed to encode.
+// holds q.From; otherwise a state image of the live state, one
+// MsgStateImage frame per record, which the replica applies whole once
+// the last has arrived. The first frame that fails to send ends the
+// image and counts in node.image_send_errors; the replica, holding no
+// trailer, applies nothing and asks again on its next skew. It reports
+// false if a block or the image failed to encode.
 func (d *DS) serveBlocks(fx effects, to string, q *wire.BlockRequest) bool {
 	head := d.net.Epoch // epochs < head are committed
 	var blocks [][]byte
@@ -364,12 +369,16 @@ func (d *DS) serveBlocks(fx effects, to string, q *wire.BlockRequest) bool {
 		}
 	}
 	if head > q.From && len(blocks) == 0 {
-		image, err := store.Image(d.net)
-		if err != nil {
-			return false
+		var sendErr error
+		err := store.Image(d.net, func(record []byte) error {
+			sendErr = fx.send(to, wire.EncodeFrame(wire.MsgStateImage, record))
+			return sendErr
+		})
+		if sendErr != nil {
+			d.imageSendErrors.Inc()
+			return true
 		}
-		_ = fx.send(to, wire.EncodeFrame(wire.MsgStateImage, image))
-		return true
+		return err == nil
 	}
 	_ = fx.send(to, wire.EncodeFrame(wire.MsgBlockResponse, wire.AppendBlockResponse(nil, q.From, head, blocks)))
 	return true

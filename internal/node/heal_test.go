@@ -15,8 +15,9 @@ import (
 )
 
 // spoilBlocks wraps the committee's Endpoint and gives the FinalBlocks
-// and state images it sends to one peer a wrong state root: each is
-// decoded, its root changed, re-encoded and framed again, so the
+// and state images it sends to one peer a wrong state root: each block,
+// and each image's header record, is decoded, its root changed,
+// re-encoded and framed again, so the
 // frame's CRC is valid and the block or image decodes — a corruption no
 // transport check can see. With once set only the first FinalBlock
 // broadcast is spoiled; otherwise every broadcast, every block of every
@@ -46,11 +47,14 @@ func (s *spoilBlocks) Send(to string, frame []byte) error {
 	case wire.MsgFinalBlock:
 		payload = s.spoil(payload)
 	case wire.MsgStateImage:
-		// The image's first record is the snapshot header: its root.
-		htyp, hdr, rest, err := wire.DecodeFrame(payload)
-		if err != nil || htyp != wire.MsgSnapshotHeader {
-			s.t.Errorf("state image opens with %s: %v", htyp, err)
+		// An image frame carries one record; the header's is the root.
+		htyp, hdr, _, err := wire.DecodeFrame(payload)
+		if err != nil {
+			s.t.Error(err)
 			return err
+		}
+		if htyp != wire.MsgSnapshotHeader {
+			return s.Endpoint.Send(to, frame)
 		}
 		h, err := wire.DecodeSnapshotHeader(hdr)
 		if err != nil {
@@ -60,7 +64,7 @@ func (s *spoilBlocks) Send(to string, frame []byte) error {
 		root := []byte(h.Root)
 		root[0] ^= 1
 		h.Root = string(root)
-		payload = append(wire.EncodeFrame(wire.MsgSnapshotHeader, wire.EncodeSnapshotHeader(h)), rest...)
+		payload = wire.EncodeFrame(wire.MsgSnapshotHeader, wire.EncodeSnapshotHeader(h))
 	default:
 		resp, err := wire.DecodeBlockResponse(payload)
 		if err != nil {

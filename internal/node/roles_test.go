@@ -166,10 +166,20 @@ func TestRolesStepWithoutRuntime(t *testing.T) {
 		if !d.frame(fx, now, "shard-1", wire.MsgBlockRequest, req) {
 			t.Fatal("block request refused")
 		}
-		if len(fx.sends) != 1 || fx.sends[0].to != "shard-1" || fx.sends[0].typ != wire.MsgStateImage {
-			t.Fatalf("a block request to a committee with no source sent %+v, want one state image to shard-1", fx.sends)
+		// A state image: one frame per record, from the header to the
+		// trailer.
+		var image []byte
+		for i, s := range fx.sends {
+			if s.to != "shard-1" || s.typ != wire.MsgStateImage {
+				t.Fatalf("frame %d of the answer to a block request is %s to %s, want a state image to shard-1", i, s.typ, s.to)
+			}
+			image = append(image, s.payload...)
 		}
-		if applied, err := store.ApplyImage(fresh, fx.sends[0].payload); !applied || err != nil {
+		if n := len(fx.sends); n < 3 || wire.FrameMsgType(fx.sends[0].payload) != wire.MsgSnapshotHeader ||
+			wire.FrameMsgType(fx.sends[n-1].payload) != wire.MsgSnapshotEnd {
+			t.Fatalf("a block request to a committee with no source sent %d frames, want a state image run from its header to its trailer", n)
+		}
+		if applied, err := store.ApplyImage(fresh, image); !applied || err != nil {
 			t.Fatalf("image over a fresh genesis: applied %v, %v", applied, err)
 		}
 		if got, want := fresh.StateRoot(), canonical.StateRoot(); got != want {

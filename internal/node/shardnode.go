@@ -27,7 +27,8 @@ import (
 // future epoch and requests the missed range from the committee
 // (MsgBlockRequest). The committee answers with the blocks from its
 // journal or, when its journal no longer holds the first of them, with
-// a state image of its live state, which the node applies whole
+// a state image of its live state: a run of frames, one record each,
+// which the node gathers and applies whole once the trailer has arrived
 // (node.state_images). A block that fails to apply (a corrupted frame
 // that still decodes), or carries no state root to verify, is undone
 // whole and fetched again, up to maxBlockRetries times in a row. The
@@ -63,12 +64,14 @@ type ShardNode struct {
 	// outstanding block request — a later frame with a higher target
 	// re-requests, so a dropped request or response frame delays
 	// catch-up by an epoch instead of wedging it; failures counts the
-	// blocks in a row that failed to apply.
+	// blocks in a row that failed to apply; image holds the records of
+	// the state image being received, from its header on (nil: none).
 	pendingBlocks map[uint64]*shard.FinalBlock
 	pendingBatch  *wire.TxBatch
 	pendingFrom   string
 	awaitTo       uint64
 	failures      int
+	image         []byte
 	resyncs       *obs.Counter
 	images        *obs.Counter
 	lastErr       error
@@ -171,7 +174,7 @@ func (s *ShardNode) frame(fx effects, _ time.Time, from string, typ wire.MsgType
 		}
 		return err == nil
 	case typ == wire.MsgStateImage:
-		return s.handleImage(fx, payload)
+		return s.imageRecord(fx, payload)
 	}
 	return false
 }
@@ -271,6 +274,27 @@ func (s *ShardNode) handleBlockResponse(fx effects, resp *wire.BlockResponse) {
 			s.requestResync(fx, target)
 		}
 	}
+}
+
+// imageRecord takes one frame of a state image: a header opens the
+// image, dropping any partial one before it, and the trailer closes it
+// and hands the whole run to handleImage. A record with no image open
+// is a receive error.
+func (s *ShardNode) imageRecord(fx effects, record []byte) bool {
+	typ := wire.FrameMsgType(record)
+	switch {
+	case typ == wire.MsgSnapshotHeader:
+		s.image = append(s.image[:0], record...)
+	case s.image == nil:
+		return false
+	case typ == wire.MsgSnapshotEnd:
+		image := append(s.image, record...)
+		s.image = nil
+		return s.handleImage(fx, image)
+	default:
+		s.image = append(s.image, record...)
+	}
+	return true
 }
 
 // handleImage applies a state image of a later epoch than the

@@ -24,27 +24,6 @@ func PrintModule(m *Module) string {
 	return p.sb.String()
 }
 
-// PrintExpr renders a single expression.
-func PrintExpr(e Expr) string {
-	var p Printer
-	p.expr(e)
-	return p.sb.String()
-}
-
-// PrintStmts renders a statement list.
-func PrintStmts(ss []Stmt) string {
-	var p Printer
-	p.stmts(ss)
-	return p.sb.String()
-}
-
-// PrintPattern renders a pattern.
-func PrintPattern(pat Pattern) string {
-	var p Printer
-	p.pattern(pat, false)
-	return p.sb.String()
-}
-
 func (p *Printer) nl() {
 	p.sb.WriteByte('\n')
 	for i := 0; i < p.indent; i++ {

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math/big"
 	"strings"
 	"testing"
@@ -337,18 +338,15 @@ func TestCommitCostFollowsTheDelta(t *testing.T) {
 	const entries = 500
 	allocs := func(holders int) float64 {
 		net, c, _ := deployFT(t, 3, entries, true)
-		fields := map[string]value.Value{}
-		for name, v := range net.Contracts.Get(c).Snapshot().Fields {
-			fields[name] = v
-		}
 		balances := value.NewMap(ast.TyByStr20, ast.TyUint128)
 		for i := 0; i < holders; i++ {
 			balances.Set(chain.AddrFromUint(uint64(i+1)).Value(), u128(1000))
 		}
-		fields["balances"] = balances
-		if err := net.RestoreContractState(c, fields); err != nil {
-			t.Fatal(err)
-		}
+		con := net.Contracts.Get(c)
+		st := eval.NewMemState(con.Checked.FieldTypes)
+		maps.Copy(st.Fields, con.Snapshot().Fields)
+		st.Fields["balances"] = balances
+		con.ReplaceState(st)
 		net.RebuildStateRoots()
 
 		// Half additions, half overwrites, all on holders both sizes have,

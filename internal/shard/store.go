@@ -1,11 +1,7 @@
 package shard
 
 import (
-	"fmt"
-
 	"cosplit/internal/chain"
-	"cosplit/internal/scilla/eval"
-	"cosplit/internal/scilla/value"
 	"cosplit/internal/trie"
 )
 
@@ -68,26 +64,6 @@ func (n *Network) RestoreCheckpoint(cp Checkpoint) {
 // cannot carry per-role options. Must be called before the network
 // runs epochs.
 func (n *Network) AttachStateStore(s StateStore) { n.store = s }
-
-// RestoreContractState replaces a deployed contract's canonical state
-// with recovered field values (snapshot restore). The contract must
-// already exist — recovery provisions the network through the same
-// deterministic genesis as the original run, then overwrites state.
-func (n *Network) RestoreContractState(addr chain.Address, fields map[string]value.Value) error {
-	c := n.Contracts.Get(addr)
-	if c == nil {
-		return fmt.Errorf("restore state: %w %s", ErrUnknownContract, addr)
-	}
-	st := eval.NewMemState(c.Checked.FieldTypes)
-	for name, v := range fields {
-		if _, ok := c.Checked.FieldTypes[name]; !ok {
-			return fmt.Errorf("restore state: contract %s has no field %q", addr, name)
-		}
-		st.Fields[name] = v
-	}
-	c.ReplaceState(st)
-	return nil
-}
 
 // ReplayFinalBlock applies a journaled FinalBlock during recovery:
 // identical to ApplyFinalBlock — both commit phases, root

@@ -33,8 +33,8 @@ type dirtySet struct {
 // entryCost is what an entry record of an incremental file costs
 // before its value is counted, in leaves of a full file: the record
 // carries its keypath beside its keys and the delta framing, about as
-// many bytes again as the entry takes in a full file (a token balance
-// is 80 bytes in an incremental file, 32 in a full one).
+// many bytes again as the entry took in the retired whole-contract
+// record (a token balance is 80 bytes as an entry record, was 32 there).
 const entryCost = 1
 
 // dirtyField is one contract field's written components. A whole-field
@@ -114,13 +114,9 @@ func (d *dirtySet) addDeltas(deltas []*chain.StateDelta) {
 }
 
 // incremental is the body of an incremental snapshot file: the
-// post-state of every dirty component. Its values alias canonical
-// state and are only good until the next epoch commits.
+// post-state of every dirty component, as read when it was built.
 type incremental struct {
-	// deltas hold the contract components as Overwrite and Delete
-	// entries (or whole fields), contracts in address order, cut into
-	// records of at most snapshotBatch entries.
-	deltas   []*chain.StateDelta
+	records  [][]byte               // the contract components' state records, encoded (stateRecords)
 	accounts []wire.SnapshotAccount // in address order
 	// cost is the size of the body in the unit the fold rule compares
 	// with the state's leaf count, the leaves of a full file: one per
@@ -133,6 +129,10 @@ type incremental struct {
 // canonical state.
 func (d *dirtySet) post(n *shard.Network) (*incremental, error) {
 	inc := &incremental{}
+	recs := stateRecords{put: func(payload []byte) error {
+		inc.records = append(inc.records, payload)
+		return nil
+	}}
 	addrs := make([]chain.Address, 0, len(d.contracts))
 	for addr := range d.contracts {
 		addrs = append(addrs, addr)
@@ -143,10 +143,14 @@ func (d *dirtySet) post(n *shard.Network) (*incremental, error) {
 		if c == nil {
 			return nil, fmt.Errorf("%w: contract %s", shard.ErrUnknownContract, addr)
 		}
-		if err := inc.addContract(addr, c.Snapshot().Fields, d.contracts[addr]); err != nil {
+		if err := recs.dirty(addr, c.Snapshot().Fields, d.contracts[addr]); err != nil {
 			return nil, err
 		}
 	}
+	if err := recs.flush(); err != nil {
+		return nil, err
+	}
+	inc.cost = recs.cost
 
 	addrs = addrs[:0]
 	for addr := range d.accounts {
@@ -175,29 +179,102 @@ func compareAddrs(a, b chain.Address) int {
 	return bytes.Compare(a[8:], b[8:])
 }
 
-// addContract appends one contract's dirty components, fields and
-// keypaths in sorted order, starting a new record every snapshotBatch
-// entries.
-func (inc *incremental) addContract(addr chain.Address, state map[string]value.Value, dirty map[string]*dirtyField) error {
-	var cur *chain.StateDelta
-	size := 0
-	// fieldDelta is where the next component of field f goes, of which
-	// the field has `more` left to write.
-	fieldDelta := func(f string, more int) *chain.FieldDelta {
-		if cur == nil || size == snapshotBatch {
-			cur = &chain.StateDelta{Contract: addr, Fields: make(map[string]*chain.FieldDelta)}
-			inc.deltas = append(inc.deltas, cur)
-			size = 0
-		}
-		fd := cur.Fields[f]
-		if fd == nil {
-			fd = &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, min(more, snapshotBatch-size))}
-			cur.Fields[f] = fd
-		}
-		size++
-		return fd
-	}
+// stateRecords is the one writer of contract state records, for both
+// kinds of snapshot file: it cuts the post-values it is given into
+// MsgStateDelta records of one contract and at most snapshotBatch
+// components each — an entry, or a field written whole — and hands each
+// record to put, encoded, once it is complete. The first error ends the
+// writing and stays in err; cost counts what was written in the fold
+// rule's unit (see incremental.cost).
+type stateRecords struct {
+	put  func(payload []byte) error
+	err  error
+	cur  *chain.StateDelta
+	size int
+	cost int
+}
 
+// component is where the next component of contract addr's field f
+// goes, of which the field has `more` left to write. It puts the
+// current record first when that is full or of another contract.
+func (r *stateRecords) component(addr chain.Address, f string, more int) *chain.FieldDelta {
+	if r.cur != nil && (r.size == snapshotBatch || r.cur.Contract != addr) {
+		_ = r.flush() // an error stays in err and ends the writing
+	}
+	if r.cur == nil {
+		r.cur = &chain.StateDelta{Contract: addr, Fields: make(map[string]*chain.FieldDelta)}
+	}
+	fd := r.cur.Fields[f]
+	if fd == nil {
+		fd = &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, min(more, snapshotBatch-r.size))}
+		r.cur.Fields[f] = fd
+	}
+	r.size++
+	return fd
+}
+
+// flush puts the current record, if there is one, and reports err.
+func (r *stateRecords) flush() error {
+	if r.cur != nil && r.err == nil {
+		var payload []byte
+		if payload, r.err = wire.EncodeStateDelta(r.cur); r.err == nil {
+			r.err = r.put(payload)
+		}
+	}
+	r.cur, r.size = nil, 0
+	return r.err
+}
+
+// whole writes contract addr's field f whole, with value v: a scalar or
+// an empty map as one Whole Overwrite, any other map as a Whole
+// Overwrite with the empty map and then its leaves as Overwrite entries
+// (an empty nested map is a leaf), so no record grows with the map. It
+// costs the leaves v renders to.
+func (r *stateRecords) whole(addr chain.Address, f string, v value.Value) {
+	whole := &chain.EntryDelta{Kind: chain.Overwrite, Value: v}
+	r.component(addr, f, 0).Whole = whole
+	if m, ok := v.(*value.Map); ok && m.Len() > 0 {
+		whole.Value = value.NewMap(m.KeyType, m.ValType)
+		r.leaves(addr, f, m, nil)
+	} else {
+		r.cost++
+	}
+}
+
+// leaves writes the leaves of the non-empty map m, reached from field f
+// by keys, as Overwrite entries in canonical key order.
+func (r *stateRecords) leaves(addr chain.Address, f string, m *value.Map, keys []value.Value) {
+	type entry struct {
+		ck string
+		v  value.Value
+	}
+	entries := make([]entry, 0, m.Len())
+	for ck, v := range m.Entries {
+		entries = append(entries, entry{ck, v})
+	}
+	slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.ck, b.ck) })
+	for i, e := range entries {
+		if r.err != nil {
+			return
+		}
+		path := append(keys[:len(keys):len(keys)], m.Key(e.ck))
+		if inner, ok := e.v.(*value.Map); ok && inner.Len() > 0 {
+			r.leaves(addr, f, inner, path)
+			continue
+		}
+		kp := e.ck // a single key's keypath is its canonical key
+		if len(path) > 1 {
+			kp = chain.Keypath(path)
+		}
+		r.component(addr, f, len(entries)-i).Entries[kp] = chain.EntryDelta{Kind: chain.Overwrite, Keys: path, Value: e.v}
+		r.cost++
+	}
+}
+
+// dirty writes contract addr's dirty components, fields and keypaths in
+// sorted order: a field written whole as whole does, an entry as its
+// post-value (postEntry). It fails only on a field the state lacks.
+func (r *stateRecords) dirty(addr chain.Address, state map[string]value.Value, dirty map[string]*dirtyField) error {
 	fields := make([]string, 0, len(dirty))
 	for f := range dirty {
 		fields = append(fields, f)
@@ -215,8 +292,7 @@ func (inc *incremental) addContract(addr chain.Address, state map[string]value.V
 		}
 		df := dirty[f]
 		if df.whole {
-			fieldDelta(f, 0).Whole = &chain.EntryDelta{Kind: chain.Overwrite, Value: v}
-			inc.cost += leaves(v)
+			r.whole(addr, f, v)
 			continue
 		}
 		entries = entries[:0]
@@ -240,8 +316,8 @@ func (inc *incremental) addContract(addr chain.Address, state map[string]value.V
 				}
 				emptied[kp] = true
 			}
-			fieldDelta(f, len(entries)-i).Entries[kp] = e
-			inc.cost += entryCost + leaves(e.Value)
+			r.component(addr, f, len(entries)-i).Entries[kp] = e
+			r.cost += entryCost + leaves(e.Value)
 		}
 	}
 	return nil

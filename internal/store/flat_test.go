@@ -1,6 +1,7 @@
 package store
 
 import (
+	"maps"
 	"math/big"
 	"runtime/debug"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"cosplit/internal/chain"
 	"cosplit/internal/contracts"
 	"cosplit/internal/scilla/ast"
+	"cosplit/internal/scilla/eval"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 )
@@ -27,20 +29,17 @@ func holdersNetwork(t *testing.T, holders, entries int) (*shard.Network, *shard.
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields := map[string]value.Value{}
-	for name, v := range net.Contracts.Get(c).Snapshot().Fields {
-		fields[name] = v
-	}
 	balances := value.NewMap(ast.TyByStr20, ast.TyUint128)
 	for i := 0; i < holders; i++ {
 		u := chain.AddrFromUint(uint64(i + 1))
 		balances.Set(u.Value(), value.Uint128(1000))
 		net.Accounts.Create(u, 1<<50, false)
 	}
-	fields["balances"] = balances
-	if err := net.RestoreContractState(c, fields); err != nil {
-		t.Fatal(err)
-	}
+	con := net.Contracts.Get(c)
+	st := eval.NewMemState(con.Checked.FieldTypes)
+	maps.Copy(st.Fields, con.Snapshot().Fields)
+	st.Fields["balances"] = balances
+	con.ReplaceState(st)
 	net.RebuildStateRoots()
 
 	fd := &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, entries)}

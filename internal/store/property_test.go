@@ -313,11 +313,7 @@ func TestImageOverOlderReplica(t *testing.T) {
 		t.Fatalf("committee at epoch 12 holds the nested entry %v, the backer %v; want neither", nested, backed)
 	}
 
-	image, err := Image(committee.net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied, err := ApplyImage(replica.net, image); !applied || err != nil {
+	if applied, err := ApplyImage(replica.net, imageOf(t, committee.net)); !applied || err != nil {
 		t.Fatalf("image over the epoch-3 replica: applied %v, %v", applied, err)
 	}
 	if nested, backed := held(replica); nested || backed {

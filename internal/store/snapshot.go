@@ -19,15 +19,18 @@ import (
 )
 
 // snapshotBatch is how many accounts ride in one MsgSnapshotAccounts
-// frame, and how many entries in one MsgStateDelta frame of an
-// incremental file; batching keeps frames small without a frame per
-// record.
+// record, and how many components — entries, or fields written whole —
+// in one MsgStateDelta record; batching keeps records small, whatever
+// the size of the state, without a record per component.
 const snapshotBatch = 4096
 
-// writeSnapshotFile makes dir/name durable: body is written to a temp
-// file, which is fsynced, renamed into place, and the directory
-// fsynced. It returns the file's size.
-func writeSnapshotFile(dir, name string, body func(*bufio.Writer) error) (int64, error) {
+// putRecord writes one record of a snapshot file, a frame of type t.
+type putRecord func(t wire.MsgType, payload []byte) error
+
+// writeSnapshotFile makes dir/name durable: body puts its records in a
+// temp file, as frames one after another, which is fsynced, renamed
+// into place, and the directory fsynced. It returns the file's size.
+func writeSnapshotFile(dir, name string, body func(putRecord) error) (int64, error) {
 	path := filepath.Join(dir, name)
 	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
@@ -35,7 +38,7 @@ func writeSnapshotFile(dir, name string, body func(*bufio.Writer) error) (int64,
 		return 0, err
 	}
 	w := bufio.NewWriterSize(f, 1<<16)
-	err = body(w)
+	err = body(func(t wire.MsgType, payload []byte) error { return wire.WriteFrame(w, t, payload) })
 	if err == nil {
 		err = w.Flush()
 	}
@@ -64,47 +67,42 @@ func writeSnapshotFile(dir, name string, body func(*bufio.Writer) error) (int64,
 	return size, nil
 }
 
-func writeHeader(w io.Writer, n *shard.Network, cp shard.Checkpoint) error {
-	hdr := wire.EncodeSnapshotHeader(&wire.SnapshotHeader{Checkpoint: cp, Root: n.StateRoot()})
-	return wire.WriteFrame(w, wire.MsgSnapshotHeader, hdr)
-}
-
 // writeAccounts writes accs in batches and the trailer after them;
-// stateRecords is the number of contract (full) or state-delta
-// (incremental) frames written before.
-func writeAccounts(w io.Writer, stateRecords int, accs []wire.SnapshotAccount) error {
+// stateRecords is the number of state-delta records written before.
+func writeAccounts(put putRecord, stateRecords int, accs []wire.SnapshotAccount) error {
 	for i := 0; i < len(accs); i += snapshotBatch {
 		end := min(i+snapshotBatch, len(accs))
-		if err := wire.WriteFrame(w, wire.MsgSnapshotAccounts, wire.EncodeSnapshotAccounts(accs[i:end])); err != nil {
+		if err := put(wire.MsgSnapshotAccounts, wire.EncodeSnapshotAccounts(accs[i:end])); err != nil {
 			return err
 		}
 	}
-	trailer := wire.EncodeSnapshotEnd(&wire.SnapshotEnd{
-		Contracts: uint64(stateRecords), Accounts: uint64(len(accs)),
-	})
-	return wire.WriteFrame(w, wire.MsgSnapshotEnd, trailer)
+	return put(wire.MsgSnapshotEnd, wire.EncodeSnapshotEnd(&wire.SnapshotEnd{Contracts: uint64(stateRecords), Accounts: uint64(len(accs))}))
 }
 
-// writeFull streams a full snapshot: header, every contract in address
-// order, every account in address order (batched), trailer.
-func writeFull(w io.Writer, n *shard.Network, cp shard.Checkpoint) error {
-	if err := writeHeader(w, n, cp); err != nil {
+// writeFull writes a full snapshot, the incremental of every component
+// over empty fields: header, every field of every contract written
+// whole, contracts in address order, every account in address order
+// (batched), trailer. It puts each state record as soon as it is
+// complete and holds no more than one.
+func writeFull(put putRecord, n *shard.Network, cp shard.Checkpoint) error {
+	if err := put(wire.MsgSnapshotHeader, wire.EncodeSnapshotHeader(&wire.SnapshotHeader{Checkpoint: cp, Root: n.StateRoot()})); err != nil {
 		return err
 	}
 	contracts := n.Contracts.All()
-	sort.Slice(contracts, func(i, j int) bool {
-		return bytes.Compare(contracts[i].Addr[:], contracts[j].Addr[:]) < 0
-	})
+	slices.SortFunc(contracts, func(a, b *chain.Contract) int { return compareAddrs(a.Addr, b.Addr) })
+	records := 0
+	recs := stateRecords{put: func(payload []byte) error { records++; return put(wire.MsgStateDelta, payload) }}
+	every := &dirtyField{whole: true}
 	for _, c := range contracts {
-		payload, err := wire.EncodeSnapshotContract(&wire.SnapshotContract{
-			Addr: c.Addr, Fields: c.Snapshot().Fields,
-		})
-		if err != nil {
-			return err
+		fields := c.Snapshot().Fields
+		dirty := make(map[string]*dirtyField, len(fields))
+		for f := range fields {
+			dirty[f] = every
 		}
-		if err := wire.WriteFrame(w, wire.MsgSnapshotContract, payload); err != nil {
-			return err
-		}
+		_ = recs.dirty(c.Addr, fields, dirty) // fails only on a field fields lacks; its put errors end in flush
+	}
+	if err := recs.flush(); err != nil {
+		return err
 	}
 	accs := make([]wire.SnapshotAccount, 0, n.Accounts.Len())
 	n.Accounts.Range(func(addr chain.Address, acc chain.Account) bool {
@@ -114,40 +112,35 @@ func writeFull(w io.Writer, n *shard.Network, cp shard.Checkpoint) error {
 		return true
 	})
 	slices.SortFunc(accs, func(a, b wire.SnapshotAccount) int { return bytes.Compare(a.Addr[:], b.Addr[:]) })
-	return writeAccounts(w, len(contracts), accs)
+	return writeAccounts(put, records, accs)
 }
 
-// writeIncremental streams an incremental snapshot: header, the epoch
-// of the state it is written over, the dirty contract components, the
+// writeIncremental writes an incremental snapshot: header, the epoch of
+// the state it is written over, the dirty contract components, the
 // dirty accounts, trailer.
-func writeIncremental(w io.Writer, n *shard.Network, cp shard.Checkpoint, since uint64, inc *incremental) error {
-	if err := writeHeader(w, n, cp); err != nil {
+func writeIncremental(put putRecord, n *shard.Network, cp shard.Checkpoint, since uint64, inc *incremental) error {
+	if err := put(wire.MsgSnapshotHeader, wire.EncodeSnapshotHeader(&wire.SnapshotHeader{Checkpoint: cp, Root: n.StateRoot()})); err != nil {
 		return err
 	}
-	base := wire.EncodeSnapshotSince(&wire.SnapshotSince{Epoch: since})
-	if err := wire.WriteFrame(w, wire.MsgSnapshotSince, base); err != nil {
+	if err := put(wire.MsgSnapshotSince, wire.EncodeSnapshotSince(&wire.SnapshotSince{Epoch: since})); err != nil {
 		return err
 	}
-	for _, d := range inc.deltas {
-		payload, err := wire.EncodeStateDelta(d)
-		if err != nil {
-			return err
-		}
-		if err := wire.WriteFrame(w, wire.MsgStateDelta, payload); err != nil {
+	for _, payload := range inc.records {
+		if err := put(wire.MsgStateDelta, payload); err != nil {
 			return err
 		}
 	}
-	return writeAccounts(w, len(inc.deltas), inc.accounts)
+	return writeAccounts(put, len(inc.records), inc.accounts)
 }
 
-// snapFile is one snapshot file, parsed. A full file holds contracts,
-// an incremental one deltas over the state as of epoch since.
+// snapFile is one snapshot file, parsed: post-value state deltas over
+// empty fields (a full file) or over the state as of epoch since (an
+// incremental one), and accounts.
 type snapFile struct {
 	name        string
 	hdr         *wire.SnapshotHeader
 	incremental bool
 	since       uint64
-	contracts   []*wire.SnapshotContract
 	deltas      []*chain.StateDelta
 	accounts    []wire.SnapshotAccount
 }
@@ -183,13 +176,7 @@ func readSnapshot(r io.Reader, name string) (*snapFile, error) {
 				return corrupt("extends epoch %d", since.Epoch)
 			}
 			sf.incremental, sf.since = true, since.Epoch
-		case typ == wire.MsgSnapshotContract && !sf.incremental:
-			c, err := wire.DecodeSnapshotContract(payload)
-			if err != nil {
-				return corrupt("%v", err)
-			}
-			sf.contracts = append(sf.contracts, c)
-		case typ == wire.MsgStateDelta && sf.incremental:
+		case typ == wire.MsgStateDelta:
 			d, err := wire.DecodeStateDelta(payload)
 			if err != nil {
 				return corrupt("%v", err)
@@ -209,9 +196,8 @@ func readSnapshot(r io.Reader, name string) (*snapFile, error) {
 			if err != nil {
 				return corrupt("%v", err)
 			}
-			state := len(sf.contracts) + len(sf.deltas)
-			if e.Contracts != uint64(state) || e.Accounts != uint64(len(sf.accounts)) {
-				return corrupt("trailer counts %d/%d, read %d/%d", e.Contracts, e.Accounts, state, len(sf.accounts))
+			if e.Contracts != uint64(len(sf.deltas)) || e.Accounts != uint64(len(sf.accounts)) {
+				return corrupt("trailer counts %d/%d, read %d/%d", e.Contracts, e.Accounts, len(sf.deltas), len(sf.accounts))
 			}
 			return sf, nil
 		default:
@@ -235,7 +221,7 @@ func readSnapshotFile(dir string, ref snapshotRef) (*snapFile, error) {
 	return sf, err
 }
 
-// postValues reports whether d is what an incremental file may hold:
+// postValues reports whether d is what a snapshot file may hold:
 // values to install and entries to remove, no integer delta to add to
 // whatever the state below happens to hold.
 func postValues(d *chain.StateDelta) bool {
@@ -252,45 +238,51 @@ func postValues(d *chain.StateDelta) bool {
 	return true
 }
 
-// cost is the size of an incremental file's body as incremental.cost
-// counted it when the file was written.
+// cost is the size of an incremental file's body as stateRecords
+// counted it when the file was written: a field written whole costs the
+// leaves of its value — the entries after its Whole record, or one for a
+// scalar or an empty map — and any other entry entryCost more than its
+// value's leaves.
 func (sf *snapFile) cost() int {
 	n := len(sf.accounts)
+	whole := make(map[string]int) // by contract and name, the leaves of each field written whole
 	for _, d := range sf.deltas {
-		for _, fd := range d.Fields {
+		for f, fd := range d.Fields {
+			k := string(d.Contract[:]) + f
 			if fd.Whole != nil {
-				n += leaves(fd.Whole.Value)
+				whole[k] = 0
 			}
 			for _, e := range fd.Entries {
-				n += entryCost + leaves(e.Value)
+				if w, ok := whole[k]; ok {
+					whole[k] = w + leaves(e.Value)
+				} else {
+					n += entryCost + leaves(e.Value)
+				}
 			}
 		}
+	}
+	for _, w := range whole {
+		n += max(w, 1)
 	}
 	return n
 }
 
-// apply writes the file's records over n's state: a full file replaces
-// every contract's fields, an incremental one merges its post-values in;
-// both put their accounts. The root trie is not touched — the caller
-// rebuilds it once, after the last file.
+// apply merges the file's post-values into n's state — a full file
+// writes every field of every contract whole, an incremental one what
+// changed; a field the contract does not have fails it — and puts the
+// file's accounts. The root trie is not touched — the caller rebuilds
+// it once, after the last file.
 func (sf *snapFile) apply(n *shard.Network) error {
-	for _, c := range sf.contracts {
-		if err := n.RestoreContractState(c.Addr, c.Fields); err != nil {
-			return fmt.Errorf("store: snapshot %s: %w", sf.name, err)
-		}
-	}
 	var undo chain.Undo // all or nothing is the caller's: a failed restore is abandoned
 	for _, d := range sf.deltas {
 		c := n.Contracts.Get(d.Contract)
 		if c == nil {
 			return fmt.Errorf("store: snapshot %s: %w %s", sf.name, shard.ErrUnknownContract, d.Contract)
 		}
-		st := c.Snapshot()
-		if err := chain.MergeDeltas(st, []*chain.StateDelta{d}, &undo); err != nil {
+		if err := chain.MergeDeltas(c.Snapshot(), []*chain.StateDelta{d}, &undo); err != nil {
 			return fmt.Errorf("store: snapshot %s: %w", sf.name, err)
 		}
 		undo.Reset()
-		c.ReplaceState(st)
 	}
 	for _, a := range sf.accounts {
 		n.Accounts.Put(a.Addr, chain.Account{Balance: a.Balance, Nonce: a.Nonce, IsContract: a.IsContract})
@@ -397,24 +389,27 @@ func (sf *snapFile) settle(n *shard.Network) error {
 	return nil
 }
 
-// Image encodes n's live state as a state image: the records of a full
+// Image writes n's live state as a state image: the records of a full
 // snapshot file at n's checkpoint, byte for byte, written by the code
-// that writes snapshot files. It costs what a full file costs. The
+// that writes snapshot files. It hands each record, one frame, to each
+// as soon as it is encoded, from the header to the trailer, and stops
+// at the first error each returns. It costs what a full file costs. The
 // committee answers with one a replica its journal no longer covers.
-func Image(n *shard.Network) ([]byte, error) {
-	var buf bytes.Buffer
-	err := writeFull(&buf, n, n.Checkpoint())
-	return buf.Bytes(), err
+func Image(n *shard.Network, each func(record []byte) error) error {
+	return writeFull(func(t wire.MsgType, payload []byte) error {
+		return each(wire.EncodeFrame(t, payload))
+	}, n, n.Checkpoint())
 }
 
-// ApplyImage writes a state image (Image) over n through the reader
-// recovery uses, and reports whether it did. n must come from the
-// genesis the image's network came from, at any epoch below the
-// image's: a full image replaces every contract's fields and puts every
-// account, and committed state never deletes an account. An image that
-// does not parse, or is at or below n's epoch, leaves n untouched; once
-// it is written there is no undo, so an image whose root does not
-// verify leaves n on no committed state.
+// ApplyImage writes a state image — Image's records, concatenated —
+// over n through the reader recovery uses, and reports whether it did.
+// n must come from the genesis the image's network came from, at any
+// epoch below the image's: an image writes every field whole and puts
+// every account, and committed state never deletes an account. An
+// image that does not parse — a record or the trailer missing — or is
+// at or below n's epoch leaves n untouched; once it is written there is
+// no undo, so an image whose root does not verify leaves n on no
+// committed state.
 func ApplyImage(n *shard.Network, image []byte) (applied bool, err error) {
 	sf, err := readSnapshot(bytes.NewReader(image), "state image")
 	switch {

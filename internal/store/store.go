@@ -12,14 +12,16 @@
 //	journal.log        one wire frame (MsgCheckpointBlock) per epoch
 //	                   committed since the newest snapshot file: the
 //	                   sealed FinalBlock and the post-commit checkpoint
-//	snapshot-<E>.snap  state as of epoch E. A full file: header
-//	                   (checkpoint + root), every contract's fields,
-//	                   every account, a trailer with the record counts.
-//	                   An incremental file: header, the epoch of the
-//	                   file (or genesis) it extends, then only what
-//	                   changed since that epoch — contract components as
-//	                   MsgStateDelta records of post-values (Overwrite,
-//	                   Delete, whole field), accounts — and the trailer
+//	snapshot-<E>.snap  state as of epoch E: a header (checkpoint +
+//	                   root), contract components as MsgStateDelta
+//	                   records of post-values, each of a bounded number
+//	                   of components (Overwrite, Delete, whole field; a
+//	                   map written whole as the empty map and its
+//	                   leaves), accounts, a trailer with the record
+//	                   counts. A full file writes every field and every
+//	                   account; an incremental one names the epoch of
+//	                   the file (or genesis) it extends and writes what
+//	                   changed since.
 //
 // The files of a directory form a chain: at most one full file, then
 // the incremental files written since, each naming the one before it.
@@ -59,7 +61,8 @@
 // an older state. A role reads only its own directory: a replica that
 // recovered behind its committee catches up over the wire, from the
 // committee's journal (Store.Blocks) or a state image (Image,
-// ApplyImage) — a full file's records, read by the same parser.
+// ApplyImage): a full file's records, one frame each, read by the same
+// parser.
 package store
 
 import (
@@ -322,11 +325,11 @@ func (s *Store) snapshot(n *shard.Network, cp shard.Checkpoint, forced bool) err
 			inc = built
 		}
 	}
-	size, err := writeSnapshotFile(s.dir, snapshotName(cp.Epoch), func(w *bufio.Writer) error {
+	size, err := writeSnapshotFile(s.dir, snapshotName(cp.Epoch), func(put putRecord) error {
 		if inc != nil {
-			return writeIncremental(w, n, cp, s.chain.epoch, inc)
+			return writeIncremental(put, n, cp, s.chain.epoch, inc)
 		}
-		return writeFull(w, n, cp)
+		return writeFull(put, n, cp)
 	})
 	if err != nil {
 		return fmt.Errorf("store: snapshot epoch %d: %w", cp.Epoch, err)

@@ -506,14 +506,25 @@ func serveCatchUp(t *testing.T, st *Store, n *shard.Network, dir string) ([]*sha
 	if err != nil {
 		t.Fatal(err)
 	}
-	image, err := Image(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	image := imageOf(t, n)
 	if after := dirBytes(t, dir); !maps.Equal(after, before) {
 		t.Fatalf("serving catch-up changed the directory: %d files, was %d", len(after), len(before))
 	}
 	return blocks, image
+}
+
+// imageOf is n's state image as a replica gathers it: Image's records,
+// concatenated.
+func imageOf(t *testing.T, n *shard.Network) []byte {
+	t.Helper()
+	var image []byte
+	if err := Image(n, func(record []byte) error {
+		image = append(image, record...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return image
 }
 
 // dirBytes maps each file of dir to its contents.

@@ -34,6 +34,9 @@ func FuzzDecoders(f *testing.F) {
 	flipped := AppendFrame(nil, MsgTx, []byte{1, 2, 3, 4})
 	flipped[len(flipped)-1] ^= 0xff
 	f.Add(flipped)
+	// A state image frame carries one record: one with two is refused.
+	end := AppendFrame(nil, MsgSnapshotEnd, EncodeSnapshotEnd(&SnapshotEnd{}))
+	f.Add(AppendFrame(nil, MsgStateImage, append(end, end...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, _, err := DecodeFrame(data)

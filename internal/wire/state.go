@@ -2,10 +2,8 @@ package wire
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"cosplit/internal/chain"
-	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 )
 
@@ -22,8 +20,6 @@ const (
 	// MsgSnapshotHeader opens a snapshot file: the checkpoint the
 	// snapshot captures and the state root it must restore to.
 	MsgSnapshotHeader MsgType = 11
-	// MsgSnapshotContract carries one contract's full field state.
-	MsgSnapshotContract MsgType = 12
 	// MsgSnapshotAccounts carries a batch of native accounts.
 	MsgSnapshotAccounts MsgType = 13
 	// MsgSnapshotEnd closes a snapshot file with the record counts the
@@ -73,8 +69,8 @@ func (r *reader) checkpoint() shard.Checkpoint {
 	return shard.Checkpoint{Epoch: r.uvarint(), BlockNumber: r.uvarint(), NextTxID: r.uvarint()}
 }
 
-// SnapshotHeader opens a snapshot file: the checkpoint the full-state
-// dump captures and the authenticated root the restored state must
+// SnapshotHeader opens a snapshot file: the checkpoint the state
+// captures and the authenticated root the restored state must
 // rebuild to (recovery verifies it, so a snapshot that silently lost a
 // record fails loudly instead of resuming from wrong state).
 type SnapshotHeader struct {
@@ -112,55 +108,6 @@ func EncodeSnapshotSince(s *SnapshotSince) []byte {
 func DecodeSnapshotSince(b []byte) (*SnapshotSince, error) {
 	r := &reader{b: b}
 	return finish(r, &SnapshotSince{Epoch: r.uvarint()})
-}
-
-// SnapshotContract carries one contract's complete field state. Fields
-// are encoded in sorted name order, so snapshots of the same state are
-// byte-identical.
-type SnapshotContract struct {
-	Addr   chain.Address
-	Fields map[string]value.Value
-}
-
-// EncodeSnapshotContract encodes one contract's state.
-func EncodeSnapshotContract(c *SnapshotContract) ([]byte, error) {
-	b := make([]byte, 0, 256)
-	b = appendAddr(b, c.Addr)
-	names := make([]string, 0, len(c.Fields))
-	for n := range c.Fields {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	b = appendUvarint(b, uint64(len(names)))
-	var err error
-	for _, n := range names {
-		b = appendString(b, n)
-		if b, err = appendValue(b, c.Fields[n]); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// DecodeSnapshotContract decodes one contract's state payload.
-func DecodeSnapshotContract(b []byte) (*SnapshotContract, error) {
-	r := &reader{b: b}
-	return finish(r, r.snapshotContract())
-}
-
-func (r *reader) snapshotContract() *SnapshotContract {
-	c := &SnapshotContract{Addr: r.addr()}
-	n := r.count(2)
-	if n > 0 {
-		c.Fields = make(map[string]value.Value, n)
-	}
-	for ; n > 0 && r.err == nil; n-- {
-		name := r.string()
-		if v := r.value(0, true); r.err == nil {
-			c.Fields[name] = v
-		}
-	}
-	return c
 }
 
 // SnapshotAccount is one native account's snapshot row.
@@ -206,8 +153,8 @@ func (r *reader) snapshotAccounts() []SnapshotAccount {
 
 // SnapshotEnd closes a snapshot file with the totals the reader must
 // have accumulated; a mismatch (or a missing end record) marks the
-// snapshot truncated. In an incremental file Contracts counts the
-// MsgStateDelta frames.
+// snapshot truncated. Contracts counts the MsgStateDelta records, in a
+// full file as in an incremental one.
 type SnapshotEnd struct {
 	Contracts uint64
 	Accounts  uint64

@@ -25,9 +25,10 @@ const (
 	// without static configuration.
 	MsgHello MsgType = 20
 	// MsgStateImage answers a MsgBlockRequest the committee's journal
-	// cannot serve: its payload is the records of a full snapshot file
-	// (MsgSnapshotHeader … MsgSnapshotEnd frames) of the committee's
-	// live state, byte for byte, which the replica applies whole.
+	// cannot serve, in a run of frames: each payload is one record of a
+	// full snapshot file of the committee's live state, byte for byte,
+	// from its MsgSnapshotHeader to its MsgSnapshotEnd, which the replica
+	// applies whole. No frame is larger than one record.
 	MsgStateImage MsgType = 22
 )
 

@@ -90,8 +90,9 @@ const (
 	MsgStateQuery MsgType = 7
 	MsgStateResp  MsgType = 8
 	MsgStateDelta MsgType = 9
-	// 15–17 stay reserved: they tagged the retired paged store's account
-	// pages, contract pages and page index. Directories it wrote still
+	// 12 and 15–17 stay reserved: they tagged the retired whole-contract
+	// snapshot record and the retired paged store's account pages,
+	// contract pages and page index. Directories those builds wrote still
 	// hold such frames, so no later record type may reuse the numbers.
 )
 
@@ -119,8 +120,6 @@ func (t MsgType) String() string {
 		return "checkpoint_block"
 	case MsgSnapshotHeader:
 		return "snapshot_header"
-	case MsgSnapshotContract:
-		return "snapshot_contract"
 	case MsgSnapshotAccounts:
 		return "snapshot_accounts"
 	case MsgSnapshotEnd:

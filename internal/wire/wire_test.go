@@ -165,12 +165,21 @@ func fixtures() []fixture {
 		Checkpoint: shard.Checkpoint{Epoch: 6, BlockNumber: 6, NextTxID: 45},
 		Block:      fixtureFinalBlock(),
 	}))
-	contractb := mustEnc(EncodeSnapshotContract(&SnapshotContract{
-		Addr: chain.AddrFromUint(7),
-		Fields: map[string]value.Value{
-			"total_supply": value.Uint128(1 << 30),
-			"owner":        value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)},
-			"bonus":        fixtureTx().Args["bonus"],
+	// A full snapshot's state record: every field written whole, a map
+	// as the empty map and then its leaves.
+	holder := value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)}
+	stateb := mustEnc(EncodeStateDelta(&chain.StateDelta{
+		Contract: chain.AddrFromUint(7),
+		Fields: map[string]*chain.FieldDelta{
+			"total_supply": {Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: value.Uint128(1 << 30)}},
+			"owner":        {Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: holder}},
+			"bonus":        {Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: fixtureTx().Args["bonus"]}},
+			"balances": {
+				Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: value.NewMap(ast.TyByStr20, ast.TyUint128)},
+				Entries: map[string]chain.EntryDelta{
+					value.CanonicalKey(holder): {Kind: chain.Overwrite, Keys: []value.Value{holder}, Value: value.Uint128(1000)},
+				},
+			},
 		},
 	}))
 	accountsb := EncodeSnapshotAccounts([]SnapshotAccount{
@@ -182,11 +191,6 @@ func fixtures() []fixture {
 		Root:       "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08",
 	})
 	endb := EncodeSnapshotEnd(&SnapshotEnd{Contracts: 1, Accounts: 2})
-	// A state image is a full snapshot file's records, byte for byte.
-	imageb := AppendFrame(nil, MsgSnapshotHeader, headerb)
-	imageb = AppendFrame(imageb, MsgSnapshotContract, contractb)
-	imageb = AppendFrame(imageb, MsgSnapshotAccounts, accountsb)
-	imageb = AppendFrame(imageb, MsgSnapshotEnd, endb)
 	return []fixture{
 		{"tx", MsgTx, txb},
 		{"state_delta", MsgStateDelta, deltab},
@@ -199,7 +203,6 @@ func fixtures() []fixture {
 		{"state_resp", MsgStateResp, respb},
 		{"checkpoint_block", MsgCheckpointBlock, cbb},
 		{"snapshot_header", MsgSnapshotHeader, headerb},
-		{"snapshot_contract", MsgSnapshotContract, contractb},
 		{"snapshot_accounts", MsgSnapshotAccounts, accountsb},
 		{"snapshot_end", MsgSnapshotEnd, endb},
 		{"snapshot_since", MsgSnapshotSince, EncodeSnapshotSince(&SnapshotSince{Epoch: 4})},
@@ -208,7 +211,9 @@ func fixtures() []fixture {
 			From: 5, Head: 6, Blocks: []*shard.FinalBlock{fixtureFinalBlock()},
 		}))},
 		{"hello", MsgHello, EncodeHello(&Hello{Name: "lookup-1", Role: "lookup"})},
-		{"state_image", MsgStateImage, imageb},
+		// A state image frame carries one record of a full snapshot
+		// file, byte for byte.
+		{"state_image", MsgStateImage, AppendFrame(nil, MsgStateDelta, stateb)},
 	}
 }
 
@@ -306,12 +311,6 @@ func reencode(t MsgType, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		return EncodeSnapshotHeader(v), nil
-	case MsgSnapshotContract:
-		v, err := DecodeSnapshotContract(payload)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeSnapshotContract(v)
 	case MsgSnapshotAccounts:
 		v, err := DecodeSnapshotAccounts(payload)
 		if err != nil {
@@ -349,20 +348,17 @@ func reencode(t MsgType, payload []byte) ([]byte, error) {
 		}
 		return EncodeHello(v), nil
 	case MsgStateImage:
-		// Its records are frames: each re-encodes as its own type.
-		var out []byte
-		for rest := payload; len(rest) > 0; {
-			typ, p, next, err := DecodeFrame(rest)
-			if err != nil {
-				return nil, fmt.Errorf("%w: state image record: %v", ErrDecode, err)
-			}
-			enc, err := reencode(typ, p)
-			if err != nil {
-				return nil, err
-			}
-			out, rest = AppendFrame(out, typ, enc), next
+		// Its payload is one record, a frame: it re-encodes as its own
+		// type.
+		typ, p, rest, err := DecodeFrame(payload)
+		if err != nil || len(rest) != 0 {
+			return nil, fmt.Errorf("%w: state image record: %v (%d bytes after it)", ErrDecode, err, len(rest))
 		}
-		return out, nil
+		enc, err := reencode(typ, p)
+		if err != nil {
+			return nil, err
+		}
+		return AppendFrame(nil, typ, enc), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown message type %d", ErrDecode, t)
 	}
@@ -589,30 +585,36 @@ func TestGoldenDecodes(t *testing.T) {
 	}
 }
 
-// badMapFrames are snapshot records whose one field is a map no typed
-// write builds: keys that are not values of the map's key type, or a
-// key type no canonical key renders. A map's keys are rebuilt from its
-// key type, so each must fail to decode. They seed FuzzDecoders too.
+// badMapFrames are state-delta records whose one field is written
+// whole with a map no typed write builds: keys that are not values of
+// the map's key type, or a key type no canonical key renders. A map's
+// keys are rebuilt from its key type, so each must fail to decode. They
+// seed FuzzDecoders too.
 func badMapFrames() []fixture {
-	snapshot := func(kt ast.Type, kvs ...value.Value) []byte {
-		b := appendUvarint(appendAddr(nil, chain.AddrFromUint(7)), 1)
-		b = mustEnc(appendType(append(appendString(b, "balances"), tagMap), kt))
-		b = appendUvarint(mustEnc(appendType(b, ast.TyUint128)), uint64(len(kvs)/2))
-		for _, v := range kvs {
-			b = mustEnc(appendValue(b, v))
-		}
-		return b
-	}
-	addr := value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)}
 	return []fixture{
-		{"bad_map_keys", MsgSnapshotContract, snapshot(ast.TyByStr20,
+		{"bad_map_keys", MsgStateDelta, wholeMapDelta(ast.TyByStr20,
 			value.Uint128(5), value.Uint128(1), value.Str{S: "x"}, value.Uint128(2))},
-		{"bad_map_key_type", MsgSnapshotContract, snapshot(ast.MapType{Key: ast.TyUint128, Val: ast.TyUint128})},
-		{"bad_map_key_width", MsgSnapshotContract, snapshot(ast.TyUint128, value.Uint32V(5), value.Uint128(1))},
-		{"bad_map_key_bystr", MsgSnapshotContract, snapshot(ast.PrimType{Kind: ast.ByStr},
-			addr, value.Uint128(1))},
-		{"bad_map_key_unit", MsgSnapshotContract, snapshot(ast.TyUnit, value.Unit{}, value.Uint128(1))},
+		{"bad_map_key_type", MsgStateDelta, wholeMapDelta(ast.MapType{Key: ast.TyUint128, Val: ast.TyUint128})},
+		{"bad_map_key_width", MsgStateDelta, wholeMapDelta(ast.TyUint128, value.Uint32V(5), value.Uint128(1))},
+		{"bad_map_key_bystr", MsgStateDelta, wholeMapDelta(ast.PrimType{Kind: ast.ByStr},
+			value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)}, value.Uint128(1))},
+		{"bad_map_key_unit", MsgStateDelta, wholeMapDelta(ast.TyUnit, value.Unit{}, value.Uint128(1))},
 	}
+}
+
+// wholeMapDelta encodes, byte by byte, a state delta of contract 7
+// whose field "balances" is written whole (an Overwrite entry) with a
+// map of key type kt to Uint128 holding the key/value pairs kvs.
+func wholeMapDelta(kt ast.Type, kvs ...value.Value) []byte {
+	b := appendVarint(appendAddr(nil, chain.AddrFromUint(7)), 0)
+	b = appendBool(appendString(appendUvarint(b, 1), "balances"), true)
+	b = appendBool(appendUvarint(append(b, byte(chain.Overwrite)), 0), true)
+	b = mustEnc(appendType(append(b, tagMap), kt))
+	b = appendUvarint(mustEnc(appendType(b, ast.TyUint128)), uint64(len(kvs)/2))
+	for _, v := range kvs {
+		b = mustEnc(appendValue(b, v))
+	}
+	return appendUvarint(appendBig(b, nil), 0) // no delta, no entries
 }
 
 // TestMapKeysOfKeyType: a map decodes only when its key type is an
@@ -620,15 +622,23 @@ func badMapFrames() []fixture {
 // exactly that type; the same map with well-typed keys decodes.
 func TestMapKeysOfKeyType(t *testing.T) {
 	for _, fx := range badMapFrames() {
-		if c, err := DecodeSnapshotContract(fx.enc); !errors.Is(err, ErrDecode) {
-			t.Errorf("%s: decoded to %v, err %v; want ErrDecode", fx.name, c, err)
+		if d, err := DecodeStateDelta(fx.enc); !errors.Is(err, ErrDecode) {
+			t.Errorf("%s: decoded to %v, err %v; want ErrDecode", fx.name, d, err)
 		}
 	}
+	holder := value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)}
 	m := value.NewMap(ast.TyByStr20, ast.TyUint128)
-	m.Set(value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)}, value.Uint128(1))
-	enc := mustEnc(EncodeSnapshotContract(&SnapshotContract{Addr: chain.AddrFromUint(7), Fields: map[string]value.Value{"balances": m}}))
-	if c, err := DecodeSnapshotContract(enc); err != nil || !value.Equal(c.Fields["balances"], m) {
-		t.Fatalf("well-typed map: decoded %v, err %v", c, err)
+	m.Set(holder, value.Uint128(1))
+	enc := wholeMapDelta(ast.TyByStr20, holder, value.Uint128(1))
+	if d, err := DecodeStateDelta(enc); err != nil || !value.Equal(d.Fields["balances"].Whole.Value, m) {
+		t.Fatalf("well-typed map: decoded %v, err %v", d, err)
+	}
+	want := mustEnc(EncodeStateDelta(&chain.StateDelta{
+		Contract: chain.AddrFromUint(7),
+		Fields:   map[string]*chain.FieldDelta{"balances": {Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: m}}},
+	}))
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("the hand-built record is not the encoder's:\n got %x\nwant %x", enc, want)
 	}
 }
 

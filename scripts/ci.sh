@@ -67,15 +67,20 @@ go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... 
 # refuses a block with no root to verify
 # (TestReplicaRefusesRootlessBlock), a replica on an empty directory
 # that rejoins a restarted committee from a state image
-# (TestReplicaRejoinsFromStateImage) and a cluster restarted on a torn
-# and a wiped replica directory, each caught up over the wire
-# (TestClusterKillRestartResumes) run five times more with those two
-# and the two fault tests above.
+# (TestReplicaRejoinsFromStateImage), a fresh replica that gathers a
+# many-record state image frame by frame, applies nothing from a run
+# missing a frame or its trailer and rejoins from a whole one
+# (TestReplicaRejoinsFromLargeImage), a committee that ends an image at
+# its first failed send and counts it (TestImageSendErrorsCounted) and
+# a cluster restarted on a torn and a wiped replica directory, each
+# caught up over the wire (TestClusterKillRestartResumes) run five times
+# more with those two and the two fault tests above.
 go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
-go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock|TestClusterLosesWhatThePlanLoses|TestDSTakesMicroBlocksOnlyFromTheirShard|TestRolesStepWithoutRuntime|TestReplicaTakesBlocksOnlyFromItsCommittee|TestLookupTakesBlocksOnlyFromItsCommittee|TestReplicaRefusesRootlessBlock|TestReplicaRejoinsFromStateImage|TestClusterKillRestartResumes' ./internal/node/
+go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock|TestClusterLosesWhatThePlanLoses|TestDSTakesMicroBlocksOnlyFromTheirShard|TestRolesStepWithoutRuntime|TestReplicaTakesBlocksOnlyFromItsCommittee|TestLookupTakesBlocksOnlyFromItsCommittee|TestReplicaRefusesRootlessBlock|TestReplicaRejoinsFromStateImage|TestReplicaRejoinsFromLargeImage|TestImageSendErrorsCounted|TestClusterKillRestartResumes' ./internal/node/
 # The persistence race run covers the state store (journal append,
-# snapshot chains and their fold rule, recovery from every crash state
-# around a boundary, the seeded recovery-equivalence property over nested
+# snapshot chains and their fold rule, a map many state records long
+# snapshotted, imaged and recovered (TestLargeStateSnapshot), recovery
+# from every crash state around a boundary, the seeded recovery-equivalence property over nested
 # maps and deletes, the refusal of a previous-version journal and of a
 # directory the retired paged store wrote) and the incremental root trie
 # under -short (the million-account test opts out of the race detector;
