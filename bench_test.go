@@ -323,24 +323,25 @@ func holdersNetwork(b *testing.B, holders, entries int) (*shard.Network, *shard.
 	maps.Copy(st.Fields, con.Snapshot().Fields)
 	st.Fields["balances"] = balances
 	con.ReplaceState(st)
-	fd := &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, entries)}
+	fd := chain.FieldDelta{Name: "balances", Entries: make([]chain.EntryDelta, 0, entries)}
 	acc := chain.NewAccountDelta()
 	for i := 0; i < entries; i++ {
 		u := chain.AddrFromUint(uint64(i*(holders/entries) + 1))
 		net.CreateUser(u, 1<<50)
 		keys := []value.Value{u.Value()}
 		if i%2 == 0 {
-			fd.Entries[chain.Keypath(keys)] = chain.EntryDelta{Kind: chain.IntAdd, Keys: keys, Delta: big.NewInt(3)}
+			fd.Entries = append(fd.Entries, chain.EntryDelta{Kind: chain.IntAdd, Keypath: chain.Keypath(keys), Keys: keys, Delta: big.NewInt(3)})
 		} else {
-			fd.Entries[chain.Keypath(keys)] = chain.EntryDelta{Kind: chain.Overwrite, Keys: keys, Value: value.Uint128(uint64(2000 + i))}
+			fd.Entries = append(fd.Entries, chain.EntryDelta{Kind: chain.Overwrite, Keypath: chain.Keypath(keys), Keys: keys, Value: value.Uint128(uint64(2000 + i))})
 		}
 		acc.AddBalance(u, big.NewInt(-7))
 		acc.BumpNonce(u, 1)
 	}
+	chain.SortEntries(fd.Entries)
 	net.RebuildStateRoots()
 	net.StateRoot()
 	return net, &shard.FinalBlock{
-		Deltas:   []*chain.StateDelta{{Contract: c, Fields: map[string]*chain.FieldDelta{"balances": fd}}},
+		Deltas:   []*chain.StateDelta{{Contract: c, Fields: []chain.FieldDelta{fd}}},
 		Accounts: acc,
 	}
 }

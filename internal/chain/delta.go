@@ -3,7 +3,7 @@ package chain
 import (
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 	"strings"
 
 	"cosplit/internal/core/signature"
@@ -35,28 +35,38 @@ func (k DeltaKind) String() string {
 	}
 }
 
-// EntryDelta is the delta for one map entry.
+// EntryDelta is the delta for one map entry, or for a field written
+// whole.
 type EntryDelta struct {
-	Kind  DeltaKind
-	Keys  []value.Value
-	Value value.Value // Overwrite
-	Delta *big.Int    // IntAdd
+	Kind DeltaKind
+	// Keypath is Keypath(Keys): the entry's name in its field, by which
+	// a FieldDelta orders its entries. It is empty on a Whole delta.
+	Keypath string
+	Keys    []value.Value
+	Value   value.Value // Overwrite
+	Delta   *big.Int    // IntAdd
 }
 
 // FieldDelta is the delta for one contract field.
 type FieldDelta struct {
-	// Whole is set when the entire field was written; Entries is used
-	// for per-entry map writes.
+	Name string
+	// Whole is set when the entire field was written; Entries holds
+	// per-entry map writes, in strictly increasing Keypath order.
 	Whole   *EntryDelta
-	Entries map[string]EntryDelta // keypath -> delta
+	Entries []EntryDelta
 }
 
 // StateDelta is a shard's per-contract state contribution for an epoch
-// (the SD in Fig. 10).
+// (the SD in Fig. 10). It is canonical: Fields are in strictly
+// increasing Name order and each field's Entries in strictly increasing
+// Keypath order, each entry's Keypath that of its Keys. Whoever builds
+// a delta puts it in that order once (ExtractDelta, the store's record
+// writer); the wire decoder refuses a delta that is not, so the merge,
+// the encoder and every other reader iterate and never sort.
 type StateDelta struct {
 	Contract Address
 	Shard    int
-	Fields   map[string]*FieldDelta
+	Fields   []FieldDelta
 }
 
 // Empty reports whether the delta carries no changes.
@@ -65,11 +75,11 @@ func (d *StateDelta) Empty() bool { return len(d.Fields) == 0 }
 // Size returns the number of changed components.
 func (d *StateDelta) Size() int {
 	n := 0
-	for _, fd := range d.Fields {
-		if fd.Whole != nil {
+	for i := range d.Fields {
+		if d.Fields[i].Whole != nil {
 			n++
 		}
-		n += len(fd.Entries)
+		n += len(d.Fields[i].Entries)
 	}
 	return n
 }
@@ -78,18 +88,12 @@ func (d *StateDelta) Size() int {
 func (d *StateDelta) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "delta[%s shard=%d]{", d.Contract, d.Shard)
-	fields := make([]string, 0, len(d.Fields))
-	for f := range d.Fields {
-		fields = append(fields, f)
-	}
-	sort.Strings(fields)
-	for _, f := range fields {
-		fd := d.Fields[f]
+	for _, fd := range d.Fields {
 		if fd.Whole != nil {
-			fmt.Fprintf(&sb, " %s:%s", f, fd.Whole.Kind)
+			fmt.Fprintf(&sb, " %s:%s", fd.Name, fd.Whole.Kind)
 		}
-		for kp, e := range fd.Entries {
-			fmt.Fprintf(&sb, " %s[%q]:%s", f, kp, e.Kind)
+		for _, e := range fd.Entries {
+			fmt.Fprintf(&sb, " %s[%q]:%s", fd.Name, e.Keypath, e.Kind)
 		}
 	}
 	sb.WriteString(" }")
@@ -109,51 +113,41 @@ func intOf(v value.Value) (*big.Int, bool) {
 // delta. Fields with an IntMerge join contribute signed integer deltas;
 // all other writes contribute overwrites of the final values. The
 // overlay's base must be the epoch-start state the delta is relative to.
+// The delta is canonical; a field is written whole or by entries, never
+// both (StoreField drops the entry writes, and later ones go into the
+// whole value).
 func (o *Overlay) ExtractDelta(contract Address, shard int, joins map[string]signature.Join) (*StateDelta, error) {
-	d := &StateDelta{Contract: contract, Shard: shard, Fields: make(map[string]*FieldDelta)}
-	fieldDelta := func(f string) *FieldDelta {
-		fd, ok := d.Fields[f]
-		if !ok {
-			fd = &FieldDelta{Entries: make(map[string]EntryDelta)}
-			d.Fields[f] = fd
-		}
-		return fd
-	}
+	d := &StateDelta{Contract: contract, Shard: shard, Fields: make([]FieldDelta, 0, len(o.scalars)+len(o.mapWrites))}
 	// Values flow into the delta by reference: every apply sink
 	// (applyWhole, applyEntry) copies before mutating canonical state,
 	// and overlay values are never mutated in place, so the extra
 	// defensive copy here only cost allocations.
 	for f, v := range o.scalars {
-		fd := fieldDelta(f)
+		whole := EntryDelta{Kind: Overwrite, Value: v}
 		if joins[f] == signature.IntMerge {
 			newInt, ok1 := intOf(v)
 			baseVal, err := o.base.LoadField(f)
 			if err != nil {
 				return nil, err
 			}
-			oldInt, ok2 := intOf(baseVal)
-			if ok1 && ok2 {
-				fd.Whole = &EntryDelta{Kind: IntAdd, Delta: new(big.Int).Sub(newInt, oldInt)}
-				continue
+			if oldInt, ok2 := intOf(baseVal); ok1 && ok2 {
+				whole = EntryDelta{Kind: IntAdd, Delta: new(big.Int).Sub(newInt, oldInt)}
 			}
 		}
-		fd.Whole = &EntryDelta{Kind: Overwrite, Value: v}
+		d.Fields = append(d.Fields, FieldDelta{Name: f, Whole: &whole})
 	}
 	// A single-key entry's keypath is its canonical key, so the base
 	// lookup reuses it instead of re-canonicalising the key per entry.
 	var ckBuf [4]string
 	for f, writes := range o.mapWrites {
-		fd := fieldDelta(f)
+		entries := make([]EntryDelta, 0, len(writes))
 		for kp, e := range writes {
+			ed := EntryDelta{Kind: Overwrite, Keypath: kp, Keys: e.keys, Value: e.val}
+			newInt, isInt := intOf(e.val)
 			switch {
 			case e.deleted:
-				fd.Entries[kp] = EntryDelta{Kind: Delete, Keys: e.keys}
-			case joins[f] == signature.IntMerge:
-				newInt, ok := intOf(e.val)
-				if !ok {
-					fd.Entries[kp] = EntryDelta{Kind: Overwrite, Keys: e.keys, Value: e.val}
-					continue
-				}
+				ed.Kind = Delete
+			case joins[f] == signature.IntMerge && isInt:
 				var cks []string
 				if len(e.keys) == 1 {
 					cks = append(ckBuf[:0], kp)
@@ -170,13 +164,21 @@ func (o *Overlay) ExtractDelta(contract Address, shard int, joins map[string]sig
 						old = oi
 					}
 				}
-				fd.Entries[kp] = EntryDelta{Kind: IntAdd, Keys: e.keys, Delta: new(big.Int).Sub(newInt, old)}
-			default:
-				fd.Entries[kp] = EntryDelta{Kind: Overwrite, Keys: e.keys, Value: e.val}
+				ed = EntryDelta{Kind: IntAdd, Keypath: kp, Keys: e.keys, Delta: new(big.Int).Sub(newInt, old)}
 			}
+			entries = append(entries, ed)
 		}
+		SortEntries(entries)
+		d.Fields = append(d.Fields, FieldDelta{Name: f, Entries: entries})
 	}
+	slices.SortFunc(d.Fields, func(a, b FieldDelta) int { return strings.Compare(a.Name, b.Name) })
 	return d, nil
+}
+
+// SortEntries puts entries in keypath order, the order a FieldDelta
+// holds them in.
+func SortEntries(entries []EntryDelta) {
+	slices.SortFunc(entries, func(a, b EntryDelta) int { return strings.Compare(a.Keypath, b.Keypath) })
 }
 
 // ConflictError reports two shards writing the same disjointly-owned
@@ -350,29 +352,24 @@ func (u *Undo) slot(st *eval.MemState, f, kp string, keys []value.Value, create 
 // state st, in place, each entry at its keypath by its join kind.
 // Overwrites of the same component by two shards are conflicts
 // (dispatch must prevent them); integer deltas are summed with overflow
-// checking. The cost follows the deltas, not the size of st.
+// checking. Deltas are canonical (StateDelta), so fields and entries
+// merge in the order they are held. The cost follows the deltas, not
+// the size of st.
 //
 // Every write is recorded in undo first. On an error st is left part
 // merged: the caller rolls the whole block back through undo.
 func MergeDeltas(st *eval.MemState, deltas []*StateDelta, undo *Undo) error {
 	overwritten := map[slot2]bool{}
-	var kps []string
 	for _, d := range deltas {
-		for f, fd := range d.Fields {
+		for i := range d.Fields {
+			fd := &d.Fields[i]
 			if fd.Whole != nil {
-				if err := applyWhole(st, undo, d.Contract, f, fd.Whole, overwritten); err != nil {
+				if err := applyWhole(st, undo, d.Contract, fd.Name, fd.Whole, overwritten); err != nil {
 					return err
 				}
 			}
-			// Deterministic entry order.
-			kps = kps[:0]
-			for kp := range fd.Entries {
-				kps = append(kps, kp)
-			}
-			sort.Strings(kps)
-			for _, kp := range kps {
-				e := fd.Entries[kp]
-				if err := applyEntry(st, undo, d.Contract, f, kp, &e, overwritten); err != nil {
+			for j := range fd.Entries {
+				if err := applyEntry(st, undo, d.Contract, fd.Name, &fd.Entries[j], overwritten); err != nil {
 					return err
 				}
 			}
@@ -411,7 +408,8 @@ func applyWhole(st *eval.MemState, undo *Undo, contract Address, f string, e *En
 	}
 }
 
-func applyEntry(st *eval.MemState, undo *Undo, contract Address, f, kp string, e *EntryDelta, overwritten map[slot2]bool) error {
+func applyEntry(st *eval.MemState, undo *Undo, contract Address, f string, e *EntryDelta, overwritten map[slot2]bool) error {
+	kp := e.Keypath
 	if e.Kind != IntAdd {
 		s := slot2{field: f, kp: kp}
 		if overwritten[s] {

@@ -16,8 +16,8 @@ type StateReader interface {
 	MapGet(field string, cks []string, keys []value.Value) (value.Value, bool, error)
 }
 
-// keypathSep separates canonical keys in a flattened nested-map path.
-const keypathSep = "\x1f"
+// KeypathSep separates canonical keys in a flattened nested-map path.
+const KeypathSep = "\x1f"
 
 // Keypath renders a key vector canonically. The single-key case (flat
 // maps such as balances[addr], by far the most common shape) avoids the
@@ -33,7 +33,7 @@ func Keypath(keys []value.Value) string {
 	var sb strings.Builder
 	for i, k := range keys {
 		if i > 0 {
-			sb.WriteString(keypathSep)
+			sb.WriteString(KeypathSep)
 		}
 		sb.WriteString(value.CanonicalKey(k))
 	}
@@ -115,19 +115,6 @@ func (o *Overlay) writesFor(field string) map[string]mapEntry {
 	return w
 }
 
-// fieldMapDepth returns the nesting depth of a map field.
-func fieldMapDepth(t ast.Type) int {
-	d := 0
-	for {
-		mt, ok := t.(ast.MapType)
-		if !ok {
-			return d
-		}
-		d++
-		t = mt.Val
-	}
-}
-
 // LoadField implements eval.StateAccess. Loading a map field with
 // pending entry writes materialises a merged copy.
 func (o *Overlay) LoadField(name string) (value.Value, error) {
@@ -151,7 +138,7 @@ func (o *Overlay) LoadField(name string) (value.Value, error) {
 	}
 	merged := bm.Copy()
 	for _, e := range writes {
-		if err := foldEntry(merged, e, o.fieldTypes[name]); err != nil {
+		if err := foldEntry(merged, e); err != nil {
 			return nil, err
 		}
 	}
@@ -184,18 +171,6 @@ func (o *Overlay) ownKeys(w map[string]mapEntry, kp string, keys []value.Value) 
 	return append([]value.Value(nil), keys...)
 }
 
-// keypathOf joins per-level canonical keys into a keypath: Keypath of
-// the keys they canonicalise.
-func keypathOf(cks []string) string {
-	switch len(cks) {
-	case 0:
-		return ""
-	case 1:
-		return cks[0]
-	}
-	return strings.Join(cks, keypathSep)
-}
-
 // MapGet implements eval.StateAccess.
 func (o *Overlay) MapGet(field string, cks []string, keys []value.Value) (value.Value, bool, error) {
 	if v, ok := o.scalars[field]; ok {
@@ -203,9 +178,14 @@ func (o *Overlay) MapGet(field string, cks []string, keys []value.Value) (value.
 		if !ok {
 			return nil, false, fmt.Errorf("field %s is not a map", field)
 		}
-		return getNested(m, cks)
+		inner, err := eval.MapAt(m, cks, false)
+		if inner == nil {
+			return nil, false, err
+		}
+		v, ok := inner.GetCK(cks[len(cks)-1])
+		return v, ok, nil
 	}
-	if e, ok := o.mapWrites[field][keypathOf(cks)]; ok {
+	if e, ok := o.mapWrites[field][strings.Join(cks, KeypathSep)]; ok {
 		if e.deleted {
 			return nil, false, nil
 		}
@@ -221,11 +201,11 @@ func (o *Overlay) MapSet(field string, cks []string, keys []value.Value, v value
 		if !ok {
 			return fmt.Errorf("field %s is not a map", field)
 		}
-		return setNested(m, cks, value.Copy(v), o.fieldTypes[field])
+		return setNested(m, cks, value.Copy(v))
 	}
 	w := o.writesFor(field)
 	delete(o.merged, field)
-	kp := keypathOf(cks)
+	kp := strings.Join(cks, KeypathSep)
 	w[kp] = mapEntry{keys: o.ownKeys(w, kp, keys), val: value.Copy(v)}
 	return nil
 }
@@ -242,7 +222,7 @@ func (o *Overlay) MapDelete(field string, cks []string, keys []value.Value) erro
 	}
 	w := o.writesFor(field)
 	delete(o.merged, field)
-	kp := keypathOf(cks)
+	kp := strings.Join(cks, KeypathSep)
 	w[kp] = mapEntry{keys: o.ownKeys(w, kp, keys), deleted: true}
 	return nil
 }
@@ -272,7 +252,7 @@ func (o *Overlay) CommitTo(parent *Overlay) {
 				continue
 			}
 			for _, e := range writes {
-				foldEntry(m, e, parent.fieldTypes[f]) //nolint:errcheck // validated on child write
+				foldEntry(m, e) //nolint:errcheck // validated on child write
 			}
 			continue
 		}
@@ -297,76 +277,31 @@ func (o *Overlay) Touched() bool {
 // --- nested map helpers operating on materialised map values ---
 
 // foldEntry applies one pending entry write to a materialised map.
-func foldEntry(m *value.Map, e mapEntry, fieldType ast.Type) error {
+func foldEntry(m *value.Map, e mapEntry) error {
 	var buf [4]string
 	cks := eval.CanonicalKeys(buf[:0], e.keys)
 	if e.deleted {
 		deleteNested(m, cks)
 		return nil
 	}
-	return setNested(m, cks, e.val, fieldType)
+	return setNested(m, cks, e.val)
 }
 
-func getNested(m *value.Map, cks []string) (value.Value, bool, error) {
-	cur := m
-	for i := 0; i < len(cks)-1; i++ {
-		v, ok := cur.GetCK(cks[i])
-		if !ok {
-			return nil, false, nil
-		}
-		nm, ok := v.(*value.Map)
-		if !ok {
-			return nil, false, fmt.Errorf("non-map value at nesting depth %d", i)
-		}
-		cur = nm
+// setNested writes v at cks in m, creating the map levels on the way.
+func setNested(m *value.Map, cks []string, v value.Value) error {
+	inner, err := eval.MapAt(m, cks, true)
+	if err != nil {
+		return err
 	}
-	v, ok := cur.GetCK(cks[len(cks)-1])
-	return v, ok, nil
-}
-
-func setNested(m *value.Map, cks []string, v value.Value, fieldType ast.Type) error {
-	cur := m
-	t := fieldType
-	for i := 0; i < len(cks)-1; i++ {
-		mt, ok := t.(ast.MapType)
-		if !ok {
-			return fmt.Errorf("field not nested at depth %d", i)
-		}
-		t = mt.Val
-		next, found := cur.GetCK(cks[i])
-		if !found {
-			inner, ok := t.(ast.MapType)
-			if !ok {
-				return fmt.Errorf("field not nested at depth %d", i+1)
-			}
-			nm := value.NewMap(inner.Key, inner.Val)
-			cur.SetCK(cks[i], nm)
-			next = nm
-		}
-		nm, ok := next.(*value.Map)
-		if !ok {
-			return fmt.Errorf("non-map value at nesting depth %d", i)
-		}
-		cur = nm
-	}
-	cur.SetCK(cks[len(cks)-1], v)
+	inner.SetCK(cks[len(cks)-1], v)
 	return nil
 }
 
+// deleteNested removes the entry at cks from m, if it is there.
 func deleteNested(m *value.Map, cks []string) {
-	cur := m
-	for i := 0; i < len(cks)-1; i++ {
-		v, ok := cur.GetCK(cks[i])
-		if !ok {
-			return
-		}
-		nm, ok := v.(*value.Map)
-		if !ok {
-			return
-		}
-		cur = nm
+	if inner, _ := eval.MapAt(m, cks, false); inner != nil {
+		inner.DeleteCK(cks[len(cks)-1])
 	}
-	cur.DeleteCK(cks[len(cks)-1])
 }
 
 // Interface conformance checks.

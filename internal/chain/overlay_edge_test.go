@@ -75,8 +75,7 @@ func TestOverlayWholeFieldStoreThenMapOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := d.Fields["balances"]
-	if fd == nil || fd.Whole == nil || fd.Whole.Kind != chain.Overwrite {
+	if len(d.Fields) != 1 || d.Fields[0].Name != "balances" || d.Fields[0].Whole == nil || d.Fields[0].Whole.Kind != chain.Overwrite {
 		t.Errorf("expected whole-field overwrite delta, got %s", d)
 	}
 	// StoreField does not capture later mutations of the caller's map.

@@ -106,13 +106,10 @@ func TestUndoAfterFailedMerge(t *testing.T) {
 	nestedAdd := func(shard int) *chain.StateDelta {
 		// An IntAdd at nested[addr(9)]["z"]: the outer key is absent, so
 		// the merge has to create the inner map first.
-		return &chain.StateDelta{Shard: shard, Fields: map[string]*chain.FieldDelta{
-			"nested": {Entries: map[string]chain.EntryDelta{
-				chain.Keypath([]value.Value{addr(9), value.Str{S: "z"}}): {
-					Kind: chain.IntAdd, Keys: []value.Value{addr(9), value.Str{S: "z"}}, Delta: big.NewInt(5),
-				},
-			}},
-		}}
+		keys := []value.Value{addr(9), value.Str{S: "z"}}
+		return &chain.StateDelta{Shard: shard, Fields: []chain.FieldDelta{{Name: "nested", Entries: []chain.EntryDelta{
+			{Kind: chain.IntAdd, Keypath: chain.Keypath(keys), Keys: keys, Delta: big.NewInt(5)},
+		}}}}
 	}
 	overwrite := func(base *eval.MemState, shard int, v uint64) *chain.StateDelta {
 		ov := chain.NewOverlay(base, testFieldTypes)
@@ -126,8 +123,8 @@ func TestUndoAfterFailedMerge(t *testing.T) {
 		return d
 	}
 	overflow := func(shard int) *chain.StateDelta {
-		return &chain.StateDelta{Shard: shard, Fields: map[string]*chain.FieldDelta{
-			"total": {Whole: &chain.EntryDelta{Kind: chain.IntAdd, Delta: new(big.Int).Set(ast.MaxInt(ast.TyUint128))}},
+		return &chain.StateDelta{Shard: shard, Fields: []chain.FieldDelta{
+			{Name: "total", Whole: &chain.EntryDelta{Kind: chain.IntAdd, Delta: new(big.Int).Set(ast.MaxInt(ast.TyUint128))}},
 		}}
 	}
 	t.Run("conflict", func(t *testing.T) {
@@ -174,11 +171,11 @@ func TestMergeNeverMutatesReplacedValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := before.(value.Int).V
-	d := &chain.StateDelta{Fields: map[string]*chain.FieldDelta{
-		"balances": {Entries: map[string]chain.EntryDelta{
-			chain.Keypath([]value.Value{addr(2)}): {Kind: chain.IntAdd, Keys: []value.Value{addr(2)}, Delta: big.NewInt(40)},
+	d := &chain.StateDelta{Fields: []chain.FieldDelta{
+		{Name: "balances", Entries: []chain.EntryDelta{
+			{Kind: chain.IntAdd, Keypath: chain.Keypath([]value.Value{addr(2)}), Keys: []value.Value{addr(2)}, Delta: big.NewInt(40)},
 		}},
-		"total": {Whole: &chain.EntryDelta{Kind: chain.IntAdd, Delta: big.NewInt(1)}},
+		{Name: "total", Whole: &chain.EntryDelta{Kind: chain.IntAdd, Delta: big.NewInt(1)}},
 	}}
 	if err := chain.MergeDeltas(base, []*chain.StateDelta{d}, new(chain.Undo)); err != nil {
 		t.Fatal(err)

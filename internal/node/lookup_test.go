@@ -141,8 +141,8 @@ func TestLookupBuildsNoDeltas(t *testing.T) {
 
 	// The same block with one delta of a kind that does not exist.
 	bad := *fb
-	bad.Deltas = append([]*chain.StateDelta{{Contract: env.Contract, Fields: map[string]*chain.FieldDelta{
-		"balances": {Whole: &chain.EntryDelta{Kind: chain.Delete + 1}},
+	bad.Deltas = append([]*chain.StateDelta{{Contract: env.Contract, Fields: []chain.FieldDelta{
+		{Name: "balances", Whole: &chain.EntryDelta{Kind: chain.Delete + 1}},
 	}}}, fb.Deltas...)
 	corrupt, err := wire.EncodeFinalBlock(&bad)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"cosplit/internal/chain"
 	"cosplit/internal/obs"
+	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 	"cosplit/internal/store"
 	"cosplit/internal/wire"
@@ -577,5 +578,81 @@ func TestMicroBlockWithoutAccountsIsLost(t *testing.T) {
 	if lost := len(batch.Txs); res.Stats.LostBlocks != 1 || res.Stats.Lost != lost || lost == 0 {
 		t.Errorf("lost %d blocks, %d transactions; want shard 0's block and its %d transactions",
 			res.Stats.LostBlocks, res.Stats.Lost, lost)
+	}
+}
+
+// TestMicroBlockWithForgedKeypathIsLost: shard 0's own node answers its
+// TxBatch with a MicroBlock whose one delta entry is filed under a
+// keypath that is not its keys'. Merged, the entry would sit in the
+// balances map under a name no key renders to: the root would not cover
+// it, and the next state image could not rebuild its key. The committee
+// must refuse the frame on receipt (wire.recv_errors), count the block
+// lost and requeue the batch, as it does a corrupt one, and its state
+// must still make an image.
+func TestMicroBlockWithForgedKeypathIsLost(t *testing.T) {
+	w := testWorkload()
+	env, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := testGenesis(w)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		canonical.Submit(w.Next(env))
+	}
+	cn := NewChanNetwork()
+	defer cn.Close()
+	reg := obs.NewRegistry()
+	shardNames := []string{"shard-0", "shard-1", "shard-2"}
+	ds, err := NewDS("ds", canonical, cn.Endpoint("ds"), shardNames, DSCollectTimeout(500*time.Millisecond), DSObs(reg, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard0 := cn.Endpoint("shard-0")
+	for i, name := range shardNames[1:] {
+		replica, err := testGenesis(w)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewShard(name, i+1, replica, cn.Endpoint(name), "ds")
+		s.Run()
+		defer s.Close()
+	}
+	ds.Run()
+	defer ds.Close()
+
+	results := make(chan TickResult, 1)
+	go func() { results <- ds.Tick() }()
+	_, typ, payload := recvFrame(t, shard0)
+	batch, err := wire.DecodeTxBatch(payload)
+	if err != nil || typ != wire.MsgTxBatch {
+		t.Fatalf("shard 0 got %s (%v), want its TxBatch", typ, err)
+	}
+	holder := []value.Value{env.Users[0].Value()}
+	mb, err := wire.EncodeMicroBlock(&shard.MicroBlock{Shard: 0, Epoch: batch.Epoch, Accounts: chain.NewAccountDelta(),
+		Deltas: []*chain.StateDelta{{Contract: env.Contract, Shard: 0, Fields: []chain.FieldDelta{{Name: "balances", Entries: []chain.EntryDelta{
+			{Kind: chain.Overwrite, Keypath: "forged", Keys: holder, Value: value.Uint128(1)},
+		}}}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shard0.Send("ds", wire.EncodeFrame(wire.MsgMicroBlock, mb)); err != nil {
+		t.Fatal(err)
+	}
+	res := <-results
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if lost := len(batch.Txs); res.Stats.LostBlocks != 1 || res.Stats.Lost != lost || lost == 0 || canonical.MempoolSize() != lost {
+		t.Errorf("lost %d blocks, %d transactions, %d requeued; want shard 0's block and its %d transactions",
+			res.Stats.LostBlocks, res.Stats.Lost, canonical.MempoolSize(), lost)
+	}
+	if reg.Snapshot().Counters["wire.recv_errors"] == 0 {
+		t.Error("the forged MicroBlock was not counted as a wire.recv_errors")
+	}
+	if err := store.Image(canonical, func([]byte) error { return nil }); err != nil {
+		t.Fatalf("state image after the epoch: %v", err)
 	}
 }

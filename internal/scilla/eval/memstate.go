@@ -56,8 +56,7 @@ func (m *MemState) StoreField(name string, v value.Value) error {
 	return nil
 }
 
-// mapAt descends cks[:len-1] levels, creating intermediate maps when
-// create is true, and returns the innermost map.
+// mapAt returns the innermost map of field that cks addresses (MapAt).
 func (m *MemState) mapAt(field string, cks []string, create bool) (*value.Map, error) {
 	root, ok := m.Fields[field]
 	if !ok {
@@ -67,37 +66,44 @@ func (m *MemState) mapAt(field string, cks []string, create bool) (*value.Map, e
 	if !ok {
 		return nil, fmt.Errorf("field %s is not a map", field)
 	}
+	inner, err := MapAt(cur, cks, create)
+	if err != nil {
+		return nil, fmt.Errorf("field %s: %w", field, err)
+	}
+	return inner, nil
+}
+
+// MapAt is the one walk down nested map levels by canonical keys: it
+// returns the map of m that cks's last key names an entry of. A level
+// missing on the way is created, of its parent's value type, when
+// create is set; otherwise MapAt returns nil.
+func MapAt(m *value.Map, cks []string, create bool) (*value.Map, error) {
 	for i := 0; i < len(cks)-1; i++ {
-		next, found := cur.GetCK(cks[i])
+		next, found := m.GetCK(cks[i])
 		if !found {
 			if !create {
 				return nil, nil
 			}
-			inner, ok := cur.ValType.(ast.MapType)
+			inner, ok := m.ValType.(ast.MapType)
 			if !ok {
-				return nil, fmt.Errorf("field %s is not nested at depth %d", field, i)
+				return nil, fmt.Errorf("not nested at depth %d", i)
 			}
-			nm := value.NewMap(inner.Key, inner.Val)
-			cur.SetCK(cks[i], nm)
-			next = nm
+			next = value.NewMap(inner.Key, inner.Val)
+			m.SetCK(cks[i], next)
 		}
-		nm, ok := next.(*value.Map)
-		if !ok {
-			return nil, fmt.Errorf("field %s has non-map value at depth %d", field, i)
+		var ok bool
+		if m, ok = next.(*value.Map); !ok {
+			return nil, fmt.Errorf("non-map value at depth %d", i)
 		}
-		cur = nm
 	}
-	return cur, nil
+	return m, nil
 }
 
 // MapGet implements StateAccess.
 func (m *MemState) MapGet(field string, cks []string, keys []value.Value) (value.Value, bool, error) {
 	inner, err := m.mapAt(field, cks, false)
-	if err != nil {
-		return nil, false, err
-	}
 	if inner == nil {
-		return nil, false, nil
+		return nil, false, err
 	}
 	v, ok := inner.GetCK(cks[len(cks)-1])
 	return v, ok, nil
@@ -116,14 +122,10 @@ func (m *MemState) MapSet(field string, cks []string, keys []value.Value, v valu
 // MapDelete implements StateAccess.
 func (m *MemState) MapDelete(field string, cks []string, keys []value.Value) error {
 	inner, err := m.mapAt(field, cks, false)
-	if err != nil {
-		return err
+	if inner != nil {
+		inner.DeleteCK(cks[len(cks)-1])
 	}
-	if inner == nil {
-		return nil
-	}
-	inner.DeleteCK(cks[len(cks)-1])
-	return nil
+	return err
 }
 
 // Copy deep-copies the state.

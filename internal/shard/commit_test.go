@@ -20,21 +20,18 @@ import (
 )
 
 // entryDelta builds a one-field StateDelta for contract c out of
-// (keys, EntryDelta) pairs, keyed the way ExtractDelta keys them.
+// entries of distinct keys, in keypath order as ExtractDelta orders them.
 func entryDelta(c chain.Address, shardID int, field string, entries ...chain.EntryDelta) *chain.StateDelta {
-	fd := &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, len(entries))}
-	for _, e := range entries {
-		fd.Entries[chain.Keypath(e.Keys)] = e
-	}
-	return &chain.StateDelta{Contract: c, Shard: shardID, Fields: map[string]*chain.FieldDelta{field: fd}}
+	chain.SortEntries(entries)
+	return &chain.StateDelta{Contract: c, Shard: shardID, Fields: []chain.FieldDelta{{Name: field, Entries: entries}}}
 }
 
 func overwriteEntry(v uint64, keys ...value.Value) chain.EntryDelta {
-	return chain.EntryDelta{Kind: chain.Overwrite, Keys: keys, Value: u128(v)}
+	return chain.EntryDelta{Kind: chain.Overwrite, Keypath: chain.Keypath(keys), Keys: keys, Value: u128(v)}
 }
 
 func addEntry(d int64, keys ...value.Value) chain.EntryDelta {
-	return chain.EntryDelta{Kind: chain.IntAdd, Keys: keys, Delta: big.NewInt(d)}
+	return chain.EntryDelta{Kind: chain.IntAdd, Keypath: chain.Keypath(keys), Keys: keys, Delta: big.NewInt(d)}
 }
 
 // TestFailedPhaseLeavesNoTrace: a commit phase is all or nothing. Each
@@ -89,8 +86,8 @@ func TestFailedPhaseLeavesNoTrace(t *testing.T) {
 			return &shard.FinalBlock{Deltas: []*chain.StateDelta{
 				good(first, users),
 				entryDelta(second, 0, "balances", overwriteEntry(5, users[1].Value())),
-				{Contract: second, Shard: 1, Fields: map[string]*chain.FieldDelta{
-					"total_supply": {Whole: &chain.EntryDelta{Kind: chain.IntAdd, Delta: new(big.Int).Set(ast.MaxInt(ast.TyUint128))}},
+				{Contract: second, Shard: 1, Fields: []chain.FieldDelta{
+					{Name: "total_supply", Whole: &chain.EntryDelta{Kind: chain.IntAdd, Delta: new(big.Int).Set(ast.MaxInt(ast.TyUint128))}},
 				}},
 			}, Accounts: payGas(users)}
 		},

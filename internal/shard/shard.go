@@ -1358,7 +1358,8 @@ func (r *shardRun) overflowGuardViolation() (bool, error) {
 		return false, err
 	}
 	base := c.Snapshot()
-	for f, fd := range d.Fields {
+	for _, fd := range d.Fields {
+		f := fd.Name
 		if c.Sig.Joins[f] != signature.IntMerge {
 			continue
 		}

@@ -122,13 +122,13 @@ func (n *Network) touchAccount(addr chain.Address) {
 func (n *Network) touchPhase(p phase) {
 	for _, d := range p.deltas {
 		st := n.Contracts.Get(d.Contract).Snapshot()
-		for field, fd := range d.Fields {
+		for _, fd := range d.Fields {
 			if fd.Whole != nil {
-				n.roots.TouchWholeField(d.Contract, field, st)
+				n.roots.TouchWholeField(d.Contract, fd.Name, st)
 				continue
 			}
 			for _, e := range fd.Entries {
-				n.roots.TouchEntry(d.Contract, field, e.Keys, st)
+				n.roots.TouchEntry(d.Contract, fd.Name, e.Keys, st)
 			}
 		}
 	}

@@ -82,27 +82,27 @@ func (d *dirtySet) addDeltas(deltas []*chain.StateDelta) {
 			fields = make(map[string]*dirtyField)
 			d.contracts[sd.Contract] = fields
 		}
-		for f, fd := range sd.Fields {
-			df := fields[f]
+		for _, fd := range sd.Fields {
+			df := fields[fd.Name]
 			if df == nil {
 				df = &dirtyField{}
-				fields[f] = df
+				fields[fd.Name] = df
 			}
 			if df.whole {
 				continue
 			}
 			whole := fd.Whole != nil
-			for kp, e := range fd.Entries {
+			for _, e := range fd.Entries {
 				if whole = whole || len(e.Keys) == 0; whole {
 					break // an entry without keys is the field itself
 				}
-				if _, seen := df.entries[kp]; seen {
+				if _, seen := df.entries[e.Keypath]; seen {
 					continue
 				}
 				if df.entries == nil {
 					df.entries = make(map[string][]value.Value)
 				}
-				df.entries[kp] = e.Keys
+				df.entries[e.Keypath] = e.Keys
 				d.cost += entryCost + 1
 			}
 			if whole {
@@ -183,45 +183,65 @@ func compareAddrs(a, b chain.Address) int {
 // kinds of snapshot file: it cuts the post-values it is given into
 // MsgStateDelta records of one contract and at most snapshotBatch
 // components each — an entry, or a field written whole — and hands each
-// record to put, encoded, once it is complete. The first error ends the
-// writing and stays in err; cost counts what was written in the fold
-// rule's unit (see incremental.cost).
+// record to put, encoded, once it is complete. Records are canonical
+// deltas (chain.StateDelta): fields and their entries arrive in the
+// order they are written, and a record is sorted before it is put only
+// if an entry arrived out of keypath order (unsorted). The first error
+// ends the writing and stays in err; cost counts what was written in
+// the fold rule's unit (see incremental.cost).
 type stateRecords struct {
-	put  func(payload []byte) error
-	err  error
-	cur  *chain.StateDelta
-	size int
-	cost int
+	put func(payload []byte) error
+	err error
+	// cur is the record being filled and size its components. Its
+	// fields' entries are runs of entries, the last field's at its end;
+	// the next record reuses both slices.
+	cur      chain.StateDelta
+	entries  []chain.EntryDelta
+	size     int
+	unsorted bool
+	cost     int
 }
 
 // component is where the next component of contract addr's field f
-// goes, of which the field has `more` left to write. It puts the
-// current record first when that is full or of another contract.
-func (r *stateRecords) component(addr chain.Address, f string, more int) *chain.FieldDelta {
-	if r.cur != nil && (r.size == snapshotBatch || r.cur.Contract != addr) {
+// goes; a contract's fields come in name order. It puts the current
+// record first when that is full or of another contract.
+func (r *stateRecords) component(addr chain.Address, f string) *chain.FieldDelta {
+	if r.size == snapshotBatch || (r.size > 0 && r.cur.Contract != addr) {
 		_ = r.flush() // an error stays in err and ends the writing
 	}
-	if r.cur == nil {
-		r.cur = &chain.StateDelta{Contract: addr, Fields: make(map[string]*chain.FieldDelta)}
-	}
-	fd := r.cur.Fields[f]
-	if fd == nil {
-		fd = &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, min(more, snapshotBatch-r.size))}
-		r.cur.Fields[f] = fd
+	r.cur.Contract = addr
+	if n := len(r.cur.Fields); n == 0 || r.cur.Fields[n-1].Name != f {
+		r.cur.Fields = append(r.cur.Fields, chain.FieldDelta{Name: f})
 	}
 	r.size++
-	return fd
+	return &r.cur.Fields[len(r.cur.Fields)-1]
 }
 
-// flush puts the current record, if there is one, and reports err.
+// entry adds e, an entry of contract addr's field f, to the record.
+func (r *stateRecords) entry(addr chain.Address, f string, e chain.EntryDelta) {
+	fd := r.component(addr, f)
+	n := len(fd.Entries)
+	if n > 0 && fd.Entries[n-1].Keypath >= e.Keypath {
+		r.unsorted = true
+	}
+	r.entries = append(r.entries, e)
+	fd.Entries = r.entries[len(r.entries)-n-1:]
+}
+
+// flush puts the current record, if it holds anything, and reports err.
 func (r *stateRecords) flush() error {
-	if r.cur != nil && r.err == nil {
+	if r.size > 0 && r.err == nil {
+		if r.unsorted {
+			for _, fd := range r.cur.Fields {
+				chain.SortEntries(fd.Entries)
+			}
+		}
 		var payload []byte
-		if payload, r.err = wire.EncodeStateDelta(r.cur); r.err == nil {
+		if payload, r.err = wire.EncodeStateDelta(&r.cur); r.err == nil {
 			r.err = r.put(payload)
 		}
 	}
-	r.cur, r.size = nil, 0
+	r.cur.Fields, r.entries, r.size, r.unsorted = r.cur.Fields[:0], r.entries[:0], 0, false
 	return r.err
 }
 
@@ -232,18 +252,21 @@ func (r *stateRecords) flush() error {
 // costs the leaves v renders to.
 func (r *stateRecords) whole(addr chain.Address, f string, v value.Value) {
 	whole := &chain.EntryDelta{Kind: chain.Overwrite, Value: v}
-	r.component(addr, f, 0).Whole = whole
+	r.component(addr, f).Whole = whole
 	if m, ok := v.(*value.Map); ok && m.Len() > 0 {
 		whole.Value = value.NewMap(m.KeyType, m.ValType)
-		r.leaves(addr, f, m, nil)
+		r.leaves(addr, f, m, nil, "")
 	} else {
 		r.cost++
 	}
 }
 
 // leaves writes the leaves of the non-empty map m, reached from field f
-// by keys, as Overwrite entries in canonical key order.
-func (r *stateRecords) leaves(addr chain.Address, f string, m *value.Map, keys []value.Value) {
+// by keys (keypath kp), as Overwrite entries, walking each level in
+// canonical key order. That is keypath order unless a String key runs
+// on, past a shorter one it starts with, in a byte below the keypath
+// separator.
+func (r *stateRecords) leaves(addr chain.Address, f string, m *value.Map, keys []value.Value, kp string) {
 	type entry struct {
 		ck string
 		v  value.Value
@@ -253,20 +276,20 @@ func (r *stateRecords) leaves(addr chain.Address, f string, m *value.Map, keys [
 		entries = append(entries, entry{ck, v})
 	}
 	slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.ck, b.ck) })
-	for i, e := range entries {
+	for _, e := range entries {
 		if r.err != nil {
 			return
 		}
 		path := append(keys[:len(keys):len(keys)], m.Key(e.ck))
+		ekp := e.ck // a single key's keypath is its canonical key
+		if len(keys) > 0 {
+			ekp = kp + chain.KeypathSep + e.ck
+		}
 		if inner, ok := e.v.(*value.Map); ok && inner.Len() > 0 {
-			r.leaves(addr, f, inner, path)
+			r.leaves(addr, f, inner, path, ekp)
 			continue
 		}
-		kp := e.ck // a single key's keypath is its canonical key
-		if len(path) > 1 {
-			kp = chain.Keypath(path)
-		}
-		r.component(addr, f, len(entries)-i).Entries[kp] = chain.EntryDelta{Kind: chain.Overwrite, Keys: path, Value: e.v}
+		r.entry(addr, f, chain.EntryDelta{Kind: chain.Overwrite, Keypath: ekp, Keys: path, Value: e.v})
 		r.cost++
 	}
 }
@@ -303,20 +326,18 @@ func (r *stateRecords) dirty(addr chain.Address, state map[string]value.Value, d
 		// Empty maps written in place of their deleted entries, so that
 		// several entries deleted under one of them write it once.
 		var emptied map[string]bool
-		for i, de := range entries {
-			kp := de.kp
-			e := postEntry(v, kp, de.keys)
+		for _, de := range entries {
+			e := postEntry(v, de.kp, de.keys)
 			if len(e.Keys) != len(de.keys) {
-				kp = chain.Keypath(e.Keys)
-				if _, own := df.entries[kp]; own || emptied[kp] {
+				if _, own := df.entries[e.Keypath]; own || emptied[e.Keypath] {
 					continue
 				}
 				if emptied == nil {
 					emptied = make(map[string]bool)
 				}
-				emptied[kp] = true
+				emptied[e.Keypath] = true
 			}
-			r.component(addr, f, len(entries)-i).Entries[kp] = e
+			r.entry(addr, f, e)
 			r.cost += entryCost + leaves(e.Value)
 		}
 	}
@@ -347,16 +368,16 @@ func postEntry(field value.Value, kp string, keys []value.Value) chain.EntryDelt
 		}
 		switch {
 		case ok && depth == len(keys)-1:
-			return chain.EntryDelta{Kind: chain.Overwrite, Keys: keys, Value: v}
+			return chain.EntryDelta{Kind: chain.Overwrite, Keypath: kp, Keys: keys, Value: v}
 		case ok:
 			m, _ = v.(*value.Map)
 		case depth > 0 && m.Len() == 0:
-			return chain.EntryDelta{Kind: chain.Overwrite, Keys: keys[:depth], Value: m}
+			return chain.EntryDelta{Kind: chain.Overwrite, Keypath: chain.Keypath(keys[:depth]), Keys: keys[:depth], Value: m}
 		default:
 			m = nil
 		}
 	}
-	return chain.EntryDelta{Kind: chain.Delete, Keys: keys}
+	return chain.EntryDelta{Kind: chain.Delete, Keypath: kp, Keys: keys}
 }
 
 // leaves is the number of root-trie leaves v renders to: one per

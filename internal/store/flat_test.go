@@ -42,18 +42,19 @@ func holdersNetwork(t *testing.T, holders, entries int) (*shard.Network, *shard.
 	con.ReplaceState(st)
 	net.RebuildStateRoots()
 
-	fd := &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, entries)}
+	fd := chain.FieldDelta{Name: "balances", Entries: make([]chain.EntryDelta, 0, entries)}
 	acc := chain.NewAccountDelta()
 	for i := 0; i < entries; i++ {
 		u := chain.AddrFromUint(uint64(i + 1))
 		keys := []value.Value{u.Value()}
-		fd.Entries[chain.Keypath(keys)] = chain.EntryDelta{Kind: chain.IntAdd, Keys: keys, Delta: big.NewInt(3)}
+		fd.Entries = append(fd.Entries, chain.EntryDelta{Kind: chain.IntAdd, Keypath: chain.Keypath(keys), Keys: keys, Delta: big.NewInt(3)})
 		acc.AddBalance(u, big.NewInt(-7))
 		acc.BumpNonce(u, 1)
 	}
+	chain.SortEntries(fd.Entries)
 	return net, &shard.FinalBlock{
 		Epoch:    net.Epoch,
-		Deltas:   []*chain.StateDelta{{Contract: c, Fields: map[string]*chain.FieldDelta{"balances": fd}}},
+		Deltas:   []*chain.StateDelta{{Contract: c, Fields: []chain.FieldDelta{fd}}},
 		Accounts: acc,
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,6 +63,16 @@ func stateRecordsOf(t *testing.T, raw []byte) []*chain.StateDelta {
 	return out
 }
 
+// mustEncode encodes d as a state-delta record's payload.
+func mustEncode(t *testing.T, d *chain.StateDelta) []byte {
+	t.Helper()
+	payload, err := wire.EncodeStateDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
 // components counts a record's components: its entries, and each field
 // written whole.
 func components(d *chain.StateDelta) int {
@@ -116,9 +127,9 @@ func TestLargeStateSnapshot(t *testing.T) {
 	// An incremental file writing the two maps whole: records as bounded,
 	// and the cost read back is the cost written.
 	var dirty dirtySet
-	dirty.addDeltas([]*chain.StateDelta{{Contract: a.Contract, Fields: map[string]*chain.FieldDelta{
-		"balances":   {Whole: &chain.EntryDelta{Kind: chain.Overwrite}},
-		"allowances": {Whole: &chain.EntryDelta{Kind: chain.Overwrite}},
+	dirty.addDeltas([]*chain.StateDelta{{Contract: a.Contract, Fields: []chain.FieldDelta{
+		{Name: "allowances", Whole: &chain.EntryDelta{Kind: chain.Overwrite}},
+		{Name: "balances", Whole: &chain.EntryDelta{Kind: chain.Overwrite}},
 	}}})
 	inc, err := dirty.post(a.Net)
 	if err != nil {
@@ -175,10 +186,17 @@ func TestLargeStateSnapshot(t *testing.T) {
 			t.Fatalf("%s changed the replica: %+v root %s", what, genesis.Checkpoint(), genesis.StateRoot())
 		}
 	}
+	// A record whose one entry is filed under a keypath that is not its
+	// keys' is not a canonical delta: it does not decode.
+	holder := []value.Value{chain.AddrFromUint(1_000_000).Value()}
+	forgedRecord := wire.AppendFrame(nil, wire.MsgStateDelta, mustEncode(t, &chain.StateDelta{Contract: a.Contract, Fields: []chain.FieldDelta{
+		{Name: "balances", Entries: []chain.EntryDelta{{Kind: chain.Overwrite, Keypath: "forged", Keys: holder, Value: value.Uint128(1)}}},
+	}}))
 	for name, image := range map[string][]byte{
 		"an image without its trailer": bytes.Join(records[:len(records)-1], nil),
 		"an image without a middle record": bytes.Join(append(append([][]byte{}, records[:2]...),
 			records[3:]...), nil),
+		"an image with a forged keypath": bytes.Join(slices.Concat(records[:2], [][]byte{forgedRecord}, records[3:]), nil),
 	} {
 		if applied, err := ApplyImage(genesis, image); applied || !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("%s: applied %v, %v; want ErrCorruptSnapshot", name, applied, err)
@@ -187,12 +205,9 @@ func TestLargeStateSnapshot(t *testing.T) {
 	}
 	// A record naming a field the contract does not have is refused as
 	// it is applied.
-	unknown, err := wire.EncodeStateDelta(&chain.StateDelta{Contract: a.Contract, Fields: map[string]*chain.FieldDelta{
-		"no_such_field": {Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: value.Uint128(1)}},
+	unknown := mustEncode(t, &chain.StateDelta{Contract: a.Contract, Fields: []chain.FieldDelta{
+		{Name: "no_such_field", Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: value.Uint128(1)}},
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := append(append([]byte{}, records[0]...), wire.AppendFrame(nil, wire.MsgStateDelta, unknown)...)
 	bad = wire.AppendFrame(bad, wire.MsgSnapshotEnd, wire.EncodeSnapshotEnd(&wire.SnapshotEnd{Contracts: 1}))
 	if _, err := ApplyImage(provisionFT(t).Net, bad); err == nil || !strings.Contains(err.Error(), "unknown field no_such_field") {

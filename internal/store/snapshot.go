@@ -247,8 +247,8 @@ func (sf *snapFile) cost() int {
 	n := len(sf.accounts)
 	whole := make(map[string]int) // by contract and name, the leaves of each field written whole
 	for _, d := range sf.deltas {
-		for f, fd := range d.Fields {
-			k := string(d.Contract[:]) + f
+		for _, fd := range d.Fields {
+			k := string(d.Contract[:]) + fd.Name
 			if fd.Whole != nil {
 				whole[k] = 0
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ import (
 // The seed corpus under testdata/fuzz/FuzzDecoders is generated from
 // the golden fixtures (go test -run TestUpdateFuzzCorpus -update-golden).
 func FuzzDecoders(f *testing.F) {
-	for _, fx := range append(fixtures(), badMapFrames()...) {
+	for _, fx := range slices.Concat(fixtures(), badMapFrames(), badDeltaFrames()) {
 		f.Add(AppendFrame(nil, fx.typ, fx.enc))
 	}
 	// A few deliberately broken seeds so the corpus covers error paths.
@@ -54,8 +55,9 @@ func FuzzDecoders(f *testing.F) {
 			return
 		}
 		// The first decode may have accepted a non-canonical payload
-		// (map entries in arbitrary order); its re-encoding must be the
-		// format's fixed point.
+		// (the entries of a Scilla map value in arbitrary order; a state
+		// delta's fields and entries are read only in canonical order);
+		// its re-encoding must be the format's fixed point.
 		enc2, err := reencode(typ, enc1)
 		if err != nil {
 			t.Fatalf("re-decode %v failed on own encoding: %v", typ, err)
@@ -107,7 +109,7 @@ func receiptsOnlySeeds() []receiptsOnlySeed {
 	rich := fixtureFinalBlock()
 	rich.Deltas, rich.DSAccounts, rich.Receipts = nil, nil, richReceipts()
 	badKind := fixtureFinalBlock()
-	badKind.DSDeltas[0].Fields["paused"].Whole.Kind = chain.Delete + 1
+	badKind.DSDeltas[0].Fields[1].Whole.Kind = chain.Delete + 1 // "paused"
 	nilBalance := fixtureFinalBlock()
 	nilBalance.Accounts.BalanceDeltas[chain.AddrFromUint(100)] = nil
 	return []receiptsOnlySeed{

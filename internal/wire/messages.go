@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/big"
 	"slices"
@@ -194,32 +195,22 @@ func EncodeStateDelta(d *chain.StateDelta) ([]byte, error) {
 func appendStateDelta(b []byte, d *chain.StateDelta) ([]byte, error) {
 	b = appendAddr(b, d.Contract)
 	b = appendVarint(b, int64(d.Shard))
-	fields := make([]string, 0, len(d.Fields))
-	for f := range d.Fields {
-		fields = append(fields, f)
-	}
-	sort.Strings(fields)
-	b = appendUvarint(b, uint64(len(fields)))
+	b = appendUvarint(b, uint64(len(d.Fields)))
 	var err error
-	for _, f := range fields {
-		fd := d.Fields[f]
-		b = appendString(b, f)
+	for i := range d.Fields {
+		fd := &d.Fields[i]
+		b = appendString(b, fd.Name)
 		b = appendBool(b, fd.Whole != nil)
 		if fd.Whole != nil {
 			if b, err = appendEntryDelta(b, fd.Whole); err != nil {
 				return nil, err
 			}
 		}
-		kps := make([]string, 0, len(fd.Entries))
-		for kp := range fd.Entries {
-			kps = append(kps, kp)
-		}
-		sort.Strings(kps)
-		b = appendUvarint(b, uint64(len(kps)))
-		for _, kp := range kps {
-			e := fd.Entries[kp]
-			b = appendString(b, kp)
-			if b, err = appendEntryDelta(b, &e); err != nil {
+		b = appendUvarint(b, uint64(len(fd.Entries)))
+		for j := range fd.Entries {
+			e := &fd.Entries[j]
+			b = appendString(b, e.Keypath)
+			if b, err = appendEntryDelta(b, e); err != nil {
 				return nil, err
 			}
 		}
@@ -253,49 +244,67 @@ func DecodeStateDelta(b []byte) (*chain.StateDelta, error) {
 }
 
 // stateDelta reads one contract's delta, building it only when build.
+// Either way it must be canonical (chain.StateDelta). A field takes 3
+// bytes at least, an entry 5.
 func (r *reader) stateDelta(build bool) *chain.StateDelta {
 	contract, sh := r.addr(), int(r.varint())
-	var d *chain.StateDelta
-	if build {
-		d = &chain.StateDelta{Contract: contract, Shard: sh, Fields: make(map[string]*chain.FieldDelta)}
-	}
-	for nf := r.count(2); nf > 0 && r.err == nil; nf-- {
-		f := r.skip()
+	nf, fields := items[chain.FieldDelta](r, 3, build)
+	var name []byte
+	for i := 0; i < nf && r.err == nil; i++ {
+		name = r.after(name, i == 0, "field")
 		var whole *chain.EntryDelta
 		if r.bool() {
-			whole = r.entryDelta(build)
+			whole = r.entryDelta(nil, build)
 		}
-		var fd *chain.FieldDelta
-		if build {
-			fd = &chain.FieldDelta{Whole: whole, Entries: make(map[string]chain.EntryDelta)}
-		}
-		for ne := r.count(2); ne > 0 && r.err == nil; ne-- {
-			kp := r.skip()
-			if e := r.entryDelta(build); build && r.err == nil {
-				fd.Entries[string(kp)] = *e
+		ne, entries := items[chain.EntryDelta](r, 5, build)
+		var kp []byte
+		for j := 0; j < ne && r.err == nil; j++ {
+			kp = r.after(kp, j == 0, "keypath")
+			if e := r.entryDelta(kp, build); build && r.err == nil {
+				entries = append(entries, *e)
 			}
 		}
 		if build && r.err == nil {
-			d.Fields[string(f)] = fd
+			fields = append(fields, chain.FieldDelta{Name: string(name), Whole: whole, Entries: entries})
 		}
 	}
-	if r.err != nil {
+	if !build || r.err != nil {
 		return nil
 	}
-	return d
+	return &chain.StateDelta{Contract: contract, Shard: sh, Fields: fields}
+}
+
+// after reads a field name or keypath, which must sort after prev, the
+// one read before it, unless it is the first.
+func (r *reader) after(prev []byte, first bool, what string) []byte {
+	b := r.skip()
+	if !first && bytes.Compare(prev, b) >= 0 {
+		r.fail("%s %q does not follow %q", what, b, prev)
+	}
+	return b
 }
 
 // entryDelta reads one entry's change, building it only when build.
-func (r *reader) entryDelta(build bool) *chain.EntryDelta {
+// kp is the keypath the entry is filed under, nil for a field's Whole
+// change; the keys are rendered (key) either way, and kp must be their
+// keypath.
+func (r *reader) entryDelta(kp []byte, build bool) *chain.EntryDelta {
 	kind := r.byte()
 	if kind > byte(chain.Delete) {
 		r.fail("bad delta kind %d", kind)
 	}
 	n, keys := items[value.Value](r, 1, build)
-	for ; n > 0 && r.err == nil; n-- {
-		if k := r.value(0, build); build {
+	r.kp = r.kp[:0]
+	for i := 0; i < n && r.err == nil; i++ {
+		if i > 0 {
+			r.kp = append(r.kp, chain.KeypathSep...)
+		}
+		if k := r.key(build); build {
 			keys = append(keys, k)
 		}
+	}
+	if kp != nil && !bytes.Equal(kp, r.kp) {
+		r.fail("keypath %q is not its keys' %q", kp, string(r.kp))
 	}
 	var v value.Value
 	if r.bool() {
@@ -305,7 +314,28 @@ func (r *reader) entryDelta(build bool) *chain.EntryDelta {
 	if !build || r.err != nil {
 		return nil
 	}
-	return &chain.EntryDelta{Kind: chain.DeltaKind(kind), Keys: keys, Value: v, Delta: delta}
+	return &chain.EntryDelta{Kind: chain.DeltaKind(kind), Keypath: string(kp), Keys: keys, Value: v, Delta: delta}
+}
+
+// key reads one key of an entry, building it only when build, and
+// appends its canonical form to r.kp: from its bytes for a String or
+// byte-string key, so checking a token block's keypaths builds nothing,
+// and from the key built for any other kind.
+func (r *reader) key(build bool) value.Value {
+	raw := r.b
+	k := r.value(0, build)
+	switch {
+	case r.err != nil:
+	case k != nil:
+		r.kp = value.AppendCanonicalKey(r.kp, k)
+	case raw[0] == tagStr:
+		r.kp = append(append(r.kp, "s:"...), (&reader{b: raw[1:]}).skip()...)
+	case raw[0] == tagByStr:
+		r.kp = hex.AppendEncode(append(r.kp, "b:0x"...), (&reader{b: raw[2:]}).skip())
+	default:
+		r.kp = value.AppendCanonicalKey(r.kp, (&reader{b: raw}).value(0, true))
+	}
+	return k
 }
 
 func appendStateDeltas(b []byte, ds []*chain.StateDelta) ([]byte, error) {

@@ -299,10 +299,9 @@ func TestSealedFinalBlock(t *testing.T) {
 // their bytes the way the committee's and a replica's do.
 func synthBlock(t testing.TB, n int) *shard.FinalBlock {
 	t.Helper()
-	fd := &chain.FieldDelta{Entries: make(map[string]chain.EntryDelta, 2*n)}
+	fd := chain.FieldDelta{Name: "balances", Entries: make([]chain.EntryDelta, 0, 2*n)}
 	acc := chain.NewAccountDelta()
-	fb := &shard.FinalBlock{Epoch: 7, StateRoot: fixtureFinalBlock().StateRoot, Accounts: acc,
-		Deltas: []*chain.StateDelta{{Contract: chain.AddrFromUint(7), Fields: map[string]*chain.FieldDelta{"balances": fd}}}}
+	fb := &shard.FinalBlock{Epoch: 7, StateRoot: fixtureFinalBlock().StateRoot, Accounts: acc}
 	for i := 0; i < n; i++ {
 		from, to := chain.AddrFromUint(uint64(100+2*i)), chain.AddrFromUint(uint64(101+2*i))
 		for _, e := range []struct {
@@ -310,7 +309,7 @@ func synthBlock(t testing.TB, n int) *shard.FinalBlock {
 			d int64
 		}{{from, -1}, {to, 1}} {
 			keys := []value.Value{e.a.Value()}
-			fd.Entries[chain.Keypath(keys)] = chain.EntryDelta{Kind: chain.IntAdd, Keys: keys, Delta: big.NewInt(e.d)}
+			fd.Entries = append(fd.Entries, chain.EntryDelta{Kind: chain.IntAdd, Keypath: chain.Keypath(keys), Keys: keys, Delta: big.NewInt(e.d)})
 		}
 		acc.AddBalance(from, big.NewInt(-1))
 		acc.BumpNonce(from, uint64(i+1))
@@ -319,6 +318,8 @@ func synthBlock(t testing.TB, n int) *shard.FinalBlock {
 				"_eventname": value.Str{S: "TransferSuccess"}, "sender": from.Value(), "recipient": to.Value(), "amount": value.Uint128(1),
 			}}}})
 	}
+	chain.SortEntries(fd.Entries)
+	fb.Deltas = []*chain.StateDelta{{Contract: chain.AddrFromUint(7), Fields: []chain.FieldDelta{fd}}}
 	enc, err := EncodeFinalBlock(fb)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +333,7 @@ func synthBlock(t testing.TB, n int) *shard.FinalBlock {
 
 // TestBlockEncodeAllocatesOnce: the encoders size their buffer from the
 // block's counts, so a block twice as large costs the same number of
-// allocations — the buffer, and the sort scratch per delta — where a
+// allocations — the buffer, and the account delta's sort scratch — where a
 // buffer doubling its way up from a constant would pay one more for
 // each doubling.
 func TestBlockEncodeAllocatesOnce(t *testing.T) {

@@ -16,7 +16,9 @@
 // The payload encodings are hand-rolled over encoding/binary
 // primitives: uvarint integers, length-prefixed byte strings, and
 // sign+magnitude big integers. Map-shaped structures are serialised in
-// sorted key order, so encoding is deterministic: two nodes encoding
+// sorted key order — a state delta's fields and entries in the order
+// chain.StateDelta holds them, which is that order, and which its
+// decoder requires — so encoding is deterministic: two nodes encoding
 // the same value produce the same bytes, and the golden fixtures in
 // testdata pin the format as a contract.
 //
@@ -378,6 +380,8 @@ type reader struct {
 	// scratch is the integer big(false) reads into, so checking an
 	// integer's range allocates nothing.
 	scratch big.Int
+	// kp is where entryDelta renders an entry's keypath from its keys.
+	kp []byte
 }
 
 // finish returns v, which r read, unless r failed or left bytes of its

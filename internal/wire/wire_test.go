@@ -10,6 +10,7 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -69,26 +70,31 @@ func fixtureDelta() *chain.StateDelta {
 	return &chain.StateDelta{
 		Contract: chain.AddrFromUint(7),
 		Shard:    2,
-		Fields: map[string]*chain.FieldDelta{
-			"balances": {
-				Entries: map[string]chain.EntryDelta{
-					"b:0x1111111111111111111111111111111111111111": {
-						Kind:  chain.IntAdd,
-						Keys:  []value.Value{value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)}},
-						Delta: big.NewInt(-12345),
+		Fields: []chain.FieldDelta{
+			{
+				Name: "balances",
+				Entries: []chain.EntryDelta{
+					{
+						Kind:    chain.IntAdd,
+						Keypath: "b:0x1111111111111111111111111111111111111111",
+						Keys:    []value.Value{value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)}},
+						Delta:   big.NewInt(-12345),
 					},
-					"b:0x2222222222222222222222222222222222222222": {
-						Kind:  chain.IntAdd,
-						Keys:  []value.Value{value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x22}, 20)}},
-						Delta: big.NewInt(12345),
+					{
+						Kind:    chain.IntAdd,
+						Keypath: "b:0x2222222222222222222222222222222222222222",
+						Keys:    []value.Value{value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x22}, 20)}},
+						Delta:   big.NewInt(12345),
 					},
 				},
 			},
-			"total_supply": {
-				Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: value.Uint128(1 << 30)},
-			},
-			"paused": {
+			{
+				Name:  "paused",
 				Whole: &chain.EntryDelta{Kind: chain.Delete},
+			},
+			{
+				Name:  "total_supply",
+				Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: value.Uint128(1 << 30)},
 			},
 		},
 	}
@@ -170,16 +176,17 @@ func fixtures() []fixture {
 	holder := value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0x11}, 20)}
 	stateb := mustEnc(EncodeStateDelta(&chain.StateDelta{
 		Contract: chain.AddrFromUint(7),
-		Fields: map[string]*chain.FieldDelta{
-			"total_supply": {Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: value.Uint128(1 << 30)}},
-			"owner":        {Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: holder}},
-			"bonus":        {Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: fixtureTx().Args["bonus"]}},
-			"balances": {
+		Fields: []chain.FieldDelta{
+			{
+				Name:  "balances",
 				Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: value.NewMap(ast.TyByStr20, ast.TyUint128)},
-				Entries: map[string]chain.EntryDelta{
-					value.CanonicalKey(holder): {Kind: chain.Overwrite, Keys: []value.Value{holder}, Value: value.Uint128(1000)},
+				Entries: []chain.EntryDelta{
+					{Kind: chain.Overwrite, Keypath: value.CanonicalKey(holder), Keys: []value.Value{holder}, Value: value.Uint128(1000)},
 				},
 			},
+			{Name: "bonus", Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: fixtureTx().Args["bonus"]}},
+			{Name: "owner", Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: holder}},
+			{Name: "total_supply", Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: value.Uint128(1 << 30)}},
 		},
 	}))
 	accountsb := EncodeSnapshotAccounts([]SnapshotAccount{
@@ -602,6 +609,49 @@ func badMapFrames() []fixture {
 	}
 }
 
+// badDeltas are state deltas that are not canonical (chain.StateDelta)
+// — an entry filed under a keypath that is not its keys', entries out
+// of keypath order or twice, fields out of name order or twice — each
+// made from fixtureDelta, whose fields are balances (two entries),
+// paused and total_supply. The encoder writes a delta in the order it
+// holds, so each encodes as it stands; every decoder must refuse it.
+func badDeltas() []struct {
+	name string
+	d    *chain.StateDelta
+} {
+	forged := fixtureDelta()
+	forged.Fields[0].Entries[0].Keypath = "b:0x1111111111111111111111111111111111111110"
+	swapped := fixtureDelta()
+	es := swapped.Fields[0].Entries
+	es[0], es[1] = es[1], es[0]
+	dupEntry := fixtureDelta()
+	dupEntry.Fields[0].Entries[1] = dupEntry.Fields[0].Entries[0]
+	unsorted := fixtureDelta()
+	unsorted.Fields[1], unsorted.Fields[2] = unsorted.Fields[2], unsorted.Fields[1]
+	dupField := fixtureDelta()
+	dupField.Fields[2] = dupField.Fields[1]
+	return []struct {
+		name string
+		d    *chain.StateDelta
+	}{
+		{"bad_delta_forged_keypath", forged},
+		{"bad_delta_swapped_entries", swapped},
+		{"bad_delta_duplicate_entry", dupEntry},
+		{"bad_delta_unsorted_fields", unsorted},
+		{"bad_delta_duplicate_field", dupField},
+	}
+}
+
+// badDeltaFrames are badDeltas as state-delta records. They seed
+// FuzzDecoders too.
+func badDeltaFrames() []fixture {
+	var out []fixture
+	for _, bd := range badDeltas() {
+		out = append(out, fixture{bd.name, MsgStateDelta, mustEnc(EncodeStateDelta(bd.d))})
+	}
+	return out
+}
+
 // wholeMapDelta encodes, byte by byte, a state delta of contract 7
 // whose field "balances" is written whole (an Overwrite entry) with a
 // map of key type kt to Uint128 holding the key/value pairs kvs.
@@ -630,15 +680,63 @@ func TestMapKeysOfKeyType(t *testing.T) {
 	m := value.NewMap(ast.TyByStr20, ast.TyUint128)
 	m.Set(holder, value.Uint128(1))
 	enc := wholeMapDelta(ast.TyByStr20, holder, value.Uint128(1))
-	if d, err := DecodeStateDelta(enc); err != nil || !value.Equal(d.Fields["balances"].Whole.Value, m) {
+	if d, err := DecodeStateDelta(enc); err != nil || !value.Equal(d.Fields[0].Whole.Value, m) {
 		t.Fatalf("well-typed map: decoded %v, err %v", d, err)
 	}
 	want := mustEnc(EncodeStateDelta(&chain.StateDelta{
 		Contract: chain.AddrFromUint(7),
-		Fields:   map[string]*chain.FieldDelta{"balances": {Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: m}}},
+		Fields:   []chain.FieldDelta{{Name: "balances", Whole: &chain.EntryDelta{Kind: chain.Overwrite, Value: m}}},
 	}))
 	if !bytes.Equal(enc, want) {
 		t.Fatalf("the hand-built record is not the encoder's:\n got %x\nwant %x", enc, want)
+	}
+}
+
+// TestDeltaIsCanonical: a state delta is read only in canonical order.
+// Each of badDeltas fails with ErrDecode as a record, inside a
+// MicroBlock, and inside a FinalBlock's shard or DS section, read whole
+// and receipts-only. A canonical delta whose keys are of every kind a
+// keypath renders — String keys holding control bytes, an integer, a
+// block number, a nested pair — is read by all four.
+func TestDeltaIsCanonical(t *testing.T) {
+	decoders := func(d *chain.StateDelta) map[string]error {
+		mb := fixtureMicroBlock()
+		mb.Deltas = []*chain.StateDelta{d}
+		shardSide, dsSide := fixtureFinalBlock(), fixtureFinalBlock()
+		shardSide.Deltas = []*chain.StateDelta{d}
+		dsSide.DSDeltas = []*chain.StateDelta{d}
+		errs := map[string]error{}
+		_, errs["DecodeStateDelta"] = DecodeStateDelta(mustEnc(EncodeStateDelta(d)))
+		_, errs["DecodeMicroBlock"] = DecodeMicroBlock(mustEnc(EncodeMicroBlock(mb)))
+		for side, fb := range map[string]*shard.FinalBlock{"shard": shardSide, "DS": dsSide} {
+			enc := mustEnc(EncodeFinalBlock(fb))
+			_, errs["DecodeFinalBlock/"+side] = DecodeFinalBlock(enc)
+			_, _, _, errs["DecodeFinalBlockReceipts/"+side] = DecodeFinalBlockReceipts(enc)
+		}
+		return errs
+	}
+	for _, bd := range badDeltas() {
+		for dec, err := range decoders(bd.d) {
+			if !errors.Is(err, ErrDecode) {
+				t.Errorf("%s: %s returned %v, want ErrDecode", bd.name, dec, err)
+			}
+		}
+	}
+
+	str := func(s string) value.Value { return value.Str{S: s} }
+	entry := func(keys ...value.Value) chain.EntryDelta {
+		return chain.EntryDelta{Kind: chain.Overwrite, Keypath: chain.Keypath(keys), Keys: keys, Value: value.Uint128(1)}
+	}
+	good := &chain.StateDelta{Contract: chain.AddrFromUint(7), Fields: []chain.FieldDelta{
+		{Name: "by_height", Entries: []chain.EntryDelta{entry(value.BNum{V: big.NewInt(12)})}},
+		{Name: "by_id", Entries: []chain.EntryDelta{entry(value.Uint32V(7)), entry(value.Uint32V(70))}},
+		{Name: "nested", Entries: []chain.EntryDelta{entry(str("a"), str("z")), entry(str("a\x01"), str("b")), entry(str("a\x1e"))}},
+	}}
+	chain.SortEntries(good.Fields[2].Entries) // "a\x01…" and "a\x1e" sort before "a\x1f…"
+	for dec, err := range decoders(good) {
+		if err != nil {
+			t.Errorf("canonical delta: %s returned %v", dec, err)
+		}
 	}
 }
 
@@ -653,7 +751,7 @@ func TestUpdateFuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, fx := range append(fixtures(), badMapFrames()...) {
+	for _, fx := range slices.Concat(fixtures(), badMapFrames(), badDeltaFrames()) {
 		frame := AppendFrame(nil, fx.typ, fx.enc)
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(frame)) + ")\n"
 		if err := os.WriteFile(filepath.Join(dir, "seed_"+fx.name), []byte(body), 0o644); err != nil {
