@@ -2,11 +2,13 @@ package node
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"cosplit/internal/shard"
+	"cosplit/internal/wire"
 	"cosplit/internal/workload"
 )
 
@@ -177,5 +179,41 @@ func TestLookupReceiptCapSmallerThanBlock(t *testing.T) {
 	}
 	if cached != capN {
 		t.Errorf("%d receipts cached after one %d-receipt block, want exactly %d", cached, perBlock, capN)
+	}
+}
+
+// sleeper is a handler that arms one deadline an hour away at start.
+type sleeper struct{ _ [8]byte }
+
+func (*sleeper) start(fx effects, now time.Time) { fx.arm(1, now.Add(time.Hour)) }
+func (*sleeper) frame(effects, time.Time, string, wire.MsgType, []byte) bool {
+	return true
+}
+func (*sleeper) deadline(effects, time.Time, uint64) {}
+func (*sleeper) call(effects, time.Time, *call)      {}
+
+// TestClosedRuntimeReleasesHandler: a role closed with a deadline still
+// armed lets its handler go. Its pending wake kept the handler (and a
+// role's whole state) reachable until the deadline passed, so a
+// cluster torn down mid-epoch stayed on the heap for seconds.
+func TestClosedRuntimeReleasesHandler(t *testing.T) {
+	h := &sleeper{}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(h, func(*sleeper) { close(freed) })
+	rt := &nodeRuntime{}
+	rt.init(h, NewChanNetwork().Endpoint("sleeper"), nil, nil)
+	rt.run()
+	rt.close()
+	rt, h = nil, nil
+	giveUp := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-giveUp:
+			t.Fatal("a closed runtime's handler is still reachable")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

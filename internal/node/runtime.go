@@ -148,6 +148,11 @@ func (rt *nodeRuntime) close() {
 	})
 	rt.ep.Close()
 	rt.wg.Wait()
+	// Nothing arms a deadline any more. Wake the timer rather than leave
+	// it armed or stopped: a timer the Go runtime still lists keeps the
+	// handler, and so a role's whole state, reachable, and the wake
+	// finds closed set and does nothing.
+	rt.timer.Reset(0)
 }
 
 func (rt *nodeRuntime) send(to string, frame []byte) error { return rt.ep.Send(to, frame) }

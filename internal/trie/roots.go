@@ -36,7 +36,10 @@ type StateRoots struct {
 	t  Trie
 	// key is the scratch every trie key is built in and pre the one
 	// every leaf preimage is: the trie copies the key bytes it keeps.
+	// ends is where each key of the entry TouchEntry commits ends in
+	// its keypath.
 	key, pre []byte
+	ends     []int
 }
 
 // sep separates path components inside trie keys. It must equal the
@@ -77,10 +80,10 @@ func (s *StateRoots) fieldKey(addr chain.Address, field string) int {
 	return len(s.key)
 }
 
-// entryKey extends the field key s.key[:fk] by sep ‖ chain.Keypath(keys)
-// and returns the entry key's length.
-func (s *StateRoots) entryKey(fk int, keys []value.Value) int {
-	s.key = append(append(s.key[:fk], sep...), chain.Keypath(keys)...)
+// entryKey extends the field key s.key[:fk] by sep ‖ keypath and
+// returns the entry key's length.
+func (s *StateRoots) entryKey(fk int, keypath string) int {
+	s.key = append(append(s.key[:fk], sep...), keypath...)
 	return len(s.key)
 }
 
@@ -141,53 +144,76 @@ func (s *StateRoots) TouchWholeField(addr chain.Address, field string, st *eval.
 }
 
 // TouchEntry re-commits the single map entry (field, keys) from st.
-// It maintains the empty-map markers on the entry's ancestors: an
-// insert removes markers the now-non-empty intermediates may have
-// left, and a delete walks ancestors deepest-first to mark the first
-// surviving (possibly now-empty) map.
-func (s *StateRoots) TouchEntry(addr chain.Address, field string, keys []value.Value, st *eval.MemState) {
+// keypath is chain.Keypath(keys), as the entry's delta carries it: the
+// entry's trie key and its map lookups are built from it. It maintains
+// the empty-map markers on the entry's ancestors: an insert removes
+// markers the now-non-empty intermediates may have left, and a delete
+// walks ancestors deepest-first to mark the first surviving (possibly
+// now-empty) map.
+func (s *StateRoots) TouchEntry(addr chain.Address, field, keypath string, keys []value.Value, st *eval.MemState) {
 	if len(keys) == 0 {
 		s.TouchWholeField(addr, field, st)
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.splitKeypath(keypath, keys)
 	fk := s.fieldKey(addr, field)
-	if v, ok := lookup(st, field, keys); ok {
+	ek := s.entryKey(fk, keypath)
+	// ancestor is the key of the map holding keys[:i]'s entries.
+	ancestor := func(i int) int {
+		if i == 0 {
+			return fk
+		}
+		return fk + len(sep) + s.ends[i-1]
+	}
+	if v, ok := s.lookup(st, field, keypath, len(keys)); ok {
 		// A scalar at this keypath has always been a scalar there (the
 		// field's type fixes the depth of its leaves), so nothing lies
 		// below the entry key and the Put in expand overwrites or
 		// inserts the one leaf without unlinking it first. Only a map
 		// value may replace a subtree.
 		if _, isMap := v.(*value.Map); isMap {
-			s.clear(s.entryKey(fk, keys))
+			s.clear(ek)
 		}
 		// Every proper ancestor is a non-empty map now; drop any stale
 		// empty-map marker sitting at its key (no-op if none).
-		s.t.Delete(s.key[:fk])
-		for i := 1; i < len(keys); i++ {
-			s.t.Delete(s.key[:s.entryKey(fk, keys[:i])])
+		for i := range keys {
+			s.t.Delete(s.key[:ancestor(i)])
 		}
-		s.expand(s.entryKey(fk, keys), v)
+		s.expand(ek, v)
 		return
 	}
-	s.clear(s.entryKey(fk, keys))
+	s.clear(ek)
 	// Entry gone. Find the deepest surviving ancestor; if the delete
 	// emptied it, it needs an explicit marker (its last child leaf
 	// just left the trie).
 	for i := len(keys) - 1; i >= 0; i-- {
-		av, ok := lookup(st, field, keys[:i])
+		av, ok := s.lookup(st, field, keypath, i)
 		if !ok {
 			continue
 		}
 		if m, isMap := av.(*value.Map); isMap && m.Len() == 0 {
-			ak := fk
-			if i > 0 {
-				ak = s.entryKey(fk, keys[:i])
-			}
-			s.t.Put(s.key[:ak], emptyMapLeaf)
+			s.t.Put(s.key[:ancestor(i)], emptyMapLeaf)
 		}
 		break
+	}
+}
+
+// splitKeypath records in s.ends where each key's canonical form ends
+// in keypath. A nested key's length is read off its rendering: a String
+// key may hold the separator byte itself.
+func (s *StateRoots) splitKeypath(keypath string, keys []value.Value) {
+	s.ends = s.ends[:0]
+	if len(keys) == 1 {
+		s.ends = append(s.ends, len(keypath))
+		return
+	}
+	end := -len(sep)
+	for _, k := range keys {
+		s.pre = value.AppendCanonicalKey(s.pre[:0], k)
+		end += len(sep) + len(s.pre)
+		s.ends = append(s.ends, end)
 	}
 }
 
@@ -230,21 +256,21 @@ func (s *StateRoots) expand(n int, v value.Value) {
 	}
 }
 
-// lookup reads the value at (field, keys) from canonical state,
-// walking nested maps by canonical key.
-func lookup(st *eval.MemState, field string, keys []value.Value) (value.Value, bool) {
-	v, err := st.LoadField(field)
-	if err != nil {
-		return nil, false
-	}
-	for _, k := range keys {
-		m, ok := v.(*value.Map)
-		if !ok {
+// lookup reads the value the first depth keys of an entry address in
+// canonical state, walking nested maps by the canonical keys keypath
+// holds (splitKeypath).
+func (s *StateRoots) lookup(st *eval.MemState, field, keypath string, depth int) (value.Value, bool) {
+	v, ok := st.Fields[field]
+	start := 0
+	for _, end := range s.ends[:depth] {
+		m, isMap := v.(*value.Map)
+		if !isMap {
 			return nil, false
 		}
-		if v, ok = m.Get(k); !ok {
+		if v, ok = m.GetCK(keypath[start:end]); !ok {
 			return nil, false
 		}
+		start = end + len(sep)
 	}
-	return v, true
+	return v, ok
 }

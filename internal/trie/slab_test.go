@@ -1,7 +1,9 @@
 package trie
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -11,8 +13,9 @@ import (
 
 // checkSlots asserts the slab's bookkeeping: every slot handed out is
 // reachable from the root or on the free list, never both; the runs of
-// reachable nodes and the free runs tile the child arenas exactly; and
-// the prefix arena is live prefixes plus counted dead bytes.
+// reachable nodes and the free runs tile the child arenas exactly; the
+// prefix arena is live prefixes plus counted dead bytes; and no stale
+// flag sits below a clean slot, or anywhere once the root is hashed.
 func checkSlots(t *testing.T, tr *Trie) {
 	t.Helper()
 	if tr.slots == 0 {
@@ -21,8 +24,8 @@ func checkSlots(t *testing.T, tr *Trie) {
 	const reached, freed = 1, 2
 	seen := make([]byte, tr.slots)
 	live, runSlots := 0, 0
-	var walk func(i uint32)
-	walk = func(i uint32) {
+	var walk func(i uint32, clean bool)
+	walk = func(i uint32, clean bool) {
 		if seen[i] != 0 {
 			t.Fatalf("slot %d reached twice", i)
 		}
@@ -33,10 +36,13 @@ func checkSlots(t *testing.T, tr *Trie) {
 			runSlots += 1 << runClass(int(n.nkids))
 		}
 		for _, c := range tr.kidsOf(n) {
-			walk(c)
+			if c&stale != 0 && clean {
+				t.Fatalf("slot %d is flagged stale below a clean slot", c&^stale)
+			}
+			walk(c&^stale, c&stale == 0)
 		}
 	}
-	walk(0)
+	walk(0, tr.hashed)
 	for i := tr.free; i != 0; i = tr.at(i).run {
 		if seen[i] != 0 {
 			t.Fatalf("slot %d is on the free list and reachable (or listed twice)", i)
@@ -48,20 +54,28 @@ func checkSlots(t *testing.T, tr *Trie) {
 			t.Fatalf("slot %d of %d is neither reachable nor free", i, tr.slots)
 		}
 	}
-	for c, h := range tr.runFree {
-		for steps := uint32(0); h != 0; h = tr.runs[(h-1)>>runShift].kids[(h-1)&runMask] {
-			if steps++; steps > tr.runEnd {
-				t.Fatalf("free list of run class %d loops", c)
-			}
-			runSlots += 1 << c
-		}
-	}
-	if runSlots != int(tr.runEnd) {
-		t.Fatalf("runs in use and free cover %d child slots, %d handed out", runSlots, tr.runEnd)
+	runSlots += freeRunSlots(t, tr)
+	if runSlots != len(tr.runs)*runPageLen {
+		t.Fatalf("runs in use and free cover %d child slots, %d in the run pages", runSlots, len(tr.runs)*runPageLen)
 	}
 	if live+tr.dead != tr.keyUsed {
 		t.Fatalf("prefix bytes: %d live + %d dead, %d handed out", live, tr.dead, tr.keyUsed)
 	}
+}
+
+// freeRunSlots returns the slots the free run lists hold.
+func freeRunSlots(t *testing.T, tr *Trie) int {
+	t.Helper()
+	free := 0
+	for c, h := range tr.runFree {
+		for steps := 0; h != 0; h = binary.LittleEndian.Uint32(tr.links(h - 1)) {
+			if steps++; steps > len(tr.runs)*runPageLen {
+				t.Fatalf("free list of run class %d loops", c)
+			}
+			free += 1 << c
+		}
+	}
+	return free
 }
 
 // TestTrieNoPointers: nothing the trie stores per node contains
@@ -78,8 +92,8 @@ func TestTrieNoPointers(t *testing.T) {
 			t.Errorf("%s holds a reference at %s", typ, path)
 		}
 	}
-	if sz := unsafe.Sizeof(node{}); sz != 80 {
-		t.Errorf("node record is %d bytes, want 80", sz)
+	if sz := unsafe.Sizeof(node{}); sz != 48 {
+		t.Errorf("node record is %d bytes, want 48", sz)
 	}
 }
 
@@ -163,9 +177,9 @@ func TestTrieReusesSlots(t *testing.T) {
 			tr.Put([]byte(k), leaf(k))
 		}
 	}
-	type size struct{ pages, slots, runPages, runSlots, keyPages, keyBytes int }
+	type size struct{ pages, slots, runPages, keyPages, keyBytes int }
 	sizeOf := func() size {
-		return size{len(tr.pages), int(tr.slots), len(tr.runs), int(tr.runEnd), len(tr.keys), tr.keyUsed}
+		return size{len(tr.pages), int(tr.slots), len(tr.runs), len(tr.keys), tr.keyUsed}
 	}
 	load()
 	want := tr.Root()
@@ -194,12 +208,32 @@ func TestTrieReusesSlots(t *testing.T) {
 		load()
 		checkSlots(t, tr)
 		if got := sizeOf(); got.pages > first.pages || got.slots > first.slots || got.runPages > first.runPages ||
-			got.runSlots > first.runSlots || got.keyPages > first.keyPages || got.keyBytes > first.keyBytes {
+			got.keyPages > first.keyPages || got.keyBytes > first.keyBytes {
 			t.Fatalf("round %d: reload grew the slab: %+v after the first load, %+v now", round, first, got)
 		}
 		if got := tr.Root(); got != want {
 			t.Fatalf("round %d: reloaded root %x, fresh build %x", round, got, want)
 		}
+	}
+}
+
+// TestRunsDoNotStrand: 4096 nodes that grow side by side to 20
+// children each free a run of every smaller capacity on the way; those
+// merge with their freed neighbours into the runs the next growth
+// takes, so what is left free is less than two run pages, not the
+// 123k slots (nearly half the arena) of runs no node fits any more.
+func TestRunsDoNotStrand(t *testing.T) {
+	tr := &Trie{}
+	for j := 0; j < 20; j++ {
+		for n := 0; n < 4096; n++ {
+			tr.Put([]byte{'r', byte(n >> 8), byte(n), byte(j * 7)}, leaf("x"))
+		}
+	}
+	checkSlots(t, tr)
+	free := freeRunSlots(t, tr)
+	t.Logf("%d run pages, %d of their %d slots free", len(tr.runs), free, len(tr.runs)*runPageLen)
+	if free >= 2*runPageLen {
+		t.Errorf("%d run slots free after the nodes grew, want fewer than %d", free, 2*runPageLen)
 	}
 }
 
@@ -225,23 +259,26 @@ func TestLongPrefixes(t *testing.T) {
 }
 
 // FuzzTrieOps runs an op sequence decoded from the input against a map
-// model: Len after every op, then Get of every key, root against a
-// fresh rebuild, edge order and the slab's bookkeeping.
+// model: Len after every op, Root against a fresh rebuild of the model
+// at every Root op (so stale flags left pending ride later splits,
+// collapses, prefix cuts and run moves), then Get of every key, the
+// final root, edge order and the slab's bookkeeping. The alphabet lets
+// a node pass four children into larger runs.
 func FuzzTrieOps(f *testing.F) {
 	f.Add([]byte("\x00\x03abc\x00\x02ab\x01\x03abc\x02\x01a"))
 	f.Add([]byte("\x00\x04a\x1fbc\x00\x04a\x1fbd\x00\x01a\x02\x02a\x1f\x00\x02ab\x02\x00"))
 	f.Add([]byte("\x00\x05abcab\x00\x05abcbb\x00\x05abcbc\x01\x05abcab\x01\x05abcbb\x00\x03abd"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		alphabet := []byte{'a', 'b', 'c', 0x1f}
+		alphabet := []byte("abcdefghi\x1f")
 		tr := &Trie{}
 		model := map[string][32]byte{}
 		for i := 0; len(ops) >= 2; i++ {
-			op, n := ops[0]%3, int(ops[1]%7)
+			op, n := ops[0]%4, int(ops[1]%7)
 			ops = ops[2:]
 			n = min(n, len(ops))
 			k := make([]byte, n)
 			for j := range k {
-				k[j] = alphabet[ops[j]%4]
+				k[j] = alphabet[int(ops[j])%len(alphabet)]
 			}
 			ops = ops[n:]
 			switch op {
@@ -255,7 +292,7 @@ func FuzzTrieOps(f *testing.F) {
 					t.Fatalf("op %d: Delete(%q) = %v, model says %v", i, k, got, want)
 				}
 				delete(model, string(k))
-			default:
+			case 2:
 				want := 0
 				for mk := range model {
 					if strings.HasPrefix(mk, string(k)) {
@@ -266,6 +303,10 @@ func FuzzTrieOps(f *testing.F) {
 				if got := tr.DeletePrefix(k); got != want {
 					t.Fatalf("op %d: DeletePrefix(%q) = %d, model says %d", i, k, got, want)
 				}
+			default:
+				if got, want := tr.Root(), rebuild(model).Root(); got != want {
+					t.Fatalf("op %d: Root %x, a fresh build of the model %x", i, got, want)
+				}
 			}
 			if tr.Len() != len(model) {
 				t.Fatalf("op %d: Len = %d, model has %d", i, tr.Len(), len(model))
@@ -274,4 +315,74 @@ func FuzzTrieOps(f *testing.F) {
 		checkAgainstModel(t, tr, model)
 		checkSlots(t, tr)
 	})
+}
+
+// TestRunClasses takes one node up through every run capacity to 256
+// children and back down, in a shuffled order, with keys below some of
+// its children split, rewritten and collapsed between roots, so stale
+// flags ride every run move. Root at random points must equal a fresh
+// build's, and the run accounting must tile the run pages.
+func TestRunClasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr := &Trie{}
+	model := map[string][32]byte{}
+	put := func(k string, v int) {
+		tr.Put([]byte(k), leaf(fmt.Sprint(k, v)))
+		model[k] = leaf(fmt.Sprint(k, v))
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := tr.Root(), rebuild(model).Root(); got != want {
+			t.Fatalf("%s: root %x, a fresh build %x", when, got, want)
+		}
+		checkSlots(t, tr)
+	}
+	// "w" holds a value, so the wide node below the root never collapses.
+	wide := func() int { return int(tr.at(tr.kidsOf(tr.at(0))[0] &^ stale).nkids) }
+	child := func(e int) string { return "w" + string([]byte{byte(e)}) }
+	put("w", 0)
+	edges := rng.Perm(256)
+	for i, e := range edges {
+		put(child(e)+"leaf", i)
+		if i%3 == 0 { // a second key below an earlier child splits it
+			put(child(edges[rng.Intn(i+1)])+"x", i)
+		}
+		if rng.Intn(8) == 0 {
+			check(fmt.Sprintf("%d children", wide()))
+		}
+	}
+	if n := wide(); n != 256 {
+		t.Fatalf("the wide node has %d children, want 256", n)
+	}
+	check("256 children")
+	for i, e := range rng.Perm(256) {
+		c := child(e)
+		if i%2 == 0 {
+			tr.DeletePrefix([]byte(c))
+			for k := range model {
+				if strings.HasPrefix(k, c) {
+					delete(model, k)
+				}
+			}
+		} else {
+			tr.Delete([]byte(c + "leaf"))
+			delete(model, c+"leaf")
+			if _, ok := model[c+"x"]; ok {
+				put(c+"x", i) // rewritten below a child that just collapsed
+			}
+		}
+		if rng.Intn(8) == 0 {
+			check(fmt.Sprintf("%d children", wide()))
+		}
+	}
+	for k := range model {
+		if k != "w" {
+			tr.Delete([]byte(k))
+			delete(model, k)
+		}
+	}
+	if n := wide(); n != 0 {
+		t.Fatalf("the wide node kept %d children", n)
+	}
+	check("no children")
 }

@@ -13,22 +13,33 @@
 //   - a node's children are kept in ascending order of their edge byte
 //     (the first byte of the child's prefix), so sibling order is fixed.
 //
-// Hashes are cached per node and recomputed lazily: mutations mark the
-// touched path dirty, and Root walks only dirty nodes. An epoch that
-// changes k entries therefore rehashes O(k · depth) nodes, not the
-// whole state; each of those nodes hashes one preimage that lists all
-// of its children, so a node's cost grows with its fan-out (at most
-// 256 × 33 bytes).
+// A node's hash is kept where its parent reads it: in the parent's
+// child run, beside the child's slot number and edge byte (the root's
+// by the Trie). Hashes are recomputed lazily: a mutation flags the
+// slots on the touched path stale, and Root descends only into flagged
+// children, rebuilding each such node's preimage from its run's
+// contiguous edge and hash arrays; the record of a child it does not
+// rehash is never read. An epoch that changes k entries therefore
+// rehashes O(k · depth) nodes, not the whole state; each of those nodes
+// hashes one preimage that lists all of its children, so a node's cost
+// grows with its fan-out (at most 256 × 33 bytes). Where a hash is
+// stored does not enter the preimage, so the roots are those of a trie
+// that cached each hash in its node.
 //
 // Storage holds no Go pointer below a few page directories, so the
 // collector never walks it, and a page is never copied. Node records
-// (80 bytes, leaf hash and cached hash inline) live in fixed-size pages
-// and are addressed by uint32 slot. A node's children are a run of slot
-// numbers with a parallel run of edge bytes, its capacity the smallest
-// power of two that holds them, in pages of runs. Its prefix is a range
-// of a byte page. Freed slots and runs go on free lists and are reused;
-// prefix bytes no node refers to any more are reclaimed by compacting
-// the byte pages once they outnumber the live ones.
+// (48 bytes, leaf hash inline) live in fixed-size pages and are
+// addressed by uint32 slot. A node's children are a run of slots, each
+// a child slot number (its top bit the stale flag), an edge byte and
+// the child's hash, in parallel arrays of a run page. A run's capacity
+// is the smallest power of two that holds the children, and runs are
+// kept as buddies: a released run merges with its free other half into
+// one twice its size, and a run of a size with none free is split off
+// a larger free one before a new page is taken, so the runs a growing
+// node leaves behind serve the nodes that come after it. A node's
+// prefix is a range of a byte page. Freed slots go on a free list and
+// are reused; prefix bytes no node refers to any more are reclaimed by
+// compacting the byte pages once they outnumber the live ones.
 package trie
 
 import (
@@ -44,11 +55,11 @@ import (
 // a trie of a few hundred keys holds about what it uses.
 const (
 	pageShift = 8
-	pageLen   = 1 << pageShift // node records per page: 20 KiB
+	pageLen   = 1 << pageShift // node records per page: 12 KiB
 	pageMask  = pageLen - 1
 
-	runShift   = 11
-	runPageLen = 1 << runShift // child slots per run page: 10 KiB
+	runShift   = 8
+	runPageLen = 1 << runShift // child slots per run page: 9.25 KiB
 	runMask    = runPageLen - 1
 	// runClasses is the number of run capacities, 1 to 256.
 	runClasses = 9
@@ -57,6 +68,10 @@ const (
 	keyPageLen = 1 << keyShift // prefix bytes per byte page: 16 KiB
 	keyMask    = keyPageLen - 1
 )
+
+// stale is the top bit of a child slot number in a run: the hash beside
+// it is out of date, and the child's subtree may hold more stale slots.
+const stale = 1 << 31
 
 // Trie maps byte-string keys to 32-byte leaf hashes. The zero value is
 // an empty trie ready for use. Not safe for concurrent use.
@@ -69,11 +84,10 @@ type Trie struct {
 	free  uint32
 
 	// runs hold the child runs. A run starts at a multiple of its
-	// capacity, so none crosses a page. runEnd is the first slot never
-	// handed out; runFree[c] is 1 + the first free run of capacity 1<<c
-	// (0: none), the next one linked the same way through its first kid.
+	// capacity, so none crosses a page, and every slot of every page is
+	// in a run in use or a free one. runFree[c] is 1 + the first free run
+	// of capacity 1<<c (0: none), the others linked from it (links).
 	runs    []*runPage
-	runEnd  uint32
 	runFree [runClasses]uint32
 
 	// keys hold the prefix bytes, keyPageLen to a page (a longer prefix
@@ -86,22 +100,31 @@ type Trie struct {
 	dead    int
 
 	count int
-	// buf is the preimage buffer rehash reuses for every dirty node.
+	// hash is the root's hash, current when hashed is set.
+	hash   [32]byte
+	hashed bool
+	// buf is the preimage buffer rehash reuses for every stale node.
 	buf []byte
 }
 
 // node is one trie node. Its prefix is the plen bytes at key offset pre
 // (page pre>>keyShift), its children the first nkids slots of run run.
+// Until rehash first fills the run's hashes (runHashed), every child is
+// stale, so run moves and shifts leave the hash column alone: a bulk
+// load copies no hash.
 type node struct {
-	val, hash      [32]byte
-	pre, plen, run uint32
-	nkids          uint16
-	hasVal, dirty  bool
+	val               [32]byte
+	pre, plen, run    uint32
+	nkids             uint16
+	hasVal, runHashed bool
 }
 
+// runPage holds child runs: a child's slot number (and stale flag), its
+// edge byte and its hash share an index.
 type runPage struct {
-	kids  [runPageLen]uint32
-	edges [runPageLen]byte
+	kids   [runPageLen]uint32
+	edges  [runPageLen]byte
+	hashes [runPageLen][32]byte
 }
 
 // at returns slot i's record, valid until the slot is released.
@@ -111,7 +134,6 @@ func (t *Trie) at(i uint32) *node { return &t.pages[i>>pageShift][i&pageMask] }
 func (t *Trie) root() *node {
 	if t.slots == 0 {
 		_, r := t.newNode()
-		r.dirty = true
 		return r
 	}
 	return t.at(0)
@@ -124,6 +146,7 @@ func (t *Trie) prefix(n *node) []byte {
 	return t.keys[n.pre>>keyShift][n.pre&keyMask:][:n.plen]
 }
 
+// kidsOf returns n's child slot numbers, stale flags included.
 func (t *Trie) kidsOf(n *node) []uint32 {
 	if n.nkids == 0 {
 		return nil
@@ -138,6 +161,13 @@ func (t *Trie) edgesOf(n *node) []byte {
 	return t.runs[n.run>>runShift].edges[n.run&runMask:][:n.nkids]
 }
 
+func (t *Trie) hashesOf(n *node) [][32]byte {
+	if n.nkids == 0 {
+		return nil
+	}
+	return t.runs[n.run>>runShift].hashes[n.run&runMask:][:n.nkids]
+}
+
 // newNode hands out a zeroed slot, a released one first.
 func (t *Trie) newNode() (uint32, *node) {
 	i := t.free
@@ -145,6 +175,9 @@ func (t *Trie) newNode() (uint32, *node) {
 		t.free = t.at(i).run
 	} else {
 		i = t.slots
+		if i == freeMark&^stale {
+			panic("trie: out of node slots")
+		}
 		if int(i>>pageShift) == len(t.pages) {
 			t.pages = append(t.pages, new([pageLen]node))
 		}
@@ -169,65 +202,119 @@ func (t *Trie) freeNode(i uint32) {
 // runClass is the capacity class of a run holding k ≥ 1 children.
 func runClass(k int) int { return bits.Len(uint(k - 1)) }
 
-// allocRun hands out a run for k children, a released one first. A new
-// run is aligned to its capacity; the slots skipped to align it are
-// released as the aligned pieces they split into.
+// allocRun hands out a run for k children: a released one of its
+// capacity, else the lower half of the smallest larger released run,
+// whose upper halves are released in turn. A new page is one released
+// run of the largest capacity.
 func (t *Trie) allocRun(k int) uint32 {
 	c := runClass(k)
-	if h := t.runFree[c]; h != 0 {
-		r := h - 1
-		t.runFree[c] = t.runs[r>>runShift].kids[r&runMask]
-		return r
+	d := c
+	for d < runClasses && t.runFree[d] == 0 {
+		d++
 	}
-	for size := uint32(1) << c; t.runEnd&(size-1) != 0; {
-		piece := t.runEnd & -t.runEnd
-		t.freeRun(t.runEnd, bits.TrailingZeros32(piece))
-		t.runEnd += piece
-	}
-	if int(t.runEnd>>runShift) == len(t.runs) {
+	if d == runClasses {
+		d--
 		t.runs = append(t.runs, new(runPage))
+		t.pushRun(uint32(len(t.runs)-1)<<runShift, d)
 	}
-	r := t.runEnd
-	t.runEnd += 1 << c
+	r := t.runFree[d] - 1
+	t.unlinkRun(r, d)
+	for d > c {
+		d--
+		t.pushRun(r+1<<d, d)
+	}
 	return r
 }
 
-// freeRun releases run r of class c.
+// freeRun releases run r of class c, merged with its buddy (the other
+// half of the aligned run twice its size, on the same page) while that
+// is free and whole, so the small runs a growing node leaves behind add
+// up to large ones again.
 func (t *Trie) freeRun(r uint32, c int) {
-	t.runs[r>>runShift].kids[r&runMask] = t.runFree[c]
+	for ; c < runClasses-1; c++ {
+		b := r ^ 1<<c
+		p, o := t.runs[b>>runShift], b&runMask
+		if p.kids[o] != freeMark || int(p.edges[o]) != c {
+			break
+		}
+		t.unlinkRun(b, c)
+		r &^= 1 << c
+	}
+	t.pushRun(r, c)
+}
+
+// freeMark is the first kid of a free run. No other slot holds it: it
+// is slot 1<<31 - 1 flagged stale, which newNode never hands out, and
+// unlinkRun clears it from a run taken off a list or merged into a
+// larger one. A free run's edge byte is its class, and the first eight
+// bytes of its first hash link it into the class's free list (links).
+const freeMark = ^uint32(0)
+
+// links returns free run r's links: 1 + the next and 1 + the previous
+// free run of its class, little-endian (0: none).
+func (t *Trie) links(r uint32) []byte { return t.runs[r>>runShift].hashes[r&runMask][:8] }
+
+// pushRun puts run r at the head of class c's free list.
+func (t *Trie) pushRun(r uint32, c int) {
+	p, o := t.runs[r>>runShift], r&runMask
+	p.kids[o], p.edges[o] = freeMark, byte(c)
+	h := t.runFree[c]
+	l := t.links(r)
+	binary.LittleEndian.PutUint32(l[0:], h)
+	binary.LittleEndian.PutUint32(l[4:], 0)
+	if h != 0 {
+		binary.LittleEndian.PutUint32(t.links(h - 1)[4:], r+1)
+	}
 	t.runFree[c] = r + 1
 }
 
+// unlinkRun takes free run r off class c's free list.
+func (t *Trie) unlinkRun(r uint32, c int) {
+	l := t.links(r)
+	next, prev := binary.LittleEndian.Uint32(l[0:]), binary.LittleEndian.Uint32(l[4:])
+	if prev == 0 {
+		t.runFree[c] = next
+	} else {
+		binary.LittleEndian.PutUint32(t.links(prev - 1)[0:], next)
+	}
+	if next != 0 {
+		binary.LittleEndian.PutUint32(t.links(next - 1)[4:], prev)
+	}
+	t.runs[r>>runShift].kids[r&runMask] = 0
+}
+
 // moveRun gives n a run sized for k children holding the first k of
-// its current ones, and releases the old run (n.nkids still counts it).
+// its current ones, stale flags and hashes with them, and releases the
+// old run (n.nkids still counts it).
 func (t *Trie) moveRun(n *node, k int) {
 	r := t.allocRun(k)
 	p, o := t.runs[r>>runShift], r&runMask
 	copy(p.kids[o:o+uint32(k)], t.kidsOf(n))
 	copy(p.edges[o:o+uint32(k)], t.edgesOf(n))
+	if n.runHashed {
+		copy(p.hashes[o:o+uint32(k)], t.hashesOf(n))
+	}
 	if n.nkids > 0 {
 		t.freeRun(n.run, runClass(int(n.nkids)))
 	}
 	n.run = r
 }
 
-// child returns the slot on edge b below n, or 0.
-func (t *Trie) child(n *node, b byte) uint32 {
-	if i := bytes.IndexByte(t.edgesOf(n), b); i >= 0 {
-		return t.kidsOf(n)[i]
+// child returns the index of the child on edge b below n and its slot,
+// or -1.
+func (t *Trie) child(n *node, b byte) (int, uint32) {
+	i := bytes.IndexByte(t.edgesOf(n), b)
+	if i < 0 {
+		return -1, 0
 	}
-	return 0
+	return i, t.kidsOf(n)[i] &^ stale
 }
 
-// setChild links slot c below n on edge b, replacing the child already
-// on that edge or inserting at the position that keeps the edges
-// ascending. A full run moves to the next capacity.
-func (t *Trie) setChild(n *node, b byte, c uint32) {
-	i, found := slices.BinarySearch(t.edgesOf(n), b)
-	if found {
-		t.kidsOf(n)[i] = c
-		return
-	}
+// addChild links slot c below n on edge b, which n has no child on, at
+// the position that keeps the edges ascending, and flags it stale. A
+// full run moves to the next capacity.
+func (t *Trie) addChild(n *node, b byte, c uint32) {
+	i, _ := slices.BinarySearch(t.edgesOf(n), b)
 	k := int(n.nkids)
 	if k&(k-1) == 0 { // 0 or a power of two: the run is full
 		t.moveRun(n, k+1)
@@ -236,20 +323,24 @@ func (t *Trie) setChild(n *node, b byte, c uint32) {
 	kids, edges := t.kidsOf(n), t.edgesOf(n)
 	copy(kids[i+1:], kids[i:k])
 	copy(edges[i+1:], edges[i:k])
-	kids[i], edges[i] = c, b
+	if n.runHashed {
+		hashes := t.hashesOf(n)
+		copy(hashes[i+1:], hashes[i:k])
+	}
+	kids[i], edges[i] = c|stale, b
 }
 
-// removeChild unlinks the child on edge b, if any. Children that fit
-// half their run move to the smaller capacity; a node that loses its
-// last child is a leaf again.
-func (t *Trie) removeChild(n *node, b byte) {
-	i := bytes.IndexByte(t.edgesOf(n), b)
-	if i < 0 {
-		return
-	}
+// removeChild unlinks n's child i. Children that fit half their run
+// move to the smaller capacity; a node that loses its last child is a
+// leaf again.
+func (t *Trie) removeChild(n *node, i int) {
 	kids, edges := t.kidsOf(n), t.edgesOf(n)
 	copy(kids[i:], kids[i+1:])
 	copy(edges[i:], edges[i+1:])
+	if n.runHashed {
+		hashes := t.hashesOf(n)
+		copy(hashes[i:], hashes[i+1:])
+	}
 	k := int(n.nkids) - 1
 	switch {
 	case k == 0:
@@ -312,7 +403,7 @@ func (t *Trie) moveKeys(i uint32, old [][]byte) {
 		copy(t.prefix(n), src)
 	}
 	for _, c := range t.kidsOf(n) {
-		t.moveKeys(c, old)
+		t.moveKeys(c&^stale, old)
 	}
 }
 
@@ -336,8 +427,8 @@ func (t *Trie) Get(key []byte) ([32]byte, bool) {
 	}
 	n := t.at(0)
 	for len(key) > 0 {
-		c := t.child(n, key[0])
-		if c == 0 {
+		i, c := t.child(n, key[0])
+		if i < 0 {
 			return [32]byte{}, false
 		}
 		n = t.at(c)
@@ -358,47 +449,48 @@ func commonPrefix(a, b []byte) int {
 	return i
 }
 
-// Put inserts or overwrites the leaf hash for key. The trie keeps a
-// copy of the bytes it needs, never key itself.
+// Put inserts or overwrites the leaf hash for key, flagging every slot
+// on its path stale. The trie keeps a copy of the bytes it needs, never
+// key itself.
 func (t *Trie) Put(key []byte, h [32]byte) {
 	n := t.root()
-	for {
-		n.dirty = true
-		if len(key) == 0 {
-			if !n.hasVal {
-				t.count++
-			}
-			n.val, n.hasVal = h, true
-			return
-		}
-		ci := t.child(n, key[0])
-		if ci == 0 {
+	t.hashed = false
+	for len(key) > 0 {
+		i, ci := t.child(n, key[0])
+		if i < 0 {
 			li, l := t.newNode()
 			l.pre, l.plen = t.allocKey(len(key)), uint32(len(key))
 			copy(t.prefix(l), key)
-			l.val, l.hasVal, l.dirty = h, true, true
-			t.setChild(n, key[0], li)
+			l.val, l.hasVal = h, true
+			t.addChild(n, key[0], li)
 			t.count++
 			return
 		}
+		kids := t.kidsOf(n)
+		kids[i] = ci | stale
 		c := t.at(ci)
 		m := commonPrefix(t.prefix(c), key)
 		if m < int(c.plen) {
 			// The edge diverges inside c's prefix: split it. The split
 			// node takes the first m prefix bytes and c keeps the rest,
 			// both where they are in the arena. c keeps its subtree (its
-			// children's cached hashes stay valid) but its own hash covers
-			// the now-shortened prefix, so it goes dirty. The split node
-			// takes c's place on the same edge byte, so n's order holds.
+			// run, with the hashes and flags in it) but its own hash
+			// covers the now-shortened prefix, so its slot below the
+			// split node is stale. The split node takes c's place on the
+			// same edge byte, so n's order holds.
 			si, s := t.newNode()
-			s.pre, s.plen, s.dirty = c.pre, uint32(m), true
-			c.pre, c.plen, c.dirty = c.pre+uint32(m), c.plen-uint32(m), true
-			t.setChild(s, t.prefix(c)[0], ci)
-			t.setChild(n, key[0], si)
+			s.pre, s.plen = c.pre, uint32(m)
+			c.pre, c.plen = c.pre+uint32(m), c.plen-uint32(m)
+			t.addChild(s, t.prefix(c)[0], ci)
+			kids[i] = si | stale
 			c = s
 		}
 		n, key = c, key[m:]
 	}
+	if !n.hasVal {
+		t.count++
+	}
+	n.val, n.hasVal = h, true
 }
 
 // Delete removes key; it reports whether the key was present.
@@ -406,26 +498,25 @@ func (t *Trie) Delete(key []byte) bool {
 	if t.slots == 0 {
 		return false
 	}
-	del, _ := t.deleteAt(0, key)
+	del, _ := t.deleteAt(t.at(0), key)
+	t.hashed = t.hashed && !del
 	return del
 }
 
-// deleteAt removes key from slot i's subtree and reports (deleted,
+// deleteAt removes key from n's subtree and reports (deleted,
 // removeSelf); removeSelf asks the caller to unlink the node entirely.
 // The root is never unlinked (the top-level caller ignores removeSelf).
-func (t *Trie) deleteAt(i uint32, key []byte) (deleted, removeSelf bool) {
-	n := t.at(i)
+func (t *Trie) deleteAt(n *node, key []byte) (deleted, removeSelf bool) {
 	if len(key) == 0 {
 		if !n.hasVal {
 			return false, false
 		}
 		n.hasVal = false
-		n.dirty = true
 		t.count--
 		return true, n.nkids == 0
 	}
-	ci := t.child(n, key[0])
-	if ci == 0 {
+	i, ci := t.child(n, key[0])
+	if i < 0 {
 		return false, false
 	}
 	c := t.at(ci)
@@ -433,25 +524,26 @@ func (t *Trie) deleteAt(i uint32, key []byte) (deleted, removeSelf bool) {
 	if m != int(c.plen) {
 		return false, false
 	}
-	del, rm := t.deleteAt(ci, key[m:])
+	del, rm := t.deleteAt(c, key[m:])
 	if !del {
 		return false, false
 	}
-	n.dirty = true
-	t.unlinkOrCollapse(n, key[0], ci, rm)
+	t.settle(n, i, rm)
 	return true, !n.hasVal && n.nkids == 0
 }
 
-// unlinkOrCollapse restores the invariants at child slot ci of n after
-// a delete below it: the child is released if it asked to be, or else
-// merged with its only child if it was left valueless with one.
-func (t *Trie) unlinkOrCollapse(n *node, edge byte, ci uint32, remove bool) {
+// settle restores the invariants at n's child i after a delete below
+// it: the child is released if it asked to be, or else merged with its
+// only child if it was left valueless with one, and its slot is stale.
+func (t *Trie) settle(n *node, i int, remove bool) {
+	ci := t.kidsOf(n)[i] &^ stale
 	if remove {
-		t.removeChild(n, edge)
+		t.removeChild(n, i)
 		t.freeNode(ci)
-	} else {
-		t.collapse(t.at(ci))
+		return
 	}
+	t.collapse(t.at(ci))
+	t.kidsOf(n)[i] = ci | stale
 }
 
 // DeletePrefix removes every key that starts with p (p itself
@@ -466,14 +558,14 @@ func (t *Trie) DeletePrefix(p []byte) int {
 		*t = Trie{}
 		return n
 	}
-	removed, _ := t.deletePrefixAt(0, p)
+	removed, _ := t.deletePrefixAt(t.at(0), p)
+	t.hashed = t.hashed && removed == 0
 	return removed
 }
 
-func (t *Trie) deletePrefixAt(i uint32, p []byte) (removed int, removeSelf bool) {
-	n := t.at(i)
-	ci := t.child(n, p[0])
-	if ci == 0 {
+func (t *Trie) deletePrefixAt(n *node, p []byte) (removed int, removeSelf bool) {
+	i, ci := t.child(n, p[0])
+	if i < 0 {
 		return 0, false
 	}
 	c := t.at(ci)
@@ -482,20 +574,19 @@ func (t *Trie) deletePrefixAt(i uint32, p []byte) (removed int, removeSelf bool)
 	case m == len(p):
 		// All of p matched inside c's prefix: c's whole subtree is
 		// under the prefix.
-		t.removeChild(n, p[0])
+		t.removeChild(n, i)
 		removed = t.freeSubtree(ci)
 		t.count -= removed
 	case m == int(c.plen):
-		rem, rm := t.deletePrefixAt(ci, p[m:])
+		rem, rm := t.deletePrefixAt(c, p[m:])
 		if rem == 0 {
 			return 0, false
 		}
-		t.unlinkOrCollapse(n, p[0], ci, rm)
+		t.settle(n, i, rm)
 		removed = rem
 	default:
 		return 0, false
 	}
-	n.dirty = true
 	return removed, !n.hasVal && n.nkids == 0
 }
 
@@ -503,13 +594,14 @@ func (t *Trie) deletePrefixAt(i uint32, p []byte) (removed int, removeSelf bool)
 // restoring the canonical-structure invariant after a delete. The
 // merged node keeps c's first prefix byte, so its place among its
 // siblings is unchanged, and it adopts the child's already ordered
-// run as it is. When the child's prefix bytes follow c's in the arena
-// (a split being undone) the two ranges simply join.
+// run as it is, hashes and stale flags included. When the child's
+// prefix bytes follow c's in the arena (a split being undone) the two
+// ranges simply join.
 func (t *Trie) collapse(c *node) {
 	if c.hasVal || c.nkids != 1 {
 		return
 	}
-	oi := t.kidsOf(c)[0]
+	oi := t.kidsOf(c)[0] &^ stale
 	o := t.at(oi)
 	if c.pre+c.plen == o.pre && c.pre>>keyShift == o.pre>>keyShift {
 		c.plen += o.plen
@@ -523,8 +615,7 @@ func (t *Trie) collapse(c *node) {
 	}
 	t.freeRun(c.run, 0)
 	c.val, c.hasVal = o.val, o.hasVal
-	c.run, c.nkids = o.run, o.nkids
-	c.dirty = true
+	c.run, c.nkids, c.runHashed = o.run, o.nkids, o.runHashed
 	o.nkids = 0
 	t.freeNode(oi)
 }
@@ -538,35 +629,39 @@ func (t *Trie) freeSubtree(i uint32) int {
 		sz = 1
 	}
 	for _, c := range t.kidsOf(n) {
-		sz += t.freeSubtree(c)
+		sz += t.freeSubtree(c &^ stale)
 	}
 	t.freeNode(i)
 	return sz
 }
 
-// Root returns the trie's root hash, recomputing only nodes dirtied
-// since the last call.
+// Root returns the trie's root hash, recomputing only the nodes whose
+// slots were flagged stale since the last call.
 func (t *Trie) Root() [32]byte {
-	r := t.root()
-	t.rehash(r)
-	return r.hash
+	if !t.hashed {
+		t.hash = t.rehash(t.root())
+		t.hashed = true
+	}
+	return t.hash
 }
 
-// rehash recomputes n's hash if dirty, recursing only into dirty
-// children (clean subtrees contribute their cached hashes).
+// rehash returns n's hash. It first recomputes the hashes of n's
+// children flagged stale, recursing only into those, and clears their
+// flags; every other child's hash is current in n's run already.
 //
 // The preimage is a fixed-shape encoding — marker byte, length-prefixed
 // node prefix, value flag (+hash), child count, then (edge byte, child
 // hash) pairs in ascending edge order — so distinct tries can never
-// collide by concatenation ambiguity. Dirty children are rehashed
+// collide by concatenation ambiguity. Stale children are rehashed
 // first, so the one buffer the trie owns holds a single node's preimage
 // at a time and is hashed in one call.
-func (t *Trie) rehash(n *node) {
-	if !n.dirty {
-		return
-	}
-	for _, c := range t.kidsOf(n) {
-		t.rehash(t.at(c))
+func (t *Trie) rehash(n *node) [32]byte {
+	kids, edges, hashes := t.kidsOf(n), t.edgesOf(n), t.hashesOf(n)
+	for j, c := range kids {
+		if c&stale != 0 {
+			hashes[j] = t.rehash(t.at(c &^ stale))
+			kids[j] = c &^ stale
+		}
 	}
 	b := append(t.buf[:0], 0x10)
 	b = binary.AppendUvarint(b, uint64(n.plen))
@@ -578,12 +673,11 @@ func (t *Trie) rehash(n *node) {
 		b = append(b, 0)
 	}
 	b = binary.AppendUvarint(b, uint64(n.nkids))
-	edges := t.edgesOf(n)
-	for j, c := range t.kidsOf(n) {
-		b = append(b, edges[j])
-		b = append(b, t.at(c).hash[:]...)
+	for j, e := range edges {
+		b = append(b, e)
+		b = append(b, hashes[j][:]...)
 	}
-	n.hash = sha256.Sum256(b)
-	n.dirty = false
+	n.runHashed = true
 	t.buf = b
+	return sha256.Sum256(b)
 }

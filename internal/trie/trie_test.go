@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,6 +59,7 @@ func checkEdgeOrder(t *testing.T, tr *Trie) {
 		n := tr.at(i)
 		edges, kids := tr.edgesOf(n), tr.kidsOf(n)
 		for j, c := range kids {
+			c &^= stale
 			if p := tr.prefix(tr.at(c)); len(p) == 0 || p[0] != edges[j] {
 				t.Fatalf("node %q: edge %d is %#x but the child's prefix is %q", tr.prefix(n), j, edges[j], p)
 			}
@@ -222,11 +224,10 @@ func TestRandomizedModel(t *testing.T) {
 }
 
 // TestRootIsIncremental pins the performance contract: after a bulk
-// load and one Root call, touching a handful of keys must not rehash
-// the whole trie. We can't count hash invocations directly, so we
-// assert dirtiness stays confined: a untouched subtree's cached hash
-// object identity is observable via the root changing only when it
-// must.
+// load and one Root call, a Put flags exactly the slots on its key's
+// path stale — an overwrite's, an insert's, and a split's, which also
+// flags the node whose prefix it shortened — so Root rehashes those
+// nodes and the root and no other, and it clears every flag.
 func TestRootIsIncremental(t *testing.T) {
 	tr := &Trie{}
 	for i := 0; i < 1000; i++ {
@@ -234,30 +235,70 @@ func TestRootIsIncremental(t *testing.T) {
 		tr.Put([]byte(k), leaf(k))
 	}
 	r0 := tr.Root()
-	if tr.at(0).dirty {
-		t.Fatal("root still dirty after Root()")
+	if got := staleSlots(tr); len(got) != 0 || !tr.hashed {
+		t.Fatalf("after Root: %d slots stale, root hashed %v", len(got), tr.hashed)
 	}
-	tr.Put([]byte("bucket3\x1fitem33"), leaf("new"))
-	// Only the path to bucket3/item33 may be dirty.
-	dirty := countDirty(tr, 0)
-	if dirty == 0 || dirty > 20 {
-		t.Fatalf("touching one key dirtied %d nodes (want a short path)", dirty)
-	}
-	if tr.Root() == r0 {
-		t.Fatal("changed leaf did not change the root")
+	for _, c := range []struct{ key, shortened string }{
+		{"bucket3\x1fitem33", ""},               // overwrite
+		{"bucket3\x1fitem3x", ""},               // a leaf below a leaf
+		{"bucket3\x1fitex", "bucket3\x1fitem3"}, // splits "item"
+	} {
+		tr.Put([]byte(c.key), leaf("new"))
+		want := pathSlots(tr, []byte(c.key))
+		if c.shortened != "" {
+			for _, s := range pathSlots(tr, []byte(c.shortened)) {
+				if !slices.Contains(want, s) {
+					want = append(want, s)
+					break
+				}
+			}
+		}
+		slices.Sort(want)
+		if got := staleSlots(tr); len(want) < 3 || !slices.Equal(got, want) {
+			t.Fatalf("Put(%q) flagged slots %v stale, want %v", c.key, got, want)
+		}
+		if tr.hashed {
+			t.Fatalf("Put(%q) left the root hash current", c.key)
+		}
+		if tr.Root() == r0 {
+			t.Fatalf("Put(%q) did not change the root", c.key)
+		}
+		if got := staleSlots(tr); len(got) != 0 || !tr.hashed {
+			t.Fatalf("Root after Put(%q) left %d slots stale, root hashed %v", c.key, len(got), tr.hashed)
+		}
+		checkSlots(t, tr)
 	}
 }
 
-func countDirty(tr *Trie, i uint32) int {
-	n := tr.at(i)
-	c := 0
-	if n.dirty {
-		c++
+// staleSlots returns the slots flagged stale in their parent's run, in
+// ascending order.
+func staleSlots(tr *Trie) []uint32 {
+	var out []uint32
+	var walk func(i uint32)
+	walk = func(i uint32) {
+		for _, c := range tr.kidsOf(tr.at(i)) {
+			if c&stale != 0 {
+				out = append(out, c&^stale)
+			}
+			walk(c &^ stale)
+		}
 	}
-	for _, ch := range tr.kidsOf(n) {
-		c += countDirty(tr, ch)
+	walk(0)
+	slices.Sort(out)
+	return out
+}
+
+// pathSlots returns the slots below the root on key's path, from the
+// top.
+func pathSlots(tr *Trie, key []byte) []uint32 {
+	var out []uint32
+	for n := tr.at(0); len(key) > 0; {
+		_, c := tr.child(n, key[0])
+		n = tr.at(c)
+		out = append(out, c)
+		key = key[n.plen:]
 	}
-	return c
+	return out
 }
 
 // TestGoldenRoot pins the preimage encoding: a fixed key set with fixed
