@@ -54,6 +54,23 @@ func (as *Accounts) Create(addr Address, balance uint64, isContract bool) {
 	as.Put(addr, Account{Balance: BalanceOf(balance), IsContract: isContract})
 }
 
+// CreateAll adds an account with the given initial balance for each of
+// addrs, replacing any existing one, under one lock, with the index and
+// the rows grown once for all of them.
+func (as *Accounts) CreateAll(addrs []Address, balance uint64) {
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	idx := make(map[Address]uint32, len(as.idx)+len(addrs))
+	maps.Copy(idx, as.idx)
+	as.idx = idx
+	as.rows = slices.Grow(as.rows, len(addrs))
+	acc := Account{Balance: BalanceOf(balance)}
+	for _, addr := range addrs {
+		row, _ := as.row(addr)
+		*row = acc
+	}
+}
+
 // Put installs an account, replacing any existing entry. Snapshot
 // restore uses it to reconstruct the exact committed table.
 func (as *Accounts) Put(addr Address, acc Account) {

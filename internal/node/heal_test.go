@@ -73,7 +73,7 @@ func (s *spoilBlocks) Send(to string, frame []byte) error {
 		}
 		blocks := make([][]byte, len(resp.Blocks))
 		for i, fb := range resp.Blocks {
-			enc, err := wire.EncodeFinalBlock(fb)
+			enc, err := wire.SealedFinalBlock(fb)
 			if err != nil {
 				s.t.Error(err)
 				return err

@@ -1,9 +1,12 @@
 package node
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cosplit/internal/chain"
 	"cosplit/internal/obs"
@@ -153,5 +156,74 @@ func TestLookupBuildsNoDeltas(t *testing.T) {
 	}
 	if err := l.finalBlock(corrupt); !errors.Is(err, wire.ErrDecode) {
 		t.Errorf("a block with a corrupt delta section: %v, want ErrDecode", err)
+	}
+}
+
+// TestReplicaBuildsNoReceipts: a replica reads a FinalBlock — broadcast,
+// in a catch-up response, or from its journal — the way the lookup reads
+// deltas, its receipts checked byte for byte and none built, since
+// ApplyFinalBlock never reads them; the block stays sealed with the
+// bytes it came in, receipts and all. On a 2000-transaction block the
+// read allocates at least the receipts' records less than a full decode,
+// in fewer allocations.
+func TestReplicaBuildsNoReceipts(t *testing.T) {
+	const txs = 2000
+	w := workload.FTTransfer()
+	w.Users = txs
+	env, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := produceFinalBlocks(t, env.Net, func() *chain.Tx { return w.Next(env) }, 1, txs)[0]
+	payload, err := wire.SealedFinalBlock(fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fb.Receipts) != txs {
+		t.Fatalf("the block carries %d receipts, want %d", len(fb.Receipts), txs)
+	}
+	read, err := wire.DecodeFinalBlockState(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := wire.DecodeBlockResponse(wire.AppendBlockResponse(nil, fb.Epoch, fb.Epoch+1, [][]byte{payload}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := wire.DecodeCheckpointBlock(append(wire.AppendCheckpoint(nil, env.Net.Checkpoint()), payload...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for how, got := range map[string]*shard.FinalBlock{"broadcast": read, "catch-up": resp.Blocks[0], "journal": cb.Block} {
+		if got.Receipts != nil || len(got.Deltas) != len(fb.Deltas) || got.StateRoot != fb.StateRoot {
+			t.Errorf("%s: %d receipts, %d deltas, root %s; the block has %d deltas, root %s",
+				how, len(got.Receipts), len(got.Deltas), got.StateRoot, len(fb.Deltas), fb.StateRoot)
+		}
+		if sealed, _ := wire.SealedFinalBlock(got); !bytes.Equal(sealed, payload) {
+			t.Errorf("%s: the block is not sealed with the bytes it was read from", how)
+		}
+	}
+
+	cost := func(decode func([]byte) (*shard.FinalBlock, error)) (allocs float64, bytes uint64) {
+		const runs = 5
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		allocs = testing.AllocsPerRun(runs, func() {
+			if _, err := decode(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&ms)
+		return allocs, (ms.TotalAlloc - before) / (runs + 1) // AllocsPerRun warms up once
+	}
+	wholeAllocs, wholeBytes := cost(wire.DecodeFinalBlock)
+	stateAllocs, stateBytes := cost(wire.DecodeFinalBlockState)
+	saved := uint64(txs) * uint64(unsafe.Sizeof(chain.Receipt{}))
+	t.Logf("one %d-tx FinalBlock: %.0f allocations, %d B decoded whole; %.0f, %d B read as a replica",
+		txs, wholeAllocs, wholeBytes, stateAllocs, stateBytes)
+	if stateBytes+saved > wholeBytes || stateAllocs >= wholeAllocs {
+		t.Errorf("a replica's read allocates %d B in %.0f allocations, a full decode %d B in %.0f; want %d B fewer at least, in fewer allocations",
+			stateBytes, stateAllocs, wholeBytes, wholeAllocs, saved)
 	}
 }

@@ -162,7 +162,7 @@ func (s *ShardNode) frame(fx effects, _ time.Time, from string, typ wire.MsgType
 	case from != s.ds:
 		return false
 	case typ == wire.MsgFinalBlock:
-		fb, err := wire.DecodeFinalBlock(payload)
+		fb, err := wire.DecodeFinalBlockState(payload)
 		if err == nil {
 			s.handleFinalBlock(fx, fb)
 		}

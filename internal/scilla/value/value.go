@@ -184,8 +184,12 @@ func (m *Map) DeleteCK(ck string) { delete(m.Entries, ck) }
 // of the map's KeyType: CanonicalKey(m.Key(ck)) == ck. It panics when
 // ck is not the canonical key of a KeyType value; the type checker and
 // the wire decoder keep such keys out of every map.
-func (m *Map) Key(ck string) Value {
-	t, prim := m.KeyType.(ast.PrimType)
+func (m *Map) Key(ck string) Value { return KeyOf(m.KeyType, ck) }
+
+// KeyOf rebuilds the key value of type kt whose canonical encoding is
+// ck, as Map.Key does for a map keyed by kt.
+func KeyOf(kt ast.Type, ck string) Value {
+	t, prim := kt.(ast.PrimType)
 	tag, rest, _ := strings.Cut(ck, ":")
 	switch {
 	case !prim:
@@ -204,7 +208,7 @@ func (m *Map) Key(ck string) Value {
 			return ByStr{Ty: t, B: b}
 		}
 	}
-	panic(fmt.Sprintf("value: %q is not the canonical key of a %s", ck, m.KeyType))
+	panic(fmt.Sprintf("value: %q is not the canonical key of a %s", ck, kt))
 }
 
 // Len returns the number of entries.

@@ -184,10 +184,21 @@ func (n *Network) Config() Config { return n.cfg }
 // metrics (counters, gauges, histograms), including the dispatcher's.
 func (n *Network) Snapshot() obs.Snapshot { return n.reg.Snapshot() }
 
-// CreateUser registers a user account with an initial balance.
+// CreateUser registers a user account with an initial balance and
+// puts its leaf in the root trie: one account added to a live network.
 func (n *Network) CreateUser(addr chain.Address, balance uint64) {
 	n.Accounts.Create(addr, balance, false)
 	n.touchAccount(addr)
+}
+
+// CreateUsers creates an account holding balance for each of addrs in
+// one call, then rebuilds the root trie from the whole state once
+// (RebuildStateRoots). It is for provisioning a genesis, where it costs
+// one sorted load instead of a trie descent per account; CreateUser adds
+// one account to a live network.
+func (n *Network) CreateUsers(addrs []chain.Address, balance uint64) {
+	n.Accounts.CreateAll(addrs, balance)
+	n.RebuildStateRoots()
 }
 
 // DeployContract deploys a contract immediately (deployments are

@@ -75,33 +75,23 @@ func (n *Network) ReplayFinalBlock(fb *FinalBlock) error {
 }
 
 // RebuildStateRoots reconstructs the incremental root trie from the
-// full canonical state. Recovery uses it after a snapshot restore;
-// steady-state epochs never need it (the pipeline maintains the trie
-// per delta).
+// full canonical state in one sorted pass (trie.StateRoots.Load).
+// Genesis provisioning (CreateUsers) and recovery, after a snapshot
+// restore or a state image, use it; steady-state epochs never need it
+// (the pipeline maintains the trie per delta).
 func (n *Network) RebuildStateRoots() {
-	fresh := &trie.StateRoots{}
-	n.buildRoots(fresh)
-	n.roots = fresh
+	n.roots.Load(n.Accounts, n.Contracts.All())
 }
 
 // RecomputeStateRoot renders the root from scratch, independently of
-// the incrementally maintained trie. It is the differential oracle the
-// root-equivalence tests compare StateRoot against; production paths
-// use StateRoot.
+// the incrementally maintained trie: a trie loaded from the whole
+// state, where StateRoot's was built up by Put and Delete. It is the
+// differential oracle the root-equivalence tests compare StateRoot
+// against; production paths use StateRoot.
 func (n *Network) RecomputeStateRoot() string {
 	fresh := &trie.StateRoots{}
-	n.buildRoots(fresh)
+	fresh.Load(n.Accounts, n.Contracts.All())
 	return fresh.Root()
-}
-
-func (n *Network) buildRoots(r *trie.StateRoots) {
-	for _, c := range n.Contracts.All() {
-		r.PutContractState(c.Addr, c.Snapshot())
-	}
-	n.Accounts.Range(func(addr chain.Address, acc chain.Account) bool {
-		r.TouchAccount(addr, acc)
-		return true
-	})
 }
 
 // touchAccount re-commits one account in the root trie from canonical

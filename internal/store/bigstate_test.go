@@ -17,16 +17,19 @@ const bigStateUsers = 1_050_000
 
 // heapBound is the allowed live heap after provisioning, running, and
 // snapshotting the million-account state. The state itself (packed
-// account table, incremental root trie) measures ~209 MB on
-// amd64/go1.24; the bound leaves ~20 % headroom and fails if journaling
-// or snapshotting ever buffers an extra O(state) copy. ROADMAP item 6
-// targets ≤ 180 MB; the ~29 MB left is mostly the trie's pages.
+// account table, incremental root trie grown key by key) measures
+// ~224 MB on amd64/go1.24; the bound leaves ~12 % headroom and fails if
+// journaling or snapshotting ever buffers an extra O(state) copy.
+// ROADMAP item 6 targets ≤ 180 MB; the ~44 MB left is mostly the trie's
+// pages and the run slots its power-of-two capacities leave empty.
 const heapBound = 250 << 20
 
 // bigStateNetwork provisions the million-account genesis: one funder
 // and bigStateUsers accounts. No contract — the test targets the
 // account half of the state root and the snapshot encoder's account
-// batching, where the volume is.
+// batching, where the volume is. Accounts are created one by one
+// (CreateUser), so heapBound covers a trie grown key by key; the
+// recovery half loads its trie from the restored state in one pass.
 func bigStateNetwork() *shard.Network {
 	n := shard.NewNetwork(shard.WithShards(4))
 	for i := 0; i < bigStateUsers; i++ {

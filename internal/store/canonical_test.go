@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cosplit/internal/chain"
+	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 )
@@ -162,4 +163,41 @@ func TestControlByteKeys(t *testing.T) {
 		t.Fatalf("state image: applied %v, %v", applied, err)
 	}
 	recovered("state image", image)
+}
+
+// TestDirtyKeysFromKeypaths: a dirty set keeps no key of an entry whose
+// keys are none of them a String — integers, byte strings, block
+// numbers, at any depth — and rebuilds them from the keypath, level by
+// level from the field's types; an entry with a String key, whose
+// canonical form may hold the separator, keeps its keys.
+func TestDirtyKeysFromKeypaths(t *testing.T) {
+	inner := ast.MapType{Key: ast.TyBNum, Val: ast.TyUint128}
+	field := value.NewMap(ast.TyByStr20, ast.MapType{Key: ast.TyUint32, Val: inner})
+	addr := chain.AddrFromUint(9).Value()
+	for _, keys := range [][]value.Value{
+		{addr},
+		{addr, value.Uint32V(7)},
+		{addr, value.Uint32V(70), value.BNum{V: big.NewInt(12)}},
+	} {
+		kp := chain.Keypath(keys)
+		if kept := keptKeys(keys); kept != nil {
+			t.Fatalf("%q: the set keeps %d keys", kp, len(kept))
+		}
+		got, err := keysOf(field, kp)
+		if err != nil || chain.Keypath(got) != kp || len(got) != len(keys) {
+			t.Fatalf("%q: rebuilt %v (%v)", kp, got, err)
+		}
+		for i := range keys {
+			if !value.Equal(got[i], keys[i]) {
+				t.Errorf("%q: key %d rebuilt as %v, was %v", kp, i, got[i], keys[i])
+			}
+		}
+	}
+	withString := []value.Value{addr, value.Str{S: "a\x1fs:b"}}
+	if kept := keptKeys(withString); len(kept) != 2 {
+		t.Errorf("an entry under a String key keeps %d keys, want its 2", len(kept))
+	}
+	if _, err := keysOf(field, chain.Keypath([]value.Value{addr, value.Uint32V(1), value.BNum{V: big.NewInt(1)}, value.Uint32V(1)})); err == nil {
+		t.Error("a keypath deeper than the field's map rebuilt keys")
+	}
 }

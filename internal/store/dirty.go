@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
 
 	"cosplit/internal/chain"
+	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 	"cosplit/internal/wire"
@@ -25,24 +27,22 @@ type dirtySet struct {
 	accounts  map[chain.Address]struct{}
 	contracts map[chain.Address]map[string]*dirtyField
 	// cost is what writing the set out will cost at the least, in the
-	// fold rule's unit (see incremental.cost): one per account and per
-	// whole field, entryCost per entry.
+	// fold rule's unit (see incremental.cost): one per account, per
+	// whole field and per entry.
 	cost int
 }
-
-// entryCost is what an entry record of an incremental file costs
-// before its value is counted, in leaves of a full file: the record
-// carries its keypath beside its keys and the delta framing, about as
-// many bytes again as the entry took in the retired whole-contract
-// record (a token balance is 80 bytes as an entry record, was 32 there).
-const entryCost = 1
 
 // dirtyField is one contract field's written components. A whole-field
 // write covers every entry of the field, so it drops the entries
 // recorded before it and ignores the ones after.
 type dirtyField struct {
-	whole   bool
-	entries map[string][]value.Value // keypath -> its keys
+	whole bool
+	// entries maps each written entry's keypath to its keys, or to nil
+	// when the keypath renders them unambiguously (keptKeys): the keys
+	// are rebuilt from it when the set is written out (keysOf), so an
+	// entry keyed by integers, byte strings or block numbers costs the
+	// set its keypath alone.
+	entries map[string][]value.Value
 }
 
 func (d *dirtySet) reset() { *d = dirtySet{} }
@@ -102,11 +102,11 @@ func (d *dirtySet) addDeltas(deltas []*chain.StateDelta) {
 				if df.entries == nil {
 					df.entries = make(map[string][]value.Value)
 				}
-				df.entries[e.Keypath] = e.Keys
-				d.cost += entryCost + 1
+				df.entries[e.Keypath] = keptKeys(e.Keys)
+				d.cost++
 			}
 			if whole {
-				d.cost += 1 - (entryCost+1)*len(df.entries)
+				d.cost += 1 - len(df.entries)
 				df.whole, df.entries = true, nil
 			}
 		}
@@ -120,8 +120,11 @@ type incremental struct {
 	accounts []wire.SnapshotAccount // in address order
 	// cost is the size of the body in the unit the fold rule compares
 	// with the state's leaf count, the leaves of a full file: one per
-	// account, the leaves a written value renders to — a map written
-	// whole counts every leaf below it — and entryCost more per entry.
+	// account and the leaves a written value renders to — a map written
+	// whole counts every leaf below it. An entry costs no more than its
+	// value's leaves: a full file writes each map leaf as the same entry
+	// record, keypath and all, so an entry is a leaf's worth of bytes in
+	// either kind of file.
 	cost int
 }
 
@@ -327,6 +330,12 @@ func (r *stateRecords) dirty(addr chain.Address, state map[string]value.Value, d
 		// several entries deleted under one of them write it once.
 		var emptied map[string]bool
 		for _, de := range entries {
+			if de.keys == nil {
+				var err error
+				if de.keys, err = keysOf(v, de.kp); err != nil {
+					return fmt.Errorf("store: contract %s field %q: %w", addr, f, err)
+				}
+			}
 			e := postEntry(v, de.kp, de.keys)
 			if len(e.Keys) != len(de.keys) {
 				if _, own := df.entries[e.Keypath]; own || emptied[e.Keypath] {
@@ -338,10 +347,47 @@ func (r *stateRecords) dirty(addr chain.Address, state map[string]value.Value, d
 				emptied[e.Keypath] = true
 			}
 			r.entry(addr, f, e)
-			r.cost += entryCost + leaves(e.Value)
+			r.cost += leaves(e.Value)
 		}
 	}
 	return nil
+}
+
+// keptKeys is what a dirty set keeps of an entry's keys: nothing when
+// none is a String — every other key's canonical form is free of the
+// keypath separator, so the keypath splits into the keys' forms and
+// keysOf rebuilds them — else the keys.
+func keptKeys(keys []value.Value) []value.Value {
+	for _, k := range keys {
+		if _, ok := k.(value.Str); ok {
+			return keys
+		}
+	}
+	return nil
+}
+
+// keysOf rebuilds the keys of the entry at keypath kp of the map field
+// whose value is field, none of them a String (keptKeys), level by level
+// from the field's key and value types.
+func keysOf(field value.Value, kp string) ([]value.Value, error) {
+	m, ok := field.(*value.Map)
+	if !ok {
+		return nil, errors.New("entries written to a field that is not a map")
+	}
+	kt, vt := m.KeyType, m.ValType
+	var keys []value.Value
+	for {
+		ck, rest, deeper := strings.Cut(kp, chain.KeypathSep)
+		keys = append(keys, value.KeyOf(kt, ck))
+		if !deeper {
+			return keys, nil
+		}
+		mt, ok := vt.(ast.MapType)
+		if !ok {
+			return nil, errors.New("a keypath runs past the map's depth")
+		}
+		kt, vt, kp = mt.Key, mt.Val, rest
+	}
 }
 
 // postEntry is the snapshot record for the dirty entry keys (keypath

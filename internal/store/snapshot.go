@@ -14,6 +14,8 @@ import (
 	"strings"
 
 	"cosplit/internal/chain"
+	"cosplit/internal/scilla/eval"
+	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 	"cosplit/internal/wire"
 )
@@ -239,10 +241,10 @@ func postValues(d *chain.StateDelta) bool {
 }
 
 // cost is the size of an incremental file's body as stateRecords
-// counted it when the file was written: a field written whole costs the
-// leaves of its value — the entries after its Whole record, or one for a
-// scalar or an empty map — and any other entry entryCost more than its
-// value's leaves.
+// counted it when the file was written: an account costs one, a field
+// written whole the leaves of its value — the entries after its Whole
+// record, or one for a scalar or an empty map — and any other entry its
+// value's leaves, as it would in a full file (incremental.cost).
 func (sf *snapFile) cost() int {
 	n := len(sf.accounts)
 	whole := make(map[string]int) // by contract and name, the leaves of each field written whole
@@ -256,7 +258,7 @@ func (sf *snapFile) cost() int {
 				if w, ok := whole[k]; ok {
 					whole[k] = w + leaves(e.Value)
 				} else {
-					n += entryCost + leaves(e.Value)
+					n += leaves(e.Value)
 				}
 			}
 		}
@@ -267,27 +269,74 @@ func (sf *snapFile) cost() int {
 	return n
 }
 
-// apply merges the file's post-values into n's state — a full file
+// apply writes the file's post-values into n's state — a full file
 // writes every field of every contract whole, an incremental one what
 // changed; a field the contract does not have fails it — and puts the
 // file's accounts. The root trie is not touched — the caller rebuilds
 // it once, after the last file.
 func (sf *snapFile) apply(n *shard.Network) error {
-	var undo chain.Undo // all or nothing is the caller's: a failed restore is abandoned
+	var cks []string
 	for _, d := range sf.deltas {
 		c := n.Contracts.Get(d.Contract)
 		if c == nil {
 			return fmt.Errorf("store: snapshot %s: %w %s", sf.name, shard.ErrUnknownContract, d.Contract)
 		}
-		if err := chain.MergeDeltas(c.Snapshot(), []*chain.StateDelta{d}, &undo); err != nil {
-			return fmt.Errorf("store: snapshot %s: %w", sf.name, err)
+		var err error
+		if cks, err = writePostValues(c.Snapshot(), d, cks); err != nil {
+			return fmt.Errorf("store: snapshot %s: contract %s: %w", sf.name, d.Contract, err)
 		}
-		undo.Reset()
 	}
 	for _, a := range sf.accounts {
 		n.Accounts.Put(a.Addr, chain.Account{Balance: a.Balance, Nonce: a.Nonce, IsContract: a.IsContract})
 	}
 	return nil
+}
+
+// writePostValues writes d's post-values into st in place: a field
+// written whole is set to its value, and an entry is set, or deleted,
+// at its keypath, the map levels on the way created for a set
+// (eval.MapAt). The values are st's from here on: a record is decoded
+// for this write alone. cks is scratch for the entries' canonical keys,
+// returned for reuse. The decoder has refused a record that writes a
+// component twice (chain.StateDelta is canonical).
+func writePostValues(st *eval.MemState, d *chain.StateDelta, cks []string) ([]string, error) {
+	for _, fd := range d.Fields {
+		v, ok := st.Fields[fd.Name]
+		if !ok {
+			return cks, fmt.Errorf("unknown field %s", fd.Name)
+		}
+		if fd.Whole != nil {
+			v = fd.Whole.Value
+			st.Fields[fd.Name] = v
+		}
+		if len(fd.Entries) == 0 {
+			continue
+		}
+		root, ok := v.(*value.Map)
+		if !ok {
+			return cks, fmt.Errorf("field %s is not a map", fd.Name)
+		}
+		for _, e := range fd.Entries {
+			cks = cks[:0]
+			if len(e.Keys) == 1 {
+				cks = append(cks, e.Keypath) // a single key's keypath is its canonical key
+			} else {
+				for _, k := range e.Keys {
+					cks = append(cks, value.CanonicalKey(k))
+				}
+			}
+			m, err := eval.MapAt(root, cks, e.Kind == chain.Overwrite)
+			switch {
+			case err != nil:
+				return cks, fmt.Errorf("field %s: %w", fd.Name, err)
+			case e.Kind == chain.Overwrite:
+				m.SetCK(cks[len(cks)-1], e.Value)
+			case m != nil:
+				m.DeleteCK(cks[len(cks)-1])
+			}
+		}
+	}
+	return cks, nil
 }
 
 // snapshotChain describes the snapshot files a state rests on: full

@@ -301,9 +301,9 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 // blocked in EpochCommitted), so canonical state is quiescent.
 //
 // The fold rule decides what the file holds, counting in leaves of a
-// full file: a dirty account costs one, a dirty contract component the
-// leaves its value renders to, and an entry record entryCost more for
-// the keypath it carries. The file is an incremental one, the
+// full file: a dirty account costs one and a dirty contract component
+// the leaves its value renders to, which a full file writes as the same
+// records (incremental.cost). The file is an incremental one, the
 // post-state of the dirty keys, while the chain stays smaller than the
 // state: the cost of the incremental files since the last full one plus
 // this file's — first as the keys alone predict it, then as counted

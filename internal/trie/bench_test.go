@@ -8,8 +8,9 @@ import (
 	"testing"
 )
 
-// The benchmarks below use only the exported API, so the file runs
-// unchanged against any version of the package.
+// The benchmarks below use only the exported API, but for the load rows
+// of BenchmarkTrieLoad, which need Load and the sort StateRoots.Load
+// runs; the rest run unchanged against earlier versions of the package.
 
 // addr is a hashed 20-byte address, like chain.AddrFromUint's.
 func addr(i int) []byte {
@@ -38,36 +39,58 @@ func hexKeys(n int) [][]byte {
 }
 
 // BenchmarkTrieLoad builds a trie of 100k account leaves and hashes it
-// once, as a role does at provisioning. retained-B/leaf is what the
-// last trie built keeps on the heap after a collection.
+// once, as a role does at provisioning: key by key with Put, and by one
+// Load of the leaves, sorted first, as StateRoots.Load sorts them.
+// retained-B/leaf is what the last trie built keeps on the heap after a
+// collection.
 func BenchmarkTrieLoad(b *testing.B) {
 	keys := rawKeys(100_000)
 	h := sha256.Sum256([]byte("v"))
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	heap0, alloc0, mallocs0 := ms.HeapAlloc, ms.TotalAlloc, ms.Mallocs
-	b.ResetTimer()
-	var tr *Trie
-	for i := 0; i < b.N; i++ {
-		tr = &Trie{}
-		for _, k := range keys {
-			tr.Put(k, h)
-		}
-		tr.Root()
+	for _, build := range []struct {
+		name string
+		trie func() *Trie
+	}{
+		{"put", func() *Trie {
+			tr := &Trie{}
+			for _, k := range keys {
+				tr.Put(k, h)
+			}
+			return tr
+		}},
+		{"load", func() *Trie {
+			leaves := make([]Leaf, len(keys))
+			for i, k := range keys {
+				leaves[i] = Leaf{Key: k, Hash: h}
+			}
+			sortLeaves(leaves, make([]Leaf, len(leaves)), 0)
+			return Load(leaves)
+		}},
+	} {
+		b.Run(build.name, func(b *testing.B) {
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			heap0, alloc0, mallocs0 := ms.HeapAlloc, ms.TotalAlloc, ms.Mallocs
+			b.ResetTimer()
+			var tr *Trie
+			for i := 0; i < b.N; i++ {
+				tr = build.trie()
+				tr.Root()
+			}
+			b.StopTimer()
+			leaves := float64(b.N * len(keys))
+			runtime.ReadMemStats(&ms)
+			alloc, mallocs := ms.TotalAlloc-alloc0, ms.Mallocs-mallocs0
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			runtime.KeepAlive(tr)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/leaves, "ns/leaf")
+			b.ReportMetric(float64(alloc)/leaves, "B/leaf")
+			b.ReportMetric(float64(mallocs)/leaves, "allocs/leaf")
+			b.ReportMetric(float64(ms.HeapAlloc-heap0)/float64(len(keys)), "retained-B/leaf")
+		})
 	}
-	b.StopTimer()
-	leaves := float64(b.N * len(keys))
-	runtime.ReadMemStats(&ms)
-	alloc, mallocs := ms.TotalAlloc-alloc0, ms.Mallocs-mallocs0
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	runtime.KeepAlive(tr)
 	runtime.KeepAlive(keys)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/leaves, "ns/leaf")
-	b.ReportMetric(float64(alloc)/leaves, "B/leaf")
-	b.ReportMetric(float64(mallocs)/leaves, "allocs/leaf")
-	b.ReportMetric(float64(ms.HeapAlloc-heap0)/float64(len(keys)), "retained-B/leaf")
 }
 
 // BenchmarkTrieEpoch is one epoch's root: 500 of the trie's leaves

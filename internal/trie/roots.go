@@ -1,6 +1,7 @@
 package trie
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -40,6 +41,12 @@ type StateRoots struct {
 	// its keypath.
 	key, pre []byte
 	ends     []int
+	// loading is set while Load renders the whole state: expand then
+	// adds each leaf to leaves, its key copied into arena, instead of
+	// putting it in the trie.
+	loading bool
+	arena   []byte
+	leaves  []Leaf
 }
 
 // sep separates path components inside trie keys. It must equal the
@@ -217,6 +224,130 @@ func (s *StateRoots) splitKeypath(keypath string, keys []value.Value) {
 	}
 }
 
+// Load replaces the whole rendering with accounts' every account and
+// every field of contracts: it renders each leaf — an account's once
+// per run of equal accounts, as genesis provisions them — sorts them
+// once and builds the trie from them in one pass (trie.Load), hashed.
+// Genesis, snapshot restore and state images load the state this way;
+// epochs keep it up to date leaf by leaf.
+func (s *StateRoots) Load(accounts *chain.Accounts, contracts []*chain.Contract) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.t = Trie{} // the old trie is garbage while the new one is built
+	s.loading = true
+	s.leaves = make([]Leaf, 0, accounts.Len())
+	var last chain.Account
+	var leaf [32]byte
+	accounts.Range(func(addr chain.Address, acc chain.Account) bool {
+		if len(s.leaves) == 0 || acc != last {
+			last, leaf = acc, s.accountLeaf(acc)
+		}
+		s.add(s.accountKey(addr), leaf)
+		return true
+	})
+	for _, c := range contracts {
+		for name, v := range c.Snapshot().Fields {
+			s.expand(s.fieldKey(c.Addr, name), v)
+		}
+	}
+	sortLeaves(s.leaves, make([]Leaf, len(s.leaves)), 0)
+	// Two entries whose keypaths render alike (a String key holding the
+	// separator) share a key; the last of them, by hash, stands for
+	// both, so the root does not depend on map order.
+	leaves := s.leaves[:0]
+	for _, l := range s.leaves {
+		if n := len(leaves); n > 0 && bytes.Equal(leaves[n-1].Key, l.Key) {
+			leaves[n-1] = l
+			continue
+		}
+		leaves = append(leaves, l)
+	}
+	s.t = *Load(leaves)
+	s.loading, s.arena, s.leaves = false, nil, nil
+}
+
+// sortLeaves sorts leaves, whose keys agree on their first d bytes, by
+// key and equal keys by hash, most significant byte first: a counting
+// pass per key byte deals the leaves out by it through scratch, which is
+// as long as leaves, and each run of one byte is sorted from the next
+// byte on. Short runs are sorted by insertion.
+func sortLeaves(leaves, scratch []Leaf, d int) {
+	for len(leaves) > 24 {
+		// Bucket 0 holds the keys that end at d, bucket b+1 byte b.
+		var count [257]int
+		for i := range leaves {
+			count[bucket(&leaves[i], d)]++
+		}
+		if count[bucket(&leaves[0], d)] == len(leaves) && len(leaves[0].Key) > d {
+			d++ // one byte for all: nothing to deal
+			continue
+		}
+		var next [257]int
+		for b, sum := 0, 0; b < len(count); b++ {
+			next[b], sum = sum, sum+count[b]
+		}
+		for _, l := range leaves {
+			b := bucket(&l, d)
+			scratch[next[b]] = l
+			next[b]++
+		}
+		copy(leaves, scratch)
+		start := 0
+		for b, c := range count {
+			run := leaves[start : start+c]
+			if b == 0 {
+				insertLeaves(run, d) // equal keys: by hash
+			} else {
+				sortLeaves(run, scratch[start:start+c], d+1)
+			}
+			start += c
+		}
+		return
+	}
+	insertLeaves(leaves, d)
+}
+
+// bucket is l's bucket at key byte d: 0 where its key ends, else 1 +
+// the byte.
+func bucket(l *Leaf, d int) int {
+	if d < len(l.Key) {
+		return 1 + int(l.Key[d])
+	}
+	return 0
+}
+
+// insertLeaves sorts leaves, whose keys agree on their first d bytes, by
+// key and equal keys by hash, by insertion.
+func insertLeaves(leaves []Leaf, d int) {
+	less := func(a, b *Leaf) bool {
+		if c := bytes.Compare(a.Key[d:], b.Key[d:]); c != 0 {
+			return c < 0
+		}
+		return bytes.Compare(a.Hash[:], b.Hash[:]) < 0
+	}
+	for i := 1; i < len(leaves); i++ {
+		for j := i; j > 0 && less(&leaves[j], &leaves[j-1]); j-- {
+			leaves[j], leaves[j-1] = leaves[j-1], leaves[j]
+		}
+	}
+}
+
+// add puts one rendered leaf in the trie, or, while Load renders, in
+// its leaves. The arena is never grown in place, so the keys of the
+// leaves already added stay where they are.
+func (s *StateRoots) add(key []byte, h [32]byte) {
+	if !s.loading {
+		s.t.Put(key, h)
+		return
+	}
+	if len(s.arena)+len(key) > cap(s.arena) {
+		s.arena = make([]byte, 0, max(len(key), 64<<10))
+	}
+	start := len(s.arena)
+	s.arena = append(s.arena, key...)
+	s.leaves = append(s.leaves, Leaf{Key: s.arena[start:len(s.arena):len(s.arena)], Hash: h})
+}
+
 // PutContractState replaces a contract's entire committed rendering
 // (deploy-time initialization, snapshot restore).
 func (s *StateRoots) PutContractState(addr chain.Address, st *eval.MemState) {
@@ -239,15 +370,15 @@ func (s *StateRoots) clear(n int) {
 }
 
 // expand renders v below the key s.key[:n]: scalars and empty maps
-// become leaves, non-empty maps recurse per canonical entry key, each
-// child key built over its parent's in the same buffer.
+// become leaves (add), non-empty maps recurse per canonical entry key,
+// each child key built over its parent's in the same buffer.
 func (s *StateRoots) expand(n int, v value.Value) {
 	m, isMap := v.(*value.Map)
 	switch {
 	case !isMap:
-		s.t.Put(s.key[:n], s.leafHash(v))
+		s.add(s.key[:n], s.leafHash(v))
 	case m.Len() == 0:
-		s.t.Put(s.key[:n], emptyMapLeaf)
+		s.add(s.key[:n], emptyMapLeaf)
 	default:
 		for ck, child := range m.Entries {
 			s.key = append(append(s.key[:n], sep...), ck...)

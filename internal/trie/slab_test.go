@@ -262,18 +262,30 @@ func TestLongPrefixes(t *testing.T) {
 // model: Len after every op, Root against a fresh rebuild of the model
 // at every Root op (so stale flags left pending ride later splits,
 // collapses, prefix cuts and run moves), then Get of every key, the
-// final root, edge order and the slab's bookkeeping. The alphabet lets
+// final root, edge order and the slab's bookkeeping. A load op replaces
+// the trie with one Load builds from the model's sorted keys, which
+// must hold the same keys, hash to the same root and keep the same
+// bookkeeping, and the ops after it run on the loaded trie. A long put
+// puts the key behind a stem longer than a byte page. The alphabet lets
 // a node pass four children into larger runs.
 func FuzzTrieOps(f *testing.F) {
 	f.Add([]byte("\x00\x03abc\x00\x02ab\x01\x03abc\x02\x01a"))
 	f.Add([]byte("\x00\x04a\x1fbc\x00\x04a\x1fbd\x00\x01a\x02\x02a\x1f\x00\x02ab\x02\x00"))
 	f.Add([]byte("\x00\x05abcab\x00\x05abcbb\x00\x05abcbc\x01\x05abcab\x01\x05abcbb\x00\x03abd"))
+	// A key that is a prefix of another, loaded, then split below.
+	f.Add([]byte("\x00\x02ab\x00\x04abcd\x04\x00\x00\x03abd\x01\x02ab\x03\x00"))
+	// The empty key, on the root, loaded and deleted.
+	f.Add([]byte("\x00\x00\x00\x01a\x00\x01b\x04\x00\x01\x00\x03\x00\x00\x02ac"))
+	// Keys that part after a prefix longer than a byte page, loaded,
+	// then split, collapsed and cut.
+	f.Add([]byte("\x05\x01a\x05\x01b\x05\x00\x04\x00\x05\x02ac\x01\x00\x03\x00\x02\x02aa"))
+	long := strings.Repeat("a", keyPageLen+3)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		alphabet := []byte("abcdefghi\x1f")
 		tr := &Trie{}
 		model := map[string][32]byte{}
 		for i := 0; len(ops) >= 2; i++ {
-			op, n := ops[0]%4, int(ops[1]%7)
+			op, n := ops[0]%6, int(ops[1]%7)
 			ops = ops[2:]
 			n = min(n, len(ops))
 			k := make([]byte, n)
@@ -281,6 +293,9 @@ func FuzzTrieOps(f *testing.F) {
 				k[j] = alphabet[int(ops[j])%len(alphabet)]
 			}
 			ops = ops[n:]
+			if op == 5 {
+				op, k = 0, append([]byte(long), k...)
+			}
 			switch op {
 			case 0:
 				v := leaf(fmt.Sprintf("%q#%d", k, i))
@@ -303,10 +318,18 @@ func FuzzTrieOps(f *testing.F) {
 				if got := tr.DeletePrefix(k); got != want {
 					t.Fatalf("op %d: DeletePrefix(%q) = %d, model says %d", i, k, got, want)
 				}
-			default:
+			case 3:
 				if got, want := tr.Root(), rebuild(model).Root(); got != want {
 					t.Fatalf("op %d: Root %x, a fresh build of the model %x", i, got, want)
 				}
+			default:
+				loaded := load(model)
+				checkContents(t, loaded, model)
+				checkSlots(t, loaded)
+				if got, want := loaded.Root(), tr.Root(); got != want {
+					t.Fatalf("op %d: loaded root %x, the trie's %x", i, got, want)
+				}
+				tr = loaded
 			}
 			if tr.Len() != len(model) {
 				t.Fatalf("op %d: Len = %d, model has %d", i, tr.Len(), len(model))

@@ -40,6 +40,11 @@
 // prefix is a range of a byte page. Freed slots go on a free list and
 // are reused; prefix bytes no node refers to any more are reclaimed by
 // compacting the byte pages once they outnumber the live ones.
+//
+// A whole state is built in one pass instead (Load): from sorted keys
+// each node is laid out depth first, allocated once at its final size
+// and hashed as soon as its children are, into the trie Put would have
+// built.
 package trie
 
 import (
@@ -110,8 +115,8 @@ type Trie struct {
 // node is one trie node. Its prefix is the plen bytes at key offset pre
 // (page pre>>keyShift), its children the first nkids slots of run run.
 // Until rehash first fills the run's hashes (runHashed), every child is
-// stale, so run moves and shifts leave the hash column alone: a bulk
-// load copies no hash.
+// stale, so run moves and shifts leave the hash column alone: a load
+// key by key copies no hash.
 type node struct {
 	val               [32]byte
 	pre, plen, run    uint32
@@ -680,4 +685,92 @@ func (t *Trie) rehash(n *node) [32]byte {
 	n.runHashed = true
 	t.buf = b
 	return sha256.Sum256(b)
+}
+
+// Leaf is one key and its leaf hash, as Load takes them.
+type Leaf struct {
+	Key  []byte
+	Hash [32]byte
+}
+
+// Load returns the trie Put would build from leaves, key by key, in one
+// depth-first pass. leaves must be in strictly ascending key order; Load
+// panics otherwise. Each node, its prefix and its child run are
+// allocated once, the run at the capacity its children fill, and each
+// node is hashed as soon as its children are, so the trie comes back
+// hashed: nothing is descended into twice, no run moves, and Root
+// returns at once. The trie keeps copies of the key bytes it needs.
+func Load(leaves []Leaf) *Trie {
+	for i := 1; i < len(leaves); i++ {
+		if bytes.Compare(leaves[i-1].Key, leaves[i].Key) >= 0 {
+			panic("trie: Load keys not in strictly ascending order")
+		}
+	}
+	t := &Trie{count: len(leaves)}
+	_, root := t.newNode()
+	if len(leaves) > 0 && len(leaves[0].Key) == 0 {
+		root.val, root.hasVal = leaves[0].Hash, true
+		leaves = leaves[1:]
+	}
+	t.hash, t.hashed = t.loadKids(root, leaves, 0), true
+	return t
+}
+
+// loadKids gives n the children that hold leaves, which all run past
+// n's path, their first d bytes, and returns n's hash. A child per
+// distinct byte at d, in ascending order, as Put orders edges.
+func (t *Trie) loadKids(n *node, leaves []Leaf, d int) [32]byte {
+	k := 0
+	for rest := leaves; len(rest) > 0; k++ {
+		rest = rest[edgeRun(rest, d):]
+	}
+	if k > 0 {
+		n.run, n.nkids = t.allocRun(k), uint16(k)
+	}
+	kids, edges, hashes := t.kidsOf(n), t.edgesOf(n), t.hashesOf(n)
+	for j := range kids {
+		g := edgeRun(leaves, d)
+		edges[j] = leaves[0].Key[d]
+		kids[j], hashes[j] = t.loadNode(leaves[:g], d)
+		leaves = leaves[g:]
+	}
+	return t.rehash(n)
+}
+
+// loadNode builds the node that holds leaves, whose keys agree on their
+// first d+1 bytes, and returns its slot and hash. Its prefix runs from
+// d to where the first and the last key part — where, the keys being
+// sorted, every two of them have parted — and the first key has a value
+// here if it ends there.
+func (t *Trie) loadNode(leaves []Leaf, d int) (uint32, [32]byte) {
+	first := leaves[0].Key[d:]
+	m := commonPrefix(first, leaves[len(leaves)-1].Key[d:])
+	i, n := t.newNode()
+	n.pre, n.plen = t.bumpKey(m), uint32(m)
+	copy(t.prefix(n), first[:m])
+	if len(first) == m {
+		n.val, n.hasVal = leaves[0].Hash, true
+		leaves = leaves[1:]
+	}
+	return i, t.loadKids(n, leaves, d+m)
+}
+
+// edgeRun returns how many of leaves, from the first, have the first's
+// byte at d. The keys being sorted and agreeing before d, those are a
+// run: its end is found by doubling steps, then halving them.
+func edgeRun(leaves []Leaf, d int) int {
+	b := leaves[0].Key[d]
+	lo, hi := 1, 2 // leaves[:lo] have b; the run ends by hi
+	for hi < len(leaves) && leaves[hi].Key[d] == b {
+		lo, hi = hi+1, 2*hi+1
+	}
+	hi = min(hi, len(leaves))
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); leaves[mid].Key[d] == b {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

@@ -28,7 +28,43 @@ func rebuild(model map[string][32]byte) *Trie {
 	return t
 }
 
+// load builds the model's trie in one pass, its keys sorted (Load).
+func load(model map[string][32]byte) *Trie {
+	keys := make([]string, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	leaves := make([]Leaf, len(keys))
+	for i, k := range keys {
+		leaves[i] = Leaf{Key: []byte(k), Hash: model[k]}
+	}
+	return Load(leaves)
+}
+
+// checkAgainstModel checks tr's keys, hashes and bookkeeping against the
+// model, and its root against a fresh rebuild of the model key by key
+// and against a load of it, which must hold the same keys and keep the
+// same bookkeeping.
 func checkAgainstModel(t *testing.T, tr *Trie, model map[string][32]byte) {
+	t.Helper()
+	checkContents(t, tr, model)
+	if got, want := tr.Root(), rebuild(model).Root(); got != want {
+		t.Fatalf("incremental root %x diverges from fresh rebuild %x", got, want)
+	}
+	checkEdgeOrder(t, tr)
+	checkSlots(t, tr)
+	loaded := load(model)
+	checkContents(t, loaded, model)
+	if got, want := loaded.Root(), tr.Root(); got != want {
+		t.Fatalf("loaded root %x diverges from the incremental root %x", got, want)
+	}
+	checkEdgeOrder(t, loaded)
+	checkSlots(t, loaded)
+}
+
+// checkContents checks tr's Len and every model key's Get.
+func checkContents(t *testing.T, tr *Trie, model map[string][32]byte) {
 	t.Helper()
 	if tr.Len() != len(model) {
 		t.Fatalf("Len = %d, model has %d keys", tr.Len(), len(model))
@@ -39,11 +75,6 @@ func checkAgainstModel(t *testing.T, tr *Trie, model map[string][32]byte) {
 			t.Fatalf("Get(%q) = %x ok=%v, want %x", k, got, ok, want)
 		}
 	}
-	if got, want := tr.Root(), rebuild(model).Root(); got != want {
-		t.Fatalf("incremental root %x diverges from fresh rebuild %x", got, want)
-	}
-	checkEdgeOrder(t, tr)
-	checkSlots(t, tr)
 }
 
 // checkEdgeOrder asserts the invariant rehash relies on: below every
@@ -379,5 +410,48 @@ func TestLeafHashAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { s.leafHash(v) }); allocs != 0 {
 			t.Errorf("leafHash(%s) allocates %.1f times per call, want 0", v.Type(), allocs)
 		}
+	}
+}
+
+// TestSortLeaves: StateRoots.Load's byte-at-a-time sort orders leaves as
+// a comparison sort does, by key and equal keys by hash, for keys that
+// share long prefixes, end inside one another and repeat.
+func TestSortLeaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var leaves []Leaf
+	for i := 0; i < 5000; i++ {
+		k := []byte(strings.Repeat("c", rng.Intn(3)*40))
+		for n := rng.Intn(4); n > 0; n-- {
+			k = append(k, "ab\x1f"[rng.Intn(3)])
+		}
+		leaves = append(leaves, Leaf{Key: k, Hash: leaf(fmt.Sprint(rng.Intn(3)))})
+	}
+	want := slices.Clone(leaves)
+	slices.SortFunc(want, func(a, b Leaf) int {
+		if c := bytes.Compare(a.Key, b.Key); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.Hash[:], b.Hash[:])
+	})
+	sortLeaves(leaves, make([]Leaf, len(leaves)), 0)
+	for i := range want {
+		if !bytes.Equal(leaves[i].Key, want[i].Key) || leaves[i].Hash != want[i].Hash {
+			t.Fatalf("leaf %d: %q %x, want %q %x", i, leaves[i].Key, leaves[i].Hash[:4], want[i].Key, want[i].Hash[:4])
+		}
+	}
+}
+
+// TestLoadRefusesUnordered: Load takes strictly ascending keys only; a
+// repeated or out-of-order key is a caller's bug, not a trie to build.
+func TestLoadRefusesUnordered(t *testing.T) {
+	for _, keys := range [][]string{{"a", "a"}, {"b", "a"}, {"ab", "a"}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Load(%q) built a trie", keys)
+				}
+			}()
+			Load([]Leaf{{Key: []byte(keys[0])}, {Key: []byte(keys[1])}})
+		}()
 	}
 }

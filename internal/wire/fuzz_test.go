@@ -68,10 +68,12 @@ func FuzzDecoders(f *testing.F) {
 	})
 }
 
-// FuzzFinalBlockReceipts sets the receipts-only read a lookup uses
-// against the building decoder replicas use, on the same bytes:
-// DecodeFinalBlockReceipts accepts a payload iff DecodeFinalBlock does,
-// and reads the same epoch, root and receipts.
+// FuzzFinalBlockReceipts sets the two partial reads of a FinalBlock
+// against the decoder that builds all of it, on the same bytes: the
+// receipts-only read a lookup uses and the state read a replica uses
+// each accept a payload iff DecodeFinalBlock does; the first reads the
+// same epoch, root and receipts, the second the same epoch, root and
+// state sections and no receipt.
 func FuzzFinalBlockReceipts(f *testing.F) {
 	for _, seed := range receiptsOnlySeeds() {
 		f.Add(seed.b)
@@ -79,18 +81,24 @@ func FuzzFinalBlockReceipts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := DecodeFinalBlock(data)
 		epoch, root, recs, err := DecodeFinalBlockReceipts(data)
-		if (wantErr == nil) != (err == nil) {
-			t.Fatalf("block: DecodeFinalBlock %v, DecodeFinalBlockReceipts %v", wantErr, err)
+		state, stateErr := DecodeFinalBlockState(data)
+		if (wantErr == nil) != (err == nil) || (wantErr == nil) != (stateErr == nil) {
+			t.Fatalf("block: DecodeFinalBlock %v, DecodeFinalBlockReceipts %v, DecodeFinalBlockState %v", wantErr, err, stateErr)
 		}
 		if err != nil {
-			if !errors.Is(err, ErrDecode) || recs != nil {
-				t.Fatalf("rejected block: error %v, %d receipts", err, len(recs))
+			if !errors.Is(err, ErrDecode) || recs != nil || !errors.Is(stateErr, ErrDecode) || state != nil {
+				t.Fatalf("rejected block: errors %v / %v, %d receipts", err, stateErr, len(recs))
 			}
 			return
 		}
 		if epoch != want.Epoch || root != want.StateRoot || !reflect.DeepEqual(recs, want.Receipts) {
 			t.Fatalf("receipts-only read: epoch %d root %q %d receipts, block has %d %q %d",
 				epoch, root, len(recs), want.Epoch, want.StateRoot, len(want.Receipts))
+		}
+		if state.Epoch != want.Epoch || state.StateRoot != want.StateRoot || state.Receipts != nil ||
+			!reflect.DeepEqual(state.Deltas, want.Deltas) || !reflect.DeepEqual(state.Accounts, want.Accounts) ||
+			!reflect.DeepEqual(state.DSDeltas, want.DSDeltas) || !reflect.DeepEqual(state.DSAccounts, want.DSAccounts) {
+			t.Fatalf("state read: %+v, the block %+v", state, want)
 		}
 	})
 }
@@ -101,8 +109,9 @@ type receiptsOnlySeed struct {
 }
 
 // receiptsOnlySeeds are FuzzFinalBlockReceipts' seeds: whole blocks, a
-// delta section alone (so the section check starts on one too), and
-// corruptions of the sections a lookup does not build.
+// delta section alone (so the section check starts on one too),
+// corruptions of the sections a lookup does not build, and of the
+// receipts a replica does not build.
 func receiptsOnlySeeds() []receiptsOnlySeed {
 	fb := fixtureFinalBlock()
 	whole := mustEnc(EncodeFinalBlock(fb))
@@ -112,6 +121,8 @@ func receiptsOnlySeeds() []receiptsOnlySeed {
 	badKind.DSDeltas[0].Fields[1].Whole.Kind = chain.Delete + 1 // "paused"
 	nilBalance := fixtureFinalBlock()
 	nilBalance.Accounts.BalanceDeltas[chain.AddrFromUint(100)] = nil
+	notMsg := fixtureFinalBlock()
+	notMsg.Receipts[0].Events, notMsg.Receipts[0].RawEvents = nil, []byte{1, tagStr, 1, 'x'}
 	return []receiptsOnlySeed{
 		{whole, ""},
 		{mustEnc(EncodeFinalBlock(rich)), ""},
@@ -120,23 +131,27 @@ func receiptsOnlySeeds() []receiptsOnlySeed {
 		{mustEnc(EncodeFinalBlock(badKind)), "bad delta kind"},
 		{mustEnc(EncodeFinalBlock(nilBalance)), "nil balance delta"},
 		{whole[:len(whole)/2], "truncated address"},
+		{mustEnc(EncodeFinalBlock(notMsg)), "receipt event is not a message"},
+		{whole[:len(whole)-3], "bad uvarint"},
 	}
 }
 
 // TestReceiptsOnlyReadRejectsCorruptDeltas: the lookup's read builds no
-// delta and still refuses a block whose delta sections are corrupt,
-// for the reason the building decoder gives.
+// delta and the replica's no receipt, and each still refuses a block
+// whose sections it does not build are corrupt, for the reason the
+// building decoder gives.
 func TestReceiptsOnlyReadRejectsCorruptDeltas(t *testing.T) {
 	for i, seed := range receiptsOnlySeeds() {
 		_, wantErr := DecodeFinalBlock(seed.b)
 		_, _, _, err := DecodeFinalBlockReceipts(seed.b)
+		_, stateErr := DecodeFinalBlockState(seed.b)
 		if seed.fail == "" {
-			if err != nil || wantErr != nil {
-				t.Errorf("seed %d: valid block refused: %v / %v", i, err, wantErr)
+			if err != nil || wantErr != nil || stateErr != nil {
+				t.Errorf("seed %d: valid block refused: %v / %v / %v", i, err, wantErr, stateErr)
 			}
 			continue
 		}
-		for _, e := range []error{err, wantErr} {
+		for _, e := range []error{err, wantErr, stateErr} {
 			if !errors.Is(e, ErrDecode) || !strings.Contains(e.Error(), seed.fail) {
 				t.Errorf("seed %d: error %v, want ErrDecode naming %q", i, e, seed.fail)
 			}

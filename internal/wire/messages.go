@@ -129,10 +129,20 @@ func appendReceipt(b []byte, rec *chain.Receipt) ([]byte, error) {
 	return b, nil
 }
 
-// receipts decodes a block's receipt list into one backing array.
-func (r *reader) receipts() []*chain.Receipt {
+// receipts decodes a block's receipt list into one backing array, or,
+// unless build, checks every byte of it and builds nothing.
+func (r *reader) receipts(build bool) []*chain.Receipt {
 	n := r.count(6)
-	if n == 0 {
+	if n == 0 || !build {
+		for ; n > 0 && r.err == nil; n-- {
+			r.uvarint()
+			r.bool()
+			r.uvarint()
+			r.skip()
+			r.varint()
+			r.uvarint()
+			r.events(false)
+		}
 		return nil
 	}
 	recs := make([]chain.Receipt, n)
@@ -517,7 +527,7 @@ func DecodeMicroBlock(b []byte) (*shard.MicroBlock, error) {
 	r := &reader{b: b}
 	return finish(r, &shard.MicroBlock{
 		Shard: int(r.varint()), Epoch: r.uvarint(), GasUsed: r.uvarint(), ExecTime: time.Duration(r.uvarint()),
-		Receipts: r.receipts(), Deltas: r.stateDeltas(true), Accounts: r.optAccountDelta(true),
+		Receipts: r.receipts(true), Deltas: r.stateDeltas(true), Accounts: r.optAccountDelta(true),
 		Deferred: r.txs(),
 	})
 }
@@ -600,12 +610,18 @@ func SealedFinalBlock(fb *shard.FinalBlock) ([]byte, error) {
 // events are ranges of it), and the caller must not write to it
 // afterwards.
 func DecodeFinalBlock(b []byte) (*shard.FinalBlock, error) {
-	fb := &shard.FinalBlock{}
-	if err := decodeFinalBlock(b, fb, true); err != nil {
-		return nil, err
-	}
-	fb.Seal(b)
-	return fb, nil
+	return sealedBlock(b, true, true)
+}
+
+// DecodeFinalBlockState reads a FinalBlock payload the way a replica
+// applies it: every byte is checked as DecodeFinalBlock checks it, and
+// of the block its epoch, its root and its four state sections are
+// built — no receipt, which a replica does not keep (the lookup files
+// them). The block is sealed with b, so a replica journals and serves
+// the bytes it received, receipts and all; the caller must not write to
+// b afterwards.
+func DecodeFinalBlockState(b []byte) (*shard.FinalBlock, error) {
+	return sealedBlock(b, true, false)
 }
 
 // DecodeFinalBlockReceipts reads a FinalBlock payload the way a role
@@ -615,23 +631,35 @@ func DecodeFinalBlock(b []byte) (*shard.FinalBlock, error) {
 // receipts' events are ranges of b until a ReceiptLog files them.
 func DecodeFinalBlockReceipts(b []byte) (epoch uint64, root string, recs []*chain.Receipt, err error) {
 	var fb shard.FinalBlock
-	if err := decodeFinalBlock(b, &fb, false); err != nil {
+	if err := decodeFinalBlock(b, &fb, false, true); err != nil {
 		return 0, "", nil, err
 	}
 	return fb.Epoch, fb.StateRoot, fb.Receipts, nil
 }
 
+// sealedBlock decodes a FinalBlock payload, building its state sections
+// and its receipts as asked, and seals the block with it.
+func sealedBlock(b []byte, state, receipts bool) (*shard.FinalBlock, error) {
+	fb := &shard.FinalBlock{}
+	if err := decodeFinalBlock(b, fb, state, receipts); err != nil {
+		return nil, err
+	}
+	fb.Seal(b)
+	return fb, nil
+}
+
 // decodeFinalBlock reads a FinalBlock payload into fb, building the
-// four delta sections only when build.
-func decodeFinalBlock(b []byte, fb *shard.FinalBlock, build bool) error {
+// four state sections only when state and the receipts only when
+// receipts; what it does not build it checks byte for byte.
+func decodeFinalBlock(b []byte, fb *shard.FinalBlock, state, receipts bool) error {
 	r := &reader{b: b}
 	fb.Epoch = r.uvarint()
 	fb.StateRoot = r.string()
-	fb.Deltas = r.stateDeltas(build)
-	fb.Accounts = r.optAccountDelta(build)
-	fb.DSDeltas = r.stateDeltas(build)
-	fb.DSAccounts = r.optAccountDelta(build)
-	fb.Receipts = r.receipts()
+	fb.Deltas = r.stateDeltas(state)
+	fb.Accounts = r.optAccountDelta(state)
+	fb.DSDeltas = r.stateDeltas(state)
+	fb.DSAccounts = r.optAccountDelta(state)
+	fb.Receipts = r.receipts(receipts)
 	_, err := finish(r, fb)
 	return err
 }

@@ -79,7 +79,14 @@ func FuzzReceiptEvents(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &reader{b: data}
-		got := r.receipts()
+		got := r.receipts(true)
+		// The read that builds nothing refuses what this one refuses,
+		// and stops where it stops.
+		checked := &reader{b: data}
+		if checked.receipts(false) != nil || (checked.err == nil) != (r.err == nil) || (r.err == nil && len(checked.b) != len(r.b)) {
+			t.Fatalf("checking read: error %v, %d bytes left; building read: error %v, %d bytes left",
+				checked.err, len(checked.b), r.err, len(r.b))
+		}
 		if r.err != nil {
 			if !errors.Is(r.err, ErrDecode) {
 				t.Fatalf("untyped error %v", r.err)
@@ -101,7 +108,7 @@ func FuzzReceiptEvents(f *testing.F) {
 				t.Fatalf("%s: encode: %v", name, err)
 			}
 			again := &reader{b: enc1}
-			recs := again.receipts()
+			recs := again.receipts(true)
 			if err := again.done(); err != nil {
 				t.Fatalf("%s: own encoding rejected: %v", name, err)
 			}
@@ -209,7 +216,7 @@ func TestReceiptsRestEncoded(t *testing.T) {
 		t.Fatal("an edited receipt encoded bytes that differ from the encoding of its fields")
 	}
 	r := &reader{b: enc1}
-	round := r.receipts()
+	round := r.receipts(true)
 	if err := r.done(); err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,10 @@ func AppendCheckpoint(b []byte, cp shard.Checkpoint) []byte {
 	return appendUvarint(b, cp.NextTxID)
 }
 
-// DecodeCheckpointBlock decodes a journal record payload.
+// DecodeCheckpointBlock decodes a journal record payload. Its block is
+// read as a replica reads one (DecodeFinalBlockState): replayed or
+// served by its sealed bytes, a journaled block's receipts are checked
+// and not built.
 func DecodeCheckpointBlock(b []byte) (*CheckpointBlock, error) {
 	r := &reader{b: b}
 	cp := r.checkpoint()
@@ -57,8 +60,8 @@ func DecodeCheckpointBlock(b []byte) (*CheckpointBlock, error) {
 		return nil, r.err
 	}
 	// The FinalBlock payload runs to the end of the record;
-	// DecodeFinalBlock enforces exact consumption.
-	fb, err := DecodeFinalBlock(r.b)
+	// DecodeFinalBlockState enforces exact consumption.
+	fb, err := DecodeFinalBlockState(r.b)
 	if err != nil {
 		return nil, err
 	}

@@ -91,10 +91,12 @@ func AppendBlockResponse(b []byte, from, head uint64, blocks [][]byte) []byte {
 	return b
 }
 
-// DecodeBlockResponse decodes a block response payload. The contiguity
-// contract is enforced here: Blocks[i].Epoch must equal From+i, so a
-// malformed or adversarial response cannot smuggle out-of-range blocks
-// past the replay loop.
+// DecodeBlockResponse decodes a block response payload, each block as
+// the replica that asked for it applies one (DecodeFinalBlockState):
+// receipts checked, not built. The contiguity contract is enforced
+// here: Blocks[i].Epoch must equal From+i, so a malformed or
+// adversarial response cannot smuggle out-of-range blocks past the
+// replay loop.
 func DecodeBlockResponse(b []byte) (*BlockResponse, error) {
 	r := &reader{b: b}
 	resp := &BlockResponse{From: r.uvarint(), Head: r.uvarint()}
@@ -107,7 +109,7 @@ func DecodeBlockResponse(b []byte) (*BlockResponse, error) {
 		if r.err != nil {
 			break
 		}
-		fb, err := DecodeFinalBlock(enc)
+		fb, err := DecodeFinalBlockState(enc)
 		if err != nil {
 			r.err = err
 			break

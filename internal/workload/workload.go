@@ -138,8 +138,8 @@ func Provision(w *Workload, sharded bool, opts ...shard.Option) (*Env, error) {
 	users := make([]chain.Address, w.Users)
 	for i := range users {
 		users[i] = chain.AddrFromUint(uint64(100 + i))
-		net.CreateUser(users[i], 1<<50)
 	}
+	net.CreateUsers(users, 1<<50)
 	seed := w.Seed
 	if seed == 0 {
 		seed = 1

@@ -111,10 +111,13 @@ GOMEMLIMIT=400MiB go test -run 'TestMillionAccountsBoundedMemory' -timeout 20m .
 # replica, a lookup and the committee (from a shard) decode it.
 go test -run '^$' -bench 'CommitHolders|SnapshotHolders|MergePerField|BlockFanout' -benchtime 1x .
 go test -run '^$' -bench 'ReceiptLogFile|TCPRoundTrip' -benchtime 1x ./internal/node/
-# The root trie's slab: one 100k-leaf load (ns, B, allocations and
-# retained bytes per leaf) and one epoch's 500 overwrites + Root at 10k,
-# 100k and 1M leaves of both key shapes.
+# The root trie's slab: one 100k-leaf load key by key and one sorted
+# bulk load (ns, B, allocations and retained bytes per leaf each) and
+# one epoch's 500 overwrites + Root at 10k, 100k and 1M leaves of both
+# key shapes; and one role's genesis, epoch_cf_bigstate's 100k-account
+# Provision and its first root.
 go test -run '^$' -bench 'Trie(Load|Epoch)' -benchtime 1x ./internal/trie/
+go test -run '^$' -bench 'Provision' -benchtime 1x ./internal/workload/
 go test -run '^$' -bench 'Decode(FinalBlock|MicroBlock)' -benchtime 1x ./internal/wire/
 # Same for the executor microbenchmarks that size the state-access seam
 # (one Transfer on each engine, the overlay's entry write and
@@ -131,14 +134,16 @@ go test -run '^$' -bench 'MapEntries' -benchtime 1x ./internal/scilla/value/
 # panic on hostile bytes, and decode∘encode must stay a fixed point; and
 # of the receipt decoder blocks use, which checks events without
 # building them: whatever it accepts must build on demand and
-# round-trip; and of the receipts-only read a lookup makes of a
-# FinalBlock, which must return the block's epoch, root and receipts.
+# round-trip; and of the two partial reads of a FinalBlock, a lookup's
+# and a replica's, which must accept what the full decode accepts and
+# return the block's epoch, root and receipts, or its state sections.
 go test -fuzz=FuzzDecoders -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzReceiptEvents -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzFinalBlockReceipts -fuzztime=10s ./internal/wire/
 # And of the root trie's slab against a map model: contents, root equal
 # to a fresh build's, edge order, and every slot reachable or free,
-# never both.
+# never both, for the trie built op by op and for one bulk-loaded from
+# the model's sorted keys mid-sequence.
 go test -fuzz=FuzzTrieOps -fuzztime=10s ./internal/trie/
 # The example programs are documentation that compiles; run each so it
 # also still works (about 0.04 s together).
