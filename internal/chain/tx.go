@@ -68,12 +68,12 @@ type Receipt struct {
 	// RawEvents is the events' wire encoding (their count, then each
 	// message): a range of bytes somebody else owns — the payload of the
 	// block the receipt was decoded from, or the lookup's receipt log
-	// (node.ReceiptLog, the one role that keeps receipts) that filed it
-	// and handed out this copy of the header. The decoder has
-	// validated every byte of it; wire.ReceiptEvents builds the messages
-	// on demand, and an encoder copies it when Events is nil. Nobody
-	// writes through it, and it keeps its owner's bytes alive only while
-	// the receipt itself is held.
+	// (node.ReceiptLog, the one role that keeps receipts) that filed the
+	// block's receipt section and read this receipt back from it. The
+	// decoder has validated every byte of it; wire.ReceiptEvents builds
+	// the messages on demand, and an encoder copies it when Events is
+	// nil. Nobody writes through it, and it keeps its owner's bytes
+	// alive only while the receipt itself is held.
 	RawEvents []byte `json:"-"`
 	// Shard is the committee that processed the transaction
 	// (-1 denotes the DS committee).

@@ -33,9 +33,12 @@ type Lookup struct {
 	// The runtime's lock guards everything below. pending holds each
 	// waiting call, with a deadline, under the correlation id its
 	// response carries (a WaitReceipt: under an id of its own).
-	corr          uint64
-	pending       map[uint64]*call
-	receipts      *ReceiptLog
+	corr     uint64
+	pending  map[uint64]*call
+	receipts *ReceiptLog
+	// ranges is the array each FinalBlock's receipt ranges are read
+	// into, kept from block to block.
+	ranges        []wire.ReceiptRange
 	receiptsGauge *obs.Gauge
 	bytesGauge    *obs.Gauge
 	epoch         uint64
@@ -189,24 +192,27 @@ func (l *Lookup) answer(fx effects, key uint64, res any, err error) {
 
 // finalBlock files a FinalBlock broadcast's receipts and notes its
 // epoch and root. A lookup has no state to apply the block's deltas to:
-// wire.DecodeFinalBlockReceipts reads them with the reader a replica's
-// DecodeFinalBlock uses, told not to build, so they are checked exactly
-// as a replica checks them and none is built. The log copies what it
-// files, so the payload is garbage on return. A block whose receipts
+// wire.DecodeReceiptSection reads the block with the reader a
+// replica's DecodeFinalBlock uses, told to record where each receipt
+// lies instead of building, so every byte is checked exactly as a
+// replica checks it and nothing is built. The log copies the receipt
+// section, so the payload is garbage on return. A block whose receipts
 // the log refuses is a receive error, like one that does not decode.
 func (l *Lookup) finalBlock(payload []byte) error {
-	epoch, root, recs, err := wire.DecodeFinalBlockReceipts(payload)
-	if err != nil {
-		return err
+	sec := wire.ReceiptSection{Receipts: l.ranges}
+	err := wire.DecodeReceiptSection(payload, &sec)
+	if err == nil {
+		err = l.receipts.File(sec.Bytes, sec.Receipts)
 	}
-	if err := l.receipts.File(recs); err != nil {
+	l.ranges = sec.Receipts[:0]
+	if err != nil {
 		return err
 	}
 	l.receiptsGauge.Set(int64(l.receipts.Len()))
 	l.bytesGauge.Set(int64(l.receipts.Bytes()))
-	if epoch >= l.epoch {
-		l.epoch = epoch
-		l.root = root
+	if sec.Epoch >= l.epoch {
+		l.epoch = sec.Epoch
+		l.root = sec.StateRoot
 	}
 	return nil
 }

@@ -98,10 +98,10 @@ func TestLookupLeavesNoCorrelation(t *testing.T) {
 }
 
 // TestLookupBuildsNoDeltas: handling a FinalBlock broadcast costs a
-// lookup its receipts' arrays and the log's batch — a handful of
-// allocations for a 2000-transaction block — where decoding the block
-// the way a replica must builds every delta entry; and a block whose
-// delta section is corrupt is still refused.
+// lookup the log's copy of the block's receipt section and its root —
+// a handful of allocations for a 2000-transaction block — where
+// decoding the block the way a replica must builds every delta entry;
+// and a block whose delta section is corrupt is still refused.
 func TestLookupBuildsNoDeltas(t *testing.T) {
 	const txs = 2000
 	w := workload.FTTransfer()
@@ -117,7 +117,7 @@ func TestLookupBuildsNoDeltas(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	l := NewLookup("lookup", NewChanNetwork().Endpoint("lookup"), "ds", LookupObs(reg, nil))
-	if err := l.finalBlock(payload); err != nil { // the log's ring and index grow once
+	if err := l.finalBlock(payload); err != nil { // the range scratch grows once
 		t.Fatal(err)
 	}
 	if l.receipts.Len() != txs {

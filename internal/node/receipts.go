@@ -1,12 +1,16 @@
 package node
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
+	"sort"
 	"unsafe"
 
 	"cosplit/internal/chain"
+	"cosplit/internal/wire"
 )
 
 // DefaultReceiptCap is how many receipts a lookup keeps unless
@@ -19,55 +23,57 @@ const DefaultReceiptCap = 100_000
 // receipts of the FinalBlocks it hears. It is the one place receipts
 // are kept; the committee and the shard replicas keep none.
 //
-// The log owns what it holds. A receipt arrives decoded from a block
-// (RawEvents set, no Events, no Err) and is copied out of the block on
-// File: its header fields into a header array, its error text and
-// event bytes into one byte string, both allocated per File call,
-// neither containing a pointer. Once File returns, nothing in the log
-// points into a frame or a FinalBlock, so a block is garbage as soon as
-// its handler is done with it. A receipt evicted from the log is gone.
+// The log keeps each block's receipts as the bytes they arrived in.
+// File copies a block's receipt section once, with an index of its own
+// behind it: the receipts' ids in ascending order, each with its
+// receipt's offset in the section, 12 bytes a receipt. Receipt finds
+// the newest block holding an id and decodes that one receipt
+// (wire.ReadReceipt). Once File returns, nothing in the log points into
+// a frame or a FinalBlock, so a block is garbage as soon as its handler
+// is done with it. A receipt evicted from the log is gone.
+//
+// An id filed again answers with its newest content and is counted
+// once: its older entry is marked shadowed, and a block whose every
+// entry is shadowed gives up its bytes at once. Eviction walks the
+// oldest block's section in order, passing shadowed entries; the block
+// goes when its last live receipt does.
 //
 // Not synchronised: its owner's lock covers it.
 type ReceiptLog struct {
-	// index finds a receipt: which batch, which header.
-	index   map[uint64]receiptLoc
-	batches map[uint32]*receiptBatch
-	// order is a ring of the filed ids; once it has grown to the log's
-	// capacity, order[head] is the oldest and the next to be overwritten.
-	order []uint64
-	head  int
-	limit int
-	// next numbers the batches; bytes is what the live batches occupy.
-	next  uint32
-	bytes int
+	// blocks are the filed blocks, oldest first.
+	blocks []filedBlock
+	// evict lists the oldest block's entries in section order, once
+	// eviction has reached that block; next is how many of them it has
+	// passed, and the block's receipts below offset cut are evicted.
+	evict []uint64
+	next  int
+	cut   uint32
+	// count is the receipts on file; bytes is what the blocks' data
+	// occupies.
+	count, limit int
+	bytes        int
 }
 
-// receiptLoc places a receipt: hdrs[i] of batches[batch].
-type receiptLoc struct{ batch, i uint32 }
-
-// receiptBatch is the receipts of one File call. It is dropped whole
-// when the last id it answers for is evicted or re-filed; until then it
-// keeps the bytes of the ids that left before.
-type receiptBatch struct {
-	hdrs []packedReceipt
-	data []byte
-	// live counts the ids placed here, plus one while File is filling
-	// the batch.
-	live int
+// filedBlock is one block's receipts: data is the receipt section, then
+// n ids (8 bytes each, little-endian, ascending; of equal ids the one
+// answering last), then each id's receipt offset in the section (4
+// bytes each, the shadowed bit set on an entry a newer one answers
+// for).
+type filedBlock struct {
+	data    []byte
+	n, live uint32
+	// floor is the least id this block or a newer one holds, ceil the
+	// greatest this block or an older one held: the blocks that may hold
+	// an id are a run that two binary searches find.
+	floor, ceil uint64
 }
 
-// packedReceipt is a chain.Receipt's fixed-size fields and where its
-// text lies in the batch's data: the error at [off, off+errLen), the
-// events from there to the next receipt's off.
-type packedReceipt struct {
-	id, gas, epoch uint64
-	off, errLen    uint32
-	shard          int32
-	success        bool
-}
+// shadowed marks an offset whose entry a newer entry answers for. A
+// section is shorter than it, so no offset has the bit of its own.
+const shadowed = 1 << 31
 
-// errUnfileable refuses a batch the log cannot hold as it is laid out.
-var errUnfileable = errors.New("receipt log: unfileable receipt")
+// errUnfileable refuses a block the log cannot hold as it is laid out.
+var errUnfileable = errors.New("receipt log: unfileable block")
 
 // NewReceiptLog returns an empty log keeping at most limit receipts
 // (DefaultReceiptCap when limit <= 0).
@@ -75,125 +81,188 @@ func NewReceiptLog(limit int) *ReceiptLog {
 	if limit <= 0 {
 		limit = DefaultReceiptCap
 	}
-	return &ReceiptLog{
-		index:   make(map[uint64]receiptLoc),
-		batches: make(map[uint32]*receiptBatch),
-		limit:   limit,
-	}
+	return &ReceiptLog{limit: limit}
 }
 
-// File adds receipts decoded from a block, oldest first. A receipt
+// File adds a block's receipts: its receipt section and where each
+// receipt lies in it, in block order (wire.DecodeReceiptSection). recs
+// is the caller's scratch, which File sorts by id and marks. A receipt
 // whose id is already on file (a re-delivered block) replaces the filed
-// one and keeps its place in the eviction order. The log keeps no
-// reference to a receipt or to the bytes it carries. It refuses the
-// whole batch, filing none of it, when a receipt was not decoded from a
-// block, or its shard does not fit 32 bits, or the batch's text does not
-// fit 32-bit offsets (a frame's payload is far smaller).
-func (l *ReceiptLog) File(recs []*chain.Receipt) error {
-	size := uint64(0)
-	for _, r := range recs {
-		if r.RawEvents == nil || r.Events != nil || r.Err != nil {
-			return fmt.Errorf("%w: receipt %d was not decoded from a block", errUnfileable, r.TxID)
-		}
-		if int64(r.Shard) != int64(int32(r.Shard)) {
-			return fmt.Errorf("%w: receipt %d names shard %d", errUnfileable, r.TxID, r.Shard)
-		}
-		size += uint64(len(r.Error)) + uint64(len(r.RawEvents))
+// one and takes its place at the young end of the eviction order. The
+// log keeps no reference to section or recs. It refuses the whole
+// block, filing none of it, when the ranges do not start the section,
+// ascend and end inside it, or the section does not fit 31-bit offsets
+// (a frame's payload is far smaller).
+func (l *ReceiptLog) File(section []byte, recs []wire.ReceiptRange) error {
+	if len(section) >= shadowed || (len(recs) == 0) != (len(section) == 0) {
+		return fmt.Errorf("%w: %d receipts in %d bytes", errUnfileable, len(recs), len(section))
 	}
-	if size > math.MaxUint32 {
-		return fmt.Errorf("%w: %d receipts carry %d bytes", errUnfileable, len(recs), size)
+	for i, r := range recs {
+		if (i == 0) != (r.Off == 0) || (i > 0 && r.Off <= recs[i-1].Off) || r.Off >= len(section) {
+			return fmt.Errorf("%w: receipt %d at %d of a %d-byte section", errUnfileable, r.ID, r.Off, len(section))
+		}
 	}
 	if len(recs) == 0 {
 		return nil
 	}
-	at, b := l.newBatch(len(recs), int(size))
-	for _, r := range recs {
-		if !l.forget(r.TxID) {
-			if len(l.order) < l.limit {
-				l.order = append(l.order, r.TxID)
-			} else {
-				l.forget(l.order[l.head])
-				l.order[l.head] = r.TxID
-				l.head = (l.head + 1) % l.limit
+	slices.SortFunc(recs, func(a, b wire.ReceiptRange) int {
+		return cmp.Compare(a.ID, b.ID)
+	})
+	n := len(recs)
+	b := filedBlock{data: make([]byte, len(section)+12*n), n: uint32(n), floor: recs[0].ID, ceil: recs[n-1].ID}
+	copy(b.data, section)
+	ids, offs := b.data[len(section):], b.data[len(section)+8*n:]
+	fresh := 0
+	for k := range recs {
+		if k+1 < n && recs[k+1].ID == recs[k].ID {
+			// An id twice in one block: the later receipt answers for
+			// it, and is carried to the end of the id's entries.
+			if recs[k+1].Off < recs[k].Off {
+				recs[k], recs[k+1] = recs[k+1], recs[k]
 			}
+			recs[k].Off |= shadowed
+		} else if b.live++; !l.shadow(recs[k].ID) {
+			fresh++
 		}
-		l.index[r.TxID] = receiptLoc{batch: at, i: uint32(len(b.hdrs))}
-		b.hdrs = append(b.hdrs, packedReceipt{
-			id: r.TxID, gas: r.GasUsed, epoch: r.Epoch,
-			off: uint32(len(b.data)), errLen: uint32(len(r.Error)),
-			shard: int32(r.Shard), success: r.Success,
-		})
-		b.data = append(append(b.data, r.Error...), r.RawEvents...)
-		b.live++
+		binary.LittleEndian.PutUint64(ids[8*k:], recs[k].ID)
+		binary.LittleEndian.PutUint32(offs[4*k:], uint32(recs[k].Off))
 	}
-	l.release(at, b)
+	if last := len(l.blocks) - 1; last >= 0 {
+		b.ceil = max(b.ceil, l.blocks[last].ceil)
+		for j := last; j >= 0 && l.blocks[j].floor > b.floor; j-- {
+			l.blocks[j].floor = b.floor
+		}
+	}
+	l.blocks = append(l.blocks, b)
+	l.bytes += len(b.data)
+	l.count += fresh
+	for l.count > l.limit {
+		l.evictOne()
+	}
 	return nil
 }
 
-// newBatch sizes and registers a batch for n receipts carrying size
-// bytes of text.
-func (l *ReceiptLog) newBatch(n, size int) (uint32, *receiptBatch) {
-	b := &receiptBatch{hdrs: make([]packedReceipt, 0, n), data: make([]byte, 0, size), live: 1}
-	for l.batches[l.next] != nil { // the numbering has wrapped onto a batch still alive
-		l.next++
+// shadow marks the entry answering for id, if one is on file, as
+// answered for by a newer one, and reports whether there was one.
+func (l *ReceiptLog) shadow(id uint64) bool {
+	j, k, ok := l.find(id)
+	if !ok {
+		return false
 	}
-	at := l.next
-	l.next++
-	l.batches[at] = b
-	l.bytes += b.size()
-	return at, b
-}
-
-func (b *receiptBatch) size() int {
-	return cap(b.hdrs)*int(unsafe.Sizeof(packedReceipt{})) + cap(b.data)
-}
-
-// release takes one id's (or File's own) claim off a batch and drops
-// the batch with its last.
-func (l *ReceiptLog) release(at uint32, b *receiptBatch) {
+	b := &l.blocks[j]
+	b.setOff(k, b.off(k)|shadowed)
 	if b.live--; b.live == 0 {
-		delete(l.batches, at)
-		l.bytes -= b.size()
+		l.drop(j)
+	}
+	return true
+}
+
+// evictOne evicts the oldest receipt on file: the oldest block's next
+// live entry in section order.
+func (l *ReceiptLog) evictOne() {
+	for {
+		b := &l.blocks[0]
+		if b.live == 0 {
+			l.drop(0)
+			continue
+		}
+		if len(l.evict) == 0 {
+			// Each entry's offset above its index: sorted, section order.
+			for k := range b.n {
+				l.evict = append(l.evict, uint64(b.off(int(k))&^shadowed)<<32|uint64(k))
+			}
+			slices.Sort(l.evict)
+		}
+		k := int(uint32(l.evict[l.next]))
+		l.next++
+		if b.off(k)&shadowed != 0 {
+			continue
+		}
+		l.count--
+		if b.live--; b.live == 0 {
+			l.drop(0)
+		} else {
+			l.cut = uint32(l.evict[l.next] >> 32)
+		}
+		return
 	}
 }
 
-// forget removes what is filed under id and reports whether anything
-// was.
-func (l *ReceiptLog) forget(id uint64) bool {
-	loc, ok := l.index[id]
-	if ok {
-		delete(l.index, id)
-		l.release(loc.batch, l.batches[loc.batch])
+// drop gives up block j's bytes once none of its entries answers for an
+// id: the oldest block leaves the log, a newer one stays, empty, for
+// the bounds it carries until it is the oldest.
+func (l *ReceiptLog) drop(j int) {
+	l.bytes -= len(l.blocks[j].data)
+	if j > 0 {
+		l.blocks[j].data, l.blocks[j].n = nil, 0
+		return
 	}
-	return ok
+	l.blocks[0] = filedBlock{}
+	l.blocks = l.blocks[1:]
+	l.evict, l.next, l.cut = l.evict[:0], 0, 0
+}
+
+// find returns the block and entry answering for id, if any is on file.
+func (l *ReceiptLog) find(id uint64) (j, k int, ok bool) {
+	bs := l.blocks
+	if len(bs) == 0 || id > bs[len(bs)-1].ceil {
+		return 0, 0, false
+	}
+	from := sort.Search(len(bs), func(i int) bool { return bs[i].ceil >= id })
+	to := sort.Search(len(bs), func(i int) bool { return bs[i].floor > id })
+	for j = to - 1; j >= from; j-- {
+		if k, ok = bs[j].entry(id); ok {
+			break
+		}
+	}
+	if !ok || (j == 0 && bs[0].off(k) < l.cut) {
+		return 0, 0, false
+	}
+	return j, k, true
+}
+
+// entry returns the block's last entry for id. Only a newer block can
+// shadow it, so in the newest block holding id it answers for id.
+func (b *filedBlock) entry(id uint64) (int, bool) {
+	k := sort.Search(int(b.n), func(i int) bool { return b.id(i) > id }) - 1
+	return k, k >= 0 && b.id(k) == id
+}
+
+func (b *filedBlock) id(k int) uint64 {
+	return binary.LittleEndian.Uint64(b.data[len(b.data)-12*int(b.n)+8*k:])
+}
+
+func (b *filedBlock) off(k int) uint32 {
+	return binary.LittleEndian.Uint32(b.data[len(b.data)-4*int(b.n)+4*k:])
+}
+
+func (b *filedBlock) setOff(k int, off uint32) {
+	binary.LittleEndian.PutUint32(b.data[len(b.data)-4*int(b.n)+4*k:], off)
 }
 
 // Receipt returns the filed receipt for a transaction id, or nil if
-// there is none or it has been evicted. It is made afresh on every
+// there is none or it has been evicted. It is decoded afresh on every
 // call, its RawEvents a range of the log's own bytes; the caller must
 // not modify them.
 func (l *ReceiptLog) Receipt(id uint64) *chain.Receipt {
-	loc, ok := l.index[id]
+	j, k, ok := l.find(id)
 	if !ok {
 		return nil
 	}
-	b := l.batches[loc.batch]
-	h := &b.hdrs[loc.i]
-	end := len(b.data)
-	if int(loc.i)+1 < len(b.hdrs) {
-		end = int(b.hdrs[loc.i+1].off)
+	b := &l.blocks[j]
+	// The section was checked byte for byte before it was filed.
+	rec, err := wire.ReadReceipt(b.data[b.off(k) : len(b.data)-12*int(b.n)])
+	if err != nil {
+		panic(fmt.Sprintf("receipt log: filed receipt %d does not decode: %v", id, err))
 	}
-	events := int(h.off) + int(h.errLen)
-	return &chain.Receipt{
-		TxID: h.id, Success: h.success, GasUsed: h.gas, Epoch: h.epoch, Shard: int(h.shard),
-		Error:     string(b.data[h.off:events]),
-		RawEvents: b.data[events:end:end],
-	}
+	return rec
 }
 
 // Len returns the number of receipts on file.
-func (l *ReceiptLog) Len() int { return len(l.index) }
+func (l *ReceiptLog) Len() int { return l.count }
 
-// Bytes returns what the log's receipts occupy: the header arrays and
-// byte strings of the batches still answering for an id.
-func (l *ReceiptLog) Bytes() int { return l.bytes }
+// Bytes returns what the log occupies: its blocks' sections and
+// indexes, their records and the eviction cursor's list.
+func (l *ReceiptLog) Bytes() int {
+	return l.bytes + cap(l.blocks)*int(unsafe.Sizeof(filedBlock{})) + 8*cap(l.evict)
+}

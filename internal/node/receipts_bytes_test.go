@@ -5,6 +5,7 @@ package node
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -20,7 +21,12 @@ import (
 // applies them.
 func ftEnv(tb testing.TB, n int) (*workload.Workload, *workload.Env) {
 	tb.Helper()
-	w := workload.FTTransfer()
+	return provisioned(tb, workload.FTTransfer(), n)
+}
+
+// provisioned provisions w over n users on three shards.
+func provisioned(tb testing.TB, w *workload.Workload, n int) (*workload.Workload, *workload.Env) {
+	tb.Helper()
 	w.Users = n
 	env, err := workload.Provision(w, true, shard.WithShards(3))
 	if err != nil {
@@ -35,6 +41,13 @@ func ftEnv(tb testing.TB, n int) (*workload.Workload, *workload.Env) {
 func ftBlocks(tb testing.TB, epochs, n int) [][]byte {
 	tb.Helper()
 	w, env := ftEnv(tb, n)
+	return workloadBlocks(tb, w, env, epochs, n)
+}
+
+// workloadBlocks runs epochs epochs of n of w's transactions each
+// through env's pipeline and returns their FinalBlocks' payloads.
+func workloadBlocks(tb testing.TB, w *workload.Workload, env *workload.Env, epochs, n int) [][]byte {
+	tb.Helper()
 	payloads := make([][]byte, epochs)
 	for e := range payloads {
 		for i := 0; i < n; i++ {
@@ -66,31 +79,49 @@ func ftBlocks(tb testing.TB, epochs, n int) [][]byte {
 // ftBlock is the payload of one epoch of n `FT transfer` transactions.
 func ftBlock(tb testing.TB, n int) []byte { return ftBlocks(tb, 1, n)[0] }
 
-// liveHeap collects garbage and returns the bytes still allocated.
+// liveHeap collects garbage and returns the bytes still allocated. The
+// second collection frees what the first left in sync.Pool's victim
+// caches.
 func liveHeap() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
 }
 
-// anotherBlock decodes the payload from a copy of its own — the copy is
-// what a role's endpoint would have handed it — and renumbers the
-// receipts as block k's transactions.
-func anotherBlock(tb testing.TB, payload []byte, k int) []*chain.Receipt {
+// anotherBlock is the payload of a block carrying the receipts of
+// payload renumbered as block k's transactions: the ids shifted by k
+// times the span of the block's own, so blocks 0, 1, … hold disjoint
+// runs of ids of a real block's width.
+func anotherBlock(tb testing.TB, payload []byte, k int) []byte {
 	tb.Helper()
-	fb, err := wire.DecodeFinalBlock(bytes.Clone(payload))
+	fb, err := wire.DecodeFinalBlock(payload)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	lo, hi := fb.Receipts[0].TxID, fb.Receipts[0].TxID
 	for _, r := range fb.Receipts {
-		r.TxID += uint64(k) << 32
+		lo, hi = min(lo, r.TxID), max(hi, r.TxID)
 	}
-	return fb.Receipts
+	for _, r := range fb.Receipts {
+		r.TxID += uint64(k) * (hi - lo + 1)
+	}
+	return receiptBlock(tb, fb.Receipts)
+}
+
+// sectionOf reads a payload as a lookup does.
+func sectionOf(tb testing.TB, payload []byte) wire.ReceiptSection {
+	tb.Helper()
+	var sec wire.ReceiptSection
+	if err := wire.DecodeReceiptSection(payload, &sec); err != nil {
+		tb.Fatal(err)
+	}
+	return sec
 }
 
 // TestReceiptLogOwnsItsBytes: once a block's receipts are filed, the
-// payload they were decoded from can be overwritten (or collected)
+// payload they were read from can be overwritten (or collected)
 // without the log noticing.
 func TestReceiptLogOwnsItsBytes(t *testing.T) {
 	payload := ftBlock(t, 200)
@@ -106,25 +137,13 @@ func TestReceiptLogOwnsItsBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pristine, err := wire.DecodeFinalBlock(bytes.Clone(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err = wire.DecodeFinalBlock(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
 	log := NewReceiptLog(0)
-	file(t, log, fb.Receipts)
-	for i := range payload {
-		payload[i] = 0xFF
-	}
-	for _, want := range pristine.Receipts {
+	for _, want := range filePayload(t, log, payload) { // files from a copy it then overwrites
 		got := log.Receipt(want.TxID)
 		if got == nil {
 			t.Fatalf("receipt %d not on file", want.TxID)
 		}
-		if got == fb.Receipts[0] || !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("receipt %d after the payload was overwritten:\n %+v\nwant\n %+v", want.TxID, got, want)
 		}
 		if cap(got.RawEvents) != len(got.RawEvents) {
@@ -140,29 +159,91 @@ func TestReceiptLogOwnsItsBytes(t *testing.T) {
 	}
 }
 
+// TestReceiptLogAnswersAsTheBlocks: for every id of real `FT transfer`
+// and `ProofIPFS register` blocks — filed over several laps of a log
+// smaller than the chain, with a block re-delivered whole, another in
+// part, and one long evicted filed again — the log answers as the model
+// of its contract does, each receipt equal to the one the building
+// decoder reads from the newest block carrying it: id, outcome, gas,
+// error, shard, epoch and event bytes.
+func TestReceiptLogAnswersAsTheBlocks(t *testing.T) {
+	const epochs, perBlock, limit = 8, 250, 600
+	for _, w := range []*workload.Workload{workload.FTTransfer(), workload.ProofIPFSRegister()} {
+		w, env := provisioned(t, w, perBlock)
+		payloads := workloadBlocks(t, w, env, epochs, perBlock)
+		var ids []uint64
+		for _, p := range payloads {
+			for _, at := range sectionOf(t, p).Receipts {
+				ids = append(ids, at.ID)
+			}
+		}
+		failed := 0
+		l := NewReceiptLog(limit)
+		model := &receiptModel{limit: limit, on: map[uint64]*chain.Receipt{}}
+		deliver := func(payload []byte, what string) {
+			recs := filePayload(t, l, payload)
+			for _, r := range recs {
+				if !r.Success {
+					failed++
+				}
+			}
+			model.add(recs)
+			model.check(t, l, ids, w.Name+": "+what)
+		}
+		for e, p := range payloads {
+			deliver(p, fmt.Sprintf("block %d", e))
+			switch e {
+			case 3:
+				deliver(payloads[2], "block 2 again")
+			case 5:
+				fb, err := wire.DecodeFinalBlock(payloads[4])
+				if err != nil {
+					t.Fatal(err)
+				}
+				var part []*chain.Receipt
+				for i := 1; i < len(fb.Receipts); i += 2 {
+					part = append(part, fb.Receipts[i])
+				}
+				deliver(receiptBlock(t, part), "half of block 4 again")
+			case 7:
+				deliver(payloads[0], "block 0 again")
+			}
+		}
+		t.Logf("%s: %d receipts delivered, %d of them failed", w.Name, len(ids), failed)
+	}
+}
+
 // TestReceiptLogRetention puts a ceiling on what a filed receipt keeps
-// alive: 50 decoded 2000-receipt blocks, each from its own copy of the
-// payload, then everything but the log dropped. A token transfer's
-// receipt is ~110 B on the wire; the header, index and eviction ring
-// bring it to ~180 B. (A log that keeps each chain.Receipt, and through
-// its RawEvents the whole payload with its deltas, holds ~400 B.)
+// alive: DefaultReceiptCap receipts in 50 blocks of 2000 token
+// transfers, each read from its own payload, then everything but the
+// log dropped. A token transfer's receipt is ~113 B on the wire and
+// its index entry 12 B. (With a header, an index map entry and a ring
+// slot per receipt the log held ~180 B; keeping each chain.Receipt, and
+// through its RawEvents the whole payload with its deltas, ~400 B.) The
+// log's Bytes must say what it holds, within 5%.
 func TestReceiptLogRetention(t *testing.T) {
-	const blocks, perBlock, ceiling = 50, 2000, 224
+	const blocks, perBlock, ceiling = 50, 2000, 130
 	payload := ftBlock(t, perBlock)
 	log := NewReceiptLog(0)
 	before := liveHeap()
 	for k := 0; k < blocks; k++ {
-		file(t, log, anotherBlock(t, payload, k))
+		sec := sectionOf(t, anotherBlock(t, payload, k))
+		if err := log.File(sec.Bytes, sec.Receipts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	grown := int64(liveHeap() - before)
-	if log.Len() != blocks*perBlock {
-		t.Fatalf("%d receipts on file, want %d", log.Len(), blocks*perBlock)
+	if log.Len() != DefaultReceiptCap || blocks*perBlock != DefaultReceiptCap {
+		t.Fatalf("%d receipts on file, want %d", log.Len(), DefaultReceiptCap)
 	}
 	per := grown / int64(log.Len())
-	t.Logf("%d receipts keep %d B alive, %d B each (%d B of it the log's batches); a block is %d B per receipt on the wire",
-		log.Len(), grown, per, log.Bytes()/log.Len(), len(payload)/perBlock)
+	t.Logf("%d receipts keep %d B alive, %d B each; the log counts %d B; a block is %d B per receipt on the wire",
+		log.Len(), grown, per, log.Bytes(), len(payload)/perBlock)
 	if per > ceiling {
 		t.Errorf("a filed receipt keeps %d B alive, want at most %d", per, ceiling)
+	}
+	if off := int64(log.Bytes()) - grown; 20*off > grown || -20*off > grown {
+		t.Errorf("the log counts %d B, it keeps %d B alive", log.Bytes(), grown)
 	}
 	runtime.KeepAlive(payload)
 }
@@ -209,28 +290,30 @@ func TestReplicaKeepsNoReceipts(t *testing.T) {
 
 var sinkReceipt *chain.Receipt
 
-// BenchmarkReceiptLogFile files one decoded 4000-receipt block per op
-// into a log at capacity, so every op also evicts a block's worth. The
-// decode is outside the timer. A batch is two allocations and its
-// registration, whatever the block's size; over many ops the index
-// rehashing as ids come and go adds to both B/receipt and allocs/block.
+// BenchmarkReceiptLogFile files one 4000-receipt block per op into a
+// log at capacity, so every op also evicts a block's worth. Reading the
+// block (wire.DecodeReceiptSection) is outside the timer. A block is one
+// allocation, its section and index together.
 func BenchmarkReceiptLogFile(b *testing.B) {
 	const perBlock = 4000
 	payload := ftBlock(b, perBlock)
 	log := NewReceiptLog(0)
 	k := 0
 	for ; log.Len() < DefaultReceiptCap; k++ {
-		file(b, log, anotherBlock(b, payload, k))
+		sec := sectionOf(b, anotherBlock(b, payload, k))
+		if err := log.File(sec.Bytes, sec.Receipts); err != nil {
+			b.Fatal(err)
+		}
 	}
 	var before, after runtime.MemStats
 	var bytes, mallocs uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		recs := anotherBlock(b, payload, k+i)
+		sec := sectionOf(b, anotherBlock(b, payload, k+i))
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
-		err := log.File(recs)
+		err := log.File(sec.Bytes, sec.Receipts)
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
@@ -238,9 +321,9 @@ func BenchmarkReceiptLogFile(b *testing.B) {
 		runtime.ReadMemStats(&after)
 		bytes += after.TotalAlloc - before.TotalAlloc
 		mallocs += after.Mallocs - before.Mallocs
-		sinkReceipt = log.Receipt(recs[0].TxID)
+		sinkReceipt = log.Receipt(sec.Receipts[0].ID)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/perBlock, "ns/receipt")
 	b.ReportMetric(float64(bytes)/float64(b.N)/perBlock, "B/receipt")
-	b.ReportMetric(float64(mallocs)/float64(b.N), "allocs/block")
+	b.ReportMetric(float64(mallocs)/float64(b.N)/perBlock, "allocs/receipt")
 }

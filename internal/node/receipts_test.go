@@ -1,33 +1,65 @@
 package node
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cosplit/internal/chain"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
+	"cosplit/internal/wire"
 )
 
-// receiptRun makes a block's worth of receipts as a decoder leaves
-// them: header fields and the events' bytes (here, no event).
+// receiptRun makes a block's worth of receipts: header fields, no
+// event.
 func receiptRun(from, to uint64) []*chain.Receipt {
 	var recs []*chain.Receipt
 	for id := from; id < to; id++ {
-		recs = append(recs, &chain.Receipt{TxID: id, Success: true, RawEvents: []byte{0}})
+		recs = append(recs, &chain.Receipt{TxID: id, Success: true})
 	}
 	return recs
 }
 
-// file files recs into l and fails the test if the log refuses them.
-func file(tb testing.TB, l *ReceiptLog, recs []*chain.Receipt) {
+// receiptBlock encodes recs as a FinalBlock's receipts and returns the
+// payload.
+func receiptBlock(tb testing.TB, recs []*chain.Receipt) []byte {
 	tb.Helper()
-	if err := l.File(recs); err != nil {
+	payload, err := wire.EncodeFinalBlock(&shard.FinalBlock{Epoch: 1, StateRoot: "root", Receipts: recs})
+	if err != nil {
 		tb.Fatal(err)
 	}
+	return payload
+}
+
+// filePayload files a FinalBlock payload into l the way a lookup does,
+// from a copy of its own that is overwritten once File returns, and
+// returns the block's receipts as the building decoder reads them.
+func filePayload(tb testing.TB, l *ReceiptLog, payload []byte) []*chain.Receipt {
+	tb.Helper()
+	frame := bytes.Clone(payload)
+	sec := sectionOf(tb, frame)
+	if err := l.File(sec.Bytes, sec.Receipts); err != nil {
+		tb.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 0xFF
+	}
+	fb, err := wire.DecodeFinalBlock(payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fb.Receipts
+}
+
+// file files recs into l as one block; see filePayload.
+func file(tb testing.TB, l *ReceiptLog, recs []*chain.Receipt) []*chain.Receipt {
+	tb.Helper()
+	return filePayload(tb, l, receiptBlock(tb, recs))
 }
 
 // TestReceiptLog: the log keeps the newest receipts up to its
@@ -85,86 +117,138 @@ func TestReceiptLog(t *testing.T) {
 	}
 }
 
-// TestReceiptLogRefusesWhatNoBlockCarries: a receipt the executor built
-// (Events, a typed Err, no RawEvents) or one naming a shard beyond 32
-// bits is not something a decoded block holds; the log refuses the
-// whole batch and files none of it.
+// TestReceiptLogRefusesWhatNoBlockCarries: File takes a receipt section
+// and where its receipts lie, as the read of a block records them:
+// ranges that start the section, ascend and end inside it, receipts
+// only with bytes and bytes only with receipts. Anything else is no
+// block's; the log refuses it whole and files none of it.
 func TestReceiptLogRefusesWhatNoBlockCarries(t *testing.T) {
-	for name, bad := range map[string]*chain.Receipt{
-		"built":       {TxID: 9, Success: true, Events: []value.Msg{}},
-		"typed error": {TxID: 9, Error: "out of gas", Err: shard.ErrGasExhausted, RawEvents: []byte{0}},
-		"no events":   {TxID: 9, Success: true},
-		"wide shard":  {TxID: 9, Shard: 1 << 40, RawEvents: []byte{0}},
+	sec := sectionOf(t, receiptBlock(t, receiptRun(1, 4)))
+	at := func(offs ...int) []wire.ReceiptRange {
+		recs := slices.Clone(sec.Receipts)
+		for i, off := range offs {
+			recs[i].Off = off
+		}
+		return recs
+	}
+	end := len(sec.Bytes)
+	for name, bad := range map[string]struct {
+		section []byte
+		recs    []wire.ReceiptRange
+	}{
+		"not from the start":     {sec.Bytes, at(1)},
+		"out of order":           {sec.Bytes, at(0, sec.Receipts[2].Off, sec.Receipts[1].Off)},
+		"an offset twice":        {sec.Bytes, at(0, sec.Receipts[1].Off, sec.Receipts[1].Off)},
+		"past the end":           {sec.Bytes, at(0, sec.Receipts[1].Off, end)},
+		"receipts without bytes": {nil, sec.Receipts},
+		"bytes without receipts": {sec.Bytes, nil},
 	} {
 		l := NewReceiptLog(0)
-		if err := l.File(append(receiptRun(1, 4), bad)); !errors.Is(err, errUnfileable) {
+		if err := l.File(bad.section, bad.recs); !errors.Is(err, errUnfileable) {
 			t.Errorf("%s: File returned %v, want errUnfileable", name, err)
 		}
-		if l.Len() != 0 || l.Bytes() != 0 || len(l.batches) != 0 {
-			t.Errorf("%s: a refused batch left %d receipts in %d bytes", name, l.Len(), l.Bytes())
+		if l.Len() != 0 || l.Bytes() != 0 || len(l.blocks) != 0 {
+			t.Errorf("%s: a refused block left %d receipts in %d bytes", name, l.Len(), l.Bytes())
 		}
+	}
+	if err := NewReceiptLog(0).File(sec.Bytes, sec.Receipts); err != nil {
+		t.Fatalf("the block itself: %v", err)
 	}
 }
 
-// arrivedRun makes receipts as a block decoder leaves them: header
-// fields and the events' bytes, no Events, no Err. salt varies the
-// content, so a re-delivery can be told from the first.
+// arrivedRun makes receipts of every header shape, some failed, some
+// with events. salt varies the content, so a re-delivery can be told
+// from the first.
 func arrivedRun(rng *rand.Rand, ids []uint64, salt byte) []*chain.Receipt {
 	recs := make([]*chain.Receipt, len(ids))
 	for i, id := range ids {
-		raw := make([]byte, 1+rng.Intn(40), 64) // spare capacity: the log must not keep it
-		for k := range raw {
-			raw[k] = byte(id) ^ salt ^ byte(k)
+		r := &chain.Receipt{TxID: id, GasUsed: id * 3, Epoch: id / 7, Shard: int(id%5) - 1}
+		if r.Success = id%3 != 0; !r.Success {
+			r.Error = fmt.Sprintf("tx %d refused (%d)", id, salt)
 		}
-		recs[i] = &chain.Receipt{TxID: id, GasUsed: id * 3, Epoch: id / 7, Shard: int(id%5) - 1, RawEvents: raw}
-		if recs[i].Success = id%3 != 0; !recs[i].Success {
-			recs[i].Error = fmt.Sprintf("tx %d refused (%d)", id, salt)
+		for e := rng.Intn(3); e > 0; e-- {
+			r.Events = append(r.Events, value.Msg{Entries: map[string]value.Value{
+				"_eventname": value.Str{S: "Salted"},
+				"salt":       value.Str{S: fmt.Sprintf("%d/%d/%d", id, salt, e)},
+			}})
 		}
+		recs[i] = r
 	}
 	return recs
 }
 
+// receiptModel is the plainest thing that meets the log's contract: a
+// map and a list of ids in eviction order, an id filed again moving to
+// the young end.
+type receiptModel struct {
+	limit int
+	on    map[uint64]*chain.Receipt
+	order []uint64
+}
+
+// add files a block's receipts, as the building decoder reads them.
+func (m *receiptModel) add(recs []*chain.Receipt) {
+	for _, r := range recs {
+		if m.on[r.TxID] != nil {
+			m.order = slices.DeleteFunc(m.order, func(id uint64) bool { return id == r.TxID })
+		}
+		m.order = append(m.order, r.TxID)
+		m.on[r.TxID] = r
+	}
+	for len(m.order) > m.limit {
+		delete(m.on, m.order[0])
+		m.order = m.order[1:]
+	}
+}
+
+// check requires l to hold what m holds: the same ids on file, each
+// answering with a receipt equal to, not the same as, the model's, its
+// events' bytes a slice of their own; and Bytes to be what the blocks
+// hold.
+func (m *receiptModel) check(t *testing.T, l *ReceiptLog, ids []uint64, what string) {
+	t.Helper()
+	if l.Len() != len(m.on) {
+		t.Fatalf("%s: %d on file, model holds %d", what, l.Len(), len(m.on))
+	}
+	held := 0
+	for _, b := range l.blocks {
+		held += len(b.data)
+		if (b.data == nil) != (b.live == 0) || b.live > b.n {
+			t.Fatalf("%s: a block of %d entries in %d bytes answers for %d ids", what, b.n, len(b.data), b.live)
+		}
+	}
+	if l.bytes != held || (l.Len() == 0) != (held == 0) {
+		t.Fatalf("%s: the log counts %d bytes, its blocks hold %d for %d ids", what, l.bytes, held, l.Len())
+	}
+	for _, id := range ids {
+		got, want := l.Receipt(id), m.on[id]
+		if want == nil {
+			if got != nil {
+				t.Fatalf("%s: evicted receipt %d still answers", what, id)
+			}
+			continue
+		}
+		if got == want || !reflect.DeepEqual(got, want) || cap(got.RawEvents) != len(got.RawEvents) {
+			t.Fatalf("%s: receipt %d\n %+v\nwant a copy of\n %+v", what, id, got, want)
+		}
+	}
+}
+
 // TestReceiptLogAgainstModel files random blocks of receipts,
-// re-deliveries and cap overflows into the log and into the plainest
-// thing that meets its contract — a map and a slice of ids — and
+// re-deliveries and cap overflows into the log and into the model, and
 // requires the same ids on file with the same content after every
-// call. Then laps of equal blocks: the batches whose ids have all left
+// call. Then laps of equal blocks: the blocks whose ids have all left
 // are gone.
 func TestReceiptLogAgainstModel(t *testing.T) {
 	const limit, ids = 64, 400
+	all := make([]uint64, ids)
+	for i := range all {
+		all[i] = uint64(i)
+	}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		l := NewReceiptLog(limit)
-		model := map[uint64]*chain.Receipt{}
-		var order []uint64
-		check := func(step int) {
-			t.Helper()
-			if l.Len() != len(model) || len(order) != len(model) {
-				t.Fatalf("seed %d step %d: %d on file, model holds %d", seed, step, l.Len(), len(model))
-			}
-			held := 0
-			for _, b := range l.batches {
-				held += b.size()
-				if b.live <= 0 || b.live > len(b.hdrs) {
-					t.Fatalf("seed %d step %d: a batch of %d answers for %d ids", seed, step, len(b.hdrs), b.live)
-				}
-			}
-			if l.Bytes() != held || (len(l.index) == 0) != (held == 0) {
-				t.Fatalf("seed %d step %d: Bytes %d, live batches hold %d for %d ids", seed, step, l.Bytes(), held, len(l.index))
-			}
-			for id := uint64(0); id < ids; id++ {
-				got, want := l.Receipt(id), model[id]
-				if want == nil {
-					if got != nil {
-						t.Fatalf("seed %d step %d: evicted receipt %d still answers", seed, step, id)
-					}
-					continue
-				}
-				if got == want || !reflect.DeepEqual(got, want) || cap(got.RawEvents) != len(got.RawEvents) {
-					t.Fatalf("seed %d step %d: receipt %d\n %+v\nwant a copy of\n %+v", seed, step, id, got, want)
-				}
-			}
-		}
+		model := &receiptModel{limit: limit, on: map[uint64]*chain.Receipt{}}
 		for step := 0; step < 300; step++ {
 			// A block: a run of ids from a random start — fresh, on file
 			// or evicted as it falls — sometimes longer than the cap,
@@ -180,22 +264,11 @@ func TestReceiptLogAgainstModel(t *testing.T) {
 					run[i] = (run[i-1] + 1) % ids
 				}
 			}
-			recs := arrivedRun(rng, run, byte(step))
-			file(t, l, recs)
-			for _, r := range recs {
-				if model[r.TxID] == nil {
-					if len(order) == limit {
-						delete(model, order[0])
-						order = order[1:]
-					}
-					order = append(order, r.TxID)
-				}
-				model[r.TxID] = r
-			}
-			check(step)
+			model.add(file(t, l, arrivedRun(rng, run, byte(step))))
+			model.check(t, l, all, fmt.Sprintf("seed %d step %d", seed, step))
 		}
 
-		// Laps: blocks of 10 fresh ids. At most ⌈limit/10⌉ batches hold
+		// Laps: blocks of 10 fresh ids. At most ⌈limit/10⌉ blocks hold
 		// the ids on file, plus the one the oldest ids are leaving.
 		const block = 10
 		for lap, id := 0, uint64(1000); lap < 5*limit/block; lap++ {
@@ -205,9 +278,9 @@ func TestReceiptLogAgainstModel(t *testing.T) {
 			}
 			file(t, l, arrivedRun(rng, run, 0))
 		}
-		if most := (limit+block-1)/block + 1; len(l.batches) > most || l.Len() != limit {
-			t.Fatalf("seed %d: after laps %d batches live (want at most %d), %d on file",
-				seed, len(l.batches), most, l.Len())
+		if most := (limit+block-1)/block + 1; len(l.blocks) > most || l.Len() != limit {
+			t.Fatalf("seed %d: after laps %d blocks live (want at most %d), %d on file",
+				seed, len(l.blocks), most, l.Len())
 		}
 	}
 }

@@ -37,12 +37,13 @@ type dirtySet struct {
 // recorded before it and ignores the ones after.
 type dirtyField struct {
 	whole bool
-	// entries maps each written entry's keypath to its keys, or to nil
-	// when the keypath renders them unambiguously (keptKeys): the keys
-	// are rebuilt from it when the set is written out (keysOf), so an
-	// entry keyed by integers, byte strings or block numbers costs the
-	// set its keypath alone.
-	entries map[string][]value.Value
+	// entries holds each written entry's keypath, and keys the keys of
+	// those whose keypath does not render them unambiguously
+	// (keptKeys). The others' keys are rebuilt from the keypath when the
+	// set is written out (keysOf), so an entry keyed by integers, byte
+	// strings or block numbers costs the set its keypath alone.
+	entries map[string]struct{}
+	keys    map[string][]value.Value
 }
 
 func (d *dirtySet) reset() { *d = dirtySet{} }
@@ -100,14 +101,20 @@ func (d *dirtySet) addDeltas(deltas []*chain.StateDelta) {
 					continue
 				}
 				if df.entries == nil {
-					df.entries = make(map[string][]value.Value)
+					df.entries = make(map[string]struct{})
 				}
-				df.entries[e.Keypath] = keptKeys(e.Keys)
+				df.entries[e.Keypath] = struct{}{}
+				if kept := keptKeys(e.Keys); kept != nil {
+					if df.keys == nil {
+						df.keys = make(map[string][]value.Value)
+					}
+					df.keys[e.Keypath] = kept
+				}
 				d.cost++
 			}
 			if whole {
 				d.cost += 1 - len(df.entries)
-				df.whole, df.entries = true, nil
+				df.whole, df.entries, df.keys = true, nil, nil
 			}
 		}
 	}
@@ -322,8 +329,8 @@ func (r *stateRecords) dirty(addr chain.Address, state map[string]value.Value, d
 			continue
 		}
 		entries = entries[:0]
-		for kp, keys := range df.entries {
-			entries = append(entries, entry{kp, keys})
+		for kp := range df.entries {
+			entries = append(entries, entry{kp, df.keys[kp]})
 		}
 		slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.kp, b.kp) })
 		// Empty maps written in place of their deleted entries, so that

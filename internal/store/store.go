@@ -129,6 +129,9 @@ type Store struct {
 	head    uint64
 	tracked bool
 	fresh   bool
+	// base is the state's leaves when tracking began: the projection of
+	// the state at the boundary counts the interval's growth from it.
+	base int
 
 	journalRecords  *obs.Counter
 	snapshots       *obs.Counter
@@ -249,6 +252,9 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 		// Nothing precedes this block: it starts from genesis.
 		s.chain.epoch, s.head = fb.Epoch, fb.Epoch
 		s.tracked, s.fresh = s.every > 0, false
+		if s.tracked {
+			s.base = n.StateLeaves()
+		}
 	}
 	if fb.Epoch != s.head {
 		return s.snapshot(n, cp, true)
@@ -277,13 +283,11 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 	if s.tracked {
 		s.dirty.add(fb)
 		// The keys only matter while the boundary could still write
-		// them as an incremental file. If at the interval's rate so far
-		// they will cost as much as the state by then, it will fold
-		// whatever follows: the rest of the interval is not recorded.
+		// them as an incremental file; once it will fold whatever
+		// follows, the rest of the interval is not recorded.
 		elapsed := s.head - s.chain.epoch
 		left := (s.every - cp.Epoch%s.every) % s.every
-		projected := s.dirty.cost + s.dirty.cost*int(left)/int(elapsed)
-		if s.chain.cost+projected >= n.StateLeaves() {
+		if !keepTracking(s.chain.cost, s.dirty.cost, s.base, n.StateLeaves(), elapsed, left) {
 			s.tracked = false
 			s.dirty.reset()
 		}
@@ -294,6 +298,21 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 		}
 	}
 	return nil
+}
+
+// keepTracking is the fold rule's forecast, made after each block of
+// an interval: whether the boundary may still write the interval's
+// dirty keys as an incremental file. elapsed of the interval's epochs
+// are committed and left are to come; the keys cost dirty so far, and
+// the state has grown from base leaves, when tracking began, to leaves.
+// At the interval's rate so far both go on: the keys will cost dirty ×
+// (elapsed+left)/elapsed, and the state will have its leaves plus its
+// growth × left/elapsed. The keys are worth keeping while the chain
+// with them stays below the state then.
+func keepTracking(chainCost, dirty, base, leaves int, elapsed, left uint64) bool {
+	projected := dirty + dirty*int(left)/int(elapsed)
+	then := leaves + (leaves-base)*int(left)/int(elapsed)
+	return chainCost+projected < then
 }
 
 // snapshot writes snapshot-<epoch>.snap for cp and compacts the
@@ -348,7 +367,7 @@ func (s *Store) snapshot(n *shard.Network, cp shard.Checkpoint, forced bool) err
 	s.chainRecords.Set(int64(s.chain.cost))
 	s.chain.epoch, s.head = cp.Epoch, cp.Epoch
 	s.dirty.reset()
-	s.tracked, s.fresh = s.every > 0, false
+	s.tracked, s.fresh, s.base = s.every > 0, false, leaves
 	// The file covers everything journaled so far: restart the journal.
 	// A crash between the rename and the truncation is benign — recovery
 	// skips journaled blocks at or before the snapshot's epoch.
@@ -395,6 +414,7 @@ func (s *Store) Recover(n *shard.Network) error {
 	if err != nil {
 		return err
 	}
+	base := n.StateLeaves()
 	good, err := replayJournal(s.f, n, func(fb *shard.FinalBlock) {
 		s.replayed.Inc()
 		if s.every > 0 {
@@ -426,7 +446,7 @@ func (s *Store) Recover(n *shard.Network) error {
 		}
 	}
 	s.chain, s.head = sc.snapshotChain, n.Epoch
-	s.tracked, s.fresh = s.every > 0, false
+	s.tracked, s.fresh, s.base = s.every > 0, false, base
 	s.chainRecords.Set(int64(sc.cost))
 	return nil
 }

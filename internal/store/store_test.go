@@ -328,6 +328,36 @@ func TestAppendOnlyStaysIncremental(t *testing.T) {
 	}
 }
 
+// TestKeepTracking is the fold rule's forecast, case by case: the
+// interval's keys are kept while their projected cost, with the
+// chain's, stays below the state's projected leaves, and the state is
+// projected from its growth since tracking began.
+func TestKeepTracking(t *testing.T) {
+	for _, c := range []struct {
+		name                       string
+		chain, dirty, base, leaves int
+		elapsed, left              uint64
+		keep                       bool
+	}{
+		{"a still state, a small interval", 0, 100, 10_000, 10_000, 1, 7, true},
+		{"a still state, keys at its size by the boundary", 0, 1250, 10_000, 10_000, 1, 7, false},
+		{"the chain's cost counts", 2_000, 1_000, 10_000, 10_000, 1, 7, false},
+		{"the boundary block itself", 0, 9_999, 10_000, 10_000, 8, 0, true},
+		// Append-only: each epoch adds the leaves it dirties. Counted
+		// against today's leaves the keys would be given up; the state
+		// grows as fast as they do, so they are kept.
+		{"append-only, first epoch of eight", 0, 4_200, 28_207, 32_407, 1, 7, true},
+		{"append-only, half way", 0, 16_800, 28_207, 45_007, 4, 4, true},
+		{"append-only with a long chain", 30_000, 4_200, 28_207, 32_407, 1, 7, false},
+		{"a shrinking state", 0, 1_000, 10_000, 9_000, 1, 7, false},
+		{"the last epoch before the boundary", 0, 7_000, 9_000, 9_500, 7, 1, true},
+	} {
+		if got := keepTracking(c.chain, c.dirty, c.base, c.leaves, c.elapsed, c.left); got != c.keep {
+			t.Errorf("%s: keepTracking = %v, want %v", c.name, got, c.keep)
+		}
+	}
+}
+
 func TestTornJournalTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	a := provisionFT(t)

@@ -70,37 +70,58 @@ func FuzzDecoders(f *testing.F) {
 
 // FuzzFinalBlockReceipts sets the two partial reads of a FinalBlock
 // against the decoder that builds all of it, on the same bytes: the
-// receipts-only read a lookup uses and the state read a replica uses
-// each accept a payload iff DecodeFinalBlock does; the first reads the
-// same epoch, root and receipts, the second the same epoch, root and
-// state sections and no receipt.
+// receipt-section read a lookup uses and the state read a replica uses
+// each accept a payload iff DecodeFinalBlock does; the first records
+// the same epoch and root and exactly the receipts the building read
+// builds, the second reads the same epoch, root and state sections and
+// no receipt.
 func FuzzFinalBlockReceipts(f *testing.F) {
 	for _, seed := range receiptsOnlySeeds() {
 		f.Add(seed.b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := DecodeFinalBlock(data)
-		epoch, root, recs, err := DecodeFinalBlockReceipts(data)
+		sec := ReceiptSection{Receipts: make([]ReceiptRange, 3)} // a reused array: nothing of it may show
+		err := DecodeReceiptSection(data, &sec)
 		state, stateErr := DecodeFinalBlockState(data)
 		if (wantErr == nil) != (err == nil) || (wantErr == nil) != (stateErr == nil) {
-			t.Fatalf("block: DecodeFinalBlock %v, DecodeFinalBlockReceipts %v, DecodeFinalBlockState %v", wantErr, err, stateErr)
+			t.Fatalf("block: DecodeFinalBlock %v, DecodeReceiptSection %v, DecodeFinalBlockState %v", wantErr, err, stateErr)
 		}
 		if err != nil {
-			if !errors.Is(err, ErrDecode) || recs != nil || !errors.Is(stateErr, ErrDecode) || state != nil {
-				t.Fatalf("rejected block: errors %v / %v, %d receipts", err, stateErr, len(recs))
+			if !errors.Is(err, ErrDecode) || sec.Bytes != nil || len(sec.Receipts) != 0 || !errors.Is(stateErr, ErrDecode) || state != nil {
+				t.Fatalf("rejected block: errors %v / %v, %d receipts recorded", err, stateErr, len(sec.Receipts))
 			}
 			return
 		}
-		if epoch != want.Epoch || root != want.StateRoot || !reflect.DeepEqual(recs, want.Receipts) {
-			t.Fatalf("receipts-only read: epoch %d root %q %d receipts, block has %d %q %d",
-				epoch, root, len(recs), want.Epoch, want.StateRoot, len(want.Receipts))
+		if sec.Epoch != want.Epoch || sec.StateRoot != want.StateRoot {
+			t.Fatalf("receipt-section read: epoch %d root %q, block has %d %q", sec.Epoch, sec.StateRoot, want.Epoch, want.StateRoot)
 		}
+		checkRanges(t, &sec, want.Receipts)
 		if state.Epoch != want.Epoch || state.StateRoot != want.StateRoot || state.Receipts != nil ||
 			!reflect.DeepEqual(state.Deltas, want.Deltas) || !reflect.DeepEqual(state.Accounts, want.Accounts) ||
 			!reflect.DeepEqual(state.DSDeltas, want.DSDeltas) || !reflect.DeepEqual(state.DSAccounts, want.DSAccounts) {
 			t.Fatalf("state read: %+v, the block %+v", state, want)
 		}
 	})
+}
+
+// checkRanges requires sec to place exactly the receipts want, in
+// order, from offset 0 up: each range's id is its receipt's, and
+// ReadReceipt from its offset builds that receipt.
+func checkRanges(t *testing.T, sec *ReceiptSection, want []*chain.Receipt) {
+	t.Helper()
+	if len(sec.Receipts) != len(want) {
+		t.Fatalf("%d receipts recorded, the building read has %d", len(sec.Receipts), len(want))
+	}
+	for i, at := range sec.Receipts {
+		if (i == 0) != (at.Off == 0) || (i > 0 && at.Off <= sec.Receipts[i-1].Off) || at.Off >= len(sec.Bytes) {
+			t.Fatalf("receipt %d recorded at %d of a %d-byte section", i, at.Off, len(sec.Bytes))
+		}
+		got, err := ReadReceipt(sec.Bytes[at.Off:])
+		if err != nil || at.ID != want[i].TxID || !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("receipt %d recorded as %d, read as %+v (%v), built as %+v", i, at.ID, got, err, want[i])
+		}
+	}
 }
 
 type receiptsOnlySeed struct {
@@ -136,14 +157,14 @@ func receiptsOnlySeeds() []receiptsOnlySeed {
 	}
 }
 
-// TestReceiptsOnlyReadRejectsCorruptDeltas: the lookup's read builds no
-// delta and the replica's no receipt, and each still refuses a block
+// TestReceiptsOnlyReadRejectsCorruptDeltas: the lookup's read builds
+// nothing and the replica's no receipt, and each still refuses a block
 // whose sections it does not build are corrupt, for the reason the
 // building decoder gives.
 func TestReceiptsOnlyReadRejectsCorruptDeltas(t *testing.T) {
 	for i, seed := range receiptsOnlySeeds() {
 		_, wantErr := DecodeFinalBlock(seed.b)
-		_, _, _, err := DecodeFinalBlockReceipts(seed.b)
+		err := DecodeReceiptSection(seed.b, &ReceiptSection{})
 		_, stateErr := DecodeFinalBlockState(seed.b)
 		if seed.fail == "" {
 			if err != nil || wantErr != nil || stateErr != nil {

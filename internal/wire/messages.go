@@ -102,12 +102,13 @@ func (r *reader) tx() *chain.Tx {
 // not building) but builds only the header and keeps the events as the
 // bytes they arrived in (chain.Receipt.RawEvents, a range of the block's
 // payload); encoding a receipt that carries such bytes copies them, so
-// the DS committee passes a shard's receipts into the FinalBlock, and a
-// lookup files them, without building an event. Filing is where the
-// aliasing ends: the lookup's node.ReceiptLog copies the header and the
-// bytes, and the payload is garbage once its handler returns.
-// ReceiptEvents builds the events for whoever shows a receipt to a
-// client.
+// the DS committee passes a shard's receipts into the FinalBlock
+// without building an event. A lookup builds no receipt at all: it
+// records where each lies in the block's receipt section
+// (DecodeReceiptSection), and its node.ReceiptLog copies the section,
+// which is where the aliasing ends, and reads one receipt back from it
+// when asked (ReadReceipt). ReceiptEvents builds the events for whoever
+// shows a receipt to a client.
 
 func appendReceipt(b []byte, rec *chain.Receipt) ([]byte, error) {
 	b = appendUvarint(b, rec.TxID)
@@ -129,41 +130,87 @@ func appendReceipt(b []byte, rec *chain.Receipt) ([]byte, error) {
 	return b, nil
 }
 
-// receipts decodes a block's receipt list into one backing array, or,
-// unless build, checks every byte of it and builds nothing.
-func (r *reader) receipts(build bool) []*chain.Receipt {
+// receipts reads a block's receipt list. When build it decodes the
+// receipts into one backing array; otherwise it checks every byte of
+// them, builds nothing, and, when sec is not nil, records in sec where
+// each receipt lies.
+func (r *reader) receipts(build bool, sec *ReceiptSection) []*chain.Receipt {
 	n := r.count(6)
 	if n == 0 || !build {
+		section, rec := r.b, chain.Receipt{}
+		if sec != nil {
+			sec.Bytes, sec.Receipts = section, slices.Grow(sec.Receipts[:0], n)
+		}
 		for ; n > 0 && r.err == nil; n-- {
-			r.uvarint()
-			r.bool()
-			r.uvarint()
-			r.skip()
-			r.varint()
-			r.uvarint()
-			r.events(false)
+			off := len(section) - len(r.b)
+			r.receipt(&rec, false)
+			if sec != nil {
+				sec.Receipts = append(sec.Receipts, ReceiptRange{ID: rec.TxID, Off: off})
+			}
 		}
 		return nil
 	}
 	recs := make([]chain.Receipt, n)
 	out := make([]*chain.Receipt, n)
 	for i := range recs {
-		rec := &recs[i]
-		rec.TxID = r.uvarint()
-		rec.Success = r.bool()
-		rec.GasUsed = r.uvarint()
-		rec.Error = r.string()
-		rec.Shard = int(r.varint())
-		rec.Epoch = r.uvarint()
-		events := r.b
-		r.events(false)
-		if r.err != nil {
+		if r.receipt(&recs[i], true); r.err != nil {
 			return nil
 		}
-		rec.RawEvents = events[: len(events)-len(r.b) : len(events)-len(r.b)]
-		out[i] = rec
+		out[i] = &recs[i]
 	}
 	return out
+}
+
+// receipt reads one receipt's header fields into rec and checks its
+// events. When build it also keeps the error text and the events, as
+// the bytes they arrived in.
+func (r *reader) receipt(rec *chain.Receipt, build bool) {
+	rec.TxID = r.uvarint()
+	rec.Success = r.bool()
+	rec.GasUsed = r.uvarint()
+	if text := r.skip(); build {
+		rec.Error = string(text)
+	}
+	rec.Shard = int(r.varint())
+	rec.Epoch = r.uvarint()
+	events := r.b
+	r.events(false)
+	if build && r.err == nil {
+		n := len(events) - len(r.b)
+		rec.RawEvents = events[:n:n]
+	}
+}
+
+// ReceiptRange places one receipt in a block's receipt section: the
+// transaction it is for and the offset its bytes start at.
+type ReceiptRange struct {
+	ID  uint64
+	Off int
+}
+
+// ReceiptSection is what a role without a state replica reads of a
+// FinalBlock (DecodeReceiptSection): its epoch, its root and where its
+// receipts lie, none of them built.
+type ReceiptSection struct {
+	Epoch     uint64
+	StateRoot string
+	// Bytes is the block's receipts back to back, as they arrived: the
+	// payload's tail after the receipt count, a range of the payload.
+	Bytes []byte
+	// Receipts places each receipt in Bytes, in block order.
+	Receipts []ReceiptRange
+}
+
+// ReadReceipt builds the receipt at the start of b — a receipt
+// section from a ReceiptRange's offset on — and ignores the bytes
+// after it. Its RawEvents are a range of b.
+func ReadReceipt(b []byte) (*chain.Receipt, error) {
+	r := &reader{b: b}
+	rec := &chain.Receipt{}
+	if r.receipt(rec, true); r.err != nil {
+		return nil, r.err
+	}
+	return rec, nil
 }
 
 // ReceiptEvents returns a receipt's events as messages: the executor's
@@ -527,7 +574,7 @@ func DecodeMicroBlock(b []byte) (*shard.MicroBlock, error) {
 	r := &reader{b: b}
 	return finish(r, &shard.MicroBlock{
 		Shard: int(r.varint()), Epoch: r.uvarint(), GasUsed: r.uvarint(), ExecTime: time.Duration(r.uvarint()),
-		Receipts: r.receipts(true), Deltas: r.stateDeltas(true), Accounts: r.optAccountDelta(true),
+		Receipts: r.receipts(true, nil), Deltas: r.stateDeltas(true), Accounts: r.optAccountDelta(true),
 		Deferred: r.txs(),
 	})
 }
@@ -624,24 +671,27 @@ func DecodeFinalBlockState(b []byte) (*shard.FinalBlock, error) {
 	return sealedBlock(b, true, false)
 }
 
-// DecodeFinalBlockReceipts reads a FinalBlock payload the way a role
+// DecodeReceiptSection reads a FinalBlock payload the way a role
 // without a state replica does: every byte is checked as
-// DecodeFinalBlock checks it, but of the block only its epoch, its root
-// and its receipts are built — no StateDelta, no AccountDelta. The
-// receipts' events are ranges of b until a ReceiptLog files them.
-func DecodeFinalBlockReceipts(b []byte) (epoch uint64, root string, recs []*chain.Receipt, err error) {
+// DecodeFinalBlock checks it, and nothing of the block is built — no
+// StateDelta, no AccountDelta, no receipt. It records the epoch, the
+// root and where each receipt lies into s, reusing s.Receipts' array;
+// s.Bytes is a range of b, from which ReadReceipt builds a receipt.
+func DecodeReceiptSection(b []byte, s *ReceiptSection) error {
 	var fb shard.FinalBlock
-	if err := decodeFinalBlock(b, &fb, false, true); err != nil {
-		return 0, "", nil, err
+	if err := decodeFinalBlock(b, &fb, false, false, s); err != nil {
+		s.Bytes, s.Receipts = nil, s.Receipts[:0]
+		return err
 	}
-	return fb.Epoch, fb.StateRoot, fb.Receipts, nil
+	s.Epoch, s.StateRoot = fb.Epoch, fb.StateRoot
+	return nil
 }
 
 // sealedBlock decodes a FinalBlock payload, building its state sections
 // and its receipts as asked, and seals the block with it.
 func sealedBlock(b []byte, state, receipts bool) (*shard.FinalBlock, error) {
 	fb := &shard.FinalBlock{}
-	if err := decodeFinalBlock(b, fb, state, receipts); err != nil {
+	if err := decodeFinalBlock(b, fb, state, receipts, nil); err != nil {
 		return nil, err
 	}
 	fb.Seal(b)
@@ -650,8 +700,9 @@ func sealedBlock(b []byte, state, receipts bool) (*shard.FinalBlock, error) {
 
 // decodeFinalBlock reads a FinalBlock payload into fb, building the
 // four state sections only when state and the receipts only when
-// receipts; what it does not build it checks byte for byte.
-func decodeFinalBlock(b []byte, fb *shard.FinalBlock, state, receipts bool) error {
+// receipts; what it does not build it checks byte for byte, and where
+// the receipts lie it records in sec when sec is not nil.
+func decodeFinalBlock(b []byte, fb *shard.FinalBlock, state, receipts bool, sec *ReceiptSection) error {
 	r := &reader{b: b}
 	fb.Epoch = r.uvarint()
 	fb.StateRoot = r.string()
@@ -659,7 +710,7 @@ func decodeFinalBlock(b []byte, fb *shard.FinalBlock, state, receipts bool) erro
 	fb.Accounts = r.optAccountDelta(state)
 	fb.DSDeltas = r.stateDeltas(state)
 	fb.DSAccounts = r.optAccountDelta(state)
-	fb.Receipts = r.receipts(receipts)
+	fb.Receipts = r.receipts(receipts, sec)
 	_, err := finish(r, fb)
 	return err
 }

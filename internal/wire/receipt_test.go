@@ -79,13 +79,17 @@ func FuzzReceiptEvents(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &reader{b: data}
-		got := r.receipts(true)
-		// The read that builds nothing refuses what this one refuses,
-		// and stops where it stops.
-		checked := &reader{b: data}
-		if checked.receipts(false) != nil || (checked.err == nil) != (r.err == nil) || (r.err == nil && len(checked.b) != len(r.b)) {
-			t.Fatalf("checking read: error %v, %d bytes left; building read: error %v, %d bytes left",
-				checked.err, len(checked.b), r.err, len(r.b))
+		got := r.receipts(true, nil)
+		// The reads that build nothing — one only checking, one also
+		// recording where each receipt lies — refuse what this one
+		// refuses, and stop where it stops.
+		var sec ReceiptSection
+		for _, into := range []*ReceiptSection{nil, &sec} {
+			checked := &reader{b: data}
+			if checked.receipts(false, into) != nil || (checked.err == nil) != (r.err == nil) || (r.err == nil && len(checked.b) != len(r.b)) {
+				t.Fatalf("checking read (recording %v): error %v, %d bytes left; building read: error %v, %d bytes left",
+					into != nil, checked.err, len(checked.b), r.err, len(r.b))
+			}
 		}
 		if r.err != nil {
 			if !errors.Is(r.err, ErrDecode) {
@@ -98,6 +102,7 @@ func FuzzReceiptEvents(f *testing.F) {
 				t.Fatalf("receipt %d: decoded with built events or without its bytes", i)
 			}
 		}
+		checkRanges(t, &sec, got)
 		built := stripped(t, got)
 		for name, prepare := range map[string]func([]*chain.Receipt) []*chain.Receipt{
 			"kept bytes":      func(recs []*chain.Receipt) []*chain.Receipt { return recs },
@@ -108,7 +113,7 @@ func FuzzReceiptEvents(f *testing.F) {
 				t.Fatalf("%s: encode: %v", name, err)
 			}
 			again := &reader{b: enc1}
-			recs := again.receipts(true)
+			recs := again.receipts(true, nil)
 			if err := again.done(); err != nil {
 				t.Fatalf("%s: own encoding rejected: %v", name, err)
 			}
@@ -216,7 +221,7 @@ func TestReceiptsRestEncoded(t *testing.T) {
 		t.Fatal("an edited receipt encoded bytes that differ from the encoding of its fields")
 	}
 	r := &reader{b: enc1}
-	round := r.receipts(true)
+	round := r.receipts(true, nil)
 	if err := r.done(); err != nil {
 		t.Fatal(err)
 	}

@@ -695,9 +695,10 @@ func TestMapKeysOfKeyType(t *testing.T) {
 // TestDeltaIsCanonical: a state delta is read only in canonical order.
 // Each of badDeltas fails with ErrDecode as a record, inside a
 // MicroBlock, and inside a FinalBlock's shard or DS section, read whole,
-// as a replica reads it and receipts-only. A canonical delta whose keys
-// are of every kind a keypath renders — String keys holding control
-// bytes, an integer, a block number, a nested pair — is read by all.
+// as a replica reads it and as a lookup reads it (DecodeReceiptSection).
+// A canonical delta whose keys are of every kind a keypath renders —
+// String keys holding control bytes, an integer, a block number, a
+// nested pair — is read by all.
 func TestDeltaIsCanonical(t *testing.T) {
 	decoders := func(d *chain.StateDelta) map[string]error {
 		mb := fixtureMicroBlock()
@@ -712,7 +713,7 @@ func TestDeltaIsCanonical(t *testing.T) {
 			enc := mustEnc(EncodeFinalBlock(fb))
 			_, errs["DecodeFinalBlock/"+side] = DecodeFinalBlock(enc)
 			_, errs["DecodeFinalBlockState/"+side] = DecodeFinalBlockState(enc)
-			_, _, _, errs["DecodeFinalBlockReceipts/"+side] = DecodeFinalBlockReceipts(enc)
+			errs["DecodeReceiptSection/"+side] = DecodeReceiptSection(enc, &ReceiptSection{})
 		}
 		return errs
 	}

@@ -22,6 +22,9 @@ fi
 
 go build ./...
 go vet ./...
+# The full suite includes the root package's dead-export gate
+# (TestNoDeadExports): an exported function or method of internal/ that
+# nothing outside tests calls fails it unless its allowlist says why.
 go test ./...
 # The benchmark is a module of its own composed from the public
 # constructors and stage API (BeginEpoch / ExecuteShard / FinalizeEpoch
@@ -54,7 +57,8 @@ go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... 
 # golden-root suite (monolithic, interpreter, ChanNetwork cluster), a
 # dead shard node's traffic escalating to the DS committee, and replicas
 # applying DS-heavy FinalBlocks without executing, the lookup's receipt
-# log (its model test and what a filed receipt keeps alive), the gate
+# log (its model test, its answers against the blocks' own receipts and
+# what a filed receipt keeps alive), the gate
 # that a replica applying 50 decoded blocks keeps none of their receipts,
 # the committee's Ticks from two goroutines and a Tick cut short by
 # Close (TestTickSerialized), and a replica that undoes a FinalBlock
@@ -81,7 +85,7 @@ go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... 
 # two and the two fault tests above. The canonical-delta checks run in
 # the first line: every decoder refuses a delta out of order or with a
 # forged keypath (TestDeltaIsCanonical), for the same reason whether it
-# builds the delta or reads receipts only
+# builds the delta or only records where the receipts lie
 # (TestReceiptsOnlyReadRejectsCorruptDeltas).
 go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
 go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock|TestClusterLosesWhatThePlanLoses|TestDSTakesMicroBlocksOnlyFromTheirShard|TestRolesStepWithoutRuntime|TestReplicaTakesBlocksOnlyFromItsCommittee|TestLookupTakesBlocksOnlyFromItsCommittee|TestReplicaRefusesRootlessBlock|TestReplicaRejoinsFromStateImage|TestReplicaRejoinsFromLargeImage|TestImageSendErrorsCounted|TestClusterKillRestartResumes|TestMicroBlockWithForgedKeypathIsLost' ./internal/node/
@@ -105,8 +109,8 @@ GOMEMLIMIT=400MiB go test -run 'TestMillionAccountsBoundedMemory' -timeout 20m .
 # block fan-out (one 4000-tx block sealed, journaled, broadcast to and
 # applied by a journaling ChanNetwork cluster; its retained-B/tx is what
 # the epoch left on the live heap), and the snapshot boundary over the
-# same holders sweep; the lookup's receipt log filing one decoded
-# 4000-receipt block at capacity, and one request/reply round trip
+# same holders sweep; the lookup's receipt log filing one 4000-receipt
+# block's receipt section at capacity, and one request/reply round trip
 # between two TCP endpoints; and one 2000-transfer block decoded as a
 # replica, a lookup and the committee (from a shard) decode it.
 go test -run '^$' -bench 'CommitHolders|SnapshotHolders|MergePerField|BlockFanout' -benchtime 1x .
@@ -136,7 +140,9 @@ go test -run '^$' -bench 'MapEntries' -benchtime 1x ./internal/scilla/value/
 # building them: whatever it accepts must build on demand and
 # round-trip; and of the two partial reads of a FinalBlock, a lookup's
 # and a replica's, which must accept what the full decode accepts and
-# return the block's epoch, root and receipts, or its state sections.
+# return the block's epoch and root with, for the lookup, exactly the
+# receipts it builds, each placed in the receipt section, or, for the
+# replica, its state sections.
 go test -fuzz=FuzzDecoders -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzReceiptEvents -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzFinalBlockReceipts -fuzztime=10s ./internal/wire/
