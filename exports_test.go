@@ -26,10 +26,7 @@ var deadExports = map[string]string{
 	"shard.WithCompiledExecution":      "keeps the interpreter as the tests' reference engine",
 	"shard.WithOverflowGuard":          "the Sec. 6 extension E11 reports",
 	// Sweep: item 26(ii).
-	"ast.Contract.FieldByName":        "sweep: item 26(ii)",
-	"ast.Contract.ParamByName":        "sweep: item 26(ii)",
 	"ast.IntLit":                      "sweep: item 26(ii)",
-	"ast.BNumLit":                     "sweep: item 26(ii)",
 	"bench.Summaries":                 "sweep: item 26(ii)",
 	"chain.Contract.ReplaceState":     "sweep: item 26(ii)",
 	"chain.Contract.TransitionParams": "sweep: item 26(ii)",
@@ -47,14 +44,9 @@ var deadExports = map[string]string{
 	"node.LookupObs":                  "sweep: item 26(ii)",
 	"node.LookupReceiptCap":           "sweep: item 26(ii)",
 	"node.ShardObs":                   "sweep: item 26(ii)",
-	"obs.HistogramSnapshot.Mean":      "sweep: item 26(ii)",
 	"obs.WithClock":                   "sweep: item 26(ii)",
-	"parser.ParseExpr":                "sweep: item 26(ii)",
-	"parser.ParseType":                "sweep: item 26(ii)",
 	"signature.Signature.IsBottom":    "sweep: item 26(ii)",
-	"stdlib.IsBuiltin":                "sweep: item 26(ii)",
 	"wire.Counts":                     "sweep: item 26(ii)",
-	"wire.ReadRawFrame":               "sweep: item 26(ii)",
 }
 
 // TestNoDeadExports is the dead-export gate: it parses every non-test

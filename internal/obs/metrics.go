@@ -202,14 +202,6 @@ type HistogramSnapshot struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Mean returns the mean observed value (0 when empty).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Snapshot is an immutable point-in-time view of a Registry. It shares
 // no state with the live instruments: mutating the registry after the
 // snapshot does not change it.

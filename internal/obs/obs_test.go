@@ -60,9 +60,6 @@ func TestHistogramBuckets(t *testing.T) {
 	if got[-1] != 1 {
 		t.Errorf("overflow bucket = %d, want 1", got[-1])
 	}
-	if hs.Mean() <= 0 {
-		t.Error("mean not positive")
-	}
 }
 
 func TestSizeHistogramLayout(t *testing.T) {

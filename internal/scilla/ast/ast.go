@@ -309,26 +309,6 @@ func (c *Contract) TransitionByName(name string) *Transition {
 	return nil
 }
 
-// FieldByName returns the field with the given name, or nil.
-func (c *Contract) FieldByName(name string) *Field {
-	for i := range c.Fields {
-		if c.Fields[i].Name == name {
-			return &c.Fields[i]
-		}
-	}
-	return nil
-}
-
-// ParamByName returns the contract parameter with the given name, or nil.
-func (c *Contract) ParamByName(name string) *Param {
-	for i := range c.Params {
-		if c.Params[i].Name == name {
-			return &c.Params[i]
-		}
-	}
-	return nil
-}
-
 // Implicit transition parameters present in every transition.
 const (
 	SenderParam = "_sender"

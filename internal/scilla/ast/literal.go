@@ -46,11 +46,6 @@ func ByStrLit(b []byte) Literal {
 	return Literal{Type: t, Bytes: b}
 }
 
-// BNumLit builds a block-number literal.
-func BNumLit(v int64) Literal {
-	return Literal{Type: TyBNum, Int: big.NewInt(v)}
-}
-
 // String renders the literal in Scilla surface syntax.
 func (l Literal) String() string {
 	switch {

@@ -134,7 +134,7 @@ func TestLiteralStringAndEqual(t *testing.T) {
 		{ast.IntLit(ast.TyUint128, 42), "Uint128 42"},
 		{ast.IntLit(ast.TyInt32, -5), "Int32 -5"},
 		{ast.StrLit("hi"), `"hi"`},
-		{ast.BNumLit(9), "BNum 9"},
+		{ast.Literal{Type: ast.TyBNum, Int: big.NewInt(9)}, "BNum 9"},
 		{ast.ByStrLit(make([]byte, 20)), "0x0000000000000000000000000000000000000000"},
 	}
 	for _, c := range cases {
@@ -167,20 +167,12 @@ func TestByStrLitWidths(t *testing.T) {
 
 func TestContractAccessors(t *testing.T) {
 	c := &ast.Contract{
-		Name:   "C",
-		Params: []ast.Param{{Name: "p", Type: ast.TyUint128}},
-		Fields: []ast.Field{{Name: "f", Type: ast.TyUint128}},
+		Name: "C",
 		Transitions: []ast.Transition{
 			{Name: "T1"}, {Name: "T2"},
 		},
 	}
 	if c.TransitionByName("T2") == nil || c.TransitionByName("T3") != nil {
 		t.Error("TransitionByName wrong")
-	}
-	if c.FieldByName("f") == nil || c.FieldByName("g") != nil {
-		t.Error("FieldByName wrong")
-	}
-	if c.ParamByName("p") == nil || c.ParamByName("q") != nil {
-		t.Error("ParamByName wrong")
 	}
 }

@@ -96,10 +96,15 @@ func boxByStr(raw *value.ByStr, box *value.Value, b value.ByStr) value.Value {
 	return *box
 }
 
+// boxAmount boxes the call's _amount, reusing the previous box while
+// the amount is equal. The box holds the machine's own copy of the
+// amount, so a pooled machine keeps no pointer into a transaction it
+// has run.
 func (m *mach) boxAmount(a value.Int) value.Value {
-	if m.amountBox != nil && m.amountRaw.Ty == a.Ty && m.amountRaw.V == a.V {
+	if m.amountBox != nil && m.amountRaw.Ty == a.Ty && m.amountRaw.V.Cmp(a.V) == 0 {
 		return m.amountBox
 	}
+	a.V = new(big.Int).Set(a.V)
 	m.amountRaw = a
 	m.amountBox = a
 	return m.amountBox
@@ -130,6 +135,7 @@ func (m *mach) clearForPool() {
 	clear(m.ffound)
 	m.res = eval.Result{}
 	m.ctx = nil
+	clear(m.keyBuf[:cap(m.keyBuf)])
 	m.keyBuf = m.keyBuf[:0]
 	m.cks = m.cks[:0]
 	m.argBuf = [3]value.Value{}

@@ -47,9 +47,8 @@ func ParseModule(src string) (*ast.Module, error) {
 	return m, nil
 }
 
-// ParseExpr parses a standalone expression (used in tests and the REPL
-// tooling).
-func ParseExpr(src string) (ast.Expr, error) {
+// parseExpr parses a standalone expression.
+func parseExpr(src string) (ast.Expr, error) {
 	toks, err := lexer.Tokenize(src)
 	if err != nil {
 		return nil, err
@@ -65,8 +64,8 @@ func ParseExpr(src string) (ast.Expr, error) {
 	return e, nil
 }
 
-// ParseType parses a standalone type.
-func ParseType(src string) (ast.Type, error) {
+// parseType parses a standalone type.
+func parseType(src string) (ast.Type, error) {
 	toks, err := lexer.Tokenize(src)
 	if err != nil {
 		return nil, err

@@ -18,12 +18,6 @@ var CommutativeOps = map[string]bool{
 	"sub": true,
 }
 
-// IsBuiltin reports whether name is a recognised builtin operation.
-func IsBuiltin(name string) bool {
-	_, ok := builtinArity[name]
-	return ok
-}
-
 var builtinArity = map[string]int{
 	"add": 2, "sub": 2, "mul": 2, "div": 2, "rem": 2, "pow": 2,
 	"lt": 2, "le": 2, "gt": 2, "ge": 2, "eq": 2,

@@ -271,7 +271,4 @@ func TestArity(t *testing.T) {
 	if _, ok := stdlib.Arity("frobnicate"); ok {
 		t.Error("unknown builtin has arity")
 	}
-	if !stdlib.IsBuiltin("eq") || stdlib.IsBuiltin("nope") {
-		t.Error("IsBuiltin wrong")
-	}
 }

@@ -108,19 +108,23 @@ type Network struct {
 	nextTxID uint64
 	mu       sync.Mutex
 
-	// Per-epoch scratch buffers, reused across epochs so steady-state
-	// epochs allocate no queue backing arrays. Safe to reuse because
-	// deferred transactions are copied out of the queues (append to a
-	// nil slice) before the next epoch truncates them.
+	// queueBuf and dsQueueBuf are the dispatched queues of the epoch in
+	// flight (BeginEpoch fills them, EpochRun.Queues and DSQueue alias
+	// them). FinalizeEpoch empties them on every exit, after its
+	// requeues have copied out what goes on: between epochs they hold
+	// no transaction, only the capacity the next epoch fills again
+	// without allocating.
 	queueBuf   [][]*chain.Tx
 	dsQueueBuf []*chain.Tx
 	// ovPool recycles each shard's per-contract overlays across epochs
-	// (indexed by shard). Reset keeps the write-table buckets, so
-	// steady-state epochs stop paying map growth for the shard-level
-	// overlays. Every shard run draws from it; the DS committee's run
-	// does not: pooling its overlays too measured as 12 MB more live
-	// heap on epoch_ipfs_ds (fresh content hashes each epoch on the
-	// ProofIPFS workload) and no time saved.
+	// (indexed by shard). A run rewinds each of its pooled overlays as
+	// soon as it has extracted its deltas, so between runs they hold no
+	// write, only their write-table buckets: steady-state epochs stop
+	// paying map growth for the shard-level overlays. Every shard run
+	// draws from it; the DS committee's run does not: pooling its
+	// overlays too measured as 12 MB more live heap on epoch_ipfs_ds
+	// (fresh content hashes each epoch on the ProofIPFS workload) and
+	// no time saved.
 	ovPool []map[chain.Address]*chain.Overlay
 
 	// roots is the incrementally maintained authenticated state root:
@@ -268,8 +272,8 @@ func (n *Network) MempoolSize() int {
 	return len(n.queue)
 }
 
-// epochQueues returns the per-shard and DS queue buffers, truncated
-// for a fresh epoch but keeping their backing arrays.
+// epochQueues returns the per-shard and DS queue buffers, empty for a
+// fresh epoch but keeping their backing arrays.
 func (n *Network) epochQueues() ([][]*chain.Tx, []*chain.Tx) {
 	if len(n.queueBuf) != n.cfg.NumShards {
 		n.queueBuf = make([][]*chain.Tx, n.cfg.NumShards)
@@ -280,6 +284,19 @@ func (n *Network) epochQueues() ([][]*chain.Tx, []*chain.Tx) {
 	return n.queueBuf, n.dsQueueBuf[:0]
 }
 
+// releaseQueues empties the dispatched queues once their epoch is over.
+// Every slot up to the capacity is cleared, so neither this epoch's
+// transactions nor those of an epoch begun and never finalized stay
+// reachable through the buffers; the capacity stays.
+func (n *Network) releaseQueues() {
+	for s, q := range n.queueBuf {
+		clear(q[:cap(q)])
+		n.queueBuf[s] = q[:0]
+	}
+	clear(n.dsQueueBuf[:cap(n.dsQueueBuf)])
+	n.dsQueueBuf = n.dsQueueBuf[:0]
+}
+
 // EpochRun carries one epoch's in-flight pipeline state between the
 // public stages BeginEpoch, ExecuteShard and FinalizeEpoch. The
 // monolithic RunEpoch drives all three in-process; the node runtime
@@ -287,8 +304,12 @@ func (n *Network) epochQueues() ([][]*chain.Tx, []*chain.Tx) {
 // committee's replica and ships the queues to shard nodes as encoded
 // frames, collecting their MicroBlocks the same way.
 //
-// The queues exposed by Queues and DSQueue alias per-network scratch
-// buffers: they are valid until the network's next BeginEpoch.
+// The queues exposed by Queues and DSQueue alias per-network buffers
+// that FinalizeEpoch empties before it returns: read them before
+// finalizing the run. Between epochs the network keeps its committed
+// state and the capacity of its buffers, and nothing of a finished
+// epoch; the run's statistics and FinalBlock are the caller's to keep
+// or drop.
 type EpochRun struct {
 	net        *Network
 	stats      *EpochStats
@@ -302,12 +323,12 @@ type EpochRun struct {
 // Epoch returns the epoch this run processes.
 func (r *EpochRun) Epoch() uint64 { return r.stats.Epoch }
 
-// Queues returns the dispatched per-shard queues (valid until the next
-// BeginEpoch).
+// Queues returns the dispatched per-shard queues (valid until
+// FinalizeEpoch returns).
 func (r *EpochRun) Queues() [][]*chain.Tx { return r.queues }
 
 // DSQueue returns the transactions dispatched to the DS committee
-// (valid until the next BeginEpoch).
+// (valid until FinalizeEpoch returns).
 func (r *EpochRun) DSQueue() []*chain.Tx { return r.dsQueue }
 
 // CollectFinalBlock makes FinalizeEpoch assemble and return a
@@ -478,8 +499,9 @@ func (n *Network) RunEpoch() (*EpochStats, error) {
 // unavailability streak advances toward escalation.
 //
 // The returned FinalBlock is nil unless run.CollectFinalBlock was
-// called.
+// called. On every exit the run's queues are emptied (see EpochRun).
 func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStats, *FinalBlock, error) {
+	defer n.releaseQueues()
 	stats := run.stats
 	queues, dsQueue := run.queues, run.dsQueue
 
@@ -904,8 +926,8 @@ func (r *shardRun) overlayFor(c *chain.Contract) *chain.Overlay {
 	ov, ok := r.overlays[c.Addr]
 	if !ok {
 		if ov, ok = r.ovCache[c.Addr]; ok {
-			// Recycled from a previous epoch: rewind onto the current
-			// canonical snapshot, keeping the write-table buckets.
+			// Recycled from an earlier run, which rewound it: rebase it
+			// onto the current canonical snapshot.
 			ov.Reset(c.Snapshot(), c.Checked.FieldTypes)
 		} else {
 			ov = chain.NewOverlay(c.Snapshot(), c.Checked.FieldTypes)
@@ -916,6 +938,19 @@ func (r *shardRun) overlayFor(c *chain.Contract) *chain.Overlay {
 		r.overlays[c.Addr] = ov
 	}
 	return ov
+}
+
+// rewindPooled rewinds the run's pooled overlays once their deltas are
+// extracted: the writes are the MicroBlock's now, and a pooled overlay
+// keeps only its write-table buckets until a later run takes it again
+// (overlayFor rebases it there).
+func (r *shardRun) rewindPooled() {
+	if r.ovCache == nil {
+		return
+	}
+	for _, ov := range r.overlays {
+		ov.Reset(nil, nil)
+	}
 }
 
 // txOverlayFor returns the running transaction's overlay for c, taking
@@ -1075,6 +1110,7 @@ func (n *Network) runQueue(s int, queue []*chain.Tx) (*MicroBlock, error) {
 	// Extract per-contract state deltas. Extraction counts toward
 	// ExecTime: the run cannot seal its block without it.
 	deltas, err := run.extractDeltas()
+	run.rewindPooled()
 	if err != nil {
 		return nil, err
 	}

@@ -243,10 +243,6 @@ func WriteFrameParts(w io.Writer, t MsgType, parts ...[]byte) (int, error) {
 	return written, err
 }
 
-// ReadRawFrame reads one complete frame from r and returns its raw
-// bytes, header included, in a slice of its own.
-func ReadRawFrame(r io.Reader) ([]byte, error) { return AppendRawFrame(nil, r) }
-
 // AppendRawFrame reads one complete frame from r and appends its raw
 // bytes, header included, to dst. Only the framing fields are validated
 // — the payload (and its checksum) pass through untouched, so

@@ -490,8 +490,9 @@ func TestFrameErrors(t *testing.T) {
 		t.Fatalf("oversized (stream): want ErrDecode, got %v", err)
 	}
 	// A flipped payload byte fails the frame checksum — in both the
-	// slice and stream decoders — but still relays through ReadRawFrame
-	// (transports don't validate payloads).
+	// slice and stream decoders — but still relays through
+	// AppendRawFrame, the TCP reader's (transports don't validate
+	// payloads).
 	corrupt := EncodeFrame(MsgTx, []byte("delta"))
 	corrupt[len(corrupt)-1] ^= 0x01
 	if _, _, _, err := DecodeFrame(corrupt); !errors.Is(err, ErrDecode) {
@@ -500,8 +501,8 @@ func TestFrameErrors(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader(corrupt)); !errors.Is(err, ErrDecode) {
 		t.Fatalf("corrupt payload (stream): want ErrDecode, got %v", err)
 	}
-	if raw, err := ReadRawFrame(bytes.NewReader(corrupt)); err != nil || !bytes.Equal(raw, corrupt) {
-		t.Fatalf("ReadRawFrame must relay corrupted payloads: %v", err)
+	if raw, err := AppendRawFrame(nil, bytes.NewReader(corrupt)); err != nil || !bytes.Equal(raw, corrupt) {
+		t.Fatalf("AppendRawFrame must relay corrupted payloads: %v", err)
 	}
 }
 

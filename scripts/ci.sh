@@ -81,14 +81,16 @@ go test -race ./internal/chain/... ./internal/shard/... ./internal/dispatch/... 
 # committee that refuses on receipt a MicroBlock from shard 0's own node
 # whose delta entry carries a forged keypath, loses and requeues its
 # batch and still makes a state image
-# (TestMicroBlockWithForgedKeypathIsLost) run five times more with those
-# two and the two fault tests above. The canonical-delta checks run in
+# (TestMicroBlockWithForgedKeypathIsLost), and a cluster whose busy
+# epoch's transactions are garbage once one more, empty tick has run
+# (TestFinishedEpochIsCollected) run five times more with those two and
+# the two fault tests above. The canonical-delta checks run in
 # the first line: every decoder refuses a delta out of order or with a
 # forged keypath (TestDeltaIsCanonical), for the same reason whether it
 # builds the delta or only records where the receipts lie
 # (TestReceiptsOnlyReadRejectsCorruptDeltas).
 go test -race ./internal/wire/... ./internal/node/... ./internal/rpc/...
-go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock|TestClusterLosesWhatThePlanLoses|TestDSTakesMicroBlocksOnlyFromTheirShard|TestRolesStepWithoutRuntime|TestReplicaTakesBlocksOnlyFromItsCommittee|TestLookupTakesBlocksOnlyFromItsCommittee|TestReplicaRefusesRootlessBlock|TestReplicaRejoinsFromStateImage|TestReplicaRejoinsFromLargeImage|TestImageSendErrorsCounted|TestClusterKillRestartResumes|TestMicroBlockWithForgedKeypathIsLost' ./internal/node/
+go test -race -count=5 -run 'TestTickSerialized|TestReplicaHealsFailedBlock|TestClusterLosesWhatThePlanLoses|TestDSTakesMicroBlocksOnlyFromTheirShard|TestRolesStepWithoutRuntime|TestReplicaTakesBlocksOnlyFromItsCommittee|TestLookupTakesBlocksOnlyFromItsCommittee|TestReplicaRefusesRootlessBlock|TestReplicaRejoinsFromStateImage|TestReplicaRejoinsFromLargeImage|TestImageSendErrorsCounted|TestClusterKillRestartResumes|TestMicroBlockWithForgedKeypathIsLost|TestFinishedEpochIsCollected' ./internal/node/
 # The persistence race run covers the state store (journal append,
 # snapshot chains and their fold rule, a map many state records long
 # snapshotted, imaged and recovered (TestLargeStateSnapshot), recovery
