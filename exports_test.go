@@ -25,6 +25,11 @@ var deadExports = map[string]string{
 	"shard.Network.RecomputeStateRoot": "the tests' oracle: the root rebuilt from the state",
 	"shard.WithCompiledExecution":      "keeps the interpreter as the tests' reference engine",
 	"shard.WithOverflowGuard":          "the Sec. 6 extension E11 reports",
+	// Kept for the root package's tests and for item 7.
+	"node.Lookup.WaitReceipt": "the root package's bench_test.go waits on it",
+	"node.DSObs":              "item 7 wires the registry through the roles",
+	"node.LookupObs":          "item 7 wires the registry through the roles",
+	"node.ShardObs":           "item 7 wires the registry through the roles",
 	// Sweep: item 26(ii).
 	"ast.IntLit":                      "sweep: item 26(ii)",
 	"bench.Summaries":                 "sweep: item 26(ii)",
@@ -36,14 +41,6 @@ var deadExports = map[string]string{
 	"domain.Summary.Reads":            "sweep: item 26(ii)",
 	"domain.Summary.Writes":           "sweep: item 26(ii)",
 	"eval.DeleteAt":                   "sweep: item 26(ii)",
-	"node.ClusterDS":                  "sweep: item 26(ii)",
-	"node.ClusterLookup":              "sweep: item 26(ii)",
-	"node.DSCollectTimeout":           "sweep: item 26(ii)",
-	"node.DSObs":                      "sweep: item 26(ii)",
-	"node.Lookup.WaitReceipt":         "sweep: item 26(ii)",
-	"node.LookupObs":                  "sweep: item 26(ii)",
-	"node.LookupReceiptCap":           "sweep: item 26(ii)",
-	"node.ShardObs":                   "sweep: item 26(ii)",
 	"obs.WithClock":                   "sweep: item 26(ii)",
 	"signature.Signature.IsBottom":    "sweep: item 26(ii)",
 	"wire.Counts":                     "sweep: item 26(ii)",

@@ -139,7 +139,7 @@ func TestLookupReceiptCapSmallerThanBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	const capN, perBlock = 3, 8
-	cluster, err := NewCluster(testGenesis(w), ClusterLookup(LookupReceiptCap(capN)))
+	cluster, err := NewCluster(testGenesis(w), clusterLookup(lookupReceiptCap(capN)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,8 +52,8 @@ func ClusterTCP(addr string) ClusterOption {
 	return func(c *clusterConfig) { c.tcpAddr = addr }
 }
 
-// ClusterDS forwards role options to the DS committee.
-func ClusterDS(opts ...DSOption) ClusterOption {
+// clusterDS forwards role options to the DS committee.
+func clusterDS(opts ...DSOption) ClusterOption {
 	return func(c *clusterConfig) { c.dsOpts = append(c.dsOpts, opts...) }
 }
 
@@ -62,8 +62,8 @@ func ClusterShardNodes(opts ...ShardOption) ClusterOption {
 	return func(c *clusterConfig) { c.shardOpts = append(c.shardOpts, opts...) }
 }
 
-// ClusterLookup forwards role options to every lookup node.
-func ClusterLookup(opts ...LookupOption) ClusterOption {
+// clusterLookup forwards role options to every lookup node.
+func clusterLookup(opts ...LookupOption) ClusterOption {
 	return func(c *clusterConfig) { c.lookupOpts = append(c.lookupOpts, opts...) }
 }
 

@@ -98,10 +98,10 @@ type dsConfig struct {
 	source  BlockSource
 }
 
-// DSCollectTimeout bounds how long the committee waits for MicroBlocks
+// dsCollectTimeout bounds how long the committee waits for MicroBlocks
 // each epoch before declaring the stragglers transport-lost (default
 // 2s; fault tests shorten it).
-func DSCollectTimeout(d time.Duration) DSOption {
+func dsCollectTimeout(d time.Duration) DSOption {
 	return func(c *dsConfig) { c.timeout = d }
 }
 

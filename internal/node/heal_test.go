@@ -130,7 +130,7 @@ func TestReplicaHealsFailedBlock(t *testing.T) {
 			defer cn.Close()
 			shardNames := []string{"shard-0", "shard-1", "shard-2"}
 			dsEp := &spoilBlocks{Endpoint: cn.Endpoint("ds"), t: t, to: "shard-1", once: tc.once}
-			ds, err := NewDS("ds", canonical, dsEp, shardNames, DSLookups("lookup"), DSCollectTimeout(300*time.Millisecond))
+			ds, err := NewDS("ds", canonical, dsEp, shardNames, DSLookups("lookup"), dsCollectTimeout(300*time.Millisecond))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,7 +307,7 @@ func TestTickSerialized(t *testing.T) {
 	})
 
 	t.Run("close while waiting", func(t *testing.T) {
-		cluster, err := NewCluster(testGenesis(w), ClusterDS(DSCollectTimeout(time.Minute)))
+		cluster, err := NewCluster(testGenesis(w), clusterDS(dsCollectTimeout(time.Minute)))
 		if err != nil {
 			t.Fatal(err)
 		}

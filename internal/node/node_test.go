@@ -185,7 +185,7 @@ func TestClusterLosesWhatThePlanLoses(t *testing.T) {
 		Set(e0+4, 2, at(fault.DropMicroBlock))
 	reg := obs.NewRegistry()
 	cluster, err := NewCluster(testGenesis(w),
-		ClusterDS(DSCollectTimeout(250*time.Millisecond), DSObs(reg, nil)),
+		clusterDS(dsCollectTimeout(250*time.Millisecond), DSObs(reg, nil)),
 		ClusterShardNodes(ShardFaults(plan)))
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestTransportFaultRecovery(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	cluster, err := NewCluster(testGenesis(w),
-		ClusterDS(DSCollectTimeout(250*time.Millisecond)),
+		clusterDS(dsCollectTimeout(250*time.Millisecond)),
 		ClusterShardNodes(
 			ShardObs(reg, nil),
 			ShardFaults(fault.Generate(42, fault.Spec{DropProb: 0.35})),
@@ -331,7 +331,7 @@ func TestCorruptedFramesRejected(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	cluster, err := NewCluster(testGenesis(w),
-		ClusterDS(DSCollectTimeout(250*time.Millisecond), DSObs(reg, nil)),
+		clusterDS(dsCollectTimeout(250*time.Millisecond), DSObs(reg, nil)),
 		ClusterShardNodes(ShardFaults(fault.Generate(7, fault.Spec{CorruptProb: 0.5}))),
 	)
 	if err != nil {
@@ -386,7 +386,7 @@ func TestDSTakesMicroBlocksOnlyFromTheirShard(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	cluster, err := NewCluster(testGenesis(w),
-		ClusterDS(DSCollectTimeout(100*time.Millisecond), DSObs(reg, nil)))
+		clusterDS(dsCollectTimeout(100*time.Millisecond), DSObs(reg, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestDeadShardEscalatesToDS(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster, err := NewCluster(testGenesis(w),
-		ClusterDS(DSCollectTimeout(100*time.Millisecond)))
+		clusterDS(dsCollectTimeout(100*time.Millisecond)))
 	if err != nil {
 		t.Fatal(err)
 	}

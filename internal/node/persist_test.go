@@ -25,7 +25,7 @@ func TestLookupReceiptCapHolds(t *testing.T) {
 	reg := obs.NewRegistry()
 	const capN = 10
 	cluster, err := NewCluster(testGenesis(w),
-		ClusterLookup(LookupReceiptCap(capN), LookupObs(reg, nil)))
+		clusterLookup(lookupReceiptCap(capN), LookupObs(reg, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,16 +213,84 @@ func TestReceiptLogAnswersAsTheBlocks(t *testing.T) {
 	}
 }
 
+// TestReceiptLogRuns: real `FT transfer` receipts at the edges of the
+// run coding — a block whose ids cross a uvarint width inside a run, so
+// its receipts change length there; blocks of 1, 64 and 65 receipts;
+// run heads filed again, their run-mates still read through them; and a
+// returned receipt's events overwritten by the caller. Every id reads
+// back equal to the building decoder's receipt after every step.
+func TestReceiptLogRuns(t *testing.T) {
+	fb, err := wire.DecodeFinalBlock(ftBlock(t, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// numbered is the block's first n receipts as transactions first,
+	// first+1, …
+	numbered := func(first uint64, n int) []*chain.Receipt {
+		recs := make([]*chain.Receipt, n)
+		for i := range recs {
+			r := *fb.Receipts[i]
+			r.TxID = first + uint64(i)
+			recs[i] = &r
+		}
+		return recs
+	}
+	l := NewReceiptLog(0)
+	model := &receiptModel{limit: DefaultReceiptCap, on: map[uint64]*chain.Receipt{}}
+	var ids []uint64
+	deliver := func(recs []*chain.Receipt, what string) {
+		for _, r := range recs {
+			ids = append(ids, r.TxID)
+		}
+		model.add(file(t, l, recs))
+		model.check(t, l, ids, what)
+	}
+
+	// Ids 16 284 to 16 483: a uvarint is 2 bytes below 16 384 and 3 from
+	// it on, a change of length 36 receipts into the block's second run.
+	wide := numbered(1<<14-100, 200)
+	deliver(wide, "ids across a uvarint width")
+	if a, b := len(sectionOf(t, receiptBlock(t, wide[99:100])).Bytes), len(sectionOf(t, receiptBlock(t, wide[100:101])).Bytes); a+1 != b {
+		t.Fatalf("receipts %d and %d are %d and %d bytes: no width crossed", wide[99].TxID, wide[100].TxID, a, b)
+	}
+	for i, n := range []int{1, 64, 65} {
+		deliver(numbered(uint64(100_000*(i+1)), n), fmt.Sprintf("a block of %d", n))
+	}
+
+	// Re-file the heads of the wide block's first two runs, with new
+	// content, and one of their run-mates: the older entries are
+	// shadowed, the heads' bytes stay for the rest of their runs.
+	again := []*chain.Receipt{wide[0], wide[64], wide[65]}
+	for i, r := range again {
+		c := *r
+		c.GasUsed += 1000
+		again[i] = &c
+	}
+	deliver(again, "run heads filed again")
+
+	// What a caller does with a returned receipt's bytes is its own
+	// business: the log answers as before, the head's run-mates too.
+	for _, id := range []uint64{wide[1].TxID, wide[64].TxID, 100_000} {
+		r := l.Receipt(id)
+		for i := range r.RawEvents {
+			r.RawEvents[i] ^= 0xFF
+		}
+	}
+	model.check(t, l, ids, "returned receipts overwritten")
+}
+
 // TestReceiptLogRetention puts a ceiling on what a filed receipt keeps
 // alive: DefaultReceiptCap receipts in 50 blocks of 2000 token
 // transfers, each read from its own payload, then everything but the
-// log dropped. A token transfer's receipt is ~113 B on the wire and
-// its index entry 12 B. (With a header, an index map entry and a ring
-// slot per receipt the log held ~180 B; keeping each chain.Receipt, and
-// through its RawEvents the whole payload with its deltas, ~400 B.) The
-// log's Bytes must say what it holds, within 5%.
+// log dropped. A token transfer's receipt is ~113 B on the wire; coded
+// against its run's head it keeps ~50, its index entry 12 and its share
+// of the head and the head table ~2. (Keeping each block's section as
+// it arrived held ~127 B; a header, an index map entry and a ring slot
+// per receipt ~180 B; each chain.Receipt, and through its RawEvents the
+// whole payload with its deltas, ~400 B.) The log's Bytes must say what
+// it holds, within 5%.
 func TestReceiptLogRetention(t *testing.T) {
-	const blocks, perBlock, ceiling = 50, 2000, 130
+	const blocks, perBlock, ceiling = 50, 2000, 80
 	payload := ftBlock(t, perBlock)
 	log := NewReceiptLog(0)
 	before := liveHeap()
@@ -293,7 +361,8 @@ var sinkReceipt *chain.Receipt
 // BenchmarkReceiptLogFile files one 4000-receipt block per op into a
 // log at capacity, so every op also evicts a block's worth. Reading the
 // block (wire.DecodeReceiptSection) is outside the timer. A block is one
-// allocation, its section and index together.
+// allocation, its coded receipts and index together. held-B/receipt is
+// what the log counts it holds (Bytes) per receipt on file.
 func BenchmarkReceiptLogFile(b *testing.B) {
 	const perBlock = 4000
 	payload := ftBlock(b, perBlock)
@@ -326,4 +395,5 @@ func BenchmarkReceiptLogFile(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/perBlock, "ns/receipt")
 	b.ReportMetric(float64(bytes)/float64(b.N)/perBlock, "B/receipt")
 	b.ReportMetric(float64(mallocs)/float64(b.N)/perBlock, "allocs/receipt")
+	b.ReportMetric(float64(log.Bytes())/float64(log.Len()), "held-B/receipt")
 }

@@ -284,3 +284,84 @@ func TestReceiptLogAgainstModel(t *testing.T) {
 		}
 	}
 }
+
+// TestReceiptDelta pins the run coding: where a receipt of its head's
+// length differs — at the start, in the middle, at the end, in two
+// places one, two or three equal bytes apart — and the receipts kept
+// whole: one of another length, one whose delta would be no shorter.
+// Each coding reads back as the receipt, to its last byte.
+func TestReceiptDelta(t *testing.T) {
+	head := make([]byte, 40)
+	for i := range head {
+		head[i] = byte('a' + i%26)
+	}
+	with := func(at ...int) []byte {
+		cur := bytes.Clone(head)
+		for _, i := range at {
+			cur[i] ^= 0x80
+		}
+		return cur
+	}
+	c := func(i int) byte { return head[i] ^ 0x80 }
+	h := func(i int) byte { return head[i] }
+	other := bytes.Repeat([]byte{'#'}, 40)
+	for _, tc := range []struct {
+		name string
+		cur  []byte
+		want []byte
+	}{
+		{"differs at the start", with(0), []byte{1, 1, c(0), 39}},
+		{"differs in the middle", with(20), []byte{41, 1, c(20), 19}},
+		{"differs at the end", with(39), []byte{79, 1, c(39)}},
+		{"one equal byte between", with(10, 12), []byte{21, 3, c(10), h(11), c(12), 27}},
+		{"two equal bytes between", with(10, 13), []byte{21, 4, c(10), h(11), h(12), c(13), 26}},
+		{"three equal bytes between", with(10, 14), []byte{21, 1, c(10), 3, 1, c(14), 25}},
+		{"equal to its head", with(), []byte{81}},
+		{"another length", append(with(), 'z'), append([]byte{82}, append(with(), 'z')...)},
+		{"delta no shorter", other, append([]byte{80}, other...)},
+	} {
+		got := appendEntry([]byte("prefix"), head, tc.cur)
+		if !bytes.Equal(got[:6], []byte("prefix")) || !bytes.Equal(got[6:], tc.want) {
+			t.Errorf("%s: coded %v, want %v", tc.name, got[6:], tc.want)
+			continue
+		}
+		if rec, n := readEntry(got[6:], head); !bytes.Equal(rec, tc.cur) || n != len(tc.want) {
+			t.Errorf("%s: reads back %q in %d bytes, want %q in %d", tc.name, rec, n, tc.cur, len(tc.want))
+		}
+	}
+}
+
+// FuzzReceiptDelta: any receipt coded against any head reads back as
+// itself, from exactly its coded bytes, and its coding is never longer
+// than the receipt kept whole.
+func FuzzReceiptDelta(f *testing.F) {
+	// Receipts of one run whose ids cross a uvarint width, one failed.
+	recs := receiptRun(16380, 16388)
+	recs[3].Success, recs[3].Error = false, "tx refused"
+	sec := sectionOf(f, receiptBlock(f, recs))
+	at := func(i int) []byte {
+		if i+1 < len(sec.Receipts) {
+			return sec.Bytes[sec.Receipts[i].Off:sec.Receipts[i+1].Off]
+		}
+		return sec.Bytes[sec.Receipts[i].Off:]
+	}
+	for i := 1; i < len(recs); i++ {
+		f.Add(at(0), at(i))
+	}
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{1}, []byte{})
+	f.Add([]byte("abcdefgh"), []byte("abXdeYgh"))
+	f.Fuzz(func(t *testing.T, head, cur []byte) {
+		coded := appendEntry([]byte{0xAA}, head, cur)
+		if coded[0] != 0xAA {
+			t.Fatalf("coding %q against %q overwrote what it was appended to", cur, head)
+		}
+		coded = coded[1:]
+		if len(coded) > wholeLen(len(cur)) {
+			t.Fatalf("%q against %q codes in %d bytes, %d whole", cur, head, len(coded), wholeLen(len(cur)))
+		}
+		if rec, n := readEntry(coded, head); !bytes.Equal(rec, cur) || n != len(coded) {
+			t.Fatalf("%q against %q reads back as %q from %d of its %d coded bytes", cur, head, rec, n, len(coded))
+		}
+	})
+}

@@ -262,7 +262,7 @@ func TestReplicaTakesBlocksOnlyFromItsCommittee(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	cluster, err := NewCluster(testGenesis(w),
-		ClusterDS(DSCollectTimeout(300*time.Millisecond)), ClusterShardNodes(ShardObs(reg, nil)))
+		clusterDS(dsCollectTimeout(300*time.Millisecond)), ClusterShardNodes(ShardObs(reg, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestReplicaRefusesRootlessBlock(t *testing.T) {
 	defer cn.Close()
 	shardNames := []string{"shard-0", "shard-1", "shard-2"}
 	dsEp := &rootlessBlock{Endpoint: cn.Endpoint("ds"), t: t, to: "shard-1", credit: env.Users[0]}
-	ds, err := NewDS("ds", canonical, dsEp, shardNames, DSLookups("lookup"), DSCollectTimeout(300*time.Millisecond))
+	ds, err := NewDS("ds", canonical, dsEp, shardNames, DSLookups("lookup"), dsCollectTimeout(300*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestLookupTakesBlocksOnlyFromItsCommittee(t *testing.T) {
 	reg := obs.NewRegistry()
 	// The committee fans its FinalBlocks to a tap as to a lookup: the
 	// forger starts from the bytes the lookup was sent.
-	cluster, err := NewCluster(testGenesis(w), ClusterLookup(LookupObs(reg, nil)), ClusterDS(DSLookups("lookup", "tap")))
+	cluster, err := NewCluster(testGenesis(w), clusterLookup(LookupObs(reg, nil)), clusterDS(DSLookups("lookup", "tap")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestMicroBlockWithoutAccountsIsLost(t *testing.T) {
 	cn := NewChanNetwork()
 	defer cn.Close()
 	shardNames := []string{"shard-0", "shard-1", "shard-2"}
-	ds, err := NewDS("ds", canonical, cn.Endpoint("ds"), shardNames, DSCollectTimeout(5*time.Second))
+	ds, err := NewDS("ds", canonical, cn.Endpoint("ds"), shardNames, dsCollectTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +606,7 @@ func TestMicroBlockWithForgedKeypathIsLost(t *testing.T) {
 	defer cn.Close()
 	reg := obs.NewRegistry()
 	shardNames := []string{"shard-0", "shard-1", "shard-2"}
-	ds, err := NewDS("ds", canonical, cn.Endpoint("ds"), shardNames, DSCollectTimeout(500*time.Millisecond), DSObs(reg, nil))
+	ds, err := NewDS("ds", canonical, cn.Endpoint("ds"), shardNames, dsCollectTimeout(500*time.Millisecond), DSObs(reg, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

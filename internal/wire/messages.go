@@ -105,9 +105,9 @@ func (r *reader) tx() *chain.Tx {
 // the DS committee passes a shard's receipts into the FinalBlock
 // without building an event. A lookup builds no receipt at all: it
 // records where each lies in the block's receipt section
-// (DecodeReceiptSection), and its node.ReceiptLog copies the section,
-// which is where the aliasing ends, and reads one receipt back from it
-// when asked (ReadReceipt). ReceiptEvents builds the events for whoever
+// (DecodeReceiptSection), and its node.ReceiptLog codes the section
+// into bytes of its own, which is where the aliasing ends, and rebuilds
+// one receipt from them when asked (ReadReceipt). ReceiptEvents builds the events for whoever
 // shows a receipt to a client.
 
 func appendReceipt(b []byte, rec *chain.Receipt) ([]byte, error) {

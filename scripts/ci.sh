@@ -148,6 +148,9 @@ go test -run '^$' -bench 'MapEntries' -benchtime 1x ./internal/scilla/value/
 go test -fuzz=FuzzDecoders -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzReceiptEvents -fuzztime=10s ./internal/wire/
 go test -fuzz=FuzzFinalBlockReceipts -fuzztime=10s ./internal/wire/
+# And of the lookup's receipt log coding: any receipt coded against any
+# run head reads back as itself, never longer than kept whole.
+go test -fuzz=FuzzReceiptDelta -fuzztime=10s ./internal/node/
 # And of the root trie's slab against a map model: contents, root equal
 # to a fresh build's, edge order, and every slot reachable or free,
 # never both, for the trie built op by op and for one bulk-loaded from
