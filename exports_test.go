@@ -31,19 +31,17 @@ var deadExports = map[string]string{
 	"node.LookupObs":          "item 7 wires the registry through the roles",
 	"node.ShardObs":           "item 7 wires the registry through the roles",
 	// Sweep: item 26(ii).
-	"ast.IntLit":                      "sweep: item 26(ii)",
-	"bench.Summaries":                 "sweep: item 26(ii)",
-	"chain.Contract.ReplaceState":     "sweep: item 26(ii)",
-	"chain.Contract.TransitionParams": "sweep: item 26(ii)",
-	"domain.Contrib.HasFieldSource":   "sweep: item 26(ii)",
-	"domain.Summary.Conditions":       "sweep: item 26(ii)",
-	"domain.Summary.HasTop":           "sweep: item 26(ii)",
-	"domain.Summary.Reads":            "sweep: item 26(ii)",
-	"domain.Summary.Writes":           "sweep: item 26(ii)",
-	"eval.DeleteAt":                   "sweep: item 26(ii)",
-	"obs.WithClock":                   "sweep: item 26(ii)",
-	"signature.Signature.IsBottom":    "sweep: item 26(ii)",
-	"wire.Counts":                     "sweep: item 26(ii)",
+	"ast.IntLit":                    "sweep: item 26(ii)",
+	"chain.Contract.ReplaceState":   "sweep: item 26(ii)",
+	"domain.Contrib.HasFieldSource": "sweep: item 26(ii)",
+	"domain.Summary.Conditions":     "sweep: item 26(ii)",
+	"domain.Summary.HasTop":         "sweep: item 26(ii)",
+	"domain.Summary.Reads":          "sweep: item 26(ii)",
+	"domain.Summary.Writes":         "sweep: item 26(ii)",
+	"eval.DeleteAt":                 "sweep: item 26(ii)",
+	"obs.WithClock":                 "sweep: item 26(ii)",
+	"signature.Signature.IsBottom":  "sweep: item 26(ii)",
+	"wire.Counts":                   "sweep: item 26(ii)",
 }
 
 // TestNoDeadExports is the dead-export gate: it parses every non-test

@@ -8,7 +8,6 @@ import (
 
 	"cosplit/internal/contracts"
 	"cosplit/internal/core/analysis"
-	"cosplit/internal/core/domain"
 	"cosplit/internal/core/ge"
 	"cosplit/internal/scilla/parser"
 	"cosplit/internal/scilla/typecheck"
@@ -204,15 +203,4 @@ func PrintHistogram(out io.Writer, hist map[int]int) {
 		}
 		fmt.Fprintf(out, " %d\n", hist[k])
 	}
-}
-
-// Summaries returns the rendered Fig. 8-style effect summaries of a
-// contract, keyed by transition.
-func Summaries(name string) (map[string]*domain.Summary, error) {
-	chk := contracts.MustParse(name)
-	a, err := analysis.New(chk)
-	if err != nil {
-		return nil, err
-	}
-	return a.AnalyzeAll()
 }

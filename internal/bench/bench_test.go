@@ -141,13 +141,3 @@ func TestMeasureOverheadsSmoke(t *testing.T) {
 		t.Error("overheads rendering broken")
 	}
 }
-
-func TestSummariesHelper(t *testing.T) {
-	sums, err := bench.Summaries("FungibleToken")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sums["Transfer"]; !ok {
-		t.Error("Transfer summary missing")
-	}
-}

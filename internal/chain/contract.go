@@ -108,20 +108,6 @@ func (c *Contract) ReplaceState(st *eval.MemState) {
 	c.State = st
 }
 
-// TransitionParams returns the declared parameter names of a
-// transition, or nil if unknown.
-func (c *Contract) TransitionParams(transition string) []string {
-	tr := c.Checked.Module.Contract.TransitionByName(transition)
-	if tr == nil {
-		return nil
-	}
-	out := make([]string, 0, len(tr.Params))
-	for _, p := range tr.Params {
-		out = append(out, p.Name)
-	}
-	return out
-}
-
 // Contracts is the global contract registry.
 type Contracts struct {
 	mu sync.RWMutex

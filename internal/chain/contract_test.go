@@ -45,12 +45,6 @@ func TestDeployPipeline(t *testing.T) {
 	if err != nil || !ok || v.(value.Int).V.Uint64() != 100 {
 		t.Errorf("owner balance after deploy = %v %v %v", v, ok, err)
 	}
-	if got := c.TransitionParams("Transfer"); len(got) != 2 {
-		t.Errorf("TransitionParams = %v", got)
-	}
-	if c.TransitionParams("Nope") != nil {
-		t.Error("unknown transition has params")
-	}
 }
 
 // TestDeploySignatureValidation: miners re-derive the proposed

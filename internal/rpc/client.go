@@ -5,7 +5,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -16,46 +19,95 @@ import (
 // Client is a JSON-RPC client for the cosplit_ API; the hammer and
 // the tests drive the server through it.
 type Client struct {
-	url  string
-	http *http.Client
-	next atomic.Uint64 // JSON-RPC request ids
+	url    *url.URL
+	urlErr error // a URL that did not parse fails every call
+	http   *http.Client
+	next   atomic.Uint64 // JSON-RPC request ids
 }
 
-// NewClient targets a server URL (e.g. "http://127.0.0.1:8545").
-func NewClient(url string) *Client {
-	return &Client{url: url, http: &http.Client{Timeout: 30 * time.Second}}
+// NewClient targets a server URL (e.g. "http://127.0.0.1:8545"),
+// query included, over http.DefaultTransport.
+func NewClient(rawURL string) *Client {
+	return newClient(rawURL, http.DefaultTransport)
 }
+
+// newClient targets a server URL over the given transport.
+func newClient(rawURL string, transport http.RoundTripper) *Client {
+	c := &Client{http: &http.Client{Transport: transport, Timeout: 30 * time.Second}}
+	c.url, c.urlErr = url.Parse(rawURL)
+	return c
+}
+
+// jsonHeader is every request's header; net/http only reads it.
+var jsonHeader = http.Header{"Content-Type": contentType}
 
 // call performs one JSON-RPC request, decoding the result into out.
+// Each param is a string or a uint64.
 func (c *Client) call(method string, params []any, out any) error {
-	body, err := json.Marshal(map[string]any{
-		"jsonrpc": "2.0",
-		"id":      c.next.Add(1),
-		"method":  method,
-		"params":  params,
-	})
-	if err != nil {
-		return err
+	if c.urlErr != nil {
+		return c.urlErr
 	}
-	hresp, err := c.http.Post(c.url, "application/json", bytes.NewReader(body))
+	body := appendRequest(make([]byte, 0, 128), c.next.Add(1), method, params)
+	req := &http.Request{
+		Method:        http.MethodPost,
+		URL:           c.url,
+		Header:        jsonHeader,
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		ContentLength: int64(len(body)),
+		// A request the transport could not write to a pooled
+		// connection that had died is sent again on a fresh one.
+		GetBody: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
+	}
+	hresp, err := c.http.Do(req)
 	if err != nil {
 		return err
 	}
 	defer hresp.Body.Close()
-	var resp struct {
-		Result json.RawMessage `json:"result"`
-		Error  *rpcError       `json:"error"`
+	reply, err := io.ReadAll(hresp.Body)
+	if err != nil {
+		return fmt.Errorf("%s: %w", method, err)
 	}
-	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
+	if hresp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: HTTP %s", method, hresp.Status)
+	}
+	// A result of null leaves out as it was, unless out points to a
+	// pointer, which it sets to nil.
+	resp := struct {
+		Result any       `json:"result"`
+		Error  *rpcError `json:"error"`
+	}{Result: out}
+	if err := json.Unmarshal(reply, &resp); err != nil {
 		return fmt.Errorf("%s: %w", method, err)
 	}
 	if resp.Error != nil {
 		return fmt.Errorf("%s: %w", method, resp.Error)
 	}
-	if out == nil || len(resp.Result) == 0 || string(resp.Result) == "null" {
-		return nil
+	return nil
+}
+
+// appendRequest appends a request body: the bytes json.Marshal writes
+// for the envelope as a map, keys sorted, so the method stays in the
+// compact form "method":"<name>".
+func appendRequest(b []byte, id uint64, method string, params []any) []byte {
+	b = append(b, `{"id":`...)
+	b = strconv.AppendUint(b, id, 10)
+	b = append(b, `,"jsonrpc":"2.0","method":`...)
+	b = appendString(b, method)
+	b = append(b, `,"params":[`...)
+	for i, p := range params {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		switch p := p.(type) {
+		case string:
+			b = appendString(b, p)
+		case uint64:
+			b = strconv.AppendUint(b, p, 10)
+		default:
+			panic(fmt.Sprintf("rpc: param of type %T", p))
+		}
 	}
-	return json.Unmarshal(resp.Result, out)
+	return append(b, "]}"...)
 }
 
 // SendTx wire-encodes the transaction and submits it, returning the

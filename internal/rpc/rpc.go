@@ -19,13 +19,14 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
+	"strconv"
 
 	"cosplit/internal/chain"
 	"cosplit/internal/node"
@@ -66,6 +67,20 @@ func (e *rpcError) Error() string { return fmt.Sprintf("rpc error %d: %s", e.Cod
 // a kilobyte.
 const maxBodyBytes = 1 << 20
 
+// request is a JSON-RPC 2.0 request. Every method takes its params as
+// an array, so they are read with the envelope, in one pass.
+type request struct {
+	Version string            `json:"jsonrpc"`
+	ID      json.RawMessage   `json:"id"`
+	Method  string            `json:"method"`
+	Params  []json.RawMessage `json:"params"`
+}
+
+// rpcRequest reads an envelope whose params are of any shape. A body
+// that request refuses is read again as one: params that are not an
+// array are then the method's to refuse (-32602), as an empty array
+// would be, and anything else is a parse error (-32700) whose message
+// names this type's fields.
 type rpcRequest struct {
 	Version string          `json:"jsonrpc"`
 	ID      json.RawMessage `json:"id"`
@@ -78,16 +93,21 @@ type rpcError struct {
 	Message string `json:"message"`
 }
 
-type rpcResponse struct {
-	Version string          `json:"jsonrpc"`
-	ID      json.RawMessage `json:"id"`
-	Result  any             `json:"result,omitempty"`
-	Error   *rpcError       `json:"error,omitempty"`
+// result is a method's answer. appendJSON appends the bytes
+// encoding/json writes for it.
+type result interface {
+	appendJSON(b []byte) []byte
 }
 
 // SubmitResult is the result of sendRawTransaction.
 type SubmitResult struct {
 	ID uint64 `json:"id"`
+}
+
+func (r *SubmitResult) appendJSON(b []byte) []byte {
+	b = append(b, `{"id":`...)
+	b = strconv.AppendUint(b, r.ID, 10)
+	return append(b, '}')
 }
 
 // ReceiptResult is a committed transaction receipt.
@@ -101,11 +121,30 @@ type ReceiptResult struct {
 	Events  []string `json:"events,omitempty"`
 }
 
+func (r *ReceiptResult) appendJSON(b []byte) []byte {
+	enc, _ := json.Marshal(r) // no field of a receipt can fail to encode
+	return append(b, enc...)
+}
+
 // BalanceResult is the result of getBalance.
 type BalanceResult struct {
 	Found   bool   `json:"found"`
 	Balance string `json:"balance,omitempty"`
 	Nonce   uint64 `json:"nonce,omitempty"`
+}
+
+func (r *BalanceResult) appendJSON(b []byte) []byte {
+	b = append(b, `{"found":`...)
+	b = strconv.AppendBool(b, r.Found)
+	if r.Balance != "" {
+		b = append(b, `,"balance":`...)
+		b = appendString(b, r.Balance)
+	}
+	if r.Nonce != 0 {
+		b = append(b, `,"nonce":`...)
+		b = strconv.AppendUint(b, r.Nonce, 10)
+	}
+	return append(b, '}')
 }
 
 // StateResult is the result of getState; Value is the queried field
@@ -115,10 +154,28 @@ type StateResult struct {
 	Value string `json:"value,omitempty"`
 }
 
+func (r *StateResult) appendJSON(b []byte) []byte {
+	b = append(b, `{"found":`...)
+	b = strconv.AppendBool(b, r.Found)
+	if r.Value != "" {
+		b = append(b, `,"value":`...)
+		b = appendString(b, r.Value)
+	}
+	return append(b, '}')
+}
+
 // ChainInfo is the lookup's view of the finalized chain head.
 type ChainInfo struct {
 	Epoch     uint64 `json:"epoch"`
 	StateRoot string `json:"stateRoot"`
+}
+
+func (r *ChainInfo) appendJSON(b []byte) []byte {
+	b = append(b, `{"epoch":`...)
+	b = strconv.AppendUint(b, r.Epoch, 10)
+	b = append(b, `,"stateRoot":`...)
+	b = appendString(b, r.StateRoot)
+	return append(b, '}')
 }
 
 // Server serves the JSON-RPC API over one lookup node.
@@ -132,67 +189,112 @@ func NewServer(lk *node.Lookup) *Server {
 	return &Server{lk: lk}
 }
 
+// contentType is every reply's Content-Type header value; net/http
+// only reads it.
+var contentType = []string{"application/json"}
+
 // ServeHTTP implements single-request JSON-RPC 2.0 over POST.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := readBody(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var req rpcRequest
-	resp := rpcResponse{Version: "2.0"}
-	if err := json.Unmarshal(body, &req); err != nil {
-		resp.Error = &rpcError{Code: codeParse, Message: "parse error: " + err.Error()}
-	} else {
-		resp.ID = req.ID
-		result, rerr := s.dispatch(&req)
-		if rerr != nil {
-			resp.Error = rerr
-		} else {
-			resp.Result = result
-		}
+	req, rerr := decodeRequest(body)
+	var res result
+	if rerr == nil {
+		res, rerr = s.dispatch(&req)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&resp)
+	w.Header()["Content-Type"] = contentType
+	w.Write(appendResponse(make([]byte, 0, 128), req.ID, res, rerr))
 }
 
-func (s *Server) dispatch(req *rpcRequest) (any, *rpcError) {
+// readBody reads a request body of at most maxBodyBytes (a longer one
+// is cut there), into a buffer of its declared length when it has one.
+func readBody(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r.Body, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+}
+
+// decodeRequest reads a request envelope, refusing with -32700 a body
+// encoding/json cannot read into rpcRequest.
+func decodeRequest(body []byte) (request, *rpcError) {
+	var req request
+	if json.Unmarshal(body, &req) == nil {
+		return req, nil
+	}
+	var loose rpcRequest
+	if err := json.Unmarshal(body, &loose); err != nil {
+		return request{}, &rpcError{Code: codeParse, Message: "parse error: " + err.Error()}
+	}
+	return request{Version: loose.Version, ID: loose.ID, Method: loose.Method}, nil
+}
+
+// appendResponse appends the reply to a request with the given id:
+// the bytes json.NewEncoder(w).Encode writes for the envelope
+// {"jsonrpc":"2.0","id":…,"result"|"error":…}, newline included.
+func appendResponse(b []byte, id json.RawMessage, res result, rerr *rpcError) []byte {
+	b = append(b, `{"jsonrpc":"2.0","id":`...)
+	b = appendRawJSON(b, id)
+	if rerr != nil {
+		b = append(b, `,"error":`...)
+		b = rerr.appendJSON(b)
+	} else {
+		b = append(b, `,"result":`...)
+		b = res.appendJSON(b)
+	}
+	return append(b, "}\n"...)
+}
+
+func (e *rpcError) appendJSON(b []byte) []byte {
+	b = append(b, `{"code":`...)
+	b = strconv.AppendInt(b, int64(e.Code), 10)
+	b = append(b, `,"message":`...)
+	b = appendString(b, e.Message)
+	return append(b, '}')
+}
+
+func (s *Server) dispatch(req *request) (result, *rpcError) {
 	if req.Version != "2.0" {
 		return nil, &rpcError{Code: codeInvalidRequest, Message: `jsonrpc must be "2.0"`}
 	}
 	switch req.Method {
 	case "cosplit_sendRawTransaction":
-		var raw string
-		if err := oneParam(req.Params, &raw); err != nil {
-			return nil, err
+		hexTx, rerr := oneString(req.Params)
+		if rerr != nil {
+			return nil, rerr
 		}
-		return s.sendRawTransaction(raw)
+		return s.sendRawTransaction(hexTx)
 	case "cosplit_getTransactionReceipt":
+		raw, rerr := oneParam(req.Params)
+		if rerr != nil {
+			return nil, rerr
+		}
 		var id uint64
-		if err := oneParam(req.Params, &id); err != nil {
-			return nil, err
+		if err := json.Unmarshal(raw, &id); err != nil {
+			return nil, paramError(err)
 		}
 		return s.getReceipt(id)
 	case "cosplit_getBalance":
-		var addr string
-		if err := oneParam(req.Params, &addr); err != nil {
-			return nil, err
+		addr, rerr := oneString(req.Params)
+		if rerr != nil {
+			return nil, rerr
 		}
 		return s.getBalance(addr)
 	case "cosplit_getState":
-		var p []string
-		if err := json.Unmarshal(req.Params, &p); err != nil || len(p) < 2 || len(p) > 3 {
+		p, ok := stateParams(req.Params)
+		if !ok {
 			return nil, &rpcError{Code: codeInvalidParams, Message: "params: [address, field, key?]"}
 		}
-		key := ""
-		if len(p) == 3 {
-			key = p[2]
-		}
-		return s.getState(p[0], p[1], key)
+		return s.getState(p[0], string(p[1]), string(p[2]))
 	case "cosplit_chainInfo":
 		epoch, root := s.lk.Chain()
 		return &ChainInfo{Epoch: epoch, StateRoot: root}, nil
@@ -201,12 +303,14 @@ func (s *Server) dispatch(req *rpcRequest) (any, *rpcError) {
 	}
 }
 
-func (s *Server) sendRawTransaction(raw string) (any, *rpcError) {
-	b, err := hex.DecodeString(strings.TrimPrefix(raw, "0x"))
+// sendRawTransaction decodes hexTx in place, overwriting it.
+func (s *Server) sendRawTransaction(hexTx []byte) (result, *rpcError) {
+	hexTx = bytes.TrimPrefix(hexTx, []byte("0x"))
+	n, err := hex.Decode(hexTx, hexTx)
 	if err != nil {
 		return nil, &rpcError{Code: codeInvalidParams, Message: "raw tx: " + err.Error()}
 	}
-	tx, err := wire.DecodeTx(b)
+	tx, err := wire.DecodeTx(hexTx[:n])
 	if err != nil {
 		return nil, &rpcError{Code: codeInvalidParams, Message: "raw tx: " + err.Error()}
 	}
@@ -217,7 +321,7 @@ func (s *Server) sendRawTransaction(raw string) (any, *rpcError) {
 	return &SubmitResult{ID: id}, nil
 }
 
-func (s *Server) getReceipt(id uint64) (any, *rpcError) {
+func (s *Server) getReceipt(id uint64) (result, *rpcError) {
 	r := s.lk.Receipt(id)
 	if r == nil {
 		return (*ReceiptResult)(nil), nil // "result": null; an untyped nil would drop the key
@@ -242,7 +346,7 @@ func (s *Server) getReceipt(id uint64) (any, *rpcError) {
 	return res, nil
 }
 
-func (s *Server) getBalance(addr string) (any, *rpcError) {
+func (s *Server) getBalance(addr []byte) (result, *rpcError) {
 	a, rerr := parseAddr(addr)
 	if rerr != nil {
 		return nil, rerr
@@ -257,7 +361,7 @@ func (s *Server) getBalance(addr string) (any, *rpcError) {
 	return &BalanceResult{Found: true, Balance: st.Balance.String(), Nonce: st.Nonce}, nil
 }
 
-func (s *Server) getState(addr, field, key string) (any, *rpcError) {
+func (s *Server) getState(addr []byte, field, key string) (result, *rpcError) {
 	a, rerr := parseAddr(addr)
 	if rerr != nil {
 		return nil, rerr
@@ -272,23 +376,51 @@ func (s *Server) getState(addr, field, key string) (any, *rpcError) {
 	return &StateResult{Found: true, Value: resp.Value.String()}, nil
 }
 
-func oneParam(params json.RawMessage, out any) *rpcError {
-	var arr []json.RawMessage
-	if err := json.Unmarshal(params, &arr); err != nil || len(arr) != 1 {
-		return &rpcError{Code: codeInvalidParams, Message: "params: exactly one element"}
+// oneParam returns the one element of params.
+func oneParam(params []json.RawMessage) (json.RawMessage, *rpcError) {
+	if len(params) != 1 {
+		return nil, &rpcError{Code: codeInvalidParams, Message: "params: exactly one element"}
 	}
-	if err := json.Unmarshal(arr[0], out); err != nil {
-		return &rpcError{Code: codeInvalidParams, Message: "params: " + err.Error()}
-	}
-	return nil
+	return params[0], nil
 }
 
-func parseAddr(s string) (chain.Address, *rpcError) {
-	b, err := hex.DecodeString(strings.TrimPrefix(s, "0x"))
-	if err != nil || len(b) != len(chain.Address{}) {
-		return chain.Address{}, &rpcError{Code: codeInvalidParams, Message: fmt.Sprintf("address %q: want 20 hex bytes", s)}
+// oneString returns the string held by the one element of params.
+func oneString(params []json.RawMessage) ([]byte, *rpcError) {
+	raw, rerr := oneParam(params)
+	if rerr != nil {
+		return nil, rerr
 	}
+	s, err := stringParam(raw)
+	if err != nil {
+		return nil, paramError(err)
+	}
+	return s, nil
+}
+
+// stateParams reads getState's params, [address, field, key?].
+func stateParams(params []json.RawMessage) (p [3][]byte, ok bool) {
+	if len(params) < 2 || len(params) > 3 {
+		return p, false
+	}
+	for i, raw := range params {
+		var err error
+		if p[i], err = stringParam(raw); err != nil {
+			return p, false
+		}
+	}
+	return p, true
+}
+
+func paramError(err error) *rpcError {
+	return &rpcError{Code: codeInvalidParams, Message: "params: " + err.Error()}
+}
+
+func parseAddr(s []byte) (chain.Address, *rpcError) {
 	var a chain.Address
-	copy(a[:], b)
-	return a, nil
+	if h := bytes.TrimPrefix(s, []byte("0x")); len(h) == hex.EncodedLen(len(a)) {
+		if _, err := hex.Decode(a[:], h); err == nil {
+			return a, nil
+		}
+	}
+	return chain.Address{}, &rpcError{Code: codeInvalidParams, Message: fmt.Sprintf("address %q: want 20 hex bytes", s)}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"cosplit/internal/node"
+	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 	"cosplit/internal/wire"
 	"cosplit/internal/workload"
@@ -175,12 +177,40 @@ func TestRPCErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET status %d", resp.StatusCode)
 	}
+
+	// A client call answered by anything but 200 fails with the
+	// status; the URL's query reaches the server.
+	var query atomic.Value
+	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		query.Store(r.URL.RawQuery)
+		http.Error(w, "busy", http.StatusServiceUnavailable)
+	}))
+	defer busy.Close()
+	if _, err := NewClient(busy.URL + "/?c=3").ChainInfo(); err == nil || err.Error() != "cosplit_chainInfo: HTTP 503 Service Unavailable" {
+		t.Errorf("503 reply: %v", err)
+	}
+	if q := query.Load(); q != "c=3" {
+		t.Errorf("query %q reached the server, want c=3", q)
+	}
 }
 
+// TestHammerClosedLoop runs the hammer against a server that counts
+// the connections it accepts: each worker dials once and keeps its
+// connection for the run.
 func TestHammerClosedLoop(t *testing.T) {
+	const workers = 8
 	w := workload.FTTransfer()
 	w.Users = 40
-	_, srv := startCluster(t, w)
+	cluster, _ := startCluster(t, w)
+	var conns atomic.Int64
+	srv := httptest.NewUnstartedServer(NewServer(cluster.Lookup))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
 
 	next, err := WorkloadStream(w, 3)
 	if err != nil {
@@ -188,7 +218,7 @@ func TestHammerClosedLoop(t *testing.T) {
 	}
 	rep, err := RunHammer(HammerConfig{
 		URL:     srv.URL,
-		Workers: 8,
+		Workers: workers,
 		Total:   120,
 		Next:    next,
 		Poll:    2 * time.Millisecond,
@@ -208,6 +238,9 @@ func TestHammerClosedLoop(t *testing.T) {
 	}
 	if rep.P50 <= 0 || rep.P99 < rep.P50 || rep.Max < rep.P99 {
 		t.Fatalf("latency percentiles inconsistent: %+v", rep)
+	}
+	if n := conns.Load(); n > workers {
+		t.Errorf("%d connections for %d workers", n, workers)
 	}
 	var buf bytes.Buffer
 	PrintHammer(&buf, rep)
@@ -279,3 +312,66 @@ func TestHammerCountsUnansweredAsLost(t *testing.T) {
 		t.Fatalf("hammer report: %+v, want 1 lost, 1 rejected, 18 with receipts", rep)
 	}
 }
+
+// BenchmarkRPCServe times the server alone: one request per op through
+// Server.ServeHTTP into a recorder, over a ChanNetwork cluster that
+// produces no blocks (submissions queue at the committee), by method.
+func BenchmarkRPCServe(b *testing.B) {
+	w := workload.FTTransfer()
+	w.Users = 40
+	env, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cluster, err := node.NewCluster(func() (*shard.Network, error) {
+		env, err := workload.Provision(w, true, shard.WithShards(3))
+		if err != nil {
+			return nil, err
+		}
+		return env.Net, nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cluster.Close()
+	srv := NewServer(cluster.Lookup)
+	raw, err := wire.EncodeTx(w.Next(env))
+	if err != nil {
+		b.Fatal(err)
+	}
+	user := env.Users[0]
+	for _, m := range []struct {
+		name   string
+		params []any
+	}{
+		{"sendRawTransaction", []any{fmt.Sprintf("0x%x", raw)}},
+		{"getBalance", []any{user.String()}},
+		{"getState", []any{env.Contract.String(), "balances", value.CanonicalKey(user.Value())}},
+	} {
+		body, err := json.Marshal(map[string]any{"jsonrpc": "2.0", "id": 1, "method": "cosplit_" + m.name, "params": m.params})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(m.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodPost, "/", nil)
+			req.ContentLength = int64(len(body))
+			var rd rewinder
+			rec := httptest.NewRecorder()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				req.Body = &rd
+				rec.Body.Reset()
+				srv.ServeHTTP(rec, req)
+			}
+			if bytes.Contains(rec.Body.Bytes(), []byte(`"error"`)) {
+				b.Fatalf("reply %s", rec.Body)
+			}
+		})
+	}
+}
+
+// rewinder is a request body the benchmark rewinds without allocating.
+type rewinder struct{ bytes.Reader }
+
+func (*rewinder) Close() error { return nil }

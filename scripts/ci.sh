@@ -117,6 +117,10 @@ GOMEMLIMIT=400MiB go test -run 'TestMillionAccountsBoundedMemory' -timeout 20m .
 # replica, a lookup and the committee (from a shard) decode it.
 go test -run '^$' -bench 'CommitHolders|SnapshotHolders|MergePerField|BlockFanout' -benchtime 1x .
 go test -run '^$' -bench 'ReceiptLogFile|TCPRoundTrip' -benchtime 1x ./internal/node/
+# The JSON-RPC server alone: one sendRawTransaction, getBalance and
+# getState request each through Server.ServeHTTP over a ChanNetwork
+# cluster.
+go test -run '^$' -bench 'RPCServe' -benchtime 1x ./internal/rpc/
 # The root trie's slab: one 100k-leaf load key by key and one sorted
 # bulk load (ns, B, allocations and retained bytes per leaf each) and
 # one epoch's 500 overwrites + Root at 10k, 100k and 1M leaves of both
@@ -151,6 +155,11 @@ go test -fuzz=FuzzFinalBlockReceipts -fuzztime=10s ./internal/wire/
 # And of the lookup's receipt log coding: any receipt coded against any
 # run head reads back as itself, never longer than kept whole.
 go test -fuzz=FuzzReceiptDelta -fuzztime=10s ./internal/node/
+# And of the hand-coded JSON-RPC envelope against encoding/json: the
+# server reads any body as encoding/json does or refuses it with the
+# same code and message, every reply is the bytes json.NewEncoder
+# writes, and every client request body decodes as json.Marshal's did.
+go test -fuzz=FuzzRPCCodec -fuzztime=10s ./internal/rpc/
 # And of the root trie's slab against a map model: contents, root equal
 # to a fresh build's, edge order, and every slot reachable or free,
 # never both, for the trie built op by op and for one bulk-loaded from
