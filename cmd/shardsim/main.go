@@ -333,7 +333,9 @@ func runHammer(c *config) {
 }
 
 func runHead(c *config) {
-	info, err := rpc.NewClient(c.arg).ChainInfo()
+	cl := rpc.NewClient(c.arg)
+	info, err := cl.ChainInfo()
+	cl.Close()
 	fail(err)
 	fmt.Printf("chain: epoch=%d root=%s\n", info.Epoch, info.StateRoot)
 }

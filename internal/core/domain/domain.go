@@ -529,33 +529,6 @@ func (c *Contrib) FieldSources() []SrcContrib {
 	return out
 }
 
-// HasFieldSource reports whether any field source occurs in the
-// contribution (including inside carried messages).
-func (c *Contrib) HasFieldSource() bool {
-	if c == nil {
-		return false
-	}
-	if c.Top {
-		return true // conservatively
-	}
-	for _, sc := range c.Sources {
-		if sc.Src.Kind == SrcField {
-			return true
-		}
-	}
-	for _, m := range c.Msgs {
-		for _, v := range m {
-			if v.HasFieldSource() {
-				return true
-			}
-		}
-	}
-	if c.Fun != nil {
-		return c.Fun.Body.HasFieldSource()
-	}
-	return false
-}
-
 // String renders the contribution in the paper's ⟨cs ↦ (card, ops), p⟩
 // notation.
 func (c *Contrib) String() string {

@@ -41,7 +41,7 @@ func paperQuery(contract string) signature.Query {
 func TestNFTTransferSignature(t *testing.T) {
 	sg := derive(t, "NonfungibleToken", paperQuery("NonfungibleToken"))
 	cs := sg.Constraints["Transfer"]
-	if sg.IsBottom("Transfer") {
+	if signature.IsBottom(sg, "Transfer") {
 		t.Fatalf("NFT Transfer is ⊥:\n%s", sg)
 	}
 	if !hasConstraint(cs, "Owns(token_owners[token_id])") {
@@ -88,7 +88,7 @@ func TestNFTMintSignature(t *testing.T) {
 func TestCrowdfundingDonateSignature(t *testing.T) {
 	sg := derive(t, "Crowdfunding", paperQuery("Crowdfunding"))
 	cs := sg.Constraints["Donate"]
-	if sg.IsBottom("Donate") {
+	if signature.IsBottom(sg, "Donate") {
 		t.Fatalf("Donate is ⊥:\n%s", sg)
 	}
 	if !hasConstraint(cs, "SenderShard") {
@@ -109,7 +109,7 @@ func TestCrowdfundingDonateSignature(t *testing.T) {
 func TestProofIPFSRegisterSignature(t *testing.T) {
 	sg := derive(t, "ProofIPFS", paperQuery("ProofIPFS"))
 	cs := sg.Constraints["RegisterOwnership"]
-	if sg.IsBottom("RegisterOwnership") {
+	if signature.IsBottom(sg, "RegisterOwnership") {
 		t.Fatalf("RegisterOwnership is ⊥:\n%s", sg)
 	}
 	// The two ownership constraints with differently-keyed components

@@ -98,8 +98,8 @@ type Signature struct {
 	CommutativeWrites map[string][]domain.FieldRef
 }
 
-// IsBottom reports whether the named transition cannot be sharded.
-func (sg *Signature) IsBottom(transition string) bool {
+// isBottom reports whether the named transition cannot be sharded.
+func (sg *Signature) isBottom(transition string) bool {
 	for _, c := range sg.Constraints[transition] {
 		if c.Kind == CBottom {
 			return true

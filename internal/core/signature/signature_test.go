@@ -51,7 +51,7 @@ func TestFTTransferSignature(t *testing.T) {
 	})
 
 	cs := sg.Constraints["Transfer"]
-	if sg.IsBottom("Transfer") {
+	if signature.IsBottom(sg, "Transfer") {
 		t.Fatalf("Transfer is ⊥:\n%s", sg)
 	}
 	if !hasConstraint(cs, "Owns(balances[_sender])") {

@@ -1,45 +1,87 @@
 package rpc
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync/atomic"
+	"sync"
+	"syscall"
 	"time"
 
 	"cosplit/internal/chain"
 	"cosplit/internal/wire"
 )
 
-// Client is a JSON-RPC client for the cosplit_ API; the hammer and
-// the tests drive the server through it.
+// callTimeout bounds every call: a server that accepts and stays
+// silent fails the call instead of hanging it.
+const callTimeout = 30 * time.Second
+
+// Client is a JSON-RPC client for the cosplit_ API; the hammer, the
+// benchmark and the tests drive the server through it. It owns one
+// kept-alive HTTP/1.1 connection, dialled on the first call, and makes
+// each call on its caller's goroutine. It is safe for concurrent use:
+// calls take turns on the connection. A client that is never closed
+// holds its socket until it is collected.
 type Client struct {
-	url    *url.URL
-	urlErr error // a URL that did not parse fails every call
-	http   *http.Client
-	next   atomic.Uint64 // JSON-RPC request ids
+	urlErr  error  // a URL that did not parse, or is not http, fails every call
+	addr    string // host:port dialled
+	host    string // the Host header
+	target  string // the request target: path and query
+	timeout time.Duration
+	dial    func(network, addr string) (net.Conn, error)
+
+	mu   sync.Mutex
+	id   uint64   // the last JSON-RPC request id
+	conn net.Conn // nil until dialled, and after a failed call
+	br   *bufio.Reader
+	body []byte // the request body, reused
+	req  []byte // the request head and body, reused
 }
 
 // NewClient targets a server URL (e.g. "http://127.0.0.1:8545"),
-// query included, over http.DefaultTransport.
+// query included.
 func NewClient(rawURL string) *Client {
-	return newClient(rawURL, http.DefaultTransport)
-}
-
-// newClient targets a server URL over the given transport.
-func newClient(rawURL string, transport http.RoundTripper) *Client {
-	c := &Client{http: &http.Client{Transport: transport, Timeout: 30 * time.Second}}
-	c.url, c.urlErr = url.Parse(rawURL)
+	c := &Client{timeout: callTimeout, dial: net.Dial}
+	u, err := url.Parse(rawURL)
+	switch {
+	case err != nil:
+		c.urlErr = err
+	case u.Scheme != "http":
+		c.urlErr = fmt.Errorf("rpc: unsupported scheme %q in %q: only http", u.Scheme, rawURL)
+	default:
+		c.host = u.Host
+		c.addr = u.Host
+		if u.Port() == "" {
+			c.addr = net.JoinHostPort(u.Hostname(), "80")
+		}
+		c.target = u.RequestURI()
+	}
 	return c
 }
 
-// jsonHeader is every request's header; net/http only reads it.
-var jsonHeader = http.Header{"Content-Type": contentType}
+// Close closes the client's connection. A later call dials again.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.drop()
+}
+
+// drop closes the connection, if any; the next call dials.
+func (c *Client) drop() error {
+	if c.conn == nil {
+		return nil
+	}
+	err := c.conn.Close()
+	c.conn, c.br = nil, nil
+	return err
+}
 
 // call performs one JSON-RPC request, decoding the result into out.
 // Each param is a string or a uint64.
@@ -47,28 +89,11 @@ func (c *Client) call(method string, params []any, out any) error {
 	if c.urlErr != nil {
 		return c.urlErr
 	}
-	body := appendRequest(make([]byte, 0, 128), c.next.Add(1), method, params)
-	req := &http.Request{
-		Method:        http.MethodPost,
-		URL:           c.url,
-		Header:        jsonHeader,
-		Body:          io.NopCloser(bytes.NewReader(body)),
-		ContentLength: int64(len(body)),
-		// A request the transport could not write to a pooled
-		// connection that had died is sent again on a fresh one.
-		GetBody: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
-	}
-	hresp, err := c.http.Do(req)
+	c.mu.Lock()
+	reply, err := c.roundTrip(method, params)
+	c.mu.Unlock()
 	if err != nil {
 		return err
-	}
-	defer hresp.Body.Close()
-	reply, err := io.ReadAll(hresp.Body)
-	if err != nil {
-		return fmt.Errorf("%s: %w", method, err)
-	}
-	if hresp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: HTTP %s", method, hresp.Status)
 	}
 	// A result of null leaves out as it was, unless out points to a
 	// pointer, which it sets to nil.
@@ -83,6 +108,94 @@ func (c *Client) call(method string, params []any, out any) error {
 		return fmt.Errorf("%s: %w", method, resp.Error)
 	}
 	return nil
+}
+
+// roundTrip sends one request and returns its reply body; the caller
+// holds mu. Sending follows net/http's rule for a POST:
+//   - a write that fails on a reused connection is sent once more on a
+//     fresh one, since the server cannot have acted on it;
+//   - a read method whose reused connection ends before the first
+//     reply byte is sent once more on a fresh one;
+//   - any other failure drops the connection and ends the call, so a
+//     submission is never sent twice.
+func (c *Client) roundTrip(method string, params []any) ([]byte, error) {
+	c.id++
+	c.body = appendRequest(c.body[:0], c.id, method, params)
+	c.req = c.appendHead(c.req[:0], len(c.body))
+	c.req = append(c.req, c.body...)
+	for {
+		// A kept connection has answered a call; a failed call drops it.
+		reused := c.conn != nil
+		if !reused {
+			conn, err := c.dial("tcp", c.addr)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", method, err)
+			}
+			c.conn = conn
+			c.br = bufio.NewReader(conn)
+		}
+		c.conn.SetDeadline(time.Now().Add(c.timeout))
+		if _, err := c.conn.Write(c.req); err != nil {
+			c.drop()
+			if reused {
+				continue
+			}
+			return nil, fmt.Errorf("%s: %w", method, err)
+		}
+		if _, err := c.br.Peek(1); err != nil {
+			c.drop()
+			if reused && readOnly(method) && connEnded(err) {
+				continue
+			}
+			return nil, fmt.Errorf("%s: %w", method, err)
+		}
+		hresp, err := http.ReadResponse(c.br, nil)
+		if err != nil {
+			c.drop()
+			return nil, fmt.Errorf("%s: %w", method, err)
+		}
+		reply, err := io.ReadAll(hresp.Body)
+		hresp.Body.Close()
+		if err != nil {
+			c.drop()
+			return nil, fmt.Errorf("%s: %w", method, err)
+		}
+		if hresp.Close {
+			c.drop()
+		}
+		if hresp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("%s: HTTP %s", method, hresp.Status)
+		}
+		return reply, nil
+	}
+}
+
+// appendHead appends the request line and headers of a POST whose
+// body is n bytes long.
+func (c *Client) appendHead(b []byte, n int) []byte {
+	b = append(b, "POST "...)
+	b = append(b, c.target...)
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = append(b, c.host...)
+	b = append(b, "\r\nContent-Type: application/json\r\nContent-Length: "...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, "\r\n\r\n"...)
+}
+
+// readOnly reports whether a method only reads, so sending it twice is
+// harmless.
+func readOnly(method string) bool {
+	switch method {
+	case "cosplit_getTransactionReceipt", "cosplit_getBalance", "cosplit_getState", "cosplit_chainInfo":
+		return true
+	}
+	return false
+}
+
+// connEnded reports whether a read failed because the server had
+// closed the connection.
+func connEnded(err error) bool {
+	return err == io.EOF || errors.Is(err, syscall.ECONNRESET)
 }
 
 // appendRequest appends a request body: the bytes json.Marshal writes

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -112,17 +111,6 @@ func RunHammer(cfg HammerConfig) (*HammerReport, error) {
 		}
 	}()
 
-	// One transport for every worker, with a connection to a server
-	// for each. With fewer kept idle, a worker's connection would be
-	// closed between its calls; with no cap on connections, a call
-	// made before the worker's last connection is back in the pool
-	// would dial one more.
-	transport := http.DefaultTransport.(*http.Transport).Clone()
-	transport.MaxIdleConns = cfg.Workers
-	transport.MaxIdleConnsPerHost = cfg.Workers
-	transport.MaxConnsPerHost = cfg.Workers
-	defer transport.CloseIdleConnections()
-
 	started := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
@@ -130,7 +118,8 @@ func RunHammer(cfg HammerConfig) (*HammerReport, error) {
 		url := cfg.URLs[i%len(cfg.URLs)]
 		go func() {
 			defer wg.Done()
-			c := newClient(url, transport)
+			c := NewClient(url)
+			defer c.Close()
 			for tx := range next {
 				start := time.Now()
 				id, err := c.SendTx(tx)

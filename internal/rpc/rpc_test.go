@@ -10,10 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cosplit/internal/chain"
 	"cosplit/internal/node"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
@@ -317,23 +319,7 @@ func TestHammerCountsUnansweredAsLost(t *testing.T) {
 // Server.ServeHTTP into a recorder, over a ChanNetwork cluster that
 // produces no blocks (submissions queue at the committee), by method.
 func BenchmarkRPCServe(b *testing.B) {
-	w := workload.FTTransfer()
-	w.Users = 40
-	env, err := workload.Provision(w, true, shard.WithShards(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cluster, err := node.NewCluster(func() (*shard.Network, error) {
-		env, err := workload.Provision(w, true, shard.WithShards(3))
-		if err != nil {
-			return nil, err
-		}
-		return env.Net, nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cluster.Close()
+	cluster, w, env := idleCluster(b)
 	srv := NewServer(cluster.Lookup)
 	raw, err := wire.EncodeTx(w.Next(env))
 	if err != nil {
@@ -371,7 +357,291 @@ func BenchmarkRPCServe(b *testing.B) {
 	}
 }
 
+// BenchmarkClientCall times a call end to end: one per op through
+// Client, over a loopback HTTP/1.1 connection into a Server in front of
+// the same idle cluster as BenchmarkRPCServe, by method. Client and
+// server share the process, so B/op and allocs/op count both ends.
+func BenchmarkClientCall(b *testing.B) {
+	cluster, w, env := idleCluster(b)
+	srv := httptest.NewServer(NewServer(cluster.Lookup))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	defer c.Close()
+	tx := w.Next(env)
+	user := env.Users[0]
+	key := value.CanonicalKey(user.Value())
+	for _, m := range []struct {
+		name string
+		call func() error
+	}{
+		{"sendRawTransaction", func() error { _, err := c.SendTx(tx); return err }},
+		{"getBalance", func() error { _, err := c.GetBalance(user); return err }},
+		{"getState", func() error { _, err := c.GetState(env.Contract, "balances", key); return err }},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := m.call(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// idleCluster starts a ChanNetwork cluster over a 40-user FT genesis
+// that produces no blocks, so submissions queue at the committee, and
+// returns it with the workload and a client-side copy of its genesis.
+func idleCluster(b *testing.B) (*node.Cluster, *workload.Workload, *workload.Env) {
+	w := workload.FTTransfer()
+	w.Users = 40
+	env, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cluster, err := node.NewCluster(func() (*shard.Network, error) {
+		env, err := workload.Provision(w, true, shard.WithShards(3))
+		if err != nil {
+			return nil, err
+		}
+		return env.Net, nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(cluster.Close)
+	return cluster, w, env
+}
+
 // rewinder is a request body the benchmark rewinds without allocating.
 type rewinder struct{ bytes.Reader }
 
 func (*rewinder) Close() error { return nil }
+
+// connServer is an httptest server that counts the requests it reads,
+// by method, and the connections it accepts.
+type connServer struct {
+	*httptest.Server
+	conns   atomic.Int64
+	mu      sync.Mutex
+	methods map[string]int
+}
+
+func newConnServer(t *testing.T, reply http.HandlerFunc) *connServer {
+	t.Helper()
+	s := &connServer{methods: map[string]int{}}
+	s.Server = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("read body: %v", err)
+		}
+		var req rpcRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Errorf("request %q: %v", body, err)
+		}
+		s.mu.Lock()
+		s.methods[req.Method]++
+		s.mu.Unlock()
+		reply(w, r)
+	}))
+	s.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			s.conns.Add(1)
+		}
+	}
+	s.Start()
+	t.Cleanup(s.Close)
+	return s
+}
+
+func (s *connServer) requests(method string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.methods[method]
+}
+
+// replyJSON answers every request with the same result.
+func replyJSON(result string) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintf(w, `{"jsonrpc":"2.0","id":1,"result":%s}`, result)
+	}
+}
+
+// TestClientConnection pins the client's connection rules: one kept
+// connection, replies in either framing, a server's close honoured, a
+// dropped idle connection re-dialled for reads and never for a
+// submission, the call deadline, the http-only scheme and the default
+// port, and calls from two goroutines taking turns.
+func TestClientConnection(t *testing.T) {
+	const balance = `{"found":true,"balance":"7","nonce":1}`
+	var addr chain.Address
+
+	t.Run("one connection", func(t *testing.T) {
+		s := newConnServer(t, replyJSON(balance))
+		c := NewClient(s.URL)
+		defer c.Close()
+		for i := 0; i < 50; i++ {
+			if bal, err := c.GetBalance(addr); err != nil || bal.Balance != "7" {
+				t.Fatalf("call %d: %+v, %v", i, bal, err)
+			}
+		}
+		if n, r := s.conns.Load(), s.requests("cosplit_getBalance"); n != 1 || r != 50 {
+			t.Errorf("%d connections for %d requests, want 1 for 50", n, r)
+		}
+	})
+
+	t.Run("chunked reply", func(t *testing.T) {
+		value := strings.Repeat("ab", 1500)
+		s := newConnServer(t, func(w http.ResponseWriter, r *http.Request) {
+			if len(r.TransferEncoding) != 0 || r.ContentLength <= 0 {
+				t.Errorf("request framing: %v, %d", r.TransferEncoding, r.ContentLength)
+			}
+			// Headers flushed before the body is done: the reply is chunked.
+			fmt.Fprintf(w, `{"jsonrpc":"2.0","id":1,"result":{"found":true,`)
+			w.(http.Flusher).Flush()
+			fmt.Fprintf(w, `"value":%q}}`, value)
+		})
+		c := NewClient(s.URL)
+		defer c.Close()
+		for i := 0; i < 2; i++ {
+			st, err := c.GetState(addr, "balances", "")
+			if err != nil || st.Value != value {
+				t.Fatalf("call %d: %v", i, err)
+			}
+		}
+		if n := s.conns.Load(); n != 1 {
+			t.Errorf("%d connections, want 1", n)
+		}
+	})
+
+	t.Run("connection close", func(t *testing.T) {
+		var first atomic.Bool
+		s := newConnServer(t, func(w http.ResponseWriter, r *http.Request) {
+			if !first.Swap(true) {
+				w.Header().Set("Connection", "close")
+			}
+			replyJSON(balance)(w, r)
+		})
+		c := NewClient(s.URL)
+		defer c.Close()
+		for i := 0; i < 3; i++ {
+			if _, err := c.GetBalance(addr); err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+		}
+		if n := s.conns.Load(); n != 2 {
+			t.Errorf("%d connections, want 2", n)
+		}
+	})
+
+	t.Run("dropped idle connection", func(t *testing.T) {
+		s := newConnServer(t, replyJSON(`{"id":9}`))
+		c := NewClient(s.URL)
+		defer c.Close()
+		if _, err := c.GetBalance(addr); err != nil {
+			t.Fatal(err)
+		}
+		s.CloseClientConnections()
+		if _, err := c.GetBalance(addr); err != nil {
+			t.Fatalf("read after the server dropped the connection: %v", err)
+		}
+		if n, r := s.conns.Load(), s.requests("cosplit_getBalance"); n != 2 || r != 2 {
+			t.Errorf("%d connections for %d reads, want 2 for 2", n, r)
+		}
+		s.CloseClientConnections()
+		if _, err := c.SendTx(ftTx(t)); err == nil {
+			t.Error("a submission on a dropped connection succeeded")
+		}
+		if r := s.requests("cosplit_sendRawTransaction"); r > 1 {
+			t.Errorf("the server saw the submission %d times", r)
+		}
+		if _, err := c.GetBalance(addr); err != nil {
+			t.Fatalf("read after the failed submission: %v", err)
+		}
+	})
+
+	t.Run("deadline", func(t *testing.T) {
+		release := make(chan struct{})
+		s := newConnServer(t, func(http.ResponseWriter, *http.Request) { <-release })
+		defer close(release)
+		c := NewClient(s.URL)
+		defer c.Close()
+		c.timeout = 50 * time.Millisecond
+		start := time.Now()
+		_, err := c.GetBalance(addr)
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("silent server: %v, want a timeout", err)
+		}
+		if took := time.Since(start); took > 5*time.Second {
+			t.Errorf("call took %v", took)
+		}
+		if r := s.requests("cosplit_getBalance"); r != 1 {
+			t.Errorf("server saw %d requests, want 1", r)
+		}
+	})
+
+	t.Run("scheme and port", func(t *testing.T) {
+		c := NewClient("https://127.0.0.1:8545")
+		c.dial = func(string, string) (net.Conn, error) {
+			t.Error("an https client dialled")
+			return nil, errors.New("no dial")
+		}
+		if _, err := c.ChainInfo(); err == nil || !strings.Contains(err.Error(), `"https"`) {
+			t.Errorf("https: %v", err)
+		}
+		var host atomic.Value
+		s := newConnServer(t, func(w http.ResponseWriter, r *http.Request) {
+			host.Store(r.Host)
+			replyJSON(`{"epoch":3,"stateRoot":"00"}`)(w, r)
+		})
+		c = NewClient("http://cosplit.invalid/?c=1")
+		defer c.Close()
+		var dialled string
+		c.dial = func(network, addr string) (net.Conn, error) {
+			dialled = addr
+			return net.Dial(network, s.Listener.Addr().String())
+		}
+		if info, err := c.ChainInfo(); err != nil || info.Epoch != 3 {
+			t.Fatalf("chainInfo: %+v, %v", info, err)
+		}
+		if dialled != "cosplit.invalid:80" || host.Load() != "cosplit.invalid" {
+			t.Errorf("dialled %q with Host %q", dialled, host.Load())
+		}
+	})
+
+	t.Run("shared", func(t *testing.T) {
+		s := newConnServer(t, replyJSON(balance))
+		c := NewClient(s.URL)
+		defer c.Close()
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if _, err := c.GetBalance(addr); err != nil {
+						t.Errorf("goroutine %d call %d: %v", g, i, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if n, r := s.conns.Load(), s.requests("cosplit_getBalance"); n != 1 || r != 40 {
+			t.Errorf("%d connections for %d requests, want 1 for 40", n, r)
+		}
+	})
+}
+
+// ftTx is one FT transfer from a fresh ten-user workload.
+func ftTx(t *testing.T) *chain.Tx {
+	t.Helper()
+	w := workload.FTTransfer()
+	w.Users = 10
+	env, err := workload.Provision(w, true, shard.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Next(env)
+}

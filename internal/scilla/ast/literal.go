@@ -18,11 +18,6 @@ type Literal struct {
 	Bytes []byte
 }
 
-// IntLit builds an integer literal of the given primitive type.
-func IntLit(t PrimType, v int64) Literal {
-	return Literal{Type: t, Int: big.NewInt(v)}
-}
-
 // BigIntLit builds an integer literal from a big.Int (not copied).
 func BigIntLit(t PrimType, v *big.Int) Literal {
 	return Literal{Type: t, Int: v}

@@ -131,8 +131,8 @@ func TestLiteralStringAndEqual(t *testing.T) {
 		lit  ast.Literal
 		want string
 	}{
-		{ast.IntLit(ast.TyUint128, 42), "Uint128 42"},
-		{ast.IntLit(ast.TyInt32, -5), "Int32 -5"},
+		{ast.BigIntLit(ast.TyUint128, big.NewInt(42)), "Uint128 42"},
+		{ast.BigIntLit(ast.TyInt32, big.NewInt(-5)), "Int32 -5"},
 		{ast.StrLit("hi"), `"hi"`},
 		{ast.Literal{Type: ast.TyBNum, Int: big.NewInt(9)}, "BNum 9"},
 		{ast.ByStrLit(make([]byte, 20)), "0x0000000000000000000000000000000000000000"},
@@ -145,7 +145,7 @@ func TestLiteralStringAndEqual(t *testing.T) {
 			t.Errorf("literal %s not equal to itself", c.want)
 		}
 	}
-	if ast.IntLit(ast.TyUint128, 1).Equal(ast.IntLit(ast.TyUint64, 1)) {
+	if ast.BigIntLit(ast.TyUint128, big.NewInt(1)).Equal(ast.BigIntLit(ast.TyUint64, big.NewInt(1))) {
 		t.Error("literals of different types equal")
 	}
 	if ast.StrLit("a").Equal(ast.StrLit("b")) {

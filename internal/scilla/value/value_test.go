@@ -135,7 +135,7 @@ func TestListValues(t *testing.T) {
 }
 
 func TestFromLiteral(t *testing.T) {
-	l := ast.IntLit(ast.TyUint128, 42)
+	l := ast.BigIntLit(ast.TyUint128, big.NewInt(42))
 	v := value.FromLiteral(l)
 	if v.(value.Int).V.Uint64() != 42 {
 		t.Error("int literal conversion failed")

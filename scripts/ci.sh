@@ -119,8 +119,9 @@ go test -run '^$' -bench 'CommitHolders|SnapshotHolders|MergePerField|BlockFanou
 go test -run '^$' -bench 'ReceiptLogFile|TCPRoundTrip' -benchtime 1x ./internal/node/
 # The JSON-RPC server alone: one sendRawTransaction, getBalance and
 # getState request each through Server.ServeHTTP over a ChanNetwork
-# cluster.
-go test -run '^$' -bench 'RPCServe' -benchtime 1x ./internal/rpc/
+# cluster; and the same three calls through rpc.Client over a loopback
+# connection into that server.
+go test -run '^$' -bench 'RPCServe|ClientCall' -benchtime 1x ./internal/rpc/
 # The root trie's slab: one 100k-leaf load key by key and one sorted
 # bulk load (ns, B, allocations and retained bytes per leaf each) and
 # one epoch's 500 overwrites + Root at 10k, 100k and 1M leaves of both
