@@ -17,6 +17,8 @@ type StateReader interface {
 }
 
 // KeypathSep separates canonical keys in a flattened nested-map path.
+// No canonical key holds a byte this low (value.AppendStrKey), so a
+// keypath splits into its keys' forms and orders as their tuple does.
 const KeypathSep = "\x1f"
 
 // Keypath renders a key vector canonically. The single-key case (flat

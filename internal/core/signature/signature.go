@@ -98,16 +98,6 @@ type Signature struct {
 	CommutativeWrites map[string][]domain.FieldRef
 }
 
-// isBottom reports whether the named transition cannot be sharded.
-func (sg *Signature) isBottom(transition string) bool {
-	for _, c := range sg.Constraints[transition] {
-		if c.Kind == CBottom {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the whole signature.
 func (sg *Signature) String() string {
 	var sb strings.Builder

@@ -52,19 +52,9 @@ func ClusterTCP(addr string) ClusterOption {
 	return func(c *clusterConfig) { c.tcpAddr = addr }
 }
 
-// clusterDS forwards role options to the DS committee.
-func clusterDS(opts ...DSOption) ClusterOption {
-	return func(c *clusterConfig) { c.dsOpts = append(c.dsOpts, opts...) }
-}
-
 // ClusterShardNodes forwards role options to every shard node.
 func ClusterShardNodes(opts ...ShardOption) ClusterOption {
 	return func(c *clusterConfig) { c.shardOpts = append(c.shardOpts, opts...) }
-}
-
-// clusterLookup forwards role options to every lookup node.
-func clusterLookup(opts ...LookupOption) ClusterOption {
-	return func(c *clusterConfig) { c.lookupOpts = append(c.lookupOpts, opts...) }
 }
 
 // ClusterLookupCount runs n lookup nodes (default 1), named by

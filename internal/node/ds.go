@@ -98,13 +98,6 @@ type dsConfig struct {
 	source  BlockSource
 }
 
-// dsCollectTimeout bounds how long the committee waits for MicroBlocks
-// each epoch before declaring the stragglers transport-lost (default
-// 2s; fault tests shorten it).
-func dsCollectTimeout(d time.Duration) DSOption {
-	return func(c *dsConfig) { c.timeout = d }
-}
-
 // DSObs attaches transport observability: frame trace events on rec
 // and wire.* metrics on reg.
 func DSObs(reg *obs.Registry, rec obs.Recorder) DSOption {

@@ -14,7 +14,7 @@ import (
 // queries to the DS committee, correlates the responses, and files the
 // receipts of FinalBlock broadcasts so clients can poll commit status
 // without touching the committee. It holds no state replica and is the
-// one role that keeps receipts, in a bounded log (lookupReceiptCap)
+// one role that keeps receipts, in a bounded log (DefaultReceiptCap)
 // that evicts the oldest first and owns its bytes: no frame or block
 // outlives its handling; wire.ReceiptEvents builds the events for the
 // client that asks.
@@ -67,19 +67,6 @@ const lookupTimeout = 5 * time.Second
 // LookupObs attaches transport observability to the node's endpoint.
 func LookupObs(reg *obs.Registry, rec obs.Recorder) LookupOption {
 	return func(c *lookupConfig) { c.reg, c.rec = reg, rec }
-}
-
-// lookupReceiptCap bounds the lookup's receipt log, the only one in a
-// cluster, to the n most recent receipts (default DefaultReceiptCap,
-// 100000). Older receipts are evicted FIFO; a client that polls too
-// late simply sees nil, exactly as if the receipt's FinalBlock
-// broadcast had been lost.
-func lookupReceiptCap(n int) LookupOption {
-	return func(c *lookupConfig) {
-		if n > 0 {
-			c.receiptCap = n
-		}
-	}
 }
 
 // NewLookup builds a lookup talking to the DS peer named ds. Call Run

@@ -15,8 +15,8 @@ import (
 	"cosplit/internal/wire"
 )
 
-// DefaultReceiptCap is how many receipts a lookup keeps unless
-// lookupReceiptCap says otherwise.
+// DefaultReceiptCap is how many receipts a lookup keeps unless a test
+// sets another capacity.
 const DefaultReceiptCap = 100_000
 
 // ReceiptLog keeps the most recent receipts by transaction id, at most

@@ -14,8 +14,12 @@
 //	sendRawTransaction ["0x<hex tx>"]        -> {"id": n}
 //	getTransactionReceipt [id]               -> receipt | null
 //	getBalance ["0x<addr>"]                  -> {"found","balance","nonce"}
-//	getState ["0x<addr>", field, key]        -> {"found","value"}
+//	getState ["0x<addr>", field, key?]       -> {"found","value"}
 //	chainInfo []                             -> {"epoch","stateRoot"}
+//
+// getState's key is value.CanonicalKey of the map key, a String's with
+// its control bytes escaped (value.AppendStrKey); without a key it
+// reads the whole field.
 package rpc
 
 import (

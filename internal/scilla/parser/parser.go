@@ -47,40 +47,6 @@ func ParseModule(src string) (*ast.Module, error) {
 	return m, nil
 }
 
-// parseExpr parses a standalone expression.
-func parseExpr(src string) (ast.Expr, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks, src: src}
-	e, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, p.errf("unexpected trailing input %q", p.cur().Text)
-	}
-	return e, nil
-}
-
-// parseType parses a standalone type.
-func parseType(src string) (ast.Type, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks, src: src}
-	t, err := p.parseType()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, p.errf("unexpected trailing input %q", p.cur().Text)
-	}
-	return t, nil
-}
-
 func (p *Parser) atEOF() bool { return p.pos >= len(p.toks) }
 
 func (p *Parser) cur() lexer.Token {

@@ -197,8 +197,10 @@ func KeyOf(kt ast.Type, ck string) Value {
 		if n, ok := new(big.Int).SetString(rest, 10); ok {
 			return Int{Ty: t, V: n}
 		}
-	case t.Kind == ast.StringKind && tag == "s":
-		return Str{S: rest}
+	case t.Kind == ast.StringKind:
+		if s, ok := StrOfKey(ck); ok {
+			return Str{S: s}
+		}
 	case t.Kind == ast.BNum && tag == "n":
 		if n, ok := new(big.Int).SetString(rest, 10); ok {
 			return BNum{V: n}
@@ -363,7 +365,7 @@ func AppendCanonicalKey(b []byte, v Value) []byte {
 	case Int:
 		return appendDecimal(append(append(b, k.Ty.String()...), ':'), k.V)
 	case Str:
-		return append(append(b, "s:"...), k.S...)
+		return AppendStrKey(b, k.S)
 	case ByStr:
 		return hex.AppendEncode(append(b, "b:0x"...), k.B)
 	case BNum:
@@ -371,6 +373,59 @@ func AppendCanonicalKey(b []byte, v Value) []byte {
 	default:
 		return append(append(b, "x:"...), v.String()...)
 	}
+}
+
+// keyEsc escapes a byte of a String key's canonical form (AppendStrKey).
+const keyEsc = 0x7f
+
+// AppendStrKey appends the canonical key of the String s to b: "s:" and
+// s, each byte below 0x20 written as keyEsc and the byte plus 0x40, and
+// keyEsc as keyEsc twice. Every byte of the key is then above the
+// keypath separator 0x1f, so a keypath names one tuple of keys and
+// keypaths order as their tuples of canonical keys do. A string with
+// neither kind of byte renders as itself. s is the string's bytes, so a
+// decoder renders a key it has not built.
+func AppendStrKey[S ~string | ~[]byte](b []byte, s S) []byte {
+	b = append(b, "s:"...)
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20:
+			b = append(b, keyEsc, c+0x40)
+		case c == keyEsc:
+			b = append(b, keyEsc, keyEsc)
+		default:
+			b = append(b, c)
+		}
+	}
+	return b
+}
+
+// StrOfKey returns the String whose canonical key is ck (AppendStrKey),
+// and false when ck is no String's. A key that escapes nothing yields
+// its own bytes after "s:", without a copy.
+func StrOfKey(ck string) (string, bool) {
+	s, ok := strings.CutPrefix(ck, "s:")
+	if !ok {
+		return "", false
+	}
+	i := strings.IndexFunc(s, func(r rune) bool { return r < 0x20 || r == keyEsc })
+	if i < 0 {
+		return s, true
+	}
+	b := []byte(s[:i])
+	for ; i < len(s); i++ {
+		c := s[i]
+		if c == keyEsc && i+1 < len(s) {
+			i++
+			if c = s[i]; c != keyEsc {
+				c -= 0x40
+			}
+		}
+		b = append(b, c)
+	}
+	// A raw control byte or a bad escape decodes to a string whose key
+	// is other bytes.
+	return string(b), string(AppendStrKey(nil, b)) == ck
 }
 
 // appendDecimal appends n in base 10, as n.Append(b, 10) does.

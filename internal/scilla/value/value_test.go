@@ -6,9 +6,11 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"cosplit/internal/chain"
 	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/value"
 )
@@ -193,7 +195,8 @@ func TestIntRangeHelpers(t *testing.T) {
 
 // TestMapKeyRoundTrip: Map.Key rebuilds every primitive key kind from
 // its canonical form, with the map's key type, and the rebuilt key
-// renders to the same canonical form.
+// renders to the same canonical form — a String key holding any byte
+// below 0x21 or the escape byte 0x7f included.
 func TestMapKeyRoundTrip(t *testing.T) {
 	var keys []value.Value
 	for k := ast.Int32; k <= ast.Uint256; k++ {
@@ -211,9 +214,13 @@ func TestMapKeyRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range []string{"", "a:b", "x\x1fy"} {
+	for _, s := range []string{"", "a:b", "x\x1fy", "s:\x7f\x7fA", "\x7f@"} {
 		keys = append(keys, value.Str{S: s})
 	}
+	for c := 0; c <= 0x20; c++ {
+		keys = append(keys, value.Str{S: string(rune(c))}, value.Str{S: "a" + string(rune(c)) + "b"})
+	}
+	keys = append(keys, value.Str{S: "\x7f"}, value.Str{S: "a\x7fb"})
 	keys = append(keys,
 		value.ByStr{Ty: ast.PrimType{Kind: ast.ByStr}, B: []byte{}},
 		value.ByStr{Ty: ast.TyByStr20, B: bytes.Repeat([]byte{0xab}, 20)},
@@ -232,6 +239,73 @@ func TestMapKeyRoundTrip(t *testing.T) {
 			t.Errorf("CanonicalKey(Key(%q)) = %q", ck, again)
 		}
 	}
+}
+
+// canonicalKeyBytes are the bytes FuzzCanonicalKey builds String keys
+// of: the keypath separator and its neighbours, the escape byte, the
+// characters of a key's "s:" tag, and bytes either side of the escape.
+var canonicalKeyBytes = []byte{0x00, 0x01, 0x1e, 0x1f, 0x20, 's', ':', 'a', 0x7f, 0xff}
+
+// stringKeys reads a tuple of String keys from b: a byte picks one of
+// canonicalKeyBytes or, past them, ends the key it is building.
+func stringKeys(b []byte) []value.Value {
+	var keys []value.Value
+	var cur []byte
+	for _, c := range b {
+		if i := int(c) % (len(canonicalKeyBytes) + 1); i < len(canonicalKeyBytes) {
+			cur = append(cur, canonicalKeyBytes[i])
+			continue
+		}
+		keys = append(keys, value.Str{S: string(cur)})
+		cur = cur[:0]
+	}
+	return append(keys, value.Str{S: string(cur)})
+}
+
+// FuzzCanonicalKey: over tuples of String keys, equal keypaths mean
+// equal tuples, keypaths order as the tuples of the keys' canonical
+// forms do, every canonical key byte is above the keypath separator,
+// and KeyOf inverts every key; StrOfKey takes no other bytes for a
+// String's key.
+func FuzzCanonicalKey(f *testing.F) {
+	f.Add([]byte{7, 3, 5, 6, 7, 10, 7}, []byte{7, 10, 7, 3, 5, 6, 7}) // ["a\x1fs:a"]["a"] and ["a"]["a\x1fs:a"]
+	f.Add([]byte{7}, []byte{7, 1})                                    // "a" and "a\x01"
+	f.Add([]byte{7, 10, 7}, []byte{7, 1, 10, 7})                      // ["a"]["a"] and ["a\x01"]["a"]
+	f.Add([]byte{8, 3}, []byte{0, 9, 8, 8})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		raw := "s:" + string(a)
+		if s, ok := value.StrOfKey(raw); ok && value.CanonicalKey(value.Str{S: s}) != raw {
+			t.Fatalf("StrOfKey(%q) = %q, whose key is %q", raw, s, value.CanonicalKey(value.Str{S: s}))
+		}
+		ta, tb := stringKeys(a), stringKeys(b)
+		forms := func(keys []value.Value) []string {
+			cks := make([]string, len(keys))
+			for i, k := range keys {
+				cks[i] = value.CanonicalKey(k)
+				if got := value.KeyOf(ast.TyString, cks[i]); !value.Equal(got, k) {
+					t.Fatalf("KeyOf(%q) = %#v, want %#v", cks[i], got, k)
+				}
+				for _, c := range []byte(cks[i]) {
+					if c <= chain.KeypathSep[0] {
+						t.Fatalf("canonical key %q of %#v holds byte %#x", cks[i], k, c)
+					}
+				}
+			}
+			return cks
+		}
+		fa, fb := forms(ta), forms(tb)
+		kpa, kpb := chain.Keypath(ta), chain.Keypath(tb)
+		equal := len(ta) == len(tb)
+		for i := 0; equal && i < len(ta); i++ {
+			equal = value.Equal(ta[i], tb[i])
+		}
+		if (kpa == kpb) != equal {
+			t.Fatalf("keypaths %q and %q of %v and %v: equal %v, tuples equal %v", kpa, kpb, ta, tb, kpa == kpb, equal)
+		}
+		if got, want := bytes.Compare([]byte(kpa), []byte(kpb)), slices.Compare(fa, fb); got != want {
+			t.Fatalf("keypaths %q and %q compare %d, their keys' canonical forms %d", kpa, kpb, got, want)
+		}
+	})
 }
 
 // liveHeap is the heap in use after a collection.

@@ -70,8 +70,9 @@ func TestTouchAccountAllocs(t *testing.T) {
 // trie key from the keypath its delta carries and finds the entry by
 // that keypath, so overwriting an existing entry's leaf allocates
 // nothing. Nested entries, whose ancestors' keys are cut from the
-// keypath (a String key may hold the separator byte), keep the root a
-// fresh rendering of the state gives through inserts and deletes.
+// keypath at its separators (a String key holding the separator byte
+// renders it escaped), keep the root a fresh rendering of the state
+// gives through inserts and deletes.
 func TestTouchEntryAllocs(t *testing.T) {
 	const holders = 10_000
 	addr := chain.AddrFromUint(7)
@@ -105,7 +106,7 @@ func TestTouchEntryAllocs(t *testing.T) {
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		roots.TouchEntry(addr, "balances", keypaths[i%holders], keys[i%holders:][:1], st)
+		roots.TouchEntry(addr, "balances", keypaths[i%holders], st)
 		i++
 	})
 	t.Logf("TouchEntry: %.3f allocations to overwrite a one-key entry's leaf", allocs)
@@ -113,7 +114,7 @@ func TestTouchEntryAllocs(t *testing.T) {
 		t.Errorf("overwriting a one-key entry's leaf allocates %.3f times, want 0", allocs)
 	}
 	for j := i; j < holders; j++ {
-		roots.TouchEntry(addr, "balances", keypaths[j], keys[j:][:1], st)
+		roots.TouchEntry(addr, "balances", keypaths[j], st)
 	}
 	if got, want := roots.Root(), fresh(); got != want {
 		t.Fatalf("root after overwrites %s, fresh rendering %s", got, want)
@@ -122,7 +123,7 @@ func TestTouchEntryAllocs(t *testing.T) {
 	nested := st.Fields["nested"].(*value.Map)
 	touch := func(outer, inner string) {
 		ks := []value.Value{value.Str{S: outer}, value.Str{S: inner}}
-		roots.TouchEntry(addr, "nested", chain.Keypath(ks), ks, st)
+		roots.TouchEntry(addr, "nested", chain.Keypath(ks), st)
 		if got, want := roots.Root(), fresh(); got != want {
 			t.Fatalf("nested[%q][%q]: root %s, fresh rendering %s", outer, inner, got, want)
 		}

@@ -118,7 +118,7 @@ func (n *Network) touchPhase(p phase) {
 				continue
 			}
 			for _, e := range fd.Entries {
-				n.roots.TouchEntry(d.Contract, fd.Name, e.Keypath, e.Keys, st)
+				n.roots.TouchEntry(d.Contract, fd.Name, e.Keypath, st)
 			}
 		}
 	}

@@ -20,9 +20,9 @@ import (
 // dirtySet names every state component the blocks journaled since the
 // newest snapshot file wrote: account addresses, and per contract and
 // field either the whole field or the keypaths of its written entries.
-// It holds keys only — the key values an entry delta already carries —
-// never a state value, a block or a receipt: the values are read from
-// canonical state when the set is written out.
+// It holds names only — never a state value, a key value, a block or a
+// receipt: the keys are rebuilt from the keypaths and the values read
+// from canonical state when the set is written out.
 type dirtySet struct {
 	accounts  map[chain.Address]struct{}
 	contracts map[chain.Address]map[string]*dirtyField
@@ -37,13 +37,10 @@ type dirtySet struct {
 // recorded before it and ignores the ones after.
 type dirtyField struct {
 	whole bool
-	// entries holds each written entry's keypath, and keys the keys of
-	// those whose keypath does not render them unambiguously
-	// (keptKeys). The others' keys are rebuilt from the keypath when the
-	// set is written out (keysOf), so an entry keyed by integers, byte
-	// strings or block numbers costs the set its keypath alone.
+	// entries holds each written entry's keypath. Its keys are rebuilt
+	// from the keypath when the set is written out (keysOf), so an
+	// entry costs the set its keypath alone.
 	entries map[string]struct{}
-	keys    map[string][]value.Value
 }
 
 func (d *dirtySet) reset() { *d = dirtySet{} }
@@ -104,17 +101,11 @@ func (d *dirtySet) addDeltas(deltas []*chain.StateDelta) {
 					df.entries = make(map[string]struct{})
 				}
 				df.entries[e.Keypath] = struct{}{}
-				if kept := keptKeys(e.Keys); kept != nil {
-					if df.keys == nil {
-						df.keys = make(map[string][]value.Value)
-					}
-					df.keys[e.Keypath] = kept
-				}
 				d.cost++
 			}
 			if whole {
 				d.cost += 1 - len(df.entries)
-				df.whole, df.entries, df.keys = true, nil, nil
+				df.whole, df.entries = true, nil
 			}
 		}
 	}
@@ -195,21 +186,19 @@ func compareAddrs(a, b chain.Address) int {
 // components each — an entry, or a field written whole — and hands each
 // record to put, encoded, once it is complete. Records are canonical
 // deltas (chain.StateDelta): fields and their entries arrive in the
-// order they are written, and a record is sorted before it is put only
-// if an entry arrived out of keypath order (unsorted). The first error
-// ends the writing and stays in err; cost counts what was written in
-// the fold rule's unit (see incremental.cost).
+// order they are written, which is theirs. The first error ends the
+// writing and stays in err; cost counts what was written in the fold
+// rule's unit (see incremental.cost).
 type stateRecords struct {
 	put func(payload []byte) error
 	err error
 	// cur is the record being filled and size its components. Its
 	// fields' entries are runs of entries, the last field's at its end;
 	// the next record reuses both slices.
-	cur      chain.StateDelta
-	entries  []chain.EntryDelta
-	size     int
-	unsorted bool
-	cost     int
+	cur     chain.StateDelta
+	entries []chain.EntryDelta
+	size    int
+	cost    int
 }
 
 // component is where the next component of contract addr's field f
@@ -231,9 +220,6 @@ func (r *stateRecords) component(addr chain.Address, f string) *chain.FieldDelta
 func (r *stateRecords) entry(addr chain.Address, f string, e chain.EntryDelta) {
 	fd := r.component(addr, f)
 	n := len(fd.Entries)
-	if n > 0 && fd.Entries[n-1].Keypath >= e.Keypath {
-		r.unsorted = true
-	}
 	r.entries = append(r.entries, e)
 	fd.Entries = r.entries[len(r.entries)-n-1:]
 }
@@ -241,17 +227,12 @@ func (r *stateRecords) entry(addr chain.Address, f string, e chain.EntryDelta) {
 // flush puts the current record, if it holds anything, and reports err.
 func (r *stateRecords) flush() error {
 	if r.size > 0 && r.err == nil {
-		if r.unsorted {
-			for _, fd := range r.cur.Fields {
-				chain.SortEntries(fd.Entries)
-			}
-		}
 		var payload []byte
 		if payload, r.err = wire.EncodeStateDelta(&r.cur); r.err == nil {
 			r.err = r.put(payload)
 		}
 	}
-	r.cur.Fields, r.entries, r.size, r.unsorted = r.cur.Fields[:0], r.entries[:0], 0, false
+	r.cur.Fields, r.entries, r.size = r.cur.Fields[:0], r.entries[:0], 0
 	return r.err
 }
 
@@ -273,9 +254,7 @@ func (r *stateRecords) whole(addr chain.Address, f string, v value.Value) {
 
 // leaves writes the leaves of the non-empty map m, reached from field f
 // by keys (keypath kp), as Overwrite entries, walking each level in
-// canonical key order. That is keypath order unless a String key runs
-// on, past a shorter one it starts with, in a byte below the keypath
-// separator.
+// canonical key order, which is keypath order.
 func (r *stateRecords) leaves(addr chain.Address, f string, m *value.Map, keys []value.Value, kp string) {
 	type entry struct {
 		ck string
@@ -313,11 +292,7 @@ func (r *stateRecords) dirty(addr chain.Address, state map[string]value.Value, d
 		fields = append(fields, f)
 	}
 	sort.Strings(fields)
-	type entry struct {
-		kp   string
-		keys []value.Value
-	}
-	var entries []entry
+	var keypaths []string
 	for _, f := range fields {
 		v, ok := state[f]
 		if !ok {
@@ -328,23 +303,21 @@ func (r *stateRecords) dirty(addr chain.Address, state map[string]value.Value, d
 			r.whole(addr, f, v)
 			continue
 		}
-		entries = entries[:0]
+		keypaths = keypaths[:0]
 		for kp := range df.entries {
-			entries = append(entries, entry{kp, df.keys[kp]})
+			keypaths = append(keypaths, kp)
 		}
-		slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.kp, b.kp) })
+		sort.Strings(keypaths)
 		// Empty maps written in place of their deleted entries, so that
 		// several entries deleted under one of them write it once.
 		var emptied map[string]bool
-		for _, de := range entries {
-			if de.keys == nil {
-				var err error
-				if de.keys, err = keysOf(v, de.kp); err != nil {
-					return fmt.Errorf("store: contract %s field %q: %w", addr, f, err)
-				}
+		for _, kp := range keypaths {
+			keys, err := keysOf(v, kp)
+			if err != nil {
+				return fmt.Errorf("store: contract %s field %q: %w", addr, f, err)
 			}
-			e := postEntry(v, de.kp, de.keys)
-			if len(e.Keys) != len(de.keys) {
+			e := postEntry(v, kp, keys)
+			if len(e.Keys) != len(keys) {
 				if _, own := df.entries[e.Keypath]; own || emptied[e.Keypath] {
 					continue
 				}
@@ -360,22 +333,10 @@ func (r *stateRecords) dirty(addr chain.Address, state map[string]value.Value, d
 	return nil
 }
 
-// keptKeys is what a dirty set keeps of an entry's keys: nothing when
-// none is a String — every other key's canonical form is free of the
-// keypath separator, so the keypath splits into the keys' forms and
-// keysOf rebuilds them — else the keys.
-func keptKeys(keys []value.Value) []value.Value {
-	for _, k := range keys {
-		if _, ok := k.(value.Str); ok {
-			return keys
-		}
-	}
-	return nil
-}
-
 // keysOf rebuilds the keys of the entry at keypath kp of the map field
-// whose value is field, none of them a String (keptKeys), level by level
-// from the field's key and value types.
+// whose value is field, level by level from the field's key and value
+// types: no canonical key holds the keypath separator, so kp splits
+// into its keys' canonical forms.
 func keysOf(field value.Value, kp string) ([]value.Value, error) {
 	m, ok := field.(*value.Map)
 	if !ok {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"strings"
 	"sync"
 
 	"cosplit/internal/chain"
@@ -37,10 +38,7 @@ type StateRoots struct {
 	t  Trie
 	// key is the scratch every trie key is built in and pre the one
 	// every leaf preimage is: the trie copies the key bytes it keeps.
-	// ends is where each key of the entry TouchEntry commits ends in
-	// its keypath.
 	key, pre []byte
-	ends     []int
 	// loading is set while Load renders the whole state: expand then
 	// adds each leaf to leaves, its key copied into arena, instead of
 	// putting it in the trie.
@@ -150,31 +148,33 @@ func (s *StateRoots) TouchWholeField(addr chain.Address, field string, st *eval.
 	s.expand(fk, v)
 }
 
-// TouchEntry re-commits the single map entry (field, keys) from st.
-// keypath is chain.Keypath(keys), as the entry's delta carries it: the
-// entry's trie key and its map lookups are built from it. It maintains
+// TouchEntry re-commits the single map entry of field at keypath
+// (chain.Keypath of its keys, as the entry's delta carries it) from st;
+// an empty keypath is the field itself. The entry's trie key and its
+// map lookups are built from the keypath: each separator in it ends
+// one key's canonical form, which holds no separator byte. It maintains
 // the empty-map markers on the entry's ancestors: an insert removes
 // markers the now-non-empty intermediates may have left, and a delete
 // walks ancestors deepest-first to mark the first surviving (possibly
 // now-empty) map.
-func (s *StateRoots) TouchEntry(addr chain.Address, field, keypath string, keys []value.Value, st *eval.MemState) {
-	if len(keys) == 0 {
+func (s *StateRoots) TouchEntry(addr chain.Address, field, keypath string, st *eval.MemState) {
+	if keypath == "" {
 		s.TouchWholeField(addr, field, st)
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.splitKeypath(keypath, keys)
 	fk := s.fieldKey(addr, field)
 	ek := s.entryKey(fk, keypath)
-	// ancestor is the key of the map holding keys[:i]'s entries.
-	ancestor := func(i int) int {
-		if i == 0 {
+	// ancestor is the key of the map holding the entries below
+	// keypath[:end], the field's own for end -1.
+	ancestor := func(end int) int {
+		if end < 0 {
 			return fk
 		}
-		return fk + len(sep) + s.ends[i-1]
+		return fk + len(sep) + end
 	}
-	if v, ok := s.lookup(st, field, keypath, len(keys)); ok {
+	if v, ok := s.lookup(st, field, keypath); ok {
 		// A scalar at this keypath has always been a scalar there (the
 		// field's type fixes the depth of its leaves), so nothing lies
 		// below the entry key and the Put in expand overwrites or
@@ -185,8 +185,11 @@ func (s *StateRoots) TouchEntry(addr chain.Address, field, keypath string, keys 
 		}
 		// Every proper ancestor is a non-empty map now; drop any stale
 		// empty-map marker sitting at its key (no-op if none).
-		for i := range keys {
-			s.t.Delete(s.key[:ancestor(i)])
+		s.t.Delete(s.key[:fk])
+		for end := range len(keypath) {
+			if keypath[end] == sep[0] {
+				s.t.Delete(s.key[:ancestor(end)])
+			}
 		}
 		s.expand(ek, v)
 		return
@@ -195,32 +198,16 @@ func (s *StateRoots) TouchEntry(addr chain.Address, field, keypath string, keys 
 	// Entry gone. Find the deepest surviving ancestor; if the delete
 	// emptied it, it needs an explicit marker (its last child leaf
 	// just left the trie).
-	for i := len(keys) - 1; i >= 0; i-- {
-		av, ok := s.lookup(st, field, keypath, i)
+	for end := len(keypath); end >= 0; {
+		end = strings.LastIndex(keypath[:end], sep)
+		av, ok := s.lookup(st, field, keypath[:max(end, 0)])
 		if !ok {
 			continue
 		}
 		if m, isMap := av.(*value.Map); isMap && m.Len() == 0 {
-			s.t.Put(s.key[:ancestor(i)], emptyMapLeaf)
+			s.t.Put(s.key[:ancestor(end)], emptyMapLeaf)
 		}
-		break
-	}
-}
-
-// splitKeypath records in s.ends where each key's canonical form ends
-// in keypath. A nested key's length is read off its rendering: a String
-// key may hold the separator byte itself.
-func (s *StateRoots) splitKeypath(keypath string, keys []value.Value) {
-	s.ends = s.ends[:0]
-	if len(keys) == 1 {
-		s.ends = append(s.ends, len(keypath))
 		return
-	}
-	end := -len(sep)
-	for _, k := range keys {
-		s.pre = value.AppendCanonicalKey(s.pre[:0], k)
-		end += len(sep) + len(s.pre)
-		s.ends = append(s.ends, end)
 	}
 }
 
@@ -251,23 +238,12 @@ func (s *StateRoots) Load(accounts *chain.Accounts, contracts []*chain.Contract)
 		}
 	}
 	sortLeaves(s.leaves, make([]Leaf, len(s.leaves)), 0)
-	// Two entries whose keypaths render alike (a String key holding the
-	// separator) share a key; the last of them, by hash, stands for
-	// both, so the root does not depend on map order.
-	leaves := s.leaves[:0]
-	for _, l := range s.leaves {
-		if n := len(leaves); n > 0 && bytes.Equal(leaves[n-1].Key, l.Key) {
-			leaves[n-1] = l
-			continue
-		}
-		leaves = append(leaves, l)
-	}
-	s.t = *Load(leaves)
+	s.t = *Load(s.leaves)
 	s.loading, s.arena, s.leaves = false, nil, nil
 }
 
-// sortLeaves sorts leaves, whose keys agree on their first d bytes, by
-// key and equal keys by hash, most significant byte first: a counting
+// sortLeaves sorts leaves, whose keys are distinct and agree on their
+// first d bytes, by key, most significant byte first: a counting
 // pass per key byte deals the leaves out by it through scratch, which is
 // as long as leaves, and each run of one byte is sorted from the next
 // byte on. Short runs are sorted by insertion.
@@ -292,14 +268,9 @@ func sortLeaves(leaves, scratch []Leaf, d int) {
 			next[b]++
 		}
 		copy(leaves, scratch)
-		start := 0
-		for b, c := range count {
-			run := leaves[start : start+c]
-			if b == 0 {
-				insertLeaves(run, d) // equal keys: by hash
-			} else {
-				sortLeaves(run, scratch[start:start+c], d+1)
-			}
+		start := count[0] // the one key, if any, that ends at d
+		for _, c := range count[1:] {
+			sortLeaves(leaves[start:start+c], scratch[start:start+c], d+1)
 			start += c
 		}
 		return
@@ -317,16 +288,10 @@ func bucket(l *Leaf, d int) int {
 }
 
 // insertLeaves sorts leaves, whose keys agree on their first d bytes, by
-// key and equal keys by hash, by insertion.
+// key, by insertion.
 func insertLeaves(leaves []Leaf, d int) {
-	less := func(a, b *Leaf) bool {
-		if c := bytes.Compare(a.Key[d:], b.Key[d:]); c != 0 {
-			return c < 0
-		}
-		return bytes.Compare(a.Hash[:], b.Hash[:]) < 0
-	}
 	for i := 1; i < len(leaves); i++ {
-		for j := i; j > 0 && less(&leaves[j], &leaves[j-1]); j-- {
+		for j := i; j > 0 && bytes.Compare(leaves[j].Key[d:], leaves[j-1].Key[d:]) < 0; j-- {
 			leaves[j], leaves[j-1] = leaves[j-1], leaves[j]
 		}
 	}
@@ -387,21 +352,19 @@ func (s *StateRoots) expand(n int, v value.Value) {
 	}
 }
 
-// lookup reads the value the first depth keys of an entry address in
-// canonical state, walking nested maps by the canonical keys keypath
-// holds (splitKeypath).
-func (s *StateRoots) lookup(st *eval.MemState, field, keypath string, depth int) (value.Value, bool) {
+// lookup reads the value at keypath kp of field in canonical state,
+// the field's own for an empty kp, walking nested maps by the canonical
+// keys kp's separators divide it into.
+func (s *StateRoots) lookup(st *eval.MemState, field, kp string) (value.Value, bool) {
 	v, ok := st.Fields[field]
-	start := 0
-	for _, end := range s.ends[:depth] {
+	for ok && kp != "" {
 		m, isMap := v.(*value.Map)
 		if !isMap {
 			return nil, false
 		}
-		if v, ok = m.GetCK(keypath[start:end]); !ok {
-			return nil, false
-		}
-		start = end + len(sep)
+		var ck string
+		ck, kp, _ = strings.Cut(kp, sep)
+		v, ok = m.GetCK(ck)
 	}
 	return v, ok
 }

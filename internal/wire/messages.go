@@ -386,7 +386,7 @@ func (r *reader) key(build bool) value.Value {
 	case k != nil:
 		r.kp = value.AppendCanonicalKey(r.kp, k)
 	case raw[0] == tagStr:
-		r.kp = append(append(r.kp, "s:"...), (&reader{b: raw[1:]}).skip()...)
+		r.kp = value.AppendStrKey(r.kp, (&reader{b: raw[1:]}).skip())
 	case raw[0] == tagByStr:
 		r.kp = hex.AppendEncode(append(r.kp, "b:0x"...), (&reader{b: raw[2:]}).skip())
 	default:

@@ -215,7 +215,7 @@ func appendValue(b []byte, v value.Value) ([]byte, error) {
 }
 
 // appendKey writes the key of m whose canonical form is ck as
-// appendValue writes m.Key(ck). A String or byte-string key is copied
+// appendValue writes m.Key(ck). A String or byte-string key is read
 // straight out of ck, so a full snapshot of a large address-keyed map
 // allocates nothing per key; an integer or block number is rebuilt.
 func appendKey(b []byte, m *value.Map, ck string) ([]byte, error) {
@@ -225,7 +225,7 @@ func appendKey(b []byte, m *value.Map, ck string) ([]byte, error) {
 	}
 	switch t.Kind {
 	case ast.StringKind:
-		if s, ok := strings.CutPrefix(ck, "s:"); ok {
+		if s, ok := value.StrOfKey(ck); ok {
 			return appendString(append(b, tagStr), s), nil
 		}
 	case ast.ByStr20, ast.ByStr32, ast.ByStr:

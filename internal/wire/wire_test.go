@@ -735,7 +735,7 @@ func TestDeltaIsCanonical(t *testing.T) {
 		{Name: "by_id", Entries: []chain.EntryDelta{entry(value.Uint32V(7)), entry(value.Uint32V(70))}},
 		{Name: "nested", Entries: []chain.EntryDelta{entry(str("a"), str("z")), entry(str("a\x01"), str("b")), entry(str("a\x1e"))}},
 	}}
-	chain.SortEntries(good.Fields[2].Entries) // "a\x01…" and "a\x1e" sort before "a\x1f…"
+	chain.SortEntries(good.Fields[2].Entries) // a no-op: escaped, "a\x01…" and "a\x1e" sort after "a\x1f…"
 	for dec, err := range decoders(good) {
 		if err != nil {
 			t.Errorf("canonical delta: %s returned %v", dec, err)

@@ -166,6 +166,10 @@ go test -fuzz=FuzzRPCCodec -fuzztime=10s ./internal/rpc/
 # never both, for the trie built op by op and for one bulk-loaded from
 # the model's sorted keys mid-sequence.
 go test -fuzz=FuzzTrieOps -fuzztime=10s ./internal/trie/
+# And of String keys' canonical forms: equal keypaths only for equal key
+# tuples, keypaths ordered as the tuples of canonical keys, every key
+# byte above the keypath separator, and KeyOf inverting every key.
+go test -fuzz=FuzzCanonicalKey -fuzztime=10s ./internal/scilla/value/
 # The example programs are documentation that compiles; run each so it
 # also still works (about 0.04 s together).
 for example in crowdfunding erc20 quickstart repair udregistry; do
