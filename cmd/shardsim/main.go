@@ -63,7 +63,7 @@ func (c *config) bind(fs *flag.FlagSet, group string) {
 		fs.StringVar(&c.workload, "workload", c.workload, "workload provisioned as genesis (must match on every side of a cluster)")
 	case "persist":
 		fs.StringVar(&c.stateDir, "state-dir", c.stateDir, "persistent state directory (a node cluster keeps one subdirectory per stateful role)")
-		fs.IntVar(&c.snapEvery, "snapshot-every", c.snapEvery, "snapshot file (what changed since the last one, or the full state when that is no smaller) and journal compaction every N committed epochs (0 = journal only, replayed from genesis)")
+		fs.IntVar(&c.snapEvery, "snapshot-every", c.snapEvery, "check every N committed epochs whether the journal costs as much to replay as the state has leaves, and if so fold it into a full snapshot file (0 = journal only, replayed from genesis)")
 	case "faults":
 		fs.StringVar(&c.faults, "faults", c.faults, `deterministic fault plan "seed:kind=prob[,...]" with kinds crash, drop, corrupt, straggle (e.g. "7:crash=0.05,straggle=0.2x4"): the harness applies it to its measured epochs, a shard node to the MicroBlocks it seals`)
 	case "obs":
@@ -298,9 +298,8 @@ func runChain(c *config) {
 	fail(st.Recover(env.Net))
 	fmt.Printf("state: recovered epoch=%d root=%s\n", env.Net.Checkpoint().Epoch, env.Net.StateRoot())
 	// On a line of its own: scripts compare the line above verbatim.
-	full, incremental := st.Chain()
-	fmt.Printf("state: chain %d full + %d incremental, %d journaled blocks replayed\n",
-		full, incremental, reg.Counter("store.replayed_blocks").Value())
+	fmt.Printf("state: chain %d full, %d journaled blocks replayed\n",
+		st.Chain(), reg.Counter("store.replayed_blocks").Value())
 	if c.epochs > 0 {
 		env.ResyncNonces()
 		env.Net.AttachStateStore(st)

@@ -93,18 +93,6 @@ func (as *Accounts) Range(f func(Address, Account) bool) {
 	}
 }
 
-// Each calls f for every address of addrs that holds an account, in
-// the order given, on the same terms as Range.
-func (as *Accounts) Each(addrs []Address, f func(Address, Account)) {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	for _, addr := range addrs {
-		if i, ok := as.idx[addr]; ok {
-			f(addr, as.rows[i])
-		}
-	}
-}
-
 // Len returns the number of accounts.
 func (as *Accounts) Len() int {
 	as.mu.RLock()

@@ -60,7 +60,7 @@ func TestAccountReadsAllocNothing(t *testing.T) {
 		as.Create(a, 1<<40, false)
 	}
 	var sum uint64
-	visit := func(_ Address, acc Account) { sum += acc.Balance.Lo }
+	visit := func(_ Address, acc Account) bool { sum += acc.Balance.Lo; return true }
 	for name, f := range map[string]func(){
 		"Get": func() {
 			acc, _ := as.Get(addrs[7])
@@ -70,7 +70,7 @@ func TestAccountReadsAllocNothing(t *testing.T) {
 			n, _ := as.NonceOf(addrs[7])
 			sum += n
 		},
-		"Each": func() { as.Each(addrs[:16], visit) },
+		"Range": func() { as.Range(visit) },
 	} {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)

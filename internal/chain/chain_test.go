@@ -57,13 +57,13 @@ func applyOps(t *testing.T, st eval.StateAccess, ops []op) {
 		case 0:
 			err = eval.SetAt(st, "balances", []value.Value{addr(o.key)}, value.Uint128(o.val))
 		case 1:
-			err = eval.DeleteAt(st, "balances", []value.Value{addr(o.key)})
+			err = deleteAt(st, "balances", []value.Value{addr(o.key)})
 		case 2:
 			err = st.StoreField("total", value.Uint128(o.val))
 		case 3:
 			err = eval.SetAt(st, "nested", []value.Value{addr(o.key), inner}, value.Uint128(o.val))
 		case 4:
-			err = eval.DeleteAt(st, "nested", []value.Value{addr(o.key), inner})
+			err = deleteAt(st, "nested", []value.Value{addr(o.key), inner})
 		case 5:
 			// A wholesale store: later entry ops on the field work on
 			// the stored copy, not on per-entry writes.
@@ -470,4 +470,10 @@ func TestAddressValueRoundTrip(t *testing.T) {
 	if _, ok := chain.AddressFromValue(value.Str{S: "no"}); ok {
 		t.Error("non-address value accepted")
 	}
+}
+
+// deleteAt deletes the entry of st's map field at keys, given as
+// values.
+func deleteAt(st eval.StateAccess, field string, keys []value.Value) error {
+	return st.MapDelete(field, eval.CanonicalKeys(nil, keys), keys)
 }

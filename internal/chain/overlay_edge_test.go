@@ -23,7 +23,7 @@ func TestOverlayLoadFieldMaterialises(t *testing.T) {
 	if err := eval.SetAt(ov, "balances", []value.Value{addr(2)}, value.Uint128(20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := eval.DeleteAt(ov, "balances", []value.Value{addr(1)}); err != nil {
+	if err := deleteAt(ov, "balances", []value.Value{addr(1)}); err != nil {
 		t.Fatal(err)
 	}
 	v, err := ov.LoadField("balances")
@@ -60,7 +60,7 @@ func TestOverlayWholeFieldStoreThenMapOps(t *testing.T) {
 	if err := eval.SetAt(ov, "balances", []value.Value{addr(2)}, value.Uint128(6)); err != nil {
 		t.Fatal(err)
 	}
-	if err := eval.DeleteAt(ov, "balances", []value.Value{addr(1)}); err != nil {
+	if err := deleteAt(ov, "balances", []value.Value{addr(1)}); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := eval.GetAt(ov, "balances", []value.Value{addr(2)})

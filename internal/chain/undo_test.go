@@ -52,11 +52,11 @@ func randomDelta(t *testing.T, r *rand.Rand, base *eval.MemState, shard int) *ch
 		case 0:
 			must(eval.SetAt(ov, "balances", []value.Value{addr(r.Intn(8))}, value.Uint128(uint64(r.Intn(1000)))))
 		case 1:
-			must(eval.DeleteAt(ov, "balances", []value.Value{addr(r.Intn(8))}))
+			must(deleteAt(ov, "balances", []value.Value{addr(r.Intn(8))}))
 		case 2:
 			must(eval.SetAt(ov, "nested", []value.Value{addr(r.Intn(4)), inner}, value.Uint128(uint64(r.Intn(1000)))))
 		case 3:
-			must(eval.DeleteAt(ov, "nested", []value.Value{addr(r.Intn(4)), inner}))
+			must(deleteAt(ov, "nested", []value.Value{addr(r.Intn(4)), inner}))
 		case 4:
 			must(ov.StoreField("note", value.Str{S: "rewritten"}))
 		case 5:

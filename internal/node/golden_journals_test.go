@@ -234,12 +234,12 @@ func TestParentStateDirRecovers(t *testing.T) {
 }
 
 // TestParentStateDirContinues picks the committed state directory up
-// where the build that wrote it left off: recover it, run on with
-// snapshots at every epoch, and recover again after each. The first
-// boundary's file must hold what the directory's journaled block wrote
-// as well as the new epoch's — keys this process only saw replayed — as
-// an incremental file on top of the old build's full one, which stays
-// as it is.
+// where the build that wrote it left off: recover it, run on with the
+// fold rule checked at every epoch, and recover again after each. The
+// boundaries below the fold write nothing — the journal, the replayed
+// block and the new ones, is the record since the old build's full
+// file, which stays as it is — until the journal costs a state's worth
+// of replay, when a full file of this build replaces it.
 func TestParentStateDirContinues(t *testing.T) {
 	var sc goldenScenario
 	for _, s := range goldenScenarios() {
@@ -290,11 +290,12 @@ func TestParentStateDirContinues(t *testing.T) {
 		next() // what the directory already holds
 	}
 	live, st := recoverWork()
-	// A small epoch: with the replayed 120-transaction block it stays
-	// below the state's size, so the first boundary extends the chain;
-	// the second folds it or not as the rule has it.
-	const perEpoch = 8
-	for boundary := 1; boundary <= 2; boundary++ {
+	// Small epochs: with the replayed 120-transaction block the journal
+	// stays below the state's size for a boundary or more, then folds.
+	const perEpoch, boundaries = 8, 6
+	oldSum := fileSHA256(t, filepath.Join(parentStateDir, fullName))
+	below, folded := 0, false
+	for boundary := 1; boundary <= boundaries && !folded; boundary++ {
 		for i := 0; i < perEpoch; i++ {
 			live.Submit(next())
 		}
@@ -302,16 +303,28 @@ func TestParentStateDirContinues(t *testing.T) {
 		if err != nil || stats.Committed != perEpoch {
 			t.Fatalf("boundary %d: committed %d of %d: %v", boundary, stats.Committed, perEpoch, err)
 		}
-		full, inc := st.Chain()
-		t.Logf("boundary %d: chain of %d full + %d incremental files", boundary, full, inc)
-		if boundary == 1 {
-			if full != 1 || inc != 1 {
-				t.Fatalf("chain of %d full + %d incremental files, want the old full file and one on top", full, inc)
-			}
-			if now, old := fileSHA256(t, filepath.Join(work, fullName)), fileSHA256(t, filepath.Join(parentStateDir, fullName)); now != old {
-				t.Fatalf("%s changed", fullName)
+		var snaps []string
+		ents, err := os.ReadDir(work)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if e.Name() != "journal.log" {
+				snaps = append(snaps, e.Name())
 			}
 		}
+		if len(snaps) != 1 || st.Chain() != 1 {
+			t.Fatalf("boundary %d: the directory holds %v, the store rests on %d full files; want one", boundary, snaps, st.Chain())
+		}
+		if folded = snaps[0] != fullName; !folded {
+			below++
+			if now := fileSHA256(t, filepath.Join(work, fullName)); now != oldSum {
+				t.Fatalf("boundary %d: %s changed below the fold", boundary, fullName)
+			}
+		} else if info, err := os.Stat(filepath.Join(work, "journal.log")); err != nil || info.Size() != 0 {
+			t.Fatalf("boundary %d: the fold left the journal at %v bytes: %v", boundary, info.Size(), err)
+		}
+		t.Logf("boundary %d: %v, journal folded %v", boundary, snaps, folded)
 		// Kill and recover: the process resumes from the recovered
 		// network, so a wrong file would also derail the next epoch.
 		recovered, st2 := recoverWork()
@@ -322,6 +335,9 @@ func TestParentStateDirContinues(t *testing.T) {
 			t.Fatalf("boundary %d: recovered checkpoint %+v, live %+v", boundary, got, want)
 		}
 		live, st = recovered, st2
+	}
+	if below == 0 || !folded {
+		t.Fatalf("%d boundaries below the fold, folded %v: want the old file kept for one at least, then a fold", below, folded)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

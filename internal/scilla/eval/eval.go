@@ -46,19 +46,15 @@ func CanonicalKeys(buf []string, keys []value.Value) []string {
 	return buf
 }
 
-// GetAt, SetAt and DeleteAt address a map entry by key values alone,
-// for callers outside the execution engines (readers of committed
-// state, tests) that have no canonical keys at hand.
+// GetAt and SetAt address a map entry by key values alone, for callers
+// outside the execution engines (readers of committed state, tests)
+// that have no canonical keys at hand.
 func GetAt(st StateAccess, field string, keys []value.Value) (value.Value, bool, error) {
 	return st.MapGet(field, CanonicalKeys(nil, keys), keys)
 }
 
 func SetAt(st StateAccess, field string, keys []value.Value, v value.Value) error {
 	return st.MapSet(field, CanonicalKeys(nil, keys), keys, v)
-}
-
-func DeleteAt(st StateAccess, field string, keys []value.Value) error {
-	return st.MapDelete(field, CanonicalKeys(nil, keys), keys)
 }
 
 // Context carries the per-transaction blockchain environment.

@@ -1,10 +1,9 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -39,31 +38,27 @@ func (s *Store) Blocks(from, to uint64) ([]*shard.FinalBlock, error) {
 	}
 	defer f.Close()
 	var blocks []*shard.FinalBlock
-	r := bufio.NewReaderSize(f, 1<<20)
-	for {
-		typ, payload, err := wire.ReadFrame(r)
-		if err == io.EOF {
-			break
+	// Only the blocks served are decoded: a record is placed by its
+	// checkpoint, the epoch after its block's.
+	_, err = readJournal(f, func(epoch uint64, payload []byte) (bool, error) {
+		switch {
+		case epoch <= from:
+			return true, nil
+		case epoch > to:
+			return false, nil
 		}
+		// The block keeps its bytes: they are its seal.
+		cb, err := wire.DecodeCheckpointBlock(bytes.Clone(payload))
 		if err != nil {
-			if errors.Is(err, wire.ErrDecode) {
-				break // torn tail: serve what is durably journaled
-			}
-			return nil, fmt.Errorf("store: blocks: %w", err)
-		}
-		if typ != wire.MsgCheckpointBlock {
-			break
-		}
-		cb, err := wire.DecodeCheckpointBlock(payload)
-		if err != nil {
-			break
+			return false, nil
 		}
 		if cb.Block.Epoch >= from && cb.Block.Epoch < to {
 			blocks = append(blocks, cb.Block)
 		}
-		if cb.Block.Epoch+1 >= to {
-			break
-		}
+		return cb.Block.Epoch+1 < to, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return blocks, nil
 }

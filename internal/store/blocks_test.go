@@ -80,10 +80,35 @@ func TestBlocksTornTail(t *testing.T) {
 	}
 }
 
+// TestBlocksDecodesOnlyWhatItServes: serving the newest block of a
+// journal allocates as much over 40 journaled blocks as over 4. Blocks
+// places each record by its checkpoint and decodes only the blocks it
+// returns; a scan that decoded, or allocated, per skipped record would
+// cost ten times as much at the longer journal.
+func TestBlocksDecodesOnlyWhatItServes(t *testing.T) {
+	allocs := func(n int) float64 {
+		st := journalBlocks(t, t.TempDir(), n)
+		defer st.Close()
+		last := uint64(n - 1)
+		return testing.AllocsPerRun(20, func() {
+			blocks, err := st.Blocks(last, last+1)
+			if err != nil || len(blocks) != 1 || blocks[0].Epoch != last {
+				t.Fatalf("Blocks(%d, %d) = %d blocks, %v", last, last+1, len(blocks), err)
+			}
+		})
+	}
+	short, long := allocs(4), allocs(40)
+	if short != long {
+		t.Errorf("serving the newest block allocates %.0f times over 4 journaled blocks and %.0f over 40", short, long)
+	}
+	t.Logf("%.0f allocations to serve the newest block, at 4 and 40 journaled blocks", short)
+}
+
 // TestBlocksCompactionHorizon runs a real network with a snapshot
-// cadence: each snapshot compacts the journal, so Blocks can only
-// serve epochs after the latest snapshot — the gap a far-behind
-// replica is sent a state image for.
+// cadence until a boundary folds the journal into a snapshot file, and
+// one epoch more: the fold truncated the journal, so Blocks can only
+// serve the one epoch after it — the gap a far-behind replica is sent a
+// state image for.
 func TestBlocksCompactionHorizon(t *testing.T) {
 	dir := t.TempDir()
 	env := provisionFT(t)
@@ -91,16 +116,16 @@ func TestBlocksCompactionHorizon(t *testing.T) {
 	env.Net.AttachStateStore(st)
 	defer st.Close()
 
-	// Run enough epochs that the last committed checkpoint is odd — one
-	// past a snapshot — so exactly one FinalBlock outlives the final
-	// compaction (block epoch = checkpoint epoch - 1).
 	base := env.Net.Checkpoint().Epoch
-	nepochs := 5
-	if (base+uint64(nepochs))%2 == 0 {
-		nepochs++
+	k := 1
+	for ; st.snapshots.Value() == 0; k++ {
+		if k > 12 {
+			t.Fatalf("no fold in %d epochs", k)
+		}
+		runEpochs(t, env, k, 1)
 	}
-	roots, _ := runEpochs(t, env, 1, nepochs)
-	lastSnap := base + uint64(nepochs) - 1 // the last even checkpoint
+	lastSnap := env.Net.Checkpoint().Epoch // the fold's checkpoint
+	roots, _ := runEpochs(t, env, k, 1)
 
 	blocks, err := st.Blocks(0, base+100)
 	if err != nil {
@@ -112,8 +137,8 @@ func TestBlocksCompactionHorizon(t *testing.T) {
 	if blocks[0].Epoch != lastSnap {
 		t.Errorf("surviving block epoch %d, want %d", blocks[0].Epoch, lastSnap)
 	}
-	if blocks[0].StateRoot != roots[nepochs-1] {
-		t.Errorf("surviving block root %s, want %s", blocks[0].StateRoot, roots[nepochs-1])
+	if blocks[0].StateRoot != roots[0] {
+		t.Errorf("surviving block root %s, want %s", blocks[0].StateRoot, roots[0])
 	}
 	// The compacted-away prefix is gone: a request for it comes back
 	// empty rather than partial-from-zero.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cosplit/internal/chain"
-	"cosplit/internal/scilla/ast"
 	"cosplit/internal/scilla/value"
 	"cosplit/internal/shard"
 )
@@ -39,8 +38,9 @@ type pairsWorld struct {
 }
 
 // provisionPairs is the deterministic genesis of TestControlByteKeys:
-// enough funded users that the state's leaves outweigh what an epoch
-// writes, so its boundaries write incremental files.
+// enough funded users that the state's leaves outweigh what its epochs
+// write, so its boundaries stay below the fold and the journal is the
+// record.
 func provisionPairs(t *testing.T) *pairsWorld {
 	t.Helper()
 	n := shard.NewNetwork(shard.WithShards(2))
@@ -110,7 +110,7 @@ func (w *pairsWorld) run(t *testing.T, k int) {
 // separator would render one keypath, are two state components. States
 // holding one or the other have different roots; an epoch writing both
 // keeps both, its incremental root is a fresh rendering's, and the
-// boundary written at it recovers the committee's root.
+// directory of the epoch recovers the committee's root.
 func TestSeparatorInStringKeys(t *testing.T) {
 	entries := [][2]string{{"a\x1fs:b", "c"}, {"a", "b\x1fs:c"}}
 	var roots []string
@@ -167,8 +167,8 @@ func TestSeparatorInStringKeys(t *testing.T) {
 // TestControlByteKeys: a Map String (Map String Uint128) field whose
 // keys hold bytes below the keypath separator, one of them continuing
 // another, is walked level by level in keypath order, so its records
-// are canonical: its incremental files, a full file of it and its state
-// image are read back, and each recovers the committee's root.
+// are canonical: its journal, a full file of it and its state image are
+// read back, and each recovers the committee's root.
 func TestControlByteKeys(t *testing.T) {
 	const epochs = 4
 	live := provisionPairs(t)
@@ -182,8 +182,8 @@ func TestControlByteKeys(t *testing.T) {
 		live.run(t, k)
 	}
 	root, cp := live.net.StateRoot(), live.net.Checkpoint()
-	if n, full := st.snapshots.Value(), st.snapshotsFull.Value(); n < epochs || full != 0 {
-		t.Fatalf("%d boundaries, %d of them full: want incremental files only", n, full)
+	if n := st.snapshots.Value(); n != 0 {
+		t.Fatalf("%d boundaries wrote %d snapshot files: want the journal alone", epochs, n)
 	}
 	pairs := live.net.Contracts.Get(live.contract).Snapshot().Fields["pairs"].(*value.Map)
 	if inner, _ := pairs.Get(value.Str{S: "e\x01"}); inner.(*value.Map).Len() != 0 {
@@ -211,13 +211,13 @@ func TestControlByteKeys(t *testing.T) {
 				what, w.net.Checkpoint(), got, w.net.RecomputeStateRoot(), cp, root)
 		}
 	}
-	incremental := provisionPairs(t)
-	stInc := openStore(t, dir)
-	if err := stInc.Recover(incremental.net); err != nil {
-		t.Fatalf("recovering the incremental files: %v", err)
+	journaled := provisionPairs(t)
+	stJournal := openStore(t, dir)
+	if err := stJournal.Recover(journaled.net); err != nil {
+		t.Fatalf("recovering the journal: %v", err)
 	}
-	stInc.Close()
-	recovered("incremental files", incremental)
+	stJournal.Close()
+	recovered("journal", journaled)
 
 	fullDir := t.TempDir()
 	if _, err := writeSnapshotFile(fullDir, snapshotName(cp.Epoch), func(put putRecord) error {
@@ -238,42 +238,4 @@ func TestControlByteKeys(t *testing.T) {
 		t.Fatalf("state image: applied %v, %v", applied, err)
 	}
 	recovered("state image", image)
-}
-
-// TestDirtyKeysFromKeypaths: a dirty set keeps an entry's keypath
-// alone, and its keys — integers, byte strings, block numbers and
-// Strings holding the keypath separator and the escape byte, at any
-// depth — are rebuilt from it level by level from the field's types.
-func TestDirtyKeysFromKeypaths(t *testing.T) {
-	inner := ast.MapType{Key: ast.TyBNum, Val: ast.TyUint128}
-	field := value.NewMap(ast.TyByStr20, ast.MapType{Key: ast.TyUint32, Val: inner})
-	strs := value.NewMap(ast.TyString, ast.MapType{Key: ast.TyString, Val: ast.TyUint128})
-	addr := chain.AddrFromUint(9).Value()
-	str := func(s string) value.Value { return value.Str{S: s} }
-	for _, c := range []struct {
-		field *value.Map
-		keys  []value.Value
-	}{
-		{field, []value.Value{addr}},
-		{field, []value.Value{addr, value.Uint32V(7)}},
-		{field, []value.Value{addr, value.Uint32V(70), value.BNum{V: big.NewInt(12)}}},
-		{strs, []value.Value{str("a\x1fs:b")}},
-		{strs, []value.Value{str("a\x1fs:b"), str("c")}},
-		{strs, []value.Value{str("a"), str("b\x1fs:c\x7f")}},
-		{strs, []value.Value{str("\x7f\x7f\x00"), str("")}},
-	} {
-		kp := chain.Keypath(c.keys)
-		got, err := keysOf(c.field, kp)
-		if err != nil || chain.Keypath(got) != kp || len(got) != len(c.keys) {
-			t.Fatalf("%q: rebuilt %v (%v)", kp, got, err)
-		}
-		for i := range c.keys {
-			if !value.Equal(got[i], c.keys[i]) {
-				t.Errorf("%q: key %d rebuilt as %v, was %v", kp, i, got[i], c.keys[i])
-			}
-		}
-	}
-	if _, err := keysOf(field, chain.Keypath([]value.Value{addr, value.Uint32V(1), value.BNum{V: big.NewInt(1)}, value.Uint32V(1)})); err == nil {
-		t.Error("a keypath deeper than the field's map rebuilt keys")
-	}
 }

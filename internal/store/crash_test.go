@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"cosplit/internal/shard"
@@ -57,11 +58,8 @@ func TestRecoverSweepsTempSnapshots(t *testing.T) {
 	a.Net.AttachStateStore(stA)
 	roots, cps := runEpochs(t, a, 1, 5)
 	snaps := snapshotsIn(dir)
-	if len(snaps) == 0 {
-		t.Fatal("five epochs wrote no snapshot")
-	}
 	tmp := filepath.Join(dir, snapshotName(cps[4].Epoch+1)+tmpSuffix)
-	writeFile(t, tmp, readFile(t, filepath.Join(dir, snaps[0].name))[:100])
+	writeFile(t, tmp, imageOf(t, a.Net)[:100]) // a full file torn after 100 bytes
 
 	serveCatchUp(t, stA, a.Net, dir)
 	if _, err := os.Stat(tmp); err != nil {
@@ -76,28 +74,30 @@ func TestRecoverSweepsTempSnapshots(t *testing.T) {
 	if got := b.Net.StateRoot(); got != roots[4] || b.Net.Checkpoint() != cps[4] {
 		t.Fatalf("recovered %+v root %s, want %+v root %s", b.Net.Checkpoint(), got, cps[4], roots[4])
 	}
-	if got := snapshotsIn(dir); len(got) != len(snaps) {
-		t.Fatalf("the sweep changed the snapshot chain: %v, was %v", got, snaps)
+	if got := snapshotsIn(dir); !slices.Equal(got, snaps) {
+		t.Fatalf("the sweep changed the snapshot files: %v, was %v", got, snaps)
 	}
 }
 
 // TestCrashStatesAroundBoundary builds, from copies of a real run's
-// directory, every state a crash can leave around a snapshot boundary —
-// the write sequence is journal append, temp file, rename, journal
-// truncation, deletion of older files — for incremental boundaries and
-// for the one that folds the chain into a full file. From each state
-// Recover must land on a root the run committed, the one the state
-// dictates; a second Recover must agree; and the recovered store must
-// run on over the next boundary and recover again.
+// directory, every state a crash can leave around a snapshot boundary.
+// At a boundary below the fold — "incremental": the journal goes on as
+// the record of what changed since the file — the one write is the
+// journal append. At the boundary that folds — "full" — the write
+// sequence is journal append, temp file, rename, journal truncation,
+// deletion of the older file. From each state Recover must land on a
+// root the run committed, the one the state dictates; a second Recover
+// must agree; and the recovered store must run on over the next
+// boundary and recover again.
 func TestCrashStatesAroundBoundary(t *testing.T) {
 	const every = 2
-	// Each interval dirties 60 accounts and 60 token balances, 120 of
-	// the state's 406 leaves. The run under test crosses two incremental
-	// boundaries, gives the third interval up after its first epoch (a
-	// chain of 240 and 240 projected reach 406), folds at its boundary
-	// and crosses one more incremental boundary; the reference runs
-	// further than any crash state resumes to.
-	const senders, epochs = 60, 12
+	// Each epoch of 30 senders costs the journal about 90 against the
+	// state's 406 leaves. The run under test starts on a full file of
+	// genesis, as a directory does after a fold, crosses two boundaries
+	// below the fold, folds at the third (a journal of cost 447) and
+	// crosses one more below it; the reference runs further than any
+	// crash state resumes to.
+	const senders, epochs = 30, 12
 
 	// The reference run never snapshots: its journal is every block's
 	// frame, and its roots are what the run committed.
@@ -135,7 +135,7 @@ func TestCrashStatesAroundBoundary(t *testing.T) {
 			if tmps, _ := filepath.Glob(filepath.Join(dir, "*"+tmpSuffix)); len(tmps) != 0 {
 				t.Fatalf("recovery %d left %v", pass, tmps)
 			}
-			snapshotChainOf(t, dir, genesis.Epoch)
+			onlySnapshot(t, dir)
 			if pass == 1 {
 				st.Close()
 				continue
@@ -154,15 +154,24 @@ func TestCrashStatesAroundBoundary(t *testing.T) {
 			if got := again.Net.StateRoot(); got != wantRoot || again.Net.Checkpoint() != wantCp {
 				t.Fatalf("recovery after resuming: %+v root %s, want %+v root %s", again.Net.Checkpoint(), got, wantCp, wantRoot)
 			}
-			snapshotChainOf(t, dir, genesis.Epoch)
+			onlySnapshot(t, dir)
 		}
 	}
 
-	// The run under test, stopped at each boundary for its directory
-	// just before the boundary's epoch and just after.
+	// The run under test, on a directory holding a full file of
+	// genesis, stopped at each boundary for its directory just before
+	// the boundary's epoch and just after.
 	a := provisionFT(t)
 	dir := t.TempDir()
+	if _, err := writeSnapshotFile(dir, snapshotName(genesis.Epoch), func(put putRecord) error {
+		return writeFull(put, a.Net, genesis)
+	}); err != nil {
+		t.Fatal(err)
+	}
 	stA := openStore(t, dir, WithSnapshotEvery(every))
+	if err := stA.Recover(a.Net); err != nil {
+		t.Fatal(err)
+	}
 	a.Net.AttachStateStore(stA)
 	sawFull, sawIncremental := false, false
 	for k := 1; k <= epochs-(every+1); k++ {
@@ -171,20 +180,18 @@ func TestCrashStatesAroundBoundary(t *testing.T) {
 		if boundary {
 			before = copyDir(t, dir)
 		}
-		fullsBefore := stA.snapshotsFull.Value()
+		filesBefore := stA.snapshots.Value()
 		runBatches(t, a, senders, k, 1)
 		if !boundary {
 			continue
 		}
-		full := stA.snapshotsFull.Value() > fullsBefore
+		full := stA.snapshots.Value() > filesBefore
 		sawFull, sawIncremental = sawFull || full, sawIncremental || !full
-		name := snapshotName(cps[k-1].Epoch)
-		file := readFile(t, filepath.Join(dir, name))
-		journal := readFile(t, filepath.Join(before, journalName))
 		kind := "incremental"
 		if full {
 			kind = "full"
 		}
+		journal := readFile(t, filepath.Join(before, journalName))
 		// state builds one crash state from the directory before the
 		// boundary's epoch.
 		state := func(t *testing.T, journal []byte, files map[string][]byte) string {
@@ -201,43 +208,35 @@ func TestCrashStatesAroundBoundary(t *testing.T) {
 			torn := appended[:len(journal)+len(blocks[k-1])/2]
 			check(t, state(t, torn, nil), k-1)
 		})
-		cut := 0
-		for i, fr := range append(frames(t, file), nil) {
-			t.Run(fmt.Sprintf("batch %d %s/temp file torn at frame %d", k, kind, i), func(t *testing.T) {
-				check(t, state(t, appended, map[string][]byte{name + tmpSuffix: file[:cut]}), k)
-			})
-			if fr != nil {
-				t.Run(fmt.Sprintf("batch %d %s/temp file torn inside frame %d", k, kind, i), func(t *testing.T) {
-					check(t, state(t, appended, map[string][]byte{name + tmpSuffix: file[:cut+len(fr)/2]}), k)
+		if full {
+			name := snapshotName(cps[k-1].Epoch)
+			file := readFile(t, filepath.Join(dir, name))
+			cut := 0
+			for i, fr := range append(frames(t, file), nil) {
+				t.Run(fmt.Sprintf("batch %d %s/temp file torn at frame %d", k, kind, i), func(t *testing.T) {
+					check(t, state(t, appended, map[string][]byte{name + tmpSuffix: file[:cut]}), k)
 				})
+				if fr != nil {
+					t.Run(fmt.Sprintf("batch %d %s/temp file torn inside frame %d", k, kind, i), func(t *testing.T) {
+						check(t, state(t, appended, map[string][]byte{name + tmpSuffix: file[:cut+len(fr)/2]}), k)
+					})
+				}
+				cut += len(fr)
 			}
-			cut += len(fr)
-		}
-		t.Run(fmt.Sprintf("batch %d %s/renamed, journal not truncated", k, kind), func(t *testing.T) {
-			check(t, state(t, appended, map[string][]byte{name: file}), k)
-		})
-		t.Run(fmt.Sprintf("batch %d %s/journal truncated, nothing deleted", k, kind), func(t *testing.T) {
-			check(t, state(t, nil, map[string][]byte{name: file}), k)
-		})
-		if old := snapshotsIn(before); full && len(old) > 1 {
-			t.Run(fmt.Sprintf("batch %d %s/deletion half done", k, kind), func(t *testing.T) {
-				d := state(t, nil, map[string][]byte{name: file})
-				for _, ref := range old[:len(old)/2] {
-					os.Remove(filepath.Join(d, ref.name))
-				}
-				check(t, d, k)
+			t.Run(fmt.Sprintf("batch %d %s/renamed, journal not truncated", k, kind), func(t *testing.T) {
+				check(t, state(t, appended, map[string][]byte{name: file}), k)
 			})
-			t.Run(fmt.Sprintf("batch %d %s/deletion half done, newest first", k, kind), func(t *testing.T) {
-				d := state(t, nil, map[string][]byte{name: file})
-				for _, ref := range old[len(old)/2:] {
-					os.Remove(filepath.Join(d, ref.name))
-				}
-				check(t, d, k)
+			if len(snapshotsIn(before)) != 1 {
+				t.Fatalf("batch %d: the directory before the fold holds %v, want the older file", k, snapshotsIn(before))
+			}
+			t.Run(fmt.Sprintf("batch %d %s/journal truncated, nothing deleted", k, kind), func(t *testing.T) {
+				check(t, state(t, nil, map[string][]byte{name: file}), k)
 			})
 		}
 		t.Run(fmt.Sprintf("batch %d %s/torn journal tail after the boundary", k, kind), func(t *testing.T) {
 			d := copyDir(t, dir)
-			writeFile(t, filepath.Join(d, journalName), blocks[k][:len(blocks[k])-9])
+			tail := readFile(t, filepath.Join(d, journalName))
+			writeFile(t, filepath.Join(d, journalName), append(tail, blocks[k][:len(blocks[k])-9]...))
 			check(t, d, k)
 		})
 	}

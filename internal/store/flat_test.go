@@ -60,14 +60,15 @@ func holdersNetwork(t *testing.T, holders, entries int) (*shard.Network, *shard.
 }
 
 // TestSnapshotCostFollowsTheDelta: a snapshot boundary after one fixed
-// 500-entry block writes exactly as many bytes, and allocates exactly as
-// much, over 100k holders as over 1k. Any boundary work proportional to
-// the state — ranging the accounts, sorting them, encoding a contract's
-// fields — shows as a difference; the full dump this replaces differed
-// by two orders of magnitude.
+// 500-entry block, below the fold at 1k holders as at 100k, writes no
+// snapshot file, and journals exactly as many bytes with exactly as
+// many allocations at both sizes. Any boundary work proportional to the
+// state — ranging the accounts, sorting them, encoding a contract's
+// fields — shows as a difference; the full dump of every boundary once
+// differed by two orders of magnitude.
 func TestSnapshotCostFollowsTheDelta(t *testing.T) {
 	const entries = 500
-	boundary := func(holders int) (allocs float64, bytes, records int64) {
+	boundary := func(holders int) (allocs float64, bytes, cost int64) {
 		net, fb := holdersNetwork(t, holders, entries)
 		cp := shard.Checkpoint{Epoch: fb.Epoch + 1, BlockNumber: fb.Epoch + 1}
 		// A collection empties the sync.Pools under fmt and os, and the
@@ -75,32 +76,32 @@ func TestSnapshotCostFollowsTheDelta(t *testing.T) {
 		// differs by the two or three objects a refilled pool allocates.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		// Every run is the first boundary of a fresh directory, so the
-		// chain has the same room at both sizes.
+		// journal is the block alone at both sizes.
 		allocs = testing.AllocsPerRun(3, func() {
 			st := openStore(t, t.TempDir(), WithSnapshotEvery(1))
 			if err := st.EpochCommitted(net, fb, cp); err != nil {
 				t.Fatal(err)
 			}
-			if full := st.snapshotsFull.Value(); full != 0 {
-				t.Fatalf("%d holders: the boundary wrote a full file", holders)
+			if n := st.snapshots.Value(); n != 0 {
+				t.Fatalf("%d holders: the boundary wrote a snapshot file at journal cost %d, %d leaves", holders, st.journalCost, net.StateLeaves())
 			}
-			bytes, records = st.snapshotBytes.Value(), st.snapshotRecords.Value()
+			bytes, cost = st.journalBytes.Value(), int64(st.journalCost)
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
 		})
-		return allocs, bytes, records
+		return allocs, bytes, cost
 	}
-	smallAllocs, smallBytes, smallRecords := boundary(1_000)
-	bigAllocs, bigBytes, bigRecords := boundary(100_000)
+	smallAllocs, smallBytes, smallCost := boundary(1_000)
+	bigAllocs, bigBytes, bigCost := boundary(100_000)
 	// Under the race detector sync.Pool drops a quarter of what is put
 	// back, at random, so fmt's and os's pools make the count vary by an
 	// object or two from run to run.
 	if smallAllocs != bigAllocs && !raceEnabled {
 		t.Errorf("a boundary after one %d-entry block allocates %.0f times over 1k holders and %.0f over 100k: cost follows the state", entries, smallAllocs, bigAllocs)
 	}
-	if smallBytes != bigBytes || smallRecords != bigRecords {
-		t.Errorf("a boundary after one %d-entry block writes %d bytes (%d records) over 1k holders and %d (%d) over 100k", entries, smallBytes, smallRecords, bigBytes, bigRecords)
+	if smallBytes != bigBytes || smallCost != bigCost {
+		t.Errorf("a boundary after one %d-entry block journals %d bytes (cost %d) over 1k holders and %d (%d) over 100k", entries, smallBytes, smallCost, bigBytes, bigCost)
 	}
-	t.Logf("%.0f allocations, %d bytes, %d records per boundary at both sizes", smallAllocs, smallBytes, smallRecords)
+	t.Logf("%.0f allocations, %d journal bytes, journal cost %d per boundary at both sizes", smallAllocs, smallBytes, smallCost)
 }

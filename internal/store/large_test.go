@@ -88,9 +88,8 @@ func components(d *chain.StateDelta) int {
 
 // TestLargeStateSnapshot: a contract whose map holds more than three
 // records' worth of entries, beside a nested map and an empty nested
-// one, snapshots in records of at most snapshotBatch components each,
-// in a full file and as an incremental file's whole-field write (which
-// applies to the same maps), and recovers to the same root; its state image is the full file, and one
+// one, snapshots in records of at most snapshotBatch components each
+// and recovers to the same root; its state image is the full file, and one
 // missing its trailer or a middle record applies nothing, and one
 // writing a field the contract lacks is refused. A directory
 // whose full file holds the retired whole-contract record (type 12)
@@ -122,49 +121,6 @@ func TestLargeStateSnapshot(t *testing.T) {
 	st.Close()
 	if got := b.Net.StateRoot(); got != root || b.Net.Checkpoint() != cp || b.Net.RecomputeStateRoot() != root {
 		t.Fatalf("recovered %+v root %s, want %+v root %s", b.Net.Checkpoint(), got, cp, root)
-	}
-
-	// An incremental file writing the two maps whole: records as bounded,
-	// and the cost read back is the cost written.
-	var dirty dirtySet
-	dirty.addDeltas([]*chain.StateDelta{{Contract: a.Contract, Fields: []chain.FieldDelta{
-		{Name: "allowances", Whole: &chain.EntryDelta{Kind: chain.Overwrite}},
-		{Name: "balances", Whole: &chain.EntryDelta{Kind: chain.Overwrite}},
-	}}})
-	inc, err := dirty.post(a.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := writeIncremental(func(t wire.MsgType, payload []byte) error {
-		return wire.WriteFrame(&buf, t, payload)
-	}, a.Net, cp, cp.Epoch-1, inc); err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range stateRecordsOf(t, buf.Bytes()) {
-		if n := components(d); n > snapshotBatch {
-			t.Errorf("incremental record %d holds %d components, the bound is %d", i, n, snapshotBatch)
-		}
-	}
-	sf, err := readSnapshot(&buf, "incremental")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Applied over another state, the whole-field writes replace both
-	// maps with the contract's.
-	over := provisionFT(t).Net
-	if err := sf.apply(over); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{"balances", "allowances"} {
-		if got, want := over.Contracts.Get(a.Contract).Snapshot().Fields[f], a.Net.Contracts.Get(a.Contract).Snapshot().Fields[f]; !value.Equal(got, want) {
-			t.Errorf("%s over genesis is not the contract's", f)
-		}
-	}
-	// One per balance and per allowance, the empty nested map included.
-	leafCount := a.Net.Contracts.Get(a.Contract).Snapshot().Fields["balances"].(*value.Map).Len() + 5 + 1
-	if got, want := sf.cost(), inc.cost; got != want || want != leafCount {
-		t.Errorf("incremental file costs %d read back, %d written; want %d", got, want, leafCount)
 	}
 
 	// The image is the full file, record by record.
@@ -226,7 +182,7 @@ func TestLargeStateSnapshot(t *testing.T) {
 	forged = append(forged, bytes.Join(records[len(records)-2:], nil)...)
 	writeFile(t, filepath.Join(parent, snapshotName(cp.Epoch)), forged)
 	fresh := provisionFT(t).Net
-	st, err = Open(parent)
+	st, err := Open(parent)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,9 +81,9 @@ func writeAccounts(put putRecord, stateRecords int, accs []wire.SnapshotAccount)
 	return put(wire.MsgSnapshotEnd, wire.EncodeSnapshotEnd(&wire.SnapshotEnd{Contracts: uint64(stateRecords), Accounts: uint64(len(accs))}))
 }
 
-// writeFull writes a full snapshot, the incremental of every component
-// over empty fields: header, every field of every contract written
-// whole, contracts in address order, every account in address order
+// writeFull writes a full snapshot: header, every field of every
+// contract written whole (stateRecords.whole), contracts in address
+// order and fields in name order, every account in address order
 // (batched), trailer. It puts each state record as soon as it is
 // complete and holds no more than one.
 func writeFull(put putRecord, n *shard.Network, cp shard.Checkpoint) error {
@@ -91,17 +91,20 @@ func writeFull(put putRecord, n *shard.Network, cp shard.Checkpoint) error {
 		return err
 	}
 	contracts := n.Contracts.All()
-	slices.SortFunc(contracts, func(a, b *chain.Contract) int { return compareAddrs(a.Addr, b.Addr) })
+	slices.SortFunc(contracts, func(a, b *chain.Contract) int { return bytes.Compare(a.Addr[:], b.Addr[:]) })
 	records := 0
 	recs := stateRecords{put: func(payload []byte) error { records++; return put(wire.MsgStateDelta, payload) }}
-	every := &dirtyField{whole: true}
+	var names []string
 	for _, c := range contracts {
 		fields := c.Snapshot().Fields
-		dirty := make(map[string]*dirtyField, len(fields))
+		names = names[:0]
 		for f := range fields {
-			dirty[f] = every
+			names = append(names, f)
 		}
-		_ = recs.dirty(c.Addr, fields, dirty) // fails only on a field fields lacks; its put errors end in flush
+		sort.Strings(names)
+		for _, f := range names {
+			recs.whole(c.Addr, f, fields[f])
+		}
 	}
 	if err := recs.flush(); err != nil {
 		return err
@@ -117,40 +120,21 @@ func writeFull(put putRecord, n *shard.Network, cp shard.Checkpoint) error {
 	return writeAccounts(put, records, accs)
 }
 
-// writeIncremental writes an incremental snapshot: header, the epoch of
-// the state it is written over, the dirty contract components, the
-// dirty accounts, trailer.
-func writeIncremental(put putRecord, n *shard.Network, cp shard.Checkpoint, since uint64, inc *incremental) error {
-	if err := put(wire.MsgSnapshotHeader, wire.EncodeSnapshotHeader(&wire.SnapshotHeader{Checkpoint: cp, Root: n.StateRoot()})); err != nil {
-		return err
-	}
-	if err := put(wire.MsgSnapshotSince, wire.EncodeSnapshotSince(&wire.SnapshotSince{Epoch: since})); err != nil {
-		return err
-	}
-	for _, payload := range inc.records {
-		if err := put(wire.MsgStateDelta, payload); err != nil {
-			return err
-		}
-	}
-	return writeAccounts(put, len(inc.records), inc.accounts)
-}
-
-// snapFile is one snapshot file, parsed: post-value state deltas over
-// empty fields (a full file) or over the state as of epoch since (an
-// incremental one), and accounts.
+// snapFile is one snapshot file, parsed: post-value state deltas that
+// write every field whole, and accounts.
 type snapFile struct {
-	name        string
-	hdr         *wire.SnapshotHeader
-	incremental bool
-	since       uint64
-	deltas      []*chain.StateDelta
-	accounts    []wire.SnapshotAccount
+	name     string
+	hdr      *wire.SnapshotHeader
+	deltas   []*chain.StateDelta
+	accounts []wire.SnapshotAccount
 }
 
 // readSnapshot parses one snapshot file, or a state image, named name
 // in errors, completely before any of it is applied, so a truncated
 // file can be rejected without half-restoring. Everything wrong with
-// the contents is an ErrCorruptSnapshot.
+// the contents is an ErrCorruptSnapshot, a record of a retired kind —
+// an incremental file's base marker (type 21), a whole-contract record
+// (type 12) — included.
 func readSnapshot(r io.Reader, name string) (*snapFile, error) {
 	corrupt := func(format string, args ...any) (*snapFile, error) {
 		return nil, fmt.Errorf("%w: %s: %s", ErrCorruptSnapshot, name, fmt.Sprintf(format, args...))
@@ -163,21 +147,12 @@ func readSnapshot(r io.Reader, name string) (*snapFile, error) {
 	if sf.hdr, err = wire.DecodeSnapshotHeader(payload); err != nil {
 		return corrupt("%v", err)
 	}
-	for first := true; ; first = false {
+	for {
 		typ, payload, err := wire.ReadFrame(r)
 		if err != nil {
 			return corrupt("no end record")
 		}
 		switch {
-		case typ == wire.MsgSnapshotSince && first:
-			since, err := wire.DecodeSnapshotSince(payload)
-			if err != nil {
-				return corrupt("%v", err)
-			}
-			if since.Epoch >= sf.hdr.Checkpoint.Epoch {
-				return corrupt("extends epoch %d", since.Epoch)
-			}
-			sf.incremental, sf.since = true, since.Epoch
 		case typ == wire.MsgStateDelta:
 			d, err := wire.DecodeStateDelta(payload)
 			if err != nil {
@@ -240,40 +215,10 @@ func postValues(d *chain.StateDelta) bool {
 	return true
 }
 
-// cost is the size of an incremental file's body as stateRecords
-// counted it when the file was written: an account costs one, a field
-// written whole the leaves of its value — the entries after its Whole
-// record, or one for a scalar or an empty map — and any other entry its
-// value's leaves, as it would in a full file (incremental.cost).
-func (sf *snapFile) cost() int {
-	n := len(sf.accounts)
-	whole := make(map[string]int) // by contract and name, the leaves of each field written whole
-	for _, d := range sf.deltas {
-		for _, fd := range d.Fields {
-			k := string(d.Contract[:]) + fd.Name
-			if fd.Whole != nil {
-				whole[k] = 0
-			}
-			for _, e := range fd.Entries {
-				if w, ok := whole[k]; ok {
-					whole[k] = w + leaves(e.Value)
-				} else {
-					n += leaves(e.Value)
-				}
-			}
-		}
-	}
-	for _, w := range whole {
-		n += max(w, 1)
-	}
-	return n
-}
-
-// apply writes the file's post-values into n's state — a full file
-// writes every field of every contract whole, an incremental one what
-// changed; a field the contract does not have fails it — and puts the
-// file's accounts. The root trie is not touched — the caller rebuilds
-// it once, after the last file.
+// apply writes the file's post-values into n's state — every field of
+// every contract whole; a field the contract does not have fails it —
+// and puts the file's accounts. The root trie is not touched — settle
+// rebuilds it once.
 func (sf *snapFile) apply(n *shard.Network) error {
 	var cks []string
 	for _, d := range sf.deltas {
@@ -339,96 +284,57 @@ func writePostValues(st *eval.MemState, d *chain.StateDelta, cks []string) ([]st
 	return cks, nil
 }
 
-// snapshotChain describes the snapshot files a state rests on: full
-// (0 or 1) and incremental count them, cost is the size of the
-// incremental ones (incremental.cost), and epoch is the state they
-// describe: the newest file's, or genesis with none.
-type snapshotChain struct {
-	full, incremental, cost int
-	epoch                   uint64
-}
-
-// restoredChain is the chain restoreChain applied, and what it left.
-type restoredChain struct {
-	snapshotChain
+// pickedSnapshot is the snapshot file of a directory that recovery
+// starts from, and what it leaves.
+type pickedSnapshot struct {
+	// file is the newest readable snapshot file, nil when none is: the
+	// state rests on genesis.
+	file *snapFile
 	// newest is the highest epoch a snapshot file of the directory is
-	// named for, and stopped why the chain ended before that file: it was
-	// unreadable, or does not extend the epoch reached. Recovery must get
-	// past newest by other means — the journal — or fail with stopped.
+	// named for, and stopped, when that file is not the one picked, why:
+	// it is unreadable, or of a retired format. Recovery must get past
+	// newest by the journal, or fail with stopped.
 	newest  uint64
 	stopped error
-	// unused names the snapshot files that are no part of the applied
-	// chain: older than its full file, or at and after the stop.
+	// unused names the snapshot files other than file.
 	unused []string
 }
 
-// restoreChain loads dir's snapshot chain into n: the newest readable
-// full file (the genesis n was provisioned with, when there is none),
-// then every later incremental file in epoch order as long as each
-// extends exactly the epoch reached; then one rebuild of the root trie,
-// verified against the header of the last file applied. A file that
-// cannot be applied ends the chain without an error — the journal may
-// still cover it, and the caller checks that recovery got past the
-// chain's newest — but a chain whose root does not verify is an error.
-func restoreChain(dir string, n *shard.Network) (restoredChain, error) {
-	sc := restoredChain{snapshotChain: snapshotChain{epoch: n.Checkpoint().Epoch}}
+// pickSnapshot reads dir's snapshot files from the newest down and
+// picks the first one it can read; a file that cannot be read is
+// passed over without an error — the journal may still cover it, which
+// the caller checks — but any error other than ErrCorruptSnapshot is
+// one.
+func pickSnapshot(dir string) (pickedSnapshot, error) {
+	var p pickedSnapshot
 	snaps := snapshotsIn(dir)
-	if len(snaps) == 0 {
-		return sc, nil
-	}
-	sc.newest = snaps[len(snaps)-1].epoch
-	files := make([]*snapFile, len(snaps))
-	errs := make([]error, len(snaps))
-	start := 0
 	for i := len(snaps) - 1; i >= 0; i-- {
-		files[i], errs[i] = readSnapshotFile(dir, snaps[i])
-		if errs[i] != nil && !errors.Is(errs[i], ErrCorruptSnapshot) {
-			return sc, errs[i]
+		if p.file != nil {
+			p.unused = append(p.unused, snaps[i].name)
+			continue
 		}
-		if files[i] != nil && !files[i].incremental {
-			start = i
-			break
-		}
-	}
-	var last *snapFile
-	end := start
-	for ; end < len(snaps); end++ {
-		sf := files[end]
-		if sf == nil {
-			sc.stopped = errs[end]
-			break
-		}
-		if sf.incremental && sf.since != sc.epoch {
-			sc.stopped = fmt.Errorf("%w: %s extends epoch %d, the chain is at epoch %d",
-				ErrCorruptSnapshot, sf.name, sf.since, sc.epoch)
-			break
-		}
-		if err := sf.apply(n); err != nil {
-			return sc, err
-		}
-		if sf.incremental {
-			sc.incremental++
-			sc.cost += sf.cost()
-		} else {
-			sc.full++
-		}
-		sc.epoch = sf.hdr.Checkpoint.Epoch
-		last = sf
-	}
-	for i, ref := range snaps {
-		if i < start || i >= end {
-			sc.unused = append(sc.unused, ref.name)
+		sf, err := readSnapshotFile(dir, snaps[i])
+		switch {
+		case err == nil:
+			p.file = sf
+		case !errors.Is(err, ErrCorruptSnapshot):
+			return p, err
+		default:
+			if p.stopped == nil {
+				p.stopped = err
+			}
+			p.unused = append(p.unused, snaps[i].name)
 		}
 	}
-	if last != nil {
-		return sc, last.settle(n)
+	if len(snaps) > 0 {
+		p.newest = snaps[len(snaps)-1].epoch
 	}
-	return sc, nil
+	return p, nil
 }
 
-// settle closes a restore whose last file is sf: it restores sf's
-// checkpoint, rebuilds the root trie once from the state written and
-// verifies it against sf's header.
+// settle closes a restore from sf: it restores sf's checkpoint,
+// rebuilds the root trie once from the state written and verifies it
+// against sf's header.
 func (sf *snapFile) settle(n *shard.Network) error {
 	n.RestoreCheckpoint(sf.hdr.Checkpoint)
 	n.RebuildStateRoots()
@@ -464,8 +370,6 @@ func ApplyImage(n *shard.Network, image []byte) (applied bool, err error) {
 	switch {
 	case err != nil:
 		return false, err
-	case sf.incremental:
-		return false, fmt.Errorf("%w: state image is incremental", ErrCorruptSnapshot)
 	case sf.hdr.Checkpoint.Epoch <= n.Epoch:
 		return false, nil
 	}

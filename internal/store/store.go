@@ -1,64 +1,57 @@
 // Package store is the durability backend behind
 // shard.Network.AttachStateStore. Canonical state is always resident in
 // memory; what the store keeps on disk is an append-only journal of
-// committed epochs plus periodic snapshots that cost what changed, from
-// which a restarted network recovers to the exact committed state —
-// same epoch, same next transaction id, bit-identical authenticated
-// root. A directory the retired paged store wrote (a pages/
-// subdirectory) is refused with ErrPagedState.
+// committed epochs and at most one full snapshot file, from which a
+// restarted network recovers to the exact committed state — same
+// epoch, same next transaction id, bit-identical authenticated root. A
+// directory the retired paged store wrote (a pages/ subdirectory) is
+// refused with ErrPagedState.
 //
 // On disk a state directory holds:
 //
 //	journal.log        one wire frame (MsgCheckpointBlock) per epoch
-//	                   committed since the newest snapshot file: the
-//	                   sealed FinalBlock and the post-commit checkpoint
-//	snapshot-<E>.snap  state as of epoch E: a header (checkpoint +
-//	                   root), contract components as MsgStateDelta
-//	                   records of post-values, each of a bounded number
-//	                   of components (Overwrite, Delete, whole field; a
-//	                   map written whole as the empty map and its
-//	                   leaves), accounts, a trailer with the record
-//	                   counts. A full file writes every field and every
-//	                   account; an incremental one names the epoch of
-//	                   the file (or genesis) it extends and writes what
-//	                   changed since.
+//	                   committed since the snapshot file (or genesis):
+//	                   the post-commit checkpoint and the sealed
+//	                   FinalBlock
+//	snapshot-<E>.snap  the whole state as of epoch E: a header
+//	                   (checkpoint + root), contract components as
+//	                   MsgStateDelta records of post-values, each of a
+//	                   bounded number of components (every field
+//	                   written whole; a map as the empty map and its
+//	                   leaves), every account, a trailer with the
+//	                   record counts
 //
-// The files of a directory form a chain: at most one full file, then
-// the incremental files written since, each naming the one before it.
-// Recovery provisions the same deterministic genesis the original run
-// started from and writes the chain over it, so a file only ever needs
-// what differs; a chain with no full file rests on genesis itself.
-//
-// Every SnapshotEvery epochs the store writes the next file and
-// restarts the journal. It keeps the keys — never the values — that
-// the blocks journaled since the last file wrote, and the fold rule
-// (Store.snapshot) picks the file's kind from what it can count: an
-// incremental file while the chain's incremental files plus this one,
-// costed in leaves of a full file, stay below the root trie's leaf
-// count, else a full file, after which everything older is deleted.
-// Two bounds follow: recovery reads fewer than two states' worth of
-// records, and the directory holds less than two full snapshots plus
-// the journal. A boundary that touched 4 % of the state writes 4 % of
-// it.
+// The journal is the incremental record: the sealed blocks since the
+// file are what changed since it. Each journaled block has a replay
+// cost — one, plus its delta entries, plus its account rows, over the
+// block's four state sections — and the store keeps the journal's sum.
+// Every SnapshotEvery epochs the fold rule (Store.EpochCommitted) runs:
+// once the journal costs as much to replay as the state has root-trie
+// leaves, the store writes a full file, restarts the journal and
+// deletes the older file; below that it writes nothing. Recovery so
+// reads at most one state's worth of file and about one state's worth
+// of journal, and a boundary that moved little writes nothing at all.
+// The counted one per block bounds an idle journal too.
 //
 // All files reuse the internal/wire frame format, so every record is
 // length-prefixed and CRC-checked: a torn tail (crash mid-append) or a
 // flipped bit is detected at the frame layer, never misparsed into
-// wrong state. Snapshots are written to a temp file, fsynced, and
+// wrong state. A snapshot file is written to a temp file, fsynced, and
 // renamed into place, the directory fsynced, and only then the journal
-// truncated; the journal is fsynced after every epoch before the
-// pipeline is allowed to continue.
+// truncated and the older file deleted; the journal is fsynced after
+// every epoch before the pipeline is allowed to continue.
 //
-// Recovery (Store.Recover) applies the newest readable full file and
-// each later incremental file whose base is the epoch reached, rebuilds
-// the authenticated root once and verifies it against the last header
-// applied, then replays the journal tail — FinalBlocks past the chain's
-// epoch — through the network's ordinary replay path, which re-verifies
-// each block's root. A torn journal tail is truncated at the last valid
-// frame. A file that cannot be applied ends the chain there; unless the
-// journal still holds the blocks it covered (a crash between a file's
-// rename and the truncation), recovery fails loudly rather than return
-// an older state. A role reads only its own directory: a replica that
+// Recovery (Store.Recover) provisions the same deterministic genesis
+// the original run started from, applies the newest readable snapshot
+// file over it (none: genesis), rebuilds the authenticated root once
+// and verifies it against the file's header, then replays the journal
+// — the FinalBlocks past the file's epoch — through the path replicas
+// apply blocks by, which re-verifies each block's root. A torn journal
+// tail is truncated at the last valid frame. A file that cannot be
+// applied is passed over only while the journal still holds the
+// blocks it covered (a crash between a file's rename and the
+// truncation); otherwise recovery fails loudly rather than return an
+// older state. A role reads only its own directory: a replica that
 // recovered behind its committee catches up over the wire, from the
 // committee's journal (Store.Blocks) or a state image (Image,
 // ApplyImage): a full file's records, one frame each, read by the same
@@ -67,6 +60,8 @@ package store
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -74,6 +69,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"cosplit/internal/chain"
 	"cosplit/internal/obs"
 	"cosplit/internal/shard"
 	"cosplit/internal/wire"
@@ -99,9 +95,9 @@ var ErrPagedState = errors.New("store: paged state directory (no longer readable
 
 // Store is a state directory opened for writing. It implements
 // shard.StateStore: attach with Network.AttachStateStore and every
-// committed epoch is journaled
-// durably before the pipeline continues; every SnapshotEvery epochs
-// the journal is compacted into the next snapshot file.
+// committed epoch is journaled durably before the pipeline continues;
+// every SnapshotEvery epochs the fold rule decides whether the journal
+// is folded into a new snapshot file.
 //
 // A Store serves one network; EpochCommitted and Recover are
 // serialised internally, so the node runtime's actor goroutine and a
@@ -115,42 +111,36 @@ type Store struct {
 	// cpBuf is the scratch a journal record's checkpoint is encoded in.
 	cpBuf []byte
 
-	// What the next snapshot file extends. chain is the directory's
-	// snapshot files as recovered or written since (chain.epoch: the
-	// newest one's, or genesis), dirty the keys written by the blocks
-	// journaled after it, head the epoch the next block must have (a
-	// block that does not follow it means the state moved under the
-	// store: EpochCommitted). tracked says dirty is complete: after
-	// Recover or a file of this store's own, until the keys are given up
-	// as too many. fresh marks a directory found empty at Open, whose
-	// first block shows the genesis epoch it starts from.
-	chain   snapshotChain
-	dirty   dirtySet
-	head    uint64
-	tracked bool
-	fresh   bool
-	// base is the state's leaves when tracking began: the projection of
-	// the state at the boundary counts the interval's growth from it.
-	base int
+	// full is 1 while the state rests on a snapshot file of the
+	// directory, 0 while it rests on genesis; journalCost is the replay
+	// cost of the blocks journaled since (replayCost); head is the epoch
+	// the next block must have (a block that does not follow it means
+	// the state moved under the store: EpochCommitted). fresh marks a
+	// directory found empty at Open, whose first block shows the
+	// genesis epoch it starts from.
+	full        int
+	journalCost int
+	head        uint64
+	fresh       bool
 
 	journalRecords  *obs.Counter
 	snapshots       *obs.Counter
-	snapshotsFull   *obs.Counter
 	snapshotRecords *obs.Counter
 	snapshotBytes   *obs.Counter
 	replayed        *obs.Counter
 	journalBytes    *obs.Gauge
-	chainRecords    *obs.Gauge
+	costGauge       *obs.Gauge
 }
 
 // Option configures a Store at Open time.
 type Option func(*Store)
 
-// WithSnapshotEvery sets the snapshot cadence: a durable recovery point
-// (a snapshot file, incremental or full by the fold rule) and a journal
-// compaction after every n committed epochs, whenever the checkpoint
-// epoch is a multiple of n. n = 0 disables snapshots — the journal
-// grows forever and recovery replays it from genesis. The default is 8.
+// WithSnapshotEvery sets how often the fold rule is checked: after
+// every committed epoch whose checkpoint epoch is a multiple of n, the
+// journal is folded into a full snapshot file once it costs as much to
+// replay as the state has leaves. n = 0 disables snapshots — the
+// journal grows forever and recovery replays it from genesis. The
+// default is 8.
 func WithSnapshotEvery(n int) Option {
 	return func(s *Store) {
 		if n < 0 {
@@ -160,9 +150,8 @@ func WithSnapshotEvery(n int) Option {
 	}
 }
 
-// WithRegistry counts the store's metrics (journal records and bytes;
-// snapshot boundaries, how many wrote a full file, the records and
-// bytes they wrote and the records in the chain's incremental files;
+// WithRegistry counts the store's metrics (journal records, bytes and
+// replay cost; snapshot files written, with their records and bytes;
 // blocks replayed in recovery) in reg instead of a private registry.
 func WithRegistry(reg *obs.Registry) Option {
 	return func(s *Store) { s.metrics(reg) }
@@ -171,12 +160,11 @@ func WithRegistry(reg *obs.Registry) Option {
 func (s *Store) metrics(reg *obs.Registry) {
 	s.journalRecords = reg.Counter("store.journal_records")
 	s.snapshots = reg.Counter("store.snapshots")
-	s.snapshotsFull = reg.Counter("store.snapshots_full")
 	s.snapshotRecords = reg.Counter("store.snapshot_records")
 	s.snapshotBytes = reg.Counter("store.snapshot_bytes")
 	s.replayed = reg.Counter("store.replayed_blocks")
 	s.journalBytes = reg.Gauge("store.journal_bytes")
-	s.chainRecords = reg.Gauge("store.chain_records")
+	s.costGauge = reg.Gauge("store.journal_cost")
 }
 
 // Open opens (creating if needed) a state directory for writing. The
@@ -232,8 +220,10 @@ func (s *Store) Close() error {
 // EpochCommitted implements shard.StateStore: append the committed
 // block to the journal and fsync before returning, so a crash after
 // this call replays the epoch and a crash during it truncates a torn
-// frame. On a snapshot boundary the next snapshot file is written and
-// the journal compacted.
+// frame. On a snapshot boundary the fold rule runs: once the journal
+// costs at least as much to replay as the state has root-trie leaves,
+// the store writes a full snapshot file and restarts the journal;
+// below that it writes nothing.
 //
 // A block that does not follow the epoch the store last recovered or
 // journaled means the state moved under the store (a replica applied a
@@ -250,14 +240,10 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 	}
 	if s.fresh {
 		// Nothing precedes this block: it starts from genesis.
-		s.chain.epoch, s.head = fb.Epoch, fb.Epoch
-		s.tracked, s.fresh = s.every > 0, false
-		if s.tracked {
-			s.base = n.StateLeaves()
-		}
+		s.head, s.fresh = fb.Epoch, false
 	}
 	if fb.Epoch != s.head {
-		return s.snapshot(n, cp, true)
+		return s.snapshot(n, cp)
 	}
 	// The record is the checkpoint followed by the block's one byte
 	// string — made here on the committee, the payload it received on a
@@ -280,74 +266,45 @@ func (s *Store) EpochCommitted(n *shard.Network, fb *shard.FinalBlock, cp shard.
 	s.journalRecords.Inc()
 	s.journalBytes.Add(int64(written))
 	s.head = fb.Epoch + 1
-	if s.tracked {
-		s.dirty.add(fb)
-		// The keys only matter while the boundary could still write
-		// them as an incremental file; once it will fold whatever
-		// follows, the rest of the interval is not recorded.
-		elapsed := s.head - s.chain.epoch
-		left := (s.every - cp.Epoch%s.every) % s.every
-		if !keepTracking(s.chain.cost, s.dirty.cost, s.base, n.StateLeaves(), elapsed, left) {
-			s.tracked = false
-			s.dirty.reset()
-		}
-	}
-	if s.every > 0 && cp.Epoch%s.every == 0 {
-		if err := s.snapshot(n, cp, false); err != nil {
-			return err
-		}
+	s.journalCost += replayCost(fb)
+	s.costGauge.Set(int64(s.journalCost))
+	if s.every > 0 && cp.Epoch%s.every == 0 && s.journalCost >= n.StateLeaves() {
+		return s.snapshot(n, cp)
 	}
 	return nil
 }
 
-// keepTracking is the fold rule's forecast, made after each block of
-// an interval: whether the boundary may still write the interval's
-// dirty keys as an incremental file. elapsed of the interval's epochs
-// are committed and left are to come; the keys cost dirty so far, and
-// the state has grown from base leaves, when tracking began, to leaves.
-// At the interval's rate so far both go on: the keys will cost dirty ×
-// (elapsed+left)/elapsed, and the state will have its leaves plus its
-// growth × left/elapsed. The keys are worth keeping while the chain
-// with them stays below the state then.
-func keepTracking(chainCost, dirty, base, leaves int, elapsed, left uint64) bool {
-	projected := dirty + dirty*int(left)/int(elapsed)
-	then := leaves + (leaves-base)*int(left)/int(elapsed)
-	return chainCost+projected < then
+// replayCost is what replaying fb costs recovery, in the unit the fold
+// rule weighs against the state's root-trie leaves: one for the block,
+// one per delta entry or field written whole and one per account row,
+// over the block's four state sections. The one per block bounds a
+// journal of empty blocks.
+func replayCost(fb *shard.FinalBlock) int {
+	cost := 1 + accountRows(fb.Accounts) + accountRows(fb.DSAccounts)
+	for _, d := range fb.Deltas {
+		cost += d.Size()
+	}
+	for _, d := range fb.DSDeltas {
+		cost += d.Size()
+	}
+	return cost
 }
 
-// snapshot writes snapshot-<epoch>.snap for cp and compacts the
-// journal. Called with s.mu held, between epochs (the pipeline is
-// blocked in EpochCommitted), so canonical state is quiescent.
-//
-// The fold rule decides what the file holds, counting in leaves of a
-// full file: a dirty account costs one and a dirty contract component
-// the leaves its value renders to, which a full file writes as the same
-// records (incremental.cost). The file is an incremental one, the
-// post-state of the dirty keys, while the chain stays smaller than the
-// state: the cost of the incremental files since the last full one plus
-// this file's — first as the keys alone predict it, then as counted
-// with the values read — must stay below the root trie's leaf count.
-// Otherwise, when the dirty set was given up, and always when forced,
-// the file is a full dump, after which every older file is
-// deleted. So the incremental files since a full one hold fewer records
-// than the state has leaves: recovery reads less than two states' worth,
-// and the directory holds less than two full snapshots plus the journal.
-func (s *Store) snapshot(n *shard.Network, cp shard.Checkpoint, forced bool) error {
-	leaves := n.StateLeaves()
-	var inc *incremental
-	if !forced && s.tracked && s.chain.cost+s.dirty.cost < leaves {
-		built, err := s.dirty.post(n)
-		if err != nil {
-			return fmt.Errorf("store: snapshot epoch %d: %w", cp.Epoch, err)
-		}
-		if s.chain.cost+built.cost < leaves {
-			inc = built
-		}
+func accountRows(ad *chain.AccountDelta) int {
+	if ad == nil {
+		return 0
 	}
+	return len(ad.BalanceDeltas) + len(ad.Nonces)
+}
+
+// snapshot writes the full file snapshot-<epoch>.snap of cp, restarts
+// the journal and deletes the older file. Called with s.mu held,
+// between epochs (the pipeline is blocked in EpochCommitted), so
+// canonical state is quiescent. A crash before the rename leaves the
+// older file and the journal; after it, recovery skips the journaled
+// blocks the file covers and removes the older file.
+func (s *Store) snapshot(n *shard.Network, cp shard.Checkpoint) error {
 	size, err := writeSnapshotFile(s.dir, snapshotName(cp.Epoch), func(put putRecord) error {
-		if inc != nil {
-			return writeIncremental(put, n, cp, s.chain.epoch, inc)
-		}
 		return writeFull(put, n, cp)
 	})
 	if err != nil {
@@ -355,89 +312,87 @@ func (s *Store) snapshot(n *shard.Network, cp shard.Checkpoint, forced bool) err
 	}
 	s.snapshots.Inc()
 	s.snapshotBytes.Add(size)
-	if inc != nil {
-		s.chain.incremental++
-		s.chain.cost += inc.cost
-		s.snapshotRecords.Add(int64(inc.cost))
-	} else {
-		s.chain.full, s.chain.incremental, s.chain.cost = 1, 0, 0
-		s.snapshotsFull.Inc()
-		s.snapshotRecords.Add(int64(leaves))
-	}
-	s.chainRecords.Set(int64(s.chain.cost))
-	s.chain.epoch, s.head = cp.Epoch, cp.Epoch
-	s.dirty.reset()
-	s.tracked, s.fresh, s.base = s.every > 0, false, leaves
-	// The file covers everything journaled so far: restart the journal.
-	// A crash between the rename and the truncation is benign — recovery
-	// skips journaled blocks at or before the snapshot's epoch.
+	s.snapshotRecords.Add(int64(n.StateLeaves()))
+	s.full, s.journalCost, s.head, s.fresh = 1, 0, cp.Epoch, false
+	s.costGauge.Set(0)
 	if err := s.compactJournal(); err != nil {
 		return err
 	}
-	if inc == nil {
-		for _, old := range snapshotsIn(s.dir) {
-			if old.epoch < cp.Epoch {
-				os.Remove(filepath.Join(s.dir, old.name))
-			}
+	for _, old := range snapshotsIn(s.dir) {
+		if old.epoch < cp.Epoch {
+			os.Remove(filepath.Join(s.dir, old.name))
 		}
 	}
 	return nil
 }
 
-// Recover restores n from the state directory: the snapshot chain
-// (newest readable full file, then the incremental files after it, one
-// root check), then the journal tail, truncating a torn final frame.
-// The network must be freshly provisioned through the same
-// deterministic genesis as the original run — snapshot files hold what
-// differs from it. On an empty directory it is a no-op and the network
+// Recover restores n from the state directory: the newest readable
+// snapshot file (one root check), then the journal, truncating a torn
+// final frame. The network must be freshly provisioned through the same
+// deterministic genesis as the original run, which a directory without
+// a file rests on. On an empty directory it is a no-op and the network
 // stays at genesis. A state older than a snapshot file of the directory
-// is never returned as recovered: if the chain cannot be applied up to
-// its newest file and the journal does not make up for it, Recover
-// fails with ErrCorruptSnapshot or ErrJournalGap.
+// is never returned as recovered: if the newest file cannot be applied
+// and the journal does not make up for it, Recover fails with
+// ErrCorruptSnapshot and leaves n as it was — as it does on a file of a
+// retired format, such as an incremental file.
 //
 // Recover owns the directory: it removes what a crash inside a snapshot
-// left behind — temp files, and snapshot files the recovered chain does
-// not use.
+// left behind — temp files, and snapshot files other than the one
+// recovered from.
 func (s *Store) Recover(n *shard.Network) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return errors.New("store: closed")
 	}
+	base, err := pickSnapshot(s.dir)
+	if err != nil {
+		return err
+	}
+	if base.stopped != nil {
+		// Only the journal can carry the state past the newest file:
+		// check that it does before anything is applied.
+		from := n.Epoch
+		if base.file != nil {
+			from = base.file.hdr.Checkpoint.Epoch
+		}
+		reached, err := journalReach(s.f, from)
+		if err != nil {
+			return err
+		}
+		if reached < base.newest {
+			return fmt.Errorf("%w (the journal reaches epoch %d, the directory holds a snapshot of epoch %d)",
+				base.stopped, reached, base.newest)
+		}
+	}
+	if base.file != nil {
+		if err := base.file.apply(n); err != nil {
+			return err
+		}
+		if err := base.file.settle(n); err != nil {
+			return err
+		}
+	}
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: recover: %w", err)
 	}
-	// The blocks replayed from the journal are the ones committed since
-	// the chain's last file: their keys belong in the next one.
-	s.dirty.reset()
-	sc, err := restoreChain(s.dir, n)
-	if err != nil {
-		return err
-	}
-	base := n.StateLeaves()
+	cost := 0
 	good, err := replayJournal(s.f, n, func(fb *shard.FinalBlock) {
 		s.replayed.Inc()
-		if s.every > 0 {
-			s.dirty.add(fb)
-		}
+		cost += replayCost(fb)
 	})
-	if sc.stopped != nil && errors.Is(err, ErrJournalGap) {
-		return fmt.Errorf("%w; %w", sc.stopped, err)
-	}
 	if err != nil {
 		return err
 	}
-	// Recovery that ends below the newest snapshot file's epoch is an
-	// error: that file was written after the journal gave up the blocks
-	// before it.
-	if sc.stopped != nil && n.Epoch < sc.newest {
+	if base.stopped != nil && n.Epoch < base.newest {
 		return fmt.Errorf("%w (recovery reached epoch %d, the directory holds a snapshot of epoch %d)",
-			sc.stopped, n.Epoch, sc.newest)
+			base.stopped, n.Epoch, base.newest)
 	}
 	if err := s.truncateJournal(good); err != nil {
 		return err
 	}
-	for _, name := range sc.unused {
+	for _, name := range base.unused {
 		os.Remove(filepath.Join(s.dir, name))
 	}
 	if tmps, err := filepath.Glob(filepath.Join(s.dir, "snapshot-*.snap"+tmpSuffix)); err == nil {
@@ -445,9 +400,12 @@ func (s *Store) Recover(n *shard.Network) error {
 			os.Remove(tmp)
 		}
 	}
-	s.chain, s.head = sc.snapshotChain, n.Epoch
-	s.tracked, s.fresh, s.base = s.every > 0, false, base
-	s.chainRecords.Set(int64(sc.cost))
+	s.full = 0
+	if base.file != nil {
+		s.full = 1
+	}
+	s.journalCost, s.head, s.fresh = cost, n.Epoch, false
+	s.costGauge.Set(int64(cost))
 	return nil
 }
 
@@ -480,59 +438,96 @@ func (s *Store) truncateJournal(good int64) error {
 }
 
 // Chain reports the snapshot files the directory's state currently
-// rests on, as recovered or as written since: full (0 when it rests on
-// genesis, else 1) and the incremental files after it.
-func (s *Store) Chain() (full, incremental int) {
+// rests on, as recovered or as written since: 1 for a full file, 0
+// for genesis.
+func (s *Store) Chain() (full int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.chain.full, s.chain.incremental
+	return s.full
+}
+
+// readJournal reads the journal records of r in order and hands each
+// one's checkpoint epoch — the epoch its block advanced the network to
+// — and payload to each, which reports whether to go on. The payload is
+// scratch, valid during the call only. A torn or corrupt frame, or a
+// frame of another type, ends the journal: what precedes it is what was
+// durably journaled. It returns the offset after the last record each
+// went on from.
+func readJournal(r io.Reader, each func(epoch uint64, payload []byte) (bool, error)) (int64, error) {
+	br := bufio.NewReaderSize(r, 1<<20)
+	var good int64
+	var frame []byte
+	for {
+		raw, err := wire.AppendRawFrame(frame[:0], br)
+		if err == io.EOF || errors.Is(err, wire.ErrDecode) {
+			return good, nil // a torn tail: the journal ends before it
+		}
+		if err != nil {
+			return good, fmt.Errorf("store: journal: %w", err)
+		}
+		frame = raw
+		typ, payload, _, err := wire.DecodeFrame(frame)
+		if err != nil || typ != wire.MsgCheckpointBlock {
+			return good, nil
+		}
+		// A record opens with its checkpoint (wire.AppendCheckpoint),
+		// whose first field is the epoch.
+		epoch, k := binary.Uvarint(payload)
+		if k <= 0 {
+			return good, nil
+		}
+		if more, err := each(epoch, payload); !more || err != nil {
+			return good, err
+		}
+		good += int64(len(frame))
+	}
+}
+
+// journalReach is the epoch the journal of r carries a state of epoch
+// from to: from itself when its blocks do not continue from there.
+func journalReach(r io.ReadSeeker, from uint64) (uint64, error) {
+	if _, err := r.Seek(0, io.SeekStart); err != nil {
+		return 0, fmt.Errorf("store: recover: %w", err)
+	}
+	reached := from
+	_, err := readJournal(r, func(epoch uint64, _ []byte) (bool, error) {
+		if epoch == reached+1 {
+			reached = epoch
+		}
+		return epoch <= reached, nil
+	})
+	return reached, err
 }
 
 // replayJournal replays every journaled block past the network's
-// epoch, handing each to each once applied, and returns
-// the byte offset after the last valid frame. A malformed frame ends
-// the replay (torn tail); blocks at earlier epochs are skipped (already
-// in the snapshot), and a block past the next expected epoch is a hard
+// epoch, handing each to each once applied, and returns the byte
+// offset after the last valid frame. A malformed record ends the
+// replay (torn tail); blocks at earlier epochs are skipped (already in
+// the snapshot), and a block past the next expected epoch is a hard
 // ErrJournalGap.
-func replayJournal(f io.Reader, n *shard.Network, each func(*shard.FinalBlock)) (int64, error) {
-	r := bufio.NewReaderSize(f, 1<<20)
-	var good int64
-	for {
-		typ, payload, err := wire.ReadFrame(r)
-		if err == io.EOF {
-			return good, nil
-		}
-		if err != nil {
-			if errors.Is(err, wire.ErrDecode) {
-				// Torn or corrupt tail: recovery resumes from the last
-				// fully-journaled epoch.
-				return good, nil
-			}
-			return good, fmt.Errorf("store: journal: %w", err)
-		}
-		if typ != wire.MsgCheckpointBlock {
-			return good, nil
-		}
-		cb, err := wire.DecodeCheckpointBlock(payload)
-		if err != nil {
-			return good, nil
-		}
-		good += int64(wire.HeaderLen + len(payload))
-		switch {
-		case cb.Block.Epoch < n.Epoch:
+func replayJournal(r io.Reader, n *shard.Network, each func(*shard.FinalBlock)) (int64, error) {
+	return readJournal(r, func(epoch uint64, payload []byte) (bool, error) {
+		if epoch <= n.Epoch {
 			// Covered by the snapshot (the journal outlived a compaction
 			// that crashed before truncating).
-		case cb.Block.Epoch > n.Epoch:
-			return good, fmt.Errorf("%w: journaled epoch %d, expected %d",
-				ErrJournalGap, cb.Block.Epoch, n.Epoch)
-		default:
-			if err := n.ReplayFinalBlock(cb.Block); err != nil {
-				return good, fmt.Errorf("store: replay epoch %d: %w", cb.Block.Epoch, err)
-			}
-			// The checkpoint restores what replay cannot re-derive (the
-			// exact next transaction id).
-			n.RestoreCheckpoint(cb.Checkpoint)
-			each(cb.Block)
+			return true, nil
 		}
-	}
+		// The block keeps its bytes: they are its seal.
+		cb, err := wire.DecodeCheckpointBlock(bytes.Clone(payload))
+		if err != nil {
+			return false, nil
+		}
+		if cb.Block.Epoch != n.Epoch {
+			return false, fmt.Errorf("%w: journaled epoch %d, expected %d",
+				ErrJournalGap, cb.Block.Epoch, n.Epoch)
+		}
+		if err := n.ReplayFinalBlock(cb.Block); err != nil {
+			return false, fmt.Errorf("store: replay epoch %d: %w", cb.Block.Epoch, err)
+		}
+		// The checkpoint restores what replay cannot re-derive (the
+		// exact next transaction id).
+		n.RestoreCheckpoint(cb.Checkpoint)
+		each(cb.Block)
+		return true, nil
+	})
 }

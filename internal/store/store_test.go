@@ -9,6 +9,8 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"cosplit/internal/chain"
@@ -144,96 +146,94 @@ func TestRecoverFromJournal(t *testing.T) {
 	}
 }
 
-// snapshotChainOf parses every snapshot file of dir and checks that
-// they form one chain: at most one full file, the oldest, then
-// incremental files each extending the one before it (the first one
-// genesisEpoch when there is no full file). It returns the files and
-// the cost of the incremental ones.
-func snapshotChainOf(t *testing.T, dir string, genesisEpoch uint64) ([]*snapFile, int) {
+// onlySnapshot parses the snapshot files of dir and checks that there
+// is at most one. It returns that file, or nil.
+func onlySnapshot(t *testing.T, dir string) *snapFile {
 	t.Helper()
-	var files []*snapFile
-	cost := 0
-	at := genesisEpoch
-	for i, ref := range snapshotsIn(dir) {
-		sf, err := readSnapshotFile(dir, ref)
+	snaps := snapshotsIn(dir)
+	switch len(snaps) {
+	case 0:
+		return nil
+	case 1:
+		sf, err := readSnapshotFile(dir, snaps[0])
 		if err != nil {
-			t.Fatalf("%s: %v", ref.name, err)
+			t.Fatalf("%s: %v", snaps[0].name, err)
 		}
-		switch {
-		case !sf.incremental && i > 0:
-			t.Fatalf("%s is a full file behind %s: everything older should be gone", ref.name, files[i-1].name)
-		case sf.incremental && sf.since != at:
-			t.Fatalf("%s extends epoch %d, the chain before it is at epoch %d", ref.name, sf.since, at)
-		case sf.incremental:
-			cost += sf.cost()
-		}
-		at = ref.epoch
-		files = append(files, sf)
+		return sf
 	}
-	return files, cost
+	t.Fatalf("the directory holds %d snapshot files, want one at most: %v", len(snaps), snaps)
+	return nil
 }
 
-// TestSnapshotRotation: snapshot boundaries leave a chain the fold
-// rule bounds — a full file at most, then incremental files that
-// together stay smaller than the state — the journal holds only the
-// epochs since the newest file, and the chain plus the journal recover
-// the head. The run's 11 boundaries fold the chain at every fifth and end
-// one past a fold, on a chain with an incremental file.
+// journalCostOf is the replay cost of the blocks in dir's journal, read
+// back from the file.
+func journalCostOf(t *testing.T, dir string) int {
+	t.Helper()
+	cost := 0
+	for _, fr := range frames(t, readFile(t, filepath.Join(dir, journalName))) {
+		_, payload, _, err := wire.DecodeFrame(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := wire.DecodeCheckpointBlock(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost += replayCost(cb.Block)
+	}
+	return cost
+}
+
+// TestSnapshotRotation: snapshot boundaries leave a directory the fold
+// rule bounds — one full file at most, and a journal of the epochs
+// since it whose replay cost, as the store counts it and as the
+// journal's blocks add up, stays below the state's leaves after every
+// boundary — and the file plus the journal recover the head. The run's
+// 11 boundaries fold the journal at some and not at others, and it
+// ends one past a boundary, with a journal tail.
 func TestSnapshotRotation(t *testing.T) {
 	const epochs = 23
 	dir := t.TempDir()
 	a := provisionFT(t)
-	genesis := a.Net.Checkpoint().Epoch
 	stA := openStore(t, dir, WithSnapshotEvery(2))
 	a.Net.AttachStateStore(stA)
 	var roots []string
 	var cps []shard.Checkpoint
-	folded := false
+	folds, below := 0, 0
 	for k := 1; k <= epochs; k++ {
+		files := stA.snapshots.Value()
 		r, c := runEpochs(t, a, k, 1)
 		roots, cps = append(roots, r...), append(cps, c...)
+		if got := journalCostOf(t, dir); stA.journalCost != got || stA.costGauge.Value() != int64(got) {
+			t.Fatalf("epoch %d: journal cost %d (store.journal_cost %d), the journal's blocks cost %d", c[0].Epoch, stA.journalCost, stA.costGauge.Value(), got)
+		}
+		sf := onlySnapshot(t, dir)
+		if (sf != nil) != (stA.Chain() == 1) {
+			t.Fatalf("epoch %d: Chain() = %d, the directory holds a file: %v", c[0].Epoch, stA.Chain(), sf != nil)
+		}
 		if c[0].Epoch%2 != 0 {
 			continue
 		}
-		// After every boundary: one chain ending at this epoch, smaller
-		// than the state, and what the store reports is what is on disk.
-		files, cost := snapshotChainOf(t, dir, genesis)
-		if len(files) == 0 || files[len(files)-1].hdr.Checkpoint != c[0] {
-			t.Fatalf("boundary %d: newest snapshot is not of checkpoint %+v", c[0].Epoch, c[0])
+		switch leaves := a.Net.StateLeaves(); {
+		case stA.snapshots.Value() == files:
+			below++
+			if stA.journalCost >= leaves {
+				t.Fatalf("boundary %d wrote no file at journal cost %d, %d leaves", c[0].Epoch, stA.journalCost, leaves)
+			}
+		case sf == nil || sf.hdr.Checkpoint != c[0] || stA.journalCost != 0:
+			t.Fatalf("boundary %d folded the journal, but the directory holds %v at journal cost %d", c[0].Epoch, sf, stA.journalCost)
+		default:
+			folds++
 		}
-		if leaves := a.Net.StateLeaves(); cost >= leaves {
-			t.Fatalf("boundary %d: incremental files cost %d, the state has %d leaves", c[0].Epoch, cost, leaves)
-		}
-		if got := stA.chainRecords.Value(); got != int64(cost) {
-			t.Fatalf("boundary %d: store.chain_records %d, files cost %d", c[0].Epoch, got, cost)
-		}
-		full, inc := stA.Chain()
-		if full+inc != len(files) || (full == 1) == files[0].incremental {
-			t.Fatalf("boundary %d: Chain() = %d full + %d incremental, directory holds %d files", c[0].Epoch, full, inc, len(files))
-		}
-		folded = folded || (!files[0].incremental && len(files) == 1 && stA.snapshots.Value() > 1)
 	}
-	if !folded {
-		t.Fatalf("%d boundaries never folded the chain into a full file (%d full of %d)", stA.snapshots.Value(),
-			stA.snapshotsFull.Value(), stA.snapshots.Value())
-	}
-	if stA.snapshotsFull.Value() == stA.snapshots.Value() {
-		t.Fatal("every boundary wrote a full file")
+	if folds == 0 || below == 0 {
+		t.Fatalf("%d boundaries folded the journal and %d did not: want both", folds, below)
 	}
 
 	head := cps[epochs-1]
-	last := head.Epoch - head.Epoch%2
-	snaps := snapshotsIn(dir)
-	if snaps[len(snaps)-1].epoch != last {
-		t.Fatalf("latest snapshot at epoch %d, want %d", snaps[len(snaps)-1].epoch, last)
-	}
-	// The journal holds only the epochs since that snapshot.
-	info, err := os.Stat(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantEmpty := head.Epoch == last; wantEmpty != (info.Size() == 0) {
-		t.Fatalf("journal size %d after snapshot at %d (checkpoint %d)", info.Size(), last, head.Epoch)
+	sf := onlySnapshot(t, dir)
+	if info, err := os.Stat(filepath.Join(dir, journalName)); err != nil || info.Size() == 0 {
+		t.Fatalf("no journal tail after the last boundary: %v", err)
 	}
 
 	b, stB := recoverFresh(t, dir, WithSnapshotEvery(2))
@@ -247,19 +247,19 @@ func TestSnapshotRotation(t *testing.T) {
 	if inc, full := b.Net.StateRoot(), b.Net.RecomputeStateRoot(); inc != full {
 		t.Fatalf("incremental root %s != recomputed %s", inc, full)
 	}
+	if got := journalCostOf(t, dir); stB.journalCost != got || stB.Chain() != 1 || sf == nil {
+		t.Fatalf("recovered journal cost %d on %d full files, the journal's blocks cost %d", stB.journalCost, stB.Chain(), got)
+	}
 
 	// A block that does not follow the store's epoch (the network moved
-	// under it) forces a full file whatever the chain has room for, and
+	// under it) forces a full file whatever the journal's cost, and
 	// leaves nothing older behind.
-	if full, inc := stB.Chain(); inc == 0 {
-		t.Fatalf("recovered a chain of %d full + %d incremental files: nothing for the forced snapshot to fold", full, inc)
-	}
 	b.Net.AttachStateStore(nil)
 	runEpochs(t, b, epochs+1, 1)
 	b.Net.AttachStateStore(stB)
 	roots, cps = runEpochs(t, b, epochs+2, 1)
-	if files, _ := snapshotChainOf(t, dir, genesis); len(files) != 1 || files[0].incremental || files[0].hdr.Checkpoint != cps[0] {
-		t.Fatalf("after a forced snapshot the directory holds %d files, want one full file of %+v", len(files), cps[0])
+	if sf := onlySnapshot(t, dir); sf == nil || sf.hdr.Checkpoint != cps[0] || stB.journalCost != 0 {
+		t.Fatalf("after a forced snapshot the directory holds %v at journal cost %d, want one full file of %+v", sf, stB.journalCost, cps[0])
 	}
 	c, stC := recoverFresh(t, dir, WithSnapshotEvery(2))
 	defer stC.Close()
@@ -270,10 +270,10 @@ func TestSnapshotRotation(t *testing.T) {
 
 // TestAppendOnlyStaysIncremental: on an append-only state — every
 // ProofIPFS registration adds map entries and none is ever rewritten —
-// an entry costs the fold rule the leaf it is, in an incremental file
-// as in a full one, so the chain grows no faster than the state: every
-// boundary after the first full file writes an incremental file,
-// recovery reads fewer leaves than two states' worth and lands on the
+// the state grows with the journal, and a boundary below the fold
+// writes no file: the directory keeps the file it had, byte for byte,
+// and the journal goes on. Recovery reads fewer leaves than two
+// states' worth, file and journal together, and lands on the
 // committee's root.
 func TestAppendOnlyStaysIncremental(t *testing.T) {
 	const epochs, txs = 16, 600
@@ -289,31 +289,38 @@ func TestAppendOnlyStaysIncremental(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, WithSnapshotEvery(2))
 	a.Net.AttachStateStore(st)
-	fullLeaves := 0 // the leaves of the full file, once there is one
+	below, fileLeaves := 0, 0 // fileLeaves: the leaves of the file, once there is one
 	for k := 1; k <= epochs; k++ {
 		for i := 0; i < txs; i++ {
 			a.Net.Submit(w.Next(a))
 		}
-		fulls, cost0 := st.snapshotsFull.Value(), st.chainRecords.Value()
+		files := dirBytes(t, dir)
+		delete(files, journalName)
+		fileCount := st.snapshots.Value()
 		stats, err := a.Net.RunEpoch()
 		if err != nil || stats.Failed > 0 || stats.Committed != txs {
 			t.Fatalf("epoch %d: committed %d, failed %d: %v", k, stats.Committed, stats.Failed, err)
 		}
-		if st.snapshotsFull.Value() == fulls {
+		if st.snapshots.Value() != fileCount {
+			fileLeaves = a.Net.StateLeaves()
 			continue
 		}
-		if fullLeaves > 0 {
-			t.Fatalf("epoch %d: a second full file; the chain had cost %d, the state has %d leaves", a.Net.Epoch-1, cost0, a.Net.StateLeaves())
+		if a.Net.Epoch%2 != 0 {
+			continue
 		}
-		fullLeaves = a.Net.StateLeaves()
+		below++
+		after := dirBytes(t, dir)
+		delete(after, journalName)
+		if !maps.Equal(after, files) {
+			t.Fatalf("epoch %d: a boundary below the fold (journal cost %d, %d leaves) changed the snapshot files", a.Net.Epoch, st.journalCost, a.Net.StateLeaves())
+		}
 	}
-	full, inc := st.Chain()
-	if full != 1 || inc < epochs/2-2 {
-		t.Fatalf("the chain is %d full + %d incremental files after %d boundaries", full, inc, st.snapshots.Value())
+	if below == 0 {
+		t.Fatalf("none of %d boundaries stayed below the fold", epochs/2)
 	}
-	_, cost := snapshotChainOf(t, dir, 0)
-	if leaves := a.Net.StateLeaves(); fullLeaves+cost >= 2*leaves {
-		t.Fatalf("recovery reads %d leaves of full file and %d of incremental ones, the state has %d", fullLeaves, cost, leaves)
+	onlySnapshot(t, dir)
+	if leaves := a.Net.StateLeaves(); fileLeaves+st.journalCost >= 2*leaves {
+		t.Fatalf("recovery reads %d leaves of file and a journal of cost %d, the state has %d leaves", fileLeaves, st.journalCost, leaves)
 	}
 	root := a.Net.StateRoot()
 	st.Close()
@@ -325,36 +332,6 @@ func TestAppendOnlyStaysIncremental(t *testing.T) {
 	}
 	if got := b.Net.StateRoot(); got != root || b.Net.RecomputeStateRoot() != root {
 		t.Fatalf("recovered root %s (recomputed %s), the committee's %s", got, b.Net.RecomputeStateRoot(), root)
-	}
-}
-
-// TestKeepTracking is the fold rule's forecast, case by case: the
-// interval's keys are kept while their projected cost, with the
-// chain's, stays below the state's projected leaves, and the state is
-// projected from its growth since tracking began.
-func TestKeepTracking(t *testing.T) {
-	for _, c := range []struct {
-		name                       string
-		chain, dirty, base, leaves int
-		elapsed, left              uint64
-		keep                       bool
-	}{
-		{"a still state, a small interval", 0, 100, 10_000, 10_000, 1, 7, true},
-		{"a still state, keys at its size by the boundary", 0, 1250, 10_000, 10_000, 1, 7, false},
-		{"the chain's cost counts", 2_000, 1_000, 10_000, 10_000, 1, 7, false},
-		{"the boundary block itself", 0, 9_999, 10_000, 10_000, 8, 0, true},
-		// Append-only: each epoch adds the leaves it dirties. Counted
-		// against today's leaves the keys would be given up; the state
-		// grows as fast as they do, so they are kept.
-		{"append-only, first epoch of eight", 0, 4_200, 28_207, 32_407, 1, 7, true},
-		{"append-only, half way", 0, 16_800, 28_207, 45_007, 4, 4, true},
-		{"append-only with a long chain", 30_000, 4_200, 28_207, 32_407, 1, 7, false},
-		{"a shrinking state", 0, 1_000, 10_000, 9_000, 1, 7, false},
-		{"the last epoch before the boundary", 0, 7_000, 9_000, 9_500, 7, 1, true},
-	} {
-		if got := keepTracking(c.chain, c.dirty, c.base, c.leaves, c.elapsed, c.left); got != c.keep {
-			t.Errorf("%s: keepTracking = %v, want %v", c.name, got, c.keep)
-		}
 	}
 }
 
@@ -451,79 +428,79 @@ func TestRecoverEmptyDir(t *testing.T) {
 }
 
 // TestCorruptSnapshotFallsBackOrFailsLoudly flips a byte in the first,
-// a middle and the last file of a snapshot chain. With the journal
-// compacted the frame CRC rejects the file and recovery must refuse —
-// never return the older state the files before it describe, never
+// a middle and the last frame of a directory's snapshot file. With the
+// journal compacted the frame CRC rejects the file and recovery must
+// refuse and restore nothing — never return an older state, never
 // restart from genesis with history compacted away. Only while the
 // journal still holds the blocks the bad file covered (a crash between
 // its rename and the truncation) does recovery fall back to them.
 func TestCorruptSnapshotFallsBackOrFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	a := provisionFT(t)
-	genesis := a.Net.Checkpoint().Epoch
 	stA := openStore(t, dir, WithSnapshotEvery(2))
 	a.Net.AttachStateStore(stA)
-	// Run until a boundary leaves a chain of three files. A second run
-	// of the same epochs never snapshots: its journal holds every block,
-	// the boundary's own included, as the first run's did until the
+	// Run until a boundary folds the journal. A second run of the same
+	// epochs never snapshots: its journal holds every block, the
+	// boundary's own included, as the first run's did until the
 	// boundary truncated it.
 	ref := provisionFT(t)
 	refDir := t.TempDir()
 	ref.Net.AttachStateStore(openStore(t, refDir, WithSnapshotEvery(0)))
 	var roots []string
 	var cps []shard.Checkpoint
-	var files []*snapFile
-	for k := 1; len(files) < 3; k++ {
+	for k := 1; stA.snapshots.Value() == 0; k++ {
 		if k > 12 {
-			t.Fatalf("no chain of three files in %d epochs", k)
+			t.Fatalf("no fold in %d epochs", k)
 		}
 		runEpochs(t, ref, k, 1)
 		r, c := runEpochs(t, a, k, 1)
 		roots, cps = append(roots, r...), append(cps, c...)
-		if c[0].Epoch%2 == 0 {
-			files, _ = snapshotChainOf(t, dir, genesis)
-		}
 	}
-	journal, err := os.ReadFile(filepath.Join(refDir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	journal := readFile(t, filepath.Join(refDir, journalName))
 	pre := len(roots) - 1 // index of the boundary epoch
 	if info, err := os.Stat(filepath.Join(dir, journalName)); err != nil || info.Size() != 0 {
-		t.Fatalf("journal not compacted by the last boundary: %v", err)
+		t.Fatalf("journal not compacted by the fold: %v", err)
 	}
-	flip := func(t *testing.T, dir, name string) {
+	name := snapshotName(cps[pre].Epoch)
+	fileFrames := frames(t, readFile(t, filepath.Join(dir, name)))
+	if len(fileFrames) < 3 {
+		t.Fatalf("the file has %d frames", len(fileFrames))
+	}
+	flip := func(t *testing.T, dir string, frame int) {
 		path := filepath.Join(dir, name)
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		b := readFile(t, path)
+		at := len(fileFrames[frame]) / 2
+		for _, fr := range fileFrames[:frame] {
+			at += len(fr)
 		}
-		b[len(b)/2] ^= 0xff
-		if err := os.WriteFile(path, b, 0o666); err != nil {
-			t.Fatal(err)
-		}
+		b[at] ^= 0xff
+		writeFile(t, path, b)
 	}
-	for pos, sf := range map[string]*snapFile{"first": files[0], "middle": files[1], "last": files[len(files)-1]} {
+	genesis := provisionFT(t).Net
+	for pos, frame := range map[string]int{"first": 0, "middle": len(fileFrames) / 2, "last": len(fileFrames) - 1} {
 		t.Run(pos, func(t *testing.T) {
 			work := copyDir(t, dir)
-			flip(t, work, sf.name)
-			// A refused recovery leaves the directory to be refused again.
+			flip(t, work, frame)
+			// A refused recovery leaves the network as it was and the
+			// directory to be refused again.
 			for try := 0; try < 2; try++ {
+				n := provisionFT(t).Net
 				st := openStore(t, work, WithSnapshotEvery(2))
-				err := st.Recover(provisionFT(t).Net)
+				err := st.Recover(n)
 				st.Close()
-				if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrJournalGap) {
-					t.Fatalf("recovery %d over a corrupt %s with a compacted journal: %v, want ErrCorruptSnapshot or ErrJournalGap", try, sf.name, err)
+				if !errors.Is(err, ErrCorruptSnapshot) {
+					t.Fatalf("recovery %d over a corrupt %s with a compacted journal: %v, want ErrCorruptSnapshot", try, name, err)
+				}
+				if n.StateRoot() != genesis.StateRoot() || n.Checkpoint() != genesis.Checkpoint() {
+					t.Fatalf("recovery %d failed on %+v root %s, not on genesis", try, n.Checkpoint(), n.StateRoot())
 				}
 			}
 		})
 	}
 	t.Run("journal not truncated", func(t *testing.T) {
 		work := copyDir(t, dir)
-		flip(t, work, files[len(files)-1].name)
-		if err := os.WriteFile(filepath.Join(work, journalName), journal, 0o666); err != nil {
-			t.Fatal(err)
-		}
+		flip(t, work, len(fileFrames)/2)
+		writeFile(t, filepath.Join(work, journalName), journal)
 		b, st := recoverFresh(t, work, WithSnapshotEvery(2))
 		defer st.Close()
 		if got := b.Net.Checkpoint(); got != cps[pre] {
@@ -532,13 +509,13 @@ func TestCorruptSnapshotFallsBackOrFailsLoudly(t *testing.T) {
 		if got := b.Net.StateRoot(); got != roots[pre] {
 			t.Fatalf("recovered root %s, want %s", got, roots[pre])
 		}
-		// The file recovery could not use is gone: the chain the next
-		// boundary extends is the one that was applied.
-		if _, err := os.Stat(filepath.Join(work, files[len(files)-1].name)); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("unusable %s survived recovery: %v", files[len(files)-1].name, err)
+		// The file recovery could not use is gone: the state rests on
+		// genesis and the journal.
+		if _, err := os.Stat(filepath.Join(work, name)); !errors.Is(err, os.ErrNotExist) || st.Chain() != 0 {
+			t.Fatalf("unusable %s survived recovery (%d full files): %v", name, st.Chain(), err)
 		}
 		runEpochs(t, b, pre+2, 2)
-		snapshotChainOf(t, work, genesis)
+		onlySnapshot(t, work)
 	})
 }
 
@@ -672,8 +649,8 @@ func TestStoreGapWritesFullSnapshot(t *testing.T) {
 			if got := b.Net.StateRoot(); got != roots[0] {
 				t.Fatalf("recovered root %s, want %s", got, roots[0])
 			}
-			if full, inc := stB.Chain(); full != 1 || inc != 0 {
-				t.Fatalf("chain of %d full + %d incremental files, want the one full file", full, inc)
+			if full := stB.Chain(); full != 1 {
+				t.Fatalf("the state rests on %d full files, want the one", full)
 			}
 		})
 	}
@@ -776,4 +753,116 @@ func dirListing(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestIdleChainStaysBounded: a chain that goes idle — 200 empty epochs
+// after four batches, the fold rule checked every second one — leaves
+// a bounded directory: one snapshot file at most, and a journal whose
+// replay cost stays below the state's leaves plus one interval, since
+// an empty block costs one. A fresh recovery lands on the live root.
+func TestIdleChainStaysBounded(t *testing.T) {
+	const every, idle = 2, 200
+	dir := t.TempDir()
+	a := provisionFT(t)
+	st := openStore(t, dir, WithSnapshotEvery(every))
+	a.Net.AttachStateStore(st)
+	runEpochs(t, a, 1, 4)
+	for i := 0; i < idle; i++ {
+		if _, err := a.Net.RunEpoch(); err != nil {
+			t.Fatalf("idle epoch %d: %v", i, err)
+		}
+	}
+	onlySnapshot(t, dir)
+	if leaves := a.Net.StateLeaves(); st.journalCost >= leaves+every {
+		t.Fatalf("after %d idle epochs the journal costs %d, the state has %d leaves", idle, st.journalCost, leaves)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, stB := recoverFresh(t, dir, WithSnapshotEvery(every))
+	defer stB.Close()
+	if got, want := b.Net.StateRoot(), a.Net.StateRoot(); got != want || b.Net.Checkpoint() != a.Net.Checkpoint() {
+		t.Fatalf("recovered %+v root %s, live %+v root %s", b.Net.Checkpoint(), got, a.Net.Checkpoint(), want)
+	}
+	t.Logf("%d snapshot files written, journal cost %d of %d leaves", st.snapshots.Value(), st.journalCost, a.Net.StateLeaves())
+}
+
+// TestIncrementalFileRefused: a directory an earlier build wrote may
+// hold an incremental snapshot file — a full file's records with a base
+// marker (type 21) after the header — which this build does not read.
+// Recovery over one fails with ErrCorruptSnapshot and restores nothing,
+// whether or not a full file is beside it, and leaves the directory as
+// it was; only a journal that still covers the file's epochs carries
+// recovery past it, and then the file is removed.
+func TestIncrementalFileRefused(t *testing.T) {
+	ref := provisionFT(t)
+	genesis := ref.Net.Checkpoint()
+	refDir := t.TempDir()
+	ref.Net.AttachStateStore(openStore(t, refDir, WithSnapshotEvery(0)))
+	runEpochs(t, ref, 1, 2)
+	mid := ref.Net.Checkpoint()
+	var buf bytes.Buffer
+	if err := writeFull(func(t wire.MsgType, payload []byte) error { return wire.WriteFrame(&buf, t, payload) }, ref.Net, mid); err != nil {
+		t.Fatal(err)
+	}
+	full := frames(t, buf.Bytes())
+	since := wire.AppendFrame(nil, 21, binary.AppendUvarint(nil, genesis.Epoch))
+	incremental := bytes.Join(slices.Concat(full[:1], [][]byte{since}, full[1:]), nil)
+	roots, cps := runEpochs(t, ref, 3, 2)
+	journal := frames(t, readFile(t, filepath.Join(refDir, journalName)))
+
+	genesisFile := t.TempDir()
+	if _, err := writeSnapshotFile(genesisFile, snapshotName(genesis.Epoch), func(put putRecord) error {
+		return writeFull(put, provisionFT(t).Net, genesis)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	directory := func(t *testing.T, journal [][]byte, withFull bool) string {
+		dir := t.TempDir()
+		if withFull {
+			dir = copyDir(t, genesisFile)
+		}
+		writeFile(t, filepath.Join(dir, snapshotName(mid.Epoch)), incremental)
+		writeFile(t, filepath.Join(dir, journalName), bytes.Join(journal, nil))
+		return dir
+	}
+	for _, c := range []struct {
+		name     string
+		journal  [][]byte
+		withFull bool
+	}{
+		{"alone", nil, false},
+		{"with its journal tail", journal[2:], false},
+		{"over a full file, with its journal tail", journal[2:], true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := directory(t, c.journal, c.withFull)
+			before := dirBytes(t, dir)
+			n := provisionFT(t).Net
+			root := n.StateRoot()
+			st := openStore(t, dir)
+			err := st.Recover(n)
+			st.Close()
+			if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "msg(21)") {
+				t.Fatalf("recovery over an incremental file: %v, want ErrCorruptSnapshot", err)
+			}
+			if n.StateRoot() != root || n.Checkpoint() != genesis {
+				t.Fatalf("a failed recovery left %+v root %s, genesis is %+v root %s", n.Checkpoint(), n.StateRoot(), genesis, root)
+			}
+			if after := dirBytes(t, dir); !maps.Equal(after, before) {
+				t.Fatalf("a failed recovery changed the directory")
+			}
+		})
+	}
+	t.Run("covered by the journal", func(t *testing.T) {
+		dir := directory(t, journal, true)
+		b, st := recoverFresh(t, dir)
+		defer st.Close()
+		if got := b.Net.StateRoot(); got != roots[1] || b.Net.Checkpoint() != cps[1] {
+			t.Fatalf("recovered %+v root %s, want %+v root %s", b.Net.Checkpoint(), got, cps[1], roots[1])
+		}
+		if sf := onlySnapshot(t, dir); sf == nil || sf.hdr.Checkpoint != genesis {
+			t.Fatalf("after recovery the directory holds %v, want the full file of genesis alone", sf)
+		}
+	})
 }

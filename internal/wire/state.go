@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
-
 	"cosplit/internal/chain"
 	"cosplit/internal/shard"
 )
@@ -25,10 +23,6 @@ const (
 	// MsgSnapshotEnd closes a snapshot file with the record counts the
 	// reader must have seen; a snapshot without it is truncated.
 	MsgSnapshotEnd MsgType = 14
-	// MsgSnapshotSince follows the header of an incremental snapshot
-	// file: the epoch of the snapshot file (or of genesis) whose state
-	// the file's records are written over. A full file has none.
-	MsgSnapshotSince MsgType = 21
 )
 
 // CheckpointBlock is the journal record appended after every committed
@@ -90,27 +84,6 @@ func EncodeSnapshotHeader(h *SnapshotHeader) []byte {
 func DecodeSnapshotHeader(b []byte) (*SnapshotHeader, error) {
 	r := &reader{b: b}
 	return finish(r, &SnapshotHeader{Checkpoint: r.checkpoint(), Root: r.string()})
-}
-
-// SnapshotSince marks a snapshot file as incremental. Its records —
-// MsgStateDelta frames of post-values (Overwrite and Delete entries,
-// whole fields) and MsgSnapshotAccounts batches — hold only what
-// changed after the state as of Epoch: the header epoch of the snapshot
-// file before it, or the genesis epoch when no file precedes it.
-// Recovery applies the file only on top of exactly that state.
-type SnapshotSince struct {
-	Epoch uint64
-}
-
-// EncodeSnapshotSince encodes an incremental snapshot's base marker.
-func EncodeSnapshotSince(s *SnapshotSince) []byte {
-	return appendUvarint(make([]byte, 0, binary.MaxVarintLen64), s.Epoch)
-}
-
-// DecodeSnapshotSince decodes an incremental snapshot's base marker.
-func DecodeSnapshotSince(b []byte) (*SnapshotSince, error) {
-	r := &reader{b: b}
-	return finish(r, &SnapshotSince{Epoch: r.uvarint()})
 }
 
 // SnapshotAccount is one native account's snapshot row.

@@ -92,9 +92,10 @@ const (
 	MsgStateQuery MsgType = 7
 	MsgStateResp  MsgType = 8
 	MsgStateDelta MsgType = 9
-	// 12 and 15–17 stay reserved: they tagged the retired whole-contract
-	// snapshot record and the retired paged store's account pages,
-	// contract pages and page index. Directories those builds wrote still
+	// 12, 15–17 and 21 stay reserved: they tagged the retired
+	// whole-contract snapshot record, the retired paged store's account
+	// pages, contract pages and page index, and the retired incremental
+	// snapshot file's base marker. Directories those builds wrote still
 	// hold such frames, so no later record type may reuse the numbers.
 )
 
@@ -126,8 +127,6 @@ func (t MsgType) String() string {
 		return "snapshot_accounts"
 	case MsgSnapshotEnd:
 		return "snapshot_end"
-	case MsgSnapshotSince:
-		return "snapshot_since"
 	case MsgBlockRequest:
 		return "block_request"
 	case MsgBlockResponse:

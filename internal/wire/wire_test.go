@@ -212,7 +212,6 @@ func fixtures() []fixture {
 		{"snapshot_header", MsgSnapshotHeader, headerb},
 		{"snapshot_accounts", MsgSnapshotAccounts, accountsb},
 		{"snapshot_end", MsgSnapshotEnd, endb},
-		{"snapshot_since", MsgSnapshotSince, EncodeSnapshotSince(&SnapshotSince{Epoch: 4})},
 		{"block_request", MsgBlockRequest, EncodeBlockRequest(&BlockRequest{From: 3, To: 7})},
 		{"block_response", MsgBlockResponse, mustEnc(blockResponse(&BlockResponse{
 			From: 5, Head: 6, Blocks: []*shard.FinalBlock{fixtureFinalBlock()},
@@ -330,12 +329,6 @@ func reencode(t MsgType, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		return EncodeSnapshotEnd(v), nil
-	case MsgSnapshotSince:
-		v, err := DecodeSnapshotSince(payload)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeSnapshotSince(v), nil
 	case MsgBlockRequest:
 		v, err := DecodeBlockRequest(payload)
 		if err != nil {
